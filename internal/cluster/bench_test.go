@@ -40,6 +40,14 @@ func comboName(cfg Config) string {
 	return fmt.Sprintf("%v/%v/%s", cfg.Distance, cfg.Search, mode)
 }
 
+// hardwareShape is the clusterer accturbo-defend deploys: the §7.1
+// hardware features over four slice-initialised clusters.
+func hardwareShape() Config {
+	cfg := DefaultConfig(4, packet.HardwareFeatures())
+	cfg.SliceInit = true
+	return cfg
+}
+
 // benchTrace builds a packet working set with adversarial feature
 // diversity (random IPs and ports), matching what a pulse-wave attack
 // feeds the clusterer.
@@ -63,8 +71,20 @@ func benchTrace(n int, seed int64) []*packet.Packet {
 // hot path, not seeding.
 func BenchmarkObserve(b *testing.B) {
 	pkts := benchTrace(1024, 1)
+	type row struct {
+		name string
+		cfg  Config
+	}
+	var rows []row
 	for _, cfg := range benchCombos() {
-		b.Run(comboName(cfg), func(b *testing.B) {
+		rows = append(rows, row{comboName(cfg), cfg})
+	}
+	// The deployed shape: what accturbo-defend and the repository
+	// benchmark run.
+	rows = append(rows, row{"manhattan/fast/exact/hw", hardwareShape()})
+	for _, r := range rows {
+		cfg := r.cfg
+		b.Run(r.name, func(b *testing.B) {
 			o := NewOnline(cfg)
 			for _, p := range pkts {
 				o.Observe(p)
@@ -123,5 +143,33 @@ func TestObserveFastPathZeroAlloc(t *testing.T) {
 				t.Fatalf("steady-state Observe allocates %.2f times per packet, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestReseedWindowZeroAlloc holds the controller's steady cycle — Reseed,
+// then a window of traffic — to zero allocations: cluster slots are held
+// by value and the membership lists keep their backing arrays across
+// reseeds, so once a window's worth of values has been seen, re-forming
+// the clusters allocates nothing.
+func TestReseedWindowZeroAlloc(t *testing.T) {
+	pkts := benchTrace(1024, 1)
+	bloom := hardwareShape()
+	bloom.UseBloom = true
+	sim := DefaultConfig(10, packet.DefaultSimulationFeatures())
+	simBloom := sim
+	simBloom.UseBloom = true
+	for _, cfg := range []Config{hardwareShape(), bloom, sim, simBloom} {
+		o := NewOnline(cfg)
+		window := func() {
+			o.Reseed()
+			for _, p := range pkts {
+				o.Observe(p)
+			}
+		}
+		window()
+		if allocs := testing.AllocsPerRun(10, window); allocs != 0 {
+			t.Errorf("%s, %d features: Reseed plus a window of Observe allocates %.1f times, want 0",
+				comboName(cfg), len(cfg.Features), allocs)
+		}
 	}
 }

@@ -14,6 +14,8 @@ package cluster
 
 // pointKernel returns d(p, c): the cost increase of absorbing the
 // packet (given by its extracted feature values) into cluster ci.
+// Nominal membership comes from the table's per-packet gather, which
+// closest runs once before the scan.
 // bound is the best distance found so far in the current scan; kernels
 // whose partial sums are monotone may return early with any value
 // >= bound once the cluster cannot win. Pass +inf for an exact result.
@@ -31,7 +33,7 @@ func (o *Online) selectKernels() {
 		if o.cfg.Normalize {
 			o.dist = manhattanPointScaled
 		} else {
-			o.dist = manhattanPointRaw
+			// No point kernel: closest runs the integer fused scan.
 			o.rawManhattan = true
 		}
 	case Anime:
@@ -73,8 +75,8 @@ func (o *Online) clusterCost(ci int) float64 {
 // nominal ones. With Normalize set, ordinal widths are scaled into
 // (0, 1] so wide value spaces do not dominate.
 func (o *Online) featWidth(ci, i int) float64 {
-	if o.nominal[i] {
-		return float64(o.clusters[ci].setCard[i])
+	if j := o.nomIdx[i]; j >= 0 {
+		return float64(o.mt.cardinality(ci, j))
 	}
 	base := ci * o.nf
 	return (float64(o.max[base+i]-o.min[base+i]) + 1) * o.scale[i]
@@ -82,46 +84,16 @@ func (o *Online) featWidth(ci, i int) float64 {
 
 // --- Manhattan (Eq. 5) ---
 
-// manhattanPointRaw is the deployable fast path: unnormalized Manhattan
-// distance over the flattened ranges. All contributions are exact small
-// integers, so accumulation order cannot change the result and the
-// bound check is a pure early exit.
-func manhattanPointRaw(o *Online, vals []uint32, ci int, bound float64) float64 {
-	base := ci * o.nf
-	mn := o.min[base : base+len(vals)]
-	mx := o.max[base : base+len(vals)]
-	c := o.clusters[ci]
-	var d float64
-	for i, v := range vals {
-		if o.nominal[i] {
-			if !nomContains(c, i, v) {
-				d++
-			}
-		} else if v < mn[i] {
-			d += float64(mn[i] - v)
-		} else if v > mx[i] {
-			d += float64(v - mx[i])
-		}
-		if d >= bound {
-			return d
-		}
-	}
-	return d
-}
-
 // manhattanPointScaled is the Normalize variant; it keeps the exact
 // feature-order float accumulation of the reference implementation.
 func manhattanPointScaled(o *Online, vals []uint32, ci int, bound float64) float64 {
 	base := ci * o.nf
 	mn := o.min[base : base+len(vals)]
 	mx := o.max[base : base+len(vals)]
-	c := o.clusters[ci]
 	var d float64
 	for i, v := range vals {
-		if o.nominal[i] {
-			if !nomContains(c, i, v) {
-				d++
-			}
+		if j := o.nomIdx[i]; j >= 0 {
+			d += float64(o.mt.misses(ci, j))
 		} else if v < mn[i] {
 			d += float64(mn[i]-v) * o.scale[i]
 		} else if v > mx[i] {
@@ -139,13 +111,12 @@ func manhattanMerge(o *Online, ai, bi int) float64 {
 	// feature (negative when the ranges overlap); for nominal
 	// features, |union| - |a| - |b| (always <= 0), computable exactly
 	// in set mode.
-	a, b := o.clusters[ai], o.clusters[bi]
 	ab, bb := ai*o.nf, bi*o.nf
 	var d float64
 	for i := 0; i < o.nf; i++ {
-		if o.nominal[i] {
-			union := a.setCard[i] + b.sets[i].unionExtra(&a.sets[i])
-			d += float64(union - a.setCard[i] - b.setCard[i])
+		if j := o.nomIdx[i]; j >= 0 {
+			// |union| - |a| - |b| = |b \ a| - |b|.
+			d += float64(o.mt.unionExtra(ai, bi, j) - o.mt.cardinality(bi, j))
 			continue
 		}
 		lo, hi := o.min[ab+i], o.max[ab+i]
@@ -166,17 +137,13 @@ func animePoint(o *Online, vals []uint32, ci int, _ float64) float64 {
 	// No early exit: the cost is after-before, which is not monotone in
 	// the feature index.
 	base := ci * o.nf
-	c := o.clusters[ci]
 	before := 1.0
 	after := 1.0
 	for i, v := range vals {
 		w := o.featWidth(ci, i)
 		before *= w
-		if o.nominal[i] {
-			if !nomContains(c, i, v) {
-				w++
-			}
-			after *= w
+		if j := o.nomIdx[i]; j >= 0 {
+			after *= w + float64(o.mt.misses(ci, j))
 			continue
 		}
 		switch {
@@ -192,15 +159,13 @@ func animePoint(o *Online, vals []uint32, ci int, _ float64) float64 {
 }
 
 func animeMerge(o *Online, ai, bi int) float64 {
-	a, b := o.clusters[ai], o.clusters[bi]
 	ab, bb := ai*o.nf, bi*o.nf
 	costA, costB, union := 1.0, 1.0, 1.0
 	for i := 0; i < o.nf; i++ {
 		costA *= o.featWidth(ai, i)
 		costB *= o.featWidth(bi, i)
-		if o.nominal[i] {
-			card := a.setCard[i] + b.sets[i].unionExtra(&a.sets[i])
-			union *= float64(card)
+		if j := o.nomIdx[i]; j >= 0 {
+			union *= float64(o.mt.cardinality(ai, j) + o.mt.unionExtra(ai, bi, j))
 			continue
 		}
 		lo, hi := o.min[ab+i], o.max[ab+i]
@@ -234,7 +199,7 @@ func euclideanPoint(o *Online, vals []uint32, ci int, bound float64) float64 {
 func euclideanMerge(o *Online, ai, bi int) float64 {
 	// Ward-style linkage: the increase in within-cluster squared error
 	// caused by merging two centroids.
-	a, b := o.clusters[ai], o.clusters[bi]
+	a, b := &o.clusters[ai], &o.clusters[bi]
 	ab, bb := ai*o.nf, bi*o.nf
 	var d float64
 	for i := 0; i < o.nf; i++ {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,6 +96,65 @@ func TestFastPathMatchesReference(t *testing.T) {
 					t.Fatal("snapshots diverge")
 				}
 			})
+		}
+	}
+}
+
+// TestFastPathMatchesReferenceShapes repeats the equivalence run over
+// the shapes the membership table is sensitive to: cluster counts on
+// both sides of a cell-plane boundary (8|9, 16|17) and the one-slot
+// table, over the deployed configuration (hardware features, slice
+// initialisation) and a set carrying the 8-bit protocol nominal. Midway,
+// the fast clusterer is replaced by a fresh one restored from its own
+// Marshal output, which must carry on bit-identically.
+func TestFastPathMatchesReferenceShapes(t *testing.T) {
+	shapes := []struct {
+		name      string
+		feats     packet.FeatureSet
+		sliceInit bool
+	}{
+		{"hw", packet.HardwareFeatures(), true},
+		{"proto", packet.FeatureSet{packet.FProtocol, packet.FDstIPByte3, packet.FSrcPort, packet.FLength}, false},
+	}
+	pkts := equivTrace(2400, 19)
+	r := rand.New(rand.NewSource(23))
+	protos := []packet.Proto{packet.ProtoUDP, packet.ProtoTCP, packet.ProtoICMP, 47, 50}
+	for i, p := range pkts {
+		q := *p
+		q.Protocol = protos[r.Intn(len(protos))]
+		if r.Intn(8) == 0 {
+			q.Protocol = packet.Proto(r.Intn(256))
+		}
+		pkts[i] = &q
+	}
+	for _, sh := range shapes {
+		for _, k := range []int{1, 4, 8, 9, 17} {
+			for _, base := range benchCombos() {
+				cfg := base
+				cfg.MaxClusters, cfg.Features, cfg.SliceInit = k, sh.feats, sh.sliceInit
+				t.Run(fmt.Sprintf("%s/k=%d/%s", sh.name, k, comboName(cfg)), func(t *testing.T) {
+					fast, ref := NewOnline(cfg), NewReference(cfg)
+					for i, p := range pkts {
+						if fa, ra := fast.Observe(p), ref.Observe(p); fa != ra {
+							t.Fatalf("packet %d: fast=%+v ref=%+v", i, fa, ra)
+						}
+						switch i {
+						case 800:
+							fast.Reseed()
+							ref.Reseed()
+						case 1600:
+							restored := NewOnline(cfg)
+							if err := restored.Unmarshal(fast.Marshal()); err != nil {
+								t.Fatalf("Unmarshal: %v", err)
+							}
+							fast = restored
+						}
+					}
+					if fs, rs := fast.Snapshot(), ref.Snapshot(); !reflect.DeepEqual(fs, rs) {
+						t.Fatalf("snapshots diverge:\nfast=%+v\nref=%+v", fs, rs)
+					}
+				})
+			}
 		}
 	}
 }

@@ -1,0 +1,76 @@
+package cluster
+
+import (
+	"bytes"
+	"testing"
+
+	"accturbo/internal/packet"
+)
+
+// fuzzConfigs are the clusterers FuzzOnlineUnmarshal restores into:
+// exact and Bloom sets over the hardware and the 12-feature sets.
+func fuzzConfigs() []Config {
+	var out []Config
+	for _, bloom := range []bool{false, true} {
+		hw := hardwareShape()
+		hw.UseBloom = bloom
+		sim := DefaultConfig(10, packet.DefaultSimulationFeatures())
+		sim.UseBloom = bloom
+		out = append(out, hw, sim)
+	}
+	return out
+}
+
+// FuzzOnlineUnmarshal feeds Online.Unmarshal arbitrary bytes — the
+// cluster payload of a snapshot read from disk or sent by a fleet peer.
+// It must never panic; it must not allocate beyond a small multiple of
+// the input, whatever counts the stream claims (a cell list costs four
+// bytes a cell, a Bloom word can name 64 cells in eight bytes, and a
+// list grown by append may hold twice what it needs); a
+// refused stream must leave the receiver's state as it was; an accepted
+// one must marshal back to exactly the input.
+func FuzzOnlineUnmarshal(f *testing.F) {
+	cfgs := fuzzConfigs()
+	for i, cfg := range cfgs {
+		o := NewOnline(cfg)
+		f.Add(uint8(i), o.Marshal())
+		for _, p := range equivTrace(300, int64(40+i)) {
+			o.Observe(p)
+		}
+		f.Add(uint8(i), o.Marshal())
+	}
+	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
+		cfg := cfgs[int(which)%len(cfgs)]
+		o := NewOnline(cfg)
+		for _, p := range equivTrace(50, 3) {
+			o.Observe(p)
+		}
+		before := o.Marshal()
+
+		// Unmarshal keeps what it allocates — the cell lists — so their
+		// capacity is its allocation, and unlike a heap counter it is not
+		// disturbed by the fuzzing engine's own goroutines.
+		held := func() (bytes int) {
+			for _, l := range o.mt.lists {
+				bytes += 4 * cap(l)
+			}
+			return bytes
+		}
+		h0 := held()
+		err := o.Unmarshal(data)
+		if got, limit := held()-h0, 64*len(data)+4096; got > limit {
+			t.Fatalf("Unmarshal of %d bytes allocated %d, limit %d", len(data), got, limit)
+		}
+
+		after := o.Marshal()
+		if err != nil {
+			if !bytes.Equal(after, before) {
+				t.Fatalf("a refused stream changed the receiver (%v)", err)
+			}
+			return
+		}
+		if !bytes.Equal(after, data) {
+			t.Fatal("an accepted stream does not marshal back to itself")
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Marshal serializes the clusterer's complete learned state — flattened
@@ -13,9 +14,11 @@ import (
 // byte stream. The stream opens with a configuration fingerprint so
 // Unmarshal can refuse a snapshot taken under different cluster
 // geometry. Two clusterers with equal observable state produce
-// identical bytes (the exhaustive-search merge-cost cache and the
-// nominal-set membership memos are derived state and excluded), which
-// is what makes save → restore → save byte-identical.
+// identical bytes (the exhaustive-search merge-cost cache and the order
+// in which values were admitted are excluded: a set is written as its
+// ascending values, a Bloom set as the words of the equivalent
+// sketch.Bloom), which is what makes save → restore → save
+// byte-identical.
 //
 // Checksums and format versioning live one layer up, in the core
 // snapshot container: a cluster blob never travels alone.
@@ -25,7 +28,9 @@ func (o *Online) Marshal() []byte {
 	e.u64(o.nextUID)
 	e.u64(o.Observed)
 	e.u32(uint32(len(o.clusters)))
-	for ci, c := range o.clusters {
+	var bm []uint64 // one set's cells as a bitmap, zero between uses
+	for ci := range o.clusters {
+		c := &o.clusters[ci]
 		e.u64(c.uid)
 		base := ci * o.nf
 		for f := 0; f < o.nf; f++ {
@@ -43,23 +48,30 @@ func (o *Online) Marshal() []byte {
 		e.u64(c.totalPackets)
 		e.u64(c.benign)
 		e.u64(c.malicious)
-		for f := 0; f < o.nf; f++ {
-			if !o.nominal[f] {
+		for j, mf := range o.mt.feats {
+			card := o.mt.cardinality(ci, j)
+			e.u32(uint32(card))
+			words := int((mf.ncell + 63) / 64)
+			if len(bm) < words {
+				bm = make([]uint64, words)
+			}
+			set := bm[:words]
+			o.mt.bitmap(ci, j, set)
+			if o.cfg.UseBloom {
+				e.u64(uint64(card)) // the filter's Insert count
+				e.u32(uint32(words))
+				for i, w := range set {
+					e.u64(w)
+					set[i] = 0
+				}
 				continue
 			}
-			e.u32(uint32(c.setCard[f]))
-			if o.cfg.UseBloom {
-				b := c.blooms[f]
-				e.u64(b.Inserted)
-				words := b.Words()
-				e.u32(uint32(len(words)))
-				for _, w := range words {
-					e.u64(w)
+			e.u32(uint32(card))
+			for i, w := range set {
+				for ; w != 0; w &= w - 1 {
+					e.u32(uint32(i)<<6 | uint32(bits.TrailingZeros64(w)))
 				}
-			} else {
-				s := &c.sets[f]
-				e.u32(uint32(s.card()))
-				s.each(func(v uint32) { e.u32(v) })
+				set[i] = 0
 			}
 		}
 	}
@@ -68,21 +80,34 @@ func (o *Online) Marshal() []byte {
 
 // Unmarshal replaces the clusterer's state with a Marshal snapshot. The
 // receiver must have been constructed with the same configuration the
-// snapshot was taken under (checked via the embedded fingerprint);
-// restoring re-inserts nominal values in ascending order, which
-// reproduces the exact set representation including the small→bitmap
-// spill point, so subsequent observations are bit-identical to the
-// original clusterer's. The merge-cost cache is marked fully dirty and
-// recomputes lazily from the restored geometry.
+// snapshot was taken under (checked via the embedded fingerprint), and
+// its subsequent observations are bit-identical to the original
+// clusterer's. The merge-cost cache is marked fully dirty and recomputes
+// lazily from the restored geometry.
+//
+// The stream is untrusted: it is walked once to validate it — every
+// length against the bytes that remain, every value against its
+// feature's space — and only then a second time to load it, so a
+// rejected stream leaves the receiver exactly as it was and nothing is
+// sized from a number on the wire.
 func (o *Online) Unmarshal(data []byte) error {
-	d := dec{b: data}
 	var fp enc
 	o.encodeFingerprint(&fp)
-	if len(d.b) < len(fp.b) || !bytes.Equal(d.b[:len(fp.b)], fp.b) {
+	if !bytes.HasPrefix(data, fp.b) {
 		return fmt.Errorf("cluster: snapshot fingerprint does not match this clusterer's configuration")
 	}
-	d.off = len(fp.b)
+	body := data[len(fp.b):]
+	if err := o.decodeState(body, false); err != nil {
+		return err
+	}
+	return o.decodeState(body, true)
+}
 
+// decodeState walks a Marshal stream past its fingerprint, checking it;
+// with commit set it also replaces the clusterer's state with what it
+// reads, which must only be asked of a stream that already passed.
+func (o *Online) decodeState(body []byte, commit bool) error {
+	d := dec{b: body}
 	nextUID := d.u64()
 	observed := d.u64()
 	k := int(d.u32())
@@ -92,27 +117,29 @@ func (o *Online) Unmarshal(data []byte) error {
 	if k > o.cfg.MaxClusters {
 		return fmt.Errorf("cluster: snapshot has %d clusters, config allows %d", k, o.cfg.MaxClusters)
 	}
-
-	// Geometry decodes into scratch first: a truncated or corrupt
-	// stream must leave the receiver untouched.
-	min := make([]uint32, k*o.nf)
-	max := make([]uint32, k*o.nf)
-	var center []float64
-	if o.center != nil {
-		center = make([]float64, k*o.nf)
+	if commit {
+		o.discard()
+		o.clusters = o.clusters[:k]
+		o.nextUID, o.Observed = nextUID, observed
 	}
-	clusters := make([]*clusterState, 0, k)
 	for ci := 0; ci < k; ci++ {
-		c := o.blankState()
+		var c clusterState
 		c.uid = d.u64()
 		base := ci * o.nf
-		for f := 0; f < o.nf; f++ {
-			min[base+f] = d.u32()
-			max[base+f] = d.u32()
+		for f, feat := range o.feats {
+			mn, mx := d.u32(), d.u32()
+			if mn > mx || mx > feat.MaxValue() {
+				return fmt.Errorf("cluster: snapshot cluster %d feature %d range [%d, %d] is not within [0, %d]", ci, f, mn, mx, feat.MaxValue())
+			}
+			if commit {
+				o.min[base+f], o.max[base+f] = mn, mx
+			}
 		}
-		if center != nil {
+		if o.center != nil {
 			for f := 0; f < o.nf; f++ {
-				center[base+f] = d.f64()
+				if v := d.f64(); commit {
+					o.center[base+f] = v
+				}
 			}
 		}
 		c.count = d.u64()
@@ -121,56 +148,77 @@ func (o *Online) Unmarshal(data []byte) error {
 		c.totalPackets = d.u64()
 		c.benign = d.u64()
 		c.malicious = d.u64()
-		for f := 0; f < o.nf; f++ {
-			if !o.nominal[f] {
-				continue
-			}
-			c.setCard[f] = int(d.u32())
-			if o.cfg.UseBloom {
-				inserted := d.u64()
-				words := make([]uint64, d.u32())
-				for i := range words {
-					words[i] = d.u64()
-				}
-				if d.err != nil {
-					return d.err
-				}
-				if err := c.blooms[f].SetWords(words, inserted); err != nil {
-					return err
-				}
-			} else {
-				n := int(d.u32())
-				for i := 0; i < n; i++ {
-					c.sets[f].insert(d.u32())
-				}
+		if commit {
+			o.clusters[ci] = c
+		}
+		for j := range o.mt.feats {
+			if err := o.decodeSet(&d, ci, j, commit); err != nil {
+				return fmt.Errorf("cluster: snapshot cluster %d nominal set %d: %w", ci, j, err)
 			}
 		}
 		if d.err != nil {
 			return d.err
 		}
-		clusters = append(clusters, c)
-	}
-	if d.err != nil {
-		return d.err
 	}
 	if d.off != len(d.b) {
 		return fmt.Errorf("cluster: %d trailing bytes after snapshot", len(d.b)-d.off)
 	}
+	return nil
+}
 
-	// Commit only after the whole stream decoded cleanly.
-	o.grow(k)
-	copy(o.min, min)
-	copy(o.max, max)
-	if o.center != nil {
-		copy(o.center, center)
-	}
-	o.clusters = clusters
-	o.nextUID = nextUID
-	o.Observed = observed
-	if o.rowDirty != nil {
-		for i := range o.rowDirty {
-			o.rowDirty[i] = true
+// decodeSet checks one nominal set of the stream; with commit set it
+// also gives the set to slot ci, which must be empty. A short read is
+// left latched in d for the caller.
+func (o *Online) decodeSet(d *dec, ci, j int, commit bool) error {
+	ncell := o.mt.feats[j].ncell
+	card := uint64(d.u32())
+	if o.cfg.UseBloom {
+		// The words of a sketch.Bloom holding `card` inserted values.
+		if inserted := d.u64(); inserted != card {
+			return fmt.Errorf("bloom insert count %d for cardinality %d", inserted, card)
 		}
+		words := (ncell + 63) / 64
+		if n := uint64(d.u32()); n != words {
+			return fmt.Errorf("bloom has %d words, snapshot has %d", words, n)
+		}
+		set := 0
+		for i := uint64(0); i < words; i++ {
+			w := d.u64()
+			if i == words-1 && ncell%64 != 0 && w>>(ncell%64) != 0 {
+				return fmt.Errorf("bloom bits set beyond the filter's %d", ncell)
+			}
+			set += bits.OnesCount64(w)
+			for ; commit && w != 0; w &= w - 1 {
+				o.mt.setCell(ci, j, uint32(i<<6)|uint32(bits.TrailingZeros64(w)))
+			}
+		}
+		// Each inserted value set between 1 and k bits.
+		if d.err == nil && (uint64(set) > card*uint64(o.cfg.BloomHashes) || (set == 0) != (card == 0)) {
+			return fmt.Errorf("%d bloom bits set for cardinality %d", set, card)
+		}
+	} else {
+		// Ascending values, as many as the cardinality says.
+		n := uint64(d.u32())
+		if n != card {
+			return fmt.Errorf("%d values for cardinality %d", n, card)
+		}
+		if n > ncell || n > uint64(len(d.b)-d.off)/4 {
+			return fmt.Errorf("%d values exceed the value space or the stream", n)
+		}
+		prev := int64(-1)
+		for i := uint64(0); i < n; i++ {
+			v := d.u32()
+			if int64(v) <= prev || uint64(v) >= ncell {
+				return fmt.Errorf("value %d out of order or beyond the value space of %d", v, ncell)
+			}
+			prev = int64(v)
+			if commit {
+				o.mt.setCell(ci, j, v)
+			}
+		}
+	}
+	if commit {
+		o.mt.card[ci*len(o.mt.feats)+j] = int(card)
 	}
 	return nil
 }

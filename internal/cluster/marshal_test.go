@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
 	"reflect"
 	"testing"
 
@@ -68,16 +70,16 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMarshalSpilledSets forces a nominal set past the small→bitmap
-// spill threshold and checks the spill survives the round trip: the
+// TestMarshalSpilledSets grows a nominal set to a few hundred values,
+// admitted out of order, and checks it survives the round trip: the
 // restored set must admit exactly the same values and re-marshal to the
 // same bytes.
 func TestMarshalSpilledSets(t *testing.T) {
 	cfg := DefaultConfig(2, packet.DefaultSimulationFeatures())
 	o := NewOnline(cfg)
-	for i := 0; i < 3*smallSetMax; i++ {
+	for i := 0; i < 192; i++ {
 		p := mkPkt(64, 500, packet.Benign)
-		p.SrcPort = uint16(1000 + i*7)
+		p.SrcPort = uint16(1000 + (i*37%192)*7)
 		o.Observe(p)
 	}
 	blob := o.Marshal()
@@ -128,4 +130,141 @@ func TestUnmarshalRejects(t *testing.T) {
 			t.Fatal("accepted trailing bytes")
 		}
 	})
+}
+
+// parentSnapshots are Marshal streams written by the commit before the
+// membership table replaced the per-cluster sets (the same traces, run
+// through that commit's clusterer), with the configurations they were
+// taken under.
+func parentSnapshots() []struct {
+	file string
+	cfg  Config
+	seed int64
+} {
+	bloom := DefaultConfig(10, packet.DefaultSimulationFeatures())
+	bloom.UseBloom = true
+	return []struct {
+		file string
+		cfg  Config
+		seed int64
+	}{
+		{"testdata/parent_exact.snap", hardwareShape(), 21},
+		{"testdata/parent_bloom.snap", bloom, 22},
+	}
+}
+
+// TestParentSnapshots pins the ACCSNAP1 cluster payload across the
+// change of representation: a stream the previous representation wrote
+// restores and re-saves byte-identically, and running the trace it was
+// taken from produces the same bytes again.
+func TestParentSnapshots(t *testing.T) {
+	for _, c := range parentSnapshots() {
+		want, err := os.ReadFile(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := NewOnline(c.cfg)
+		if err := o.Unmarshal(want); err != nil {
+			t.Fatalf("%s: Unmarshal: %v", c.file, err)
+		}
+		if !bytes.Equal(o.Marshal(), want) {
+			t.Errorf("%s: restore and re-save changed the bytes", c.file)
+		}
+		o = NewOnline(c.cfg)
+		for _, p := range equivTrace(3000, c.seed) {
+			o.Observe(p)
+		}
+		if !bytes.Equal(o.Marshal(), want) {
+			t.Errorf("%s: the same trace no longer marshals to the same bytes", c.file)
+		}
+	}
+}
+
+// TestUnmarshalRejectsHostileSets patches single fields of real Marshal
+// streams into what a corrupt or malicious snapshot could carry. Each
+// must be refused without a panic, a long spin or a large allocation, and
+// leave the receiver as it was.
+func TestUnmarshalRejectsHostileSets(t *testing.T) {
+	le := binary.LittleEndian
+	// One cluster, so the first nominal set sits at a known offset.
+	exact := DefaultConfig(1, packet.FeatureSet{packet.FTTL, packet.FSrcPort})
+	bloom := exact
+	bloom.UseBloom = true
+	bloom.BloomBits = 200
+	build := func(cfg Config, ports int) (blob []byte, set int) {
+		o := NewOnline(cfg)
+		for i := 0; i < ports; i++ {
+			p := mkPkt(64, 500, packet.Benign)
+			p.SrcPort = uint16(100 + i*3)
+			o.Observe(p)
+		}
+		var fp enc
+		o.encodeFingerprint(&fp)
+		// fingerprint, nextUID, Observed, k, uid, 2×(min,max), 6 counters.
+		return o.Marshal(), len(fp.b) + 8 + 8 + 4 + 8 + 2*8 + 6*8
+	}
+	cases := []struct {
+		name  string
+		cfg   Config
+		patch func(b []byte, set int) []byte
+	}{
+		{"value beyond the space", exact, func(b []byte, set int) []byte {
+			le.PutUint32(b[len(b)-4:], 1<<16)
+			return b
+		}},
+		{"values out of order", exact, func(b []byte, set int) []byte {
+			le.PutUint32(b[set+8:], le.Uint32(b[set+12:]))
+			return b
+		}},
+		{"count beyond the stream", exact, func(b []byte, set int) []byte {
+			le.PutUint32(b[set:], 1<<31)
+			le.PutUint32(b[set+4:], 1<<31)
+			return b[:set+8]
+		}},
+		{"count differs from cardinality", exact, func(b []byte, set int) []byte {
+			le.PutUint32(b[set:], le.Uint32(b[set:])+1)
+			return b
+		}},
+		{"inverted range", exact, func(b []byte, set int) []byte {
+			le.PutUint32(b[set-6*8-2*8:], 200) // min of feature 0 above its max
+			return b
+		}},
+		{"bloom word count from the wire", bloom, func(b []byte, set int) []byte {
+			le.PutUint32(b[set+12:], 1<<30)
+			return b
+		}},
+		{"bloom bit beyond the filter", bloom, func(b []byte, set int) []byte {
+			b[len(b)-1] |= 0x80 // bit 255 of a 200-bit filter
+			return b
+		}},
+		{"bloom insert count differs", bloom, func(b []byte, set int) []byte {
+			le.PutUint64(b[set+4:], le.Uint64(b[set+4:])+1)
+			return b
+		}},
+		{"bloom bits for an empty set", bloom, func(b []byte, set int) []byte {
+			le.PutUint32(b[set:], 0)
+			le.PutUint64(b[set+4:], 0)
+			return b
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			blob, set := build(c.cfg, 100)
+			r := NewOnline(c.cfg)
+			if err := r.Unmarshal(blob); err != nil {
+				t.Fatalf("unpatched stream: %v", err)
+			}
+			// The receiver holds other state, which a refusal must keep.
+			other, _ := build(c.cfg, 7)
+			if err := r.Unmarshal(other); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Unmarshal(c.patch(blob, set)); err == nil {
+				t.Fatal("accepted the patched stream")
+			}
+			if !bytes.Equal(r.Marshal(), other) {
+				t.Fatal("a refused stream changed the receiver")
+			}
+		})
+	}
 }

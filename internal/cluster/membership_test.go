@@ -1,0 +1,208 @@
+package cluster
+
+import (
+	"math/bits"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"accturbo/internal/packet"
+	"accturbo/internal/sketch"
+)
+
+// tableModel is the naive counterpart of memberTable: per cluster and
+// nominal feature, a map of admitted values, plus (Bloom mode) the
+// sketch.Bloom the table must stay bit-identical to.
+type tableModel struct {
+	cfg   Config
+	feats []packet.Feature // the nominal features, in order
+	sets  [][]map[uint32]bool
+	bloom [][]*sketch.Bloom
+	card  [][]int
+}
+
+func (m *tableModel) reset(clusters int) {
+	m.sets, m.bloom, m.card = nil, nil, nil
+	for c := 0; c < clusters; c++ {
+		m.push()
+	}
+}
+
+func (m *tableModel) push() {
+	nn := len(m.feats)
+	sets, blooms := make([]map[uint32]bool, nn), make([]*sketch.Bloom, nn)
+	for j := range sets {
+		sets[j] = map[uint32]bool{}
+		blooms[j] = sketch.NewBloom(m.cfg.BloomBits, m.cfg.BloomHashes)
+	}
+	m.sets, m.bloom, m.card = append(m.sets, sets), append(m.bloom, blooms), append(m.card, make([]int, nn))
+}
+
+func (m *tableModel) clear(c int) {
+	for j := range m.feats {
+		m.sets[c][j] = map[uint32]bool{}
+		m.bloom[c][j].Reset()
+		m.card[c][j] = 0
+	}
+}
+
+func (m *tableModel) contains(c, j int, v uint32) bool {
+	if m.cfg.UseBloom {
+		return m.bloom[c][j].Contains(uint64(v))
+	}
+	return m.sets[c][j][v]
+}
+
+func (m *tableModel) admit(c, j int, v uint32) {
+	if m.contains(c, j, v) {
+		return
+	}
+	m.sets[c][j][v] = true
+	m.bloom[c][j].Insert(uint64(v))
+	m.card[c][j]++
+}
+
+func (m *tableModel) merge(dst, src int) {
+	for j := range m.feats {
+		for v := range m.sets[src][j] {
+			m.admit(dst, j, v)
+		}
+	}
+}
+
+// check compares every live slot of o's table with the model:
+// cardinality, enumeration (ascending values, or the filter's words) and
+// membership as the per-packet gather reports it.
+func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
+	t.Helper()
+	if o.NumClusters() != len(m.sets) {
+		t.Fatalf("step %d: %d clusters, model has %d", step, o.NumClusters(), len(m.sets))
+	}
+	snap := o.Snapshot()
+	vals := make([]uint32, len(o.feats))
+	for c := range m.sets {
+		for j, mf := range o.mt.feats {
+			if got := snap[c].NominalCardinality[mf.pos]; got != m.card[c][j] {
+				t.Fatalf("step %d: cluster %d set %d cardinality %d, model %d", step, c, j, got, m.card[c][j])
+			}
+			bm := make([]uint64, (mf.ncell+63)/64)
+			o.mt.bitmap(c, j, bm)
+			if m.cfg.UseBloom {
+				if want := m.bloom[c][j].Words(); !slices.Equal(bm, want) {
+					t.Fatalf("step %d: cluster %d set %d words differ from sketch.Bloom", step, c, j)
+				}
+			} else {
+				var got, want []uint32
+				for i, w := range bm {
+					for ; w != 0; w &= w - 1 {
+						got = append(got, uint32(i*64+bits.TrailingZeros64(w)))
+					}
+				}
+				for v := range m.sets[c][j] {
+					want = append(want, v)
+				}
+				slices.Sort(want)
+				if !slices.Equal(got, want) {
+					t.Fatalf("step %d: cluster %d set %d enumerates %v, model %v", step, c, j, got, want)
+				}
+			}
+			// Probe members and random values through the gather.
+			probes := []uint32{uint32(r.Intn(int(m.feats[j].MaxValue()) + 1))}
+			for v := range m.sets[c][j] {
+				if probes = append(probes, v); len(probes) > 4 {
+					break
+				}
+			}
+			for _, v := range probes {
+				vals[mf.pos] = v
+				o.mt.gather(vals)
+				if got, want := o.mt.misses(c, j) == 0, m.contains(c, j, v); got != want {
+					t.Fatalf("step %d: cluster %d set %d admits(%d) = %v, model %v", step, c, j, v, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMemberTableMatchesModel drives the membership table through random
+// admissions, exhaustive-style merges with slot recycling, reseeds and
+// growth past MaxClusters (SeedCenters with more centers than slots, which
+// widens the cells from one byte plane to two and three) and holds it to
+// the naive model after every step.
+func TestMemberTableMatchesModel(t *testing.T) {
+	feats := packet.FeatureSet{packet.FTTL, packet.FSrcPort, packet.FProtocol, packet.FLength, packet.FDstPort}
+	for _, bloom := range []bool{false, true} {
+		cfg := DefaultConfig(6, feats)
+		cfg.Distance = Euclidean
+		cfg.UseBloom = bloom
+		cfg.BloomBits = 200 // not a multiple of 64; collisions are common
+		t.Run(comboName(cfg), func(t *testing.T) {
+			r := rand.New(rand.NewSource(31))
+			o := NewOnline(cfg)
+			m := &tableModel{cfg: o.Config()}
+			for _, mf := range o.mt.feats {
+				m.feats = append(m.feats, feats[mf.pos])
+			}
+			randVals := func() []uint32 {
+				vals := make([]uint32, len(feats))
+				for i, f := range feats {
+					// A narrow band, so sets overlap across clusters.
+					vals[i] = uint32(r.Intn(40)) * (f.MaxValue() / 64)
+				}
+				return vals
+			}
+			seed := func(c int, vals []uint32) {
+				m.clear(c)
+				for j, mf := range o.mt.feats {
+					m.admit(c, j, vals[mf.pos])
+				}
+			}
+			for step := 0; step < 1000; step++ {
+				switch op := r.Intn(100); {
+				case op < 80:
+					vals := randVals()
+					a := o.ObserveFeatures(vals, 64, false)
+					if a.Created {
+						m.push()
+						seed(a.Cluster, vals)
+					} else {
+						for j, mf := range o.mt.feats {
+							m.admit(a.Cluster, j, vals[mf.pos])
+						}
+					}
+				case op < 90 && !bloom && o.NumClusters() >= 2:
+					// What exhaustive search does: fold one cluster into
+					// another, start a new one in the freed slot.
+					dst, src := r.Intn(o.NumClusters()), r.Intn(o.NumClusters())
+					if dst == src {
+						continue
+					}
+					vals := randVals()
+					o.mergeClusters(dst, src)
+					o.newClusterAt(src, vals)
+					m.merge(dst, src)
+					seed(src, vals)
+				case op < 95:
+					o.Reseed()
+					m.reset(0)
+				case op >= 97:
+					centers := make([][]float64, 1+r.Intn(20))
+					m.reset(len(centers))
+					for c := range centers {
+						vals := randVals()
+						centers[c] = make([]float64, len(vals))
+						for i, v := range vals {
+							centers[c][i] = float64(v)
+						}
+						seed(c, vals)
+					}
+					o.SeedCenters(centers)
+				}
+				m.check(t, o, r, step)
+			}
+			if o.mt.planes < 3 {
+				t.Fatalf("table never grew past two planes (planes=%d)", o.mt.planes)
+			}
+		})
+	}
+}

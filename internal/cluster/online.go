@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"accturbo/internal/packet"
-	"accturbo/internal/sketch"
 )
 
 // Online is the online clusterer of Appendix B: it maintains at most
@@ -21,8 +20,11 @@ import (
 //     memory. Euclidean centers are flattened the same way.
 //   - The distance function is selected once at construction (a kernel
 //     function value), not switched on per packet.
-//   - Nominal value sets are sorted small slices with an exact-bitmap
-//     spill (see nominalSet), not Go maps.
+//   - Nominal membership is one value-major table for all clusters (see
+//     memberTable): one load per nominal feature answers every cluster,
+//     in exact and Bloom mode alike.
+//   - The deployed configuration (Manhattan, unnormalized) scans in
+//     integers: see closestManhattanRaw.
 //   - Exhaustive search keeps a pairwise merge-cost matrix that is
 //     invalidated only for clusters whose geometry changed, instead of
 //     recomputing all |C|^2 pairs on every packet.
@@ -34,11 +36,12 @@ import (
 // Online is not safe for concurrent use; the simulator is
 // single-threaded by design.
 type Online struct {
-	cfg     Config
-	feats   packet.FeatureSet
-	nf      int       // len(feats)
-	nominal []bool    // per feature position
-	scale   []float64 // per-feature distance scaling (1 when !Normalize)
+	cfg    Config
+	feats  packet.FeatureSet
+	nf     int       // len(feats)
+	nomIdx []int     // per feature position: index into mt.feats, -1 if ordinal
+	ordPos []int     // positions of the ordinal features, ascending
+	scale  []float64 // per-feature distance scaling (1 when !Normalize)
 
 	// Flattened cluster geometry: cluster c covers feature f in
 	// [min[c*nf+f], max[c*nf+f]]. center is the Euclidean
@@ -48,7 +51,10 @@ type Online struct {
 	center   []float64
 	stride   int // cluster slot capacity (>= cfg.MaxClusters)
 
-	clusters []*clusterState
+	// clusters holds the seeded slots by value; its backing array has
+	// `stride` entries, so seeding and reseeding never allocate.
+	clusters []clusterState
+	mt       *memberTable // nominal membership of every slot
 
 	dist  pointKernel
 	merge mergeKernel
@@ -71,13 +77,10 @@ type Online struct {
 }
 
 // clusterState holds the per-cluster state that is not part of the
-// flattened geometry: nominal value sets and traffic statistics.
+// flattened geometry or the membership table: identity and traffic
+// statistics.
 type clusterState struct {
-	uid     uint64
-	sets    []nominalSet    // nominal positions (exact mode)
-	blooms  []*sketch.Bloom // nominal positions (bloom mode)
-	setCard []int           // admitted-value count per nominal position
-
+	uid   uint64
 	count uint64 // packets since seed (for center merging)
 
 	packets, bytes    uint64 // since last ResetStats
@@ -94,19 +97,27 @@ func NewOnline(cfg Config) *Online {
 	cfg = cfg.withDefaults()
 	nf := len(cfg.Features)
 	o := &Online{
-		cfg:     cfg,
-		feats:   cfg.Features,
-		nf:      nf,
-		nominal: make([]bool, nf),
-		valbuf:  make([]uint32, nf),
+		cfg:    cfg,
+		feats:  cfg.Features,
+		nf:     nf,
+		nomIdx: make([]int, nf),
+		valbuf: make([]uint32, nf),
+		mt:     newMemberTable(&cfg),
 	}
 	o.scale = make([]float64, nf)
 	for i, f := range cfg.Features {
-		o.nominal[i] = f.Nominal()
+		o.nomIdx[i] = -1
 		o.scale[i] = 1
-		if cfg.Normalize && !o.nominal[i] {
+		if f.Nominal() {
+			continue
+		}
+		o.ordPos = append(o.ordPos, i)
+		if cfg.Normalize {
 			o.scale[i] = 1 / (float64(f.MaxValue()) + 1)
 		}
+	}
+	for j, mf := range o.mt.feats {
+		o.nomIdx[mf.pos] = j
 	}
 	o.grow(cfg.MaxClusters)
 	o.selectKernels()
@@ -122,6 +133,10 @@ func (o *Online) grow(slots int) {
 	if slots <= o.stride {
 		return
 	}
+	o.mt.grow(slots)
+	clusters := make([]clusterState, len(o.clusters), slots)
+	copy(clusters, o.clusters)
+	o.clusters = clusters
 	min := make([]uint32, slots*o.nf)
 	max := make([]uint32, slots*o.nf)
 	copy(min, o.min)
@@ -161,19 +176,14 @@ func (o *Online) markDirty(ci int) {
 func (o *Online) sliceInit() {
 	k := o.cfg.MaxClusters
 	lead := -1
-	for f := range o.feats {
-		if !o.nominal[f] {
-			lead = f
-			break
-		}
+	if len(o.ordPos) > 0 {
+		lead = o.ordPos[0]
 	}
 	for i := 0; i < k; i++ {
-		o.nextUID++
-		c := o.blankState()
-		c.uid = o.nextUID
+		o.occupy(i)
 		base := i * o.nf
 		for f, feat := range o.feats {
-			if o.nominal[f] {
+			if o.nomIdx[f] >= 0 {
 				// Slices carry no nominal admissions until traffic
 				// arrives.
 				o.min[base+f], o.max[base+f] = 0, 0
@@ -193,31 +203,35 @@ func (o *Online) sliceInit() {
 				o.center[base+f] = (float64(lo) + float64(hi)) / 2
 			}
 		}
-		c.count = 0
-		o.clusters = append(o.clusters, c)
 		o.markDirty(i)
 	}
 }
 
-// blankState allocates a clusterState with empty nominal sets.
-func (o *Online) blankState() *clusterState {
-	c := &clusterState{setCard: make([]int, o.nf)}
-	if o.cfg.UseBloom {
-		c.blooms = make([]*sketch.Bloom, o.nf)
-	} else {
-		c.sets = make([]nominalSet, o.nf)
+// occupy starts a new cluster generation in slot — an existing slot being
+// recycled, or the next free one — with a fresh UID, zeroed statistics
+// and empty nominal sets.
+func (o *Online) occupy(slot int) *clusterState {
+	if slot == len(o.clusters) {
+		o.clusters = o.clusters[:slot+1]
 	}
-	for i, f := range o.feats {
-		if !o.nominal[i] {
-			continue
-		}
-		if o.cfg.UseBloom {
-			c.blooms[i] = sketch.NewBloom(o.cfg.BloomBits, o.cfg.BloomHashes)
-		} else {
-			c.sets[i].init(f.MaxValue() + 1)
-		}
-	}
+	o.mt.clearSlot(slot)
+	o.nextUID++
+	c := &o.clusters[slot]
+	*c = clusterState{uid: o.nextUID}
 	return c
+}
+
+// discard drops every cluster and empties its nominal sets.
+func (o *Online) discard() {
+	for ci := range o.clusters {
+		o.mt.clearSlot(ci)
+	}
+	o.clusters = o.clusters[:0]
+	if o.rowDirty != nil {
+		for i := range o.rowDirty {
+			o.rowDirty[i] = true
+		}
+	}
 }
 
 // Config returns the clusterer's configuration.
@@ -229,19 +243,12 @@ func (o *Online) NumClusters() int { return len(o.clusters) }
 // newClusterAt seeds a cluster at slot with the given feature values,
 // writing its geometry into the flattened arrays.
 func (o *Online) newClusterAt(slot int, vals []uint32) *clusterState {
-	o.nextUID++
-	c := o.blankState()
-	c.uid = o.nextUID
+	c := o.occupy(slot)
 	base := slot * o.nf
 	for i, v := range vals {
 		o.min[base+i], o.max[base+i] = v, v
-		if o.nominal[i] {
-			if o.cfg.UseBloom {
-				c.blooms[i].Insert(uint64(v))
-			} else {
-				c.sets[i].insert(v)
-			}
-			c.setCard[i] = 1
+		if j := o.nomIdx[i]; j >= 0 {
+			o.mt.admit(slot, j, v)
 		}
 		if o.center != nil {
 			o.center[base+i] = float64(v)
@@ -252,37 +259,15 @@ func (o *Online) newClusterAt(slot int, vals []uint32) *clusterState {
 	return c
 }
 
-// admits reports whether cluster ci admits value v at feature f.
-func (o *Online) admits(c *clusterState, ci, f int, v uint32) bool {
-	if o.nominal[f] {
-		return nomContains(c, f, v)
-	}
-	base := ci * o.nf
-	return v >= o.min[base+f] && v <= o.max[base+f]
-}
-
-// nomContains reports whether the cluster's nominal set at feature f
-// admits v.
-func nomContains(c *clusterState, f int, v uint32) bool {
-	if c.blooms != nil {
-		return c.blooms[f].Contains(uint64(v))
-	}
-	return c.sets[f].contains(v)
-}
-
 // absorb extends cluster ci to cover vals.
 func (o *Online) absorb(ci int, vals []uint32) {
-	c := o.clusters[ci]
 	base := ci * o.nf
 	for i, v := range vals {
-		if o.nominal[i] {
-			if o.cfg.UseBloom {
-				if !c.blooms[i].Contains(uint64(v)) {
-					c.blooms[i].Insert(uint64(v))
-					c.setCard[i]++
-				}
-			} else if c.sets[i].insert(v) {
-				c.setCard[i]++
+		if j := o.nomIdx[i]; j >= 0 {
+			// closest gathered this packet's misses: only they need
+			// admitting.
+			if o.mt.misses(ci, j) != 0 {
+				o.mt.admit(ci, j, v)
 			}
 			continue
 		}
@@ -306,25 +291,16 @@ func (o *Online) absorb(ci int, vals []uint32) {
 // mergeClusters absorbs the whole of cluster si into cluster di
 // (exhaustive search).
 func (o *Online) mergeClusters(di, si int) {
-	d, s := o.clusters[di], o.clusters[si]
+	d, s := &o.clusters[di], &o.clusters[si]
 	db, sb := di*o.nf, si*o.nf
-	for i := 0; i < o.nf; i++ {
-		if o.nominal[i] {
-			if o.cfg.UseBloom {
-				// Bloom filters cannot be unioned value-exactly here;
-				// exact mode is the simulation default, and
-				// exhaustive+bloom is rejected by Config.Validate.
-				panic("cluster: exhaustive search with Bloom sets is not supported")
-			}
-			added := 0
-			s.sets[i].each(func(v uint32) {
-				if d.sets[i].insert(v) {
-					added++
-				}
-			})
-			d.setCard[i] += added
-			continue
-		}
+	if o.cfg.UseBloom {
+		// A Bloom slot's value count cannot be unioned exactly; exact
+		// mode is the simulation default, and exhaustive+bloom is
+		// rejected by Config.Validate.
+		panic("cluster: exhaustive search with Bloom sets is not supported")
+	}
+	o.mt.merge(di, si)
+	for _, i := range o.ordPos {
 		if o.min[sb+i] < o.min[db+i] {
 			o.min[db+i] = o.min[sb+i]
 		}
@@ -407,7 +383,6 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 		c := o.newClusterAt(slot, vals)
 		c.account(size, malicious)
 		c.count-- // account() bumped it; seed already counted once
-		o.clusters = append(o.clusters, c)
 		return Assignment{Cluster: slot, UID: c.uid, Created: true}
 	}
 
@@ -424,12 +399,11 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 			c := o.newClusterAt(mj, vals)
 			c.account(size, malicious)
 			c.count--
-			o.clusters[mj] = c
 			return Assignment{Cluster: mj, UID: c.uid, Distance: 0, Created: true}
 		}
 	}
 
-	c := o.clusters[id]
+	c := &o.clusters[id]
 	if d > 0 || o.center != nil {
 		// Center representations update even for covered packets.
 		o.absorb(id, vals)
@@ -441,9 +415,14 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 // closest returns the index and distance of the cluster nearest to
 // vals, or (-1, +inf) when no clusters exist. Ties break toward the
 // lowest index, matching the hardware's deterministic comparison tree.
+// Nominal membership is gathered once for all clusters before the scan.
 // The running best distance is passed to the kernel as a bound so
 // monotone metrics can bail out of losing clusters early.
 func (o *Online) closest(vals []uint32) (int, float64) {
+	if len(o.clusters) == 0 {
+		return -1, math.Inf(1)
+	}
+	o.mt.gather(vals)
 	if o.rawManhattan {
 		return o.closestManhattanRaw(vals)
 	}
@@ -457,37 +436,32 @@ func (o *Online) closest(vals []uint32) (int, float64) {
 	return best, bestD
 }
 
-// closestManhattanRaw is closest with manhattanPointRaw fused into the
-// scan: no indirect kernel call per cluster, no per-call slice
-// re-derivation. Accumulation order and comparisons are identical to
-// the generic path, so it returns bit-identical results (asserted by
-// the fast-path equivalence tests).
+// closestManhattanRaw is the scan of the deployed configuration
+// (Manhattan, unnormalized), fused and in integers: per cluster, the
+// branch-free sum of the ordinal range distances plus the gathered count
+// of nominal misses. Every term is an integer below 2^32 and there are
+// at most 255 of them, so the int64 sum converts to exactly the float64
+// that Reference accumulates term by term; strict < keeps ties on the
+// lowest index, and the first covering cluster (distance 0) is that
+// lowest index, so the scan stops there.
 func (o *Online) closestManhattanRaw(vals []uint32) (int, float64) {
-	best, bestD := -1, math.Inf(1)
-	nf := o.nf
-	for ci := range o.clusters {
-		base := ci * nf
-		c := o.clusters[ci]
-		var d float64
-		for i, v := range vals {
-			if o.nominal[i] {
-				if !nomContains(c, i, v) {
-					d++
-				}
-			} else if mn := o.min[base+i]; v < mn {
-				d += float64(mn - v)
-			} else if mx := o.max[base+i]; v > mx {
-				d += float64(v - mx)
-			}
-			if d >= bestD {
-				break
-			}
+	nf, ord, nmiss := o.nf, o.ordPos, o.mt.nmiss
+	mn, mx := o.min, o.max
+	best, bestD := -1, int64(math.MaxInt64)
+	for ci, base := 0, 0; ci < len(o.clusters); ci, base = ci+1, base+nf {
+		d := int64(uint8(nmiss[ci>>3] >> (ci & 7 * 8)))
+		for _, f := range ord {
+			v := int64(vals[f])
+			d += max(int64(mn[base+f])-v, 0) + max(v-int64(mx[base+f]), 0)
 		}
 		if d < bestD {
+			if d == 0 {
+				return ci, 0
+			}
 			best, bestD = ci, d
 		}
 	}
-	return best, bestD
+	return best, float64(bestD)
 }
 
 // closestPair returns the pair of clusters with the lowest merge cost,
@@ -534,7 +508,8 @@ func (o *Online) closestPair() (int, int, float64) {
 // slices are copies; mutating them does not affect the clusterer.
 func (o *Online) Snapshot() []Info {
 	out := make([]Info, len(o.clusters))
-	for i, c := range o.clusters {
+	for i := range o.clusters {
+		c := &o.clusters[i]
 		info := Info{
 			ID:                 i,
 			Active:             true,
@@ -549,8 +524,8 @@ func (o *Online) Snapshot() []Info {
 		}
 		base := i * o.nf
 		for f := range o.feats {
-			if o.nominal[f] {
-				info.NominalCardinality[f] = c.setCard[f]
+			if j := o.nomIdx[f]; j >= 0 {
+				info.NominalCardinality[f] = o.mt.cardinality(i, j)
 			} else {
 				info.Ranges[f] = Range{Min: o.min[base+f], Max: o.max[base+f]}
 			}
@@ -563,7 +538,8 @@ func (o *Online) Snapshot() []Info {
 // ResetStats zeroes the per-window counters (packets, bytes, labels) on
 // every cluster. The ACC-Turbo controller calls this after each poll.
 func (o *Online) ResetStats() {
-	for _, c := range o.clusters {
+	for i := range o.clusters {
+		c := &o.clusters[i]
 		c.packets, c.bytes, c.benign, c.malicious = 0, 0, 0, 0
 	}
 }
@@ -573,12 +549,7 @@ func (o *Online) ResetStats() {
 // clustering re-form when aggregates go stale (e.g. between attack
 // pulses).
 func (o *Online) Reseed() {
-	o.clusters = o.clusters[:0]
-	if o.rowDirty != nil {
-		for i := range o.rowDirty {
-			o.rowDirty[i] = true
-		}
-	}
+	o.discard()
 	if o.cfg.SliceInit {
 		o.sliceInit()
 	}
@@ -592,7 +563,7 @@ func (o *Online) SeedCenters(centers [][]float64) {
 		panic(fmt.Sprintf("cluster: SeedCenters on %v clusterer", o.cfg.Distance))
 	}
 	o.grow(len(centers))
-	o.clusters = o.clusters[:0]
+	o.discard()
 	for ci, ctr := range centers {
 		if len(ctr) != o.nf {
 			panic(fmt.Sprintf("cluster: center has %d dims, want %d", len(ctr), o.nf))
@@ -606,6 +577,5 @@ func (o *Online) SeedCenters(centers [][]float64) {
 		c := o.newClusterAt(ci, o.valbuf)
 		copy(o.center[ci*o.nf:(ci+1)*o.nf], ctr)
 		c.count = 0
-		o.clusters = append(o.clusters, c)
 	}
 }

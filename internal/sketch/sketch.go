@@ -1,8 +1,10 @@
 // Package sketch provides the probabilistic data structures used by the
 // reproduced systems: count-min sketches (Jaqen's heavy-hitter detector
 // and the victim-identification front-end), a Bloom filter (ACC-Turbo's
-// nominal-feature admission lists), and a heavy-keeper top-k (victim
-// ranking).
+// nominal-feature admission lists: the clusterer keeps the bits of all
+// its clusters' filters in one table through BloomPosition, and its
+// reference implementation holds one Bloom per cluster), and a
+// heavy-keeper top-k (victim ranking).
 //
 // Two families coexist, with different compatibility contracts:
 //
@@ -208,12 +210,21 @@ func NewBloomForRate(n int, fp float64) *Bloom {
 	return NewBloom(m, k)
 }
 
+// BloomPosition is the bit position hash function i (0-based) of an
+// nbits-wide Bloom filter assigns to key. It is the whole of the filter's
+// index math: a structure that sets and tests these positions itself
+// (cluster's membership table keeps the filters of all clusters in one
+// value-major array) has exactly Bloom's false positives and words.
+func BloomPosition(i int, key, nbits uint64) uint64 {
+	return hash64(uint64(i)+1, key) % nbits
+}
+
 // Insert adds key to the filter.
 func (b *Bloom) Insert(key uint64) {
 	b.Inserted++
 	bits := b.bits
 	for i := 0; i < b.hashes; i++ {
-		pos := hash64(uint64(i)+1, key) % b.nbits
+		pos := BloomPosition(i, key, b.nbits)
 		bits[pos/64] |= 1 << (pos % 64)
 	}
 }
@@ -223,7 +234,7 @@ func (b *Bloom) Insert(key uint64) {
 func (b *Bloom) Contains(key uint64) bool {
 	bits := b.bits
 	for i := 0; i < b.hashes; i++ {
-		pos := hash64(uint64(i)+1, key) % b.nbits
+		pos := BloomPosition(i, key, b.nbits)
 		if bits[pos/64]&(1<<(pos%64)) == 0 {
 			return false
 		}
