@@ -56,8 +56,15 @@ func FuzzOnlineUnmarshal(f *testing.F) {
 			}
 			return bytes
 		}
+		verr := o.Validate(data)
+		if !bytes.Equal(o.Marshal(), before) {
+			t.Fatalf("Validate changed the receiver (%v)", verr)
+		}
 		h0 := held()
 		err := o.Unmarshal(data)
+		if (verr == nil) != (err == nil) {
+			t.Fatalf("Validate says %v, Unmarshal says %v", verr, err)
+		}
 		if got, limit := held()-h0, 64*len(data)+4096; got > limit {
 			t.Fatalf("Unmarshal of %d bytes allocated %d, limit %d", len(data), got, limit)
 		}

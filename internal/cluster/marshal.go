@@ -91,16 +91,31 @@ func (o *Online) Marshal() []byte {
 // rejected stream leaves the receiver exactly as it was and nothing is
 // sized from a number on the wire.
 func (o *Online) Unmarshal(data []byte) error {
-	var fp enc
-	o.encodeFingerprint(&fp)
-	if !bytes.HasPrefix(data, fp.b) {
-		return fmt.Errorf("cluster: snapshot fingerprint does not match this clusterer's configuration")
-	}
-	body := data[len(fp.b):]
-	if err := o.decodeState(body, false); err != nil {
+	body, err := o.validated(data)
+	if err != nil {
 		return err
 	}
 	return o.decodeState(body, true)
+}
+
+// Validate reports whether Unmarshal would accept data, without
+// touching the clusterer: a caller restoring several clusterers checks
+// every stream before it loads the first.
+func (o *Online) Validate(data []byte) error {
+	_, err := o.validated(data)
+	return err
+}
+
+// validated is Unmarshal's first walk: it returns the stream past its
+// fingerprint once every length and value in it has been checked.
+func (o *Online) validated(data []byte) ([]byte, error) {
+	var fp enc
+	o.encodeFingerprint(&fp)
+	if !bytes.HasPrefix(data, fp.b) {
+		return nil, fmt.Errorf("cluster: snapshot fingerprint does not match this clusterer's configuration")
+	}
+	body := data[len(fp.b):]
+	return body, o.decodeState(body, false)
 }
 
 // decodeState walks a Marshal stream past its fingerprint, checking it;

@@ -205,9 +205,26 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 			len(assigned), len(routed), dp.assigned.Len(), dp.routed.Len())
 	}
 
+	// A blob can still be refused by its shard's clusterer; ask every
+	// shard before anything changes, so a refusal leaves all of them,
+	// and the runtime config, as they were.
+	for i, s := range dp.shards {
+		if dp.concurrent {
+			s.mu.Lock()
+		}
+		err := s.clusterer.Validate(blobs[i])
+		if dp.concurrent {
+			s.mu.Unlock()
+		}
+		if err != nil {
+			return fmt.Errorf("core: shard %d: %w", i, err)
+		}
+	}
+
 	// Everything decoded and validated — commit. The runtime config goes
 	// through Reconfigure so it is validated and the tickers land on the
-	// restored cadence under a fresh generation.
+	// restored cadence under a fresh generation; it is the last step
+	// that can refuse.
 	if _, err := cp.Reconfigure(rt.patch()); err != nil {
 		return fmt.Errorf("core: snapshot runtime config: %w", err)
 	}

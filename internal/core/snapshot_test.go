@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"accturbo/internal/eventsim"
@@ -206,4 +209,58 @@ func TestSnapshotRejects(t *testing.T) {
 			t.Fatal("accepted a restore over a pipeline with history")
 		}
 	})
+}
+
+// TestRestoreRefusalLeavesPipelineUntouched hands RestoreState a
+// snapshot whose frame is sound but whose second shard's clusterer
+// stream is one byte too long. The refusal comes from the last shard, so
+// it must find the runtime config, its generation, the first shard and
+// the observed count as they were — the pipeline is still fresh enough
+// to take the intact snapshot.
+func TestRestoreRefusalLeavesPipelineUntouched(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.PollInterval = 100 * eventsim.Millisecond
+	cfg.DeployDelay = 10 * eventsim.Millisecond
+	cfg.Shards = 2
+	dp, cp, _ := warmPipeline(t, cfg, false)
+	quick := 25 * eventsim.Millisecond
+	if _, err := cp.Reconfigure(RuntimePatch{PollInterval: &quick}); err != nil {
+		t.Fatalf("Reconfigure: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := SaveState(&buf, dp, cp); err != nil {
+		t.Fatalf("SaveState: %v", err)
+	}
+	snap := buf.Bytes()
+	payload := snap[18 : len(snap)-4]
+	stream := dp.shards[1].clusterer.Marshal()
+	at := bytes.LastIndex(payload, stream)
+	if at < 4 || dp.shards[0].clusterer.Observed == 0 || dp.shards[1].clusterer.Observed == 0 {
+		t.Fatalf("shard 1's stream at %d of the payload; shards observed %d and %d packets",
+			at, dp.shards[0].clusterer.Observed, dp.shards[1].clusterer.Observed)
+	}
+	bad := append([]byte{}, payload[:at-4]...)
+	bad = binary.LittleEndian.AppendUint32(bad, uint32(len(stream)+1))
+	bad = append(append(bad, stream...), 0)
+	bad = append(bad, payload[at+len(stream):]...)
+	framed := binary.LittleEndian.AppendUint64(append([]byte{}, snap[:10]...), uint64(len(bad)))
+	framed = binary.LittleEndian.AppendUint32(append(framed, bad...), crc32.ChecksumIEEE(bad))
+
+	dp2 := NewDataplane(cfg, false)
+	cp2 := NewControlPlane(dp2, &fakeClock{}, cfg)
+	shard0, rt, gen := dp2.shards[0].clusterer.Marshal(), cp2.Runtime(), cp2.ConfigGeneration()
+	err := RestoreState(bytes.NewReader(framed), dp2, cp2)
+	if err == nil || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("RestoreState = %v, want shard 1's refusal", err)
+	}
+	if cp2.Runtime() != rt || cp2.ConfigGeneration() != gen {
+		t.Errorf("refused restore left runtime %+v generation %d, was %+v generation %d",
+			cp2.Runtime(), cp2.ConfigGeneration(), rt, gen)
+	}
+	if !bytes.Equal(dp2.shards[0].clusterer.Marshal(), shard0) || dp2.Observed() != 0 {
+		t.Errorf("refused restore loaded shard 0 (%d packets observed)", dp2.Observed())
+	}
+	if err := RestoreState(bytes.NewReader(snap), dp2, cp2); err != nil {
+		t.Errorf("intact snapshot after the refusal: %v", err)
+	}
 }

@@ -10,11 +10,13 @@
 //
 // Accounting is layered on the shared telemetry substrate
 // (internal/telemetry): every port wires a telemetry.QueueStats into
-// its qdisc and meters offered/delivered rates, and the Recorder —
-// which adds the ground-truth attribution (benign vs malicious) the
-// experiment series need — is an Accounting implementation whose
-// totals are telemetry counters. Ports never branch on nil accounting:
-// a port without a recorder runs the package no-op.
+// its qdisc, and the Recorder — which adds the ground-truth
+// attribution (benign vs malicious) the experiment series need — is an
+// Accounting implementation whose totals are telemetry counters. The
+// port itself meters nothing per packet: offered and delivered series
+// are the Recorder's, the drain rate is the QueueStats'. Ports never
+// branch on nil accounting: a port without a recorder runs the package
+// no-op.
 package netsim
 
 import (
@@ -80,11 +82,8 @@ type Port struct {
 	pool *packet.Pool
 
 	// stats is the label-agnostic queue accounting wired into the
-	// qdisc's telemetry sink; offered/delivered meter the port's load
-	// and goodput per second of the port's timeline.
-	stats     *telemetry.QueueStats
-	offered   *telemetry.RateMeter
-	delivered *telemetry.RateMeter
+	// qdisc's telemetry sink.
+	stats *telemetry.QueueStats
 
 	// Delivered is invoked for every packet that finishes
 	// serialization (the sink side), after recording.
@@ -97,7 +96,7 @@ type Port struct {
 
 // NewPort builds a port transmitting at rateBits over the given qdisc.
 // The recorder may be nil when no attribution is needed; telemetry
-// accounting (Telemetry, OfferedRate, DeliveredRate) runs either way.
+// accounting (Telemetry) runs either way.
 func NewPort(eng *eventsim.Engine, q queue.Qdisc, rateBits float64, rec *Recorder) *Port {
 	if rateBits <= 0 {
 		panic(fmt.Sprintf("netsim: port rate %v must be positive", rateBits))
@@ -106,13 +105,11 @@ func NewPort(eng *eventsim.Engine, q queue.Qdisc, rateBits float64, rec *Recorde
 		panic("netsim: nil qdisc")
 	}
 	p := &Port{
-		eng:       eng,
-		qdisc:     q,
-		rate:      rateBits,
-		acct:      noAccounting,
-		stats:     telemetry.NewQueueStats(eventsim.Second),
-		offered:   telemetry.NewRateMeter(eventsim.Second),
-		delivered: telemetry.NewRateMeter(eventsim.Second),
+		eng:   eng,
+		qdisc: q,
+		rate:  rateBits,
+		acct:  noAccounting,
+		stats: telemetry.NewQueueStats(eventsim.Second),
 	}
 	if rec != nil {
 		p.acct = rec
@@ -128,15 +125,19 @@ func NewPort(eng *eventsim.Engine, q queue.Qdisc, rateBits float64, rec *Recorde
 	// package disciplines implement queue.DropNotifier; a custom qdisc
 	// that does not will simply not feed drop attribution.
 	if dh, ok := q.(queue.DropNotifier); ok {
-		dh.OnDrop(func(now eventsim.Time, pkt *packet.Packet, reason queue.DropReason) {
-			p.acct.Dropped(now, pkt, reason)
-			if p.Dropped != nil {
-				p.Dropped(now, pkt)
-			}
-			p.release(pkt)
-		})
+		dh.OnDrop(p.drop)
 	}
 	return p
+}
+
+// drop ends the life of a packet rejected anywhere in the port:
+// accounting, the Dropped hook, then release.
+func (p *Port) drop(now eventsim.Time, pkt *packet.Packet, reason queue.DropReason) {
+	p.acct.Dropped(now, pkt, reason)
+	if p.Dropped != nil {
+		p.Dropped(now, pkt)
+	}
+	p.release(pkt)
 }
 
 // SetPool makes the port the release point of the packet lifecycle:
@@ -185,14 +186,6 @@ func (p *Port) Qdisc() queue.Qdisc { return p.qdisc }
 // plus policer drops recorded by the port itself.
 func (p *Port) Telemetry() *telemetry.QueueStats { return p.stats }
 
-// OfferedRate returns the last completed one-second window of offered
-// load (packets injected, pre-policer).
-func (p *Port) OfferedRate() telemetry.RateSnapshot { return p.offered.Snapshot() }
-
-// DeliveredRate returns the last completed one-second window of
-// delivered throughput.
-func (p *Port) DeliveredRate() telemetry.RateSnapshot { return p.delivered.Snapshot() }
-
 // AddIngress appends a stage to the ingress pipeline; stages run in
 // registration order.
 func (p *Port) AddIngress(f Ingress) {
@@ -205,24 +198,15 @@ func (p *Port) AddIngress(f Ingress) {
 // Inject offers a packet to the port at the current virtual time.
 func (p *Port) Inject(now eventsim.Time, pkt *packet.Packet) {
 	p.acct.Arrival(now, pkt)
-	p.offered.Observe(now, 1, uint64(pkt.Size()))
 	if p.down {
 		p.stats.RecordDrop(now, pkt.Size(), uint8(queue.DropLinkDown))
-		p.acct.Dropped(now, pkt, queue.DropLinkDown)
-		if p.Dropped != nil {
-			p.Dropped(now, pkt)
-		}
-		p.release(pkt)
+		p.drop(now, pkt, queue.DropLinkDown)
 		return
 	}
 	for _, stage := range p.ingress {
 		if !stage(now, pkt) {
 			p.stats.RecordDrop(now, pkt.Size(), uint8(queue.DropPolicer))
-			p.acct.Dropped(now, pkt, queue.DropPolicer)
-			if p.Dropped != nil {
-				p.Dropped(now, pkt)
-			}
-			p.release(pkt)
+			p.drop(now, pkt, queue.DropPolicer)
 			return
 		}
 	}
@@ -259,7 +243,6 @@ func portTxDone(t eventsim.Time, arg any) {
 	pkt := p.inflight
 	p.inflight = nil
 	p.busy = false
-	p.delivered.Observe(t, 1, uint64(pkt.Size()))
 	p.acct.Delivered(t, pkt)
 	if p.Delivered != nil {
 		p.Delivered(t, pkt)
@@ -268,38 +251,9 @@ func portTxDone(t eventsim.Time, arg any) {
 	p.pump(t)
 }
 
-// replayer carries Replay's iteration state so each arrival reschedules
-// through ScheduleArg without a fresh closure.
-type replayer struct {
-	eng     *eventsim.Engine
-	src     traffic.Source
-	port    *Port
-	pending traffic.TimedPacket
-}
-
-func (r *replayer) schedule(tp traffic.TimedPacket) {
-	at := tp.At
-	if at < r.eng.Now() {
-		at = r.eng.Now()
-	}
-	r.pending = tp
-	r.eng.ScheduleArg(at, replayStep, r)
-}
-
-func replayStep(now eventsim.Time, arg any) {
-	r := arg.(*replayer)
-	r.port.Inject(now, r.pending.Pkt)
-	if next, ok := r.src.Next(); ok {
-		r.schedule(next)
-	}
-}
-
 // Replay schedules every packet of src as an arrival at the port,
 // chaining events so only one pending arrival exists at a time. The
-// whole replay allocates once, regardless of trace length.
+// replay's allocations do not grow with trace length.
 func Replay(eng *eventsim.Engine, src traffic.Source, port *Port) {
-	if first, ok := src.Next(); ok {
-		r := &replayer{eng: eng, src: src, port: port}
-		r.schedule(first)
-	}
+	FanIn(eng, src, []*Port{port}, nil)
 }

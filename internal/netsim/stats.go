@@ -17,26 +17,43 @@ import (
 // The Recorder is the attribution adapter over the shared telemetry
 // layer: its since-construction totals are telemetry.Counters (readable
 // concurrently, exportable through a telemetry.Registry via Describe),
-// while the per-bin series and per-flow/per-packet maps — which need
-// the packet headers the label-agnostic telemetry sinks never see —
-// stay local. It implements the port's Accounting interface.
+// while the per-bin series and per-flow records — which need the packet
+// headers the label-agnostic telemetry sinks never see — stay local.
+// Per-packet state (Seq, Transit) rides on the packet itself, so an
+// event costs at most the one flow lookup. It implements the port's
+// Accounting interface; event times are the engine's clock and never
+// decrease.
 type Recorder struct {
 	binWidth eventsim.Time
 	bins     []binStats
-	perFlow  map[uint32][]uint64 // FlowID -> delivered bytes per bin
+	// cur is the bin last used and curStart its start time.
+	cur      int
+	curStart eventsim.Time
 
-	seqNext map[uint32]uint64 // FlowID -> next arrival sequence
-	seqMax  map[uint32]uint64 // FlowID -> highest delivered sequence
+	flows map[uint32]*flowRecord
+	// last caches the record of lastID: consecutive events mostly hit
+	// the same flow (a pulse is few flows, a FIFO delivers in bursts).
+	last   *flowRecord
+	lastID uint32
 
-	arrivedAt map[*packet.Packet]eventsim.Time
-	delaySum  [2]eventsim.Time // per label
-	delayMax  [2]eventsim.Time
+	delaySum [2]eventsim.Time // per label
+	delayMax [2]eventsim.Time
 
 	// Totals since construction (packets), indexed by label.
 	arrived   [2]telemetry.Counter
 	dropped   [2]telemetry.Counter
 	delivered [2]telemetry.Counter
 	reordered telemetry.Counter
+}
+
+// flowRecord is everything the recorder keeps about one FlowID.
+type flowRecord struct {
+	seqNext uint64 // arrival sequence numbers stamped so far
+	seqMax  uint64 // highest delivered sequence
+	// bytes[i] is the flow's delivered bytes in bin firstBin+i: the
+	// series starts at the flow's first delivery, not at bin 0.
+	firstBin int
+	bytes    []uint64
 }
 
 var _ Accounting = (*Recorder)(nil)
@@ -56,17 +73,8 @@ func NewRecorder(binWidth eventsim.Time) *Recorder {
 	if binWidth <= 0 {
 		panic(fmt.Sprintf("netsim: bin width %v must be positive", binWidth))
 	}
-	return &Recorder{
-		binWidth:  binWidth,
-		perFlow:   map[uint32][]uint64{},
-		seqNext:   map[uint32]uint64{},
-		seqMax:    map[uint32]uint64{},
-		arrivedAt: map[*packet.Packet]eventsim.Time{},
-	}
+	return &Recorder{binWidth: binWidth, flows: map[uint32]*flowRecord{}}
 }
-
-// BinWidth returns the configured bin width.
-func (r *Recorder) BinWidth() eventsim.Time { return r.binWidth }
 
 // ArrivedBenign returns the total benign packets offered.
 func (r *Recorder) ArrivedBenign() uint64 { return r.arrived[0].Value() }
@@ -106,21 +114,42 @@ func (r *Recorder) Describe(reg *telemetry.Registry, prefix string) {
 // Bins returns the number of bins touched so far.
 func (r *Recorder) Bins() int { return len(r.bins) }
 
-func (r *Recorder) bin(now eventsim.Time) *binStats {
-	i := int(now / r.binWidth)
-	for len(r.bins) <= i {
-		r.bins = append(r.bins, binStats{})
+// bin returns the bin holding now, and its index. Events cluster in
+// time, so the division only runs when now leaves the last bin used.
+func (r *Recorder) bin(now eventsim.Time) (*binStats, int) {
+	if d := now - r.curStart; d < 0 || d >= r.binWidth || r.cur >= len(r.bins) {
+		r.cur = int(now / r.binWidth)
+		r.curStart = eventsim.Time(r.cur) * r.binWidth
+		for len(r.bins) <= r.cur {
+			r.bins = append(r.bins, binStats{})
+		}
 	}
-	return &r.bins[i]
+	return &r.bins[r.cur], r.cur
 }
 
-// Arrival records a packet offered to the port and stamps its per-flow
-// arrival sequence number (used for reordering detection).
+// flow returns the record of a FlowID, creating it on first sight.
+func (r *Recorder) flow(id uint32) *flowRecord {
+	if r.last != nil && r.lastID == id {
+		return r.last
+	}
+	f := r.flows[id]
+	if f == nil {
+		f = &flowRecord{}
+		r.flows[id] = f
+	}
+	r.last, r.lastID = f, id
+	return f
+}
+
+// Arrival records a packet offered to the port and stamps it: its
+// per-flow arrival sequence number (used for reordering detection) and
+// its arrival time (used for the transit delay).
 func (r *Recorder) Arrival(now eventsim.Time, p *packet.Packet) {
-	r.seqNext[p.FlowID]++
-	p.Seq = r.seqNext[p.FlowID]
-	r.arrivedAt[p] = now
-	b := r.bin(now)
+	f := r.flow(p.FlowID)
+	f.seqNext++
+	p.Seq = f.seqNext
+	p.Transit = int64(now) + 1
+	b, _ := r.bin(now)
 	l := labelIndex(p)
 	b.arrivedBytes[l] += uint64(p.Size())
 	b.arrivedPkts[l]++
@@ -129,41 +158,41 @@ func (r *Recorder) Arrival(now eventsim.Time, p *packet.Packet) {
 
 // Delivered records a packet that completed transmission.
 func (r *Recorder) Delivered(now eventsim.Time, p *packet.Packet) {
+	f := r.flow(p.FlowID)
 	if p.Seq > 0 {
-		if p.Seq < r.seqMax[p.FlowID] {
+		if p.Seq < f.seqMax {
 			r.reordered.Inc()
 		} else {
-			r.seqMax[p.FlowID] = p.Seq
+			f.seqMax = p.Seq
 		}
 	}
-	if at, ok := r.arrivedAt[p]; ok {
-		d := now - at
-		li := labelIndex(p)
-		r.delaySum[li] += d
-		if d > r.delayMax[li] {
-			r.delayMax[li] = d
-		}
-		delete(r.arrivedAt, p)
-	}
-	b := r.bin(now)
 	l := labelIndex(p)
+	if p.Transit != 0 {
+		d := now - eventsim.Time(p.Transit-1)
+		r.delaySum[l] += d
+		if d > r.delayMax[l] {
+			r.delayMax[l] = d
+		}
+		p.Transit = 0
+	}
+	b, i := r.bin(now)
 	b.deliveredBytes[l] += uint64(p.Size())
 	b.deliveredPkts[l]++
 	r.delivered[l].Inc()
-	i := int(now / r.binWidth)
-	s := r.perFlow[p.FlowID]
-	for len(s) <= i {
-		s = append(s, 0)
+	if len(f.bytes) == 0 {
+		f.firstBin = i
 	}
-	s[i] += uint64(p.Size())
-	r.perFlow[p.FlowID] = s
+	for f.firstBin+len(f.bytes) <= i {
+		f.bytes = append(f.bytes, 0)
+	}
+	f.bytes[i-f.firstBin] += uint64(p.Size())
 }
 
 // Dropped records a packet rejected anywhere in the port (policer,
 // early drop, tail drop, push-out).
 func (r *Recorder) Dropped(now eventsim.Time, p *packet.Packet, _ queue.DropReason) {
-	delete(r.arrivedAt, p)
-	b := r.bin(now)
+	p.Transit = 0
+	b, _ := r.bin(now)
 	l := labelIndex(p)
 	b.droppedBytes[l] += uint64(p.Size())
 	b.droppedPkts[l]++
@@ -204,9 +233,9 @@ func (r *Recorder) ArrivedBits(label packet.Label) []float64 {
 func (r *Recorder) FlowDeliveredBits(flowID uint32) []float64 {
 	out := make([]float64, len(r.bins))
 	scale := 8 / r.binWidth.Seconds()
-	for i, v := range r.perFlow[flowID] {
-		if i < len(out) {
-			out[i] = float64(v) * scale
+	if f := r.flows[flowID]; f != nil {
+		for i, v := range f.bytes {
+			out[f.firstBin+i] = float64(v) * scale
 		}
 	}
 	return out

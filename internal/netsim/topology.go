@@ -33,7 +33,7 @@ func Chain(eng *eventsim.Engine, src *Port, dst *Port, propagation eventsim.Time
 
 // FanIn replays a source into one of several ingress ports chosen per
 // packet by route, modeling traffic entering the network at different
-// edge switches.
+// edge switches. A nil route sends every packet to the first port.
 func FanIn(eng *eventsim.Engine, src traffic.Source, ports []*Port, route func(p *packet.Packet) int) {
 	if len(ports) == 0 {
 		panic("netsim: FanIn with no ports")
@@ -44,8 +44,8 @@ func FanIn(eng *eventsim.Engine, src traffic.Source, ports []*Port, route func(p
 	}
 }
 
-// fanIn is FanIn's iteration state, the multi-port analogue of
-// replayer: one allocation per replay, no per-packet closures.
+// fanIn carries FanIn's iteration state so each arrival reschedules
+// through ScheduleArg without a fresh closure.
 type fanIn struct {
 	eng     *eventsim.Engine
 	src     traffic.Source
@@ -65,12 +65,9 @@ func (f *fanIn) schedule(tp traffic.TimedPacket) {
 
 func fanInStep(now eventsim.Time, arg any) {
 	f := arg.(*fanIn)
-	i := f.route(f.pending.Pkt)
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(f.ports) {
-		i = len(f.ports) - 1
+	i := 0
+	if f.route != nil {
+		i = min(max(f.route(f.pending.Pkt), 0), len(f.ports)-1)
 	}
 	f.ports[i].Inject(now, f.pending.Pkt)
 	if next, ok := f.src.Next(); ok {

@@ -11,7 +11,6 @@
 package traffic
 
 import (
-	"container/heap"
 	"fmt"
 
 	"accturbo/internal/eventsim"
@@ -159,44 +158,58 @@ func Profile(points ...RatePoint) RateFunc {
 	}
 }
 
-// merge combines sources in global time order.
+// merge combines sources in global time order: h is a binary min-heap
+// of each live source's next packet, ordered by (At, seq).
 type merge struct {
-	h mergeHeap
+	h []mergeItem
 }
 
 type mergeItem struct {
 	tp  TimedPacket
 	src Source
-	seq int // insertion order breaks ties deterministically
+	seq int // argument order breaks ties deterministically
 }
 
-type mergeHeap []mergeItem
-
-func (h mergeHeap) Len() int { return len(h) }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].tp.At != h[j].tp.At {
-		return h[i].tp.At < h[j].tp.At
+func (a *mergeItem) before(b *mergeItem) bool {
+	if a.tp.At != b.tp.At {
+		return a.tp.At < b.tp.At
 	}
-	return h[i].seq < h[j].seq
-}
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *mergeHeap) Push(x any)   { *h = append(*h, x.(mergeItem)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+	return a.seq < b.seq
 }
 
-// Merge interleaves sources by packet timestamp. Sources that are
-// already drained are skipped.
+// down sifts h[i] to its place among its descendants.
+func (m *merge) down(i int) {
+	h := m.h
+	it := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&it) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = it
+}
+
+// Merge interleaves sources by packet timestamp; packets with equal
+// timestamps leave in source-argument order. Sources that are already
+// drained are skipped.
 func Merge(sources ...Source) Source {
 	m := &merge{}
 	for i, s := range sources {
 		if tp, ok := s.Next(); ok {
-			heap.Push(&m.h, mergeItem{tp: tp, src: s, seq: i})
+			m.h = append(m.h, mergeItem{tp: tp, src: s, seq: i})
 		}
+	}
+	for i := len(m.h)/2 - 1; i >= 0; i-- {
+		m.down(i)
 	}
 	return m
 }
@@ -214,14 +227,20 @@ func (m *merge) Next() (TimedPacket, bool) {
 	if len(m.h) == 0 {
 		return TimedPacket{}, false
 	}
-	it := m.h[0]
-	if tp, ok := it.src.Next(); ok {
-		m.h[0] = mergeItem{tp: tp, src: it.src, seq: it.seq}
-		heap.Fix(&m.h, 0)
+	top := &m.h[0]
+	out := top.tp
+	if tp, ok := top.src.Next(); ok {
+		top.tp = tp
 	} else {
-		heap.Pop(&m.h)
+		n := len(m.h) - 1
+		*top = m.h[n]
+		m.h[n] = mergeItem{}
+		m.h = m.h[:n]
 	}
-	return it.tp, true
+	if len(m.h) > 1 {
+		m.down(0)
+	}
+	return out, true
 }
 
 // Concat plays sources back to back in argument order. Callers must
