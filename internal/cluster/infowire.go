@@ -1,100 +1,106 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
 
-// MarshalInfos serializes a cluster snapshot — the []Info returned by
-// Online.Snapshot, Dataplane.Snapshot or MergeSnapshots — into a
-// deterministic little-endian byte stream. This is the per-Info wire
-// form the fleet protocol ships between nodes and the coordinator:
-// unlike Online.Marshal (which captures the clusterer's full learned
-// state for restore), an Info snapshot is the *observable* view —
-// geometry, cardinalities and window counters — which is all slot-wise
-// merging needs, and it carries no configuration fingerprint so nodes
-// with identical slot tiling but independent clusterers interoperate.
+	"accturbo/internal/frame"
+)
+
+// infoMinBytes is the encoded size of an Info with no ranges and no
+// cardinalities: what AppendInfos writes per slot at the very least.
+const infoMinBytes = 4 + 1 + 4 + 4 + 5*8 + 8
+
+// AppendInfos writes a cluster snapshot — the []Info returned by
+// Online.Snapshot, Dataplane.Snapshot or MergeSnapshots — to e as a
+// count followed by one record per slot. This is the per-Info layout of
+// every format that carries one: the fleet's MsgSnapshot payload and the
+// deployed Decision inside a defense snapshot. Unlike Online.Marshal
+// (which captures the clusterer's full learned state for restore), it is
+// the *observable* view — geometry, cardinalities and window counters —
+// which is all slot-wise merging needs, and it carries no configuration
+// fingerprint so nodes with identical slot tiling but independent
+// clusterers interoperate.
 //
 // Inactive slots are encoded too (one bool), so slot positions survive
 // the trip and MergeSnapshots on the far side sees the same tiling the
-// sender saw. Framing, versioning and checksums live one layer up in
-// internal/fleet: an Info blob never travels alone.
-func MarshalInfos(infos []Info) []byte {
-	var e enc
-	e.u32(uint32(len(infos)))
+// sender saw. Framing, versioning and checksums live one layer up: an
+// Info section never travels alone.
+func AppendInfos(out *frame.Enc, infos []Info) {
+	e := *out // by value, so the appends below stay in registers
+	e.U32(uint32(len(infos)))
 	for i := range infos {
 		in := &infos[i]
-		e.u32(uint32(in.ID))
-		e.bool(in.Active)
-		e.u32(uint32(len(in.Ranges)))
+		e.U32(uint32(in.ID))
+		e.Bool(in.Active)
+		e.U32(uint32(len(in.Ranges)))
 		for _, r := range in.Ranges {
-			e.u32(r.Min)
-			e.u32(r.Max)
+			e.U32(r.Min)
+			e.U32(r.Max)
 		}
-		e.u32(uint32(len(in.NominalCardinality)))
+		e.U32(uint32(len(in.NominalCardinality)))
 		for _, c := range in.NominalCardinality {
-			e.u32(uint32(c))
+			e.U32(uint32(c))
 		}
-		e.u64(in.Packets)
-		e.u64(in.Bytes)
-		e.u64(in.TotalPackets)
-		e.u64(in.Benign)
-		e.u64(in.Malicious)
-		e.f64(in.Size)
+		e.U64(in.Packets)
+		e.U64(in.Bytes)
+		e.U64(in.TotalPackets)
+		e.U64(in.Benign)
+		e.U64(in.Malicious)
+		e.F64(in.Size)
 	}
-	return e.b
+	*out = e
 }
 
-// UnmarshalInfos decodes a MarshalInfos stream. The result is freshly
-// allocated and shares no memory with data; a truncated stream or
-// trailing bytes fail with an error and no partial result.
-func UnmarshalInfos(data []byte) ([]Info, error) {
-	d := dec{b: data}
-	n := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
-	}
-	// Each Info is at least 61 bytes (two empty slices); a hostile count
-	// cannot force an allocation larger than the input it arrived in.
-	if n > len(data)/61+1 {
-		return nil, fmt.Errorf("cluster: info snapshot claims %d slots in %d bytes", n, len(data))
-	}
-	out := make([]Info, 0, n)
-	for i := 0; i < n; i++ {
-		var in Info
-		in.ID = int(d.u32())
-		in.Active = d.u8() != 0
-		nr := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if nr > 0 {
-			in.Ranges = make([]Range, nr)
+// ReadInfos reads what AppendInfos wrote. The result is freshly
+// allocated and shares no memory with the input; a short or hostile
+// section is left latched in d and yields nil.
+func ReadInfos(d *frame.Dec) []Info {
+	out := make([]Info, d.Count(infoMinBytes))
+	for i := range out {
+		in := &out[i]
+		in.ID = int(d.U32())
+		in.Active = d.Bool()
+		if n := d.Count(8); n > 0 {
+			in.Ranges = make([]Range, n)
 			for f := range in.Ranges {
-				in.Ranges[f].Min = d.u32()
-				in.Ranges[f].Max = d.u32()
+				in.Ranges[f].Min = d.U32()
+				in.Ranges[f].Max = d.U32()
 			}
 		}
-		nc := int(d.u32())
-		if d.err != nil {
-			return nil, d.err
-		}
-		if nc > 0 {
-			in.NominalCardinality = make([]int, nc)
+		if n := d.Count(4); n > 0 {
+			in.NominalCardinality = make([]int, n)
 			for f := range in.NominalCardinality {
-				in.NominalCardinality[f] = int(d.u32())
+				in.NominalCardinality[f] = int(d.U32())
 			}
 		}
-		in.Packets = d.u64()
-		in.Bytes = d.u64()
-		in.TotalPackets = d.u64()
-		in.Benign = d.u64()
-		in.Malicious = d.u64()
-		in.Size = d.f64()
-		if d.err != nil {
-			return nil, d.err
-		}
-		out = append(out, in)
+		in.Packets = d.U64()
+		in.Bytes = d.U64()
+		in.TotalPackets = d.U64()
+		in.Benign = d.U64()
+		in.Malicious = d.U64()
+		in.Size = d.F64()
 	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("cluster: %d trailing bytes after info snapshot", len(d.b)-d.off)
+	if d.Err() != nil {
+		return nil
 	}
-	return out, nil
+	return out
+}
+
+// MarshalInfos is AppendInfos into a fresh buffer.
+func MarshalInfos(infos []Info) []byte {
+	var e frame.Enc
+	AppendInfos(&e, infos)
+	return e.B
+}
+
+// UnmarshalInfos is ReadInfos over a whole buffer: truncation, a count
+// the buffer cannot hold and trailing bytes all fail with an error and
+// no partial result.
+func UnmarshalInfos(data []byte) ([]Info, error) {
+	d := frame.NewDec(data)
+	infos := ReadInfos(&d)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("cluster: info snapshot: %w", err)
+	}
+	return infos, nil
 }

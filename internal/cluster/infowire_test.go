@@ -1,9 +1,119 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 )
+
+// allocated reports the bytes f allocated.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// parentInfoSection is the Info section of the MsgSnapshot frame the
+// parent commit wrote for the fleet's fixture: past the 15-byte envelope
+// header and the snapshot's node, seq and time, up to the CRC.
+func parentInfoSection(t testing.TB) []byte {
+	frame, err := os.ReadFile("../fleet/testdata/parent_snapshot.frame")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame[15+20 : len(frame)-4]
+}
+
+// TestInfoWireParentBytes: a section the parent commit wrote decodes and
+// re-encodes to the same bytes.
+func TestInfoWireParentBytes(t *testing.T) {
+	want := parentInfoSection(t)
+	infos, err := UnmarshalInfos(want)
+	if err != nil || len(infos) != 4 {
+		t.Fatalf("decoded %d infos, %v", len(infos), err)
+	}
+	if !bytes.Equal(MarshalInfos(infos), want) {
+		t.Fatal("decode and re-encode changed the bytes")
+	}
+}
+
+// TestInfoWireRejectsHostileCounts puts the largest count in every count
+// position of a sound stream — the slot count, each slot's range count
+// and cardinality count. UnmarshalInfos is reachable from any TCP peer
+// past the hello handshake, inside a CRC-valid frame; it must refuse
+// each without sizing anything from the count.
+func TestInfoWireRejectsHostileCounts(t *testing.T) {
+	blob := MarshalInfos(sampleInfos())
+	le := binary.LittleEndian
+	counts := []int{0}
+	off := 4
+	for range sampleInfos() {
+		off += 5 // ID, Active
+		counts = append(counts, off)
+		off += 4 + 8*int(le.Uint32(blob[off:]))
+		counts = append(counts, off)
+		off += 4 + 4*int(le.Uint32(blob[off:]))
+		off += 5*8 + 8 // counters, Size
+	}
+	if off != len(blob) {
+		t.Fatalf("walked %d of %d bytes: the layout moved", off, len(blob))
+	}
+	for _, at := range counts {
+		for _, n := range []uint32{1<<32 - 1, 1 << 27, uint32(len(blob))} {
+			bad := append([]byte(nil), blob...)
+			le.PutUint32(bad[at:], n)
+			var infos []Info
+			var err error
+			if got := allocated(func() { infos, err = UnmarshalInfos(bad) }); got > 1<<20 {
+				t.Errorf("count %d at byte %d: %d bytes allocated", n, at, got)
+			}
+			if err == nil || infos != nil {
+				t.Errorf("count %d at byte %d: decoded %d infos, %v", n, at, len(infos), err)
+			}
+		}
+	}
+}
+
+// FuzzUnmarshalInfos: arbitrary bytes are refused or decode to a
+// snapshot that holds no more elements than the input has bytes and
+// whose encoding is a fixed point; never a panic.
+func FuzzUnmarshalInfos(f *testing.F) {
+	f.Add(parentInfoSection(f))
+	f.Add(MarshalInfos(sampleInfos()))
+	f.Add(MarshalInfos(nil))
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		infos, err := UnmarshalInfos(data)
+		if err != nil {
+			if infos != nil {
+				t.Fatal("an error came with a partial result")
+			}
+			return
+		}
+		held := len(infos)
+		for _, in := range infos {
+			held += len(in.Ranges) + len(in.NominalCardinality)
+		}
+		if held > len(data) {
+			t.Fatalf("%d bytes decoded to %d elements", len(data), held)
+		}
+		// Only the Active byte has spare encodings, so the re-encoding is
+		// as long as the input and decodes to itself.
+		again := MarshalInfos(infos)
+		if len(again) != len(data) {
+			t.Fatalf("%d bytes re-encode to %d", len(data), len(again))
+		}
+		back, err := UnmarshalInfos(again)
+		if err != nil || !bytes.Equal(MarshalInfos(back), again) {
+			t.Fatalf("the re-encoding is not a fixed point (%v)", err)
+		}
+	})
+}
 
 func sampleInfos() []Info {
 	return []Info{

@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
+
+	"accturbo/internal/frame"
 )
 
 // Marshal serializes the clusterer's complete learned state — flattened
@@ -23,34 +23,34 @@ import (
 // Checksums and format versioning live one layer up, in the core
 // snapshot container: a cluster blob never travels alone.
 func (o *Online) Marshal() []byte {
-	var e enc
+	var e frame.Enc
 	o.encodeFingerprint(&e)
-	e.u64(o.nextUID)
-	e.u64(o.Observed)
-	e.u32(uint32(len(o.clusters)))
+	e.U64(o.nextUID)
+	e.U64(o.Observed)
+	e.U32(uint32(len(o.clusters)))
 	var bm []uint64 // one set's cells as a bitmap, zero between uses
 	for ci := range o.clusters {
 		c := &o.clusters[ci]
-		e.u64(c.uid)
+		e.U64(c.uid)
 		base := ci * o.nf
 		for f := 0; f < o.nf; f++ {
-			e.u32(o.min[base+f])
-			e.u32(o.max[base+f])
+			e.U32(o.min[base+f])
+			e.U32(o.max[base+f])
 		}
 		if o.center != nil {
 			for f := 0; f < o.nf; f++ {
-				e.f64(o.center[base+f])
+				e.F64(o.center[base+f])
 			}
 		}
-		e.u64(c.count)
-		e.u64(c.packets)
-		e.u64(c.bytes)
-		e.u64(c.totalPackets)
-		e.u64(c.benign)
-		e.u64(c.malicious)
+		e.U64(c.count)
+		e.U64(c.packets)
+		e.U64(c.bytes)
+		e.U64(c.totalPackets)
+		e.U64(c.benign)
+		e.U64(c.malicious)
 		for j, mf := range o.mt.feats {
 			card := o.mt.cardinality(ci, j)
-			e.u32(uint32(card))
+			e.U32(uint32(card))
 			words := int((mf.ncell + 63) / 64)
 			if len(bm) < words {
 				bm = make([]uint64, words)
@@ -58,24 +58,21 @@ func (o *Online) Marshal() []byte {
 			set := bm[:words]
 			o.mt.bitmap(ci, j, set)
 			if o.cfg.UseBloom {
-				e.u64(uint64(card)) // the filter's Insert count
-				e.u32(uint32(words))
-				for i, w := range set {
-					e.u64(w)
-					set[i] = 0
-				}
+				e.U64(uint64(card)) // the filter's Insert count
+				e.U64s(set)
+				clear(set)
 				continue
 			}
-			e.u32(uint32(card))
+			e.U32(uint32(card))
 			for i, w := range set {
 				for ; w != 0; w &= w - 1 {
-					e.u32(uint32(i)<<6 | uint32(bits.TrailingZeros64(w)))
+					e.U32(uint32(i)<<6 | uint32(bits.TrailingZeros64(w)))
 				}
 				set[i] = 0
 			}
 		}
 	}
-	return e.b
+	return e.B
 }
 
 // Unmarshal replaces the clusterer's state with a Marshal snapshot. The
@@ -109,12 +106,12 @@ func (o *Online) Validate(data []byte) error {
 // validated is Unmarshal's first walk: it returns the stream past its
 // fingerprint once every length and value in it has been checked.
 func (o *Online) validated(data []byte) ([]byte, error) {
-	var fp enc
+	var fp frame.Enc
 	o.encodeFingerprint(&fp)
-	if !bytes.HasPrefix(data, fp.b) {
+	if !bytes.HasPrefix(data, fp.B) {
 		return nil, fmt.Errorf("cluster: snapshot fingerprint does not match this clusterer's configuration")
 	}
-	body := data[len(fp.b):]
+	body := data[len(fp.B):]
 	return body, o.decodeState(body, false)
 }
 
@@ -122,13 +119,10 @@ func (o *Online) validated(data []byte) ([]byte, error) {
 // with commit set it also replaces the clusterer's state with what it
 // reads, which must only be asked of a stream that already passed.
 func (o *Online) decodeState(body []byte, commit bool) error {
-	d := dec{b: body}
-	nextUID := d.u64()
-	observed := d.u64()
-	k := int(d.u32())
-	if d.err != nil {
-		return d.err
-	}
+	d := frame.NewDec(body)
+	nextUID := d.U64()
+	observed := d.U64()
+	k := int(d.U32()) // 0 once the stream is short, which Done reports
 	if k > o.cfg.MaxClusters {
 		return fmt.Errorf("cluster: snapshot has %d clusters, config allows %d", k, o.cfg.MaxClusters)
 	}
@@ -139,10 +133,10 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 	}
 	for ci := 0; ci < k; ci++ {
 		var c clusterState
-		c.uid = d.u64()
+		c.uid = d.U64()
 		base := ci * o.nf
 		for f, feat := range o.feats {
-			mn, mx := d.u32(), d.u32()
+			mn, mx := d.U32(), d.U32()
 			if mn > mx || mx > feat.MaxValue() {
 				return fmt.Errorf("cluster: snapshot cluster %d feature %d range [%d, %d] is not within [0, %d]", ci, f, mn, mx, feat.MaxValue())
 			}
@@ -152,17 +146,17 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 		}
 		if o.center != nil {
 			for f := 0; f < o.nf; f++ {
-				if v := d.f64(); commit {
+				if v := d.F64(); commit {
 					o.center[base+f] = v
 				}
 			}
 		}
-		c.count = d.u64()
-		c.packets = d.u64()
-		c.bytes = d.u64()
-		c.totalPackets = d.u64()
-		c.benign = d.u64()
-		c.malicious = d.u64()
+		c.count = d.U64()
+		c.packets = d.U64()
+		c.bytes = d.U64()
+		c.totalPackets = d.U64()
+		c.benign = d.U64()
+		c.malicious = d.U64()
 		if commit {
 			o.clusters[ci] = c
 		}
@@ -171,12 +165,12 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 				return fmt.Errorf("cluster: snapshot cluster %d nominal set %d: %w", ci, j, err)
 			}
 		}
-		if d.err != nil {
-			return d.err
+		if d.Err() != nil {
+			break // short: Done reports it, and the rest would read as zeros
 		}
 	}
-	if d.off != len(d.b) {
-		return fmt.Errorf("cluster: %d trailing bytes after snapshot", len(d.b)-d.off)
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("cluster: snapshot: %w", err)
 	}
 	return nil
 }
@@ -184,21 +178,21 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 // decodeSet checks one nominal set of the stream; with commit set it
 // also gives the set to slot ci, which must be empty. A short read is
 // left latched in d for the caller.
-func (o *Online) decodeSet(d *dec, ci, j int, commit bool) error {
+func (o *Online) decodeSet(d *frame.Dec, ci, j int, commit bool) error {
 	ncell := o.mt.feats[j].ncell
-	card := uint64(d.u32())
+	card := uint64(d.U32())
 	if o.cfg.UseBloom {
 		// The words of a sketch.Bloom holding `card` inserted values.
-		if inserted := d.u64(); inserted != card {
+		if inserted := d.U64(); inserted != card {
 			return fmt.Errorf("bloom insert count %d for cardinality %d", inserted, card)
 		}
 		words := (ncell + 63) / 64
-		if n := uint64(d.u32()); n != words {
+		if n := uint64(d.U32()); n != words {
 			return fmt.Errorf("bloom has %d words, snapshot has %d", words, n)
 		}
 		set := 0
 		for i := uint64(0); i < words; i++ {
-			w := d.u64()
+			w := d.U64()
 			if i == words-1 && ncell%64 != 0 && w>>(ncell%64) != 0 {
 				return fmt.Errorf("bloom bits set beyond the filter's %d", ncell)
 			}
@@ -208,21 +202,24 @@ func (o *Online) decodeSet(d *dec, ci, j int, commit bool) error {
 			}
 		}
 		// Each inserted value set between 1 and k bits.
-		if d.err == nil && (uint64(set) > card*uint64(o.cfg.BloomHashes) || (set == 0) != (card == 0)) {
+		if d.Err() == nil && (uint64(set) > card*uint64(o.cfg.BloomHashes) || (set == 0) != (card == 0)) {
 			return fmt.Errorf("%d bloom bits set for cardinality %d", set, card)
 		}
 	} else {
 		// Ascending values, as many as the cardinality says.
-		n := uint64(d.u32())
+		n := uint64(d.Count(4))
+		if d.Err() != nil {
+			return nil
+		}
 		if n != card {
 			return fmt.Errorf("%d values for cardinality %d", n, card)
 		}
-		if n > ncell || n > uint64(len(d.b)-d.off)/4 {
-			return fmt.Errorf("%d values exceed the value space or the stream", n)
+		if n > ncell {
+			return fmt.Errorf("%d values exceed the value space of %d", n, ncell)
 		}
 		prev := int64(-1)
 		for i := uint64(0); i < n; i++ {
-			v := d.u32()
+			v := d.U32()
 			if int64(v) <= prev || uint64(v) >= ncell {
 				return fmt.Errorf("value %d out of order or beyond the value space of %d", v, ncell)
 			}
@@ -243,84 +240,18 @@ func (o *Online) decodeSet(d *dec, ci, j int, commit bool) error {
 // against the receiver (different feature count, value spaces, set
 // representation) or would silently change behavior (distance, search,
 // learning rate).
-func (o *Online) encodeFingerprint(e *enc) {
-	e.u32(uint32(o.cfg.MaxClusters))
-	e.u8(uint8(len(o.feats)))
+func (o *Online) encodeFingerprint(e *frame.Enc) {
+	e.U32(uint32(o.cfg.MaxClusters))
+	e.U8(uint8(len(o.feats)))
 	for _, f := range o.feats {
-		e.u8(uint8(f))
+		e.U8(uint8(f))
 	}
-	e.u8(uint8(o.cfg.Distance))
-	e.u8(uint8(o.cfg.Search))
-	e.f64(o.cfg.LearningRate)
-	e.bool(o.cfg.UseBloom)
-	e.u64(o.cfg.BloomBits)
-	e.u32(uint32(o.cfg.BloomHashes))
-	e.bool(o.cfg.Normalize)
-	e.bool(o.cfg.SliceInit)
+	e.U8(uint8(o.cfg.Distance))
+	e.U8(uint8(o.cfg.Search))
+	e.F64(o.cfg.LearningRate)
+	e.Bool(o.cfg.UseBloom)
+	e.U64(o.cfg.BloomBits)
+	e.U32(uint32(o.cfg.BloomHashes))
+	e.Bool(o.cfg.Normalize)
+	e.Bool(o.cfg.SliceInit)
 }
-
-// enc is a minimal append-only little-endian encoder.
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8) { e.b = append(e.b, v) }
-func (e *enc) u32(v uint32) {
-	e.b = binary.LittleEndian.AppendUint32(e.b, v)
-}
-func (e *enc) u64(v uint64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, v)
-}
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-// dec is the matching decoder; the first short read latches err and
-// every later read returns zero, so call sites check err at section
-// boundaries instead of per field.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("cluster: snapshot truncated at byte %d", d.off)
-	}
-}
-
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"accturbo/internal/frame"
 	"accturbo/internal/packet"
 )
 
@@ -198,10 +199,10 @@ func TestUnmarshalRejectsHostileSets(t *testing.T) {
 			p.SrcPort = uint16(100 + i*3)
 			o.Observe(p)
 		}
-		var fp enc
+		var fp frame.Enc
 		o.encodeFingerprint(&fp)
 		// fingerprint, nextUID, Observed, k, uid, 2×(min,max), 6 counters.
-		return o.Marshal(), len(fp.b) + 8 + 8 + 4 + 8 + 2*8 + 6*8
+		return o.Marshal(), len(fp.B) + 8 + 8 + 4 + 8 + 2*8 + 6*8
 	}
 	cases := []struct {
 		name  string

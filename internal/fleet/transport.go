@@ -18,8 +18,8 @@ import (
 // goroutine for ChanTransport) and must not block it.
 //
 // Both in-process backends move whole frames; the framing itself is
-// byte-stream-safe (see WriteFrame/ReadFrame), so a socket backend
-// slots in behind this same interface later.
+// byte-stream-safe (see WriteFrame/ReadFrame), which is what the socket
+// backend in tcp.go relies on behind this same interface.
 type Transport interface {
 	// ToCoordinator sends a frame from node `from` to the coordinator.
 	ToCoordinator(from uint32, frame []byte) error

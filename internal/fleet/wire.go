@@ -12,12 +12,15 @@
 // The layers, bottom up:
 //
 //   - wire.go: the framed message codec. Length-prefixed, CRC-checked,
-//     versioned — TCP-shaped, so the in-process transports used for
-//     deterministic simulation can be swapped for a socket later
-//     without touching the codec.
-//   - transport.go: the Transport seam with two backends — SimTransport
-//     (eventsim-scheduled, deterministic, partitionable) and
-//     ChanTransport (goroutine dispatcher for real-time fleets).
+//     versioned and self-delimiting, so the same frames cross an
+//     in-process transport whole and a TCP connection as a byte stream.
+//     Fields are written and read with internal/frame, the tree's one
+//     codec; only the envelope's layout is this package's own.
+//   - transport.go, tcp.go: the Transport seam and its three backends —
+//     SimTransport (eventsim-scheduled, deterministic, partitionable),
+//     ChanTransport (goroutine dispatcher for in-process real-time
+//     fleets) and the TCP pair ListenTCP/DialTCP (real sockets, with
+//     chaos.go's fault-injecting proxy for tests).
 //   - coordinator.go: merges the latest snapshot from every node and
 //     broadcasts the global ranking, epoch-stamped.
 //   - node.go: the core.Ranker that publishes snapshots, applies fleet
@@ -27,14 +30,13 @@
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"accturbo/internal/cluster"
 	"accturbo/internal/eventsim"
+	"accturbo/internal/frame"
 )
 
 // Frame layout, little-endian throughout:
@@ -44,8 +46,8 @@ import (
 // The CRC (IEEE) covers magic through payload, so a flipped type or
 // length byte is caught, not just payload corruption. payloadLen makes
 // the format self-delimiting on a byte stream: ReadFrame/WriteFrame
-// speak it over any io.Reader/Writer, which is what keeps the framing
-// TCP-shaped while the current backends move whole frames in process.
+// speak it over any io.Reader/Writer, which is how the TCP backend
+// carries the frames the in-process backends move whole.
 const (
 	wireMagic   = "ACCFLEET"
 	wireVersion = 1
@@ -106,89 +108,20 @@ type Deploy struct {
 	Rank []float64
 }
 
-// enc is a minimal append-only little-endian encoder (the same idiom as
-// the cluster and core codecs; private to each package by design — the
-// codec is the format contract, not a shared utility).
-type enc struct{ b []byte }
-
-func (e *enc) u8(v uint8)    { e.b = append(e.b, v) }
-func (e *enc) u16(v uint16)  { e.b = binary.LittleEndian.AppendUint16(e.b, v) }
-func (e *enc) u32(v uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *enc) u64(v uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) raw(b []byte)  { e.b = append(e.b, b...) }
-func (e *enc) str(s string)  { e.b = append(e.b, s...) }
-
-// dec is the matching decoder; the first short read latches err.
-type dec struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("fleet: frame truncated at byte %d", d.off)
-	}
-}
-
-func (d *dec) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *dec) u16() uint16 {
-	if d.err != nil || d.off+2 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(d.b[d.off:])
-	d.off += 2
-	return v
-}
-
-func (d *dec) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.b) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// frame wraps a typed payload in the container: magic, version, type,
+// seal wraps a typed payload in the envelope: magic, version, type,
 // length, payload, CRC over everything before the CRC.
-func frame(msgType uint8, payload []byte) []byte {
-	var e enc
-	e.b = make([]byte, 0, frameOverhead+len(payload))
-	e.str(wireMagic)
-	e.u16(wireVersion)
-	e.u8(msgType)
-	e.u32(uint32(len(payload)))
-	e.raw(payload)
-	e.u32(crc32.ChecksumIEEE(e.b))
-	return e.b
+func seal(msgType uint8, payload []byte) []byte {
+	e := frame.Enc{B: make([]byte, 0, frameOverhead+len(payload))}
+	e.B = append(e.B, wireMagic...)
+	e.U16(wireVersion)
+	e.U8(msgType)
+	e.U32(uint32(len(payload)))
+	e.Raw(payload)
+	e.U32(crc32.ChecksumIEEE(e.B))
+	return e.B
 }
 
-// unframe validates the container and returns (type, payload). The
+// unframe validates the envelope and returns (type, payload). The
 // payload aliases data; decode before the buffer is reused.
 func unframe(data []byte) (uint8, []byte, error) {
 	if len(data) < frameOverhead {
@@ -198,172 +131,121 @@ func unframe(data []byte) (uint8, []byte, error) {
 		return 0, nil, fmt.Errorf("fleet: bad magic %q", data[:len(wireMagic)])
 	}
 	body := data[:len(data)-4]
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if got := crc32.ChecksumIEEE(body); got != sum {
+	tail := frame.NewDec(data[len(data)-4:])
+	if got, sum := crc32.ChecksumIEEE(body), tail.U32(); got != sum {
 		return 0, nil, fmt.Errorf("fleet: frame checksum %08x != stored %08x", got, sum)
 	}
-	d := dec{b: body, off: len(wireMagic)}
-	if v := d.u16(); v != wireVersion {
+	d := frame.NewDec(body[len(wireMagic):])
+	if v := d.U16(); v != wireVersion {
 		return 0, nil, fmt.Errorf("fleet: frame version %d, this build speaks %d", v, wireVersion)
 	}
-	msgType := d.u8()
-	plen := int(d.u32())
-	if d.err != nil {
-		return 0, nil, d.err
+	msgType := d.U8()
+	payload := d.Bytes(int(d.U32()))
+	if err := d.Done(); err != nil {
+		return 0, nil, fmt.Errorf("fleet: payload length does not match the frame: %w", err)
 	}
-	if plen != len(body)-d.off {
-		return 0, nil, fmt.Errorf("fleet: payload length %d != %d remaining bytes", plen, len(body)-d.off)
+	return msgType, payload, nil
+}
+
+// payloadOf unframes data, requires the message type want (named name in
+// the error) and returns a decoder over the payload.
+func payloadOf(data []byte, want uint8, name string) (frame.Dec, error) {
+	msgType, payload, err := unframe(data)
+	if err == nil && msgType != want {
+		err = fmt.Errorf("fleet: message type %d, want %s (%d)", msgType, name, want)
 	}
-	return msgType, body[d.off:], nil
+	return frame.NewDec(payload), err
 }
 
 // EncodeSnapshot frames a node snapshot for the wire.
 func EncodeSnapshot(s *Snapshot) []byte {
-	var e enc
-	e.u32(s.Node)
-	e.u64(s.Seq)
-	e.u64(uint64(s.At))
-	e.raw(cluster.MarshalInfos(s.Infos))
-	return frame(MsgSnapshot, e.b)
+	var e frame.Enc
+	e.U32(s.Node)
+	e.U64(s.Seq)
+	e.U64(uint64(s.At))
+	cluster.AppendInfos(&e, s.Infos)
+	return seal(MsgSnapshot, e.B)
 }
 
 // DecodeSnapshot unframes and decodes a MsgSnapshot frame.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	msgType, payload, err := unframe(data)
+	d, err := payloadOf(data, MsgSnapshot, "snapshot")
 	if err != nil {
 		return nil, err
 	}
-	if msgType != MsgSnapshot {
-		return nil, fmt.Errorf("fleet: message type %d, want snapshot (%d)", msgType, MsgSnapshot)
-	}
-	d := dec{b: payload}
 	s := &Snapshot{
-		Node: d.u32(),
-		Seq:  d.u64(),
-		At:   eventsim.Time(d.u64()),
+		Node:  d.U32(),
+		Seq:   d.U64(),
+		At:    eventsim.Time(d.U64()),
+		Infos: cluster.ReadInfos(&d),
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("fleet: snapshot: %w", err)
 	}
-	infos, err := cluster.UnmarshalInfos(payload[d.off:])
-	if err != nil {
-		return nil, err
-	}
-	s.Infos = infos
 	return s, nil
 }
 
 // EncodeDeploy frames a global deployment for broadcast.
 func EncodeDeploy(dp *Deploy) []byte {
-	var e enc
-	e.u64(dp.Epoch)
-	e.u64(uint64(dp.At))
-	e.u32(uint32(len(dp.QueueOf)))
-	for _, q := range dp.QueueOf {
-		e.u32(uint32(q))
-	}
-	e.u32(uint32(len(dp.Rank)))
-	for _, r := range dp.Rank {
-		e.f64(r)
-	}
-	return frame(MsgDeploy, e.b)
+	var e frame.Enc
+	e.U64(dp.Epoch)
+	e.U64(uint64(dp.At))
+	e.Ints(dp.QueueOf)
+	e.F64s(dp.Rank)
+	return seal(MsgDeploy, e.B)
 }
 
 // DecodeDeploy unframes and decodes a MsgDeploy frame.
 func DecodeDeploy(data []byte) (*Deploy, error) {
-	msgType, payload, err := unframe(data)
+	d, err := payloadOf(data, MsgDeploy, "deploy")
 	if err != nil {
 		return nil, err
 	}
-	if msgType != MsgDeploy {
-		return nil, fmt.Errorf("fleet: message type %d, want deploy (%d)", msgType, MsgDeploy)
-	}
-	d := dec{b: payload}
 	dp := &Deploy{
-		Epoch: d.u64(),
-		At:    eventsim.Time(d.u64()),
+		Epoch:   d.U64(),
+		At:      eventsim.Time(d.U64()),
+		QueueOf: d.Ints(),
+		Rank:    d.F64s(),
 	}
-	nq := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if nq > len(payload)/4 {
-		return nil, fmt.Errorf("fleet: deploy claims %d queue slots in %d bytes", nq, len(payload))
-	}
-	dp.QueueOf = make([]int, nq)
-	for i := range dp.QueueOf {
-		dp.QueueOf[i] = int(d.u32())
-	}
-	nr := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
-	}
-	if nr > len(payload)/8 {
-		return nil, fmt.Errorf("fleet: deploy claims %d ranks in %d bytes", nr, len(payload))
-	}
-	dp.Rank = make([]float64, nr)
-	for i := range dp.Rank {
-		dp.Rank[i] = d.f64()
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("fleet: %d trailing bytes after deploy", len(payload)-d.off)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("fleet: deploy: %w", err)
 	}
 	return dp, nil
 }
 
-// EncodeHello frames a connection handshake for node id.
-func EncodeHello(node uint32) []byte {
-	var e enc
-	e.u32(node)
-	return frame(MsgHello, e.b)
+// encodeNode frames the one-field messages, whose payload is a node id.
+func encodeNode(msgType uint8, node uint32) []byte {
+	var e frame.Enc
+	e.U32(node)
+	return seal(msgType, e.B)
 }
 
-// DecodeHello unframes and decodes a MsgHello frame.
-func DecodeHello(data []byte) (uint32, error) {
-	msgType, payload, err := unframe(data)
+// decodeNode is encodeNode's inverse.
+func decodeNode(data []byte, want uint8, name string) (uint32, error) {
+	d, err := payloadOf(data, want, name)
 	if err != nil {
 		return 0, err
 	}
-	if msgType != MsgHello {
-		return 0, fmt.Errorf("fleet: message type %d, want hello (%d)", msgType, MsgHello)
-	}
-	d := dec{b: payload}
-	node := d.u32()
-	if d.err != nil {
-		return 0, d.err
-	}
-	if d.off != len(payload) {
-		return 0, fmt.Errorf("fleet: %d trailing bytes after hello", len(payload)-d.off)
+	node := d.U32()
+	if err := d.Done(); err != nil {
+		return 0, fmt.Errorf("fleet: %s: %w", name, err)
 	}
 	return node, nil
 }
+
+// EncodeHello frames a connection handshake for node id.
+func EncodeHello(node uint32) []byte { return encodeNode(MsgHello, node) }
+
+// DecodeHello unframes and decodes a MsgHello frame.
+func DecodeHello(data []byte) (uint32, error) { return decodeNode(data, MsgHello, "hello") }
 
 // EncodeHeartbeat frames a liveness beacon from node id (0 = the
 // coordinator).
-func EncodeHeartbeat(node uint32) []byte {
-	var e enc
-	e.u32(node)
-	return frame(MsgHeartbeat, e.b)
-}
+func EncodeHeartbeat(node uint32) []byte { return encodeNode(MsgHeartbeat, node) }
 
 // DecodeHeartbeat unframes and decodes a MsgHeartbeat frame.
 func DecodeHeartbeat(data []byte) (uint32, error) {
-	msgType, payload, err := unframe(data)
-	if err != nil {
-		return 0, err
-	}
-	if msgType != MsgHeartbeat {
-		return 0, fmt.Errorf("fleet: message type %d, want heartbeat (%d)", msgType, MsgHeartbeat)
-	}
-	d := dec{b: payload}
-	node := d.u32()
-	if d.err != nil {
-		return 0, d.err
-	}
-	return node, nil
+	return decodeNode(data, MsgHeartbeat, "heartbeat")
 }
 
 // VerifyFrame validates a frame's envelope — magic, version, length and
@@ -378,16 +260,10 @@ func VerifyFrame(data []byte) (uint8, error) {
 // WriteFrame writes one already-encoded frame to a byte stream. Frames
 // are self-delimiting, so consecutive WriteFrame calls need no other
 // separator — this is the socket-backend contract.
-func WriteFrame(w io.Writer, frame []byte) error {
-	_, err := w.Write(frame)
+func WriteFrame(w io.Writer, b []byte) error {
+	_, err := w.Write(b)
 	return err
 }
-
-// readChunk bounds how much ReadFrame allocates ahead of the bytes that
-// have actually arrived: a peer claiming a near-maxFramePayload frame
-// must deliver each chunk before the next one is allocated, so a
-// hostile length prefix alone cannot make the reader commit megabytes.
-const readChunk = 64 << 10
 
 // ReadFrame reads exactly one frame from a byte stream: envelope first
 // (fixed size up to the length field), then the payload and CRC. The
@@ -397,36 +273,25 @@ const readChunk = 64 << 10
 //
 // The envelope is validated before any payload allocation: bad magic, a
 // foreign version, and a payload length over maxFramePayload are all
-// rejected from the 15 header bytes alone, and the payload buffer then
-// grows readChunk at a time as bytes arrive — a corrupted or hostile
-// length prefix cannot OOM the reader.
+// rejected from the 15 header bytes alone, and the rest then arrives
+// through frame.ReadN, a chunk at a time as bytes are delivered — a
+// corrupted or hostile length prefix cannot OOM the reader.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	head := make([]byte, len(wireMagic)+2+1+4)
+	head := make([]byte, frameOverhead-4)
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, err
 	}
 	if string(head[:len(wireMagic)]) != wireMagic {
 		return nil, fmt.Errorf("fleet: bad magic %q on stream", head[:len(wireMagic)])
 	}
-	if v := binary.LittleEndian.Uint16(head[len(wireMagic):]); v != wireVersion {
+	d := frame.NewDec(head[len(wireMagic):])
+	if v := d.U16(); v != wireVersion {
 		return nil, fmt.Errorf("fleet: stream speaks frame version %d, this build speaks %d", v, wireVersion)
 	}
-	plen := int(binary.LittleEndian.Uint32(head[len(head)-4:]))
+	d.U8() // the type is the decoders' business
+	plen := int(d.U32())
 	if plen > maxFramePayload {
 		return nil, fmt.Errorf("fleet: frame payload %d exceeds the %d limit", plen, maxFramePayload)
 	}
-	buf := append(make([]byte, 0, len(head)+min(plen+4, readChunk)), head...)
-	for remaining := plen + 4; remaining > 0; {
-		n := min(remaining, readChunk)
-		off := len(buf)
-		buf = append(buf, make([]byte, n)...)
-		if _, err := io.ReadFull(r, buf[off:]); err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-		remaining -= n
-	}
-	return buf, nil
+	return frame.ReadN(r, head, plen+4)
 }

@@ -76,20 +76,13 @@ type Config struct {
 	// ReprogramTime is the measured program-swap downtime (11.5 s on
 	// the paper's testbed).
 	ReprogramTime eventsim.Time
-	// SketchRows and SketchCols size the count-min sketch.
+	// SketchRows and SketchCols size the count-min sketch: the
+	// wire-speed sketch.TurboCountMin with conservative update, which
+	// raises just the counters at the key's current minimum and so
+	// tightens the overestimate that makes Jaqen flag innocent keys
+	// sharing counters with heavy ones (the sketchacc experiment
+	// measures the effect).
 	SketchRows, SketchCols int
-	// TurboSketch selects the wire-speed count-min (one hash per key,
-	// cache-line-blocked layout) over the seed-compatible FNV sketch.
-	// Estimates differ from the compatible sketch (still ≥ truth), so
-	// goldens covering a turbo run are regenerated, never reused. Like
-	// the geometry, it is structural: flipping it mid-run would
-	// invalidate the sketch contents, so it is not a Runtime knob.
-	TurboSketch bool
-	// ConservativeUpdate (turbo only) raises just the counters at the
-	// key's current minimum, tightening the overestimate that makes
-	// Jaqen flag innocent keys sharing counters with heavy ones. See
-	// the sketchacc experiment for the measured effect.
-	ConservativeUpdate bool
 }
 
 // DefaultConfig mirrors the paper's measurement setup: 5-tuple key,
@@ -107,8 +100,6 @@ func DefaultConfig() Config {
 		ReprogramTime:      11_500 * eventsim.Millisecond,
 		SketchRows:         4,
 		SketchCols:         65536,
-		TurboSketch:        true,
-		ConservativeUpdate: true,
 	}
 }
 
@@ -125,9 +116,6 @@ func (c *Config) Validate() error {
 	}
 	if c.SketchRows < 1 || c.SketchCols < 1 {
 		return fmt.Errorf("jaqen: sketch geometry %dx%d", c.SketchRows, c.SketchCols)
-	}
-	if c.ConservativeUpdate && !c.TurboSketch {
-		return fmt.Errorf("jaqen: ConservativeUpdate requires TurboSketch")
 	}
 	return nil
 }
@@ -203,11 +191,8 @@ type Jaqen struct {
 	// one atomic load, Reconfigure publishes a validated replacement.
 	rt core.Hot[Runtime]
 
-	// Exactly one of cm/turbo is non-nil, per Config.TurboSketch. Two
-	// typed fields rather than an interface keep the per-packet Add a
-	// predictable branch instead of a dynamic dispatch.
-	cm    *sketch.CountMin
-	turbo *sketch.TurboCountMin
+	// cm is the count-min sketch the data plane updates per packet.
+	cm *sketch.TurboCountMin
 	// candidates are keys whose estimate crossed the threshold in the
 	// current window (the heavy-flowkey store of the real system).
 	candidates map[uint64]int // key -> consecutive windows flagged
@@ -257,11 +242,7 @@ func AttachE(eng *eventsim.Engine, port *netsim.Port, cfg Config) (*Jaqen, error
 		rules:           map[uint64]*rule{},
 		flagged:         map[uint64]bool{},
 		FirstMitigation: -1,
-	}
-	if cfg.TurboSketch {
-		j.turbo = sketch.NewTurboCountMin(cfg.SketchRows, cfg.SketchCols, cfg.ConservativeUpdate)
-	} else {
-		j.cm = sketch.NewCountMin(cfg.SketchRows, cfg.SketchCols)
+		cm:              sketch.NewTurboCountMin(cfg.SketchRows, cfg.SketchCols, true),
 	}
 	rt := cfg.Runtime()
 	j.rt.Store(&rt)
@@ -273,13 +254,7 @@ func AttachE(eng *eventsim.Engine, port *netsim.Port, cfg Config) (*Jaqen, error
 	if reset <= 0 {
 		reset = cfg.Window
 	}
-	eng.Every(reset, func(now eventsim.Time) {
-		if j.turbo != nil {
-			j.turbo.Reset()
-		} else {
-			j.cm.Reset()
-		}
-	})
+	eng.Every(reset, func(eventsim.Time) { j.cm.Reset() })
 	return j, nil
 }
 
@@ -324,13 +299,7 @@ func (j *Jaqen) admit(now eventsim.Time, p *packet.Packet) bool {
 		j.admitted.Inc()
 		return true
 	}
-	var est uint64
-	if j.turbo != nil {
-		est = j.turbo.Add(k, 1)
-	} else {
-		est = j.cm.Add(k, 1)
-	}
-	if est > j.rt.Load().Threshold {
+	if j.cm.Add(k, 1) > j.rt.Load().Threshold {
 		j.flagged[k] = true
 	}
 	j.admitted.Inc()

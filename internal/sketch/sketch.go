@@ -23,8 +23,7 @@
 //     variants: one 64-bit mix per key, Kirsch–Mitzenmacher row
 //     derivation, power-of-two masking and a cache-line-blocked layout.
 //     They are differentially tested against the reference rather than
-//     golden-pinned, and callers opt in explicitly (jaqen.Config
-//     .TurboSketch).
+//     golden-pinned; Jaqen and the victim detector run on them.
 package sketch
 
 import (

@@ -25,9 +25,9 @@ import (
 //     loop and software-prefetch each key's first line, overlapping
 //     the DRAM misses with the neighbours' hash work.
 //
-// Estimates are NOT comparable bit-for-bit with CountMin; callers opt
-// in (jaqen.Config.TurboSketch) and goldens that cover them are
-// regenerated, never silently reinterpreted. The blocked layout trades
+// Estimates are NOT comparable bit-for-bit with CountMin; goldens that
+// cover a caller moved onto this sketch are regenerated, never silently
+// reinterpreted. The blocked layout trades
 // some independence for locality: two keys collide on a whole block
 // only if they share its line (probability 8/cols) AND their per-row
 // lanes land on occupied counters (~(1/2)^rows for a full block-depth

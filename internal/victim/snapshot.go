@@ -1,25 +1,20 @@
 package victim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"sort"
 
+	"accturbo/internal/frame"
 	"accturbo/internal/sketch"
 )
 
-// Snapshot container, mirroring the ACCSNAP1 framing so victim state
-// rides the same save/restore discipline as the defense core:
-//
-//	"ACCVICT1" | version u16 | payloadLen u64 | payload | crc32 u32
-//
-// All integers little-endian. The payload holds the geometry
-// fingerprint, window counters, the heavy-keeper (sketch words via
-// Words/SetWords, heap entries, decay RNG), and the hysteresis state,
-// so save → restore → save is byte-identical.
+// The victim snapshot is a frame container (frame.WriteContainer), so
+// victim state rides the same save/restore discipline as the defense
+// core. The payload holds the geometry fingerprint, window counters, the
+// heavy-keeper (sketch words via Words/SetWords, heap entries, decay
+// RNG), and the hysteresis state, so save → restore → save is
+// byte-identical.
 const (
 	snapMagic   = "ACCVICT1"
 	snapVersion = 1
@@ -28,185 +23,111 @@ const (
 // Marshal serializes the detector's full state into w.
 func (d *Detector) Marshal(w io.Writer) error {
 	d.mu.Lock()
-	var e enc
-	e.u32(uint32(d.cfg.TopK))
-	e.u32(uint32(d.tk.Sketch().Rows()))
-	e.u32(uint32(d.tk.Sketch().Cols()))
+	var e frame.Enc
+	e.U32(uint32(d.cfg.TopK))
+	e.U32(uint32(d.tk.Sketch().Rows()))
+	e.U32(uint32(d.tk.Sketch().Cols()))
 
-	e.u64(d.windows)
-	e.u64(d.windowBytes)
+	e.U64(d.windows)
+	e.U64(d.windowBytes)
 
-	words := d.tk.Sketch().Words()
-	e.u32(uint32(len(words)))
-	for _, wd := range words {
-		e.u64(wd)
-	}
-	e.u64(d.tk.Sketch().Updates)
+	e.U64s(d.tk.Sketch().Words())
+	e.U64(d.tk.Sketch().Updates)
 
 	entries := d.tk.Entries()
-	e.u32(uint32(len(entries)))
+	e.U32(uint32(len(entries)))
 	for _, en := range entries {
-		e.u64(en.Key)
-		e.u64(en.Count)
+		e.U64(en.Key)
+		e.U64(en.Count)
 	}
-	e.u64(d.tk.RNG())
+	e.U64(d.tk.RNG())
 
 	keys := make([]uint64, 0, len(d.listed))
 	for k := range d.listed {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.u32(uint32(len(keys)))
+	e.U32(uint32(len(keys)))
 	for _, k := range keys {
-		e.u64(k)
-		e.u32(uint32(d.listed[k]))
+		e.U64(k)
+		e.U32(uint32(d.listed[k]))
 	}
 
-	e.u32(uint32(len(d.current)))
+	e.U32(uint32(len(d.current)))
 	for _, v := range d.current {
-		e.u64(v.Key)
-		e.u64(v.Bytes)
-		e.f64(v.Share)
-		e.u32(uint32(v.Windows))
+		e.U64(v.Key)
+		e.U64(v.Bytes)
+		e.F64(v.Share)
+		e.U32(uint32(v.Windows))
 	}
 	d.mu.Unlock()
 
-	var hdr [18]byte
-	copy(hdr[:8], snapMagic)
-	binary.LittleEndian.PutUint16(hdr[8:10], snapVersion)
-	binary.LittleEndian.PutUint64(hdr[10:18], uint64(len(e.b)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(e.b); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(e.b))
-	_, err := w.Write(crc[:])
-	return err
+	return frame.WriteContainer(w, snapMagic, snapVersion, e.B)
 }
 
 // Unmarshal restores a Marshal snapshot into the detector. The
 // detector's geometry must match the snapshot's; its previous state is
 // replaced wholesale on success and untouched on error.
 func (d *Detector) Unmarshal(r io.Reader) error {
-	var hdr [18]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return fmt.Errorf("victim: snapshot header: %w", err)
+	payload, err := frame.ReadContainer(r, snapMagic, snapVersion)
+	if err != nil {
+		return fmt.Errorf("victim: %w", err)
 	}
-	if string(hdr[:8]) != snapMagic {
-		return fmt.Errorf("victim: bad snapshot magic %q", hdr[:8])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[8:10]); v != snapVersion {
-		return fmt.Errorf("victim: snapshot version %d, want %d", v, snapVersion)
-	}
-	n := binary.LittleEndian.Uint64(hdr[10:18])
-	if n > 1<<30 {
-		return fmt.Errorf("victim: implausible snapshot payload %d bytes", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return fmt.Errorf("victim: snapshot payload: %w", err)
-	}
-	var crcb [4]byte
-	if _, err := io.ReadFull(r, crcb[:]); err != nil {
-		return fmt.Errorf("victim: snapshot crc: %w", err)
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcb[:]); got != want {
-		return fmt.Errorf("victim: snapshot crc mismatch (got %08x want %08x)", got, want)
-	}
-
-	dd := dec{b: payload}
-	k := int(dd.u32())
-	rows := int(dd.u32())
-	cols := int(dd.u32())
+	dd := frame.NewDec(payload)
+	k := int(dd.U32())
+	rows := int(dd.U32())
+	cols := int(dd.U32())
 
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if k != d.cfg.TopK || rows != d.tk.Sketch().Rows() || cols != d.tk.Sketch().Cols() {
+	cm := d.tk.Sketch()
+	if k != d.cfg.TopK || rows != cm.Rows() || cols != cm.Cols() {
 		return fmt.Errorf("victim: snapshot geometry k=%d %dx%d, detector has k=%d %dx%d",
-			k, rows, cols, d.cfg.TopK, d.tk.Sketch().Rows(), d.tk.Sketch().Cols())
+			k, rows, cols, d.cfg.TopK, cm.Rows(), cm.Cols())
 	}
 
-	windows := dd.u64()
-	windowBytes := dd.u64()
+	windows := dd.U64()
+	windowBytes := dd.U64()
 
-	words := make([]uint64, dd.u32())
-	for i := range words {
-		words[i] = dd.u64()
-	}
-	updates := dd.u64()
+	words := dd.U64s()
+	updates := dd.U64()
 
-	entries := make([]sketch.Element, dd.u32())
+	entries := make([]sketch.Element, dd.Count(16))
 	for i := range entries {
-		entries[i].Key = dd.u64()
-		entries[i].Count = dd.u64()
+		entries[i].Key = dd.U64()
+		entries[i].Count = dd.U64()
 	}
-	rng := dd.u64()
+	rng := dd.U64()
 
 	listed := make(map[uint64]int, d.cfg.TopK)
-	for i, m := 0, int(dd.u32()); i < m; i++ {
-		key := dd.u64()
-		listed[key] = int(dd.u32())
+	for i, m := 0, dd.Count(12); i < m; i++ {
+		key := dd.U64()
+		listed[key] = int(dd.U32())
 	}
 
-	current := make([]Victim, dd.u32())
+	current := make([]Victim, dd.Count(28))
 	for i := range current {
-		current[i].Key = dd.u64()
-		current[i].Bytes = dd.u64()
-		current[i].Share = dd.f64()
-		current[i].Windows = int(dd.u32())
+		current[i].Key = dd.U64()
+		current[i].Bytes = dd.U64()
+		current[i].Share = dd.F64()
+		current[i].Windows = int(dd.U32())
 	}
 
-	if dd.err || dd.off != len(dd.b) {
-		return fmt.Errorf("victim: truncated or trailing snapshot payload")
+	if err := dd.Done(); err != nil {
+		return fmt.Errorf("victim: snapshot payload: %w", err)
+	}
+	// Everything that can refuse does so before the first assignment.
+	if want := cm.FootprintBytes() / 8; len(words) != want || len(entries) > d.cfg.TopK {
+		return fmt.Errorf("victim: snapshot has %d sketch words and %d entries, detector has %d words and room for %d",
+			len(words), len(entries), want, d.cfg.TopK)
+	}
+	if err := cm.SetWords(words, updates); err != nil {
+		return err
 	}
 	d.windows = windows
 	d.windowBytes = windowBytes
-	if err := d.tk.Sketch().SetWords(words, updates); err != nil {
-		return err
-	}
 	d.tk.Restore(entries, rng)
 	d.listed = listed
 	d.current = current
 	return nil
 }
-
-type enc struct{ b []byte }
-
-func (e *enc) u32(v uint32) {
-	e.b = binary.LittleEndian.AppendUint32(e.b, v)
-}
-func (e *enc) u64(v uint64) {
-	e.b = binary.LittleEndian.AppendUint64(e.b, v)
-}
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-type dec struct {
-	b   []byte
-	off int
-	err bool
-}
-
-func (d *dec) u32() uint32 {
-	if d.off+4 > len(d.b) {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *dec) u64() uint64 {
-	if d.off+8 > len(d.b) {
-		d.err = true
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
