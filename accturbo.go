@@ -200,18 +200,8 @@ type Defense struct {
 func (d *Defense) describe() {
 	d.reg = telemetry.NewRegistry()
 	d.reg.CounterFunc("accturbo_packets_observed", d.dp.Observed)
-	d.reg.CounterFunc("accturbo_ingest_shed", func() uint64 {
-		if in := d.ingest.Load(); in != nil {
-			return in.shed.Value()
-		}
-		return 0
-	})
-	d.reg.CounterFunc("accturbo_ingest_rejected", func() uint64 {
-		if in := d.ingest.Load(); in != nil {
-			return in.rejected.Value()
-		}
-		return 0
-	})
+	d.reg.CounterFunc("accturbo_ingest_shed", d.IngestShed)
+	d.reg.CounterFunc("accturbo_ingest_rejected", d.IngestRejected)
 	d.reg.GaugeFunc("accturbo_ingest_depth", func() float64 {
 		if in := d.ingest.Load(); in != nil {
 			return float64(in.depth())
@@ -356,9 +346,9 @@ func (d *Defense) Poll() {
 }
 
 // Close stops the pipeline. The ingest stage (when enabled) is drained
-// first — every accepted Offer and OfferFrame is classified before the
-// control loop stops, so PacketsObserved + IngestShed equals the total
-// number of accepted-or-shed offers once Close returns. Wire-speed
+// first — every accepted OfferFrame is classified before the control
+// loop stops, so PacketsObserved + IngestShed equals the total number of
+// accepted-or-shed offers once Close returns. Wire-speed
 // lanes must have stopped offering and Flushed before Close (see
 // IngestLane). Required in real-time mode to release its timers; a
 // no-op in deterministic mode.

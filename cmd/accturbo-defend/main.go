@@ -1,68 +1,44 @@
-// Command accturbo-defend runs the public Defense pipeline over a pcap
-// capture and reports, per packet or per aggregate, how ACC-Turbo
-// would schedule the traffic — the operator-facing view (§10) of the
-// library. Use cmd/trafficgen to produce input captures, or feed any
-// raw-IP pcap.
+// Command accturbo-defend is the operator-facing front end (§10) of the
+// library: it runs the public Defense pipeline over a raw-IP pcap (see
+// cmd/trafficgen) and reports, per packet or per aggregate, how
+// ACC-Turbo would schedule the traffic. One invocation runs one mode:
 //
-// Two modes:
+//   - Single pipeline (default). Deterministic replay runs the control
+//     loop in the capture's own timeline, so identical inputs yield
+//     identical verdicts; -batch N feeds ObserveBatch instead of
+//     Process. -realtime (or -shards > 1) ignores capture timestamps:
+//     -ingest workers drain a bounded queue while the control loop polls
+//     on the wall clock, and a full queue blocks the reader rather than
+//     shedding. -replay memory-maps the capture and streams raw frames
+//     through a lock-free ingest lane — fused feature decode, no Packet
+//     structs, no copies — lossless, reported in Mpps.
+//   - In-process fleet (-fleet-nodes N): N pipelines under one ranking
+//     coordinator, the capture partitioned across them by source IP
+//     hash; -coordinator=false starts it partitioned.
+//   - TCP coordinator (-coordinator-listen) and TCP node
+//     (-coordinator-addr, -node-id): the multi-process fleet over the
+//     ACCFLEET wire protocol. A node that loses the coordinator degrades
+//     to fleet-fallback:local ranking — never undefended FIFO — and
+//     recovers when the link returns; -run-for keeps it polling after
+//     its capture drains, so a smoke test can kill and restart the
+//     coordinator around it.
+//   - Chaos relay (-chaos-proxy): a seeded socket-level fault injector
+//     between nodes and coordinator. -chaos-plan prints its exact
+//     per-connection schedule without opening a socket; CI diffs two
+//     renders as the determinism gate.
 //
-//   - Replay (default): the deterministic single pipeline. The control
-//     loop runs in the capture's own timeline, so identical inputs
-//     yield identical verdicts.
-//   - Real time (-realtime, or -shards > 1): the concurrent sharded
-//     pipeline on the wall-clock driver. Capture timestamps are
-//     ignored; packets are fanned across ingest goroutines as fast as
-//     the pipeline absorbs them and the control loop polls on real
-//     time — the software-router deployment shape, reported with
-//     ingest throughput.
-//   - Wire-speed replay (-replay, implies -realtime): the capture is
-//     memory-mapped and raw frames stream through an exclusive
-//     lock-free ingest lane — fused feature decode, no Packet structs,
-//     no copies — the fastest path through the pipeline, reported in
-//     Mpps. -replay-loops repeats the capture to lengthen the
-//     measurement. Lossless: backpressure retries instead of shedding.
-//
-// Chaos testing: -chaos-seed and -fault-spec inject deterministic
-// faults (packet drop/duplicate/corrupt at the capture stream,
-// control-plane stalls via the clock wrapper; see internal/faults),
-// and -fail-open-after arms the control-plane watchdog that reverts to
-// uniform priority when decisions go stale. -metrics-addr additionally
-// serves /health (JSON degradation snapshot; 503 while degraded) next
-// to /metrics.
-//
-// Live operations: -metrics-addr also exposes GET/PUT /config (inspect
-// and hot-patch the runtime config — ranking, poll interval, deploy
-// delay, fail-open bound — without dropping a packet) and
-// POST /snapshot (stream a full defense state snapshot). -snapshot-out
-// writes the same snapshot to a file after the capture drains, and
-// -restore loads one before processing so a restarted process resumes
-// with the pre-save deployed decision instead of re-converging; with
-// -restore, -in is optional.
-//
-// Victim identification: -victims K tracks the top-K destination
-// aggregates through the heavy-keeper detector (internal/victim),
-// windowed on capture time (-victim-window ms). The hysteresis-stable
-// victim list prints after the capture drains and is served live as
-// JSON on GET /victims when -metrics-addr is set.
-//
-// Multi-process fleet (real TCP): -coordinator-listen runs the
-// standalone ranking coordinator; -coordinator-addr (with -node-id)
-// runs one vantage-point node that dials it over the ACCFLEET wire
-// protocol with heartbeats and seeded-backoff reconnect. A node that
-// loses the coordinator degrades to fleet-fallback:local ranking —
-// never undefended FIFO — and recovers automatically when the link
-// returns; watch it live on each process's -metrics-addr /health
-// (the coordinator's reports per-node last-seen ages). -run-for keeps
-// a node polling after its capture drains so liveness demos and smoke
-// tests can kill and restart the coordinator mid-run.
-//
-// Socket-level chaos: -chaos-proxy/-chaos-proxy-target relays node
-// connections through a deterministic fault injector (byte corruption
-// every -chaos-corrupt-every bytes, mid-frame RSTs every
-// -chaos-reset-every, stalls every -chaos-delay-every for
-// -chaos-delay-for), all seeded by -chaos-seed. -chaos-plan renders
-// the exact per-connection fault schedule without opening a socket —
-// CI diffs two renders as the determinism gate.
+// Riding on the capture modes: -metrics-addr serves the mode's
+// internal/admin surface (/health everywhere, 503 while degraded;
+// /metrics where there is a pipeline; GET/PUT /config, POST /snapshot
+// and, with -victims, GET /victims for the single pipeline).
+// -fault-spec with -chaos-seed injects deterministic packet faults and
+// control-plane stalls (internal/faults), and -fail-open-after arms the
+// watchdog that reverts to uniform priority when decisions go stale.
+// -snapshot-out and -restore carry the full defense state across a
+// restart, so the new process resumes with the deployed decision
+// instead of re-converging (with -restore, -in is optional). -victims K
+// reports the heavy-keeper's top-K destination aggregates, windowed on
+// capture time.
 //
 // Usage:
 //
@@ -75,6 +51,7 @@
 //	accturbo-defend -in day.pcap -snapshot-out day.snap
 //	accturbo-defend -restore day.snap -in next.pcap
 //	accturbo-defend -in day.pcap -victims 8 -victim-window 500
+//	accturbo-defend -in day.pcap -fleet-nodes 3
 //	accturbo-defend -coordinator-listen :7100 -metrics-addr :9100
 //	accturbo-defend -in day.pcap -coordinator-addr :7100 -node-id 1 -metrics-addr :9101 -run-for 30s
 //	accturbo-defend -chaos-proxy :7200 -chaos-proxy-target :7100 -chaos-seed 7 -chaos-corrupt-every 4096
@@ -82,128 +59,68 @@
 package main
 
 import (
-	"encoding/json"
+	"bytes"
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accturbo"
+	"accturbo/internal/admin"
 	"accturbo/internal/faults"
 	"accturbo/internal/fleet"
 	"accturbo/internal/packet"
 	"accturbo/internal/pcap"
 )
 
-type capturedPacket struct {
-	at  time.Duration
-	pkt *packet.Packet
-}
+var (
+	in                = flag.String("in", "", "input pcap (raw-IP linktype)")
+	verdictsOut       = flag.String("verdicts", "", "optional CSV of per-packet verdicts")
+	clusters          = flag.Int("clusters", 4, "number of clusters / priority queues")
+	pollMs            = flag.Int("poll", 250, "controller poll interval (ms)")
+	reseedMs          = flag.Int("reseed", 1000, "cluster re-initialization period (ms, 0 = never)")
+	realtime          = flag.Bool("realtime", false, "run the wall-clock pipeline instead of deterministic replay")
+	replay            = flag.Bool("replay", false, "wire-speed frame replay: memory-map the capture and stream raw frames through a lock-free ingest lane (implies -realtime; lossless, retries under backpressure)")
+	replayLoops       = flag.Int("replay-loops", 1, "passes over the capture in -replay mode")
+	shards            = flag.Int("shards", 1, "data-plane clustering shards (> 1 implies -realtime)")
+	ingest            = flag.Int("ingest", runtime.GOMAXPROCS(0), "ingest goroutines in real-time mode")
+	ingestQueue       = flag.Int("ingest-queue", 8192, "bounded ingest queue capacity in real-time mode (packets; a full queue blocks the capture reader, and -replay retries)")
+	batchSize         = flag.Int("batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
+	metricsAddr       = flag.String("metrics-addr", "", "serve /metrics and /health on this address (e.g. :9100) while processing")
+	chaosSeed         = flag.Uint64("chaos-seed", 0, "seed for deterministic fault injection (used with -fault-spec)")
+	faultSpec         = flag.String("fault-spec", "", "fault plan, e.g. 'drop:p=0.01;dup:p=0.005;stall:at=5s,for=2s' (see internal/faults)")
+	failOpenAfter     = flag.Duration("fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
+	cpuProfile        = flag.String("cpuprofile", "", "write a CPU profile of the processing loop to this file")
+	restorePath       = flag.String("restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
+	snapshotOut       = flag.String("snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
+	victimsK          = flag.Int("victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off; adds GET /victims to -metrics-addr)")
+	victimWindowMs    = flag.Int("victim-window", 1000, "victim-detection window length (ms of capture time; used with -victims)")
+	fleetNodes        = flag.Int("fleet-nodes", 0, "run this many in-process fleet nodes under one global ranking coordinator (0 = single-node mode); capture traffic is partitioned across nodes by source IP hash")
+	coordinator       = flag.Bool("coordinator", true, "with -fleet-nodes: keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")
+	coordListen       = flag.String("coordinator-listen", "", "run the standalone fleet ranking coordinator on this TCP address (multi-process fleet mode; no capture needed)")
+	coordAddr         = flag.String("coordinator-addr", "", "run as one fleet node dialing the coordinator at this TCP address (multi-process fleet mode; use with -node-id)")
+	nodeID            = flag.Uint("node-id", 1, "this node's fleet id (>= 1, unique per fleet; used with -coordinator-addr)")
+	runFor            = flag.Duration("run-for", 0, "multi-process fleet modes: keep running (and polling) this long after the capture drains (0 = forever for -coordinator-listen/-chaos-proxy, exit after drain for nodes)")
+	chaosProxyAddr    = flag.String("chaos-proxy", "", "run a socket-level chaos relay on this TCP address (use with -chaos-proxy-target and the -chaos-* schedule flags)")
+	chaosProxyTarget  = flag.String("chaos-proxy-target", "", "the address the chaos relay forwards to (usually the coordinator)")
+	chaosCorruptEvery = flag.Int("chaos-corrupt-every", 0, "chaos relay: XOR one byte roughly every N relayed bytes (0 = off)")
+	chaosResetEvery   = flag.Int("chaos-reset-every", 0, "chaos relay: hard-reset the connection (RST) roughly every N relayed bytes (0 = off)")
+	chaosDelayEvery   = flag.Int("chaos-delay-every", 0, "chaos relay: stall the relay roughly every N relayed bytes (0 = off)")
+	chaosDelayFor     = flag.Duration("chaos-delay-for", 50*time.Millisecond, "chaos relay: stall duration for -chaos-delay-every")
+	chaosPlan         = flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule for this many connections and exit (determinism gate; uses the -chaos-* flags)")
+	chaosPlanHorizon  = flag.Uint64("chaos-plan-horizon", 1<<16, "bytes of each connection direction the -chaos-plan render covers")
+)
 
 func fatal(code int, v ...any) {
 	fmt.Fprintln(os.Stderr, v...)
 	os.Exit(code)
 }
 
-// configPatch is the admin wire format for PUT /config: ranking by
-// name (as printed in the paper — "Th.", "N.P.", …) and durations in
-// milliseconds, friendlier for curl than the library's nanosecond
-// virtual-time fields. Absent fields keep their current value.
-type configPatch struct {
-	Ranking    *string  `json:"ranking,omitempty"`
-	PollMs     *float64 `json:"poll_interval_ms,omitempty"`
-	DeployMs   *float64 `json:"deploy_delay_ms,omitempty"`
-	ReseedMs   *float64 `json:"reseed_interval_ms,omitempty"`
-	FailOpenMs *float64 `json:"fail_open_after_ms,omitempty"`
-	WatchdogMs *float64 `json:"watchdog_interval_ms,omitempty"`
-}
-
-func (c configPatch) toRuntimePatch() (accturbo.RuntimePatch, error) {
-	var p accturbo.RuntimePatch
-	if c.Ranking != nil {
-		r, err := accturbo.ParseRanking(*c.Ranking)
-		if err != nil {
-			return p, err
-		}
-		p.Ranking = &r
-	}
-	ms := func(v *float64) *accturbo.VirtualTime {
-		if v == nil {
-			return nil
-		}
-		t := accturbo.FromDuration(time.Duration(*v * float64(time.Millisecond)))
-		return &t
-	}
-	p.PollInterval = ms(c.PollMs)
-	p.DeployDelay = ms(c.DeployMs)
-	p.ReseedInterval = ms(c.ReseedMs)
-	p.FailOpenAfter = ms(c.FailOpenMs)
-	p.WatchdogInterval = ms(c.WatchdogMs)
-	return p, nil
-}
-
-func writeConfig(w http.ResponseWriter, d *accturbo.Defense) {
-	rt := d.Runtime()
-	msOf := func(t accturbo.VirtualTime) float64 {
-		return float64(t.Duration()) / float64(time.Millisecond)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"generation":           d.ConfigGeneration(),
-		"ranking":              rt.Ranking.String(),
-		"poll_interval_ms":     msOf(rt.PollInterval),
-		"deploy_delay_ms":      msOf(rt.DeployDelay),
-		"reseed_interval_ms":   msOf(rt.ReseedInterval),
-		"fail_open_after_ms":   msOf(rt.FailOpenAfter),
-		"watchdog_interval_ms": msOf(rt.WatchdogInterval),
-	})
-}
-
 func main() {
-	in := flag.String("in", "", "input pcap (raw-IP linktype)")
-	verdictsOut := flag.String("verdicts", "", "optional CSV of per-packet verdicts")
-	clusters := flag.Int("clusters", 4, "number of clusters / priority queues")
-	pollMs := flag.Int("poll", 250, "controller poll interval (ms)")
-	reseedMs := flag.Int("reseed", 1000, "cluster re-initialization period (ms, 0 = never)")
-	realtime := flag.Bool("realtime", false, "run the wall-clock pipeline instead of deterministic replay")
-	replay := flag.Bool("replay", false, "wire-speed frame replay: memory-map the capture and stream raw frames through a lock-free ingest lane (implies -realtime; lossless, retries under backpressure)")
-	replayLoops := flag.Int("replay-loops", 1, "passes over the capture in -replay mode")
-	shards := flag.Int("shards", 1, "data-plane clustering shards (> 1 implies -realtime)")
-	ingest := flag.Int("ingest", runtime.GOMAXPROCS(0), "ingest goroutines in real-time mode")
-	ingestQueue := flag.Int("ingest-queue", 8192, "bounded ingest queue capacity in real-time mode (overflow is shed, not buffered)")
-	batchSize := flag.Int("batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
-	metricsAddr := flag.String("metrics-addr", "", "serve /metrics and /health on this address (e.g. :9100) while processing")
-	chaosSeed := flag.Uint64("chaos-seed", 0, "seed for deterministic fault injection (used with -fault-spec)")
-	faultSpec := flag.String("fault-spec", "", "fault plan, e.g. 'drop:p=0.01;dup:p=0.005;stall:at=5s,for=2s' (see internal/faults)")
-	failOpenAfter := flag.Duration("fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the processing loop to this file")
-	restorePath := flag.String("restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
-	snapshotOut := flag.String("snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
-	victimsK := flag.Int("victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off; adds GET /victims to -metrics-addr)")
-	victimWindowMs := flag.Int("victim-window", 1000, "victim-detection window length (ms of capture time; used with -victims)")
-	fleetNodes := flag.Int("fleet-nodes", 0, "run this many in-process fleet nodes under one global ranking coordinator (0 = single-node mode); capture traffic is partitioned across nodes by source IP hash")
-	coordinator := flag.Bool("coordinator", true, "with -fleet-nodes: keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")
-	coordListen := flag.String("coordinator-listen", "", "run the standalone fleet ranking coordinator on this TCP address (multi-process fleet mode; no capture needed)")
-	coordAddr := flag.String("coordinator-addr", "", "run as one fleet node dialing the coordinator at this TCP address (multi-process fleet mode; use with -node-id)")
-	nodeID := flag.Uint("node-id", 1, "this node's fleet id (>= 1, unique per fleet; used with -coordinator-addr)")
-	runFor := flag.Duration("run-for", 0, "multi-process fleet modes: keep running (and polling) this long after the capture drains (0 = forever for -coordinator-listen/-chaos-proxy, exit after drain for nodes)")
-	chaosProxyAddr := flag.String("chaos-proxy", "", "run a socket-level chaos relay on this TCP address (use with -chaos-proxy-target and the -chaos-* schedule flags)")
-	chaosProxyTarget := flag.String("chaos-proxy-target", "", "the address the chaos relay forwards to (usually the coordinator)")
-	chaosCorruptEvery := flag.Int("chaos-corrupt-every", 0, "chaos relay: XOR one byte roughly every N relayed bytes (0 = off)")
-	chaosResetEvery := flag.Int("chaos-reset-every", 0, "chaos relay: hard-reset the connection (RST) roughly every N relayed bytes (0 = off)")
-	chaosDelayEvery := flag.Int("chaos-delay-every", 0, "chaos relay: stall the relay roughly every N relayed bytes (0 = off)")
-	chaosDelayFor := flag.Duration("chaos-delay-for", 50*time.Millisecond, "chaos relay: stall duration for -chaos-delay-every")
-	chaosPlan := flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule for this many connections and exit (determinism gate; uses the -chaos-* flags)")
-	chaosPlanHorizon := flag.Uint64("chaos-plan-horizon", 1<<16, "bytes of each connection direction the -chaos-plan render covers")
 	flag.Parse()
 
 	tcpChaos := fleet.ChaosSpec{
@@ -221,7 +138,7 @@ func main() {
 		if *chaosProxyTarget == "" {
 			fatal(2, "-chaos-proxy needs -chaos-proxy-target")
 		}
-		runChaosProxy(*chaosProxyAddr, *chaosProxyTarget, tcpChaos, *runFor)
+		runChaosProxy(tcpChaos)
 		return
 	}
 	tcpFleetMode := *coordListen != "" || *coordAddr != ""
@@ -246,36 +163,26 @@ func main() {
 	if *batchSize > 1 && *verdictsOut != "" {
 		fatal(2, "-batch cannot be combined with -verdicts: the batch path reports queue counts, not per-packet distances")
 	}
+	// singleOnly holds when a flag that only the single pipeline serves
+	// is set; both fleet shapes refuse it.
+	singleOnly := *replay || *verdictsOut != "" || *batchSize > 1 || *restorePath != "" || *snapshotOut != "" || *shards > 1 || *victimsK > 0
 
 	spec, err := faults.ParseSpec(*faultSpec)
 	if err != nil {
 		fatal(2, err)
 	}
-	var injector *faults.Injector
+	src := &captureStream{}
 	if !spec.Empty() {
-		injector = faults.New(*chaosSeed, spec)
+		src.injector = faults.New(*chaosSeed, spec)
 	}
-
-	// The replay path maps the capture instead of streaming it; frames
-	// stay valid until the mapping closes, which the deferred Close runs
-	// after the pipeline has drained.
-	var r *pcap.Reader
-	var mapped *pcap.MappedReader
-	switch {
-	case *replay:
-		mapped, err = pcap.OpenMapped(*in)
-		if err != nil {
-			fatal(1, err)
-		}
-		defer mapped.Close()
-	case *in != "":
+	// -replay maps the capture itself; every other mode streams it.
+	if *in != "" && !*replay {
 		f, err := os.Open(*in)
 		if err != nil {
 			fatal(1, err)
 		}
 		defer f.Close()
-		r, err = pcap.NewReader(f)
-		if err != nil {
+		if src.r, err = pcap.NewReader(f); err != nil {
 			fatal(1, err)
 		}
 	}
@@ -291,42 +198,58 @@ func main() {
 		cfg.ReseedInterval = accturbo.FromDuration(time.Duration(*reseedMs) * time.Millisecond)
 	}
 	cfg.FailOpenAfter = accturbo.FromDuration(*failOpenAfter)
-	if injector != nil {
+	if src.injector != nil {
 		// Stall windows wrap the control loop's clock: the capture
 		// timeline in replay mode, wall time since startup in real-time
 		// mode. The watchdog stays on the unwrapped clock either way.
-		cfg.WrapClock = injector.ClockWrapper()
+		cfg.WrapClock = src.injector.ClockWrapper()
 	}
 
-	if tcpFleetMode {
+	switch {
+	case tcpFleetMode:
 		if *coordListen != "" && *coordAddr != "" {
 			fatal(2, "-coordinator-listen and -coordinator-addr are different processes; pick one")
 		}
-		if *fleetNodes > 0 || *replay || *verdictsOut != "" || *batchSize > 1 || *restorePath != "" || *snapshotOut != "" || *shards > 1 || *victimsK > 0 {
+		if *fleetNodes > 0 || singleOnly {
 			fatal(2, "multi-process fleet modes cannot be combined with -fleet-nodes, -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
 		}
 		if *coordListen != "" {
-			runTCPCoordinator(cfg, *coordListen, *metricsAddr, *runFor)
+			runTCPCoordinator(cfg)
 		} else {
-			runTCPNode(cfg, *coordAddr, uint32(*nodeID), *metricsAddr, r, injector, *runFor)
+			runTCPNode(cfg, src)
 		}
-		return
-	}
-
-	if *fleetNodes > 1 {
-		if *replay || *verdictsOut != "" || *batchSize > 1 || *restorePath != "" || *snapshotOut != "" || *shards > 1 || *victimsK > 0 {
+	case *fleetNodes > 1:
+		if singleOnly {
 			fatal(2, "-fleet-nodes cannot be combined with -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
 		}
-		runFleet(cfg, *fleetNodes, *coordinator, *metricsAddr, r, injector, *chaosSeed, spec)
-		return
+		runFleet(cfg, src)
+	default:
+		runSingle(cfg, src)
 	}
+}
 
-	var d *accturbo.Defense
-	if *realtime {
-		d, err = accturbo.NewRealTimeDefenseE(cfg)
-	} else {
-		d, err = accturbo.NewDefenseE(cfg)
+// serveAdmin mounts a mode's admin surface on -metrics-addr and returns
+// the func that stops it; without the flag both are no-ops.
+func serveAdmin(banner string, s admin.Surface) (stop func()) {
+	if *metricsAddr == "" {
+		return func() {}
 	}
+	srv, err := admin.Serve(*metricsAddr, banner, s)
+	if err != nil {
+		fatal(1, err)
+	}
+	return func() { srv.Close() }
+}
+
+// runSingle is the default mode: one Defense over the capture, fed
+// deterministically, by the real-time worker pool, or by the wire-speed
+// replay lane, then the operator report.
+func runSingle(cfg accturbo.Config, src *captureStream) {
+	newDefense := accturbo.NewDefenseE
+	if *realtime {
+		newDefense = accturbo.NewRealTimeDefenseE
+	}
+	d, err := newDefense(cfg)
 	if err != nil {
 		fatal(2, err)
 	}
@@ -336,215 +259,55 @@ func main() {
 	// pipeline that already has history, so a restored process resumes
 	// with the pre-save deployed decision instead of re-converging.
 	if *restorePath != "" {
-		sf, err := os.Open(*restorePath)
-		if err != nil {
-			fatal(1, err)
+		snap, err := os.ReadFile(*restorePath)
+		if err == nil {
+			err = d.RestoreState(bytes.NewReader(snap))
 		}
-		if err := d.RestoreState(sf); err != nil {
-			sf.Close()
+		if err != nil {
 			fatal(1, "restore:", err)
 		}
-		sf.Close()
 		fmt.Printf("restored state from %s: %d packets observed, %d deployments, runtime config %s/%v poll\n",
 			*restorePath, d.PacketsObserved(), d.Deployments(), d.Runtime().Ranking, d.Runtime().PollInterval.Duration())
 	}
 
-	// Victim identification rides the capture chokepoint: every packet's
-	// destination key and size feed the heavy-keeper, and windows close
-	// on capture time, so the victim list is deterministic per capture.
-	var vd *accturbo.VictimDetector
-	var victimWindow, victimNextAt time.Duration
+	surface := admin.Surface{Health: admin.DefenseView(d), Metrics: d, Live: d}
+	var victims *victimTap
 	if *victimsK > 0 {
-		vcfg := accturbo.DefaultVictimConfig()
-		vcfg.TopK = *victimsK
-		vd, err = accturbo.NewVictimDetector(vcfg)
-		if err != nil {
+		if victims, err = newVictimTap(*victimsK, time.Duration(*victimWindowMs)*time.Millisecond); err != nil {
 			fatal(2, err)
 		}
-		victimWindow = time.Duration(*victimWindowMs) * time.Millisecond
-		if victimWindow <= 0 {
-			fatal(2, "-victim-window must be positive")
-		}
-		victimNextAt = victimWindow
+		// Every non-replay path pulls packets through the capture stream,
+		// so tapping it covers deterministic, batched, and real-time
+		// feeds alike.
+		src.tap = victims.observe
+		surface.Victims = victims.vd
 	}
-
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			fatal(1, err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := d.WriteMetrics(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-			h := d.Health()
-			w.Header().Set("Content-Type", "application/json")
-			if h.Degraded {
-				// Load balancers read the status line: degraded means
-				// "stop sending me traffic", even though the data plane
-				// is still forwarding fail-open.
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			if err := json.NewEncoder(w).Encode(h); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/config", func(w http.ResponseWriter, req *http.Request) {
-			switch req.Method {
-			case http.MethodGet:
-				writeConfig(w, d)
-			case http.MethodPut:
-				var cp configPatch
-				if err := json.NewDecoder(req.Body).Decode(&cp); err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				patch, err := cp.toRuntimePatch()
-				if err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				if _, err := d.Reconfigure(patch); err != nil {
-					http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-					return
-				}
-				writeConfig(w, d)
-			default:
-				http.Error(w, "GET or PUT", http.StatusMethodNotAllowed)
-			}
-		})
-		mux.HandleFunc("/snapshot", func(w http.ResponseWriter, req *http.Request) {
-			if req.Method != http.MethodPost {
-				http.Error(w, "POST", http.StatusMethodNotAllowed)
-				return
-			}
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Header().Set("Content-Disposition", `attachment; filename="defense.snap"`)
-			if err := d.SaveState(w); err != nil {
-				// Headers are gone; the truncated body fails the snapshot's
-				// own checksum on restore, so the client still can't load it.
-				fmt.Fprintln(os.Stderr, "snapshot:", err)
-			}
-		})
-		if vd != nil {
-			mux.HandleFunc("/victims", func(w http.ResponseWriter, _ *http.Request) {
-				vs := vd.Victims()
-				if vs == nil {
-					vs = []accturbo.Victim{}
-				}
-				w.Header().Set("Content-Type", "application/json")
-				if err := json.NewEncoder(w).Encode(struct {
-					Windows uint64            `json:"windows"`
-					Victims []accturbo.Victim `json:"victims"`
-				}{vd.Windows(), vs}); err != nil {
-					http.Error(w, err.Error(), http.StatusInternalServerError)
-				}
-			})
-		}
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("serving metrics on http://%s/metrics, health on /health, config on /config, snapshots on /snapshot\n", ln.Addr())
-	}
+	defer serveAdmin("serving metrics on http://%s/metrics, health on /health, config on /config, snapshots on /snapshot\n", surface)()
 
 	var vf *os.File
 	if *verdictsOut != "" {
-		vf, err = os.Create(*verdictsOut)
-		if err != nil {
+		if vf, err = os.Create(*verdictsOut); err != nil {
 			fatal(1, err)
 		}
 		defer vf.Close()
 		fmt.Fprintln(vf, "time_us,src,dst,proto,sport,dport,len,cluster,queue,distance")
 	}
-
-	// next yields the capture stream with packet-level faults applied:
-	// injected drops vanish here, duplicates appear back to back, and
-	// corruption mutates headers in place — all deterministic under
-	// -chaos-seed.
-	var pending []capturedPacket
-	next := func() (capturedPacket, bool) {
-		for {
-			if r == nil { // -restore without -in: nothing to replay
-				return capturedPacket{}, false
-			}
-			if len(pending) > 0 {
-				c := pending[0]
-				pending = pending[1:]
-				return c, true
-			}
-			at, p, err := r.Next()
-			if err != nil {
-				return capturedPacket{}, false
-			}
-			if injector == nil {
-				return capturedPacket{at: at.Duration(), pkt: p}, true
-			}
-			drop, dup := injector.Mangle(p)
-			if drop {
-				continue
-			}
-			if dup {
-				c := new(packet.Packet)
-				*c = *p
-				pending = append(pending, capturedPacket{at: at.Duration(), pkt: c})
-			}
-			return capturedPacket{at: at.Duration(), pkt: p}, true
-		}
-	}
-	// victimPeaks remembers every destination ever listed and its worst
-	// window, so the end-of-run report survives an attack that ends
-	// before the capture does.
-	victimPeaks := map[uint64]accturbo.Victim{}
-	recordVictims := func() {
-		for _, v := range vd.Advance() {
-			if p, ok := victimPeaks[v.Key]; !ok || v.Share > p.Share {
-				old := victimPeaks[v.Key]
-				if v.Windows < old.Windows {
-					v.Windows = old.Windows
-				}
-				victimPeaks[v.Key] = v
-			} else if v.Windows > p.Windows {
-				p.Windows = v.Windows
-				victimPeaks[v.Key] = p
-			}
-		}
-	}
-	if vd != nil {
-		// Every non-replay path pulls packets through next(), so tapping
-		// it here covers deterministic, batched, and real-time modes
-		// alike. Window boundaries advance on capture time.
-		inner := next
-		next = func() (capturedPacket, bool) {
-			c, ok := inner()
-			if !ok {
-				return c, ok
-			}
-			for victimNextAt <= c.at {
-				recordVictims()
-				victimNextAt += victimWindow
-			}
-			vd.Observe(accturbo.DstKey(c.pkt), uint64(c.pkt.Length))
-			return c, true
-		}
-	}
-
-	// queueCounts[q] accumulates packets scheduled into queue q.
-	queueCounts := make([]atomic.Uint64, *clusters)
+	// deliver hands one batch to the pipeline: a batch of one goes
+	// through Process, whose verdict the CSV needs; larger batches go
+	// through ObserveBatch and amortize its locks and counter flushes.
 	var vfMu sync.Mutex
-	processOne := func(c capturedPacket) {
-		v := d.Process(c.at, c.pkt)
-		if v.Queue >= 0 && v.Queue < len(queueCounts) {
-			queueCounts[v.Queue].Add(1)
+	deliver := func(at time.Duration, pkts []*packet.Packet) {
+		if len(pkts) > 1 {
+			d.ObserveBatch(at, pkts, nil)
+			return
 		}
+		p := pkts[0]
+		v := d.Process(at, p)
 		if vf != nil {
 			vfMu.Lock()
 			fmt.Fprintf(vf, "%d,%s,%s,%d,%d,%d,%d,%d,%d,%.0f\n",
-				c.at.Microseconds(), c.pkt.SrcIP, c.pkt.DstIP, uint8(c.pkt.Protocol),
-				c.pkt.SrcPort, c.pkt.DstPort, c.pkt.Length, v.Cluster, v.Queue, v.Distance)
+				at.Microseconds(), p.SrcIP, p.DstIP, uint8(p.Protocol),
+				p.SrcPort, p.DstPort, p.Length, v.Cluster, v.Queue, v.Distance)
 			vfMu.Unlock()
 		}
 	}
@@ -561,180 +324,25 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	n := 0
+	// The scheduling distribution is the routed counters' movement over
+	// the run (a restored snapshot brings its own history).
+	routedBefore := d.Metrics().RoutedPkts
+	batch := max(1, *batchSize)
 	start := time.Now()
-	useBatch := *batchSize > 1
-	// The batch and bounded-ingest paths skip per-packet verdicts; the
-	// scheduling distribution is recovered from the data plane's routed
-	// counters afterwards.
-	fromRouted := false
-	var replayRetries, replayRejected uint64
+	var n int
 	switch {
 	case *replay:
-		// Wire-speed frame replay: raw frames stream zero-copy out of
-		// the mapped capture into an exclusive SPSC lane, with batched
-		// publish; the per-shard consumers run the fused decode. A full
-		// ring flushes and yields (the consumers need the core) rather
-		// than shedding, so the measured rate is lossless.
-		fromRouted = true
-		if err := d.EnableIngest(*ingestQueue, 1); err != nil {
-			fatal(2, err)
-		}
-		lane := d.Lane(0)
-		for loop := 0; loop < *replayLoops; loop++ {
-			mapped.Reset()
-			for {
-				_, frame, err := mapped.NextFrame()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					fatal(1, err)
-				}
-			offer:
-				for {
-					switch lane.OfferFrame(frame) {
-					case accturbo.OfferAccepted:
-						n++
-						break offer
-					case accturbo.OfferRejected:
-						replayRejected++
-						break offer
-					case accturbo.OfferFull:
-						replayRetries++
-						lane.Flush()
-						runtime.Gosched()
-					default: // OfferClosed: nothing more will be accepted
-						fatal(1, "ingest closed mid-replay")
-					}
-				}
-			}
-		}
-		lane.Flush()
-	case *realtime && useBatch:
-		// Batched real-time ingest: whole batches fan out to the
-		// workers, so each worker amortizes the shard locks and counter
-		// flushes over *batchSize packets per ObserveBatch call.
-		fromRouted = true
-		workers := *ingest
-		if workers < 1 {
-			workers = 1
-		}
-		feed := make(chan []*packet.Packet, 4*workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for b := range feed {
-					d.ObserveBatch(0, b, nil)
-				}
-			}()
-		}
-		buf := make([]*packet.Packet, 0, *batchSize)
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			buf = append(buf, c.pkt)
-			n++
-			if len(buf) == *batchSize {
-				feed <- buf
-				buf = make([]*packet.Packet, 0, *batchSize)
-			}
-		}
-		if len(buf) > 0 {
-			feed <- buf
-		}
-		close(feed)
-		wg.Wait()
-	case useBatch:
-		// Batched deterministic replay: the pipeline clock advances to
-		// each batch's first timestamp, so control-loop ticks quantize
-		// to batch boundaries (the amortization trade-off).
-		fromRouted = true
-		buf := make([]*packet.Packet, 0, *batchSize)
-		var batchAt time.Duration
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			if len(buf) == 0 {
-				batchAt = c.at
-			}
-			buf = append(buf, c.pkt)
-			n++
-			if len(buf) == *batchSize {
-				d.ObserveBatch(batchAt, buf, nil)
-				buf = buf[:0]
-			}
-		}
-		if len(buf) > 0 {
-			d.ObserveBatch(batchAt, buf, nil)
-		}
-	case *realtime && *verdictsOut == "":
-		// Per-packet real-time ingest through the pipeline's bounded
-		// queue: overflow is shed (counted, reported below) instead of
-		// buffering without bound when the capture outruns the pipeline.
-		fromRouted = true
-		workers := *ingest
-		if workers < 1 {
-			workers = 1
-		}
-		if err := d.EnableIngest(*ingestQueue, workers); err != nil {
-			fatal(2, err)
-		}
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			d.Offer(c.pkt)
-			n++
-		}
+		n = feedReplay(d)
 	case *realtime:
-		// Per-packet real-time ingest with verdicts: the CSV needs every
-		// packet's verdict, so this path blocks on a bounded channel
-		// instead of shedding.
-		workers := *ingest
-		if workers < 1 {
-			workers = 1
-		}
-		feed := make(chan capturedPacket, 1024)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := range feed {
-					processOne(c)
-				}
-			}()
-		}
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			feed <- c
-			n++
-		}
-		close(feed)
-		wg.Wait()
+		n = feedRealTime(src, batch, deliver)
 	default:
-		for {
-			c, ok := next()
-			if !ok {
-				break
-			}
-			processOne(c)
-			n++
-		}
+		// Deterministic replay: the pipeline clock advances to each
+		// batch's first timestamp, so with -batch control-loop ticks
+		// quantize to batch boundaries (the amortization trade-off).
+		n = feed(src, batch, deliver)
 	}
-	// Close drains the bounded ingest queue (if enabled) so routed
-	// counters below are complete; the deferred Close becomes a no-op.
+	// Close drains the ingest stage (if enabled) so the routed counters
+	// below are complete; the deferred Close becomes a no-op.
 	d.Close()
 	elapsed := time.Since(start)
 	if *snapshotOut != "" {
@@ -750,53 +358,27 @@ func main() {
 		}
 		fmt.Printf("state snapshot written to %s\n", *snapshotOut)
 	}
-	if fromRouted {
-		for q, c := range d.Metrics().RoutedPkts {
-			if q < len(queueCounts) {
-				queueCounts[q].Store(c)
-			}
-		}
-	}
 
 	fmt.Printf("processed %d packets from %s\n", n, *in)
+	rate := float64(n) / elapsed.Seconds()
 	if *replay {
-		rate := float64(n) / elapsed.Seconds()
 		fmt.Printf("replay mode: %d frames over %d pass(es) in %.2fs — %.2f Mpps (%d malformed rejected, %d backpressure retries)\n",
-			n, *replayLoops, elapsed.Seconds(), rate/1e6, replayRejected, replayRetries)
+			n, *replayLoops, elapsed.Seconds(), rate/1e6, d.IngestRejected(), d.IngestShed())
 	}
 	if *realtime {
-		rate := float64(n) / elapsed.Seconds()
 		fmt.Printf("real-time mode: %d shards, %d ingest goroutines, %.0f pkts/s wall, %d deployments, %d observed, %d shed\n",
 			d.Shards(), *ingest, rate, d.Deployments(), d.PacketsObserved(), d.IngestShed())
 	}
-	if injector != nil {
-		fmt.Printf("chaos (seed %d, spec %q): %d dropped, %d duplicated, %d corrupted, %d polls suppressed, %d callbacks delayed\n",
-			*chaosSeed, spec.String(), injector.PacketsDropped.Value(), injector.PacketsDuplicated.Value(),
-			injector.PacketsCorrupted.Value(), injector.PollsSuppressed.Value(), injector.CallbacksDelayed.Value())
+	if inj := src.injector; inj != nil {
+		fmt.Printf("%s, %d polls suppressed, %d callbacks delayed\n",
+			src.chaosSummary(), inj.PollsSuppressed.Value(), inj.CallbacksDelayed.Value())
 	}
 	if h := d.Health(); cfg.FailOpenAfter > 0 && (h.Control.FailOpenEngagements > 0 || h.Control.PanicsRecovered > 0) {
 		fmt.Printf("resilience: %d fail-open engagements, %d watchdog trips, %d panics recovered\n",
 			h.Control.FailOpenEngagements, h.Control.WatchdogTrips, h.Control.PanicsRecovered)
 	}
-	if vd != nil {
-		recordVictims() // close the trailing partial window
-		fmt.Printf("\nvictim aggregates (heavy-keeper, %d windows of %v):\n", vd.Windows(), victimWindow)
-		if len(victimPeaks) == 0 {
-			fmt.Println("  none listed")
-		}
-		keys := make([]uint64, 0, len(victimPeaks))
-		for k := range victimPeaks {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			return victimPeaks[keys[i]].Share > victimPeaks[keys[j]].Share
-		})
-		for _, k := range keys {
-			v := victimPeaks[k]
-			fmt.Printf("  dst %s: peak %8d bytes/window (%5.1f%% share), listed %d window(s)\n",
-				accturbo.V4(byte(k>>24), byte(k>>16), byte(k>>8), byte(k)),
-				v.Bytes, 100*v.Share, v.Windows)
-		}
+	if victims != nil {
+		victims.report()
 	}
 	fmt.Println("\nfinal aggregates (operator view):")
 	for _, info := range d.Clusters() {
@@ -804,8 +386,8 @@ func main() {
 			info.ID, d.QueueOf(info.ID), info.TotalPackets, info.Size)
 	}
 	fmt.Println("\nscheduling distribution:")
-	for q := range queueCounts {
-		c := queueCounts[q].Load()
+	for q, c := range d.Metrics().RoutedPkts {
+		c -= routedBefore[q]
 		pct := 0.0
 		if n > 0 {
 			pct = 100 * float64(c) / float64(n)
@@ -817,120 +399,44 @@ func main() {
 	}
 }
 
-// runFleet is the -fleet-nodes path: N full pipelines over one
+// runFleet is the -fleet-nodes mode: N full pipelines over one
 // in-process coordinator, the capture partitioned across them by source
 // IP hash — each node sees only its ingress slice of the traffic, the
 // way a distributed-source attack spreads over real vantage points.
 // With -coordinator=false the fleet starts partitioned: every node
 // rides its sticky local fallback ranking, which is the degraded mode
 // an operator would see during a real coordinator outage.
-func runFleet(cfg accturbo.Config, nodes int, coordinatorUp bool, metricsAddr string,
-	r *pcap.Reader, injector *faults.Injector, chaosSeed uint64, spec faults.Spec) {
+func runFleet(cfg accturbo.Config, src *captureStream) {
+	nodes := *fleetNodes
 	f, err := accturbo.NewFleetE(accturbo.FleetConfig{Nodes: nodes, Node: cfg})
 	if err != nil {
 		fatal(2, err)
 	}
 	defer f.Close()
-	if !coordinatorUp {
+	if !*coordinator {
 		f.SetLink(false)
 	}
+	defer serveAdmin("serving fleet health on http://%s/health\n", admin.Surface{Health: admin.FleetView(f)})()
 
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			fatal(1, err)
-		}
-		mux := http.NewServeMux()
-		// Fleet /health: every node's snapshot plus the coordinator's
-		// counters in one document; 503 while any node is degraded.
-		mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-			type nodeHealth struct {
-				Node   int             `json:"node"`
-				Health accturbo.Health `json:"health"`
-			}
-			var out struct {
-				Nodes       []nodeHealth                   `json:"nodes"`
-				Coordinator accturbo.FleetCoordinatorStats `json:"coordinator"`
-			}
-			degraded := false
-			for n := 0; n < f.Nodes(); n++ {
-				h := f.Node(n).Health()
-				degraded = degraded || h.Degraded
-				out.Nodes = append(out.Nodes, nodeHealth{Node: n, Health: h})
-			}
-			out.Coordinator = f.CoordinatorStats()
-			w.Header().Set("Content-Type", "application/json")
-			if degraded {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			json.NewEncoder(w).Encode(out)
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("serving fleet health on http://%s/health\n", ln.Addr())
-	}
-
-	hashNode := func(p *packet.Packet) int {
-		h := fnv.New32a()
-		a := p.SrcIP.As4()
-		h.Write(a[:])
-		return int(h.Sum32()) % nodes
-	}
-
-	perNode := make([]int, nodes)
 	pollAll := func() {
 		for n := 0; n < f.Nodes(); n++ {
 			f.Node(n).Poll()
 		}
 	}
-	total := 0
-	var pending []capturedPacket
-	for r != nil {
-		var c capturedPacket
-		if len(pending) > 0 {
-			c, pending = pending[0], pending[1:]
-		} else {
-			at, p, err := r.Next()
-			if err != nil {
-				break
-			}
-			c = capturedPacket{at: at.Duration(), pkt: p}
-			if injector != nil {
-				drop, dup := injector.Mangle(p)
-				if drop {
-					continue
-				}
-				if dup {
-					d := new(packet.Packet)
-					*d = *p
-					pending = append(pending, capturedPacket{at: c.at, pkt: d})
-				}
-			}
-		}
-		n := hashNode(c.pkt)
-		f.Node(n).Process(c.at, c.pkt)
+	perNode := make([]int, nodes)
+	total := replayPaced(src, pollAll, func(at time.Duration, p *packet.Packet) {
+		h := fnv.New32a()
+		a := p.SrcIP.As4()
+		h.Write(a[:])
+		n := int(h.Sum32() % uint32(nodes))
+		f.Node(n).Process(at, p)
 		perNode[n]++
-		total++
-		// Drive the control loops at a data-driven cadence: a capture
-		// drains far faster than wall-clock poll intervals, so without
-		// this a short replay would finish before the first poll.
-		if total%5000 == 0 {
-			pollAll()
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-	// Let the last window rank and the coordinator's broadcast land.
-	for round := 0; round < 3; round++ {
-		pollAll()
-		time.Sleep(20 * time.Millisecond)
-	}
+	})
+	settle(pollAll)
 
 	fmt.Printf("fleet mode: %d nodes, %d packets partitioned by source IP\n", nodes, total)
-	if injector != nil {
-		fmt.Printf("chaos (seed %d, spec %q): %d dropped, %d duplicated, %d corrupted\n",
-			chaosSeed, spec.String(), injector.PacketsDropped.Value(),
-			injector.PacketsDuplicated.Value(), injector.PacketsCorrupted.Value())
+	if src.injector != nil {
+		fmt.Println(src.chaosSummary())
 	}
 	for n := 0; n < f.Nodes(); n++ {
 		h := f.Node(n).Health()
@@ -961,24 +467,21 @@ func runFleet(cfg accturbo.Config, nodes int, coordinatorUp bool, metricsAddr st
 	}
 }
 
-// waitRunFor blocks for runFor, or forever when runFor is zero (the
+// waitRunFor blocks for -run-for, or forever when it is zero (the
 // process is expected to be killed — the smoke-test shape).
-func waitRunFor(runFor time.Duration) {
-	if runFor > 0 {
-		time.Sleep(runFor)
+func waitRunFor() {
+	if *runFor > 0 {
+		time.Sleep(*runFor)
 		return
 	}
 	select {}
 }
 
-// runTCPCoordinator is the -coordinator-listen path: the standalone
-// ranking coordinator of a multi-process fleet. Its /health reports the
-// merge counters plus each connected node's last-seen age, so an
-// operator can spot a silent vantage point before its snapshots stop
-// mattering.
-func runTCPCoordinator(cfg accturbo.Config, listen, metricsAddr string, runFor time.Duration) {
+// runTCPCoordinator is the -coordinator-listen mode: the standalone
+// ranking coordinator of a multi-process fleet.
+func runTCPCoordinator(cfg accturbo.Config) {
 	c, err := accturbo.NewFleetTCPCoordinator(accturbo.FleetTCPCoordinatorConfig{
-		ListenAddr: listen,
+		ListenAddr: *coordListen,
 		Node:       cfg,
 	})
 	if err != nil {
@@ -986,38 +489,9 @@ func runTCPCoordinator(cfg accturbo.Config, listen, metricsAddr string, runFor t
 	}
 	defer c.Close()
 	fmt.Printf("fleet coordinator listening on %s\n", c.Addr())
+	defer serveAdmin("serving coordinator health on http://%s/health\n", admin.Surface{Health: admin.CoordinatorView(c)})()
 
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			fatal(1, err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-			type nodeAge struct {
-				Node       uint32  `json:"node"`
-				LastSeenMs float64 `json:"last_seen_ms"`
-			}
-			ages := c.NodeAges()
-			nodes := make([]nodeAge, 0, len(ages))
-			for id, age := range ages {
-				nodes = append(nodes, nodeAge{Node: id, LastSeenMs: float64(age) / float64(time.Millisecond)})
-			}
-			sort.Slice(nodes, func(i, j int) bool { return nodes[i].Node < nodes[j].Node })
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(map[string]any{
-				"nodes":       nodes,
-				"coordinator": c.Stats(),
-				"transport":   c.TransportStats(),
-			})
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("serving coordinator health on http://%s/health\n", ln.Addr())
-	}
-
-	waitRunFor(runFor)
+	waitRunFor()
 	cs, ts := c.Stats(), c.TransportStats()
 	fmt.Printf("coordinator: %d nodes reporting, epoch %d, %d merges, %d rejected frames\n",
 		cs.Nodes, cs.Epoch, cs.Merges, cs.Rejected)
@@ -1026,16 +500,16 @@ func runTCPCoordinator(cfg accturbo.Config, listen, metricsAddr string, runFor t
 		ts.DropsNoPeer+ts.DropsQueueFull, ts.DropsNoPeer, ts.DropsQueueFull)
 }
 
-// runTCPNode is the -coordinator-addr path: one vantage-point node of a
+// runTCPNode is the -coordinator-addr mode: one vantage-point node of a
 // multi-process fleet. The capture (when given) replays through the
 // node's own pipeline; afterwards the node keeps polling for -run-for,
 // so its snapshots, heartbeats, and fallback/recovery transitions stay
 // observable on /health while a smoke test kills and restarts the
 // coordinator around it.
-func runTCPNode(cfg accturbo.Config, addr string, id uint32, metricsAddr string,
-	r *pcap.Reader, injector *faults.Injector, runFor time.Duration) {
+func runTCPNode(cfg accturbo.Config, src *captureStream) {
+	id := uint32(*nodeID)
 	n, err := accturbo.NewFleetTCP(accturbo.FleetTCPConfig{
-		CoordinatorAddr: addr,
+		CoordinatorAddr: *coordAddr,
 		NodeID:          id,
 		Node:            cfg,
 	})
@@ -1044,86 +518,18 @@ func runTCPNode(cfg accturbo.Config, addr string, id uint32, metricsAddr string,
 	}
 	defer n.Close()
 	d := n.Defense()
-	fmt.Printf("fleet node %d dialing coordinator at %s\n", id, addr)
+	fmt.Printf("fleet node %d dialing coordinator at %s\n", id, *coordAddr)
+	defer serveAdmin("serving node health on http://%s/health\n", admin.Surface{Health: admin.NodeView(id, n), Metrics: d})()
 
-	if metricsAddr != "" {
-		ln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			fatal(1, err)
-		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := d.WriteMetrics(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
-		mux.HandleFunc("/health", func(w http.ResponseWriter, _ *http.Request) {
-			h := d.Health()
-			w.Header().Set("Content-Type", "application/json")
-			if h.Degraded {
-				w.WriteHeader(http.StatusServiceUnavailable)
-			}
-			json.NewEncoder(w).Encode(map[string]any{
-				"node":      id,
-				"connected": n.Connected(),
-				"health":    h,
-				"ranker":    n.Stats(),
-				"transport": n.TransportStats(),
-			})
-		})
-		srv := &http.Server{Handler: mux}
-		go srv.Serve(ln)
-		defer srv.Close()
-		fmt.Printf("serving node health on http://%s/health\n", ln.Addr())
-	}
-
-	// Replay the capture through this node at the same data-driven poll
-	// cadence as -fleet-nodes, with packet-level chaos when asked.
-	total := 0
-	var pending []capturedPacket
-	for r != nil {
-		var c capturedPacket
-		if len(pending) > 0 {
-			c, pending = pending[0], pending[1:]
-		} else {
-			at, p, err := r.Next()
-			if err != nil {
-				break
-			}
-			c = capturedPacket{at: at.Duration(), pkt: p}
-			if injector != nil {
-				drop, dup := injector.Mangle(p)
-				if drop {
-					continue
-				}
-				if dup {
-					cp := new(packet.Packet)
-					*cp = *p
-					pending = append(pending, capturedPacket{at: c.at, pkt: cp})
-				}
-			}
-		}
-		d.Process(c.at, c.pkt)
-		total++
-		if total%5000 == 0 {
-			d.Poll()
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
-	// Keep the control loop visibly alive: each tick publishes a
-	// snapshot (and applies or ages out fleet deployments), which is
-	// what lets /health show fallback and recovery in real time.
-	deadline := time.Now().Add(runFor)
-	for runFor > 0 && time.Now().Before(deadline) {
+	total := replayPaced(src, d.Poll, func(at time.Duration, p *packet.Packet) { d.Process(at, p) })
+	// Keep the control loop visibly alive past the capture: each tick
+	// publishes a snapshot (and applies or ages out fleet deployments),
+	// which is what lets /health show fallback and recovery in real time.
+	for deadline := time.Now().Add(*runFor); *runFor > 0 && time.Now().Before(deadline); {
 		d.Poll()
 		time.Sleep(20 * time.Millisecond)
 	}
-	for round := 0; round < 3; round++ {
-		d.Poll()
-		time.Sleep(20 * time.Millisecond)
-	}
+	settle(d.Poll)
 
 	h := d.Health()
 	st := n.Stats()
@@ -1135,17 +541,17 @@ func runTCPNode(cfg accturbo.Config, addr string, id uint32, metricsAddr string,
 		ts.DropsDisconnected+ts.DropsQueueFull, ts.DropsDisconnected, ts.DropsQueueFull)
 }
 
-// runChaosProxy is the -chaos-proxy path: a deterministic socket-level
+// runChaosProxy is the -chaos-proxy mode: a deterministic socket-level
 // fault injector relaying node connections to the coordinator.
-func runChaosProxy(listen, target string, spec fleet.ChaosSpec, runFor time.Duration) {
-	p, err := fleet.NewChaosProxy(listen, target, spec)
+func runChaosProxy(spec fleet.ChaosSpec) {
+	p, err := fleet.NewChaosProxy(*chaosProxyAddr, *chaosProxyTarget, spec)
 	if err != nil {
 		fatal(1, err)
 	}
 	defer p.Close()
 	fmt.Printf("chaos proxy on %s -> %s (seed %d, corrupt-every %d, reset-every %d, delay-every %d for %s)\n",
-		p.Addr(), target, spec.Seed, spec.CorruptEvery, spec.ResetEvery, spec.DelayEvery, spec.DelayFor)
-	waitRunFor(runFor)
+		p.Addr(), *chaosProxyTarget, spec.Seed, spec.CorruptEvery, spec.ResetEvery, spec.DelayEvery, spec.DelayFor)
+	waitRunFor()
 	st := p.Stats()
 	fmt.Printf("chaos proxy: %d connections, %d bytes forwarded, %d corrupted, %d resets, %d delays, %d refused while partitioned\n",
 		st.Connections, st.BytesForwarded, st.BytesCorrupted, st.ResetsInjected, st.DelaysInjected, st.PartitionRefused)

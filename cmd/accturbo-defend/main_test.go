@@ -1,68 +1,93 @@
 package main
 
 import (
-	"encoding/json"
-	"net/http/httptest"
+	"bytes"
 	"testing"
 	"time"
 
 	"accturbo"
+	"accturbo/internal/eventsim"
+	"accturbo/internal/faults"
+	"accturbo/internal/pcap"
 )
 
-func TestConfigPatchWireFormat(t *testing.T) {
-	var cp configPatch
-	body := `{"ranking": "N.P./Size", "poll_interval_ms": 125, "deploy_delay_ms": 25.5}`
-	if err := json.Unmarshal([]byte(body), &cp); err != nil {
-		t.Fatal(err)
-	}
-	p, err := cp.toRuntimePatch()
+// TestCaptureStreamFaults: the one capture chokepoint applies the
+// seeded packet faults and accounts for every one of them — drops
+// vanish, a duplicate follows its original as a distinct *Packet with
+// the same (possibly corrupted) header, corruption changes header fields
+// in place, and the tap sees exactly what next yields.
+func TestCaptureStreamFaults(t *testing.T) {
+	const n = 4000
+	var buf bytes.Buffer
+	w, err := pcap.NewNanoWriter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Ranking == nil || *p.Ranking != accturbo.RankByPacketRateOverSize {
-		t.Fatalf("ranking not parsed: %+v", p)
+	orig := func(i int) accturbo.Packet {
+		return accturbo.Packet{
+			SrcIP: accturbo.V4(10, 0, byte(i>>8), byte(i)), DstIP: accturbo.V4(198, 18, 0, 1),
+			Protocol: 17, SrcPort: 5000, DstPort: 53, TTL: 64, ID: uint16(i), Length: 100,
+		}
 	}
-	if p.PollInterval == nil || p.PollInterval.Duration() != 125*time.Millisecond {
-		t.Fatalf("poll interval not converted: %+v", p)
+	for i := 0; i < n; i++ {
+		p := orig(i)
+		if err := w.Write(eventsim.Time(i)*eventsim.Microsecond, &p); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if p.DeployDelay == nil || p.DeployDelay.Duration() != 25500*time.Microsecond {
-		t.Fatalf("fractional ms lost: %+v", p)
-	}
-	if p.ReseedInterval != nil || p.FailOpenAfter != nil || p.WatchdogInterval != nil {
-		t.Fatalf("absent fields should stay nil: %+v", p)
-	}
-
-	if _, err := (configPatch{Ranking: strPtr("bogus")}).toRuntimePatch(); err == nil {
-		t.Fatal("accepted an unknown ranking name")
-	}
-}
-
-func strPtr(s string) *string { return &s }
-
-func TestWriteConfigReflectsReconfigure(t *testing.T) {
-	d := accturbo.NewDefense(accturbo.HardwareConfig())
-	defer d.Close()
-
-	poll := accturbo.FromDuration(125 * time.Millisecond)
-	r := accturbo.RankByPacketRate
-	if _, err := d.Reconfigure(accturbo.RuntimePatch{PollInterval: &poll, Ranking: &r}); err != nil {
+	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-
-	rec := httptest.NewRecorder()
-	writeConfig(rec, d)
-	var got map[string]any
-	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+	r, err := pcap.NewReader(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got["ranking"] != "N.P." {
-		t.Fatalf("ranking = %v", got["ranking"])
+	spec, err := faults.ParseSpec("drop:p=0.1;dup:p=0.1;corrupt:p=0.1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got["poll_interval_ms"] != 125.0 {
-		t.Fatalf("poll_interval_ms = %v", got["poll_interval_ms"])
+	inj := faults.New(7, spec)
+	tapped := 0
+	src := &captureStream{r: r, injector: inj, tap: func(capturedPacket) { tapped++ }}
+
+	seen := map[time.Duration]*accturbo.Packet{}
+	yielded, dups, changed := 0, 0, 0
+	for c, ok := src.next(); ok; c, ok = src.next() {
+		yielded++
+		if first, dup := seen[c.at]; dup {
+			dups++
+			if c.pkt == first {
+				t.Fatalf("duplicate at %v is the same *Packet as its original", c.at)
+			}
+			if *c.pkt != *first {
+				t.Fatalf("duplicate at %v differs from its original: %+v vs %+v", c.at, c.pkt, first)
+			}
+			continue
+		}
+		seen[c.at] = c.pkt
+		want := orig(int(c.at / time.Microsecond))
+		got := *c.pkt
+		if got.TTL != want.TTL || got.ID != want.ID || got.SrcPort != want.SrcPort ||
+			got.DstPort != want.DstPort || got.FragOffset != want.FragOffset {
+			changed++
+		}
 	}
-	if got["generation"] != 2.0 {
-		t.Fatalf("generation = %v", got["generation"])
+	if got := uint64(n - len(seen)); got != inj.PacketsDropped.Value() || got == 0 {
+		t.Fatalf("%d packets vanished, injector counted %d drops", got, inj.PacketsDropped.Value())
+	}
+	if uint64(dups) != inj.PacketsDuplicated.Value() || dups == 0 {
+		t.Fatalf("%d duplicates yielded, injector counted %d", dups, inj.PacketsDuplicated.Value())
+	}
+	// A corruption XORs a random mask into one field; the rare all-zero
+	// mask changes nothing, so the counter bounds the visible changes.
+	if counted := inj.PacketsCorrupted.Value(); changed == 0 || uint64(changed) > counted || uint64(changed) < counted*9/10 {
+		t.Fatalf("%d originals changed, injector counted %d corruptions", changed, counted)
+	}
+	if tapped != yielded || yielded != len(seen)+dups {
+		t.Fatalf("tap saw %d of %d yielded packets (%d originals + %d duplicates)", tapped, yielded, len(seen), dups)
+	}
+	if _, ok := (&captureStream{}).next(); ok {
+		t.Fatal("a stream without a capture yielded a packet")
 	}
 }
 

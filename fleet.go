@@ -46,7 +46,7 @@ type FleetConfig struct {
 // misranks — is demoted by its fleet-wide rate on every node.
 //
 // Each node is a full real-time Defense: feed node i's traffic through
-// Fleet.Node(i).Process / Offer / ObserveBatch from any goroutine, and
+// Fleet.Node(i).Process / ObserveBatch from any goroutine, and
 // inspect it with the usual Health/Metrics/Clusters accessors. A node's
 // Health reports RankSource "fleet" while the coordinator is reachable
 // and "fleet-fallback:local" (with the Degraded bit set) while

@@ -13,62 +13,33 @@ import (
 )
 
 // The ingest stage is the bounded hand-off between capture threads and
-// the data plane, rebuilt on lock-free SPSC rings (internal/ring): one
-// type-specialized lanes × shards ring matrix per producer arm, where
-// every ring has exactly one producer (a lane) and one consumer (that
-// shard's drain goroutine). Packets demux to their flow-hash shard at
-// offer time, so a shard's consumer feeds its clusterer directly with
-// ObserveShardPackets / ObserveShardFrames — no grouping pass, no
-// shared queue, and (unlike the old channel + worker pool) no lock
-// anywhere on the hot path.
+// the data plane, built on lock-free SPSC rings (internal/ring): a
+// lanes × shards ring matrix where every ring has exactly one producer
+// (the goroutine that owns the lane) and one consumer (that shard's
+// drain goroutine). Frames are reduced to their clustering features and
+// demuxed to their flow-hash shard at offer time, so a shard's consumer
+// feeds its clusterer directly with ObserveShardFrames — no grouping
+// pass, no shared queue, no lock anywhere on the path.
 //
-// Two producer APIs share the matrix:
-//
-//   - Offer (legacy, any goroutine): round-robins over lanes under a
-//     per-lane mutex. The mutex only serializes co-producers on one
-//     lane — consumers never touch it — and each item is published
-//     individually, so Offer keeps its "accepted means it will be
-//     classified" contract.
-//   - Lane/OfferFrame (wire speed, one goroutine per lane): claims a
-//     lane exclusively, decodes each frame's features while its header
-//     is cache-hot, and pushes the compact records with batched
-//     publish — the path the -replay pipeline and any packet-capture
-//     loop use.
-//
+// Lane/OfferFrame is the one door: a capture goroutine takes a lane,
+// decodes each frame's features while its header is cache-hot, and
+// pushes the compact records with batched publish. Callers that already
+// hold decoded Packets use the synchronous Process/ObserveBatch instead.
 // When a ring is full the offer sheds (counted, never blocking), so
-// overload degrades visibly exactly as before.
+// overload degrades visibly.
 type ingestStage struct {
-	d *Defense
-	// Each producer arm gets its own type-specialized [lane][shard] ring
-	// matrix: legacy Offer queues 8-byte packet pointers, the wire path
-	// queues compact feature records. No union item, no per-item arm
-	// branch on the consumer, and each arm's slots are exactly its size.
-	pktRings   [][]*ring.SPSC[*Packet]
-	frameRings [][]*ring.SPSC[core.FrameFeatures]
-	lanes      []ingestLaneState
-	wake       []chan struct{} // per-shard consumer doorbells
-	wg         sync.WaitGroup
+	d     *Defense
+	rings [][]*ring.SPSC[core.FrameFeatures] // [lane][shard]
+	wake  []chan struct{}                    // per-shard consumer doorbells
+	wg    sync.WaitGroup
 
 	capacity int // sum of ring capacities, reported by Health
 	feats    FeatureSet
 	shed     telemetry.Counter
 	rejected telemetry.Counter
 
-	// closed fails new offers before the rings are torn down. An atomic
-	// instead of the old RWMutex: Offer's hot path pays one load, not a
-	// reader lock shared with every other capture goroutine.
+	// closed fails new offers before the rings are torn down.
 	closed atomic.Bool
-	next   atomic.Uint64 // legacy Offer's round-robin lane cursor
-}
-
-// ingestLaneState is the per-lane producer bookkeeping. mu serializes
-// legacy co-producers on the lane; wired marks the lane claimed by an
-// exclusive wire-speed producer (a one-way transition made under mu, so
-// legacy offers never race a wire producer on the same ring).
-type ingestLaneState struct {
-	mu    sync.Mutex
-	wired bool
-	_     [40]byte // keep neighbouring lanes off one cache line
 }
 
 // ingestBatch is the per-consumer drain granularity. It bounds consumer
@@ -83,18 +54,12 @@ const laneFlushEvery = 64
 // EnableIngest starts the bounded ingest stage on a real-time pipeline:
 // `lanes` producer lanes feed one drain goroutine per data-plane shard
 // through single-producer/single-consumer rings, with the given total
-// buffer capacity split evenly across each producer arm's lane×shard
-// matrix (each ring rounds up to a power of two and the packet and
-// frame arms are separate matrices, so the effective total — reported
-// by Health — may exceed the request). After this, feed packets with Offer
-// or claim a lane for raw frames with Lane. Close drains the stage
+// buffer capacity split evenly across the lane×shard matrix (each ring
+// rounds up to a power of two, so the effective total — reported by
+// Health — may exceed the request). After this, take a lane per capture
+// goroutine with Lane and feed it raw frames. Close drains the stage
 // before stopping the control loop. It errors in deterministic mode
 // (whose single-threaded Process needs no queue) and when called twice.
-//
-// The second parameter was the drain-pool size when ingest was a shared
-// channel; consumers are now fixed at one per shard, and the value
-// instead sets the producer lane count (more lanes, less co-producer
-// serialization on Offer).
 func (d *Defense) EnableIngest(capacity, lanes int) error {
 	if d.clock == nil {
 		return fmt.Errorf("accturbo: EnableIngest requires the real-time pipeline")
@@ -108,21 +73,16 @@ func (d *Defense) EnableIngest(capacity, lanes int) error {
 		perRing = 2
 	}
 	in := &ingestStage{
-		d:          d,
-		pktRings:   make([][]*ring.SPSC[*Packet], lanes),
-		frameRings: make([][]*ring.SPSC[core.FrameFeatures], lanes),
-		lanes:      make([]ingestLaneState, lanes),
-		wake:       make([]chan struct{}, shards),
-		feats:      d.dp.Config().Clustering.Features,
+		d:     d,
+		rings: make([][]*ring.SPSC[core.FrameFeatures], lanes),
+		wake:  make([]chan struct{}, shards),
+		feats: d.dp.Config().Clustering.Features,
 	}
-	for l := 0; l < lanes; l++ {
-		in.pktRings[l] = make([]*ring.SPSC[*Packet], shards)
-		in.frameRings[l] = make([]*ring.SPSC[core.FrameFeatures], shards)
-		for s := 0; s < shards; s++ {
-			pr := ring.New[*Packet](perRing)
-			fr := ring.New[core.FrameFeatures](perRing)
-			in.pktRings[l][s], in.frameRings[l][s] = pr, fr
-			in.capacity += pr.Cap() + fr.Cap()
+	for l := range in.rings {
+		in.rings[l] = make([]*ring.SPSC[core.FrameFeatures], shards)
+		for s := range in.rings[l] {
+			in.rings[l][s] = ring.New[core.FrameFeatures](perRing)
+			in.capacity += in.rings[l][s].Cap()
 		}
 	}
 	for s := range in.wake {
@@ -136,44 +96,6 @@ func (d *Defense) EnableIngest(capacity, lanes int) error {
 		go in.drainShard(s)
 	}
 	return nil
-}
-
-// Offer hands a packet to the bounded ingest stage without blocking:
-// it returns false — and counts the packet as shed — when the packet's
-// shard ring is full (backpressure) or the stage is already closed.
-// Safe from any goroutine. Callers that must not lose packets should
-// treat false as "slow down", not "retry immediately".
-func (d *Defense) Offer(p *Packet) bool {
-	in := d.ingest.Load()
-	if in == nil {
-		panic("accturbo: Offer before EnableIngest")
-	}
-	if in.closed.Load() {
-		in.shed.Inc()
-		return false
-	}
-	si := d.dp.ShardOf(p)
-	lanes := uint64(len(in.lanes))
-	start := in.next.Add(1)
-	for i := uint64(0); i < lanes; i++ {
-		l := int((start + i) % lanes)
-		lane := &in.lanes[l]
-		lane.mu.Lock()
-		if lane.wired {
-			lane.mu.Unlock()
-			continue
-		}
-		ok := in.pktRings[l][si].TryPush(p)
-		lane.mu.Unlock()
-		if ok {
-			in.signal(si)
-			return true
-		}
-		// This lane's ring for the shard is full; another lane may have
-		// room (its ring is a distinct buffer).
-	}
-	in.shed.Inc()
-	return false
 }
 
 // OfferResult reports the fate of one frame handed to a wire-speed
@@ -194,11 +116,11 @@ const (
 	OfferClosed
 )
 
-// IngestLane is an exclusively claimed producer lane for the wire-speed
-// frame path. All methods must be called from one goroutine; distinct
-// lanes are fully independent. Before the Defense is closed the owner
-// must stop offering and call Flush, so every accepted frame is
-// published to its consumer.
+// IngestLane is one producer lane of the wire-speed frame path. All
+// methods must be called from one goroutine; distinct lanes are fully
+// independent. Before the Defense is closed the owner must stop
+// offering and call Flush, so every accepted frame is published to its
+// consumer.
 type IngestLane struct {
 	in      *ingestStage
 	rings   []*ring.SPSC[core.FrameFeatures]
@@ -207,30 +129,24 @@ type IngestLane struct {
 	isDirty []bool  // membership flags for dirty
 }
 
-// Lane claims producer lane l (0 <= l < the lane count given to
-// EnableIngest) for exclusive wire-speed use. From then on legacy Offer
-// skips that lane; claiming every lane leaves Offer nowhere to queue,
-// so mixed deployments should reserve at least one unclaimed lane.
-// Claiming the same lane twice returns the same ring set — the caller
-// owns the "one producer goroutine" contract.
+// Lane returns producer lane l (0 <= l < the lane count given to
+// EnableIngest). Taking the same lane twice returns the same ring set —
+// the caller owns the "one producer goroutine per lane" contract.
 func (d *Defense) Lane(l int) *IngestLane {
 	in := d.ingest.Load()
 	if in == nil {
 		panic("accturbo: Lane before EnableIngest")
 	}
-	if l < 0 || l >= len(in.lanes) {
-		panic(fmt.Sprintf("accturbo: Lane(%d) out of range [0,%d)", l, len(in.lanes)))
+	if l < 0 || l >= len(in.rings) {
+		panic(fmt.Sprintf("accturbo: Lane(%d) out of range [0,%d)", l, len(in.rings)))
 	}
-	lane := &in.lanes[l]
-	lane.mu.Lock()
-	lane.wired = true
-	lane.mu.Unlock()
+	shards := len(in.rings[l])
 	return &IngestLane{
 		in:      in,
-		rings:   in.frameRings[l],
-		pending: make([]int32, len(in.frameRings[l])),
-		dirty:   make([]int32, 0, len(in.frameRings[l])),
-		isDirty: make([]bool, len(in.frameRings[l])),
+		rings:   in.rings[l],
+		pending: make([]int32, shards),
+		dirty:   make([]int32, 0, shards),
+		isDirty: make([]bool, shards),
 	}
 }
 
@@ -294,15 +210,13 @@ func (in *ingestStage) signal(si int) {
 	}
 }
 
-// drainShard is shard si's consumer: it sweeps every lane's packet and
-// frame rings for the shard and feeds the shard's clusterer through the
-// per-shard batch entry points — each arm pops straight into its typed
-// batch buffer, no partition pass. It parks on the shard doorbell when
-// all rings are empty (with a timer backstop for publishes that raced
-// the park) and exits once every ring is closed and drained.
+// drainShard is shard si's consumer: it sweeps every lane's ring for
+// the shard and feeds the shard's clusterer through the per-shard batch
+// entry point. It parks on the shard doorbell when all rings are empty
+// (with a timer backstop for publishes that raced the park) and exits
+// once every ring is closed and drained.
 func (in *ingestStage) drainShard(si int) {
 	defer in.wg.Done()
-	pkts := make([]*Packet, ingestBatch)
 	frames := make([]core.FrameFeatures, ingestBatch)
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
@@ -312,21 +226,13 @@ func (in *ingestStage) drainShard(si int) {
 		// close only after their final publish).
 		allClosed := true
 		swept := 0
-		for l := range in.pktRings {
-			pr, fr := in.pktRings[l][si], in.frameRings[l][si]
-			if !pr.Closed() || !fr.Closed() {
+		for l := range in.rings {
+			r := in.rings[l][si]
+			if !r.Closed() {
 				allClosed = false
 			}
 			for {
-				n := pr.PopBatch(pkts)
-				if n == 0 {
-					break
-				}
-				swept += n
-				in.d.dp.ObserveShardPackets(si, pkts[:n], nil)
-			}
-			for {
-				n := fr.PopBatch(frames)
+				n := r.PopBatch(frames)
 				if n == 0 {
 					break
 				}
@@ -354,37 +260,30 @@ func (in *ingestStage) drainShard(si int) {
 	}
 }
 
-// depth reports the number of queued, unconsumed items across the ring
-// matrix (a point-in-time estimate, like the channel length it
-// replaces).
+// depth reports the number of queued, unconsumed frames across the ring
+// matrix (a point-in-time estimate).
 func (in *ingestStage) depth() int {
 	n := 0
-	for l := range in.pktRings {
-		for s := range in.pktRings[l] {
-			n += in.pktRings[l][s].Len() + in.frameRings[l][s].Len()
+	for l := range in.rings {
+		for _, r := range in.rings[l] {
+			n += r.Len()
 		}
 	}
 	return n
 }
 
-// close tears the stage down: fail new offers, publish any pending
-// pushes (each lane's mutex fences in-flight legacy offers; wire lanes
-// must already have stopped per the IngestLane contract), close every
-// ring, and wait for the consumers to drain. Idempotent.
+// close tears the stage down: fail new offers, publish any un-Flushed
+// tail (lanes must already have stopped per the IngestLane contract),
+// close every ring, and wait for the consumers to drain. Idempotent.
 func (in *ingestStage) close() {
 	if in.closed.Swap(true) {
 		return
 	}
-	for l := range in.lanes {
-		lane := &in.lanes[l]
-		lane.mu.Lock()
-		for s := range in.pktRings[l] {
-			in.pktRings[l][s].Publish()
-			in.pktRings[l][s].Close()
-			in.frameRings[l][s].Publish() // rescue a wire lane's un-Flushed tail
-			in.frameRings[l][s].Close()
+	for l := range in.rings {
+		for _, r := range in.rings[l] {
+			r.Publish()
+			r.Close()
 		}
-		lane.mu.Unlock()
 	}
 	for si := range in.wake {
 		in.signal(si)
@@ -392,8 +291,8 @@ func (in *ingestStage) close() {
 	in.wg.Wait()
 }
 
-// IngestShed returns the number of packets and frames the ingest stage
-// shed under backpressure or closure. Zero until EnableIngest.
+// IngestShed returns the number of frames the ingest stage shed under
+// backpressure or closure. Zero until EnableIngest.
 func (d *Defense) IngestShed() uint64 {
 	if in := d.ingest.Load(); in != nil {
 		return in.shed.Value()

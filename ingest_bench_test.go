@@ -11,8 +11,8 @@ import (
 )
 
 // Ingest-path benchmarks: the numbers behind the README Mpps headline
-// and the BENCH_ingest.json baseline the CI trend gate protects. All
-// three report amortized ns per packet through the SPSC ring pipeline —
+// and the BENCH_ingest.json baseline the CI trend gate protects. Both
+// report amortized ns per packet through the SPSC ring pipeline —
 // producer work, hand-off, and the per-shard classifying consumer all
 // included (they share the CPU, exactly as a deployment's offered load
 // would see it).
@@ -26,24 +26,6 @@ func benchDefense(b *testing.B, shards, capacity, lanes int) *Defense {
 		b.Fatal(err)
 	}
 	return d
-}
-
-// BenchmarkIngestOffer is the legacy producer API: decoded packets
-// through the per-lane ring under the lane mutex.
-func BenchmarkIngestOffer(b *testing.B) {
-	d := benchDefense(b, 1, 1<<13, 1)
-	defer d.Close()
-	pkts := make([]*Packet, 1024)
-	for i := range pkts {
-		pkts[i] = benignPacket(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for !d.Offer(pkts[i%len(pkts)]) {
-			runtime.Gosched()
-		}
-	}
 }
 
 // BenchmarkIngestOfferFrame is the wire-speed producer API: raw IPv4

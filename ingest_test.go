@@ -16,81 +16,135 @@ func realtimeCfg(shards int) Config {
 	return cfg
 }
 
-// TestIngestConservation: every Offer outcome is accounted — accepted
-// packets are all classified by Close, shed ones are all counted —
-// across multiple producer goroutines on the ring-based stage.
-func TestIngestConservation(t *testing.T) {
-	d := NewRealTimeDefense(realtimeCfg(4))
-	if err := d.EnableIngest(1024, 2); err != nil {
-		t.Fatal(err)
+// laneTally is one lane producer's account of OfferFrame outcomes.
+type laneTally struct{ offered, accepted, full, rejected uint64 }
+
+// offerUntil offers frames on lane l (no retry: a full ring sheds) until
+// it has offered max frames or stop is set, with a junk frame every 97th
+// offer, then flushes per the lane contract.
+func offerUntil(t *testing.T, lane *IngestLane, frames [][]byte, max int, stop *atomic.Bool) laneTally {
+	var c laneTally
+	junk := []byte{0x60, 0x00, 0x00}
+	for i := 0; i < max && !stop.Load(); i++ {
+		f := frames[i%len(frames)]
+		if i%97 == 96 {
+			f = junk
+		}
+		c.offered++
+		switch res := lane.OfferFrame(f); res {
+		case OfferAccepted:
+			c.accepted++
+		case OfferFull:
+			c.full++
+		case OfferRejected:
+			c.rejected++
+		default:
+			t.Errorf("offer %d: unexpected result %d before Close", i, res)
+		}
+		if i%64 == 0 {
+			runtime.Gosched()
+		}
 	}
-	const producers = 4
-	const perProducer = 20000
-	var accepted atomic.Uint64
+	lane.Flush()
+	return c
+}
+
+// runLanes drives one producer goroutine per lane through offerUntil,
+// closes the defense once they have all flushed (stopAfter > 0 cuts them
+// short mid-stream), and checks the ledger: every offer is accepted,
+// shed or rejected, and every accepted frame is classified by Close.
+func runLanes(t *testing.T, d *Defense, lanes, perLane int, stopAfter time.Duration) {
+	t.Helper()
+	frames := frameCorpus(t, 512)
+	tallies := make([]laneTally, lanes)
+	var stop atomic.Bool
 	var wg sync.WaitGroup
-	for w := 0; w < producers; w++ {
+	for l := 0; l < lanes; l++ {
 		wg.Add(1)
-		go func(w int) {
+		go func(l int) {
 			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				if d.Offer(benignPacket(w*perProducer + i)) {
-					accepted.Add(1)
-				}
-			}
-		}(w)
+			tallies[l] = offerUntil(t, d.Lane(l), frames, perLane, &stop)
+		}(l)
+	}
+	if stopAfter > 0 {
+		time.Sleep(stopAfter)
+		stop.Store(true)
 	}
 	wg.Wait()
 	d.Close()
-	total := d.PacketsObserved() + d.IngestShed()
-	if total != producers*perProducer {
-		t.Fatalf("observed %d + shed %d = %d, want %d offers",
-			d.PacketsObserved(), d.IngestShed(), total, producers*perProducer)
+	var sum laneTally
+	for _, c := range tallies {
+		sum.offered += c.offered
+		sum.accepted += c.accepted
+		sum.full += c.full
+		sum.rejected += c.rejected
 	}
-	if d.PacketsObserved() != accepted.Load() {
-		t.Fatalf("observed %d packets, but %d offers were accepted",
-			d.PacketsObserved(), accepted.Load())
+	if sum.offered != sum.accepted+sum.full+sum.rejected {
+		t.Fatalf("offered %d != accepted %d + full %d + rejected %d", sum.offered, sum.accepted, sum.full, sum.rejected)
+	}
+	if got := d.PacketsObserved(); got != sum.accepted {
+		t.Fatalf("observed %d frames, but %d offers were accepted", got, sum.accepted)
+	}
+	if d.IngestShed() != sum.full || d.IngestRejected() != sum.rejected {
+		t.Fatalf("shed %d / rejected %d counters, want %d / %d",
+			d.IngestShed(), d.IngestRejected(), sum.full, sum.rejected)
 	}
 }
 
-// TestIngestCloseWhileOffering races Close against active producers:
-// whatever interleaving the scheduler picks, accepted + shed must equal
-// attempted and every accepted packet must be classified. This is the
-// -race gate on the atomic closed flag and the ring close protocol.
+// TestIngestConservation: every OfferFrame outcome is accounted —
+// accepted frames are all classified by Close, shed and malformed ones
+// are all counted — across concurrent lanes on small rings.
+func TestIngestConservation(t *testing.T) {
+	d := NewRealTimeDefense(realtimeCfg(4))
+	if err := d.EnableIngest(1024, 4); err != nil {
+		t.Fatal(err)
+	}
+	runLanes(t, d, 4, 20000, 0)
+}
+
+// TestIngestCloseWhileOffering closes mid-stream: producers are cut off
+// at an arbitrary point, flush, and Close must classify exactly what was
+// accepted; an offer that arrives after Close is refused and counted as
+// shed. This is the -race gate on the ring close protocol.
 func TestIngestCloseWhileOffering(t *testing.T) {
 	for iter := 0; iter < 8; iter++ {
 		d := NewRealTimeDefense(realtimeCfg(2))
-		if err := d.EnableIngest(256, 2); err != nil {
+		if err := d.EnableIngest(256, 3); err != nil {
 			t.Fatal(err)
 		}
-		const producers = 3
-		const perProducer = 5000
-		var accepted atomic.Uint64
-		var wg sync.WaitGroup
-		for w := 0; w < producers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < perProducer; i++ {
-					if d.Offer(benignPacket(w*perProducer + i)) {
-						accepted.Add(1)
-					}
-					if i%64 == 0 {
-						runtime.Gosched()
-					}
-				}
-			}(w)
+		lane := d.Lane(0)
+		runLanes(t, d, 3, 1<<30, time.Duration(iter+1)*200*time.Microsecond)
+		shed := d.IngestShed()
+		if res := lane.OfferFrame(frameCorpus(t, 1)[0]); res != OfferClosed {
+			t.Fatalf("iter %d: offer after Close returned %d, want OfferClosed", iter, res)
 		}
-		// Close mid-stream; remaining offers must shed cleanly.
-		time.Sleep(time.Duration(iter) * 200 * time.Microsecond)
-		d.Close()
-		wg.Wait()
-		if got := d.PacketsObserved() + d.IngestShed(); got != producers*perProducer {
-			t.Fatalf("iter %d: observed %d + shed %d = %d, want %d",
-				iter, d.PacketsObserved(), d.IngestShed(), got, producers*perProducer)
+		if d.IngestShed() != shed+1 {
+			t.Fatalf("iter %d: late offer not counted as shed", iter)
 		}
-		if d.PacketsObserved() != accepted.Load() {
-			t.Fatalf("iter %d: observed %d, accepted %d", iter, d.PacketsObserved(), accepted.Load())
+	}
+}
+
+// TestIngestFullRingSheds: unpublished pushes are invisible to the
+// consumer, so a two-slot ring is deterministically full at the third
+// unflushed offer — which sheds, counts, and leaves the first two to be
+// classified.
+func TestIngestFullRingSheds(t *testing.T) {
+	d := NewRealTimeDefense(realtimeCfg(1))
+	if err := d.EnableIngest(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	lane := d.Lane(0)
+	frames := frameCorpus(t, 3)
+	want := []OfferResult{OfferAccepted, OfferAccepted, OfferFull}
+	for i, f := range frames {
+		if res := lane.OfferFrame(f); res != want[i] {
+			t.Fatalf("offer %d returned %d, want %d", i, res, want[i])
 		}
+	}
+	lane.Flush()
+	d.Close()
+	if d.IngestShed() != 1 || d.PacketsObserved() != 2 {
+		t.Fatalf("shed %d observed %d, want 1 and 2", d.IngestShed(), d.PacketsObserved())
 	}
 }
 
@@ -108,76 +162,51 @@ func frameCorpus(t testing.TB, n int) [][]byte {
 	return frames
 }
 
-// TestIngestLaneFrames drives the wire-speed frame path end to end:
-// frames offered on an exclusive lane (batched publish plus a final
-// Flush) are all classified, malformed bytes are rejected and counted,
-// and legacy Offer keeps working on the unclaimed lane alongside.
+// TestIngestLaneFrames drives the wire-speed frame path end to end,
+// lossless: frames offered on two lanes at once (batched publish, retry
+// on a full ring, a final Flush) are all classified, and malformed bytes
+// are rejected and counted.
 func TestIngestLaneFrames(t *testing.T) {
 	d := NewRealTimeDefense(realtimeCfg(4))
 	if err := d.EnableIngest(4096, 2); err != nil {
 		t.Fatal(err)
 	}
-	lane := d.Lane(1)
 	frames := frameCorpus(t, 3000)
-	var laneAccepted, legacyAccepted uint64
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 2000; i++ {
-			if d.Offer(benignPacket(100000 + i)) {
-				legacyAccepted++
-			}
-		}
-	}()
 	junk := []byte{0x60, 0x00, 0x00}
-	for i, f := range frames {
-		for {
-			res := lane.OfferFrame(f)
-			if res == OfferAccepted {
-				laneAccepted++
-				break
-			}
-			if res != OfferFull {
-				t.Fatalf("frame %d: unexpected result %d", i, res)
+	var wg sync.WaitGroup
+	for l := 0; l < 2; l++ {
+		wg.Add(1)
+		go func(lane *IngestLane) {
+			defer wg.Done()
+			for i, f := range frames {
+				for {
+					res := lane.OfferFrame(f)
+					if res == OfferAccepted {
+						break
+					}
+					if res != OfferFull {
+						t.Errorf("frame %d: unexpected result %d", i, res)
+						return
+					}
+					lane.Flush()
+					runtime.Gosched()
+				}
+				if i%500 == 0 {
+					if res := lane.OfferFrame(junk); res != OfferRejected {
+						t.Errorf("junk frame returned %d, want OfferRejected", res)
+					}
+				}
 			}
 			lane.Flush()
-			runtime.Gosched()
-		}
-		if i%500 == 0 {
-			if res := lane.OfferFrame(junk); res != OfferRejected {
-				t.Fatalf("junk frame returned %d, want OfferRejected", res)
-			}
-		}
+		}(d.Lane(l))
 	}
-	lane.Flush()
 	wg.Wait()
 	d.Close()
-	if got := d.IngestRejected(); got != 6 {
-		t.Fatalf("IngestRejected = %d, want 6", got)
+	if got := d.IngestRejected(); got != 12 {
+		t.Fatalf("IngestRejected = %d, want 12", got)
 	}
-	want := laneAccepted + legacyAccepted
-	if d.PacketsObserved() != want {
-		t.Fatalf("observed %d, want %d (lane %d + legacy %d; shed %d)",
-			d.PacketsObserved(), want, laneAccepted, legacyAccepted, d.IngestShed())
-	}
-}
-
-// TestIngestLaneClaimExcludesOffer: once every lane is claimed for wire
-// use, legacy Offer has nowhere to queue and must shed, not race a
-// lock-free producer.
-func TestIngestLaneClaimExcludesOffer(t *testing.T) {
-	d := NewRealTimeDefense(realtimeCfg(1))
-	if err := d.EnableIngest(64, 1); err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	d.Lane(0)
-	if d.Offer(benignPacket(1)) {
-		t.Fatal("Offer succeeded with every lane claimed")
-	}
-	if d.IngestShed() != 1 {
-		t.Fatalf("shed = %d, want 1", d.IngestShed())
+	if want := uint64(2 * len(frames)); d.PacketsObserved() != want {
+		t.Fatalf("observed %d, want %d (shed %d)", d.PacketsObserved(), want, d.IngestShed())
 	}
 }
 
@@ -190,8 +219,8 @@ func TestIngestHealthDepth(t *testing.T) {
 	}
 	defer d.Close()
 	h := d.Health()
-	if h.IngestCapacity < 512 {
-		t.Fatalf("IngestCapacity = %d, want >= 512", h.IngestCapacity)
+	if h.IngestCapacity != 512 {
+		t.Fatalf("IngestCapacity = %d, want the 512 requested", h.IngestCapacity)
 	}
 	if h.IngestDepth < 0 || h.IngestDepth > h.IngestCapacity {
 		t.Fatalf("IngestDepth = %d out of [0,%d]", h.IngestDepth, h.IngestCapacity)

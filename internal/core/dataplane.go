@@ -353,26 +353,6 @@ func (d *Dataplane) flushCounts(stripe int, sc *batchScratch) {
 	}
 }
 
-// ObserveShardPackets runs the full per-packet step over a batch whose
-// packets are already known to demux to shard si — the per-shard ring
-// consumer path, which skips ObserveBatch's grouping pass entirely. The
-// caller is responsible for the demux invariant (ShardOf(p) == si for
-// every packet); breaking it silently degrades clustering quality but
-// nothing else. queues follows the ObserveBatch contract.
-func (d *Dataplane) ObserveShardPackets(si int, pkts []*packet.Packet, queues []int) {
-	n := len(pkts)
-	if n == 0 {
-		return
-	}
-	if queues != nil && len(queues) < n {
-		panic("core: ObserveShardPackets queues shorter than pkts")
-	}
-	qm := *d.queueMap.Load()
-	sc := d.scratch.Get().(*batchScratch)
-	d.runShard(si, pkts, nil, queues, qm, sc)
-	d.scratch.Put(sc)
-}
-
 // FrameFeatures is one wire frame reduced to exactly what the
 // clustering stage consumes: its feature values (the first NF entries,
 // where NF is the configured feature-set length) and its IP total
@@ -384,13 +364,16 @@ type FrameFeatures struct {
 	Size uint32
 }
 
-// ObserveShardFrames is ObserveShardPackets for frames already reduced
-// to their feature values: each entry feeds the shard's clusterer
-// through the fused ObserveFeatures path, so no Packet struct is ever
-// materialized. Frames carry no ground-truth label, so all traffic
-// counts as benign in the label telemetry — exactly what a hardware
-// deployment sees. The demux invariant is that every entry's frame
-// hashed to shard si; queues follows the ObserveBatch contract.
+// ObserveShardFrames runs the full per-packet step over a batch of
+// frames already reduced to their feature values and already demuxed to
+// shard si — the per-shard ring consumer path, which skips
+// ObserveBatch's grouping pass entirely. Each entry feeds the shard's
+// clusterer through the fused ObserveFeatures path, so no Packet struct
+// is ever materialized. Frames carry no ground-truth label, so all
+// traffic counts as benign in the label telemetry — exactly what a
+// hardware deployment sees. The demux invariant is that every entry's
+// frame hashed to shard si (breaking it silently degrades clustering
+// quality but nothing else); queues follows the ObserveBatch contract.
 func (d *Dataplane) ObserveShardFrames(si int, frames []FrameFeatures, queues []int) {
 	n := len(frames)
 	if n == 0 {

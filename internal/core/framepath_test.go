@@ -144,47 +144,6 @@ func TestObserveShardFramesMatchesObserveBatch(t *testing.T) {
 	}
 }
 
-// TestObserveShardPacketsMatchesObserveBatch: the pre-demuxed struct
-// entry point must match ObserveBatch the same way.
-func TestObserveShardPacketsMatchesObserveBatch(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	batched := NewDataplane(cfg, false)
-	perShard := NewDataplane(cfg, false)
-
-	const n = 2048
-	pkts := make([]*packet.Packet, n)
-	for i := range pkts {
-		pkts[i] = mkPkt(i)
-	}
-	wantQ := make([]int, n)
-	batched.ObserveBatch(pkts, wantQ)
-
-	bySh := make([][]*packet.Packet, cfg.Shards)
-	origIdx := make([][]int, cfg.Shards)
-	for i, p := range pkts {
-		si := perShard.ShardOf(p)
-		bySh[si] = append(bySh[si], p)
-		origIdx[si] = append(origIdx[si], i)
-	}
-	gotQ := make([]int, n)
-	for si := range bySh {
-		qbuf := make([]int, len(bySh[si]))
-		perShard.ObserveShardPackets(si, bySh[si], qbuf)
-		for j, q := range qbuf {
-			gotQ[origIdx[si][j]] = q
-		}
-	}
-	for i := range wantQ {
-		if gotQ[i] != wantQ[i] {
-			t.Fatalf("packet %d queued %d per-shard, %d batched", i, gotQ[i], wantQ[i])
-		}
-	}
-	if a, b := batched.Observed(), perShard.Observed(); a != b {
-		t.Fatalf("observed %d per-shard, %d batched", b, a)
-	}
-}
-
 // TestObserveShardFramesZeroAlloc gates the frame consumer hot path:
 // once the scratch pool is warm, classifying a frame batch allocates
 // nothing.
