@@ -51,24 +51,56 @@ func AppendInfos(out *frame.Enc, infos []Info) {
 	*out = e
 }
 
+// InfosLen is the number of bytes AppendInfos writes for infos, for a
+// caller that sizes its buffer once.
+func InfosLen(infos []Info) int {
+	n := 4
+	for i := range infos {
+		n += infoMinBytes + 8*len(infos[i].Ranges) + 4*len(infos[i].NominalCardinality)
+	}
+	return n
+}
+
+// carve cuts n elements off *slab. The slab is made on first use, for
+// slots slots of n elements but never more than fit, the most the unread
+// bytes could hold; a request it cannot serve gets its own slice, so a
+// hostile section that varies its counts costs what it sent and no more.
+// The cut is capped at its length: an append to one slot's slice cannot
+// reach the next slot's.
+func carve[T any](slab *[]T, n, slots, fit int) []T {
+	if *slab == nil {
+		*slab = make([]T, min(n*slots, fit))
+	}
+	if len(*slab) < n {
+		return make([]T, n)
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
 // ReadInfos reads what AppendInfos wrote. The result is freshly
 // allocated and shares no memory with the input; a short or hostile
-// section is left latched in d and yields nil.
+// section is left latched in d and yields nil. Every slot of a real
+// snapshot has the same feature count, so the slots' Ranges and
+// NominalCardinality come from one slab each (carve).
 func ReadInfos(d *frame.Dec) []Info {
 	out := make([]Info, d.Count(infoMinBytes))
+	var ranges []Range
+	var cards []int
 	for i := range out {
 		in := &out[i]
 		in.ID = int(d.U32())
 		in.Active = d.Bool()
 		if n := d.Count(8); n > 0 {
-			in.Ranges = make([]Range, n)
+			in.Ranges = carve(&ranges, n, len(out)-i, d.Len()/8)
 			for f := range in.Ranges {
 				in.Ranges[f].Min = d.U32()
 				in.Ranges[f].Max = d.U32()
 			}
 		}
 		if n := d.Count(4); n > 0 {
-			in.NominalCardinality = make([]int, n)
+			in.NominalCardinality = carve(&cards, n, len(out)-i, d.Len()/4)
 			for f := range in.NominalCardinality {
 				in.NominalCardinality[f] = int(d.U32())
 			}

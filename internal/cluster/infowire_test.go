@@ -79,6 +79,41 @@ func TestInfoWireRejectsHostileCounts(t *testing.T) {
 	}
 }
 
+// TestInfoWireSlabs pins ReadInfos' allocation shape. A uniform snapshot
+// costs three allocations (the slots and one slab each for ranges and
+// cardinalities) and its slots do not alias: appending to one slot's
+// ranges leaves the next slot's alone. A sound section whose feature
+// count grows slot by slot, so that no slab ever fits the next slot, is
+// not charged a fresh slab per slot.
+func TestInfoWireSlabs(t *testing.T) {
+	blob := MarshalInfos(sampleInfos())
+	if got := testing.AllocsPerRun(100, func() { UnmarshalInfos(blob) }); got > 3 {
+		t.Errorf("a uniform snapshot decodes in %v allocations, want <= 3", got)
+	}
+	infos, err := UnmarshalInfos(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := append([]Range(nil), infos[1].Ranges...)
+	_ = append(infos[0].Ranges, Range{Min: 1, Max: 2})
+	if !reflect.DeepEqual(infos[1].Ranges, next) {
+		t.Fatal("an append to slot 0's ranges wrote into slot 1's")
+	}
+
+	growing := make([]Info, 400)
+	for i := range growing {
+		growing[i] = Info{ID: i, Ranges: make([]Range, i+1), NominalCardinality: make([]int, i+1)}
+	}
+	blob = MarshalInfos(growing)
+	var got []Info
+	if n := allocated(func() { got, err = UnmarshalInfos(blob) }); n > 4*uint64(len(blob)) {
+		t.Errorf("%d bytes of growing feature counts allocated %d", len(blob), n)
+	}
+	if err != nil || !reflect.DeepEqual(got, growing) {
+		t.Fatalf("growing feature counts did not round-trip (%v)", err)
+	}
+}
+
 // FuzzUnmarshalInfos: arbitrary bytes are refused or decode to a
 // snapshot that holds no more elements than the input has bytes and
 // whose encoding is a fixed point; never a panic.

@@ -56,6 +56,7 @@ func TestParseSpecErrors(t *testing.T) {
 	for _, bad := range []string{
 		"explode:now",                    // unknown clause
 		"drop:p=1.5",                     // probability out of range
+		"dup:p=NaN",                      // not a probability at all
 		"drop:q=0.5",                     // unknown key
 		"flap:down=abc",                  // bad duration
 		"flap:down=0s",                   // down must be positive

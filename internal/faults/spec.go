@@ -147,7 +147,9 @@ func ParseSpec(s string) (Spec, error) {
 			return Spec{}, fmt.Errorf("faults: unknown clause kind %q", kind)
 		}
 	}
-	sort.Slice(spec.Stalls, func(i, j int) bool { return spec.Stalls[i].At < spec.Stalls[j].At })
+	// Stable: windows that open together keep the order they were written
+	// in, so a rendered spec parses back to itself.
+	sort.SliceStable(spec.Stalls, func(i, j int) bool { return spec.Stalls[i].At < spec.Stalls[j].At })
 	return spec, nil
 }
 
@@ -217,7 +219,7 @@ func probInto(dst *float64) func(string) error {
 		if err != nil {
 			return err
 		}
-		if p < 0 || p > 1 {
+		if !(p >= 0 && p <= 1) { // NaN parses, and is neither
 			return fmt.Errorf("probability %g outside [0, 1]", p)
 		}
 		*dst = p

@@ -2,7 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"accturbo/internal/cluster"
@@ -41,7 +41,13 @@ type Coordinator struct {
 
 	mu     sync.Mutex
 	latest map[uint32]*Snapshot
-	epoch  uint64
+	// nodes is latest's keys in ascending order. A node's first snapshot
+	// replaces the slice, never writes into it, so a broadcast can walk
+	// the one it read under mu after letting mu go.
+	nodes []uint32
+	// snaps is merge input scratch, reused under mu.
+	snaps [][]cluster.Info
+	epoch uint64
 	// prev is the last broadcast queue map: slots missing from the
 	// merged view keep their previous assignment, exactly like the
 	// single-node control loop.
@@ -81,26 +87,19 @@ func (c *Coordinator) onFrame(from uint32, frame []byte) {
 	}
 
 	c.mu.Lock()
-	if prev, ok := c.latest[snap.Node]; ok && snap.Seq <= prev.Seq {
+	prev, known := c.latest[snap.Node]
+	if known && snap.Seq <= prev.Seq {
 		c.rejected++
 		c.mu.Unlock()
 		return
 	}
 	c.latest[snap.Node] = snap
-
-	// Node order is sorted, not map order: the slot-wise merge is
-	// commutative, but the broadcast schedule must be identical run to
-	// run for the deterministic backend's byte-identical guarantee.
-	nodes := make([]uint32, 0, len(c.latest))
-	for id := range c.latest {
-		nodes = append(nodes, id)
+	if !known {
+		at, _ := slices.BinarySearch(c.nodes, snap.Node)
+		c.nodes = slices.Insert(slices.Clone(c.nodes), at, snap.Node)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	snaps := make([][]cluster.Info, 0, len(nodes))
-	for _, id := range nodes {
-		snaps = append(snaps, c.latest[id].Infos)
-	}
-	merged := cluster.MergeSnapshots(c.cfg.Distance, snaps...)
+	nodes := c.nodes
+	merged := c.mergeLocked()
 	dec := core.RankDecision(c.cfg.Ranking, merged, c.cfg.Slots, c.cfg.NumQueues, c.prev, snap.At, snap.At)
 	c.prev = dec.QueueOf
 	c.epoch++
@@ -154,14 +153,17 @@ func (c *Coordinator) LastDecision() *core.Decision {
 func (c *Coordinator) MergedView() []cluster.Info {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	nodes := make([]uint32, 0, len(c.latest))
-	for id := range c.latest {
-		nodes = append(nodes, id)
+	return c.mergeLocked()
+}
+
+// mergeLocked merges the latest snapshots in node order. The order is
+// sorted, not map order: the slot-wise merge is commutative, but the
+// broadcast schedule must be identical run to run for the deterministic
+// backend's byte-identical guarantee.
+func (c *Coordinator) mergeLocked() []cluster.Info {
+	c.snaps = c.snaps[:0]
+	for _, id := range c.nodes {
+		c.snaps = append(c.snaps, c.latest[id].Infos)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	snaps := make([][]cluster.Info, 0, len(nodes))
-	for _, id := range nodes {
-		snaps = append(snaps, c.latest[id].Infos)
-	}
-	return cluster.MergeSnapshots(c.cfg.Distance, snaps...)
+	return cluster.MergeSnapshots(c.cfg.Distance, c.snaps...)
 }

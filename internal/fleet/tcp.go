@@ -1,12 +1,15 @@
 package fleet
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"accturbo/internal/faults"
@@ -25,6 +28,33 @@ import (
 // corruption, partition) degrade toward the existing
 // fleet-fallback:local path instead of inventing a new one.
 //
+// Who writes to a connection, and when (tcpPeer.send):
+//
+//   - the sender itself, on its own goroutine, when nothing is queued
+//     for the peer and nobody else is writing: one non-blocking write
+//     on the raw socket. The publish → applied-ranking round trip is the
+//     fleet's reaction time, and a hand-off to a writer goroutine costs
+//     it a wake-up in each direction for a write that almost always
+//     fits the socket buffer.
+//   - the connection's writer goroutine otherwise — the socket would
+//     block, another write is in progress, frames are already queued,
+//     the net.Conn is not a socket, the build is not unix — from a
+//     bounded queue whose overflow is a counted drop. It also sends the
+//     heartbeats.
+//
+// Three rules hold the two together. No overtaking: a sender writes
+// inline only while it holds the peer's write mutex and the count of
+// frames handed to the writer goroutine and not yet written is zero, so
+// a frame is never on the wire before an older one. No torn frames:
+// when the kernel takes only part of an inline write, the rest goes to
+// the writer goroutine ahead of everything queued, and until it is out
+// every other frame queues behind it. No waiting: the inline write is
+// one attempt that never waits for the socket to become writable. A
+// blocking write there would stall a node's Poll, or the coordinator's
+// fan-out to every other node, behind one slow peer for up to
+// WriteTimeout — and two peers each blocked writing to the other, with
+// neither reading, would deadlock until it expired.
+//
 // Failure semantics, per fault:
 //
 //   - connection reset / refused: the node transport reconnects with
@@ -37,13 +67,11 @@ import (
 //   - stalled peer: both directions heartbeat every HeartbeatEvery and
 //     read under a PeerTimeout deadline; a peer that goes silent is
 //     shed (coordinator side) or redialed (node side). A slow peer's
-//     bounded send queue overflows into counted drops — it never
-//     blocks the broadcast path.
+//     socket buffer fills, its bounded send queue then overflows into
+//     counted drops, and the writer goroutine's blocked write sheds it
+//     after WriteTimeout — it never blocks the broadcast path.
 //   - close: graceful drain; concurrent senders observe ErrClosed, and
 //     Close returns only after every transport goroutine has exited.
-type tcpConfigError string
-
-func (e tcpConfigError) Error() string { return string(e) }
 
 // ErrNotNodeSide reports a node-direction call on the coordinator-side
 // transport (or vice versa): the TCP backend is split per role, unlike
@@ -143,17 +171,65 @@ func (b *backoff) next() time.Duration {
 // reset re-arms the schedule after a successful handshake.
 func (b *backoff) reset() { b.attempt = 0 }
 
-// tcpPeer is one live connection: a bounded send queue drained by a
-// writer goroutine, and a stop channel + once so either the reader, the
-// writer, a replacement connection, or Close can tear it down exactly
-// once.
+// tcpPeer is one live connection: a buffered reader (the handshake's
+// too, so no byte is lost between hello and the read loop), the send
+// path described in the file header, and a stop channel + once so either
+// the reader, the writer, a replacement connection, or Close can tear it
+// down exactly once.
 type tcpPeer struct {
 	id       uint32
 	conn     net.Conn
-	sendq    chan []byte
+	br       *bufio.Reader
 	stop     chan struct{}
 	once     sync.Once
 	lastSeen atomic.Int64 // wall ns of the last received frame
+
+	writeTimeout time.Duration
+	framesOut    *atomic.Uint64 // the owning transport's counter
+
+	// wmu is held for every write to conn. Senders only ever TryLock it.
+	wmu sync.Mutex
+	// raw is conn's socket for the inline write; nil when conn has none.
+	raw syscall.RawConn
+	// try is the RawConn.Write callback, built once so a send allocates
+	// nothing; tryBuf and tryN are its argument and result, under wmu.
+	try    func(fd uintptr) bool
+	tryBuf []byte
+	tryN   int
+	// head is what a short inline write left unwritten, under wmu. The
+	// writer goroutine sends it before anything else.
+	head []byte
+	// queued counts the frames handed to the writer goroutine, through
+	// sendq or head, that it has not finished writing.
+	queued atomic.Int32
+	sendq  chan []byte
+	// kick wakes the writer goroutine for head; one pending wake-up is
+	// as good as many.
+	kick chan struct{}
+}
+
+func newTCPPeer(id uint32, conn net.Conn, br *bufio.Reader, opts *TCPOptions, framesOut *atomic.Uint64) *tcpPeer {
+	p := &tcpPeer{
+		id:           id,
+		conn:         conn,
+		br:           br,
+		stop:         make(chan struct{}),
+		writeTimeout: opts.WriteTimeout,
+		framesOut:    framesOut,
+		sendq:        make(chan []byte, opts.SendQueueDepth),
+		kick:         make(chan struct{}, 1),
+	}
+	if sc, ok := conn.(syscall.Conn); ok {
+		p.raw, _ = sc.SyscallConn() // no socket: every send queues
+	}
+	p.try = func(fd uintptr) bool {
+		if n, err := rawWrite(fd, p.tryBuf); err == nil && n > 0 {
+			p.tryN = n
+		}
+		return true // one attempt: never wait for writability
+	}
+	p.touch()
+	return p
 }
 
 func (p *tcpPeer) shutdown() {
@@ -165,16 +241,106 @@ func (p *tcpPeer) shutdown() {
 
 func (p *tcpPeer) touch() { p.lastSeen.Store(time.Now().UnixNano()) }
 
-// enqueue offers one frame to the peer's bounded queue; false means the
-// queue was full (the counted-drop path).
-func (p *tcpPeer) enqueue(frame []byte) bool {
+// send puts one frame on its way without ever blocking: written to the
+// socket here when that is allowed and the kernel takes it, queued for
+// the writer goroutine otherwise. false means the queue was full (the
+// counted-drop path).
+func (p *tcpPeer) send(frame []byte) bool {
+	if p.raw != nil && p.wmu.TryLock() {
+		n := 0
+		if p.queued.Load() == 0 {
+			// Any failure (would block, closed, a platform without the raw
+			// write) reads as nothing written: the frame queues, and the
+			// writer goroutine meets the error where it is handled.
+			p.tryBuf, p.tryN = frame, 0
+			p.raw.Write(p.try)
+			p.tryBuf, n = nil, p.tryN
+		}
+		if 0 < n && n < len(frame) {
+			p.head = frame[n:]
+			p.queued.Add(1)
+		}
+		p.wmu.Unlock()
+		switch {
+		case n == len(frame):
+			p.framesOut.Add(1)
+			return true
+		case n > 0:
+			select {
+			case p.kick <- struct{}{}:
+			default:
+			}
+			return true
+		}
+	}
+	p.queued.Add(1)
 	select {
 	case p.sendq <- frame:
 		return true
 	default:
+		p.queued.Add(-1)
 		return false
 	}
 }
+
+// write is the writer goroutine's blocking write under the write
+// deadline: first what a short inline write left over, then frame (nil
+// for none).
+func (p *tcpPeer) write(frame []byte) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
+	if p.head != nil {
+		head := p.head
+		p.head = nil
+		p.queued.Add(-1)
+		if _, err := p.conn.Write(head); err != nil {
+			return err
+		}
+		p.framesOut.Add(1)
+	}
+	if frame != nil {
+		if err := WriteFrame(p.conn, frame); err != nil {
+			return err
+		}
+		p.framesOut.Add(1)
+	}
+	// A deadline left standing would, once past, fail the inline write
+	// before it tried.
+	return p.conn.SetWriteDeadline(time.Time{})
+}
+
+// writeLoop is the connection's writer goroutine: the slow path of send
+// and the heartbeat ticker. A failed write (a stalled reader on the far
+// side must not wedge the writer) shuts the connection down and returns
+// true; a stop from elsewhere returns false.
+func (p *tcpPeer) writeLoop(every time.Duration, beat []byte) bool {
+	hb := time.NewTicker(every)
+	defer hb.Stop()
+	for {
+		var err error
+		select {
+		case <-p.stop:
+			return false
+		case <-p.kick:
+			err = p.write(nil)
+		case frame := <-p.sendq:
+			err = p.write(frame)
+			p.queued.Add(-1)
+		case <-hb.C:
+			err = p.write(beat)
+		}
+		if err != nil {
+			p.shutdown()
+			return true
+		}
+	}
+}
+
+// readBuffer is each connection's bufio.Reader: a frame that fits (any
+// snapshot of a few dozen slots) arrives in one read instead of one for
+// the header and one for the rest.
+const readBuffer = 16 << 10
 
 func tuneConn(conn net.Conn) {
 	if tc, ok := conn.(*net.TCPConn); ok {
@@ -219,10 +385,13 @@ type TCPCoordinatorTransport struct {
 	opts TCPOptions
 	ln   net.Listener
 
+	// mu orders registrations against Close. What every frame reads —
+	// the handler, the peer table, closed — is read without it: the
+	// table is replaced, never written into, under mu.
 	mu     sync.Mutex
-	coord  func(from uint32, frame []byte)
-	peers  map[uint32]*tcpPeer
-	closed bool
+	coord  atomic.Pointer[func(from uint32, frame []byte)]
+	peers  atomic.Pointer[map[uint32]*tcpPeer]
+	closed atomic.Bool
 	wg     sync.WaitGroup
 
 	accepted       atomic.Uint64
@@ -245,11 +414,8 @@ func ListenTCP(addr string, opts TCPOptions) (*TCPCoordinatorTransport, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: coordinator listen: %w", err)
 	}
-	t := &TCPCoordinatorTransport{
-		opts:  opts.withDefaults(),
-		ln:    ln,
-		peers: make(map[uint32]*tcpPeer),
-	}
+	t := &TCPCoordinatorTransport{opts: opts.withDefaults(), ln: ln}
+	t.peers.Store(&map[uint32]*tcpPeer{})
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -278,7 +444,8 @@ func (t *TCPCoordinatorTransport) handshake(conn net.Conn) {
 	defer t.wg.Done()
 	tuneConn(conn)
 	conn.SetReadDeadline(time.Now().Add(t.opts.PeerTimeout))
-	raw, err := ReadFrame(conn)
+	br := bufio.NewReaderSize(conn, readBuffer)
+	raw, err := ReadFrame(br)
 	if err != nil {
 		t.handshakeFails.Add(1)
 		conn.Close()
@@ -290,23 +457,19 @@ func (t *TCPCoordinatorTransport) handshake(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	p := &tcpPeer{
-		id:    node,
-		conn:  conn,
-		sendq: make(chan []byte, t.opts.SendQueueDepth),
-		stop:  make(chan struct{}),
-	}
-	p.touch()
+	p := newTCPPeer(node, conn, br, &t.opts, &t.framesOut)
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		conn.Close()
 		return
 	}
-	if old := t.peers[node]; old != nil {
+	peers := maps.Clone(*t.peers.Load())
+	if old := peers[node]; old != nil {
 		old.shutdown()
 	}
-	t.peers[node] = p
+	peers[node] = p
+	t.peers.Store(&peers)
 	t.mu.Unlock()
 	t.accepted.Add(1)
 	t.wg.Add(2)
@@ -319,8 +482,10 @@ func (t *TCPCoordinatorTransport) handshake(conn net.Conn) {
 func (t *TCPCoordinatorTransport) dropPeer(p *tcpPeer) {
 	p.shutdown()
 	t.mu.Lock()
-	if t.peers[p.id] == p {
-		delete(t.peers, p.id)
+	if (*t.peers.Load())[p.id] == p {
+		peers := maps.Clone(*t.peers.Load())
+		delete(peers, p.id)
+		t.peers.Store(&peers)
 	}
 	t.mu.Unlock()
 }
@@ -330,7 +495,7 @@ func (t *TCPCoordinatorTransport) readLoop(p *tcpPeer) {
 	defer t.dropPeer(p)
 	for {
 		p.conn.SetReadDeadline(time.Now().Add(t.opts.PeerTimeout))
-		raw, err := ReadFrame(p.conn)
+		raw, err := ReadFrame(p.br)
 		if err != nil {
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
@@ -350,11 +515,8 @@ func (t *TCPCoordinatorTransport) readLoop(p *tcpPeer) {
 		switch msgType {
 		case MsgSnapshot:
 			t.framesIn.Add(1)
-			t.mu.Lock()
-			h := t.coord
-			t.mu.Unlock()
-			if h != nil {
-				h(p.id, raw)
+			if h := t.coord.Load(); h != nil {
+				(*h)(p.id, raw)
 			}
 		case MsgHeartbeat:
 			t.heartbeatsIn.Add(1)
@@ -369,42 +531,15 @@ func (t *TCPCoordinatorTransport) readLoop(p *tcpPeer) {
 
 func (t *TCPCoordinatorTransport) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
-	hb := time.NewTicker(t.opts.HeartbeatEvery)
-	defer hb.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case frame := <-p.sendq:
-			if !t.writeFrame(p, frame) {
-				return
-			}
-		case <-hb.C:
-			if !t.writeFrame(p, EncodeHeartbeat(0)) {
-				return
-			}
-		}
-	}
-}
-
-// writeFrame writes one frame under the write deadline; false sheds the
-// peer (a stalled reader on the far side must not wedge the writer).
-func (t *TCPCoordinatorTransport) writeFrame(p *tcpPeer, frame []byte) bool {
-	p.conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	if err := WriteFrame(p.conn, frame); err != nil {
+	if p.writeLoop(t.opts.HeartbeatEvery, EncodeHeartbeat(0)) {
 		t.peersShed.Add(1)
 		t.dropPeer(p)
-		return false
 	}
-	t.framesOut.Add(1)
-	return true
 }
 
 // HandleCoordinator implements Transport.
 func (t *TCPCoordinatorTransport) HandleCoordinator(fn func(from uint32, frame []byte)) {
-	t.mu.Lock()
-	t.coord = fn
-	t.mu.Unlock()
+	t.coord.Store(&fn)
 }
 
 // HandleNode implements Transport; it is a no-op on the coordinator
@@ -414,22 +549,20 @@ func (t *TCPCoordinatorTransport) HandleNode(uint32, func(frame []byte)) {}
 // ToCoordinator implements Transport; always ErrNotNodeSide here.
 func (t *TCPCoordinatorTransport) ToCoordinator(uint32, []byte) error { return ErrNotNodeSide }
 
-// ToNode implements Transport: enqueue onto node `to`'s bounded send
-// queue. No live connection or a full queue is a counted drop, not an
-// error — the staleness bound on the node is the delivery contract.
+// ToNode implements Transport: send to node `to` (tcpPeer.send), from
+// any goroutine and without blocking. No live connection or a full
+// queue is a counted drop, not an error — the staleness bound on the
+// node is the delivery contract.
 func (t *TCPCoordinatorTransport) ToNode(to uint32, frame []byte) error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+	if t.closed.Load() {
 		return ErrClosed
 	}
-	p := t.peers[to]
-	t.mu.Unlock()
+	p := (*t.peers.Load())[to]
 	if p == nil {
 		t.dropsNoPeer.Add(1)
 		return nil
 	}
-	if !p.enqueue(frame) {
+	if !p.send(frame) {
 		t.dropsFull.Add(1)
 	}
 	return nil
@@ -440,10 +573,9 @@ func (t *TCPCoordinatorTransport) ToNode(to uint32, frame []byte) error {
 // serves.
 func (t *TCPCoordinatorTransport) LastSeen() map[uint32]time.Duration {
 	now := time.Now().UnixNano()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[uint32]time.Duration, len(t.peers))
-	for id, p := range t.peers {
+	peers := *t.peers.Load()
+	out := make(map[uint32]time.Duration, len(peers))
+	for id, p := range peers {
 		out[id] = time.Duration(now - p.lastSeen.Load())
 	}
 	return out
@@ -451,9 +583,6 @@ func (t *TCPCoordinatorTransport) LastSeen() map[uint32]time.Duration {
 
 // Stats snapshots the transport counters, from any goroutine.
 func (t *TCPCoordinatorTransport) Stats() TCPCoordinatorStats {
-	t.mu.Lock()
-	connected := len(t.peers)
-	t.mu.Unlock()
 	return TCPCoordinatorStats{
 		Accepted:       t.accepted.Load(),
 		HandshakeFails: t.handshakeFails.Load(),
@@ -464,7 +593,7 @@ func (t *TCPCoordinatorTransport) Stats() TCPCoordinatorStats {
 		CRCResets:      t.crcResets.Load(),
 		PeersShed:      t.peersShed.Load(),
 		HeartbeatsIn:   t.heartbeatsIn.Load(),
-		Connected:      connected,
+		Connected:      len(*t.peers.Load()),
 	}
 }
 
@@ -473,12 +602,8 @@ func (t *TCPCoordinatorTransport) Stats() TCPCoordinatorStats {
 // callers observe ErrClosed.
 func (t *TCPCoordinatorTransport) Close() {
 	t.mu.Lock()
-	already := t.closed
-	t.closed = true
-	peers := make([]*tcpPeer, 0, len(t.peers))
-	for _, p := range t.peers {
-		peers = append(peers, p)
-	}
+	already := t.closed.Swap(true)
+	peers := *t.peers.Load()
 	t.mu.Unlock()
 	if !already {
 		t.ln.Close()
@@ -532,10 +657,12 @@ type TCPTransport struct {
 	dialCtx    context.Context
 	cancelDial context.CancelFunc
 
+	// mu orders a new connection's registration against Close; senders
+	// and the reader read handler, cur and closed without it.
 	mu      sync.Mutex
-	handler func(frame []byte)
-	cur     *tcpPeer
-	closed  bool
+	handler atomic.Pointer[func(frame []byte)]
+	cur     atomic.Pointer[tcpPeer]
+	closed  atomic.Bool
 	stop    chan struct{}
 	wg      sync.WaitGroup
 
@@ -613,20 +740,14 @@ func (t *TCPTransport) runConn(conn net.Conn) bool {
 		conn.Close()
 		return false
 	}
-	p := &tcpPeer{
-		id:    t.id,
-		conn:  conn,
-		sendq: make(chan []byte, t.opts.SendQueueDepth),
-		stop:  make(chan struct{}),
-	}
-	p.touch()
+	p := newTCPPeer(t.id, conn, bufio.NewReaderSize(conn, readBuffer), &t.opts, &t.framesOut)
 	t.mu.Lock()
-	if t.closed {
+	if t.closed.Load() {
 		t.mu.Unlock()
 		conn.Close()
 		return false
 	}
-	t.cur = p
+	t.cur.Store(p)
 	t.mu.Unlock()
 	t.connects.Add(1)
 	t.connected.Store(true)
@@ -634,24 +755,20 @@ func (t *TCPTransport) runConn(conn net.Conn) bool {
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		t.writeLoop(p)
+		p.writeLoop(t.opts.HeartbeatEvery, EncodeHeartbeat(t.id)) // a failure wakes the reader, and the redial starts
 	}()
 	t.readLoop(p)
 
 	p.shutdown()
 	t.connected.Store(false)
-	t.mu.Lock()
-	if t.cur == p {
-		t.cur = nil
-	}
-	t.mu.Unlock()
+	t.cur.CompareAndSwap(p, nil)
 	return true
 }
 
 func (t *TCPTransport) readLoop(p *tcpPeer) {
 	for {
 		p.conn.SetReadDeadline(time.Now().Add(t.opts.PeerTimeout))
-		raw, err := ReadFrame(p.conn)
+		raw, err := ReadFrame(p.br)
 		if err != nil {
 			return // timeout, reset, or close: redial decides what next
 		}
@@ -664,11 +781,8 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 		switch msgType {
 		case MsgDeploy:
 			t.framesIn.Add(1)
-			t.mu.Lock()
-			h := t.handler
-			t.mu.Unlock()
-			if h != nil {
-				h(raw)
+			if h := t.handler.Load(); h != nil {
+				(*h)(raw)
 			}
 		case MsgHeartbeat:
 			t.heartbeatsIn.Add(1)
@@ -679,44 +793,13 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 	}
 }
 
-func (t *TCPTransport) writeLoop(p *tcpPeer) {
-	hb := time.NewTicker(t.opts.HeartbeatEvery)
-	defer hb.Stop()
-	for {
-		select {
-		case <-p.stop:
-			return
-		case frame := <-p.sendq:
-			if !t.writeFrame(p, frame) {
-				return
-			}
-		case <-hb.C:
-			if !t.writeFrame(p, EncodeHeartbeat(t.id)) {
-				return
-			}
-		}
-	}
-}
-
-func (t *TCPTransport) writeFrame(p *tcpPeer, frame []byte) bool {
-	p.conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	if err := WriteFrame(p.conn, frame); err != nil {
-		p.shutdown() // wake the reader so the redial starts
-		return false
-	}
-	t.framesOut.Add(1)
-	return true
-}
-
 // HandleNode implements Transport; handlers for other ids are ignored
 // (this transport speaks for exactly one node).
 func (t *TCPTransport) HandleNode(id uint32, fn func(frame []byte)) {
 	if id != t.id {
 		return
 	}
-	t.mu.Lock()
-	t.handler = fn
-	t.mu.Unlock()
+	t.handler.Store(&fn)
 }
 
 // HandleCoordinator implements Transport; a no-op on the node half.
@@ -725,23 +808,21 @@ func (t *TCPTransport) HandleCoordinator(func(from uint32, frame []byte)) {}
 // ToNode implements Transport; always ErrNotNodeSide here.
 func (t *TCPTransport) ToNode(uint32, []byte) error { return ErrNotNodeSide }
 
-// ToCoordinator implements Transport: enqueue onto the live
-// connection's bounded send queue. While disconnected the frame is a
+// ToCoordinator implements Transport: send on the live connection
+// (tcpPeer.send), without blocking. While disconnected the frame is a
 // counted drop (the coordinator only ever wants the newest snapshot,
 // so buffering across a reconnect would ship stale state); after Close
 // it is ErrClosed.
 func (t *TCPTransport) ToCoordinator(from uint32, frame []byte) error {
-	t.mu.Lock()
-	closed, p := t.closed, t.cur
-	t.mu.Unlock()
-	if closed {
+	if t.closed.Load() {
 		return ErrClosed
 	}
+	p := t.cur.Load()
 	if p == nil {
 		t.dropsDisconnected.Add(1)
 		return nil
 	}
-	if !p.enqueue(frame) {
+	if !p.send(frame) {
 		t.dropsFull.Add(1)
 	}
 	return nil
@@ -771,9 +852,8 @@ func (t *TCPTransport) Stats() TCPNodeStats {
 // observe ErrClosed.
 func (t *TCPTransport) Close() {
 	t.mu.Lock()
-	already := t.closed
-	t.closed = true
-	p := t.cur
+	already := t.closed.Swap(true)
+	p := t.cur.Load()
 	t.mu.Unlock()
 	if !already {
 		close(t.stop)

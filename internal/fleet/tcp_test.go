@@ -1,15 +1,21 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"net"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"accturbo/internal/cluster"
+	"accturbo/internal/eventsim"
 	"accturbo/internal/faults"
 )
 
@@ -250,8 +256,11 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 // TestTCPHeartbeatsKeepIdleLinkAlive: with no traffic at all, the
-// heartbeat exchange keeps both sides within the liveness bound for
-// many PeerTimeouts — an idle fleet is not a dead fleet.
+// heartbeat exchange keeps the link up for many PeerTimeouts — an idle
+// fleet is not a dead fleet. The test waits for the beacons themselves,
+// four PeerTimeouts' worth on each side, instead of sleeping that long
+// and sampling one last-seen age: on a loaded two-core box the sample
+// could land just after a late beacon and read stale on a live link.
 func TestTCPHeartbeatsKeepIdleLinkAlive(t *testing.T) {
 	opts := testTCPOpts()
 	co, err := ListenTCP("127.0.0.1:0", opts)
@@ -266,18 +275,19 @@ func TestTCPHeartbeatsKeepIdleLinkAlive(t *testing.T) {
 	defer nt.Close()
 	waitUntil(t, "node connected", nt.Connected)
 
-	time.Sleep(4 * opts.PeerTimeout)
-	if !nt.Connected() {
-		t.Fatal("idle node disconnected despite heartbeats")
+	beacons := uint64(4 * opts.PeerTimeout / opts.HeartbeatEvery)
+	nt0, co0 := nt.Stats().HeartbeatsIn, co.Stats().HeartbeatsIn
+	waitUntil(t, "four PeerTimeouts of heartbeats, both ways", func() bool {
+		if !nt.Connected() {
+			t.Fatal("idle node disconnected despite heartbeats")
+		}
+		return nt.Stats().HeartbeatsIn-nt0 >= beacons && co.Stats().HeartbeatsIn-co0 >= beacons
+	})
+	if st := nt.Stats(); st.Connects != 1 {
+		t.Fatalf("idle link was re-established: %+v", st)
 	}
-	if age, ok := co.LastSeen()[2]; !ok || age > opts.PeerTimeout {
-		t.Fatalf("idle peer went stale on the coordinator: %v", co.LastSeen())
-	}
-	if st := nt.Stats(); st.HeartbeatsIn == 0 {
-		t.Fatalf("node saw no coordinator heartbeats: %+v", st)
-	}
-	if st := co.Stats(); st.HeartbeatsIn == 0 {
-		t.Fatalf("coordinator saw no node heartbeats: %+v", st)
+	if _, ok := co.LastSeen()[2]; !ok || co.Stats().PeersShed != 0 {
+		t.Fatalf("idle peer was shed by the coordinator: %+v, ages %v", co.Stats(), co.LastSeen())
 	}
 }
 
@@ -428,11 +438,15 @@ func TestTCPCloseWhileReconnecting(t *testing.T) {
 
 // TestTCPCloseWhilePublishing is the dial/close race gate for the
 // socket backend, mirroring TestChanTransportCloseWhilePublish:
-// publishers hammer ToCoordinator while Close tears the transport
-// down; every interleaving must end in nil (sent or counted drop) or
-// ErrClosed — no panic, no deadlock, no leak, which -race verifies.
+// publishers hammer ToCoordinator, and a broadcaster ToNode, while
+// Close tears both halves down. The frames are large enough that most
+// of them are mid inline write when it happens. Every interleaving must
+// end in nil (sent or counted drop) or ErrClosed — no panic, no
+// deadlock, no leak, which -race verifies.
 func TestTCPCloseWhilePublishing(t *testing.T) {
 	base := runtime.NumGoroutine()
+	up := EncodeSnapshot(&Snapshot{Node: 4, Seq: 1, Infos: wideInfos(64, 16)})
+	down := EncodeDeploy(&Deploy{Epoch: 1, QueueOf: make([]int, 4096), Rank: make([]float64, 4096)})
 	for iter := 0; iter < 8; iter++ {
 		opts := testTCPOpts()
 		co, err := ListenTCP("127.0.0.1:0", opts)
@@ -446,26 +460,329 @@ func TestTCPCloseWhilePublishing(t *testing.T) {
 		if iter%2 == 0 {
 			waitUntil(t, "connect", nt.Connected) // also race the connected path
 		}
-		frame := EncodeSnapshot(&Snapshot{Node: 4, Seq: 1, Infos: slotInfos(1, 2)})
 		var wg sync.WaitGroup
-		for p := 0; p < 4; p++ {
+		hammer := func(what string, send func() error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for i := 0; i < 200; i++ {
-					if err := nt.ToCoordinator(4, frame); err != nil && err != ErrClosed {
-						t.Errorf("publish: %v", err)
+					if err := send(); err != nil && err != ErrClosed {
+						t.Errorf("%s: %v", what, err)
 						return
 					}
 				}
 			}()
 		}
+		for p := 0; p < 4; p++ {
+			hammer("publish", func() error { return nt.ToCoordinator(4, up) })
+		}
+		hammer("broadcast", func() error { return co.ToNode(4, down) })
 		time.Sleep(time.Duration(iter) * 200 * time.Microsecond)
-		nt.Close()
+		if iter%4 < 2 {
+			nt.Close()
+			co.Close()
+		} else {
+			co.Close()
+			nt.Close()
+		}
 		wg.Wait()
-		co.Close()
+		if err := nt.ToCoordinator(4, up); err != ErrClosed {
+			t.Fatalf("publish after Close = %v, want ErrClosed", err)
+		}
+		if err := co.ToNode(4, down); err != ErrClosed {
+			t.Fatalf("broadcast after Close = %v, want ErrClosed", err)
+		}
 	}
 	checkGoroutines(t, base)
+}
+
+// wideInfos is a snapshot of the given geometry with nothing in it: a
+// frame of a chosen size.
+func wideInfos(slots, features int) []cluster.Info {
+	infos := make([]cluster.Info, slots)
+	for i := range infos {
+		infos[i] = cluster.Info{ID: i, Active: true, Ranges: make([]cluster.Range, features), NominalCardinality: make([]int, features)}
+	}
+	return infos
+}
+
+// quietTCPOpts is testTCPOpts with the liveness timers out of the way:
+// no heartbeat is sent and no silent peer is shed while a test runs, so
+// frame counts are exact and only a write can end a connection.
+func quietTCPOpts() TCPOptions {
+	opts := testTCPOpts()
+	opts.HeartbeatEvery = time.Hour
+	opts.PeerTimeout = time.Hour
+	return opts
+}
+
+// TestTCPStalledReaderNeverBlocksSender: a peer that handshakes and then
+// never reads fills the socket, and from then on the transport's
+// contract is all there is — sends return at once, the bounded queue
+// overflows into counted drops, and the writer goroutine's blocked
+// write sheds the peer after WriteTimeout. What the peer finds in its
+// socket afterwards is whole CRC-valid frames in send order, which it
+// can only be if a write the kernel took part of was finished by the
+// writer goroutine ahead of everything queued behind it.
+func TestTCPStalledReaderNeverBlocksSender(t *testing.T) {
+	opts := quietTCPOpts()
+	opts.WriteTimeout = 200 * time.Millisecond
+	co, err := ListenTCP("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	conn := rawHello(t, co.Addr(), 9)
+	defer conn.Close()
+	waitUntil(t, "handshake", func() bool { return co.Stats().Accepted == 1 })
+
+	// ~210 KB a frame — more than one socket buffer segment, so the
+	// kernel takes part of one when it runs out of room — and far more of
+	// them than loopback's socket buffers hold. Blocking on the socket
+	// would cost a call WriteTimeout; a call the scheduler merely took
+	// the CPU from is over in milliseconds, and a loaded two-core box
+	// does that to a few.
+	// Each send is a copy of one frame with its Seq and CRC rewritten: the
+	// encoder is slow under -race.
+	template := EncodeSnapshot(&Snapshot{Node: 9, Infos: wideInfos(256, 64)})
+	const sends = 2000
+	var slow int
+	var worst time.Duration
+	for seq := uint64(1); seq <= sends; seq++ {
+		frame := bytes.Clone(template)
+		binary.LittleEndian.PutUint64(frame[headerLen+4:], seq)
+		binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[:len(frame)-4]))
+		t0 := time.Now()
+		if err := co.ToNode(9, frame); err != nil {
+			t.Fatalf("send %d: %v", seq, err)
+		}
+		d := time.Since(t0)
+		if d > 5*time.Millisecond {
+			slow++
+		}
+		worst = max(worst, d)
+	}
+	if slow > sends/100 || worst > opts.WriteTimeout/2 {
+		t.Fatalf("%d of %d sends took over 5ms, the slowest %v: the sender waited for the socket", slow, sends, worst)
+	}
+	if st := co.Stats(); st.DropsQueueFull == 0 {
+		t.Fatalf("%d sends to a stalled peer and no queue overflow counted: %+v", sends, st)
+	}
+	waitUntil(t, "stalled peer shed by the write deadline", func() bool { return co.Stats().PeersShed >= 1 })
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	var last uint64
+	whole := 0
+	for {
+		raw, err := ReadFrame(br)
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break // the shed cut the stream, possibly mid-frame
+		}
+		if err != nil {
+			t.Fatalf("after %d whole frames: %v", whole, err)
+		}
+		snap, err := DecodeSnapshot(raw)
+		if err != nil {
+			t.Fatalf("frame %d on the wire is torn: %v", whole, err)
+		}
+		if snap.Seq <= last {
+			t.Fatalf("frame %d carries seq %d after seq %d", whole, snap.Seq, last)
+		}
+		last = snap.Seq
+		whole++
+	}
+	if got := co.Stats().FramesOut; uint64(whole) != got {
+		t.Fatalf("peer drained %d whole frames, FramesOut = %d", whole, got)
+	}
+	if whole < 4 {
+		t.Fatalf("peer drained only %d frames", whole)
+	}
+}
+
+// TestTCPSendOrderMixedPaths: one sender's frames arrive in the order
+// sent, none missing, whichever path each took. The test holds the
+// peer's write mutex to stand in for a busy writer goroutine — frames
+// sent meanwhile queue — and sends the next run the moment it lets go,
+// while the writer is still draining: those must queue behind, and once
+// it has drained the inline path resumes.
+func TestTCPSendOrderMixedPaths(t *testing.T) {
+	opts := quietTCPOpts()
+	co, err := ListenTCP("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	var mu sync.Mutex
+	var got []uint64
+	co.HandleCoordinator(func(from uint32, frame []byte) {
+		s, err := DecodeSnapshot(frame)
+		if err != nil {
+			t.Errorf("undecodable snapshot dispatched: %v", err)
+			return
+		}
+		mu.Lock()
+		got = append(got, s.Seq)
+		mu.Unlock()
+	})
+	nt, err := DialTCP(co.Addr(), 5, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nt.Close()
+	waitUntil(t, "node connected", nt.Connected)
+	p := nt.cur.Load()
+
+	var seq uint64
+	next := func() []byte {
+		seq++
+		return EncodeSnapshot(&Snapshot{Node: 5, Seq: seq, Infos: slotInfos(seq, seq)})
+	}
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := nt.ToCoordinator(5, next()); err != nil {
+				t.Fatalf("send %d: %v", seq, err)
+			}
+		}
+	}
+	for round := 0; round < 50; round++ {
+		send(3) // writer idle
+		p.wmu.Lock()
+		send(opts.SendQueueDepth / 4) // writer busy
+		p.wmu.Unlock()
+		send(opts.SendQueueDepth / 4) // writer draining
+		waitUntil(t, "writer drained", func() bool { return p.queued.Load() == 0 })
+
+		// A short inline write, staged by hand since loopback takes small
+		// frames whole: half a frame on the wire, the rest left in head, and
+		// frames queuing behind it before the writer goroutine is woken.
+		p.wmu.Lock()
+		torn := next()
+		if _, err := p.conn.Write(torn[:len(torn)/2]); err != nil {
+			t.Fatal(err)
+		}
+		p.head = torn[len(torn)/2:]
+		p.queued.Add(1)
+		send(opts.SendQueueDepth / 4)
+		p.wmu.Unlock()
+		waitUntil(t, "writer drained", func() bool { return p.queued.Load() == 0 })
+	}
+	waitUntil(t, "every frame delivered", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return uint64(len(got)) == seq
+	})
+	for i, s := range got {
+		if s != uint64(i+1) {
+			t.Fatalf("delivery %d carries seq %d", i+1, s)
+		}
+	}
+	if st := nt.Stats(); st.DropsQueueFull != 0 || st.FramesOut != seq {
+		t.Fatalf("sent %d frames on a live link, stats %+v", seq, st)
+	}
+}
+
+// TestTCPConcurrentSendersRace: eight goroutines send to one peer at
+// once, inline and queued writes interleaving under -race. Every frame
+// that was not a counted drop arrives whole (a torn one would fail its
+// CRC and reset the link), each sender's frames arrive in its order,
+// and FramesOut is exactly the number received.
+func TestTCPConcurrentSendersRace(t *testing.T) {
+	const senders, each = 8, 400
+	opts := quietTCPOpts()
+	co, err := ListenTCP("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	var received atomic.Uint64
+	var last [senders]uint64 // written by the one reader goroutine
+	co.HandleCoordinator(func(from uint32, frame []byte) {
+		s, err := DecodeSnapshot(frame)
+		if err != nil {
+			t.Errorf("undecodable snapshot dispatched: %v", err)
+			return
+		}
+		// At carries the sender, Seq its own count.
+		if s.Seq <= last[s.At] {
+			t.Errorf("sender %d: seq %d arrived after %d", s.At, s.Seq, last[s.At])
+		}
+		last[s.At] = s.Seq
+		received.Add(1)
+	})
+	nt, err := DialTCP(co.Addr(), 6, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nt.Close()
+	waitUntil(t, "node connected", nt.Connected)
+
+	infos := wideInfos(64, 32)
+	var wg sync.WaitGroup
+	for g := 0; g < senders; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := uint64(1); seq <= each; seq++ {
+				frame := EncodeSnapshot(&Snapshot{Node: 6, Seq: seq, At: eventsim.Time(g), Infos: infos})
+				if err := nt.ToCoordinator(6, frame); err != nil {
+					t.Errorf("sender %d: %v", g, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	waitUntil(t, "every accepted frame delivered", func() bool {
+		return received.Load()+nt.Stats().DropsQueueFull == senders*each
+	})
+	st := nt.Stats()
+	if st.FramesOut != received.Load() || st.CRCResets+co.Stats().CRCResets != 0 || st.Connects != 1 {
+		t.Fatalf("received %d, node %+v, coordinator %+v", received.Load(), st, co.Stats())
+	}
+}
+
+// TestFleetCodecAllocs pins the codec's allocation count per message:
+// an encoder makes its one buffer, a decoder its result and one slab
+// per slice-valued field, and ReadFrame the frame plus the 15 header
+// bytes it reads the length from.
+func TestFleetCodecAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed by race instrumentation")
+	}
+	snap := benchSnapshot()
+	snapFrame := EncodeSnapshot(snap)
+	deploy := &Deploy{Epoch: 7, At: 9, QueueOf: []int{0, 1, 2, 3}, Rank: []float64{4, 3, 2, 1}}
+	deployFrame := EncodeDeploy(deploy)
+	stream := bytes.NewReader(nil)
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"EncodeSnapshot", 2, func() { EncodeSnapshot(snap) }},
+		{"DecodeSnapshot", 5, func() {
+			if _, err := DecodeSnapshot(snapFrame); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"EncodeDeploy", 2, func() { EncodeDeploy(deploy) }},
+		{"DecodeDeploy", 3, func() {
+			if _, err := DecodeDeploy(deployFrame); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ReadFrame", 2, func() {
+			stream.Reset(snapFrame)
+			if _, err := ReadFrame(stream); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, c.fn); got > c.max {
+			t.Errorf("%s: %v allocations, want <= %v", c.name, got, c.max)
+		}
+	}
 }
 
 // TestChaosPlanDeterministic: the schedule render is a pure function of

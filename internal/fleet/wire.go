@@ -30,6 +30,7 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -52,8 +53,10 @@ const (
 	wireMagic   = "ACCFLEET"
 	wireVersion = 1
 
-	// frameOverhead is every byte that isn't payload.
-	frameOverhead = len(wireMagic) + 2 + 1 + 4 + 4
+	// headerLen is the envelope before the payload; frameOverhead is
+	// every byte that isn't payload.
+	headerLen     = len(wireMagic) + 2 + 1 + 4
+	frameOverhead = headerLen + 4
 
 	// maxFramePayload bounds what ReadFrame will buffer: generous for
 	// any real snapshot (a 4096-slot snapshot with 16 features is under
@@ -108,15 +111,22 @@ type Deploy struct {
 	Rank []float64
 }
 
-// seal wraps a typed payload in the envelope: magic, version, type,
-// length, payload, CRC over everything before the CRC.
-func seal(msgType uint8, payload []byte) []byte {
-	e := frame.Enc{B: make([]byte, 0, frameOverhead+len(payload))}
+// begin starts a frame of msgType in one buffer with room for a payload
+// of n bytes (more is fine, the buffer grows): the envelope up to the
+// length field, which finish fills in once the payload has been appended.
+func begin(msgType uint8, n int) frame.Enc {
+	e := frame.Enc{B: make([]byte, 0, frameOverhead+n)}
 	e.B = append(e.B, wireMagic...)
 	e.U16(wireVersion)
 	e.U8(msgType)
-	e.U32(uint32(len(payload)))
-	e.Raw(payload)
+	e.U32(0)
+	return e
+}
+
+// finish closes a frame begun with begin: the payload length goes into
+// the header and the CRC over everything before it goes on the end.
+func finish(e frame.Enc) []byte {
+	binary.LittleEndian.PutUint32(e.B[headerLen-4:], uint32(len(e.B)-headerLen))
 	e.U32(crc32.ChecksumIEEE(e.B))
 	return e.B
 }
@@ -159,12 +169,12 @@ func payloadOf(data []byte, want uint8, name string) (frame.Dec, error) {
 
 // EncodeSnapshot frames a node snapshot for the wire.
 func EncodeSnapshot(s *Snapshot) []byte {
-	var e frame.Enc
+	e := begin(MsgSnapshot, 4+8+8+cluster.InfosLen(s.Infos))
 	e.U32(s.Node)
 	e.U64(s.Seq)
 	e.U64(uint64(s.At))
 	cluster.AppendInfos(&e, s.Infos)
-	return seal(MsgSnapshot, e.B)
+	return finish(e)
 }
 
 // DecodeSnapshot unframes and decodes a MsgSnapshot frame.
@@ -187,12 +197,12 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 
 // EncodeDeploy frames a global deployment for broadcast.
 func EncodeDeploy(dp *Deploy) []byte {
-	var e frame.Enc
+	e := begin(MsgDeploy, 8+8+4+4*len(dp.QueueOf)+4+8*len(dp.Rank))
 	e.U64(dp.Epoch)
 	e.U64(uint64(dp.At))
 	e.Ints(dp.QueueOf)
 	e.F64s(dp.Rank)
-	return seal(MsgDeploy, e.B)
+	return finish(e)
 }
 
 // DecodeDeploy unframes and decodes a MsgDeploy frame.
@@ -215,9 +225,9 @@ func DecodeDeploy(data []byte) (*Deploy, error) {
 
 // encodeNode frames the one-field messages, whose payload is a node id.
 func encodeNode(msgType uint8, node uint32) []byte {
-	var e frame.Enc
+	e := begin(msgType, 4)
 	e.U32(node)
-	return seal(msgType, e.B)
+	return finish(e)
 }
 
 // decodeNode is encodeNode's inverse.
@@ -277,7 +287,7 @@ func WriteFrame(w io.Writer, b []byte) error {
 // through frame.ReadN, a chunk at a time as bytes are delivered — a
 // corrupted or hostile length prefix cannot OOM the reader.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	head := make([]byte, frameOverhead-4)
+	head := make([]byte, headerLen)
 	if _, err := io.ReadFull(r, head); err != nil {
 		return nil, err
 	}

@@ -93,6 +93,14 @@ func mustRead(t testing.TB, file string) []byte {
 	return data
 }
 
+// seal wraps an arbitrary payload in a valid envelope, the way the
+// encoders do for the payloads they build in place.
+func seal(msgType uint8, payload []byte) []byte {
+	e := begin(msgType, len(payload))
+	e.Raw(payload)
+	return finish(e)
+}
+
 // TestDecodeRefusesHostileCounts puts the largest count in every count
 // position of a sound MsgSnapshot and MsgDeploy payload and seals it
 // under a valid CRC — what a peer past the hello handshake can send.

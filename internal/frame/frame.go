@@ -170,6 +170,10 @@ func (d *Dec) Bytes(n int) []byte {
 	return v
 }
 
+// Len reports how many bytes have not been read yet: the most any
+// section still to come can hold.
+func (d *Dec) Len() int { return len(d.b) - d.off }
+
 // Err reports the latched error, if any.
 func (d *Dec) Err() error { return d.err }
 
