@@ -1,6 +1,7 @@
 package accturbo
 
 import (
+	"io"
 	"runtime"
 	"sync"
 	"testing"
@@ -122,5 +123,67 @@ func TestRealTimeDefenseDeploys(t *testing.T) {
 	}
 	if !demoted {
 		t.Fatal("flood never demoted out of the highest-priority queue")
+	}
+}
+
+// TestDeterministicMetricsConcurrentWithProcess holds Metrics, Health
+// and WriteMetrics to their word — safe from any goroutine, concurrently
+// with Process — on a deterministic Defense, which is what
+// accturbo-defend's admin goroutine does to one (run under -race in CI).
+// Process advances a simulated clock that only its own goroutine may
+// read, and the clusterer's packet count is a plain field: the readers
+// must be answered from what the pipeline published atomically.
+func TestDeterministicMetricsConcurrentWithProcess(t *testing.T) {
+	cfg := HardwareConfig()
+	cfg.PollInterval = FromDuration(2 * time.Millisecond)
+	cfg.DeployDelay = FromDuration(time.Millisecond)
+	cfg.FailOpenAfter = FromDuration(50 * time.Millisecond)
+	d := NewDefense(cfg)
+	defer d.Close()
+
+	const packets = 20000
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var last uint64
+		for {
+			h, m := d.Health(), d.Metrics()
+			if h.Control.PollAge < -1 || h.Control.DecisionAge < -1 {
+				t.Errorf("negative age in %+v", h.Control)
+				return
+			}
+			if m.PacketsObserved < last || m.PacketsObserved > packets {
+				t.Errorf("packets observed went from %d to %d of %d", last, m.PacketsObserved, packets)
+				return
+			}
+			last = m.PacketsObserved
+			if err := d.WriteMetrics(io.Discard); err != nil {
+				t.Errorf("WriteMetrics: %v", err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	for i := 0; i < packets; i++ {
+		at := time.Duration(i) * 50 * time.Microsecond
+		if i%10 == 0 {
+			d.Process(at, floodPacket())
+		} else {
+			d.Process(at, benignPacket(i))
+		}
+	}
+	close(done)
+	wg.Wait()
+	if got := d.PacketsObserved(); got != packets {
+		t.Fatalf("PacketsObserved = %d, want %d", got, packets)
+	}
+	if h := d.Health(); h.Control.Deployments == 0 || h.Control.PollAge < 0 {
+		t.Fatalf("the control loop never ran: %+v", h.Control)
 	}
 }

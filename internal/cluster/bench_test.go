@@ -65,25 +65,47 @@ func benchTrace(n int, seed int64) []*packet.Packet {
 	return pkts
 }
 
+// simulatorShape is the clusterer the simulated bottleneck runs (the
+// repository benchmark's sim_pulse, the §2 comparison): ten clusters over
+// three destination bytes, no nominal feature.
+func simulatorShape(sliceInit bool) Config {
+	cfg := DefaultConfig(10, packet.FeatureSet{packet.FDstIPByte1, packet.FDstIPByte2, packet.FDstIPByte3})
+	cfg.SliceInit = sliceInit
+	return cfg
+}
+
 // BenchmarkObserve measures the per-packet fast path for every valid
 // configuration. The warmup pass pushes every cluster and nominal set
 // into steady state before the timer starts, so allocs/op reflects the
 // hot path, not seeding.
+//
+// The covered and uncovered rows name the two cases of the deployed
+// kernel at the two shapes the repository benchmark runs. Covered: every
+// packet is at distance zero from some cluster (the warmup admitted its
+// ports; slice tiles contain its address), at an index that varies from
+// packet to packet. Uncovered: the clusterer is reseeded every `reseed`
+// packets, as the controller does between pulses, so packets keep
+// arriving from ports and addresses no cluster has met — the scan, the
+// absorb and the table's upkeep all run.
 func BenchmarkObserve(b *testing.B) {
 	pkts := benchTrace(1024, 1)
 	type row struct {
-		name string
-		cfg  Config
+		name   string
+		cfg    Config
+		reseed int // packets between reseeds; 0 = never
 	}
 	var rows []row
 	for _, cfg := range benchCombos() {
-		rows = append(rows, row{comboName(cfg), cfg})
+		rows = append(rows, row{name: comboName(cfg), cfg: cfg})
 	}
-	// The deployed shape: what accturbo-defend and the repository
-	// benchmark run.
-	rows = append(rows, row{"manhattan/fast/exact/hw", hardwareShape()})
+	rows = append(rows,
+		row{name: "manhattan/fast/exact/hw/covered", cfg: hardwareShape()},
+		row{name: "manhattan/fast/exact/hw/uncovered", cfg: hardwareShape(), reseed: len(pkts)},
+		row{name: "manhattan/fast/exact/sim/covered", cfg: simulatorShape(true)},
+		row{name: "manhattan/fast/exact/sim/uncovered", cfg: simulatorShape(false), reseed: 32},
+	)
 	for _, r := range rows {
-		cfg := r.cfg
+		cfg, reseed := r.cfg, r.reseed
 		b.Run(r.name, func(b *testing.B) {
 			o := NewOnline(cfg)
 			for _, p := range pkts {
@@ -92,6 +114,9 @@ func BenchmarkObserve(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if reseed > 0 && i%reseed == 0 {
+					o.Reseed()
+				}
 				o.Observe(pkts[i%len(pkts)])
 			}
 		})

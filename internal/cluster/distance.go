@@ -30,11 +30,10 @@ func (o *Online) selectKernels() {
 	switch o.cfg.Distance {
 	case Manhattan:
 		o.merge = manhattanMerge
-		if o.cfg.Normalize {
+		// The raw configuration has no point kernel: closest answers it
+		// from the table and scanManhattanRaw.
+		if !o.rawManhattan {
 			o.dist = manhattanPointScaled
-		} else {
-			// No point kernel: closest runs the integer fused scan.
-			o.rawManhattan = true
 		}
 	case Anime:
 		o.dist, o.merge = animePoint, animeMerge

@@ -134,20 +134,19 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 	for ci := 0; ci < k; ci++ {
 		var c clusterState
 		c.uid = d.U64()
-		base := ci * o.nf
 		for f, feat := range o.feats {
 			mn, mx := d.U32(), d.U32()
 			if mn > mx || mx > feat.MaxValue() {
 				return fmt.Errorf("cluster: snapshot cluster %d feature %d range [%d, %d] is not within [0, %d]", ci, f, mn, mx, feat.MaxValue())
 			}
 			if commit {
-				o.min[base+f], o.max[base+f] = mn, mx
+				o.setRange(ci, f, mn, mx)
 			}
 		}
 		if o.center != nil {
 			for f := 0; f < o.nf; f++ {
 				if v := d.F64(); commit {
-					o.center[base+f] = v
+					o.center[ci*o.nf+f] = v
 				}
 			}
 		}

@@ -2,29 +2,51 @@ package cluster
 
 import "accturbo/internal/sketch"
 
-// memberTable holds the nominal membership of every cluster, value-major:
-// for each nominal feature one byte array in which cell i carries one bit
-// per cluster slot, bit c set when cluster c admits cell i. A packet
-// therefore learns which clusters admit its value from one load per
-// nominal feature, however many clusters there are — the software shape of
-// the hardware comparing a packet against all clusters at once (§4).
+// memberTable answers, for one packet and every cluster at once, the two
+// questions that decide whether any cluster already covers it: which
+// clusters admit its nominal values, and which clusters' ranges contain
+// its byte-wide ordinal values. It is value-major: per feature one byte
+// array in which cell i carries one bit per cluster slot, so a packet
+// learns what every cluster says about its value from one load per
+// feature, however many clusters there are — the software shape of the
+// hardware comparing a packet against all clusters at once (§4). A packet
+// some cluster covers (distance 0) is therefore answered by F loads, an
+// AND and a count-trailing-zeros, and never meets the cluster-by-cluster
+// scan; see gather for exactly which packets those are.
 //
-// Exact and Bloom modes differ only in how a value maps to cells. Exact:
-// the cell index is the value, one cell per value of the feature's space.
-// Bloom: the cells are the filter's bit positions and a value maps to the
-// k positions sketch.Bloom would set (sketch.BloomPosition), a cluster
-// admitting the value when all k cells carry its bit — so false positives
-// and the serialized filter words are bit-identical to one sketch.Bloom
-// per (cluster, feature).
+// The table has two kinds of cell.
+//
+// Nominal cells (feats): bit c of cell i is set when cluster c admits
+// cell i. Exact and Bloom modes differ only in how a value maps to
+// cells. Exact: the cell index is the value, one cell per value of the
+// feature's space. Bloom: the cells are the filter's bit positions and a
+// value maps to the k positions sketch.Bloom would set
+// (sketch.BloomPosition), a cluster admitting the value when all k cells
+// carry its bit — so false positives and the serialized filter words are
+// bit-identical to one sketch.Bloom per (cluster, feature). What the
+// cells cannot answer cheaply — which cells does cluster c admit — is
+// kept beside them: a per-(slot, feature) list of the cells carrying the
+// slot's bit, in admission order. Enumeration (snapshots, exhaustive
+// merges) and clearing a slot walk that list, so recycling a slot or
+// reseeding costs in proportion to what was admitted, not to the table
+// size, and the lists' backing arrays are reused.
+//
+// Span cells (spans), one 256-cell array per ordinal feature of at most
+// eight bits: bit c of cell v is set exactly when cluster c is seeded and
+// its range [min, max] at that feature contains v. The ranges themselves
+// stay in Online's min/max arrays, which remain the truth; the cells are
+// derived from them and never serialized. What keeps them true is that
+// every write of a range goes through Online.setRange (a fresh slot's
+// first range) or Online.widen (growth, which sets only the cells the
+// range grew by, so each (cluster, feature, value) bit is set at most
+// once per generation), that recycling a seeded slot clears its bit over
+// the old range first (Online.occupy), and that discarding every cluster
+// zeroes the arrays (clearSpans). Wider ordinals (ip.len, ip.id, whole
+// addresses) have no cells; Online checks them arithmetically on the few
+// clusters the table leaves standing.
 //
 // A cell is `planes` consecutive bytes (slot c lives in byte c/8, bit
 // c%8), so the bits of all clusters for one value share a cache line.
-// What the table cannot answer cheaply — which cells does cluster c
-// admit — is kept beside it: a per-(slot, feature) list of the cells
-// carrying the slot's bit, in admission order. Enumeration (snapshots,
-// exhaustive merges) and clearing a slot walk that list, so recycling a
-// slot or reseeding costs in proportion to what was admitted, not to the
-// table size, and the lists' backing arrays are reused.
 type memberTable struct {
 	slots  int // cluster slots the cells have bits for
 	planes int // bytes per cell: ceil(slots/8)
@@ -38,42 +60,52 @@ type memberTable struct {
 	// miss is the per-packet gather: miss[j*planes+p] has bit b set when
 	// slot p*8+b does NOT admit the packet's value at nominal feature j.
 	miss []byte
-	// nmiss sums the same gather over the nominal features: byte lane b
-	// of nmiss[p] counts the features at which slot p*8+b misses.
-	nmiss []uint64
+	// cover is the gather's verdict: bit b of cover[p] is set when slot
+	// p*8+b is seeded, admits every nominal value of the packet and
+	// contains every byte-wide ordinal one.
+	cover []byte
+
+	spans []memberFeat
 }
 
-// memberFeat is one nominal feature's share of the table.
+// memberFeat is one feature's share of the table.
 type memberFeat struct {
 	pos   int    // position in the configured feature set
-	ncell uint64 // value-space size (exact) or filter bits (Bloom)
+	ncell uint64 // nominal: value-space size (exact) or filter bits (Bloom); span: 256
 	cells []byte // ncell*planes bytes; cell i, plane p at i*planes+p
 }
 
-// newMemberTable sizes an empty table for the nominal features of cfg
-// (defaults applied).
-func newMemberTable(cfg *Config) *memberTable {
+// spanBits is the widest ordinal feature that gets span cells.
+const spanBits = 8
+
+// newMemberTable sizes an empty table for the features of cfg (defaults
+// applied): nominal cells always, span cells when the clusterer's kernel
+// reads them (see Online.rawManhattan) — the others would only pay for
+// their upkeep.
+func newMemberTable(cfg *Config, spans bool) *memberTable {
 	t := &memberTable{}
 	if cfg.UseBloom {
 		t.hashes = cfg.BloomHashes
 	}
 	for pos, f := range cfg.Features {
-		if !f.Nominal() {
-			continue
+		switch {
+		case !f.Nominal():
+			if spans && f.Bits() <= spanBits {
+				t.spans = append(t.spans, memberFeat{pos: pos, ncell: 1 << spanBits})
+			}
+		case cfg.UseBloom:
+			t.feats = append(t.feats, memberFeat{pos: pos, ncell: cfg.BloomBits})
+		default:
+			t.feats = append(t.feats, memberFeat{pos: pos, ncell: uint64(f.MaxValue()) + 1})
 		}
-		ncell := uint64(f.MaxValue()) + 1
-		if cfg.UseBloom {
-			ncell = cfg.BloomBits
-		}
-		t.feats = append(t.feats, memberFeat{pos: pos, ncell: ncell})
 	}
 	t.grow(cfg.MaxClusters)
 	return t
 }
 
-// grow makes room for at least `slots` cluster slots. Admitted cells are
-// preserved: when the cell width changes, the cells are rebuilt from the
-// lists.
+// grow makes room for at least `slots` cluster slots. Every bit is
+// preserved: when the cell width changes, each cell's bytes move to the
+// front of its wider cell.
 func (t *memberTable) grow(slots int) {
 	if slots <= t.slots {
 		return
@@ -83,26 +115,27 @@ func (t *memberTable) grow(slots int) {
 	copy(lists, t.lists)
 	card := make([]int, slots*nn)
 	copy(card, t.card)
-	filled := t.slots
 	t.lists, t.card, t.slots = lists, card, slots
 
 	planes := (slots + 7) / 8
 	if planes == t.planes {
 		return
 	}
-	t.planes = planes
-	t.miss = make([]byte, nn*planes)
-	t.nmiss = make([]uint64, planes)
-	for j := range t.feats {
-		f := &t.feats[j]
-		f.cells = make([]byte, f.ncell*uint64(planes))
-		for slot := 0; slot < filled; slot++ {
-			p, bit := slot>>3, byte(1)<<(slot&7)
-			for _, cell := range lists[slot*nn+j] {
-				f.cells[int(cell)*planes+p] |= bit
+	relayout := func(feats []memberFeat) {
+		for j := range feats {
+			f := &feats[j]
+			cells := make([]byte, f.ncell*uint64(planes))
+			for i := 0; i*t.planes < len(f.cells); i++ {
+				copy(cells[i*planes:], f.cells[i*t.planes:(i+1)*t.planes])
 			}
+			f.cells = cells
 		}
 	}
+	relayout(t.feats)
+	relayout(t.spans)
+	t.planes = planes
+	t.miss = make([]byte, nn*planes)
+	t.cover = make([]byte, planes)
 }
 
 // setCell gives cell the slot's bit at nominal feature j, reporting
@@ -188,6 +221,31 @@ func (t *memberTable) clearSlot(slot int) {
 	}
 }
 
+// setSpan sets (on) or clears slot's bit in cells lo..hi of span i: the
+// values a range came to contain, or the whole range of a slot being
+// recycled.
+func (t *memberTable) setSpan(slot, i int, lo, hi uint32, on bool) {
+	planes, at := t.planes, slot>>3
+	cells := t.spans[i].cells[int(lo)*planes+at : int(hi)*planes+at+1]
+	bit := byte(1) << (slot & 7)
+	if on {
+		for c := 0; c < len(cells); c += planes {
+			cells[c] |= bit
+		}
+	} else {
+		for c := 0; c < len(cells); c += planes {
+			cells[c] &^= bit
+		}
+	}
+}
+
+// clearSpans empties every span cell: no cluster is seeded.
+func (t *memberTable) clearSpans() {
+	for i := range t.spans {
+		clear(t.spans[i].cells)
+	}
+}
+
 // bitmap ORs the cells slot carries at nominal feature j into bm as a
 // bitmap over cell indices — the words of the equivalent sketch.Bloom in
 // Bloom mode, the ascending value set in exact mode. bm must hold
@@ -198,28 +256,41 @@ func (t *memberTable) bitmap(slot, j int, bm []uint64) {
 	}
 }
 
-// gather fills t.miss and t.nmiss for one packet's feature values: one
+// gather answers one packet for every slot at once. It fills t.miss — one
 // cell load per nominal feature in exact mode, k AND-ed loads in Bloom
-// mode, answering for every slot at once.
-func (t *memberTable) gather(vals []uint32) {
+// mode — and t.cover: of the first n slots (the seeded ones), those no
+// nominal feature misses, AND-ed with the packet's cell of every span.
+// The span cells are not loaded once the nominal features have excluded
+// every slot (a packet from an unseen port, say). It reports whether any
+// cover bit is set.
+//
+// A set bit of t.cover is a cluster at distance zero as far as the table
+// can tell, which is all the way unless the feature set has ordinals
+// wider than a byte. A value outside its feature's space panics on its
+// own feature's array, at nominal and span positions alike.
+func (t *memberTable) gather(vals []uint32, n int) (covered bool) {
 	planes := t.planes
 	if planes == 1 && t.hashes == 0 {
 		// The deployed shape (up to eight slots, exact sets) without the
 		// per-plane and per-hash loops below, which cost it 8–12 ns a
 		// packet.
 		miss := t.miss[:len(t.feats)]
-		var n uint64
+		cover := byte(uint(1)<<n - 1)
 		for j := range miss {
 			f := &t.feats[j]
 			m := ^f.cells[vals[f.pos]]
 			miss[j] = m
-			n += spreadBits(m)
+			cover &^= m
 		}
-		t.nmiss[0] = n
-		return
+		if cover != 0 {
+			for i := range t.spans {
+				f := &t.spans[i]
+				cover &= f.cells[vals[f.pos]]
+			}
+		}
+		t.cover[0] = cover
+		return cover != 0
 	}
-	nmiss := t.nmiss[:planes]
-	clear(nmiss)
 	for j := range t.feats {
 		f := &t.feats[j]
 		v := vals[f.pos]
@@ -240,10 +311,45 @@ func (t *memberTable) gather(vals []uint32) {
 				out[p] |= ^cell[p]
 			}
 		}
-		for p := range out {
-			nmiss[p] += spreadBits(out[p])
-		}
 	}
+	// Plane by plane from here, so each plane's verdict stays in a
+	// register across the features.
+	cover := t.cover[:planes]
+	var live byte
+	for p := range cover {
+		c := byte(uint(1)<<min(max(n-p*8, 0), 8) - 1)
+		for j := range t.feats {
+			c &^= t.miss[j*planes+p]
+		}
+		cover[p] = c
+		live |= c
+	}
+	if live == 0 {
+		return false
+	}
+	live = 0
+	for p := range cover {
+		c := cover[p]
+		for i := range t.spans {
+			f := &t.spans[i]
+			c &= f.cells[int(vals[f.pos])*planes+p]
+		}
+		cover[p] = c
+		live |= c
+	}
+	return live != 0
+}
+
+// missCounts sums the gathered misses of plane p's eight slots over the
+// nominal features, for the scan that runs when no cluster covers the
+// packet: byte lane b of the result counts the features at which slot
+// p*8+b misses.
+func (t *memberTable) missCounts(p int) uint64 {
+	var n uint64
+	for ; p < len(t.miss); p += t.planes {
+		n += spreadBits(t.miss[p])
+	}
+	return n
 }
 
 // spreadBits moves bit i of b to the bottom of byte lane i.

@@ -115,7 +115,7 @@ func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
 			}
 			for _, v := range probes {
 				vals[mf.pos] = v
-				o.mt.gather(vals)
+				o.mt.gather(vals, o.NumClusters())
 				if got, want := o.mt.misses(c, j) == 0, m.contains(c, j, v); got != want {
 					t.Fatalf("step %d: cluster %d set %d admits(%d) = %v, model %v", step, c, j, v, got, want)
 				}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"accturbo/internal/packet"
 )
@@ -12,19 +13,40 @@ import (
 // extending that cluster's ranges/sets when the packet falls outside.
 //
 // The per-packet path is built for line rate, mirroring the constraints
-// that drove the paper's hardware design (§4):
+// that drove the paper's hardware design (§4), and the first of them is
+// that a packet is compared against all clusters at once.
+//
+// Which packets never scan. In the deployed configuration (Manhattan,
+// unnormalized) a packet that some cluster already covers — distance
+// zero: every nominal value admitted, every ordinal value inside the
+// range — is answered by the membership table alone (see memberTable):
+// one cell load per nominal feature and per byte-wide ordinal feature,
+// an AND, and a count-trailing-zeros for the lowest covering index,
+// which is the cluster a scan with ties to the lowest index would have
+// returned. Ordinals wider than a byte (ip.len, ip.id, whole addresses)
+// have no cells and are checked arithmetically on the candidates the
+// table leaves, in index order. Every other packet — and every packet
+// of the other distance configurations, which are kept bit-equivalent
+// to Reference rather than fast — is scanned cluster by cluster.
+//
+// What keeps the table true. Ranges live in min/max below and are the
+// truth (and what Marshal writes); the table's span cells are derived
+// from them, and every write of a range passes through one of two
+// doors: setRange, a freshly occupied slot's first range (seeding, slice
+// initialisation, Unmarshal), and widen, growth (absorb, merges), which
+// sets only the cells the range grew by. occupy clears a recycled slot's
+// bit over its old range, discard zeroes the cells, grow re-lays them
+// out. Upkeep therefore costs in proportion to what moved.
+//
+// The rest of the layout:
 //
 //   - Cluster ranges live in two contiguous structure-of-arrays slices
 //     (min/max, indexed cluster*numFeats+feature) instead of
 //     per-cluster allocations, so a closest-cluster scan walks flat
 //     memory. Euclidean centers are flattened the same way.
 //   - The distance function is selected once at construction (a kernel
-//     function value), not switched on per packet.
-//   - Nominal membership is one value-major table for all clusters (see
-//     memberTable): one load per nominal feature answers every cluster,
-//     in exact and Bloom mode alike.
-//   - The deployed configuration (Manhattan, unnormalized) scans in
-//     integers: see closestManhattanRaw.
+//     function value), not switched on per packet; the deployed
+//     configuration scans in integers (scanManhattanRaw).
 //   - Exhaustive search keeps a pairwise merge-cost matrix that is
 //     invalidated only for clusters whose geometry changed, instead of
 //     recomputing all |C|^2 pairs on every packet.
@@ -54,13 +76,15 @@ type Online struct {
 	// clusters holds the seeded slots by value; its backing array has
 	// `stride` entries, so seeding and reseeding never allocate.
 	clusters []clusterState
-	mt       *memberTable // nominal membership of every slot
+	mt       *memberTable // nominal membership and byte-wide range coverage of every slot
 
 	dist  pointKernel
 	merge mergeKernel
 	// rawManhattan marks the deployable fast configuration (Manhattan,
-	// unnormalized): closest then runs a fused scan with the kernel
-	// inlined instead of an indirect call per cluster.
+	// unnormalized): closest then answers covered packets from the
+	// table's span cells, which only this configuration keeps, and runs a
+	// fused integer scan for the rest instead of an indirect kernel call
+	// per cluster.
 	rawManhattan bool
 
 	// Exhaustive-search cache: pairCost[i*stride+j] is the merge cost
@@ -70,6 +94,8 @@ type Online struct {
 	pairCost []float64
 	rowDirty []bool
 
+	spanIdx []int    // per feature position: index into mt.spans, -1 if nominal or wider than a byte
+	widePos []int    // positions of the ordinal features the table has no span for
 	valbuf  []uint32 // scratch: feature values of the current packet
 	nextUID uint64
 	// Observed counts packets seen since construction.
@@ -97,27 +123,38 @@ func NewOnline(cfg Config) *Online {
 	cfg = cfg.withDefaults()
 	nf := len(cfg.Features)
 	o := &Online{
-		cfg:    cfg,
-		feats:  cfg.Features,
-		nf:     nf,
-		nomIdx: make([]int, nf),
-		valbuf: make([]uint32, nf),
-		mt:     newMemberTable(&cfg),
+		cfg:     cfg,
+		feats:   cfg.Features,
+		nf:      nf,
+		nomIdx:  make([]int, nf),
+		spanIdx: make([]int, nf),
+		valbuf:  make([]uint32, nf),
+
+		rawManhattan: cfg.Distance == Manhattan && !cfg.Normalize,
 	}
+	o.mt = newMemberTable(&cfg, o.rawManhattan)
 	o.scale = make([]float64, nf)
-	for i, f := range cfg.Features {
-		o.nomIdx[i] = -1
+	for i := range cfg.Features {
+		o.nomIdx[i], o.spanIdx[i] = -1, -1
 		o.scale[i] = 1
+	}
+	for j, mf := range o.mt.feats {
+		o.nomIdx[mf.pos] = j
+	}
+	for j, mf := range o.mt.spans {
+		o.spanIdx[mf.pos] = j
+	}
+	for i, f := range cfg.Features {
 		if f.Nominal() {
 			continue
 		}
 		o.ordPos = append(o.ordPos, i)
+		if o.spanIdx[i] < 0 {
+			o.widePos = append(o.widePos, i)
+		}
 		if cfg.Normalize {
 			o.scale[i] = 1 / (float64(f.MaxValue()) + 1)
 		}
-	}
-	for j, mf := range o.mt.feats {
-		o.nomIdx[mf.pos] = j
 	}
 	o.grow(cfg.MaxClusters)
 	o.selectKernels()
@@ -186,7 +223,7 @@ func (o *Online) sliceInit() {
 			if o.nomIdx[f] >= 0 {
 				// Slices carry no nominal admissions until traffic
 				// arrives.
-				o.min[base+f], o.max[base+f] = 0, 0
+				o.setRange(i, f, 0, 0)
 				if o.center != nil {
 					o.center[base+f] = 0
 				}
@@ -198,7 +235,7 @@ func (o *Online) sliceInit() {
 				lo = uint32(max * uint64(i) / uint64(k))
 				hi = uint32(max*uint64(i+1)/uint64(k) - 1)
 			}
-			o.min[base+f], o.max[base+f] = lo, hi
+			o.setRange(i, f, lo, hi)
 			if o.center != nil {
 				o.center[base+f] = (float64(lo) + float64(hi)) / 2
 			}
@@ -208,11 +245,17 @@ func (o *Online) sliceInit() {
 }
 
 // occupy starts a new cluster generation in slot — an existing slot being
-// recycled, or the next free one — with a fresh UID, zeroed statistics
-// and empty nominal sets.
+// recycled, or the next free one — with a fresh UID, zeroed statistics,
+// empty nominal sets and no span cell carrying its bit; the caller gives
+// it its ranges with setRange.
 func (o *Online) occupy(slot int) *clusterState {
 	if slot == len(o.clusters) {
 		o.clusters = o.clusters[:slot+1]
+	} else {
+		base := slot * o.nf
+		for i, sp := range o.mt.spans {
+			o.mt.setSpan(slot, i, o.min[base+sp.pos], o.max[base+sp.pos], false)
+		}
 	}
 	o.mt.clearSlot(slot)
 	o.nextUID++
@@ -221,11 +264,12 @@ func (o *Online) occupy(slot int) *clusterState {
 	return c
 }
 
-// discard drops every cluster and empties its nominal sets.
+// discard drops every cluster, emptying its nominal sets and every span.
 func (o *Online) discard() {
 	for ci := range o.clusters {
 		o.mt.clearSlot(ci)
 	}
+	o.mt.clearSpans()
 	o.clusters = o.clusters[:0]
 	if o.rowDirty != nil {
 		for i := range o.rowDirty {
@@ -246,7 +290,7 @@ func (o *Online) newClusterAt(slot int, vals []uint32) *clusterState {
 	c := o.occupy(slot)
 	base := slot * o.nf
 	for i, v := range vals {
-		o.min[base+i], o.max[base+i] = v, v
+		o.setRange(slot, i, v, v)
 		if j := o.nomIdx[i]; j >= 0 {
 			o.mt.admit(slot, j, v)
 		}
@@ -257,6 +301,33 @@ func (o *Online) newClusterAt(slot int, vals []uint32) *clusterState {
 	c.count = 1
 	o.markDirty(slot)
 	return c
+}
+
+// setRange gives freshly occupied slot ci its range at feature position
+// f, and the span cells that range contains their bit.
+func (o *Online) setRange(ci, f int, lo, hi uint32) {
+	if s := o.spanIdx[f]; s >= 0 {
+		o.mt.setSpan(ci, s, lo, hi, true)
+	}
+	o.min[ci*o.nf+f], o.max[ci*o.nf+f] = lo, hi
+}
+
+// widen grows cluster ci's range at ordinal position f to contain
+// [lo, hi], and gives the span cells it grew by their bit.
+func (o *Online) widen(ci, f int, lo, hi uint32) {
+	i, s := ci*o.nf+f, o.spanIdx[f]
+	if mn := o.min[i]; lo < mn {
+		if s >= 0 {
+			o.mt.setSpan(ci, s, lo, mn-1, true)
+		}
+		o.min[i] = lo
+	}
+	if mx := o.max[i]; hi > mx {
+		if s >= 0 {
+			o.mt.setSpan(ci, s, mx+1, hi, true)
+		}
+		o.max[i] = hi
+	}
 }
 
 // absorb extends cluster ci to cover vals.
@@ -271,11 +342,8 @@ func (o *Online) absorb(ci int, vals []uint32) {
 			}
 			continue
 		}
-		if v < o.min[base+i] {
-			o.min[base+i] = v
-		}
-		if v > o.max[base+i] {
-			o.max[base+i] = v
+		if v < o.min[base+i] || v > o.max[base+i] {
+			o.widen(ci, i, v, v)
 		}
 	}
 	if o.center != nil {
@@ -301,12 +369,7 @@ func (o *Online) mergeClusters(di, si int) {
 	}
 	o.mt.merge(di, si)
 	for _, i := range o.ordPos {
-		if o.min[sb+i] < o.min[db+i] {
-			o.min[db+i] = o.min[sb+i]
-		}
-		if o.max[sb+i] > o.max[db+i] {
-			o.max[db+i] = o.max[sb+i]
-		}
+		o.widen(di, i, o.min[sb+i], o.max[sb+i])
 	}
 	if o.center != nil {
 		// Weighted centroid of the two clusters. Two empty clusters
@@ -415,16 +478,27 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 // closest returns the index and distance of the cluster nearest to
 // vals, or (-1, +inf) when no clusters exist. Ties break toward the
 // lowest index, matching the hardware's deterministic comparison tree.
-// Nominal membership is gathered once for all clusters before the scan.
-// The running best distance is passed to the kernel as a bound so
-// monotone metrics can bail out of losing clusters early.
+// The table is gathered once for all clusters before any of them is
+// looked at.
+//
+// In the deployed configuration (Manhattan, unnormalized) a packet some
+// cluster covers never scans: the gather's cover bits name the clusters
+// at distance zero (see covering). Every other packet, and every packet
+// of the other configurations, is scanned; there the running best
+// distance is passed to the kernel as a bound so monotone metrics can
+// bail out of losing clusters early.
 func (o *Online) closest(vals []uint32) (int, float64) {
 	if len(o.clusters) == 0 {
 		return -1, math.Inf(1)
 	}
-	o.mt.gather(vals)
+	covered := o.mt.gather(vals, len(o.clusters))
 	if o.rawManhattan {
-		return o.closestManhattanRaw(vals)
+		if covered {
+			if ci := o.covering(vals); ci >= 0 {
+				return ci, 0
+			}
+		}
+		return o.scanManhattanRaw(vals)
 	}
 	best, bestD := -1, math.Inf(1)
 	for i := range o.clusters {
@@ -436,28 +510,50 @@ func (o *Online) closest(vals []uint32) (int, float64) {
 	return best, bestD
 }
 
-// closestManhattanRaw is the scan of the deployed configuration
-// (Manhattan, unnormalized), fused and in integers: per cluster, the
+// covering returns the lowest-indexed cluster at distance zero from the
+// gathered packet — the one a scan with ties to the lowest index would
+// return — or -1. The gather's cover bits are the clusters at distance
+// zero on every feature the table holds; what is left to check, in index
+// order, is that a candidate also contains the packet's wider ordinals.
+func (o *Online) covering(vals []uint32) int {
+	for p, cover := range o.mt.cover {
+	candidates:
+		for ; cover != 0; cover &= cover - 1 {
+			ci := p<<3 + bits.TrailingZeros8(cover)
+			for _, f := range o.widePos {
+				if v := vals[f]; v < o.min[ci*o.nf+f] || v > o.max[ci*o.nf+f] {
+					continue candidates
+				}
+			}
+			return ci
+		}
+	}
+	return -1
+}
+
+// scanManhattanRaw is the scan of the deployed configuration, for a
+// packet no cluster covers, fused and in integers: per cluster, the
 // branch-free sum of the ordinal range distances plus the gathered count
 // of nominal misses. Every term is an integer below 2^32 and there are
 // at most 255 of them, so the int64 sum converts to exactly the float64
 // that Reference accumulates term by term; strict < keeps ties on the
-// lowest index, and the first covering cluster (distance 0) is that
-// lowest index, so the scan stops there.
-func (o *Online) closestManhattanRaw(vals []uint32) (int, float64) {
-	nf, ord, nmiss := o.nf, o.ordPos, o.mt.nmiss
+// lowest index.
+func (o *Online) scanManhattanRaw(vals []uint32) (int, float64) {
+	nf, ord := o.nf, o.ordPos
 	mn, mx := o.min, o.max
 	best, bestD := -1, int64(math.MaxInt64)
+	var nmiss uint64 // lane b: nominal misses of the b-th next cluster
 	for ci, base := 0, 0; ci < len(o.clusters); ci, base = ci+1, base+nf {
-		d := int64(uint8(nmiss[ci>>3] >> (ci & 7 * 8)))
+		if ci&7 == 0 {
+			nmiss = o.mt.missCounts(ci >> 3)
+		}
+		d := int64(uint8(nmiss))
+		nmiss >>= 8
 		for _, f := range ord {
 			v := int64(vals[f])
 			d += max(int64(mn[base+f])-v, 0) + max(v-int64(mx[base+f]), 0)
 		}
 		if d < bestD {
-			if d == 0 {
-				return ci, 0
-			}
 			best, bestD = ci, d
 		}
 	}

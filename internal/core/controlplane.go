@@ -61,6 +61,7 @@ type ControlPlane struct {
 	// nanoseconds, -1 before the first event; all fields are atomics so
 	// Health() is safe from any goroutine.
 	startAt      atomic.Int64
+	tickAt       atomic.Int64 // time of the latest clock callback or Step
 	lastPollAt   atomic.Int64
 	lastDeployAt atomic.Int64
 	pollWallLast atomic.Int64 // wall-clock ns spent in the last Step
@@ -146,6 +147,7 @@ func NewControlPlaneE(dp *Dataplane, clock Clock, cfg Config) (*ControlPlane, er
 // stops making progress.
 func (cp *ControlPlane) guard(fn func(now eventsim.Time)) func(now eventsim.Time) {
 	return func(now eventsim.Time) {
+		cp.tickAt.Store(int64(now))
 		defer func() {
 			if r := recover(); r != nil {
 				msg := fmt.Sprintf("%v", r)
@@ -167,7 +169,9 @@ func (cp *ControlPlane) Start() {
 	}
 	cp.started = true
 	cp.running = true
-	cp.startAt.Store(int64(cp.rawClock.Now()))
+	now := int64(cp.rawClock.Now())
+	cp.startAt.Store(now)
+	cp.tickAt.Store(now)
 	cp.schedule(cp.rt.Generation())
 }
 
@@ -317,6 +321,7 @@ func (cp *ControlPlane) Step(now eventsim.Time) *Decision {
 	// Watchdog bookkeeping: when the poll started and how long it held
 	// the loop (wall time — purely observational, never fed back into
 	// scheduling, so deterministic simulations stay bit-identical).
+	cp.tickAt.Store(int64(now))
 	cp.lastPollAt.Store(int64(now))
 	wallStart := time.Now()
 	defer func() {

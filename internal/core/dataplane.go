@@ -425,21 +425,11 @@ func (d *Dataplane) Describe(reg *telemetry.Registry, prefix string) {
 }
 
 // Observed returns the total number of packets observed across all
-// shards. In concurrent mode it takes each shard's lock, so the value
-// is exact once ingest has quiesced.
-func (d *Dataplane) Observed() uint64 {
-	var total uint64
-	for _, s := range d.shards {
-		if d.concurrent {
-			s.mu.Lock()
-		}
-		total += s.clusterer.Observed
-		if d.concurrent {
-			s.mu.Unlock()
-		}
-	}
-	return total
-}
+// shards: the sum of the per-slot assignment counters, which every
+// observing path adds to (per packet, or per batch when it flushes) and
+// snapshots carry. Atomic loads only, so it is safe from any goroutine in
+// both modes, and exact once ingest has quiesced.
+func (d *Dataplane) Observed() uint64 { return d.assigned.Total() }
 
 // Snapshot returns the interpretable cluster view the control plane
 // ranks: shard 0's snapshot verbatim for a single pipeline, or the

@@ -9,7 +9,9 @@ import "accturbo/internal/eventsim"
 // control plane's clock nanoseconds; ages are -1 before the first
 // corresponding event.
 type Health struct {
-	// Now is the raw clock reading the snapshot was taken at.
+	// Now is the clock reading the ages are measured to: a WallClock's
+	// at the moment of the snapshot; on any other clock the time of the
+	// control plane's latest callback (see ControlPlane.Health).
 	Now eventsim.Time `json:"now_ns"`
 	// LastPollAt is when Step last started (-1 before the first poll);
 	// PollAge is Now minus that.
@@ -61,10 +63,14 @@ type Health struct {
 // Health returns the current liveness snapshot. It never blocks on the
 // control loop: everything it reads is atomic, so it stays responsive
 // even while a poll is stalled — that is the point.
+//
+// A WallClock is read directly: it may be from any goroutine, and it
+// keeps moving while the loop is wedged. A simulated clock belongs to the
+// goroutine driving its engine (Defense.Process, in deterministic mode),
+// so there Health answers as of the latest callback the clock delivered
+// — at most one poll or watchdog interval of virtual time behind.
 func (cp *ControlPlane) Health() Health {
-	now := cp.rawClock.Now()
 	h := Health{
-		Now:                 now,
 		LastPollAt:          eventsim.Time(cp.lastPollAt.Load()),
 		LastDeployAt:        eventsim.Time(cp.lastDeployAt.Load()),
 		PollAge:             -1,
@@ -81,10 +87,18 @@ func (cp *ControlPlane) Health() Health {
 		Ranking:             cp.rt.Load().Ranking.String(),
 		RankSource:          cp.ranker.Source(),
 	}
+	ref := cp.staleRef()
+	// The clock is read after the instants the ages are measured from: a
+	// tick that lands in between moves Now, never an age below zero.
+	now := eventsim.Time(cp.tickAt.Load())
+	if wc, ok := cp.rawClock.(*WallClock); ok {
+		now = wc.Now()
+	}
+	h.Now = now
 	if h.LastPollAt >= 0 {
 		h.PollAge = now - h.LastPollAt
 	}
-	if ref := cp.staleRef(); ref >= 0 {
+	if ref >= 0 {
 		h.DecisionAge = now - ref
 	}
 	if p := cp.lastPanic.Load(); p != nil {

@@ -188,7 +188,9 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 	// The restored decision counts as fresh from this process's start:
 	// staleness is measured against local clock time, which has no
 	// relation to the saving process's timeline.
-	cp.lastDeployAt.Store(int64(cp.rawClock.Now()))
+	now := int64(cp.rawClock.Now())
+	cp.tickAt.Store(now)
+	cp.lastDeployAt.Store(now)
 	cp.deployments.Add(deployments)
 	cp.panicsRecovered.Add(panics)
 	cp.watchdogTrips.Add(trips)

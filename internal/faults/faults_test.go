@@ -210,7 +210,7 @@ func TestStallClock(t *testing.T) {
 // TestFaultySink: at p=1 every write is discarded and counted; at p=0
 // the sink is returned unwrapped.
 func TestFaultySink(t *testing.T) {
-	stats := telemetry.NewQueueStats(eventsim.Second)
+	stats := new(telemetry.QueueStats)
 	inj := New(9, Spec{SinkFailP: 1})
 	s := inj.WrapSink(stats)
 	if s == telemetry.Sink(stats) {

@@ -14,7 +14,7 @@
 // attribution (benign vs malicious) the experiment series need — is an
 // Accounting implementation whose totals are telemetry counters. The
 // port itself meters nothing per packet: offered and delivered series
-// are the Recorder's, the drain rate is the QueueStats'. Ports never
+// are the Recorder's, queue totals and depth the QueueStats'. Ports never
 // branch on nil accounting: a port without a recorder runs the package
 // no-op.
 package netsim
@@ -109,7 +109,7 @@ func NewPort(eng *eventsim.Engine, q queue.Qdisc, rateBits float64, rec *Recorde
 		qdisc: q,
 		rate:  rateBits,
 		acct:  noAccounting,
-		stats: telemetry.NewQueueStats(eventsim.Second),
+		stats: new(telemetry.QueueStats),
 	}
 	if rec != nil {
 		p.acct = rec

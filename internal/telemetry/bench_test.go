@@ -25,13 +25,6 @@ func BenchmarkObserve(b *testing.B) {
 			v.Add(3, i%10, 1)
 		}
 	})
-	b.Run("rate-meter", func(b *testing.B) {
-		m := NewRateMeter(eventsim.Second)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.Observe(eventsim.Time(i), 1, 1500)
-		}
-	})
 	b.Run("histogram", func(b *testing.B) {
 		h := NewHistogram(LatencyBuckets())
 		b.ReportAllocs()
@@ -40,7 +33,7 @@ func BenchmarkObserve(b *testing.B) {
 		}
 	})
 	b.Run("queue-sink", func(b *testing.B) {
-		q := NewQueueStats(eventsim.Second)
+		q := new(QueueStats)
 		var s Sink = q
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

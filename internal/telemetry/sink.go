@@ -48,91 +48,56 @@ func OrNop(s Sink) Sink {
 	return s
 }
 
-// QueueStats is the standard Sink: enqueue/dequeue counters in packets
-// and bytes, per-reason drop counters, depth gauges, and a drain-rate
-// meter. The zero value is not usable; build with NewQueueStats.
+// QueueStats is the simulated port's Sink: enqueue/dequeue totals in
+// packets and bytes, per-reason drop totals and the depth after the last
+// event. It belongs to a single goroutine, the simulator's — like
+// netsim.Recorder it sits on the engine's event loop, is read between
+// events and is registered with no Registry — so its fields are plain:
+// a port pays for three of these calls per packet, and nothing may read
+// one while another goroutine writes it. The zero value is ready.
 type QueueStats struct {
-	EnqueuedPkts, EnqueuedBytes Counter
-	DequeuedPkts, DequeuedBytes Counter
-	DroppedPkts, DroppedBytes   Counter
-	dropsByReason               [maxDropReasons]Counter
-
-	DepthPkts, DepthBytes Gauge
-	// Drain meters the dequeue (service) rate per window.
-	Drain *RateMeter
+	n QueueSnapshot
 }
 
-// QueueSnapshot is a copy-on-read view of a QueueStats.
+// QueueSnapshot is a copy of a QueueStats.
 type QueueSnapshot struct {
 	EnqueuedPkts, EnqueuedBytes uint64
 	DequeuedPkts, DequeuedBytes uint64
 	DroppedPkts, DroppedBytes   uint64
 	DropsByReason               [maxDropReasons]uint64
 	DepthPkts, DepthBytes       int64
-	Drain                       RateSnapshot
-}
-
-// NewQueueStats builds queue accounting with the given drain-meter
-// window (zero selects one second).
-func NewQueueStats(window eventsim.Time) *QueueStats {
-	return &QueueStats{Drain: NewRateMeter(window)}
 }
 
 var _ Sink = (*QueueStats)(nil)
 
 // RecordEnqueue implements Sink.
-func (q *QueueStats) RecordEnqueue(now eventsim.Time, pktBytes, depthPkts, depthBytes int) {
-	q.EnqueuedPkts.Inc()
-	q.EnqueuedBytes.Add(uint64(pktBytes))
-	q.DepthPkts.Set(int64(depthPkts))
-	q.DepthBytes.Set(int64(depthBytes))
+func (q *QueueStats) RecordEnqueue(_ eventsim.Time, pktBytes, depthPkts, depthBytes int) {
+	q.n.EnqueuedPkts++
+	q.n.EnqueuedBytes += uint64(pktBytes)
+	q.n.DepthPkts, q.n.DepthBytes = int64(depthPkts), int64(depthBytes)
 }
 
 // RecordDequeue implements Sink.
-func (q *QueueStats) RecordDequeue(now eventsim.Time, pktBytes, depthPkts, depthBytes int) {
-	q.DequeuedPkts.Inc()
-	q.DequeuedBytes.Add(uint64(pktBytes))
-	q.DepthPkts.Set(int64(depthPkts))
-	q.DepthBytes.Set(int64(depthBytes))
-	q.Drain.Observe(now, 1, uint64(pktBytes))
+func (q *QueueStats) RecordDequeue(_ eventsim.Time, pktBytes, depthPkts, depthBytes int) {
+	q.n.DequeuedPkts++
+	q.n.DequeuedBytes += uint64(pktBytes)
+	q.n.DepthPkts, q.n.DepthBytes = int64(depthPkts), int64(depthBytes)
 }
 
 // RecordDrop implements Sink.
-func (q *QueueStats) RecordDrop(now eventsim.Time, pktBytes int, reason uint8) {
-	q.DroppedPkts.Inc()
-	q.DroppedBytes.Add(uint64(pktBytes))
-	if reason >= maxDropReasons {
-		reason = maxDropReasons - 1
-	}
-	q.dropsByReason[reason].Inc()
+func (q *QueueStats) RecordDrop(_ eventsim.Time, pktBytes int, reason uint8) {
+	q.n.DroppedPkts++
+	q.n.DroppedBytes += uint64(pktBytes)
+	q.n.DropsByReason[min(reason, maxDropReasons-1)]++
 }
 
 // DropsFor returns the drop count recorded for one reason value.
 func (q *QueueStats) DropsFor(reason uint8) uint64 {
-	if reason >= maxDropReasons {
-		reason = maxDropReasons - 1
-	}
-	return q.dropsByReason[reason].Value()
+	return q.n.DropsByReason[min(reason, maxDropReasons-1)]
 }
 
 // Snapshot returns a copy of all queue accounting.
-func (q *QueueStats) Snapshot() QueueSnapshot {
-	s := QueueSnapshot{
-		EnqueuedPkts:  q.EnqueuedPkts.Value(),
-		EnqueuedBytes: q.EnqueuedBytes.Value(),
-		DequeuedPkts:  q.DequeuedPkts.Value(),
-		DequeuedBytes: q.DequeuedBytes.Value(),
-		DroppedPkts:   q.DroppedPkts.Value(),
-		DroppedBytes:  q.DroppedBytes.Value(),
-		DepthPkts:     q.DepthPkts.Value(),
-		DepthBytes:    q.DepthBytes.Value(),
-		Drain:         q.Drain.Snapshot(),
-	}
-	for i := range q.dropsByReason {
-		s.DropsByReason[i] = q.dropsByReason[i].Value()
-	}
-	return s
-}
+func (q *QueueStats) Snapshot() QueueSnapshot { return q.n }
 
 // TeeSink fans every event out to multiple sinks, for stacking the
 // standard accounting with experiment-specific observers.

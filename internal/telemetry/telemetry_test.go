@@ -70,41 +70,6 @@ func TestVecCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestRateMeterWindows(t *testing.T) {
-	m := NewRateMeter(eventsim.Second)
-	// Fill window [0, 1s): 100 packets of 125 bytes = 100 kbit.
-	for i := 0; i < 100; i++ {
-		m.Observe(eventsim.Time(i)*10*eventsim.Millisecond, 1, 125)
-	}
-	if s := m.Snapshot(); s.Pkts != 0 {
-		t.Fatalf("window not closed yet, snapshot = %+v", s)
-	}
-	// First observation in the next window publishes the closed one.
-	m.Observe(eventsim.Second, 1, 125)
-	s := m.Snapshot()
-	if s.Pkts != 100 || s.Bytes != 12500 {
-		t.Fatalf("closed window = %+v, want 100 pkts / 12500 bytes", s)
-	}
-	if s.PktsPerSec != 100 || s.BitsPerSec != 100000 {
-		t.Fatalf("rates = %v pkts/s %v bit/s, want 100 / 100000", s.PktsPerSec, s.BitsPerSec)
-	}
-}
-
-func TestRateMeterIdleGap(t *testing.T) {
-	m := NewRateMeter(eventsim.Second)
-	m.Observe(0, 10, 1000)
-	// Next observation five windows later: rate is averaged over the
-	// elapsed span, not inflated to a single window.
-	m.Observe(5*eventsim.Second, 1, 100)
-	s := m.Snapshot()
-	if s.Pkts != 10 {
-		t.Fatalf("pkts = %d, want 10", s.Pkts)
-	}
-	if s.PktsPerSec != 2 {
-		t.Fatalf("pkts/s = %v, want 2 (10 pkts over 5 s)", s.PktsPerSec)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram([]int64{10, 100, 1000})
 	for _, v := range []int64{5, 10, 11, 100, 500, 5000} {
@@ -146,7 +111,7 @@ func TestLatencyBucketsAscending(t *testing.T) {
 }
 
 func TestQueueStatsSink(t *testing.T) {
-	q := NewQueueStats(eventsim.Second)
+	q := new(QueueStats)
 	q.RecordEnqueue(0, 100, 1, 100)
 	q.RecordEnqueue(1, 200, 2, 300)
 	q.RecordDequeue(2, 100, 1, 200)
@@ -175,7 +140,7 @@ func TestNopAndTee(t *testing.T) {
 	if OrNop(nil) != Nop() {
 		t.Fatal("OrNop(nil) != Nop()")
 	}
-	q := NewQueueStats(0)
+	q := new(QueueStats)
 	if OrNop(q) != Sink(q) {
 		t.Fatal("OrNop(s) != s")
 	}
@@ -183,7 +148,7 @@ func TestNopAndTee(t *testing.T) {
 	tee.RecordEnqueue(0, 10, 1, 10)
 	tee.RecordDequeue(0, 10, 0, 0)
 	tee.RecordDrop(0, 10, 0)
-	if q.EnqueuedPkts.Value() != 1 || q.DequeuedPkts.Value() != 1 || q.DroppedPkts.Value() != 1 {
+	if s := q.Snapshot(); s.EnqueuedPkts != 1 || s.DequeuedPkts != 1 || s.DroppedPkts != 1 {
 		t.Fatal("tee did not fan out")
 	}
 }
