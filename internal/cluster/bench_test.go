@@ -65,6 +65,24 @@ func benchTrace(n int, seed int64) []*packet.Packet {
 	return pkts
 }
 
+// nearMissTrace is a window of the traffic a pulse is made of: packets to
+// one /16 and one destination port, each from a source port no packet
+// before it used. After a tile's first packet, every packet is one
+// unseen nominal value away from a cluster whose ranges contain it.
+func nearMissTrace(n int, seed int64) []*packet.Packet {
+	r := rand.New(rand.NewSource(seed))
+	pkts := make([]*packet.Packet, n)
+	for i, sport := range r.Perm(65536)[:n] {
+		pkts[i] = &packet.Packet{
+			SrcIP:    packet.V4(10, 0, byte(r.Intn(256)), byte(r.Intn(256))),
+			DstIP:    packet.V4(198, 18, byte(r.Intn(256)), byte(r.Intn(256))),
+			Protocol: packet.ProtoUDP, TTL: 64, Length: 100,
+			SrcPort: uint16(sport), DstPort: 53,
+		}
+	}
+	return pkts
+}
+
 // simulatorShape is the clusterer the simulated bottleneck runs (the
 // repository benchmark's sim_pulse, the §2 comparison): ten clusters over
 // three destination bytes, no nominal feature.
@@ -86,13 +104,16 @@ func simulatorShape(sliceInit bool) Config {
 // packet to packet. Uncovered: the clusterer is reseeded every `reseed`
 // packets, as the controller does between pulses, so packets keep
 // arriving from ports and addresses no cluster has met — the scan, the
-// absorb and the table's upkeep all run.
+// absorb and the table's upkeep all run. Near miss: the same reseeded
+// window, but of nearMissTrace, so all but a tile's first packet are
+// answered by the table at distance one and admitted by one cell write.
 func BenchmarkObserve(b *testing.B) {
 	pkts := benchTrace(1024, 1)
 	type row struct {
 		name   string
 		cfg    Config
-		reseed int // packets between reseeds; 0 = never
+		reseed int              // packets between reseeds; 0 = never
+		pkts   []*packet.Packet // nil = the adversarial trace
 	}
 	var rows []row
 	for _, cfg := range benchCombos() {
@@ -101,11 +122,15 @@ func BenchmarkObserve(b *testing.B) {
 	rows = append(rows,
 		row{name: "manhattan/fast/exact/hw/covered", cfg: hardwareShape()},
 		row{name: "manhattan/fast/exact/hw/uncovered", cfg: hardwareShape(), reseed: len(pkts)},
+		row{name: "manhattan/fast/exact/hw/nearmiss", cfg: hardwareShape(), reseed: len(pkts), pkts: nearMissTrace(len(pkts), 1)},
 		row{name: "manhattan/fast/exact/sim/covered", cfg: simulatorShape(true)},
 		row{name: "manhattan/fast/exact/sim/uncovered", cfg: simulatorShape(false), reseed: 32},
 	)
 	for _, r := range rows {
-		cfg, reseed := r.cfg, r.reseed
+		cfg, reseed, pkts := r.cfg, r.reseed, pkts
+		if r.pkts != nil {
+			pkts = r.pkts
+		}
 		b.Run(r.name, func(b *testing.B) {
 			o := NewOnline(cfg)
 			for _, p := range pkts {
@@ -147,7 +172,42 @@ func BenchmarkObserveReference(b *testing.B) {
 // on the steady-state Observe path for linear (Fast) search. Exhaustive
 // search legitimately allocates when it re-seeds a cluster after a
 // merge, so it is excluded.
+//
+// The near-miss stream admits a fresh port per packet, and an admission
+// appends a cell to the cluster's list, which allocates while the list is
+// still growing. Once a window of the stream has been through and the
+// lists have their length, the next window admits every port again
+// without allocating.
 func TestObserveFastPathZeroAlloc(t *testing.T) {
+	near := nearMissTrace(2049, 1) // AllocsPerRun's warm-up call plus its runs
+	bloom := hardwareShape()
+	bloom.UseBloom = true
+	for _, cfg := range []Config{hardwareShape(), bloom} {
+		t.Run("nearmiss/"+comboName(cfg), func(t *testing.T) {
+			o := NewOnline(cfg)
+			for _, p := range near {
+				o.Observe(p)
+			}
+			o.Reseed()
+			i, nears := 0, 0
+			vals := make([]uint32, len(cfg.Features))
+			allocs := testing.AllocsPerRun(len(near)-1, func() {
+				if _, _, n := o.closest(cfg.Features.Extract(near[i], vals)); n >= 0 {
+					nears++
+				}
+				o.Observe(near[i])
+				i++
+			})
+			if allocs != 0 {
+				t.Fatalf("a near-miss Observe allocates %.2f times per packet, want 0", allocs)
+			}
+			// All but each tile's first packet, or what a filling filter
+			// does not already claim.
+			if want := len(near) - cfg.MaxClusters; nears < want && (!cfg.UseBloom || nears < want*9/10) {
+				t.Fatalf("%d of %d packets were near misses, want %d", nears, len(near), want)
+			}
+		})
+	}
 	pkts := benchTrace(1024, 1)
 	for _, cfg := range benchCombos() {
 		if cfg.Search != Fast {

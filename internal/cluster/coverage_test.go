@@ -85,8 +85,10 @@ var walkShapes = []struct {
 // of ObserveFeatures, Reseed and Marshal→Unmarshal — with exhaustive
 // search folding clusters into each other and recycling their slots —
 // over one, two and three cell planes, exact and Bloom sets, and checks
-// after every step that the span cells say what the ranges say and that
-// the assignment is the Reference's.
+// at every step that the span cells say what the ranges say, that the
+// assignment is the Reference's, and that closest — whichever of the
+// table's two answers or the scan it took — names the cluster and the
+// distance the scan alone returns after the same gather.
 func TestCoverageTableRandomWalk(t *testing.T) {
 	modes := []struct {
 		name   string
@@ -98,6 +100,10 @@ func TestCoverageTableRandomWalk(t *testing.T) {
 		{"fast/exact/sliceinit", func(c *Config) { c.SliceInit = true }},
 	}
 	for _, sh := range walkShapes {
+		nominal, nears := false, 0 // nears: steps of this shape's walks the table answered at distance one
+		for _, f := range sh.feats {
+			nominal = nominal || f.Nominal()
+		}
 		for _, k := range []int{4, 8, 10, 17} {
 			for _, m := range modes {
 				cfg := DefaultConfig(k, sh.feats)
@@ -112,6 +118,15 @@ func TestCoverageTableRandomWalk(t *testing.T) {
 						case op < 94:
 							p := walkPacket(r)
 							sh.feats.Extract(p, vals)
+							if o.NumClusters() > 0 {
+								ci, d, near := o.closest(vals)
+								if si, sd := o.scanManhattanRaw(vals); ci != si || d != sd {
+									t.Fatalf("step %d: closest = (%d, %v), near %d; the scan alone = (%d, %v)", step, ci, d, near, si, sd)
+								}
+								if near >= 0 {
+									nears++
+								}
+							}
 							got, want := o.ObserveFeatures(vals, uint64(p.Size()), p.Label == packet.Malicious), ref.Observe(p)
 							if got != want {
 								t.Fatalf("step %d: assignment %+v, reference %+v", step, got, want)
@@ -138,6 +153,9 @@ func TestCoverageTableRandomWalk(t *testing.T) {
 					}
 				})
 			}
+		}
+		if nominal != (nears > 0) {
+			t.Errorf("%s: %d near misses over the walks", sh.name, nears)
 		}
 	}
 }

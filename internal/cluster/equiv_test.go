@@ -105,9 +105,10 @@ func TestFastPathMatchesReference(t *testing.T) {
 // both sides of a cell-plane boundary (8|9, 16|17) and the one-slot
 // table, over the deployed configuration (hardware features, slice
 // initialisation), a set carrying the 8-bit protocol nominal, the
-// simulator's (three address bytes, no nominal, slice initialisation)
-// and a set with no byte-wide ordinal, where the table's verdict is
-// left to the arithmetic check of the wide ones. Midway,
+// simulator's (three address bytes, no nominal, slice initialisation),
+// a set with no byte-wide ordinal, where the table's verdict is left to
+// the arithmetic check of the wide ones, and two nominals around one
+// wide ordinal, where that check decides near misses too. Midway,
 // the fast clusterer is replaced by a fresh one restored from its own
 // Marshal output, which must carry on bit-identically.
 func TestFastPathMatchesReferenceShapes(t *testing.T) {
@@ -120,6 +121,7 @@ func TestFastPathMatchesReferenceShapes(t *testing.T) {
 		{"proto", packet.FeatureSet{packet.FProtocol, packet.FDstIPByte3, packet.FSrcPort, packet.FLength}, false},
 		{"sim", simulatorShape(true).Features, true},
 		{"wide", packet.FeatureSet{packet.FLength, packet.FSrcIP, packet.FDstPort}, false},
+		{"ports-len", packet.FeatureSet{packet.FSrcPort, packet.FLength, packet.FDstPort}, false},
 	}
 	pkts := equivTrace(2400, 19)
 	r := rand.New(rand.NewSource(23))

@@ -10,8 +10,10 @@ import "accturbo/internal/sketch"
 // learns what every cluster says about its value from one load per
 // feature, however many clusters there are — the software shape of the
 // hardware comparing a packet against all clusters at once (§4). A packet
-// some cluster covers (distance 0) is therefore answered by F loads, an
-// AND and a count-trailing-zeros, and never meets the cluster-by-cluster
+// some cluster covers (distance 0), and a packet one unseen nominal value
+// away from a cluster whose ranges contain it (distance 1, when no cluster
+// admits all its nominal values), are therefore answered by F loads, an
+// AND and a count-trailing-zeros, and never meet the cluster-by-cluster
 // scan; see gather for exactly which packets those are.
 //
 // The table has two kinds of cell.
@@ -61,8 +63,9 @@ type memberTable struct {
 	// slot p*8+b does NOT admit the packet's value at nominal feature j.
 	miss []byte
 	// cover is the gather's verdict: bit b of cover[p] is set when slot
-	// p*8+b is seeded, admits every nominal value of the packet and
-	// contains every byte-wide ordinal one.
+	// p*8+b is seeded, contains every byte-wide ordinal value of the
+	// packet and admits every nominal one (gather returned 0) or all of
+	// them but one (gather returned 1).
 	cover []byte
 
 	spans []memberFeat
@@ -256,31 +259,62 @@ func (t *memberTable) bitmap(slot, j int, bm []uint64) {
 	}
 }
 
-// gather answers one packet for every slot at once. It fills t.miss — one
-// cell load per nominal feature in exact mode, k AND-ed loads in Bloom
-// mode — and t.cover: of the first n slots (the seeded ones), those no
-// nominal feature misses, AND-ed with the packet's cell of every span.
-// The span cells are not loaded once the nominal features have excluded
-// every slot (a packet from an unseen port, say). It reports whether any
-// cover bit is set.
+// gather answers one packet for every slot at once, and says how far away
+// the clusters it names are. It fills t.miss — one cell load per nominal
+// feature in exact mode, k AND-ed loads in Bloom mode — and leaves in
+// t.cover, of the first n slots (the seeded ones), the clusters at the
+// distance it returns, as far as the table can tell:
 //
-// A set bit of t.cover is a cluster at distance zero as far as the table
-// can tell, which is all the way unless the feature set has ordinals
+//   - 0: the slots no nominal feature misses, AND-ed with the packet's
+//     cell of every span — the clusters that cover the packet.
+//   - 1: when no slot admits all of the packet's nominal values, the slots
+//     exactly one nominal feature misses (once &^ twice over the miss
+//     bytes just stored, walked again here rather than accumulated in the
+//     loop every covered packet runs), AND-ed with the same span cells —
+//     the near misses: one unseen value inside every range.
+//   - -1: t.cover is empty and the table has no answer.
+//
+// Raw Manhattan distances are integers, so when nothing covers the packet
+// every cluster is at distance 1 or more, and distance 1 has two shapes:
+// (A) one nominal miss and every ordinal inside its range, or (B) no
+// nominal miss and an ordinal sum of one. (B) needs a slot that admits
+// every nominal value, so when there is none the clusters at distance 1
+// are exactly the near misses, and the lowest-indexed one is what a scan
+// with ties to the lowest index returns (Online.closest). When some slot
+// does admit every nominal value but a span excludes it, (B) is possible
+// and the answer is -1, not the near misses. A Bloom miss bit means what
+// an exact one does, so both modes answer alike; the empty sets of
+// slice-initialised slots miss at every nominal feature and are never
+// near.
+//
+// The span cells are not loaded when neither mask has a bit left (a
+// packet two unseen values away from everything, say). "As far as the
+// table can tell" is all the way unless the feature set has ordinals
 // wider than a byte. A value outside its feature's space panics on its
-// own feature's array, at nominal and span positions alike.
-func (t *memberTable) gather(vals []uint32, n int) (covered bool) {
+// own feature's array, at nominal and span positions alike, whenever the
+// span cells are read.
+func (t *memberTable) gather(vals []uint32, n int) (dist int) {
 	planes := t.planes
 	if planes == 1 && t.hashes == 0 {
 		// The deployed shape (up to eight slots, exact sets) without the
 		// per-plane and per-hash loops below, which cost it 8–12 ns a
 		// packet.
 		miss := t.miss[:len(t.feats)]
-		cover := byte(uint(1)<<n - 1)
+		seeded := byte(uint(1)<<n - 1)
+		cover := seeded
 		for j := range miss {
 			f := &t.feats[j]
 			m := ^f.cells[vals[f.pos]]
 			miss[j] = m
 			cover &^= m
+		}
+		if cover == 0 {
+			var once, twice byte
+			for _, m := range miss {
+				twice |= once & m
+				once |= m
+			}
+			cover, dist = seeded&once&^twice, 1
 		}
 		if cover != 0 {
 			for i := range t.spans {
@@ -289,7 +323,10 @@ func (t *memberTable) gather(vals []uint32, n int) (covered bool) {
 			}
 		}
 		t.cover[0] = cover
-		return cover != 0
+		if cover == 0 {
+			return -1
+		}
+		return dist
 	}
 	for j := range t.feats {
 		f := &t.feats[j]
@@ -317,7 +354,7 @@ func (t *memberTable) gather(vals []uint32, n int) (covered bool) {
 	cover := t.cover[:planes]
 	var live byte
 	for p := range cover {
-		c := byte(uint(1)<<min(max(n-p*8, 0), 8) - 1)
+		c := seededMask(n, p)
 		for j := range t.feats {
 			c &^= t.miss[j*planes+p]
 		}
@@ -325,7 +362,22 @@ func (t *memberTable) gather(vals []uint32, n int) (covered bool) {
 		live |= c
 	}
 	if live == 0 {
-		return false
+		// No slot of any plane admits every nominal value.
+		dist = 1
+		for p := range cover {
+			var once, twice byte
+			for j := range t.feats {
+				m := t.miss[j*planes+p]
+				twice |= once & m
+				once |= m
+			}
+			c := seededMask(n, p) & once &^ twice
+			cover[p] = c
+			live |= c
+		}
+		if live == 0 {
+			return -1
+		}
 	}
 	live = 0
 	for p := range cover {
@@ -337,12 +389,18 @@ func (t *memberTable) gather(vals []uint32, n int) (covered bool) {
 		cover[p] = c
 		live |= c
 	}
-	return live != 0
+	if live == 0 {
+		return -1
+	}
+	return dist
 }
 
+// seededMask is plane p's share of the first n slots.
+func seededMask(n, p int) byte { return byte(uint(1)<<min(max(n-p*8, 0), 8) - 1) }
+
 // missCounts sums the gathered misses of plane p's eight slots over the
-// nominal features, for the scan that runs when no cluster covers the
-// packet: byte lane b of the result counts the features at which slot
+// nominal features, for the scan that runs when the table has no answer
+// for the packet: byte lane b of the result counts the features at which slot
 // p*8+b misses.
 func (t *memberTable) missCounts(p int) uint64 {
 	var n uint64
@@ -363,4 +421,15 @@ func spreadBits(b byte) uint64 {
 // at nominal feature j, as 0 or 1.
 func (t *memberTable) misses(slot, j int) byte {
 	return t.miss[j*t.planes+slot>>3] >> (slot & 7) & 1
+}
+
+// missed returns the first nominal feature at which slot does not admit
+// the gathered packet's value — the only one, for a near miss — or -1.
+func (t *memberTable) missed(slot int) int {
+	for j := range t.feats {
+		if t.misses(slot, j) != 0 {
+			return j
+		}
+	}
+	return -1
 }

@@ -17,17 +17,26 @@ import (
 // that a packet is compared against all clusters at once.
 //
 // Which packets never scan. In the deployed configuration (Manhattan,
-// unnormalized) a packet that some cluster already covers — distance
-// zero: every nominal value admitted, every ordinal value inside the
-// range — is answered by the membership table alone (see memberTable):
-// one cell load per nominal feature and per byte-wide ordinal feature,
-// an AND, and a count-trailing-zeros for the lowest covering index,
-// which is the cluster a scan with ties to the lowest index would have
-// returned. Ordinals wider than a byte (ip.len, ip.id, whole addresses)
-// have no cells and are checked arithmetically on the candidates the
-// table leaves, in index order. Every other packet — and every packet
-// of the other distance configurations, which are kept bit-equivalent
-// to Reference rather than fast — is scanned cluster by cluster.
+// unnormalized) the membership table alone (see memberTable) answers the
+// two kinds of packet it can name the nearest cluster for. Distance zero:
+// some cluster already covers the packet — every nominal value admitted,
+// every ordinal value inside the range. Distance one: no cluster admits
+// all of the packet's nominal values, and some cluster misses exactly one
+// of them while its ranges contain the packet; distances are integers,
+// and the only other way to be at distance one — no nominal miss, one
+// unit outside one range — needs a cluster that admits them all (see
+// memberTable.gather for the argument). Either way the cost is one cell
+// load per nominal feature and per byte-wide ordinal feature, an AND, and
+// a count-trailing-zeros for the lowest index, which is the cluster a
+// scan with ties to the lowest index would have returned; and a
+// distance-one answer is admitted by one cell write, not by a walk over
+// the features (see observe). Ordinals wider than a byte (ip.len, ip.id,
+// whole addresses) have no cells and are checked arithmetically on the
+// candidates the table leaves, in index order. Every other packet — two
+// unseen values away, or outside a range of the only clusters that admit
+// its nominal values — and every packet of the other distance
+// configurations, which are kept bit-equivalent to Reference rather than
+// fast, is scanned cluster by cluster.
 //
 // What keeps the table true. Ranges live in min/max below and are the
 // truth (and what Marshal writes); the table's span cells are derived
@@ -81,10 +90,10 @@ type Online struct {
 	dist  pointKernel
 	merge mergeKernel
 	// rawManhattan marks the deployable fast configuration (Manhattan,
-	// unnormalized): closest then answers covered packets from the
-	// table's span cells, which only this configuration keeps, and runs a
-	// fused integer scan for the rest instead of an indirect kernel call
-	// per cluster.
+	// unnormalized): closest then answers covered and near-miss packets
+	// from the table's span cells, which only this configuration keeps,
+	// and runs a fused integer scan for the rest instead of an indirect
+	// kernel call per cluster.
 	rawManhattan bool
 
 	// Exhaustive-search cache: pairCost[i*stride+j] is the merge cost
@@ -435,7 +444,7 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 	// Seed phase: the first |C| distinct arrivals each start a cluster
 	// (unless an existing cluster already covers the packet exactly).
 	if len(o.clusters) < o.cfg.MaxClusters {
-		if id, d := o.closest(vals); id >= 0 && d == 0 {
+		if id, d, _ := o.closest(vals); id >= 0 && d == 0 {
 			o.clusters[id].account(size, malicious)
 			// Euclidean merge costs depend on cluster weights, which
 			// account just changed.
@@ -449,7 +458,7 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 		return Assignment{Cluster: slot, UID: c.uid, Created: true}
 	}
 
-	id, d := o.closest(vals)
+	id, d, near := o.closest(vals)
 
 	if o.cfg.Search == Exhaustive && d > 0 {
 		// Consider merging the two closest clusters and starting a new
@@ -467,7 +476,12 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 	}
 
 	c := &o.clusters[id]
-	if d > 0 || o.center != nil {
+	switch {
+	case near >= 0:
+		// A near miss: one nominal value to admit, no range grows.
+		o.mt.admit(id, near, vals[o.mt.feats[near].pos])
+		o.markDirty(id)
+	case d > 0 || o.center != nil:
 		// Center representations update even for covered packets.
 		o.absorb(id, vals)
 	}
@@ -481,24 +495,37 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 // The table is gathered once for all clusters before any of them is
 // looked at.
 //
-// In the deployed configuration (Manhattan, unnormalized) a packet some
-// cluster covers never scans: the gather's cover bits name the clusters
-// at distance zero (see covering). Every other packet, and every packet
-// of the other configurations, is scanned; there the running best
-// distance is passed to the kernel as a bound so monotone metrics can
-// bail out of losing clusters early.
-func (o *Online) closest(vals []uint32) (int, float64) {
+// In the deployed configuration (Manhattan, unnormalized) the packets the
+// table can decide never scan. The gather names the clusters at distance
+// zero, or — when no cluster admits all of the packet's nominal values,
+// so that nothing is closer than 1 and only a single nominal miss inside
+// every range is that close (see memberTable.gather for the two-shape
+// argument) — the clusters at distance one, and the lowest-indexed
+// candidate that also contains the packet's wide ordinals (see covering)
+// is the cluster the scan's strict < would have kept. For a distance-one
+// answer near is the one nominal feature (index into mt.feats) the
+// cluster misses, which is all observe has to admit; it is -1 otherwise.
+// Every other packet — some cluster admits every nominal value but a
+// range excludes the packet, every candidate fails a wide ordinal,
+// nothing is within 1 — and every packet of the other configurations is
+// scanned; there the running best distance is passed to the kernel as a
+// bound so monotone metrics can bail out of losing clusters early.
+func (o *Online) closest(vals []uint32) (ci int, d float64, near int) {
 	if len(o.clusters) == 0 {
-		return -1, math.Inf(1)
+		return -1, math.Inf(1), -1
 	}
-	covered := o.mt.gather(vals, len(o.clusters))
+	td := o.mt.gather(vals, len(o.clusters))
 	if o.rawManhattan {
-		if covered {
-			if ci := o.covering(vals); ci >= 0 {
-				return ci, 0
+		if td >= 0 {
+			if ci = o.covering(vals); ci >= 0 {
+				if td == 0 {
+					return ci, 0, -1
+				}
+				return ci, 1, o.mt.missed(ci)
 			}
 		}
-		return o.scanManhattanRaw(vals)
+		ci, d = o.scanManhattanRaw(vals)
+		return ci, d, -1
 	}
 	best, bestD := -1, math.Inf(1)
 	for i := range o.clusters {
@@ -507,14 +534,15 @@ func (o *Online) closest(vals []uint32) (int, float64) {
 			best, bestD = i, d
 		}
 	}
-	return best, bestD
+	return best, bestD, -1
 }
 
-// covering returns the lowest-indexed cluster at distance zero from the
-// gathered packet — the one a scan with ties to the lowest index would
-// return — or -1. The gather's cover bits are the clusters at distance
-// zero on every feature the table holds; what is left to check, in index
-// order, is that a candidate also contains the packet's wider ordinals.
+// covering returns the lowest-indexed candidate the gather left in the
+// table's cover bits that also contains the packet's wider ordinals —
+// the one a scan with ties to the lowest index would return among
+// clusters at the gather's distance — or -1. The cover bits are the
+// clusters at that distance on every feature the table holds; what is
+// left to check, in index order, is the ordinals it has no cells for.
 func (o *Online) covering(vals []uint32) int {
 	for p, cover := range o.mt.cover {
 	candidates:
@@ -532,12 +560,12 @@ func (o *Online) covering(vals []uint32) int {
 }
 
 // scanManhattanRaw is the scan of the deployed configuration, for a
-// packet no cluster covers, fused and in integers: per cluster, the
-// branch-free sum of the ordinal range distances plus the gathered count
-// of nominal misses. Every term is an integer below 2^32 and there are
-// at most 255 of them, so the int64 sum converts to exactly the float64
-// that Reference accumulates term by term; strict < keeps ties on the
-// lowest index.
+// packet the table has no answer for, fused and in integers: per
+// cluster, the branch-free sum of the ordinal range distances plus the
+// gathered count of nominal misses. Every term is an integer below 2^32
+// and there are at most 255 of them, so the int64 sum converts to
+// exactly the float64 that Reference accumulates term by term; strict <
+// keeps ties on the lowest index.
 func (o *Online) scanManhattanRaw(vals []uint32) (int, float64) {
 	nf, ord := o.nf, o.ordPos
 	mn, mx := o.min, o.max

@@ -9,6 +9,12 @@ import (
 	"accturbo/internal/packet"
 )
 
+// quickConfig fixes the generator of a quick.Check, so a failing input
+// is the same on every run.
+func quickConfig(maxCount int) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
+}
+
 func pkt(size int) *packet.Packet {
 	return &packet.Packet{
 		SrcIP:    packet.V4(10, 0, 0, 1),
@@ -464,7 +470,7 @@ func TestQuickFIFOConservation(t *testing.T) {
 		}
 		return q.Len() == enq-deq && q.Bytes() == bytes
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -497,7 +503,7 @@ func TestQuickPIFOSortedOutput(t *testing.T) {
 		}
 		return q.Bytes() == 0 && q.Len() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -522,7 +528,7 @@ func TestQuickTokenBucketBound(t *testing.T) {
 		bound := float64(burst) + rate/8*now.Seconds() + 1 // +1 for float slack
 		return float64(admitted) <= bound
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -594,7 +600,7 @@ func TestQuickPriorityStrictness(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -623,7 +629,7 @@ func TestQuickSPPIFOBoundsSorted(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }

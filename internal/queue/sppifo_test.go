@@ -209,7 +209,7 @@ func TestQuickSPPIFOConservation(t *testing.T) {
 		}
 		return s.Len() == enq-deq && s.Bytes() == bytes
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -231,7 +231,7 @@ func TestQuickAIFOBounded(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -59,7 +59,7 @@ func TestQuickCountMinMatchesReference(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, quickConfig(50)); err != nil {
 		t.Fatal(err)
 	}
 }

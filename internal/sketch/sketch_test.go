@@ -6,6 +6,12 @@ import (
 	"testing/quick"
 )
 
+// quickConfig fixes the generator of a quick.Check, so a failing input
+// is the same on every run.
+func quickConfig(maxCount int) *quick.Config {
+	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
+}
+
 func TestCountMinNeverUnderestimates(t *testing.T) {
 	cm := NewCountMin(4, 512)
 	truth := map[uint64]uint64{}
@@ -186,7 +192,7 @@ func TestQuickCountMinOverestimate(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,7 +214,7 @@ func TestQuickBloomNoFalseNegatives(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, quickConfig(100)); err != nil {
 		t.Fatal(err)
 	}
 }

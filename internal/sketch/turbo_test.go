@@ -101,7 +101,7 @@ func TestQuickTurboInvariants(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	if err := quick.Check(f, quickConfig(40)); err != nil {
 		t.Fatal(err)
 	}
 }
