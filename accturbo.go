@@ -234,20 +234,28 @@ func NewDefenseE(cfg Config) (*Defense, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eng := eventsim.New()
 	d := &Defense{
 		cfg: cfg,
-		eng: eng,
+		eng: eventsim.New(),
 		dp:  core.NewDataplane(cfg, false),
 	}
-	cp, err := core.NewControlPlaneE(d.dp, core.SimClock{Eng: eng}, cfg)
-	if err != nil {
+	if err := d.start(core.SimClock{Eng: d.eng}); err != nil {
 		return nil, err
+	}
+	return d, nil
+}
+
+// start puts the control plane on clock, registers the instruments and
+// starts the loop: the tail of both constructors.
+func (d *Defense) start(clock core.Clock) error {
+	cp, err := core.NewControlPlaneE(d.dp, clock, d.cfg)
+	if err != nil {
+		return err
 	}
 	d.cp = cp
 	d.describe()
-	d.cp.Start()
-	return d, nil
+	cp.Start()
+	return nil
 }
 
 // NewRealTimeDefense builds a concurrent pipeline whose control loop
@@ -267,24 +275,33 @@ func NewRealTimeDefense(cfg Config) *Defense {
 
 // NewRealTimeDefenseE is NewRealTimeDefense returning configuration
 // errors instead of panicking.
-func NewRealTimeDefenseE(cfg Config) (*Defense, error) {
+func NewRealTimeDefenseE(cfg Config) (*Defense, error) { return newRealTime(cfg, nil) }
+
+// newRealTime wires every wall-clock Defense, standalone (ranker nil) or
+// fleet node. The order is fixed: the clock exists before the ranker,
+// which stamps deployment arrivals with it, and the ranker before the
+// control plane, which calls it from the first poll on.
+func newRealTime(cfg Config, ranker func(now func() VirtualTime) (core.Ranker, error)) (*Defense, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	clock := core.NewWallClock()
+	if ranker != nil {
+		var err error
+		if cfg.Ranker, err = ranker(clock.Now); err != nil {
+			clock.Close()
+			return nil, err
+		}
+	}
 	d := &Defense{
 		cfg:   cfg,
 		clock: clock,
 		dp:    core.NewDataplane(cfg, true),
 	}
-	cp, err := core.NewControlPlaneE(d.dp, clock, cfg)
-	if err != nil {
+	if err := d.start(clock); err != nil {
 		clock.Close()
 		return nil, err
 	}
-	d.cp = cp
-	d.describe()
-	d.cp.Start()
 	return d, nil
 }
 

@@ -408,13 +408,13 @@ func runSingle(cfg accturbo.Config, src *captureStream) {
 // an operator would see during a real coordinator outage.
 func runFleet(cfg accturbo.Config, src *captureStream) {
 	nodes := *fleetNodes
-	f, err := accturbo.NewFleetE(accturbo.FleetConfig{Nodes: nodes, Node: cfg})
+	f, err := accturbo.NewFleet(accturbo.FleetConfig{Nodes: nodes, Node: cfg})
 	if err != nil {
 		fatal(2, err)
 	}
 	defer f.Close()
 	if !*coordinator {
-		f.SetLink(false)
+		_ = f.SetLink(false) // only bringing a coordinator back can fail
 	}
 	defer serveAdmin("serving fleet health on http://%s/health\n", admin.Surface{Health: admin.FleetView(f)})()
 

@@ -3,8 +3,8 @@ package accturbo
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
-	"accturbo/internal/core"
 	"accturbo/internal/fleet"
 )
 
@@ -29,19 +29,17 @@ type FleetConfig struct {
 	Node Config
 	// StaleAfter is the partition-detection bound: a node that has not
 	// seen a fleet deployment for this long falls back to ranking its
-	// own snapshot locally (never to undefended FIFO). Zero defaults to
-	// 3x Node.PollInterval.
+	// own snapshot locally (never to undefended FIFO). Zero means 3x the
+	// node's live PollInterval, so a Reconfigure moves the bound with it.
 	StaleAfter VirtualTime
-	// TransportDepth bounds the in-process transport queue (<= 0
-	// defaults to 256). Overflow drops frames the way a congested
-	// control network would; the staleness bound absorbs the loss.
-	TransportDepth int
 }
 
 // Fleet runs N Defense pipelines as one distributed ACC-Turbo
-// deployment: every node publishes its per-window cluster snapshot to
-// an in-process coordinator, which merges them slot-wise and broadcasts
-// one global cluster→queue mapping back. An aggregate whose sources are
+// deployment in one process: a FleetTCPCoordinator on a loopback port
+// and N FleetTCPNodes dialing it, the same two types a multi-process
+// fleet is made of. Every node publishes its per-window cluster snapshot
+// to the coordinator, which merges them slot-wise and broadcasts one
+// global cluster→queue mapping back. An aggregate whose sources are
 // spread across nodes — the case single-node clustering systematically
 // misranks — is demoted by its fleet-wide rate on every node.
 //
@@ -50,102 +48,44 @@ type FleetConfig struct {
 // inspect it with the usual Health/Metrics/Clusters accessors. A node's
 // Health reports RankSource "fleet" while the coordinator is reachable
 // and "fleet-fallback:local" (with the Degraded bit set) while
-// partitioned.
+// partitioned — and for the first milliseconds after NewFleet, until its
+// connection and the first deployment land.
 type Fleet struct {
-	tr      *fleet.ChanTransport
-	coord   *fleet.Coordinator
-	nodes   []*Defense
-	rankers []*fleet.Node
+	nodes []*FleetTCPNode
+	// coord is the running coordinator, or after SetLink(false) the
+	// closed one, whose last counters and views stay readable.
+	coord    atomic.Pointer[FleetTCPCoordinator]
+	coordCfg FleetTCPCoordinatorConfig // what SetLink(true) starts again
 
-	closeOnce sync.Once
+	mu         sync.Mutex // orders SetLink against itself and Close
+	up, closed bool
 }
 
-// NewFleet builds and starts a fleet. It panics on an invalid
-// configuration; NewFleetE is the error-returning variant.
-func NewFleet(cfg FleetConfig) *Fleet {
-	f, err := NewFleetE(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// NewFleetE is NewFleet returning configuration errors instead of
-// panicking.
-func NewFleetE(cfg FleetConfig) (*Fleet, error) {
+// NewFleet builds and starts a fleet.
+func NewFleet(cfg FleetConfig) (*Fleet, error) {
 	if cfg.Nodes < 1 {
 		return nil, fmt.Errorf("accturbo: fleet needs at least 1 node, got %d", cfg.Nodes)
 	}
-	if cfg.Node.Ranker != nil {
-		return nil, fmt.Errorf("accturbo: FleetConfig.Node.Ranker must be nil; the fleet installs its own ranker per node")
-	}
-	if err := cfg.Node.Validate(); err != nil {
-		return nil, err
-	}
-	// Mirror the pipeline's own defaulting (core applies it inside the
-	// constructors): the coordinator and rankers must size their slots
-	// and queues exactly like the nodes they serve.
-	if cfg.Node.NumQueues == 0 {
-		cfg.Node.NumQueues = cfg.Node.Clustering.MaxClusters
-	}
-	staleAfter := cfg.StaleAfter
-	if staleAfter <= 0 {
-		staleAfter = 3 * cfg.Node.PollInterval
-	}
-
-	tr := fleet.NewChanTransport(cfg.TransportDepth)
-	f := &Fleet{tr: tr}
-	coord, err := fleet.NewCoordinator(tr, fleet.CoordinatorConfig{
-		Slots:     cfg.Node.Clustering.MaxClusters,
-		NumQueues: cfg.Node.NumQueues,
-		Ranking:   cfg.Node.Ranking,
-		Distance:  cfg.Node.Clustering.Distance,
-	})
+	coordCfg := FleetTCPCoordinatorConfig{ListenAddr: "127.0.0.1:0", Node: cfg.Node}
+	coord, err := NewFleetTCPCoordinator(coordCfg)
 	if err != nil {
-		tr.Close()
 		return nil, err
 	}
-	f.coord = coord
-
+	coordCfg.ListenAddr = coord.Addr()
+	f := &Fleet{coordCfg: coordCfg, up: true}
+	f.coord.Store(coord)
 	for i := 0; i < cfg.Nodes; i++ {
-		// Replicates NewRealTimeDefenseE, with the ranker seam pointed
-		// at the fleet: the clock must exist before the ranker (the
-		// ranker stamps deployment arrivals with it) and the ranker
-		// before the control plane.
-		clock := core.NewWallClock()
-		ranker, err := fleet.NewNode(uint32(i+1), tr, clock.Now, fleet.NodeConfig{
-			Slots:      cfg.Node.Clustering.MaxClusters,
-			NumQueues:  cfg.Node.NumQueues,
-			StaleAfter: staleAfter,
+		n, err := NewFleetTCP(FleetTCPConfig{
+			CoordinatorAddr: coordCfg.ListenAddr,
+			NodeID:          uint32(i + 1),
+			Node:            cfg.Node,
+			StaleAfter:      cfg.StaleAfter,
 		})
 		if err != nil {
-			clock.Close()
 			f.Close()
 			return nil, err
 		}
-		nodeCfg := cfg.Node
-		nodeCfg.Ranker = ranker
-		d := &Defense{
-			cfg:   nodeCfg,
-			clock: clock,
-			dp:    core.NewDataplane(nodeCfg, true),
-		}
-		cp, err := core.NewControlPlaneE(d.dp, clock, nodeCfg)
-		if err != nil {
-			clock.Close()
-			f.Close()
-			return nil, err
-		}
-		d.cp = cp
-		d.describe()
-		f.nodes = append(f.nodes, d)
-		f.rankers = append(f.rankers, ranker)
-	}
-	// Start the control loops only after every node is wired: the first
-	// polls already publish snapshots, and a partially built fleet would
-	// bake an asymmetric merge into the first epochs.
-	for _, d := range f.nodes {
-		d.cp.Start()
+		f.nodes = append(f.nodes, n)
 	}
 	return f, nil
 }
@@ -155,38 +95,61 @@ func (f *Fleet) Nodes() int { return len(f.nodes) }
 
 // Node returns vantage point i's Defense pipeline. Do not Close it
 // directly; Fleet.Close owns the shutdown ordering.
-func (f *Fleet) Node(i int) *Defense { return f.nodes[i] }
+func (f *Fleet) Node(i int) *Defense { return f.nodes[i].Defense() }
 
 // NodeStats returns vantage point i's fleet counters (publishes,
 // fleet vs fallback polls, rejected deploys).
-func (f *Fleet) NodeStats(i int) FleetNodeStats { return f.rankers[i].Stats() }
+func (f *Fleet) NodeStats(i int) FleetNodeStats { return f.nodes[i].Stats() }
 
-// CoordinatorStats returns the coordinator's counters.
-func (f *Fleet) CoordinatorStats() FleetCoordinatorStats { return f.coord.Stats() }
+// CoordinatorStats returns the coordinator's counters. They start over
+// when SetLink(true) starts a new coordinator.
+func (f *Fleet) CoordinatorStats() FleetCoordinatorStats { return f.coord.Load().Stats() }
 
 // MergedClusters returns the fleet-wide slot-merged cluster snapshot —
 // the coordinator's interpretability view across all vantage points.
-func (f *Fleet) MergedClusters() []ClusterInfo { return f.coord.MergedView() }
+func (f *Fleet) MergedClusters() []ClusterInfo { return f.coord.Load().MergedClusters() }
 
 // LastGlobalDecision returns the most recently broadcast global
 // decision (nil before the first node reports).
-func (f *Fleet) LastGlobalDecision() *Decision { return f.coord.LastDecision() }
+func (f *Fleet) LastGlobalDecision() *Decision { return f.coord.Load().LastGlobalDecision() }
 
-// SetLink raises (true) or partitions (false) the coordinator link for
-// the whole fleet: while down, snapshots and deployments are dropped
-// and every node degrades to local ranking once its StaleAfter bound
-// expires. Safe from any goroutine.
-func (f *Fleet) SetLink(up bool) { f.tr.SetUp(up) }
-
-// Close stops the fleet: every node's control plane first — after
-// which no ranker can publish — and the shared transport last, so a
-// poll racing Close still finds a live transport (or gets a counted
-// ErrClosed, never a panic). Idempotent.
-func (f *Fleet) Close() {
-	f.closeOnce.Do(func() {
-		for _, d := range f.nodes {
-			d.Close()
+// SetLink partitions (false) or heals (true) the fleet the way a real
+// deployment loses and regains its coordinator. SetLink(false) closes
+// the coordinator: publishes become counted drops, every node degrades
+// to local ranking once its StaleAfter bound expires, and its dialer
+// keeps retrying with backoff. SetLink(true) starts a fresh coordinator
+// on the same address — epochs and counters from zero, which the nodes
+// adopt as soon as they reconnect — and fails only if that address
+// cannot be bound again. Safe from any goroutine; a no-op when the link
+// is already in the asked state or the fleet is closed.
+func (f *Fleet) SetLink(up bool) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed || up == f.up {
+		return nil
+	}
+	if up {
+		coord, err := NewFleetTCPCoordinator(f.coordCfg)
+		if err != nil {
+			return err
 		}
-		f.tr.Close()
-	})
+		f.coord.Store(coord)
+	} else {
+		f.coord.Load().Close()
+	}
+	f.up = up
+	return nil
+}
+
+// Close stops the fleet: every node first — pipeline, then its dialer —
+// and the coordinator last, so a poll racing Close still finds a live
+// transport (or gets a counted ErrClosed, never a panic). Idempotent.
+func (f *Fleet) Close() {
+	for _, n := range f.nodes {
+		n.Close()
+	}
+	f.mu.Lock()
+	f.closed = true
+	f.mu.Unlock()
+	f.coord.Load().Close()
 }

@@ -2,7 +2,6 @@ package accturbo
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"accturbo/internal/core"
@@ -38,15 +37,13 @@ type FleetTCPCoordinatorConfig struct {
 	Transport FleetTCPOptions
 }
 
-// FleetTCPCoordinator is the standalone coordinator process of a
-// multi-process fleet: the same merge-and-broadcast Coordinator the
-// in-process Fleet embeds, behind a real TCP listener. Nodes connect
-// with NewFleetTCP from their own processes (or hosts).
+// FleetTCPCoordinator is the coordinator of a fleet: the
+// merge-and-broadcast Coordinator behind a real TCP listener. Nodes
+// connect with NewFleetTCP from their own processes (or hosts); Fleet
+// runs one of each kind in a single process.
 type FleetTCPCoordinator struct {
 	tr    *fleet.TCPCoordinatorTransport
 	coord *fleet.Coordinator
-
-	closeOnce sync.Once
 }
 
 // NewFleetTCPCoordinator starts a coordinator listening on
@@ -55,19 +52,12 @@ func NewFleetTCPCoordinator(cfg FleetTCPCoordinatorConfig) (*FleetTCPCoordinator
 	if err := cfg.Node.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Node.NumQueues == 0 {
-		cfg.Node.NumQueues = cfg.Node.Clustering.MaxClusters
-	}
 	tr, err := fleet.ListenTCP(cfg.ListenAddr, cfg.Transport)
 	if err != nil {
 		return nil, err
 	}
-	coord, err := fleet.NewCoordinator(tr, fleet.CoordinatorConfig{
-		Slots:     cfg.Node.Clustering.MaxClusters,
-		NumQueues: cfg.Node.NumQueues,
-		Ranking:   cfg.Node.Ranking,
-		Distance:  cfg.Node.Clustering.Distance,
-	})
+	shape, _ := fleet.Shape(cfg.Node, 0)
+	coord, err := fleet.NewCoordinator(tr, shape)
 	if err != nil {
 		tr.Close()
 		return nil, err
@@ -100,11 +90,7 @@ func (c *FleetTCPCoordinator) LastGlobalDecision() *Decision { return c.coord.La
 
 // Close stops the listener and tears down every node connection;
 // idempotent, returns after all transport goroutines exit.
-func (c *FleetTCPCoordinator) Close() {
-	c.closeOnce.Do(func() {
-		c.tr.Close()
-	})
-}
+func (c *FleetTCPCoordinator) Close() { c.tr.Close() }
 
 // FleetTCPConfig parameterizes NewFleetTCP.
 type FleetTCPConfig struct {
@@ -119,7 +105,7 @@ type FleetTCPConfig struct {
 	Node Config
 	// StaleAfter is the partition-detection bound, exactly as in
 	// FleetConfig: no fleet deployment for this long means local
-	// fallback ranking. Zero defaults to 3x Node.PollInterval.
+	// fallback ranking. Zero means 3x the live PollInterval.
 	StaleAfter VirtualTime
 	// Transport tunes the socket layer; Transport.Seed drives the
 	// reconnect-backoff jitter stream.
@@ -138,62 +124,28 @@ type FleetTCPNode struct {
 	tr     *fleet.TCPTransport
 	ranker *fleet.Node
 	d      *Defense
-
-	closeOnce sync.Once
 }
 
 // NewFleetTCP starts a fleet node dialing cfg.CoordinatorAddr.
 func NewFleetTCP(cfg FleetTCPConfig) (*FleetTCPNode, error) {
-	if cfg.NodeID == 0 {
-		return nil, fmt.Errorf("accturbo: FleetTCPConfig.NodeID must be >= 1 (0 is the coordinator)")
-	}
 	if cfg.Node.Ranker != nil {
-		return nil, fmt.Errorf("accturbo: FleetTCPConfig.Node.Ranker must be nil; the fleet installs its own ranker")
-	}
-	if err := cfg.Node.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Node.NumQueues == 0 {
-		cfg.Node.NumQueues = cfg.Node.Clustering.MaxClusters
-	}
-	staleAfter := cfg.StaleAfter
-	if staleAfter <= 0 {
-		staleAfter = 3 * cfg.Node.PollInterval
+		return nil, fmt.Errorf("accturbo: a fleet node's Config.Ranker must be nil; the fleet installs its own ranker")
 	}
 	tr, err := fleet.DialTCP(cfg.CoordinatorAddr, cfg.NodeID, cfg.Transport)
 	if err != nil {
 		return nil, err
 	}
-	// Same wiring order as NewFleetE: clock before ranker (arrival
-	// stamps), ranker before control plane.
-	clock := core.NewWallClock()
-	ranker, err := fleet.NewNode(cfg.NodeID, tr, clock.Now, fleet.NodeConfig{
-		Slots:      cfg.Node.Clustering.MaxClusters,
-		NumQueues:  cfg.Node.NumQueues,
-		StaleAfter: staleAfter,
+	n := &FleetTCPNode{tr: tr}
+	_, shape := fleet.Shape(cfg.Node, cfg.StaleAfter)
+	n.d, err = newRealTime(cfg.Node, func(now func() VirtualTime) (_ core.Ranker, err error) {
+		n.ranker, err = fleet.NewNode(cfg.NodeID, tr, now, shape)
+		return n.ranker, err
 	})
 	if err != nil {
-		clock.Close()
 		tr.Close()
 		return nil, err
 	}
-	nodeCfg := cfg.Node
-	nodeCfg.Ranker = ranker
-	d := &Defense{
-		cfg:   nodeCfg,
-		clock: clock,
-		dp:    core.NewDataplane(nodeCfg, true),
-	}
-	cp, err := core.NewControlPlaneE(d.dp, clock, nodeCfg)
-	if err != nil {
-		clock.Close()
-		tr.Close()
-		return nil, err
-	}
-	d.cp = cp
-	d.describe()
-	cp.Start()
-	return &FleetTCPNode{tr: tr, ranker: ranker, d: d}, nil
+	return n, nil
 }
 
 // Defense returns the node's pipeline. Do not Close it directly;
@@ -214,11 +166,9 @@ func (n *FleetTCPNode) TransportStats() FleetTCPNodeTransportStats { return n.tr
 func (n *FleetTCPNode) Connected() bool { return n.tr.Connected() }
 
 // Close stops the node: pipeline first — after which the ranker cannot
-// publish — then the transport, mirroring Fleet.Close. Idempotent;
-// returns after every transport goroutine exits.
+// publish — then the transport. Idempotent; returns after every
+// transport goroutine exits.
 func (n *FleetTCPNode) Close() {
-	n.closeOnce.Do(func() {
-		n.d.Close()
-		n.tr.Close()
-	})
+	n.d.Close()
+	n.tr.Close()
 }

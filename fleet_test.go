@@ -20,7 +20,10 @@ func fleetCfg() FleetConfig {
 // deploys a global ranking and each node's health reports RankSource
 // "fleet" with the degraded bit clear.
 func TestFleetConverges(t *testing.T) {
-	f := NewFleet(fleetCfg())
+	f, err := NewFleet(fleetCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer f.Close()
 	if f.Nodes() != 3 {
 		t.Fatalf("fleet has %d nodes, want 3", f.Nodes())
@@ -70,7 +73,10 @@ func TestFleetConverges(t *testing.T) {
 func TestFleetPartitionDegrades(t *testing.T) {
 	cfg := fleetCfg()
 	cfg.StaleAfter = FromDuration(6 * time.Millisecond)
-	f := NewFleet(cfg)
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer f.Close()
 
 	waitFor := func(source string, degraded bool, what string) {
@@ -128,7 +134,10 @@ func TestFleetPartitionDegrades(t *testing.T) {
 // no deadlock — which -race plus the ErrClosed accounting verifies.
 func TestFleetCloseWhilePublishing(t *testing.T) {
 	for iter := 0; iter < 6; iter++ {
-		f := NewFleet(fleetCfg())
+		f, err := NewFleet(fleetCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		for n := 0; n < f.Nodes(); n++ {
@@ -159,5 +168,56 @@ func TestFleetCloseWhilePublishing(t *testing.T) {
 		close(stop)
 		wg.Wait()
 		f.Close() // idempotent
+	}
+}
+
+// TestFleetStaleBoundTracksReconfigure: with StaleAfter unset the bound
+// is 3x the live poll interval, not 3x the one the fleet was built with.
+// Stretching the interval twentyfold leaves every deployment one new
+// interval old at the next poll — far past the old bound, a third of the
+// new one — and the nodes must stay on the fleet ranking throughout.
+func TestFleetStaleBoundTracksReconfigure(t *testing.T) {
+	cfg := fleetCfg()
+	cfg.Nodes = 2
+	cfg.Node.PollInterval = FromDuration(5 * time.Millisecond)
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	polls := func(n int) uint64 { st := f.NodeStats(n); return st.FleetPolls + st.LocalPolls }
+	drive := func(what string, done func(n int) bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for ok := false; !ok; time.Sleep(time.Millisecond) {
+			ok = true
+			for n := 0; n < f.Nodes(); n++ {
+				f.Node(n).Process(0, benignPacket(n*1000))
+				ok = ok && done(n)
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: not reached within 10s", what)
+			}
+		}
+	}
+	drive("convergence", func(n int) bool { return f.Node(n).Health().Control.RankSource == "fleet" })
+
+	slow := FromDuration(100 * time.Millisecond)
+	var before [2]FleetNodeStats
+	for n := range before {
+		if _, err := f.Node(n).Reconfigure(RuntimePatch{PollInterval: &slow}); err != nil {
+			t.Fatal(err)
+		}
+		before[n] = f.NodeStats(n)
+	}
+	drive("four polls at the new interval", func(n int) bool {
+		return polls(n) >= before[n].FleetPolls+before[n].LocalPolls+4
+	})
+	for n := range before {
+		st, h := f.NodeStats(n), f.Node(n).Health()
+		if st.LocalPolls != before[n].LocalPolls || h.Control.RankSource != "fleet" || h.Degraded {
+			t.Fatalf("node %d fell back after the poll interval grew: %+v -> %+v, source %q",
+				n, before[n], st, h.Control.RankSource)
+		}
 	}
 }

@@ -257,7 +257,7 @@ func TestConfigPutRejectsHostileBodies(t *testing.T) {
 // TestEndpointsFleet: the in-process fleet mounts /health only, 200
 // while the coordinator is reachable and 503 once partitioned.
 func TestEndpointsFleet(t *testing.T) {
-	f, err := accturbo.NewFleetE(accturbo.FleetConfig{
+	f, err := accturbo.NewFleet(accturbo.FleetConfig{
 		Nodes: 2, Node: fastCfg(), StaleAfter: accturbo.FromDuration(40 * time.Millisecond),
 	})
 	if err != nil {

@@ -109,15 +109,10 @@ type fleetRun struct {
 func runFleetDefense(seed int64, end eventsim.Time, fleetMode bool, partitionAt, healAt eventsim.Time, sampleAt []eventsim.Time) *fleetRun {
 	eng := eventsim.New()
 	run := &fleetRun{sources: make(map[eventsim.Time][fleetNodes]string)}
+	coordShape, nodeShape := fleet.Shape(fleetTurboConfig(), fleetStaleAfter)
 	if fleetMode {
 		run.tr = fleet.NewSimTransport(eng, eventsim.Millisecond)
-		base := fleetTurboConfig()
-		coord, err := fleet.NewCoordinator(run.tr, fleet.CoordinatorConfig{
-			Slots:     base.Clustering.MaxClusters,
-			NumQueues: base.Clustering.MaxClusters,
-			Ranking:   base.Ranking,
-			Distance:  base.Clustering.Distance,
-		})
+		coord, err := fleet.NewCoordinator(run.tr, coordShape)
 		if err != nil {
 			panic(err)
 		}
@@ -126,11 +121,7 @@ func runFleetDefense(seed int64, end eventsim.Time, fleetMode bool, partitionAt,
 	for i := 0; i < fleetNodes; i++ {
 		cfg := fleetTurboConfig()
 		if fleetMode {
-			ranker, err := fleet.NewNode(uint32(i+1), run.tr, eng.Now, fleet.NodeConfig{
-				Slots:      cfg.Clustering.MaxClusters,
-				NumQueues:  cfg.Clustering.MaxClusters,
-				StaleAfter: fleetStaleAfter,
-			})
+			ranker, err := fleet.NewNode(uint32(i+1), run.tr, eng.Now, nodeShape)
 			if err != nil {
 				panic(err)
 			}

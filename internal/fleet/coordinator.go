@@ -37,7 +37,7 @@ type CoordinatorConfig struct {
 // fidelity.
 type Coordinator struct {
 	cfg CoordinatorConfig
-	tr  Transport
+	tr  CoordinatorLink
 
 	mu     sync.Mutex
 	latest map[uint32]*Snapshot
@@ -60,7 +60,7 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator on tr and registers its receive
 // handler.
-func NewCoordinator(tr Transport, cfg CoordinatorConfig) (*Coordinator, error) {
+func NewCoordinator(tr CoordinatorLink, cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Slots <= 0 || cfg.NumQueues <= 0 {
 		return nil, fmt.Errorf("fleet: coordinator needs positive Slots (%d) and NumQueues (%d)", cfg.Slots, cfg.NumQueues)
 	}
@@ -71,7 +71,19 @@ func NewCoordinator(tr Transport, cfg CoordinatorConfig) (*Coordinator, error) {
 		prev:   make([]int, cfg.Slots),
 	}
 	tr.HandleCoordinator(c.onFrame)
+	tr.HandleJoin(c.onJoin)
 	return c, nil
+}
+
+// onJoin forgets the sequence held for a node that has just handshaken:
+// a reborn node counts from 1 again, and its first snapshot must not
+// read as a replay. The held snapshot stays in the merge until replaced.
+func (c *Coordinator) onJoin(id uint32) {
+	c.mu.Lock()
+	if held := c.latest[id]; held != nil {
+		held.Seq = 0
+	}
+	c.mu.Unlock()
 }
 
 // onFrame ingests one node snapshot and broadcasts the refreshed global

@@ -2,12 +2,9 @@ package fleet
 
 import (
 	"bytes"
-	"errors"
 	"io"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"accturbo/internal/cluster"
 	"accturbo/internal/core"
@@ -400,81 +397,106 @@ func TestNodeRejectsBadDeploys(t *testing.T) {
 	}
 }
 
-// TestChanTransportDelivers exercises the real-time backend end to end:
-// snapshots flow to the coordinator, deploys flow back, counters move.
-func TestChanTransportDelivers(t *testing.T) {
-	tr := NewChanTransport(16)
-	defer tr.Close()
+// TestNodeAdoptsRestartedCoordinator: a coordinator that dies at epoch 20
+// and is reborn counting from 1 must not be ignored until it has caught
+// up. Whether it comes back at once (the node is still riding the dead
+// one's last deployment) or after the node fell back, the node ranks
+// from the new coordinator within StaleAfter plus two polls of its first
+// broadcast.
+func TestNodeAdoptsRestartedCoordinator(t *testing.T) {
+	for name, outagePolls := range map[string]int{"at once": 0, "after the node fell back": 5} {
+		eng := eventsim.New()
+		tr := NewSimTransport(eng, 1000)
+		ccfg := CoordinatorConfig{Slots: 2, NumQueues: 2, Ranking: core.ByThroughput, Distance: cluster.Manhattan}
+		if _, err := NewCoordinator(tr, ccfg); err != nil {
+			t.Fatal(err)
+		}
+		rt := simRT()
+		step, stale := rt.PollInterval, 3*rt.PollInterval
+		node, err := NewNode(1, tr, eng.Now, NodeConfig{Slots: 2, NumQueues: 2, StaleAfter: stale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		poll := func(now eventsim.Time) { node.Rank(now, slotInfos(1000, 600), []int{0, 0}, rt) }
+
+		// Poll `back` carries the first snapshot the new coordinator sees;
+		// its broadcast lands two transport hops later.
+		const before = 20
+		back := before + outagePolls
+		firstBroadcast := eventsim.Time(back)*step + 2000
+		last := int((firstBroadcast + stale + 2*step) / step)
+		for i := 0; i <= last; i++ {
+			eng.At(eventsim.Time(i)*step, poll)
+		}
+		// The coordinator dies once poll 19's deployment is out: frames go
+		// nowhere until its successor registers.
+		died := eventsim.Time(before-1)*step + 5000
+		eng.At(died, func(eventsim.Time) { tr.HandleCoordinator(func(uint32, []byte) {}) })
+		var reborn *Coordinator
+		eng.At(eventsim.Time(back)*step-5000, func(eventsim.Time) {
+			if st := node.Stats(); st.Epoch != before {
+				t.Errorf("%s: node holds epoch %d of the first coordinator, want %d", name, st.Epoch, before)
+			}
+			if reborn, err = NewCoordinator(tr, ccfg); err != nil {
+				t.Error(err)
+			}
+		})
+		eng.Run()
+
+		if node.Source() != "fleet" || node.RankingDegraded() {
+			t.Fatalf("%s: source %q after poll %d, want fleet by then", name, node.Source(), last)
+		}
+		if held, sent := node.Stats().Epoch, reborn.Stats().Epoch; held > sent {
+			t.Fatalf("%s: node still holds epoch %d of the dead coordinator; the new one is at %d", name, held, sent)
+		}
+	}
+}
+
+// TestCoordinatorAdoptsRestartedNode: a node reborn under the same id
+// publishes from sequence 1 again. Its registration is a handshake, so
+// the coordinator merges its very first snapshot — nothing is rejected
+// as a replay — and the node is back on the fleet ranking a poll later.
+func TestCoordinatorAdoptsRestartedNode(t *testing.T) {
+	eng := eventsim.New()
+	tr := NewSimTransport(eng, 1000)
 	coord, err := NewCoordinator(tr, CoordinatorConfig{
 		Slots: 2, NumQueues: 2, Ranking: core.ByThroughput, Distance: cluster.Manhattan,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make(chan *Deploy, 1)
-	tr.HandleNode(1, func(frame []byte) {
-		if dp, err := DecodeDeploy(frame); err == nil {
-			select {
-			case got <- dp:
-			default:
-			}
-		}
-	})
-	if err := tr.ToCoordinator(1, EncodeSnapshot(&Snapshot{Node: 1, Seq: 1, At: 1, Infos: slotInfos(10, 20)})); err != nil {
+	rt := simRT()
+	step := rt.PollInterval
+	ncfg := NodeConfig{Slots: 2, NumQueues: 2, StaleAfter: 3 * step}
+	node, err := NewNode(1, tr, eng.Now, ncfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case dp := <-got:
-		if dp.Epoch != 1 || !reflect.DeepEqual(dp.QueueOf, []int{0, 1}) {
-			t.Fatalf("deploy %+v", dp)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("no deploy delivered within 5s")
-	}
-	if st := coord.Stats(); st.Merges != 1 {
-		t.Fatalf("coordinator stats %+v", st)
-	}
-}
+	poll := func(now eventsim.Time) { node.Rank(now, slotInfos(1000, 600), []int{0, 0}, rt) }
 
-// TestChanTransportCloseWhilePublish is the close-while-fleet-publish
-// race under -race: publishers hammering the transport while it closes
-// must see either success or ErrClosed — never a panic, never a send on
-// a closed channel.
-func TestChanTransportCloseWhilePublish(t *testing.T) {
-	for round := 0; round < 20; round++ {
-		tr := NewChanTransport(4)
-		tr.HandleCoordinator(func(uint32, []byte) {})
-		frame := EncodeSnapshot(&Snapshot{Node: 1, Seq: 1, At: 1, Infos: slotInfos(1, 2)})
+	const before = 15
+	for i := 0; i < before; i++ {
+		eng.At(eventsim.Time(i)*step, poll)
+	}
+	eng.At(before*step-5000, func(eventsim.Time) {
+		if node, err = NewNode(1, tr, eng.Now, ncfg); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.At(before*step, poll)
+	eng.At(before*step+5000, func(eventsim.Time) {
+		if st := coord.Stats(); st.Merges != before+1 || st.Rejected != 0 {
+			t.Errorf("after the reborn node's first snapshot: %+v, want %d merges and nothing rejected", st, before+1)
+		}
+	})
+	eng.At((before+1)*step, poll)
+	eng.Run()
 
-		var wg sync.WaitGroup
-		start := make(chan struct{})
-		for p := 0; p < 4; p++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				for i := 0; i < 100; i++ {
-					if err := tr.ToCoordinator(1, frame); err != nil {
-						if !errors.Is(err, ErrClosed) {
-							t.Errorf("unexpected send error: %v", err)
-						}
-						return
-					}
-				}
-			}()
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			tr.Close()
-		}()
-		close(start)
-		wg.Wait()
-		tr.Close() // idempotent
-		if err := tr.ToCoordinator(1, frame); !errors.Is(err, ErrClosed) {
-			t.Fatalf("send after close: %v, want ErrClosed", err)
-		}
+	if node.Source() != "fleet" {
+		t.Fatalf("reborn node ranks from %q on its second poll, want fleet", node.Source())
+	}
+	if st := node.Stats(); st.Published != 2 || st.FleetPolls != 1 {
+		t.Fatalf("reborn node stats %+v, want 2 publishes and 1 fleet poll", st)
 	}
 }
 
@@ -496,5 +518,18 @@ func TestSimTransportPartitionCounters(t *testing.T) {
 
 	if coordGot != 2 || tr.Delivered != 2 || tr.Dropped != 1 {
 		t.Fatalf("got=%d delivered=%d dropped=%d, want 2/2/1", coordGot, tr.Delivered, tr.Dropped)
+	}
+}
+
+// TestTCPHalvesAreOneRoleEach: the positive halves of the seam are
+// compile-time assertions next to the types; this is the other half — a
+// TCP transport must not also satisfy the role it does not play, or a
+// wrong-direction call would compile again.
+func TestTCPHalvesAreOneRoleEach(t *testing.T) {
+	if _, ok := any((*TCPTransport)(nil)).(CoordinatorLink); ok {
+		t.Error("the node half satisfies CoordinatorLink")
+	}
+	if _, ok := any((*TCPCoordinatorTransport)(nil)).(NodeLink); ok {
+		t.Error("the coordinator half satisfies NodeLink")
 	}
 }

@@ -19,12 +19,26 @@ type NodeConfig struct {
 	NumQueues int
 	// StaleAfter is the fleet staleness bound: when the newest global
 	// deployment is older than this (in the node's clock), the node
-	// falls back to ranking its own snapshot locally. Zero defaults to
-	// 3 polling intervals — the same shape as the PR 5 watchdog bound,
-	// but the degradation target is the node's *local ranking*, never
-	// the undefended uniform map: a partitioned node keeps defending
-	// with the best view it has.
+	// falls back to ranking its own snapshot locally. Zero means 3x the
+	// live PollInterval, re-read every poll so a Reconfigure moves the
+	// bound with it — the same shape as the PR 5 watchdog bound, but the
+	// degradation target is the node's *local ranking*, never the
+	// undefended uniform map: a partitioned node keeps defending with
+	// the best view it has.
 	StaleAfter eventsim.Time
+}
+
+// Shape derives the coordinator's and a node's structural settings from
+// the pipeline Config every node of the fleet runs, mirroring core's own
+// NumQueues defaulting: both must size their slots and queues exactly
+// like the pipelines they serve.
+func Shape(cfg core.Config, staleAfter eventsim.Time) (CoordinatorConfig, NodeConfig) {
+	slots, queues := cfg.Clustering.MaxClusters, cfg.NumQueues
+	if queues == 0 {
+		queues = slots
+	}
+	return CoordinatorConfig{Slots: slots, NumQueues: queues, Ranking: cfg.Ranking, Distance: cfg.Clustering.Distance},
+		NodeConfig{Slots: slots, NumQueues: queues, StaleAfter: staleAfter}
 }
 
 // Node is the fleet-mode core.Ranker: on every poll it publishes the
@@ -47,17 +61,16 @@ type NodeConfig struct {
 // handoff between them.
 type Node struct {
 	id  uint32
-	tr  Transport
+	tr  NodeLink
 	now func() eventsim.Time
 	cfg NodeConfig
 
-	mu        sync.Mutex
-	seq       uint64
-	deploy    *Deploy       // newest applied-or-applicable global deployment
-	deployAt  eventsim.Time // node-clock arrival time of deploy
-	everFleet bool          // a fleet deployment has applied at least once
-	fallback  atomic.Bool   // sticky degradation flag (see above)
-	source    atomic.Pointer[string]
+	mu         sync.Mutex
+	seq        uint64
+	deploy     *Deploy       // newest applied-or-applicable global deployment
+	deployAt   eventsim.Time // node-clock arrival time of deploy
+	staleAfter eventsim.Time // the bound the last poll ran under
+	fallback   atomic.Bool   // sticky degradation flag (see above)
 
 	// Counters, readable from any goroutine.
 	published     atomic.Uint64
@@ -71,25 +84,26 @@ type Node struct {
 // NewNode builds a fleet node ranker and registers its deploy handler
 // on tr. now must read the same clock that drives the node's control
 // plane (the engine clock in simulation, the wall clock in real time).
-func NewNode(id uint32, tr Transport, now func() eventsim.Time, cfg NodeConfig) (*Node, error) {
+func NewNode(id uint32, tr NodeLink, now func() eventsim.Time, cfg NodeConfig) (*Node, error) {
 	if cfg.Slots <= 0 || cfg.NumQueues <= 0 {
 		return nil, fmt.Errorf("fleet: node needs positive Slots (%d) and NumQueues (%d)", cfg.Slots, cfg.NumQueues)
 	}
-	if cfg.StaleAfter <= 0 {
-		return nil, fmt.Errorf("fleet: node needs a positive StaleAfter bound")
+	if cfg.StaleAfter < 0 {
+		return nil, fmt.Errorf("fleet: node StaleAfter %d < 0", cfg.StaleAfter)
 	}
-	n := &Node{id: id, tr: tr, now: now, cfg: cfg}
-	src := "fleet-fallback:local" // until the first deployment arrives
-	n.source.Store(&src)
-	n.fallback.Store(true)
+	n := &Node{id: id, tr: tr, now: now, cfg: cfg, staleAfter: cfg.StaleAfter}
+	n.fallback.Store(true) // until the first deployment arrives
 	tr.HandleNode(id, n.onDeploy)
 	return n, nil
 }
 
 // onDeploy ingests a coordinator broadcast. Mis-sized maps (a
-// coordinator configured for different slot geometry) and stale epochs
-// are counted and ignored — the node would rather keep a good ranking
-// than apply a wrong one.
+// coordinator configured for different slot geometry) are counted and
+// ignored — the node would rather keep a good ranking than apply a wrong
+// one. An epoch no newer than the held one is ignored too, unless the
+// held one has aged past the staleness bound: then the node is on its
+// fallback anyway, and the sender is a restarted coordinator counting
+// from 1 again, not a delayed duplicate.
 func (n *Node) onDeploy(frame []byte) {
 	dp, err := DecodeDeploy(frame)
 	if err != nil || len(dp.QueueOf) != n.cfg.Slots {
@@ -102,10 +116,11 @@ func (n *Node) onDeploy(frame []byte) {
 			return
 		}
 	}
+	now := n.now()
 	n.mu.Lock()
-	if n.deploy == nil || dp.Epoch > n.deploy.Epoch {
+	if n.deploy == nil || dp.Epoch > n.deploy.Epoch || (n.staleAfter > 0 && now-n.deployAt > n.staleAfter) {
 		n.deploy = dp
-		n.deployAt = n.now()
+		n.deployAt = now
 	}
 	n.mu.Unlock()
 }
@@ -127,11 +142,12 @@ func (n *Node) Rank(now eventsim.Time, infos []cluster.Info, prev []int, rt core
 	}
 
 	staleAfter := n.cfg.StaleAfter
-	if staleAfter <= 0 {
+	if staleAfter == 0 {
 		staleAfter = 3 * rt.PollInterval
 	}
 
 	n.mu.Lock()
+	n.staleAfter = staleAfter
 	dp, at := n.deploy, n.deployAt
 	n.mu.Unlock()
 
@@ -140,11 +156,7 @@ func (n *Node) Rank(now eventsim.Time, infos []cluster.Info, prev []int, rt core
 		// the *local* window snapshot next to the *global* ranks, which
 		// is the interpretable view an operator wants: "here is what I
 		// saw, here is why the fleet demoted slot 3 anyway".
-		if n.fallback.CompareAndSwap(true, false) || !n.everFleet {
-			n.everFleet = true
-			src := "fleet"
-			n.source.Store(&src)
-		}
+		n.fallback.Store(false)
 		n.fleetDeploys.Add(1)
 		queueOf := make([]int, len(dp.QueueOf))
 		copy(queueOf, dp.QueueOf)
@@ -164,8 +176,6 @@ func (n *Node) Rank(now eventsim.Time, infos []cluster.Info, prev []int, rt core
 	// degradation flag until a fleet deployment applies again.
 	if n.fallback.CompareAndSwap(false, true) {
 		n.fallbacks.Add(1)
-		src := "fleet-fallback:local"
-		n.source.Store(&src)
 	}
 	n.localPolls.Add(1)
 	return core.RankDecision(rt.Ranking, infos, n.cfg.Slots, n.cfg.NumQueues, prev, now, now+rt.DeployDelay)
@@ -173,7 +183,12 @@ func (n *Node) Rank(now eventsim.Time, infos []cluster.Info, prev []int, rt core
 
 // Source implements core.Ranker: "fleet" while deploying the global
 // ranking, "fleet-fallback:local" while degraded.
-func (n *Node) Source() string { return *n.source.Load() }
+func (n *Node) Source() string {
+	if n.fallback.Load() {
+		return "fleet-fallback:local"
+	}
+	return "fleet"
+}
 
 // RankingDegraded implements the Health probe: true while on local
 // fallback (sticky until the next fleet deployment applies).

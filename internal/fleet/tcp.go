@@ -15,8 +15,8 @@ import (
 	"accturbo/internal/faults"
 )
 
-// This file is the socket backend behind the Transport seam: the same
-// ACCFLEET frames the in-process backends move whole, written to and
+// This file is the socket backend behind the NodeLink/CoordinatorLink
+// seam: the same ACCFLEET frames SimTransport moves whole, written to and
 // read from real TCP connections. The split is asymmetric, like the
 // deployment: ListenTCP builds the coordinator side (one listener, one
 // connection per node) and DialTCP builds a node side (one dialer with
@@ -72,11 +72,6 @@ import (
 //     after WriteTimeout — it never blocks the broadcast path.
 //   - close: graceful drain; concurrent senders observe ErrClosed, and
 //     Close returns only after every transport goroutine has exited.
-
-// ErrNotNodeSide reports a node-direction call on the coordinator-side
-// transport (or vice versa): the TCP backend is split per role, unlike
-// the in-process backends that carry both directions in one object.
-var ErrNotNodeSide = errors.New("fleet: wrong-role call on a TCP transport half")
 
 // TCPOptions tunes both TCP transport halves. The zero value defaults
 // to production-shaped settings; tests shrink the timers.
@@ -171,6 +166,12 @@ func (b *backoff) next() time.Duration {
 // reset re-arms the schedule after a successful handshake.
 func (b *backoff) reset() { b.attempt = 0 }
 
+// tcpCounters is what both halves count per transport, over all of its
+// connections.
+type tcpCounters struct {
+	framesIn, framesOut, dropsFull, crcResets, heartbeatsIn atomic.Uint64
+}
+
 // tcpPeer is one live connection: a buffered reader (the handshake's
 // too, so no byte is lost between hello and the read loop), the send
 // path described in the file header, and a stop channel + once so either
@@ -185,7 +186,7 @@ type tcpPeer struct {
 	lastSeen atomic.Int64 // wall ns of the last received frame
 
 	writeTimeout time.Duration
-	framesOut    *atomic.Uint64 // the owning transport's counter
+	c            *tcpCounters // the owning transport's
 
 	// wmu is held for every write to conn. Senders only ever TryLock it.
 	wmu sync.Mutex
@@ -208,14 +209,14 @@ type tcpPeer struct {
 	kick chan struct{}
 }
 
-func newTCPPeer(id uint32, conn net.Conn, br *bufio.Reader, opts *TCPOptions, framesOut *atomic.Uint64) *tcpPeer {
+func newTCPPeer(id uint32, conn net.Conn, br *bufio.Reader, opts *TCPOptions, c *tcpCounters) *tcpPeer {
 	p := &tcpPeer{
 		id:           id,
 		conn:         conn,
 		br:           br,
 		stop:         make(chan struct{}),
 		writeTimeout: opts.WriteTimeout,
-		framesOut:    framesOut,
+		c:            c,
 		sendq:        make(chan []byte, opts.SendQueueDepth),
 		kick:         make(chan struct{}, 1),
 	}
@@ -263,7 +264,7 @@ func (p *tcpPeer) send(frame []byte) bool {
 		p.wmu.Unlock()
 		switch {
 		case n == len(frame):
-			p.framesOut.Add(1)
+			p.c.framesOut.Add(1)
 			return true
 		case n > 0:
 			select {
@@ -297,13 +298,13 @@ func (p *tcpPeer) write(frame []byte) error {
 		if _, err := p.conn.Write(head); err != nil {
 			return err
 		}
-		p.framesOut.Add(1)
+		p.c.framesOut.Add(1)
 	}
 	if frame != nil {
 		if err := WriteFrame(p.conn, frame); err != nil {
 			return err
 		}
-		p.framesOut.Add(1)
+		p.c.framesOut.Add(1)
 	}
 	// A deadline left standing would, once past, fail the inline write
 	// before it tried.
@@ -333,6 +334,36 @@ func (p *tcpPeer) writeLoop(every time.Duration, beat []byte) bool {
 		if err != nil {
 			p.shutdown()
 			return true
+		}
+	}
+}
+
+// readLoop is the connection's reader. Every frame is CRC-verified
+// before anything looks at it: frames of type want go to deliver,
+// heartbeats only feed the last-seen clock, and a frame that fails
+// verification or that this direction never carries ends the loop with a
+// counted reset (nil) — the stream is no longer trusted, and the node's
+// redial re-handshakes cleanly. A failed read ends it with that error; a
+// timeout means the peer sent nothing, not even a heartbeat, for
+// peerTimeout.
+func (p *tcpPeer) readLoop(peerTimeout time.Duration, want uint8, deliver func(raw []byte)) error {
+	for {
+		p.conn.SetReadDeadline(time.Now().Add(peerTimeout))
+		raw, err := ReadFrame(p.br)
+		if err != nil {
+			return err
+		}
+		switch msgType, err := VerifyFrame(raw); {
+		case err == nil && msgType == want:
+			p.touch()
+			p.c.framesIn.Add(1)
+			deliver(raw)
+		case err == nil && msgType == MsgHeartbeat:
+			p.touch()
+			p.c.heartbeatsIn.Add(1)
+		default:
+			p.c.crcResets.Add(1)
+			return nil
 		}
 	}
 }
@@ -376,11 +407,8 @@ type TCPCoordinatorStats struct {
 
 // TCPCoordinatorTransport is the coordinator half of the socket
 // backend: a listener accepting one connection per node, each
-// identified by its MsgHello. It implements Transport; only the
-// coordinator-direction methods (HandleCoordinator, ToNode) are live —
-// ToCoordinator returns ErrNotNodeSide and HandleNode is a no-op,
-// because nodes hold their own TCPTransport on the far side of the
-// sockets.
+// identified by its MsgHello. It implements CoordinatorLink; nodes hold
+// their own TCPTransport on the far side of the sockets.
 type TCPCoordinatorTransport struct {
 	opts TCPOptions
 	ln   net.Listener
@@ -390,19 +418,16 @@ type TCPCoordinatorTransport struct {
 	// table is replaced, never written into, under mu.
 	mu     sync.Mutex
 	coord  atomic.Pointer[func(from uint32, frame []byte)]
+	join   atomic.Pointer[func(id uint32)]
 	peers  atomic.Pointer[map[uint32]*tcpPeer]
 	closed atomic.Bool
 	wg     sync.WaitGroup
 
+	tcpCounters
 	accepted       atomic.Uint64
 	handshakeFails atomic.Uint64
-	framesIn       atomic.Uint64
-	framesOut      atomic.Uint64
 	dropsNoPeer    atomic.Uint64
-	dropsFull      atomic.Uint64
-	crcResets      atomic.Uint64
 	peersShed      atomic.Uint64
-	heartbeatsIn   atomic.Uint64
 }
 
 // ListenTCP starts the coordinator-side transport on addr (":0" picks a
@@ -457,7 +482,7 @@ func (t *TCPCoordinatorTransport) handshake(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	p := newTCPPeer(node, conn, br, &t.opts, &t.framesOut)
+	p := newTCPPeer(node, conn, br, &t.opts, &t.tcpCounters)
 	t.mu.Lock()
 	if t.closed.Load() {
 		t.mu.Unlock()
@@ -472,6 +497,9 @@ func (t *TCPCoordinatorTransport) handshake(conn net.Conn) {
 	t.peers.Store(&peers)
 	t.mu.Unlock()
 	t.accepted.Add(1)
+	if h := t.join.Load(); h != nil {
+		(*h)(node)
+	}
 	t.wg.Add(2)
 	go t.readLoop(p)
 	go t.writeLoop(p)
@@ -493,39 +521,14 @@ func (t *TCPCoordinatorTransport) dropPeer(p *tcpPeer) {
 func (t *TCPCoordinatorTransport) readLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	defer t.dropPeer(p)
-	for {
-		p.conn.SetReadDeadline(time.Now().Add(t.opts.PeerTimeout))
-		raw, err := ReadFrame(p.br)
-		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				t.peersShed.Add(1) // silent peer: liveness expired
-			}
-			return
+	err := p.readLoop(t.opts.PeerTimeout, MsgSnapshot, func(raw []byte) {
+		if h := t.coord.Load(); h != nil {
+			(*h)(p.id, raw)
 		}
-		msgType, err := VerifyFrame(raw)
-		if err != nil {
-			// Corruption on the wire: reset the connection rather than
-			// trying to resynchronize a byte stream we no longer trust.
-			// The node's reconnect performs a clean re-handshake.
-			t.crcResets.Add(1)
-			return
-		}
-		p.touch()
-		switch msgType {
-		case MsgSnapshot:
-			t.framesIn.Add(1)
-			if h := t.coord.Load(); h != nil {
-				(*h)(p.id, raw)
-			}
-		case MsgHeartbeat:
-			t.heartbeatsIn.Add(1)
-		default:
-			// A node has no business sending deploys or hellos mid-stream:
-			// protocol violation, same remedy as corruption.
-			t.crcResets.Add(1)
-			return
-		}
+	})
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.peersShed.Add(1) // silent peer: liveness expired
 	}
 }
 
@@ -537,19 +540,16 @@ func (t *TCPCoordinatorTransport) writeLoop(p *tcpPeer) {
 	}
 }
 
-// HandleCoordinator implements Transport.
+// HandleCoordinator implements CoordinatorLink.
 func (t *TCPCoordinatorTransport) HandleCoordinator(fn func(from uint32, frame []byte)) {
 	t.coord.Store(&fn)
 }
 
-// HandleNode implements Transport; it is a no-op on the coordinator
-// half (nodes register on their own TCPTransport).
-func (t *TCPCoordinatorTransport) HandleNode(uint32, func(frame []byte)) {}
+// HandleJoin implements CoordinatorLink; fn runs on the handshake's
+// goroutine, before the connection's reader starts.
+func (t *TCPCoordinatorTransport) HandleJoin(fn func(id uint32)) { t.join.Store(&fn) }
 
-// ToCoordinator implements Transport; always ErrNotNodeSide here.
-func (t *TCPCoordinatorTransport) ToCoordinator(uint32, []byte) error { return ErrNotNodeSide }
-
-// ToNode implements Transport: send to node `to` (tcpPeer.send), from
+// ToNode implements CoordinatorLink: send to node `to` (tcpPeer.send), from
 // any goroutine and without blocking. No live connection or a full
 // queue is a counted drop, not an error — the staleness bound on the
 // node is the delivery contract.
@@ -640,22 +640,20 @@ type TCPNodeStats struct {
 
 // TCPTransport is the node half of the socket backend: one dialer that
 // keeps a single connection to the coordinator alive, reconnecting with
-// seeded exponential backoff whenever it drops. It implements
-// Transport; only the node-direction methods (HandleNode,
-// ToCoordinator) are live — ToNode returns ErrNotNodeSide and
-// HandleCoordinator is a no-op.
+// seeded exponential backoff whenever it drops. It implements NodeLink.
 //
 // DialTCP returns before the first connection is up: the fleet node
 // rides its local-ranking fallback until the link (and the first fleet
-// deploy) lands, the same degraded-start the in-process fleet has when
-// it boots partitioned.
+// deploy) lands.
 type TCPTransport struct {
 	id   uint32
 	addr string
 	opts TCPOptions
 
-	dialCtx    context.Context
-	cancelDial context.CancelFunc
+	// ctx ends at Close: it stops the redial loop, an in-flight dial and
+	// the backoff sleep.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// mu orders a new connection's registration against Close; senders
 	// and the reader read handler, cur and closed without it.
@@ -663,19 +661,12 @@ type TCPTransport struct {
 	handler atomic.Pointer[func(frame []byte)]
 	cur     atomic.Pointer[tcpPeer]
 	closed  atomic.Bool
-	stop    chan struct{}
 	wg      sync.WaitGroup
 
-	connected atomic.Bool
-
+	tcpCounters
 	dials             atomic.Uint64
 	connects          atomic.Uint64
-	framesIn          atomic.Uint64
-	framesOut         atomic.Uint64
 	dropsDisconnected atomic.Uint64
-	dropsFull         atomic.Uint64
-	crcResets         atomic.Uint64
-	heartbeatsIn      atomic.Uint64
 }
 
 // DialTCP starts the node-side transport for node id against the
@@ -689,12 +680,11 @@ func DialTCP(addr string, id uint32, opts TCPOptions) (*TCPTransport, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	t := &TCPTransport{
-		id:         id,
-		addr:       addr,
-		opts:       opts.withDefaults(),
-		dialCtx:    ctx,
-		cancelDial: cancel,
-		stop:       make(chan struct{}),
+		id:     id,
+		addr:   addr,
+		opts:   opts.withDefaults(),
+		ctx:    ctx,
+		cancel: cancel,
 	}
 	t.wg.Add(1)
 	go t.connectLoop()
@@ -709,21 +699,19 @@ func (t *TCPTransport) connectLoop() {
 	bo := newBackoff(t.opts.BackoffMin, t.opts.BackoffMax,
 		faults.NewRand(faults.DeriveSeed(t.opts.Seed, uint64(t.id))))
 	for {
-		select {
-		case <-t.stop:
+		if t.ctx.Err() != nil {
 			return
-		default:
 		}
 		t.dials.Add(1)
 		d := net.Dialer{Timeout: t.opts.DialTimeout}
-		conn, err := d.DialContext(t.dialCtx, "tcp", t.addr)
+		conn, err := d.DialContext(t.ctx, "tcp", t.addr)
 		if err == nil {
 			if t.runConn(conn) {
 				bo.reset()
 			}
 		}
 		select {
-		case <-t.stop:
+		case <-t.ctx.Done():
 			return
 		case <-time.After(bo.next()):
 		}
@@ -740,7 +728,7 @@ func (t *TCPTransport) runConn(conn net.Conn) bool {
 		conn.Close()
 		return false
 	}
-	p := newTCPPeer(t.id, conn, bufio.NewReaderSize(conn, readBuffer), &t.opts, &t.framesOut)
+	p := newTCPPeer(t.id, conn, bufio.NewReaderSize(conn, readBuffer), &t.opts, &t.tcpCounters)
 	t.mu.Lock()
 	if t.closed.Load() {
 		t.mu.Unlock()
@@ -750,50 +738,25 @@ func (t *TCPTransport) runConn(conn net.Conn) bool {
 	t.cur.Store(p)
 	t.mu.Unlock()
 	t.connects.Add(1)
-	t.connected.Store(true)
 
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
 		p.writeLoop(t.opts.HeartbeatEvery, EncodeHeartbeat(t.id)) // a failure wakes the reader, and the redial starts
 	}()
-	t.readLoop(p)
+	// Timeout, reset, or close: the redial decides what next.
+	p.readLoop(t.opts.PeerTimeout, MsgDeploy, func(raw []byte) {
+		if h := t.handler.Load(); h != nil {
+			(*h)(raw)
+		}
+	})
 
 	p.shutdown()
-	t.connected.Store(false)
 	t.cur.CompareAndSwap(p, nil)
 	return true
 }
 
-func (t *TCPTransport) readLoop(p *tcpPeer) {
-	for {
-		p.conn.SetReadDeadline(time.Now().Add(t.opts.PeerTimeout))
-		raw, err := ReadFrame(p.br)
-		if err != nil {
-			return // timeout, reset, or close: redial decides what next
-		}
-		msgType, err := VerifyFrame(raw)
-		if err != nil {
-			t.crcResets.Add(1)
-			return // reset; the reconnect re-handshakes cleanly
-		}
-		p.touch()
-		switch msgType {
-		case MsgDeploy:
-			t.framesIn.Add(1)
-			if h := t.handler.Load(); h != nil {
-				(*h)(raw)
-			}
-		case MsgHeartbeat:
-			t.heartbeatsIn.Add(1)
-		default:
-			t.crcResets.Add(1)
-			return
-		}
-	}
-}
-
-// HandleNode implements Transport; handlers for other ids are ignored
+// HandleNode implements NodeLink; handlers for other ids are ignored
 // (this transport speaks for exactly one node).
 func (t *TCPTransport) HandleNode(id uint32, fn func(frame []byte)) {
 	if id != t.id {
@@ -802,13 +765,7 @@ func (t *TCPTransport) HandleNode(id uint32, fn func(frame []byte)) {
 	t.handler.Store(&fn)
 }
 
-// HandleCoordinator implements Transport; a no-op on the node half.
-func (t *TCPTransport) HandleCoordinator(func(from uint32, frame []byte)) {}
-
-// ToNode implements Transport; always ErrNotNodeSide here.
-func (t *TCPTransport) ToNode(uint32, []byte) error { return ErrNotNodeSide }
-
-// ToCoordinator implements Transport: send on the live connection
+// ToCoordinator implements NodeLink: send on the live connection
 // (tcpPeer.send), without blocking. While disconnected the frame is a
 // counted drop (the coordinator only ever wants the newest snapshot,
 // so buffering across a reconnect would ship stale state); after Close
@@ -829,7 +786,7 @@ func (t *TCPTransport) ToCoordinator(from uint32, frame []byte) error {
 }
 
 // Connected reports whether a handshaken connection is live.
-func (t *TCPTransport) Connected() bool { return t.connected.Load() }
+func (t *TCPTransport) Connected() bool { return t.cur.Load() != nil }
 
 // Stats snapshots the transport counters, from any goroutine.
 func (t *TCPTransport) Stats() TCPNodeStats {
@@ -842,7 +799,7 @@ func (t *TCPTransport) Stats() TCPNodeStats {
 		DropsQueueFull:    t.dropsFull.Load(),
 		CRCResets:         t.crcResets.Load(),
 		HeartbeatsIn:      t.heartbeatsIn.Load(),
-		Connected:         t.connected.Load(),
+		Connected:         t.Connected(),
 	}
 }
 
@@ -856,8 +813,7 @@ func (t *TCPTransport) Close() {
 	p := t.cur.Load()
 	t.mu.Unlock()
 	if !already {
-		close(t.stop)
-		t.cancelDial()
+		t.cancel()
 		if p != nil {
 			p.shutdown()
 		}
@@ -865,8 +821,8 @@ func (t *TCPTransport) Close() {
 	t.wg.Wait()
 }
 
-// Interface conformance.
+// Each half is one end of the seam.
 var (
-	_ Transport = (*TCPCoordinatorTransport)(nil)
-	_ Transport = (*TCPTransport)(nil)
+	_ CoordinatorLink = (*TCPCoordinatorTransport)(nil)
+	_ NodeLink        = (*TCPTransport)(nil)
 )

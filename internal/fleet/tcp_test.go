@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"accturbo/internal/cluster"
+	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
 	"accturbo/internal/faults"
 )
@@ -405,6 +406,85 @@ func TestTCPReconnectAfterCoordinatorRestart(t *testing.T) {
 	})
 }
 
+// TestTCPRestartedPeersAdopted is the restart arc over real sockets, on
+// TestTCPReconnectAfterCoordinatorRestart's shape with a Coordinator and
+// a Node on the two halves. A coordinator reborn on the same address
+// counts epochs from 1 again: the first deployment it gets through to a
+// node that fell back is applied, not held off until it has broadcast as
+// often as the dead one. Then the node is reborn under its id, counting
+// sequences from 1 again: its hello makes the coordinator merge its first
+// snapshot instead of rejecting it as a replay.
+func TestTCPRestartedPeersAdopted(t *testing.T) {
+	opts := testTCPOpts()
+	ccfg := CoordinatorConfig{Slots: 2, NumQueues: 2, Ranking: core.ByThroughput, Distance: cluster.Manhattan}
+	ncfg := NodeConfig{Slots: 2, NumQueues: 2, StaleAfter: eventsim.FromDuration(30 * time.Millisecond)}
+	rt := simRT()
+	epoch := time.Now()
+	now := func() eventsim.Time { return eventsim.FromDuration(time.Since(epoch)) }
+
+	co, err := ListenTCP("127.0.0.1:0", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := co.Addr()
+	if _, err := NewCoordinator(co, ccfg); err != nil {
+		t.Fatal(err)
+	}
+	nt, err := DialTCP(addr, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { nt.Close() }()
+	node, err := NewNode(3, nt, now, ncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// pollUntil polls every 2 ms until cond holds.
+	pollUntil := func(node *Node, what string, cond func() bool) {
+		t.Helper()
+		waitUntil(t, what, func() bool {
+			node.Rank(now(), slotInfos(1000, 600), []int{0, 0}, rt)
+			return cond()
+		})
+	}
+	pollUntil(node, "20 epochs applied", func() bool { return node.Source() == "fleet" && node.Stats().Epoch >= 20 })
+
+	co.Close()
+	pollUntil(node, "fallback after the coordinator died", node.RankingDegraded)
+	co2, err := ListenTCP(addr, opts)
+	if err != nil {
+		t.Fatalf("re-listen on %s: %v", addr, err)
+	}
+	defer co2.Close()
+	coord2, err := NewCoordinator(co2, ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "reconnect", func() bool { return nt.Connected() && nt.Stats().Connects >= 2 })
+	in := nt.Stats().FramesIn
+	node.Rank(now(), slotInfos(1000, 600), []int{0, 0}, rt)
+	waitUntil(t, "the new coordinator's first deployment", func() bool { return nt.Stats().FramesIn > in })
+	node.Rank(now(), slotInfos(1000, 600), []int{0, 0}, rt)
+	if held := node.Stats().Epoch; node.Source() != "fleet" || held > coord2.Stats().Epoch {
+		t.Fatalf("one poll after the new coordinator's first deployment: source %q, held epoch %d, coordinator %+v",
+			node.Source(), held, coord2.Stats())
+	}
+
+	nt.Close()
+	before := coord2.Stats()
+	if nt, err = DialTCP(addr, 3, opts); err != nil {
+		t.Fatal(err)
+	}
+	if node, err = NewNode(3, nt, now, ncfg); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "reborn node connected", nt.Connected)
+	pollUntil(node, "reborn node on the fleet ranking", func() bool { return node.Source() == "fleet" })
+	if st := coord2.Stats(); st.Rejected != before.Rejected || st.Merges == before.Merges {
+		t.Fatalf("reborn node's snapshots: coordinator went %+v -> %+v, want merges and no rejection", before, st)
+	}
+}
+
 // TestTCPCloseWhileReconnecting: Close during the dial/backoff cycle —
 // nobody listening on the target — returns promptly and leaks nothing.
 func TestTCPCloseWhileReconnecting(t *testing.T) {
@@ -437,8 +517,7 @@ func TestTCPCloseWhileReconnecting(t *testing.T) {
 }
 
 // TestTCPCloseWhilePublishing is the dial/close race gate for the
-// socket backend, mirroring TestChanTransportCloseWhilePublish:
-// publishers hammer ToCoordinator, and a broadcaster ToNode, while
+// socket backend: publishers hammer ToCoordinator, and a broadcaster ToNode, while
 // Close tears both halves down. The frames are large enough that most
 // of them are mid inline write when it happens. Every interleaving must
 // end in nil (sent or counted drop) or ErrClosed — no panic, no
@@ -690,6 +769,10 @@ func TestTCPSendOrderMixedPaths(t *testing.T) {
 func TestTCPConcurrentSendersRace(t *testing.T) {
 	const senders, each = 8, 400
 	opts := quietTCPOpts()
+	// The reader decodes 3200 wide snapshots under -race; beside another
+	// test binary on two cores it has stalled the writer past 500 ms,
+	// which reads as a dead peer and costs the link this test counts on.
+	opts.WriteTimeout = 10 * time.Second
 	co, err := ListenTCP("127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -2,33 +2,43 @@ package fleet
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"accturbo/internal/eventsim"
 )
 
-// Transport moves framed fleet messages between N nodes and one
+// A transport moves framed fleet messages between N nodes and one
 // coordinator. It is deliberately datagram-shaped over TCP-shaped
 // frames: a send either hands the frame to the far side's handler
 // (possibly later) or drops it — there is no delivery report beyond
 // ErrClosed, because the node's staleness bound, not the transport, is
 // the fleet's failure detector. Handlers run on the transport's
-// delivery context (the event engine for SimTransport, the dispatcher
-// goroutine for ChanTransport) and must not block it.
+// delivery context (the event engine for SimTransport, a connection's
+// reader goroutine for the socket backend in tcp.go) and must not block
+// it.
 //
-// Both in-process backends move whole frames; the framing itself is
-// byte-stream-safe (see WriteFrame/ReadFrame), which is what the socket
-// backend in tcp.go relies on behind this same interface.
-type Transport interface {
+// The seam is split by who holds it, so a wrong-direction call does not
+// compile: a Node is built on a NodeLink, a Coordinator on a
+// CoordinatorLink. SimTransport carries both directions in one object;
+// the socket backend is one type per role, like the deployment.
+
+// NodeLink is a node's end of the transport.
+type NodeLink interface {
 	// ToCoordinator sends a frame from node `from` to the coordinator.
 	ToCoordinator(from uint32, frame []byte) error
+	// HandleNode registers node id's receive handler.
+	HandleNode(id uint32, fn func(frame []byte))
+}
+
+// CoordinatorLink is the coordinator's end of the transport.
+type CoordinatorLink interface {
 	// ToNode sends a frame from the coordinator to node `to`.
 	ToNode(to uint32, frame []byte) error
 	// HandleCoordinator registers the coordinator's receive handler.
 	HandleCoordinator(fn func(from uint32, frame []byte))
-	// HandleNode registers node id's receive handler.
-	HandleNode(id uint32, fn func(frame []byte))
+	// HandleJoin registers what runs when node id completes a handshake,
+	// ahead of any frame the new connection carries: the process behind
+	// the id may be a new one, counting its sequence numbers from 1.
+	HandleJoin(fn func(id uint32))
 }
 
 // ErrClosed reports a send on a closed transport.
@@ -48,6 +58,7 @@ type SimTransport struct {
 	up      bool
 
 	coord func(from uint32, frame []byte)
+	join  func(id uint32)
 	nodes map[uint32]func(frame []byte)
 
 	// Dropped counts frames lost to partition, in both directions.
@@ -72,12 +83,18 @@ func NewSimTransport(eng *eventsim.Engine, latency eventsim.Time) *SimTransport 
 // deliver, like packets past the failed switch.
 func (t *SimTransport) SetUp(up bool) { t.up = up }
 
-// Up reports the link state.
-func (t *SimTransport) Up() bool { return t.up }
-
 func (t *SimTransport) HandleCoordinator(fn func(from uint32, frame []byte)) { t.coord = fn }
 
-func (t *SimTransport) HandleNode(id uint32, fn func(frame []byte)) { t.nodes[id] = fn }
+func (t *SimTransport) HandleJoin(fn func(id uint32)) { t.join = fn }
+
+// HandleNode registers the handler; registration is this backend's
+// handshake.
+func (t *SimTransport) HandleNode(id uint32, fn func(frame []byte)) {
+	t.nodes[id] = fn
+	if t.join != nil {
+		t.join(id)
+	}
+}
 
 func (t *SimTransport) ToCoordinator(from uint32, frame []byte) error {
 	if !t.up || t.coord == nil {
@@ -104,132 +121,8 @@ func (t *SimTransport) ToNode(to uint32, frame []byte) error {
 	return nil
 }
 
-// ChanTransport is the real-time in-process backend: one dispatcher
-// goroutine drains a bounded queue and invokes handlers, preserving
-// send order. Sends are safe from any goroutine and never block the
-// caller's control loop: a full queue drops the frame (counted) the way
-// a congested link would, and a closed transport returns ErrClosed —
-// which is how close-while-publish resolves safely (see Close).
-type ChanTransport struct {
-	mu     sync.RWMutex
-	coord  func(from uint32, frame []byte)
-	nodes  map[uint32]func(frame []byte)
-	queue  chan chanDelivery
-	done   chan struct{}
-	closed atomic.Bool
-	up     atomic.Bool
-
-	dropped   atomic.Uint64
-	delivered atomic.Uint64
-}
-
-type chanDelivery struct {
-	toCoord bool
-	id      uint32 // from (toCoord) or to (!toCoord)
-	frame   []byte
-}
-
-// NewChanTransport builds a real-time transport with a queue of the
-// given depth (<=0 defaults to 256). Call Close to stop the dispatcher.
-func NewChanTransport(depth int) *ChanTransport {
-	if depth <= 0 {
-		depth = 256
-	}
-	t := &ChanTransport{
-		nodes: make(map[uint32]func(frame []byte)),
-		queue: make(chan chanDelivery, depth),
-		done:  make(chan struct{}),
-	}
-	t.up.Store(true)
-	go t.dispatch()
-	return t
-}
-
-func (t *ChanTransport) dispatch() {
-	defer close(t.done)
-	for d := range t.queue {
-		t.mu.RLock()
-		coord, node := t.coord, t.nodes[d.id]
-		t.mu.RUnlock()
-		if d.toCoord {
-			if coord != nil {
-				t.delivered.Add(1)
-				coord(d.id, d.frame)
-			}
-			continue
-		}
-		if node != nil {
-			t.delivered.Add(1)
-			node(d.frame)
-		}
-	}
-}
-
-// SetUp raises (true) or partitions (false) the link, from any
-// goroutine.
-func (t *ChanTransport) SetUp(up bool) { t.up.Store(up) }
-
-func (t *ChanTransport) HandleCoordinator(fn func(from uint32, frame []byte)) {
-	t.mu.Lock()
-	t.coord = fn
-	t.mu.Unlock()
-}
-
-func (t *ChanTransport) HandleNode(id uint32, fn func(frame []byte)) {
-	t.mu.Lock()
-	t.nodes[id] = fn
-	t.mu.Unlock()
-}
-
-// send enqueues under the read lock; Close takes the write lock, so a
-// send either observes closed (ErrClosed) or completes its enqueue
-// before the queue channel closes — never a send on a closed channel.
-func (t *ChanTransport) send(d chanDelivery) error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	if !t.up.Load() {
-		t.dropped.Add(1)
-		return nil
-	}
-	select {
-	case t.queue <- d:
-		return nil
-	default:
-		t.dropped.Add(1)
-		return nil
-	}
-}
-
-func (t *ChanTransport) ToCoordinator(from uint32, frame []byte) error {
-	return t.send(chanDelivery{toCoord: true, id: from, frame: frame})
-}
-
-func (t *ChanTransport) ToNode(to uint32, frame []byte) error {
-	return t.send(chanDelivery{id: to, frame: frame})
-}
-
-// Dropped counts frames lost to partition or backpressure.
-func (t *ChanTransport) Dropped() uint64 { return t.dropped.Load() }
-
-// Delivered counts frames handed to a handler.
-func (t *ChanTransport) Delivered() uint64 { return t.delivered.Load() }
-
-// Close stops accepting sends, drains in-flight deliveries, and waits
-// for the dispatcher to exit. Idempotent and safe concurrently with
-// sends: publishers racing Close get ErrClosed (or complete first),
-// and by return no handler is running or will run again.
-func (t *ChanTransport) Close() {
-	if !t.closed.CompareAndSwap(false, true) {
-		<-t.done
-		return
-	}
-	// The write lock waits out every in-flight send's read lock; after
-	// this, no goroutine can be inside send() un-aware of closed.
-	t.mu.Lock()
-	close(t.queue)
-	t.mu.Unlock()
-	<-t.done
-}
+// SimTransport is both ends at once.
+var (
+	_ NodeLink        = (*SimTransport)(nil)
+	_ CoordinatorLink = (*SimTransport)(nil)
+)

@@ -16,11 +16,11 @@
 //     in-process transport whole and a TCP connection as a byte stream.
 //     Fields are written and read with internal/frame, the tree's one
 //     codec; only the envelope's layout is this package's own.
-//   - transport.go, tcp.go: the Transport seam and its three backends —
-//     SimTransport (eventsim-scheduled, deterministic, partitionable),
-//     ChanTransport (goroutine dispatcher for in-process real-time
-//     fleets) and the TCP pair ListenTCP/DialTCP (real sockets, with
-//     chaos.go's fault-injecting proxy for tests).
+//   - transport.go, tcp.go: the NodeLink/CoordinatorLink seam and its
+//     two backends — SimTransport (eventsim-scheduled, deterministic,
+//     partitionable) and the TCP pair ListenTCP/DialTCP (real sockets,
+//     in one process over loopback or across hosts, with chaos.go's
+//     fault-injecting proxy for tests).
 //   - coordinator.go: merges the latest snapshot from every node and
 //     broadcasts the global ranking, epoch-stamped.
 //   - node.go: the core.Ranker that publishes snapshots, applies fleet
@@ -71,8 +71,8 @@ const (
 	// MsgDeploy is a coordinator→node global ranking deployment.
 	MsgDeploy uint8 = 2
 	// MsgHello is the first frame on a node→coordinator TCP connection:
-	// it names the node id the connection speaks for (the handshake the
-	// in-process transports get implicitly from their registration maps).
+	// it names the node id the connection speaks for (SimTransport's
+	// handshake is the HandleNode registration).
 	MsgHello uint8 = 3
 	// MsgHeartbeat is the idle-link liveness frame, sent in both
 	// directions by the TCP transport; it carries the sender's node id
