@@ -84,9 +84,12 @@ var (
 )
 
 // Re-exported clustering knobs, so Config.Clustering can be tuned
-// without internal imports. The per-packet path compiles the chosen
-// distance to a kernel at construction time, so every combination runs
-// allocation free (see internal/cluster).
+// without internal imports. The deployed configuration (Manhattan,
+// unnormalized, fast search) is the one built for line rate; every other
+// combination is a quality baseline of the paper's Fig. 10 and runs on
+// the naive reference implementation — same accessors, several times
+// slower per packet, and no snapshots (see SaveState and
+// internal/cluster).
 type (
 	// ClusterDistance selects the distance metric (§4.2.3).
 	ClusterDistance = cluster.Distance
@@ -103,10 +106,14 @@ const (
 	DistanceEuclidean = cluster.Euclidean
 	// SearchFast is the linear closest-cluster scan the hardware uses.
 	SearchFast = cluster.Fast
-	// SearchExhaustive also weighs merging the two closest clusters,
-	// served by an incrementally maintained merge-cost matrix.
+	// SearchExhaustive also weighs merging the two closest clusters
+	// (quadratic in the cluster count).
 	SearchExhaustive = cluster.Exhaustive
 )
+
+// ErrBaselineSnapshot is what SaveState and RestoreState return (wrapped)
+// for a Defense whose clustering is not the deployed configuration.
+var ErrBaselineSnapshot = cluster.ErrBaselineSnapshot
 
 // Victim identification (ROADMAP item 3): a heavy-keeper detector that
 // ranks the destination aggregates an attack is converging on. Feed it
@@ -444,7 +451,10 @@ func (d *Defense) ConfigGeneration() uint64 { return d.cp.ConfigGeneration() }
 // decision, fail-open status and lifetime counters, framed by a magic/
 // version header and a CRC-32 trailer. Safe on a live pipeline (shards
 // are locked one at a time in concurrent mode); for a quiescent-exact
-// snapshot, stop feeding packets first.
+// snapshot, stop feeding packets first. A Defense whose clustering is a
+// baseline configuration (anything but Manhattan, unnormalized, fast
+// search) returns an error wrapping ErrBaselineSnapshot and writes
+// nothing.
 func (d *Defense) SaveState(w io.Writer) error {
 	return core.SaveState(w, d.dp, d.cp)
 }
@@ -454,7 +464,8 @@ func (d *Defense) SaveState(w io.Writer) error {
 // restored process resumes with the learned clusters, the deployed
 // queue map, and the saved runtime config live immediately — its first
 // control-loop decision ranks the restored aggregates instead of
-// re-converging from scratch.
+// re-converging from scratch. A baseline-configured Defense refuses with
+// ErrBaselineSnapshot, untouched.
 func (d *Defense) RestoreState(r io.Reader) error {
 	return core.RestoreState(r, d.dp, d.cp)
 }

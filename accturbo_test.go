@@ -1,6 +1,8 @@
 package accturbo
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -262,5 +264,25 @@ func TestDefenseSnapshotRestore(t *testing.T) {
 		if v2 != v3 {
 			t.Fatalf("restored twins diverge at %v: %+v vs %+v", at, v2, v3)
 		}
+	}
+
+	// A baseline clustering configuration defends like any other but has
+	// no snapshot: saving writes nothing, restoring changes nothing.
+	cfg.Clustering.Distance = DistanceAnime
+	base := NewDefense(cfg)
+	defer base.Close()
+	for ms := 0; ms < 200; ms++ {
+		base.Process(time.Duration(ms)*time.Millisecond, benignPacket(ms))
+	}
+	var none strings.Builder
+	if err := base.SaveState(&none); !errors.Is(err, ErrBaselineSnapshot) || none.Len() != 0 {
+		t.Fatalf("baseline SaveState = %v with %d bytes written, want ErrBaselineSnapshot and none", err, none.Len())
+	}
+	observed, gen, clusters := base.PacketsObserved(), base.ConfigGeneration(), base.Clusters()
+	if err := base.RestoreState(strings.NewReader(blob)); !errors.Is(err, ErrBaselineSnapshot) {
+		t.Fatalf("baseline RestoreState = %v, want ErrBaselineSnapshot", err)
+	}
+	if base.PacketsObserved() != observed || base.ConfigGeneration() != gen || !reflect.DeepEqual(base.Clusters(), clusters) {
+		t.Fatal("a refused restore changed the baseline Defense")
 	}
 }

@@ -205,8 +205,8 @@ func BenchmarkDefenseProcess(b *testing.B) {
 }
 
 // BenchmarkDefenseProcessExhaustive is the same pipeline under
-// exhaustive search, where the incremental merge-cost cache (instead
-// of an O(|C|^2) rescan per packet) carries the load.
+// exhaustive search, a baseline configuration: the clusterer behind it
+// is the naive reference with its O(|C|^2) rescan per uncovered packet.
 func BenchmarkDefenseProcessExhaustive(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Clustering.Search = SearchExhaustive

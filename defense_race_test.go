@@ -12,16 +12,24 @@ import (
 // GOMAXPROCS goroutines (run under -race in CI) and checks the two
 // invariants a concurrent pipeline must keep: conservation — every
 // packet fed comes back out as exactly one assignment — and validity —
-// every verdict names a real cluster slot and a real queue.
+// every verdict names a real cluster slot and a real queue. Once over the
+// deployed clusterer, once over a baseline configuration, whose shards
+// forward to the reference implementation under the same locks.
 func TestShardedDefenseConcurrentIngest(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
+	deployed, baseline := DefaultConfig(), DefaultConfig()
+	deployed.Shards = 4
+	baseline.Shards, baseline.Clustering.Search = 2, SearchExhaustive
+	t.Run("deployed", func(t *testing.T) { shardedConcurrentIngest(t, deployed) })
+	t.Run("baseline", func(t *testing.T) { shardedConcurrentIngest(t, baseline) })
+}
+
+func shardedConcurrentIngest(t *testing.T, cfg Config) {
 	cfg.PollInterval = FromDuration(2 * time.Millisecond)
 	cfg.DeployDelay = FromDuration(time.Millisecond)
 	d := NewDefense(cfg)
 	defer d.Close()
-	if d.Shards() != 4 {
-		t.Fatalf("Shards() = %d, want 4", d.Shards())
+	if d.Shards() != cfg.Shards {
+		t.Fatalf("Shards() = %d, want %d", d.Shards(), cfg.Shards)
 	}
 
 	workers := runtime.GOMAXPROCS(0)

@@ -4,10 +4,14 @@
 //
 // The deployable configuration — range-based cluster representation,
 // Manhattan distance, fast (linear) search — matches what fits a Tofino
-// pipeline and is the default. The package also implements every
-// alternative the paper evaluates as a baseline (Fig. 10): exhaustive
-// search, the Anime (product) distance, Euclidean center-based
-// clustering, offline k-means, and the hybrid offline/online scheme.
+// pipeline, is the default, and is the only one Online implements (see
+// Config.Deployed). Every alternative the paper evaluates as a baseline
+// (Fig. 10) — exhaustive search, the Anime (product) distance, Euclidean
+// center-based clustering, normalised distances, the hybrid
+// offline/online scheme — has one implementation, the naive Reference,
+// which an Online built for such a configuration forwards to and which is
+// also the oracle the deployed path is tested against. Offline k-means is
+// KMeans.
 //
 // Clusters carry ground-truth label counters (benign/malicious packets)
 // strictly for evaluation: purity and recall metrics read them, but no
@@ -15,10 +19,16 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"accturbo/internal/packet"
 )
+
+// ErrBaselineSnapshot is returned when a snapshot is asked of, or offered
+// to, a clusterer whose configuration is not the deployed one: the Fig. 10
+// baselines run on Reference, which has no serialized form.
+var ErrBaselineSnapshot = errors.New("cluster: snapshots need the deployed clustering configuration (manhattan, fast search, unnormalized)")
 
 // Distance selects the distance/cost function (§4.2.3).
 type Distance uint8
@@ -136,7 +146,28 @@ func (c *Config) Validate() error {
 	if c.Search == Exhaustive && c.UseBloom {
 		return fmt.Errorf("cluster: exhaustive search requires exact nominal sets, not Bloom filters")
 	}
+	if c.SliceInit {
+		// Slices tile the first ordinal feature; more slices than it has
+		// values would leave some of them empty.
+		for _, f := range c.Features {
+			if f.Nominal() {
+				continue
+			}
+			if space := uint64(f.MaxValue()) + 1; uint64(c.MaxClusters) > space {
+				return fmt.Errorf("cluster: SliceInit cannot tile the %d values of %v into %d clusters", space, f, c.MaxClusters)
+			}
+			break
+		}
+	}
 	return nil
+}
+
+// Deployed reports whether this is the configuration the paper deploys
+// (§4.2: Manhattan distance, unnormalized, fast search), which Online
+// implements itself; every other one is a quality baseline that runs on
+// Reference and cannot be snapshotted.
+func (c *Config) Deployed() bool {
+	return c.Distance == Manhattan && c.Search == Fast && !c.Normalize
 }
 
 func (c *Config) withDefaults() Config {

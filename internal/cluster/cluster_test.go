@@ -43,6 +43,8 @@ func TestConfigValidate(t *testing.T) {
 		{MaxClusters: 2, Features: twoFeatures(), Search: Search(9)},
 		{MaxClusters: 2, Features: twoFeatures(), LearningRate: 2},
 		{MaxClusters: 2, Features: packet.FeatureSet{packet.FSrcPort}, Search: Exhaustive, UseBloom: true},
+		// More slices than the lead ordinal (ip.dst[2], 256 values) has values.
+		{MaxClusters: 257, Features: packet.HardwareFeatures(), SliceInit: true},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {

@@ -171,7 +171,7 @@ func sqDist(a, b []float64) float64 {
 // clusterer whose centers are periodically recomputed offline from a
 // buffer of recent packets.
 type Hybrid struct {
-	online *Online
+	online *Reference
 	km     *KMeans
 	buf    []*packet.Packet
 	// RefitEvery triggers an offline solve after this many packets.
@@ -191,7 +191,7 @@ func NewHybrid(maxClusters int, features packet.FeatureSet, refitEvery int, seed
 		Search:      Fast,
 	}
 	return &Hybrid{
-		online:     NewOnline(cfg),
+		online:     NewReference(cfg),
 		km:         NewKMeans(maxClusters, features, seed),
 		RefitEvery: refitEvery,
 	}

@@ -14,15 +14,21 @@ import (
 // byte stream. The stream opens with a configuration fingerprint so
 // Unmarshal can refuse a snapshot taken under different cluster
 // geometry. Two clusterers with equal observable state produce
-// identical bytes (the exhaustive-search merge-cost cache and the order
-// in which values were admitted are excluded: a set is written as its
-// ascending values, a Bloom set as the words of the equivalent
-// sketch.Bloom), which is what makes save → restore → save
-// byte-identical.
+// identical bytes (the order in which values were admitted is excluded:
+// a set is written as its ascending values, a Bloom set as the words of
+// the equivalent sketch.Bloom), which is what makes save → restore →
+// save byte-identical.
 //
 // Checksums and format versioning live one layer up, in the core
 // snapshot container: a cluster blob never travels alone.
+//
+// Only the deployed configuration has a serialized form; Marshal panics
+// on a baseline clusterer, which callers rule out with Config.Deployed
+// (Validate and Unmarshal return ErrBaselineSnapshot).
 func (o *Online) Marshal() []byte {
+	if o.baseline != nil {
+		panic(ErrBaselineSnapshot)
+	}
 	var e frame.Enc
 	o.encodeFingerprint(&e)
 	e.U64(o.nextUID)
@@ -36,11 +42,6 @@ func (o *Online) Marshal() []byte {
 		for f := 0; f < o.nf; f++ {
 			e.U32(o.min[base+f])
 			e.U32(o.max[base+f])
-		}
-		if o.center != nil {
-			for f := 0; f < o.nf; f++ {
-				e.F64(o.center[base+f])
-			}
 		}
 		e.U64(c.count)
 		e.U64(c.packets)
@@ -79,8 +80,7 @@ func (o *Online) Marshal() []byte {
 // receiver must have been constructed with the same configuration the
 // snapshot was taken under (checked via the embedded fingerprint), and
 // its subsequent observations are bit-identical to the original
-// clusterer's. The merge-cost cache is marked fully dirty and recomputes
-// lazily from the restored geometry.
+// clusterer's.
 //
 // The stream is untrusted: it is walked once to validate it — every
 // length against the bytes that remain, every value against its
@@ -106,6 +106,9 @@ func (o *Online) Validate(data []byte) error {
 // validated is Unmarshal's first walk: it returns the stream past its
 // fingerprint once every length and value in it has been checked.
 func (o *Online) validated(data []byte) ([]byte, error) {
+	if o.baseline != nil {
+		return nil, ErrBaselineSnapshot
+	}
 	var fp frame.Enc
 	o.encodeFingerprint(&fp)
 	if !bytes.HasPrefix(data, fp.B) {
@@ -141,13 +144,6 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 			}
 			if commit {
 				o.setRange(ci, f, mn, mx)
-			}
-		}
-		if o.center != nil {
-			for f := 0; f < o.nf; f++ {
-				if v := d.F64(); commit {
-					o.center[ci*o.nf+f] = v
-				}
 			}
 		}
 		c.count = d.U64()

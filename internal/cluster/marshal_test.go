@@ -16,7 +16,9 @@ import (
 // instance, and requires (a) re-marshaling reproduces the exact bytes,
 // (b) the interpretable snapshots match, and (c) both instances stay
 // bit-identical on every subsequent observation — the restored process
-// must behave as if it had seen the whole original trace.
+// must behave as if it had seen the whole original trace. A baseline
+// configuration has no snapshot: Validate and Unmarshal refuse with
+// ErrBaselineSnapshot.
 func TestMarshalRoundTrip(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -40,6 +42,12 @@ func TestMarshalRoundTrip(t *testing.T) {
 				orig := NewOnline(cfg)
 				for _, p := range warm {
 					orig.Observe(p)
+				}
+				if !cfg.Deployed() {
+					if v, u := orig.Validate(nil), orig.Unmarshal(nil); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
+						t.Fatalf("baseline Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", v, u)
+					}
+					return
 				}
 				blob := orig.Marshal()
 

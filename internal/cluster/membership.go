@@ -28,10 +28,10 @@ import "accturbo/internal/sketch"
 // bit-identical to one sketch.Bloom per (cluster, feature). What the
 // cells cannot answer cheaply — which cells does cluster c admit — is
 // kept beside them: a per-(slot, feature) list of the cells carrying the
-// slot's bit, in admission order. Enumeration (snapshots, exhaustive
-// merges) and clearing a slot walk that list, so recycling a slot or
-// reseeding costs in proportion to what was admitted, not to the table
-// size, and the lists' backing arrays are reused.
+// slot's bit, in admission order. Enumeration (snapshots) and clearing a
+// slot walk that list, so reseeding costs in proportion to what was
+// admitted, not to the table size, and the lists' backing arrays are
+// reused.
 //
 // Span cells (spans), one 256-cell array per ordinal feature of at most
 // eight bits: bit c of cell v is set exactly when cluster c is seeded and
@@ -41,11 +41,10 @@ import "accturbo/internal/sketch"
 // every write of a range goes through Online.setRange (a fresh slot's
 // first range) or Online.widen (growth, which sets only the cells the
 // range grew by, so each (cluster, feature, value) bit is set at most
-// once per generation), that recycling a seeded slot clears its bit over
-// the old range first (Online.occupy), and that discarding every cluster
-// zeroes the arrays (clearSpans). Wider ordinals (ip.len, ip.id, whole
-// addresses) have no cells; Online checks them arithmetically on the few
-// clusters the table leaves standing.
+// once per generation), and that slots are freed only by discarding every
+// cluster, which zeroes the arrays (clearSpans). Wider ordinals (ip.len,
+// ip.id, whole addresses) have no cells; Online checks them arithmetically
+// on the few clusters the table leaves standing.
 //
 // A cell is `planes` consecutive bytes (slot c lives in byte c/8, bit
 // c%8), so the bits of all clusters for one value share a cache line.
@@ -82,10 +81,8 @@ type memberFeat struct {
 const spanBits = 8
 
 // newMemberTable sizes an empty table for the features of cfg (defaults
-// applied): nominal cells always, span cells when the clusterer's kernel
-// reads them (see Online.rawManhattan) — the others would only pay for
-// their upkeep.
-func newMemberTable(cfg *Config, spans bool) *memberTable {
+// applied).
+func newMemberTable(cfg *Config) *memberTable {
 	t := &memberTable{}
 	if cfg.UseBloom {
 		t.hashes = cfg.BloomHashes
@@ -93,7 +90,7 @@ func newMemberTable(cfg *Config, spans bool) *memberTable {
 	for pos, f := range cfg.Features {
 		switch {
 		case !f.Nominal():
-			if spans && f.Bits() <= spanBits {
+			if f.Bits() <= spanBits {
 				t.spans = append(t.spans, memberFeat{pos: pos, ncell: 1 << spanBits})
 			}
 		case cfg.UseBloom:
@@ -155,11 +152,6 @@ func (t *memberTable) setCell(slot, j int, cell uint32) bool {
 	return true
 }
 
-// hasCell reports whether cell carries the slot's bit at nominal feature j.
-func (t *memberTable) hasCell(slot, j int, cell uint32) bool {
-	return t.feats[j].cells[int(cell)*t.planes+slot>>3]&(1<<(slot&7)) != 0
-}
-
 // admit makes slot admit value v at nominal feature j. A value the slot
 // already admits — a Bloom false positive included, as for a sketch.Bloom
 // whose Insert is guarded by Contains — changes nothing.
@@ -183,31 +175,6 @@ func (t *memberTable) admit(slot, j int, v uint32) {
 // cardinality returns how many values slot admits at nominal feature j.
 func (t *memberTable) cardinality(slot, j int) int { return t.card[slot*len(t.feats)+j] }
 
-// merge makes dst admit everything src admits (exact mode only: a Bloom
-// slot's value count cannot be recovered from its cells).
-func (t *memberTable) merge(dst, src int) {
-	nn := len(t.feats)
-	for j := 0; j < nn; j++ {
-		for _, cell := range t.lists[src*nn+j] {
-			if t.setCell(dst, j, cell) {
-				t.card[dst*nn+j]++
-			}
-		}
-	}
-}
-
-// unionExtra counts the cells of slot b at nominal feature j that slot a
-// does not carry — the growth of a's cardinality if b were merged into it.
-func (t *memberTable) unionExtra(a, b, j int) int {
-	extra := 0
-	for _, cell := range t.lists[b*len(t.feats)+j] {
-		if !t.hasCell(a, j, cell) {
-			extra++
-		}
-	}
-	return extra
-}
-
 // clearSlot empties every nominal set of slot, keeping the lists'
 // backing arrays for the slot's next occupant.
 func (t *memberTable) clearSlot(slot int) {
@@ -224,21 +191,14 @@ func (t *memberTable) clearSlot(slot int) {
 	}
 }
 
-// setSpan sets (on) or clears slot's bit in cells lo..hi of span i: the
-// values a range came to contain, or the whole range of a slot being
-// recycled.
-func (t *memberTable) setSpan(slot, i int, lo, hi uint32, on bool) {
+// setSpan sets slot's bit in cells lo..hi of span i: the values a range
+// came to contain.
+func (t *memberTable) setSpan(slot, i int, lo, hi uint32) {
 	planes, at := t.planes, slot>>3
 	cells := t.spans[i].cells[int(lo)*planes+at : int(hi)*planes+at+1]
 	bit := byte(1) << (slot & 7)
-	if on {
-		for c := 0; c < len(cells); c += planes {
-			cells[c] |= bit
-		}
-	} else {
-		for c := 0; c < len(cells); c += planes {
-			cells[c] &^= bit
-		}
+	for c := 0; c < len(cells); c += planes {
+		cells[c] |= bit
 	}
 }
 

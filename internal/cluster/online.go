@@ -16,16 +16,22 @@ import (
 // that drove the paper's hardware design (§4), and the first of them is
 // that a packet is compared against all clusters at once.
 //
-// Which packets never scan. In the deployed configuration (Manhattan,
-// unnormalized) the membership table alone (see memberTable) answers the
-// two kinds of packet it can name the nearest cluster for. Distance zero:
-// some cluster already covers the packet — every nominal value admitted,
-// every ordinal value inside the range. Distance one: no cluster admits
-// all of the packet's nominal values, and some cluster misses exactly one
-// of them while its ranges contain the packet; distances are integers,
-// and the only other way to be at distance one — no nominal miss, one
-// unit outside one range — needs a cluster that admits them all (see
-// memberTable.gather for the argument). Either way the cost is one cell
+// Online implements the deployed configuration only — Manhattan distance,
+// unnormalized, fast search (Config.Deployed) — over exact or Bloom
+// nominal sets, seeded from packets or from slices. It has no distance
+// kernels, no centers and no merge-cost cache: built for any other
+// configuration (the Fig. 10 baselines), it is a handle on a Reference and
+// forwards every call to it (see baseline below).
+//
+// Which packets never scan. The membership table alone (see memberTable)
+// answers the two kinds of packet it can name the nearest cluster for.
+// Distance zero: some cluster already covers the packet — every nominal
+// value admitted, every ordinal value inside the range. Distance one: no
+// cluster admits all of the packet's nominal values, and some cluster
+// misses exactly one of them while its ranges contain the packet;
+// distances are integers, and the only other way to be at distance one —
+// no nominal miss, one unit outside one range — needs a cluster that
+// admits them all (see memberTable.gather for the argument). Either way the cost is one cell
 // load per nominal feature and per byte-wide ordinal feature, an AND, and
 // a count-trailing-zeros for the lowest index, which is the cluster a
 // scan with ties to the lowest index would have returned; and a
@@ -34,52 +40,39 @@ import (
 // whole addresses) have no cells and are checked arithmetically on the
 // candidates the table leaves, in index order. Every other packet — two
 // unseen values away, or outside a range of the only clusters that admit
-// its nominal values — and every packet of the other distance
-// configurations, which are kept bit-equivalent to Reference rather than
-// fast, is scanned cluster by cluster.
+// its nominal values — is scanned cluster by cluster, in integers
+// (scanManhattanRaw).
 //
 // What keeps the table true. Ranges live in min/max below and are the
 // truth (and what Marshal writes); the table's span cells are derived
 // from them, and every write of a range passes through one of two
 // doors: setRange, a freshly occupied slot's first range (seeding, slice
-// initialisation, Unmarshal), and widen, growth (absorb, merges), which
-// sets only the cells the range grew by. occupy clears a recycled slot's
-// bit over its old range, discard zeroes the cells, grow re-lays them
-// out. Upkeep therefore costs in proportion to what moved.
+// initialisation, Unmarshal), and widen, growth (absorb), which sets
+// only the cells the range grew by. Slots are freed only all at once, by
+// discard, which zeroes the cells; grow re-lays them out. Upkeep
+// therefore costs in proportion to what moved.
 //
-// The rest of the layout:
-//
-//   - Cluster ranges live in two contiguous structure-of-arrays slices
-//     (min/max, indexed cluster*numFeats+feature) instead of
-//     per-cluster allocations, so a closest-cluster scan walks flat
-//     memory. Euclidean centers are flattened the same way.
-//   - The distance function is selected once at construction (a kernel
-//     function value), not switched on per packet; the deployed
-//     configuration scans in integers (scanManhattanRaw).
-//   - Exhaustive search keeps a pairwise merge-cost matrix that is
-//     invalidated only for clusters whose geometry changed, instead of
-//     recomputing all |C|^2 pairs on every packet.
+// Cluster ranges live in two contiguous structure-of-arrays slices
+// (min/max, indexed cluster*numFeats+feature) instead of per-cluster
+// allocations, so the scan walks flat memory.
 //
 // The steady-state Observe path performs no allocations. Reference in
-// reference.go retains the naive implementation; equivalence tests
-// assert both produce identical assignments.
+// reference.go is the naive implementation of the same algorithm;
+// equivalence tests assert both produce identical assignments.
 //
 // Online is not safe for concurrent use; the simulator is
 // single-threaded by design.
 type Online struct {
 	cfg    Config
 	feats  packet.FeatureSet
-	nf     int       // len(feats)
-	nomIdx []int     // per feature position: index into mt.feats, -1 if ordinal
-	ordPos []int     // positions of the ordinal features, ascending
-	scale  []float64 // per-feature distance scaling (1 when !Normalize)
+	nf     int   // len(feats)
+	nomIdx []int // per feature position: index into mt.feats, -1 if ordinal
+	ordPos []int // positions of the ordinal features, ascending
 
 	// Flattened cluster geometry: cluster c covers feature f in
-	// [min[c*nf+f], max[c*nf+f]]. center is the Euclidean
-	// representation, laid out the same way (nil otherwise). Slots are
-	// preallocated for `stride` clusters so steady state never grows.
+	// [min[c*nf+f], max[c*nf+f]]. Slots are preallocated for `stride`
+	// clusters so steady state never grows.
 	min, max []uint32
-	center   []float64
 	stride   int // cluster slot capacity (>= cfg.MaxClusters)
 
 	// clusters holds the seeded slots by value; its backing array has
@@ -87,28 +80,20 @@ type Online struct {
 	clusters []clusterState
 	mt       *memberTable // nominal membership and byte-wide range coverage of every slot
 
-	dist  pointKernel
-	merge mergeKernel
-	// rawManhattan marks the deployable fast configuration (Manhattan,
-	// unnormalized): closest then answers covered and near-miss packets
-	// from the table's span cells, which only this configuration keeps,
-	// and runs a fused integer scan for the rest instead of an indirect
-	// kernel call per cluster.
-	rawManhattan bool
-
-	// Exhaustive-search cache: pairCost[i*stride+j] is the merge cost
-	// of clusters i and j; rowDirty[i] marks clusters whose geometry
-	// (or, for Euclidean, weight) changed since row i was computed.
-	// Both are nil under fast search.
-	pairCost []float64
-	rowDirty []bool
-
 	spanIdx []int    // per feature position: index into mt.spans, -1 if nominal or wider than a byte
 	widePos []int    // positions of the ordinal features the table has no span for
 	valbuf  []uint32 // scratch: feature values of the current packet
 	nextUID uint64
 	// Observed counts packets seen since construction.
 	Observed uint64
+
+	// baseline is set instead of everything above but cfg, feats, nf and
+	// valbuf when the configuration is not the deployed one: it then holds
+	// the clusters, and observe, Snapshot, ResetStats, Reseed, NumClusters
+	// and SeedCenters forward to it. The seam is here, not in the callers,
+	// so core's shards hold one concrete type and the per-packet path of
+	// the deployed configuration pays one predictable branch for it.
+	baseline *Reference
 }
 
 // clusterState holds the per-cluster state that is not part of the
@@ -116,7 +101,7 @@ type Online struct {
 // statistics.
 type clusterState struct {
 	uid   uint64
-	count uint64 // packets since seed (for center merging)
+	count uint64 // packets since seed (part of the serialized state)
 
 	packets, bytes    uint64 // since last ResetStats
 	totalPackets      uint64
@@ -131,21 +116,15 @@ func NewOnline(cfg Config) *Online {
 	}
 	cfg = cfg.withDefaults()
 	nf := len(cfg.Features)
-	o := &Online{
-		cfg:     cfg,
-		feats:   cfg.Features,
-		nf:      nf,
-		nomIdx:  make([]int, nf),
-		spanIdx: make([]int, nf),
-		valbuf:  make([]uint32, nf),
-
-		rawManhattan: cfg.Distance == Manhattan && !cfg.Normalize,
+	o := &Online{cfg: cfg, feats: cfg.Features, nf: nf, valbuf: make([]uint32, nf)}
+	if !cfg.Deployed() {
+		o.baseline = NewReference(cfg)
+		return o
 	}
-	o.mt = newMemberTable(&cfg, o.rawManhattan)
-	o.scale = make([]float64, nf)
+	o.nomIdx, o.spanIdx = make([]int, nf), make([]int, nf)
+	o.mt = newMemberTable(&cfg)
 	for i := range cfg.Features {
 		o.nomIdx[i], o.spanIdx[i] = -1, -1
-		o.scale[i] = 1
 	}
 	for j, mf := range o.mt.feats {
 		o.nomIdx[mf.pos] = j
@@ -161,12 +140,8 @@ func NewOnline(cfg Config) *Online {
 		if o.spanIdx[i] < 0 {
 			o.widePos = append(o.widePos, i)
 		}
-		if cfg.Normalize {
-			o.scale[i] = 1 / (float64(f.MaxValue()) + 1)
-		}
 	}
 	o.grow(cfg.MaxClusters)
-	o.selectKernels()
 	if cfg.SliceInit {
 		o.sliceInit()
 	}
@@ -188,29 +163,7 @@ func (o *Online) grow(slots int) {
 	copy(min, o.min)
 	copy(max, o.max)
 	o.min, o.max = min, max
-	if o.cfg.Distance == Euclidean {
-		center := make([]float64, slots*o.nf)
-		copy(center, o.center)
-		o.center = center
-	}
-	if o.cfg.Search == Exhaustive {
-		cost := make([]float64, slots*slots)
-		for i := 0; i < o.stride; i++ {
-			copy(cost[i*slots:i*slots+o.stride], o.pairCost[i*o.stride:(i+1)*o.stride])
-		}
-		o.pairCost = cost
-		dirty := make([]bool, slots)
-		copy(dirty, o.rowDirty)
-		o.rowDirty = dirty
-	}
 	o.stride = slots
-}
-
-// markDirty flags cluster ci's merge-cost row for recomputation.
-func (o *Online) markDirty(ci int) {
-	if o.rowDirty != nil {
-		o.rowDirty[ci] = true
-	}
 }
 
 // sliceInit pre-creates MaxClusters clusters that partition the value
@@ -226,16 +179,12 @@ func (o *Online) sliceInit() {
 		lead = o.ordPos[0]
 	}
 	for i := 0; i < k; i++ {
-		o.occupy(i)
-		base := i * o.nf
+		o.occupy()
 		for f, feat := range o.feats {
 			if o.nomIdx[f] >= 0 {
 				// Slices carry no nominal admissions until traffic
 				// arrives.
 				o.setRange(i, f, 0, 0)
-				if o.center != nil {
-					o.center[base+f] = 0
-				}
 				continue
 			}
 			max := uint64(feat.MaxValue()) + 1
@@ -245,30 +194,17 @@ func (o *Online) sliceInit() {
 				hi = uint32(max*uint64(i+1)/uint64(k) - 1)
 			}
 			o.setRange(i, f, lo, hi)
-			if o.center != nil {
-				o.center[base+f] = (float64(lo) + float64(hi)) / 2
-			}
 		}
-		o.markDirty(i)
 	}
 }
 
-// occupy starts a new cluster generation in slot — an existing slot being
-// recycled, or the next free one — with a fresh UID, zeroed statistics,
-// empty nominal sets and no span cell carrying its bit; the caller gives
-// it its ranges with setRange.
-func (o *Online) occupy(slot int) *clusterState {
-	if slot == len(o.clusters) {
-		o.clusters = o.clusters[:slot+1]
-	} else {
-		base := slot * o.nf
-		for i, sp := range o.mt.spans {
-			o.mt.setSpan(slot, i, o.min[base+sp.pos], o.max[base+sp.pos], false)
-		}
-	}
-	o.mt.clearSlot(slot)
+// occupy starts a new cluster in the next free slot, with a fresh UID and
+// zeroed statistics; the caller gives it its ranges with setRange. The
+// slot carries no bit in the table: discard cleared it.
+func (o *Online) occupy() *clusterState {
+	o.clusters = o.clusters[:len(o.clusters)+1]
 	o.nextUID++
-	c := &o.clusters[slot]
+	c := &o.clusters[len(o.clusters)-1]
 	*c = clusterState{uid: o.nextUID}
 	return c
 }
@@ -280,62 +216,57 @@ func (o *Online) discard() {
 	}
 	o.mt.clearSpans()
 	o.clusters = o.clusters[:0]
-	if o.rowDirty != nil {
-		for i := range o.rowDirty {
-			o.rowDirty[i] = true
-		}
-	}
 }
 
 // Config returns the clusterer's configuration.
 func (o *Online) Config() Config { return o.cfg }
 
 // NumClusters returns the number of seeded clusters.
-func (o *Online) NumClusters() int { return len(o.clusters) }
+func (o *Online) NumClusters() int {
+	if o.baseline != nil {
+		return o.baseline.NumClusters()
+	}
+	return len(o.clusters)
+}
 
-// newClusterAt seeds a cluster at slot with the given feature values,
-// writing its geometry into the flattened arrays.
-func (o *Online) newClusterAt(slot int, vals []uint32) *clusterState {
-	c := o.occupy(slot)
-	base := slot * o.nf
+// newCluster seeds a cluster in the next free slot with the given feature
+// values, writing its geometry into the flattened arrays.
+func (o *Online) newCluster(vals []uint32) (slot int, c *clusterState) {
+	slot, c = len(o.clusters), o.occupy()
 	for i, v := range vals {
 		o.setRange(slot, i, v, v)
 		if j := o.nomIdx[i]; j >= 0 {
 			o.mt.admit(slot, j, v)
 		}
-		if o.center != nil {
-			o.center[base+i] = float64(v)
-		}
 	}
 	c.count = 1
-	o.markDirty(slot)
-	return c
+	return slot, c
 }
 
 // setRange gives freshly occupied slot ci its range at feature position
 // f, and the span cells that range contains their bit.
 func (o *Online) setRange(ci, f int, lo, hi uint32) {
 	if s := o.spanIdx[f]; s >= 0 {
-		o.mt.setSpan(ci, s, lo, hi, true)
+		o.mt.setSpan(ci, s, lo, hi)
 	}
 	o.min[ci*o.nf+f], o.max[ci*o.nf+f] = lo, hi
 }
 
-// widen grows cluster ci's range at ordinal position f to contain
-// [lo, hi], and gives the span cells it grew by their bit.
-func (o *Online) widen(ci, f int, lo, hi uint32) {
+// widen grows cluster ci's range at ordinal position f to contain v, and
+// gives the span cells it grew by their bit.
+func (o *Online) widen(ci, f int, v uint32) {
 	i, s := ci*o.nf+f, o.spanIdx[f]
-	if mn := o.min[i]; lo < mn {
+	if mn := o.min[i]; v < mn {
 		if s >= 0 {
-			o.mt.setSpan(ci, s, lo, mn-1, true)
+			o.mt.setSpan(ci, s, v, mn-1)
 		}
-		o.min[i] = lo
+		o.min[i] = v
 	}
-	if mx := o.max[i]; hi > mx {
+	if mx := o.max[i]; v > mx {
 		if s >= 0 {
-			o.mt.setSpan(ci, s, mx+1, hi, true)
+			o.mt.setSpan(ci, s, mx+1, v)
 		}
-		o.max[i] = hi
+		o.max[i] = v
 	}
 }
 
@@ -352,54 +283,9 @@ func (o *Online) absorb(ci int, vals []uint32) {
 			continue
 		}
 		if v < o.min[base+i] || v > o.max[base+i] {
-			o.widen(ci, i, v, v)
+			o.widen(ci, i, v)
 		}
 	}
-	if o.center != nil {
-		lr := o.cfg.LearningRate
-		ctr := o.center[base : base+o.nf]
-		for i, v := range vals {
-			ctr[i] += lr * (float64(v) - ctr[i])
-		}
-	}
-	o.markDirty(ci)
-}
-
-// mergeClusters absorbs the whole of cluster si into cluster di
-// (exhaustive search).
-func (o *Online) mergeClusters(di, si int) {
-	d, s := &o.clusters[di], &o.clusters[si]
-	db, sb := di*o.nf, si*o.nf
-	if o.cfg.UseBloom {
-		// A Bloom slot's value count cannot be unioned exactly; exact
-		// mode is the simulation default, and exhaustive+bloom is
-		// rejected by Config.Validate.
-		panic("cluster: exhaustive search with Bloom sets is not supported")
-	}
-	o.mt.merge(di, si)
-	for _, i := range o.ordPos {
-		o.widen(di, i, o.min[sb+i], o.max[sb+i])
-	}
-	if o.center != nil {
-		// Weighted centroid of the two clusters. Two empty clusters
-		// (count 0, e.g. untouched slice-init tiles) take the plain
-		// midpoint — the weighted form would divide by zero.
-		tot := float64(d.count + s.count)
-		for i := 0; i < o.nf; i++ {
-			if tot == 0 {
-				o.center[db+i] = (o.center[db+i] + o.center[sb+i]) / 2
-			} else {
-				o.center[db+i] = (o.center[db+i]*float64(d.count) + o.center[sb+i]*float64(s.count)) / tot
-			}
-		}
-	}
-	d.count += s.count
-	d.packets += s.packets
-	d.bytes += s.bytes
-	d.totalPackets += s.totalPackets
-	d.benign += s.benign
-	d.malicious += s.malicious
-	o.markDirty(di)
 }
 
 // account records one packet's traffic statistics against the cluster.
@@ -416,8 +302,7 @@ func (c *clusterState) account(size uint64, malicious bool) {
 }
 
 // Observe runs one step of Algorithm 1 for packet p: find the closest
-// cluster (seeding or merging per the search strategy) and extend it to
-// cover p.
+// cluster (seeding one while slots are free) and extend it to cover p.
 func (o *Online) Observe(p *packet.Packet) Assignment {
 	vals := o.feats.Extract(p, o.valbuf)
 	return o.observe(vals, uint64(p.Size()), p.Label == packet.Malicious)
@@ -440,49 +325,30 @@ func (o *Online) ObserveFeatures(vals []uint32, size uint64, malicious bool) Ass
 // observe is the shared step behind Observe and ObserveFeatures.
 func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment {
 	o.Observed++
+	if o.baseline != nil {
+		return o.baseline.observe(vals, size, malicious)
+	}
 
 	// Seed phase: the first |C| distinct arrivals each start a cluster
 	// (unless an existing cluster already covers the packet exactly).
 	if len(o.clusters) < o.cfg.MaxClusters {
 		if id, d, _ := o.closest(vals); id >= 0 && d == 0 {
 			o.clusters[id].account(size, malicious)
-			// Euclidean merge costs depend on cluster weights, which
-			// account just changed.
-			o.markDirty(id)
 			return Assignment{Cluster: id, UID: o.clusters[id].uid, Distance: 0}
 		}
-		slot := len(o.clusters)
-		c := o.newClusterAt(slot, vals)
+		slot, c := o.newCluster(vals)
 		c.account(size, malicious)
 		c.count-- // account() bumped it; seed already counted once
 		return Assignment{Cluster: slot, UID: c.uid, Created: true}
 	}
 
 	id, d, near := o.closest(vals)
-
-	if o.cfg.Search == Exhaustive && d > 0 {
-		// Consider merging the two closest clusters and starting a new
-		// cluster at p. Worth it iff the cost increase of the
-		// cluster-cluster merge is below the cost increase of
-		// absorbing p into its nearest cluster.
-		mi, mj, md := o.closestPair()
-		if mi >= 0 && md < d {
-			o.mergeClusters(mi, mj)
-			c := o.newClusterAt(mj, vals)
-			c.account(size, malicious)
-			c.count--
-			return Assignment{Cluster: mj, UID: c.uid, Distance: 0, Created: true}
-		}
-	}
-
 	c := &o.clusters[id]
 	switch {
 	case near >= 0:
 		// A near miss: one nominal value to admit, no range grows.
 		o.mt.admit(id, near, vals[o.mt.feats[near].pos])
-		o.markDirty(id)
-	case d > 0 || o.center != nil:
-		// Center representations update even for covered packets.
+	case d > 0:
 		o.absorb(id, vals)
 	}
 	c.account(size, malicious)
@@ -495,46 +361,33 @@ func (o *Online) observe(vals []uint32, size uint64, malicious bool) Assignment 
 // The table is gathered once for all clusters before any of them is
 // looked at.
 //
-// In the deployed configuration (Manhattan, unnormalized) the packets the
-// table can decide never scan. The gather names the clusters at distance
-// zero, or — when no cluster admits all of the packet's nominal values,
-// so that nothing is closer than 1 and only a single nominal miss inside
-// every range is that close (see memberTable.gather for the two-shape
-// argument) — the clusters at distance one, and the lowest-indexed
+// The packets the table can decide never scan. The gather names the
+// clusters at distance zero, or — when no cluster admits all of the
+// packet's nominal values, so that nothing is closer than 1 and only a
+// single nominal miss inside every range is that close (see
+// memberTable.gather for the two-shape argument) — the clusters at
+// distance one, and the lowest-indexed
 // candidate that also contains the packet's wide ordinals (see covering)
 // is the cluster the scan's strict < would have kept. For a distance-one
 // answer near is the one nominal feature (index into mt.feats) the
 // cluster misses, which is all observe has to admit; it is -1 otherwise.
 // Every other packet — some cluster admits every nominal value but a
 // range excludes the packet, every candidate fails a wide ordinal,
-// nothing is within 1 — and every packet of the other configurations is
-// scanned; there the running best distance is passed to the kernel as a
-// bound so monotone metrics can bail out of losing clusters early.
+// nothing is within 1 — is scanned.
 func (o *Online) closest(vals []uint32) (ci int, d float64, near int) {
 	if len(o.clusters) == 0 {
 		return -1, math.Inf(1), -1
 	}
-	td := o.mt.gather(vals, len(o.clusters))
-	if o.rawManhattan {
-		if td >= 0 {
-			if ci = o.covering(vals); ci >= 0 {
-				if td == 0 {
-					return ci, 0, -1
-				}
-				return ci, 1, o.mt.missed(ci)
+	if td := o.mt.gather(vals, len(o.clusters)); td >= 0 {
+		if ci = o.covering(vals); ci >= 0 {
+			if td == 0 {
+				return ci, 0, -1
 			}
-		}
-		ci, d = o.scanManhattanRaw(vals)
-		return ci, d, -1
-	}
-	best, bestD := -1, math.Inf(1)
-	for i := range o.clusters {
-		d := o.dist(o, vals, i, bestD)
-		if d < bestD {
-			best, bestD = i, d
+			return ci, 1, o.mt.missed(ci)
 		}
 	}
-	return best, bestD, -1
+	ci, d = o.scanManhattanRaw(vals)
+	return ci, d, -1
 }
 
 // covering returns the lowest-indexed candidate the gather left in the
@@ -559,9 +412,8 @@ func (o *Online) covering(vals []uint32) int {
 	return -1
 }
 
-// scanManhattanRaw is the scan of the deployed configuration, for a
-// packet the table has no answer for, fused and in integers: per
-// cluster, the branch-free sum of the ordinal range distances plus the
+// scanManhattanRaw is the scan, for a packet the table has no answer
+// for, fused and in integers: per cluster, the branch-free sum of the ordinal range distances plus the
 // gathered count of nominal misses. Every term is an integer below 2^32
 // and there are at most 255 of them, so the int64 sum converts to
 // exactly the float64 that Reference accumulates term by term; strict <
@@ -588,49 +440,12 @@ func (o *Online) scanManhattanRaw(vals []uint32) (int, float64) {
 	return best, float64(bestD)
 }
 
-// closestPair returns the pair of clusters with the lowest merge cost,
-// refreshing only the cached rows whose clusters changed since the last
-// call.
-func (o *Online) closestPair() (int, int, float64) {
-	k := len(o.clusters)
-	for i := 0; i < k; i++ {
-		if !o.rowDirty[i] {
-			continue
-		}
-		row := o.pairCost[i*o.stride:]
-		for j := 0; j < k; j++ {
-			if j == i {
-				continue
-			}
-			// Always evaluate with the lower index first: merge kernels
-			// are semantically symmetric but not bit-symmetric (float
-			// subtraction order), and the matrix must stay canonical.
-			var c float64
-			if i < j {
-				c = o.merge(o, i, j)
-			} else {
-				c = o.merge(o, j, i)
-			}
-			row[j] = c
-			o.pairCost[j*o.stride+i] = c
-		}
-		o.rowDirty[i] = false
-	}
-	bi, bj, bd := -1, -1, 0.0
-	for i := 0; i < k; i++ {
-		row := o.pairCost[i*o.stride:]
-		for j := i + 1; j < k; j++ {
-			if d := row[j]; bi < 0 || d < bd {
-				bi, bj, bd = i, j, d
-			}
-		}
-	}
-	return bi, bj, bd
-}
-
 // Snapshot returns the interpretable view of all clusters. The returned
 // slices are copies; mutating them does not affect the clusterer.
 func (o *Online) Snapshot() []Info {
+	if o.baseline != nil {
+		return o.baseline.Snapshot()
+	}
 	out := make([]Info, len(o.clusters))
 	for i := range o.clusters {
 		c := &o.clusters[i]
@@ -662,6 +477,10 @@ func (o *Online) Snapshot() []Info {
 // ResetStats zeroes the per-window counters (packets, bytes, labels) on
 // every cluster. The ACC-Turbo controller calls this after each poll.
 func (o *Online) ResetStats() {
+	if o.baseline != nil {
+		o.baseline.ResetStats()
+		return
+	}
 	for i := range o.clusters {
 		c := &o.clusters[i]
 		c.packets, c.bytes, c.benign, c.malicious = 0, 0, 0, 0
@@ -673,33 +492,22 @@ func (o *Online) ResetStats() {
 // clustering re-form when aggregates go stale (e.g. between attack
 // pulses).
 func (o *Online) Reseed() {
+	if o.baseline != nil {
+		o.baseline.Reseed()
+		return
+	}
 	o.discard()
 	if o.cfg.SliceInit {
 		o.sliceInit()
 	}
 }
 
-// SeedCenters force-seeds Euclidean clusters at the given centers,
-// used by the hybrid offline/online strategy. It panics unless the
-// clusterer is center-based.
+// SeedCenters force-seeds Euclidean clusters at the given centers. It
+// panics unless the clusterer is center-based, which the deployed
+// configuration never is.
 func (o *Online) SeedCenters(centers [][]float64) {
-	if o.cfg.Distance != Euclidean {
+	if o.baseline == nil {
 		panic(fmt.Sprintf("cluster: SeedCenters on %v clusterer", o.cfg.Distance))
 	}
-	o.grow(len(centers))
-	o.discard()
-	for ci, ctr := range centers {
-		if len(ctr) != o.nf {
-			panic(fmt.Sprintf("cluster: center has %d dims, want %d", len(ctr), o.nf))
-		}
-		for i, v := range ctr {
-			if v < 0 {
-				v = 0
-			}
-			o.valbuf[i] = uint32(v)
-		}
-		c := o.newClusterAt(ci, o.valbuf)
-		copy(o.center[ci*o.nf:(ci+1)*o.nf], ctr)
-		c.count = 0
-	}
+	o.baseline.SeedCenters(centers)
 }

@@ -7,14 +7,19 @@ import (
 	"accturbo/internal/sketch"
 )
 
-// Reference is the retained naive implementation of the online
-// clusterer: per-cluster allocated range slices, map-backed nominal
-// sets, a per-packet distance-metric switch, and a full O(|C|^2)
-// closestPair scan on every exhaustive-search step. It exists as the
-// semantic oracle for Online's flattened fast path — equivalence tests
-// assert both produce identical assignments and snapshots on the same
-// trace — and as the baseline for BenchmarkObserveReference. It is not
-// used on any production path.
+// Reference is the naive implementation of the online clusterer, for
+// every configuration: per-cluster allocated range slices, map-backed
+// nominal sets, a per-packet distance-metric switch, and a full O(|C|^2)
+// closestPair scan on every exhaustive-search step. It has two jobs. It
+// is the only implementation of the configurations the paper studies as
+// quality baselines and does not deploy (§8.1, Fig. 10: Anime, Euclidean,
+// normalised Manhattan, exhaustive search, the hybrid) — NewOnline hands
+// those to it, so it is what fig10, fig11b and the normalisation ablation
+// run. And it is the semantic oracle of Online's table-driven path for
+// the deployed configuration: equivalence tests assert both produce
+// identical assignments and snapshots on the same trace. Built for
+// clarity, not speed (BenchmarkObserveReference), and it has no
+// serialized form.
 type Reference struct {
 	cfg      Config
 	feats    packet.FeatureSet
@@ -209,6 +214,9 @@ func (c *refState) mergeFrom(o *Reference, src *refState) {
 		}
 	}
 	if c.center != nil {
+		// Weighted centroid of the two clusters. Two empty clusters
+		// (count 0, e.g. untouched slice-init tiles) take the plain
+		// midpoint — the weighted form would divide by zero.
 		tot := float64(c.count + src.count)
 		for i := range c.center {
 			if tot == 0 {
@@ -226,31 +234,37 @@ func (c *refState) mergeFrom(o *Reference, src *refState) {
 	c.malicious += src.malicious
 }
 
-func (c *refState) account(p *packet.Packet) {
+func (c *refState) account(size uint64, malicious bool) {
 	c.count++
 	c.packets++
 	c.totalPackets++
-	c.bytes += uint64(p.Size())
-	if p.Label == packet.Malicious {
+	c.bytes += size
+	if malicious {
 		c.malicious++
 	} else {
 		c.benign++
 	}
 }
 
-// Observe runs one step of Algorithm 1 for packet p, exactly as
-// Online.Observe does but via the naive data structures.
+// Observe runs one step of Algorithm 1 for packet p: find the closest
+// cluster (seeding or merging per the search strategy) and extend it to
+// cover p.
 func (o *Reference) Observe(p *packet.Packet) Assignment {
+	return o.observe(o.feats.Extract(p, o.valbuf), uint64(p.Size()), p.Label == packet.Malicious)
+}
+
+// observe is Observe for a packet already reduced to its feature values
+// (what Online.ObserveFeatures forwards); vals is only read.
+func (o *Reference) observe(vals []uint32, size uint64, malicious bool) Assignment {
 	o.Observed++
-	vals := o.feats.Extract(p, o.valbuf)
 
 	if len(o.clusters) < o.cfg.MaxClusters {
 		if id, d := o.closest(vals); id >= 0 && d == 0 {
-			o.clusters[id].account(p)
+			o.clusters[id].account(size, malicious)
 			return Assignment{Cluster: id, UID: o.clusters[id].uid, Distance: 0}
 		}
 		c := o.newCluster(vals)
-		c.account(p)
+		c.account(size, malicious)
 		c.count--
 		o.clusters = append(o.clusters, c)
 		return Assignment{Cluster: len(o.clusters) - 1, UID: c.uid, Created: true}
@@ -259,11 +273,15 @@ func (o *Reference) Observe(p *packet.Packet) Assignment {
 	id, d := o.closest(vals)
 
 	if o.cfg.Search == Exhaustive && d > 0 {
+		// Consider merging the two closest clusters and starting a new
+		// cluster at p. Worth it iff the cost increase of the
+		// cluster-cluster merge is below the cost increase of absorbing
+		// p into its nearest cluster.
 		mi, mj, md := o.closestPair()
 		if mi >= 0 && md < d {
 			o.clusters[mi].mergeFrom(o, o.clusters[mj])
 			c := o.newCluster(vals)
-			c.account(p)
+			c.account(size, malicious)
 			c.count--
 			o.clusters[mj] = c
 			return Assignment{Cluster: mj, UID: c.uid, Distance: 0, Created: true}
@@ -274,7 +292,7 @@ func (o *Reference) Observe(p *packet.Packet) Assignment {
 	if d > 0 || c.center != nil {
 		c.absorb(o, vals)
 	}
-	c.account(p)
+	c.account(size, malicious)
 	return Assignment{Cluster: id, UID: c.uid, Distance: d}
 }
 
@@ -371,6 +389,12 @@ func (o *Reference) SeedCenters(centers [][]float64) {
 }
 
 // --- naive distance computations (per-packet switch dispatch) ---
+//
+// The three metrics of §4.2.3. Widths are float64 to keep the Anime
+// product within range (the paper notes the exact product can need 157
+// bits; the simulator only compares magnitudes, so float64 precision
+// suffices). With Normalize set, ordinal widths and distances are scaled
+// into (0, 1] so wide value spaces do not dominate.
 
 func (o *Reference) distance(vals []uint32, c *refState) float64 {
 	switch o.cfg.Distance {
@@ -407,6 +431,8 @@ func (o *Reference) refClusterCost(c *refState) float64 {
 		}
 		return prod
 	case Euclidean:
+		// Centers carry no extent; use the tracked bounding box so
+		// "size" remains meaningful for ranking ablations.
 		fallthrough
 	case Manhattan:
 		sum := 0.0
@@ -531,6 +557,8 @@ func (o *Reference) refEuclideanPoint(vals []uint32, c *refState) float64 {
 	return d
 }
 
+// refEuclideanMerge is Ward-style linkage: the increase in within-cluster
+// squared error caused by merging two centroids.
 func (o *Reference) refEuclideanMerge(a, b *refState) float64 {
 	var d float64
 	for i := range a.center {

@@ -26,8 +26,13 @@ const (
 
 // SaveState serializes the full defense state of the dataplane/control
 // plane pair into w. It is safe to call on a live concurrent pipeline:
-// shard clusterers are locked one at a time while marshaled.
+// shard clusterers are locked one at a time while marshaled. Only the
+// deployed clustering configuration has a snapshot; any other returns
+// cluster.ErrBaselineSnapshot with nothing written.
 func SaveState(w io.Writer, dp *Dataplane, cp *ControlPlane) error {
+	if !dp.cfg.Clustering.Deployed() {
+		return fmt.Errorf("core: %w", cluster.ErrBaselineSnapshot)
+	}
 	var e frame.Enc
 
 	// Structural fingerprint: a snapshot only restores into a pipeline
@@ -81,8 +86,13 @@ func SaveState(w io.Writer, dp *Dataplane, cp *ControlPlane) error {
 // normal Reconfigure path (validated, tickers rescheduled under a new
 // generation); the restored decision becomes LastDecision and its queue
 // map is live immediately, so the first control-loop tick ranks
-// already-learned clusters instead of re-converging.
+// already-learned clusters instead of re-converging. A pipeline whose
+// clustering configuration is not the deployed one refuses with
+// cluster.ErrBaselineSnapshot before reading r.
 func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
+	if !dp.cfg.Clustering.Deployed() {
+		return fmt.Errorf("core: %w", cluster.ErrBaselineSnapshot)
+	}
 	if dp.Observed() != 0 || cp.deployments.Value() != 0 {
 		return fmt.Errorf("core: RestoreState needs a fresh pipeline (observed=%d deployments=%d)",
 			dp.Observed(), cp.deployments.Value())

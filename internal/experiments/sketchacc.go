@@ -48,7 +48,7 @@ func SketchAcc(opts Options) *Result {
 		stream[i] = z.Uint64()
 	}
 
-	compat := sketch.NewCountMin(rows, cols)
+	compat := sketch.NewReferenceCountMin(rows, cols)
 	turbo := sketch.NewTurboCountMin(rows, cols, false)
 	cu := sketch.NewTurboCountMin(rows, cols, true)
 	// The blocked layout stores ceil(rows/8)*cols counters, so at equal

@@ -2,13 +2,15 @@ package sketch
 
 import "math"
 
-// ReferenceCountMin is the seed-era count-min: a [][]uint64 counter
-// matrix updated with the same seeded FNV-1a row hashes and `%` column
-// indexing as CountMin. It is retained verbatim (plus the saturation
-// guard) as the behavioral oracle: differential tests pin CountMin
-// bit-identical to it and bound TurboCountMin against it, and the
-// benchmark suite measures the flattened and turbo layouts against its
-// pointer-chasing one. Not for production paths.
+// ReferenceCountMin is the seed-era count-min over 64-bit keys: a rows ×
+// cols [][]uint64 counter matrix where each update increments one counter
+// per row (seeded FNV-1a row hashes, `%` column indexing) and each query
+// returns the row minimum, an overestimate of the true count. It is
+// retained verbatim (plus the saturation guard) as the behavioral oracle:
+// differential tests bound TurboCountMin against it, the benchmark suite
+// measures the turbo layout against its pointer-chasing one, and the
+// sketchacc experiment plots it as the classic baseline. Not for
+// per-packet paths.
 type ReferenceCountMin struct {
 	rows, cols int
 	counts     [][]uint64
@@ -30,6 +32,9 @@ func NewReferenceCountMin(rows, cols int) *ReferenceCountMin {
 }
 
 // Add increments key's count by delta and returns the new estimate.
+// Counters saturate at MaxUint64 instead of wrapping: a wrapped counter
+// would silently become the row minimum and poison every estimate of
+// every key sharing it.
 func (cm *ReferenceCountMin) Add(key uint64, delta uint64) uint64 {
 	cm.Updates++
 	est := uint64(math.MaxUint64)

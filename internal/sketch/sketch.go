@@ -8,16 +8,14 @@
 //
 // Two families coexist, with different compatibility contracts:
 //
-//   - CountMin and Bloom hash with seeded FNV-1a and index with `%`,
-//     exactly as the seed implementation did. Their per-key bit and
-//     counter placement is pinned by golden experiment hashes and by the
-//     ACCSNAP1 snapshot format (cluster nominal sets serialize Bloom
-//     words verbatim), so only the memory *layout* and dispatch may
-//     change — never the index math. CountMin's counters live on one
-//     contiguous row-major []uint64 (no per-row slice headers, no
-//     pointer chase) but each estimate is bit-identical to the seed's
-//     [][]uint64 matrix, which survives as ReferenceCountMin for
-//     differential tests.
+//   - ReferenceCountMin and Bloom hash with seeded FNV-1a and index with
+//     `%`, exactly as the seed implementation did. Bloom's per-key bit
+//     placement is pinned by golden experiment hashes and by the ACCSNAP1
+//     snapshot format (cluster nominal sets serialize Bloom words
+//     verbatim), so the index math never changes. ReferenceCountMin is
+//     the seed's [][]uint64 count-min: the oracle TurboCountMin is
+//     bounded against and the "compatible (FNV)" baseline series of the
+//     sketchacc experiment.
 //
 //   - TurboCountMin and TopK (turbo.go, topk.go) are the wire-speed
 //     variants: one 64-bit mix per key, Kirsch–Mitzenmacher row
@@ -58,40 +56,9 @@ func HashBytes(seed uint64, b []byte) uint64 {
 	return h
 }
 
-// CountMin is a count-min sketch over 64-bit keys: a rows × cols matrix
-// of counters where each update increments one counter per row and each
-// query returns the row minimum, an overestimate of the true count.
-//
-// The counter matrix is stored row-major on one contiguous slice; row r
-// starts at offset r*cols. Estimates are bit-identical to the seed-era
-// [][]uint64 layout (see ReferenceCountMin), the layout change only
-// removes the per-row slice-header load and pointer chase from the
-// per-packet path.
-type CountMin struct {
-	rows, cols int
-	counts     []uint64 // row-major, len rows*cols
-	// Updates counts Add calls since the last Reset.
-	Updates uint64
-}
-
-// NewCountMin builds a sketch with the given geometry.
-func NewCountMin(rows, cols int) *CountMin {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("sketch: invalid count-min geometry %dx%d", rows, cols))
-	}
-	return &CountMin{rows: rows, cols: cols, counts: make([]uint64, rows*cols)}
-}
-
-// NewCountMinForError sizes a sketch for additive error epsilon (as a
+// geometryForError sizes a sketch for additive error epsilon (as a
 // fraction of the stream count) with failure probability delta, per
 // Cormode–Muthukrishnan: cols = ceil(e/epsilon), rows = ceil(ln 1/delta).
-func NewCountMinForError(epsilon, delta float64) *CountMin {
-	rows, cols := geometryForError(epsilon, delta)
-	return NewCountMin(rows, cols)
-}
-
-// geometryForError is the Cormode–Muthukrishnan sizing shared by the
-// compatible and turbo constructors.
 func geometryForError(epsilon, delta float64) (rows, cols int) {
 	if epsilon <= 0 || epsilon >= 1 || delta <= 0 || delta >= 1 {
 		panic(fmt.Sprintf("sketch: invalid epsilon=%v delta=%v", epsilon, delta))
@@ -99,76 +66,6 @@ func geometryForError(epsilon, delta float64) (rows, cols int) {
 	cols = int(math.Ceil(math.E / epsilon))
 	rows = int(math.Ceil(math.Log(1 / delta)))
 	return rows, cols
-}
-
-// Add increments key's count by delta and returns the new estimate.
-// Counters saturate at MaxUint64 instead of wrapping: a wrapped counter
-// would silently become the row minimum and poison every estimate of
-// every key sharing it.
-func (cm *CountMin) Add(key uint64, delta uint64) uint64 {
-	cm.Updates++
-	est := uint64(math.MaxUint64)
-	counts := cm.counts
-	cols := uint64(cm.cols)
-	base := 0
-	for r := 0; r < cm.rows; r++ {
-		c := hash64(uint64(r)+1, key) % cols
-		i := base + int(c)
-		v := counts[i] + delta
-		if v < counts[i] {
-			v = math.MaxUint64 // saturate, never wrap
-		}
-		counts[i] = v
-		if v < est {
-			est = v
-		}
-		base += cm.cols
-	}
-	return est
-}
-
-// Estimate returns the (over-)estimated count of key.
-func (cm *CountMin) Estimate(key uint64) uint64 {
-	est := uint64(math.MaxUint64)
-	counts := cm.counts
-	cols := uint64(cm.cols)
-	base := 0
-	for r := 0; r < cm.rows; r++ {
-		c := hash64(uint64(r)+1, key) % cols
-		if v := counts[base+int(c)]; v < est {
-			est = v
-		}
-		base += cm.cols
-	}
-	return est
-}
-
-// Reset zeroes all counters, modeling Jaqen's periodic sketch reset.
-func (cm *CountMin) Reset() {
-	clear(cm.counts)
-	cm.Updates = 0
-}
-
-// Words returns a copy of the counter matrix (row-major), for
-// serialization — the count-min mirror of Bloom.Words, so sketch state
-// rides the same snapshot container instead of being rebuilt on
-// restore.
-func (cm *CountMin) Words() []uint64 {
-	out := make([]uint64, len(cm.counts))
-	copy(out, cm.counts)
-	return out
-}
-
-// SetWords overwrites the counter matrix from a serialized copy. The
-// word count must match the sketch's geometry: a sketch restored into a
-// differently-sized one would silently mis-hash every query.
-func (cm *CountMin) SetWords(words []uint64, updates uint64) error {
-	if len(words) != len(cm.counts) {
-		return fmt.Errorf("sketch: count-min has %d words, snapshot has %d", len(cm.counts), len(words))
-	}
-	copy(cm.counts, words)
-	cm.Updates = updates
-	return nil
 }
 
 // Bloom is a fixed-size Bloom filter over 64-bit keys.

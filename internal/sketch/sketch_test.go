@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ func quickConfig(maxCount int) *quick.Config {
 }
 
 func TestCountMinNeverUnderestimates(t *testing.T) {
-	cm := NewCountMin(4, 512)
+	cm := NewReferenceCountMin(4, 512)
 	truth := map[uint64]uint64{}
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 10_000; i++ {
@@ -32,7 +33,7 @@ func TestCountMinNeverUnderestimates(t *testing.T) {
 }
 
 func TestCountMinHeavyHitterAccuracy(t *testing.T) {
-	cm := NewCountMinForError(0.001, 0.01)
+	cm := NewReferenceCountMin(geometryForError(0.001, 0.01))
 	r := rand.New(rand.NewSource(7))
 	// One heavy key among uniform noise.
 	const heavy = uint64(0xdeadbeef)
@@ -50,7 +51,7 @@ func TestCountMinHeavyHitterAccuracy(t *testing.T) {
 }
 
 func TestCountMinAddReturnsEstimate(t *testing.T) {
-	cm := NewCountMin(3, 1024)
+	cm := NewReferenceCountMin(3, 1024)
 	var last uint64
 	for i := 0; i < 10; i++ {
 		last = cm.Add(99, 1)
@@ -64,7 +65,7 @@ func TestCountMinAddReturnsEstimate(t *testing.T) {
 }
 
 func TestCountMinReset(t *testing.T) {
-	cm := NewCountMin(2, 64)
+	cm := NewReferenceCountMin(2, 64)
 	cm.Add(1, 5)
 	cm.Reset()
 	if cm.Estimate(1) != 0 || cm.Updates != 0 {
@@ -72,12 +73,32 @@ func TestCountMinReset(t *testing.T) {
 	}
 }
 
+// TestCountMinSaturatesInsteadOfWrapping is the overflow regression: a
+// counter pushed past MaxUint64 must pin there, not wrap to a small
+// value that would silently become the row minimum and poison every
+// estimate sharing the counter.
+func TestCountMinSaturatesInsteadOfWrapping(t *testing.T) {
+	cm := NewReferenceCountMin(2, 8)
+	cm.Add(42, math.MaxUint64-5)
+	if got := cm.Add(42, 10); got != math.MaxUint64 {
+		t.Fatalf("Add past MaxUint64 returned %d, want saturation at MaxUint64", got)
+	}
+	if got := cm.Estimate(42); got != math.MaxUint64 {
+		t.Fatalf("Estimate after saturation = %d, want MaxUint64", got)
+	}
+	// A saturated counter must stay an overestimate for everything else
+	// in the column: further adds keep it pinned.
+	if got := cm.Add(42, math.MaxUint64); got != math.MaxUint64 {
+		t.Fatalf("saturated counter moved to %d", got)
+	}
+}
+
 func TestCountMinGeometryValidation(t *testing.T) {
 	for _, f := range []func(){
-		func() { NewCountMin(0, 10) },
-		func() { NewCountMin(10, 0) },
-		func() { NewCountMinForError(0, 0.1) },
-		func() { NewCountMinForError(0.1, 1) },
+		func() { NewReferenceCountMin(0, 10) },
+		func() { NewReferenceCountMin(10, 0) },
+		func() { geometryForError(0, 0.1) },
+		func() { geometryForError(0.1, 1) },
 	} {
 		func() {
 			defer func() {
@@ -177,7 +198,7 @@ func TestHashBytesDiffers(t *testing.T) {
 func TestQuickCountMinOverestimate(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		cm := NewCountMin(3, 128)
+		cm := NewReferenceCountMin(3, 128)
 		truth := map[uint64]uint64{}
 		for i := 0; i < 500; i++ {
 			k := uint64(r.Intn(200))

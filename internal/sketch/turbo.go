@@ -6,7 +6,7 @@ import (
 )
 
 // TurboCountMin is the wire-speed count-min variant. It trades the
-// golden-pinned FNV/modulo placement of CountMin for:
+// seed-era FNV/modulo placement of ReferenceCountMin for:
 //
 //   - One 64-bit mix (splitmix64 finalizer) per key instead of one
 //     8-iteration FNV loop per row, with the per-row hashes derived
@@ -25,9 +25,9 @@ import (
 //     loop and software-prefetch each key's first line, overlapping
 //     the DRAM misses with the neighbours' hash work.
 //
-// Estimates are NOT comparable bit-for-bit with CountMin; goldens that
-// cover a caller moved onto this sketch are regenerated, never silently
-// reinterpreted. The blocked layout trades
+// Estimates are NOT comparable bit-for-bit with ReferenceCountMin;
+// goldens that cover a caller moved onto this sketch are regenerated,
+// never silently reinterpreted. The blocked layout trades
 // some independence for locality: two keys collide on a whole block
 // only if they share its line (probability 8/cols) AND their per-row
 // lanes land on occupied counters (~(1/2)^rows for a full block-depth
@@ -145,8 +145,8 @@ func blockHash(h1, h2 uint64, b int) uint64 {
 }
 
 // Add increments key's count by delta and returns the new estimate.
-// Counters saturate at MaxUint64, matching CountMin. With conservative
-// update only counters at the key's current minimum move, so the
+// Counters saturate at MaxUint64, as ReferenceCountMin's do. With
+// conservative update only counters at the key's current minimum move, so the
 // estimate grows to exactly min+delta instead of inflating every row.
 func (t *TurboCountMin) Add(key uint64, delta uint64) uint64 {
 	t.Updates++

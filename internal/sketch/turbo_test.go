@@ -263,7 +263,7 @@ func TestCountMinForErrorBound(t *testing.T) {
 		}
 	}
 
-	cm := NewCountMinForError(epsilon, delta)
+	cm := NewReferenceCountMin(geometryForError(epsilon, delta))
 	for _, k := range keys {
 		cm.Add(k, 1)
 	}
