@@ -121,7 +121,10 @@ var ErrBaselineSnapshot = cluster.ErrBaselineSnapshot
 // windows with Advance, and read the hysteresis-stable victim list —
 // the seam a per-victim mitigation manager plugs into.
 type (
-	// VictimDetector ranks heavy destination aggregates per window.
+	// VictimDetector ranks heavy destination aggregates per window. It
+	// has one owner, the goroutine that feeds it; only Victims and
+	// Windows may be called from others, and answer as of the last
+	// closed window.
 	VictimDetector = victim.Detector
 	// VictimConfig sizes a VictimDetector.
 	VictimConfig = victim.Config
@@ -137,10 +140,11 @@ var NewVictimDetector = victim.New
 var DefaultVictimConfig = victim.DefaultConfig
 
 // DstKey extracts the destination-aggregate key VictimDetector.Observe
-// expects (the IPv4 destination address as a uint64).
-func DstKey(p *Packet) uint64 { return uint64(p.Value(packet.FDstIP)) }
+// expects: the IPv4 destination address as a big-endian integer. Total
+// on every Packet; the zero value's key is 0 (0.0.0.0).
+func DstKey(p *Packet) uint64 { return uint64(p.DstIP.Uint32()) }
 
-// V4 builds an IPv4 address from four octets.
+// V4 builds the four-octet address Packet.SrcIP and DstIP hold.
 var V4 = packet.V4
 
 // FromDuration converts a time.Duration into the virtual-time unit

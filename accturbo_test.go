@@ -69,6 +69,33 @@ func TestDefenseProcess(t *testing.T) {
 	}
 }
 
+// TestDefenseZeroValuePacket: the zero Packet is an ordinary packet
+// from and to 0.0.0.0 — it is processed, assigned and counted, and the
+// helpers keyed on its addresses are total. (With netip.Addr fields the
+// zero value was "no address" and every one of these calls panicked.)
+func TestDefenseZeroValuePacket(t *testing.T) {
+	cfg := HardwareConfig()
+	d := NewDefense(cfg)
+	defer d.Close()
+	p := &Packet{Length: 100}
+	v := d.Process(0, p)
+	if !v.NewCluster || v.Cluster < 0 || v.Cluster >= cfg.Clustering.MaxClusters {
+		t.Fatalf("zero-value packet not assigned: %+v", v)
+	}
+	if again := d.Process(time.Millisecond, &Packet{Length: 100}); again.Cluster != v.Cluster || again.Distance != 0 {
+		t.Fatalf("second zero-value packet not covered by the first's cluster: %+v after %+v", again, v)
+	}
+	if got := d.PacketsObserved(); got != 2 {
+		t.Fatalf("PacketsObserved = %d, want 2", got)
+	}
+	if DstKey(p) != 0 || p.SrcIP.String() != "0.0.0.0" {
+		t.Fatalf("DstKey = %d, SrcIP = %s", DstKey(p), p.SrcIP)
+	}
+	if _, err := p.Marshal(); err != nil {
+		t.Fatalf("Marshal: %v", err)
+	}
+}
+
 func TestDefenseVerdictDistance(t *testing.T) {
 	d := NewDefense(DefaultConfig())
 	v1 := d.Process(0, floodPacket())

@@ -258,7 +258,6 @@ func (t *victimTap) report() {
 	for _, k := range keys {
 		v := t.peaks[k]
 		fmt.Printf("  dst %s: peak %8d bytes/window (%5.1f%% share), listed %d window(s)\n",
-			accturbo.V4(byte(k>>24), byte(k>>16), byte(k>>8), byte(k)),
-			v.Bytes, 100*v.Share, v.Windows)
+			packet.V4AddrFromUint32(uint32(k)), v.Bytes, 100*v.Share, v.Windows)
 	}
 }

@@ -426,8 +426,7 @@ func runFleet(cfg accturbo.Config, src *captureStream) {
 	perNode := make([]int, nodes)
 	total := replayPaced(src, pollAll, func(at time.Duration, p *packet.Packet) {
 		h := fnv.New32a()
-		a := p.SrcIP.As4()
-		h.Write(a[:])
+		h.Write(p.SrcIP[:])
 		n := int(h.Sum32() % uint32(nodes))
 		f.Node(n).Process(at, p)
 		perNode[n]++

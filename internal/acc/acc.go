@@ -116,8 +116,7 @@ func (p Prefix) Contains(ip uint32) bool {
 
 // String formats the prefix in CIDR notation.
 func (p Prefix) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d/%d",
-		byte(p.Addr>>24), byte(p.Addr>>16), byte(p.Addr>>8), byte(p.Addr), p.Bits)
+	return fmt.Sprintf("%s/%d", packet.V4AddrFromUint32(p.Addr), p.Bits)
 }
 
 // Session is one installed rate-limiting session.
@@ -191,7 +190,7 @@ func AttachE(eng *eventsim.Engine, port *netsim.Port, red *queue.RED, cfg Config
 	red.OnDrop(func(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
 		a.winDrops++
 		if len(a.history) < cfg.HistoryLimit {
-			a.history = append(a.history, dropRecord{dst: p.Value(packet.FDstIP), size: p.Size()})
+			a.history = append(a.history, dropRecord{dst: p.DstIP.Uint32(), size: p.Size()})
 		}
 	})
 
@@ -209,7 +208,7 @@ func AttachE(eng *eventsim.Engine, port *netsim.Port, red *queue.RED, cfg Config
 func (a *ACC) admit(now eventsim.Time, p *packet.Packet) bool {
 	a.winArrivals++
 	a.winBytes += uint64(p.Size())
-	dst := p.Value(packet.FDstIP)
+	dst := p.DstIP.Uint32()
 	for _, s := range a.sessions {
 		if !s.Prefix.Contains(dst) {
 			continue

@@ -54,7 +54,7 @@ func NewUpstream(name string, port *netsim.Port) *Upstream {
 }
 
 func (u *Upstream) admit(now eventsim.Time, p *packet.Packet) bool {
-	dst := p.Value(packet.FDstIP)
+	dst := p.DstIP.Uint32()
 	for prefix, rule := range u.rules {
 		if !prefix.Contains(dst) {
 			continue

@@ -229,6 +229,57 @@ func TestEndpointsSingle(t *testing.T) {
 	}
 }
 
+// TestVictimsWhileTapObserves: the detector belongs to the capture tap;
+// GET /victims reads its published window from the server's goroutine
+// while the tap keeps observing (meaningful under -race), and once the
+// tap stops the body is the tap's own last answer.
+func TestVictimsWhileTapObserves(t *testing.T) {
+	vd, err := accturbo.NewVictimDetector(accturbo.DefaultVictimConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Surface{Victims: vd}.Handler()
+	get := func() (doc struct {
+		Windows uint64
+		Victims []accturbo.Victim
+	}) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/victims", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil || rec.Code != 200 {
+			t.Errorf("/victims: status %d, %v: %s", rec.Code, err, rec.Body)
+		}
+		return doc
+	}
+	victim := accturbo.DstKey(&accturbo.Packet{DstIP: accturbo.V4(198, 18, 99, 1)})
+	tapDone := make(chan struct{})
+	go func() {
+		defer close(tapDone)
+		for w := 0; w < 30; w++ {
+			for i := uint64(0); i < 2000; i++ {
+				vd.Observe(victim, 1000)
+				vd.Observe(i, 100)
+			}
+			vd.Advance()
+		}
+	}()
+	var last uint64
+	for tapping := true; tapping; {
+		select {
+		case <-tapDone:
+			tapping = false
+		default:
+		}
+		doc := get()
+		if doc.Windows < last || len(doc.Victims) > 1 {
+			t.Fatalf("/victims went from window %d to %+v", last, doc)
+		}
+		last = doc.Windows
+	}
+	if doc := get(); doc.Windows != 30 || len(doc.Victims) != 1 || doc.Victims[0].Key != victim || doc.Victims[0].Windows != 30 {
+		t.Fatalf("/victims after the tap stopped: %+v", doc)
+	}
+}
+
 // TestConfigPutRejectsHostileBodies: each body is refused with 400
 // before it can touch the live config.
 func TestConfigPutRejectsHostileBodies(t *testing.T) {

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"net/netip"
 	"testing"
 
 	"accturbo/internal/core"
@@ -72,8 +71,8 @@ func TestParseSpecErrors(t *testing.T) {
 
 func testPacket(n int) *packet.Packet {
 	return &packet.Packet{
-		SrcIP:   netip.AddrFrom4([4]byte{10, 0, byte(n >> 8), byte(n)}),
-		DstIP:   netip.AddrFrom4([4]byte{192, 168, 0, 1}),
+		SrcIP:   packet.V4Addr{10, 0, byte(n >> 8), byte(n)},
+		DstIP:   packet.V4Addr{192, 168, 0, 1},
 		Length:  500,
 		TTL:     64,
 		SrcPort: uint16(1024 + n%1000),

@@ -262,9 +262,9 @@ func AttachE(eng *eventsim.Engine, port *netsim.Port, cfg Config) (*Jaqen, error
 func (j *Jaqen) key(p *packet.Packet) uint64 {
 	switch j.cfg.Key {
 	case SrcIP:
-		return uint64(p.Value(packet.FSrcIP))
+		return uint64(p.SrcIP.Uint32())
 	default:
-		h := uint64(p.Value(packet.FSrcIP))<<32 | uint64(p.Value(packet.FDstIP))
+		h := uint64(p.SrcIP.Uint32())<<32 | uint64(p.DstIP.Uint32())
 		h = sketch.HashBytes(1, []byte{
 			byte(h >> 56), byte(h >> 48), byte(h >> 40), byte(h >> 32),
 			byte(h >> 24), byte(h >> 16), byte(h >> 8), byte(h),

@@ -138,8 +138,8 @@ func (a *AIMD) mkPacket() *packet.Packet {
 		p = &packet.Packet{}
 	}
 	*p = packet.Packet{
-		SrcIP:    a.cfg.SrcIP.Addr(),
-		DstIP:    a.cfg.DstIP.Addr(),
+		SrcIP:    a.cfg.SrcIP,
+		DstIP:    a.cfg.DstIP,
 		Protocol: packet.ProtoTCP,
 		SrcPort:  a.cfg.SrcPort,
 		DstPort:  a.cfg.DstPort,

@@ -96,55 +96,53 @@ func (f Feature) MaxValue() uint32 {
 	return uint32(1)<<f.Bits() - 1
 }
 
-// Value extracts the feature's value from the packet.
+// Value extracts one feature's value from the packet: Extract over a
+// one-element set, so the feature switch exists once.
 func (p *Packet) Value(f Feature) uint32 {
-	switch f {
-	case FSrcIP:
-		a := p.SrcIP.As4()
-		return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
-	case FDstIP:
-		a := p.DstIP.As4()
-		return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
-	case FSrcIPByte0, FSrcIPByte1, FSrcIPByte2, FSrcIPByte3:
-		a := p.SrcIP.As4()
-		return uint32(a[f-FSrcIPByte0])
-	case FDstIPByte0, FDstIPByte1, FDstIPByte2, FDstIPByte3:
-		a := p.DstIP.As4()
-		return uint32(a[f-FDstIPByte0])
-	case FSrcPort:
-		return uint32(p.SrcPort)
-	case FDstPort:
-		return uint32(p.DstPort)
-	case FTTL:
-		return uint32(p.TTL)
-	case FLength:
-		return uint32(p.Length)
-	case FID:
-		return uint32(p.ID)
-	case FFragOffset:
-		return uint32(p.FragOffset)
-	case FProtocol:
-		return uint32(p.Protocol)
-	default:
-		return 0
-	}
+	var v [1]uint32
+	return FeatureSet{f}.Extract(p, v[:0])[0]
 }
 
 // FeatureSet is an ordered list of clustering dimensions.
 type FeatureSet []Feature
 
 // Extract fills dst with the packet's feature values in set order and
-// returns it. dst is reused when it has capacity for len(fs) values;
-// a nil or short dst is replaced by a fresh allocation, so callers on
-// the zero-alloc fast path should pass a buffer of at least len(fs)
-// capacity.
+// returns it; a Feature outside the enumeration yields 0. dst is reused
+// when it has capacity for len(fs) values; a nil or short dst is
+// replaced by a fresh allocation, so callers on the zero-alloc fast
+// path should pass a buffer of at least len(fs) capacity.
 func (fs FeatureSet) Extract(p *Packet, dst []uint32) []uint32 {
 	if cap(dst) < len(fs) {
 		dst = make([]uint32, len(fs))
 	}
 	dst = dst[:len(fs)]
 	for i, f := range fs {
-		dst[i] = p.Value(f)
+		var v uint32
+		switch f {
+		case FSrcIP:
+			v = p.SrcIP.Uint32()
+		case FDstIP:
+			v = p.DstIP.Uint32()
+		case FSrcIPByte0, FSrcIPByte1, FSrcIPByte2, FSrcIPByte3:
+			v = uint32(p.SrcIP[f-FSrcIPByte0])
+		case FDstIPByte0, FDstIPByte1, FDstIPByte2, FDstIPByte3:
+			v = uint32(p.DstIP[f-FDstIPByte0])
+		case FSrcPort:
+			v = uint32(p.SrcPort)
+		case FDstPort:
+			v = uint32(p.DstPort)
+		case FTTL:
+			v = uint32(p.TTL)
+		case FLength:
+			v = uint32(p.Length)
+		case FID:
+			v = uint32(p.ID)
+		case FFragOffset:
+			v = uint32(p.FragOffset)
+		case FProtocol:
+			v = uint32(p.Protocol)
+		}
+		dst[i] = v
 	}
 	return dst
 }

@@ -3,12 +3,12 @@ package packet
 import "encoding/binary"
 
 // Fused decode: the wire-speed ingest fast path. Unmarshal materializes
-// a full Packet (netip.Addr boxing, one heap allocation per packet)
-// and Extract then re-reads the struct field by field; at line rate
-// that is two passes and an allocation the clusterer never needed.
-// ParseFrame + FrameView.Features read the clustering features straight
-// out of the raw IPv4+TCP/UDP frame bytes in one pass, with no Packet,
-// no netip.Addr, and no allocation.
+// a full Packet (one heap allocation per packet) and Extract then
+// re-reads the struct field by field; at line rate that is two passes
+// and an allocation the clusterer never needed. ParseFrame +
+// FrameView.Features read the clustering features straight out of the
+// raw IPv4+TCP/UDP frame bytes in one pass, with no Packet and no
+// allocation.
 //
 // The framing rules are intentionally bit-identical to Unmarshal:
 // ParseFrame accepts exactly the frames Unmarshal accepts (same
@@ -113,11 +113,10 @@ const (
 // this package so the two can never drift apart.
 func FlowHash(p *Packet) uint32 {
 	h := uint32(fnvOffset32)
-	src, dst := p.SrcIP.As4(), p.DstIP.As4()
-	for _, c := range src {
+	for _, c := range p.SrcIP {
 		h = (h ^ uint32(c)) * fnvPrime32
 	}
-	for _, c := range dst {
+	for _, c := range p.DstIP {
 		h = (h ^ uint32(c)) * fnvPrime32
 	}
 	h = (h ^ uint32(p.Protocol)) * fnvPrime32

@@ -13,10 +13,7 @@
 // excludes labels.
 package packet
 
-import (
-	"fmt"
-	"net/netip"
-)
+import "fmt"
 
 // Proto is an IP protocol number.
 type Proto uint8
@@ -80,8 +77,8 @@ const (
 // serialization times and byte counters.
 type Packet struct {
 	// IPv4 header fields.
-	SrcIP      netip.Addr
-	DstIP      netip.Addr
+	SrcIP      V4Addr
+	DstIP      V4Addr
 	Length     uint16 // total length, bytes
 	ID         uint16 // identification
 	FragOffset uint16 // fragment offset, 13 bits
@@ -124,7 +121,7 @@ func (p *Packet) Size() int { return int(p.Length) }
 
 // Endpoint identifies one side of a transport conversation.
 type Endpoint struct {
-	Addr netip.Addr
+	Addr V4Addr
 	Port uint16
 }
 
@@ -156,18 +153,20 @@ func (f Flow) Reverse() Flow {
 	return Flow{Src: f.Dst, Dst: f.Src, Protocol: f.Protocol}
 }
 
-// V4 builds a netip.Addr from four IPv4 octets. It is a convenience for
+// V4 builds an address from four IPv4 octets. It is a convenience for
 // generators and tests.
-func V4(a, b, c, d byte) netip.Addr {
-	return netip.AddrFrom4([4]byte{a, b, c, d})
-}
+func V4(a, b, c, d byte) V4Addr { return V4Addr{a, b, c, d} }
 
-// V4Addr is an IPv4 address as four octets, convenient for composite
-// literals in traffic specs ({10, 0, 0, 1}).
+// V4Addr is an IPv4 address as four octets in network order: what the
+// wire carries, the address features read and traffic specs spell as
+// composite literals ({10, 0, 0, 1}). The zero value is 0.0.0.0.
 type V4Addr [4]byte
 
-// Addr converts to netip.Addr.
-func (a V4Addr) Addr() netip.Addr { return netip.AddrFrom4(a) }
+// As4 returns the four octets.
+func (a V4Addr) As4() [4]byte { return a }
+
+// String formats the address as a dotted quad.
+func (a V4Addr) String() string { return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3]) }
 
 // Uint32 returns the address as a big-endian integer.
 func (a V4Addr) Uint32() uint32 {
@@ -186,8 +185,8 @@ func (p *Packet) String() string {
 }
 
 // Clone returns a deep copy of the packet. Packet contains no reference
-// types besides netip.Addr (which is immutable), so a shallow copy is a
-// deep copy; Clone exists to make call sites explicit.
+// types besides the Vector string (which is immutable), so a shallow
+// copy is a deep copy; Clone exists to make call sites explicit.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	// The copy is a free-standing packet: not pool-resident, not in transit.

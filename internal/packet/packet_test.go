@@ -2,7 +2,6 @@ package packet
 
 import (
 	"math/rand"
-	"net/netip"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -177,14 +176,6 @@ func TestMarshalToShortBuffer(t *testing.T) {
 	}
 }
 
-func TestMarshalRejectsNonV4(t *testing.T) {
-	p := samplePacket()
-	p.SrcIP = netip.MustParseAddr("2001:db8::1")
-	if _, err := p.Marshal(); err == nil {
-		t.Fatal("IPv6 source should be rejected")
-	}
-}
-
 func TestFeatureValues(t *testing.T) {
 	p := samplePacket()
 	cases := map[Feature]uint32{
@@ -246,6 +237,46 @@ func TestFeatureSetExtract(t *testing.T) {
 	got4 := fs.Extract(p, buf[:0])
 	if &got4[0] != &buf[0] || !reflect.DeepEqual(got4, want) {
 		t.Errorf("Extract should reuse capacity of a truncated buffer")
+	}
+}
+
+// TestFeatureDoorsAgree: over every feature, the three ways to read one
+// give one answer — the set extractor, the single-value wrapper over it,
+// and the wire door on the marshalled packet — and a Feature outside
+// the enumeration reads 0 from each.
+func TestFeatureDoorsAgree(t *testing.T) {
+	all := make(FeatureSet, 0, NumFeatures+2)
+	for f := Feature(0); f < numFeatures; f++ {
+		all = append(all, f)
+	}
+	all = append(all, numFeatures, Feature(255))
+	r := rand.New(rand.NewSource(23))
+	pkts := []*Packet{
+		{Length: ipv4HeaderLen}, // the zero value: 0.0.0.0, no transport
+		samplePacket(),
+		{SrcIP: V4(255, 254, 253, 252), DstIP: V4(1, 2, 3, 4), Protocol: ProtoTCP, SrcPort: 65535, DstPort: 1,
+			TTL: 255, Length: 1500, ID: 0xffff, FragOffset: 0x1fff, Flags: FlagSYN},
+		{SrcIP: V4(10, 0, 0, 1), DstIP: V4(10, 0, 0, 2), Protocol: ProtoICMP, TTL: 1, Length: 84, ID: 7},
+		randomPacket(r), randomPacket(r), randomPacket(r),
+	}
+	for _, p := range pkts {
+		b, err := p.Marshal()
+		if err != nil {
+			t.Fatalf("%v: Marshal: %v", p, err)
+		}
+		v, err := ParseFrame(b)
+		if err != nil {
+			t.Fatalf("%v: ParseFrame: %v", p, err)
+		}
+		got := all.Extract(p, nil)
+		for i, f := range all {
+			if one, wire := p.Value(f), v.Feature(f); got[i] != one || got[i] != wire {
+				t.Errorf("%v, %v: Extract %d, Value %d, FrameView.Feature %d", p, f, got[i], one, wire)
+			}
+			if f >= numFeatures && got[i] != 0 {
+				t.Errorf("%v: unknown %v extracted as %d, want 0", p, f, got[i])
+			}
+		}
 	}
 }
 

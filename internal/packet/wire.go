@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"net/netip"
 )
 
 // Wire-format support: Marshal renders a Packet into real IPv4+TCP/UDP
@@ -64,13 +63,8 @@ func (p *Packet) MarshalTo(buf []byte) error {
 	if len(buf) < n {
 		return fmt.Errorf("%w: need %d bytes, have %d", ErrTooShort, n, len(buf))
 	}
-	if !p.SrcIP.Is4() || !p.DstIP.Is4() {
-		return fmt.Errorf("packet: source and destination must be IPv4 addresses")
-	}
 	b := buf[:n]
-	for i := range b {
-		b[i] = 0
-	}
+	clear(b)
 
 	// IPv4 header.
 	b[0] = 0x45 // version 4, IHL 5
@@ -79,10 +73,8 @@ func (p *Packet) MarshalTo(buf []byte) error {
 	binary.BigEndian.PutUint16(b[6:8], p.FragOffset&0x1fff)
 	b[8] = p.TTL
 	b[9] = uint8(p.Protocol)
-	src := p.SrcIP.As4()
-	dst := p.DstIP.As4()
-	copy(b[12:16], src[:])
-	copy(b[16:20], dst[:])
+	copy(b[12:16], p.SrcIP[:])
+	copy(b[16:20], p.DstIP[:])
 	binary.BigEndian.PutUint16(b[10:12], checksum(b[:ipv4HeaderLen]))
 
 	// Transport header.
@@ -94,13 +86,13 @@ func (p *Packet) MarshalTo(buf []byte) error {
 		t[12] = 5 << 4 // data offset: 5 words
 		t[13] = p.Flags
 		binary.BigEndian.PutUint16(t[14:16], 65535) // window
-		binary.BigEndian.PutUint16(t[16:18], transportChecksum(src, dst, uint8(ProtoTCP), b[ipv4HeaderLen:]))
+		binary.BigEndian.PutUint16(t[16:18], transportChecksum(p.SrcIP, p.DstIP, uint8(ProtoTCP), b[ipv4HeaderLen:]))
 	case ProtoUDP:
 		u := b[ipv4HeaderLen:]
 		binary.BigEndian.PutUint16(u[0:2], p.SrcPort)
 		binary.BigEndian.PutUint16(u[2:4], p.DstPort)
 		binary.BigEndian.PutUint16(u[4:6], uint16(n-ipv4HeaderLen))
-		binary.BigEndian.PutUint16(u[6:8], transportChecksum(src, dst, uint8(ProtoUDP), b[ipv4HeaderLen:]))
+		binary.BigEndian.PutUint16(u[6:8], transportChecksum(p.SrcIP, p.DstIP, uint8(ProtoUDP), b[ipv4HeaderLen:]))
 	}
 	return nil
 }
@@ -128,8 +120,8 @@ func Unmarshal(b []byte) (*Packet, error) {
 		FragOffset: binary.BigEndian.Uint16(b[6:8]) & 0x1fff,
 		TTL:        b[8],
 		Protocol:   Proto(b[9]),
-		SrcIP:      netip.AddrFrom4([4]byte(b[12:16])),
-		DstIP:      netip.AddrFrom4([4]byte(b[16:20])),
+		SrcIP:      V4Addr(b[12:16]),
+		DstIP:      V4Addr(b[16:20]),
 	}
 	tr := b[ihl:total]
 	switch p.Protocol {

@@ -26,6 +26,11 @@ type TopK struct {
 	decayThresh []uint64
 	// Decayed counts eviction-decay events, an observability aid.
 	Decayed uint64
+	// last is the heap index the previous tracked key came to rest at:
+	// an attack sends runs of packets to one destination, so Offer tries
+	// this slot before the pos map. A hint only — a bounds check and a key
+	// compare guard its use, so a stale value costs just the map lookup.
+	last int
 }
 
 type tkEntry struct {
@@ -80,7 +85,11 @@ func (t *TopK) nextRand() uint64 {
 // Offer feeds one (key, weight) observation. Allocation free at steady
 // state: heap slots and map cells are reused across evictions.
 func (t *TopK) Offer(key uint64, weight uint64) {
-	if i, ok := t.pos[key]; ok {
+	i, ok := t.last, true
+	if uint(i) >= uint(len(t.entries)) || t.entries[i].key != key {
+		i, ok = t.pos[key]
+	}
+	if ok {
 		// Tracked keys count exactly: the sketch is only consulted for
 		// challengers, so incumbents are immune to its overestimate.
 		t.cm.Add(key, weight)
@@ -90,7 +99,7 @@ func (t *TopK) Offer(key uint64, weight uint64) {
 			c = math.MaxUint64
 		}
 		e.count = c
-		t.siftDown(i)
+		t.last = t.siftDown(i)
 		return
 	}
 	est := t.cm.Add(key, weight)
@@ -254,8 +263,9 @@ func (t *TopK) siftUp(i int) {
 	}
 }
 
-// siftDown restores the min-heap downward from i, keeping pos in sync.
-func (t *TopK) siftDown(i int) {
+// siftDown restores the min-heap downward from i, keeping pos in sync,
+// and returns the index the entry came to rest at.
+func (t *TopK) siftDown(i int) int {
 	n := len(t.entries)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -267,7 +277,7 @@ func (t *TopK) siftDown(i int) {
 			small = r
 		}
 		if small == i {
-			return
+			return i
 		}
 		t.swap(i, small)
 		i = small

@@ -125,27 +125,142 @@ func TestTopKDecayEvictsStaleKeys(t *testing.T) {
 	}
 }
 
-// TestTopKHeapInvariant checks pos-map/heap consistency under churn.
-func TestTopKHeapInvariant(t *testing.T) {
-	tk := NewTopK(32, 4, 512, 3)
-	r := rand.New(rand.NewSource(77))
-	for i := 0; i < 100_000; i++ {
-		tk.Offer(r.Uint64()%500, uint64(r.Intn(100)+1))
+// topKPair drives a tracker and its memo-free model through the same
+// stream. The model is a second TopK whose remembered slot is pushed out
+// of range before every offer, so it always takes the pos-map path the
+// tracker took before it remembered anything; the two must stay
+// identical entry for entry, and a tracked key must count exactly.
+type topKPair struct {
+	t         *testing.T
+	tk, plain *TopK
+}
+
+func newTopKPair(t *testing.T, k int, seed uint64) *topKPair {
+	return &topKPair{t: t, tk: NewTopK(k, 4, 512, seed), plain: NewTopK(k, 4, 512, seed)}
+}
+
+func (p *topKPair) offer(key, weight uint64) {
+	p.t.Helper()
+	tk := p.tk
+	want, tracked := uint64(0), false
+	if i, ok := tk.pos[key]; ok {
+		want, tracked = tk.entries[i].count+weight, true
 	}
-	if len(tk.entries) != len(tk.pos) {
-		t.Fatalf("heap has %d entries, pos map has %d", len(tk.entries), len(tk.pos))
+	tk.Offer(key, weight)
+	p.plain.last = -1
+	p.plain.Offer(key, weight)
+
+	if tracked {
+		if i, ok := tk.pos[key]; !ok || tk.entries[i].count != want {
+			p.t.Fatalf("tracked key %x: count after offer is not the exact %d (pos %d, %v)", key, want, i, ok)
+		}
+	}
+	if len(tk.entries) != len(tk.pos) || len(tk.entries) != len(p.plain.entries) || tk.rng != p.plain.rng {
+		p.t.Fatalf("heap has %d entries, pos map %d, model %d (rng %x vs %x)",
+			len(tk.entries), len(tk.pos), len(p.plain.entries), tk.rng, p.plain.rng)
 	}
 	for i, e := range tk.entries {
+		if e != p.plain.entries[i] {
+			p.t.Fatalf("entry %d is %+v, the memo-free model has %+v (offer %x/%d)", i, e, p.plain.entries[i], key, weight)
+		}
 		if tk.pos[e.key] != i {
-			t.Fatalf("pos[%x] = %d, entry lives at %d", e.key, tk.pos[e.key], i)
+			p.t.Fatalf("pos[%x] = %d, entry lives at %d", e.key, tk.pos[e.key], i)
 		}
 		if l := 2*i + 1; l < len(tk.entries) && tk.entries[l].count < e.count {
-			t.Fatalf("min-heap violated at %d", i)
+			p.t.Fatalf("min-heap violated at %d", i)
 		}
 		if rr := 2*i + 2; rr < len(tk.entries) && tk.entries[rr].count < e.count {
-			t.Fatalf("min-heap violated at %d", i)
+			p.t.Fatalf("min-heap violated at %d", i)
 		}
 	}
+}
+
+// TestTopKHeapInvariant checks pos-map/heap consistency and exact
+// tracked counts after every offer, on streams built to leave the
+// remembered heap slot stale: long runs of one key, the run's key
+// evicted mid-run, Reset between runs, and Restore into fewer entries
+// than the remembered index.
+func TestTopKHeapInvariant(t *testing.T) {
+	t.Run("churn in runs", func(t *testing.T) {
+		p := newTopKPair(t, 32, 3)
+		r := rand.New(rand.NewSource(77))
+		for i := 0; i < 20_000; i++ {
+			key, w := r.Uint64()%500, uint64(r.Intn(100)+1)
+			for n := r.Intn(8); n >= 0; n-- {
+				p.offer(key, w)
+			}
+		}
+	})
+	t.Run("evicted mid-run by decay", func(t *testing.T) {
+		p := newTopKPair(t, 2, 7)
+		r := rand.New(rand.NewSource(78))
+		evictions := 0
+		for round := uint64(0); round < 200; round++ {
+			run, heavy := 1000+round, 5000+round
+			p.offer(heavy, 1_000)
+			for i := 0; i < 3; i++ {
+				p.offer(run, 1) // the remembered slot now holds run
+			}
+			// One-packet challengers lose to run's count and decay it
+			// away; its slot goes to one of them.
+			for i := 0; i < 40; i++ {
+				p.offer(1_000_000+uint64(r.Intn(1<<20)), 1)
+			}
+			if _, ok := p.tk.pos[run]; !ok {
+				evictions++
+			}
+			for i := 0; i < 3; i++ {
+				p.offer(run, 1) // back as a challenger, or still tracked
+			}
+		}
+		if evictions == 0 {
+			t.Fatal("no run key was ever evicted mid-run: the stream does not test a stale slot")
+		}
+	})
+	t.Run("reset between runs", func(t *testing.T) {
+		p := newTopKPair(t, 8, 9)
+		r := rand.New(rand.NewSource(79))
+		beyond := 0
+		for round := 0; round < 200; round++ {
+			for i := 0; i < 50; i++ {
+				key, w := r.Uint64()%20, uint64(r.Intn(50)+1)
+				p.offer(key, w)
+				p.offer(key, w)
+			}
+			if p.tk.last > 0 {
+				beyond++ // a slot the emptied heap does not have
+			}
+			p.tk.Reset()
+			p.plain.Reset()
+		}
+		if beyond == 0 {
+			t.Fatal("never reset with a remembered slot beyond the first")
+		}
+	})
+	t.Run("restore below the remembered slot", func(t *testing.T) {
+		p := newTopKPair(t, 8, 11)
+		for key := uint64(1); key <= 8; key++ {
+			p.offer(key, key*10)
+		}
+		// Growing key 1 sinks it to the bottom row of the heap.
+		for i := 0; i < 20; i++ {
+			p.offer(1, 100)
+		}
+		if p.tk.last < 3 {
+			t.Fatalf("remembered slot %d, want one beyond a 3-entry heap", p.tk.last)
+		}
+		for _, keep := range [][]Element{
+			{{Key: 40, Count: 7}, {Key: 41, Count: 5}, {Key: 1, Count: 9}}, // shorter than the slot
+			p.tk.Entries(), // same length, the slot may hold another key
+		} {
+			p.tk.Restore(keep, 99)
+			p.plain.Restore(keep, 99)
+			for i := 0; i < 10; i++ {
+				p.offer(1, 3)
+				p.offer(41, 2)
+			}
+		}
+	})
 }
 
 // TestTopKRestoreRoundTrip: Entries/RNG → Restore must reproduce the

@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"math/rand"
-	"net/netip"
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
@@ -54,8 +53,8 @@ func (s FlowSpec) Factory(seed int64) Factory {
 	spec := s
 	return func(i uint64, _ eventsim.Time, p *packet.Packet) {
 		*p = packet.Packet{
-			SrcIP:    spec.SrcIP.Addr(),
-			DstIP:    spec.DstIP.Addr(),
+			SrcIP:    spec.SrcIP,
+			DstIP:    spec.DstIP,
 			Protocol: spec.Protocol,
 			SrcPort:  spec.SrcPort,
 			DstPort:  spec.DstPort,
@@ -97,12 +96,12 @@ func ephemeralPort(rng *rand.Rand) uint16 {
 
 // randomizeHost replaces the low `bits` host part of base with a
 // random value.
-func randomizeHost(rng *rand.Rand, base packet.V4Addr, bits int) netip.Addr {
+func randomizeHost(rng *rand.Rand, base packet.V4Addr, bits int) packet.V4Addr {
 	if bits > 32 {
 		bits = 32
 	}
 	v := base.Uint32()
 	mask := uint32(1)<<bits - 1
 	v = (v &^ mask) | (rng.Uint32() & mask)
-	return packet.V4AddrFromUint32(v).Addr()
+	return packet.V4AddrFromUint32(v)
 }

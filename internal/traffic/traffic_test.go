@@ -325,7 +325,7 @@ func TestFloodTargetsVictim(t *testing.T) {
 	for _, tp := range Collect(src) {
 		n++
 		p := tp.Pkt
-		if p.DstIP != victim.Addr() || p.DstPort != 7777 {
+		if p.DstIP != victim || p.DstPort != 7777 {
 			t.Fatalf("flood not aimed at victim: %v", p)
 		}
 		if p.SrcPort != 123 {

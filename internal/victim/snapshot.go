@@ -22,13 +22,13 @@ const (
 
 // Marshal serializes the detector's full state into w.
 func (d *Detector) Marshal(w io.Writer) error {
-	d.mu.Lock()
+	closed := d.closed.Load()
 	var e frame.Enc
 	e.U32(uint32(d.cfg.TopK))
 	e.U32(uint32(d.tk.Sketch().Rows()))
 	e.U32(uint32(d.tk.Sketch().Cols()))
 
-	e.U64(d.windows)
+	e.U64(closed.windows)
 	e.U64(d.windowBytes)
 
 	e.U64s(d.tk.Sketch().Words())
@@ -53,14 +53,13 @@ func (d *Detector) Marshal(w io.Writer) error {
 		e.U32(uint32(d.listed[k]))
 	}
 
-	e.U32(uint32(len(d.current)))
-	for _, v := range d.current {
+	e.U32(uint32(len(closed.victims)))
+	for _, v := range closed.victims {
 		e.U64(v.Key)
 		e.U64(v.Bytes)
 		e.F64(v.Share)
 		e.U32(uint32(v.Windows))
 	}
-	d.mu.Unlock()
 
 	return frame.WriteContainer(w, snapMagic, snapVersion, e.B)
 }
@@ -78,8 +77,6 @@ func (d *Detector) Unmarshal(r io.Reader) error {
 	rows := int(dd.U32())
 	cols := int(dd.U32())
 
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	cm := d.tk.Sketch()
 	if k != d.cfg.TopK || rows != cm.Rows() || cols != cm.Cols() {
 		return fmt.Errorf("victim: snapshot geometry k=%d %dx%d, detector has k=%d %dx%d",
@@ -124,10 +121,9 @@ func (d *Detector) Unmarshal(r io.Reader) error {
 	if err := cm.SetWords(words, updates); err != nil {
 		return err
 	}
-	d.windows = windows
 	d.windowBytes = windowBytes
 	d.tk.Restore(entries, rng)
 	d.listed = listed
-	d.current = current
+	d.closed.Store(&view{windows: windows, victims: current})
 	return nil
 }

@@ -18,12 +18,15 @@
 // two detectors produce byte-identical victim lists (the heavy-keeper's
 // decay coin flips are seeded) — the property the CI determinism gate
 // checks.
+//
+// Ownership: like cluster.Online a Detector has one owner, the link's
+// capture tap — Ding et al.'s per-switch sketch with no shared state.
+// Other goroutines read only the last closed window's published result.
 package victim
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"sync/atomic"
 
 	"accturbo/internal/sketch"
 )
@@ -94,22 +97,32 @@ type Victim struct {
 	Windows int `json:"windows"`
 }
 
-// Detector ranks heavy destination aggregates per window. Safe for
-// concurrent use.
+// Detector ranks heavy destination aggregates per window. Observe,
+// Advance, PendingBytes, Marshal and Unmarshal belong to the one
+// goroutine that feeds it and take no lock. Victims and Windows are safe
+// from any goroutine: they answer from the view New, the last Advance or
+// Unmarshal published, so a reader sees closed windows only, never the
+// open window's traffic.
 type Detector struct {
-	mu  sync.Mutex
 	cfg Config
 	tk  *sketch.TopK
 
 	windowBytes uint64
-	windows     uint64 // closed windows
 
 	// listed is the hysteresis state: key -> consecutive windows listed.
 	listed map[uint64]int
-	// current is the ranked victim list as of the last Advance.
-	current []Victim
+	// closed is the last closed window's result; replaced whole, never
+	// written through.
+	closed atomic.Pointer[view]
 
 	scratch []sketch.Element
+}
+
+// view is what other goroutines read: how many windows have closed and
+// the victim list ranked at the last of them.
+type view struct {
+	windows uint64
+	victims []Victim
 }
 
 // New builds a detector; the configuration is validated first.
@@ -117,12 +130,14 @@ func New(cfg Config) (*Detector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Detector{
+	d := &Detector{
 		cfg:     cfg,
 		tk:      sketch.NewTopK(cfg.TopK, cfg.SketchRows, cfg.SketchCols, cfg.Seed),
 		listed:  make(map[uint64]int, cfg.TopK),
 		scratch: make([]sketch.Element, 0, cfg.TopK),
-	}, nil
+	}
+	d.closed.Store(&view{})
+	return d, nil
 }
 
 // Config returns the detector's configuration.
@@ -131,34 +146,36 @@ func (d *Detector) Config() Config { return d.cfg }
 // Observe feeds one admitted packet's destination key and byte size
 // into the current window.
 func (d *Detector) Observe(dstKey uint64, bytes uint64) {
-	d.mu.Lock()
 	d.tk.Offer(dstKey, bytes)
 	d.windowBytes += bytes
-	d.mu.Unlock()
 }
 
 // Advance closes the current window: heavy destinations are ranked,
-// hysteresis state moves, and the tracker resets for the next window.
-// Returns the new victim list (shared with Victims; do not mutate).
+// hysteresis state moves, the result is published to Victims and
+// Windows, and the tracker resets for the next window. Returns the new
+// victim list (shared with Victims; do not mutate).
 func (d *Detector) Advance() []Victim {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-
-	total := d.windowBytes
-	d.windows++
-	if total < d.cfg.MinBytes {
-		// Idle window: keep states, just reset volume tracking so the
-		// next window starts clean.
-		d.tk.Reset()
-		d.windowBytes = 0
-		return d.current
+	last := d.closed.Load()
+	// An idle window keeps the list and the hysteresis state; only the
+	// volume tracking resets so the next window starts clean.
+	victims := last.victims
+	if d.windowBytes >= d.cfg.MinBytes {
+		victims = d.rank()
 	}
+	d.tk.Reset()
+	d.windowBytes = 0
+	d.closed.Store(&view{windows: last.windows + 1, victims: victims})
+	return victims
+}
 
+// rank lists the open window's heavy destinations that pass the
+// hysteresis thresholds, heaviest first, and moves the listed streaks.
+func (d *Detector) rank() []Victim {
 	d.scratch = d.tk.AppendTop(d.scratch[:0])
 	next := make([]Victim, 0, len(d.scratch))
 	seen := make(map[uint64]bool, len(d.scratch))
 	for _, e := range d.scratch {
-		share := float64(e.Count) / float64(total)
+		share := float64(e.Count) / float64(d.windowBytes)
 		streak, wasListed := d.listed[e.Key]
 		keep := share >= d.cfg.ActivateShare ||
 			(wasListed && share >= d.cfg.ReleaseShare)
@@ -179,39 +196,17 @@ func (d *Detector) Advance() []Victim {
 			delete(d.listed, k)
 		}
 	}
-	// AppendTop already ranks by count desc/key asc; victims inherit
-	// that order. Sort defensively anyway so the contract doesn't
-	// depend on TopK internals.
-	sort.SliceStable(next, func(i, j int) bool {
-		if next[i].Bytes != next[j].Bytes {
-			return next[i].Bytes > next[j].Bytes
-		}
-		return next[i].Key < next[j].Key
-	})
-	d.current = next
-	d.tk.Reset()
-	d.windowBytes = 0
-	return d.current
+	// AppendTop ranks by count desc, key asc; victims inherit that order.
+	return next
 }
 
 // Victims returns the ranked list from the last closed window (shared
-// slice; do not mutate).
-func (d *Detector) Victims() []Victim {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.current
-}
+// slice; do not mutate). Safe from any goroutine.
+func (d *Detector) Victims() []Victim { return d.closed.Load().victims }
 
-// Windows returns how many windows have been closed.
-func (d *Detector) Windows() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.windows
-}
+// Windows returns how many windows have been closed. Safe from any
+// goroutine.
+func (d *Detector) Windows() uint64 { return d.closed.Load().windows }
 
 // PendingBytes returns the bytes observed in the still-open window.
-func (d *Detector) PendingBytes() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.windowBytes
-}
+func (d *Detector) PendingBytes() uint64 { return d.windowBytes }

@@ -3,6 +3,7 @@ package victim
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -209,29 +210,71 @@ func TestDetectorSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDetectorConcurrentObserve is the ownership contract under -race:
+// one goroutine owns Observe/Advance, any number of others read
+// Victims/Windows while it runs. Readers only ever see a closed
+// window's result — Windows monotone, every listed share inside the
+// hysteresis band — and once the writer stops they read exactly what a
+// detector fed the same sequence with nobody watching reads.
 func TestDetectorConcurrentObserve(t *testing.T) {
-	d, err := New(DefaultConfig())
+	const windows = 24
+	cfg := DefaultConfig()
+	run := func(d *Detector) {
+		r := rand.New(rand.NewSource(5))
+		for w := 0; w < windows; w++ {
+			// The attack moves between two destinations and pauses on
+			// every sixth window, so lists change, persist and go idle.
+			heavy := map[uint64]uint64{uint64(0xC0A80001 + w/8%2): 60_000}
+			if w%6 == 5 {
+				heavy = nil
+			}
+			feedWindow(d, r, heavy, 40_000*uint64(len(heavy)))
+			d.Advance()
+		}
+	}
+	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; i < 10_000; i++ {
-				d.Observe(uint64(g), 1000)
+			var last uint64
+			for {
+				w := d.Windows()
+				if w < last {
+					t.Errorf("Windows went backwards: %d after %d", w, last)
+					return
+				}
+				last = w
+				for _, v := range d.Victims() {
+					if v.Share < cfg.ReleaseShare || v.Windows < 1 {
+						t.Errorf("reader saw %+v below the release share %v", v, cfg.ReleaseShare)
+						return
+					}
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
 			}
-		}(g)
+		}()
 	}
-	done := make(chan struct{})
-	go func() { defer close(done); _ = d.Advance(); _ = d.Victims() }()
+	run(d)
+	close(stop)
 	wg.Wait()
-	<-done
-	d.Advance()
-	var total uint64
-	for _, v := range d.Victims() {
-		total += v.Bytes
+
+	alone, _ := New(cfg)
+	run(alone)
+	if d.Windows() != windows || alone.Windows() != windows {
+		t.Fatalf("Windows = %d watched, %d alone, want %d", d.Windows(), alone.Windows(), windows)
+	}
+	if got, want := d.Victims(), alone.Victims(); !reflect.DeepEqual(got, want) || len(want) == 0 {
+		t.Fatalf("victims with readers %+v, alone %+v", got, want)
 	}
 	if got := d.PendingBytes(); got != 0 {
 		t.Fatalf("pending bytes after Advance = %d", got)

@@ -6,7 +6,7 @@
 # edit to this file that shows in a diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-ceiling=21994 # PR 22
+ceiling=21983 # PR 23
 count() { find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l; }
 total=$(count .)
 echo "non-test Go outside benchmark/: $total"
