@@ -457,8 +457,8 @@ func (d *Defense) ConfigGeneration() uint64 { return d.cp.ConfigGeneration() }
 // are locked one at a time in concurrent mode); for a quiescent-exact
 // snapshot, stop feeding packets first. A Defense whose clustering is a
 // baseline configuration (anything but Manhattan, unnormalized, fast
-// search) returns an error wrapping ErrBaselineSnapshot and writes
-// nothing.
+// search over exact nominal sets) returns an error wrapping
+// ErrBaselineSnapshot and writes nothing.
 func (d *Defense) SaveState(w io.Writer) error {
 	return core.SaveState(w, d.dp, d.cp)
 }

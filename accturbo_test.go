@@ -293,23 +293,30 @@ func TestDefenseSnapshotRestore(t *testing.T) {
 		}
 	}
 
-	// A baseline clustering configuration defends like any other but has
-	// no snapshot: saving writes nothing, restoring changes nothing.
-	cfg.Clustering.Distance = DistanceAnime
-	base := NewDefense(cfg)
-	defer base.Close()
-	for ms := 0; ms < 200; ms++ {
-		base.Process(time.Duration(ms)*time.Millisecond, benignPacket(ms))
-	}
-	var none strings.Builder
-	if err := base.SaveState(&none); !errors.Is(err, ErrBaselineSnapshot) || none.Len() != 0 {
-		t.Fatalf("baseline SaveState = %v with %d bytes written, want ErrBaselineSnapshot and none", err, none.Len())
-	}
-	observed, gen, clusters := base.PacketsObserved(), base.ConfigGeneration(), base.Clusters()
-	if err := base.RestoreState(strings.NewReader(blob)); !errors.Is(err, ErrBaselineSnapshot) {
-		t.Fatalf("baseline RestoreState = %v, want ErrBaselineSnapshot", err)
-	}
-	if base.PacketsObserved() != observed || base.ConfigGeneration() != gen || !reflect.DeepEqual(base.Clusters(), clusters) {
-		t.Fatal("a refused restore changed the baseline Defense")
+	// A baseline clustering configuration — a Fig. 10 distance, Bloom sets —
+	// defends like any other but has no snapshot: saving writes nothing,
+	// restoring changes nothing.
+	for name, mutate := range map[string]func(*Config){
+		"anime": func(c *Config) { c.Clustering.Distance = DistanceAnime },
+		"bloom": func(c *Config) { c.Clustering.UseBloom = true },
+	} {
+		cfg := cfg
+		mutate(&cfg)
+		base := NewDefense(cfg)
+		defer base.Close()
+		for ms := 0; ms < 200; ms++ {
+			base.Process(time.Duration(ms)*time.Millisecond, benignPacket(ms))
+		}
+		var none strings.Builder
+		if err := base.SaveState(&none); !errors.Is(err, ErrBaselineSnapshot) || none.Len() != 0 {
+			t.Fatalf("%s SaveState = %v with %d bytes written, want ErrBaselineSnapshot and none", name, err, none.Len())
+		}
+		observed, gen, clusters := base.PacketsObserved(), base.ConfigGeneration(), base.Clusters()
+		if err := base.RestoreState(strings.NewReader(blob)); !errors.Is(err, ErrBaselineSnapshot) {
+			t.Fatalf("%s RestoreState = %v, want ErrBaselineSnapshot", name, err)
+		}
+		if base.PacketsObserved() != observed || base.ConfigGeneration() != gen || !reflect.DeepEqual(base.Clusters(), clusters) {
+			t.Fatalf("a refused restore changed the %s Defense", name)
+		}
 	}
 }

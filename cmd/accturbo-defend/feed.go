@@ -108,7 +108,7 @@ func feedRealTime(src *captureStream, size int, deliver func(at time.Duration, p
 	}
 	ch := make(chan batch, max(1, *ingestQueue/size))
 	var wg sync.WaitGroup
-	for w := 0; w < max(1, *ingest); w++ {
+	for w := 0; w < *ingest; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -148,6 +148,10 @@ func main() {
 	if *replay && *in == "" {
 		fatal(2, "-replay needs an -in capture")
 	}
+	if *fleetNodes < 0 {
+		fatal(2, "-fleet-nodes must not be negative (0 = single-node mode)")
+	}
+	*ingest = max(1, *ingest) // what the report prints is what feedRealTime starts
 	if *shards > 1 {
 		*realtime = true
 	}
@@ -218,7 +222,7 @@ func main() {
 		} else {
 			runTCPNode(cfg, src)
 		}
-	case *fleetNodes > 1:
+	case *fleetNodes > 0:
 		if singleOnly {
 			fatal(2, "-fleet-nodes cannot be combined with -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
 		}

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +14,66 @@ import (
 	"accturbo/internal/faults"
 	"accturbo/internal/pcap"
 )
+
+// TestMain lets TestFlagEdges run the real main — flag parsing, usage
+// errors and exit codes included — by re-executing the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("ACCTURBO_DEFEND_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestFlagEdges: -fleet-nodes 1 is a fleet of one and a negative count a
+// usage error, not the single pipeline under another name; and the
+// real-time report counts the ingest goroutines that ran.
+func TestFlagEdges(t *testing.T) {
+	capture := filepath.Join(t.TempDir(), "edge.pcap")
+	f, err := os.Create(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := pcap.NewNanoWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		p := accturbo.Packet{
+			SrcIP: accturbo.V4(10, 0, byte(i>>8), byte(i)), DstIP: accturbo.V4(198, 18, 0, 1),
+			Protocol: 17, SrcPort: 5000, DstPort: 53, TTL: 64, ID: uint16(i), Length: 100,
+		}
+		if err := w.Write(eventsim.Time(i)*eventsim.Millisecond, &p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		exit int
+		want string // a substring of stdout+stderr
+	}{
+		{[]string{"-fleet-nodes", "1"}, 0, "fleet mode: 1 nodes"},
+		{[]string{"-fleet-nodes", "-3"}, 2, "-fleet-nodes must not be negative"},
+		{[]string{"-fleet-nodes", "0"}, 0, "final aggregates (operator view)"},
+		{[]string{"-realtime", "-ingest", "0"}, 0, "1 shards, 1 ingest goroutines"},
+	} {
+		cmd := exec.Command(os.Args[0], append([]string{"-in", capture}, c.args...)...)
+		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != c.exit || !strings.Contains(string(out), c.want) {
+			t.Errorf("%v: exit %d (%v), want %d with %q in:\n%s", c.args, code, err, c.exit, c.want, out)
+		}
+		if c.exit != 0 && strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
+			t.Errorf("%v: a usage error should be one line, got:\n%s", c.args, out)
+		}
+	}
+}
 
 // TestCaptureStreamFaults: the one capture chokepoint applies the
 // seeded packet faults and accounts for every one of them — drops

@@ -8,7 +8,8 @@
 // Config.Deployed). Every alternative the paper evaluates as a baseline
 // (Fig. 10) — exhaustive search, the Anime (product) distance, Euclidean
 // center-based clustering, normalised distances, the hybrid
-// offline/online scheme — has one implementation, the naive Reference,
+// offline/online scheme — and this repository's Bloom-filter ablation
+// have one implementation, the naive Reference,
 // which an Online built for such a configuration forwards to and which is
 // also the oracle the deployed path is tested against. Offline k-means is
 // KMeans.
@@ -27,8 +28,9 @@ import (
 
 // ErrBaselineSnapshot is returned when a snapshot is asked of, or offered
 // to, a clusterer whose configuration is not the deployed one: the Fig. 10
-// baselines run on Reference, which has no serialized form.
-var ErrBaselineSnapshot = errors.New("cluster: snapshots need the deployed clustering configuration (manhattan, fast search, unnormalized)")
+// baselines and the Bloom-set ablation run on Reference, which has no
+// serialized form.
+var ErrBaselineSnapshot = errors.New("cluster: snapshots need the deployed clustering configuration (manhattan, fast search, unnormalized, exact sets)")
 
 // Distance selects the distance/cost function (§4.2.3).
 type Distance uint8
@@ -104,8 +106,10 @@ type Config struct {
 	// (ignored otherwise). Zero defaults to 0.3.
 	LearningRate float64
 	// UseBloom stores nominal-feature value sets in Bloom filters (as
-	// the hardware does) instead of exact sets. Exact sets are the
-	// simulation default.
+	// the hardware does) instead of exact sets. Exact sets are what
+	// Online implements; Bloom sets are an ablation that runs on
+	// Reference, one sketch.Bloom per cluster and feature, and cannot be
+	// snapshotted (see Deployed).
 	UseBloom bool
 	// BloomBits and BloomHashes size the per-feature filters when
 	// UseBloom is set. Zero defaults to 4096 bits and 3 hashes.
@@ -162,12 +166,12 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Deployed reports whether this is the configuration the paper deploys
-// (§4.2: Manhattan distance, unnormalized, fast search), which Online
-// implements itself; every other one is a quality baseline that runs on
-// Reference and cannot be snapshotted.
+// Deployed reports whether this is the configuration this repository
+// deploys (§4.2: Manhattan distance, unnormalized, fast search, over exact
+// nominal sets), which Online implements itself; every other one is a
+// quality baseline that runs on Reference and cannot be snapshotted.
 func (c *Config) Deployed() bool {
-	return c.Distance == Manhattan && c.Search == Fast && !c.Normalize
+	return c.Distance == Manhattan && c.Search == Fast && !c.Normalize && !c.UseBloom
 }
 
 func (c *Config) withDefaults() Config {

@@ -36,11 +36,11 @@ func equivTrace(n int, seed int64) []*packet.Packet {
 // implementation through an identical trace — including mid-trace
 // ResetStats, Reseed, and (for Euclidean) SeedCenters — and requires
 // bit-identical assignments and snapshots for every valid configuration.
-// For the deployed configurations (manhattan/fast, exact and Bloom) that
+// For the deployed configuration (manhattan/fast over exact sets) that
 // holds the table-driven path to its oracle: the integer scan sums
-// exactly what the reference accumulates in floats. For the baselines it
-// holds the forwarding: every call must reach the Reference an Online
-// owns.
+// exactly what the reference accumulates in floats. For the baselines,
+// Bloom sets included, it holds the forwarding: every call must reach
+// the Reference an Online owns.
 func TestFastPathMatchesReference(t *testing.T) {
 	variants := []struct {
 		name   string

@@ -2,13 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"accturbo/internal/packet"
 )
 
 // fuzzConfigs are the clusterers FuzzOnlineUnmarshal restores into:
-// exact and Bloom sets over the hardware and the 12-feature sets.
+// exact sets over the hardware and the 12-feature sets, and the same two
+// with Bloom sets, which are baselines and must refuse every stream.
 func fuzzConfigs() []Config {
 	var out []Config
 	for _, bloom := range []bool{false, true} {
@@ -25,14 +27,16 @@ func fuzzConfigs() []Config {
 // cluster payload of a snapshot read from disk or sent by a fleet peer.
 // It must never panic; it must not allocate beyond a small multiple of
 // the input, whatever counts the stream claims (a cell list costs four
-// bytes a cell, a Bloom word can name 64 cells in eight bytes, and a
-// list grown by append may hold twice what it needs); a
-// refused stream must leave the receiver's state as it was; an accepted
-// one must marshal back to exactly the input.
+// bytes a value, and a list grown by append may hold twice what it
+// needs); a refused stream must leave the receiver's state as it was; an
+// accepted one must marshal back to exactly the input. A baseline
+// clusterer answers ErrBaselineSnapshot whatever the bytes.
 func FuzzOnlineUnmarshal(f *testing.F) {
 	cfgs := fuzzConfigs()
 	for i, cfg := range cfgs {
-		o := NewOnline(cfg)
+		exact := cfg
+		exact.UseBloom = false // a Bloom clusterer is offered its exact twin's streams
+		o := NewOnline(exact)
 		f.Add(uint8(i), o.Marshal())
 		for _, p := range equivTrace(300, int64(40+i)) {
 			o.Observe(p)
@@ -44,6 +48,16 @@ func FuzzOnlineUnmarshal(f *testing.F) {
 		o := NewOnline(cfg)
 		for _, p := range equivTrace(50, 3) {
 			o.Observe(p)
+		}
+		if !cfg.Deployed() {
+			before := o.Snapshot()
+			if v, u := o.Validate(data), o.Unmarshal(data); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
+				t.Fatalf("baseline Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", v, u)
+			}
+			if !reflect.DeepEqual(o.Snapshot(), before) {
+				t.Fatal("a refused stream changed the baseline receiver")
+			}
+			return
 		}
 		before := o.Marshal()
 

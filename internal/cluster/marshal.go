@@ -9,15 +9,13 @@ import (
 )
 
 // Marshal serializes the clusterer's complete learned state — flattened
-// geometry, nominal value sets (exact or Bloom), per-cluster counters,
-// UID allocator and packet count — into a deterministic little-endian
-// byte stream. The stream opens with a configuration fingerprint so
-// Unmarshal can refuse a snapshot taken under different cluster
-// geometry. Two clusterers with equal observable state produce
-// identical bytes (the order in which values were admitted is excluded:
-// a set is written as its ascending values, a Bloom set as the words of
-// the equivalent sketch.Bloom), which is what makes save → restore →
-// save byte-identical.
+// geometry, nominal value sets, per-cluster counters, UID allocator and
+// packet count — into a deterministic little-endian byte stream. The
+// stream opens with a configuration fingerprint so Unmarshal can refuse a
+// snapshot taken under different cluster geometry. Two clusterers with
+// equal observable state produce identical bytes (the order in which
+// values were admitted is excluded: a set is written as its ascending
+// values), which is what makes save → restore → save byte-identical.
 //
 // Checksums and format versioning live one layer up, in the core
 // snapshot container: a cluster blob never travels alone.
@@ -34,7 +32,7 @@ func (o *Online) Marshal() []byte {
 	e.U64(o.nextUID)
 	e.U64(o.Observed)
 	e.U32(uint32(len(o.clusters)))
-	var bm []uint64 // one set's cells as a bitmap, zero between uses
+	var bm []uint64 // one set's values as a bitmap, zero between uses
 	for ci := range o.clusters {
 		c := &o.clusters[ci]
 		e.U64(c.uid)
@@ -50,21 +48,17 @@ func (o *Online) Marshal() []byte {
 		e.U64(c.benign)
 		e.U64(c.malicious)
 		for j, mf := range o.mt.feats {
-			card := o.mt.cardinality(ci, j)
-			e.U32(uint32(card))
+			// The format carries the cardinality and then the length of
+			// the value list, which for an exact set are one number.
+			card := uint32(o.mt.cardinality(ci, j))
+			e.U32(card)
+			e.U32(card)
 			words := int((mf.ncell + 63) / 64)
 			if len(bm) < words {
 				bm = make([]uint64, words)
 			}
 			set := bm[:words]
 			o.mt.bitmap(ci, j, set)
-			if o.cfg.UseBloom {
-				e.U64(uint64(card)) // the filter's Insert count
-				e.U64s(set)
-				clear(set)
-				continue
-			}
-			e.U32(uint32(card))
 			for i, w := range set {
 				for ; w != 0; w &= w - 1 {
 					e.U32(uint32(i)<<6 | uint32(bits.TrailingZeros64(w)))
@@ -170,71 +164,44 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 	return nil
 }
 
-// decodeSet checks one nominal set of the stream; with commit set it
-// also gives the set to slot ci, which must be empty. A short read is
-// left latched in d for the caller.
+// decodeSet checks one nominal set of the stream — ascending values, as
+// many as the cardinality says; with commit set it also gives the set to
+// slot ci, which must be empty. A short read is left latched in d for the
+// caller.
 func (o *Online) decodeSet(d *frame.Dec, ci, j int, commit bool) error {
 	ncell := o.mt.feats[j].ncell
 	card := uint64(d.U32())
-	if o.cfg.UseBloom {
-		// The words of a sketch.Bloom holding `card` inserted values.
-		if inserted := d.U64(); inserted != card {
-			return fmt.Errorf("bloom insert count %d for cardinality %d", inserted, card)
-		}
-		words := (ncell + 63) / 64
-		if n := uint64(d.U32()); n != words {
-			return fmt.Errorf("bloom has %d words, snapshot has %d", words, n)
-		}
-		set := 0
-		for i := uint64(0); i < words; i++ {
-			w := d.U64()
-			if i == words-1 && ncell%64 != 0 && w>>(ncell%64) != 0 {
-				return fmt.Errorf("bloom bits set beyond the filter's %d", ncell)
-			}
-			set += bits.OnesCount64(w)
-			for ; commit && w != 0; w &= w - 1 {
-				o.mt.setCell(ci, j, uint32(i<<6)|uint32(bits.TrailingZeros64(w)))
-			}
-		}
-		// Each inserted value set between 1 and k bits.
-		if d.Err() == nil && (uint64(set) > card*uint64(o.cfg.BloomHashes) || (set == 0) != (card == 0)) {
-			return fmt.Errorf("%d bloom bits set for cardinality %d", set, card)
-		}
-	} else {
-		// Ascending values, as many as the cardinality says.
-		n := uint64(d.Count(4))
-		if d.Err() != nil {
-			return nil
-		}
-		if n != card {
-			return fmt.Errorf("%d values for cardinality %d", n, card)
-		}
-		if n > ncell {
-			return fmt.Errorf("%d values exceed the value space of %d", n, ncell)
-		}
-		prev := int64(-1)
-		for i := uint64(0); i < n; i++ {
-			v := d.U32()
-			if int64(v) <= prev || uint64(v) >= ncell {
-				return fmt.Errorf("value %d out of order or beyond the value space of %d", v, ncell)
-			}
-			prev = int64(v)
-			if commit {
-				o.mt.setCell(ci, j, v)
-			}
-		}
+	n := uint64(d.Count(4))
+	if d.Err() != nil {
+		return nil
 	}
-	if commit {
-		o.mt.card[ci*len(o.mt.feats)+j] = int(card)
+	if n != card {
+		return fmt.Errorf("%d values for cardinality %d", n, card)
+	}
+	if n > ncell {
+		return fmt.Errorf("%d values exceed the value space of %d", n, ncell)
+	}
+	prev := int64(-1)
+	for i := uint64(0); i < n; i++ {
+		v := d.U32()
+		if int64(v) <= prev || uint64(v) >= ncell {
+			return fmt.Errorf("value %d out of order or beyond the value space of %d", v, ncell)
+		}
+		prev = int64(v)
+		if commit {
+			o.mt.admit(ci, j, v)
+		}
 	}
 	return nil
 }
 
 // encodeFingerprint appends the configuration facts the snapshot layout
 // depends on. Any mismatch means the byte stream cannot be interpreted
-// against the receiver (different feature count, value spaces, set
-// representation) or would silently change behavior (distance, search,
-// learning rate).
+// against the receiver (different feature count, value spaces) or would
+// silently change behavior (slice initialisation). The distance, search,
+// set-representation and normalisation fields are constant for every
+// clusterer that has a snapshot (Config.Deployed); they stay so that the
+// streams earlier versions wrote keep restoring.
 func (o *Online) encodeFingerprint(e *frame.Enc) {
 	e.U32(uint32(o.cfg.MaxClusters))
 	e.U8(uint8(len(o.feats)))

@@ -17,8 +17,8 @@ import (
 // (b) the interpretable snapshots match, and (c) both instances stay
 // bit-identical on every subsequent observation — the restored process
 // must behave as if it had seen the whole original trace. A baseline
-// configuration has no snapshot: Validate and Unmarshal refuse with
-// ErrBaselineSnapshot.
+// configuration, Bloom sets included, has no snapshot: Validate and
+// Unmarshal refuse with ErrBaselineSnapshot.
 func TestMarshalRoundTrip(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -144,7 +144,7 @@ func TestUnmarshalRejects(t *testing.T) {
 // parentSnapshots are Marshal streams written by the commit before the
 // membership table replaced the per-cluster sets (the same traces, run
 // through that commit's clusterer), with the configurations they were
-// taken under.
+// taken under. The Bloom one is from when Online kept filters itself.
 func parentSnapshots() []struct {
 	file string
 	cfg  Config
@@ -165,7 +165,8 @@ func parentSnapshots() []struct {
 // TestParentSnapshots pins the ACCSNAP1 cluster payload across the
 // change of representation: a stream the previous representation wrote
 // restores and re-saves byte-identically, and running the trace it was
-// taken from produces the same bytes again.
+// taken from produces the same bytes again. A Bloom stream, well-formed as
+// it is, now meets a baseline clusterer and is refused unread.
 func TestParentSnapshots(t *testing.T) {
 	for _, c := range parentSnapshots() {
 		want, err := os.ReadFile(c.file)
@@ -173,6 +174,15 @@ func TestParentSnapshots(t *testing.T) {
 			t.Fatal(err)
 		}
 		o := NewOnline(c.cfg)
+		if !c.cfg.Deployed() {
+			if v, u := o.Validate(want), o.Unmarshal(want); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
+				t.Errorf("%s: Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", c.file, v, u)
+			}
+			if o.NumClusters() != 0 || o.Observed != 0 {
+				t.Errorf("%s: a refused stream changed the receiver", c.file)
+			}
+			continue
+		}
 		if err := o.Unmarshal(want); err != nil {
 			t.Fatalf("%s: Unmarshal: %v", c.file, err)
 		}
@@ -192,7 +202,9 @@ func TestParentSnapshots(t *testing.T) {
 // TestUnmarshalRejectsHostileSets patches single fields of real Marshal
 // streams into what a corrupt or malicious snapshot could carry. Each
 // must be refused without a panic, a long spin or a large allocation, and
-// leave the receiver as it was.
+// leave the receiver as it was. The Bloom rows patch the same stream the
+// way a hostile filter would have been; a Bloom clusterer is a baseline
+// now and refuses them, like any stream, with ErrBaselineSnapshot.
 func TestUnmarshalRejectsHostileSets(t *testing.T) {
 	le := binary.LittleEndian
 	// One cluster, so the first nominal set sits at a known offset.
@@ -258,6 +270,19 @@ func TestUnmarshalRejectsHostileSets(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
+			if !c.cfg.Deployed() {
+				r := NewOnline(c.cfg)
+				r.Observe(mkPkt(64, 500, packet.Benign))
+				before := r.Snapshot()
+				blob, set := build(exact, 100)
+				if err := r.Unmarshal(c.patch(blob, set)); err != ErrBaselineSnapshot {
+					t.Fatalf("Unmarshal = %v, want ErrBaselineSnapshot", err)
+				}
+				if !reflect.DeepEqual(r.Snapshot(), before) {
+					t.Fatal("a refused stream changed the receiver")
+				}
+				return
+			}
 			blob, set := build(c.cfg, 100)
 			r := NewOnline(c.cfg)
 			if err := r.Unmarshal(blob); err != nil {

@@ -1,6 +1,6 @@
 package cluster
 
-import "accturbo/internal/sketch"
+import "accturbo/internal/packet"
 
 // memberTable answers, for one packet and every cluster at once, the two
 // questions that decide whether any cluster already covers it: which
@@ -18,20 +18,14 @@ import "accturbo/internal/sketch"
 //
 // The table has two kinds of cell.
 //
-// Nominal cells (feats): bit c of cell i is set when cluster c admits
-// cell i. Exact and Bloom modes differ only in how a value maps to
-// cells. Exact: the cell index is the value, one cell per value of the
-// feature's space. Bloom: the cells are the filter's bit positions and a
-// value maps to the k positions sketch.Bloom would set
-// (sketch.BloomPosition), a cluster admitting the value when all k cells
-// carry its bit — so false positives and the serialized filter words are
-// bit-identical to one sketch.Bloom per (cluster, feature). What the
-// cells cannot answer cheaply — which cells does cluster c admit — is
-// kept beside them: a per-(slot, feature) list of the cells carrying the
-// slot's bit, in admission order. Enumeration (snapshots) and clearing a
-// slot walk that list, so reseeding costs in proportion to what was
-// admitted, not to the table size, and the lists' backing arrays are
-// reused.
+// Nominal cells (feats): bit c of cell v is set when cluster c admits
+// value v, one cell per value of the feature's space. What the cells
+// cannot answer cheaply — which values does cluster c admit — is kept
+// beside them: a per-(slot, feature) list of the values carrying the
+// slot's bit, in admission order, whose length is the set's cardinality.
+// Enumeration (snapshots) and clearing a slot walk that list, so
+// reseeding costs in proportion to what was admitted, not to the table
+// size, and the lists' backing arrays are reused.
 //
 // Span cells (spans), one 256-cell array per ordinal feature of at most
 // eight bits: bit c of cell v is set exactly when cluster c is seeded and
@@ -49,14 +43,12 @@ import "accturbo/internal/sketch"
 // A cell is `planes` consecutive bytes (slot c lives in byte c/8, bit
 // c%8), so the bits of all clusters for one value share a cache line.
 type memberTable struct {
-	slots  int // cluster slots the cells have bits for
-	planes int // bytes per cell: ceil(slots/8)
-	hashes int // Bloom positions per value; 0 in exact mode
+	planes int // bytes per cell: one bit per cluster slot, ceil(slots/8)
 	feats  []memberFeat
 
-	// Indexed slot*len(feats)+j for the j-th nominal feature.
-	lists [][]uint32 // cells carrying the slot's bit
-	card  []int      // values admitted (== len(list) in exact mode)
+	// lists[slot*len(feats)+j] holds the values slot admits at the j-th
+	// nominal feature: the cells carrying its bit.
+	lists [][]uint32
 
 	// miss is the per-packet gather: miss[j*planes+p] has bit b set when
 	// slot p*8+b does NOT admit the packet's value at nominal feature j.
@@ -73,107 +65,49 @@ type memberTable struct {
 // memberFeat is one feature's share of the table.
 type memberFeat struct {
 	pos   int    // position in the configured feature set
-	ncell uint64 // nominal: value-space size (exact) or filter bits (Bloom); span: 256
+	ncell uint64 // nominal: value-space size; span: 256
 	cells []byte // ncell*planes bytes; cell i, plane p at i*planes+p
 }
 
 // spanBits is the widest ordinal feature that gets span cells.
 const spanBits = 8
 
-// newMemberTable sizes an empty table for the features of cfg (defaults
-// applied).
-func newMemberTable(cfg *Config) *memberTable {
-	t := &memberTable{}
-	if cfg.UseBloom {
-		t.hashes = cfg.BloomHashes
+// newMemberTable builds an empty table over feats with bits for `slots`
+// cluster slots.
+func newMemberTable(feats packet.FeatureSet, slots int) *memberTable {
+	t := &memberTable{planes: (slots + 7) / 8}
+	cells := func(pos int, ncell uint64) memberFeat {
+		return memberFeat{pos: pos, ncell: ncell, cells: make([]byte, ncell*uint64(t.planes))}
 	}
-	for pos, f := range cfg.Features {
+	for pos, f := range feats {
 		switch {
-		case !f.Nominal():
-			if f.Bits() <= spanBits {
-				t.spans = append(t.spans, memberFeat{pos: pos, ncell: 1 << spanBits})
-			}
-		case cfg.UseBloom:
-			t.feats = append(t.feats, memberFeat{pos: pos, ncell: cfg.BloomBits})
-		default:
-			t.feats = append(t.feats, memberFeat{pos: pos, ncell: uint64(f.MaxValue()) + 1})
+		case f.Nominal():
+			t.feats = append(t.feats, cells(pos, uint64(f.MaxValue())+1))
+		case f.Bits() <= spanBits:
+			t.spans = append(t.spans, cells(pos, 1<<spanBits))
 		}
 	}
-	t.grow(cfg.MaxClusters)
+	t.lists = make([][]uint32, slots*len(t.feats))
+	t.miss = make([]byte, len(t.feats)*t.planes)
+	t.cover = make([]byte, t.planes)
 	return t
 }
 
-// grow makes room for at least `slots` cluster slots. Every bit is
-// preserved: when the cell width changes, each cell's bytes move to the
-// front of its wider cell.
-func (t *memberTable) grow(slots int) {
-	if slots <= t.slots {
-		return
-	}
-	nn := len(t.feats)
-	lists := make([][]uint32, slots*nn)
-	copy(lists, t.lists)
-	card := make([]int, slots*nn)
-	copy(card, t.card)
-	t.lists, t.card, t.slots = lists, card, slots
-
-	planes := (slots + 7) / 8
-	if planes == t.planes {
-		return
-	}
-	relayout := func(feats []memberFeat) {
-		for j := range feats {
-			f := &feats[j]
-			cells := make([]byte, f.ncell*uint64(planes))
-			for i := 0; i*t.planes < len(f.cells); i++ {
-				copy(cells[i*planes:], f.cells[i*t.planes:(i+1)*t.planes])
-			}
-			f.cells = cells
-		}
-	}
-	relayout(t.feats)
-	relayout(t.spans)
-	t.planes = planes
-	t.miss = make([]byte, nn*planes)
-	t.cover = make([]byte, planes)
-}
-
-// setCell gives cell the slot's bit at nominal feature j, reporting
-// whether it was missing.
-func (t *memberTable) setCell(slot, j int, cell uint32) bool {
-	b := &t.feats[j].cells[int(cell)*t.planes+slot>>3]
+// admit makes slot admit value v at nominal feature j. A value the slot
+// already admits changes nothing.
+func (t *memberTable) admit(slot, j int, v uint32) {
+	b := &t.feats[j].cells[int(v)*t.planes+slot>>3]
 	bit := byte(1) << (slot & 7)
 	if *b&bit != 0 {
-		return false
+		return
 	}
 	*b |= bit
 	l := &t.lists[slot*len(t.feats)+j]
-	*l = append(*l, cell)
-	return true
-}
-
-// admit makes slot admit value v at nominal feature j. A value the slot
-// already admits — a Bloom false positive included, as for a sketch.Bloom
-// whose Insert is guarded by Contains — changes nothing.
-func (t *memberTable) admit(slot, j int, v uint32) {
-	added := false
-	if t.hashes == 0 {
-		added = t.setCell(slot, j, v)
-	} else {
-		n := t.feats[j].ncell
-		for h := 0; h < t.hashes; h++ {
-			if t.setCell(slot, j, uint32(sketch.BloomPosition(h, uint64(v), n))) {
-				added = true
-			}
-		}
-	}
-	if added {
-		t.card[slot*len(t.feats)+j]++
-	}
+	*l = append(*l, v)
 }
 
 // cardinality returns how many values slot admits at nominal feature j.
-func (t *memberTable) cardinality(slot, j int) int { return t.card[slot*len(t.feats)+j] }
+func (t *memberTable) cardinality(slot, j int) int { return len(t.lists[slot*len(t.feats)+j]) }
 
 // clearSlot empties every nominal set of slot, keeping the lists'
 // backing arrays for the slot's next occupant.
@@ -187,7 +121,6 @@ func (t *memberTable) clearSlot(slot int) {
 			cells[int(cell)*t.planes+p] &= keep
 		}
 		*l = (*l)[:0]
-		t.card[slot*nn+j] = 0
 	}
 }
 
@@ -209,10 +142,9 @@ func (t *memberTable) clearSpans() {
 	}
 }
 
-// bitmap ORs the cells slot carries at nominal feature j into bm as a
-// bitmap over cell indices — the words of the equivalent sketch.Bloom in
-// Bloom mode, the ascending value set in exact mode. bm must hold
-// ceil(ncell/64) zeroed words.
+// bitmap ORs the values slot admits at nominal feature j into bm, a
+// bitmap over the value space, which yields them in ascending order. bm
+// must hold ceil(ncell/64) zeroed words.
 func (t *memberTable) bitmap(slot, j int, bm []uint64) {
 	for _, cell := range t.lists[slot*len(t.feats)+j] {
 		bm[cell>>6] |= 1 << (cell & 63)
@@ -220,10 +152,9 @@ func (t *memberTable) bitmap(slot, j int, bm []uint64) {
 }
 
 // gather answers one packet for every slot at once, and says how far away
-// the clusters it names are. It fills t.miss — one cell load per nominal
-// feature in exact mode, k AND-ed loads in Bloom mode — and leaves in
-// t.cover, of the first n slots (the seeded ones), the clusters at the
-// distance it returns, as far as the table can tell:
+// the clusters it names are. It fills t.miss, one cell load per nominal
+// feature, and leaves in t.cover, of the first n slots (the seeded ones),
+// the clusters at the distance it returns, as far as the table can tell:
 //
 //   - 0: the slots no nominal feature misses, AND-ed with the packet's
 //     cell of every span — the clusters that cover the packet.
@@ -242,8 +173,7 @@ func (t *memberTable) bitmap(slot, j int, bm []uint64) {
 // are exactly the near misses, and the lowest-indexed one is what a scan
 // with ties to the lowest index returns (Online.closest). When some slot
 // does admit every nominal value but a span excludes it, (B) is possible
-// and the answer is -1, not the near misses. A Bloom miss bit means what
-// an exact one does, so both modes answer alike; the empty sets of
+// and the answer is -1, not the near misses. The empty sets of
 // slice-initialised slots miss at every nominal feature and are never
 // near.
 //
@@ -255,10 +185,9 @@ func (t *memberTable) bitmap(slot, j int, bm []uint64) {
 // span cells are read.
 func (t *memberTable) gather(vals []uint32, n int) (dist int) {
 	planes := t.planes
-	if planes == 1 && t.hashes == 0 {
-		// The deployed shape (up to eight slots, exact sets) without the
-		// per-plane and per-hash loops below, which cost it 8–12 ns a
-		// packet.
+	if planes == 1 {
+		// The deployed shape (up to eight slots) without the per-plane
+		// loops below, which cost it 8–12 ns a packet.
 		miss := t.miss[:len(t.feats)]
 		seeded := byte(uint(1)<<n - 1)
 		cover := seeded
@@ -290,23 +219,10 @@ func (t *memberTable) gather(vals []uint32, n int) (dist int) {
 	}
 	for j := range t.feats {
 		f := &t.feats[j]
-		v := vals[f.pos]
+		cell := f.cells[int(vals[f.pos])*planes:][:planes]
 		out := t.miss[j*planes:][:planes]
-		// The first cell: the value itself, or its first Bloom position.
-		i := int(v)
-		if t.hashes > 0 {
-			i = int(sketch.BloomPosition(0, uint64(v), f.ncell))
-		}
-		cell := f.cells[i*planes:][:planes]
 		for p := range out {
 			out[p] = ^cell[p]
-		}
-		for h := 1; h < t.hashes; h++ {
-			i = int(sketch.BloomPosition(h, uint64(v), f.ncell))
-			cell = f.cells[i*planes:][:planes]
-			for p := range out {
-				out[p] |= ^cell[p]
-			}
 		}
 	}
 	// Plane by plane from here, so each plane's verdict stays in a

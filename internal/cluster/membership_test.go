@@ -7,64 +7,41 @@ import (
 	"testing"
 
 	"accturbo/internal/packet"
-	"accturbo/internal/sketch"
 )
 
 // tableModel is the naive counterpart of memberTable: per cluster and
-// nominal feature, a map of admitted values, plus (Bloom mode) the
-// sketch.Bloom the table must stay bit-identical to.
+// nominal feature, a map of admitted values.
 type tableModel struct {
-	cfg   Config
 	feats []packet.Feature // the nominal features, in order
 	sets  [][]map[uint32]bool
-	bloom [][]*sketch.Bloom
-	card  [][]int
 }
 
 func (m *tableModel) reset(clusters int) {
-	m.sets, m.bloom, m.card = nil, nil, nil
+	m.sets = nil
 	for c := 0; c < clusters; c++ {
 		m.push()
 	}
 }
 
 func (m *tableModel) push() {
-	nn := len(m.feats)
-	sets, blooms := make([]map[uint32]bool, nn), make([]*sketch.Bloom, nn)
+	sets := make([]map[uint32]bool, len(m.feats))
 	for j := range sets {
 		sets[j] = map[uint32]bool{}
-		blooms[j] = sketch.NewBloom(m.cfg.BloomBits, m.cfg.BloomHashes)
 	}
-	m.sets, m.bloom, m.card = append(m.sets, sets), append(m.bloom, blooms), append(m.card, make([]int, nn))
+	m.sets = append(m.sets, sets)
 }
 
 func (m *tableModel) clear(c int) {
 	for j := range m.feats {
 		m.sets[c][j] = map[uint32]bool{}
-		m.bloom[c][j].Reset()
-		m.card[c][j] = 0
 	}
 }
 
-func (m *tableModel) contains(c, j int, v uint32) bool {
-	if m.cfg.UseBloom {
-		return m.bloom[c][j].Contains(uint64(v))
-	}
-	return m.sets[c][j][v]
-}
-
-func (m *tableModel) admit(c, j int, v uint32) {
-	if m.contains(c, j, v) {
-		return
-	}
-	m.sets[c][j][v] = true
-	m.bloom[c][j].Insert(uint64(v))
-	m.card[c][j]++
-}
+func (m *tableModel) admit(c, j int, v uint32) { m.sets[c][j][v] = true }
 
 // check compares every live slot of o's table with the model:
-// cardinality, enumeration (ascending values, or the filter's words) and
-// membership as the per-packet gather reports it.
+// cardinality, enumeration (ascending values) and membership as the
+// per-packet gather reports it.
 func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
 	t.Helper()
 	if o.NumClusters() != len(m.sets) {
@@ -74,29 +51,23 @@ func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
 	vals := make([]uint32, len(o.feats))
 	for c := range m.sets {
 		for j, mf := range o.mt.feats {
-			if got := snap[c].NominalCardinality[mf.pos]; got != m.card[c][j] {
-				t.Fatalf("step %d: cluster %d set %d cardinality %d, model %d", step, c, j, got, m.card[c][j])
+			if got, want := snap[c].NominalCardinality[mf.pos], len(m.sets[c][j]); got != want {
+				t.Fatalf("step %d: cluster %d set %d cardinality %d, model %d", step, c, j, got, want)
 			}
 			bm := make([]uint64, (mf.ncell+63)/64)
 			o.mt.bitmap(c, j, bm)
-			if m.cfg.UseBloom {
-				if want := m.bloom[c][j].Words(); !slices.Equal(bm, want) {
-					t.Fatalf("step %d: cluster %d set %d words differ from sketch.Bloom", step, c, j)
+			var got, want []uint32
+			for i, w := range bm {
+				for ; w != 0; w &= w - 1 {
+					got = append(got, uint32(i*64+bits.TrailingZeros64(w)))
 				}
-			} else {
-				var got, want []uint32
-				for i, w := range bm {
-					for ; w != 0; w &= w - 1 {
-						got = append(got, uint32(i*64+bits.TrailingZeros64(w)))
-					}
-				}
-				for v := range m.sets[c][j] {
-					want = append(want, v)
-				}
-				slices.Sort(want)
-				if !slices.Equal(got, want) {
-					t.Fatalf("step %d: cluster %d set %d enumerates %v, model %v", step, c, j, got, want)
-				}
+			}
+			for v := range m.sets[c][j] {
+				want = append(want, v)
+			}
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d: cluster %d set %d enumerates %v, model %v", step, c, j, got, want)
 			}
 			// Probe members and random values through the gather.
 			probes := []uint32{uint32(r.Intn(int(m.feats[j].MaxValue()) + 1))}
@@ -108,7 +79,7 @@ func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
 			for _, v := range probes {
 				vals[mf.pos] = v
 				o.mt.gather(vals, o.NumClusters())
-				if got, want := o.mt.misses(c, j) == 0, m.contains(c, j, v); got != want {
+				if got, want := o.mt.misses(c, j) == 0, m.sets[c][j][v]; got != want {
 					t.Fatalf("step %d: cluster %d set %d admits(%d) = %v, model %v", step, c, j, v, got, want)
 				}
 			}
@@ -117,68 +88,64 @@ func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
 }
 
 // TestMemberTableMatchesModel drives the membership table through random
-// admissions, reseeds and growth past MaxClusters (up to twenty seeded
-// slots, which widens the cells from one byte plane to two and three) and
-// holds it to the naive model after every step.
+// admissions, reseeds and more seeded slots than MaxClusters (up to
+// twenty, in a table built three byte planes wide) and holds it to the
+// naive model after every step.
 func TestMemberTableMatchesModel(t *testing.T) {
 	feats := packet.FeatureSet{packet.FTTL, packet.FSrcPort, packet.FProtocol, packet.FLength, packet.FDstPort}
-	for _, bloom := range []bool{false, true} {
-		cfg := DefaultConfig(6, feats)
-		cfg.UseBloom = bloom
-		cfg.BloomBits = 200 // not a multiple of 64; collisions are common
-		t.Run(comboName(cfg), func(t *testing.T) {
-			r := rand.New(rand.NewSource(31))
-			o := NewOnline(cfg)
-			m := &tableModel{cfg: o.Config()}
-			for _, mf := range o.mt.feats {
-				m.feats = append(m.feats, feats[mf.pos])
+	cfg := DefaultConfig(6, feats)
+	t.Run(comboName(cfg), func(t *testing.T) {
+		r := rand.New(rand.NewSource(31))
+		const slots = 20
+		o := newOnline(cfg.withDefaults(), slots)
+		if o.mt.planes != 3 {
+			t.Fatalf("planes = %d, want 3", o.mt.planes)
+		}
+		m := &tableModel{}
+		for _, mf := range o.mt.feats {
+			m.feats = append(m.feats, feats[mf.pos])
+		}
+		randVals := func() []uint32 {
+			vals := make([]uint32, len(feats))
+			for i, f := range feats {
+				// A narrow band, so sets overlap across clusters.
+				vals[i] = uint32(r.Intn(40)) * (f.MaxValue() / 64)
 			}
-			randVals := func() []uint32 {
-				vals := make([]uint32, len(feats))
-				for i, f := range feats {
-					// A narrow band, so sets overlap across clusters.
-					vals[i] = uint32(r.Intn(40)) * (f.MaxValue() / 64)
+			return vals
+		}
+		seed := func(c int, vals []uint32) {
+			m.clear(c)
+			for j, mf := range o.mt.feats {
+				m.admit(c, j, vals[mf.pos])
+			}
+		}
+		for step := 0; step < 1000; step++ {
+			switch op := r.Intn(100); {
+			case op < 80:
+				vals := randVals()
+				a := o.ObserveFeatures(vals, 64, false)
+				if a.Created {
+					m.push()
+					seed(a.Cluster, vals)
+				} else {
+					for j, mf := range o.mt.feats {
+						m.admit(a.Cluster, j, vals[mf.pos])
+					}
 				}
-				return vals
-			}
-			seed := func(c int, vals []uint32) {
-				m.clear(c)
-				for j, mf := range o.mt.feats {
-					m.admit(c, j, vals[mf.pos])
-				}
-			}
-			for step := 0; step < 1000; step++ {
-				switch op := r.Intn(100); {
-				case op < 80:
+			case op >= 90 && op < 95:
+				o.Reseed()
+				m.reset(0)
+			case op >= 97:
+				n := 1 + r.Intn(slots)
+				o.discard()
+				m.reset(n)
+				for c := 0; c < n; c++ {
 					vals := randVals()
-					a := o.ObserveFeatures(vals, 64, false)
-					if a.Created {
-						m.push()
-						seed(a.Cluster, vals)
-					} else {
-						for j, mf := range o.mt.feats {
-							m.admit(a.Cluster, j, vals[mf.pos])
-						}
-					}
-				case op >= 90 && op < 95:
-					o.Reseed()
-					m.reset(0)
-				case op >= 97:
-					n := 1 + r.Intn(20)
-					o.grow(n)
-					o.discard()
-					m.reset(n)
-					for c := 0; c < n; c++ {
-						vals := randVals()
-						o.newCluster(vals)
-						seed(c, vals)
-					}
+					o.newCluster(vals)
+					seed(c, vals)
 				}
-				m.check(t, o, r, step)
 			}
-			if o.mt.planes < 3 {
-				t.Fatalf("table never grew past two planes (planes=%d)", o.mt.planes)
-			}
-		})
-	}
+			m.check(t, o, r, step)
+		}
+	})
 }

@@ -17,11 +17,11 @@ import (
 // that a packet is compared against all clusters at once.
 //
 // Online implements the deployed configuration only — Manhattan distance,
-// unnormalized, fast search (Config.Deployed) — over exact or Bloom
-// nominal sets, seeded from packets or from slices. It has no distance
-// kernels, no centers and no merge-cost cache: built for any other
-// configuration (the Fig. 10 baselines), it is a handle on a Reference and
-// forwards every call to it (see baseline below).
+// unnormalized, fast search, exact nominal sets (Config.Deployed) — seeded
+// from packets or from slices. It has no distance kernels, no centers, no
+// merge-cost cache and no Bloom filters: built for any other configuration
+// (the Fig. 10 baselines, the Bloom-set ablation), it is a handle on a
+// Reference and forwards every call to it (see baseline below).
 //
 // Which packets never scan. The membership table alone (see memberTable)
 // answers the two kinds of packet it can name the nearest cluster for.
@@ -49,8 +49,8 @@ import (
 // doors: setRange, a freshly occupied slot's first range (seeding, slice
 // initialisation, Unmarshal), and widen, growth (absorb), which sets
 // only the cells the range grew by. Slots are freed only all at once, by
-// discard, which zeroes the cells; grow re-lays them out. Upkeep
-// therefore costs in proportion to what moved.
+// discard, which zeroes the cells. Upkeep therefore costs in proportion
+// to what moved.
 //
 // Cluster ranges live in two contiguous structure-of-arrays slices
 // (min/max, indexed cluster*numFeats+feature) instead of per-cluster
@@ -70,13 +70,11 @@ type Online struct {
 	ordPos []int // positions of the ordinal features, ascending
 
 	// Flattened cluster geometry: cluster c covers feature f in
-	// [min[c*nf+f], max[c*nf+f]]. Slots are preallocated for `stride`
-	// clusters so steady state never grows.
+	// [min[c*nf+f], max[c*nf+f]], preallocated for every cluster slot.
 	min, max []uint32
-	stride   int // cluster slot capacity (>= cfg.MaxClusters)
 
-	// clusters holds the seeded slots by value; its backing array has
-	// `stride` entries, so seeding and reseeding never allocate.
+	// clusters holds the seeded slots by value; its backing array has an
+	// entry per slot, so seeding and reseeding never allocate.
 	clusters []clusterState
 	mt       *memberTable // nominal membership and byte-wide range coverage of every slot
 
@@ -114,7 +112,15 @@ func NewOnline(cfg Config) *Online {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cfg = cfg.withDefaults()
+	return newOnline(cfg.withDefaults(), cfg.MaxClusters)
+}
+
+// newOnline allocates a clusterer with room for `slots` clusters, at least
+// cfg.MaxClusters of them. Everything that depends on the slot count —
+// the table's cell width, the geometry arrays — is sized here, once; more
+// slots than clusters only buys a test wider cells than its cluster count
+// needs.
+func newOnline(cfg Config, slots int) *Online {
 	nf := len(cfg.Features)
 	o := &Online{cfg: cfg, feats: cfg.Features, nf: nf, valbuf: make([]uint32, nf)}
 	if !cfg.Deployed() {
@@ -122,7 +128,7 @@ func NewOnline(cfg Config) *Online {
 		return o
 	}
 	o.nomIdx, o.spanIdx = make([]int, nf), make([]int, nf)
-	o.mt = newMemberTable(&cfg)
+	o.mt = newMemberTable(cfg.Features, slots)
 	for i := range cfg.Features {
 		o.nomIdx[i], o.spanIdx[i] = -1, -1
 	}
@@ -141,29 +147,12 @@ func NewOnline(cfg Config) *Online {
 			o.widePos = append(o.widePos, i)
 		}
 	}
-	o.grow(cfg.MaxClusters)
+	o.clusters = make([]clusterState, 0, slots)
+	o.min, o.max = make([]uint32, slots*nf), make([]uint32, slots*nf)
 	if cfg.SliceInit {
 		o.sliceInit()
 	}
 	return o
-}
-
-// grow (re)allocates the flattened geometry for at least `slots`
-// cluster slots. Existing geometry is preserved row by row.
-func (o *Online) grow(slots int) {
-	if slots <= o.stride {
-		return
-	}
-	o.mt.grow(slots)
-	clusters := make([]clusterState, len(o.clusters), slots)
-	copy(clusters, o.clusters)
-	o.clusters = clusters
-	min := make([]uint32, slots*o.nf)
-	max := make([]uint32, slots*o.nf)
-	copy(min, o.min)
-	copy(max, o.max)
-	o.min, o.max = min, max
-	o.stride = slots
 }
 
 // sliceInit pre-creates MaxClusters clusters that partition the value

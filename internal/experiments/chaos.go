@@ -27,7 +27,7 @@ const chaosFailOpenAfter = 2 * eventsim.Second
 //   - a 5% lossy telemetry sink (observability-only, never behavior).
 //
 // All of it is derived from one seed, so two runs with the same seed
-// are byte-identical — the CI determinism gate diffs exactly that.
+// are byte-identical — the golden manifest pins exactly those bytes.
 func chaosSpec(end eventsim.Time) faults.Spec {
 	flaps := int((end - 15*eventsim.Second) / (20 * eventsim.Second))
 	if flaps < 1 {
@@ -57,38 +57,33 @@ func chaosSpec(end eventsim.Time) faults.Spec {
 // the identical fault environment, so defense-vs-no-defense stays an
 // apples-to-apples comparison.
 func runChaosFIFO(src traffic.Source, linkRate float64, until eventsim.Time, inj *faults.Injector) *netsim.Recorder {
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(linkRate)), linkRate, rec)
-	inj.AttachInterposer(eng, port)
-	inj.FlapLinks(eng, port)
-	recycle(src, port)
-	netsim.Replay(eng, src, port)
-	eng.RunUntil(until)
-	return rec
+	return replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(linkRate)), linkRate, rec)
+		inj.AttachInterposer(eng, port)
+		inj.FlapLinks(eng, port)
+		return port
+	})
 }
 
 // runChaosTurbo replays src through an ACC-Turbo port under the full
 // fault plan: packet mangling and link flaps at the port, controller
 // stalls through the clock wrapper, a lossy telemetry sink on the
 // qdisc, and the watchdog armed so the stalls exercise fail-open.
-func runChaosTurbo(src traffic.Source, linkRate float64, until eventsim.Time, cfg core.Config, inj *faults.Injector) (*netsim.Recorder, *core.Turbo) {
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
+func runChaosTurbo(src traffic.Source, linkRate float64, until eventsim.Time, cfg core.Config, inj *faults.Injector) (rec *netsim.Recorder, turbo *core.Turbo) {
 	cfg.FailOpenAfter = chaosFailOpenAfter
 	cfg.WrapClock = inj.ClockWrapper()
-	port, turbo := core.Attach(eng, linkRate, rec, cfg)
-	inj.AttachInterposer(eng, port)
-	inj.FlapLinks(eng, port)
-	// The lossy sink degrades the qdisc's accounting, not the
-	// experiment's: the Recorder rides the drop-notifier path, so the
-	// series below stay exact while the sink loses 5% of its writes.
-	if iq, ok := turbo.Qdisc().(queue.Instrumented); ok {
-		iq.SetSink(inj.WrapSink(port.Telemetry()))
-	}
-	recycle(src, port)
-	netsim.Replay(eng, src, port)
-	eng.RunUntil(until)
+	rec = replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) (port *netsim.Port) {
+		port, turbo = core.Attach(eng, linkRate, rec, cfg)
+		inj.AttachInterposer(eng, port)
+		inj.FlapLinks(eng, port)
+		// The lossy sink degrades the qdisc's accounting, not the
+		// experiment's: the Recorder rides the drop-notifier path, so the
+		// series below stay exact while the sink loses 5% of its writes.
+		if iq, ok := turbo.Qdisc().(queue.Instrumented); ok {
+			iq.SetSink(inj.WrapSink(port.Telemetry()))
+		}
+		return port
+	})
 	return rec, turbo
 }
 

@@ -191,7 +191,7 @@ func runFleetFIFO(seed int64, end eventsim.Time) *fleetRun {
 // 18th experiment: a pulse-wave attack spread across fleetNodes vantage
 // points, under FIFO, per-node single defenses, a coordinated fleet,
 // and a fleet whose coordinator partitions mid-pulse. Deterministic for
-// a fixed seed; the CI determinism gate diffs two runs.
+// a fixed seed; the golden manifest pins the bytes at two seeds.
 func Fleet(opt Options) *Result {
 	r := &Result{
 		ID:     "fleet",

@@ -33,27 +33,39 @@ func recycle(src traffic.Source, port *netsim.Port) {
 	port.SetPool(pool)
 }
 
-// runFIFO replays src through a plain FIFO bottleneck.
-func runFIFO(src traffic.Source, linkRate float64, until eventsim.Time) *netsim.Recorder {
+// replay is the single-bottleneck run every scheme shares: a fresh engine
+// and recorder, the port that build makes on them (with whatever defense
+// it attaches), and src replayed into it, recycled, until `until`.
+func replay(src traffic.Source, until eventsim.Time, build func(*eventsim.Engine, *netsim.Recorder) *netsim.Port) *netsim.Recorder {
 	eng := eventsim.New()
 	rec := netsim.NewRecorder(eventsim.Second)
-	port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(linkRate)), linkRate, rec)
+	port := build(eng, rec)
 	recycle(src, port)
 	netsim.Replay(eng, src, port)
 	eng.RunUntil(until)
 	return rec
 }
 
+// runQdisc replays src through a bottleneck scheduled by q.
+func runQdisc(src traffic.Source, linkRate float64, until eventsim.Time, q queue.Qdisc) *netsim.Recorder {
+	return replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		return netsim.NewPort(eng, q, linkRate, rec)
+	})
+}
+
+// runFIFO replays src through a plain FIFO bottleneck.
+func runFIFO(src traffic.Source, linkRate float64, until eventsim.Time) *netsim.Recorder {
+	return runQdisc(src, linkRate, until, queue.NewFIFO(bufferFor(linkRate)))
+}
+
 // runACC replays src through RED + the classic ACC agent.
-func runACC(src traffic.Source, linkRate float64, until eventsim.Time, cfg acc.Config) (*netsim.Recorder, *acc.ACC) {
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	red := queue.NewRED(queue.DefaultREDConfig(bufferFor(linkRate), linkRate/8))
-	port := netsim.NewPort(eng, red, linkRate, rec)
-	agent := acc.Attach(eng, port, red, cfg)
-	recycle(src, port)
-	netsim.Replay(eng, src, port)
-	eng.RunUntil(until)
+func runACC(src traffic.Source, linkRate float64, until eventsim.Time, cfg acc.Config) (rec *netsim.Recorder, agent *acc.ACC) {
+	rec = replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		red := queue.NewRED(queue.DefaultREDConfig(bufferFor(linkRate), linkRate/8))
+		port := netsim.NewPort(eng, red, linkRate, rec)
+		agent = acc.Attach(eng, port, red, cfg)
+		return port
+	})
 	return rec, agent
 }
 
@@ -70,27 +82,26 @@ type turboRun struct {
 // runTurbo replays src through an ACC-Turbo port, instrumenting the
 // per-packet queue assignments for the scheduling score.
 func runTurbo(src traffic.Source, linkRate float64, until eventsim.Time, cfg core.Config) *turboRun {
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	port, turbo := core.Attach(eng, linkRate, rec, cfg)
-	run := &turboRun{rec: rec, turbo: turbo}
-	turbo.OnAssign = func(now eventsim.Time, p *packet.Packet, a cluster.Assignment) {
-		q := float64(turbo.QueueOf(a.Cluster))
-		bin := int(now / eventsim.Second)
-		l := 0
-		if p.Label == packet.Malicious {
-			l = 1
+	run := &turboRun{}
+	run.rec = replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		port, turbo := core.Attach(eng, linkRate, rec, cfg)
+		run.turbo = turbo
+		turbo.OnAssign = func(now eventsim.Time, p *packet.Packet, a cluster.Assignment) {
+			q := float64(turbo.QueueOf(a.Cluster))
+			bin := int(now / eventsim.Second)
+			l := 0
+			if p.Label == packet.Malicious {
+				l = 1
+			}
+			for len(run.queueSum[l]) <= bin {
+				run.queueSum[l] = append(run.queueSum[l], 0)
+				run.pktCount[l] = append(run.pktCount[l], 0)
+			}
+			run.queueSum[l][bin] += q
+			run.pktCount[l][bin]++
 		}
-		for len(run.queueSum[l]) <= bin {
-			run.queueSum[l] = append(run.queueSum[l], 0)
-			run.pktCount[l] = append(run.pktCount[l], 0)
-		}
-		run.queueSum[l][bin] += q
-		run.pktCount[l][bin]++
-	}
-	recycle(src, port)
-	netsim.Replay(eng, src, port)
-	eng.RunUntil(until)
+		return port
+	})
 	return run
 }
 
@@ -121,33 +132,28 @@ func (tr *turboRun) score() float64 {
 }
 
 // runJaqen replays src through a FIFO port protected by Jaqen.
-func runJaqen(src traffic.Source, linkRate float64, until eventsim.Time, cfg jaqen.Config) (*netsim.Recorder, *jaqen.Jaqen) {
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(linkRate)), linkRate, rec)
-	j := jaqen.Attach(eng, port, cfg)
-	recycle(src, port)
-	netsim.Replay(eng, src, port)
-	eng.RunUntil(until)
+func runJaqen(src traffic.Source, linkRate float64, until eventsim.Time, cfg jaqen.Config) (rec *netsim.Recorder, j *jaqen.Jaqen) {
+	rec = replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(linkRate)), linkRate, rec)
+		j = jaqen.Attach(eng, port, cfg)
+		return port
+	})
 	return rec, j
 }
 
-// runPIFOIdeal replays src through the ground-truth PIFO: benign
-// packets rank ahead of malicious ones (the paper's "PIFO Ideal").
+// groundTruthRank ranks benign packets ahead of malicious ones: the
+// labels a real scheduler never sees.
+func groundTruthRank(_ eventsim.Time, p *packet.Packet) int64 {
+	if p.Label == packet.Malicious {
+		return 1
+	}
+	return 0
+}
+
+// runPIFOIdeal replays src through the ground-truth PIFO (the paper's
+// "PIFO Ideal").
 func runPIFOIdeal(src traffic.Source, linkRate float64, until eventsim.Time) *netsim.Recorder {
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	pifo := queue.NewPIFO(bufferFor(linkRate), func(_ eventsim.Time, p *packet.Packet) int64 {
-		if p.Label == packet.Malicious {
-			return 1
-		}
-		return 0
-	})
-	port := netsim.NewPort(eng, pifo, linkRate, rec)
-	recycle(src, port)
-	netsim.Replay(eng, src, port)
-	eng.RunUntil(until)
-	return rec
+	return runQdisc(src, linkRate, until, queue.NewPIFO(bufferFor(linkRate), groundTruthRank))
 }
 
 // shareSeries converts a per-flow delivered series into fraction of

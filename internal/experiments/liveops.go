@@ -85,8 +85,8 @@ func queueMapsEqual(a, b []int) bool {
 //     and combined benign drops across the handover stay at the clean
 //     run's level.
 //
-// Same seed, same output, byte for byte — the CI determinism gate
-// diffs two runs of this experiment.
+// Same seed, same output, byte for byte — the golden manifest pins them
+// at two seeds.
 func LiveOps(opt Options) *Result {
 	r := &Result{
 		ID:     "liveops",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"accturbo/internal/eventsim"
 	"accturbo/internal/netsim"
-	"accturbo/internal/packet"
 	"accturbo/internal/queue"
 	"accturbo/internal/traffic"
 )
@@ -26,29 +25,14 @@ func Schedulers(opt Options) *Result {
 	newSrc := func() traffic.Source {
 		return traffic.PulseWave(link, 3*link, 5*eventsim.Second, true)
 	}
-	truth := func(_ eventsim.Time, p *packet.Packet) int64 {
-		if p.Label == packet.Malicious {
-			return 1
-		}
-		return 0
-	}
-
-	runQdisc := func(q queue.Qdisc) *netsim.Recorder {
-		eng := eventsim.New()
-		rec := netsim.NewRecorder(eventsim.Second)
-		port := netsim.NewPort(eng, q, link, rec)
-		netsim.Replay(eng, newSrc(), port)
-		eng.RunUntil(until)
-		return rec
-	}
 	buffer := bufferFor(link)
 
-	fifo := runQdisc(queue.NewFIFO(buffer))
-	pifo := runQdisc(queue.NewPIFO(buffer, truth))
-	sp := queue.NewSPPIFO(8, buffer/8, truth)
-	spRec := runQdisc(sp)
-	aifo := queue.NewAIFO(buffer, 128, 0.125, truth)
-	aifoRec := runQdisc(aifo)
+	fifo := runFIFO(newSrc(), link, until)
+	pifo := runPIFOIdeal(newSrc(), link, until)
+	sp := queue.NewSPPIFO(8, buffer/8, groundTruthRank)
+	spRec := runQdisc(newSrc(), link, until, sp)
+	aifo := queue.NewAIFO(buffer, 128, 0.125, groundTruthRank)
+	aifoRec := runQdisc(newSrc(), link, until, aifo)
 	turbo := runTurbo(newSrc(), link, until, accTurboFig2Config())
 
 	rows := []struct {

@@ -107,10 +107,8 @@ func NewBloomForRate(n int, fp float64) *Bloom {
 }
 
 // BloomPosition is the bit position hash function i (0-based) of an
-// nbits-wide Bloom filter assigns to key. It is the whole of the filter's
-// index math: a structure that sets and tests these positions itself
-// (cluster's membership table keeps the filters of all clusters in one
-// value-major array) has exactly Bloom's false positives and words.
+// nbits-wide Bloom filter assigns to key: the whole of the filter's index
+// math, exported so a test can construct a false positive.
 func BloomPosition(i int, key, nbits uint64) uint64 {
 	return hash64(uint64(i)+1, key) % nbits
 }
@@ -142,25 +140,6 @@ func (b *Bloom) Contains(key uint64) bool {
 func (b *Bloom) Reset() {
 	clear(b.bits)
 	b.Inserted = 0
-}
-
-// Words returns a copy of the filter's bit array, for serialization.
-func (b *Bloom) Words() []uint64 {
-	out := make([]uint64, len(b.bits))
-	copy(out, b.bits)
-	return out
-}
-
-// SetWords overwrites the filter's bit array from a serialized copy.
-// The word count must match the filter's geometry: a filter restored
-// into a differently-sized one would silently mis-hash every query.
-func (b *Bloom) SetWords(words []uint64, inserted uint64) error {
-	if len(words) != len(b.bits) {
-		return fmt.Errorf("sketch: bloom has %d words, snapshot has %d", len(b.bits), len(words))
-	}
-	copy(b.bits, words)
-	b.Inserted = inserted
-	return nil
 }
 
 // FillRatio returns the fraction of set bits, a saturation diagnostic.

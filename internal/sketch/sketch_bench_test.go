@@ -47,36 +47,6 @@ func BenchmarkCountMinAdd(b *testing.B) {
 	})
 }
 
-func BenchmarkCountMinAddBatch(b *testing.B) {
-	keys := benchKeys(1 << 16)
-	tc := NewTurboCountMin(benchRows, benchCols, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(keys) {
-		n := b.N - i
-		if n > len(keys) {
-			n = len(keys)
-		}
-		tc.AddBatch(keys[:n], 1, nil)
-	}
-}
-
-func BenchmarkCountMinEstimateBatch(b *testing.B) {
-	keys := benchKeys(1 << 16)
-	out := make([]uint64, len(keys))
-	tc := NewTurboCountMin(benchRows, benchCols, false)
-	tc.AddBatch(keys, 1, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(keys) {
-		n := b.N - i
-		if n > len(keys) {
-			n = len(keys)
-		}
-		tc.EstimateBatch(keys[:n], out[:n])
-	}
-}
-
 func BenchmarkTopKOffer(b *testing.B) {
 	keys := benchKeys(1 << 16)
 	tk := NewTopK(16, benchRows, 4096, 1)
@@ -91,17 +61,10 @@ func BenchmarkTopKOffer(b *testing.B) {
 // without -bench).
 func TestSketchHotPathsAllocFree(t *testing.T) {
 	keys := benchKeys(1 << 10)
-	ests := make([]uint64, len(keys))
 
 	tc := NewTurboCountMin(benchRows, 4096, true)
 	if a := testing.AllocsPerRun(100, func() { tc.Add(keys[0], 1); tc.Estimate(keys[1]) }); a != 0 {
 		t.Fatalf("TurboCountMin Add/Estimate: %.1f allocs/op", a)
-	}
-	if a := testing.AllocsPerRun(20, func() {
-		tc.AddBatch(keys, 1, ests)
-		tc.EstimateBatch(keys, ests)
-	}); a != 0 {
-		t.Fatalf("TurboCountMin AddBatch/EstimateBatch: %.1f allocs/op", a)
 	}
 	tk := NewTopK(16, benchRows, 4096, 1)
 	for i, k := range keys {

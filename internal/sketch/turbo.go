@@ -21,9 +21,6 @@ import (
 //   - Optional conservative update: only counters at the key's current
 //     minimum are raised, which provably keeps estimates ≥ truth while
 //     never exceeding the vanilla estimate (differentially tested).
-//   - AddBatch/EstimateBatch, which hash a chunk ahead of the update
-//     loop and software-prefetch each key's first line, overlapping
-//     the DRAM misses with the neighbours' hash work.
 //
 // Estimates are NOT comparable bit-for-bit with ReferenceCountMin;
 // goldens that cover a caller moved onto this sketch are regenerated,
@@ -43,10 +40,8 @@ type TurboCountMin struct {
 	conservative bool // conservative update (increment-min-only)
 	lineMask     uint64
 	counts       []uint64 // ceil(rows/8) blocks × cols counters
-	// Updates counts Add/AddBatch-ed keys since the last Reset.
+	// Updates counts Add-ed keys since the last Reset.
 	Updates uint64
-	// pf keeps the batch loops' prefetch loads alive (see AddBatch).
-	pf uint64
 }
 
 // maxTurboRows bounds the depth so per-key index scratch fits a fixed
@@ -295,119 +290,6 @@ func (t *TurboCountMin) Estimate(key uint64) uint64 {
 		h2 = mix64(h1) | 1
 	}
 	return t.estimateHashed(h1, h2)
-}
-
-// batchChunk is the staging width of the batch paths: big enough that
-// a chunk's line touches overlap plenty of hash work, small enough
-// that the scratch arrays live on the stack and the touched lines
-// (64 × 64 B = 4 KiB) stay L1-resident until the update pass.
-const batchChunk = 64
-
-// hashChunk hashes keys[off:off+n] into h1s (and h2s when the sketch
-// is deeper than one block) while touching each key's first cache line
-// — the software-prefetch idiom: the line loads issue behind the
-// neighbours' hash work and are warm (L1 for a 64-key chunk) by the
-// time the update pass needs them. Returns the prefetch sink.
-func (t *TurboCountMin) hashChunk(keys []uint64, off, n int, h1s, h2s *[batchChunk]uint64) uint64 {
-	counts := t.counts
-	sink := uint64(0)
-	multi := t.rows > 8
-	for i := 0; i < n; i++ {
-		h1 := mix64(keys[off+i])
-		h1s[i] = h1
-		if multi {
-			h2s[i] = mix64(h1) | 1
-		}
-		sink += counts[(h1&t.lineMask)*8]
-	}
-	return sink
-}
-
-// AddBatch adds delta for every key, the amortized alternative to
-// calling Add in a loop: each chunk of 64 keys is hashed up front with
-// every key's first cache line touched ahead of its update (see
-// hashChunk), and the update loop runs with the per-call overhead of
-// Add (hash, mode branch, Updates store) hoisted out. When ests is
-// non-nil it must be at least len(keys) long; entry i receives key i's
-// new estimate. Allocation free.
-func (t *TurboCountMin) AddBatch(keys []uint64, delta uint64, ests []uint64) {
-	t.Updates += uint64(len(keys))
-	var h1s, h2s [batchChunk]uint64
-	counts := t.counts
-	sink := uint64(0)
-	conservative := t.conservative
-	for off := 0; off < len(keys); off += batchChunk {
-		n := len(keys) - off
-		if n > batchChunk {
-			n = batchChunk
-		}
-		sink += t.hashChunk(keys, off, n, &h1s, &h2s)
-		for i := 0; i < n; i++ {
-			var est uint64
-			if conservative {
-				est = t.addCU(h1s[i], h2s[i], delta)
-			} else if t.rows <= 8 {
-				// Inlined single-block vanilla update, the Jaqen-default
-				// fast path.
-				hg := h1s[i]
-				tail := t.line(counts, 0, hg)
-				est = math.MaxUint64
-				shift := uint(40)
-				for r := 0; r < t.rows; r++ {
-					p := &tail[(hg>>shift)&7]
-					shift += 3
-					v := *p + delta
-					if v < *p {
-						v = math.MaxUint64
-					}
-					*p = v
-					if v < est {
-						est = v
-					}
-				}
-			} else {
-				est = t.addVanilla(h1s[i], h2s[i], delta)
-			}
-			if ests != nil {
-				ests[off+i] = est
-			}
-		}
-	}
-	t.pf += sink // keep the prefetch loads alive
-}
-
-// EstimateBatch fills out[i] with the estimate of keys[i], staging
-// hashes and prefetching lines the same way AddBatch does. out must be
-// at least len(keys) long. Allocation free.
-func (t *TurboCountMin) EstimateBatch(keys []uint64, out []uint64) {
-	var h1s, h2s [batchChunk]uint64
-	counts := t.counts
-	sink := uint64(0)
-	for off := 0; off < len(keys); off += batchChunk {
-		n := len(keys) - off
-		if n > batchChunk {
-			n = batchChunk
-		}
-		sink += t.hashChunk(keys, off, n, &h1s, &h2s)
-		for i := 0; i < n; i++ {
-			if t.rows <= 8 {
-				hg := h1s[i]
-				tail := t.line(counts, 0, hg)
-				est := uint64(math.MaxUint64)
-				shift := uint(40)
-				for r := 0; r < t.rows; r++ {
-					if v := tail[(hg>>shift)&7]; v < est {
-						est = v
-					}
-					shift += 3
-				}
-				out[off+i] = est
-			} else {
-				out[off+i] = t.estimateHashed(h1s[i], h2s[i])
-			}
-		}
-	}
-	t.pf += sink
 }
 
 // Reset zeroes all counters.

@@ -106,49 +106,6 @@ func TestQuickTurboInvariants(t *testing.T) {
 	}
 }
 
-// TestTurboBatchMatchesSequential pins AddBatch/EstimateBatch to the
-// scalar path: same final counters, same returned estimates, on the
-// same stream — the batch paths are a scheduling change, not a
-// semantic one.
-func TestTurboBatchMatchesSequential(t *testing.T) {
-	for _, conservative := range []bool{false, true} {
-		keys := zipfStream(7, 10_000)
-		scalar := NewTurboCountMin(4, 4096, conservative)
-		batch := NewTurboCountMin(4, 4096, conservative)
-
-		wantEsts := make([]uint64, len(keys))
-		for i, k := range keys {
-			wantEsts[i] = scalar.Add(k, 3)
-		}
-		gotEsts := make([]uint64, len(keys))
-		batch.AddBatch(keys, 3, gotEsts)
-
-		for i := range keys {
-			if gotEsts[i] != wantEsts[i] {
-				t.Fatalf("cu=%v: AddBatch est[%d]=%d, sequential Add gave %d",
-					conservative, i, gotEsts[i], wantEsts[i])
-			}
-		}
-		if scalar.Updates != batch.Updates {
-			t.Fatalf("Updates diverged: %d vs %d", scalar.Updates, batch.Updates)
-		}
-
-		probe := zipfStream(8, 2_000)
-		wantQ := make([]uint64, len(probe))
-		for i, k := range probe {
-			wantQ[i] = scalar.Estimate(k)
-		}
-		gotQ := make([]uint64, len(probe))
-		batch.EstimateBatch(probe, gotQ)
-		for i := range probe {
-			if gotQ[i] != wantQ[i] {
-				t.Fatalf("cu=%v: EstimateBatch[%d]=%d, Estimate gave %d",
-					conservative, i, gotQ[i], wantQ[i])
-			}
-		}
-	}
-}
-
 // TestTurboCountMinSaturates mirrors the CountMin overflow regression
 // for both turbo modes.
 func TestTurboCountMinSaturates(t *testing.T) {

@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 # The diet's number (ROADMAP item 7): lines of non-test Go outside
-# benchmark/, plus the CLI front end and the clusterer (item 7's
-# per-package target: <= 2,200) on their own. With --check, fail when
+# benchmark/, plus the CLI front end, the clusterer (item 7's
+# per-package target: <= 2,200) and the sketch layer on their own. With
+# --check, fail when
 # the first number is above the ceiling below, so it can only go up by an
 # edit to this file that shows in a diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-ceiling=21983 # PR 23
+ceiling=21747 # PR 24
 count() { find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l; }
 total=$(count .)
 echo "non-test Go outside benchmark/: $total"
 echo "cmd/accturbo-defend:            $(count ./cmd/accturbo-defend)"
 echo "internal/cluster:               $(count ./internal/cluster)"
+echo "internal/sketch:                $(count ./internal/sketch)"
 if [ "${1:-}" = --check ] && [ "$total" -gt "$ceiling" ]; then
   echo "loc.sh: $total lines is over the recorded ceiling of $ceiling" >&2
   exit 1
