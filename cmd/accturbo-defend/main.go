@@ -92,7 +92,7 @@ var (
 	batchSize         = flag.Int("batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
 	metricsAddr       = flag.String("metrics-addr", "", "serve /metrics and /health on this address (e.g. :9100) while processing")
 	chaosSeed         = flag.Uint64("chaos-seed", 0, "seed for deterministic fault injection (used with -fault-spec)")
-	faultSpec         = flag.String("fault-spec", "", "fault plan, e.g. 'drop:p=0.01;dup:p=0.005;stall:at=5s,for=2s' (see internal/faults)")
+	faultSpec         = flag.String("fault-spec", "", "fault plan of drop, dup, corrupt and stall clauses, e.g. 'drop:p=0.01;dup:p=0.005;stall:at=5s,for=2s' (see internal/faults)")
 	failOpenAfter     = flag.Duration("fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
 	cpuProfile        = flag.String("cpuprofile", "", "write a CPU profile of the processing loop to this file")
 	restorePath       = flag.String("restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
@@ -174,6 +174,9 @@ func main() {
 	spec, err := faults.ParseSpec(*faultSpec)
 	if err != nil {
 		fatal(2, err)
+	}
+	if len(spec.Flaps) > 0 {
+		fatal(2, "-fault-spec: flap clauses need a simulated link, and a capture has none")
 	}
 	src := &captureStream{}
 	if !spec.Empty() {

@@ -26,8 +26,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestFlagEdges: -fleet-nodes 1 is a fleet of one and a negative count a
-// usage error, not the single pipeline under another name; and the
-// real-time report counts the ingest goroutines that ran.
+// usage error, not the single pipeline under another name; the
+// real-time report counts the ingest goroutines that ran; and a fault
+// spec this CLI cannot inject is refused, not silently ignored.
 func TestFlagEdges(t *testing.T) {
 	capture := filepath.Join(t.TempDir(), "edge.pcap")
 	f, err := os.Create(capture)
@@ -62,6 +63,8 @@ func TestFlagEdges(t *testing.T) {
 		{[]string{"-fleet-nodes", "-3"}, 2, "-fleet-nodes must not be negative"},
 		{[]string{"-fleet-nodes", "0"}, 0, "final aggregates (operator view)"},
 		{[]string{"-realtime", "-ingest", "0"}, 0, "1 shards, 1 ingest goroutines"},
+		{[]string{"-fault-spec", "flap:first=1s,down=1s"}, 2, "flap clauses need a simulated link"},
+		{[]string{"-fault-spec", "sinkfail:p=1"}, 2, `unknown clause kind "sinkfail"`},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-in", capture}, c.args...)...)
 		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")

@@ -23,8 +23,7 @@ const chaosFailOpenAfter = 2 * eventsim.Second
 //     fail open mid-attack;
 //   - the bottleneck link flaps down for 250 ms in the middle of each
 //     pulse (15 s, then every 20 s);
-//   - light packet loss/duplication/corruption at the ingress; and
-//   - a 5% lossy telemetry sink (observability-only, never behavior).
+//   - light packet loss/duplication/corruption at the ingress.
 //
 // All of it is derived from one seed, so two runs with the same seed
 // are byte-identical — the golden manifest pins exactly those bytes.
@@ -40,11 +39,10 @@ func chaosSpec(end eventsim.Time) faults.Spec {
 			Period: 20 * eventsim.Second,
 			Count:  flaps,
 		}},
-		Stalls:    []faults.StallSpec{{At: 12 * eventsim.Second, For: 2500 * eventsim.Millisecond}},
-		DropP:     0.002,
-		DupP:      0.001,
-		CorruptP:  0.002,
-		SinkFailP: 0.05,
+		Stalls:   []faults.StallSpec{{At: 12 * eventsim.Second, For: 2500 * eventsim.Millisecond}},
+		DropP:    0.002,
+		DupP:     0.001,
+		CorruptP: 0.002,
 	}
 	if end > 52*eventsim.Second {
 		spec.Stalls = append(spec.Stalls, faults.StallSpec{At: 52 * eventsim.Second, For: 2500 * eventsim.Millisecond})
@@ -67,8 +65,8 @@ func runChaosFIFO(src traffic.Source, linkRate float64, until eventsim.Time, inj
 
 // runChaosTurbo replays src through an ACC-Turbo port under the full
 // fault plan: packet mangling and link flaps at the port, controller
-// stalls through the clock wrapper, a lossy telemetry sink on the
-// qdisc, and the watchdog armed so the stalls exercise fail-open.
+// stalls through the clock wrapper, and the watchdog armed so the
+// stalls exercise fail-open.
 func runChaosTurbo(src traffic.Source, linkRate float64, until eventsim.Time, cfg core.Config, inj *faults.Injector) (rec *netsim.Recorder, turbo *core.Turbo) {
 	cfg.FailOpenAfter = chaosFailOpenAfter
 	cfg.WrapClock = inj.ClockWrapper()
@@ -76,12 +74,6 @@ func runChaosTurbo(src traffic.Source, linkRate float64, until eventsim.Time, cf
 		port, turbo = core.Attach(eng, linkRate, rec, cfg)
 		inj.AttachInterposer(eng, port)
 		inj.FlapLinks(eng, port)
-		// The lossy sink degrades the qdisc's accounting, not the
-		// experiment's: the Recorder rides the drop-notifier path, so the
-		// series below stay exact while the sink loses 5% of its writes.
-		if iq, ok := turbo.Qdisc().(queue.Instrumented); ok {
-			iq.SetSink(inj.WrapSink(port.Telemetry()))
-		}
 		return port
 	})
 	return rec, turbo
@@ -101,11 +93,11 @@ func tailMean(series []float64, n int) float64 {
 }
 
 // Chaos replays the §7.1 pulse-wave scenario under injected faults —
-// controller stalls, link flaps, packet mangling, lossy telemetry —
-// and reports the fail-open safety property: ACC-Turbo under chaos
-// keeps benign throughput at or above the no-defense FIFO baseline
-// experiencing the same faults, and returns to the clean run's steady
-// state once the faults clear. Same seed, same output, byte for byte.
+// controller stalls, link flaps, packet mangling — and reports the
+// fail-open safety property: ACC-Turbo under chaos keeps benign
+// throughput at or above the no-defense FIFO baseline experiencing the
+// same faults, and returns to the clean run's steady state once the
+// faults clear. Same seed, same output, byte for byte.
 func Chaos(opt Options) *Result {
 	r := &Result{
 		ID:     "chaos",
@@ -135,9 +127,9 @@ func Chaos(opt Options) *Result {
 	r.Add(throughputSeries(clean.rec, packet.Benign, "ACC-Turbo clean/Output Benign"))
 
 	h := turbo.ControlPlane().Health()
-	r.Note("injected: %d pkts dropped, %d duplicated, %d corrupted, %d link transitions, %d polls suppressed, %d sink writes failed",
+	r.Note("injected: %d pkts dropped, %d duplicated, %d corrupted, %d link transitions, %d polls suppressed",
 		injTurbo.PacketsDropped.Value(), injTurbo.PacketsDuplicated.Value(), injTurbo.PacketsCorrupted.Value(),
-		injTurbo.LinkTransitions.Value(), injTurbo.PollsSuppressed.Value(), injTurbo.SinkWritesFailed.Value())
+		injTurbo.LinkTransitions.Value(), injTurbo.PollsSuppressed.Value())
 	r.Note("watchdog: %d trips, %d fail-open engagements, fail-open now=%v, %d ranked deployments",
 		h.WatchdogTrips, h.FailOpenEngagements, h.FailOpen, h.Deployments)
 	r.Note("benign drops under faults: ACC-Turbo %.2f%% vs FIFO %.2f%% (clean ACC-Turbo %.2f%%)",

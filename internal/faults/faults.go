@@ -1,16 +1,15 @@
 // Package faults is the deterministic fault-injection subsystem: a
 // seeded injector that exercises the failure model DESIGN.md describes
-// — flapping links, lossy/duplicating/corrupting ingress, stalled
-// control-plane clocks, and failing telemetry sinks — so the resilience
-// machinery in internal/core (watchdog, panic boundary, fail-open) can
-// be tested under reproducible chaos.
+// — flapping links, lossy/duplicating/corrupting ingress and stalled
+// control-plane clocks — so the resilience machinery in internal/core
+// (watchdog, panic boundary, fail-open) can be tested under
+// reproducible chaos.
 //
-// Everything is driven from one seed through independent splitmix64
-// streams (one per fault class, so enabling sink failures cannot
-// perturb the packet-mangling sequence) and scheduled on the existing
-// eventsim clock. A chaos run with the same seed and spec is therefore
-// byte-identical across executions, which is what lets CI diff two runs
-// as a determinism gate, exactly like the golden-hash experiment tests.
+// Everything is driven from one seed through a splitmix64 stream and
+// scheduled on the existing eventsim clock. A chaos run with the same
+// seed and spec is therefore byte-identical across executions, which is
+// what lets CI diff two runs as a determinism gate, exactly like the
+// golden-hash experiment tests.
 //
 // The injector is strictly additive: no fault hook is installed unless
 // the spec asks for it, so a zero Spec leaves every code path — and
@@ -24,19 +23,18 @@ import (
 	"accturbo/internal/telemetry"
 )
 
-// Injector applies a Spec's faults, counting every injection in
-// telemetry so experiments and the /metrics endpoint can report exactly
-// how much chaos a run experienced. Per-fault-class RNG streams are
-// derived from the single seed.
+// Injector applies a Spec's faults, counting every injection so
+// experiments and the CLI can report exactly how much chaos a run
+// experienced. The packet faults draw from one RNG stream derived from
+// the seed.
 //
 // The packet-mangling methods (Mangle, AttachInterposer) follow the
 // event engine's single-goroutine discipline; the counters are
-// telemetry.Counter atomics, so reading them from another goroutine
-// (e.g. a metrics scrape) is safe.
+// telemetry.Counter atomics, so reading them from another goroutine is
+// safe.
 type Injector struct {
 	spec      Spec
 	mangleRNG Rand
-	sinkRNG   Rand
 
 	// pendingDups tracks duplicate copies scheduled for re-injection so
 	// the interposer passes them through un-mangled: a duplicate is
@@ -51,35 +49,19 @@ type Injector struct {
 	LinkTransitions   telemetry.Counter
 	PollsSuppressed   telemetry.Counter
 	CallbacksDelayed  telemetry.Counter
-	SinkWritesFailed  telemetry.Counter
 }
 
 // New builds an injector for the given seed and spec. The same
 // (seed, spec) pair always produces the same fault sequence.
 func New(seed uint64, spec Spec) *Injector {
 	return &Injector{
-		spec: spec,
-		// Distinct stream constants keep the fault classes independent:
-		// turning one on or off never shifts another's draws.
+		spec:      spec,
 		mangleRNG: *NewRand(seed ^ 0x6d616e676c65), // "mangle"
-		sinkRNG:   *NewRand(seed ^ 0x73696e6b6661), // "sinkfa"
 	}
 }
 
 // Spec returns the spec the injector was built with.
 func (inj *Injector) Spec() Spec { return inj.spec }
-
-// Describe registers the injection counters on a telemetry registry
-// under the given name prefix.
-func (inj *Injector) Describe(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"_packets_dropped", &inj.PacketsDropped)
-	reg.Counter(prefix+"_packets_duplicated", &inj.PacketsDuplicated)
-	reg.Counter(prefix+"_packets_corrupted", &inj.PacketsCorrupted)
-	reg.Counter(prefix+"_link_transitions", &inj.LinkTransitions)
-	reg.Counter(prefix+"_polls_suppressed", &inj.PollsSuppressed)
-	reg.Counter(prefix+"_callbacks_delayed", &inj.CallbacksDelayed)
-	reg.Counter(prefix+"_sink_writes_failed", &inj.SinkWritesFailed)
-}
 
 // FlapLink schedules one flap clause against a port: the link goes
 // down at First, comes back Down later, and repeats every Period,

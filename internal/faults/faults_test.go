@@ -8,11 +8,10 @@ import (
 	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
 	"accturbo/internal/queue"
-	"accturbo/internal/telemetry"
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
-	in := "flap:first=12s,down=250ms,period=20s,count=4;drop:p=0.01;dup:p=0.005;corrupt:p=0.01;stall:at=15s,for=3s;sinkfail:p=0.1"
+	in := "flap:first=12s,down=250ms,period=20s,count=4;drop:p=0.01;dup:p=0.005;corrupt:p=0.01;stall:at=15s,for=3s"
 	spec, err := ParseSpec(in)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", in, err)
@@ -25,7 +24,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		f.Period != 20*eventsim.Second || f.Count != 4 {
 		t.Fatalf("flap parsed wrong: %+v", f)
 	}
-	if spec.DropP != 0.01 || spec.DupP != 0.005 || spec.CorruptP != 0.01 || spec.SinkFailP != 0.1 {
+	if spec.DropP != 0.01 || spec.DupP != 0.005 || spec.CorruptP != 0.01 {
 		t.Fatalf("probabilities parsed wrong: %+v", spec)
 	}
 	if spec.Stalls[0].At != 15*eventsim.Second || spec.Stalls[0].For != 3*eventsim.Second {
@@ -62,6 +61,7 @@ func TestParseSpecErrors(t *testing.T) {
 		"flap:down=2s,period=1s,count=3", // period must exceed down
 		"stall:at=1s",                    // for must be positive
 		"drop:p",                         // malformed pair
+		"sinkfail:p=0.1",                 // not a clause: nothing to inject it into
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", bad)
@@ -106,7 +106,8 @@ func TestMangleDeterministic(t *testing.T) {
 // down drop with DropLinkDown; the queue drains after recovery.
 func TestFlapLinkDropsAndRecovers(t *testing.T) {
 	eng := eventsim.New()
-	port := netsim.NewPort(eng, queue.NewFIFO(1<<20), 1e9, nil)
+	rec := netsim.NewRecorder(eventsim.Second)
+	port := netsim.NewPort(eng, queue.NewFIFO(1<<20), 1e9, rec)
 	inj := New(1, Spec{})
 	inj.FlapLink(eng, port, FlapSpec{First: 1 * eventsim.Second, Down: 1 * eventsim.Second, Count: 1})
 
@@ -121,9 +122,8 @@ func TestFlapLinkDropsAndRecovers(t *testing.T) {
 	}
 	eng.Run()
 
-	downDrops := port.Telemetry().DropsFor(uint8(queue.DropLinkDown))
-	if downDrops != 10 {
-		t.Fatalf("link-down drops = %d, want 10", downDrops)
+	if downDrops, tailDrops := rec.DroppedFor(queue.DropLinkDown), rec.DroppedFor(queue.DropTail); downDrops != 10 || tailDrops != 0 {
+		t.Fatalf("link-down drops = %d, tail drops = %d, want 10 and 0", downDrops, tailDrops)
 	}
 	if delivered != 20 {
 		t.Fatalf("delivered = %d, want 20 (before + after the flap)", delivered)
@@ -203,31 +203,6 @@ func TestStallClock(t *testing.T) {
 	}
 	if inj.CallbacksDelayed.Value() != 1 {
 		t.Fatalf("callbacks delayed = %d, want 1", inj.CallbacksDelayed.Value())
-	}
-}
-
-// TestFaultySink: at p=1 every write is discarded and counted; at p=0
-// the sink is returned unwrapped.
-func TestFaultySink(t *testing.T) {
-	stats := new(telemetry.QueueStats)
-	inj := New(9, Spec{SinkFailP: 1})
-	s := inj.WrapSink(stats)
-	if s == telemetry.Sink(stats) {
-		t.Fatal("p=1 should wrap the sink")
-	}
-	s.RecordEnqueue(0, 100, 1, 100)
-	s.RecordDequeue(0, 100, 0, 0)
-	s.RecordDrop(0, 100, 1)
-	if got := stats.Snapshot(); got.EnqueuedPkts != 0 || got.DequeuedPkts != 0 || got.DroppedPkts != 0 {
-		t.Fatalf("writes leaked through a p=1 faulty sink: %+v", got)
-	}
-	if inj.SinkWritesFailed.Value() != 3 {
-		t.Fatalf("sink failures = %d, want 3", inj.SinkWritesFailed.Value())
-	}
-
-	clean := New(9, Spec{})
-	if clean.WrapSink(stats) != telemetry.Sink(stats) {
-		t.Fatal("p=0 must return the sink unchanged")
 	}
 }
 

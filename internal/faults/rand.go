@@ -3,7 +3,7 @@ package faults
 // Rand is the package's seeded splitmix64 stream, exported so other
 // fault-injection surfaces (the fleet chaos proxy, reconnect-backoff
 // jitter) draw from the same deterministic generator family. Like the
-// injector's internal streams, a Rand is fully determined by its seed:
+// injector's packet-fault stream, a Rand is fully determined by its seed:
 // two Rands built with the same seed produce identical sequences, which
 // is what lets CI diff two chaos runs as a determinism gate.
 //
@@ -48,9 +48,8 @@ func (r *Rand) Intn(n int) int {
 }
 
 // DeriveSeed folds a label into a seed, producing an independent stream
-// seed the way the injector derives its per-fault-class streams: the
-// label is mixed through one splitmix64 round so adjacent labels (0, 1,
-// 2, ...) land on uncorrelated streams.
+// seed: the label is mixed through one splitmix64 round so adjacent
+// labels (0, 1, 2, ...) land on uncorrelated streams.
 func DeriveSeed(seed, label uint64) uint64 {
 	r := Rand{state: seed ^ (label * 0x9e3779b97f4a7c15)}
 	return r.Next()

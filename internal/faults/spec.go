@@ -37,15 +37,12 @@ type Spec struct {
 	DropP, DupP, CorruptP float64
 	// Stalls are control-plane stall windows (clause "stall").
 	Stalls []StallSpec
-	// SinkFailP is the probability a telemetry sink write is silently
-	// discarded (clause "sinkfail").
-	SinkFailP float64
 }
 
 // Empty reports whether the spec injects nothing.
 func (s Spec) Empty() bool {
 	return len(s.Flaps) == 0 && len(s.Stalls) == 0 &&
-		s.DropP <= 0 && s.DupP <= 0 && s.CorruptP <= 0 && s.SinkFailP <= 0
+		s.DropP <= 0 && s.DupP <= 0 && s.CorruptP <= 0
 }
 
 // String renders the spec back in ParseSpec's clause syntax.
@@ -67,9 +64,6 @@ func (s Spec) String() string {
 	for _, w := range s.Stalls {
 		parts = append(parts, fmt.Sprintf("stall:at=%s,for=%s", w.At.Duration(), w.For.Duration()))
 	}
-	if s.SinkFailP > 0 {
-		parts = append(parts, fmt.Sprintf("sinkfail:p=%g", s.SinkFailP))
-	}
 	return strings.Join(parts, ";")
 }
 
@@ -82,7 +76,6 @@ func (s Spec) String() string {
 //	dup:p=0.005
 //	corrupt:p=0.01
 //	stall:at=15s,for=3s        (repeatable)
-//	sinkfail:p=0.1
 //
 // An empty string parses to the empty (inject-nothing) spec.
 func ParseSpec(s string) (Spec, error) {
@@ -139,10 +132,6 @@ func ParseSpec(s string) (Spec, error) {
 				return Spec{}, fmt.Errorf("faults: clause %q: for must be positive", clause)
 			}
 			spec.Stalls = append(spec.Stalls, w)
-		case "sinkfail":
-			if err := kv.apply(map[string]func(string) error{"p": probInto(&spec.SinkFailP)}); err != nil {
-				return Spec{}, fmt.Errorf("faults: clause %q: %w", clause, err)
-			}
 		default:
 			return Spec{}, fmt.Errorf("faults: unknown clause kind %q", kind)
 		}

@@ -15,11 +15,11 @@ func FuzzParseSpec(f *testing.F) {
 		"drop:p=0.1;dup:p=0.1;corrupt:p=0.1", // cmd/accturbo-defend/main_test.go
 		"drop:p=0.01;dup:p=0.005;corrupt:p=0.01;stall:at=2s,for=3s",
 		"drop:p=0.01;stall:at=5s,for=2s",
-		"flap:first=12s,down=250ms,period=20s,count=4;drop:p=0.01;dup:p=0.005;corrupt:p=0.01;stall:at=15s,for=3s;sinkfail:p=0.1",
+		"flap:first=12s,down=250ms,period=20s,count=4;drop:p=0.01;dup:p=0.005;corrupt:p=0.01;stall:at=15s,for=3s",
 		"stall:at=3s,for=1s;stall:at=1s,for=1s;stall:at=1s,for=2s",
 		"flap:down=2s,period=1s,count=3",
 		"drop:p=NaN",
-		"drop:p=1e-320;sinkfail:p=-0",
+		"drop:p=1e-320;dup:p=-0",
 		"flap:down=2562047h47m16.854775807s, count=1 ; ;drop:",
 	} {
 		f.Add(s)
@@ -32,7 +32,7 @@ func FuzzParseSpec(f *testing.F) {
 			}
 			return
 		}
-		for _, p := range []float64{spec.DropP, spec.DupP, spec.CorruptP, spec.SinkFailP} {
+		for _, p := range []float64{spec.DropP, spec.DupP, spec.CorruptP} {
 			if !(p >= 0 && p <= 1) {
 				t.Fatalf("%q: accepted probability %v", in, p)
 			}

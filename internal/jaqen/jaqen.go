@@ -25,7 +25,6 @@ import (
 	"accturbo/internal/packet"
 	"accturbo/internal/queue"
 	"accturbo/internal/sketch"
-	"accturbo/internal/telemetry"
 )
 
 // Key selects the sketch signature.
@@ -207,15 +206,16 @@ type Jaqen struct {
 	// before any).
 	FirstMitigation eventsim.Time
 
-	// Mitigation accounting on the shared telemetry substrate: how many
-	// packets the defense admitted versus dropped, split by cause (an
-	// installed rule, a policer rule's rate limit, or the total blackout
-	// while the switch reprograms).
-	admitted       telemetry.Counter
-	ruleDrops      telemetry.Counter
-	policerDrops   telemetry.Counter
-	downtimeDrops  telemetry.Counter
-	rulesInstalled telemetry.Counter
+	// Mitigation accounting: how many packets the defense admitted
+	// versus dropped, split by cause (an installed rule, a policer rule's
+	// rate limit, or the total blackout while the switch reprograms).
+	// Written from the engine's event loop and read between events, like
+	// netsim.Recorder, so the fields are plain.
+	admitted       uint64
+	ruleDrops      uint64
+	policerDrops   uint64
+	downtimeDrops  uint64
+	rulesInstalled uint64
 }
 
 // Attach wires Jaqen into the port's ingress pipeline and schedules its
@@ -281,7 +281,7 @@ func (j *Jaqen) key(p *packet.Packet) uint64 {
 func (j *Jaqen) admit(now eventsim.Time, p *packet.Packet) bool {
 	if j.reprogramming {
 		if now < j.reprogramDone {
-			j.downtimeDrops.Inc()
+			j.downtimeDrops++
 			return false // total downtime during program swap
 		}
 		j.reprogramming = false
@@ -289,20 +289,20 @@ func (j *Jaqen) admit(now eventsim.Time, p *packet.Packet) bool {
 	k := j.key(p)
 	if rl, ok := j.rules[k]; ok {
 		if rl.bucket == nil {
-			j.ruleDrops.Inc()
+			j.ruleDrops++
 			return false // drop rule
 		}
 		if !rl.bucket.Allow(now, p.Size()) {
-			j.policerDrops.Inc()
+			j.policerDrops++
 			return false
 		}
-		j.admitted.Inc()
+		j.admitted++
 		return true
 	}
 	if j.cm.Add(k, 1) > j.rt.Load().Threshold {
 		j.flagged[k] = true
 	}
-	j.admitted.Inc()
+	j.admitted++
 	return true
 }
 
@@ -342,7 +342,7 @@ func (j *Jaqen) mitigate(now eventsim.Time, k uint64) {
 		if j.FirstMitigation < 0 {
 			j.FirstMitigation = at
 		}
-		j.rulesInstalled.Inc()
+		j.rulesInstalled++
 	}
 	if j.cfg.DefenseDeployed {
 		j.eng.After(j.cfg.RuleInstallDelay, func(t eventsim.Time) { activate(t) })
@@ -378,26 +378,16 @@ func (j *Jaqen) Runtime() Runtime { return *j.rt.Load() }
 func (j *Jaqen) Rules() int { return len(j.rules) }
 
 // RulesInstalled counts drop rules that became active (post-delay).
-func (j *Jaqen) RulesInstalled() uint64 { return j.rulesInstalled.Value() }
+func (j *Jaqen) RulesInstalled() uint64 { return j.rulesInstalled }
 
 // Admitted counts packets the defense let through.
-func (j *Jaqen) Admitted() uint64 { return j.admitted.Value() }
+func (j *Jaqen) Admitted() uint64 { return j.admitted }
 
 // RuleDrops counts packets dropped by an installed drop rule.
-func (j *Jaqen) RuleDrops() uint64 { return j.ruleDrops.Value() }
+func (j *Jaqen) RuleDrops() uint64 { return j.ruleDrops }
 
 // PolicerDrops counts packets denied by a rate-limit rule's bucket.
-func (j *Jaqen) PolicerDrops() uint64 { return j.policerDrops.Value() }
+func (j *Jaqen) PolicerDrops() uint64 { return j.policerDrops }
 
 // DowntimeDrops counts packets lost to reprogramming blackout.
-func (j *Jaqen) DowntimeDrops() uint64 { return j.downtimeDrops.Value() }
-
-// Describe registers the mitigation accounting on a telemetry registry
-// under the given name prefix.
-func (j *Jaqen) Describe(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"_admitted_pkts", &j.admitted)
-	reg.Counter(prefix+"_rule_dropped_pkts", &j.ruleDrops)
-	reg.Counter(prefix+"_policer_dropped_pkts", &j.policerDrops)
-	reg.Counter(prefix+"_downtime_dropped_pkts", &j.downtimeDrops)
-	reg.Counter(prefix+"_rules_installed", &j.rulesInstalled)
-}
+func (j *Jaqen) DowntimeDrops() uint64 { return j.downtimeDrops }

@@ -37,6 +37,20 @@ func run(cfg Config, src traffic.Source, until eventsim.Time) (*netsim.Recorder,
 	return rec, j
 }
 
+// conserved checks Jaqen's own accounting against the port's: every
+// arrival was admitted or dropped for one cause, and Jaqen's drops are
+// exactly the port's policer drops (Jaqen is its only ingress stage).
+func conserved(t *testing.T, rec *netsim.Recorder, j *Jaqen) {
+	t.Helper()
+	dropped := j.RuleDrops() + j.PolicerDrops() + j.DowntimeDrops()
+	if arrived := rec.ArrivedBenign() + rec.ArrivedMalicious(); j.Admitted()+dropped != arrived {
+		t.Errorf("admitted %d + dropped %d != arrived %d", j.Admitted(), dropped, arrived)
+	}
+	if got := rec.DroppedFor(queue.DropPolicer); got != dropped {
+		t.Errorf("port counts %d policer drops, Jaqen %d", got, dropped)
+	}
+}
+
 func TestDefaultConfigValid(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.Validate(); err != nil {
@@ -188,6 +202,11 @@ func TestReprogramPathCausesDowntime(t *testing.T) {
 	if !sawDowntime {
 		t.Fatal("no downtime observed during reprogramming")
 	}
+	if j.DowntimeDrops() == 0 || j.RuleDrops() == 0 || j.RulesInstalled() == 0 {
+		t.Fatalf("%d downtime drops, %d rule drops, %d rules installed: want all three",
+			j.DowntimeDrops(), j.RuleDrops(), j.RulesInstalled())
+	}
+	conserved(t, rec, j)
 }
 
 func TestLowThresholdDropsBenignTraffic(t *testing.T) {
@@ -273,6 +292,10 @@ func TestRateLimitMitigation(t *testing.T) {
 	if rec.BenignDropPercent() > 10 {
 		t.Fatalf("benign drops %.1f%%", rec.BenignDropPercent())
 	}
+	if j.PolicerDrops() == 0 || j.RuleDrops() != 0 {
+		t.Fatalf("%d policer drops, %d rule drops: a rate-limit rule polices", j.PolicerDrops(), j.RuleDrops())
+	}
+	conserved(t, rec, j)
 }
 
 // TestReconfigureThresholdLive lowers the detection threshold while the

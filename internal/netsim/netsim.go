@@ -8,15 +8,13 @@
 // models that port precisely (line-rate serialization, qdisc-governed
 // buffering) rather than a general topology.
 //
-// Accounting is layered on the shared telemetry substrate
-// (internal/telemetry): every port wires a telemetry.QueueStats into
-// its qdisc, and the Recorder — which adds the ground-truth
-// attribution (benign vs malicious) the experiment series need — is an
-// Accounting implementation whose totals are telemetry counters. The
-// port itself meters nothing per packet: offered and delivered series
-// are the Recorder's, queue totals and depth the QueueStats'. Ports never
-// branch on nil accounting: a port without a recorder runs the package
-// no-op.
+// A port has one accounting, its Accounting: the Recorder, which counts
+// every offered, delivered and dropped packet with the ground-truth
+// attribution (benign vs malicious) the experiment series need and the
+// drop reason. The port itself meters nothing per packet, and the
+// qdiscs count nothing for it: they report drops through their drop
+// hook and depth through Len/Bytes. Ports never branch on nil
+// accounting: a port without a recorder runs the package no-op.
 package netsim
 
 import (
@@ -25,7 +23,6 @@ import (
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
 	"accturbo/internal/queue"
-	"accturbo/internal/telemetry"
 	"accturbo/internal/traffic"
 )
 
@@ -81,10 +78,6 @@ type Port struct {
 	// (delivered or dropped); see SetPool.
 	pool *packet.Pool
 
-	// stats is the label-agnostic queue accounting wired into the
-	// qdisc's telemetry sink.
-	stats *telemetry.QueueStats
-
 	// Delivered is invoked for every packet that finishes
 	// serialization (the sink side), after recording.
 	Delivered func(now eventsim.Time, p *packet.Packet)
@@ -95,8 +88,7 @@ type Port struct {
 }
 
 // NewPort builds a port transmitting at rateBits over the given qdisc.
-// The recorder may be nil when no attribution is needed; telemetry
-// accounting (Telemetry) runs either way.
+// The recorder may be nil when no accounting is needed.
 func NewPort(eng *eventsim.Engine, q queue.Qdisc, rateBits float64, rec *Recorder) *Port {
 	if rateBits <= 0 {
 		panic(fmt.Sprintf("netsim: port rate %v must be positive", rateBits))
@@ -109,16 +101,9 @@ func NewPort(eng *eventsim.Engine, q queue.Qdisc, rateBits float64, rec *Recorde
 		qdisc: q,
 		rate:  rateBits,
 		acct:  noAccounting,
-		stats: new(telemetry.QueueStats),
 	}
 	if rec != nil {
 		p.acct = rec
-	}
-	// Wire the shared queue accounting into the discipline. Every qdisc
-	// in internal/queue is Instrumented (compile-time checked there);
-	// the assertion keeps foreign test disciplines usable.
-	if iq, ok := q.(queue.Instrumented); ok {
-		iq.SetSink(p.stats)
 	}
 	// Report every qdisc-level drop (tail, early, push-out) to the
 	// accounting and the Dropped hook, whatever the discipline. All
@@ -181,11 +166,6 @@ func (p *Port) SetLinkState(now eventsim.Time, up bool) {
 // Qdisc returns the attached discipline.
 func (p *Port) Qdisc() queue.Qdisc { return p.qdisc }
 
-// Telemetry returns the port's queue accounting: enqueue/dequeue/drop
-// counters, depth gauges and the drain-rate meter fed by the qdisc,
-// plus policer drops recorded by the port itself.
-func (p *Port) Telemetry() *telemetry.QueueStats { return p.stats }
-
 // AddIngress appends a stage to the ingress pipeline; stages run in
 // registration order.
 func (p *Port) AddIngress(f Ingress) {
@@ -199,19 +179,17 @@ func (p *Port) AddIngress(f Ingress) {
 func (p *Port) Inject(now eventsim.Time, pkt *packet.Packet) {
 	p.acct.Arrival(now, pkt)
 	if p.down {
-		p.stats.RecordDrop(now, pkt.Size(), uint8(queue.DropLinkDown))
 		p.drop(now, pkt, queue.DropLinkDown)
 		return
 	}
 	for _, stage := range p.ingress {
 		if !stage(now, pkt) {
-			p.stats.RecordDrop(now, pkt.Size(), uint8(queue.DropPolicer))
 			p.drop(now, pkt, queue.DropPolicer)
 			return
 		}
 	}
 	if p.qdisc.Enqueue(now, pkt) != queue.DropNone {
-		// Drop already recorded via the qdisc's sink and drop hook.
+		// Drop already recorded through the qdisc's drop hook.
 		return
 	}
 	p.pump(now)

@@ -9,14 +9,14 @@ import (
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
 	"accturbo/internal/queue"
-	"accturbo/internal/telemetry"
 	"accturbo/internal/traffic"
 )
 
 // mapRecorder is the Recorder as it stood before per-packet state moved
 // onto the packet and per-flow state into one record per FlowID: four
-// maps, one of them keyed by packet pointer. It is kept verbatim as the
-// model the differential tests below compare the Recorder against.
+// maps, one of them keyed by packet pointer, plus a map of drop totals by
+// reason. It is the model the differential tests below compare the
+// Recorder against.
 type mapRecorder struct {
 	binWidth eventsim.Time
 	bins     []binStats
@@ -30,10 +30,11 @@ type mapRecorder struct {
 	delayMax  [2]eventsim.Time
 
 	// Totals since construction (packets), indexed by label.
-	arrived   [2]telemetry.Counter
-	dropped   [2]telemetry.Counter
-	delivered [2]telemetry.Counter
-	reordered telemetry.Counter
+	arrived   [2]uint64
+	dropped   [2]uint64
+	delivered [2]uint64
+	reordered uint64
+	byReason  map[queue.DropReason]uint64
 }
 
 func newMapRecorder(binWidth eventsim.Time) *mapRecorder {
@@ -46,29 +47,33 @@ func newMapRecorder(binWidth eventsim.Time) *mapRecorder {
 		seqNext:   map[uint32]uint64{},
 		seqMax:    map[uint32]uint64{},
 		arrivedAt: map[*packet.Packet]eventsim.Time{},
+		byReason:  map[queue.DropReason]uint64{},
 	}
 }
 
-func (r *mapRecorder) ArrivedBenign() uint64 { return r.arrived[0].Value() }
+func (r *mapRecorder) ArrivedBenign() uint64 { return r.arrived[0] }
 
 // ArrivedMalicious returns the total malicious packets offered.
-func (r *mapRecorder) ArrivedMalicious() uint64 { return r.arrived[1].Value() }
+func (r *mapRecorder) ArrivedMalicious() uint64 { return r.arrived[1] }
 
 // DroppedBenign returns the total benign packets dropped.
-func (r *mapRecorder) DroppedBenign() uint64 { return r.dropped[0].Value() }
+func (r *mapRecorder) DroppedBenign() uint64 { return r.dropped[0] }
 
 // DroppedMalicious returns the total malicious packets dropped.
-func (r *mapRecorder) DroppedMalicious() uint64 { return r.dropped[1].Value() }
+func (r *mapRecorder) DroppedMalicious() uint64 { return r.dropped[1] }
+
+// DroppedFor returns the total packets dropped for one reason.
+func (r *mapRecorder) DroppedFor(reason queue.DropReason) uint64 { return r.byReason[reason] }
 
 // DeliveredBenignPkts returns the total benign packets delivered.
-func (r *mapRecorder) DeliveredBenignPkts() uint64 { return r.delivered[0].Value() }
+func (r *mapRecorder) DeliveredBenignPkts() uint64 { return r.delivered[0] }
 
 // DeliveredMaliciousPkts returns the total malicious packets delivered.
-func (r *mapRecorder) DeliveredMaliciousPkts() uint64 { return r.delivered[1].Value() }
+func (r *mapRecorder) DeliveredMaliciousPkts() uint64 { return r.delivered[1] }
 
 // Reordered returns delivered packets that left after a same-flow
 // packet that arrived later (§10's reordering discussion).
-func (r *mapRecorder) Reordered() uint64 { return r.reordered.Value() }
+func (r *mapRecorder) Reordered() uint64 { return r.reordered }
 
 func (r *mapRecorder) Bins() int { return len(r.bins) }
 
@@ -90,14 +95,14 @@ func (r *mapRecorder) Arrival(now eventsim.Time, p *packet.Packet) {
 	l := labelIndex(p)
 	b.arrivedBytes[l] += uint64(p.Size())
 	b.arrivedPkts[l]++
-	r.arrived[l].Inc()
+	r.arrived[l]++
 }
 
 // Delivered records a packet that completed transmission.
 func (r *mapRecorder) Delivered(now eventsim.Time, p *packet.Packet) {
 	if p.Seq > 0 {
 		if p.Seq < r.seqMax[p.FlowID] {
-			r.reordered.Inc()
+			r.reordered++
 		} else {
 			r.seqMax[p.FlowID] = p.Seq
 		}
@@ -115,7 +120,7 @@ func (r *mapRecorder) Delivered(now eventsim.Time, p *packet.Packet) {
 	l := labelIndex(p)
 	b.deliveredBytes[l] += uint64(p.Size())
 	b.deliveredPkts[l]++
-	r.delivered[l].Inc()
+	r.delivered[l]++
 	i := int(now / r.binWidth)
 	s := r.perFlow[p.FlowID]
 	for len(s) <= i {
@@ -126,14 +131,15 @@ func (r *mapRecorder) Delivered(now eventsim.Time, p *packet.Packet) {
 }
 
 // Dropped records a packet rejected anywhere in the port (policer,
-// early drop, tail drop, push-out).
-func (r *mapRecorder) Dropped(now eventsim.Time, p *packet.Packet, _ queue.DropReason) {
+// early drop, tail drop, push-out), under its reason.
+func (r *mapRecorder) Dropped(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
 	delete(r.arrivedAt, p)
 	b := r.bin(now)
 	l := labelIndex(p)
 	b.droppedBytes[l] += uint64(p.Size())
 	b.droppedPkts[l]++
-	r.dropped[l].Inc()
+	r.dropped[l]++
+	r.byReason[reason]++
 }
 
 func (r *mapRecorder) DeliveredBits(label packet.Label) []float64 {
@@ -185,7 +191,7 @@ func (r *mapRecorder) DropRate() []float64 {
 
 func (r *mapRecorder) MeanDelay(label packet.Label) (mean, max eventsim.Time) {
 	li := int(label & 1)
-	n := r.delivered[li].Value()
+	n := r.delivered[li]
 	if n == 0 {
 		return 0, 0
 	}
@@ -201,6 +207,18 @@ func sameAsModel(t *testing.T, name string, got *Recorder, want *mapRecorder, fl
 		totals(want.ArrivedBenign(), want.ArrivedMalicious(), want.DroppedBenign(), want.DroppedMalicious(),
 			want.DeliveredBenignPkts(), want.DeliveredMaliciousPkts(), want.Reordered(), uint64(want.Bins())); !slices.Equal(g, w) {
 		t.Errorf("%s: totals, reordered, bins = %v, model %v", name, g, w)
+	}
+	// Conservation by reason: every drop is counted under exactly one.
+	var byReason uint64
+	for r := 0; r < 256; r++ {
+		reason := queue.DropReason(r)
+		if g, w := got.DroppedFor(reason), want.DroppedFor(reason); g != w {
+			t.Errorf("%s: %v drops = %d, model %d", name, reason, g, w)
+		}
+		byReason += got.DroppedFor(reason)
+	}
+	if dropped := got.DroppedBenign() + got.DroppedMalicious(); byReason != dropped {
+		t.Errorf("%s: drops by reason sum to %d, by class to %d", name, byReason, dropped)
 	}
 	for _, l := range []packet.Label{packet.Benign, packet.Malicious} {
 		if !slices.Equal(got.DeliveredBits(l), want.DeliveredBits(l)) || !slices.Equal(got.ArrivedBits(l), want.ArrivedBits(l)) {
@@ -281,7 +299,9 @@ func recorderScript(seed int64, recs []Accounting) (stamps []uint64, flows []uin
 			inflight[i] = inflight[len(inflight)-1]
 			inflight = inflight[:len(inflight)-1]
 			if op < 7 {
-				recs[f.stage].Dropped(now, f.p, queue.DropTail)
+				// Every reason from tail to link-down, picked by the length
+				// rather than drawn, so the script's draws do not depend on it.
+				recs[f.stage].Dropped(now, f.p, queue.DropTail+queue.DropReason(f.p.Length%5))
 				if rng.Intn(8) == 0 {
 					// No port does this, but the model defines it: a drop
 					// ends the transit, so this adds no delay sample.
@@ -330,7 +350,8 @@ func TestRecorderMatchesMapModel(t *testing.T) {
 // ports chained into a core port, as experiments/pushback wires them,
 // each port accounted by one of accts, and returns every hook event.
 // The core is the sink, so it recycles packets; its qdisc splits each
-// flow over two priorities, so flows reorder.
+// flow over two priorities, so flows reorder. Edge 1's link goes down
+// for 200 ms mid-attack, so it drops for two reasons.
 func chainedRun(accts [3]Accounting) (events []uint64, flows []uint32) {
 	eng := eventsim.New()
 	split := queue.NewPriority(2, 20_000, func(_ eventsim.Time, p *packet.Packet) int { return int(p.ID) % 2 })
@@ -358,6 +379,8 @@ func chainedRun(accts [3]Accounting) (events []uint64, flows []uint32) {
 	pool := packet.NewPool()
 	ports[0].SetPool(pool)
 	end := 4 * eventsim.Second
+	eng.At(end/2, func(t eventsim.Time) { ports[1].SetLinkState(t, false) })
+	eng.At(end/2+200*eventsim.Millisecond, func(t eventsim.Time) { ports[1].SetLinkState(t, true) })
 	srcs := [2]traffic.Source{
 		traffic.Merge(
 			traffic.NewBackground(traffic.BackgroundConfig{Rate: 3e6, End: end, Seed: 1}),
@@ -389,6 +412,9 @@ func TestChainedRecordersMatchMapModel(t *testing.T) {
 		sameAsModel(t, name, recs[i], models[i], flows)
 	}
 	exercised(t, "core", recs[0], flows) // the FIFO edges cannot reorder
+	if recs[1].DroppedFor(queue.DropLinkDown) == 0 || recs[1].DroppedFor(queue.DropTail) == 0 {
+		t.Errorf("edge 1: %d link-down and %d tail drops, want both", recs[1].DroppedFor(queue.DropLinkDown), recs[1].DroppedFor(queue.DropTail))
+	}
 }
 
 // Steady-state traffic through a recorded port — inject, then deliver

@@ -6,19 +6,16 @@ import (
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
 	"accturbo/internal/queue"
-	"accturbo/internal/telemetry"
 )
 
 // Recorder accumulates time-binned traffic statistics with ground-truth
 // attribution. Every experiment series in the paper (bandwidth shares,
 // drop rates, benign-drop percentages, reaction times) is derived from
-// a Recorder.
+// a Recorder, and it is the port's only accounting: drops are also
+// totalled by reason, so link-down loss never reads as congestion loss.
 //
-// The Recorder is the attribution adapter over the shared telemetry
-// layer: its since-construction totals are telemetry.Counters (readable
-// concurrently, exportable through a telemetry.Registry via Describe),
-// while the per-bin series and per-flow records — which need the packet
-// headers the label-agnostic telemetry sinks never see — stay local.
+// A Recorder belongs to the engine's goroutine — it is written from the
+// event loop and read between events — so its totals are plain fields.
 // Per-packet state (Seq, Transit) rides on the packet itself, so an
 // event costs at most the one flow lookup. It implements the port's
 // Accounting interface; event times are the engine's clock and never
@@ -40,10 +37,13 @@ type Recorder struct {
 	delayMax [2]eventsim.Time
 
 	// Totals since construction (packets), indexed by label.
-	arrived   [2]telemetry.Counter
-	dropped   [2]telemetry.Counter
-	delivered [2]telemetry.Counter
-	reordered telemetry.Counter
+	arrived   [2]uint64
+	dropped   [2]uint64
+	delivered [2]uint64
+	reordered uint64
+	// droppedFor totals drops by queue.DropReason; a uint8 reason indexes
+	// it with no bounds check and no folding.
+	droppedFor [256]uint64
 }
 
 // flowRecord is everything the recorder keeps about one FlowID.
@@ -77,39 +77,31 @@ func NewRecorder(binWidth eventsim.Time) *Recorder {
 }
 
 // ArrivedBenign returns the total benign packets offered.
-func (r *Recorder) ArrivedBenign() uint64 { return r.arrived[0].Value() }
+func (r *Recorder) ArrivedBenign() uint64 { return r.arrived[0] }
 
 // ArrivedMalicious returns the total malicious packets offered.
-func (r *Recorder) ArrivedMalicious() uint64 { return r.arrived[1].Value() }
+func (r *Recorder) ArrivedMalicious() uint64 { return r.arrived[1] }
 
 // DroppedBenign returns the total benign packets dropped.
-func (r *Recorder) DroppedBenign() uint64 { return r.dropped[0].Value() }
+func (r *Recorder) DroppedBenign() uint64 { return r.dropped[0] }
 
 // DroppedMalicious returns the total malicious packets dropped.
-func (r *Recorder) DroppedMalicious() uint64 { return r.dropped[1].Value() }
+func (r *Recorder) DroppedMalicious() uint64 { return r.dropped[1] }
+
+// DroppedFor returns the total packets dropped for one reason, both
+// classes together. Summed over every reason it is
+// DroppedBenign()+DroppedMalicious().
+func (r *Recorder) DroppedFor(reason queue.DropReason) uint64 { return r.droppedFor[reason] }
 
 // DeliveredBenignPkts returns the total benign packets delivered.
-func (r *Recorder) DeliveredBenignPkts() uint64 { return r.delivered[0].Value() }
+func (r *Recorder) DeliveredBenignPkts() uint64 { return r.delivered[0] }
 
 // DeliveredMaliciousPkts returns the total malicious packets delivered.
-func (r *Recorder) DeliveredMaliciousPkts() uint64 { return r.delivered[1].Value() }
+func (r *Recorder) DeliveredMaliciousPkts() uint64 { return r.delivered[1] }
 
 // Reordered returns delivered packets that left after a same-flow
 // packet that arrived later (§10's reordering discussion).
-func (r *Recorder) Reordered() uint64 { return r.reordered.Value() }
-
-// Describe registers the recorder's totals on a telemetry registry
-// under the given name prefix, so simulator runs export through the
-// same text exposition as the real-time pipeline.
-func (r *Recorder) Describe(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix+"_arrived_benign_pkts", &r.arrived[0])
-	reg.Counter(prefix+"_arrived_malicious_pkts", &r.arrived[1])
-	reg.Counter(prefix+"_dropped_benign_pkts", &r.dropped[0])
-	reg.Counter(prefix+"_dropped_malicious_pkts", &r.dropped[1])
-	reg.Counter(prefix+"_delivered_benign_pkts", &r.delivered[0])
-	reg.Counter(prefix+"_delivered_malicious_pkts", &r.delivered[1])
-	reg.Counter(prefix+"_reordered_pkts", &r.reordered)
-}
+func (r *Recorder) Reordered() uint64 { return r.reordered }
 
 // Bins returns the number of bins touched so far.
 func (r *Recorder) Bins() int { return len(r.bins) }
@@ -153,7 +145,7 @@ func (r *Recorder) Arrival(now eventsim.Time, p *packet.Packet) {
 	l := labelIndex(p)
 	b.arrivedBytes[l] += uint64(p.Size())
 	b.arrivedPkts[l]++
-	r.arrived[l].Inc()
+	r.arrived[l]++
 }
 
 // Delivered records a packet that completed transmission.
@@ -161,7 +153,7 @@ func (r *Recorder) Delivered(now eventsim.Time, p *packet.Packet) {
 	f := r.flow(p.FlowID)
 	if p.Seq > 0 {
 		if p.Seq < f.seqMax {
-			r.reordered.Inc()
+			r.reordered++
 		} else {
 			f.seqMax = p.Seq
 		}
@@ -178,7 +170,7 @@ func (r *Recorder) Delivered(now eventsim.Time, p *packet.Packet) {
 	b, i := r.bin(now)
 	b.deliveredBytes[l] += uint64(p.Size())
 	b.deliveredPkts[l]++
-	r.delivered[l].Inc()
+	r.delivered[l]++
 	if len(f.bytes) == 0 {
 		f.firstBin = i
 	}
@@ -188,15 +180,16 @@ func (r *Recorder) Delivered(now eventsim.Time, p *packet.Packet) {
 	f.bytes[i-f.firstBin] += uint64(p.Size())
 }
 
-// Dropped records a packet rejected anywhere in the port (policer,
-// early drop, tail drop, push-out).
-func (r *Recorder) Dropped(now eventsim.Time, p *packet.Packet, _ queue.DropReason) {
+// Dropped records a packet rejected anywhere in the port (link down,
+// policer, early drop, tail drop, push-out), under its reason.
+func (r *Recorder) Dropped(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
 	p.Transit = 0
 	b, _ := r.bin(now)
 	l := labelIndex(p)
 	b.droppedBytes[l] += uint64(p.Size())
 	b.droppedPkts[l]++
-	r.dropped[l].Inc()
+	r.dropped[l]++
+	r.droppedFor[reason]++
 }
 
 func labelIndex(p *packet.Packet) int {
@@ -280,7 +273,7 @@ func (r *Recorder) MaliciousDropPercent() float64 {
 // stays flat (the scheduling story of §5).
 func (r *Recorder) MeanDelay(label packet.Label) (mean, max eventsim.Time) {
 	li := int(label & 1)
-	n := r.delivered[li].Value()
+	n := r.delivered[li]
 	if n == 0 {
 		return 0, 0
 	}

@@ -5,7 +5,6 @@ import (
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/telemetry"
 )
 
 // AIFO approximates a PIFO with a single FIFO queue plus rank-aware
@@ -32,7 +31,6 @@ type AIFO struct {
 	wfull  bool
 	k      float64
 	onDrop []DropFunc
-	sink   telemetry.Sink
 
 	// AdmissionDrops counts packets rejected by the quantile check.
 	AdmissionDrops uint64
@@ -55,15 +53,11 @@ func NewAIFO(capacityBytes int, windowSize int, k float64, rank RankFunc) *AIFO 
 		rank:   rank,
 		window: make([]int64, windowSize),
 		k:      k,
-		sink:   telemetry.Nop(),
 	}
 }
 
 // OnDrop registers an additional drop callback.
 func (a *AIFO) OnDrop(fn DropFunc) { a.onDrop = append(a.onDrop, fn) }
-
-// SetSink implements Instrumented.
-func (a *AIFO) SetSink(s telemetry.Sink) { a.sink = telemetry.OrNop(s) }
 
 // quantile returns the fraction of window entries strictly below r.
 func (a *AIFO) quantile(r int64) float64 {
@@ -100,31 +94,22 @@ func (a *AIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	headroom := float64(a.fifo.Capacity()-a.fifo.Bytes()) / float64(a.fifo.Capacity())
 	if q > headroom/(1-a.k) {
 		a.AdmissionDrops++
-		a.sink.RecordDrop(now, p.Size(), uint8(DropEarly))
 		for _, fn := range a.onDrop {
 			fn(now, p, DropEarly)
 		}
 		return DropEarly
 	}
-	if res := a.fifo.Enqueue(now, p); res != DropNone {
-		a.sink.RecordDrop(now, p.Size(), uint8(res))
+	res := a.fifo.Enqueue(now, p)
+	if res != DropNone {
 		for _, fn := range a.onDrop {
 			fn(now, p, res)
 		}
-		return res
 	}
-	a.sink.RecordEnqueue(now, p.Size(), a.fifo.Len(), a.fifo.Bytes())
-	return DropNone
+	return res
 }
 
 // Dequeue implements Qdisc.
-func (a *AIFO) Dequeue(now eventsim.Time) *packet.Packet {
-	p := a.fifo.Dequeue(now)
-	if p != nil {
-		a.sink.RecordDequeue(now, p.Size(), a.fifo.Len(), a.fifo.Bytes())
-	}
-	return p
-}
+func (a *AIFO) Dequeue(now eventsim.Time) *packet.Packet { return a.fifo.Dequeue(now) }
 
 // Len implements Qdisc.
 func (a *AIFO) Len() int { return a.fifo.Len() }

@@ -6,7 +6,6 @@ import (
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/telemetry"
 )
 
 // RankFunc assigns a scheduling rank to a packet at enqueue time; lower
@@ -24,7 +23,6 @@ type PIFO struct {
 	bytes    int
 	rank     RankFunc
 	onDrop   []DropFunc
-	sink     telemetry.Sink
 	seq      uint64
 	h        pifoHeap
 
@@ -75,15 +73,12 @@ func NewPIFO(capacityBytes int, rank RankFunc) *PIFO {
 	if rank == nil {
 		panic("queue: nil rank function")
 	}
-	return &PIFO{capBytes: capacityBytes, rank: rank, sink: telemetry.Nop()}
+	return &PIFO{capBytes: capacityBytes, rank: rank}
 }
 
 // OnDrop registers an additional callback for rejected or pushed-out
 // packets.
 func (q *PIFO) OnDrop(fn DropFunc) { q.onDrop = append(q.onDrop, fn) }
-
-// SetSink implements Instrumented.
-func (q *PIFO) SetSink(s telemetry.Sink) { q.sink = telemetry.OrNop(s) }
 
 // worst returns the index of the worst-ranked resident item, cached
 // until the next heap mutation.
@@ -122,26 +117,23 @@ func (q *PIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	q.worstValid = false
 	q.seq++
 	q.bytes += p.Size()
-	q.sink.RecordEnqueue(now, p.Size(), len(q.h), q.bytes)
 	return DropNone
 }
 
 func (q *PIFO) notifyDrop(now eventsim.Time, p *packet.Packet, r DropReason) {
-	q.sink.RecordDrop(now, p.Size(), uint8(r))
 	for _, fn := range q.onDrop {
 		fn(now, p, r)
 	}
 }
 
 // Dequeue implements Qdisc: the lowest-ranked packet leaves first.
-func (q *PIFO) Dequeue(now eventsim.Time) *packet.Packet {
+func (q *PIFO) Dequeue(eventsim.Time) *packet.Packet {
 	if len(q.h) == 0 {
 		return nil
 	}
 	it := heap.Pop(&q.h).(pifoItem)
 	q.worstValid = false
 	q.bytes -= it.p.Size()
-	q.sink.RecordDequeue(now, it.p.Size(), len(q.h), q.bytes)
 	return it.p
 }
 

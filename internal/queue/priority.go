@@ -5,7 +5,6 @@ import (
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/telemetry"
 )
 
 // Classifier maps a packet to a priority-queue index. Queue 0 has the
@@ -28,11 +27,6 @@ type Priority struct {
 	queues   []*FIFO
 	classify Classifier
 	onDrop   []DropFunc
-	sink     telemetry.Sink
-
-	// EnqueuedTo counts packets accepted per queue, for scheduling
-	// diagnostics (e.g. the paper's Fig. 11a "score" metric).
-	EnqueuedTo []uint64
 }
 
 // NewPriority builds a strict-priority scheduler with n queues of
@@ -47,10 +41,8 @@ func NewPriority(n, perQueueBytes int, classify Classifier) *Priority {
 		panic("queue: nil classifier")
 	}
 	p := &Priority{
-		queues:     make([]*FIFO, n),
-		classify:   classify,
-		sink:       telemetry.Nop(),
-		EnqueuedTo: make([]uint64, n),
+		queues:   make([]*FIFO, n),
+		classify: classify,
 	}
 	for i := range p.queues {
 		p.queues[i] = NewFIFO(perQueueBytes)
@@ -58,16 +50,8 @@ func NewPriority(n, perQueueBytes int, classify Classifier) *Priority {
 	return p
 }
 
-// NumQueues returns the number of priority levels.
-func (pq *Priority) NumQueues() int { return len(pq.queues) }
-
 // OnDrop registers an additional callback for rejected packets.
 func (pq *Priority) OnDrop(fn DropFunc) { pq.onDrop = append(pq.onDrop, fn) }
-
-// SetSink implements Instrumented: accounting is reported at the
-// scheduler level (aggregate depth across all priority levels), once
-// per packet, not per internal FIFO.
-func (pq *Priority) SetSink(s telemetry.Sink) { pq.sink = telemetry.OrNop(s) }
 
 // QueueLen returns the packet count of queue i.
 func (pq *Priority) QueueLen(i int) int { return pq.queues[i].Len() }
@@ -82,23 +66,19 @@ func (pq *Priority) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	if i >= len(pq.queues) {
 		i = len(pq.queues) - 1
 	}
-	if res := pq.queues[i].Enqueue(now, p); res != DropNone {
-		pq.sink.RecordDrop(now, p.Size(), uint8(res))
+	res := pq.queues[i].Enqueue(now, p)
+	if res != DropNone {
 		for _, fn := range pq.onDrop {
 			fn(now, p, res)
 		}
-		return res
 	}
-	pq.EnqueuedTo[i]++
-	pq.sink.RecordEnqueue(now, p.Size(), pq.Len(), pq.Bytes())
-	return DropNone
+	return res
 }
 
 // Dequeue implements Qdisc: drain the highest-priority non-empty queue.
 func (pq *Priority) Dequeue(now eventsim.Time) *packet.Packet {
 	for _, q := range pq.queues {
 		if p := q.Dequeue(now); p != nil {
-			pq.sink.RecordDequeue(now, p.Size(), pq.Len(), pq.Bytes())
 			return p
 		}
 	}

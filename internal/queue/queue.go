@@ -12,7 +12,6 @@ import (
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/telemetry"
 )
 
 // DropReason explains why a packet was not enqueued.
@@ -34,7 +33,7 @@ const (
 	// DropLinkDown means the output port's link was down (failed or
 	// fault-injected) when the packet arrived. Kept distinct from
 	// DropTail so fault-induced loss never masquerades as congestion
-	// loss in telemetry.
+	// loss in the port's accounting.
 	DropLinkDown
 )
 
@@ -88,17 +87,8 @@ type DropNotifier interface {
 	OnDrop(DropFunc)
 }
 
-// Instrumented is implemented by disciplines that report accounting
-// (enqueue/dequeue/drop/depth) through a telemetry.Sink. Disciplines
-// default to the shared no-op sink, so the hot path never branches on
-// nil accounting; SetSink replaces it wholesale (wrap sinks in a
-// telemetry.TeeSink to stack them).
-type Instrumented interface {
-	SetSink(telemetry.Sink)
-}
-
-// Compile-time interface checks: every discipline must satisfy Qdisc,
-// DropNotifier and Instrumented.
+// Compile-time interface checks: every discipline must satisfy Qdisc
+// and DropNotifier.
 var (
 	_ Qdisc = (*FIFO)(nil)
 	_ Qdisc = (*RED)(nil)
@@ -113,13 +103,6 @@ var (
 	_ DropNotifier = (*PIFO)(nil)
 	_ DropNotifier = (*SPPIFO)(nil)
 	_ DropNotifier = (*AIFO)(nil)
-
-	_ Instrumented = (*FIFO)(nil)
-	_ Instrumented = (*RED)(nil)
-	_ Instrumented = (*Priority)(nil)
-	_ Instrumented = (*PIFO)(nil)
-	_ Instrumented = (*SPPIFO)(nil)
-	_ Instrumented = (*AIFO)(nil)
 )
 
 // ring is a growable FIFO ring buffer of packets.
@@ -168,7 +151,6 @@ type FIFO struct {
 	bytes    int
 	q        ring
 	onDrop   []DropFunc
-	sink     telemetry.Sink
 }
 
 // NewFIFO returns a FIFO with the given byte capacity. A non-positive
@@ -178,15 +160,12 @@ func NewFIFO(capacityBytes int) *FIFO {
 	if capacityBytes <= 0 {
 		panic(fmt.Sprintf("queue: FIFO capacity %d must be positive", capacityBytes))
 	}
-	return &FIFO{capBytes: capacityBytes, sink: telemetry.Nop()}
+	return &FIFO{capBytes: capacityBytes}
 }
 
 // OnDrop registers an additional callback invoked for every rejected
 // packet. Callbacks run in registration order.
 func (f *FIFO) OnDrop(fn DropFunc) { f.onDrop = append(f.onDrop, fn) }
-
-// SetSink implements Instrumented.
-func (f *FIFO) SetSink(s telemetry.Sink) { f.sink = telemetry.OrNop(s) }
 
 // Capacity returns the configured byte capacity.
 func (f *FIFO) Capacity() int { return f.capBytes }
@@ -194,7 +173,6 @@ func (f *FIFO) Capacity() int { return f.capBytes }
 // Enqueue implements Qdisc.
 func (f *FIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	if f.bytes+p.Size() > f.capBytes {
-		f.sink.RecordDrop(now, p.Size(), uint8(DropTail))
 		for _, fn := range f.onDrop {
 			fn(now, p, DropTail)
 		}
@@ -202,16 +180,14 @@ func (f *FIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	}
 	f.q.push(p)
 	f.bytes += p.Size()
-	f.sink.RecordEnqueue(now, p.Size(), f.q.len(), f.bytes)
 	return DropNone
 }
 
 // Dequeue implements Qdisc.
-func (f *FIFO) Dequeue(now eventsim.Time) *packet.Packet {
+func (f *FIFO) Dequeue(eventsim.Time) *packet.Packet {
 	p := f.q.pop()
 	if p != nil {
 		f.bytes -= p.Size()
-		f.sink.RecordDequeue(now, p.Size(), f.q.len(), f.bytes)
 	}
 	return p
 }

@@ -258,8 +258,8 @@ func TestPriorityPerQueueTailDrop(t *testing.T) {
 	if pq.Len() != 2 || pq.Bytes() != 400 {
 		t.Fatalf("len=%d bytes=%d", pq.Len(), pq.Bytes())
 	}
-	if pq.EnqueuedTo[0] != 1 || pq.EnqueuedTo[1] != 1 {
-		t.Fatalf("EnqueuedTo = %v", pq.EnqueuedTo)
+	if pq.QueueLen(0) != 1 || pq.QueueLen(1) != 1 {
+		t.Fatalf("queue lens: %d %d", pq.QueueLen(0), pq.QueueLen(1))
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/telemetry"
 )
 
 // REDConfig parameterizes a Random Early Detection queue following
@@ -65,7 +64,6 @@ type RED struct {
 	fifo   *FIFO
 	rng    *rand.Rand
 	onDrop []DropFunc
-	sink   telemetry.Sink
 
 	avg       float64 // EWMA of the queue size in bytes
 	count     int     // packets since last early drop
@@ -100,7 +98,6 @@ func NewRED(cfg REDConfig) *RED {
 		cfg:  cfg,
 		fifo: NewFIFO(cfg.CapacityBytes),
 		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		sink: telemetry.Nop(),
 		idle: true,
 	}
 }
@@ -109,14 +106,10 @@ func NewRED(cfg REDConfig) *RED {
 // packet. Callbacks run in registration order.
 func (r *RED) OnDrop(fn DropFunc) { r.onDrop = append(r.onDrop, fn) }
 
-// SetSink implements Instrumented.
-func (r *RED) SetSink(s telemetry.Sink) { r.sink = telemetry.OrNop(s) }
-
 // AvgQueue returns the current EWMA average queue size in bytes.
 func (r *RED) AvgQueue() float64 { return r.avg }
 
 func (r *RED) drop(now eventsim.Time, p *packet.Packet, reason DropReason) DropReason {
-	r.sink.RecordDrop(now, p.Size(), uint8(reason))
 	for _, fn := range r.onDrop {
 		fn(now, p, reason)
 	}
@@ -158,7 +151,6 @@ func (r *RED) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 		r.TailDrops++
 		return r.drop(now, p, res)
 	}
-	r.sink.RecordEnqueue(now, p.Size(), r.fifo.Len(), r.fifo.Bytes())
 	r.idle = false
 	return DropNone
 }
@@ -200,9 +192,6 @@ func (r *RED) updateAverage(now eventsim.Time) {
 // Dequeue implements Qdisc.
 func (r *RED) Dequeue(now eventsim.Time) *packet.Packet {
 	p := r.fifo.Dequeue(now)
-	if p != nil {
-		r.sink.RecordDequeue(now, p.Size(), r.fifo.Len(), r.fifo.Bytes())
-	}
 	if r.fifo.Len() == 0 && !r.idle {
 		r.idle = true
 		r.idleSince = now

@@ -5,7 +5,6 @@ import (
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/telemetry"
 )
 
 // SPPIFO approximates a PIFO queue on top of strict-priority queues
@@ -26,7 +25,6 @@ type SPPIFO struct {
 	bounds []int64
 	rank   RankFunc
 	onDrop []DropFunc
-	sink   telemetry.Sink
 
 	// Inversions counts dequeued packets whose rank was lower than the
 	// highest rank dequeued before them — the SP-PIFO quality metric.
@@ -51,7 +49,6 @@ func NewSPPIFO(n, perQueueBytes int, rank RankFunc) *SPPIFO {
 		queues: make([]*FIFO, n),
 		bounds: make([]int64, n),
 		rank:   rank,
-		sink:   telemetry.Nop(),
 	}
 	for i := range s.queues {
 		s.queues[i] = NewFIFO(perQueueBytes)
@@ -61,10 +58,6 @@ func NewSPPIFO(n, perQueueBytes int, rank RankFunc) *SPPIFO {
 
 // OnDrop registers an additional drop callback.
 func (s *SPPIFO) OnDrop(fn DropFunc) { s.onDrop = append(s.onDrop, fn) }
-
-// SetSink implements Instrumented; accounting is reported at the
-// scheduler level, like Priority.
-func (s *SPPIFO) SetSink(sk telemetry.Sink) { s.sink = telemetry.OrNop(sk) }
 
 // Bounds returns a copy of the current per-queue rank bounds.
 func (s *SPPIFO) Bounds() []int64 {
@@ -88,7 +81,6 @@ func (s *SPPIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 				s.bounds[i] = r // push-up
 				s.PushUps++
 			}
-			s.sink.RecordEnqueue(now, p.Size(), s.Len(), s.Bytes())
 			return DropNone
 		}
 	}
@@ -107,12 +99,10 @@ func (s *SPPIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 		s.bounds[0] = r
 		s.PushUps++
 	}
-	s.sink.RecordEnqueue(now, p.Size(), s.Len(), s.Bytes())
 	return DropNone
 }
 
 func (s *SPPIFO) notifyDrop(now eventsim.Time, p *packet.Packet, r DropReason) {
-	s.sink.RecordDrop(now, p.Size(), uint8(r))
 	for _, fn := range s.onDrop {
 		fn(now, p, r)
 	}
@@ -122,7 +112,6 @@ func (s *SPPIFO) notifyDrop(now eventsim.Time, p *packet.Packet, r DropReason) {
 func (s *SPPIFO) Dequeue(now eventsim.Time) *packet.Packet {
 	for _, q := range s.queues {
 		if p := q.Dequeue(now); p != nil {
-			s.sink.RecordDequeue(now, p.Size(), s.Len(), s.Bytes())
 			r := s.rank(now, p)
 			if s.anyDequeued && r < s.maxDequeued {
 				s.Inversions++

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"testing"
-
-	"accturbo/internal/eventsim"
-)
+import "testing"
 
 // BenchmarkObserve is the telemetry hot-path budget benchmark: the cost
 // one instrumented packet event adds to a pipeline. CI records it into
@@ -30,21 +26,6 @@ func BenchmarkObserve(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			h.Observe(int64(i % 1_000_000))
-		}
-	})
-	b.Run("queue-sink", func(b *testing.B) {
-		q := new(QueueStats)
-		var s Sink = q
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.RecordEnqueue(eventsim.Time(i), 1500, 10, 15000)
-		}
-	})
-	b.Run("nop-sink", func(b *testing.B) {
-		s := Nop()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.RecordEnqueue(eventsim.Time(i), 1500, 10, 15000)
 		}
 	})
 }

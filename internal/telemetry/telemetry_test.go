@@ -110,49 +110,6 @@ func TestLatencyBucketsAscending(t *testing.T) {
 	NewHistogram(b) // must not panic
 }
 
-func TestQueueStatsSink(t *testing.T) {
-	q := new(QueueStats)
-	q.RecordEnqueue(0, 100, 1, 100)
-	q.RecordEnqueue(1, 200, 2, 300)
-	q.RecordDequeue(2, 100, 1, 200)
-	q.RecordDrop(3, 500, 1)
-	q.RecordDrop(4, 500, 200) // out-of-range reason folds onto last slot
-
-	s := q.Snapshot()
-	if s.EnqueuedPkts != 2 || s.EnqueuedBytes != 300 {
-		t.Fatalf("enqueued = %d/%d", s.EnqueuedPkts, s.EnqueuedBytes)
-	}
-	if s.DequeuedPkts != 1 || s.DequeuedBytes != 100 {
-		t.Fatalf("dequeued = %d/%d", s.DequeuedPkts, s.DequeuedBytes)
-	}
-	if s.DroppedPkts != 2 || s.DroppedBytes != 1000 {
-		t.Fatalf("dropped = %d/%d", s.DroppedPkts, s.DroppedBytes)
-	}
-	if s.DepthPkts != 1 || s.DepthBytes != 200 {
-		t.Fatalf("depth = %d/%d", s.DepthPkts, s.DepthBytes)
-	}
-	if q.DropsFor(1) != 1 || q.DropsFor(maxDropReasons-1) != 1 || q.DropsFor(255) != 1 {
-		t.Fatalf("per-reason drops wrong: %v", s.DropsByReason)
-	}
-}
-
-func TestNopAndTee(t *testing.T) {
-	if OrNop(nil) != Nop() {
-		t.Fatal("OrNop(nil) != Nop()")
-	}
-	q := new(QueueStats)
-	if OrNop(q) != Sink(q) {
-		t.Fatal("OrNop(s) != s")
-	}
-	tee := TeeSink{Nop(), q}
-	tee.RecordEnqueue(0, 10, 1, 10)
-	tee.RecordDequeue(0, 10, 0, 0)
-	tee.RecordDrop(0, 10, 0)
-	if s := q.Snapshot(); s.EnqueuedPkts != 1 || s.DequeuedPkts != 1 || s.DroppedPkts != 1 {
-		t.Fatal("tee did not fan out")
-	}
-}
-
 func TestRegistryText(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
