@@ -14,7 +14,8 @@
 // after its slot was reused is always a safe no-op. Scheduling through
 // ScheduleArg/AfterArg with a package-level function and a pointer
 // argument is allocation-free in steady state; the closure-taking
-// At/After remain for cold paths.
+// At/After remain for cold paths. An event the engine would run next
+// anyway can run inline instead (Advance).
 package eventsim
 
 import (
@@ -94,12 +95,16 @@ type Engine struct {
 	heap  []heapEnt
 	slots []eslot
 	free  []int32
-	// Processed counts events executed since construction.
+	// Processed counts events executed since construction, inline ones
+	// (Advance) included.
 	Processed uint64
+	// until bounds Advance: the running RunUntil's deadline, -1 (before
+	// every event time) outside RunUntil and under Step.
+	until Time
 }
 
 // New returns an engine with the clock at zero and no pending events.
-func New() *Engine { return &Engine{} }
+func New() *Engine { return &Engine{until: -1} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -346,20 +351,52 @@ func (e *Engine) fire(ent heapEnt) {
 // RunUntil executes events with timestamps <= deadline, then advances
 // the clock to deadline (if any events remain they stay queued).
 func (e *Engine) RunUntil(deadline Time) {
-	for len(e.heap) > 0 && e.heap[0].at <= deadline {
-		e.fire(e.popRoot())
+	// Deterministic Defense.Process calls this per packet, nearly always
+	// with nothing due: that path stays a compare and a store.
+	if len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.runDue(deadline)
 	}
 	if deadline != MaxTime && deadline > e.now {
 		e.now = deadline
 	}
 }
 
+// runDue fires every event due by deadline, with Advance bounded by it.
+func (e *Engine) runDue(deadline Time) {
+	outer := e.until
+	e.until = deadline
+	for len(e.heap) > 0 && e.heap[0].at <= deadline {
+		e.fire(e.popRoot())
+	}
+	e.until = outer
+}
+
 // Step executes the single earliest pending event and reports whether
-// one existed.
+// one existed. Under Step, Advance refuses: every event is queued.
 func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
+	outer := e.until
+	e.until = -1
 	e.fire(e.popRoot())
+	e.until = outer
+	return true
+}
+
+// Advance runs an event for time at inline: when at is no earlier than
+// Now, strictly earlier than every pending event and within the running
+// RunUntil's deadline, it moves the clock to at, counts the event in
+// Processed and returns true, and the caller does the event's work.
+// Otherwise it changes nothing and the caller schedules the event. That
+// event is exactly the one RunUntil would pop next, so the order, and
+// the Now, Pending and Processed every callback sees, are kept; equal
+// times go through the queue, so the seq tie-break is never needed.
+func (e *Engine) Advance(at Time) bool {
+	if at < e.now || at > e.until || len(e.heap) > 0 && at >= e.heap[0].at {
+		return false
+	}
+	e.now = at
+	e.Processed++
 	return true
 }

@@ -138,37 +138,6 @@ func TestScheduleArgOrdering(t *testing.T) {
 	}
 }
 
-// TestTimerRearm: a Timer re-arms without allocating and replaces its
-// pending occurrence.
-func TestTimerRearm(t *testing.T) {
-	e := New()
-	var fires []Time
-	tm := NewTimer(e, func(now Time, v *Engine) {
-		if v != e {
-			t.Fatal("timer delivered wrong value")
-		}
-		fires = append(fires, now)
-	}, e)
-	tm.Arm(10)
-	tm.Arm(20) // replaces the pending occurrence
-	if !tm.Armed() {
-		t.Fatal("timer not armed")
-	}
-	e.Run()
-	if len(fires) != 1 || fires[0] != 20 {
-		t.Fatalf("fires = %v, want [20]", fires)
-	}
-	if tm.Armed() {
-		t.Fatal("timer still armed after firing")
-	}
-	tm.ArmAfter(5)
-	tm.Stop()
-	e.Run()
-	if len(fires) != 1 {
-		t.Fatalf("stopped timer fired: %v", fires)
-	}
-}
-
 // TestScheduleArgZeroAlloc is the regression gate on the scheduler fast
 // path: scheduling with a package-level ArgFunc and a pointer argument,
 // then firing, must not allocate in steady state. A regression here
@@ -197,22 +166,6 @@ func TestScheduleArgZeroAlloc(t *testing.T) {
 }
 
 func nopArg(Time, any) {}
-
-// TestTimerZeroAlloc: the typed timer's arm/fire cycle is
-// allocation-free after construction.
-func TestTimerZeroAlloc(t *testing.T) {
-	e := New()
-	tm := NewTimer(e, func(Time, *Engine) {}, e)
-	tm.ArmAfter(1)
-	e.Run()
-	allocs := testing.AllocsPerRun(1000, func() {
-		tm.ArmAfter(1)
-		e.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("Timer arm/fire allocates %v per op, want 0", allocs)
-	}
-}
 
 func BenchmarkEngineSchedule(b *testing.B) {
 	e := New()

@@ -99,18 +99,16 @@ func thresholdFor(rateBits float64, pktBytes int, window eventsim.Time) uint64 {
 // a switch that becomes a black hole for ReprogramTime at t = 60 s
 // (program swap), then forwards again.
 func runProgramSwap(seed int64, end eventsim.Time) *netsim.Recorder {
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(hwLink)), hwLink, rec)
 	swapStart := end / 2
 	swapEnd := swapStart + 11_500*eventsim.Millisecond
-	port.AddIngress(func(now eventsim.Time, p *packet.Packet) bool {
-		return now < swapStart || now >= swapEnd
-	})
 	bg := traffic.NewBackground(traffic.BackgroundConfig{
 		Rate: hwBgRate, Start: 0, End: end, Seed: seed,
 	})
-	netsim.Replay(eng, bg, port)
-	eng.RunUntil(end)
-	return rec
+	return replay(bg, end, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(hwLink)), hwLink, rec)
+		port.AddIngress(func(now eventsim.Time, p *packet.Packet) bool {
+			return now < swapStart || now >= swapEnd
+		})
+		return port
+	})
 }

@@ -197,36 +197,52 @@ func (p *Port) Inject(now eventsim.Time, pkt *packet.Packet) {
 
 // pump starts transmitting if the line is idle.
 func (p *Port) pump(now eventsim.Time) {
+	if tx := p.startTx(now); tx > 0 {
+		p.eng.AfterArg(tx, portTxDone, p)
+	}
+}
+
+// startTx puts the qdisc's next packet on the wire if the line is idle
+// and up, and returns its serialization time (≥ 1 ns), or 0 if none.
+func (p *Port) startTx(now eventsim.Time) eventsim.Time {
 	if p.busy || p.down {
-		return
+		return 0
 	}
 	pkt := p.qdisc.Dequeue(now)
 	if pkt == nil {
-		return
+		return 0
 	}
 	p.busy = true
 	p.inflight = pkt
-	txTime := eventsim.Time(float64(pkt.Size()*8) / p.rate * float64(eventsim.Second))
-	if txTime < 1 {
-		txTime = 1
-	}
-	p.eng.AfterArg(txTime, portTxDone, p)
+	return max(eventsim.Time(float64(pkt.Size()*8)/p.rate*float64(eventsim.Second)), 1)
 }
 
-// portTxDone completes one serialization: the event argument is the
-// Port, the packet rides in Port.inflight, so the per-packet transmit
-// event is allocation-free.
+// portTxDone completes serializations: the event argument is the Port
+// and the packet rides in Port.inflight, so the event is allocation-free.
+// It goes on while the next one is the engine's next event (Advance). A
+// Delivered hook that injected into this port has already started the
+// next transmission, and startTx finds the line busy.
 func portTxDone(t eventsim.Time, arg any) {
 	p := arg.(*Port)
-	pkt := p.inflight
-	p.inflight = nil
-	p.busy = false
-	p.acct.Delivered(t, pkt)
-	if p.Delivered != nil {
-		p.Delivered(t, pkt)
+	for {
+		pkt := p.inflight
+		p.inflight = nil
+		p.busy = false
+		p.acct.Delivered(t, pkt)
+		if p.Delivered != nil {
+			p.Delivered(t, pkt)
+		}
+		p.release(pkt)
+		tx := p.startTx(t)
+		if tx == 0 {
+			return
+		}
+		t += tx
+		if !p.eng.Advance(t) {
+			p.eng.ScheduleArg(t, portTxDone, p)
+			return
+		}
 	}
-	p.release(pkt)
-	p.pump(t)
 }
 
 // Replay schedules every packet of src as an arrival at the port,

@@ -237,6 +237,34 @@ func BenchmarkReplayFIFO(b *testing.B) {
 	}
 }
 
+// TestReplayFIFOSteadyStateAllocFree is BenchmarkReplayFIFO's allocation
+// gate. Offered at twice the line rate, about every other arrival runs
+// inline between two departures and the full FIFO tail-drops; once the
+// pool, the queue and the engine's arena are warm, a pooled replay
+// through the recorded port allocates nothing at all.
+func TestReplayFIFOSteadyStateAllocFree(t *testing.T) {
+	eng := eventsim.New()
+	rec := NewRecorder(60 * eventsim.Second) // one bin for the whole run
+	port := NewPort(eng, queue.NewFIFO(100_000), 10e6, rec)
+	src := cbr(0, 10*eventsim.Second, 20e6, packet.Benign, 1)
+	pool := packet.NewPool()
+	traffic.AttachPool(src, pool)
+	port.SetPool(pool)
+	Replay(eng, src, port)
+	eng.RunUntil(eventsim.Second)
+	arrived, dropped := rec.ArrivedBenign(), rec.DroppedBenign()
+	// One measured run (after AllocsPerRun's warm-up run) of 500 ms, so
+	// the count is exact rather than an average rounded down.
+	allocs := testing.AllocsPerRun(1, func() { eng.RunUntil(eng.Now() + 500*eventsim.Millisecond) })
+	n := rec.ArrivedBenign() - arrived
+	if allocs != 0 {
+		t.Fatalf("500 ms of replay allocates %.0f times", allocs)
+	}
+	if n < 4000 || rec.DroppedBenign()-dropped < n/4 {
+		t.Fatalf("replay did not run as designed: %d arrivals, %d drops", n, rec.DroppedBenign()-dropped)
+	}
+}
+
 func TestFIFONeverReorders(t *testing.T) {
 	eng := eventsim.New()
 	rec := NewRecorder(eventsim.Second)

@@ -39,8 +39,8 @@ func FanIn(eng *eventsim.Engine, src traffic.Source, ports []*Port, route func(p
 		panic("netsim: FanIn with no ports")
 	}
 	if first, ok := src.Next(); ok {
-		f := &fanIn{eng: eng, src: src, ports: ports, route: route}
-		f.schedule(first)
+		f := &fanIn{eng: eng, src: src, ports: ports, route: route, pending: first}
+		eng.ScheduleArg(max(first.At, eng.Now()), fanInStep, f)
 	}
 }
 
@@ -54,23 +54,26 @@ type fanIn struct {
 	pending traffic.TimedPacket
 }
 
-func (f *fanIn) schedule(tp traffic.TimedPacket) {
-	at := tp.At
-	if at < f.eng.Now() {
-		at = f.eng.Now()
-	}
-	f.pending = tp
-	f.eng.ScheduleArg(at, fanInStep, f)
-}
-
+// fanInStep injects the pending packet and each next one that is the
+// engine's next event (Advance), and schedules the first that is not. A
+// packet stamped in the past arrives now.
 func fanInStep(now eventsim.Time, arg any) {
 	f := arg.(*fanIn)
-	i := 0
-	if f.route != nil {
-		i = min(max(f.route(f.pending.Pkt), 0), len(f.ports)-1)
-	}
-	f.ports[i].Inject(now, f.pending.Pkt)
-	if next, ok := f.src.Next(); ok {
-		f.schedule(next)
+	for {
+		i := 0
+		if f.route != nil {
+			i = min(max(f.route(f.pending.Pkt), 0), len(f.ports)-1)
+		}
+		f.ports[i].Inject(now, f.pending.Pkt)
+		next, ok := f.src.Next()
+		if !ok {
+			return
+		}
+		f.pending = next
+		now = max(next.At, now)
+		if !f.eng.Advance(now) {
+			f.eng.ScheduleArg(now, fanInStep, f)
+			return
+		}
 	}
 }

@@ -110,9 +110,10 @@ func PulseWave(linkRate float64, pulseRate float64, pulseLen eventsim.Time, morp
 	for i, at := range starts {
 		var pulse Source
 		if morphing {
+			// Every pulse counts as the one attack aggregate of Fig. 3.
 			v := vectors[i]
+			v.Spec.FlowID = AggAttack
 			pulse = v.Flood(at, at+pulseLen, pulseRate, packet.V4Addr{10, 250, byte(5 + i), byte(i)}, 0, int64(211+i))
-			pulse = relabelFlow(pulse, AggAttack)
 		} else {
 			spec := attackSpec()
 			pulse = NewCBR(at, at+pulseLen, pulseRate, spec.Factory(int64(211+i)))
@@ -130,29 +131,6 @@ func VectorsMust(name string) Vector {
 		panic(err)
 	}
 	return v
-}
-
-// relabelFlow forces the FlowID of every packet, so the harness can
-// attribute morphing pulses to the single "attack" aggregate of Fig. 3.
-func relabelFlow(s Source, id uint32) Source {
-	return &flowRelabel{s: s, id: id}
-}
-
-type flowRelabel struct {
-	s  Source
-	id uint32
-}
-
-// SetPool implements Pooled by forwarding.
-func (f *flowRelabel) SetPool(pool *packet.Pool) { AttachPool(f.s, pool) }
-
-func (f *flowRelabel) Next() (TimedPacket, bool) {
-	tp, ok := f.s.Next()
-	if !ok {
-		return TimedPacket{}, false
-	}
-	tp.Pkt.FlowID = f.id
-	return tp, true
 }
 
 // AttackVariation selects the Table 3 attack shapes.

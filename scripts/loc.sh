@@ -7,7 +7,7 @@
 # edit to this file that shows in a diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-ceiling=21395
+ceiling=21358
 count() { find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l; }
 total=$(count .)
 echo "non-test Go outside benchmark/: $total"
