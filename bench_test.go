@@ -18,6 +18,7 @@ package accturbo
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"accturbo/internal/experiments"
 )
@@ -193,10 +194,7 @@ func BenchmarkDefenseProcess(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Clustering.SliceInit = true
 	d := build(b, NewDefense, cfg)
-	pkts := make([]*Packet, 256)
-	for i := range pkts {
-		pkts[i] = benignPacket(i)
-	}
+	pkts := benignPackets(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -211,10 +209,7 @@ func BenchmarkDefenseProcessExhaustive(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Clustering.Search = SearchExhaustive
 	d := build(b, NewDefense, cfg)
-	pkts := make([]*Packet, 256)
-	for i := range pkts {
-		pkts[i] = benignPacket(i)
-	}
+	pkts := benignPackets(256)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,7 +222,7 @@ func BenchmarkDefenseProcessExhaustive(b *testing.B) {
 // shard-lock round and one telemetry flush per batch instead of per
 // packet. Reported per packet for direct comparison with
 // BenchmarkDefenseProcess; the steady-state path is allocation-free
-// (gated by TestObserveBatchZeroAlloc in internal/core).
+// (gated by TestDefenseObserveBatchZeroAlloc).
 func BenchmarkObserveBatch(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
@@ -242,10 +237,7 @@ func BenchmarkObserveBatch(b *testing.B) {
 				d = build(b, NewDefense, cfg)
 			}
 			const batch = 256
-			pkts := make([]*Packet, batch)
-			for i := range pkts {
-				pkts[i] = benignPacket(i)
-			}
+			pkts := benignPackets(batch)
 			queues := make([]int, batch)
 			d.ObserveBatch(0, pkts, queues) // warm clusterers and scratch
 			b.ReportAllocs()
@@ -254,6 +246,75 @@ func BenchmarkObserveBatch(b *testing.B) {
 				d.ObserveBatch(0, pkts, queues)
 			}
 		})
+	}
+}
+
+// quietDefense is the pipeline of BenchmarkDefenseProcess (shards == 0)
+// or of BenchmarkDefenseSharded and BenchmarkObserveBatch (real time at
+// that many shards), warmed on pkts, with a poll interval no test
+// outlives: what the zero-alloc twins below count is the packet path,
+// not the control loop's allocations on another goroutine.
+func quietDefense(t *testing.T, shards int, pkts []*Packet) *Defense {
+	cfg := DefaultConfig()
+	cfg.Clustering.SliceInit = true
+	cfg.PollInterval = FromDuration(time.Hour)
+	newDefense := NewDefense
+	if shards > 0 {
+		cfg.Shards = shards
+		newDefense = NewRealTimeDefense
+	}
+	d := build(t, newDefense, cfg)
+	t.Cleanup(d.Close)
+	for _, p := range pkts {
+		d.Process(0, p)
+	}
+	return d
+}
+
+// benignPackets is the working set the Defense benchmarks cycle through.
+func benignPackets(n int) []*Packet {
+	pkts := make([]*Packet, n)
+	for i := range pkts {
+		pkts[i] = benignPacket(i)
+	}
+	return pkts
+}
+
+// TestProcessZeroAlloc holds Defense.Process to the 0 allocs/op of
+// BenchmarkDefenseProcess and every BenchmarkDefenseSharded row: a warm
+// pipeline classifies a packet without allocating, deterministic or
+// real time at any shard count.
+func TestProcessZeroAlloc(t *testing.T) {
+	pkts := benignPackets(1024)
+	for _, shards := range []int{0, 1, 2, 4, 8} {
+		d := quietDefense(t, shards, pkts)
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, p := range pkts {
+				d.Process(0, p)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("shards=%d (0 = deterministic): Process allocates %v per %d packets, want 0", shards, allocs, len(pkts))
+		}
+	}
+}
+
+// TestDefenseObserveBatchZeroAlloc holds the facade's ObserveBatch to
+// BenchmarkObserveBatch's 0 allocs/op, at its shard counts (the
+// Dataplane underneath is internal/core's TestObserveBatchZeroAlloc).
+func TestDefenseObserveBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector randomizes sync.Pool retention; scratch reuse is not guaranteed")
+	}
+	pkts := benignPackets(256)
+	queues := make([]int, len(pkts))
+	for _, shards := range []int{0, 4} {
+		d := quietDefense(t, shards, pkts)
+		d.ObserveBatch(0, pkts, queues) // warm the batch scratch
+		allocs := testing.AllocsPerRun(100, func() { d.ObserveBatch(0, pkts, queues) })
+		if allocs != 0 {
+			t.Errorf("shards=%d (0 = deterministic): ObserveBatch allocates %v per batch, want 0", shards, allocs)
+		}
 	}
 }
 
@@ -290,10 +351,7 @@ func BenchmarkDefenseSharded(b *testing.B) {
 			cfg.Shards = shards
 			d := build(b, NewRealTimeDefense, cfg)
 			defer d.Close()
-			pkts := make([]*Packet, 1024)
-			for i := range pkts {
-				pkts[i] = benignPacket(i)
-			}
+			pkts := benignPackets(1024)
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

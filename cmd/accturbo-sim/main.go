@@ -13,7 +13,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"accturbo/internal/acc"
@@ -37,7 +36,7 @@ func main() {
 	clusters := flag.Int("clusters", 10, "ACC-Turbo cluster count")
 	csv := flag.Bool("csv", false, "print per-second series as CSV")
 	flag.Parse()
-	if err := checkRates(*link, *duration); err != nil {
+	if err := traffic.CheckRates(*link, *duration); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -164,19 +163,5 @@ func buildDefense(eng *eventsim.Engine, name string, link float64, rec *netsim.R
 		return fmt.Errorf("unknown defense %q", name)
 	}
 	netsim.Replay(eng, src, port)
-	return nil
-}
-
-// checkRates refuses the -link and -duration values the traffic
-// generators panic or spin on: zero, negative, NaN, infinite.
-func checkRates(link, duration float64) error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"-link", link}, {"-duration", duration}} {
-		if !(f.v > 0) || math.IsInf(f.v, 1) {
-			return fmt.Errorf("%s %v: must be positive and finite", f.name, f.v)
-		}
-	}
 	return nil
 }

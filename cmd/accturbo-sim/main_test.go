@@ -1,30 +1,44 @@
 package main
 
 import (
-	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
-// TestCheckRates: the flag values that used to reach a generator's panic
-// (or, for NaN, a loop that never ends) are refused where they are parsed.
+// TestMain lets TestCheckRates run the real main — flag parsing and exit
+// codes included — by re-executing the test binary.
+func TestMain(m *testing.M) {
+	if os.Getenv("ACCTURBO_SIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestCheckRates: the CLI hands -link and -duration to
+// traffic.CheckRates before building a scenario, so a value that would
+// panic or spin is a one-line usage error with exit 2. The full table of
+// refused values is traffic's TestCheckRates.
 func TestCheckRates(t *testing.T) {
 	for _, c := range []struct {
-		link, duration float64
-		ok             bool
+		args []string
+		exit int
+		want string // a substring of stdout+stderr
 	}{
-		{10e6, 30, true},
-		{1, 0.001, true},
-		{0, 30, false},
-		{-10e6, 30, false},
-		{math.NaN(), 30, false},
-		{math.Inf(1), 30, false},
-		{10e6, 0, false},
-		{10e6, -3, false},
-		{10e6, math.NaN(), false},
-		{10e6, math.Inf(1), false},
+		{[]string{"-link", "NaN"}, 2, "-link"},
+		{[]string{"-duration", "0"}, 2, "-duration"},
+		{[]string{"-defense", "fifo", "-link", "1e6", "-duration", "1"}, 0, "scenario=pulsewave defense=fifo"},
 	} {
-		if err := checkRates(c.link, c.duration); (err == nil) != c.ok {
-			t.Errorf("checkRates(%v, %v) = %v, want ok=%v", c.link, c.duration, err, c.ok)
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "ACCTURBO_SIM_MAIN=1")
+		got, err := cmd.CombinedOutput()
+		if code := cmd.ProcessState.ExitCode(); code != c.exit || !strings.Contains(string(got), c.want) {
+			t.Errorf("%v: exit %d (%v), want %d with %q in:\n%s", c.args, code, err, c.exit, c.want, got)
+		}
+		if c.exit != 0 && strings.Count(strings.TrimSpace(string(got)), "\n") != 0 {
+			t.Errorf("%v: a usage error should be one line, got:\n%s", c.args, got)
 		}
 	}
 }

@@ -10,7 +10,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
 	"accturbo/internal/eventsim"
@@ -26,7 +25,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "traffic seed")
 	limit := flag.Int("limit", 0, "cap the number of packets (0 = no cap)")
 	flag.Parse()
-	if err := checkRates(*link, *duration); err != nil {
+	if err := traffic.CheckRates(*link, *duration); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -83,18 +82,4 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %d packets (%d bytes of traffic) to %s\n", n, bytes, *out)
-}
-
-// checkRates refuses the -link and -duration values the traffic
-// generators panic or spin on: zero, negative, NaN, infinite.
-func checkRates(link, duration float64) error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"-link", link}, {"-duration", duration}} {
-		if !(f.v > 0) || math.IsInf(f.v, 1) {
-			return fmt.Errorf("%s %v: must be positive and finite", f.name, f.v)
-		}
-	}
-	return nil
 }

@@ -10,12 +10,13 @@ import (
 	"accturbo/internal/pcap"
 )
 
-// Ingest-path benchmarks: the numbers behind the README Mpps headline
-// and the BENCH_ingest.json baseline the CI trend gate protects. Both
-// report amortized ns per packet through the SPSC ring pipeline —
-// producer work, hand-off, and the per-shard classifying consumer all
-// included (they share the CPU, exactly as a deployment's offered load
-// would see it).
+// Ingest-path benchmarks, for profiling (the measured numbers are
+// benchmark/'s). Both report amortized ns per packet through the SPSC
+// ring pipeline — producer work, hand-off, and the per-shard classifying
+// consumer all included (they share the CPU, exactly as a deployment's
+// offered load would see it). Their zero allocations are
+// TestOfferFrameZeroAlloc's, with internal/pcap's
+// TestMappedReaderZeroAlloc for the replay's reader.
 
 // benchDefense builds a real-time pipeline with the bounded ingest
 // stage enabled, mirroring cmd/accturbo-defend's replay setup.

@@ -228,7 +228,10 @@ func TestIngestHealthDepth(t *testing.T) {
 }
 
 // TestOfferFrameZeroAlloc gates the wire-speed producer hot path:
-// parse, shard, push, and batched publish allocate nothing.
+// parse, shard, push, and batched publish allocate nothing
+// (BenchmarkIngestOfferFrame). BenchmarkReplayFrames is this path fed by
+// a pcap.MappedReader, whose iteration internal/pcap's
+// TestMappedReaderZeroAlloc holds to zero allocations as well.
 func TestOfferFrameZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

@@ -102,6 +102,18 @@ func TestHotZeroAndNil(t *testing.T) {
 	h.Store(nil)
 }
 
+// TestHotLoadZeroAlloc: BenchmarkHotLoad's read allocates nothing.
+func TestHotLoadZeroAlloc(t *testing.T) {
+	var h Hot[[]int]
+	v := make([]int, 16)
+	h.Store(&v)
+	i, sink := 0, 0
+	if a := testing.AllocsPerRun(1000, func() { sink += (*h.Load())[i&15]; i++ }); a != 0 {
+		t.Fatalf("Hot.Load allocates %v per read, want 0", a)
+	}
+	_ = sink
+}
+
 // BenchmarkHotLoad measures the hot-path read: one atomic pointer load,
 // the cost every packet pays to see the live queue mapping and every
 // control-loop tick pays to see the live runtime config.

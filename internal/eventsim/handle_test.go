@@ -140,8 +140,9 @@ func TestScheduleArgOrdering(t *testing.T) {
 
 // TestScheduleArgZeroAlloc is the regression gate on the scheduler fast
 // path: scheduling with a package-level ArgFunc and a pointer argument,
-// then firing, must not allocate in steady state. A regression here
-// fails tests, not just benchmarks.
+// then firing, must not allocate in steady state, and neither must At
+// with a closure that captures nothing. It holds BenchmarkEngineSchedule
+// and BenchmarkEngineScheduleClosure to their 0 allocs/op.
 func TestScheduleArgZeroAlloc(t *testing.T) {
 	e := New()
 	// Warm the arenas so amortized growth is excluded.
@@ -162,6 +163,14 @@ func TestScheduleArgZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ScheduleArg+Cancel allocates %v per op, want 0", allocs)
+	}
+	fn := func(Time) {}
+	allocs = testing.AllocsPerRun(1000, func() {
+		e.At(e.Now(), fn)
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("At+Step allocates %v per op, want 0", allocs)
 	}
 }
 

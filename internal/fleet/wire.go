@@ -30,7 +30,6 @@
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -126,7 +125,7 @@ func begin(msgType uint8, n int) frame.Enc {
 // finish closes a frame begun with begin: the payload length goes into
 // the header and the CRC over everything before it goes on the end.
 func finish(e frame.Enc) []byte {
-	binary.LittleEndian.PutUint32(e.B[headerLen-4:], uint32(len(e.B)-headerLen))
+	e.PutU32(headerLen-4, uint32(len(e.B)-headerLen))
 	e.U32(crc32.ChecksumIEEE(e.B))
 	return e.B
 }

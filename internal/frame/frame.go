@@ -35,6 +35,10 @@ func (e *Enc) I64(v int64)   { e.U64(uint64(v)) }
 func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
 func (e *Enc) Raw(b []byte)  { e.B = append(e.B, b...) }
 
+// PutU32 overwrites the u32 at byte off of what has been written: a
+// length field reserved in a header and filled in once the body is known.
+func (e *Enc) PutU32(off int, v uint32) { binary.LittleEndian.PutUint32(e.B[off:], v) }
+
 // Bool writes one byte, 1 or 0.
 func (e *Enc) Bool(v bool) {
 	var b uint8

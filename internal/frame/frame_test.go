@@ -23,7 +23,7 @@ func TestEncDecRoundTrip(t *testing.T) {
 	var e Enc
 	e.U8(0xab)
 	e.U16(0xbeef)
-	e.U32(0xdeadbeef)
+	e.U32(0) // reserved, filled in by PutU32 below
 	e.U64(1<<63 | 5)
 	e.I64(-7)
 	e.F64(math.Pi)
@@ -34,6 +34,11 @@ func TestEncDecRoundTrip(t *testing.T) {
 	e.U64s([]uint64{9, math.MaxUint64})
 	e.F64s([]float64{-1.5, math.Inf(1)})
 	e.Ints(nil)
+	n := len(e.B)
+	e.PutU32(3, 0xdeadbeef)
+	if len(e.B) != n {
+		t.Fatalf("PutU32 changed the length %d → %d, want it to overwrite in place", n, len(e.B))
+	}
 
 	// The layout is little-endian and exactly as wide as the types.
 	if want := []byte{0xab, 0xef, 0xbe, 0xef, 0xbe, 0xad, 0xde}; !bytes.HasPrefix(e.B, want) {

@@ -180,24 +180,26 @@ func TestFrameViewAccessors(t *testing.T) {
 }
 
 // TestDecodeFeaturesZeroAlloc is the allocation gate on the fused fast
-// path, accept and reject alike.
+// path, accept and reject alike, on the simulator's feature set and on
+// the hardware set BenchmarkDecodeFeatures decodes.
 func TestDecodeFeaturesZeroAlloc(t *testing.T) {
 	frames := fusedTestFrames(t)
-	fs := DefaultSimulationFeatures()
-	dst := make([]uint32, len(fs))
 	junk := []byte{0x60, 0, 0, 0}
-	allocs := testing.AllocsPerRun(200, func() {
-		for _, frame := range frames {
-			if _, err := DecodeFeatures(frame, fs, dst); err != nil {
-				t.Fatal(err)
+	for _, fs := range []FeatureSet{DefaultSimulationFeatures(), HardwareFeatures()} {
+		dst := make([]uint32, len(fs))
+		allocs := testing.AllocsPerRun(200, func() {
+			for _, frame := range frames {
+				if _, err := DecodeFeatures(frame, fs, dst); err != nil {
+					t.Fatal(err)
+				}
 			}
+			if _, err := DecodeFeatures(junk, fs, dst); err == nil {
+				t.Fatal("junk accepted")
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("DecodeFeatures over %d features allocates %v per run, want 0", len(fs), allocs)
 		}
-		if _, err := DecodeFeatures(junk, fs, dst); err == nil {
-			t.Fatal("junk accepted")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("DecodeFeatures allocates %v per run, want 0", allocs)
 	}
 }
 

@@ -259,7 +259,8 @@ func TestCloseWhileOffering(t *testing.T) {
 }
 
 // TestRingZeroAlloc gates the hot path: steady-state push/pop traffic
-// allocates nothing on either side.
+// allocates nothing on either side, batched (BenchmarkRingBatched) or
+// one item at a time (BenchmarkRingTryPushPop).
 func TestRingZeroAlloc(t *testing.T) {
 	r := New[uint64](256)
 	dst := make([]uint64, 32)
@@ -285,6 +286,17 @@ func TestRingZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ring hot path allocates %v per run, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(200, func() {
+		if !r.TryPush(7) {
+			t.Fatal("push failed")
+		}
+		if _, ok := r.Pop(); !ok {
+			t.Fatal("pop failed")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("TryPush+Pop allocates %v per item, want 0", allocs)
+	}
 }
 
 // BenchmarkRingBatched measures the batched produce/consume cycle a
@@ -307,8 +319,8 @@ func BenchmarkRingBatched(b *testing.B) {
 	}
 }
 
-// BenchmarkRingTryPushPop is the unbatched per-item cycle, for the
-// trend file's view of the publish-per-item cost.
+// BenchmarkRingTryPushPop is the unbatched per-item cycle: what
+// publishing every item costs against BenchmarkRingBatched.
 func BenchmarkRingTryPushPop(b *testing.B) {
 	r := New[uint64](1024)
 	b.ReportAllocs()

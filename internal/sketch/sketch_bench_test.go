@@ -8,8 +8,8 @@ import (
 // Benchmarks run at the Jaqen default geometry (4 rows × 65536 cols)
 // over a pre-generated uniform key stream, so the ns/op numbers are
 // directly comparable across the reference ([][]uint64 + per-row FNV)
-// and turbo (blocked + one mix per key) layouts. BENCH_sketch.json pins them under the CI trend gate;
-// TestSketchHotPathsAllocFree pins the zero-alloc claims.
+// and turbo (blocked + one mix per key) layouts. They are for profiling;
+// TestSketchHotPathsAllocFree pins their zero-alloc claims.
 
 const benchRows, benchCols = 4, 65536
 
@@ -56,15 +56,20 @@ func BenchmarkTopKOffer(b *testing.B) {
 	}
 }
 
-// TestSketchHotPathsAllocFree gates the zero-alloc claims directly
-// (the bench-trend gate checks allocs/op too; this fails faster and
-// without -bench).
+// TestSketchHotPathsAllocFree gates the zero-alloc claims of every
+// BenchmarkCountMinAdd row and of BenchmarkTopKOffer.
 func TestSketchHotPathsAllocFree(t *testing.T) {
 	keys := benchKeys(1 << 10)
 
-	tc := NewTurboCountMin(benchRows, 4096, true)
-	if a := testing.AllocsPerRun(100, func() { tc.Add(keys[0], 1); tc.Estimate(keys[1]) }); a != 0 {
-		t.Fatalf("TurboCountMin Add/Estimate: %.1f allocs/op", a)
+	for _, cu := range []bool{false, true} {
+		tc := NewTurboCountMin(benchRows, 4096, cu)
+		if a := testing.AllocsPerRun(100, func() { tc.Add(keys[0], 1); tc.Estimate(keys[1]) }); a != 0 {
+			t.Fatalf("TurboCountMin (conservative=%v) Add/Estimate: %.1f allocs/op", cu, a)
+		}
+	}
+	ref := NewReferenceCountMin(benchRows, 4096)
+	if a := testing.AllocsPerRun(100, func() { ref.Add(keys[0], 1); ref.Estimate(keys[1]) }); a != 0 {
+		t.Fatalf("ReferenceCountMin Add/Estimate: %.1f allocs/op", a)
 	}
 	tk := NewTopK(16, benchRows, 4096, 1)
 	for i, k := range keys {

@@ -3,9 +3,8 @@ package telemetry
 import "testing"
 
 // BenchmarkObserve is the telemetry hot-path budget benchmark: the cost
-// one instrumented packet event adds to a pipeline. CI records it into
-// BENCH_telemetry.json so future PRs can diff (budget: ≤ a few ns/op,
-// 0 allocs/op).
+// one instrumented packet event adds to a pipeline (budget: ≤ a few
+// ns/op; TestObserveZeroAlloc pins its 0 allocs/op).
 func BenchmarkObserve(b *testing.B) {
 	b.Run("counter", func(b *testing.B) {
 		var c Counter
@@ -28,6 +27,27 @@ func BenchmarkObserve(b *testing.B) {
 			h.Observe(int64(i % 1_000_000))
 		}
 	})
+}
+
+// TestObserveZeroAlloc: recording a packet event into a counter, a
+// striped counter or a histogram allocates nothing.
+func TestObserveZeroAlloc(t *testing.T) {
+	var c Counter
+	v := NewVecCounter(10, 8)
+	h := NewHistogram(LatencyBuckets())
+	i := 0
+	for _, row := range []struct {
+		name string
+		fn   func()
+	}{
+		{"counter", func() { c.Inc() }},
+		{"vec-counter", func() { v.Add(3, i%10, 1) }},
+		{"histogram", func() { h.Observe(int64(i % 1_000_000)) }},
+	} {
+		if a := testing.AllocsPerRun(1000, func() { row.fn(); i++ }); a != 0 {
+			t.Errorf("%s: %v allocs per event, want 0", row.name, a)
+		}
+	}
 }
 
 // BenchmarkVecCounterParallel measures contention behaviour: every

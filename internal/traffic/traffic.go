@@ -12,6 +12,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
@@ -56,6 +57,21 @@ func AttachPool(s Source, pool *packet.Pool) {
 // A non-positive return pauses the source; pacing resumes at the next
 // profile point.
 type RateFunc func(t eventsim.Time) float64
+
+// CheckRates refuses the link rate (bits/s) and duration (s) values the
+// generators panic or spin on: zero, negative, NaN, infinite. The
+// commands check their -link and -duration flags with it.
+func CheckRates(link, duration float64) error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"-link", link}, {"-duration", duration}} {
+		if !(f.v > 0) || math.IsInf(f.v, 1) {
+			return fmt.Errorf("%s %v: must be positive and finite", f.name, f.v)
+		}
+	}
+	return nil
+}
 
 // rated paces packets from a factory according to a rate function.
 type rated struct {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -545,6 +546,32 @@ func TestQuickCBRRate(t *testing.T) {
 	}
 	if err := quick.Check(f, quickConfig(50)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCheckRates: the -link and -duration values that used to reach a
+// generator's panic (or, for NaN, a loop that never ends) are refused,
+// and the error names the flag.
+func TestCheckRates(t *testing.T) {
+	for _, c := range []struct {
+		link, duration float64
+		bad            string // the flag the error names; "" = accepted
+	}{
+		{10e6, 30, ""},
+		{1, 0.001, ""},
+		{0, 30, "-link"},
+		{-10e6, 30, "-link"},
+		{math.NaN(), 30, "-link"},
+		{math.Inf(1), 30, "-link"},
+		{10e6, 0, "-duration"},
+		{10e6, -3, "-duration"},
+		{10e6, math.NaN(), "-duration"},
+		{10e6, math.Inf(1), "-duration"},
+	} {
+		err := CheckRates(c.link, c.duration)
+		if (err == nil) != (c.bad == "") || err != nil && !strings.HasPrefix(err.Error(), c.bad+" ") {
+			t.Errorf("CheckRates(%v, %v) = %v, want an error naming %q", c.link, c.duration, err, c.bad)
+		}
 	}
 }
 
