@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"slices"
 	"sort"
@@ -23,12 +25,16 @@ type capturedPacket struct {
 // captureStream yields the capture with packet-level faults applied:
 // injected drops vanish here, duplicates appear back to back as distinct
 // packets, and corruption mutates headers in place — all deterministic
-// under -chaos-seed. Every mode but -replay reads its traffic here.
+// under -chaos-seed. Every mode but -replay reads its traffic here. A
+// frame that is not an IPv4 packet is skipped and counted, like -replay's
+// malformed frames; any other read error ends the process with exit 1,
+// so a report never covers a silently truncated capture.
 type captureStream struct {
 	r        *pcap.Reader         // nil: nothing to replay (-restore without -in)
 	injector *faults.Injector     // nil: no packet-level faults
 	tap      func(capturedPacket) // nil, or sees every packet yielded
 	pending  []capturedPacket     // duplicates waiting to be yielded
+	skipped  int                  // malformed frames passed over
 }
 
 func (s *captureStream) next() (capturedPacket, bool) {
@@ -47,8 +53,18 @@ func (s *captureStream) pull() (capturedPacket, bool) {
 	}
 	for s.r != nil {
 		at, p, err := s.r.Next()
-		if err != nil {
-			break
+		switch {
+		case err == io.EOF:
+			if s.skipped > 0 {
+				fmt.Fprintf(os.Stderr, "skipped %d malformed frames in %s\n", s.skipped, *in)
+			}
+			s.r = nil
+			continue
+		case errors.Is(err, packet.ErrTooShort), errors.Is(err, packet.ErrBadVersion), errors.Is(err, packet.ErrBadLength):
+			s.skipped++
+			continue
+		case err != nil:
+			fatal(1, err)
 		}
 		c := capturedPacket{at: at.Duration(), pkt: p}
 		if s.injector != nil {

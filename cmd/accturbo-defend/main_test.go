@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -74,6 +75,83 @@ func TestFlagEdges(t *testing.T) {
 		}
 		if c.exit != 0 && strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
 			t.Errorf("%v: a usage error should be one line, got:\n%s", c.args, out)
+		}
+	}
+}
+
+// handCapture writes a nanosecond raw-IP capture holding frames as they
+// are, one a millisecond, then cuts trunc bytes off its end, and returns
+// its path.
+func handCapture(t *testing.T, trunc int, frames ...[]byte) string {
+	var img bytes.Buffer
+	w, err := pcap.NewNanoWriter(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range frames {
+		var hdr [16]byte
+		binary.LittleEndian.PutUint32(hdr[4:], uint32(i)*1e6)
+		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(f)))
+		binary.LittleEndian.PutUint32(hdr[12:], uint32(len(f)))
+		img.Write(hdr[:])
+		img.Write(f)
+	}
+	path := filepath.Join(t.TempDir(), "hand.pcap")
+	if err := os.WriteFile(path, img.Bytes()[:img.Len()-trunc], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// udpFrame is the wire image of a small valid UDP packet.
+func udpFrame(t *testing.T, id uint16) []byte {
+	p := accturbo.Packet{
+		SrcIP: accturbo.V4(10, 0, 0, 1), DstIP: accturbo.V4(198, 18, 0, 1),
+		Protocol: 17, SrcPort: 5000, DstPort: 53, TTL: 64, ID: id, Length: 100,
+	}
+	b := make([]byte, p.WireLen())
+	if err := p.MarshalTo(b); err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestMalformedCapture: every capture-streaming mode skips and counts a
+// frame that is not IPv4, as -replay does, and reports the count once on
+// stderr; a truncated record is a read error and exits 1 instead of
+// ending the report early.
+func TestMalformedCapture(t *testing.T) {
+	v6 := udpFrame(t, 2)
+	v6[0] = 0x60 | v6[0]&0x0f
+	mixed := handCapture(t, 0, udpFrame(t, 1), v6, udpFrame(t, 3))
+	truncated := handCapture(t, 10, udpFrame(t, 1), udpFrame(t, 2))
+	for _, c := range []struct {
+		args   []string
+		exit   int
+		stdout string
+		stderr string
+	}{
+		{[]string{"-in", mixed}, 0, "processed 2 packets", "skipped 1 malformed frames"},
+		{[]string{"-in", mixed, "-realtime"}, 0, "processed 2 packets", "skipped 1 malformed frames"},
+		{[]string{"-in", mixed, "-fleet-nodes", "1"}, 0, "1 nodes, 2 packets", "skipped 1 malformed frames"},
+		{[]string{"-in", truncated}, 1, "", "reading record body"},
+		{[]string{"-in", truncated, "-fleet-nodes", "1"}, 1, "", "reading record body"},
+	} {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		code := cmd.ProcessState.ExitCode()
+		if code != c.exit || !strings.Contains(stdout.String(), c.stdout) || !strings.Contains(stderr.String(), c.stderr) {
+			t.Errorf("%v: exit %d (%v), want %d with %q on stdout and %q on stderr:\n%s\n%s",
+				c.args, code, err, c.exit, c.stdout, c.stderr, stdout.String(), stderr.String())
+		}
+		if n := strings.Count(stderr.String(), "\n"); n != 1 {
+			t.Errorf("%v: stderr has %d lines, want one:\n%s", c.args, n, stderr.String())
 		}
 	}
 }

@@ -43,6 +43,7 @@ func main() {
 
 	end := eventsim.FromSeconds(*duration)
 	var src traffic.Source
+	var capture *traffic.PcapSource
 	var err error
 	if *pcapIn != "" {
 		f, ferr := os.Open(*pcapIn)
@@ -56,7 +57,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, rerr)
 			os.Exit(1)
 		}
-		src = traffic.NewPcapSource(r, nil)
+		capture = traffic.NewPcapSource(r)
+		src = capture
 	} else {
 		src, err = buildScenario(*scenario, *link, end, *seed)
 		if err != nil {
@@ -72,6 +74,10 @@ func main() {
 		os.Exit(2)
 	}
 	eng.RunUntil(end)
+	if capture != nil && capture.Err() != nil {
+		fmt.Fprintln(os.Stderr, capture.Err())
+		os.Exit(1)
+	}
 
 	benign := rec.DeliveredBits(packet.Benign)
 	attack := rec.DeliveredBits(packet.Malicious)

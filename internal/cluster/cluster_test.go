@@ -373,9 +373,6 @@ func TestEvalMetrics(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		e.Observe(1, packet.Malicious)
 	}
-	if !e.Mixed() {
-		t.Fatal("window should be mixed")
-	}
 	if got, want := e.Purity(), (8.0+9.0)/20.0; got != want {
 		t.Fatalf("purity = %v, want %v", got, want)
 	}
@@ -385,39 +382,15 @@ func TestEvalMetrics(t *testing.T) {
 	if got, want := e.RecallMalicious(), 9.0/11.0; got != want {
 		t.Fatalf("recall malicious = %v, want %v", got, want)
 	}
-	e.Reset()
-	if e.Total() != 0 || e.Mixed() {
-		t.Fatal("reset failed")
+	e = NewEval()
+	if e.Total() != 0 {
+		t.Fatal("fresh accumulator not empty")
 	}
 	if e.Purity() != 0 {
 		t.Fatal("empty purity should be 0")
 	}
 	if e.RecallBenign() != 1 || e.RecallMalicious() != 1 {
 		t.Fatal("empty recalls should be 1")
-	}
-}
-
-func TestWindowedEvalSkipsPureWindows(t *testing.T) {
-	w := NewWindowedEval()
-	// Window 1: only benign -> skipped.
-	w.Observe(0, packet.Benign)
-	w.Roll()
-	// Window 2: mixed, perfectly separated -> purity 1.
-	w.Observe(0, packet.Benign)
-	w.Observe(1, packet.Malicious)
-	w.Roll()
-	if w.Windows() != 1 {
-		t.Fatalf("windows = %d, want 1", w.Windows())
-	}
-	if w.Purity() != 1 || w.RecallBenign() != 1 || w.RecallMalicious() != 1 {
-		t.Fatalf("metrics: %v %v %v", w.Purity(), w.RecallBenign(), w.RecallMalicious())
-	}
-}
-
-func TestWindowedEvalEmpty(t *testing.T) {
-	w := NewWindowedEval()
-	if w.Purity() != 0 || w.RecallBenign() != 0 || w.RecallMalicious() != 0 {
-		t.Fatal("empty windowed metrics should be 0")
 	}
 }
 

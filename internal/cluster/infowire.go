@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"accturbo/internal/frame"
-)
+import "accturbo/internal/frame"
 
 // infoMinBytes is the encoded size of an Info with no ranges and no
 // cardinalities: what AppendInfos writes per slot at the very least.
@@ -116,23 +112,4 @@ func ReadInfos(d *frame.Dec) []Info {
 		return nil
 	}
 	return out
-}
-
-// MarshalInfos is AppendInfos into a fresh buffer.
-func MarshalInfos(infos []Info) []byte {
-	var e frame.Enc
-	AppendInfos(&e, infos)
-	return e.B
-}
-
-// UnmarshalInfos is ReadInfos over a whole buffer: truncation, a count
-// the buffer cannot hold and trailing bytes all fail with an error and
-// no partial result.
-func UnmarshalInfos(data []byte) ([]Info, error) {
-	d := frame.NewDec(data)
-	infos := ReadInfos(&d)
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("cluster: info snapshot: %w", err)
-	}
-	return infos, nil
 }

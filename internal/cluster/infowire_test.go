@@ -3,11 +3,33 @@ package cluster
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"reflect"
 	"runtime"
 	"testing"
+
+	"accturbo/internal/frame"
 )
+
+// MarshalInfos is AppendInfos into a fresh buffer.
+func MarshalInfos(infos []Info) []byte {
+	var e frame.Enc
+	AppendInfos(&e, infos)
+	return e.B
+}
+
+// UnmarshalInfos is ReadInfos over a whole buffer: truncation, a count
+// the buffer cannot hold and trailing bytes all fail with an error and
+// no partial result.
+func UnmarshalInfos(data []byte) ([]Info, error) {
+	d := frame.NewDec(data)
+	infos := ReadInfos(&d)
+	if err := d.Done(); err != nil {
+		return nil, fmt.Errorf("cluster: info snapshot: %w", err)
+	}
+	return infos, nil
+}
 
 // allocated reports the bytes f allocated.
 func allocated(f func()) uint64 {

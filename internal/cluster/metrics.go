@@ -40,10 +40,6 @@ func (e *Eval) Observe(id int, label packet.Label) {
 // Total returns the number of observed packets.
 func (e *Eval) Total() uint64 { return e.totB + e.totM }
 
-// Mixed reports whether the window saw both benign and malicious
-// packets; the paper only scores such windows.
-func (e *Eval) Mixed() bool { return e.totB > 0 && e.totM > 0 }
-
 // Purity returns the clustering purity in [0, 1], or 0 for an empty
 // window.
 func (e *Eval) Purity() float64 {
@@ -105,72 +101,4 @@ func (e *Eval) clusters() map[int]struct{} {
 		ids[id] = struct{}{}
 	}
 	return ids
-}
-
-// Reset clears the window.
-func (e *Eval) Reset() {
-	clear(e.benign)
-	clear(e.malicious)
-	e.totB, e.totM = 0, 0
-}
-
-// WindowedEval averages metrics across fixed windows, counting only
-// windows that contained both traffic classes (the paper computes
-// metrics every minute and averages).
-type WindowedEval struct {
-	cur     *Eval
-	windows int
-	sumP    float64
-	sumRB   float64
-	sumRM   float64
-}
-
-// NewWindowedEval returns an empty windowed accumulator.
-func NewWindowedEval() *WindowedEval {
-	return &WindowedEval{cur: NewEval()}
-}
-
-// Observe records an assignment into the current window.
-func (w *WindowedEval) Observe(id int, label packet.Label) {
-	w.cur.Observe(id, label)
-}
-
-// Roll closes the current window, folding it into the averages when it
-// was mixed.
-func (w *WindowedEval) Roll() {
-	if w.cur.Mixed() {
-		w.windows++
-		w.sumP += w.cur.Purity()
-		w.sumRB += w.cur.RecallBenign()
-		w.sumRM += w.cur.RecallMalicious()
-	}
-	w.cur.Reset()
-}
-
-// Windows returns the number of mixed windows folded so far.
-func (w *WindowedEval) Windows() int { return w.windows }
-
-// Purity returns the average purity over mixed windows (0 if none).
-func (w *WindowedEval) Purity() float64 {
-	if w.windows == 0 {
-		return 0
-	}
-	return w.sumP / float64(w.windows)
-}
-
-// RecallBenign returns the average benign recall over mixed windows.
-func (w *WindowedEval) RecallBenign() float64 {
-	if w.windows == 0 {
-		return 0
-	}
-	return w.sumRB / float64(w.windows)
-}
-
-// RecallMalicious returns the average malicious recall over mixed
-// windows.
-func (w *WindowedEval) RecallMalicious() float64 {
-	if w.windows == 0 {
-		return 0
-	}
-	return w.sumRM / float64(w.windows)
 }

@@ -299,10 +299,10 @@ func (o *Online) Observe(p *packet.Packet) Assignment {
 
 // ObserveFeatures is Observe for a packet already reduced to its
 // feature values — the wire-speed ingest entry point, fed by the fused
-// frame decoder (packet.DecodeFeatures) so no Packet is ever
-// materialized. vals must hold exactly the configured feature set's
-// values in set order; size is the wire length in bytes. Both paths
-// share one implementation, so assignments are bit-identical to
+// frame decoder (packet.ParseFrame and FrameView.Features) so no Packet
+// is ever materialized. vals must hold exactly the configured feature
+// set's values in set order; size is the wire length in bytes. Both
+// paths share one implementation, so assignments are bit-identical to
 // Observe on the equivalent packet. vals is only read.
 func (o *Online) ObserveFeatures(vals []uint32, size uint64, malicious bool) Assignment {
 	if len(vals) != o.nf {

@@ -104,30 +104,28 @@ func LiveOps(opt Options) *Result {
 	clean := runTurbo(hwPulseWave(opt.Seed, end), hwLink, end, hwTurboConfig())
 
 	// Leg 1: hot reconfigure mid-pulse.
-	eng1 := eventsim.New()
-	rec1 := netsim.NewRecorder(eventsim.Second)
-	port1, turbo1 := must2(core.Attach(eng1, hwLink, rec1, hwTurboConfig()))
-	genBefore := turbo1.ControlPlane().ConfigGeneration()
-	var genAfter uint64
+	var turbo1 *core.Turbo
+	var genBefore, genAfter uint64
 	var reconfErr error
-	eng1.At(cut, func(eventsim.Time) {
-		byRate := core.ByPacketRate
-		poll := 125 * eventsim.Millisecond
-		genAfter, reconfErr = turbo1.Reconfigure(core.RuntimePatch{Ranking: &byRate, PollInterval: &poll})
+	rec1 := replay(hwPulseWave(opt.Seed, end), end, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		port, turbo := must2(core.Attach(eng, hwLink, rec, hwTurboConfig()))
+		turbo1 = turbo
+		genBefore = turbo.ControlPlane().ConfigGeneration()
+		eng.At(cut, func(eventsim.Time) {
+			byRate := core.ByPacketRate
+			poll := 125 * eventsim.Millisecond
+			genAfter, reconfErr = turbo.Reconfigure(core.RuntimePatch{Ranking: &byRate, PollInterval: &poll})
+		})
+		return port
 	})
-	src1 := hwPulseWave(opt.Seed, end)
-	recycle(src1, port1)
-	netsim.Replay(eng1, src1, port1)
-	eng1.RunUntil(end)
 
 	// Leg 2a: run the same scenario and kill it mid-pulse.
-	engA := eventsim.New()
-	recA := netsim.NewRecorder(eventsim.Second)
-	portA, turboA := must2(core.Attach(engA, hwLink, recA, hwTurboConfig()))
-	srcA := hwPulseWave(opt.Seed, end)
-	recycle(srcA, portA)
-	netsim.Replay(engA, srcA, portA)
-	engA.RunUntil(cut)
+	var turboA *core.Turbo
+	recA := replay(hwPulseWave(opt.Seed, end), cut, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		port, turbo := must2(core.Attach(eng, hwLink, rec, hwTurboConfig()))
+		turboA = turbo
+		return port
+	})
 	preDec := turboA.ControlPlane().LastDecision()
 	var blob bytes.Buffer
 	saveErr := turboA.SaveState(&blob)
@@ -135,24 +133,23 @@ func LiveOps(opt Options) *Result {
 	// Leg 2b: a fresh process restores the snapshot and takes over the
 	// remaining traffic (the skipUntil tail of the same deterministic
 	// source), with its clock restarted at zero — a real restart.
-	engB := eventsim.New()
-	recB := netsim.NewRecorder(eventsim.Second)
-	portB, turboB := must2(core.Attach(engB, hwLink, recB, hwTurboConfig()))
-	restoreErr := turboB.RestoreState(bytes.NewReader(blob.Bytes()))
 	var resave bytes.Buffer
-	resaveErr := turboB.SaveState(&resave)
-	cpB := turboB.ControlPlane()
-	restoredDec := cpB.LastDecision()
-	var firstDec *core.Decision
-	cpB.OnDeploy = func(dec *core.Decision) {
-		if firstDec == nil {
-			firstDec = dec
-		}
-	}
+	var restoreErr, resaveErr error
+	var restoredDec, firstDec *core.Decision
 	srcB := &skipUntil{src: hwPulseWave(opt.Seed, end), cut: cut}
-	recycle(srcB, portB)
-	netsim.Replay(engB, srcB, portB)
-	engB.RunUntil(end - cut)
+	recB := replay(srcB, end-cut, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+		port, turbo := must2(core.Attach(eng, hwLink, rec, hwTurboConfig()))
+		restoreErr = turbo.RestoreState(bytes.NewReader(blob.Bytes()))
+		resaveErr = turbo.SaveState(&resave)
+		cp := turbo.ControlPlane()
+		restoredDec = cp.LastDecision()
+		cp.OnDeploy = func(dec *core.Decision) {
+			if firstDec == nil {
+				firstDec = dec
+			}
+		}
+		return port
+	})
 
 	r.Add(throughputSeries(clean.rec, packet.Benign, "clean/Output Benign"))
 	r.Add(throughputSeries(rec1, packet.Benign, "reconfigured/Output Benign"))

@@ -39,14 +39,6 @@ func (r *Rand) Prob(p float64) bool {
 	return r.Float64() < p
 }
 
-// Intn returns a draw in [0, n). n must be positive.
-func (r *Rand) Intn(n int) int {
-	if n <= 0 {
-		panic("faults: Intn needs a positive bound")
-	}
-	return int(r.Next() % uint64(n))
-}
-
 // DeriveSeed folds a label into a seed, producing an independent stream
 // seed: the label is mixed through one splitmix64 round so adjacent
 // labels (0, 1, 2, ...) land on uncorrelated streams.

@@ -19,7 +19,6 @@ package jaqen
 import (
 	"fmt"
 
-	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
 	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
@@ -119,76 +118,10 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Runtime is the hot-reloadable half of Config: the mitigation knobs
-// an operator tunes while the defense runs. The structural half —
-// signature key, sketch geometry, window cadence — stays fixed because
-// changing it would invalidate the sketch contents and the scheduled
-// controller loop.
-type Runtime struct {
-	// Threshold is the per-window suspicion bound (see Config).
-	Threshold uint64
-	// ConsecutiveWindows gates mitigation (see Config).
-	ConsecutiveWindows int
-	// RateLimitBits selects policing over dropping when positive (see
-	// Config).
-	RateLimitBits float64
-}
-
-// Runtime extracts the hot-reloadable fields from a Config.
-func (c Config) Runtime() Runtime {
-	return Runtime{
-		Threshold:          c.Threshold,
-		ConsecutiveWindows: c.ConsecutiveWindows,
-		RateLimitBits:      c.RateLimitBits,
-	}
-}
-
-// Validate checks the runtime knobs, mirroring Config.Validate's
-// subset.
-func (r *Runtime) Validate() error {
-	if r.Threshold == 0 {
-		return fmt.Errorf("jaqen: zero threshold")
-	}
-	if r.ConsecutiveWindows < 1 {
-		return fmt.Errorf("jaqen: ConsecutiveWindows %d < 1", r.ConsecutiveWindows)
-	}
-	if r.RateLimitBits < 0 {
-		return fmt.Errorf("jaqen: RateLimitBits %v < 0", r.RateLimitBits)
-	}
-	return nil
-}
-
-// RuntimePatch is a partial Runtime: nil fields keep their current
-// value.
-type RuntimePatch struct {
-	Threshold          *uint64  `json:"threshold,omitempty"`
-	ConsecutiveWindows *int     `json:"consecutive_windows,omitempty"`
-	RateLimitBits      *float64 `json:"rate_limit_bits,omitempty"`
-}
-
-// Apply returns base with the patch's non-nil fields replaced.
-func (p RuntimePatch) Apply(base Runtime) Runtime {
-	if p.Threshold != nil {
-		base.Threshold = *p.Threshold
-	}
-	if p.ConsecutiveWindows != nil {
-		base.ConsecutiveWindows = *p.ConsecutiveWindows
-	}
-	if p.RateLimitBits != nil {
-		base.RateLimitBits = *p.RateLimitBits
-	}
-	return base
-}
-
 // Jaqen is one instance attached to a port.
 type Jaqen struct {
 	cfg Config
 	eng *eventsim.Engine
-
-	// rt holds the live mitigation knobs behind the same hot-swap
-	// helper the ACC-Turbo control plane uses: the per-packet path pays
-	// one atomic load, Reconfigure publishes a validated replacement.
-	rt core.Hot[Runtime]
 
 	// cm is the count-min sketch the data plane updates per packet.
 	cm *sketch.TurboCountMin
@@ -234,8 +167,6 @@ func Attach(eng *eventsim.Engine, port *netsim.Port, cfg Config) (*Jaqen, error)
 		FirstMitigation: -1,
 		cm:              sketch.NewTurboCountMin(cfg.SketchRows, cfg.SketchCols, true),
 	}
-	rt := cfg.Runtime()
-	j.rt.Store(&rt)
 	port.AddIngress(func(now eventsim.Time, p *packet.Packet) bool {
 		return j.admit(now, p)
 	})
@@ -295,7 +226,7 @@ func (j *Jaqen) admit(now eventsim.Time, p *packet.Packet) bool {
 		j.admitted++
 		return true
 	}
-	if j.cm.Add(k, 1) > j.rt.Load().Threshold {
+	if j.cm.Add(k, 1) > j.cfg.Threshold {
 		j.flagged[k] = true
 	}
 	j.admitted++
@@ -305,10 +236,9 @@ func (j *Jaqen) admit(now eventsim.Time, p *packet.Packet) bool {
 // poll is the controller loop: promote keys flagged in enough
 // consecutive windows to drop rules.
 func (j *Jaqen) poll(now eventsim.Time) {
-	consecutive := j.rt.Load().ConsecutiveWindows
 	for k := range j.flagged {
 		j.candidates[k]++
-		if _, installed := j.rules[k]; j.candidates[k] >= consecutive && !installed {
+		if _, installed := j.rules[k]; j.candidates[k] >= j.cfg.ConsecutiveWindows && !installed {
 			j.mitigate(now, k)
 		}
 	}
@@ -330,7 +260,7 @@ type rule struct {
 // deployment latency.
 func (j *Jaqen) mitigate(now eventsim.Time, k uint64) {
 	rl := &rule{}
-	if rate := j.rt.Load().RateLimitBits; rate > 0 {
+	if rate := j.cfg.RateLimitBits; rate > 0 {
 		rl.bucket = queue.NewTokenBucket(rate, 6000)
 	}
 	j.rules[k] = rl // reserve so we don't double-deploy
@@ -353,22 +283,6 @@ func (j *Jaqen) mitigate(now eventsim.Time, k uint64) {
 	}
 	j.eng.After(j.cfg.ReprogramTime, func(t eventsim.Time) { activate(t) })
 }
-
-// Reconfigure applies a mitigation-knob patch: validated, then
-// published atomically. The next packet sees the new threshold, the
-// next window the new streak requirement; rules already installed keep
-// their mitigation (a policer's bucket is not resized retroactively).
-// It returns the new configuration generation.
-func (j *Jaqen) Reconfigure(patch RuntimePatch) (uint64, error) {
-	next := patch.Apply(*j.rt.Load())
-	if err := next.Validate(); err != nil {
-		return j.rt.Generation(), err
-	}
-	return j.rt.Store(&next), nil
-}
-
-// Runtime returns the live mitigation knobs.
-func (j *Jaqen) Runtime() Runtime { return *j.rt.Load() }
 
 // Rules returns the number of active drop rules.
 func (j *Jaqen) Rules() int { return len(j.rules) }

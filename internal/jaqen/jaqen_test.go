@@ -315,69 +315,3 @@ func TestRateLimitMitigation(t *testing.T) {
 	}
 	conserved(t, rec, j)
 }
-
-// TestReconfigureThresholdLive lowers the detection threshold while the
-// controller runs: a flood that evades the original threshold must be
-// caught by the very next window under the patched one, without
-// touching the sketch or the scheduled loops.
-func TestReconfigureThresholdLive(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Threshold = 1_000_000 // far above the flood's per-window count
-	cfg.Window = eventsim.Second
-
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	port := netsim.NewPort(eng, queue.NewFIFO(125_000), 10e6, rec)
-	j := attach(t, eng, port, cfg)
-	netsim.Replay(eng, traffic.NewCBR(0, 10*eventsim.Second, 40e6, attackSpec().Factory(2)), port)
-
-	if gen := j.rt.Generation(); gen != 1 {
-		t.Fatalf("initial generation = %d, want 1", gen)
-	}
-
-	// Three windows under the blind threshold: nothing flagged.
-	eng.RunUntil(3500 * eventsim.Millisecond)
-	if j.Rules() != 0 {
-		t.Fatalf("rules under high threshold = %d, want 0", j.Rules())
-	}
-
-	low := uint64(1000)
-	one := 1
-	gen, err := j.Reconfigure(RuntimePatch{Threshold: &low, ConsecutiveWindows: &one})
-	if err != nil {
-		t.Fatalf("Reconfigure: %v", err)
-	}
-	if gen != 2 {
-		t.Fatalf("generation = %d, want 2", gen)
-	}
-	if got := j.Runtime(); got.Threshold != low || got.ConsecutiveWindows != 1 {
-		t.Fatalf("live runtime = %+v", got)
-	}
-
-	// One more window catches the flood: flagged mid-window, promoted
-	// at the next poll with the single-window streak.
-	eng.RunUntil(6 * eventsim.Second)
-	if j.Rules() != 1 {
-		t.Fatalf("rules after lowering threshold = %d, want 1", j.Rules())
-	}
-	if j.FirstMitigation < 3500*eventsim.Millisecond {
-		t.Fatalf("mitigation at %v predates the reconfigure", j.FirstMitigation)
-	}
-}
-
-// TestReconfigureRejectsInvalid checks a bad patch leaves the live
-// knobs and the generation untouched.
-func TestReconfigureRejectsInvalid(t *testing.T) {
-	eng := eventsim.New()
-	port := netsim.NewPort(eng, queue.NewFIFO(125_000), 10e6, netsim.NewRecorder(eventsim.Second))
-	j := attach(t, eng, port, DefaultConfig())
-	before := j.Runtime()
-	zero := uint64(0)
-	gen, err := j.Reconfigure(RuntimePatch{Threshold: &zero})
-	if err == nil {
-		t.Fatal("accepted a zero threshold")
-	}
-	if gen != 1 || j.Runtime() != before {
-		t.Fatalf("failed reconfigure changed state: gen=%d runtime=%+v", gen, j.Runtime())
-	}
-}

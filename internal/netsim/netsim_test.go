@@ -371,37 +371,3 @@ func TestChainValidation(t *testing.T) {
 	}()
 	Chain(eng, a, b, -1)
 }
-
-func TestMeanDelayTracksDeprioritization(t *testing.T) {
-	eng := eventsim.New()
-	rec := NewRecorder(eventsim.Second)
-	pq := queue.NewPriority(2, 100_000, func(_ eventsim.Time, p *packet.Packet) int {
-		if p.Label == packet.Malicious {
-			return 1
-		}
-		return 0
-	})
-	port := NewPort(eng, pq, 10e6, rec)
-	Replay(eng, traffic.Merge(
-		cbr(0, 3*eventsim.Second, 5e6, packet.Benign, 1),
-		cbr(0, 3*eventsim.Second, 8e6, packet.Malicious, 5),
-	), port)
-	eng.RunUntil(10 * eventsim.Second)
-	bMean, bMax := rec.MeanDelay(packet.Benign)
-	mMean, mMax := rec.MeanDelay(packet.Malicious)
-	if bMean <= 0 || mMean <= 0 {
-		t.Fatalf("delays not tracked: %v %v", bMean, mMean)
-	}
-	// Deprioritized traffic waits much longer than benign.
-	if mMean < 5*bMean {
-		t.Fatalf("malicious mean delay %v not >> benign %v", mMean, bMean)
-	}
-	if bMax < bMean || mMax < mMean {
-		t.Fatalf("max delays inconsistent: %v/%v %v/%v", bMean, bMax, mMean, mMax)
-	}
-	// No delay without deliveries.
-	empty := NewRecorder(eventsim.Second)
-	if m, x := empty.MeanDelay(packet.Benign); m != 0 || x != 0 {
-		t.Fatal("empty recorder reported delay")
-	}
-}

@@ -25,10 +25,6 @@ type mapRecorder struct {
 	seqNext map[uint32]uint64 // FlowID -> next arrival sequence
 	seqMax  map[uint32]uint64 // FlowID -> highest delivered sequence
 
-	arrivedAt map[*packet.Packet]eventsim.Time
-	delaySum  [2]eventsim.Time // per label
-	delayMax  [2]eventsim.Time
-
 	// Totals since construction (packets), indexed by label.
 	arrived   [2]uint64
 	dropped   [2]uint64
@@ -42,12 +38,11 @@ func newMapRecorder(binWidth eventsim.Time) *mapRecorder {
 		panic(fmt.Sprintf("netsim: bin width %v must be positive", binWidth))
 	}
 	return &mapRecorder{
-		binWidth:  binWidth,
-		perFlow:   map[uint32][]uint64{},
-		seqNext:   map[uint32]uint64{},
-		seqMax:    map[uint32]uint64{},
-		arrivedAt: map[*packet.Packet]eventsim.Time{},
-		byReason:  map[queue.DropReason]uint64{},
+		binWidth: binWidth,
+		perFlow:  map[uint32][]uint64{},
+		seqNext:  map[uint32]uint64{},
+		seqMax:   map[uint32]uint64{},
+		byReason: map[queue.DropReason]uint64{},
 	}
 }
 
@@ -90,7 +85,6 @@ func (r *mapRecorder) bin(now eventsim.Time) *binStats {
 func (r *mapRecorder) Arrival(now eventsim.Time, p *packet.Packet) {
 	r.seqNext[p.FlowID]++
 	p.Seq = r.seqNext[p.FlowID]
-	r.arrivedAt[p] = now
 	b := r.bin(now)
 	l := labelIndex(p)
 	b.arrivedBytes[l] += uint64(p.Size())
@@ -106,15 +100,6 @@ func (r *mapRecorder) Delivered(now eventsim.Time, p *packet.Packet) {
 		} else {
 			r.seqMax[p.FlowID] = p.Seq
 		}
-	}
-	if at, ok := r.arrivedAt[p]; ok {
-		d := now - at
-		li := labelIndex(p)
-		r.delaySum[li] += d
-		if d > r.delayMax[li] {
-			r.delayMax[li] = d
-		}
-		delete(r.arrivedAt, p)
 	}
 	b := r.bin(now)
 	l := labelIndex(p)
@@ -133,7 +118,6 @@ func (r *mapRecorder) Delivered(now eventsim.Time, p *packet.Packet) {
 // Dropped records a packet rejected anywhere in the port (policer,
 // early drop, tail drop, push-out), under its reason.
 func (r *mapRecorder) Dropped(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
-	delete(r.arrivedAt, p)
 	b := r.bin(now)
 	l := labelIndex(p)
 	b.droppedBytes[l] += uint64(p.Size())
@@ -189,15 +173,6 @@ func (r *mapRecorder) DropRate() []float64 {
 	return out
 }
 
-func (r *mapRecorder) MeanDelay(label packet.Label) (mean, max eventsim.Time) {
-	li := int(label & 1)
-	n := r.delivered[li]
-	if n == 0 {
-		return 0, 0
-	}
-	return r.delaySum[li] / eventsim.Time(n), r.delayMax[li]
-}
-
 // sameAsModel compares every accessor of a Recorder with the model's.
 func sameAsModel(t *testing.T, name string, got *Recorder, want *mapRecorder, flows []uint32) {
 	t.Helper()
@@ -223,11 +198,6 @@ func sameAsModel(t *testing.T, name string, got *Recorder, want *mapRecorder, fl
 	for _, l := range []packet.Label{packet.Benign, packet.Malicious} {
 		if !slices.Equal(got.DeliveredBits(l), want.DeliveredBits(l)) || !slices.Equal(got.ArrivedBits(l), want.ArrivedBits(l)) {
 			t.Errorf("%s: %v per-bin series differ from the model's", name, l)
-		}
-		gm, gx := got.MeanDelay(l)
-		wm, wx := want.MeanDelay(l)
-		if gm != wm || gx != wx {
-			t.Errorf("%s: %v delay mean/max %v/%v, model %v/%v", name, l, gm, gx, wm, wx)
 		}
 	}
 	if !slices.Equal(got.DropRate(), want.DropRate()) {
@@ -303,8 +273,8 @@ func recorderScript(seed int64, recs []Accounting) (stamps []uint64, flows []uin
 				// rather than drawn, so the script's draws do not depend on it.
 				recs[f.stage].Dropped(now, f.p, queue.DropTail+queue.DropReason(f.p.Length%5))
 				if rng.Intn(8) == 0 {
-					// No port does this, but the model defines it: a drop
-					// ends the transit, so this adds no delay sample.
+					// No port does this, but the model defines it: a
+					// delivery after a drop.
 					recs[f.stage].Delivered(now, f.p)
 				}
 				pool.Put(f.p)

@@ -16,8 +16,8 @@ import (
 //
 // A Recorder belongs to the engine's goroutine — it is written from the
 // event loop and read between events — so its totals are plain fields.
-// Per-packet state (Seq, Transit) rides on the packet itself, so an
-// event costs at most the one flow lookup. It implements the port's
+// Per-packet state (Seq) rides on the packet itself, so an event costs
+// at most the one flow lookup. It implements the port's
 // Accounting interface; event times are the engine's clock and never
 // decrease.
 type Recorder struct {
@@ -32,9 +32,6 @@ type Recorder struct {
 	// the same flow (a pulse is few flows, a FIFO delivers in bursts).
 	last   *flowRecord
 	lastID uint32
-
-	delaySum [2]eventsim.Time // per label
-	delayMax [2]eventsim.Time
 
 	// Totals since construction (packets), indexed by label.
 	arrived   [2]uint64
@@ -133,14 +130,12 @@ func (r *Recorder) flow(id uint32) *flowRecord {
 	return f
 }
 
-// Arrival records a packet offered to the port and stamps it: its
-// per-flow arrival sequence number (used for reordering detection) and
-// its arrival time (used for the transit delay).
+// Arrival records a packet offered to the port and stamps it with its
+// per-flow arrival sequence number (used for reordering detection).
 func (r *Recorder) Arrival(now eventsim.Time, p *packet.Packet) {
 	f := r.flow(p.FlowID)
 	f.seqNext++
 	p.Seq = f.seqNext
-	p.Transit = int64(now) + 1
 	b, _ := r.bin(now)
 	l := labelIndex(p)
 	b.arrivedBytes[l] += uint64(p.Size())
@@ -159,14 +154,6 @@ func (r *Recorder) Delivered(now eventsim.Time, p *packet.Packet) {
 		}
 	}
 	l := labelIndex(p)
-	if p.Transit != 0 {
-		d := now - eventsim.Time(p.Transit-1)
-		r.delaySum[l] += d
-		if d > r.delayMax[l] {
-			r.delayMax[l] = d
-		}
-		p.Transit = 0
-	}
 	b, i := r.bin(now)
 	b.deliveredBytes[l] += uint64(p.Size())
 	b.deliveredPkts[l]++
@@ -183,7 +170,6 @@ func (r *Recorder) Delivered(now eventsim.Time, p *packet.Packet) {
 // Dropped records a packet rejected anywhere in the port (link down,
 // policer, early drop, tail drop, push-out), under its reason.
 func (r *Recorder) Dropped(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
-	p.Transit = 0
 	b, _ := r.bin(now)
 	l := labelIndex(p)
 	b.droppedBytes[l] += uint64(p.Size())
@@ -265,19 +251,6 @@ func (r *Recorder) MaliciousDropPercent() float64 {
 		return 0
 	}
 	return 100 * float64(r.DroppedMalicious()) / float64(arrived)
-}
-
-// MeanDelay returns the average port transit delay (queueing +
-// serialization) of delivered packets in the class, and the maximum.
-// Deprioritized traffic shows its penalty here while benign latency
-// stays flat (the scheduling story of §5).
-func (r *Recorder) MeanDelay(label packet.Label) (mean, max eventsim.Time) {
-	li := int(label & 1)
-	n := r.delivered[li]
-	if n == 0 {
-		return 0, 0
-	}
-	return r.delaySum[li] / eventsim.Time(n), r.delayMax[li]
 }
 
 // RecoveryTime scans delivered benign throughput after attackStart and

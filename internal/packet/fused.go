@@ -172,16 +172,3 @@ func (v *FrameView) Features(fs FeatureSet, dst []uint32) []uint32 {
 	}
 	return dst
 }
-
-// DecodeFeatures is the one-call fused fast path: validate buf, extract
-// fs's feature values into dst (reused when it has capacity), and
-// return the filled slice. It is bit-equivalent to Unmarshal followed
-// by FeatureSet.Extract — same accepted inputs, same rejections, same
-// values — with zero allocations on the accept path.
-func DecodeFeatures(buf []byte, fs FeatureSet, dst []uint32) ([]uint32, error) {
-	v, err := ParseFrame(buf)
-	if err != nil {
-		return nil, err
-	}
-	return v.Features(fs, dst), nil
-}

@@ -88,12 +88,13 @@ func TestDecodeFeaturesMatchesUnmarshalExtract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("frame %d: reference rejects corpus frame: %v", fi, err)
 		}
+		v, err := ParseFrame(frame)
+		if err != nil {
+			t.Fatalf("frame %d: fused rejects what reference accepts: %v", fi, err)
+		}
 		for _, fs := range featureSetsUnderTest() {
 			want := fs.Extract(p, nil)
-			got, err := DecodeFeatures(frame, fs, nil)
-			if err != nil {
-				t.Fatalf("frame %d: fused rejects what reference accepts: %v", fi, err)
-			}
+			got := v.Features(fs, nil)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("frame %d, feature %v: fused %d, reference %d",
@@ -189,16 +190,18 @@ func TestDecodeFeaturesZeroAlloc(t *testing.T) {
 		dst := make([]uint32, len(fs))
 		allocs := testing.AllocsPerRun(200, func() {
 			for _, frame := range frames {
-				if _, err := DecodeFeatures(frame, fs, dst); err != nil {
+				v, err := ParseFrame(frame)
+				if err != nil {
 					t.Fatal(err)
 				}
+				v.Features(fs, dst)
 			}
-			if _, err := DecodeFeatures(junk, fs, dst); err == nil {
+			if _, err := ParseFrame(junk); err == nil {
 				t.Fatal("junk accepted")
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("DecodeFeatures over %d features allocates %v per run, want 0", len(fs), allocs)
+			t.Fatalf("ParseFrame+Features over %d features allocates %v per run, want 0", len(fs), allocs)
 		}
 	}
 }
@@ -213,9 +216,11 @@ func BenchmarkDecodeFeatures(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeFeatures(frames[i%len(frames)], fs, dst); err != nil {
+		v, err := ParseFrame(frames[i%len(frames)])
+		if err != nil {
 			b.Fatal(err)
 		}
+		v.Features(fs, dst)
 	}
 }
 

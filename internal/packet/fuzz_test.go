@@ -30,8 +30,8 @@ func FuzzUnmarshal(f *testing.F) {
 
 // FuzzDecodeFeatures is the differential fuzzer gating the fused fast
 // path: on every input — valid frames, truncated headers, non-TCP/UDP
-// protocols, garbage — DecodeFeatures must agree with Unmarshal+Extract
-// bit for bit, or reject exactly when the reference rejects (same
+// protocols, garbage — ParseFrame+Features must agree with
+// Unmarshal+Extract bit for bit, or reject exactly when the reference rejects (same
 // sentinel category). The flow hash and the remaining FrameView
 // accessors ride along under the same oracle.
 func FuzzDecodeFeatures(f *testing.F) {
@@ -76,10 +76,7 @@ func FuzzDecodeFeatures(f *testing.F) {
 		var dst [NumFeatures]uint32
 		for _, fs := range sets {
 			want := fs.Extract(p, nil)
-			got, err := DecodeFeatures(data, fs, dst[:])
-			if err != nil {
-				t.Fatalf("fused rejected after ParseFrame accepted: %v", err)
-			}
+			got := v.Features(fs, dst[:])
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("feature %v diverged: fused %d, reference %d", fs[i], got[i], want[i])

@@ -104,11 +104,6 @@ type Packet struct {
 	// simulator at the bottleneck (not part of the wire format); sinks
 	// use it to detect reordering introduced by priority changes.
 	Seq uint64
-	// Transit is the recorder's arrival stamp while the packet crosses a
-	// recorded port: the virtual arrival time in nanoseconds plus one,
-	// so the zero value every factory's whole-struct stamp leaves means
-	// "not in transit". The recorder clears it at delivery or drop.
-	Transit int64
 
 	// pooled marks a packet currently resting in a Pool's free list; it
 	// exists to turn double releases into panics (see Pool.Put).
@@ -189,8 +184,7 @@ func (p *Packet) String() string {
 // copy is a deep copy; Clone exists to make call sites explicit.
 func (p *Packet) Clone() *Packet {
 	q := *p
-	// The copy is a free-standing packet: not pool-resident, not in transit.
+	// The copy is a free-standing packet, not pool-resident.
 	q.pooled = false
-	q.Transit = 0
 	return &q
 }

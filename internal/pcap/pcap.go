@@ -211,7 +211,7 @@ type FrameSource interface {
 
 // MappedReader iterates a capture held entirely in memory, handing out
 // frame byte slices that alias the image — no per-packet copy, no
-// decode. Pair it with packet.ParseFrame/DecodeFeatures for the
+// decode. Pair it with packet.ParseFrame and FrameView.Features for the
 // wire-speed replay path, and with OpenMapped to map a capture file.
 // Reset rewinds to the first record, so a hot loop can replay the same
 // image repeatedly. Not safe for concurrent use.

@@ -24,11 +24,7 @@
 //     golden-pinned; Jaqen and the victim detector run on them.
 package sketch
 
-import (
-	"fmt"
-	"math"
-	"math/bits"
-)
+import "fmt"
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -56,25 +52,11 @@ func HashBytes(seed uint64, b []byte) uint64 {
 	return h
 }
 
-// geometryForError sizes a sketch for additive error epsilon (as a
-// fraction of the stream count) with failure probability delta, per
-// Cormode–Muthukrishnan: cols = ceil(e/epsilon), rows = ceil(ln 1/delta).
-func geometryForError(epsilon, delta float64) (rows, cols int) {
-	if epsilon <= 0 || epsilon >= 1 || delta <= 0 || delta >= 1 {
-		panic(fmt.Sprintf("sketch: invalid epsilon=%v delta=%v", epsilon, delta))
-	}
-	cols = int(math.Ceil(math.E / epsilon))
-	rows = int(math.Ceil(math.Log(1 / delta)))
-	return rows, cols
-}
-
 // Bloom is a fixed-size Bloom filter over 64-bit keys.
 type Bloom struct {
 	bits   []uint64
 	nbits  uint64
 	hashes int
-	// Inserted counts Insert calls since the last Reset.
-	Inserted uint64
 }
 
 // NewBloom builds a filter with nbits bits and k hash functions.
@@ -89,23 +71,6 @@ func NewBloom(nbits uint64, k int) *Bloom {
 	}
 }
 
-// NewBloomForRate sizes a filter for n expected elements at target
-// false-positive rate fp.
-func NewBloomForRate(n int, fp float64) *Bloom {
-	if n <= 0 || fp <= 0 || fp >= 1 {
-		panic(fmt.Sprintf("sketch: invalid bloom sizing n=%d fp=%v", n, fp))
-	}
-	m := uint64(math.Ceil(-float64(n) * math.Log(fp) / (math.Ln2 * math.Ln2)))
-	if m == 0 {
-		m = 64
-	}
-	k := int(math.Round(float64(m) / float64(n) * math.Ln2))
-	if k < 1 {
-		k = 1
-	}
-	return NewBloom(m, k)
-}
-
 // BloomPosition is the bit position hash function i (0-based) of an
 // nbits-wide Bloom filter assigns to key: the whole of the filter's index
 // math, exported so a test can construct a false positive.
@@ -115,7 +80,6 @@ func BloomPosition(i int, key, nbits uint64) uint64 {
 
 // Insert adds key to the filter.
 func (b *Bloom) Insert(key uint64) {
-	b.Inserted++
 	bits := b.bits
 	for i := 0; i < b.hashes; i++ {
 		pos := BloomPosition(i, key, b.nbits)
@@ -139,14 +103,4 @@ func (b *Bloom) Contains(key uint64) bool {
 // Reset clears the filter.
 func (b *Bloom) Reset() {
 	clear(b.bits)
-	b.Inserted = 0
-}
-
-// FillRatio returns the fraction of set bits, a saturation diagnostic.
-func (b *Bloom) FillRatio() float64 {
-	set := 0
-	for _, w := range b.bits {
-		set += bits.OnesCount64(w)
-	}
-	return float64(set) / float64(b.nbits)
 }

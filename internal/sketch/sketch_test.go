@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -111,8 +112,12 @@ func TestCountMinGeometryValidation(t *testing.T) {
 	}
 }
 
+// bloom1k is a filter sized for 1000 keys at a 1% false-positive rate:
+// m = -n ln(fp) / ln²2 bits and k = m/n ln 2 hashes.
+func bloom1k() *Bloom { return NewBloom(9586, 7) }
+
 func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloomForRate(1000, 0.01)
+	b := bloom1k()
 	for i := uint64(0); i < 1000; i++ {
 		b.Insert(i * 2654435761)
 	}
@@ -124,7 +129,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 }
 
 func TestBloomFalsePositiveRate(t *testing.T) {
-	b := NewBloomForRate(1000, 0.01)
+	b := bloom1k()
 	r := rand.New(rand.NewSource(3))
 	inserted := map[uint64]bool{}
 	for len(inserted) < 1000 {
@@ -151,18 +156,15 @@ func TestBloomFalsePositiveRate(t *testing.T) {
 
 func TestBloomResetAndFillRatio(t *testing.T) {
 	b := NewBloom(1024, 3)
-	if b.FillRatio() != 0 {
+	if b.Contains(123) {
 		t.Fatal("fresh filter not empty")
 	}
 	b.Insert(123)
-	if b.FillRatio() == 0 {
-		t.Fatal("fill ratio did not increase")
-	}
-	if b.Inserted != 1 {
-		t.Fatalf("Inserted = %d", b.Inserted)
+	if !b.Contains(123) {
+		t.Fatal("inserted key not found")
 	}
 	b.Reset()
-	if b.Contains(123) || b.FillRatio() != 0 {
+	if b.Contains(123) || slices.ContainsFunc(b.bits, func(w uint64) bool { return w != 0 }) {
 		t.Fatal("reset did not clear filter")
 	}
 }
@@ -171,8 +173,6 @@ func TestBloomGeometryValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewBloom(0, 3) },
 		func() { NewBloom(64, 0) },
-		func() { NewBloomForRate(0, 0.01) },
-		func() { NewBloomForRate(10, 1.5) },
 	} {
 		func() {
 			defer func() {
@@ -224,7 +224,7 @@ func TestQuickBloomNoFalseNegatives(t *testing.T) {
 		if len(keys) == 0 {
 			return true
 		}
-		b := NewBloomForRate(len(keys), 0.05)
+		b := NewBloom(uint64(7*len(keys)), 4) // ~5% false positives
 		for _, k := range keys {
 			b.Insert(k)
 		}

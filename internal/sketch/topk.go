@@ -161,20 +161,9 @@ func (t *TopK) Estimate(key uint64) uint64 {
 	return t.cm.Estimate(key)
 }
 
-// Top returns the tracked keys ranked heaviest first (count desc, key
-// asc for ties — the tie-break keeps output deterministic). The slice
-// is a copy owned by the caller.
-func (t *TopK) Top() []Element {
-	out := make([]Element, len(t.entries))
-	for i, e := range t.entries {
-		out[i] = Element{Key: e.key, Count: e.count}
-	}
-	sortElements(out)
-	return out
-}
-
-// AppendTop appends the ranked elements to dst and returns it, the
-// allocation-free variant of Top for per-window polling.
+// AppendTop appends the tracked keys to dst ranked heaviest first
+// (count desc, key asc for ties — the tie-break keeps output
+// deterministic) and returns it, allocation-free for per-window polling.
 func (t *TopK) AppendTop(dst []Element) []Element {
 	n := len(dst)
 	for _, e := range t.entries {

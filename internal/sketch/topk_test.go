@@ -28,7 +28,7 @@ func TestTopKFindsHeavyKeys(t *testing.T) {
 		tk.Offer(o.k, o.w)
 	}
 
-	top := tk.Top()
+	top := tk.AppendTop(nil)
 	rank := map[uint64]int{}
 	for i, e := range top {
 		rank[e.Key] = i
@@ -58,7 +58,7 @@ func TestTopKDeterminism(t *testing.T) {
 		for i := 0; i < 50_000; i++ {
 			tk.Offer(r.Uint64()%10_000, uint64(r.Intn(1500)+1))
 		}
-		return tk.Top()
+		return tk.AppendTop(nil)
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {
@@ -84,13 +84,13 @@ func TestTopKPersistentChallengerGetsIn(t *testing.T) {
 		tk.Offer(300, 1)
 	}
 	found := false
-	for _, e := range tk.Top() {
+	for _, e := range tk.AppendTop(nil) {
 		if e.Key == 300 {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("sustained key 300 never displaced a stale incumbent: %+v", tk.Top())
+		t.Fatalf("sustained key 300 never displaced a stale incumbent: %+v", tk.AppendTop(nil))
 	}
 }
 
@@ -112,7 +112,7 @@ func TestTopKDecayEvictsStaleKeys(t *testing.T) {
 	if tk.Decayed == 0 {
 		t.Fatal("no decay events across 5000 losing challenges at ~10% decay probability")
 	}
-	after := tk.Top()
+	after := tk.AppendTop(nil)
 	displaced := false
 	for _, e := range after {
 		if e.Key != 100 && e.Key != 200 {
@@ -279,7 +279,7 @@ func TestTopKRestoreRoundTrip(t *testing.T) {
 	clone.Restore(tk.Entries(), tk.RNG())
 
 	// Same state now...
-	a, b := tk.Top(), clone.Top()
+	a, b := tk.AppendTop(nil), clone.AppendTop(nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("rank %d diverged after restore: %+v vs %+v", i, a[i], b[i])
@@ -291,7 +291,7 @@ func TestTopKRestoreRoundTrip(t *testing.T) {
 		tk.Offer(k, w)
 		clone.Offer(k, w)
 	}
-	a, b = tk.Top(), clone.Top()
+	a, b = tk.AppendTop(nil), clone.AppendTop(nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("rank %d diverged after post-restore offers: %+v vs %+v", i, a[i], b[i])
@@ -313,10 +313,10 @@ func TestTopKAppendTopReusesBuffer(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("AppendTop allocated %.1f/op with a pre-sized buffer", allocs)
 	}
-	want := tk.Top()
+	want := tk.AppendTop(nil)
 	for i := range want {
 		if buf[i] != want[i] {
-			t.Fatalf("AppendTop[%d] = %+v, Top gave %+v", i, buf[i], want[i])
+			t.Fatalf("AppendTop[%d] = %+v, a fresh AppendTop gave %+v", i, buf[i], want[i])
 		}
 	}
 }

@@ -73,18 +73,6 @@ func NewTurboCountMin(rows, cols int, conservative bool) *TurboCountMin {
 	}
 }
 
-// NewTurboCountMinForError sizes a turbo sketch for additive error
-// epsilon with failure probability delta (Cormode–Muthukrishnan); the
-// power-of-two round-up only widens the sketch, so the bound still
-// holds.
-func NewTurboCountMinForError(epsilon, delta float64, conservative bool) *TurboCountMin {
-	rows, cols := geometryForError(epsilon, delta)
-	if rows > maxTurboRows {
-		rows = maxTurboRows
-	}
-	return NewTurboCountMin(rows, cols, conservative)
-}
-
 // Rows and Cols report the effective geometry (cols after power-of-two
 // round-up).
 func (t *TurboCountMin) Rows() int { return t.rows }

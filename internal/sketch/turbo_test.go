@@ -183,6 +183,18 @@ func TestLaneDistribution(t *testing.T) {
 	}
 }
 
+// geometryForError sizes a sketch for additive error epsilon (as a
+// fraction of the stream count) with failure probability delta, per
+// Cormode–Muthukrishnan: cols = ceil(e/epsilon), rows = ceil(ln 1/delta).
+func geometryForError(epsilon, delta float64) (rows, cols int) {
+	if epsilon <= 0 || epsilon >= 1 || delta <= 0 || delta >= 1 {
+		panic("sketch: epsilon and delta must lie in (0, 1)")
+	}
+	cols = int(math.Ceil(math.E / epsilon))
+	rows = int(math.Ceil(math.Log(1 / delta)))
+	return rows, cols
+}
+
 // TestCountMinForErrorBound is the epsilon/delta accuracy contract:
 // with cols = ceil(e/eps) and rows = ceil(ln 1/delta), the additive
 // error over a stream of total weight N should exceed eps*N only with
@@ -226,18 +238,24 @@ func TestCountMinForErrorBound(t *testing.T) {
 	}
 	check("CountMin", cm.Estimate)
 
-	tc := NewTurboCountMinForError(epsilon, delta, false)
+	rows, cols := geometryForError(epsilon, delta)
+	tc := NewTurboCountMin(rows, cols, false)
 	for _, k := range keys {
 		tc.Add(k, 1)
 	}
 	check("TurboCountMin", tc.Estimate)
 }
 
-// TestTurboDepthCap: ln(1/delta) sizing must clamp to the 64-row stack
-// bound instead of panicking for absurd delta.
+// TestTurboDepthCap: the 64-row stack bound is a valid depth and one
+// row more is refused.
 func TestTurboDepthCap(t *testing.T) {
-	tc := NewTurboCountMinForError(0.01, 1e-30, false)
-	if tc.Rows() != maxTurboRows {
-		t.Fatalf("rows = %d, want clamp at %d", tc.Rows(), maxTurboRows)
+	if tc := NewTurboCountMin(maxTurboRows, 8, false); tc.Rows() != maxTurboRows {
+		t.Fatalf("rows = %d, want %d", tc.Rows(), maxTurboRows)
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("depth %d accepted", maxTurboRows+1)
+		}
+	}()
+	NewTurboCountMin(maxTurboRows+1, 8, false)
 }

@@ -67,13 +67,6 @@ func (r *Registry) Counter(name string, c *Counter) {
 	})
 }
 
-// Gauge registers an existing gauge under name.
-func (r *Registry) Gauge(name string, g *Gauge) {
-	r.register(name, func() Sample {
-		return Sample{Name: name, Kind: KindGauge, Value: float64(g.Value())}
-	})
-}
-
 // CounterFunc registers a derived counter read through fn.
 func (r *Registry) CounterFunc(name string, fn func() uint64) {
 	r.register(name, func() Sample {

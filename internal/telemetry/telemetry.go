@@ -1,19 +1,20 @@
-// Package telemetry is the shared instrumentation substrate of the
-// defense: allocation-free counters, gauges, windowed rate meters and
-// fixed-bucket histograms with copy-on-read Snapshot semantics.
+// Package telemetry is the defense's instrumentation substrate:
+// allocation-free instruments read through a Registry.
 //
-// Every layer of the pipeline reports through these instruments — the
-// queueing disciplines (via Sink), the network simulator's per-port
-// accounting, the data-plane assignment/routing counters, and the
-// control plane's deployment-latency histogram — so the simulator and
-// the real-time deployment path export one monitoring signal instead of
-// three parallel ad-hoc accounting systems.
+//   - Counter is one atomic event count (the fault injector's tallies,
+//     the control plane's deployments, panics, watchdog trips and
+//     fail-opens, the ingest queue's shed and rejected frames).
+//   - VecCounter is a vector of counters striped across writer shards:
+//     the data plane's per-cluster assignments and per-queue routing.
+//   - Histogram counts observations into fixed buckets with
+//     copy-on-read Snapshot semantics: the control plane's
+//     deployment-latency distribution.
+//   - Registry names instruments, and derived values read through a
+//     function, for the Prometheus-style text export behind
+//     Defense.WriteMetrics and the admin surface's /metrics.
 //
-// Timestamps flow through the Clock interface, a strict subset of
-// core.Clock: under a SimClock instruments observe deterministic
-// virtual nanoseconds (runs stay bit-identical), under a WallClock they
-// observe real time. Instruments never read a clock themselves on the
-// hot path; callers pass `now`, so a counter update is one atomic add.
+// Instruments never read a clock; callers pass timestamps, so an
+// update is one atomic add and a simulated run stays bit-identical.
 //
 // Concurrency: all instruments are safe for concurrent use. Writers on
 // the sharded real-time pipeline use VecCounter, whose per-shard slots
@@ -21,18 +22,7 @@
 // read time, so concurrent shards never contend on a counter line.
 package telemetry
 
-import (
-	"sync/atomic"
-
-	"accturbo/internal/eventsim"
-)
-
-// Clock supplies timestamps for snapshot headers and rate windows. It
-// is the read-only subset of core.Clock, so the same instrument runs in
-// virtual time (deterministic) and wall time unchanged.
-type Clock interface {
-	Now() eventsim.Time
-}
+import "sync/atomic"
 
 // cacheLine is the assumed cache-line size in bytes for slot padding.
 const cacheLine = 64
@@ -52,21 +42,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous level (queue depth, active rules). The zero
-// value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores the level.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add moves the level by delta (negative to decrease).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // VecCounter is a vector of n counters, each striped across `shards`
 // writer slots. The layout is shard-major with each shard's stripe

@@ -15,11 +15,12 @@ func TestCounterGauge(t *testing.T) {
 	if got := c.Value(); got != 42 {
 		t.Fatalf("counter = %d, want 42", got)
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d, want 4", got)
+	r := NewRegistry()
+	r.Counter("c", &c)
+	r.GaugeFunc("g", func() float64 { return -4 })
+	snap := r.Snapshot()
+	if len(snap) != 2 || snap[0].Kind != KindCounter || snap[0].Value != 42 || snap[1].Kind != KindGauge || snap[1].Value != -4 {
+		t.Fatalf("samples = %+v, want counter c 42 and gauge g -4", snap)
 	}
 }
 
@@ -114,14 +115,12 @@ func TestRegistryText(t *testing.T) {
 	r := NewRegistry()
 	var c Counter
 	c.Add(3)
-	var g Gauge
-	g.Set(-2)
 	h := NewHistogram([]int64{10, 20})
 	h.Observe(5)
 	h.Observe(15)
 	h.Observe(25)
 	r.Counter("pkts_total", &c)
-	r.Gauge("depth", &g)
+	r.GaugeFunc("depth", func() float64 { return -2 })
 	r.Histogram("latency_ns", h)
 	r.CounterFunc("derived_total", func() uint64 { return 9 })
 	r.GaugeFunc("ratio", func() float64 { return 0.5 })
@@ -138,7 +137,7 @@ func TestRegistryText(t *testing.T) {
 		"# TYPE depth gauge\ndepth -2\n",
 		"# TYPE pkts_total counter\npkts_total 3\n",
 		"derived_total 9\n",
-		"ratio 0.5\n",
+		"# TYPE ratio gauge\nratio 0.5\n",
 		"queue_pkts_0 0\n",
 		"queue_pkts_1 4\n",
 		"latency_ns_bucket{le=\"10\"} 1\n",

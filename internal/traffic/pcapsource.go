@@ -10,22 +10,19 @@ import (
 
 // PcapSource adapts a pcap capture into a Source, so recorded or
 // previously exported traces replay through the simulator exactly like
-// synthetic workloads. Labels are not stored in pcap; a classifier may
-// be supplied to restore ground truth (e.g. by destination prefix), or
-// left nil to treat everything as benign.
+// synthetic workloads. Labels are not stored in pcap, so every packet
+// replays as benign.
 type PcapSource struct {
-	r        *pcap.Reader
-	classify func(tp *TimedPacket)
-	err      error
+	r   *pcap.Reader
+	err error
 }
 
-// NewPcapSource wraps an open pcap reader. classify, when non-nil, is
-// applied to every packet (set Label/Vector/FlowID there).
-func NewPcapSource(r *pcap.Reader, classify func(tp *TimedPacket)) *PcapSource {
+// NewPcapSource wraps an open pcap reader.
+func NewPcapSource(r *pcap.Reader) *PcapSource {
 	if r == nil {
 		panic("traffic: nil pcap reader")
 	}
-	return &PcapSource{r: r, classify: classify}
+	return &PcapSource{r: r}
 }
 
 // Next implements Source.
@@ -40,11 +37,7 @@ func (s *PcapSource) Next() (TimedPacket, bool) {
 		}
 		return TimedPacket{}, false
 	}
-	tp := TimedPacket{At: at, Pkt: p}
-	if s.classify != nil {
-		s.classify(&tp)
-	}
-	return tp, true
+	return TimedPacket{At: at, Pkt: p}, true
 }
 
 // Err reports a non-EOF read error encountered during iteration, if

@@ -259,53 +259,6 @@ func (m *merge) Next() (TimedPacket, bool) {
 	return out, true
 }
 
-// Concat plays sources back to back in argument order. Callers must
-// ensure each source's timestamps follow the previous source's.
-func Concat(sources ...Source) Source {
-	return &concat{rest: sources}
-}
-
-type concat struct {
-	rest []Source
-}
-
-// SetPool implements Pooled by forwarding to every remaining source.
-func (c *concat) SetPool(pool *packet.Pool) {
-	for _, s := range c.rest {
-		AttachPool(s, pool)
-	}
-}
-
-func (c *concat) Next() (TimedPacket, bool) {
-	for len(c.rest) > 0 {
-		if tp, ok := c.rest[0].Next(); ok {
-			return tp, true
-		}
-		c.rest = c.rest[1:]
-	}
-	return TimedPacket{}, false
-}
-
-// FromSlice replays a pre-built packet list; used by tests and the pcap
-// replay tooling.
-func FromSlice(pkts []TimedPacket) Source {
-	return &sliceSource{pkts: pkts}
-}
-
-type sliceSource struct {
-	pkts []TimedPacket
-	i    int
-}
-
-func (s *sliceSource) Next() (TimedPacket, bool) {
-	if s.i >= len(s.pkts) {
-		return TimedPacket{}, false
-	}
-	tp := s.pkts[s.i]
-	s.i++
-	return tp, true
-}
-
 // Collect drains a source into a slice (tests and trace export).
 func Collect(s Source) []TimedPacket {
 	var out []TimedPacket

@@ -153,16 +153,29 @@ func TestMergeTiesLeaveInArgumentOrder(t *testing.T) {
 }
 
 func TestConcatAndLimit(t *testing.T) {
-	a := NewCBR(0, eventsim.Second/10, 8e6, simpleFactory(1000))
-	b := NewCBR(eventsim.Second, eventsim.Second+eventsim.Second/10, 8e6, simpleFactory(1000))
-	all := Collect(Concat(a, b))
-	if len(all) != 200 {
-		t.Fatalf("concat yielded %d packets", len(all))
-	}
 	c := NewCBR(0, eventsim.Second, 8e6, simpleFactory(1000))
 	if got := len(Collect(Limit(c, 5))); got != 5 {
 		t.Fatalf("limit yielded %d", got)
 	}
+}
+
+// FromSlice replays a pre-built packet list.
+func FromSlice(pkts []TimedPacket) Source {
+	return &sliceSource{pkts: pkts}
+}
+
+type sliceSource struct {
+	pkts []TimedPacket
+	i    int
+}
+
+func (s *sliceSource) Next() (TimedPacket, bool) {
+	if s.i >= len(s.pkts) {
+		return TimedPacket{}, false
+	}
+	tp := s.pkts[s.i]
+	s.i++
+	return tp, true
 }
 
 func TestFromSliceRoundTrip(t *testing.T) {
@@ -620,26 +633,19 @@ func TestPcapSourceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	labeled := 0
-	src := NewPcapSource(r, func(tp *TimedPacket) {
-		if tp.Pkt.DstPort == 2 { // the template's destination port
-			tp.Pkt.Label = packet.Malicious
-			labeled++
-		}
-	})
+	src := NewPcapSource(r)
 	got := Collect(src)
 	if len(got) != len(orig) {
 		t.Fatalf("replayed %d of %d packets", len(got), len(orig))
-	}
-	if labeled != len(orig) {
-		t.Fatalf("classifier applied to %d of %d", labeled, len(orig))
 	}
 	for i := range got {
 		if got[i].At/eventsim.Microsecond != orig[i].At/eventsim.Microsecond {
 			t.Fatalf("timestamp %d: %v vs %v", i, got[i].At, orig[i].At)
 		}
-		if got[i].Pkt.Label != packet.Malicious {
-			t.Fatalf("label not applied at %d", i)
+		// The template's destination port survives; the label is not on
+		// the wire, so it replays as benign.
+		if got[i].Pkt.DstPort != 2 || got[i].Pkt.Label != packet.Benign {
+			t.Fatalf("packet %d: port %d label %v, want 2 benign", i, got[i].Pkt.DstPort, got[i].Pkt.Label)
 		}
 	}
 	if src.Err() != nil {
@@ -659,7 +665,7 @@ func TestPcapSourceSurfacesErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := NewPcapSource(r, nil)
+	src := NewPcapSource(r)
 	if _, ok := src.Next(); ok {
 		t.Fatal("truncated record yielded a packet")
 	}
