@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -15,29 +14,25 @@ import (
 	"accturbo/internal/faults"
 	"accturbo/internal/packet"
 	"accturbo/internal/pcap"
+	"accturbo/internal/traffic"
 )
-
-type capturedPacket struct {
-	at  time.Duration
-	pkt *packet.Packet
-}
 
 // captureStream yields the capture with packet-level faults applied:
 // injected drops vanish here, duplicates appear back to back as distinct
 // packets, and corruption mutates headers in place — all deterministic
-// under -chaos-seed. Every mode but -replay reads its traffic here. A
-// frame that is not an IPv4 packet is skipped and counted, like -replay's
-// malformed frames; any other read error ends the process with exit 1,
+// under -chaos-seed. Every mode but -replay reads its traffic here, out
+// of traffic.PcapSource: a frame that is not an IPv4 packet is skipped
+// and counted, like -replay's malformed frames, and the count is printed
+// once on stderr; any other read error ends the process with exit 1,
 // so a report never covers a silently truncated capture.
 type captureStream struct {
-	r        *pcap.Reader         // nil: nothing to replay (-restore without -in)
-	injector *faults.Injector     // nil: no packet-level faults
-	tap      func(capturedPacket) // nil, or sees every packet yielded
-	pending  []capturedPacket     // duplicates waiting to be yielded
-	skipped  int                  // malformed frames passed over
+	capture  *traffic.PcapSource       // nil: nothing to replay (-restore without -in)
+	injector *faults.Injector          // nil: no packet-level faults
+	tap      func(traffic.TimedPacket) // nil, or sees every packet yielded
+	pending  []traffic.TimedPacket     // duplicates waiting to be yielded
 }
 
-func (s *captureStream) next() (capturedPacket, bool) {
+func (s *captureStream) next() (traffic.TimedPacket, bool) {
 	c, ok := s.pull()
 	if ok && s.tap != nil {
 		s.tap(c)
@@ -45,41 +40,37 @@ func (s *captureStream) next() (capturedPacket, bool) {
 	return c, ok
 }
 
-func (s *captureStream) pull() (capturedPacket, bool) {
+func (s *captureStream) pull() (traffic.TimedPacket, bool) {
 	if len(s.pending) > 0 {
 		c := s.pending[0]
 		s.pending = s.pending[1:]
 		return c, true
 	}
-	for s.r != nil {
-		at, p, err := s.r.Next()
-		switch {
-		case err == io.EOF:
-			if s.skipped > 0 {
-				fmt.Fprintf(os.Stderr, "skipped %d malformed frames in %s\n", s.skipped, *in)
+	for s.capture != nil {
+		tp, ok := s.capture.Next()
+		if !ok {
+			if err := s.capture.Err(); err != nil {
+				fatal(1, err)
 			}
-			s.r = nil
-			continue
-		case errors.Is(err, packet.ErrTooShort), errors.Is(err, packet.ErrBadVersion), errors.Is(err, packet.ErrBadLength):
-			s.skipped++
-			continue
-		case err != nil:
-			fatal(1, err)
+			if n := s.capture.Skipped(); n > 0 {
+				fmt.Fprintf(os.Stderr, "skipped %d malformed frames in %s\n", n, *in)
+			}
+			s.capture = nil
+			break
 		}
-		c := capturedPacket{at: at.Duration(), pkt: p}
 		if s.injector != nil {
-			drop, dup := s.injector.Mangle(p)
+			drop, dup := s.injector.Mangle(tp.Pkt)
 			if drop {
 				continue
 			}
 			if dup {
-				clone := *p
-				s.pending = append(s.pending, capturedPacket{at: c.at, pkt: &clone})
+				clone := *tp.Pkt
+				s.pending = append(s.pending, traffic.TimedPacket{At: tp.At, Pkt: &clone})
 			}
 		}
-		return c, true
+		return tp, true
 	}
-	return capturedPacket{}, false
+	return traffic.TimedPacket{}, false
 }
 
 // chaosSummary is the packet-level half of a mode's chaos report line.
@@ -99,9 +90,9 @@ func feed(src *captureStream, size int, emit func(at time.Duration, pkts []*pack
 	buf := make([]*packet.Packet, 0, size)
 	for c, ok := src.next(); ok; c, ok = src.next() {
 		if len(buf) == 0 {
-			at = c.at
+			at = c.At.Duration()
 		}
-		buf = append(buf, c.pkt)
+		buf = append(buf, c.Pkt)
 		n++
 		if len(buf) == size {
 			emit(at, buf)
@@ -149,21 +140,16 @@ func feedRealTime(src *captureStream, size int, deliver func(at time.Duration, p
 // call, so the mapping can close as soon as the last pass is offered.
 // It returns the frames accepted; the stage's own IngestRejected and
 // IngestShed count the malformed frames and the retries.
-func feedReplay(d *accturbo.Defense) int {
-	mapped, err := pcap.OpenMapped(*in)
-	if err != nil {
-		fatal(1, err)
-	}
-	defer mapped.Close()
+func feedReplay(d *accturbo.Defense, frames *pcap.MappedReader) int {
 	if err := d.EnableIngest(*ingestQueue, 1); err != nil {
 		fatal(2, err)
 	}
 	lane := d.Lane(0)
 	n := 0
 	for loop := 0; loop < *replayLoops; loop++ {
-		mapped.Reset()
+		frames.Reset()
 		for {
-			_, frame, err := mapped.NextFrame()
+			_, frame, err := frames.NextFrame()
 			if err == io.EOF {
 				break
 			}
@@ -238,12 +224,12 @@ func newVictimTap(topK int, window time.Duration) (*victimTap, error) {
 	return &victimTap{vd: vd, window: window, nextAt: window, peaks: map[uint64]accturbo.Victim{}}, nil
 }
 
-func (t *victimTap) observe(c capturedPacket) {
-	for t.nextAt <= c.at {
+func (t *victimTap) observe(c traffic.TimedPacket) {
+	for t.nextAt <= c.At.Duration() {
 		t.closeWindow()
 		t.nextAt += t.window
 	}
-	t.vd.Observe(accturbo.DstKey(c.pkt), uint64(c.pkt.Length))
+	t.vd.Observe(accturbo.DstKey(c.Pkt), uint64(c.Pkt.Length))
 }
 
 func (t *victimTap) closeWindow() {
@@ -270,7 +256,10 @@ func (t *victimTap) report() {
 	for k := range t.peaks {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return t.peaks[keys[i]].Share > t.peaks[keys[j]].Share })
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := t.peaks[keys[i]], t.peaks[keys[j]]
+		return a.Share > b.Share || a.Share == b.Share && keys[i] < keys[j]
+	})
 	for _, k := range keys {
 		v := t.peaks[k]
 		fmt.Printf("  dst %s: peak %8d bytes/window (%5.1f%% share), listed %d window(s)\n",

@@ -1,7 +1,12 @@
 // Command accturbo-defend is the operator-facing front end (§10) of the
 // library: it runs the public Defense pipeline over a raw-IP pcap (see
 // cmd/trafficgen) and reports, per packet or per aggregate, how
-// ACC-Turbo would schedule the traffic. One invocation runs one mode:
+// ACC-Turbo would schedule the traffic. The capture is memory-mapped
+// once and read through traffic.PcapSource in every mode: capture time
+// counts from the first record's second, so a tcpdump capture stamped
+// with wall-clock time replays like one written from zero, and a frame
+// that is not IPv4 is skipped and counted on stderr. One invocation
+// runs one mode:
 //
 //   - Single pipeline (default). Deterministic replay runs the control
 //     loop in the capture's own timeline, so identical inputs yield
@@ -9,9 +14,9 @@
 //     Process. -realtime (or -shards > 1) ignores capture timestamps:
 //     -ingest workers drain a bounded queue while the control loop polls
 //     on the wall clock, and a full queue blocks the reader rather than
-//     shedding. -replay memory-maps the capture and streams raw frames
-//     through a lock-free ingest lane — fused feature decode, no Packet
-//     structs, no copies — lossless, reported in Mpps.
+//     shedding. -replay streams the mapping's raw frames through a
+//     lock-free ingest lane — fused feature decode, no Packet structs,
+//     no copies — lossless, reported in Mpps.
 //   - In-process fleet (-fleet-nodes N): N pipelines under one ranking
 //     coordinator, the capture partitioned across them by source IP
 //     hash; -coordinator=false starts it partitioned.
@@ -75,6 +80,7 @@ import (
 	"accturbo/internal/fleet"
 	"accturbo/internal/packet"
 	"accturbo/internal/pcap"
+	"accturbo/internal/traffic"
 )
 
 var (
@@ -111,8 +117,7 @@ var (
 	chaosResetEvery   = flag.Int("chaos-reset-every", 0, "chaos relay: hard-reset the connection (RST) roughly every N relayed bytes (0 = off)")
 	chaosDelayEvery   = flag.Int("chaos-delay-every", 0, "chaos relay: stall the relay roughly every N relayed bytes (0 = off)")
 	chaosDelayFor     = flag.Duration("chaos-delay-for", 50*time.Millisecond, "chaos relay: stall duration for -chaos-delay-every")
-	chaosPlan         = flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule for this many connections and exit (determinism gate; uses the -chaos-* flags)")
-	chaosPlanHorizon  = flag.Uint64("chaos-plan-horizon", 1<<16, "bytes of each connection direction the -chaos-plan render covers")
+	chaosPlan         = flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule of the first 64 KiB of each direction, for this many connections, and exit (determinism gate; uses the -chaos-* flags)")
 )
 
 func fatal(code int, v ...any) {
@@ -131,7 +136,7 @@ func main() {
 		DelayFor:     *chaosDelayFor,
 	}
 	if *chaosPlan > 0 {
-		fmt.Print(tcpChaos.Plan(*chaosPlan, *chaosPlanHorizon))
+		fmt.Print(tcpChaos.Plan(*chaosPlan))
 		return
 	}
 	if *chaosProxyAddr != "" {
@@ -182,16 +187,15 @@ func main() {
 	if !spec.Empty() {
 		src.injector = faults.New(*chaosSeed, spec)
 	}
-	// -replay maps the capture itself; every other mode streams it.
-	if *in != "" && !*replay {
-		f, err := os.Open(*in)
-		if err != nil {
+	// One mapping of the capture serves every mode: -replay offers its
+	// raw frames, every other mode reads packets through src.
+	var frames *pcap.MappedReader
+	if *in != "" {
+		if frames, err = pcap.OpenMapped(*in); err != nil {
 			fatal(1, err)
 		}
-		defer f.Close()
-		if src.r, err = pcap.NewReader(f); err != nil {
-			fatal(1, err)
-		}
+		defer frames.Close()
+		src.capture = traffic.NewPcapSource(frames)
 	}
 
 	cfg := accturbo.HardwareConfig()
@@ -231,7 +235,7 @@ func main() {
 		}
 		runFleet(cfg, src)
 	default:
-		runSingle(cfg, src)
+		runSingle(cfg, src, frames)
 	}
 }
 
@@ -251,7 +255,7 @@ func serveAdmin(banner string, s admin.Surface) (stop func()) {
 // runSingle is the default mode: one Defense over the capture, fed
 // deterministically, by the real-time worker pool, or by the wire-speed
 // replay lane, then the operator report.
-func runSingle(cfg accturbo.Config, src *captureStream) {
+func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReader) {
 	newDefense := accturbo.NewDefense
 	if *realtime {
 		newDefense = accturbo.NewRealTimeDefense
@@ -339,7 +343,7 @@ func runSingle(cfg accturbo.Config, src *captureStream) {
 	var n int
 	switch {
 	case *replay:
-		n = feedReplay(d)
+		n = feedReplay(d, frames)
 	case *realtime:
 		n = feedRealTime(src, batch, deliver)
 	default:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"os"
 	"os/exec"
@@ -14,6 +15,7 @@ import (
 	"accturbo/internal/eventsim"
 	"accturbo/internal/faults"
 	"accturbo/internal/pcap"
+	"accturbo/internal/traffic"
 )
 
 // TestMain lets TestFlagEdges run the real main — flag parsing, usage
@@ -31,30 +33,7 @@ func TestMain(m *testing.M) {
 // real-time report counts the ingest goroutines that ran; and a fault
 // spec this CLI cannot inject is refused, not silently ignored.
 func TestFlagEdges(t *testing.T) {
-	capture := filepath.Join(t.TempDir(), "edge.pcap")
-	f, err := os.Create(capture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := pcap.NewNanoWriter(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2000; i++ {
-		p := accturbo.Packet{
-			SrcIP: accturbo.V4(10, 0, byte(i>>8), byte(i)), DstIP: accturbo.V4(198, 18, 0, 1),
-			Protocol: 17, SrcPort: 5000, DstPort: 53, TTL: 64, ID: uint16(i), Length: 100,
-		}
-		if err := w.Write(eventsim.Time(i)*eventsim.Millisecond, &p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	capture := udpCapture(t, "edge.pcap", 0)
 	for _, c := range []struct {
 		args []string
 		exit int
@@ -75,6 +54,69 @@ func TestFlagEdges(t *testing.T) {
 		}
 		if c.exit != 0 && strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
 			t.Errorf("%v: a usage error should be one line, got:\n%s", c.args, out)
+		}
+	}
+}
+
+// udpCapture writes 2000 small UDP packets, one a millisecond from
+// start, as a nanosecond capture named name and returns its path.
+func udpCapture(t *testing.T, name string, start eventsim.Time) string {
+	capture := filepath.Join(t.TempDir(), name)
+	f, err := os.Create(capture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := pcap.NewNanoWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		p := accturbo.Packet{
+			SrcIP: accturbo.V4(10, 0, byte(i>>8), byte(i)), DstIP: accturbo.V4(198, 18, 0, byte(i%3)),
+			Protocol: 17, SrcPort: 5000, DstPort: 53, TTL: 64, ID: uint16(i), Length: 100,
+		}
+		if err := w.Write(start+eventsim.Time(i)*eventsim.Millisecond, &p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return capture
+}
+
+// TestEpochCapture: a capture stamped with wall-clock time, as tcpdump
+// writes it (seconds since 1970), reports exactly what its zero-based
+// twin does — deterministic replay and the victim windows run on
+// capture time counted from the first record's second — apart from the
+// lines that name the file.
+func TestEpochCapture(t *testing.T) {
+	const epoch = 1_704_067_200 * eventsim.Second // 2024-01-01 UTC
+	zero := udpCapture(t, "zero.pcap", 300*eventsim.Millisecond)
+	wall := udpCapture(t, "wall.pcap", epoch+300*eventsim.Millisecond)
+	run := func(capture string, args ...string) string {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-in", capture}, args...)...)
+		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s %v: %v", filepath.Base(capture), args, err)
+		}
+		var kept []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if !strings.Contains(line, capture) {
+				kept = append(kept, line)
+			}
+		}
+		return strings.Join(kept, "\n")
+	}
+	for _, args := range [][]string{nil, {"-victims", "4", "-victim-window", "200"}} {
+		if a, b := run(zero, args...), run(wall, args...); a != b {
+			t.Errorf("%v: the epoch-stamped capture reports\n%s\nits zero-based twin\n%s", args, b, a)
 		}
 	}
 }
@@ -137,8 +179,8 @@ func TestMalformedCapture(t *testing.T) {
 		{[]string{"-in", mixed}, 0, "processed 2 packets", "skipped 1 malformed frames"},
 		{[]string{"-in", mixed, "-realtime"}, 0, "processed 2 packets", "skipped 1 malformed frames"},
 		{[]string{"-in", mixed, "-fleet-nodes", "1"}, 0, "1 nodes, 2 packets", "skipped 1 malformed frames"},
-		{[]string{"-in", truncated}, 1, "", "reading record body"},
-		{[]string{"-in", truncated, "-fleet-nodes", "1"}, 1, "", "reading record body"},
+		{[]string{"-in", truncated}, 1, "", "truncated record body"},
+		{[]string{"-in", truncated, "-fleet-nodes", "1"}, 1, "", "truncated record body"},
 	} {
 		cmd := exec.Command(os.Args[0], c.args...)
 		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
@@ -183,7 +225,7 @@ func TestCaptureStreamFaults(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := pcap.NewReader(&buf)
+	r, err := pcap.NewMappedReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,25 +235,25 @@ func TestCaptureStreamFaults(t *testing.T) {
 	}
 	inj := faults.New(7, spec)
 	tapped := 0
-	src := &captureStream{r: r, injector: inj, tap: func(capturedPacket) { tapped++ }}
+	src := &captureStream{capture: traffic.NewPcapSource(r), injector: inj, tap: func(traffic.TimedPacket) { tapped++ }}
 
-	seen := map[time.Duration]*accturbo.Packet{}
+	seen := map[eventsim.Time]*accturbo.Packet{}
 	yielded, dups, changed := 0, 0, 0
 	for c, ok := src.next(); ok; c, ok = src.next() {
 		yielded++
-		if first, dup := seen[c.at]; dup {
+		if first, dup := seen[c.At]; dup {
 			dups++
-			if c.pkt == first {
-				t.Fatalf("duplicate at %v is the same *Packet as its original", c.at)
+			if c.Pkt == first {
+				t.Fatalf("duplicate at %v is the same *Packet as its original", c.At)
 			}
-			if *c.pkt != *first {
-				t.Fatalf("duplicate at %v differs from its original: %+v vs %+v", c.at, c.pkt, first)
+			if *c.Pkt != *first {
+				t.Fatalf("duplicate at %v differs from its original: %+v vs %+v", c.At, c.Pkt, first)
 			}
 			continue
 		}
-		seen[c.at] = c.pkt
-		want := orig(int(c.at / time.Microsecond))
-		got := *c.pkt
+		seen[c.At] = c.Pkt
+		want := orig(int(c.At / eventsim.Microsecond))
+		got := *c.Pkt
 		if got.TTL != want.TTL || got.ID != want.ID || got.SrcPort != want.SrcPort ||
 			got.DstPort != want.DstPort || got.FragOffset != want.FragOffset {
 			changed++

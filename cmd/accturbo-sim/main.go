@@ -7,7 +7,9 @@
 //	accturbo-sim -scenario pulsewave -defense accturbo -link 10e6 -duration 50
 //
 // Scenarios: accoriginal, pulsewave, morphing, cicddos, singleflow,
-// carpet, spoofed. Defenses: fifo, red, acc, jaqen, accturbo, pifo.
+// carpet, spoofed, background (traffic.Scenario), or -pcap to replay a
+// capture through traffic.PcapSource. Defenses: fifo, red, acc, jaqen,
+// accturbo, pifo.
 package main
 
 import (
@@ -27,8 +29,8 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "pulsewave", "workload: accoriginal|pulsewave|morphing|cicddos|singleflow|carpet|spoofed")
-	pcapIn := flag.String("pcap", "", "replay this pcap instead of a synthetic scenario (labels lost)")
+	scenario := flag.String("scenario", "pulsewave", "workload: "+traffic.ScenarioNames)
+	pcapIn := flag.String("pcap", "", "replay this pcap instead of a synthetic scenario (labels lost; malformed frames skipped)")
 	defense := flag.String("defense", "accturbo", "defense: fifo|red|acc|jaqen|accturbo|pifo")
 	link := flag.Float64("link", 10e6, "bottleneck rate (bits/s)")
 	duration := flag.Float64("duration", 50, "simulated seconds")
@@ -44,24 +46,18 @@ func main() {
 	end := eventsim.FromSeconds(*duration)
 	var src traffic.Source
 	var capture *traffic.PcapSource
-	var err error
 	if *pcapIn != "" {
-		f, ferr := os.Open(*pcapIn)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, ferr)
+		m, err := pcap.OpenMapped(*pcapIn)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		r, rerr := pcap.NewReader(f)
-		if rerr != nil {
-			fmt.Fprintln(os.Stderr, rerr)
-			os.Exit(1)
-		}
-		capture = traffic.NewPcapSource(r)
+		defer m.Close()
+		capture = traffic.NewPcapSource(m)
 		src = capture
 	} else {
-		src, err = buildScenario(*scenario, *link, end, *seed)
-		if err != nil {
+		var err error
+		if src, err = traffic.Scenario(*scenario, *link, end, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -74,9 +70,16 @@ func main() {
 		os.Exit(2)
 	}
 	eng.RunUntil(end)
-	if capture != nil && capture.Err() != nil {
-		fmt.Fprintln(os.Stderr, capture.Err())
-		os.Exit(1)
+	workload := "scenario=" + *scenario
+	if capture != nil {
+		if err := capture.Err(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if n := capture.Skipped(); n > 0 {
+			fmt.Fprintf(os.Stderr, "skipped %d malformed frames in %s\n", n, *pcapIn)
+		}
+		workload = "capture=" + *pcapIn
 	}
 
 	benign := rec.DeliveredBits(packet.Benign)
@@ -93,39 +96,14 @@ func main() {
 			fmt.Printf("%6d  %14.3f  %14.3f  %10.4f\n", i, benign[i]/1e6, attack[i]/1e6, drops[i])
 		}
 	}
-	fmt.Printf("\nscenario=%s defense=%s link=%.0f bps duration=%.0fs seed=%d\n",
-		*scenario, *defense, *link, *duration, *seed)
+	fmt.Printf("\n%s defense=%s link=%.0f bps duration=%.0fs seed=%d\n",
+		workload, *defense, *link, *duration, *seed)
 	fmt.Printf("benign drops: %.2f%%   attack drops: %.2f%%\n",
 		rec.BenignDropPercent(), rec.MaliciousDropPercent())
 }
 
-func buildScenario(name string, link float64, end eventsim.Time, seed int64) (traffic.Source, error) {
-	switch name {
-	case "accoriginal":
-		return traffic.ACCOriginal(link), nil
-	case "pulsewave":
-		return traffic.PulseWave(link, 3*link, 5*eventsim.Second, false), nil
-	case "morphing":
-		return traffic.PulseWave(link, 3*link, 5*eventsim.Second, true), nil
-	case "cicddos":
-		src, _ := traffic.CICDDoSDay(link*0.6, link*3, 4*eventsim.Second, 2*eventsim.Second, seed)
-		return src, nil
-	case "singleflow":
-		return traffic.Variation(traffic.SingleFlow, link*0.7, link*10, end/10, end, seed), nil
-	case "carpet":
-		return traffic.Variation(traffic.CarpetBombing, link*0.7, link*10, end/10, end, seed), nil
-	case "spoofed":
-		return traffic.Variation(traffic.SourceSpoofing, link*0.7, link*10, end/10, end, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown scenario %q", name)
-	}
-}
-
 func buildDefense(eng *eventsim.Engine, name string, link float64, rec *netsim.Recorder, clusters int, src traffic.Source) error {
-	buffer := int(link / 8 / 10)
-	if buffer < 10_000 {
-		buffer = 10_000
-	}
+	buffer := max(int(link/8/10), 10_000)
 	var port *netsim.Port
 	switch name {
 	case "fifo":

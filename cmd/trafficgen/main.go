@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	scenario := flag.String("scenario", "pulsewave", "workload: accoriginal|pulsewave|morphing|cicddos|background")
+	scenario := flag.String("scenario", "pulsewave", "workload: "+traffic.ScenarioNames)
 	out := flag.String("out", "trace.pcap", "output pcap path")
 	link := flag.Float64("link", 10e6, "reference link rate (bits/s), scales the workload")
 	duration := flag.Float64("duration", 30, "simulated seconds (scenarios with fixed length ignore this)")
@@ -31,22 +31,9 @@ func main() {
 	}
 
 	end := eventsim.FromSeconds(*duration)
-	var src traffic.Source
-	switch *scenario {
-	case "accoriginal":
-		src = traffic.ACCOriginal(*link)
-	case "pulsewave":
-		src = traffic.PulseWave(*link, 3*(*link), 5*eventsim.Second, false)
-	case "morphing":
-		src = traffic.PulseWave(*link, 3*(*link), 5*eventsim.Second, true)
-	case "cicddos":
-		src, _ = traffic.CICDDoSDay(*link*0.6, *link*3, 4*eventsim.Second, 2*eventsim.Second, *seed)
-	case "background":
-		src = traffic.NewBackground(traffic.BackgroundConfig{
-			Rate: *link, Start: 0, End: end, Seed: *seed,
-		})
-	default:
-		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
+	src, err := traffic.Scenario(*scenario, *link, end, *seed)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *limit > 0 {

@@ -57,9 +57,6 @@ type Config struct {
 	InitTime eventsim.Time
 	// HistoryLimit bounds the drop-history buffer (packets).
 	HistoryLimit int
-	// NarrowFraction is the drop share a child subtree must hold for
-	// the prefix walk-down to descend (0 defaults to 0.9).
-	NarrowFraction float64
 }
 
 // DefaultConfig returns the Table 4 values.
@@ -75,7 +72,6 @@ func DefaultConfig() Config {
 		CycleTime:        5 * eventsim.Second,
 		InitTime:         500 * eventsim.Millisecond,
 		HistoryLimit:     200_000,
-		NarrowFraction:   0.9,
 	}
 }
 
@@ -180,9 +176,6 @@ func Attach(eng *eventsim.Engine, port *netsim.Port, red *queue.RED, cfg Config)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.NarrowFraction == 0 {
-		cfg.NarrowFraction = 0.9
-	}
 	a := &ACC{cfg: cfg, eng: eng, FirstActivation: -1}
 
 	red.OnDrop(func(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
@@ -282,7 +275,7 @@ func (a *ACC) monitor(now eventsim.Time) {
 		a.FirstActivation = now
 	}
 
-	aggs := identifyAggregates(history, a.cfg.NarrowFraction)
+	aggs := identifyAggregates(history)
 	if len(aggs) == 0 {
 		return
 	}
@@ -420,9 +413,13 @@ type aggregate struct {
 	dropBytes uint64
 }
 
+// narrowFraction is the drop share a child subtree must hold for the
+// prefix walk-down to descend.
+const narrowFraction = 0.9
+
 // identifyAggregates implements ACC's inference: per-address drop
 // counts, the 2x-mean filter, /24 grouping, and the subtree walk-down.
-func identifyAggregates(history []dropRecord, narrowFraction float64) []aggregate {
+func identifyAggregates(history []dropRecord) []aggregate {
 	if len(history) == 0 {
 		return nil
 	}
@@ -479,7 +476,7 @@ func identifyAggregates(history []dropRecord, narrowFraction float64) []aggregat
 			continue
 		}
 		p := Prefix{Addr: key, Bits: 24}
-		p = narrow(p, history, b.drops, narrowFraction)
+		p = narrow(p, history, b.drops)
 		out = append(out, aggregate{prefix: p, drops: b.drops, dropBytes: b.bytes})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].drops > out[j].drops })
@@ -488,7 +485,7 @@ func identifyAggregates(history []dropRecord, narrowFraction float64) []aggregat
 
 // narrow walks down the prefix subtree while one child holds at least
 // narrowFraction of the parent's drops.
-func narrow(p Prefix, history []dropRecord, parentDrops uint64, frac float64) Prefix {
+func narrow(p Prefix, history []dropRecord, parentDrops uint64) Prefix {
 	for p.Bits < 32 {
 		childBits := p.Bits + 1
 		mask := ^uint32(0) << (32 - childBits)
@@ -505,7 +502,7 @@ func narrow(p Prefix, history []dropRecord, parentDrops uint64, frac float64) Pr
 				bestAddr, bestCount = addr, n
 			}
 		}
-		if float64(bestCount) < frac*float64(parentDrops) {
+		if float64(bestCount) < narrowFraction*float64(parentDrops) {
 			return p
 		}
 		p = Prefix{Addr: bestAddr, Bits: childBits}

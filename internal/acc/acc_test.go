@@ -198,7 +198,7 @@ func TestIdentifyAggregatesFindsHotPrefix(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		entries[0xc0a80000|uint32(i)<<8|uint32(i)] = 1
 	}
-	aggs := identifyAggregates(mkHistory(entries), 0.9)
+	aggs := identifyAggregates(mkHistory(entries))
 	if len(aggs) == 0 {
 		t.Fatal("no aggregates identified")
 	}
@@ -214,7 +214,7 @@ func TestIdentifyAggregatesFindsHotPrefix(t *testing.T) {
 func TestIdentifyAggregatesNarrowsToHost(t *testing.T) {
 	// All drops on a single address: the subtree walk must narrow to /32.
 	entries := map[uint32]int{0x0a000507: 50}
-	aggs := identifyAggregates(mkHistory(entries), 0.9)
+	aggs := identifyAggregates(mkHistory(entries))
 	if len(aggs) != 1 {
 		t.Fatalf("%d aggregates", len(aggs))
 	}
@@ -224,7 +224,7 @@ func TestIdentifyAggregatesNarrowsToHost(t *testing.T) {
 }
 
 func TestIdentifyAggregatesEmptyHistory(t *testing.T) {
-	if aggs := identifyAggregates(nil, 0.9); aggs != nil {
+	if aggs := identifyAggregates(nil); aggs != nil {
 		t.Fatalf("empty history gave %v", aggs)
 	}
 }

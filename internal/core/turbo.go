@@ -79,9 +79,6 @@ type Config struct {
 	// NumQueues is the number of strict-priority queues. Zero defaults
 	// to Clustering.MaxClusters (one queue per cluster, as on Tofino).
 	NumQueues int
-	// QueueBytes is the per-queue buffer capacity. Zero defaults to
-	// 64 KiB.
-	QueueBytes int
 	// PollInterval is the control-plane polling period.
 	PollInterval eventsim.Time
 	// DeployDelay is the latency between computing a new mapping and
@@ -175,9 +172,6 @@ func (c Config) withDefaults() Config {
 	if c.NumQueues == 0 {
 		c.NumQueues = c.Clustering.MaxClusters
 	}
-	if c.QueueBytes == 0 {
-		c.QueueBytes = 64 << 10
-	}
 	// WatchdogInterval deliberately keeps its zero value: in
 	// RuntimeConfig zero means "track PollInterval", so a live
 	// poll-interval change moves the watchdog cadence with it.
@@ -203,6 +197,10 @@ type Decision struct {
 	// (0 = highest priority).
 	QueueOf []int
 }
+
+// queueBytes is the byte capacity of each of a simulated Turbo's
+// strict-priority queues.
+const queueBytes = 64 << 10
 
 // Turbo is one ACC-Turbo instance wired for the discrete-event
 // simulator: a (possibly sharded) Dataplane classifying packets into a
@@ -235,7 +233,7 @@ func Attach(eng *eventsim.Engine, rateBits float64, rec *netsim.Recorder, cfg Co
 		cfg: cfg,
 		dp:  NewDataplane(cfg, false),
 	}
-	t.prio = queue.NewPriority(cfg.NumQueues, cfg.QueueBytes, t.classify)
+	t.prio = queue.NewPriority(cfg.NumQueues, queueBytes, t.classify)
 	cp, err := NewControlPlane(t.dp, SimClock{Eng: eng}, cfg)
 	if err != nil {
 		return nil, nil, err

@@ -17,8 +17,22 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := cfg.withDefaults()
-	if d.NumQueues != 10 || d.QueueBytes != 64<<10 {
+	if d.NumQueues != 10 {
 		t.Fatalf("defaults: %+v", d)
+	}
+	// Each strict-priority queue of an attached instance holds 64 KiB:
+	// 64 packets of 1 KiB, not 65.
+	_, turbo, err := Attach(eventsim.New(), 10e6, nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &packet.Packet{SrcIP: packet.V4(1, 2, 3, 4), DstIP: packet.V4(5, 6, 7, 8), Protocol: packet.ProtoUDP, Length: 1024}
+	n := 0
+	for n <= 64 && turbo.prio.Enqueue(0, p) == queue.DropNone {
+		n++
+	}
+	if n != 64 {
+		t.Fatalf("a queue took %d 1 KiB packets, want 64", n)
 	}
 	hw := HardwareConfig()
 	if err := hw.Validate(); err != nil {

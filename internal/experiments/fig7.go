@@ -95,9 +95,10 @@ func thresholdFor(rateBits float64, pktBytes int, window eventsim.Time) uint64 {
 	return uint64(rateBits / 8 / float64(pktBytes) * window.Seconds())
 }
 
-// runProgramSwap models the Fig. 7c methodology: steady traffic through
-// a switch that becomes a black hole for ReprogramTime at t = 60 s
-// (program swap), then forwards again.
+// runProgramSwap is the one model of Jaqen's program-swap downtime
+// (Fig. 7c): steady traffic through a switch that becomes a black hole
+// for 11.5 s, the paper's measured swap time, halfway through the run,
+// then forwards again.
 func runProgramSwap(seed int64, end eventsim.Time) *netsim.Recorder {
 	swapStart := end / 2
 	swapEnd := swapStart + 11_500*eventsim.Millisecond

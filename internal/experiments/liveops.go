@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
@@ -50,19 +51,6 @@ func (s *skipUntil) Next() (traffic.TimedPacket, bool) {
 func (s *skipUntil) SetPool(pool *packet.Pool) {
 	s.pool = pool
 	traffic.AttachPool(s.src, pool)
-}
-
-// queueMapsEqual compares two deployed cluster→queue mappings.
-func queueMapsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // LiveOps exercises both live-operation paths mid-pulse-wave and
@@ -177,7 +165,7 @@ func LiveOps(opt Options) *Result {
 	// The attack aggregate is preDec's top-ranked cluster; its demotion
 	// must survive the restart even though the background clusters may
 	// re-rank over the new window's traffic.
-	resumed := preDec != nil && restoredDec != nil && queueMapsEqual(restoredDec.QueueOf, preDec.QueueOf)
+	resumed := preDec != nil && restoredDec != nil && slices.Equal(restoredDec.QueueOf, preDec.QueueOf)
 	demoted := false
 	floodQueue := -1
 	if preDec != nil && firstDec != nil && len(preDec.Rank) > 0 {

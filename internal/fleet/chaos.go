@@ -118,37 +118,31 @@ func (s *chaosStream) mask() byte {
 // process applies the schedule to one chunk in place and returns how
 // many bytes to forward, whether to reset the connection afterwards,
 // and how long to stall first. Events trigger when the stream's
-// cumulative offset crosses their scheduled offset, so chunk sizes
-// never shift the schedule.
+// cumulative offset crosses their scheduled offset, and only the bytes
+// forwarded take faults — k delays among them stall k × DelayFor, and
+// nothing past a reset point is corrupted or counted — so chunk sizes
+// never shift or thin the schedule.
 func (s *chaosStream) process(chunk []byte, counters *ChaosStats) (forward int, reset bool, stall time.Duration) {
-	end := s.offset + uint64(len(chunk))
-	if s.spec.DelayEvery > 0 && s.nextDelay < end {
-		stall = s.spec.DelayFor
-		s.nextDelay += chaosGap(s.delayRNG, s.spec.DelayEvery)
-		atomic.AddUint64(&counters.DelaysInjected, 1)
-	}
-	if s.spec.CorruptEvery > 0 {
-		for s.nextCorrupt < end {
-			if s.nextCorrupt >= s.offset {
-				chunk[s.nextCorrupt-s.offset] ^= s.mask()
-				atomic.AddUint64(&counters.BytesCorrupted, 1)
-			}
-			s.nextCorrupt += chaosGap(s.corruptRNG, s.spec.CorruptEvery)
-		}
-	}
 	forward = len(chunk)
-	if s.spec.ResetEvery > 0 && s.nextReset < end {
+	if s.spec.ResetEvery > 0 && s.nextReset < s.offset+uint64(forward) {
 		// Forward the prefix so the far side is left mid-frame, then RST.
-		if s.nextReset > s.offset {
-			forward = int(s.nextReset - s.offset)
-		} else {
-			forward = 0
-		}
+		forward = int(s.nextReset - s.offset)
 		reset = true
 		s.nextReset += chaosGap(s.resetRNG, s.spec.ResetEvery)
 		atomic.AddUint64(&counters.ResetsInjected, 1)
 	}
-	s.offset += uint64(forward)
+	end := s.offset + uint64(forward)
+	for s.spec.DelayEvery > 0 && s.nextDelay < end {
+		stall += s.spec.DelayFor
+		s.nextDelay += chaosGap(s.delayRNG, s.spec.DelayEvery)
+		atomic.AddUint64(&counters.DelaysInjected, 1)
+	}
+	for s.spec.CorruptEvery > 0 && s.nextCorrupt < end {
+		chunk[s.nextCorrupt-s.offset] ^= s.mask()
+		atomic.AddUint64(&counters.BytesCorrupted, 1)
+		s.nextCorrupt += chaosGap(s.corruptRNG, s.spec.CorruptEvery)
+	}
+	s.offset = end
 	atomic.AddUint64(&counters.BytesForwarded, uint64(forward))
 	return forward, reset, stall
 }
@@ -360,12 +354,17 @@ type chaosEvent struct {
 	what   string
 }
 
+// planHorizon is how many bytes of each connection direction Plan
+// renders.
+const planHorizon = 1 << 16
+
 // Plan renders the fault schedule the spec would apply to the first
-// `conns` connections over the first `horizon` bytes of each direction,
-// without opening a socket. The output is a pure function of the spec,
-// so running it twice and diffing is a determinism gate for the whole
-// seeded-chaos machinery (CI does exactly that).
-func (spec ChaosSpec) Plan(conns int, horizon uint64) string {
+// `conns` connections over the first planHorizon bytes of each
+// direction, without opening a socket. The output is a pure function of
+// the spec, so running it twice and diffing is a determinism gate for
+// the whole seeded-chaos machinery (CI does exactly that).
+func (spec ChaosSpec) Plan(conns int) string {
+	const horizon = planHorizon
 	var b strings.Builder
 	fmt.Fprintf(&b, "chaos plan seed=%d corrupt=%d reset=%d delay=%d/%s horizon=%d conns=%d\n",
 		spec.Seed, spec.CorruptEvery, spec.ResetEvery, spec.DelayEvery, spec.DelayFor, horizon, conns)

@@ -1,19 +1,20 @@
 // Package jaqen re-implements the Jaqen DDoS defense (Liu et al.,
-// USENIX Security 2021) at the fidelity the paper's comparison (§7.2)
-// requires: sketch-based signature detection, threshold activation
-// across two consecutive windows, drop-based mitigation, and the
-// switch-reprogramming downtime that dominates its reaction time when a
-// mitigation module is not yet loaded.
+// USENIX Security 2021) with its mitigation module already in the
+// switch, the configuration of the paper's comparison (§7.2):
+// sketch-based signature detection, threshold activation across two
+// consecutive windows, and drop-based mitigation. The program-swap
+// downtime Jaqen pays when the module is not yet loaded is a property of
+// the switch, not of the defense; Fig. 7c models it on its own
+// (experiments' runProgramSwap).
 //
 //	Detection:  count-min sketch over a configured key (5-tuple for
 //	            Jaqen-dagger, source IP for Jaqen-double-dagger).
 //	Reaction:   the controller polls the sketch every Window; a key
 //	            counted above Threshold in two consecutive windows is
 //	            an attack.
-//	Mitigation: a drop rule on the offending key — installed after
-//	            RuleInstallDelay when the defense module is already in
-//	            the switch, or after ReprogramTime of total downtime
-//	            when the switch must be reprogrammed first.
+//	Mitigation: a drop rule on the offending key, which counts as
+//	            installed (FirstMitigation, RulesInstalled) after
+//	            RuleInstallDelay.
 package jaqen
 
 import (
@@ -22,7 +23,6 @@ import (
 	"accturbo/internal/eventsim"
 	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/queue"
 	"accturbo/internal/sketch"
 )
 
@@ -59,21 +59,8 @@ type Config struct {
 	// ConsecutiveWindows is how many successive windows must flag a
 	// key before mitigation (the paper observes Jaqen requires two).
 	ConsecutiveWindows int
-	// DefenseDeployed: when true the mitigation module is already in
-	// the switch and only RuleInstallDelay applies; when false, the
-	// first detection triggers a switch reprogram with ReprogramTime
-	// of full downtime.
-	DefenseDeployed bool
-	// RateLimitBits, when positive, polices detected keys to this rate
-	// instead of dropping them outright (Table 2 lists both
-	// mitigations; drop is Jaqen's default in the paper's
-	// experiments).
-	RateLimitBits float64
 	// RuleInstallDelay is the controller-to-data-plane latency.
 	RuleInstallDelay eventsim.Time
-	// ReprogramTime is the measured program-swap downtime (11.5 s on
-	// the paper's testbed).
-	ReprogramTime eventsim.Time
 	// SketchRows and SketchCols size the count-min sketch: the
 	// wire-speed sketch.TurboCountMin with conservative update, which
 	// raises just the counters at the key's current minimum and so
@@ -85,17 +72,15 @@ type Config struct {
 
 // DefaultConfig mirrors the paper's measurement setup: 5-tuple key,
 // controller polling at 5 s (which with the two-consecutive-windows
-// rule yields the ~10 s best-case reaction of Fig. 7d), defense
-// deployed, 50 ms rule install.
+// rule yields the ~10 s best-case reaction of Fig. 7d), 50 ms rule
+// install.
 func DefaultConfig() Config {
 	return Config{
 		Key:                FiveTuple,
 		Threshold:          1_000_000,
 		Window:             5 * eventsim.Second,
 		ConsecutiveWindows: 2,
-		DefenseDeployed:    true,
 		RuleInstallDelay:   50 * eventsim.Millisecond,
-		ReprogramTime:      11_500 * eventsim.Millisecond,
 		SketchRows:         4,
 		SketchCols:         65536,
 	}
@@ -128,26 +113,18 @@ type Jaqen struct {
 	// candidates are keys whose estimate crossed the threshold in the
 	// current window (the heavy-flowkey store of the real system).
 	candidates map[uint64]int // key -> consecutive windows flagged
-	rules      map[uint64]*rule
+	rules      map[uint64]struct{}
 	flagged    map[uint64]bool // flagged during the current window
-
-	reprogramming  bool
-	reprogramDone  eventsim.Time
-	reprogrammedAt eventsim.Time
 
 	// FirstMitigation is when the first drop rule became active (-1
 	// before any).
 	FirstMitigation eventsim.Time
 
 	// Mitigation accounting: how many packets the defense admitted
-	// versus dropped, split by cause (an installed rule, a policer rule's
-	// rate limit, or the total blackout while the switch reprograms).
-	// Written from the engine's event loop and read between events, like
-	// netsim.Recorder, so the fields are plain.
+	// versus dropped by a rule. Written from the engine's event loop and
+	// read between events, like netsim.Recorder, so the fields are plain.
 	admitted       uint64
 	ruleDrops      uint64
-	policerDrops   uint64
-	downtimeDrops  uint64
 	rulesInstalled uint64
 }
 
@@ -162,15 +139,15 @@ func Attach(eng *eventsim.Engine, port *netsim.Port, cfg Config) (*Jaqen, error)
 		cfg:             cfg,
 		eng:             eng,
 		candidates:      map[uint64]int{},
-		rules:           map[uint64]*rule{},
+		rules:           map[uint64]struct{}{},
 		flagged:         map[uint64]bool{},
 		FirstMitigation: -1,
 		cm:              sketch.NewTurboCountMin(cfg.SketchRows, cfg.SketchCols, true),
 	}
-	port.AddIngress(func(now eventsim.Time, p *packet.Packet) bool {
-		return j.admit(now, p)
+	port.AddIngress(func(_ eventsim.Time, p *packet.Packet) bool {
+		return j.admit(p)
 	})
-	eng.Every(cfg.Window, func(now eventsim.Time) { j.poll(now) })
+	eng.Every(cfg.Window, func(eventsim.Time) { j.poll() })
 	reset := cfg.ResetPeriod
 	if reset <= 0 {
 		reset = cfg.Window
@@ -203,28 +180,13 @@ func (j *Jaqen) key(p *packet.Packet) uint64 {
 	}
 }
 
-// admit implements the data-plane path: update the sketch, mark
-// heavy keys, and enforce drop rules (and reprogram downtime).
-func (j *Jaqen) admit(now eventsim.Time, p *packet.Packet) bool {
-	if j.reprogramming {
-		if now < j.reprogramDone {
-			j.downtimeDrops++
-			return false // total downtime during program swap
-		}
-		j.reprogramming = false
-	}
+// admit implements the data-plane path: enforce drop rules, update the
+// sketch, and mark heavy keys.
+func (j *Jaqen) admit(p *packet.Packet) bool {
 	k := j.key(p)
-	if rl, ok := j.rules[k]; ok {
-		if rl.bucket == nil {
-			j.ruleDrops++
-			return false // drop rule
-		}
-		if !rl.bucket.Allow(now, p.Size()) {
-			j.policerDrops++
-			return false
-		}
-		j.admitted++
-		return true
+	if _, ok := j.rules[k]; ok {
+		j.ruleDrops++
+		return false
 	}
 	if j.cm.Add(k, 1) > j.cfg.Threshold {
 		j.flagged[k] = true
@@ -235,11 +197,11 @@ func (j *Jaqen) admit(now eventsim.Time, p *packet.Packet) bool {
 
 // poll is the controller loop: promote keys flagged in enough
 // consecutive windows to drop rules.
-func (j *Jaqen) poll(now eventsim.Time) {
+func (j *Jaqen) poll() {
 	for k := range j.flagged {
 		j.candidates[k]++
 		if _, installed := j.rules[k]; j.candidates[k] >= j.cfg.ConsecutiveWindows && !installed {
-			j.mitigate(now, k)
+			j.mitigate(k)
 		}
 	}
 	// Keys not flagged this window lose their streak.
@@ -251,37 +213,16 @@ func (j *Jaqen) poll(now eventsim.Time) {
 	clear(j.flagged)
 }
 
-// rule is one installed mitigation: a drop (nil bucket) or a policer.
-type rule struct {
-	bucket *queue.TokenBucket
-}
-
-// mitigate deploys a drop or rate-limit rule for key k, modeling
-// deployment latency.
-func (j *Jaqen) mitigate(now eventsim.Time, k uint64) {
-	rl := &rule{}
-	if rate := j.cfg.RateLimitBits; rate > 0 {
-		rl.bucket = queue.NewTokenBucket(rate, 6000)
-	}
-	j.rules[k] = rl // reserve so we don't double-deploy
-	activate := func(at eventsim.Time) {
+// mitigate installs a drop rule for key k. The data plane enforces it
+// from now on; it counts as active once RuleInstallDelay has passed.
+func (j *Jaqen) mitigate(k uint64) {
+	j.rules[k] = struct{}{}
+	j.eng.After(j.cfg.RuleInstallDelay, func(at eventsim.Time) {
 		if j.FirstMitigation < 0 {
 			j.FirstMitigation = at
 		}
 		j.rulesInstalled++
-	}
-	if j.cfg.DefenseDeployed {
-		j.eng.After(j.cfg.RuleInstallDelay, func(t eventsim.Time) { activate(t) })
-		return
-	}
-	// Reprogram path: the switch drops everything for ReprogramTime,
-	// after which the rule is active.
-	if !j.reprogramming && j.reprogrammedAt == 0 {
-		j.reprogramming = true
-		j.reprogramDone = now + j.cfg.ReprogramTime
-		j.reprogrammedAt = now
-	}
-	j.eng.After(j.cfg.ReprogramTime, func(t eventsim.Time) { activate(t) })
+	})
 }
 
 // Rules returns the number of active drop rules.
@@ -295,9 +236,3 @@ func (j *Jaqen) Admitted() uint64 { return j.admitted }
 
 // RuleDrops counts packets dropped by an installed drop rule.
 func (j *Jaqen) RuleDrops() uint64 { return j.ruleDrops }
-
-// PolicerDrops counts packets denied by a rate-limit rule's bucket.
-func (j *Jaqen) PolicerDrops() uint64 { return j.policerDrops }
-
-// DowntimeDrops counts packets lost to reprogramming blackout.
-func (j *Jaqen) DowntimeDrops() uint64 { return j.downtimeDrops }

@@ -114,7 +114,6 @@ var shapes = []shape{
 		cfg := jaqen.DefaultConfig()
 		cfg.Window = eventsim.Second
 		cfg.Threshold = 500
-		cfg.DefenseDeployed = true
 		if _, err := jaqen.Attach(eng, port, cfg); err != nil {
 			panic(err)
 		}

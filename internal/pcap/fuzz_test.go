@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -9,7 +10,8 @@ import (
 )
 
 // FuzzReader checks the pcap reader never panics on arbitrary input
-// and terminates (EOF or error) on every stream.
+// and terminates (EOF or an error) on every image; a frame that does
+// not decode is skipped, as traffic.PcapSource does.
 func FuzzReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewWriter(&buf)
@@ -22,16 +24,21 @@ func FuzzReader(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
+		r, err := NewMappedReader(data)
 		if err != nil {
 			return
 		}
 		for i := 0; i < 10_000; i++ {
-			if _, _, err := r.Next(); err != nil {
-				if err != io.EOF {
-					return
-				}
+			_, p, err := r.Next()
+			switch {
+			case err == io.EOF:
 				return
+			case errors.Is(err, packet.ErrTooShort), errors.Is(err, packet.ErrBadVersion), errors.Is(err, packet.ErrBadLength):
+				continue
+			case err != nil:
+				return
+			case p == nil:
+				t.Fatal("nil packet without an error")
 			}
 		}
 	})

@@ -47,7 +47,7 @@ func TestNanoRoundTrip(t *testing.T) {
 	if got := binary.LittleEndian.Uint32(data[0:4]); got != magicNanos {
 		t.Fatalf("magic %#x, want %#x", got, magicNanos)
 	}
-	r, err := NewReader(bytes.NewReader(data))
+	r, err := NewMappedReader(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestNanoRoundTrip(t *testing.T) {
 func TestMicrosTruncation(t *testing.T) {
 	at := 3*eventsim.Second + 123*eventsim.Microsecond + 456*eventsim.Nanosecond
 	pkts := []timedPkt{{At: at, Pkt: fixturePackets(1)[0].Pkt}}
-	r, err := NewReader(bytes.NewReader(captureBytes(t, false, pkts)))
+	r, err := NewMappedReader(captureBytes(t, false, pkts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,42 +89,44 @@ func TestMicrosTruncation(t *testing.T) {
 	}
 }
 
-// TestMappedReaderMatchesReader: the zero-copy mapped iteration must
-// yield exactly the streaming reader's records — same timestamps, same
-// frame bytes — for both magics.
+// TestMappedReaderMatchesReader: NextFrame and Next walk the same
+// records — the fixture packets as written, at their timestamps (to the
+// microsecond under the classic magic) — for both magics, and Next's
+// packet is the decode of NextFrame's bytes.
 func TestMappedReaderMatchesReader(t *testing.T) {
 	for _, nanos := range []bool{false, true} {
 		pkts := fixturePackets(200)
 		data := captureBytes(t, nanos, pkts)
-		stream, err := NewReader(bytes.NewReader(data))
+		decoded, err := NewMappedReader(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := NewMappedReader(data)
+		raw, err := NewMappedReader(data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; ; i++ {
-			wantAt, wantPkt, werr := stream.Next()
-			gotAt, frame, gerr := mapped.NextFrame()
-			if (werr == io.EOF) != (gerr == io.EOF) {
-				t.Fatalf("nanos=%v record %d: stream err %v, mapped err %v", nanos, i, werr, gerr)
-			}
-			if werr == io.EOF {
+			at, p, derr := decoded.Next()
+			frameAt, frame, rerr := raw.NextFrame()
+			if derr == io.EOF && rerr == io.EOF {
+				if i != len(pkts) {
+					t.Fatalf("nanos=%v: read %d records, wrote %d", nanos, i, len(pkts))
+				}
 				break
 			}
-			if werr != nil || gerr != nil {
-				t.Fatalf("nanos=%v record %d: stream err %v, mapped err %v", nanos, i, werr, gerr)
+			if derr != nil || rerr != nil {
+				t.Fatalf("nanos=%v record %d: Next err %v, NextFrame err %v", nanos, i, derr, rerr)
 			}
-			if gotAt != wantAt {
-				t.Fatalf("nanos=%v record %d: mapped at %v, stream at %v", nanos, i, gotAt, wantAt)
+			want := pkts[i]
+			if at != frameAt || at/eventsim.Microsecond != want.At/eventsim.Microsecond {
+				t.Fatalf("nanos=%v record %d: Next at %v, NextFrame at %v, written at %v", nanos, i, at, frameAt, want.At)
 			}
-			p, err := packet.Unmarshal(frame)
+			q, err := packet.Unmarshal(frame)
 			if err != nil {
-				t.Fatalf("nanos=%v record %d: mapped frame does not parse: %v", nanos, i, err)
+				t.Fatalf("nanos=%v record %d: frame does not parse: %v", nanos, i, err)
 			}
-			if p.SrcIP != wantPkt.SrcIP || p.Length != wantPkt.Length || p.SrcPort != wantPkt.SrcPort {
-				t.Fatalf("nanos=%v record %d: frame differs from streamed packet", nanos, i)
+			if *p != *q || p.SrcIP != want.Pkt.SrcIP || p.Length != want.Pkt.Length || p.SrcPort != want.Pkt.SrcPort {
+				t.Fatalf("nanos=%v record %d: Next %+v, frame %+v, written %+v", nanos, i, p, q, want.Pkt)
 			}
 		}
 	}
@@ -311,6 +313,3 @@ func TestMappedReaderZeroAlloc(t *testing.T) {
 		t.Fatalf("mapped iteration allocates %v per pass, want 0", allocs)
 	}
 }
-
-// The compile-time contract the replay pipeline relies on.
-var _ FrameSource = (*MappedReader)(nil)

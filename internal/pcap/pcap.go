@@ -6,15 +6,20 @@
 //
 // Virtual simulation timestamps map to the seconds/sub-seconds fields
 // directly: a packet at eventsim.Time t is stored with ts = t since the
-// epoch. Both timestamp resolutions of the classic format are
+// epoch, and the reader returns the stored time as it is (it is
+// traffic.PcapSource that rebases a wall-clock capture to zero). Both
+// timestamp resolutions of the classic format are
 // supported: microseconds (magic 0xa1b2c3d4, the Writer default, which
 // truncates the simulator's nanosecond clock) and nanoseconds (magic
 // 0xa1b23c4d, NewNanoWriter, lossless).
 //
-// For replay there is a second, zero-copy read path: MappedReader
-// iterates raw frame bytes directly out of an in-memory capture image
-// — memory-mapped from a file by OpenMapped on unix — without copying
-// or decoding packets (see pcap.FrameSource).
+// There is one reader, MappedReader, over a capture image held in
+// memory — memory-mapped from a file by OpenMapped on unix. NextFrame
+// hands out raw frame bytes without copying or decoding them (the
+// wire-speed replay path); Next decodes each frame into a Packet. What
+// to do with a frame that does not decode is the caller's policy:
+// traffic.PcapSource, which every tool reads captures through, skips
+// and counts it.
 package pcap
 
 import (
@@ -36,10 +41,8 @@ const (
 	snaplen     = 65535
 )
 
-// Errors returned by the reader.
-var (
-	ErrBadMagic = errors.New("pcap: bad magic number")
-)
+// ErrBadMagic is the error for an image that is not a pcap capture.
+var ErrBadMagic = errors.New("pcap: bad magic number")
 
 // Writer streams packets into a pcap file.
 type Writer struct {
@@ -139,76 +142,6 @@ func tsOf(sec, sub uint32, nanos bool) eventsim.Time {
 	return eventsim.Time(sec)*eventsim.Second + eventsim.Time(sub)*unit
 }
 
-// Reader streams packets out of a pcap file.
-type Reader struct {
-	r       *bufio.Reader
-	swapped bool
-	nanos   bool
-	buf     []byte
-}
-
-// NewReader parses the global header. Both byte orders and both
-// timestamp resolutions (microsecond 0xa1b2c3d4 and nanosecond
-// 0xa1b23c4d magic) of raw-IP captures are accepted.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 24)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("pcap: reading global header: %w", err)
-	}
-	swapped, nanos, err := parseMagic(hdr[0:4])
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{r: br, swapped: swapped, nanos: nanos}, nil
-}
-
-func (r *Reader) u32(b []byte) uint32 {
-	if r.swapped {
-		return binary.BigEndian.Uint32(b)
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// Next returns the next packet and its timestamp, or io.EOF at the end
-// of the capture.
-func (r *Reader) Next() (eventsim.Time, *packet.Packet, error) {
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(r.r, hdr); err != nil {
-		if errors.Is(err, io.EOF) {
-			return 0, nil, io.EOF
-		}
-		return 0, nil, fmt.Errorf("pcap: reading record header: %w", err)
-	}
-	sec := r.u32(hdr[0:4])
-	sub := r.u32(hdr[4:8])
-	caplen := r.u32(hdr[8:12])
-	if caplen > snaplen {
-		return 0, nil, fmt.Errorf("pcap: capture length %d exceeds snaplen", caplen)
-	}
-	if cap(r.buf) < int(caplen) {
-		r.buf = make([]byte, caplen)
-	}
-	b := r.buf[:caplen]
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		return 0, nil, fmt.Errorf("pcap: reading record body: %w", err)
-	}
-	p, err := packet.Unmarshal(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	return tsOf(sec, sub, r.nanos), p, nil
-}
-
-// FrameSource yields raw capture frames in order: NextFrame returns the
-// next record's timestamp and its frame bytes, or io.EOF at the end.
-// The returned slice may alias source-owned memory — valid until the
-// source is closed, not across Reset — so consumers that queue frames
-// must keep the source open until they drain.
-type FrameSource interface {
-	NextFrame() (eventsim.Time, []byte, error)
-}
-
 // MappedReader iterates a capture held entirely in memory, handing out
 // frame byte slices that alias the image — no per-packet copy, no
 // decode. Pair it with packet.ParseFrame and FrameView.Features for the
@@ -276,6 +209,19 @@ func (m *MappedReader) NextFrame() (eventsim.Time, []byte, error) {
 		m.pf += m.data[ahead] + m.data[ahead-2048]
 	}
 	return tsOf(sec, sub, m.nanos), m.data[body : body+caplen : body+caplen], nil
+}
+
+// Next is NextFrame followed by packet.Unmarshal: the next record's
+// timestamp and decoded packet, or io.EOF after the last record. An
+// Unmarshal error is returned unwrapped, with the record's timestamp,
+// so a caller can tell a malformed frame from a broken capture.
+func (m *MappedReader) Next() (eventsim.Time, *packet.Packet, error) {
+	at, frame, err := m.NextFrame()
+	if err != nil {
+		return 0, nil, err
+	}
+	p, err := packet.Unmarshal(frame)
+	return at, p, err
 }
 
 // Reset rewinds the reader to the first record.

@@ -58,7 +58,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := NewReader(&buf)
+	r, err := NewMappedReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestGlobalHeaderFormat(t *testing.T) {
 }
 
 func TestReaderRejectsGarbage(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("not a pcap file at all....."))); err == nil {
+	if _, err := NewMappedReader([]byte("not a pcap file at all.....")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if _, err := NewReader(bytes.NewReader(nil)); err == nil {
+	if _, err := NewMappedReader(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 }
@@ -135,7 +135,7 @@ func TestReaderBigEndian(t *testing.T) {
 	buf.Write(rec)
 	buf.Write(wire)
 
-	r, err := NewReader(&buf)
+	r, err := NewMappedReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestTruncatedRecord(t *testing.T) {
 	w.Write(0, p)
 	w.Flush()
 	data := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(data[:len(data)-10]))
+	r, err := NewMappedReader(data[:len(data)-10])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			}
 		}
 		w.Flush()
-		rd, err := NewReader(&buf)
+		rd, err := NewMappedReader(buf.Bytes())
 		if err != nil {
 			return false
 		}

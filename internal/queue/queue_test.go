@@ -156,24 +156,6 @@ func TestREDIdleDecay(t *testing.T) {
 	}
 }
 
-func TestREDGentleRegion(t *testing.T) {
-	cfg := DefaultREDConfig(100_000, 1e9)
-	cfg.Gentle = true
-	r := NewRED(cfg)
-	// Force the average into (max, 2*max): probability should be in
-	// (MaxP, 1), not an immediate certain drop.
-	r.avg = float64(cfg.MaxThreshold) * 1.5
-	pb := r.dropProbability()
-	if pb <= cfg.MaxP || pb >= 1 {
-		t.Fatalf("gentle p_b = %v, want within (%v, 1)", pb, cfg.MaxP)
-	}
-	// Beyond 2*max everything drops.
-	r.avg = float64(2*cfg.MaxThreshold) + 1
-	if got := r.Enqueue(0, pkt(500)); got != DropEarly {
-		t.Fatalf("above gentle cut: got %v", got)
-	}
-}
-
 func TestREDConfigValidation(t *testing.T) {
 	bad := []REDConfig{
 		{CapacityBytes: 0, MinThreshold: 1, MaxThreshold: 2, MaxP: 0.1, Weight: 0.002},

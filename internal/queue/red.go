@@ -32,10 +32,6 @@ type REDConfig struct {
 	IdleRate float64
 	// Seed makes the probabilistic dropper deterministic.
 	Seed int64
-	// Gentle enables the "gentle RED" variant: between MaxThreshold
-	// and 2*MaxThreshold the drop probability ramps from MaxP to 1
-	// instead of jumping to 1.
-	Gentle bool
 }
 
 // DefaultREDConfig returns the configuration used across the paper
@@ -124,7 +120,7 @@ func (r *RED) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	switch {
 	case r.avg < float64(r.cfg.MinThreshold):
 		r.count = -1
-	case r.avg >= float64(r.maxCut()):
+	case r.avg >= float64(r.cfg.MaxThreshold):
 		r.count = 0
 		r.EarlyDrops++
 		return r.drop(now, p, DropEarly)
@@ -155,25 +151,10 @@ func (r *RED) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	return DropNone
 }
 
-// maxCut is the average-queue level above which every packet drops.
-func (r *RED) maxCut() int {
-	if r.cfg.Gentle {
-		return 2 * r.cfg.MaxThreshold
-	}
-	return r.cfg.MaxThreshold
-}
-
-// dropProbability returns p_b for the current average.
+// dropProbability returns p_b for an average between the thresholds.
 func (r *RED) dropProbability() float64 {
 	min, max := float64(r.cfg.MinThreshold), float64(r.cfg.MaxThreshold)
-	if r.avg < max {
-		return r.cfg.MaxP * (r.avg - min) / (max - min)
-	}
-	if !r.cfg.Gentle {
-		return 1
-	}
-	// Gentle region: ramp MaxP -> 1 over [max, 2*max].
-	return r.cfg.MaxP + (1-r.cfg.MaxP)*(r.avg-max)/max
+	return r.cfg.MaxP * (r.avg - min) / (max - min)
 }
 
 // updateAverage applies the EWMA update, including idle-time decay.

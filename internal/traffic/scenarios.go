@@ -234,3 +234,33 @@ func CICDDoSDay(bgRate, attackRate float64, vectorLen, vectorGap eventsim.Time, 
 	}
 	return Merge(srcs...), windows
 }
+
+// ScenarioNames lists the workloads Scenario builds, in flag-help form.
+const ScenarioNames = "accoriginal|pulsewave|morphing|cicddos|singleflow|carpet|spoofed|background"
+
+// Scenario builds a command-line workload by name (one of
+// ScenarioNames) over a bottleneck of link bits/s. end bounds the
+// workloads whose length the paper does not fix (the Table 3 shapes and
+// background); seed drives the random ones.
+func Scenario(name string, link float64, end eventsim.Time, seed int64) (Source, error) {
+	switch name {
+	case "accoriginal":
+		return ACCOriginal(link), nil
+	case "pulsewave":
+		return PulseWave(link, 3*link, 5*eventsim.Second, false), nil
+	case "morphing":
+		return PulseWave(link, 3*link, 5*eventsim.Second, true), nil
+	case "cicddos":
+		src, _ := CICDDoSDay(link*0.6, link*3, 4*eventsim.Second, 2*eventsim.Second, seed)
+		return src, nil
+	case "singleflow":
+		return Variation(SingleFlow, link*0.7, link*10, end/10, end, seed), nil
+	case "carpet":
+		return Variation(CarpetBombing, link*0.7, link*10, end/10, end, seed), nil
+	case "spoofed":
+		return Variation(SourceSpoofing, link*0.7, link*10, end/10, end, seed), nil
+	case "background":
+		return NewBackground(BackgroundConfig{Rate: link, End: end, Seed: seed}), nil
+	}
+	return nil, fmt.Errorf("unknown scenario %q", name)
+}

@@ -629,7 +629,7 @@ func TestPcapSourceRoundTrip(t *testing.T) {
 	}
 	w.Flush()
 
-	r, err := pcap.NewReader(&buf)
+	r, err := pcap.NewMappedReader(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +661,7 @@ func TestPcapSourceSurfacesErrors(t *testing.T) {
 	w.Write(0, p)
 	w.Flush()
 	data := buf.Bytes()
-	r, err := pcap.NewReader(bytes.NewReader(data[:len(data)-5])) // truncated body
+	r, err := pcap.NewMappedReader(data[:len(data)-5]) // truncated body
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -671,6 +671,41 @@ func TestPcapSourceSurfacesErrors(t *testing.T) {
 	}
 	if src.Err() == nil {
 		t.Fatal("truncation not surfaced via Err")
+	}
+}
+
+// TestPcapSourceSkipsAndRebases: a frame that does not decode is
+// skipped and counted, not an error, and a capture stamped with
+// wall-clock seconds replays from the start of its first record's
+// second.
+func TestPcapSourceSkipsAndRebases(t *testing.T) {
+	const epoch = 1_704_067_200 * eventsim.Second // 2024-01-01 UTC
+	var buf bytes.Buffer
+	w, err := pcap.NewNanoWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &packet.Packet{}
+	simpleFactory(100)(0, 0, p)
+	for i := eventsim.Time(0); i < 3; i++ {
+		if err := w.Write(epoch+300*eventsim.Millisecond+i*eventsim.Second, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Flush()
+	data := buf.Bytes()
+	data[24+2*16+p.WireLen()] = 0x65 // the second record's version nibble: IPv6
+	r, err := pcap.NewMappedReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := NewPcapSource(r)
+	got := Collect(src)
+	if len(got) != 2 || got[0].At != 300*eventsim.Millisecond || got[1].At != 2300*eventsim.Millisecond {
+		t.Fatalf("replayed %+v, want packets at 300ms and 2.3s", got)
+	}
+	if src.Skipped() != 1 || src.Err() != nil {
+		t.Fatalf("skipped %d, err %v; want 1 and nil", src.Skipped(), src.Err())
 	}
 }
 

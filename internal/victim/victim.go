@@ -31,6 +31,11 @@ import (
 	"accturbo/internal/sketch"
 )
 
+// idleBytes is the window volume under which a window is idle and the
+// victim states are left untouched, so a quiet window does not delist
+// everything because shares are computed over noise.
+const idleBytes = 4096
+
 // Config sizes a Detector.
 type Config struct {
 	// TopK is how many candidate destinations the heavy-keeper tracks;
@@ -45,10 +50,6 @@ type Config struct {
 	// ReleaseShare is the fraction below which a listed victim is
 	// delisted. Must be ≤ ActivateShare; the gap is the hysteresis band.
 	ReleaseShare float64
-	// MinBytes is a floor under which a window is considered idle and
-	// victim states are left untouched (prevents a quiet window from
-	// delisting everything because shares are computed over noise).
-	MinBytes uint64
 	// Seed drives the heavy-keeper's decay randomness.
 	Seed uint64
 }
@@ -62,7 +63,6 @@ func DefaultConfig() Config {
 		SketchCols:    4096,
 		ActivateShare: 0.20,
 		ReleaseShare:  0.10,
-		MinBytes:      4096,
 		Seed:          1,
 	}
 }
@@ -159,7 +159,7 @@ func (d *Detector) Advance() []Victim {
 	// An idle window keeps the list and the hysteresis state; only the
 	// volume tracking resets so the next window starts clean.
 	victims := last.victims
-	if d.windowBytes >= d.cfg.MinBytes {
+	if d.windowBytes >= idleBytes {
 		victims = d.rank()
 	}
 	d.tk.Reset()
