@@ -115,11 +115,11 @@ const (
 // for a Defense whose clustering is not the deployed configuration.
 var ErrBaselineSnapshot = cluster.ErrBaselineSnapshot
 
-// Victim identification (ROADMAP item 3): a heavy-keeper detector that
-// ranks the destination aggregates an attack is converging on. Feed it
-// admitted packets' destination keys (DstKey) and byte counts, close
-// windows with Advance, and read the hysteresis-stable victim list —
-// the seam a per-victim mitigation manager plugs into.
+// Victim identification: a heavy-keeper detector that ranks the
+// destination aggregates an attack is converging on. Feed it admitted
+// packets' destination keys (DstKey) and byte counts, close windows
+// with Advance, and read the hysteresis-stable victim list — the seam a
+// per-victim mitigation manager plugs into.
 type (
 	// VictimDetector ranks heavy destination aggregates per window. It
 	// has one owner, the goroutine that feeds it; only Victims and

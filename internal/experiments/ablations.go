@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"accturbo/internal/cluster"
+	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
 	"accturbo/internal/traffic"
@@ -20,99 +21,74 @@ func Ablations(opt Options) *Result {
 		YLabel: "benign drops (%)",
 	}
 	const link = 10e6
-	end := 40 * eventsim.Second
-	if opt.Quick {
-		end = 15 * eventsim.Second
-	}
-	attackStart := end / 8
-	newSrc := func() traffic.Source {
-		return traffic.Variation(traffic.SingleFlow, 6e6, 6*link, attackStart, end, opt.Seed)
+	end := sized(opt, 40*eventsim.Second, 15*eventsim.Second)
+	sc := scenario{func() traffic.Source {
+		return traffic.Variation(traffic.SingleFlow, 6e6, 6*link, end/8, end, opt.Seed)
+	}, link, end}
+	tuned := func(tweak func(*core.Config)) defense {
+		cfg := hwTurboConfig()
+		tweak(&cfg)
+		return turbo(cfg)
 	}
 
 	// (a) control-loop period: the reaction-time lever of §7.
-	periods := []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2, 5}
-	if opt.Quick {
-		periods = []float64{0.05, 0.5, 2}
-	}
-	var px, py []float64
-	for _, p := range periods {
-		cfg := hwTurboConfig()
-		cfg.PollInterval = eventsim.FromSeconds(p)
-		cfg.DeployDelay = cfg.PollInterval / 2
-		cfg.ReseedInterval = 4 * cfg.PollInterval
-		tr := runTurbo(newSrc(), link, end, cfg)
-		px = append(px, p)
-		py = append(py, tr.rec.BenignDropPercent())
-	}
-	r.Add(Series{Name: "Poll period (s) vs benign drops", X: px, Y: py})
-	r.Note("controller period: benign drops %.1f%% at %.2fs vs %.1f%% at %.0fs — slow control loops "+
-		"reopen the pulse-wave window the paper closes", py[0], px[0], py[len(py)-1], px[len(px)-1])
-
+	periods := sized(opt, []float64{0.01, 0.05, 0.1, 0.25, 0.5, 1, 2, 5}, []float64{0.05, 0.5, 2})
 	// (b) priority-queue count at fixed cluster count (8 clusters into
 	// 1..8 queues; 1 queue degenerates to FIFO).
-	var qx, qy []float64
-	for _, q := range []int{1, 2, 4, 8} {
-		cfg := hwTurboConfig()
-		cfg.Clustering.MaxClusters = 8
-		cfg.NumQueues = q
-		tr := runTurbo(newSrc(), link, end, cfg)
-		qx = append(qx, float64(q))
-		qy = append(qy, tr.rec.BenignDropPercent())
+	queues := []float64{1, 2, 4, 8}
+	var legs []leg
+	for _, p := range periods {
+		legs = append(legs, leg{sc, tuned(func(c *core.Config) {
+			c.PollInterval = eventsim.FromSeconds(p)
+			c.DeployDelay = c.PollInterval / 2
+			c.ReseedInterval = 4 * c.PollInterval
+		}), nil})
 	}
-	r.Add(Series{Name: "Queues vs benign drops", X: qx, Y: qy})
+	for _, q := range queues {
+		legs = append(legs, leg{sc, tuned(func(c *core.Config) {
+			c.Clustering.MaxClusters = 8
+			c.NumQueues = int(q)
+		}), nil})
+	}
+	drops := benignDrops(runLegs(opt, r, legs))
+	py, qy := drops[:len(periods)], drops[len(periods):]
+	r.Add(Series{Name: "Poll period (s) vs benign drops", X: periods, Y: py})
+	r.Note("controller period: benign drops %.1f%% at %.2fs vs %.1f%% at %.0fs — slow control loops "+
+		"reopen the pulse-wave window the paper closes", py[0], periods[0], py[len(py)-1], periods[len(periods)-1])
+	r.Add(Series{Name: "Queues vs benign drops", X: queues, Y: qy})
 	r.Note("priority queues: %.1f%% benign drops with 1 queue (=FIFO) vs %.1f%% with 8 — "+
 		"finer-grained deprioritization needs queues, not just clusters", qy[0], qy[len(qy)-1])
 
-	// (c) Bloom vs exact nominal sets (the hardware stores admission
-	// lists in Bloom filters; the simulator's default is exact).
-	for _, bloom := range []bool{false, true} {
-		cfg := hwTurboConfig()
-		cfg.Clustering.UseBloom = bloom
-		tr := runTurbo(newSrc(), link, end, cfg)
-		name := "Exact sets"
-		if bloom {
-			name = "Bloom sets"
+	benignRow := func(name string) func(*Result, *legOut) {
+		return func(r *Result, o *legOut) {
+			r.Add(Series{Name: name + "/benign drops", Y: []float64{o.rec.BenignDropPercent()}})
 		}
-		r.Add(Series{Name: name + "/benign drops", Y: []float64{tr.rec.BenignDropPercent()}})
 	}
-
-	// (d) slice-init vs packet seeding, single-flow flood.
-	for _, slices := range []bool{false, true} {
-		cfg := hwTurboConfig()
-		cfg.Clustering.SliceInit = slices
-		tr := runTurbo(newSrc(), link, end, cfg)
-		name := "Packet-seeded"
-		if slices {
-			name = "Slice-init"
-		}
-		r.Add(Series{Name: name + "/benign drops", Y: []float64{tr.rec.BenignDropPercent()}})
-	}
-
-	// (e) reordering under priority updates (§10): fraction of
-	// delivered packets that overtook a same-flow predecessor.
-	cfg := hwTurboConfig()
-	tr := runTurbo(newSrc(), link, end, cfg)
-	totalDelivered := tr.rec.DeliveredBenignPkts() + tr.rec.DeliveredMaliciousPkts()
-	reorderPct := 0.0
-	if totalDelivered > 0 {
-		reorderPct = 100 * float64(tr.rec.Reordered()) / float64(totalDelivered)
-	}
-	r.Add(Series{Name: "Reordered delivered packets (%)", Y: []float64{reorderPct}})
-	r.Note("reordering: %.3f%% of delivered packets overtook a same-flow predecessor "+
-		"(the paper argues priority updates only reorder flows that span an update window)", reorderPct)
-
-	// (f) feature-set width: hardware's 4 features vs the simulation's
-	// 12 on the same workload.
-	for _, wide := range []bool{false, true} {
-		cfg := hwTurboConfig()
-		name := "4 features (hardware)"
-		if wide {
-			cfg.Clustering.Features = packet.DefaultSimulationFeatures()
-			name = "12 features (simulation)"
-		}
-		tr := runTurbo(newSrc(), link, end, cfg)
-		r.Add(Series{Name: name + "/benign drops", Y: []float64{tr.rec.BenignDropPercent()}})
-	}
+	runLegs(opt, r, []leg{
+		// (c) Bloom vs exact nominal sets (the hardware stores admission
+		// lists in Bloom filters; the simulator's default is exact).
+		{sc, tuned(func(c *core.Config) { c.Clustering.UseBloom = false }), benignRow("Exact sets")},
+		{sc, tuned(func(c *core.Config) { c.Clustering.UseBloom = true }), benignRow("Bloom sets")},
+		// (d) slice-init vs packet seeding, single-flow flood.
+		{sc, tuned(func(c *core.Config) { c.Clustering.SliceInit = false }), benignRow("Packet-seeded")},
+		{sc, tuned(func(c *core.Config) { c.Clustering.SliceInit = true }), benignRow("Slice-init")},
+		// (e) reordering under priority updates (§10): fraction of
+		// delivered packets that overtook a same-flow predecessor.
+		{sc, turbo(hwTurboConfig()), func(r *Result, o *legOut) {
+			totalDelivered := o.rec.DeliveredBenignPkts() + o.rec.DeliveredMaliciousPkts()
+			reorderPct := 0.0
+			if totalDelivered > 0 {
+				reorderPct = 100 * float64(o.rec.Reordered()) / float64(totalDelivered)
+			}
+			r.Add(Series{Name: "Reordered delivered packets (%)", Y: []float64{reorderPct}})
+			r.Note("reordering: %.3f%% of delivered packets overtook a same-flow predecessor "+
+				"(the paper argues priority updates only reorder flows that span an update window)", reorderPct)
+		}},
+		// (f) feature-set width: hardware's 4 features vs the
+		// simulation's 12 on the same workload.
+		{sc, turbo(hwTurboConfig()), benignRow("4 features (hardware)")},
+		{sc, tuned(func(c *core.Config) { c.Clustering.Features = packet.DefaultSimulationFeatures() }), benignRow("12 features (simulation)")},
+	})
 
 	// (g) distance normalization: with raw distances, 16-bit port
 	// dimensions dominate 8-bit byte dimensions; normalization weighs
@@ -121,31 +97,14 @@ func Ablations(opt Options) *Result {
 	day := defaultDay(opt)
 	feats := packet.DefaultSimulationFeatures()
 	for _, norm := range []bool{false, true} {
-		spec := strategySpec{
-			name: "norm",
-			mkOnline: func(k int) observerFunc {
-				cfg := cluster.Config{
-					MaxClusters: k,
-					Features:    feats,
-					Distance:    cluster.Manhattan,
-					Search:      cluster.Fast,
-					Normalize:   norm,
-				}
-				o := cluster.NewOnline(cfg)
-				return func(p *packet.Packet) int { return int(o.Observe(p).UID) }
-			},
-		}
-		metrics := runInferenceDay(day, 10, feats, spec)
-		var pSum float64
-		for _, m := range metrics {
-			pSum += m.purity
-		}
+		spec := onlineStrategy("norm", cluster.Config{
+			Features: feats, Distance: cluster.Manhattan, Search: cluster.Fast, Normalize: norm,
+		})
 		name := "Raw distances"
 		if norm {
 			name = "Normalized distances"
 		}
-		r.Add(Series{Name: name + "/purity", Y: []float64{pSum / float64(len(metrics))}})
+		r.Add(Series{Name: name + "/purity", Y: []float64{meanMetrics(runInferenceDay(day, 10, feats, spec)).purity}})
 	}
-
 	return r
 }

@@ -1,13 +1,9 @@
 package experiments
 
 import (
-	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
 	"accturbo/internal/faults"
-	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/queue"
-	"accturbo/internal/traffic"
 )
 
 // chaosFailOpenAfter arms the control-plane watchdog in the chaos run:
@@ -50,35 +46,6 @@ func chaosSpec(end eventsim.Time) faults.Spec {
 	return spec
 }
 
-// runChaosFIFO is runFIFO with the injector's port-level faults (link
-// flaps, packet mangling) applied: the no-defense baseline experiences
-// the identical fault environment, so defense-vs-no-defense stays an
-// apples-to-apples comparison.
-func runChaosFIFO(src traffic.Source, linkRate float64, until eventsim.Time, inj *faults.Injector) *netsim.Recorder {
-	return replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-		port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(linkRate)), linkRate, rec)
-		inj.AttachInterposer(eng, port)
-		inj.FlapLinks(eng, port)
-		return port
-	})
-}
-
-// runChaosTurbo replays src through an ACC-Turbo port under the full
-// fault plan: packet mangling and link flaps at the port, controller
-// stalls through the clock wrapper, and the watchdog armed so the
-// stalls exercise fail-open.
-func runChaosTurbo(src traffic.Source, linkRate float64, until eventsim.Time, cfg core.Config, inj *faults.Injector) (rec *netsim.Recorder, turbo *core.Turbo) {
-	cfg.FailOpenAfter = chaosFailOpenAfter
-	cfg.WrapClock = inj.ClockWrapper()
-	rec = replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) (port *netsim.Port) {
-		port, turbo = must2(core.Attach(eng, linkRate, rec, cfg))
-		inj.AttachInterposer(eng, port)
-		inj.FlapLinks(eng, port)
-		return port
-	})
-	return rec, turbo
-}
-
 // tailMean averages the last n entries of a series (the steady-state
 // window after all injected faults have cleared).
 func tailMean(series []float64, n int) float64 {
@@ -105,42 +72,46 @@ func Chaos(opt Options) *Result {
 		XLabel: "time (s)",
 		YLabel: "throughput (Mbps)",
 	}
-	end := 100 * eventsim.Second
-	if opt.Quick {
-		end = 50 * eventsim.Second
-	}
-	spec := chaosSpec(end)
-	chaosSeed := uint64(opt.Seed)
+	sc := hwPulse(opt)
+	spec := chaosSpec(sc.end)
+	// The defense under faults arms the watchdog, so the controller
+	// stalls exercise fail-open.
+	failOpen := hwTurboConfig()
+	failOpen.FailOpenAfter = chaosFailOpenAfter
 
 	// Three runs over identical traffic: the faulted FIFO baseline, the
 	// faulted defense, and the clean defense (the recovery reference).
 	// FIFO and Turbo get injectors with the same seed, so the two runs
-	// mangle the identical packet sequence identically.
-	recFIFO := runChaosFIFO(hwPulseWave(opt.Seed, end), hwLink, end, faults.New(chaosSeed, spec))
-	injTurbo := faults.New(chaosSeed, spec)
-	recTurbo, turbo := runChaosTurbo(hwPulseWave(opt.Seed, end), hwLink, end, hwTurboConfig(), injTurbo)
-	clean := runTurbo(hwPulseWave(opt.Seed, end), hwLink, end, hwTurboConfig())
+	// mangle the identical packet sequence identically: the no-defense
+	// baseline experiences the identical fault environment, and
+	// defense-vs-no-defense stays an apples-to-apples comparison.
+	outs := runLegs(opt, r, []leg{
+		{sc, faulted(fifo, uint64(opt.Seed), spec), func(r *Result, o *legOut) {
+			r.Add(throughputSeries(o.rec, packet.Benign, "FIFO+faults/Output Benign"))
+		}},
+		{sc, faulted(turbo(failOpen), uint64(opt.Seed), spec), classThroughput("ACC-Turbo+faults/Output ")},
+		{sc, turbo(hwTurboConfig()), func(r *Result, o *legOut) {
+			r.Add(throughputSeries(o.rec, packet.Benign, "ACC-Turbo clean/Output Benign"))
+		}},
+	})
+	recFIFO, recTurbo, clean := outs[0].rec, outs[1].rec, outs[2].rec
+	injTurbo := outs[1].inj
 
-	r.Add(throughputSeries(recFIFO, packet.Benign, "FIFO+faults/Output Benign"))
-	r.Add(throughputSeries(recTurbo, packet.Benign, "ACC-Turbo+faults/Output Benign"))
-	r.Add(throughputSeries(recTurbo, packet.Malicious, "ACC-Turbo+faults/Output Attack"))
-	r.Add(throughputSeries(clean.rec, packet.Benign, "ACC-Turbo clean/Output Benign"))
-
-	h := turbo.ControlPlane().Health()
+	h := outs[1].turbo.ControlPlane().Health()
 	r.Note("injected: %d pkts dropped, %d duplicated, %d corrupted, %d link transitions, %d polls suppressed",
 		injTurbo.PacketsDropped.Value(), injTurbo.PacketsDuplicated.Value(), injTurbo.PacketsCorrupted.Value(),
 		injTurbo.LinkTransitions.Value(), injTurbo.PollsSuppressed.Value())
 	r.Note("watchdog: %d trips, %d fail-open engagements, fail-open now=%v, %d ranked deployments",
 		h.WatchdogTrips, h.FailOpenEngagements, h.FailOpen, h.Deployments)
 	r.Note("benign drops under faults: ACC-Turbo %.2f%% vs FIFO %.2f%% (clean ACC-Turbo %.2f%%)",
-		recTurbo.BenignDropPercent(), recFIFO.BenignDropPercent(), clean.rec.BenignDropPercent())
+		recTurbo.BenignDropPercent(), recFIFO.BenignDropPercent(), clean.BenignDropPercent())
 
 	// Recovery: the final quiet decade has no pulses and no faults, so
 	// the faulted run's benign throughput must be back at the clean
 	// run's steady state.
 	const tail = 10
 	recTail := tailMean(recTurbo.DeliveredBits(packet.Benign), tail)
-	cleanTail := tailMean(clean.rec.DeliveredBits(packet.Benign), tail)
+	cleanTail := tailMean(clean.DeliveredBits(packet.Benign), tail)
 	ratio := 0.0
 	if cleanTail > 0 {
 		ratio = recTail / cleanTail

@@ -146,12 +146,7 @@ func (r *Result) Render() string {
 	}
 
 	// Columnar: use the longest X axis as the spine.
-	var spine []float64
-	for _, s := range r.Series {
-		if len(s.X) > len(spine) {
-			spine = s.X
-		}
-	}
+	spine := r.spine()
 	fmt.Fprintf(&b, "   %12s", r.XLabel)
 	for _, s := range r.Series {
 		fmt.Fprintf(&b, "  %14s", truncate(s.Name, 14))
@@ -180,12 +175,7 @@ func (r *Result) CSV() string {
 		b.WriteString(strings.ReplaceAll(s.Name, ",", ";"))
 	}
 	b.WriteByte('\n')
-	var spine []float64
-	for _, s := range r.Series {
-		if len(s.X) > len(spine) {
-			spine = s.X
-		}
-	}
+	spine := r.spine()
 	if spine == nil && len(r.Series) > 0 {
 		spine = make([]float64, len(r.Series[0].Y))
 		for i := range spine {
@@ -203,6 +193,17 @@ func (r *Result) CSV() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// spine is the longest X axis of the result's series.
+func (r *Result) spine() []float64 {
+	var spine []float64
+	for _, s := range r.Series {
+		if len(s.X) > len(spine) {
+			spine = s.X
+		}
+	}
+	return spine
 }
 
 // truncate shortens s to at most n runes, replacing the tail with an

@@ -19,76 +19,60 @@ func Fig10(opt Options) *Result {
 	day := defaultDay(opt)
 	feats := packet.DefaultSimulationFeatures()
 
+	online := func(name string, d cluster.Distance, s cluster.Search) strategySpec {
+		return onlineStrategy(name, cluster.Config{Features: feats, Distance: d, Search: s})
+	}
 	specs := []strategySpec{
-		onlineStrategy("Anime Exh.", feats, cluster.Anime, cluster.Exhaustive),
-		onlineStrategy("Manh. Exh.", feats, cluster.Manhattan, cluster.Exhaustive),
-		onlineStrategy("Eucl. Exh.", feats, cluster.Euclidean, cluster.Exhaustive),
-		onlineStrategy("Anime Fast", feats, cluster.Anime, cluster.Fast),
-		onlineStrategy("Manh. Fast", feats, cluster.Manhattan, cluster.Fast),
-		onlineStrategy("Eucl. Fast", feats, cluster.Euclidean, cluster.Fast),
+		online("Anime Exh.", cluster.Anime, cluster.Exhaustive),
+		online("Manh. Exh.", cluster.Manhattan, cluster.Exhaustive),
+		online("Eucl. Exh.", cluster.Euclidean, cluster.Exhaustive),
+		online("Anime Fast", cluster.Anime, cluster.Fast),
+		online("Manh. Fast", cluster.Manhattan, cluster.Fast),
+		online("Eucl. Fast", cluster.Euclidean, cluster.Fast),
 		hybridStrategy(feats),
-		{name: "Off. KMeans", offline: true},
+		{name: "Off. KMeans"},
 	}
-	ks := []int{2, 4, 6, 8, 10}
-	if opt.Quick {
-		ks = []int{2, 6, 10}
-	}
+	ks := sized(opt, []int{2, 4, 6, 8, 10}, []int{2, 6, 10})
 
 	// The specs x ks grid points are independent (each builds its own
 	// source and clusterer from the day seed): run them across the
-	// worker pool, each writing only its own grid cell.
-	type point struct{ purity, recallB float64 }
-	grid := make([][]point, len(specs))
-	for i := range grid {
-		grid[i] = make([]point, len(ks))
+	// worker pool, each writing only its own cell.
+	purity := make([][]float64, len(specs))
+	recallB := make([][]float64, len(specs))
+	for i := range specs {
+		purity[i] = make([]float64, len(ks))
+		recallB[i] = make([]float64, len(ks))
 	}
-	RunGrid(opt, len(specs), len(ks), func(si, ki int) {
-		metrics := runInferenceDay(day, ks[ki], feats, specs[si])
-		var pSum, rbSum float64
-		for _, m := range metrics {
-			pSum += m.purity
-			rbSum += m.recallB
-		}
-		n := float64(len(metrics))
-		grid[si][ki] = point{purity: pSum / n, recallB: rbSum / n}
+	RunParallel(opt, len(specs)*len(ks), func(i int) {
+		si, ki := i/len(ks), i%len(ks)
+		m := meanMetrics(runInferenceDay(day, ks[ki], feats, specs[si]))
+		purity[si][ki], recallB[si][ki] = m.purity, m.recallB
 	})
-	results := map[string]map[int]point{}
-	for si, spec := range specs {
-		results[spec.name] = map[int]point{}
-		for ki, k := range ks {
-			results[spec.name][k] = grid[si][ki]
-		}
-	}
 
 	xs := make([]float64, len(ks))
 	for i, k := range ks {
 		xs[i] = float64(k)
 	}
-	for _, spec := range specs {
-		var py, ry []float64
-		for _, k := range ks {
-			py = append(py, results[spec.name][k].purity)
-			ry = append(ry, results[spec.name][k].recallB)
-		}
-		r.Add(Series{Name: "Purity/" + spec.name, X: xs, Y: py})
-		r.Add(Series{Name: "RecallB/" + spec.name, X: xs, Y: ry})
+	byName := map[string][]float64{}
+	for si, spec := range specs {
+		byName[spec.name] = purity[si]
+		r.Add(Series{Name: "Purity/" + spec.name, X: xs, Y: purity[si]})
+		r.Add(Series{Name: "RecallB/" + spec.name, X: xs, Y: recallB[si]})
 	}
 
-	kMax := ks[len(ks)-1]
-	kMin := ks[0]
-	manhFast := results["Manh. Fast"]
+	last := len(ks) - 1
+	kMin, kMax := ks[0], ks[last]
+	at := func(name string) float64 { return byName[name][last] }
 	r.Note("Manh. Fast: purity %.1f%% at %d clusters -> %.1f%% at %d clusters (paper: more clusters help)",
-		manhFast[kMin].purity, kMin, manhFast[kMax].purity, kMax)
+		byName["Manh. Fast"][0], kMin, at("Manh. Fast"), kMax)
 	r.Note("Exhaustive vs fast at %d clusters: Anime %.1f%% vs %.1f%% (paper: 98.09%% vs 93.24%%), "+
 		"Eucl. %.1f%% vs %.1f%% (paper: center-based suffers least when downgraded)",
-		kMax, results["Anime Exh."][kMax].purity, results["Anime Fast"][kMax].purity,
-		results["Eucl. Exh."][kMax].purity, results["Eucl. Fast"][kMax].purity)
+		kMax, at("Anime Exh."), at("Anime Fast"), at("Eucl. Exh."), at("Eucl. Fast"))
 	r.Note("Manh. Exh. %.1f%% vs Manh. Fast %.1f%%: deviation from the paper — the linear cost lets "+
 		"heavily-overlapping mixed clusters merge cheaply on this synthetic day",
-		results["Manh. Exh."][kMax].purity, manhFast[kMax].purity)
+		at("Manh. Exh."), at("Manh. Fast"))
 	r.Note("Offline k-means at %d clusters: %.1f%% vs Eucl. Fast %.1f%% (paper: online close to offline); "+
 		"hybrid %.1f%% (paper: improvement not significant)",
-		kMax, results["Off. KMeans"][kMax].purity, results["Eucl. Fast"][kMax].purity,
-		results["Eucl. Fast In."][kMax].purity)
+		kMax, at("Off. KMeans"), at("Eucl. Fast"), at("Eucl. Fast In."))
 	return r
 }

@@ -10,20 +10,6 @@ import (
 	"accturbo/internal/traffic"
 )
 
-// fig11Day builds the §8.2 scheduling workload: the CICDDoS-like day at
-// rates that congest the swept bottlenecks (paper: 1-50 Mbps).
-func fig11Day(opt Options) (func() traffic.Source, eventsim.Time) {
-	day := defaultDay(opt)
-	day.bgRate = 12e6
-	day.attackRate = 60e6
-	mk := func() traffic.Source {
-		src, _ := traffic.CICDDoSDay(day.bgRate, day.attackRate, day.vecLen, day.vecGap, day.seed)
-		return src
-	}
-	total := eventsim.Time(9)*(day.vecLen+day.vecGap) + day.vecGap
-	return mk, total
-}
-
 // fig11Features is "the 10 most representative features for the
 // trace" (§8.2): the address bytes plus TTL and length. Ports are
 // excluded — reflection attacks randomize the victim-side port, so the
@@ -47,8 +33,6 @@ func turboVariant(dist cluster.Distance, search cluster.Search, ranking core.Ran
 		SliceInit:   dist != cluster.Euclidean && search != cluster.Exhaustive,
 	}
 	cfg.Ranking = ranking
-	cfg.PollInterval = 100 * eventsim.Millisecond
-	cfg.DeployDelay = 10 * eventsim.Millisecond
 	cfg.ReseedInterval = eventsim.Second
 	return cfg
 }
@@ -67,86 +51,58 @@ func Fig11(opt Options) *Result {
 
 	// (a) ranking score under MSSQL and SSDP floods.
 	rankings := []core.Ranking{core.ByPacketRate, core.ByThroughput, core.ByPacketRateOverSize, core.ByThroughputOverSize}
-	end := 30 * eventsim.Second
-	if opt.Quick {
-		end = 10 * eventsim.Second
-	}
-	vecs := []string{"MSSQL", "SSDP"}
-	// Each vector x ranking cell builds its own source and engine: fan
-	// the grid out, then emit series and notes in grid order.
-	scores := make([][]float64, len(vecs))
-	for i := range scores {
-		scores[i] = make([]float64, len(rankings))
-	}
-	RunGrid(opt, len(vecs), len(rankings), func(vi, ri int) {
-		src := traffic.Merge(
-			traffic.NewBackground(traffic.BackgroundConfig{Rate: 6e6, Start: 0, End: end, Seed: opt.Seed}),
-			traffic.VectorsMust(vecs[vi]).Flood(eventsim.Second, end, 40e6, packet.V4Addr{198, 18, 99, 1}, 0, opt.Seed+7),
-		)
-		// Packet-seeded clustering (no slice tiling) so cluster
-		// sizes genuinely reflect aggregate similarity: this is
-		// the regime where the ranking choice matters (Fig. 11a).
-		cfg := turboVariant(cluster.Manhattan, cluster.Fast, rankings[ri])
-		cfg.Clustering.SliceInit = false
-		tr := runTurbo(src, 10e6, end, cfg)
-		scores[vi][ri] = tr.score()
-	})
-	for vi, vec := range vecs {
-		for ri, rk := range rankings {
-			score := scores[vi][ri]
-			r.Add(Series{Name: fmt.Sprintf("Fig11a/%s %s score", vec, rk), Y: []float64{score}})
-			r.Note("Fig11a: %s with %s ranking: score %.0f%%", vec, rk, score)
+	end := sized(opt, 30*eventsim.Second, 10*eventsim.Second)
+	var legs []leg
+	for _, vec := range []string{"MSSQL", "SSDP"} {
+		sc := scenario{func() traffic.Source {
+			return traffic.Merge(
+				traffic.NewBackground(traffic.BackgroundConfig{Rate: 6e6, Start: 0, End: end, Seed: opt.Seed}),
+				traffic.VectorsMust(vec).Flood(eventsim.Second, end, 40e6, packet.V4Addr{198, 18, 99, 1}, 0, opt.Seed+7),
+			)
+		}, 10e6, end}
+		for _, rk := range rankings {
+			// Packet-seeded clustering (no slice tiling) so cluster
+			// sizes genuinely reflect aggregate similarity: this is
+			// the regime where the ranking choice matters (Fig. 11a).
+			cfg := turboVariant(cluster.Manhattan, cluster.Fast, rk)
+			cfg.Clustering.SliceInit = false
+			legs = append(legs, leg{sc, turbo(cfg), func(r *Result, o *legOut) {
+				score := o.score()
+				r.Add(Series{Name: fmt.Sprintf("Fig11a/%s %s score", vec, rk), Y: []float64{score}})
+				r.Note("Fig11a: %s with %s ranking: score %.0f%%", vec, rk, score)
+			}})
 		}
 	}
+	runLegs(opt, r, legs)
 
-	// (b) bottleneck sweep.
-	mkDay, total := fig11Day(opt)
-	capacities := []float64{50e6, 20e6, 10e6, 5e6, 1e6}
-	if opt.Quick {
-		capacities = []float64{20e6, 5e6}
-	}
-	type scheme struct {
-		name string
-		run  func(capacity float64) float64
-	}
-	schemes := []scheme{
-		{"FIFO", func(c float64) float64 {
-			return runFIFO(mkDay(), c, total).BenignDropPercent()
-		}},
-		{"PIFO Ideal", func(c float64) float64 {
-			return runPIFOIdeal(mkDay(), c, total).BenignDropPercent()
-		}},
-		{"An. Fast Th.", func(c float64) float64 {
-			return runTurbo(mkDay(), c, total, turboVariant(cluster.Anime, cluster.Fast, core.ByThroughput)).rec.BenignDropPercent()
-		}},
-		{"Manh. Fast Th.", func(c float64) float64 {
-			return runTurbo(mkDay(), c, total, turboVariant(cluster.Manhattan, cluster.Fast, core.ByThroughput)).rec.BenignDropPercent()
-		}},
-		{"Manh. F. Th./S.", func(c float64) float64 {
-			return runTurbo(mkDay(), c, total, turboVariant(cluster.Manhattan, cluster.Fast, core.ByThroughputOverSize)).rec.BenignDropPercent()
-		}},
-		{"Manh. Exh. Th.", func(c float64) float64 {
-			return runTurbo(mkDay(), c, total, turboVariant(cluster.Manhattan, cluster.Exhaustive, core.ByThroughput)).rec.BenignDropPercent()
-		}},
-	}
+	// (b) bottleneck sweep over the §8.2 workload: the CICDDoS-like day
+	// at rates that congest the swept bottlenecks (paper: 1-50 Mbps).
+	day := defaultDay(opt)
+	total := eventsim.Time(9)*(day.vecLen+day.vecGap) + day.vecGap
+	capacities := sized(opt, []float64{50e6, 20e6, 10e6, 5e6, 1e6}, []float64{20e6, 5e6})
+	scs := make([]scenario, len(capacities))
 	xs := make([]float64, len(capacities))
 	for i, c := range capacities {
+		scs[i] = scenario{func() traffic.Source {
+			src, _ := traffic.CICDDoSDay(12e6, 60e6, day.vecLen, day.vecGap, day.seed)
+			return src
+		}, c, total}
 		xs[i] = c / 1e6
 	}
-	grid := make([][]float64, len(schemes))
-	for i := range grid {
-		grid[i] = make([]float64, len(capacities))
+	schemes := []scheme{
+		{"FIFO", fifo},
+		{"PIFO Ideal", pifoIdeal},
+		{"An. Fast Th.", turbo(turboVariant(cluster.Anime, cluster.Fast, core.ByThroughput))},
+		{"Manh. Fast Th.", turbo(turboVariant(cluster.Manhattan, cluster.Fast, core.ByThroughput))},
+		{"Manh. F. Th./S.", turbo(turboVariant(cluster.Manhattan, cluster.Fast, core.ByThroughputOverSize))},
+		{"Manh. Exh. Th.", turbo(turboVariant(cluster.Manhattan, cluster.Exhaustive, core.ByThroughput))},
 	}
-	RunGrid(opt, len(schemes), len(capacities), func(si, ci int) {
-		grid[si][ci] = schemes[si].run(capacities[ci])
-	})
-	drops := map[string][]float64{}
-	for si, s := range schemes {
-		drops[s.name] = grid[si]
-		r.Add(Series{Name: "Fig11b/" + s.name, X: xs, Y: grid[si]})
+	drops := benignGrid(opt, schemes, scs)
+	for i, s := range schemes {
+		r.Add(Series{Name: "Fig11b/" + s.name, X: xs, Y: drops[i]})
 	}
 	r.Note("Fig11b at %.0f Mbps: FIFO %.1f%%, Manh. Fast Th. %.1f%%, PIFO Ideal %.1f%% "+
 		"(paper: ACC-Turbo saves up to 29%% more benign traffic than FIFO, ~5%% from ideal)",
-		xs[0], drops["FIFO"][0], drops["Manh. Fast Th."][0], drops["PIFO Ideal"][0])
+		xs[0], drops[0][0], drops[3][0], drops[1][0])
 	return r
 }

@@ -26,7 +26,6 @@ func accTurboFig2Config() core.Config {
 		packet.FDstIPByte1, packet.FDstIPByte2, packet.FDstIPByte3,
 	})
 	cfg.Clustering.SliceInit = true
-	cfg.PollInterval = 100 * eventsim.Millisecond
 	cfg.DeployDelay = 50 * eventsim.Millisecond
 	cfg.ReseedInterval = eventsim.Second
 	return cfg
@@ -55,52 +54,46 @@ func Fig2(opt Options) *Result {
 		XLabel: "time (s)",
 		YLabel: "fraction of link bandwidth",
 	}
-	until := 50 * eventsim.Second
-
-	// (a) FIFO: the ramping attack captures the link.
-	recFIFO := runFIFO(traffic.ACCOriginal(fig2Link), fig2Link, until)
-	addAggregateShares(r, "FIFO", recFIFO, fig2Link)
-	r.Note("FIFO: benign drops %.1f%%, attack peaks at %.2f of link",
-		recFIFO.BenignDropPercent(), maxOf(shareSeries(recFIFO, 5, fig2Link).Y))
-
-	// (b) ACC with the Table 4 configuration (K = 2 s).
-	recACC, agent := runACC(traffic.ACCOriginal(fig2Link), fig2Link, until, acc.DefaultConfig())
-	addAggregateShares(r, "ACC", recACC, fig2Link)
-	if agent.FirstActivation >= 0 {
-		r.Note("ACC (K=2s): reaction %.1f s after attack start (paper: ~4 s), benign drops %.1f%%",
-			(agent.FirstActivation - 13*eventsim.Second).Seconds(), recACC.BenignDropPercent())
-	} else {
-		r.Note("ACC (K=2s): never activated")
+	sc := scenario{func() traffic.Source { return traffic.ACCOriginal(fig2Link) }, fig2Link, 50 * eventsim.Second}
+	legs := []leg{
+		// (a) FIFO: the ramping attack captures the link.
+		{sc, fifo, func(r *Result, o *legOut) {
+			addAggregateShares(r, "FIFO", o.rec, fig2Link)
+			r.Note("FIFO: benign drops %.1f%%, attack peaks at %.2f of link",
+				o.rec.BenignDropPercent(), maxOf(shareSeries(o.rec, 5, fig2Link).Y))
+		}},
+		// (b) ACC with the Table 4 configuration (K = 2 s).
+		{sc, withACC(acc.DefaultConfig()), func(r *Result, o *legOut) {
+			addAggregateShares(r, "ACC", o.rec, fig2Link)
+			if o.acc.FirstActivation >= 0 {
+				r.Note("ACC (K=2s): reaction %.1f s after attack start (paper: ~4 s), benign drops %.1f%%",
+					(o.acc.FirstActivation - 13*eventsim.Second).Seconds(), o.rec.BenignDropPercent())
+			} else {
+				r.Note("ACC (K=2s): never activated")
+			}
+		}},
 	}
-
 	// (c) Impact of K: drop-rate series and activation delay per K.
-	ks := []eventsim.Time{10, 15, 20, 25, 30, 35}
-	if opt.Quick {
-		ks = []eventsim.Time{10, 20, 35}
-	}
-	for _, kSec := range ks {
+	for _, kSec := range sized(opt, []eventsim.Time{10, 15, 20, 25, 30, 35}, []eventsim.Time{10, 20, 35}) {
 		cfg := acc.DefaultConfig()
 		cfg.K = kSec * eventsim.Second
-		recK, agentK := runACC(traffic.ACCOriginal(fig2Link), fig2Link, until, cfg)
-		r.Add(renameSeries(dropRateSeries(recK, ""), fmt.Sprintf("ACC/K=%ds/DropRate", kSec)))
-		if agentK.FirstActivation >= 0 {
-			r.Note("ACC K=%ds: activation at t=%.0f s", kSec, agentK.FirstActivation.Seconds())
-		} else {
-			r.Note("ACC K=%ds: never activated within 50 s", kSec)
-		}
+		legs = append(legs, leg{sc, withACC(cfg), func(r *Result, o *legOut) {
+			r.Add(dropRateSeries(o.rec, fmt.Sprintf("ACC/K=%ds/DropRate", kSec)))
+			if o.acc.FirstActivation >= 0 {
+				r.Note("ACC K=%ds: activation at t=%.0f s", kSec, o.acc.FirstActivation.Seconds())
+			} else {
+				r.Note("ACC K=%ds: never activated within 50 s", kSec)
+			}
+		}})
 	}
-
 	// (d) ACC-Turbo: sub-second mitigation, no threshold.
-	tr := runTurbo(traffic.ACCOriginal(fig2Link), fig2Link, until, accTurboFig2Config())
-	addAggregateShares(r, "ACC-Turbo", tr.rec, fig2Link)
-	r.Note("ACC-Turbo: benign drops %.1f%%, attack drops %.1f%%, %d priority deployments",
-		tr.rec.BenignDropPercent(), tr.rec.MaliciousDropPercent(), tr.turbo.ControlPlane().Deployments())
+	legs = append(legs, leg{sc, turbo(accTurboFig2Config()), func(r *Result, o *legOut) {
+		addAggregateShares(r, "ACC-Turbo", o.rec, fig2Link)
+		r.Note("ACC-Turbo: benign drops %.1f%%, attack drops %.1f%%, %d priority deployments",
+			o.rec.BenignDropPercent(), o.rec.MaliciousDropPercent(), o.turbo.ControlPlane().Deployments())
+	}})
+	runLegs(opt, r, legs)
 	return r
-}
-
-func renameSeries(s Series, name string) Series {
-	s.Name = name
-	return s
 }
 
 func maxOf(ys []float64) float64 {

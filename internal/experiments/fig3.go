@@ -6,6 +6,12 @@ import (
 	"accturbo/internal/traffic"
 )
 
+// morphingPulses is the §2.2 workload: four benign CBR aggregates at
+// about link capacity plus four 5 s attack pulses at 3× the link.
+var morphingPulses = scenario{func() traffic.Source {
+	return traffic.PulseWave(fig2Link, 3*fig2Link, 5*eventsim.Second, true)
+}, fig2Link, 50 * eventsim.Second}
+
 // Fig3 reproduces the pulse-wave / morphing-attack experiment of §2.2:
 // four benign CBR aggregates at about link capacity plus four attack
 // pulses (5/15/25/35 s), under FIFO, ACC, and ACC-Turbo, plus the
@@ -17,66 +23,46 @@ func Fig3(opt Options) *Result {
 		XLabel: "time (s)",
 		YLabel: "fraction of link bandwidth",
 	}
-	const link = fig2Link
-	const pulseRate = 3 * link
-	pulseLen := 5 * eventsim.Second
-	until := 50 * eventsim.Second
-	newSrc := func() traffic.Source { return traffic.PulseWave(link, pulseRate, pulseLen, true) }
-
-	// (a) FIFO.
-	recFIFO := runFIFO(newSrc(), link, until)
-	addAggregateShares(r, "FIFO", recFIFO, link)
-	r.Note("FIFO: benign drops %.1f%%", recFIFO.BenignDropPercent())
-
-	// (c) ACC with the §2.1 configuration.
-	recACC, agent := runACC(newSrc(), link, until, acc.DefaultConfig())
-	addAggregateShares(r, "ACC", recACC, link)
-	pulsesDefended := 0
-	if agent.FirstActivation >= 0 {
-		for _, start := range []eventsim.Time{5, 15, 25, 35} {
-			if agent.FirstActivation <= start*eventsim.Second {
-				pulsesDefended++
+	sc := morphingPulses
+	legs := []leg{
+		// (a) FIFO.
+		{sc, fifo, func(r *Result, o *legOut) {
+			addAggregateShares(r, "FIFO", o.rec, fig2Link)
+			r.Note("FIFO: benign drops %.1f%%", o.rec.BenignDropPercent())
+		}},
+		// (c) ACC with the §2.1 configuration.
+		{sc, withACC(acc.DefaultConfig()), func(r *Result, o *legOut) {
+			addAggregateShares(r, "ACC", o.rec, fig2Link)
+			pulsesDefended := 0
+			if o.acc.FirstActivation >= 0 {
+				for _, start := range []eventsim.Time{5, 15, 25, 35} {
+					if o.acc.FirstActivation <= start*eventsim.Second {
+						pulsesDefended++
+					}
+				}
 			}
-		}
+			r.Note("ACC: benign drops %.1f%%, first activation t=%.1f s (defends %d of 4 pulses)",
+				o.rec.BenignDropPercent(), o.acc.FirstActivation.Seconds(), pulsesDefended)
+		}},
+		// (d) ACC-Turbo.
+		{sc, turbo(accTurboFig2Config()), func(r *Result, o *legOut) {
+			addAggregateShares(r, "ACC-Turbo", o.rec, fig2Link)
+			r.Note("ACC-Turbo: benign drops %.1f%% (paper: mitigates all pulses)", o.rec.BenignDropPercent())
+		}},
 	}
-	r.Note("ACC: benign drops %.1f%%, first activation t=%.1f s (defends %d of 4 pulses)",
-		recACC.BenignDropPercent(), agent.FirstActivation.Seconds(), pulsesDefended)
-
-	// (d) ACC-Turbo.
-	tr := runTurbo(newSrc(), link, until, accTurboFig2Config())
-	addAggregateShares(r, "ACC-Turbo", tr.rec, link)
-	r.Note("ACC-Turbo: benign drops %.1f%% (paper: mitigates all pulses)", tr.rec.BenignDropPercent())
-
 	// (b) speed vs accuracy: benign drops as a function of K.
-	ks := []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 1.5, 2}
-	if opt.Quick {
-		ks = []float64{0.05, 0.5, 2}
-	}
-	var x, yACC []float64
+	ks := sized(opt, []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 1.5, 2}, []float64{0.05, 0.5, 2})
 	for _, k := range ks {
 		cfg := acc.DefaultConfig()
 		cfg.K = eventsim.FromSeconds(k)
-		recK, _ := runACC(newSrc(), link, until, cfg)
-		x = append(x, k)
-		yACC = append(yACC, recK.BenignDropPercent())
+		legs = append(legs, leg{sc, withACC(cfg), nil})
 	}
-	r.Add(Series{Name: "Fig3b/ACC benign drops vs K", X: x, Y: yACC})
-	flat := func(v float64) []float64 {
-		out := make([]float64, len(x))
-		for i := range out {
-			out[i] = v
-		}
-		return out
-	}
-	r.Add(Series{Name: "Fig3b/FIFO", X: x, Y: flat(recFIFO.BenignDropPercent())})
-	r.Add(Series{Name: "Fig3b/ACC-Turbo", X: x, Y: flat(tr.rec.BenignDropPercent())})
-	best := yACC[0]
-	for _, v := range yACC {
-		if v < best {
-			best = v
-		}
-	}
+	drops := benignDrops(runLegs(opt, r, legs))
+	yACC := drops[3:]
+	r.Add(Series{Name: "Fig3b/ACC benign drops vs K", X: ks, Y: yACC})
+	r.Add(flatSeries("Fig3b/FIFO", ks, drops[0]))
+	r.Add(flatSeries("Fig3b/ACC-Turbo", ks, drops[2]))
 	r.Note("Fig3b: best ACC configuration still drops %.1f%% of benign traffic (paper: ~20%%); ACC-Turbo %.1f%%",
-		best, tr.rec.BenignDropPercent())
+		minOf(yACC), drops[2])
 	return r
 }

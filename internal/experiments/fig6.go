@@ -55,6 +55,13 @@ func hwPulseWave(seed int64, end eventsim.Time) traffic.Source {
 	return traffic.Merge(srcs...)
 }
 
+// hwPulse is the §7.1 pulse wave as a scenario: 100 s, or 50 s in quick
+// mode.
+func hwPulse(opt Options) scenario {
+	end := sized(opt, 100*eventsim.Second, 50*eventsim.Second)
+	return scenario{func() traffic.Source { return hwPulseWave(opt.Seed, end) }, hwLink, end}
+}
+
 // Fig6 reproduces the §7.1 hardware experiment: pulse-wave mitigation
 // under FIFO vs ACC-Turbo, reporting output throughput per class.
 func Fig6(opt Options) *Result {
@@ -64,26 +71,20 @@ func Fig6(opt Options) *Result {
 		XLabel: "time (s)",
 		YLabel: "throughput (Mbps)",
 	}
-	end := 100 * eventsim.Second
-	if opt.Quick {
-		end = 50 * eventsim.Second
-	}
-
-	recFIFO := runFIFO(hwPulseWave(opt.Seed, end), hwLink, end)
-	r.Add(throughputSeries(recFIFO, packet.Benign, "FIFO/Output Benign"))
-	r.Add(throughputSeries(recFIFO, packet.Malicious, "FIFO/Output Attack"))
-
-	tr := runTurbo(hwPulseWave(opt.Seed, end), hwLink, end, hwTurboConfig())
-	r.Add(throughputSeries(tr.rec, packet.Benign, "ACC-Turbo/Output Benign"))
-	r.Add(throughputSeries(tr.rec, packet.Malicious, "ACC-Turbo/Output Attack"))
+	sc := hwPulse(opt)
+	outs := runLegs(opt, r, []leg{
+		{sc, fifo, classThroughput("FIFO/Output ")},
+		{sc, turbo(hwTurboConfig()), classThroughput("ACC-Turbo/Output ")},
+	})
+	fifoRec, turboRec := outs[0].rec, outs[1].rec
 
 	// Throughput reduction during pulses, FIFO vs ACC-Turbo.
-	redFIFO := pulseReduction(recFIFO.DeliveredBits(packet.Benign), end)
-	redTurbo := pulseReduction(tr.rec.DeliveredBits(packet.Benign), end)
+	redFIFO := pulseReduction(fifoRec.DeliveredBits(packet.Benign), sc.end)
+	redTurbo := pulseReduction(turboRec.DeliveredBits(packet.Benign), sc.end)
 	r.Note("FIFO: benign throughput reduction during pulses %.0f%% (paper: ~61%%)", redFIFO)
 	r.Note("ACC-Turbo: benign throughput reduction during pulses %.0f%% (paper: ~0%%, full recovery)", redTurbo)
 	r.Note("ACC-Turbo: benign drops %.2f%% vs FIFO %.2f%%",
-		tr.rec.BenignDropPercent(), recFIFO.BenignDropPercent())
+		turboRec.BenignDropPercent(), fifoRec.BenignDropPercent())
 	return r
 }
 

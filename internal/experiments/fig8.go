@@ -3,7 +3,6 @@ package experiments
 import (
 	"accturbo/internal/eventsim"
 	"accturbo/internal/jaqen"
-	"accturbo/internal/traffic"
 )
 
 // Fig8 reproduces the threshold-configuration sensitivity analysis
@@ -17,90 +16,43 @@ func Fig8(opt Options) *Result {
 		XLabel: "threshold (packets)",
 		YLabel: "benign-packet drops (%)",
 	}
-	end := 100 * eventsim.Second
-	if opt.Quick {
-		end = 40 * eventsim.Second
-	}
-	attackStart := 10 * eventsim.Second
-	newSrc := func() traffic.Source {
-		return traffic.Variation(traffic.SingleFlow, hwBgRate, 10*hwLink, attackStart, end, opt.Seed)
-	}
-
+	sc := singleFlood(opt.Seed, 10*eventsim.Second, sized(opt, 100*eventsim.Second, 40*eventsim.Second))
 	// (a) threshold sweep at the controller's fastest periodicity.
-	thresholds := []float64{1, 10, 1e2, 1e3, 1e4, 1e5, 1e6, 3e6, 5e6, 7e6, 1e7, 1e8}
-	if opt.Quick {
-		thresholds = []float64{1, 1e3, 1e5, 1e7}
-	}
+	thresholds := sized(opt, []float64{1, 10, 1e2, 1e3, 1e4, 1e5, 1e6, 3e6, 5e6, 7e6, 1e7, 1e8}, []float64{1, 1e3, 1e5, 1e7})
 	// (b) inter-reset-time sweep for a low and a high threshold.
-	resets := []float64{1, 2, 5, 10, 15, 20}
-	if opt.Quick {
-		resets = []float64{1, 10, 20}
-	}
+	resets := sized(opt, []float64{1, 2, 5, 10, 15, 20}, []float64{1, 10, 20})
 	resetThs := []float64{1e4, 1e7}
 
-	runJ := func(th, reset float64) float64 {
+	jaqenAt := func(th, reset float64) leg {
 		// At 1:1000 scale the attack generates ~12.5 kpps instead of
 		// ~12.5 Mpps: scale the sweep down by the same factor so the
 		// crossover sits in the same relative position.
-		scaled := th / 1000
-		if scaled < 1 {
-			scaled = 1
-		}
 		cfg := jaqen.DefaultConfig()
-		cfg.Threshold = uint64(scaled)
+		cfg.Threshold = uint64(max(th/1000, 1))
 		cfg.Window = eventsim.Second
 		cfg.ResetPeriod = eventsim.FromSeconds(reset)
-		recJ, _ := runJaqen(newSrc(), hwLink, end, cfg)
-		return recJ.BenignDropPercent()
+		return leg{sc, withJaqen(cfg), nil}
 	}
-
-	// Every simulation below is independent (fresh source from
-	// opt.Seed, own result slot), so baselines and both sweeps run as
-	// one flat task list across the worker pool.
-	var fifoDrop, turboDrop float64
-	ys := make([]float64, len(thresholds))
-	rys := make([][]float64, len(resetThs))
-	for i := range rys {
-		rys[i] = make([]float64, len(resets))
+	legs := []leg{{sc, fifo, nil}, {sc, turbo(hwTurboConfig()), nil}}
+	for _, th := range thresholds {
+		legs = append(legs, jaqenAt(th, 1))
 	}
-	tasks := []func(){
-		func() { fifoDrop = runFIFO(newSrc(), hwLink, end).BenignDropPercent() },
-		func() { turboDrop = runTurbo(newSrc(), hwLink, end, hwTurboConfig()).rec.BenignDropPercent() },
-	}
-	for i, th := range thresholds {
-		i, th := i, th
-		tasks = append(tasks, func() { ys[i] = runJ(th, 1) })
-	}
-	for i, th := range resetThs {
-		for j, reset := range resets {
-			i, j, th, reset := i, j, th, reset
-			tasks = append(tasks, func() { rys[i][j] = runJ(th, reset) })
+	for _, th := range resetThs {
+		for _, reset := range resets {
+			legs = append(legs, jaqenAt(th, reset))
 		}
 	}
-	RunParallel(opt, len(tasks), func(i int) { tasks[i]() })
+	drops := benignDrops(runLegs(opt, r, legs))
+	fifoDrop, turboDrop, ys := drops[0], drops[1], drops[2:2+len(thresholds)]
 
-	// Assembly is strictly sequential and ordered, so output is
-	// byte-identical at any worker count.
 	r.Note("baselines: FIFO %.1f%%, ACC-Turbo %.1f%% benign drops", fifoDrop, turboDrop)
 	r.Add(Series{Name: "Fig8a/Jaqen", X: thresholds, Y: ys})
-	flat := func(v float64) []float64 {
-		out := make([]float64, len(thresholds))
-		for i := range out {
-			out[i] = v
-		}
-		return out
-	}
-	r.Add(Series{Name: "Fig8a/FIFO", X: thresholds, Y: flat(fifoDrop)})
-	r.Add(Series{Name: "Fig8a/ACC-Turbo", X: thresholds, Y: flat(turboDrop)})
-	lo, hi := minOf(ys), maxOf(ys)
-	r.Note("Fig8a: Jaqen benign drops range %.1f%%-%.1f%% across thresholds (paper: ~10%% to ~75%%+)", lo, hi)
-
-	for i, th := range resetThs {
-		name := "Fig8b/Jaqen Th=1e4"
-		if th == 1e7 {
-			name = "Fig8b/Jaqen Th=1e7"
-		}
-		r.Add(Series{Name: name, X: resets, Y: rys[i]})
+	r.Add(flatSeries("Fig8a/FIFO", thresholds, fifoDrop))
+	r.Add(flatSeries("Fig8a/ACC-Turbo", thresholds, turboDrop))
+	r.Note("Fig8a: Jaqen benign drops range %.1f%%-%.1f%% across thresholds (paper: ~10%% to ~75%%+)", minOf(ys), maxOf(ys))
+	for i, name := range []string{"Fig8b/Jaqen Th=1e4", "Fig8b/Jaqen Th=1e7"} {
+		from := 2 + len(thresholds) + i*len(resets)
+		r.Add(Series{Name: name, X: resets, Y: drops[from : from+len(resets)]})
 	}
 	return r
 }

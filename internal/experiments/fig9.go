@@ -17,38 +17,27 @@ import (
 // observerFunc assigns one packet to a cluster id.
 type observerFunc func(p *packet.Packet) int
 
-// observerFactory builds a fresh observer per evaluation window. For
-// offline strategies the returned observer may be nil, with fitBatch
-// used instead.
+// strategySpec is one clustering strategy: mkOnline builds a fresh
+// per-window streaming observer of k clusters, or, when nil, each
+// window's packets are clustered as a batch with k-means (unlimited
+// passes).
 type strategySpec struct {
-	name string
-	// mkOnline builds a per-window streaming observer.
+	name     string
 	mkOnline func(k int) observerFunc
-	// offline, when true, clusters each window's packets as a batch
-	// with k-means (unlimited passes).
-	offline bool
 }
 
 // dayParams scale the CICDDoS-like trace.
 type dayParams struct {
-	bgRate, attackRate float64
-	vecLen, vecGap     eventsim.Time
-	seed               int64
+	vecLen, vecGap eventsim.Time
+	seed           int64
 }
 
 func defaultDay(opt Options) dayParams {
-	p := dayParams{
-		bgRate:     2e6,
-		attackRate: 8e6,
-		vecLen:     4 * eventsim.Second,
-		vecGap:     2 * eventsim.Second,
-		seed:       opt.Seed,
+	return dayParams{
+		vecLen: sized(opt, 4*eventsim.Second, 2*eventsim.Second),
+		vecGap: sized(opt, 2*eventsim.Second, eventsim.Second),
+		seed:   opt.Seed,
 	}
-	if opt.Quick {
-		p.vecLen = 2 * eventsim.Second
-		p.vecGap = eventsim.Second
-	}
-	return p
 }
 
 // vectorMetrics holds one attack window's clustering quality.
@@ -57,13 +46,24 @@ type vectorMetrics struct {
 	purity  float64
 	recallB float64
 	recallM float64
-	packets uint64
+}
+
+// meanMetrics averages a day's per-window metrics.
+func meanMetrics(ms []vectorMetrics) (m vectorMetrics) {
+	for _, v := range ms {
+		m.purity += v.purity
+		m.recallB += v.recallB
+		m.recallM += v.recallM
+	}
+	n := float64(len(ms))
+	m.purity, m.recallB, m.recallM = m.purity/n, m.recallB/n, m.recallM/n
+	return m
 }
 
 // runInferenceDay replays the CICDDoS day through per-window observers
 // and scores each attack window.
 func runInferenceDay(p dayParams, k int, feats packet.FeatureSet, spec strategySpec) []vectorMetrics {
-	src, windows := traffic.CICDDoSDay(p.bgRate, p.attackRate, p.vecLen, p.vecGap, p.seed)
+	src, windows := traffic.CICDDoSDay(2e6, 8e6, p.vecLen, p.vecGap, p.seed)
 
 	type windowState struct {
 		eval  *cluster.Eval
@@ -73,7 +73,7 @@ func runInferenceDay(p dayParams, k int, feats packet.FeatureSet, spec strategyS
 	states := make([]windowState, len(windows))
 	for i := range states {
 		states[i].eval = cluster.NewEval()
-		if !spec.offline {
+		if spec.mkOnline != nil {
 			states[i].obs = spec.mkOnline(k)
 		}
 	}
@@ -95,7 +95,7 @@ func runInferenceDay(p dayParams, k int, feats packet.FeatureSet, spec strategyS
 			continue // gap traffic is not scored
 		}
 		st := &states[wi]
-		if spec.offline {
+		if spec.mkOnline == nil {
 			st.batch = append(st.batch, tp.Pkt)
 			continue
 		}
@@ -105,7 +105,7 @@ func runInferenceDay(p dayParams, k int, feats packet.FeatureSet, spec strategyS
 	out := make([]vectorMetrics, len(windows))
 	for i, w := range windows {
 		st := &states[i]
-		if spec.offline && len(st.batch) > 0 {
+		if spec.mkOnline == nil && len(st.batch) > 0 {
 			km := cluster.NewKMeans(k, feats, p.seed+int64(i))
 			_, assign := km.Fit(st.batch)
 			for j, pk := range st.batch {
@@ -117,39 +117,35 @@ func runInferenceDay(p dayParams, k int, feats packet.FeatureSet, spec strategyS
 			purity:  st.eval.Purity() * 100,
 			recallB: st.eval.RecallBenign() * 100,
 			recallM: st.eval.RecallMalicious() * 100,
-			packets: st.eval.Total(),
 		}
 	}
 	return out
 }
 
-// onlineStrategy builds a strategySpec for an Online configuration.
-func onlineStrategy(name string, feats packet.FeatureSet, dist cluster.Distance, search cluster.Search) strategySpec {
-	return strategySpec{
-		name: name,
-		mkOnline: func(k int) observerFunc {
-			cfg := cluster.Config{
-				MaxClusters: k,
-				Features:    feats,
-				Distance:    dist,
-				Search:      search,
-			}
-			o := cluster.NewOnline(cfg)
-			return func(p *packet.Packet) int { return int(o.Observe(p).UID) }
-		},
-	}
+// onlineStrategy builds a strategySpec for an Online configuration,
+// with MaxClusters set per run.
+func onlineStrategy(name string, cfg cluster.Config) strategySpec {
+	return strategySpec{name, func(k int) observerFunc {
+		c := cfg
+		c.MaxClusters = k
+		o := cluster.NewOnline(c)
+		return func(p *packet.Packet) int { return int(o.Observe(p).UID) }
+	}}
+}
+
+// manhFast is the deployable configuration: Manhattan distance, fast
+// search.
+func manhFast(name string, feats packet.FeatureSet) strategySpec {
+	return onlineStrategy(name, cluster.Config{Features: feats, Distance: cluster.Manhattan, Search: cluster.Fast})
 }
 
 // hybridStrategy is "Eucl. Fast In.": online Euclidean with periodic
 // offline re-seeding.
 func hybridStrategy(feats packet.FeatureSet) strategySpec {
-	return strategySpec{
-		name: "Eucl. Fast In.",
-		mkOnline: func(k int) observerFunc {
-			h := cluster.NewHybrid(k, feats, 2000, 1)
-			return func(p *packet.Packet) int { return int(h.Observe(p).UID) }
-		},
-	}
+	return strategySpec{"Eucl. Fast In.", func(k int) observerFunc {
+		h := cluster.NewHybrid(k, feats, 2000, 1)
+		return func(p *packet.Packet) int { return int(h.Observe(p).UID) }
+	}}
 }
 
 // Fig9 reproduces the per-attack-vector and per-feature clustering
@@ -164,10 +160,9 @@ func Fig9(opt Options) *Result {
 	}
 	day := defaultDay(opt)
 	feats := packet.DefaultSimulationFeatures()
-	spec := onlineStrategy("Manh. Fast", feats, cluster.Manhattan, cluster.Fast)
 
 	// (a) per-vector purity with the full feature set.
-	metrics := runInferenceDay(day, 10, feats, spec)
+	metrics := runInferenceDay(day, 10, feats, manhFast("Manh. Fast", feats))
 	var xs, ys []float64
 	var reflSum, explSum float64
 	var reflN, explN int
@@ -203,18 +198,8 @@ func Fig9(opt Options) *Result {
 	// notes in feature order so output matches the sequential run.
 	RunParallel(opt, len(singles), func(i int) {
 		fs := packet.FeatureSet{singles[i]}
-		m := runInferenceDay(day, 10, fs, onlineStrategy("single", fs, cluster.Manhattan, cluster.Fast))
-		var pSum, rbSum, rmSum float64
-		for _, vm := range m {
-			pSum += vm.purity
-			rbSum += vm.recallB
-			rmSum += vm.recallM
-		}
-		n := float64(len(m))
-		fx[i] = float64(i)
-		fp[i] = pSum / n
-		frb[i] = rbSum / n
-		frm[i] = rmSum / n
+		m := meanMetrics(runInferenceDay(day, 10, fs, manhFast("single", fs)))
+		fx[i], fp[i], frb[i], frm[i] = float64(i), m.purity, m.recallB, m.recallM
 	})
 	for i, f := range singles {
 		r.Note("Fig9b: feature %-12s purity %.1f%% recallB %.1f%% recallM %.1f%%",

@@ -175,7 +175,9 @@ func (fr *fleetRun) aggregateBenign(name string) Series {
 func runFleetFIFO(seed int64, end eventsim.Time) *fleetRun {
 	run := &fleetRun{}
 	for i := 0; i < fleetNodes; i++ {
-		run.recs[i] = runFIFO(fleetNodeTraffic(seed, i, end), hwLink, end)
+		run.recs[i] = replay(fleetNodeTraffic(seed, i, end), end, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+			return fifo(eng, rec, hwLink, nil)
+		})
 	}
 	return run
 }
@@ -192,10 +194,7 @@ func Fleet(opt Options) *Result {
 		XLabel: "time (s)",
 		YLabel: "benign throughput, all nodes (Mbps)",
 	}
-	end := 100 * eventsim.Second
-	if opt.Quick {
-		end = 50 * eventsim.Second
-	}
+	end := sized(opt, 100*eventsim.Second, 50*eventsim.Second)
 	samples := []eventsim.Time{
 		fleetPartitionAt - 2*eventsim.Second, // connected, mid-pulse 2
 		fleetPartitionAt + 4*eventsim.Second, // partitioned past StaleAfter

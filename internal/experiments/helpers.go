@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+
 	"accturbo/internal/acc"
 	"accturbo/internal/cluster"
 	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
+	"accturbo/internal/faults"
 	"accturbo/internal/jaqen"
 	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
@@ -27,6 +30,14 @@ func must2[A, B any](a A, b B, err error) (A, B) {
 		panic(err)
 	}
 	return a, b
+}
+
+// sized picks an experiment's full-fidelity or quick-mode value.
+func sized[T any](opt Options, full, quick T) T {
+	if opt.Quick {
+		return quick
+	}
+	return full
 }
 
 // bufferFor sizes port buffers like the rest of the repo: ~100 ms of
@@ -52,7 +63,8 @@ func recycle(src traffic.Source, port *netsim.Port) {
 
 // replay is the single-bottleneck run every scheme shares: a fresh engine
 // and recorder, the port that build makes on them (with whatever defense
-// it attaches), and src replayed into it, recycled, until `until`.
+// it attaches), and src replayed into it, recycled, until `until`. It
+// then checks that the port lost no packet.
 func replay(src traffic.Source, until eventsim.Time, build func(*eventsim.Engine, *netsim.Recorder) *netsim.Port) *netsim.Recorder {
 	eng := eventsim.New()
 	rec := netsim.NewRecorder(eventsim.Second)
@@ -60,102 +72,115 @@ func replay(src traffic.Source, until eventsim.Time, build func(*eventsim.Engine
 	recycle(src, port)
 	netsim.Replay(eng, src, port)
 	eng.RunUntil(until)
+	checkConservation(eng, port, rec)
 	return rec
 }
 
-// runQdisc replays src through a bottleneck scheduled by q.
-func runQdisc(src traffic.Source, linkRate float64, until eventsim.Time, q queue.Qdisc) *netsim.Recorder {
-	return replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-		return netsim.NewPort(eng, q, linkRate, rec)
-	})
+// checkConservation panics unless every packet the port was offered is
+// accounted for: delivered, dropped for some reason, still queued, or
+// the one frame that may be on the wire. A frame can only be on the
+// wire while its transmit completion is pending in the engine.
+func checkConservation(eng *eventsim.Engine, port *netsim.Port, rec *netsim.Recorder) {
+	arrived := rec.ArrivedBenign() + rec.ArrivedMalicious()
+	held := rec.DeliveredBenignPkts() + rec.DeliveredMaliciousPkts() + uint64(port.Qdisc().Len())
+	for r := 0; r < 256; r++ {
+		held += rec.DroppedFor(queue.DropReason(r))
+	}
+	wire := uint64(min(eng.Pending(), 1))
+	if held > arrived || arrived > held+wire {
+		panic(fmt.Sprintf("experiments: port at %.0f b/s lost packets by t=%v: %d arrived, %d delivered, dropped or queued",
+			port.RateBits(), eng.Now(), arrived, held))
+	}
 }
 
-// runFIFO replays src through a plain FIFO bottleneck.
-func runFIFO(src traffic.Source, linkRate float64, until eventsim.Time) *netsim.Recorder {
-	return runQdisc(src, linkRate, until, queue.NewFIFO(bufferFor(linkRate)))
+// scenario is a leg's traffic: a fresh source per run, the bottleneck
+// rate it crosses, and the time the run ends.
+type scenario struct {
+	src  func() traffic.Source
+	link float64
+	end  eventsim.Time
 }
 
-// runACC replays src through RED + the classic ACC agent.
-func runACC(src traffic.Source, linkRate float64, until eventsim.Time, cfg acc.Config) (rec *netsim.Recorder, agent *acc.ACC) {
-	rec = replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-		red := queue.NewRED(queue.DefaultREDConfig(bufferFor(linkRate), linkRate/8))
-		port := netsim.NewPort(eng, red, linkRate, rec)
-		agent = must(acc.Attach(eng, port, red, cfg))
-		return port
-	})
-	return rec, agent
+// defense builds a leg's bottleneck on eng, recording into rec, and
+// keeps whatever it attaches in o for the readout.
+type defense func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port
+
+// leg is one row of a single-bottleneck figure: a scenario replayed
+// through a defense, and the readout that turns the run into series and
+// notes (nil when the figure reads the runs itself).
+type leg struct {
+	scenario
+	def  defense
+	read func(r *Result, o *legOut)
 }
 
-// turboRun bundles the outputs of an instrumented ACC-Turbo run.
-type turboRun struct {
+// legOut is what a leg's run leaves for its readout.
+type legOut struct {
 	rec   *netsim.Recorder
+	port  *netsim.Port
 	turbo *core.Turbo
-	// score accounting (Fig. 11a): per-bin sums of assigned queue
-	// index and packet counts, per class.
-	queueSum [2][]float64
-	pktCount [2][]float64
+	acc   *acc.ACC
+	jaqen *jaqen.Jaqen
+	inj   *faults.Injector
+	scoreTap
 }
 
-// runTurbo replays src through an ACC-Turbo port, instrumenting the
-// per-packet queue assignments for the scheduling score.
-func runTurbo(src traffic.Source, linkRate float64, until eventsim.Time, cfg core.Config) *turboRun {
-	run := &turboRun{}
-	run.rec = replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-		port, turbo := must2(core.Attach(eng, linkRate, rec, cfg))
-		run.turbo = turbo
-		turbo.OnAssign = func(now eventsim.Time, p *packet.Packet, a cluster.Assignment) {
-			q := float64(turbo.QueueOf(a.Cluster))
-			bin := int(now / eventsim.Second)
-			l := 0
-			if p.Label == packet.Malicious {
-				l = 1
-			}
-			for len(run.queueSum[l]) <= bin {
-				run.queueSum[l] = append(run.queueSum[l], 0)
-				run.pktCount[l] = append(run.pktCount[l], 0)
-			}
-			run.queueSum[l][bin] += q
-			run.pktCount[l][bin]++
-		}
-		return port
+// runLegs runs a figure's legs on the RunParallel pool, then hands each
+// run to its row's readout strictly in row order, so the result is
+// byte-identical at any worker count. Readouts run one at a time, so a
+// row's readout may use what an earlier row's readout kept. The runs
+// are returned in row order for the figure's own notes.
+func runLegs(opt Options, r *Result, legs []leg) []*legOut {
+	outs := make([]*legOut, len(legs))
+	RunParallel(opt, len(legs), func(i int) {
+		l, o := legs[i], &legOut{}
+		o.rec = replay(l.src(), l.end, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+			o.port = l.def(eng, rec, l.link, o)
+			return o.port
+		})
+		outs[i] = o
 	})
-	return run
-}
-
-// score is the Fig. 11a metric: the percentage of one-second intervals
-// (containing both classes) in which benign traffic received a better
-// (lower-index) average queue than malicious traffic.
-func (tr *turboRun) score() float64 {
-	n := len(tr.queueSum[0])
-	if len(tr.queueSum[1]) < n {
-		n = len(tr.queueSum[1])
-	}
-	mixed, won := 0, 0
-	for i := 0; i < n; i++ {
-		if tr.pktCount[0][i] == 0 || tr.pktCount[1][i] == 0 {
-			continue
-		}
-		mixed++
-		avgB := tr.queueSum[0][i] / tr.pktCount[0][i]
-		avgM := tr.queueSum[1][i] / tr.pktCount[1][i]
-		if avgB < avgM {
-			won++
+	for i, l := range legs {
+		if l.read != nil {
+			l.read(r, outs[i])
 		}
 	}
-	if mixed == 0 {
-		return 0
-	}
-	return 100 * float64(won) / float64(mixed)
+	return outs
 }
 
-// runJaqen replays src through a FIFO port protected by Jaqen.
-func runJaqen(src traffic.Source, linkRate float64, until eventsim.Time, cfg jaqen.Config) (rec *netsim.Recorder, j *jaqen.Jaqen) {
-	rec = replay(src, until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-		port := netsim.NewPort(eng, queue.NewFIFO(bufferFor(linkRate)), linkRate, rec)
-		j = must(jaqen.Attach(eng, port, cfg))
-		return port
-	})
-	return rec, j
+// scheme is a named defense: one row of a grid figure.
+type scheme struct {
+	name string
+	def  defense
+}
+
+// benignGrid runs every scheme over every scenario and returns the
+// benign-drop percentages indexed [scheme][scenario].
+func benignGrid(opt Options, schemes []scheme, scs []scenario) [][]float64 {
+	var legs []leg
+	for _, s := range schemes {
+		for _, sc := range scs {
+			legs = append(legs, leg{sc, s.def, nil})
+		}
+	}
+	drops := benignDrops(runLegs(opt, nil, legs))
+	grid := make([][]float64, len(schemes))
+	for i := range grid {
+		grid[i] = drops[i*len(scs) : (i+1)*len(scs)]
+	}
+	return grid
+}
+
+// fifo is the undefended bottleneck.
+func fifo(eng *eventsim.Engine, rec *netsim.Recorder, link float64, _ *legOut) *netsim.Port {
+	return netsim.NewPort(eng, queue.NewFIFO(bufferFor(link)), link, rec)
+}
+
+// bare schedules the bottleneck with the qdisc mk builds for its buffer.
+func bare(mk func(buffer int) queue.Qdisc) defense {
+	return func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, _ *legOut) *netsim.Port {
+		return netsim.NewPort(eng, mk(bufferFor(link)), link, rec)
+	}
 }
 
 // groundTruthRank ranks benign packets ahead of malicious ones: the
@@ -167,56 +192,161 @@ func groundTruthRank(_ eventsim.Time, p *packet.Packet) int64 {
 	return 0
 }
 
-// runPIFOIdeal replays src through the ground-truth PIFO (the paper's
-// "PIFO Ideal").
-func runPIFOIdeal(src traffic.Source, linkRate float64, until eventsim.Time) *netsim.Recorder {
-	return runQdisc(src, linkRate, until, queue.NewPIFO(bufferFor(linkRate), groundTruthRank))
+// pifoIdeal is the ground-truth PIFO (the paper's "PIFO Ideal").
+var pifoIdeal = bare(func(buffer int) queue.Qdisc { return queue.NewPIFO(buffer, groundTruthRank) })
+
+// withACC is RED plus the classic ACC agent.
+func withACC(cfg acc.Config) defense {
+	return func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port {
+		red := queue.NewRED(queue.DefaultREDConfig(bufferFor(link), link/8))
+		port := netsim.NewPort(eng, red, link, rec)
+		o.acc = must(acc.Attach(eng, port, red, cfg))
+		return port
+	}
+}
+
+// withJaqen is a FIFO bottleneck protected by Jaqen.
+func withJaqen(cfg jaqen.Config) defense {
+	return func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port {
+		port := fifo(eng, rec, link, o)
+		o.jaqen = must(jaqen.Attach(eng, port, cfg))
+		return port
+	}
+}
+
+// turbo is an ACC-Turbo bottleneck with the Fig. 11a score tap on its
+// per-packet queue assignments. Under faulted, the injector's clock
+// wrapper stalls its control loop.
+func turbo(cfg core.Config) defense {
+	return func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port {
+		c := cfg
+		if o.inj != nil {
+			c.WrapClock = o.inj.ClockWrapper()
+		}
+		port, t := must2(core.Attach(eng, link, rec, c))
+		o.turbo = t
+		t.OnAssign = func(now eventsim.Time, p *packet.Packet, a cluster.Assignment) {
+			o.add(now, p.Label, t.QueueOf(a.Cluster))
+		}
+		return port
+	}
+}
+
+// faulted runs def under a fault injector: packet mangling and link
+// flaps at the port, plus whatever def takes from o.inj.
+func faulted(def defense, seed uint64, spec faults.Spec) defense {
+	return func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port {
+		o.inj = faults.New(seed, spec)
+		port := def(eng, rec, link, o)
+		o.inj.AttachInterposer(eng, port)
+		o.inj.FlapLinks(eng, port)
+		return port
+	}
+}
+
+// scoreTap accumulates the Fig. 11a score: per-second sums of assigned
+// queue index and packet counts, per class.
+type scoreTap struct {
+	queueSum [2][]float64
+	pktCount [2][]float64
+}
+
+func (s *scoreTap) add(now eventsim.Time, label packet.Label, q int) {
+	bin := int(now / eventsim.Second)
+	l := 0
+	if label == packet.Malicious {
+		l = 1
+	}
+	for len(s.queueSum[l]) <= bin {
+		s.queueSum[l] = append(s.queueSum[l], 0)
+		s.pktCount[l] = append(s.pktCount[l], 0)
+	}
+	s.queueSum[l][bin] += float64(q)
+	s.pktCount[l][bin]++
+}
+
+// score is the Fig. 11a metric: the percentage of one-second intervals
+// (containing both classes) in which benign traffic received a better
+// (lower-index) average queue than malicious traffic.
+func (s *scoreTap) score() float64 {
+	n := min(len(s.queueSum[0]), len(s.queueSum[1]))
+	mixed, won := 0, 0
+	for i := 0; i < n; i++ {
+		if s.pktCount[0][i] == 0 || s.pktCount[1][i] == 0 {
+			continue
+		}
+		mixed++
+		if s.queueSum[0][i]/s.pktCount[0][i] < s.queueSum[1][i]/s.pktCount[1][i] {
+			won++
+		}
+	}
+	if mixed == 0 {
+		return 0
+	}
+	return 100 * float64(won) / float64(mixed)
+}
+
+// benignDrops reads each run's benign-drop percentage.
+func benignDrops(outs []*legOut) []float64 {
+	ys := make([]float64, len(outs))
+	for i, o := range outs {
+		ys[i] = o.rec.BenignDropPercent()
+	}
+	return ys
+}
+
+// classThroughput is the readout of per-class output throughput, as
+// the series prefix+"Benign" and prefix+"Attack".
+func classThroughput(prefix string) func(*Result, *legOut) {
+	return func(r *Result, o *legOut) {
+		r.Add(throughputSeries(o.rec, packet.Benign, prefix+"Benign"))
+		r.Add(throughputSeries(o.rec, packet.Malicious, prefix+"Attack"))
+	}
+}
+
+// flatSeries is a constant line over x, for a baseline drawn across a
+// sweep.
+func flatSeries(name string, x []float64, v float64) Series {
+	y := make([]float64, len(x))
+	for i := range y {
+		y[i] = v
+	}
+	return Series{Name: name, X: x, Y: y}
+}
+
+// secondSeries puts one value per second on a whole-second x-axis,
+// each divided by div.
+func secondSeries(name string, ys []float64, div float64) Series {
+	x := make([]float64, len(ys))
+	y := make([]float64, len(ys))
+	for i, v := range ys {
+		x[i] = float64(i)
+		y[i] = v / div
+	}
+	return Series{Name: name, X: x, Y: y}
 }
 
 // shareSeries converts a per-flow delivered series into fraction of
 // link bandwidth, sampled at whole seconds.
 func shareSeries(rec *netsim.Recorder, flowID uint32, linkRate float64) Series {
-	bits := rec.FlowDeliveredBits(flowID)
-	x := make([]float64, len(bits))
-	y := make([]float64, len(bits))
-	for i, v := range bits {
-		x[i] = float64(i)
-		y[i] = v / linkRate
-	}
-	return Series{X: x, Y: y}
+	return secondSeries("", rec.FlowDeliveredBits(flowID), linkRate)
 }
 
 // totalShareSeries is the "All" line: total delivered / link rate.
 func totalShareSeries(rec *netsim.Recorder, linkRate float64) Series {
-	b := rec.DeliveredBits(packet.Benign)
-	m := rec.DeliveredBits(packet.Malicious)
-	x := make([]float64, len(b))
-	y := make([]float64, len(b))
-	for i := range b {
-		x[i] = float64(i)
-		y[i] = (b[i] + m[i]) / linkRate
+	total := rec.DeliveredBits(packet.Benign)
+	for i, v := range rec.DeliveredBits(packet.Malicious) {
+		total[i] += v
 	}
-	return Series{Name: "All", X: x, Y: y}
+	return secondSeries("All", total, linkRate)
 }
 
 // dropRateSeries wraps Recorder.DropRate with an x-axis.
 func dropRateSeries(rec *netsim.Recorder, name string) Series {
-	dr := rec.DropRate()
-	x := make([]float64, len(dr))
-	for i := range dr {
-		x[i] = float64(i)
-	}
-	return Series{Name: name, X: x, Y: dr}
+	return secondSeries(name, rec.DropRate(), 1)
 }
 
 // throughputSeries returns delivered bits/s for a class, in Mbps.
 func throughputSeries(rec *netsim.Recorder, label packet.Label, name string) Series {
-	bits := rec.DeliveredBits(label)
-	x := make([]float64, len(bits))
-	y := make([]float64, len(bits))
-	for i, v := range bits {
-		x[i] = float64(i)
-		y[i] = v / 1e6
-	}
-	return Series{Name: name, X: x, Y: y}
+	return secondSeries(name, rec.DeliveredBits(label), 1e6)
 }

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
+	"accturbo/internal/queue"
+	"accturbo/internal/traffic"
 )
 
 func TestThresholdFor(t *testing.T) {
@@ -67,7 +71,7 @@ func TestSeriesHelpers(t *testing.T) {
 }
 
 func TestTurboRunScore(t *testing.T) {
-	tr := &turboRun{}
+	tr := &scoreTap{}
 	// Bin 0: benign avg queue 0, malicious avg queue 3 -> win.
 	// Bin 1: both average 1 -> tie (loss). Bin 2: only benign -> skip.
 	tr.queueSum[0] = []float64{0, 2, 1}
@@ -77,7 +81,7 @@ func TestTurboRunScore(t *testing.T) {
 	if got := tr.score(); got != 50 {
 		t.Fatalf("score = %v, want 50", got)
 	}
-	if (&turboRun{}).score() != 0 {
+	if (&scoreTap{}).score() != 0 {
 		t.Fatal("empty score should be 0")
 	}
 }
@@ -100,9 +104,48 @@ func TestMinMaxOf(t *testing.T) {
 	}
 }
 
-func TestRenameSeries(t *testing.T) {
-	s := renameSeries(Series{Name: "a", Y: []float64{1}}, "b")
-	if s.Name != "b" || s.Y[0] != 1 {
-		t.Fatalf("renameSeries = %+v", s)
+// swallow is a FIFO that loses its second packet without reporting it
+// through the drop hook: the accounting bug the conservation check
+// exists to catch.
+type swallow struct {
+	*queue.FIFO
+	seen int
+}
+
+func (s *swallow) Enqueue(now eventsim.Time, p *packet.Packet) queue.DropReason {
+	if s.seen++; s.seen == 2 {
+		return queue.DropNone
+	}
+	return s.FIFO.Enqueue(now, p)
+}
+
+func TestReplayChecksConservation(t *testing.T) {
+	src := func() traffic.Source {
+		spec := traffic.FlowSpec{
+			SrcIP: packet.V4(10, 0, 0, 1), DstIP: packet.V4(10, 0, 0, 2),
+			Protocol: packet.ProtoUDP, Size: 1000, FlowID: 1,
+		}
+		return traffic.NewCBR(0, eventsim.Second, 1e6, spec.Factory(1))
+	}
+	run := func(q queue.Qdisc, until eventsim.Time) (msg string) {
+		defer func() {
+			if v := recover(); v != nil {
+				msg = fmt.Sprint(v)
+			}
+		}()
+		replay(src(), until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
+			return netsim.NewPort(eng, q, 1e6, rec)
+		})
+		return ""
+	}
+	// Cut mid-run, a frame may be on the wire; drained, none is.
+	for _, until := range []eventsim.Time{eventsim.Second / 2, 2 * eventsim.Second} {
+		if msg := run(queue.NewFIFO(10_000), until); msg != "" {
+			t.Fatalf("a lossless FIFO tripped the check at %v: %s", until, msg)
+		}
+	}
+	msg := run(&swallow{FIFO: queue.NewFIFO(10_000)}, 2*eventsim.Second)
+	if !strings.Contains(msg, "1000000 b/s") || !strings.Contains(msg, "2.000000s") || !strings.Contains(msg, "125 arrived") {
+		t.Fatalf("a swallowed packet was not caught: %q", msg)
 	}
 }

@@ -82,14 +82,11 @@ func LiveOps(opt Options) *Result {
 		XLabel: "time (s)",
 		YLabel: "throughput (Mbps)",
 	}
-	end := 100 * eventsim.Second
-	if opt.Quick {
-		end = 50 * eventsim.Second
-	}
-	cut := liveOpsCut
+	sc := hwPulse(opt)
+	end, cut := sc.end, liveOpsCut
 
 	// Reference: the untouched defense over the identical traffic.
-	clean := runTurbo(hwPulseWave(opt.Seed, end), hwLink, end, hwTurboConfig())
+	clean := runLegs(opt, r, []leg{{sc, turbo(hwTurboConfig()), nil}})[0]
 
 	// Leg 1: hot reconfigure mid-pulse.
 	var turbo1 *core.Turbo

@@ -24,13 +24,18 @@ func TestRunParallelCoversAllIndices(t *testing.T) {
 
 // TestParallelMatchesSequential is the determinism regression test for
 // the tentpole guarantee: for a fixed seed, an experiment's rendered
-// output and CSV must be byte-identical whether its sweep points run
-// sequentially or on 8 workers. What those bytes are is
-// TestGoldenManifest's to pin.
+// output and CSV must be byte-identical whether its sweep points or legs
+// run sequentially or on 8 workers. What those bytes are is
+// TestGoldenManifest's to pin. fig8 and fig10 run in every mode; the
+// other experiments that fan out skip under -short and -race, as the
+// golden manifest does.
 func TestParallelMatchesSequential(t *testing.T) {
-	for _, id := range []string{"fig8", "fig10"} {
-		id := id
+	for _, id := range []string{"fig8", "fig10", "fig2", "fig3", "fig6", "fig7", "fig11", "table3",
+		"schedulers", "ablations", "adversarial", "chaos"} {
 		t.Run(id, func(t *testing.T) {
+			if id != "fig8" && id != "fig10" && (testing.Short() || raceDetector()) {
+				t.Skip("skipped under -short and -race")
+			}
 			t.Parallel()
 			e, err := ByID(id)
 			if err != nil {

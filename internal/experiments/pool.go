@@ -49,12 +49,3 @@ func RunParallel(opt Options, n int, task func(i int)) {
 	}
 	wg.Wait()
 }
-
-// RunGrid executes task over a rows x cols sweep grid, flattening it
-// into one RunParallel call so workers stay busy across the whole
-// grid rather than per row.
-func RunGrid(opt Options, rows, cols int, task func(r, c int)) {
-	RunParallel(opt, rows*cols, func(i int) {
-		task(i/cols, i%cols)
-	})
-}

@@ -5,7 +5,6 @@ import (
 	"accturbo/internal/eventsim"
 	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/queue"
 	"accturbo/internal/traffic"
 )
 
@@ -25,10 +24,7 @@ func PushbackExperiment(opt Options) *Result {
 		XLabel: "scheme",
 		YLabel: "end-to-end benign drops (%)",
 	}
-	end := 60 * eventsim.Second
-	if opt.Quick {
-		end = 25 * eventsim.Second
-	}
+	end := sized(opt, 60*eventsim.Second, 25*eventsim.Second)
 
 	run := func(withPushback bool) (float64, float64, uint64) {
 		const (
@@ -40,19 +36,17 @@ func PushbackExperiment(opt Options) *Result {
 		rec1 := netsim.NewRecorder(eventsim.Second)
 		rec2 := netsim.NewRecorder(eventsim.Second)
 
-		red := queue.NewRED(queue.DefaultREDConfig(int(coreRate/8/10), coreRate/8))
-		core := netsim.NewPort(eng, red, coreRate, rec)
-		agent := must(acc.Attach(eng, core, red, acc.DefaultConfig()))
-
-		u1 := netsim.NewPort(eng, queue.NewFIFO(int(upRate/8/10)), upRate, rec1)
-		u2 := netsim.NewPort(eng, queue.NewFIFO(int(upRate/8/10)), upRate, rec2)
+		o := &legOut{}
+		core := withACC(acc.DefaultConfig())(eng, rec, coreRate, o)
+		u1 := fifo(eng, rec1, upRate, nil)
+		u2 := fifo(eng, rec2, upRate, nil)
 		netsim.Chain(eng, u1, core, eventsim.Millisecond)
 		netsim.Chain(eng, u2, core, eventsim.Millisecond)
 
 		var pb *acc.Pushback
 		if withPushback {
 			ups := []*acc.Upstream{acc.NewUpstream("u1", u1), acc.NewUpstream("u2", u2)}
-			pb = acc.EnablePushback(eng, agent, ups)
+			pb = acc.EnablePushback(eng, o.acc, ups)
 		}
 
 		mkBenign := func(seed int64) traffic.Source {

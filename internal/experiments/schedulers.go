@@ -1,11 +1,6 @@
 package experiments
 
-import (
-	"accturbo/internal/eventsim"
-	"accturbo/internal/netsim"
-	"accturbo/internal/queue"
-	"accturbo/internal/traffic"
-)
+import "accturbo/internal/queue"
 
 // Schedulers is an extension experiment covering §5.1's design space:
 // with the same ground-truth ranking (benign before malicious), how do
@@ -20,37 +15,25 @@ func Schedulers(opt Options) *Result {
 		XLabel: "scheme",
 		YLabel: "benign drops (%)",
 	}
-	const link = fig2Link
-	until := 50 * eventsim.Second
-	newSrc := func() traffic.Source {
-		return traffic.PulseWave(link, 3*link, 5*eventsim.Second, true)
-	}
-	buffer := bufferFor(link)
-
-	fifo := runFIFO(newSrc(), link, until)
-	pifo := runPIFOIdeal(newSrc(), link, until)
-	sp := queue.NewSPPIFO(8, buffer/8, groundTruthRank)
-	spRec := runQdisc(newSrc(), link, until, sp)
-	aifo := queue.NewAIFO(buffer, 128, 0.125, groundTruthRank)
-	aifoRec := runQdisc(newSrc(), link, until, aifo)
-	turbo := runTurbo(newSrc(), link, until, accTurboFig2Config())
-
-	rows := []struct {
-		name string
-		rec  *netsim.Recorder
-	}{
+	schemes := []scheme{
 		{"FIFO", fifo},
-		{"PIFO (ideal)", pifo},
-		{"SP-PIFO (8 queues)", spRec},
-		{"AIFO (single queue)", aifoRec},
-		{"ACC-Turbo (no ground truth)", turbo.rec},
+		{"PIFO (ideal)", pifoIdeal},
+		{"SP-PIFO (8 queues)", bare(func(buffer int) queue.Qdisc { return queue.NewSPPIFO(8, buffer/8, groundTruthRank) })},
+		{"AIFO (single queue)", bare(func(buffer int) queue.Qdisc { return queue.NewAIFO(buffer, 128, 0.125, groundTruthRank) })},
+		{"ACC-Turbo (no ground truth)", turbo(accTurboFig2Config())},
 	}
-	for _, row := range rows {
-		r.Add(Series{Name: row.name + "/benign drops", Y: []float64{row.rec.BenignDropPercent()}})
-		r.Add(Series{Name: row.name + "/attack drops", Y: []float64{row.rec.MaliciousDropPercent()}})
-		r.Note("%-28s benign %.2f%%  attack %.2f%%", row.name,
-			row.rec.BenignDropPercent(), row.rec.MaliciousDropPercent())
+	legs := make([]leg, len(schemes))
+	for i, s := range schemes {
+		legs[i] = leg{morphingPulses, s.def, func(r *Result, o *legOut) {
+			r.Add(Series{Name: s.name + "/benign drops", Y: []float64{o.rec.BenignDropPercent()}})
+			r.Add(Series{Name: s.name + "/attack drops", Y: []float64{o.rec.MaliciousDropPercent()}})
+			r.Note("%-28s benign %.2f%%  attack %.2f%%", s.name,
+				o.rec.BenignDropPercent(), o.rec.MaliciousDropPercent())
+		}}
 	}
+	outs := runLegs(opt, r, legs)
+	sp := outs[2].port.Qdisc().(*queue.SPPIFO)
+	aifo := outs[3].port.Qdisc().(*queue.AIFO)
 	r.Note("SP-PIFO inversions: %d (push-ups %d, push-downs %d); AIFO admission drops: %d",
 		sp.Inversions, sp.PushUps, sp.PushDowns, aifo.AdmissionDrops)
 	r.Note("the realizable approximations track the ideal PIFO; ACC-Turbo matches them " +

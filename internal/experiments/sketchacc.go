@@ -33,10 +33,7 @@ func SketchAcc(opts Options) *Result {
 		rows = 4
 		cols = 4096 // narrowed from Jaqen's 65536 so error is measurable
 	)
-	points := []int{20_000, 50_000, 100_000, 200_000, 400_000}
-	if opts.Quick {
-		points = []int{10_000, 30_000, 60_000}
-	}
+	points := sized(opts, []int{20_000, 50_000, 100_000, 200_000, 400_000}, []int{10_000, 30_000, 60_000})
 	total := points[len(points)-1]
 
 	// One fixed stream for all sketches: Zipf flow sizes over a large

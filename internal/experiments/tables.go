@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"accturbo/internal/acc"
-	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
 	"accturbo/internal/jaqen"
 	"accturbo/internal/packet"
@@ -25,14 +24,17 @@ func Table3(opt Options) *Result {
 		bgRate     = 7e6
 		attackRate = 99e6
 	)
-	end := 100 * eventsim.Second
-	if opt.Quick {
-		end = 30 * eventsim.Second
+	end := sized(opt, 100*eventsim.Second, 30*eventsim.Second)
+	variations := []traffic.AttackVariation{
+		traffic.NoAttack, traffic.SingleFlow, traffic.CarpetBombing, traffic.SourceSpoofing,
 	}
-	attackStart := end / 10
-
-	mkSrc := func(v traffic.AttackVariation) traffic.Source {
-		return traffic.Variation(v, bgRate, attackRate, attackStart, end, opt.Seed)
+	scs := make([]scenario, len(variations))
+	xs := make([]float64, len(variations))
+	for i, v := range variations {
+		scs[i] = scenario{func() traffic.Source {
+			return traffic.Variation(v, bgRate, attackRate, end/10, end, opt.Seed)
+		}, link, end}
+		xs[i] = float64(i)
 	}
 
 	jaqenCfg := func(key jaqen.Key) jaqen.Config {
@@ -45,64 +47,26 @@ func Table3(opt Options) *Result {
 		cfg.Threshold = 900
 		return cfg
 	}
-	turboCfg := func() core.Config {
-		cfg := core.DefaultConfig()
-		cfg.Clustering.MaxClusters = 4
-		// The paper clusters on the four destination-address bytes.
-		// Our synthetic background occupies one /16, so the leading
-		// (sliced) feature is the first byte that actually varies —
-		// the equivalent of slicing CAIDA traffic on its high bytes.
-		cfg.Clustering.Features = packet.FeatureSet{
-			packet.FDstIPByte2, packet.FDstIPByte3, packet.FDstIPByte0, packet.FDstIPByte1,
-		}
-		cfg.Clustering.SliceInit = true
-		cfg.PollInterval = 250 * eventsim.Millisecond
-		cfg.DeployDelay = 250 * eventsim.Millisecond
-		cfg.ReseedInterval = eventsim.Second
-		return cfg
+	// The paper clusters on the four destination-address bytes. Our
+	// synthetic background occupies one /16, so the leading (sliced)
+	// feature is the first byte that actually varies — the equivalent of
+	// slicing CAIDA traffic on its high bytes.
+	turboCfg := hwTurboConfig()
+	turboCfg.Clustering.Features = packet.FeatureSet{
+		packet.FDstIPByte2, packet.FDstIPByte3, packet.FDstIPByte0, packet.FDstIPByte1,
 	}
+	turboCfg.Clustering.SliceInit = true
 
-	variations := []traffic.AttackVariation{
-		traffic.NoAttack, traffic.SingleFlow, traffic.CarpetBombing, traffic.SourceSpoofing,
+	schemes := []scheme{
+		{"FIFO", fifo},
+		{"Jaqen+ (5-tuple)", withJaqen(jaqenCfg(jaqen.FiveTuple))},
+		{"Jaqen++ (srcIP)", withJaqen(jaqenCfg(jaqen.SrcIP))},
+		{"ACC-Turbo", turbo(turboCfg)},
 	}
-	type row struct {
-		name string
-		drop func(v traffic.AttackVariation) float64
-	}
-	rows := []row{
-		{"FIFO", func(v traffic.AttackVariation) float64 {
-			return runFIFO(mkSrc(v), link, end).BenignDropPercent()
-		}},
-		{"Jaqen+ (5-tuple)", func(v traffic.AttackVariation) float64 {
-			rec, _ := runJaqen(mkSrc(v), link, end, jaqenCfg(jaqen.FiveTuple))
-			return rec.BenignDropPercent()
-		}},
-		{"Jaqen++ (srcIP)", func(v traffic.AttackVariation) float64 {
-			rec, _ := runJaqen(mkSrc(v), link, end, jaqenCfg(jaqen.SrcIP))
-			return rec.BenignDropPercent()
-		}},
-		{"ACC-Turbo", func(v traffic.AttackVariation) float64 {
-			return runTurbo(mkSrc(v), link, end, turboCfg()).rec.BenignDropPercent()
-		}},
-	}
-	xs := make([]float64, len(variations))
-	for i := range variations {
-		xs[i] = float64(i)
-	}
-	// Each scheme x variation cell is its own simulation; fan the grid
-	// out, then assemble rows in order.
-	grid := make([][]float64, len(rows))
-	for i := range grid {
-		grid[i] = make([]float64, len(variations))
-	}
-	RunGrid(opt, len(rows), len(variations), func(ri, vi int) {
-		grid[ri][vi] = rows[ri].drop(variations[vi])
-	})
-	for ri, rw := range rows {
-		ys := grid[ri]
-		r.Add(Series{Name: rw.name, X: xs, Y: ys})
+	for i, ys := range benignGrid(opt, schemes, scs) {
+		r.Add(Series{Name: schemes[i].name, X: xs, Y: ys})
 		r.Note("Table3: %-16s  NoAttack %.2f%%  SingleFlow %.2f%%  Carpet %.2f%%  Spoofed %.2f%%",
-			rw.name, ys[0], ys[1], ys[2], ys[3])
+			schemes[i].name, ys[0], ys[1], ys[2], ys[3])
 	}
 	r.Note("variation index: 0=%s 1=%s 2=%s 3=%s",
 		traffic.NoAttack, traffic.SingleFlow, traffic.CarpetBombing, traffic.SourceSpoofing)

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
 	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
-	"accturbo/internal/queue"
 	"accturbo/internal/traffic"
 )
 
@@ -25,25 +23,13 @@ func TCPExperiment(opt Options) *Result {
 		YLabel: "goodput (Mbps)",
 	}
 	const link = 10e6
-	end := 60 * eventsim.Second
-	if opt.Quick {
-		end = 25 * eventsim.Second
-	}
+	end := sized(opt, 60*eventsim.Second, 25*eventsim.Second)
 	const nFlows = 8
 
-	run := func(defended bool) (goodput float64, rec *netsim.Recorder) {
+	run := func(def defense) (goodput float64, rec *netsim.Recorder) {
 		eng := eventsim.New()
 		rec = netsim.NewRecorder(eventsim.Second)
-		var port *netsim.Port
-		if defended {
-			cfg := core.HardwareConfig()
-			cfg.PollInterval = 250 * eventsim.Millisecond
-			cfg.DeployDelay = 250 * eventsim.Millisecond
-			cfg.ReseedInterval = eventsim.Second
-			port, _ = must2(core.Attach(eng, link, rec, cfg))
-		} else {
-			port = netsim.NewPort(eng, queue.NewFIFO(bufferFor(link)), link, rec)
-		}
+		port := def(eng, rec, link, &legOut{})
 
 		pool := packet.NewPool()
 		port.SetPool(pool)
@@ -79,8 +65,8 @@ func TCPExperiment(opt Options) *Result {
 		return sum, rec
 	}
 
-	fifoGoodput, fifoRec := run(false)
-	turboGoodput, turboRec := run(true)
+	fifoGoodput, fifoRec := run(fifo)
+	turboGoodput, turboRec := run(turbo(hwTurboConfig()))
 	r.Add(throughputSeries(fifoRec, packet.Benign, "FIFO/Benign delivered"))
 	r.Add(throughputSeries(turboRec, packet.Benign, "ACC-Turbo/Benign delivered"))
 	r.Add(Series{Name: "FIFO/total goodput (Mbps)", Y: []float64{fifoGoodput / 1e6}})

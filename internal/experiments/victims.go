@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math/rand"
 
 	"accturbo/internal/victim"
@@ -9,12 +10,11 @@ import (
 // Victims drives the heavy-keeper victim detector with a pulse-wave
 // attack that rotates across three destination aggregates — the attack
 // shape ACC-Turbo defends against, seen from the victim-identification
-// side (ROADMAP item 3). Each simulated window carries benign
-// background spread over thousands of destinations plus one pulse
-// focused on the rotation's current target; the detector must list the
-// pulsed destination while it is under fire, hold it briefly through
-// the hysteresis band as the pulse moves on, and never list a benign
-// destination.
+// side. Each simulated window carries benign background spread over
+// thousands of destinations plus one pulse focused on the rotation's
+// current target; the detector must list the pulsed destination while
+// it is under fire, hold it briefly through the hysteresis band as the
+// pulse moves on, and never list a benign destination.
 func Victims(opts Options) *Result {
 	r := &Result{
 		ID:     "victims",
@@ -23,12 +23,8 @@ func Victims(opts Options) *Result {
 		YLabel: "share of window bytes",
 	}
 
-	windows := 18
-	perWindow := 60_000 // observations per window
-	if opts.Quick {
-		windows = 12
-		perWindow = 12_000
-	}
+	windows := sized(opts, 18, 12)
+	perWindow := sized(opts, 60_000, 12_000) // observations per window
 
 	targets := []uint64{0xA1, 0xB2, 0xC3} // the rotating victim dsts
 	cfg := victim.DefaultConfig()
@@ -84,8 +80,8 @@ func Victims(opts Options) *Result {
 		}
 	}
 
-	for ti, tk := range targets {
-		r.Add(Series{Name: formatDst(tk), X: xs, Y: shares[ti]})
+	for ti := range targets {
+		r.Add(Series{Name: fmt.Sprintf("dst %c (share)", 'A'+ti), X: xs, Y: shares[ti]})
 	}
 	r.Add(Series{Name: "victims listed", X: xs, Y: listed})
 
@@ -95,17 +91,4 @@ func Victims(opts Options) *Result {
 	r.Note("hysteresis: activate at %.0f%% share, release at %.0f%%",
 		100*cfg.ActivateShare, 100*cfg.ReleaseShare)
 	return r
-}
-
-// formatDst names a destination key for series labels.
-func formatDst(k uint64) string {
-	switch k {
-	case 0xA1:
-		return "dst A (share)"
-	case 0xB2:
-		return "dst B (share)"
-	case 0xC3:
-		return "dst C (share)"
-	}
-	return "dst ?"
 }

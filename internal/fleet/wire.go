@@ -1,5 +1,5 @@
 // Package fleet runs ACC-Turbo at many vantage points with one global
-// ranking (ROADMAP item 1). Each node's control loop — unchanged except
+// ranking across the fleet. Each node's control loop — unchanged except
 // for the core.Ranker seam — publishes its per-window cluster snapshot
 // to a coordinator; the coordinator merges the snapshots slot-wise
 // (cluster.MergeSnapshots) and broadcasts one cluster→queue mapping

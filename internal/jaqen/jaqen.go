@@ -5,7 +5,7 @@
 // consecutive windows, and drop-based mitigation. The program-swap
 // downtime Jaqen pays when the module is not yet loaded is a property of
 // the switch, not of the defense; Fig. 7c models it on its own
-// (experiments' runProgramSwap).
+// (the program-swap row of the experiments' Fig. 7).
 //
 //	Detection:  count-min sketch over a configured key (5-tuple for
 //	            Jaqen-dagger, source IP for Jaqen-double-dagger).

@@ -1,7 +1,8 @@
 // Package victim identifies the destination aggregates a volumetric
-// attack is converging on — the victim-identification front-end of
-// ROADMAP item 3 (after Ding et al., "In-Network Volumetric DDoS
-// Victim Identification Using Programmable Commodity Switches").
+// attack is converging on — the victim-identification front-end a
+// per-victim defense manager would build on (after Ding et al.,
+// "In-Network Volumetric DDoS Victim Identification Using Programmable
+// Commodity Switches").
 //
 // A Detector watches one egress link: every admitted packet's
 // destination key and byte size feed a heavy-keeper top-k
