@@ -133,8 +133,8 @@ func TestDefenseZeroValuePacket(t *testing.T) {
 	if DstKey(p) != 0 || p.SrcIP.String() != "0.0.0.0" {
 		t.Fatalf("DstKey = %d, SrcIP = %s", DstKey(p), p.SrcIP)
 	}
-	if _, err := p.Marshal(); err != nil {
-		t.Fatalf("Marshal: %v", err)
+	if err := p.MarshalTo(make([]byte, p.WireLen())); err != nil {
+		t.Fatalf("MarshalTo: %v", err)
 	}
 }
 

@@ -563,6 +563,6 @@ func runChaosProxy(spec fleet.ChaosSpec) {
 		p.Addr(), *chaosProxyTarget, spec.Seed, spec.CorruptEvery, spec.ResetEvery, spec.DelayEvery, spec.DelayFor)
 	waitRunFor()
 	st := p.Stats()
-	fmt.Printf("chaos proxy: %d connections, %d bytes forwarded, %d corrupted, %d resets, %d delays, %d refused while partitioned\n",
-		st.Connections, st.BytesForwarded, st.BytesCorrupted, st.ResetsInjected, st.DelaysInjected, st.PartitionRefused)
+	fmt.Printf("chaos proxy: %d connections, %d bytes forwarded, %d corrupted, %d resets, %d delays\n",
+		st.Connections, st.BytesForwarded, st.BytesCorrupted, st.ResetsInjected, st.DelaysInjected)
 }

@@ -109,9 +109,9 @@ func buildDefense(eng *eventsim.Engine, name string, link float64, rec *netsim.R
 	case "fifo":
 		port = netsim.NewPort(eng, queue.NewFIFO(buffer), link, rec)
 	case "red":
-		port = netsim.NewPort(eng, queue.NewRED(queue.DefaultREDConfig(buffer, link/8)), link, rec)
+		port = netsim.NewPort(eng, queue.NewRED(buffer, link/8), link, rec)
 	case "acc":
-		red := queue.NewRED(queue.DefaultREDConfig(buffer, link/8))
+		red := queue.NewRED(buffer, link/8)
 		port = netsim.NewPort(eng, red, link, rec)
 		if _, err := acc.Attach(eng, port, red, acc.DefaultConfig()); err != nil {
 			return err

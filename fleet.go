@@ -25,13 +25,11 @@ type FleetConfig struct {
 	// (features, MaxClusters, NumQueues, SliceInit) must be identical
 	// across the fleet — slot identity is what makes the coordinator's
 	// slot-wise merge meaningful — so one Config covers all nodes.
-	// Node.Ranker must be nil (the fleet installs its own).
+	// Node.Ranker must be nil (the fleet installs its own). A node that
+	// has seen no fleet deployment for 3x its live PollInterval falls
+	// back to ranking its own snapshot locally (never to undefended
+	// FIFO), so a Reconfigure moves that bound with it.
 	Node Config
-	// StaleAfter is the partition-detection bound: a node that has not
-	// seen a fleet deployment for this long falls back to ranking its
-	// own snapshot locally (never to undefended FIFO). Zero means 3x the
-	// node's live PollInterval, so a Reconfigure moves the bound with it.
-	StaleAfter VirtualTime
 }
 
 // Fleet runs N Defense pipelines as one distributed ACC-Turbo
@@ -79,7 +77,6 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 			CoordinatorAddr: coordCfg.ListenAddr,
 			NodeID:          uint32(i + 1),
 			Node:            cfg.Node,
-			StaleAfter:      cfg.StaleAfter,
 		})
 		if err != nil {
 			f.Close()
@@ -116,7 +113,7 @@ func (f *Fleet) LastGlobalDecision() *Decision { return f.coord.Load().LastGloba
 // SetLink partitions (false) or heals (true) the fleet the way a real
 // deployment loses and regains its coordinator. SetLink(false) closes
 // the coordinator: publishes become counted drops, every node degrades
-// to local ranking once its StaleAfter bound expires, and its dialer
+// to local ranking once its stale bound expires, and its dialer
 // keeps retrying with backoff. SetLink(true) starts a fresh coordinator
 // on the same address — epochs and counters from zero, which the nodes
 // adopt as soon as they reconnect — and fails only if that address

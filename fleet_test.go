@@ -71,9 +71,7 @@ func TestFleetConverges(t *testing.T) {
 // node to the sticky local fallback ("fleet-fallback:local", degraded
 // bit set) — never to undefended FIFO — and healing recovers "fleet".
 func TestFleetPartitionDegrades(t *testing.T) {
-	cfg := fleetCfg()
-	cfg.StaleAfter = FromDuration(6 * time.Millisecond)
-	f, err := NewFleet(cfg)
+	f, err := NewFleet(fleetCfg()) // 2 ms polls: a 6 ms stale bound
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +169,8 @@ func TestFleetCloseWhilePublishing(t *testing.T) {
 	}
 }
 
-// TestFleetStaleBoundTracksReconfigure: with StaleAfter unset the bound
-// is 3x the live poll interval, not 3x the one the fleet was built with.
+// TestFleetStaleBoundTracksReconfigure: the stale bound is 3x the live
+// poll interval, not 3x the one the fleet was built with.
 // Stretching the interval twentyfold leaves every deployment one new
 // interval old at the next poll — far past the old bound, a third of the
 // new one — and the nodes must stay on the fleet ranking throughout.

@@ -153,11 +153,11 @@ func frameCorpus(t testing.TB, n int) [][]byte {
 	t.Helper()
 	frames := make([][]byte, n)
 	for i := range frames {
-		wire, err := benignPacket(i).Marshal()
-		if err != nil {
+		p := benignPacket(i)
+		frames[i] = make([]byte, p.WireLen())
+		if err := p.MarshalTo(frames[i]); err != nil {
 			t.Fatal(err)
 		}
-		frames[i] = wire
 	}
 	return frames
 }

@@ -74,7 +74,7 @@ func TestConfigValidation(t *testing.T) {
 		// Attach must refuse before it wires anything: it installs the
 		// RED hook and the ingress stage before it schedules its timers.
 		eng := eventsim.New()
-		red := queue.NewRED(queue.DefaultREDConfig(10_000, 1e6))
+		red := queue.NewRED(10_000, 1e6)
 		port := netsim.NewPort(eng, red, 8e6, nil)
 		if a, err := Attach(eng, port, red, cfg); err == nil || a != nil {
 			t.Errorf("mutation %d: Attach = (%v, %v), want only an error", i, a, err)
@@ -235,7 +235,7 @@ func runACCOriginal(t *testing.T, cfg Config, linkRate float64) (*netsim.Recorde
 	t.Helper()
 	eng := eventsim.New()
 	rec := netsim.NewRecorder(eventsim.Second)
-	red := queue.NewRED(queue.DefaultREDConfig(int(linkRate/8/10), linkRate/8))
+	red := queue.NewRED(int(linkRate/8/10), linkRate/8)
 	port := netsim.NewPort(eng, red, linkRate, rec)
 	agent := attach(t, eng, port, red, cfg)
 	netsim.Replay(eng, traffic.ACCOriginal(linkRate), port)
@@ -306,7 +306,7 @@ func TestSessionsInstallAndRelease(t *testing.T) {
 
 	const link = 10e6
 	eng := eventsim.New()
-	red := queue.NewRED(queue.DefaultREDConfig(int(link/8/10), link/8))
+	red := queue.NewRED(int(link/8/10), link/8)
 	port := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
 	agent := attach(t, eng, port, red, cfg)
 
@@ -334,7 +334,7 @@ func TestSessionLimitRespected(t *testing.T) {
 	cfg.MaxSessions = 2
 	const link = 10e6
 	eng := eventsim.New()
-	red := queue.NewRED(queue.DefaultREDConfig(int(link/8/10), link/8))
+	red := queue.NewRED(int(link/8/10), link/8)
 	port := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
 	agent := attach(t, eng, port, red, cfg)
 
@@ -361,7 +361,7 @@ func TestSessionLimitRespected(t *testing.T) {
 func TestNoActivationWithoutCongestion(t *testing.T) {
 	const link = 10e6
 	eng := eventsim.New()
-	red := queue.NewRED(queue.DefaultREDConfig(int(link/8/10), link/8))
+	red := queue.NewRED(int(link/8/10), link/8)
 	port := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
 	agent := attach(t, eng, port, red, DefaultConfig())
 	spec := traffic.FlowSpec{
@@ -380,7 +380,7 @@ func TestNoActivationWithoutCongestion(t *testing.T) {
 
 func BenchmarkAdmitWithSessions(b *testing.B) {
 	eng := eventsim.New()
-	red := queue.NewRED(queue.DefaultREDConfig(100_000, 1e9))
+	red := queue.NewRED(100_000, 1e9)
 	port := netsim.NewPort(eng, red, 10e6, nil)
 	agent := attach(b, eng, port, red, DefaultConfig())
 	for i := 0; i < 5; i++ {

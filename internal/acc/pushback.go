@@ -94,9 +94,6 @@ func (u *Upstream) Report(prefix Prefix) (uint64, bool) {
 	return n, true
 }
 
-// Rules returns the number of installed upstream limits.
-func (u *Upstream) Rules() int { return len(u.rules) }
-
 // Pushback coordinates a downstream ACC agent with upstream limiters.
 type Pushback struct {
 	agent     *ACC
@@ -176,13 +173,4 @@ func (pb *Pushback) refresh(eventsim.Time) {
 		}
 		pb.active[prefix] = limit
 	}
-}
-
-// ActivePrefixes returns the prefixes currently pushed upstream.
-func (pb *Pushback) ActivePrefixes() []Prefix {
-	out := make([]Prefix, 0, len(pb.active))
-	for p := range pb.active {
-		out = append(out, p)
-	}
-	return out
 }

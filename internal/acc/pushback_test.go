@@ -26,7 +26,7 @@ func pushbackTopology(t *testing.T, withPushback bool) float64 {
 	rec1 := netsim.NewRecorder(eventsim.Second)
 	rec2 := netsim.NewRecorder(eventsim.Second)
 
-	red := queue.NewRED(queue.DefaultREDConfig(int(coreRate/8/10), coreRate/8))
+	red := queue.NewRED(int(coreRate/8/10), coreRate/8)
 	core := netsim.NewPort(eng, red, coreRate, rec)
 	agent := attach(t, eng, core, red, DefaultConfig())
 
@@ -94,8 +94,8 @@ func TestUpstreamLimiterMechanics(t *testing.T) {
 
 	prefix := Prefix{Addr: 0x0a000500, Bits: 24}
 	u.Install(prefix, 8e6)
-	if u.Rules() != 1 {
-		t.Fatalf("rules = %d", u.Rules())
+	if len(u.rules) != 1 {
+		t.Fatalf("rules = %d", len(u.rules))
 	}
 	// Matching packet consumes tokens and is counted.
 	p := &packet.Packet{SrcIP: packet.V4(1, 1, 1, 1), DstIP: packet.V4(10, 0, 5, 7),
@@ -118,11 +118,11 @@ func TestUpstreamLimiterMechanics(t *testing.T) {
 	}
 	// Update keeps the rule; release removes it.
 	u.Install(prefix, 1e6)
-	if u.Rules() != 1 {
+	if len(u.rules) != 1 {
 		t.Fatal("install duplicated rule")
 	}
 	u.Release(prefix)
-	if u.Rules() != 0 {
+	if len(u.rules) != 0 {
 		t.Fatal("release failed")
 	}
 	if _, ok := u.Report(prefix); ok {
@@ -133,7 +133,7 @@ func TestUpstreamLimiterMechanics(t *testing.T) {
 func TestPushbackReleasesWithDownstream(t *testing.T) {
 	eng := eventsim.New()
 	const link = 10e6
-	red := queue.NewRED(queue.DefaultREDConfig(int(link/8/10), link/8))
+	red := queue.NewRED(int(link/8/10), link/8)
 	core := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
 	cfg := DefaultConfig()
 	cfg.ReleaseTime = 2 * eventsim.Second
@@ -153,7 +153,7 @@ func TestPushbackReleasesWithDownstream(t *testing.T) {
 	}
 	netsim.Replay(eng, traffic.NewCBR(0, 8*eventsim.Second, 40e6, spec.Factory(1)), up)
 	eng.RunUntil(10 * eventsim.Second)
-	if u.Rules() == 0 {
+	if len(u.rules) == 0 {
 		t.Fatal("no upstream rule installed during the attack")
 	}
 	if pb.Propagations == 0 {
@@ -161,11 +161,11 @@ func TestPushbackReleasesWithDownstream(t *testing.T) {
 	}
 	// Quiet period: downstream releases, upstream must follow.
 	eng.RunUntil(40 * eventsim.Second)
-	if u.Rules() != 0 {
-		t.Fatalf("upstream rules not released: %d", u.Rules())
+	if len(u.rules) != 0 {
+		t.Fatalf("upstream rules not released: %d", len(u.rules))
 	}
-	if len(pb.ActivePrefixes()) != 0 {
-		t.Fatalf("active prefixes remain: %v", pb.ActivePrefixes())
+	if len(pb.active) != 0 {
+		t.Fatalf("active prefixes remain: %v", pb.active)
 	}
 }
 

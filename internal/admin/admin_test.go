@@ -316,11 +316,13 @@ func TestConfigPutRejectsHostileBodies(t *testing.T) {
 }
 
 // TestEndpointsFleet: the in-process fleet mounts /health only, 200
-// while the coordinator is reachable and 503 once partitioned.
+// while the coordinator is reachable and 503 once partitioned. Polls
+// every 14 ms give a 42 ms stale bound, room for a /health round trip
+// after convergence.
 func TestEndpointsFleet(t *testing.T) {
-	f, err := accturbo.NewFleet(accturbo.FleetConfig{
-		Nodes: 2, Node: fastCfg(), StaleAfter: accturbo.FromDuration(40 * time.Millisecond),
-	})
+	node := fastCfg()
+	node.PollInterval = accturbo.FromDuration(14 * time.Millisecond)
+	f, err := accturbo.NewFleet(accturbo.FleetConfig{Nodes: 2, Node: node})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -223,9 +223,6 @@ type Range struct {
 // Width returns max-min, the range's cost contribution.
 func (r Range) Width() uint32 { return r.Max - r.Min }
 
-// Contains reports whether v lies in the range.
-func (r Range) Contains(v uint32) bool { return v >= r.Min && v <= r.Max }
-
 // Info is an interpretable snapshot of one cluster: its per-feature
 // ranges or value sets plus traffic statistics. This is the operator
 // view the paper highlights in §10 ("an operator can access the

@@ -73,8 +73,8 @@ func TestSeedPhaseCreatesClusters(t *testing.T) {
 	if !a1.Created || !a2.Created || !a3.Created {
 		t.Fatalf("first distinct packets must seed clusters: %+v %+v %+v", a1, a2, a3)
 	}
-	if o.NumClusters() != 3 {
-		t.Fatalf("NumClusters = %d", o.NumClusters())
+	if len(o.Snapshot()) != 3 {
+		t.Fatalf("NumClusters = %d", len(o.Snapshot()))
 	}
 	// A duplicate during seeding joins its cluster instead of seeding.
 	o2 := NewOnline(DefaultConfig(3, twoFeatures()))
@@ -180,7 +180,7 @@ func TestStatsAndReset(t *testing.T) {
 		t.Fatalf("TotalPackets should survive reset: %+v", info)
 	}
 	o.Reseed()
-	if o.NumClusters() != 0 {
+	if len(o.Snapshot()) != 0 {
 		t.Fatal("reseed did not clear clusters")
 	}
 }
@@ -220,7 +220,7 @@ func TestExhaustiveMergesClusters(t *testing.T) {
 	} else {
 		broad, point = 1, 0
 	}
-	if !infos[broad].Ranges[0].Contains(10) || !infos[broad].Ranges[0].Contains(12) {
+	if r := infos[broad].Ranges[0]; r.Min > 10 || r.Max < 12 {
 		t.Fatalf("merged cluster ranges wrong: %+v", infos[broad])
 	}
 	if infos[point].Ranges[0] != (Range{250, 250}) {
@@ -288,7 +288,7 @@ func TestAnimeDistancePrefersTightClusters(t *testing.T) {
 }
 
 func TestSeedCentersRequiresEuclidean(t *testing.T) {
-	o := NewOnline(DefaultConfig(2, twoFeatures()))
+	o := NewReference(DefaultConfig(2, twoFeatures()))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -346,7 +346,7 @@ func TestHybridRefits(t *testing.T) {
 		h.Observe(mkPkt(uint8(10+i%2), 100, packet.Benign))
 		h.Observe(mkPkt(uint8(200+i%2), 1400, packet.Malicious))
 	}
-	infos := h.Snapshot()
+	infos := h.online.Snapshot()
 	if len(infos) != 2 {
 		t.Fatalf("%d clusters after refit", len(infos))
 	}
@@ -357,7 +357,7 @@ func TestHybridRefits(t *testing.T) {
 	if a.Cluster == b.Cluster {
 		t.Fatal("hybrid clusters did not separate groups")
 	}
-	h.ResetStats()
+	h.online.ResetStats()
 }
 
 func TestEvalMetrics(t *testing.T) {
@@ -414,7 +414,8 @@ func TestQuickRangesCoverAssignedPackets(t *testing.T) {
 				p := randPkt(r)
 				a := o.Observe(p)
 				info := o.Snapshot()[a.Cluster]
-				if !info.Ranges[0].Contains(uint32(p.TTL)) || !info.Ranges[1].Contains(uint32(p.Length)) {
+				ttl, length := info.Ranges[0], info.Ranges[1]
+				if uint32(p.TTL) < ttl.Min || uint32(p.TTL) > ttl.Max || uint32(p.Length) < length.Min || uint32(p.Length) > length.Max {
 					return false
 				}
 			}
@@ -443,7 +444,7 @@ func TestQuickBoundedClustersAndCounters(t *testing.T) {
 				if a.Distance < 0 {
 					return false
 				}
-				if o.NumClusters() > k {
+				if len(o.Snapshot()) > k {
 					return false
 				}
 			}
@@ -530,8 +531,8 @@ func TestSliceInitTilesLeadingFeature(t *testing.T) {
 	cfg := DefaultConfig(4, packet.FeatureSet{packet.FTTL, packet.FLength})
 	cfg.SliceInit = true
 	o := NewOnline(cfg)
-	if o.NumClusters() != 4 {
-		t.Fatalf("slice init created %d clusters", o.NumClusters())
+	if len(o.Snapshot()) != 4 {
+		t.Fatalf("slice init created %d clusters", len(o.Snapshot()))
 	}
 	infos := o.Snapshot()
 	// The leading ordinal feature (TTL, 8-bit) is tiled into four
@@ -622,8 +623,8 @@ func TestSliceInitAllNominalFeatures(t *testing.T) {
 	cfg := DefaultConfig(3, packet.FeatureSet{packet.FSrcPort, packet.FDstPort})
 	cfg.SliceInit = true
 	o := NewOnline(cfg)
-	if o.NumClusters() != 3 {
-		t.Fatalf("%d clusters", o.NumClusters())
+	if len(o.Snapshot()) != 3 {
+		t.Fatalf("%d clusters", len(o.Snapshot()))
 	}
 	p := mkPkt(10, 100, packet.Benign)
 	p.SrcPort, p.DstPort = 1, 2
@@ -642,7 +643,7 @@ func TestRangeWidth(t *testing.T) {
 func TestOnlineConfigAccessor(t *testing.T) {
 	cfg := DefaultConfig(3, twoFeatures())
 	o := NewOnline(cfg)
-	if got := o.Config(); got.MaxClusters != 3 || len(got.Features) != 2 {
+	if got := o.cfg; got.MaxClusters != 3 || len(got.Features) != 2 {
 		t.Fatalf("Config() = %+v", got)
 	}
 }

@@ -120,7 +120,7 @@ func TestCoverageTableRandomWalk(t *testing.T) {
 						case op < 94:
 							p := walkPacket(r)
 							sh.feats.Extract(p, vals)
-							if deployed && o.NumClusters() > 0 {
+							if deployed && len(o.Snapshot()) > 0 {
 								ci, d, near := o.closest(vals)
 								if si, sd := o.scanManhattanRaw(vals); ci != si || d != sd {
 									t.Fatalf("step %d: closest = (%d, %v), near %d; the scan alone = (%d, %v)", step, ci, d, near, si, sd)
@@ -133,7 +133,7 @@ func TestCoverageTableRandomWalk(t *testing.T) {
 							if got != want {
 								t.Fatalf("step %d: assignment %+v, reference %+v", step, got, want)
 							}
-							if got.Created && o.NumClusters() == k && cfg.Search == Exhaustive {
+							if got.Created && len(o.Snapshot()) == k && cfg.Search == Exhaustive {
 								merges++
 							}
 						case op < 97:

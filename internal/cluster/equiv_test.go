@@ -80,13 +80,13 @@ func TestFastPathMatchesReference(t *testing.T) {
 						ref.Reseed()
 					case 2500:
 						if cfg.Distance == Euclidean {
-							fast.SeedCenters(centers)
+							fast.baseline.SeedCenters(centers)
 							ref.SeedCenters(centers)
 						}
 					}
 				}
-				if fast.NumClusters() != ref.NumClusters() {
-					t.Fatalf("cluster counts diverge: fast=%d ref=%d", fast.NumClusters(), ref.NumClusters())
+				if len(fast.Snapshot()) != len(ref.Snapshot()) {
+					t.Fatalf("cluster counts diverge: fast=%d ref=%d", len(fast.Snapshot()), len(ref.Snapshot()))
 				}
 				fs, rs := fast.Snapshot(), ref.Snapshot()
 				if !reflect.DeepEqual(fs, rs) {

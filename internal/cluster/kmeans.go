@@ -208,9 +208,3 @@ func (h *Hybrid) Observe(p *packet.Packet) Assignment {
 	}
 	return a
 }
-
-// Snapshot exposes the online clusterer's state.
-func (h *Hybrid) Snapshot() []Info { return h.online.Snapshot() }
-
-// ResetStats forwards to the online clusterer.
-func (h *Hybrid) ResetStats() { h.online.ResetStats() }

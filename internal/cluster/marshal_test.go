@@ -178,7 +178,7 @@ func TestParentSnapshots(t *testing.T) {
 			if v, u := o.Validate(want), o.Unmarshal(want); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
 				t.Errorf("%s: Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", c.file, v, u)
 			}
-			if o.NumClusters() != 0 || o.Observed != 0 {
+			if len(o.Snapshot()) != 0 || o.Observed != 0 {
 				t.Errorf("%s: a refused stream changed the receiver", c.file)
 			}
 			continue

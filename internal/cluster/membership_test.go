@@ -44,8 +44,8 @@ func (m *tableModel) admit(c, j int, v uint32) { m.sets[c][j][v] = true }
 // per-packet gather reports it.
 func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
 	t.Helper()
-	if o.NumClusters() != len(m.sets) {
-		t.Fatalf("step %d: %d clusters, model has %d", step, o.NumClusters(), len(m.sets))
+	if len(o.Snapshot()) != len(m.sets) {
+		t.Fatalf("step %d: %d clusters, model has %d", step, len(o.Snapshot()), len(m.sets))
 	}
 	snap := o.Snapshot()
 	vals := make([]uint32, len(o.feats))
@@ -78,7 +78,7 @@ func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
 			}
 			for _, v := range probes {
 				vals[mf.pos] = v
-				o.mt.gather(vals, o.NumClusters())
+				o.mt.gather(vals, len(o.Snapshot()))
 				if got, want := o.mt.misses(c, j) == 0, m.sets[c][j][v]; got != want {
 					t.Fatalf("step %d: cluster %d set %d admits(%d) = %v, model %v", step, c, j, v, got, want)
 				}

@@ -278,7 +278,7 @@ type answerShares struct{ covered, near, scanned int }
 
 func traceAnswerShares(src traffic.Source) (s answerShares) {
 	o := NewOnline(hardwareShape())
-	feats := o.Config().Features
+	feats := o.cfg.Features
 	vals := make([]uint32, len(feats))
 	reseedAt := eventsim.Second
 	for tp, ok := src.Next(); ok; tp, ok = src.Next() {

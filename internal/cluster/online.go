@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 
@@ -205,17 +204,6 @@ func (o *Online) discard() {
 	}
 	o.mt.clearSpans()
 	o.clusters = o.clusters[:0]
-}
-
-// Config returns the clusterer's configuration.
-func (o *Online) Config() Config { return o.cfg }
-
-// NumClusters returns the number of seeded clusters.
-func (o *Online) NumClusters() int {
-	if o.baseline != nil {
-		return o.baseline.NumClusters()
-	}
-	return len(o.clusters)
 }
 
 // newCluster seeds a cluster in the next free slot with the given feature
@@ -489,14 +477,4 @@ func (o *Online) Reseed() {
 	if o.cfg.SliceInit {
 		o.sliceInit()
 	}
-}
-
-// SeedCenters force-seeds Euclidean clusters at the given centers. It
-// panics unless the clusterer is center-based, which the deployed
-// configuration never is.
-func (o *Online) SeedCenters(centers [][]float64) {
-	if o.baseline == nil {
-		panic(fmt.Sprintf("cluster: SeedCenters on %v clusterer", o.cfg.Distance))
-	}
-	o.baseline.SeedCenters(centers)
 }

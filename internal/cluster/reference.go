@@ -111,12 +111,6 @@ func (o *Reference) sliceInit() {
 	}
 }
 
-// Config returns the clusterer's configuration.
-func (o *Reference) Config() Config { return o.cfg }
-
-// NumClusters returns the number of seeded clusters.
-func (o *Reference) NumClusters() int { return len(o.clusters) }
-
 func (o *Reference) newCluster(vals []uint32) *refState {
 	o.nextUID++
 	n := len(o.feats)

@@ -60,7 +60,7 @@ func TestObserveBatchMatchesClassify(t *testing.T) {
 			}
 		}
 		for s := 0; s < shards; s++ {
-			a, b := perPkt.Clusterer(s).Snapshot(), batched.Clusterer(s).Snapshot()
+			a, b := perPkt.shards[s].clusterer.Snapshot(), batched.shards[s].clusterer.Snapshot()
 			if len(a) != len(b) {
 				t.Fatalf("shards=%d: shard %d cluster count %d vs %d", shards, s, len(b), len(a))
 			}

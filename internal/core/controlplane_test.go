@@ -101,14 +101,14 @@ func TestControlPlaneOnFakeWallClock(t *testing.T) {
 	// flood's slot is read after all traffic, once cluster merges have
 	// settled.
 	for i := 1; i < 20; i++ {
-		dp.Assign(mkPkt(i))
+		assign(dp, mkPkt(i))
 	}
 	for i := 0; i < 200; i++ {
 		flood := mkPkt(0)
 		flood.Length = 1400
-		dp.Assign(flood)
+		assign(dp, flood)
 	}
-	heavy := dp.Assign(mkPkt(0)).Cluster
+	heavy := assign(dp, mkPkt(0)).Cluster
 
 	// Nothing may deploy before the first poll tick completes its delay.
 	clk.advance(cfg.PollInterval + cfg.DeployDelay - 1)
@@ -178,7 +178,7 @@ func TestControlPlaneRecentRingWraps(t *testing.T) {
 	dp := NewDataplane(cfg, false)
 	clk := &fakeClock{}
 	cp := newCP(t, dp, clk, cfg)
-	dp.Assign(mkPkt(1))
+	assign(dp, mkPkt(1))
 	cp.Start()
 	defer cp.Stop()
 

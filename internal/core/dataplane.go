@@ -11,7 +11,7 @@ import (
 // Dataplane is the per-packet half of ACC-Turbo: feature extraction →
 // cluster assignment → queue classification. It owns no timers and has
 // no dependency on any clock or engine — state changes only when a
-// packet is offered (Assign/Classify) or when the control plane pushes
+// packet is offered (Classify/ObserveBatch) or when the control plane pushes
 // a decision in (Deploy, ResetStats, Reseed).
 //
 // The pipeline is sharded like a multi-pipe Tofino (§7.1 runs one
@@ -26,7 +26,7 @@ import (
 // simulator path) the Dataplane must be driven from a single goroutine
 // and the hot path takes no locks. With concurrent=true each shard is
 // guarded by its own mutex, the queue mapping is swapped atomically,
-// and Assign/Classify are safe from any number of goroutines; the
+// and Classify/ObserveBatch are safe from any number of goroutines; the
 // clusterer hot path itself stays lock-free — callers that demux
 // flow-affine traffic one goroutine per shard (RSS) never contend.
 type Dataplane struct {
@@ -138,11 +138,6 @@ func (d *Dataplane) Config() Config { return d.cfg }
 // NumShards returns the number of clustering pipelines.
 func (d *Dataplane) NumShards() int { return len(d.shards) }
 
-// Clusterer exposes shard s's online clusterer for read-only
-// inspection. In concurrent mode the caller must not touch it while
-// packets are in flight.
-func (d *Dataplane) Clusterer(s int) *cluster.Online { return d.shards[s].clusterer }
-
 // ShardOf returns the shard index packet p demuxes to: an FNV-1a hash
 // over the flow 5-tuple, so all packets of a flow — and therefore all
 // packets of a tight aggregate — meet the same clusterer.
@@ -169,16 +164,10 @@ func (d *Dataplane) ShardOfFrame(v *packet.FrameView) int {
 	return int(v.FlowHash() % uint32(len(d.shards)))
 }
 
-// Assign runs the clustering stage for one packet on its shard and
+// assignOn runs the clustering stage for one packet on its shard si,
+// counting the assignment on one of the shard's telemetry stripes, and
 // returns the explicit assignment — the value the caller threads to
-// QueueFor (or Classify does both). There is no implicit carry-over
-// between calls.
-func (d *Dataplane) Assign(p *packet.Packet) cluster.Assignment {
-	return d.assignOn(d.ShardOf(p), p)
-}
-
-// assignOn runs the clustering stage on a known shard, counting the
-// assignment on one of the shard's telemetry stripes.
+// QueueFor. There is no implicit carry-over between calls.
 func (d *Dataplane) assignOn(si int, p *packet.Packet) cluster.Assignment {
 	s := d.shards[si]
 	var a cluster.Assignment

@@ -9,6 +9,9 @@ import (
 	"accturbo/internal/packet"
 )
 
+// assign runs the clustering stage alone for p on its shard.
+func assign(d *Dataplane, p *packet.Packet) cluster.Assignment { return d.assignOn(d.ShardOf(p), p) }
+
 func mkPkt(i int) *packet.Packet {
 	return &packet.Packet{
 		SrcIP:    packet.V4(byte(i*37), byte(i*11), byte(i*53), byte(i*91)),
@@ -54,7 +57,7 @@ func TestShardedAssignConservation(t *testing.T) {
 	dp := NewDataplane(cfg, false)
 	const n = 5000
 	for i := 0; i < n; i++ {
-		a := dp.Assign(mkPkt(i))
+		a := assign(dp, mkPkt(i))
 		if a.Cluster < 0 || a.Cluster >= cfg.Clustering.MaxClusters {
 			t.Fatalf("assignment out of range: %+v", a)
 		}
@@ -84,7 +87,7 @@ func TestShardedDeterministic(t *testing.T) {
 		out := make([]int, 0, 2000)
 		for i := 0; i < 2000; i++ {
 			eng.RunUntil(eventsim.Time(i) * eventsim.Millisecond / 4)
-			a := turbo.Dataplane().Assign(mkPkt(i % 300))
+			a := assign(turbo.dp, mkPkt(i%300))
 			out = append(out, a.Cluster, turbo.QueueOf(a.Cluster))
 		}
 		return out
@@ -112,9 +115,9 @@ func TestShardedControlLoopMergesAndDeploys(t *testing.T) {
 	}
 	for ms := 0; ms < 1000; ms++ {
 		eng.RunUntil(eventsim.Time(ms) * eventsim.Millisecond)
-		turbo.Dataplane().Assign(mkPkt(ms % 50))
+		assign(turbo.dp, mkPkt(ms%50))
 		for i := 0; i < 9; i++ {
-			turbo.Dataplane().Assign(flood)
+			assign(turbo.dp, flood)
 		}
 	}
 	eng.RunUntil(eventsim.Time(1100) * eventsim.Millisecond)
@@ -133,8 +136,8 @@ func TestShardedControlLoopMergesAndDeploys(t *testing.T) {
 	if total == 0 {
 		t.Fatal("merged snapshot empty")
 	}
-	floodA := turbo.Dataplane().Assign(flood)
-	benignA := turbo.Dataplane().Assign(mkPkt(3))
+	floodA := assign(turbo.dp, flood)
+	benignA := assign(turbo.dp, mkPkt(3))
 	if turbo.QueueOf(floodA.Cluster) <= turbo.QueueOf(benignA.Cluster) {
 		t.Fatalf("flood queue %d not below benign queue %d",
 			turbo.QueueOf(floodA.Cluster), turbo.QueueOf(benignA.Cluster))
@@ -208,9 +211,9 @@ func TestControlPlaneOnWallClock(t *testing.T) {
 	for time.Now().Before(deadline) {
 		var fa cluster.Assignment
 		for i := 0; i < 9; i++ {
-			fa = dp.Assign(flood)
+			fa = assign(dp, flood)
 		}
-		dp.Assign(mkPkt(1))
+		assign(dp, mkPkt(1))
 		if cp.Deployments() > 0 && dp.QueueFor(fa.Cluster) > 0 {
 			demoted = true
 			break

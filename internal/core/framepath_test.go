@@ -13,8 +13,8 @@ func mkFrames(t testing.TB, n int) ([]*packet.Packet, []packet.FrameView) {
 	pkts := make([]*packet.Packet, n)
 	views := make([]packet.FrameView, n)
 	for i := range pkts {
-		wire, err := mkPkt(i).Marshal()
-		if err != nil {
+		wire := make([]byte, mkPkt(i).WireLen())
+		if err := mkPkt(i).MarshalTo(wire); err != nil {
 			t.Fatal(err)
 		}
 		// Re-unmarshal so the packet side carries exactly what the wire
@@ -126,7 +126,7 @@ func TestObserveShardFramesMatchesObserveBatch(t *testing.T) {
 			}
 		}
 		for s := 0; s < shards; s++ {
-			a, b := structSide.Clusterer(s).Snapshot(), frameSide.Clusterer(s).Snapshot()
+			a, b := structSide.shards[s].clusterer.Snapshot(), frameSide.shards[s].clusterer.Snapshot()
 			if len(a) != len(b) {
 				t.Fatalf("shards=%d: shard %d has %d clusters via frames, %d via structs", shards, s, len(b), len(a))
 			}

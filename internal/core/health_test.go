@@ -50,14 +50,14 @@ func TestWatchdogFailOpenAndRecovery(t *testing.T) {
 	// A dominant aggregate plus background noise, as in the basic
 	// control-plane test.
 	for i := 1; i < 20; i++ {
-		dp.Assign(mkPkt(i))
+		assign(dp, mkPkt(i))
 	}
 	for i := 0; i < 200; i++ {
 		flood := mkPkt(0)
 		flood.Length = 1400
-		dp.Assign(flood)
+		assign(dp, flood)
 	}
-	heavy := dp.Assign(mkPkt(0)).Cluster
+	heavy := assign(dp, mkPkt(0)).Cluster
 	lowest := dp.Config().NumQueues - 1
 
 	// Healthy phase: the loop deploys and demotes the heavy cluster.
@@ -109,7 +109,7 @@ func TestWatchdogFailOpenAndRecovery(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		flood := mkPkt(0)
 		flood.Length = 1400
-		dp.Assign(flood)
+		assign(dp, flood)
 	}
 	open.Store(true)
 	clk.advance(cfg.PollInterval + cfg.DeployDelay)
@@ -145,7 +145,7 @@ func TestGuardRecoversPanics(t *testing.T) {
 			panic("synthetic deploy-hook failure")
 		}
 	}
-	dp.Assign(mkPkt(1))
+	assign(dp, mkPkt(1))
 	cp.Start()
 	defer cp.Stop()
 
@@ -203,13 +203,12 @@ func TestWallClockWatchdogUnderRace(t *testing.T) {
 	cfg.PollInterval = 2 * eventsim.Millisecond
 	cfg.DeployDelay = eventsim.Millisecond
 	cfg.FailOpenAfter = 20 * eventsim.Millisecond
-	cfg.WatchdogInterval = 2 * eventsim.Millisecond
 	cfg.WrapClock = func(c Clock) Clock { return gateClock{Clock: c, open: &open} }
 	dp := NewDataplane(cfg, true)
 	clk := NewWallClock()
 	defer clk.Close()
 	cp := newCP(t, dp, clk, cfg)
-	dp.Assign(mkPkt(1))
+	assign(dp, mkPkt(1))
 	cp.Start()
 	defer cp.Stop()
 

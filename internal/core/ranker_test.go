@@ -89,7 +89,7 @@ func TestConfigRankerInjection(t *testing.T) {
 		SrcIP: packet.V4(10, 0, 0, 1), DstIP: packet.V4(10, 0, 0, 2),
 		Protocol: packet.ProtoUDP, SrcPort: 9, DstPort: 53, TTL: 64, Length: 500,
 	}
-	turbo.Dataplane().Classify(p)
+	turbo.dp.Classify(p)
 	eng.RunUntil(eventsim.Second)
 
 	if fr.calls == 0 {

@@ -10,12 +10,12 @@ import (
 // every poll window has clusters to rank.
 func feedSteady(dp *Dataplane) {
 	for i := 1; i < 10; i++ {
-		dp.Assign(mkPkt(i))
+		assign(dp, mkPkt(i))
 	}
 	for i := 0; i < 100; i++ {
 		flood := mkPkt(0)
 		flood.Length = 1400
-		dp.Assign(flood)
+		assign(dp, flood)
 	}
 }
 
@@ -174,12 +174,12 @@ func TestReconfigureRankingNextTick(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			p := mkPkt(0)
 			p.Length = 1400
-			bytesHeavy = dp.Assign(p).Cluster
+			bytesHeavy = assign(dp, p).Cluster
 		}
 		for i := 0; i < 100; i++ {
 			p := mkPkt(5)
 			p.Length = 64
-			pktHeavy = dp.Assign(p).Cluster
+			pktHeavy = assign(dp, p).Cluster
 		}
 		return
 	}
@@ -216,10 +216,11 @@ func TestReconfigureRejectsInvalid(t *testing.T) {
 
 	before := cp.Runtime()
 	genBefore := cp.ConfigGeneration()
-	bad := eventsim.Time(0)
+	bad, negative := eventsim.Time(0), eventsim.Time(-1)
 	for _, patch := range []RuntimePatch{
 		{PollInterval: &bad},
 		{DeployDelay: &bad},
+		{WatchdogInterval: &negative},
 	} {
 		gen, err := cp.Reconfigure(patch)
 		if err == nil {

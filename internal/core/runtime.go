@@ -40,12 +40,11 @@ type RuntimeConfig struct {
 // Runtime extracts the hot-reloadable fields from a Config.
 func (c Config) Runtime() RuntimeConfig {
 	return RuntimeConfig{
-		Ranking:          c.Ranking,
-		PollInterval:     c.PollInterval,
-		DeployDelay:      c.DeployDelay,
-		ReseedInterval:   c.ReseedInterval,
-		FailOpenAfter:    c.FailOpenAfter,
-		WatchdogInterval: c.WatchdogInterval,
+		Ranking:        c.Ranking,
+		PollInterval:   c.PollInterval,
+		DeployDelay:    c.DeployDelay,
+		ReseedInterval: c.ReseedInterval,
+		FailOpenAfter:  c.FailOpenAfter,
 	}
 }
 

@@ -204,7 +204,7 @@ func TestSnapshotRejects(t *testing.T) {
 	})
 	t.Run("not-fresh", func(t *testing.T) {
 		d, c := fresh(t, cfg)
-		d.Assign(mkPkt(1))
+		assign(d, mkPkt(1))
 		if err := RestoreState(bytes.NewReader(blob), d, c); err == nil {
 			t.Fatal("accepted a restore over a pipeline with history")
 		}

@@ -103,9 +103,6 @@ type Config struct {
 	// with it disabled. Sensible bounds start around
 	// 3*(PollInterval+DeployDelay).
 	FailOpenAfter eventsim.Time
-	// WatchdogInterval is the staleness-check period. Zero defaults to
-	// PollInterval. Only meaningful with FailOpenAfter > 0.
-	WatchdogInterval eventsim.Time
 	// WrapClock, when set, wraps the clock that drives the poll, reseed
 	// and deploy callbacks before the loop is scheduled — the hook the
 	// fault injector (internal/faults) uses to stall or delay polls.
@@ -172,9 +169,6 @@ func (c Config) withDefaults() Config {
 	if c.NumQueues == 0 {
 		c.NumQueues = c.Clustering.MaxClusters
 	}
-	// WatchdogInterval deliberately keeps its zero value: in
-	// RuntimeConfig zero means "track PollInterval", so a live
-	// poll-interval change moves the watchdog cadence with it.
 	return c
 }
 
@@ -208,7 +202,6 @@ const queueBytes = 64 << 10
 // virtual clock. Deployment counts and decisions live on the
 // ControlPlane.
 type Turbo struct {
-	cfg  Config
 	dp   *Dataplane
 	cp   *ControlPlane
 	prio *queue.Priority
@@ -229,10 +222,7 @@ func Attach(eng *eventsim.Engine, rateBits float64, rec *netsim.Recorder, cfg Co
 		return nil, nil, err
 	}
 	cfg = cfg.withDefaults()
-	t := &Turbo{
-		cfg: cfg,
-		dp:  NewDataplane(cfg, false),
-	}
+	t := &Turbo{dp: NewDataplane(cfg, false)}
 	t.prio = queue.NewPriority(cfg.NumQueues, queueBytes, t.classify)
 	cp, err := NewControlPlane(t.dp, SimClock{Eng: eng}, cfg)
 	if err != nil {
@@ -249,24 +239,13 @@ func AttachE(eng *eventsim.Engine, rateBits float64, rec *netsim.Recorder, cfg C
 	return Attach(eng, rateBits, rec, cfg)
 }
 
-// Dataplane exposes the per-packet pipeline.
-func (t *Turbo) Dataplane() *Dataplane { return t.dp }
-
 // ControlPlane exposes the periodic scheduler.
 func (t *Turbo) ControlPlane() *ControlPlane { return t.cp }
-
-// Clusterer exposes shard 0's online clusterer (read-only use
-// intended). With Shards > 1 the other shards are reachable through
-// Dataplane().Clusterer(i).
-func (t *Turbo) Clusterer() *cluster.Online { return t.dp.Clusterer(0) }
-
-// Config returns the (defaulted) configuration.
-func (t *Turbo) Config() Config { return t.cfg }
 
 // classify is the data-plane step the strict-priority qdisc runs per
 // packet: assign the packet to its cluster, then look the cluster up in
 // the live queue mapping. The assignment is threaded explicitly from
-// Assign to QueueFor — there is no hidden in-flight packet state, so
+// assignOn to QueueFor — there is no hidden in-flight packet state, so
 // the classifier works identically whether the packet arrived through a
 // port or was enqueued directly.
 func (t *Turbo) classify(now eventsim.Time, p *packet.Packet) int {

@@ -53,7 +53,6 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		func(c *Config) { c.Ranking = Ranking(99) },
 		func(c *Config) { c.ReseedInterval = -1 },
 		func(c *Config) { c.FailOpenAfter = -1 },
-		func(c *Config) { c.WatchdogInterval = -1 },
 	}
 	for i, m := range bad {
 		cfg := DefaultConfig()
@@ -317,11 +316,11 @@ func TestReseedClearsClusters(t *testing.T) {
 	port, turbo := attach(t, eng, 10e6, nil, cfg)
 	netsim.Replay(eng, src, port)
 	eng.RunUntil(eventsim.Second / 2)
-	if turbo.Clusterer().NumClusters() == 0 {
+	if len(turbo.dp.shards[0].clusterer.Snapshot()) == 0 {
 		t.Fatal("no clusters formed")
 	}
 	eng.RunUntil(2 * eventsim.Second)
-	if turbo.Clusterer().NumClusters() != 0 {
+	if len(turbo.dp.shards[0].clusterer.Snapshot()) != 0 {
 		t.Fatal("reseed did not clear clusters")
 	}
 }
@@ -357,7 +356,7 @@ func TestClassifyDirectQdiscUse(t *testing.T) {
 	if got := turbo.prio.Enqueue(0, p); got != queue.DropNone {
 		t.Fatalf("enqueue failed: %v", got)
 	}
-	if turbo.Clusterer().NumClusters() != 1 {
+	if len(turbo.dp.shards[0].clusterer.Snapshot()) != 1 {
 		t.Fatal("direct enqueue did not cluster the packet")
 	}
 	if turbo.QueueOf(0) != 0 {
@@ -372,13 +371,13 @@ func TestUnknownClusterRoutesToLowestPriority(t *testing.T) {
 	cfg := fourClusterConfig()
 	eng := eventsim.New()
 	_, turbo := attach(t, eng, 10e6, nil, cfg)
-	lowest := turbo.Config().NumQueues - 1
+	lowest := turbo.dp.Config().NumQueues - 1
 	for _, id := range []int{-1, 4, 99} {
 		if q := turbo.QueueOf(id); q != lowest {
 			t.Fatalf("QueueOf(%d) = %d, want lowest-priority queue %d", id, q, lowest)
 		}
 	}
-	if q := turbo.Dataplane().QueueFor(99); q != lowest {
+	if q := turbo.dp.QueueFor(99); q != lowest {
 		t.Fatalf("QueueFor(99) = %d, want %d", q, lowest)
 	}
 }
@@ -409,7 +408,7 @@ func TestDecisionSnapshotImmutable(t *testing.T) {
 			SrcIP: packet.V4(byte(i), byte(i>>8), 3, 4), DstIP: packet.V4(byte(i*7), 5, byte(i), 9),
 			Length: 900, Protocol: packet.ProtoUDP, SrcPort: uint16(i), DstPort: uint16(i * 3),
 		}
-		turbo.Dataplane().Assign(p)
+		assign(turbo.dp, p)
 	}
 	for i, info := range dec.Clusters {
 		if info.Packets != before[i].Packets || info.Bytes != before[i].Bytes {

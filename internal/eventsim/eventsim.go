@@ -327,11 +327,6 @@ func (e *Engine) Every(interval Time, fn func(now Time)) (stop func()) {
 	return func() { t.stopped = true }
 }
 
-// Run executes events in timestamp order until the queue drains.
-func (e *Engine) Run() {
-	e.RunUntil(MaxTime)
-}
-
 // fire pops slot state for ent, retires the slot, and runs the
 // callback. The slot is released before the callback runs so the
 // callback may freely schedule (and likely reuse the slot).

@@ -41,7 +41,7 @@ func TestEventsFireInOrder(t *testing.T) {
 	e.At(30, func(now Time) { got = append(got, now) })
 	e.At(10, func(now Time) { got = append(got, now) })
 	e.At(20, func(now Time) { got = append(got, now) })
-	e.Run()
+	e.RunUntil(MaxTime)
 	want := []Time{10, 20, 30}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Fatalf("fired at %v, want %v", got, want)
@@ -61,7 +61,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 		i := i
 		e.At(5, func(Time) { got = append(got, i) })
 	}
-	e.Run()
+	e.RunUntil(MaxTime)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events out of order: %v", got)
@@ -76,7 +76,7 @@ func TestAfterAndNestedScheduling(t *testing.T) {
 		got = append(got, now)
 		e.After(5, func(now Time) { got = append(got, now) })
 	})
-	e.Run()
+	e.RunUntil(MaxTime)
 	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
 		t.Fatalf("got %v", got)
 	}
@@ -110,13 +110,13 @@ func TestCancel(t *testing.T) {
 	h := e.At(10, func(Time) { fired = true })
 	e.Cancel(h)
 	e.Cancel(h) // double-cancel is a no-op
-	e.Run()
+	e.RunUntil(MaxTime)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
 	// Cancel after firing is a no-op.
 	h2 := e.At(20, func(Time) {})
-	e.Run()
+	e.RunUntil(MaxTime)
 	e.Cancel(h2)
 }
 
@@ -147,7 +147,7 @@ func TestEveryStopInsideCallback(t *testing.T) {
 			stop()
 		}
 	})
-	e.Run()
+	e.RunUntil(MaxTime)
 	if n != 2 {
 		t.Fatalf("ticked %d times, want 2", n)
 	}
@@ -171,7 +171,7 @@ func TestStep(t *testing.T) {
 func TestSchedulingInPastPanics(t *testing.T) {
 	e := New()
 	e.At(10, func(Time) {})
-	e.Run()
+	e.RunUntil(MaxTime)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -224,7 +224,7 @@ func TestQuickOrdering(t *testing.T) {
 			tt := times[i]
 			e.At(tt, func(now Time) { fired = append(fired, now) })
 		}
-		e.Run()
+		e.RunUntil(MaxTime)
 		if len(fired) != n {
 			return false
 		}
@@ -260,7 +260,7 @@ func TestQuickCancelSubset(t *testing.T) {
 				e.Cancel(handles[i])
 			}
 		}
-		e.Run()
+		e.RunUntil(MaxTime)
 		for i := 0; i < n; i++ {
 			if fired[i] == cancelled[i] {
 				return false
@@ -280,6 +280,6 @@ func BenchmarkScheduleRun(b *testing.B) {
 		for j := 0; j < 1000; j++ {
 			e.At(Time(j%97), func(Time) {})
 		}
-		e.Run()
+		e.RunUntil(MaxTime)
 	}
 }

@@ -11,7 +11,7 @@ import (
 func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	e := New()
 	stale := e.At(10, func(Time) {})
-	e.Run() // fires the event; its slot joins the free list
+	e.RunUntil(MaxTime) // fires the event; its slot joins the free list
 
 	// The next schedule reuses the slot (LIFO free list) with a bumped
 	// generation.
@@ -25,7 +25,7 @@ func TestStaleHandleAfterSlotReuse(t *testing.T) {
 	}
 
 	e.Cancel(stale) // must be a no-op against the reused slot
-	e.Run()
+	e.RunUntil(MaxTime)
 	if !fired {
 		t.Fatal("cancelling a stale handle killed the slot's new event")
 	}
@@ -44,7 +44,7 @@ func TestStaleHandleAfterCancelReuse(t *testing.T) {
 		t.Fatalf("expected slot reuse: stale slot %d, fresh slot %d", stale.slot, fresh.slot)
 	}
 	e.Cancel(stale) // stale again: no-op
-	e.Run()
+	e.RunUntil(MaxTime)
 	if !fired {
 		t.Fatal("stale cancel killed the reused slot's event")
 	}
@@ -57,7 +57,7 @@ func TestZeroHandleCancel(t *testing.T) {
 	fired := false
 	e.At(5, func(Time) { fired = true })
 	e.Cancel(Handle{})
-	e.Run()
+	e.RunUntil(MaxTime)
 	if !fired {
 		t.Fatal("zero handle cancelled slot 0's live event")
 	}
@@ -103,7 +103,7 @@ func TestCancelRunStress(t *testing.T) {
 		}
 		e.RunUntil(e.Now() + Time(r.Int63n(500)))
 	}
-	e.Run()
+	e.RunUntil(MaxTime)
 
 	for id := 0; id < next; id++ {
 		got := fired[id]
@@ -129,7 +129,7 @@ func TestScheduleArgOrdering(t *testing.T) {
 	e.At(10, func(Time) { got = append(got, 2) })
 	e.AfterArg(10, func(_ Time, arg any) { got = append(got, arg.(int)) }, 3)
 	e.At(5, func(Time) { got = append(got, 0) })
-	e.Run()
+	e.RunUntil(MaxTime)
 	want := []int{0, 1, 2, 3}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {
@@ -149,7 +149,7 @@ func TestScheduleArgZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.ScheduleArg(e.Now(), nopArg, e)
 	}
-	e.Run()
+	e.RunUntil(MaxTime)
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.ScheduleArg(e.Now(), nopArg, e)
 		e.Step()

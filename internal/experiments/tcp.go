@@ -39,7 +39,7 @@ func TCPExperiment(opt Options) *Result {
 				SrcIP: packet.V4Addr{172, 16, 1, byte(10 + i)}, DstIP: packet.V4Addr{198, 18, byte(10 + i), 1},
 				SrcPort: uint16(20_000 + i), DstPort: 443,
 				Size: 1200, RTT: 20 * eventsim.Millisecond,
-				Start: 0, End: end, FlowID: uint32(1 + i), Seed: opt.Seed + int64(i),
+				End: end, FlowID: uint32(1 + i), Seed: opt.Seed + int64(i),
 			})
 			flows[i].SetPool(pool)
 		}

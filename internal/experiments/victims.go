@@ -89,6 +89,6 @@ func Victims(opts Options) *Result {
 		pulseWindows, pulseDetected, 100*float64(pulseDetected)/float64(pulseWindows))
 	r.Note("benign destinations ever listed: %d", falsePositives)
 	r.Note("hysteresis: activate at %.0f%% share, release at %.0f%%",
-		100*cfg.ActivateShare, 100*cfg.ReleaseShare)
+		100*victim.ActivateShare, 100*victim.ReleaseShare)
 	return r
 }

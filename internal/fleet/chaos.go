@@ -15,7 +15,7 @@ import (
 // ChaosProxy is the socket-level fault injector for the TCP transport:
 // a TCP relay that sits between nodes and the coordinator and mangles
 // the byte stream the way a bad middlebox would — injected stalls,
-// single-byte corruption, mid-frame RSTs, and hard partitions. It is
+// single-byte corruption and mid-frame RSTs. It is
 // the transport-layer sibling of internal/faults: every fault decision
 // is drawn from seeded splitmix64 streams keyed to cumulative BYTE
 // OFFSETS within each connection direction, not to read() chunk
@@ -155,8 +155,6 @@ type ChaosStats struct {
 	BytesCorrupted uint64
 	ResetsInjected uint64
 	DelaysInjected uint64
-	// PartitionRefused counts connections rejected while partitioned.
-	PartitionRefused uint64
 }
 
 // ChaosProxy relays TCP connections from its listen address to a
@@ -166,12 +164,11 @@ type ChaosProxy struct {
 	target string
 	ln     net.Listener
 
-	mu          sync.Mutex
-	closed      bool
-	partitioned bool
-	conns       map[*chaosConn]struct{}
-	connIndex   uint64
-	wg          sync.WaitGroup
+	mu        sync.Mutex
+	closed    bool
+	conns     map[*chaosConn]struct{}
+	connIndex uint64
+	wg        sync.WaitGroup
 
 	stats ChaosStats
 }
@@ -224,12 +221,8 @@ func (p *ChaosProxy) acceptLoop() {
 			return
 		}
 		p.mu.Lock()
-		if p.closed || p.partitioned {
-			refused := p.partitioned && !p.closed
+		if p.closed {
 			p.mu.Unlock()
-			if refused {
-				atomic.AddUint64(&p.stats.PartitionRefused, 1)
-			}
 			client.Close()
 			continue
 		}
@@ -244,7 +237,7 @@ func (p *ChaosProxy) acceptLoop() {
 		}
 		cc := &chaosConn{client: client, server: server}
 		p.mu.Lock()
-		if p.closed || p.partitioned {
+		if p.closed {
 			p.mu.Unlock()
 			cc.abort()
 			continue
@@ -298,33 +291,14 @@ func (p *ChaosProxy) pump(cc *chaosConn, idx uint64, dir uint64) {
 	}
 }
 
-// SetPartition opens (true) or heals (false) a hard partition: while
-// partitioned, live connections are reset and new ones refused, so
-// every node behind the proxy sees the coordinator vanish.
-func (p *ChaosProxy) SetPartition(on bool) {
-	p.mu.Lock()
-	p.partitioned = on
-	var conns []*chaosConn
-	if on {
-		for cc := range p.conns {
-			conns = append(conns, cc)
-		}
-	}
-	p.mu.Unlock()
-	for _, cc := range conns {
-		cc.abort()
-	}
-}
-
 // Stats snapshots the proxy's counters.
 func (p *ChaosProxy) Stats() ChaosStats {
 	return ChaosStats{
-		Connections:      atomic.LoadUint64(&p.stats.Connections),
-		BytesForwarded:   atomic.LoadUint64(&p.stats.BytesForwarded),
-		BytesCorrupted:   atomic.LoadUint64(&p.stats.BytesCorrupted),
-		ResetsInjected:   atomic.LoadUint64(&p.stats.ResetsInjected),
-		DelaysInjected:   atomic.LoadUint64(&p.stats.DelaysInjected),
-		PartitionRefused: atomic.LoadUint64(&p.stats.PartitionRefused),
+		Connections:    atomic.LoadUint64(&p.stats.Connections),
+		BytesForwarded: atomic.LoadUint64(&p.stats.BytesForwarded),
+		BytesCorrupted: atomic.LoadUint64(&p.stats.BytesCorrupted),
+		ResetsInjected: atomic.LoadUint64(&p.stats.ResetsInjected),
+		DelaysInjected: atomic.LoadUint64(&p.stats.DelaysInjected),
 	}
 }
 

@@ -199,7 +199,7 @@ func TestCoordinatorGlobalRanking(t *testing.T) {
 	eng.At(20, func(now eventsim.Time) {
 		tr.ToCoordinator(2, EncodeSnapshot(&Snapshot{Node: 2, Seq: 1, At: now, Infos: slotInfos(100, 600)}))
 	})
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 
 	// The coordinator broadcasts to nodes that have reported: node 1
 	// sees epoch 1 (alone) then epoch 2 (merged); node 2 joins at epoch
@@ -262,7 +262,7 @@ func TestCoordinatorRejects(t *testing.T) {
 			Infos: append(slotInfos(1, 2), cluster.Info{ID: 2, Active: true, Ranges: []cluster.Range{{}}, NominalCardinality: []int{0}}),
 		}))
 	})
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 
 	st := coord.Stats()
 	if st.Merges != 1 || st.Rejected != 4 {
@@ -326,7 +326,7 @@ func TestNodeFallbackAndRecovery(t *testing.T) {
 	eng.At(6*step-5000, func(eventsim.Time) { tr.SetUp(true) })
 	eng.At(6*step, poll(slotInfos(1000, 600)))
 	eng.At(7*step, poll(slotInfos(1000, 600)))
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 
 	wantSources := []string{
 		"fleet-fallback:local", // 0: nothing heard yet
@@ -387,7 +387,7 @@ func TestNodeRejectsBadDeploys(t *testing.T) {
 		bad[len(bad)-2] ^= 1 // CRC breakage
 		tr.ToNode(1, bad)
 	})
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 	st := node.Stats()
 	if st.BadDeploys != 3 || st.Epoch != 0 {
 		t.Fatalf("stats %+v, want 3 bad deploys and no applied epoch", st)
@@ -441,7 +441,7 @@ func TestNodeAdoptsRestartedCoordinator(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		eng.Run()
+		eng.RunUntil(eventsim.MaxTime)
 
 		if node.Source() != "fleet" || node.RankingDegraded() {
 			t.Fatalf("%s: source %q after poll %d, want fleet by then", name, node.Source(), last)
@@ -490,7 +490,7 @@ func TestCoordinatorAdoptsRestartedNode(t *testing.T) {
 		}
 	})
 	eng.At((before+1)*step, poll)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 
 	if node.Source() != "fleet" {
 		t.Fatalf("reborn node ranks from %q on its second poll, want fleet", node.Source())
@@ -514,7 +514,7 @@ func TestSimTransportPartitionCounters(t *testing.T) {
 	eng.At(2, func(eventsim.Time) { tr.ToCoordinator(1, frame) })
 	eng.At(3, func(eventsim.Time) { tr.SetUp(true) })
 	eng.At(4, func(eventsim.Time) { tr.ToCoordinator(1, frame) })
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 
 	if coordGot != 2 || tr.Delivered != 2 || tr.Dropped != 1 {
 		t.Fatalf("got=%d delivered=%d dropped=%d, want 2/2/1", coordGot, tr.Delivered, tr.Dropped)

@@ -967,10 +967,9 @@ func TestChaosProcessMatchesPlan(t *testing.T) {
 	}
 }
 
-// TestChaosProxyRelaysAndPartitions: a fault-free proxy is transparent
-// to the transport; a partition resets and refuses connections until
-// healed, after which the node re-handshakes through the proxy.
-func TestChaosProxyRelaysAndPartitions(t *testing.T) {
+// TestChaosProxyRelays: a fault-free proxy is transparent to the
+// transport.
+func TestChaosProxyRelays(t *testing.T) {
 	opts := testTCPOpts()
 	co, err := ListenTCP("127.0.0.1:0", opts)
 	if err != nil {
@@ -1003,21 +1002,8 @@ func TestChaosProxyRelaysAndPartitions(t *testing.T) {
 		return ok
 	})
 
-	px.SetPartition(true)
-	waitUntil(t, "partition noticed", func() bool { return !nt.Connected() })
-	waitUntil(t, "refused while partitioned", func() bool { return px.Stats().PartitionRefused >= 1 })
-
-	px.SetPartition(false)
-	waitUntil(t, "reconnect after heal", func() bool { return nt.Connected() && nt.Stats().Connects >= 2 })
-	if err := nt.ToCoordinator(6, EncodeSnapshot(&Snapshot{Node: 6, Seq: 2, Infos: slotInfos(8, 8)})); err != nil {
-		t.Fatal(err)
-	}
-	waitUntil(t, "post-heal delivery", func() bool {
-		_, ok := got.Load(uint64(2))
-		return ok
-	})
-	if st := px.Stats(); st.Connections < 2 || st.BytesForwarded == 0 {
-		t.Fatalf("proxy stats %+v, want >= 2 connections and forwarded bytes", st)
+	if st := px.Stats(); st.Connections == 0 || st.BytesForwarded == 0 {
+		t.Fatalf("proxy stats %+v, want a connection and forwarded bytes", st)
 	}
 }
 

@@ -252,11 +252,6 @@ func DecodeHello(data []byte) (uint32, error) { return decodeNode(data, MsgHello
 // coordinator).
 func EncodeHeartbeat(node uint32) []byte { return encodeNode(MsgHeartbeat, node) }
 
-// DecodeHeartbeat unframes and decodes a MsgHeartbeat frame.
-func DecodeHeartbeat(data []byte) (uint32, error) {
-	return decodeNode(data, MsgHeartbeat, "heartbeat")
-}
-
 // VerifyFrame validates a frame's envelope — magic, version, length and
 // CRC — and returns its message type without decoding the payload. The
 // TCP transport runs it on every received frame before dispatch: a

@@ -45,7 +45,7 @@ func recode(msgType uint8, data []byte) ([]byte, error) {
 		node, err := DecodeHello(data)
 		return EncodeHello(node), err
 	default:
-		node, err := DecodeHeartbeat(data)
+		node, err := decodeNode(data, MsgHeartbeat, "heartbeat")
 		return EncodeHeartbeat(node), err
 	}
 }

@@ -13,8 +13,7 @@
 //	            counted above Threshold in two consecutive windows is
 //	            an attack.
 //	Mitigation: a drop rule on the offending key, which counts as
-//	            installed (FirstMitigation, RulesInstalled) after
-//	            RuleInstallDelay.
+//	            installed (FirstMitigation) after ruleInstallDelay.
 package jaqen
 
 import (
@@ -56,33 +55,32 @@ type Config struct {
 	// ResetPeriod is the sketch/Bloom inter-reset time (Fig. 8b). Zero
 	// resets every window.
 	ResetPeriod eventsim.Time
-	// ConsecutiveWindows is how many successive windows must flag a
-	// key before mitigation (the paper observes Jaqen requires two).
-	ConsecutiveWindows int
-	// RuleInstallDelay is the controller-to-data-plane latency.
-	RuleInstallDelay eventsim.Time
-	// SketchRows and SketchCols size the count-min sketch: the
+}
+
+// The parts of the paper's Jaqen no experiment varies.
+const (
+	// consecutiveWindows is how many successive windows must flag a key
+	// before mitigation: the paper observes Jaqen requires two.
+	consecutiveWindows = 2
+	// ruleInstallDelay is the controller-to-data-plane latency.
+	ruleInstallDelay = 50 * eventsim.Millisecond
+	// sketchRows and sketchCols size the count-min sketch: the
 	// wire-speed sketch.TurboCountMin with conservative update, which
 	// raises just the counters at the key's current minimum and so
 	// tightens the overestimate that makes Jaqen flag innocent keys
 	// sharing counters with heavy ones (the sketchacc experiment
 	// measures the effect).
-	SketchRows, SketchCols int
-}
+	sketchRows, sketchCols = 4, 65536
+)
 
-// DefaultConfig mirrors the paper's measurement setup: 5-tuple key,
-// controller polling at 5 s (which with the two-consecutive-windows
-// rule yields the ~10 s best-case reaction of Fig. 7d), 50 ms rule
-// install.
+// DefaultConfig mirrors the paper's measurement setup: 5-tuple key and
+// controller polling at 5 s, which with the two-consecutive-windows rule
+// yields the ~10 s best-case reaction of Fig. 7d.
 func DefaultConfig() Config {
 	return Config{
-		Key:                FiveTuple,
-		Threshold:          1_000_000,
-		Window:             5 * eventsim.Second,
-		ConsecutiveWindows: 2,
-		RuleInstallDelay:   50 * eventsim.Millisecond,
-		SketchRows:         4,
-		SketchCols:         65536,
+		Key:       FiveTuple,
+		Threshold: 1_000_000,
+		Window:    5 * eventsim.Second,
 	}
 }
 
@@ -93,12 +91,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Window <= 0 {
 		return fmt.Errorf("jaqen: window %v must be positive", c.Window)
-	}
-	if c.ConsecutiveWindows < 1 {
-		return fmt.Errorf("jaqen: ConsecutiveWindows %d < 1", c.ConsecutiveWindows)
-	}
-	if c.SketchRows < 1 || c.SketchCols < 1 {
-		return fmt.Errorf("jaqen: sketch geometry %dx%d", c.SketchRows, c.SketchCols)
 	}
 	return nil
 }
@@ -142,7 +134,7 @@ func Attach(eng *eventsim.Engine, port *netsim.Port, cfg Config) (*Jaqen, error)
 		rules:           map[uint64]struct{}{},
 		flagged:         map[uint64]bool{},
 		FirstMitigation: -1,
-		cm:              sketch.NewTurboCountMin(cfg.SketchRows, cfg.SketchCols, true),
+		cm:              sketch.NewTurboCountMin(sketchRows, sketchCols, true),
 	}
 	port.AddIngress(func(_ eventsim.Time, p *packet.Packet) bool {
 		return j.admit(p)
@@ -200,7 +192,7 @@ func (j *Jaqen) admit(p *packet.Packet) bool {
 func (j *Jaqen) poll() {
 	for k := range j.flagged {
 		j.candidates[k]++
-		if _, installed := j.rules[k]; j.candidates[k] >= j.cfg.ConsecutiveWindows && !installed {
+		if _, installed := j.rules[k]; j.candidates[k] >= consecutiveWindows && !installed {
 			j.mitigate(k)
 		}
 	}
@@ -214,25 +206,13 @@ func (j *Jaqen) poll() {
 }
 
 // mitigate installs a drop rule for key k. The data plane enforces it
-// from now on; it counts as active once RuleInstallDelay has passed.
+// from now on; it counts as active once ruleInstallDelay has passed.
 func (j *Jaqen) mitigate(k uint64) {
 	j.rules[k] = struct{}{}
-	j.eng.After(j.cfg.RuleInstallDelay, func(at eventsim.Time) {
+	j.eng.After(ruleInstallDelay, func(at eventsim.Time) {
 		if j.FirstMitigation < 0 {
 			j.FirstMitigation = at
 		}
 		j.rulesInstalled++
 	})
 }
-
-// Rules returns the number of active drop rules.
-func (j *Jaqen) Rules() int { return len(j.rules) }
-
-// RulesInstalled counts drop rules that became active (post-delay).
-func (j *Jaqen) RulesInstalled() uint64 { return j.rulesInstalled }
-
-// Admitted counts packets the defense let through.
-func (j *Jaqen) Admitted() uint64 { return j.admitted }
-
-// RuleDrops counts packets dropped by an installed drop rule.
-func (j *Jaqen) RuleDrops() uint64 { return j.ruleDrops }

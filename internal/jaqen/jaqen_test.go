@@ -52,9 +52,9 @@ func attach(tb testing.TB, eng *eventsim.Engine, port *netsim.Port, cfg Config) 
 // exactly the port's policer drops (Jaqen is its only ingress stage).
 func conserved(t *testing.T, rec *netsim.Recorder, j *Jaqen) {
 	t.Helper()
-	dropped := j.RuleDrops()
-	if arrived := rec.ArrivedBenign() + rec.ArrivedMalicious(); j.Admitted()+dropped != arrived {
-		t.Errorf("admitted %d + dropped %d != arrived %d", j.Admitted(), dropped, arrived)
+	dropped := j.ruleDrops
+	if arrived := rec.ArrivedBenign() + rec.ArrivedMalicious(); j.admitted+dropped != arrived {
+		t.Errorf("admitted %d + dropped %d != arrived %d", j.admitted, dropped, arrived)
 	}
 	if got := rec.DroppedFor(queue.DropPolicer); got != dropped {
 		t.Errorf("port counts %d policer drops, Jaqen %d", got, dropped)
@@ -66,17 +66,12 @@ func TestDefaultConfigValid(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.ConsecutiveWindows != 2 {
-		t.Error("paper observes two consecutive windows")
-	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	bad := []func(c *Config){
 		func(c *Config) { c.Threshold = 0 },
 		func(c *Config) { c.Window = 0 },
-		func(c *Config) { c.ConsecutiveWindows = 0 },
-		func(c *Config) { c.SketchRows = 0 },
 	}
 	for i, m := range bad {
 		cfg := DefaultConfig()
@@ -120,7 +115,7 @@ func TestDetectsSingleFlowFlood(t *testing.T) {
 	if j.FirstMitigation < 3*eventsim.Second || j.FirstMitigation > 7*eventsim.Second {
 		t.Fatalf("mitigation at %v, want ~4s", j.FirstMitigation)
 	}
-	if j.Rules() == 0 {
+	if len(j.rules) == 0 {
 		t.Fatal("no rules installed")
 	}
 	// The attack shares one 5-tuple, so benign traffic survives.
@@ -130,8 +125,8 @@ func TestDetectsSingleFlowFlood(t *testing.T) {
 	if rec.MaliciousDropPercent() < 50 {
 		t.Fatalf("attack only dropped %v%%", rec.MaliciousDropPercent())
 	}
-	if j.RuleDrops() == 0 || j.RulesInstalled() == 0 {
-		t.Fatalf("%d rule drops, %d rules installed: want both", j.RuleDrops(), j.RulesInstalled())
+	if j.ruleDrops == 0 || j.rulesInstalled == 0 {
+		t.Fatalf("%d rule drops, %d rules installed: want both", j.ruleDrops, j.rulesInstalled)
 	}
 	conserved(t, rec, j)
 }
@@ -200,7 +195,7 @@ func TestLowThresholdDropsBenignTraffic(t *testing.T) {
 		traffic.NewCBR(0, 10*eventsim.Second, 4e6, benignSpec(2).Factory(2)),
 	)
 	rec, j := run(t, cfg, src, 12*eventsim.Second)
-	if j.Rules() == 0 {
+	if len(j.rules) == 0 {
 		t.Fatal("low threshold should flag benign flows")
 	}
 	if rec.BenignDropPercent() < 20 {

@@ -49,8 +49,8 @@ type AIMDConfig struct {
 	// RTT is the feedback delay between delivery and ack (default
 	// 20 ms).
 	RTT eventsim.Time
-	// Start and End bound the transmission.
-	Start, End eventsim.Time
+	// End bounds the transmission, which starts at time zero.
+	End eventsim.Time
 	// InitialWindow and MaxWindow bound cwnd in segments (defaults 2
 	// and 256).
 	InitialWindow, MaxWindow float64
@@ -76,8 +76,8 @@ func NewAIMD(eng *eventsim.Engine, port *Port, cfg AIMDConfig) *AIMD {
 	if cfg.MaxWindow <= 0 {
 		cfg.MaxWindow = 256
 	}
-	if cfg.End <= cfg.Start {
-		panic(fmt.Sprintf("netsim: AIMD window empty: %v..%v", cfg.Start, cfg.End))
+	if cfg.End <= 0 {
+		panic(fmt.Sprintf("netsim: AIMD window empty: 0..%v", cfg.End))
 	}
 	a := &AIMD{
 		eng:      eng,
@@ -108,9 +108,9 @@ func NewAIMD(eng *eventsim.Engine, port *Port, cfg AIMDConfig) *AIMD {
 		}
 	}
 
-	eng.ScheduleArg(cfg.Start, aimdPump, a)
+	eng.ScheduleArg(0, aimdPump, a)
 	eng.Every(cfg.RTT, func(now eventsim.Time) {
-		if now >= cfg.Start && now < cfg.End {
+		if now < cfg.End {
 			a.WindowTrace = append(a.WindowTrace, a.cwnd)
 		}
 	})
@@ -224,7 +224,7 @@ func (a *AIMD) onLoss(eventsim.Time) {
 
 // Goodput returns acked bits per second over the send window.
 func (a *AIMD) Goodput() float64 {
-	dur := (a.cfg.End - a.cfg.Start).Seconds()
+	dur := a.cfg.End.Seconds()
 	if dur <= 0 {
 		return 0
 	}

@@ -9,12 +9,12 @@ import (
 	"accturbo/internal/traffic"
 )
 
-func aimdConfig(flowID uint32, start, end eventsim.Time) AIMDConfig {
+func aimdConfig(flowID uint32, end eventsim.Time) AIMDConfig {
 	return AIMDConfig{
 		SrcIP: packet.V4Addr{172, 16, 0, byte(flowID)}, DstIP: packet.V4Addr{198, 18, 0, byte(flowID)},
 		SrcPort: uint16(10_000 + flowID), DstPort: 443,
 		Size: 1000, RTT: 10 * eventsim.Millisecond,
-		Start: start, End: end, FlowID: flowID, Seed: int64(flowID),
+		End: end, FlowID: flowID, Seed: int64(flowID),
 	}
 }
 
@@ -22,7 +22,7 @@ func TestAIMDSaturatesAnIdleLink(t *testing.T) {
 	eng := eventsim.New()
 	rec := NewRecorder(eventsim.Second)
 	port := NewPort(eng, queue.NewFIFO(125_000), 10e6, rec)
-	a := NewAIMD(eng, port, aimdConfig(1, 0, 10*eventsim.Second))
+	a := NewAIMD(eng, port, aimdConfig(1, 10*eventsim.Second))
 	eng.RunUntil(11 * eventsim.Second)
 
 	// A single AIMD flow on an empty 10 Mbps link should reach a good
@@ -57,7 +57,7 @@ func TestAIMDBacksOffUnderFlood(t *testing.T) {
 		} else {
 			port = NewPort(eng, queue.NewFIFO(125_000), 10e6, rec)
 		}
-		a := NewAIMD(eng, port, aimdConfig(1, 0, 20*eventsim.Second))
+		a := NewAIMD(eng, port, aimdConfig(1, 20*eventsim.Second))
 		// Flood from t=5 s at 5x the link rate.
 		flood := traffic.FlowSpec{
 			SrcIP: packet.V4Addr{9, 9, 9, 9}, DstIP: packet.V4Addr{10, 0, 5, 1},
@@ -86,8 +86,8 @@ func TestAIMDTwoFlowsShareFairly(t *testing.T) {
 	eng := eventsim.New()
 	rec := NewRecorder(eventsim.Second)
 	port := NewPort(eng, queue.NewFIFO(125_000), 10e6, rec)
-	a := NewAIMD(eng, port, aimdConfig(1, 0, 15*eventsim.Second))
-	b := NewAIMD(eng, port, aimdConfig(2, 0, 15*eventsim.Second))
+	a := NewAIMD(eng, port, aimdConfig(1, 15*eventsim.Second))
+	b := NewAIMD(eng, port, aimdConfig(2, 15*eventsim.Second))
 	eng.RunUntil(16 * eventsim.Second)
 	ga, gb := a.Goodput(), b.Goodput()
 	if ga <= 0 || gb <= 0 {
@@ -107,5 +107,5 @@ func TestAIMDValidation(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewAIMD(eng, port, AIMDConfig{Start: 5, End: 5})
+	NewAIMD(eng, port, AIMDConfig{End: 0})
 }

@@ -142,9 +142,6 @@ func (p *Port) release(pkt *packet.Packet) {
 // RateBits returns the configured line rate.
 func (p *Port) RateBits() float64 { return p.rate }
 
-// LinkUp reports whether the link is up. Ports start up.
-func (p *Port) LinkUp() bool { return !p.down }
-
 // SetLinkState fails or restores the link at virtual time now. While
 // down, every arriving packet is dropped with queue.DropLinkDown —
 // recorded through the same accounting path as qdisc drops, but under

@@ -25,7 +25,7 @@ func TestPortDeliversAtLineRate(t *testing.T) {
 	// Offered 20 Mbps into a 10 Mbps port for 5 s.
 	port := NewPort(eng, queue.NewFIFO(100_000), 10e6, rec)
 	Replay(eng, cbr(0, 5*eventsim.Second, 20e6, packet.Benign, 1), port)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 
 	out := rec.DeliveredBits(packet.Benign)
 	// Steady-state bins should be ~10 Mbps (the line rate).
@@ -50,7 +50,7 @@ func TestPortUnderloadDeliversEverything(t *testing.T) {
 	rec := NewRecorder(eventsim.Second)
 	port := NewPort(eng, queue.NewFIFO(100_000), 10e6, rec)
 	Replay(eng, cbr(0, 2*eventsim.Second, 5e6, packet.Benign, 1), port)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 	if rec.DroppedBenign() != 0 {
 		t.Fatalf("underload dropped %d packets", rec.DroppedBenign())
 	}
@@ -69,7 +69,7 @@ func TestIngressPolicerDrops(t *testing.T) {
 		return seen%2 == 0 // drop every other packet
 	})
 	Replay(eng, cbr(0, eventsim.Second, 5e6, packet.Benign, 1), port)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 	if rec.DroppedBenign() == 0 {
 		t.Fatal("policer drops not recorded")
 	}
@@ -98,7 +98,7 @@ func TestDeliveredCallback(t *testing.T) {
 	delivered := 0
 	port.Delivered = func(now eventsim.Time, p *packet.Packet) { delivered++ }
 	Replay(eng, cbr(0, eventsim.Second/10, 1e6, packet.Benign, 1), port)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 	if delivered == 0 {
 		t.Fatal("delivered callback never fired")
 	}
@@ -112,7 +112,7 @@ func TestRecorderClassAttribution(t *testing.T) {
 		cbr(0, eventsim.Second, 10e6, packet.Benign, 1),
 		cbr(0, eventsim.Second, 20e6, packet.Malicious, 5),
 	), port)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 	b := rec.DeliveredBits(packet.Benign)
 	m := rec.DeliveredBits(packet.Malicious)
 	if math.Abs(b[0]-10e6)/10e6 > 0.1 {
@@ -138,7 +138,7 @@ func TestDropRateSeries(t *testing.T) {
 	port := NewPort(eng, queue.NewFIFO(50_000), 10e6, rec)
 	// 2x overload: about half the packets must drop.
 	Replay(eng, cbr(0, 3*eventsim.Second, 20e6, packet.Benign, 1), port)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 	dr := rec.DropRate()
 	if dr[1] < 0.3 || dr[1] > 0.7 {
 		t.Fatalf("drop rate %v, want ~0.5", dr[1])
@@ -160,7 +160,7 @@ func TestRecoveryTime(t *testing.T) {
 		cbr(0, 10*eventsim.Second, 8e6, packet.Benign, 1),
 		cbr(3*eventsim.Second, 6*eventsim.Second, 80e6, packet.Malicious, 5),
 	), port)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 	rt := rec.RecoveryTime(3*eventsim.Second, 0.9)
 	if rt < 0 {
 		t.Fatal("benign traffic never recovered")
@@ -215,7 +215,7 @@ func TestReplayWithPriorityQdiscRecordsDrops(t *testing.T) {
 		cbr(0, 3*eventsim.Second, 8e6, packet.Benign, 1),
 		cbr(0, 3*eventsim.Second, 40e6, packet.Malicious, 5),
 	), port)
-	eng.Run()
+	eng.RunUntil(eventsim.MaxTime)
 	// Strict priority: benign (queue 0) should barely drop, attack
 	// (queue 1) should absorb nearly all loss.
 	if rec.BenignDropPercent() > 5 {
@@ -233,7 +233,7 @@ func BenchmarkReplayFIFO(b *testing.B) {
 		rec := NewRecorder(eventsim.Second)
 		port := NewPort(eng, queue.NewFIFO(100_000), 10e6, rec)
 		Replay(eng, cbr(0, eventsim.Second, 20e6, packet.Benign, 1), port)
-		eng.Run()
+		eng.RunUntil(eventsim.MaxTime)
 	}
 }
 

@@ -178,9 +178,9 @@ func sameAsModel(t *testing.T, name string, got *Recorder, want *mapRecorder, fl
 	t.Helper()
 	totals := func(vals ...uint64) []uint64 { return vals }
 	if g, w := totals(got.ArrivedBenign(), got.ArrivedMalicious(), got.DroppedBenign(), got.DroppedMalicious(),
-		got.DeliveredBenignPkts(), got.DeliveredMaliciousPkts(), got.Reordered(), uint64(got.Bins())),
+		got.DeliveredBenignPkts(), got.DeliveredMaliciousPkts(), got.Reordered(), uint64(len(got.bins))),
 		totals(want.ArrivedBenign(), want.ArrivedMalicious(), want.DroppedBenign(), want.DroppedMalicious(),
-			want.DeliveredBenignPkts(), want.DeliveredMaliciousPkts(), want.Reordered(), uint64(want.Bins())); !slices.Equal(g, w) {
+			want.DeliveredBenignPkts(), want.DeliveredMaliciousPkts(), want.Reordered(), uint64(len(want.bins))); !slices.Equal(g, w) {
 		t.Errorf("%s: totals, reordered, bins = %v, model %v", name, g, w)
 	}
 	// Conservation by reason: every drop is counted under exactly one.
@@ -413,7 +413,7 @@ func TestRecordedPortSteadyStateAllocFree(t *testing.T) {
 		t.Fatalf("recorded port allocates %.1f times per burst in steady state", allocs)
 	}
 	delivered, dropped := rec.DeliveredBenignPkts()+rec.DeliveredMaliciousPkts(), rec.DroppedBenign()+rec.DroppedMalicious()
-	if delivered != 3*n/4 || dropped != n/4 || rec.Bins() != 1 {
-		t.Fatalf("bursts did not run as designed: %d delivered, %d dropped of %d in %d bins", delivered, dropped, n, rec.Bins())
+	if delivered != 3*n/4 || dropped != n/4 || len(rec.bins) != 1 {
+		t.Fatalf("bursts did not run as designed: %d delivered, %d dropped of %d in %d bins", delivered, dropped, n, len(rec.bins))
 	}
 }

@@ -100,9 +100,6 @@ func (r *Recorder) DeliveredMaliciousPkts() uint64 { return r.delivered[1] }
 // packet that arrived later (§10's reordering discussion).
 func (r *Recorder) Reordered() uint64 { return r.reordered }
 
-// Bins returns the number of bins touched so far.
-func (r *Recorder) Bins() int { return len(r.bins) }
-
 // bin returns the bin holding now, and its index. Events cluster in
 // time, so the division only runs when now leaves the last bin used.
 func (r *Recorder) bin(now eventsim.Time) (*binStats, int) {

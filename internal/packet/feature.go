@@ -96,13 +96,6 @@ func (f Feature) MaxValue() uint32 {
 	return uint32(1)<<f.Bits() - 1
 }
 
-// Value extracts one feature's value from the packet: Extract over a
-// one-element set, so the feature switch exists once.
-func (p *Packet) Value(f Feature) uint32 {
-	var v [1]uint32
-	return FeatureSet{f}.Extract(p, v[:0])[0]
-}
-
 // FeatureSet is an ordered list of clustering dimensions.
 type FeatureSet []Feature
 
@@ -161,10 +154,4 @@ func DefaultSimulationFeatures() FeatureSet {
 // two bytes of the destination address plus both ports.
 func HardwareFeatures() FeatureSet {
 	return FeatureSet{FDstIPByte2, FDstIPByte3, FSrcPort, FDstPort}
-}
-
-// DstIPFeatures is the §7.2 configuration: the four bytes of the
-// destination address.
-func DstIPFeatures() FeatureSet {
-	return FeatureSet{FDstIPByte0, FDstIPByte1, FDstIPByte2, FDstIPByte3}
 }

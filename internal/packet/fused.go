@@ -73,18 +73,6 @@ func ParseFrame(b []byte) (FrameView, error) {
 // Length returns the IP total length (Packet.Length).
 func (v *FrameView) Length() uint16 { return v.total }
 
-// Protocol returns the IP protocol number.
-func (v *FrameView) Protocol() Proto { return Proto(v.b[9]) }
-
-// SrcPort returns the transport source port (zero when absent).
-func (v *FrameView) SrcPort() uint16 { return v.sport }
-
-// DstPort returns the transport destination port (zero when absent).
-func (v *FrameView) DstPort() uint16 { return v.dport }
-
-// Bytes returns the underlying frame slice the view was parsed from.
-func (v *FrameView) Bytes() []byte { return v.b }
-
 // FlowHash returns the RSS-style flow hash over the frame's 5-tuple,
 // identical to FlowHash of the unmarshaled packet. The data plane uses
 // it to demux frames to shards so packets of one flow always meet the

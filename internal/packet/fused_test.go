@@ -15,7 +15,7 @@ func fusedTestFrames(t testing.TB) [][]byte {
 	t.Helper()
 	var frames [][]byte
 	add := func(p *Packet) {
-		wire, err := p.Marshal()
+		wire, err := marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func featureSetsUnderTest() []FeatureSet {
 	return []FeatureSet{
 		DefaultSimulationFeatures(),
 		HardwareFeatures(),
-		DstIPFeatures(),
+		{FDstIPByte0, FDstIPByte1, FDstIPByte2, FDstIPByte3},
 		all,
 	}
 }
@@ -171,10 +171,10 @@ func TestFrameViewAccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.Length() != p.Length || v.Protocol() != p.Protocol ||
-			v.SrcPort() != p.SrcPort || v.DstPort() != p.DstPort {
+		if v.Length() != p.Length || Proto(v.b[9]) != p.Protocol ||
+			v.sport != p.SrcPort || v.dport != p.DstPort {
 			t.Fatalf("frame %d: view (%d,%v,%d,%d) vs packet (%d,%v,%d,%d)", fi,
-				v.Length(), v.Protocol(), v.SrcPort(), v.DstPort(),
+				v.Length(), Proto(v.b[9]), v.sport, v.dport,
 				p.Length, p.Protocol, p.SrcPort, p.DstPort)
 		}
 	}
@@ -251,7 +251,7 @@ func benchFrames() [][]byte {
 			Protocol: ProtoUDP, SrcPort: uint16(r.Intn(65536)), DstPort: uint16(r.Intn(65536)),
 			TTL: uint8(r.Intn(256)), Length: uint16(28 + r.Intn(1400)),
 		}
-		wire, err := p.Marshal()
+		wire, err := marshal(p)
 		if err != nil {
 			panic(err)
 		}

@@ -13,7 +13,7 @@ func FuzzUnmarshal(f *testing.F) {
 		SrcIP: V4(10, 0, 1, 2), DstIP: V4(192, 168, 3, 4),
 		Length: 64, TTL: 64, Protocol: ProtoUDP, SrcPort: 123, DstPort: 456,
 	}
-	wire, _ := p.Marshal()
+	wire, _ := marshal(p)
 	f.Add(wire)
 	f.Add([]byte{})
 	f.Add([]byte{0x45})
@@ -22,7 +22,7 @@ func FuzzUnmarshal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := q.Marshal(); err != nil {
+		if _, err := marshal(q); err != nil {
 			t.Fatalf("parsed packet failed to marshal: %v (%+v)", err, q)
 		}
 	})
@@ -39,7 +39,7 @@ func FuzzDecodeFeatures(f *testing.F) {
 		SrcIP: V4(10, 0, 1, 2), DstIP: V4(192, 168, 3, 4),
 		Length: 64, TTL: 64, Protocol: ProtoTCP, SrcPort: 443, DstPort: 51515,
 	}
-	wire, _ := seed.Marshal()
+	wire, _ := marshal(seed)
 	f.Add(wire)
 	f.Add([]byte{})
 	f.Add([]byte{0x45})
@@ -64,10 +64,10 @@ func FuzzDecodeFeatures(f *testing.F) {
 			}
 			return
 		}
-		if v.Length() != p.Length || v.Protocol() != p.Protocol ||
-			v.SrcPort() != p.SrcPort || v.DstPort() != p.DstPort {
+		if v.Length() != p.Length || Proto(v.b[9]) != p.Protocol ||
+			v.sport != p.SrcPort || v.dport != p.DstPort {
 			t.Fatalf("accessors diverged: view (%d,%v,%d,%d) vs packet (%d,%v,%d,%d)",
-				v.Length(), v.Protocol(), v.SrcPort(), v.DstPort(),
+				v.Length(), Proto(v.b[9]), v.sport, v.dport,
 				p.Length, p.Protocol, p.SrcPort, p.DstPort)
 		}
 		if v.FlowHash() != FlowHash(p) {

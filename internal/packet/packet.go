@@ -62,12 +62,8 @@ func (l Label) String() string {
 
 // TCP flag bits, matching the wire format.
 const (
-	FlagFIN uint8 = 1 << 0
 	FlagSYN uint8 = 1 << 1
-	FlagRST uint8 = 1 << 2
-	FlagPSH uint8 = 1 << 3
 	FlagACK uint8 = 1 << 4
-	FlagURG uint8 = 1 << 5
 )
 
 // Packet is a decoded packet together with simulation metadata.

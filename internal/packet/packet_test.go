@@ -13,6 +13,12 @@ func quickConfig(maxCount int) *quick.Config {
 	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
 }
 
+// marshal renders p into a fresh WireLen() buffer.
+func marshal(p *Packet) ([]byte, error) {
+	b := make([]byte, p.WireLen())
+	return b, p.MarshalTo(b)
+}
+
 func samplePacket() *Packet {
 	return &Packet{
 		SrcIP:      V4(10, 0, 1, 2),
@@ -104,7 +110,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 		if proto == ProtoTCP {
 			p.Flags = FlagSYN | FlagACK
 		}
-		b, err := p.Marshal()
+		b, err := marshal(p)
 		if err != nil {
 			t.Fatalf("%v: Marshal: %v", proto, err)
 		}
@@ -130,7 +136,7 @@ func TestMarshalUnmarshalRoundTrip(t *testing.T) {
 
 func TestMarshalChecksumValid(t *testing.T) {
 	p := samplePacket()
-	b, err := p.Marshal()
+	b, err := marshal(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +157,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Errorf("non-v4 should fail")
 	}
 	p := samplePacket()
-	w, _ := p.Marshal()
+	w, _ := marshal(p)
 	w[2], w[3] = 0xff, 0xff // total length beyond capture
 	if _, err := Unmarshal(w); err == nil {
 		t.Errorf("overlong total length should fail")
@@ -164,7 +170,7 @@ func TestMarshalMinimumLength(t *testing.T) {
 	if p.WireLen() != ipv4HeaderLen+udpHeaderLen {
 		t.Fatalf("WireLen = %d", p.WireLen())
 	}
-	if _, err := p.Marshal(); err != nil {
+	if _, err := marshal(p); err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
 }
@@ -188,8 +194,8 @@ func TestFeatureValues(t *testing.T) {
 		FProtocol: 17,
 	}
 	for f, want := range cases {
-		if got := p.Value(f); got != want {
-			t.Errorf("Value(%v) = %d, want %d", f, got, want)
+		if got := (FeatureSet{f}).Extract(p, nil)[0]; got != want {
+			t.Errorf("Extract(%v) = %d, want %d", f, got, want)
 		}
 	}
 }
@@ -260,7 +266,7 @@ func TestFeatureDoorsAgree(t *testing.T) {
 		randomPacket(r), randomPacket(r), randomPacket(r),
 	}
 	for _, p := range pkts {
-		b, err := p.Marshal()
+		b, err := marshal(p)
 		if err != nil {
 			t.Fatalf("%v: Marshal: %v", p, err)
 		}
@@ -270,8 +276,8 @@ func TestFeatureDoorsAgree(t *testing.T) {
 		}
 		got := all.Extract(p, nil)
 		for i, f := range all {
-			if one, wire := p.Value(f), v.Feature(f); got[i] != one || got[i] != wire {
-				t.Errorf("%v, %v: Extract %d, Value %d, FrameView.Feature %d", p, f, got[i], one, wire)
+			if wire := v.Feature(f); got[i] != wire {
+				t.Errorf("%v, %v: Extract %d, FrameView.Feature %d", p, f, got[i], wire)
 			}
 			if f >= numFeatures && got[i] != 0 {
 				t.Errorf("%v: unknown %v extracted as %d, want 0", p, f, got[i])
@@ -286,9 +292,6 @@ func TestDefaultFeatureSets(t *testing.T) {
 	}
 	if n := len(HardwareFeatures()); n != 4 {
 		t.Errorf("hardware set has %d features, want 4", n)
-	}
-	if n := len(DstIPFeatures()); n != 4 {
-		t.Errorf("dst-ip set has %d features, want 4", n)
 	}
 }
 
@@ -315,7 +318,7 @@ func TestQuickWireRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randomPacket(r)
-		b, err := p.Marshal()
+		b, err := marshal(p)
 		if err != nil {
 			t.Logf("marshal: %v", err)
 			return false
@@ -343,8 +346,8 @@ func TestQuickFeatureValueWithinRange(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		p := randomPacket(r)
 		for ft := Feature(0); ft < numFeatures; ft++ {
-			if p.Value(ft) > ft.MaxValue() {
-				t.Logf("%v value %d exceeds max %d", ft, p.Value(ft), ft.MaxValue())
+			if v := (FeatureSet{ft}).Extract(p, nil)[0]; v > ft.MaxValue() {
+				t.Logf("%v value %d exceeds max %d", ft, v, ft.MaxValue())
 				return false
 			}
 		}
@@ -359,7 +362,7 @@ func TestQuickChecksumDetectsCorruption(t *testing.T) {
 	f := func(seed int64, flip uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		p := randomPacket(r)
-		b, err := p.Marshal()
+		b, err := marshal(p)
 		if err != nil {
 			return false
 		}

@@ -17,10 +17,6 @@ package packet
 // (or per shard) rather than a shared locked pool.
 type Pool struct {
 	free []*Packet
-
-	gets   uint64
-	reuses uint64
-	puts   uint64
 }
 
 // NewPool returns an empty pool.
@@ -31,13 +27,11 @@ func NewPool() *Pool { return &Pool{} }
 // field (generators assign a full Packet literal), so Get does not
 // clear the packet.
 func (pl *Pool) Get() *Packet {
-	pl.gets++
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
 		p.pooled = false
-		pl.reuses++
 		return p
 	}
 	return &Packet{}
@@ -55,18 +49,5 @@ func (pl *Pool) Put(p *Packet) {
 		panic("packet: double release — Put on a packet already in the pool")
 	}
 	p.pooled = true
-	pl.puts++
 	pl.free = append(pl.free, p)
-}
-
-// Free returns the current free-list length (the resident recycled
-// set).
-func (pl *Pool) Free() int { return len(pl.free) }
-
-// Stats reports pool traffic since construction: total Get calls, how
-// many were served by recycling, and total Put calls. gets-reuses is
-// the number of packets the pool ever allocated — in steady state it
-// stops growing, which is the whole point.
-func (pl *Pool) Stats() (gets, reuses, puts uint64) {
-	return pl.gets, pl.reuses, pl.puts
 }

@@ -6,7 +6,7 @@ import (
 	"fmt"
 )
 
-// Wire-format support: Marshal renders a Packet into real IPv4+TCP/UDP
+// Wire-format support: MarshalTo renders a Packet into real IPv4+TCP/UDP
 // bytes (with correct checksums over the headers) and Unmarshal parses
 // them back. The simulator itself works on decoded packets; the wire
 // format backs the pcap reader/writer and the trace tooling.
@@ -18,15 +18,14 @@ const (
 	udpHeaderLen  = 8
 )
 
-// Marshal errors.
+// Errors MarshalTo (ErrTooShort) and Unmarshal return.
 var (
-	ErrTooShort     = errors.New("packet: buffer too short")
-	ErrBadVersion   = errors.New("packet: not an IPv4 packet")
-	ErrBadLength    = errors.New("packet: inconsistent length fields")
-	ErrNotTransport = errors.New("packet: protocol carries no modeled transport header")
+	ErrTooShort   = errors.New("packet: buffer too short")
+	ErrBadVersion = errors.New("packet: not an IPv4 packet")
+	ErrBadLength  = errors.New("packet: inconsistent length fields")
 )
 
-// WireLen returns the number of bytes Marshal will produce: the packet's
+// WireLen returns the number of bytes MarshalTo writes: the packet's
 // total IP length, but at least the space needed for its headers.
 func (p *Packet) WireLen() int {
 	n := int(p.Length)
@@ -47,17 +46,8 @@ func (p *Packet) headerLen() int {
 	}
 }
 
-// Marshal renders the packet in IPv4 wire format. Payload bytes beyond
-// the headers are zero. The returned slice has length WireLen().
-func (p *Packet) Marshal() ([]byte, error) {
-	buf := make([]byte, p.WireLen())
-	if err := p.MarshalTo(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// MarshalTo renders the packet into buf, which must hold WireLen() bytes.
+// MarshalTo renders the packet in IPv4 wire format into buf, which must
+// hold WireLen() bytes. Payload bytes beyond the headers are zero.
 func (p *Packet) MarshalTo(buf []byte) error {
 	n := p.WireLen()
 	if len(buf) < n {

@@ -176,8 +176,8 @@ func TestMappedReaderBigEndian(t *testing.T) {
 		SrcIP: packet.V4(1, 2, 3, 4), DstIP: packet.V4(5, 6, 7, 8),
 		Length: 20, TTL: 9, Protocol: packet.ProtoICMP,
 	}
-	wire, err := p.Marshal()
-	if err != nil {
+	wire := make([]byte, p.WireLen())
+	if err := p.MarshalTo(wire); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

@@ -53,9 +53,6 @@ func NewPriority(n, perQueueBytes int, classify Classifier) *Priority {
 // OnDrop registers an additional callback for rejected packets.
 func (pq *Priority) OnDrop(fn DropFunc) { pq.onDrop = append(pq.onDrop, fn) }
 
-// QueueLen returns the packet count of queue i.
-func (pq *Priority) QueueLen(i int) int { return pq.queues[i].Len() }
-
 // Enqueue implements Qdisc: the classifier picks the queue, and the
 // packet tail-drops if that queue is full.
 func (pq *Priority) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {

@@ -102,8 +102,7 @@ func TestFIFOInvalidCapacityPanics(t *testing.T) {
 }
 
 func TestREDBelowMinThresholdNeverDrops(t *testing.T) {
-	cfg := DefaultREDConfig(100_000, 1e9)
-	r := NewRED(cfg)
+	r := NewRED(100_000, 1e9)
 	drops := 0
 	r.OnDrop(func(eventsim.Time, *packet.Packet, DropReason) { drops++ })
 	// Keep the instantaneous queue tiny: enqueue+dequeue alternately.
@@ -117,8 +116,7 @@ func TestREDBelowMinThresholdNeverDrops(t *testing.T) {
 }
 
 func TestREDDropsUnderSustainedOverload(t *testing.T) {
-	cfg := DefaultREDConfig(100_000, 1e9)
-	r := NewRED(cfg)
+	r := NewRED(100_000, 1e9)
 	early := 0
 	r.OnDrop(func(_ eventsim.Time, _ *packet.Packet, reason DropReason) {
 		if reason == DropEarly {
@@ -132,45 +130,39 @@ func TestREDDropsUnderSustainedOverload(t *testing.T) {
 	if early == 0 {
 		t.Fatal("RED never early-dropped under overload")
 	}
-	if r.Bytes() > cfg.CapacityBytes {
-		t.Fatalf("queue overflow: %d > %d", r.Bytes(), cfg.CapacityBytes)
+	if r.Bytes() > 100_000 {
+		t.Fatalf("queue overflow: %d > %d", r.Bytes(), 100_000)
 	}
-	if r.AvgQueue() < float64(cfg.MinThreshold) {
-		t.Fatalf("average %v did not climb", r.AvgQueue())
+	if r.avg < r.minTh {
+		t.Fatalf("average %v did not climb", r.avg)
 	}
 }
 
 func TestREDIdleDecay(t *testing.T) {
-	cfg := DefaultREDConfig(100_000, 1e9)
-	r := NewRED(cfg)
+	r := NewRED(100_000, 1e9)
 	for i := 0; i < 2000; i++ {
 		r.Enqueue(eventsim.Time(i), pkt(500))
 	}
 	for r.Dequeue(eventsim.Time(3000)) != nil {
 	}
-	before := r.AvgQueue()
+	before := r.avg
 	// One arrival after a long idle period: the average must collapse.
 	r.Enqueue(10*eventsim.Second, pkt(500))
-	if r.AvgQueue() >= before/10 {
-		t.Fatalf("idle decay too weak: before=%v after=%v", before, r.AvgQueue())
+	if r.avg >= before/10 {
+		t.Fatalf("idle decay too weak: before=%v after=%v", before, r.avg)
 	}
 }
 
 func TestREDConfigValidation(t *testing.T) {
-	bad := []REDConfig{
-		{CapacityBytes: 0, MinThreshold: 1, MaxThreshold: 2, MaxP: 0.1, Weight: 0.002},
-		{CapacityBytes: 100, MinThreshold: 50, MaxThreshold: 40, MaxP: 0.1, Weight: 0.002},
-		{CapacityBytes: 100, MinThreshold: 10, MaxThreshold: 40, MaxP: 0, Weight: 0.002},
-		{CapacityBytes: 100, MinThreshold: 10, MaxThreshold: 40, MaxP: 0.1, Weight: 2},
-	}
-	for i, cfg := range bad {
+	// A capacity under 4 bytes leaves the 25 %..75 % thresholds empty.
+	for _, capacity := range []int{0, 3} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("config %d should panic", i)
+					t.Errorf("capacity %d should panic", capacity)
 				}
 			}()
-			NewRED(cfg)
+			NewRED(capacity, 1e9)
 		}()
 	}
 }
@@ -209,8 +201,8 @@ func TestPriorityClampsClassifier(t *testing.T) {
 	if pq.Enqueue(0, a) != DropNone || pq.Enqueue(0, b) != DropNone {
 		t.Fatal("enqueue failed")
 	}
-	if pq.QueueLen(1) != 1 || pq.QueueLen(0) != 1 {
-		t.Fatalf("queue lens: %d %d", pq.QueueLen(0), pq.QueueLen(1))
+	if pq.queues[1].Len() != 1 || pq.queues[0].Len() != 1 {
+		t.Fatalf("queue lens: %d %d", pq.queues[0].Len(), pq.queues[1].Len())
 	}
 	if got := pq.Dequeue(0); got.Size() != 200 {
 		t.Fatalf("priority order violated: got size %d", got.Size())
@@ -240,8 +232,8 @@ func TestPriorityPerQueueTailDrop(t *testing.T) {
 	if pq.Len() != 2 || pq.Bytes() != 400 {
 		t.Fatalf("len=%d bytes=%d", pq.Len(), pq.Bytes())
 	}
-	if pq.QueueLen(0) != 1 || pq.QueueLen(1) != 1 {
-		t.Fatalf("queue lens: %d %d", pq.QueueLen(0), pq.QueueLen(1))
+	if pq.queues[0].Len() != 1 || pq.queues[1].Len() != 1 {
+		t.Fatalf("queue lens: %d %d", pq.queues[0].Len(), pq.queues[1].Len())
 	}
 }
 
@@ -402,18 +394,15 @@ func TestTokenBucketConformance(t *testing.T) {
 		t.Fatal("over-admission after refill")
 	}
 	// Bucket caps at burst.
-	if got := tb.Tokens(100 * eventsim.Second); got != 1000 {
-		t.Fatalf("tokens = %v, want capped at 1000", got)
+	if tb.refill(100 * eventsim.Second); tb.tokens != 1000 {
+		t.Fatalf("tokens = %v, want capped at 1000", tb.tokens)
 	}
 }
 
 func TestTokenBucketSetRate(t *testing.T) {
 	tb := NewTokenBucket(8000, 100)
 	tb.Allow(0, 100)
-	tb.SetRate(80_000) // 10 KB/s
-	if got := tb.RateBits(); got != 80_000 {
-		t.Fatalf("RateBits = %v", got)
-	}
+	tb.SetRate(80_000)                       // 10 KB/s
 	if !tb.Allow(eventsim.Second/100, 100) { // 10ms * 10KB/s = 100B
 		t.Fatal("new rate not applied")
 	}
@@ -423,8 +412,8 @@ func TestTokenBucketMonotonicTime(t *testing.T) {
 	tb := NewTokenBucket(8_000_000, 1000)
 	tb.Allow(eventsim.Second, 1000)
 	// A stale timestamp must not mint tokens.
-	if got := tb.Tokens(eventsim.Second / 2); got != 0 {
-		t.Fatalf("stale timestamp minted %v tokens", got)
+	if tb.refill(eventsim.Second / 2); tb.tokens != 0 {
+		t.Fatalf("stale timestamp minted %v tokens", tb.tokens)
 	}
 }
 
@@ -537,7 +526,7 @@ func BenchmarkFIFOEnqueueDequeue(b *testing.B) {
 }
 
 func BenchmarkREDEnqueue(b *testing.B) {
-	q := NewRED(DefaultREDConfig(1<<20, 1e9))
+	q := NewRED(1<<20, 1e9)
 	p := pkt(500)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -574,7 +563,7 @@ func TestQuickPriorityStrictness(t *testing.T) {
 				pq.Enqueue(0, p)
 			} else if p := pq.Dequeue(0); p != nil {
 				for q := 0; q < int(p.DstPort); q++ {
-					if pq.QueueLen(q) > 0 {
+					if pq.queues[q].Len() > 0 {
 						return false // a higher-priority packet waited
 					}
 				}
@@ -602,7 +591,7 @@ func TestQuickSPPIFOBoundsSorted(t *testing.T) {
 			if r.Intn(2) == 0 {
 				s.Dequeue(0)
 			}
-			b := s.Bounds()
+			b := s.bounds
 			for j := 1; j < len(b); j++ {
 				if b[j] < b[j-1] {
 					return false

@@ -59,13 +59,6 @@ func NewSPPIFO(n, perQueueBytes int, rank RankFunc) *SPPIFO {
 // OnDrop registers an additional drop callback.
 func (s *SPPIFO) OnDrop(fn DropFunc) { s.onDrop = append(s.onDrop, fn) }
 
-// Bounds returns a copy of the current per-queue rank bounds.
-func (s *SPPIFO) Bounds() []int64 {
-	out := make([]int64, len(s.bounds))
-	copy(out, s.bounds)
-	return out
-}
-
 // Enqueue implements Qdisc with the SP-PIFO mapping.
 func (s *SPPIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	r := s.rank(now, p)

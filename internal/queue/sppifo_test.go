@@ -54,12 +54,12 @@ func TestSPPIFOPushDown(t *testing.T) {
 	// must fire and the bounds must drop.
 	s.Enqueue(0, rankedPkt(200, 100)) // bottom queue bound -> 200
 	s.Enqueue(0, rankedPkt(100, 100)) // top queue bound -> 100
-	before := s.Bounds()
+	before := append([]int64(nil), s.bounds...)
 	s.Enqueue(0, rankedPkt(5, 100)) // undershoots the top bound
 	if s.PushDowns == 0 {
-		t.Fatalf("push-down did not fire (bounds %v -> %v)", before, s.Bounds())
+		t.Fatalf("push-down did not fire (bounds %v -> %v)", before, s.bounds)
 	}
-	after := s.Bounds()
+	after := s.bounds
 	if after[0] >= before[0] {
 		t.Fatalf("bounds did not decrease: %v -> %v", before, after)
 	}

@@ -42,11 +42,6 @@ func (tb *TokenBucket) SetRate(rateBits float64) {
 	tb.rate = rateBits / 8 / float64(eventsim.Second)
 }
 
-// RateBits returns the sustained rate in bits/second.
-func (tb *TokenBucket) RateBits() float64 {
-	return tb.rate * 8 * float64(eventsim.Second)
-}
-
 func (tb *TokenBucket) refill(now eventsim.Time) {
 	if now <= tb.last {
 		return
@@ -67,10 +62,4 @@ func (tb *TokenBucket) Allow(now eventsim.Time, sizeBytes int) bool {
 	}
 	tb.tokens -= float64(sizeBytes)
 	return true
-}
-
-// Tokens returns the tokens (bytes) available at time now.
-func (tb *TokenBucket) Tokens(now eventsim.Time) float64 {
-	tb.refill(now)
-	return tb.tokens
 }

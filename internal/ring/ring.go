@@ -21,7 +21,7 @@
 //   - Batched publish: Push appends without publishing; Publish makes
 //     every pushed item visible with a single release store. At ingest
 //     batch sizes this amortizes the only cross-core store the producer
-//     performs. TryPush is the publish-per-item convenience.
+//     performs.
 //
 // Close is a producer-side signal: consumers drain remaining items and
 // then observe closure. Pushing after Close is a contract violation the
@@ -36,10 +36,10 @@ import "sync/atomic"
 const cacheLine = 64
 
 // SPSC is a bounded single-producer/single-consumer ring. The zero
-// value is not usable; construct with New. All producer-side methods
-// (Push, TryPush, Publish, Pending, Close) must be called from one
-// goroutine at a time, and all consumer-side methods (Pop, PopBatch)
-// from one goroutine at a time; the two sides need no coordination.
+// value is not usable; construct with New. The producer-side methods
+// (Push, Publish, Close) must be called from one goroutine at a time,
+// and PopBatch, the consumer side, from one goroutine at a time; the two
+// sides need no coordination.
 type SPSC[T any] struct {
 	buf  []T
 	mask uint64
@@ -110,35 +110,6 @@ func (r *SPSC[T]) Publish() {
 	if r.ptail != r.tail.Load() {
 		r.tail.Store(r.ptail)
 	}
-}
-
-// TryPush pushes and publishes one item: the convenience path for
-// producers that do not batch.
-func (r *SPSC[T]) TryPush(v T) bool {
-	if !r.Push(v) {
-		return false
-	}
-	r.tail.Store(r.ptail)
-	return true
-}
-
-// Pending returns the number of pushed-but-unpublished items
-// (producer-side only).
-func (r *SPSC[T]) Pending() int { return int(r.ptail - r.tail.Load()) }
-
-// Pop removes and returns the next item (consumer-side only). ok is
-// false when no published item is available.
-func (r *SPSC[T]) Pop() (v T, ok bool) {
-	h := r.head.Load()
-	if h == r.cachedTail {
-		r.cachedTail = r.tail.Load()
-		if h == r.cachedTail {
-			return v, false
-		}
-	}
-	v = r.buf[h&r.mask]
-	r.head.Store(h + 1)
-	return v, true
 }
 
 // PopBatch moves up to len(dst) published items into dst and returns

@@ -8,6 +8,20 @@ import (
 )
 
 // TestRoundedCapacity: capacities round up to the next power of two.
+// push pushes and publishes one item.
+func push[T any](r *SPSC[T], v T) bool {
+	ok := r.Push(v)
+	r.Publish()
+	return ok
+}
+
+// pop takes the next published item, if any.
+func pop[T any](r *SPSC[T]) (T, bool) {
+	var one [1]T
+	n := r.PopBatch(one[:])
+	return one[0], n == 1
+}
+
 func TestRoundedCapacity(t *testing.T) {
 	for _, tc := range []struct{ ask, want int }{
 		{1, 2}, {2, 2}, {3, 4}, {4, 4}, {5, 8}, {1000, 1024}, {1024, 1024},
@@ -32,14 +46,14 @@ func TestFIFOOrderAndWraparound(t *testing.T) {
 	next := 0
 	popped := 0
 	for popped < 10_000 {
-		for r.TryPush(next) {
+		for push(r, next) {
 			next++
 		}
 		if r.Len() != r.Cap() {
 			t.Fatalf("after filling, Len() = %d, want %d", r.Len(), r.Cap())
 		}
 		for {
-			v, ok := r.Pop()
+			v, ok := pop(r)
 			if !ok {
 				break
 			}
@@ -60,15 +74,15 @@ func TestBatchedPublish(t *testing.T) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
-	if r.Pending() != 5 {
-		t.Fatalf("Pending() = %d, want 5", r.Pending())
+	if int(r.ptail-r.tail.Load()) != 5 {
+		t.Fatalf("pending = %d, want 5", int(r.ptail-r.tail.Load()))
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := pop(r); ok {
 		t.Fatal("unpublished item was visible")
 	}
 	r.Publish()
-	if r.Pending() != 0 {
-		t.Fatalf("Pending() after Publish = %d, want 0", r.Pending())
+	if int(r.ptail-r.tail.Load()) != 0 {
+		t.Fatalf("pending after Publish = %d, want 0", int(r.ptail-r.tail.Load()))
 	}
 	dst := make([]int, 8)
 	if n := r.PopBatch(dst); n != 5 {
@@ -98,7 +112,7 @@ func TestPushFullCountsUnpublished(t *testing.T) {
 	}
 	r.Publish()
 	for i := 0; i < r.Cap(); i++ {
-		v, ok := r.Pop()
+		v, ok := pop(r)
 		if !ok || v != i {
 			t.Fatalf("pop %d: got %d, %v", i, v, ok)
 		}
@@ -110,26 +124,26 @@ func TestPushFullCountsUnpublished(t *testing.T) {
 func TestCloseDrains(t *testing.T) {
 	r := New[int](8)
 	for i := 0; i < 3; i++ {
-		r.TryPush(i)
+		push(r, i)
 	}
 	r.Close()
 	r.Close() // idempotent
 	if !r.Closed() {
 		t.Fatal("Closed() = false after Close")
 	}
-	if r.TryPush(99) {
-		t.Fatal("TryPush succeeded after Close")
+	if push(r, 99) {
+		t.Fatal("push succeeded after Close")
 	}
 	if r.Push(99) {
 		t.Fatal("Push succeeded after Close")
 	}
 	for i := 0; i < 3; i++ {
-		v, ok := r.Pop()
+		v, ok := pop(r)
 		if !ok || v != i {
 			t.Fatalf("drain after close: got %d, %v, want %d", v, ok, i)
 		}
 	}
-	if _, ok := r.Pop(); ok {
+	if _, ok := pop(r); ok {
 		t.Fatal("pop on drained closed ring succeeded")
 	}
 }
@@ -156,7 +170,7 @@ func TestProducerConsumerStress(t *testing.T) {
 				if n == 0 {
 					runtime.Gosched()
 				}
-			} else if r.TryPush(i) {
+			} else if push(r, i) {
 				i++
 			} else {
 				runtime.Gosched()
@@ -179,7 +193,7 @@ func TestProducerConsumerStress(t *testing.T) {
 				next++
 			}
 		} else {
-			v, ok := r.Pop()
+			v, ok := pop(r)
 			if !ok {
 				runtime.Gosched()
 				continue
@@ -208,7 +222,7 @@ func TestCloseWhileOffering(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := uint64(0); i < 50_000; i++ {
-				for !r.TryPush(i) {
+				for !push(r, i) {
 					if r.Closed() {
 						rejected.Add(50_000 - i)
 						return
@@ -222,7 +236,7 @@ func TestCloseWhileOffering(t *testing.T) {
 		var last uint64
 		ordered := true
 		for consumed < 500+uint64(iter)*37 {
-			if v, ok := r.Pop(); ok {
+			if v, ok := pop(r); ok {
 				if consumed > 0 && v != last+1 {
 					ordered = false
 				}
@@ -234,7 +248,7 @@ func TestCloseWhileOffering(t *testing.T) {
 		wg.Wait()
 		// Drain what was published before the producer observed closure.
 		for {
-			v, ok := r.Pop()
+			v, ok := pop(r)
 			if !ok {
 				break
 			}
@@ -258,9 +272,8 @@ func TestCloseWhileOffering(t *testing.T) {
 	}
 }
 
-// TestRingZeroAlloc gates the hot path: steady-state push/pop traffic
-// allocates nothing on either side, batched (BenchmarkRingBatched) or
-// one item at a time (BenchmarkRingTryPushPop).
+// TestRingZeroAlloc gates the hot path: steady-state batched push/pop
+// traffic (BenchmarkRingBatched) allocates nothing on either side.
 func TestRingZeroAlloc(t *testing.T) {
 	r := New[uint64](256)
 	dst := make([]uint64, 32)
@@ -286,17 +299,6 @@ func TestRingZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("ring hot path allocates %v per run, want 0", allocs)
 	}
-	allocs = testing.AllocsPerRun(200, func() {
-		if !r.TryPush(7) {
-			t.Fatal("push failed")
-		}
-		if _, ok := r.Pop(); !ok {
-			t.Fatal("pop failed")
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("TryPush+Pop allocates %v per item, want 0", allocs)
-	}
 }
 
 // BenchmarkRingBatched measures the batched produce/consume cycle a
@@ -316,17 +318,5 @@ func BenchmarkRingBatched(b *testing.B) {
 		for got < 64 {
 			got += r.PopBatch(dst)
 		}
-	}
-}
-
-// BenchmarkRingTryPushPop is the unbatched per-item cycle: what
-// publishing every item costs against BenchmarkRingBatched.
-func BenchmarkRingTryPushPop(b *testing.B) {
-	r := New[uint64](1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.TryPush(uint64(i))
-		r.Pop()
 	}
 }

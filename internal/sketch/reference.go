@@ -63,11 +63,3 @@ func (cm *ReferenceCountMin) Estimate(key uint64) uint64 {
 	}
 	return est
 }
-
-// Reset zeroes all counters.
-func (cm *ReferenceCountMin) Reset() {
-	for r := range cm.counts {
-		clear(cm.counts[r])
-	}
-	cm.Updates = 0
-}

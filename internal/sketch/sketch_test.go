@@ -65,15 +65,6 @@ func TestCountMinAddReturnsEstimate(t *testing.T) {
 	}
 }
 
-func TestCountMinReset(t *testing.T) {
-	cm := NewReferenceCountMin(2, 64)
-	cm.Add(1, 5)
-	cm.Reset()
-	if cm.Estimate(1) != 0 || cm.Updates != 0 {
-		t.Fatal("reset did not clear sketch")
-	}
-}
-
 // TestCountMinSaturatesInsteadOfWrapping is the overflow regression: a
 // counter pushed past MaxUint64 must pin there, not wrap to a small
 // value that would silently become the row minimum and poison every

@@ -152,15 +152,6 @@ func (t *TopK) Offer(key uint64, weight uint64) {
 	}
 }
 
-// Estimate returns the tracked count for an incumbent, or the sketch
-// estimate otherwise.
-func (t *TopK) Estimate(key uint64) uint64 {
-	if i, ok := t.pos[key]; ok {
-		return t.entries[i].count
-	}
-	return t.cm.Estimate(key)
-}
-
 // AppendTop appends the tracked keys to dst ranked heaviest first
 // (count desc, key asc for ties — the tie-break keeps output
 // deterministic) and returns it, allocation-free for per-window polling.
@@ -187,12 +178,6 @@ func sortElements(es []Element) {
 		es[j+1] = e
 	}
 }
-
-// Len returns the number of tracked keys (≤ k).
-func (t *TopK) Len() int { return len(t.entries) }
-
-// K returns the tracker's capacity.
-func (t *TopK) K() int { return t.k }
 
 // Sketch exposes the backing turbo count-min (for serialization).
 func (t *TopK) Sketch() *TurboCountMin { return t.cm }

@@ -36,7 +36,7 @@ func TestTopKFindsHeavyKeys(t *testing.T) {
 	for k := uint64(1); k <= 5; k++ {
 		i, ok := rank[k]
 		if !ok {
-			t.Fatalf("heavy key %d missing from top-%d: %v", k, tk.K(), top)
+			t.Fatalf("heavy key %d missing from top-%d: %v", k, tk.k, top)
 		}
 		// Weights are separated 10k apart; order must match.
 		if i != int(k)-1 {
@@ -330,7 +330,7 @@ func TestTopKResetClears(t *testing.T) {
 	}
 	rngBefore := tk.RNG()
 	tk.Reset()
-	if tk.Len() != 0 || len(tk.pos) != 0 || tk.Decayed != 0 {
+	if len(tk.entries) != 0 || len(tk.pos) != 0 || tk.Decayed != 0 {
 		t.Fatal("Reset left tracker state behind")
 	}
 	if tk.Sketch().Estimate(3) != 0 {

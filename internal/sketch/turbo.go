@@ -78,9 +78,6 @@ func NewTurboCountMin(rows, cols int, conservative bool) *TurboCountMin {
 func (t *TurboCountMin) Rows() int { return t.rows }
 func (t *TurboCountMin) Cols() int { return t.cols }
 
-// Conservative reports whether conservative update is enabled.
-func (t *TurboCountMin) Conservative() bool { return t.conservative }
-
 // mix64 is the splitmix64 finalizer: one multiply-xorshift cascade
 // giving 64 well-mixed bits from a 64-bit key.
 func mix64(x uint64) uint64 {

@@ -34,8 +34,8 @@ func TestEvasionLevels(t *testing.T) {
 	lens := map[uint16]bool{}
 	n := 0
 	for _, tp := range Collect(lvl6) {
-		srcs[tp.Pkt.Value(packet.FSrcIP)] = true
-		dsts[tp.Pkt.Value(packet.FDstIP)] = true
+		srcs[tp.Pkt.SrcIP.Uint32()] = true
+		dsts[tp.Pkt.DstIP.Uint32()] = true
 		lens[tp.Pkt.Length] = true
 		n++
 	}

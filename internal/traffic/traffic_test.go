@@ -207,7 +207,7 @@ func TestFlowSpecRandomization(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
 		p := &packet.Packet{}
 		f(i, 0, p)
-		srcIP := p.Value(packet.FSrcIP)
+		srcIP := p.SrcIP.Uint32()
 		if srcIP>>8 != uint32(10)<<16 {
 			t.Fatalf("src prefix corrupted: %v", p.SrcIP)
 		}
@@ -222,7 +222,7 @@ func TestFlowSpecRandomization(t *testing.T) {
 		if p.TTL < 64 || p.TTL >= 74 {
 			t.Fatalf("ttl %d outside jitter window", p.TTL)
 		}
-		if d := p.Value(packet.FDstIPByte3); d >= 16 {
+		if d := p.DstIP[3]; d >= 16 {
 			t.Fatalf("dst host bits exceeded: %d", d)
 		}
 	}
@@ -445,8 +445,8 @@ func TestVariationShapes(t *testing.T) {
 			}
 			attackPkts++
 			attackFlows[tp.Pkt.Flow()] = true
-			dsts[tp.Pkt.Value(packet.FDstIP)] = true
-			srcsSeen[tp.Pkt.Value(packet.FSrcIP)] = true
+			dsts[tp.Pkt.DstIP.Uint32()] = true
+			srcsSeen[tp.Pkt.SrcIP.Uint32()] = true
 		}
 		switch v {
 		case NoAttack:

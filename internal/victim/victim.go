@@ -15,10 +15,9 @@
 // mitigation manager plugs into: per-victim scrubbing, per-victim
 // ACC-Turbo instances, or upstream signaling.
 //
-// Determinism: given the same Observe/Advance sequence and Config.Seed,
-// two detectors produce byte-identical victim lists (the heavy-keeper's
-// decay coin flips are seeded) — the property the CI determinism gate
-// checks.
+// Determinism: given the same Observe/Advance sequence, two detectors
+// produce byte-identical victim lists (the heavy-keeper's decay coin
+// flips are seeded) — the property the CI determinism gate checks.
 //
 // Ownership: like cluster.Online a Detector has one owner, the link's
 // capture tap — Ding et al.'s per-switch sketch with no shared state.
@@ -37,6 +36,20 @@ import (
 // everything because shares are computed over noise.
 const idleBytes = 4096
 
+// The hysteresis band, fixed as in Ding et al.'s in-switch
+// identification.
+const (
+	// ActivateShare is the fraction of a window's bytes a destination
+	// must reach to become a victim.
+	ActivateShare = 0.20
+	// ReleaseShare is the fraction below which a listed victim is
+	// delisted; the gap to ActivateShare is the hysteresis band.
+	ReleaseShare = 0.10
+)
+
+// seed drives the heavy-keeper's decay randomness.
+const seed = 1
+
 // Config sizes a Detector.
 type Config struct {
 	// TopK is how many candidate destinations the heavy-keeper tracks;
@@ -45,27 +58,11 @@ type Config struct {
 	// SketchRows, SketchCols size the backing turbo count-min
 	// (conservative update, power-of-two columns).
 	SketchRows, SketchCols int
-	// ActivateShare is the fraction of a window's bytes a destination
-	// must reach to become a victim.
-	ActivateShare float64
-	// ReleaseShare is the fraction below which a listed victim is
-	// delisted. Must be ≤ ActivateShare; the gap is the hysteresis band.
-	ReleaseShare float64
-	// Seed drives the heavy-keeper's decay randomness.
-	Seed uint64
 }
 
-// DefaultConfig tracks 8 victims over a 4×4096 conservative sketch
-// with a 20%-in / 10%-out hysteresis band.
+// DefaultConfig tracks 8 victims over a 4×4096 conservative sketch.
 func DefaultConfig() Config {
-	return Config{
-		TopK:          8,
-		SketchRows:    4,
-		SketchCols:    4096,
-		ActivateShare: 0.20,
-		ReleaseShare:  0.10,
-		Seed:          1,
-	}
+	return Config{TopK: 8, SketchRows: 4, SketchCols: 4096}
 }
 
 // Validate checks the configuration.
@@ -75,12 +72,6 @@ func (c *Config) Validate() error {
 	}
 	if c.SketchRows < 1 || c.SketchCols < 1 {
 		return fmt.Errorf("victim: sketch geometry %dx%d", c.SketchRows, c.SketchCols)
-	}
-	if c.ActivateShare <= 0 || c.ActivateShare > 1 {
-		return fmt.Errorf("victim: ActivateShare %v outside (0,1]", c.ActivateShare)
-	}
-	if c.ReleaseShare <= 0 || c.ReleaseShare > c.ActivateShare {
-		return fmt.Errorf("victim: ReleaseShare %v outside (0,ActivateShare=%v]", c.ReleaseShare, c.ActivateShare)
 	}
 	return nil
 }
@@ -99,8 +90,7 @@ type Victim struct {
 }
 
 // Detector ranks heavy destination aggregates per window. Observe,
-// Advance, PendingBytes, Marshal and Unmarshal belong to the one
-// goroutine that feeds it and take no lock. Victims and Windows are safe
+// Advance, Marshal and Unmarshal belong to the one goroutine that feeds it and take no lock. Victims and Windows are safe
 // from any goroutine: they answer from the view New, the last Advance or
 // Unmarshal published, so a reader sees closed windows only, never the
 // open window's traffic.
@@ -133,16 +123,13 @@ func New(cfg Config) (*Detector, error) {
 	}
 	d := &Detector{
 		cfg:     cfg,
-		tk:      sketch.NewTopK(cfg.TopK, cfg.SketchRows, cfg.SketchCols, cfg.Seed),
+		tk:      sketch.NewTopK(cfg.TopK, cfg.SketchRows, cfg.SketchCols, seed),
 		listed:  make(map[uint64]int, cfg.TopK),
 		scratch: make([]sketch.Element, 0, cfg.TopK),
 	}
 	d.closed.Store(&view{})
 	return d, nil
 }
-
-// Config returns the detector's configuration.
-func (d *Detector) Config() Config { return d.cfg }
 
 // Observe feeds one admitted packet's destination key and byte size
 // into the current window.
@@ -178,8 +165,8 @@ func (d *Detector) rank() []Victim {
 	for _, e := range d.scratch {
 		share := float64(e.Count) / float64(d.windowBytes)
 		streak, wasListed := d.listed[e.Key]
-		keep := share >= d.cfg.ActivateShare ||
-			(wasListed && share >= d.cfg.ReleaseShare)
+		keep := share >= ActivateShare ||
+			(wasListed && share >= ReleaseShare)
 		if !keep {
 			continue
 		}
@@ -208,6 +195,3 @@ func (d *Detector) Victims() []Victim { return d.closed.Load().victims }
 // Windows returns how many windows have been closed. Safe from any
 // goroutine.
 func (d *Detector) Windows() uint64 { return d.closed.Load().windows }
-
-// PendingBytes returns the bytes observed in the still-open window.
-func (d *Detector) PendingBytes() uint64 { return d.windowBytes }

@@ -203,8 +203,7 @@ func TestDetectorSnapshotRejectsCorruption(t *testing.T) {
 		t.Fatal("truncated snapshot accepted")
 	}
 
-	small, _ := New(Config{TopK: 2, SketchRows: 4, SketchCols: 4096,
-		ActivateShare: 0.2, ReleaseShare: 0.1, Seed: 1})
+	small, _ := New(Config{TopK: 2, SketchRows: 4, SketchCols: 4096})
 	if err := small.Unmarshal(bytes.NewReader(blob)); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
@@ -251,8 +250,8 @@ func TestDetectorConcurrentObserve(t *testing.T) {
 				}
 				last = w
 				for _, v := range d.Victims() {
-					if v.Share < cfg.ReleaseShare || v.Windows < 1 {
-						t.Errorf("reader saw %+v below the release share %v", v, cfg.ReleaseShare)
+					if v.Share < ReleaseShare || v.Windows < 1 {
+						t.Errorf("reader saw %+v below the release share %v", v, ReleaseShare)
 						return
 					}
 				}
@@ -276,18 +275,15 @@ func TestDetectorConcurrentObserve(t *testing.T) {
 	if got, want := d.Victims(), alone.Victims(); !reflect.DeepEqual(got, want) || len(want) == 0 {
 		t.Fatalf("victims with readers %+v, alone %+v", got, want)
 	}
-	if got := d.PendingBytes(); got != 0 {
+	if got := d.windowBytes; got != 0 {
 		t.Fatalf("pending bytes after Advance = %d", got)
 	}
 }
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{TopK: 0, SketchRows: 4, SketchCols: 64, ActivateShare: 0.2, ReleaseShare: 0.1},
-		{TopK: 4, SketchRows: 0, SketchCols: 64, ActivateShare: 0.2, ReleaseShare: 0.1},
-		{TopK: 4, SketchRows: 4, SketchCols: 64, ActivateShare: 1.5, ReleaseShare: 0.1},
-		{TopK: 4, SketchRows: 4, SketchCols: 64, ActivateShare: 0.2, ReleaseShare: 0.3},
-		{TopK: 4, SketchRows: 4, SketchCols: 64, ActivateShare: 0.2, ReleaseShare: 0},
+		{TopK: 0, SketchRows: 4, SketchCols: 64},
+		{TopK: 4, SketchRows: 0, SketchCols: 64},
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {
