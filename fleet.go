@@ -47,7 +47,8 @@ type FleetConfig struct {
 // Health reports RankSource "fleet" while the coordinator is reachable
 // and "fleet-fallback:local" (with the Degraded bit set) while
 // partitioned — and for the first milliseconds after NewFleet, until its
-// connection and the first deployment land.
+// connection and the first deployment land. The links run
+// FleetTCPNode's fixed timers on the wall clock.
 type Fleet struct {
 	nodes []*FleetTCPNode
 	// coord is the running coordinator, or after SetLink(false) the
@@ -113,7 +114,7 @@ func (f *Fleet) LastGlobalDecision() *Decision { return f.coord.Load().LastGloba
 // SetLink partitions (false) or heals (true) the fleet the way a real
 // deployment loses and regains its coordinator. SetLink(false) closes
 // the coordinator: publishes become counted drops, every node degrades
-// to local ranking once its stale bound expires, and its dialer
+// to local ranking once its staleness bound expires, and its dialer
 // keeps retrying with backoff. SetLink(true) starts a fresh coordinator
 // on the same address — epochs and counters from zero, which the nodes
 // adopt as soon as they reconnect — and fails only if that address

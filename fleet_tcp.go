@@ -11,10 +11,6 @@ import (
 // TCP fleet re-exports, so multi-process operators need no internal
 // imports for the common path.
 type (
-	// FleetTCPOptions tunes the socket transport (heartbeats, timeouts,
-	// queue depths, reconnect backoff); the zero value is
-	// production-shaped.
-	FleetTCPOptions = fleet.TCPOptions
 	// FleetTCPNodeTransportStats is the node-side socket counter
 	// snapshot (dials, reconnects, drops, CRC resets).
 	FleetTCPNodeTransportStats = fleet.TCPNodeStats
@@ -33,8 +29,6 @@ type FleetTCPCoordinatorConfig struct {
 	// the same reason FleetConfig shares one Config: slot identity is
 	// what makes the slot-wise merge meaningful.
 	Node Config
-	// Transport tunes the socket layer.
-	Transport FleetTCPOptions
 }
 
 // FleetTCPCoordinator is the coordinator of a fleet: the
@@ -52,11 +46,11 @@ func NewFleetTCPCoordinator(cfg FleetTCPCoordinatorConfig) (*FleetTCPCoordinator
 	if err := cfg.Node.Validate(); err != nil {
 		return nil, err
 	}
-	tr, err := fleet.ListenTCP(cfg.ListenAddr, cfg.Transport)
+	tr, err := fleet.ListenTCP(cfg.ListenAddr, core.NewWallClock())
 	if err != nil {
 		return nil, err
 	}
-	shape, _ := fleet.Shape(cfg.Node, 0)
+	shape, _ := fleet.Shape(cfg.Node)
 	coord, err := fleet.NewCoordinator(tr, shape)
 	if err != nil {
 		tr.Close()
@@ -103,13 +97,6 @@ type FleetTCPConfig struct {
 	// Node is this node's pipeline configuration; structural settings
 	// must match the coordinator's. Node.Ranker must be nil.
 	Node Config
-	// StaleAfter is the partition-detection bound, exactly as in
-	// FleetConfig: no fleet deployment for this long means local
-	// fallback ranking. Zero means 3x the live PollInterval.
-	StaleAfter VirtualTime
-	// Transport tunes the socket layer; Transport.Seed drives the
-	// reconnect-backoff jitter stream.
-	Transport FleetTCPOptions
 }
 
 // FleetTCPNode is one vantage point of a multi-process fleet: a full
@@ -119,7 +106,11 @@ type FleetTCPConfig struct {
 // ranking and upgrades to "fleet" when the link (and the first
 // deployment) lands, which is also how it rides out coordinator
 // outages: the transport reconnects with seeded backoff while the
-// ranker degrades to fleet-fallback:local, never to undefended FIFO.
+// ranker degrades to fleet-fallback:local, never to undefended FIFO,
+// once no deployment has landed for 3x the live PollInterval. Its
+// timers are fixed: a heartbeat each way every second, a coordinator
+// link given up after 4 s of silence or a write stuck for 2 s, and
+// reconnects from 50 ms doubling to 5 s.
 type FleetTCPNode struct {
 	tr     *fleet.TCPTransport
 	ranker *fleet.Node
@@ -131,12 +122,12 @@ func NewFleetTCP(cfg FleetTCPConfig) (*FleetTCPNode, error) {
 	if cfg.Node.Ranker != nil {
 		return nil, fmt.Errorf("accturbo: a fleet node's Config.Ranker must be nil; the fleet installs its own ranker")
 	}
-	tr, err := fleet.DialTCP(cfg.CoordinatorAddr, cfg.NodeID, cfg.Transport)
+	tr, err := fleet.DialTCP(cfg.CoordinatorAddr, cfg.NodeID, core.NewWallClock())
 	if err != nil {
 		return nil, err
 	}
 	n := &FleetTCPNode{tr: tr}
-	_, shape := fleet.Shape(cfg.Node, cfg.StaleAfter)
+	_, shape := fleet.Shape(cfg.Node)
 	n.d, err = newRealTime(cfg.Node, func(now func() VirtualTime) (_ core.Ranker, err error) {
 		n.ranker, err = fleet.NewNode(cfg.NodeID, tr, now, shape)
 		return n.ranker, err
@@ -162,7 +153,8 @@ func (n *FleetTCPNode) TransportStats() FleetTCPNodeTransportStats { return n.tr
 // Connected reports whether the coordinator link is up right now. Note
 // the ranking source lags this by design: a freshly connected node
 // stays on fallback until the next deployment lands, and a freshly
-// disconnected one rides the last deployment until StaleAfter expires.
+// disconnected one rides the last deployment until it is 3x the live
+// PollInterval old.
 func (n *FleetTCPNode) Connected() bool { return n.tr.Connected() }
 
 // Close stops the node: pipeline first — after which the ranker cannot

@@ -10,20 +10,6 @@ import (
 	"accturbo/internal/fleet"
 )
 
-// tcpFleetOpts shrinks the socket timers so liveness transitions land
-// in milliseconds.
-func tcpFleetOpts() FleetTCPOptions {
-	return FleetTCPOptions{
-		HeartbeatEvery: 20 * time.Millisecond,
-		PeerTimeout:    120 * time.Millisecond,
-		WriteTimeout:   500 * time.Millisecond,
-		DialTimeout:    500 * time.Millisecond,
-		BackoffMin:     5 * time.Millisecond,
-		BackoffMax:     50 * time.Millisecond,
-		Seed:           7,
-	}
-}
-
 // waitNoExtraGoroutines is the facade-level no-leak gate: after every
 // fleet component closes, the goroutine count must return to base.
 func waitNoExtraGoroutines(t *testing.T, base int) {
@@ -46,15 +32,17 @@ func waitNoExtraGoroutines(t *testing.T, base int) {
 // watch every node degrade to the sticky local fallback (never
 // undefended FIFO), restart the coordinator on the same address, and
 // watch every node recover. Closes everything and verifies zero
-// goroutine leaks.
+// goroutine leaks. The transport runs on its production timers; the
+// poll interval is 7 ms, so the 3-poll staleness bound (21 ms) clears
+// the proxy's 2 ms stalls.
 func TestFleetTCPChaosArc(t *testing.T) {
 	base := runtime.NumGoroutine()
 	nodeCfg := fleetCfg().Node
+	nodeCfg.PollInterval = FromDuration(7 * time.Millisecond)
 
 	coord, err := NewFleetTCPCoordinator(FleetTCPCoordinatorConfig{
 		ListenAddr: "127.0.0.1:0",
 		Node:       nodeCfg,
-		Transport:  tcpFleetOpts(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +68,6 @@ func TestFleetTCPChaosArc(t *testing.T) {
 			CoordinatorAddr: px.Addr(),
 			NodeID:          uint32(i),
 			Node:            nodeCfg,
-			StaleAfter:      FromDuration(20 * time.Millisecond),
-			Transport:       tcpFleetOpts(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -170,7 +156,6 @@ func TestFleetTCPChaosArc(t *testing.T) {
 	coord2, err := NewFleetTCPCoordinator(FleetTCPCoordinatorConfig{
 		ListenAddr: coordAddr,
 		Node:       nodeCfg,
-		Transport:  tcpFleetOpts(),
 	})
 	if err != nil {
 		t.Fatalf("coordinator restart on %s: %v", coordAddr, err)
@@ -219,8 +204,6 @@ func TestFleetTCPStartsDegradedWithoutCoordinator(t *testing.T) {
 		CoordinatorAddr: deadAddr,
 		NodeID:          1,
 		Node:            fleetCfg().Node,
-		StaleAfter:      FromDuration(10 * time.Millisecond),
-		Transport:       tcpFleetOpts(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +244,6 @@ func TestFleetTCPCloseWhilePublishing(t *testing.T) {
 		coord, err := NewFleetTCPCoordinator(FleetTCPCoordinatorConfig{
 			ListenAddr: "127.0.0.1:0",
 			Node:       fleetCfg().Node,
-			Transport:  tcpFleetOpts(),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -272,7 +254,6 @@ func TestFleetTCPCloseWhilePublishing(t *testing.T) {
 				CoordinatorAddr: coord.Addr(),
 				NodeID:          uint32(i),
 				Node:            fleetCfg().Node,
-				Transport:       tcpFleetOpts(),
 			})
 			if err != nil {
 				t.Fatal(err)

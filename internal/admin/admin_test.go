@@ -90,18 +90,6 @@ func fastCfg() accturbo.Config {
 	return cfg
 }
 
-func fastTCP() accturbo.FleetTCPOptions {
-	return accturbo.FleetTCPOptions{
-		HeartbeatEvery: 20 * time.Millisecond,
-		PeerTimeout:    120 * time.Millisecond,
-		WriteTimeout:   500 * time.Millisecond,
-		DialTimeout:    500 * time.Millisecond,
-		BackoffMin:     5 * time.Millisecond,
-		BackoffMax:     50 * time.Millisecond,
-		Seed:           7,
-	}
-}
-
 func testPacket(i int) *accturbo.Packet {
 	return &accturbo.Packet{
 		SrcIP: accturbo.V4(10, byte(i>>8), byte(i), 1), DstIP: accturbo.V4(198, 18, 0, byte(i)),
@@ -355,14 +343,14 @@ func TestEndpointsFleet(t *testing.T) {
 // loopback link, then the node's 503 against a dead coordinator address.
 func TestEndpointsTCP(t *testing.T) {
 	c, err := accturbo.NewFleetTCPCoordinator(accturbo.FleetTCPCoordinatorConfig{
-		ListenAddr: "127.0.0.1:0", Node: fastCfg(), Transport: fastTCP(),
+		ListenAddr: "127.0.0.1:0", Node: fastCfg(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	n, err := accturbo.NewFleetTCP(accturbo.FleetTCPConfig{
-		CoordinatorAddr: c.Addr(), NodeID: 5, Node: fastCfg(), Transport: fastTCP(),
+		CoordinatorAddr: c.Addr(), NodeID: 5, Node: fastCfg(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +380,6 @@ func TestEndpointsTCP(t *testing.T) {
 	ln.Close()
 	orphan, err := accturbo.NewFleetTCP(accturbo.FleetTCPConfig{
 		CoordinatorAddr: dead, NodeID: 6, Node: fastCfg(),
-		StaleAfter: accturbo.FromDuration(10 * time.Millisecond), Transport: fastTCP(),
 	})
 	if err != nil {
 		t.Fatal(err)

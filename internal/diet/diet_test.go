@@ -68,18 +68,6 @@ var allowlist = []allowed{
 	// The event loop's oracle: netsim's TestInlineMatchesSteppedSchedule
 	// compares the inline schedule against a Step-driven run.
 	{"method", "eventsim.Engine.Step", "the stepped schedule the inline event loop is checked against", "10"},
-	// Tests shorten the TCP transport's wall-clock timers through these.
-	{"field", "fleet.TCPOptions.HeartbeatEvery", "tests shorten wall-clock timers", "5(d)"},
-	{"field", "fleet.TCPOptions.PeerTimeout", "tests shorten wall-clock timers", "5(d)"},
-	{"field", "fleet.TCPOptions.WriteTimeout", "tests shorten wall-clock timers", "5(d)"},
-	{"field", "fleet.TCPOptions.SendQueueDepth", "tests size their bursts by it", "5(d)"},
-	{"field", "fleet.TCPOptions.DialTimeout", "tests shorten wall-clock timers", "5(d)"},
-	{"field", "fleet.TCPOptions.BackoffMin", "tests shorten wall-clock timers", "5(d)"},
-	{"field", "fleet.TCPOptions.BackoffMax", "tests shorten wall-clock timers", "5(d)"},
-	{"field", "fleet.TCPOptions.Seed", "tests pin the backoff jitter", "5(d)"},
-	{"field", "accturbo.FleetTCPCoordinatorConfig.Transport", "carries TCPOptions", "5(d)"},
-	{"field", "accturbo.FleetTCPConfig.Transport", "carries TCPOptions", "5(d)"},
-	{"field", "accturbo.FleetTCPConfig.StaleAfter", "TestFleetTCPChaosArc widens the partition bound past the chaos proxy's stalls", "5(d)"},
 }
 
 // TestDiet runs every rule over the module and prints one

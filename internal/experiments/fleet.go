@@ -42,9 +42,6 @@ const (
 	fleetNodes      = 3
 	fleetBenignRate = 7e6
 	fleetAttackRate = 5e6
-	// fleetStaleAfter is the partition bound: 3 poll intervals, the
-	// same multiple the PR 5 watchdog uses.
-	fleetStaleAfter = 750 * eventsim.Millisecond
 	// The coordinator partition: starts mid-pulse-2 (pulses occupy
 	// [10,20), [30,40), ...) and heals before pulse 3.
 	fleetPartitionAt   = 34 * eventsim.Second
@@ -109,7 +106,7 @@ type fleetRun struct {
 func runFleetDefense(seed int64, end eventsim.Time, fleetMode bool, partitionAt, healAt eventsim.Time, sampleAt []eventsim.Time) *fleetRun {
 	eng := eventsim.New()
 	run := &fleetRun{sources: make(map[eventsim.Time][fleetNodes]string)}
-	coordShape, nodeShape := fleet.Shape(fleetTurboConfig(), fleetStaleAfter)
+	coordShape, nodeShape := fleet.Shape(fleetTurboConfig())
 	if fleetMode {
 		run.tr = fleet.NewSimTransport(eng, eventsim.Millisecond)
 		run.coord = must(fleet.NewCoordinator(run.tr, coordShape))
@@ -197,7 +194,7 @@ func Fleet(opt Options) *Result {
 	end := sized(opt, 100*eventsim.Second, 50*eventsim.Second)
 	samples := []eventsim.Time{
 		fleetPartitionAt - 2*eventsim.Second, // connected, mid-pulse 2
-		fleetPartitionAt + 4*eventsim.Second, // partitioned past StaleAfter
+		fleetPartitionAt + 4*eventsim.Second, // partitioned past the staleness bound
 		fleetPartitionHeal + 4*eventsim.Second,
 	}
 

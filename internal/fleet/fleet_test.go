@@ -283,7 +283,7 @@ func TestNodeFallbackAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt := simRT()
-	node, err := NewNode(1, tr, eng.Now, NodeConfig{Slots: 2, NumQueues: 2, StaleAfter: 3 * rt.PollInterval})
+	node, err := NewNode(1, tr, eng.Now, NodeConfig{Slots: 2, NumQueues: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestNodeFallbackAndRecovery(t *testing.T) {
 	eng.At(1*step, poll(slotInfos(1000, 600)))
 	// Partition just after poll 1's publish is delivered.
 	eng.At(1*step+5000, func(eventsim.Time) { tr.SetUp(false) })
-	// Polls 2-4: last deploy ages past StaleAfter by poll 5.
+	// Polls 2-4: last deploy ages past the 3-poll bound by poll 5.
 	eng.At(2*step, poll(slotInfos(1000, 600)))
 	eng.At(3*step, poll(slotInfos(1000, 600)))
 	eng.At(4*step, poll(slotInfos(1000, 600)))
@@ -376,7 +376,7 @@ func TestNodeFallbackAndRecovery(t *testing.T) {
 func TestNodeRejectsBadDeploys(t *testing.T) {
 	eng := eventsim.New()
 	tr := NewSimTransport(eng, 0)
-	node, err := NewNode(1, tr, eng.Now, NodeConfig{Slots: 2, NumQueues: 2, StaleAfter: 1000})
+	node, err := NewNode(1, tr, eng.Now, NodeConfig{Slots: 2, NumQueues: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +401,8 @@ func TestNodeRejectsBadDeploys(t *testing.T) {
 // and is reborn counting from 1 must not be ignored until it has caught
 // up. Whether it comes back at once (the node is still riding the dead
 // one's last deployment) or after the node fell back, the node ranks
-// from the new coordinator within StaleAfter plus two polls of its first
-// broadcast.
+// from the new coordinator within the staleness bound plus two polls of
+// its first broadcast.
 func TestNodeAdoptsRestartedCoordinator(t *testing.T) {
 	for name, outagePolls := range map[string]int{"at once": 0, "after the node fell back": 5} {
 		eng := eventsim.New()
@@ -413,7 +413,7 @@ func TestNodeAdoptsRestartedCoordinator(t *testing.T) {
 		}
 		rt := simRT()
 		step, stale := rt.PollInterval, 3*rt.PollInterval
-		node, err := NewNode(1, tr, eng.Now, NodeConfig{Slots: 2, NumQueues: 2, StaleAfter: stale})
+		node, err := NewNode(1, tr, eng.Now, NodeConfig{Slots: 2, NumQueues: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -467,7 +467,7 @@ func TestCoordinatorAdoptsRestartedNode(t *testing.T) {
 	}
 	rt := simRT()
 	step := rt.PollInterval
-	ncfg := NodeConfig{Slots: 2, NumQueues: 2, StaleAfter: 3 * step}
+	ncfg := NodeConfig{Slots: 2, NumQueues: 2}
 	node, err := NewNode(1, tr, eng.Now, ncfg)
 	if err != nil {
 		t.Fatal(err)

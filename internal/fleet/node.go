@@ -17,34 +17,26 @@ type NodeConfig struct {
 	// ranking and deploy validation use them.
 	Slots     int
 	NumQueues int
-	// StaleAfter is the fleet staleness bound: when the newest global
-	// deployment is older than this (in the node's clock), the node
-	// falls back to ranking its own snapshot locally. Zero means 3x the
-	// live PollInterval, re-read every poll so a Reconfigure moves the
-	// bound with it — the same shape as the PR 5 watchdog bound, but the
-	// degradation target is the node's *local ranking*, never the
-	// undefended uniform map: a partitioned node keeps defending with
-	// the best view it has.
-	StaleAfter eventsim.Time
 }
 
 // Shape derives the coordinator's and a node's structural settings from
 // the pipeline Config every node of the fleet runs, mirroring core's own
 // NumQueues defaulting: both must size their slots and queues exactly
 // like the pipelines they serve.
-func Shape(cfg core.Config, staleAfter eventsim.Time) (CoordinatorConfig, NodeConfig) {
+func Shape(cfg core.Config) (CoordinatorConfig, NodeConfig) {
 	slots, queues := cfg.Clustering.MaxClusters, cfg.NumQueues
 	if queues == 0 {
 		queues = slots
 	}
 	return CoordinatorConfig{Slots: slots, NumQueues: queues, Ranking: cfg.Ranking, Distance: cfg.Clustering.Distance},
-		NodeConfig{Slots: slots, NumQueues: queues, StaleAfter: staleAfter}
+		NodeConfig{Slots: slots, NumQueues: queues}
 }
 
 // Node is the fleet-mode core.Ranker: on every poll it publishes the
 // node's freshly polled snapshot to the coordinator and deploys the
 // newest global ranking — or, past the staleness bound, a locally
-// computed one.
+// computed one. The bound is 3x the live PollInterval, in the node's
+// clock, re-read every poll so a Reconfigure moves it; it has no knob.
 //
 // The fallback is sticky in what it *reports*: once engaged, Source()
 // and RankingDegraded() keep saying fallback until a fresh fleet
@@ -69,7 +61,7 @@ type Node struct {
 	seq        uint64
 	deploy     *Deploy       // newest applied-or-applicable global deployment
 	deployAt   eventsim.Time // node-clock arrival time of deploy
-	staleAfter eventsim.Time // the bound the last poll ran under
+	staleAfter eventsim.Time // the bound the last poll ran under; 0 before it
 	fallback   atomic.Bool   // sticky degradation flag (see above)
 
 	// Counters, readable from any goroutine.
@@ -88,10 +80,7 @@ func NewNode(id uint32, tr NodeLink, now func() eventsim.Time, cfg NodeConfig) (
 	if cfg.Slots <= 0 || cfg.NumQueues <= 0 {
 		return nil, fmt.Errorf("fleet: node needs positive Slots (%d) and NumQueues (%d)", cfg.Slots, cfg.NumQueues)
 	}
-	if cfg.StaleAfter < 0 {
-		return nil, fmt.Errorf("fleet: node StaleAfter %d < 0", cfg.StaleAfter)
-	}
-	n := &Node{id: id, tr: tr, now: now, cfg: cfg, staleAfter: cfg.StaleAfter}
+	n := &Node{id: id, tr: tr, now: now, cfg: cfg}
 	n.fallback.Store(true) // until the first deployment arrives
 	tr.HandleNode(id, n.onDeploy)
 	return n, nil
@@ -141,10 +130,7 @@ func (n *Node) Rank(now eventsim.Time, infos []cluster.Info, prev []int, rt core
 		n.published.Add(1)
 	}
 
-	staleAfter := n.cfg.StaleAfter
-	if staleAfter == 0 {
-		staleAfter = 3 * rt.PollInterval
-	}
+	staleAfter := 3 * rt.PollInterval
 
 	n.mu.Lock()
 	n.staleAfter = staleAfter

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bufio"
 	"context"
-	"errors"
 	"fmt"
 	"maps"
 	"net"
@@ -12,6 +11,8 @@ import (
 	"syscall"
 	"time"
 
+	"accturbo/internal/core"
+	"accturbo/internal/eventsim"
 	"accturbo/internal/faults"
 )
 
@@ -39,8 +40,7 @@ import (
 //   - the connection's writer goroutine otherwise — the socket would
 //     block, another write is in progress, frames are already queued,
 //     the net.Conn is not a socket, the build is not unix — from a
-//     bounded queue whose overflow is a counted drop. It also sends the
-//     heartbeats.
+//     bounded queue whose overflow is a counted drop.
 //
 // Three rules hold the two together. No overtaking: a sender writes
 // inline only while it holds the peer's write mutex and the count of
@@ -51,9 +51,9 @@ import (
 // every other frame queues behind it. No waiting: the inline write is
 // one attempt that never waits for the socket to become writable. A
 // blocking write there would stall a node's Poll, or the coordinator's
-// fan-out to every other node, behind one slow peer for up to
-// WriteTimeout — and two peers each blocked writing to the other, with
-// neither reading, would deadlock until it expired.
+// fan-out to every other node, behind one slow peer until the peer is
+// shed — and two peers each blocked writing to the other, with neither
+// reading, would deadlock until then.
 //
 // Failure semantics, per fault:
 //
@@ -64,102 +64,53 @@ import (
 //     dispatch (VerifyFrame); a failure resets the connection, and the
 //     reconnect performs a clean hello re-handshake. A corrupt frame
 //     never reaches a handler.
-//   - stalled peer: both directions heartbeat every HeartbeatEvery and
-//     read under a PeerTimeout deadline; a peer that goes silent is
+//   - stalled peer: the transport's clock ticks once a beat, and each
+//     tick heartbeats every peer. A peer that has sent nothing for
+//     silentBeats beats, or has had a write pending for stuckBeats, is
 //     shed (coordinator side) or redialed (node side). A slow peer's
-//     socket buffer fills, its bounded send queue then overflows into
-//     counted drops, and the writer goroutine's blocked write sheds it
-//     after WriteTimeout — it never blocks the broadcast path.
+//     socket buffer fills and its bounded send queue then overflows
+//     into counted drops; it never blocks the broadcast path.
+//   - handshake: the hello travels under socket deadlines on the wall
+//     clock, cleared once it is through; a connection that cannot
+//     finish it in time is dropped.
 //   - close: graceful drain; concurrent senders observe ErrClosed, and
 //     Close returns only after every transport goroutine has exited.
 
-// TCPOptions tunes both TCP transport halves. The zero value defaults
-// to production-shaped settings; tests shrink the timers.
-type TCPOptions struct {
-	// HeartbeatEvery is the liveness beacon period, sent by both sides
-	// whether or not traffic flows. Default 1s.
-	HeartbeatEvery time.Duration
-	// PeerTimeout is the read deadline: a connection with no frame (not
-	// even a heartbeat) for this long is considered dead — shed by the
-	// coordinator, redialed by the node. Default 4x HeartbeatEvery.
-	PeerTimeout time.Duration
-	// WriteTimeout bounds each frame write; exceeding it marks the peer
-	// dead. Default 2s.
-	WriteTimeout time.Duration
-	// SendQueueDepth bounds the per-peer send queue; overflow is a
-	// counted drop, never backpressure into the control loop.
-	// Default 64.
-	SendQueueDepth int
-	// DialTimeout bounds each connection attempt. Default 2s.
-	DialTimeout time.Duration
-	// BackoffMin/BackoffMax bound the reconnect schedule: the delay
-	// doubles from BackoffMin per consecutive failure up to BackoffMax,
-	// then jitters uniformly in [d/2, d) from the seeded stream.
-	// Defaults 50ms / 5s.
-	BackoffMin time.Duration
-	BackoffMax time.Duration
-	// Seed drives the backoff jitter through a faults.Rand splitmix64
-	// stream (derived per node id), so reconnect schedules are
-	// deterministic in tests. Default 1.
-	Seed uint64
-}
+// The transport's timers: liveness ticks once a beat on the clock each
+// half is built with; the dial and hello deadlines are on the wall clock.
+// The backoff jitter stream of node id is seeded with
+// faults.DeriveSeed(jitterSeed, id).
+const (
+	beat           = eventsim.Second
+	silentBeats    = 4
+	stuckBeats     = 2
+	dialTimeout    = 2 * time.Second
+	helloWrite     = 2 * time.Second
+	helloRead      = 4 * time.Second
+	backoffMin     = 50 * time.Millisecond
+	backoffMax     = 5 * time.Second
+	jitterSeed     = 1
+	sendQueueDepth = 64 // per peer; overflow is a counted drop
+)
 
-func (o TCPOptions) withDefaults() TCPOptions {
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = time.Second
-	}
-	if o.PeerTimeout <= 0 {
-		o.PeerTimeout = 4 * o.HeartbeatEvery
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 2 * time.Second
-	}
-	if o.SendQueueDepth <= 0 {
-		o.SendQueueDepth = 64
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
-	}
-	if o.BackoffMin <= 0 {
-		o.BackoffMin = 50 * time.Millisecond
-	}
-	if o.BackoffMax < o.BackoffMin {
-		o.BackoffMax = 5 * time.Second
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
-// backoff is the reconnect schedule: exponential from min to max with
-// jitter in [d/2, d) drawn from a seeded splitmix64 stream, so a test
-// (or a postmortem) can replay the exact delays a node slept.
+// backoff is the reconnect schedule: exponential from backoffMin to
+// backoffMax with jitter in [d/2, d) drawn from a seeded splitmix64
+// stream, so a test (or a postmortem) can replay the exact delays a node
+// slept.
 type backoff struct {
-	min, max time.Duration
-	attempt  int
-	rng      *faults.Rand
-}
-
-func newBackoff(min, max time.Duration, rng *faults.Rand) *backoff {
-	return &backoff{min: min, max: max, rng: rng}
+	attempt int
+	rng     *faults.Rand
 }
 
 // next returns the delay before the attempt'th retry and advances the
 // schedule.
 func (b *backoff) next() time.Duration {
-	d := b.min
-	for i := 0; i < b.attempt && d < b.max; i++ {
+	d := backoffMin
+	for i := 0; i < b.attempt && d < backoffMax; i++ {
 		d *= 2
 	}
-	if d > b.max {
-		d = b.max
-	}
 	b.attempt++
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
+	half := min(d, backoffMax) / 2
 	return half + time.Duration(b.rng.Next()%uint64(half))
 }
 
@@ -175,18 +126,21 @@ type tcpCounters struct {
 // tcpPeer is one live connection: a buffered reader (the handshake's
 // too, so no byte is lost between hello and the read loop), the send
 // path described in the file header, and a stop channel + once so either
-// the reader, the writer, a replacement connection, or Close can tear it
-// down exactly once.
+// the reader, the writer, the tick, a replacement connection, or Close
+// can tear it down exactly once.
 type tcpPeer struct {
 	id       uint32
 	conn     net.Conn
 	br       *bufio.Reader
 	stop     chan struct{}
 	once     sync.Once
-	lastSeen atomic.Int64 // wall ns of the last received frame
+	clock    core.Clock   // the owning transport's
+	lastSeen atomic.Int64 // clock time of the last received frame
+	// writeSince is the clock time the writer goroutine's current write
+	// began, or notWriting.
+	writeSince atomic.Int64
 
-	writeTimeout time.Duration
-	c            *tcpCounters // the owning transport's
+	c *tcpCounters // the owning transport's
 
 	// wmu is held for every write to conn. Senders only ever TryLock it.
 	wmu sync.Mutex
@@ -209,17 +163,20 @@ type tcpPeer struct {
 	kick chan struct{}
 }
 
-func newTCPPeer(id uint32, conn net.Conn, br *bufio.Reader, opts *TCPOptions, c *tcpCounters) *tcpPeer {
+const notWriting = -1
+
+func newTCPPeer(id uint32, conn net.Conn, br *bufio.Reader, clock core.Clock, c *tcpCounters) *tcpPeer {
 	p := &tcpPeer{
-		id:           id,
-		conn:         conn,
-		br:           br,
-		stop:         make(chan struct{}),
-		writeTimeout: opts.WriteTimeout,
-		c:            c,
-		sendq:        make(chan []byte, opts.SendQueueDepth),
-		kick:         make(chan struct{}, 1),
+		id:    id,
+		conn:  conn,
+		br:    br,
+		stop:  make(chan struct{}),
+		clock: clock,
+		c:     c,
+		sendq: make(chan []byte, sendQueueDepth),
+		kick:  make(chan struct{}, 1),
 	}
+	p.writeSince.Store(notWriting)
 	if sc, ok := conn.(syscall.Conn); ok {
 		p.raw, _ = sc.SyscallConn() // no socket: every send queues
 	}
@@ -233,14 +190,31 @@ func newTCPPeer(id uint32, conn net.Conn, br *bufio.Reader, opts *TCPOptions, c 
 	return p
 }
 
-func (p *tcpPeer) shutdown() {
+// shutdown tears the connection down; true for the call that did.
+func (p *tcpPeer) shutdown() (first bool) {
 	p.once.Do(func() {
 		close(p.stop)
 		p.conn.Close()
+		first = true
 	})
+	return first
 }
 
-func (p *tcpPeer) touch() { p.lastSeen.Store(time.Now().UnixNano()) }
+func (p *tcpPeer) touch() { p.lastSeen.Store(int64(p.clock.Now())) }
+
+// tick is one beat of the peer's liveness, at now. A peer that has sent
+// nothing for more than silentBeats beats, or has had a write pending
+// for stuckBeats, is shut down (true for the call that did); any other
+// gets the heartbeat hb.
+func (p *tcpPeer) tick(now eventsim.Time, hb []byte) (shed bool) {
+	since := p.writeSince.Load()
+	if now-eventsim.Time(p.lastSeen.Load()) > silentBeats*beat ||
+		since != notWriting && now-eventsim.Time(since) >= stuckBeats*beat {
+		return p.shutdown()
+	}
+	p.send(hb)
+	return false
+}
 
 // send puts one frame on its way without ever blocking: written to the
 // socket here when that is allowed and the kernel takes it, queued for
@@ -284,13 +258,14 @@ func (p *tcpPeer) send(frame []byte) bool {
 	}
 }
 
-// write is the writer goroutine's blocking write under the write
-// deadline: first what a short inline write left over, then frame (nil
-// for none).
+// write is the writer goroutine's blocking write: first what a short
+// inline write left over, then frame (nil for none). It stamps
+// writeSince for the tick while it runs.
 func (p *tcpPeer) write(frame []byte) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	p.conn.SetWriteDeadline(time.Now().Add(p.writeTimeout))
+	p.writeSince.Store(int64(p.clock.Now()))
+	defer p.writeSince.Store(notWriting)
 	if p.head != nil {
 		head := p.head
 		p.head = nil
@@ -306,18 +281,14 @@ func (p *tcpPeer) write(frame []byte) error {
 		}
 		p.c.framesOut.Add(1)
 	}
-	// A deadline left standing would, once past, fail the inline write
-	// before it tried.
-	return p.conn.SetWriteDeadline(time.Time{})
+	return nil
 }
 
-// writeLoop is the connection's writer goroutine: the slow path of send
-// and the heartbeat ticker. A failed write (a stalled reader on the far
-// side must not wedge the writer) shuts the connection down and returns
-// true; a stop from elsewhere returns false.
-func (p *tcpPeer) writeLoop(every time.Duration, beat []byte) bool {
-	hb := time.NewTicker(every)
-	defer hb.Stop()
+// writeLoop is the connection's writer goroutine, the slow path of send.
+// A failed write shuts the connection down and returns true, unless
+// something else shut it down first; a stop from elsewhere returns
+// false.
+func (p *tcpPeer) writeLoop() bool {
 	for {
 		var err error
 		select {
@@ -328,12 +299,9 @@ func (p *tcpPeer) writeLoop(every time.Duration, beat []byte) bool {
 		case frame := <-p.sendq:
 			err = p.write(frame)
 			p.queued.Add(-1)
-		case <-hb.C:
-			err = p.write(beat)
 		}
 		if err != nil {
-			p.shutdown()
-			return true
+			return p.shutdown()
 		}
 	}
 }
@@ -342,16 +310,13 @@ func (p *tcpPeer) writeLoop(every time.Duration, beat []byte) bool {
 // before anything looks at it: frames of type want go to deliver,
 // heartbeats only feed the last-seen clock, and a frame that fails
 // verification or that this direction never carries ends the loop with a
-// counted reset (nil) — the stream is no longer trusted, and the node's
-// redial re-handshakes cleanly. A failed read ends it with that error; a
-// timeout means the peer sent nothing, not even a heartbeat, for
-// peerTimeout.
-func (p *tcpPeer) readLoop(peerTimeout time.Duration, want uint8, deliver func(raw []byte)) error {
+// counted reset — the stream is no longer trusted, and the node's redial
+// re-handshakes cleanly. A failed read ends it too.
+func (p *tcpPeer) readLoop(want uint8, deliver func(raw []byte)) {
 	for {
-		p.conn.SetReadDeadline(time.Now().Add(peerTimeout))
 		raw, err := ReadFrame(p.br)
 		if err != nil {
-			return err
+			return
 		}
 		switch msgType, err := VerifyFrame(raw); {
 		case err == nil && msgType == want:
@@ -363,7 +328,7 @@ func (p *tcpPeer) readLoop(peerTimeout time.Duration, want uint8, deliver func(r
 			p.c.heartbeatsIn.Add(1)
 		default:
 			p.c.crcResets.Add(1)
-			return nil
+			return
 		}
 	}
 }
@@ -395,8 +360,8 @@ type TCPCoordinatorStats struct {
 	DropsNoPeer    uint64
 	DropsQueueFull uint64
 	// CRCResets counts connections reset after a frame failed
-	// verification; PeersShed counts connections dropped for silence
-	// (read deadline) or write failure.
+	// verification; PeersShed counts connections dropped for silence, a
+	// stuck write or a failed one.
 	CRCResets uint64
 	PeersShed uint64
 	// HeartbeatsIn counts node heartbeats received.
@@ -410,8 +375,9 @@ type TCPCoordinatorStats struct {
 // identified by its MsgHello. It implements CoordinatorLink; nodes hold
 // their own TCPTransport on the far side of the sockets.
 type TCPCoordinatorTransport struct {
-	opts TCPOptions
-	ln   net.Listener
+	ln       net.Listener
+	clock    core.Clock
+	stopTick func()
 
 	// mu orders registrations against Close. What every frame reads —
 	// the handler, the peer table, closed — is read without it: the
@@ -433,17 +399,30 @@ type TCPCoordinatorTransport struct {
 // ListenTCP starts the coordinator-side transport on addr (":0" picks a
 // free port; read it back with Addr). Register the coordinator before
 // nodes dial in, or early snapshots are dropped on the floor — which
-// the protocol tolerates, but the first merge then waits a poll.
-func ListenTCP(addr string, opts TCPOptions) (*TCPCoordinatorTransport, error) {
+// the protocol tolerates, but the first merge then waits a poll. The
+// liveness tick runs on clock.
+func ListenTCP(addr string, clock core.Clock) (*TCPCoordinatorTransport, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: coordinator listen: %w", err)
 	}
-	t := &TCPCoordinatorTransport{opts: opts.withDefaults(), ln: ln}
+	t := &TCPCoordinatorTransport{ln: ln, clock: clock}
 	t.peers.Store(&map[uint32]*tcpPeer{})
+	t.stopTick = clock.Every(beat, t.tick)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
+}
+
+// tick runs every peer's liveness, once a beat.
+func (t *TCPCoordinatorTransport) tick(now eventsim.Time) {
+	hb := EncodeHeartbeat(0)
+	for _, p := range *t.peers.Load() {
+		if p.tick(now, hb) {
+			t.peersShed.Add(1)
+			t.dropPeer(p)
+		}
+	}
 }
 
 // Addr returns the listener's bound address.
@@ -461,28 +440,30 @@ func (t *TCPCoordinatorTransport) acceptLoop() {
 	}
 }
 
-// handshake reads the connection's MsgHello under a deadline and
-// registers the peer. A second connection for the same node id replaces
-// the first (the node redialed; the stale socket may not know it is
-// dead yet), which is the clean re-handshake path after a CRC reset.
+// handshake reads the connection's MsgHello under a deadline, clears
+// it, and registers the peer. A second connection for the same node id
+// replaces the first (the node redialed; the stale socket may not know
+// it is dead yet), which is the clean re-handshake path after a CRC
+// reset.
 func (t *TCPCoordinatorTransport) handshake(conn net.Conn) {
 	defer t.wg.Done()
 	tuneConn(conn)
-	conn.SetReadDeadline(time.Now().Add(t.opts.PeerTimeout))
+	conn.SetReadDeadline(time.Now().Add(helloRead))
 	br := bufio.NewReaderSize(conn, readBuffer)
+	var node uint32
 	raw, err := ReadFrame(br)
-	if err != nil {
-		t.handshakeFails.Add(1)
-		conn.Close()
-		return
+	if err == nil {
+		node, err = DecodeHello(raw)
 	}
-	node, err := DecodeHello(raw)
+	if err == nil {
+		err = conn.SetReadDeadline(time.Time{})
+	}
 	if err != nil || node == 0 {
 		t.handshakeFails.Add(1)
 		conn.Close()
 		return
 	}
-	p := newTCPPeer(node, conn, br, &t.opts, &t.tcpCounters)
+	p := newTCPPeer(node, conn, br, t.clock, &t.tcpCounters)
 	t.mu.Lock()
 	if t.closed.Load() {
 		t.mu.Unlock()
@@ -521,20 +502,16 @@ func (t *TCPCoordinatorTransport) dropPeer(p *tcpPeer) {
 func (t *TCPCoordinatorTransport) readLoop(p *tcpPeer) {
 	defer t.wg.Done()
 	defer t.dropPeer(p)
-	err := p.readLoop(t.opts.PeerTimeout, MsgSnapshot, func(raw []byte) {
+	p.readLoop(MsgSnapshot, func(raw []byte) {
 		if h := t.coord.Load(); h != nil {
 			(*h)(p.id, raw)
 		}
 	})
-	var ne net.Error
-	if errors.As(err, &ne) && ne.Timeout() {
-		t.peersShed.Add(1) // silent peer: liveness expired
-	}
 }
 
 func (t *TCPCoordinatorTransport) writeLoop(p *tcpPeer) {
 	defer t.wg.Done()
-	if p.writeLoop(t.opts.HeartbeatEvery, EncodeHeartbeat(0)) {
+	if p.writeLoop() {
 		t.peersShed.Add(1)
 		t.dropPeer(p)
 	}
@@ -570,13 +547,13 @@ func (t *TCPCoordinatorTransport) ToNode(to uint32, frame []byte) error {
 
 // LastSeen reports, per connected node, how long ago its last frame
 // (snapshot or heartbeat) arrived — the per-node liveness view /health
-// serves.
+// serves — on the transport's clock.
 func (t *TCPCoordinatorTransport) LastSeen() map[uint32]time.Duration {
-	now := time.Now().UnixNano()
+	now := t.clock.Now()
 	peers := *t.peers.Load()
 	out := make(map[uint32]time.Duration, len(peers))
 	for id, p := range peers {
-		out[id] = time.Duration(now - p.lastSeen.Load())
+		out[id] = (now - eventsim.Time(p.lastSeen.Load())).Duration()
 	}
 	return out
 }
@@ -606,6 +583,7 @@ func (t *TCPCoordinatorTransport) Close() {
 	peers := *t.peers.Load()
 	t.mu.Unlock()
 	if !already {
+		t.stopTick()
 		t.ln.Close()
 		for _, p := range peers {
 			p.shutdown()
@@ -646,9 +624,10 @@ type TCPNodeStats struct {
 // rides its local-ranking fallback until the link (and the first fleet
 // deploy) lands.
 type TCPTransport struct {
-	id   uint32
-	addr string
-	opts TCPOptions
+	id       uint32
+	addr     string
+	clock    core.Clock
+	stopTick func()
 
 	// ctx ends at Close: it stops the redial loop, an in-flight dial and
 	// the backoff sleep.
@@ -670,8 +649,9 @@ type TCPTransport struct {
 }
 
 // DialTCP starts the node-side transport for node id against the
-// coordinator at addr. id 0 is reserved for the coordinator.
-func DialTCP(addr string, id uint32, opts TCPOptions) (*TCPTransport, error) {
+// coordinator at addr. id 0 is reserved for the coordinator. The
+// liveness tick and the backoff sleep run on clock.
+func DialTCP(addr string, id uint32, clock core.Clock) (*TCPTransport, error) {
 	if id == 0 {
 		return nil, fmt.Errorf("fleet: node id 0 is reserved for the coordinator")
 	}
@@ -682,13 +662,22 @@ func DialTCP(addr string, id uint32, opts TCPOptions) (*TCPTransport, error) {
 	t := &TCPTransport{
 		id:     id,
 		addr:   addr,
-		opts:   opts.withDefaults(),
+		clock:  clock,
 		ctx:    ctx,
 		cancel: cancel,
 	}
+	t.stopTick = clock.Every(beat, t.tick)
 	t.wg.Add(1)
 	go t.connectLoop()
 	return t, nil
+}
+
+// tick runs the connection's liveness, once a beat; a shed wakes the
+// reader, and the redial starts.
+func (t *TCPTransport) tick(now eventsim.Time) {
+	if p := t.cur.Load(); p != nil {
+		p.tick(now, EncodeHeartbeat(t.id))
+	}
 }
 
 // connectLoop is the reconnect state machine: dial → hello → serve the
@@ -696,24 +685,20 @@ func DialTCP(addr string, id uint32, opts TCPOptions) (*TCPTransport, error) {
 // redial. Close cancels the in-flight dial and the backoff sleep.
 func (t *TCPTransport) connectLoop() {
 	defer t.wg.Done()
-	bo := newBackoff(t.opts.BackoffMin, t.opts.BackoffMax,
-		faults.NewRand(faults.DeriveSeed(t.opts.Seed, uint64(t.id))))
-	for {
-		if t.ctx.Err() != nil {
-			return
-		}
+	bo := &backoff{rng: faults.NewRand(faults.DeriveSeed(jitterSeed, uint64(t.id)))}
+	for t.ctx.Err() == nil {
 		t.dials.Add(1)
-		d := net.Dialer{Timeout: t.opts.DialTimeout}
-		conn, err := d.DialContext(t.ctx, "tcp", t.addr)
-		if err == nil {
-			if t.runConn(conn) {
-				bo.reset()
-			}
+		d := net.Dialer{Timeout: dialTimeout}
+		if conn, err := d.DialContext(t.ctx, "tcp", t.addr); err == nil && t.runConn(conn) {
+			bo.reset()
 		}
+		wake := make(chan struct{})
+		cancel := t.clock.After(eventsim.FromDuration(bo.next()), func(eventsim.Time) { close(wake) })
 		select {
 		case <-t.ctx.Done():
+			cancel()
 			return
-		case <-time.After(bo.next()):
+		case <-wake:
 		}
 	}
 }
@@ -723,12 +708,16 @@ func (t *TCPTransport) connectLoop() {
 // regardless of how the connection later died.
 func (t *TCPTransport) runConn(conn net.Conn) bool {
 	tuneConn(conn)
-	conn.SetWriteDeadline(time.Now().Add(t.opts.WriteTimeout))
-	if err := WriteFrame(conn, EncodeHello(t.id)); err != nil {
+	conn.SetWriteDeadline(time.Now().Add(helloWrite))
+	err := WriteFrame(conn, EncodeHello(t.id))
+	if err == nil {
+		err = conn.SetWriteDeadline(time.Time{})
+	}
+	if err != nil {
 		conn.Close()
 		return false
 	}
-	p := newTCPPeer(t.id, conn, bufio.NewReaderSize(conn, readBuffer), &t.opts, &t.tcpCounters)
+	p := newTCPPeer(t.id, conn, bufio.NewReaderSize(conn, readBuffer), t.clock, &t.tcpCounters)
 	t.mu.Lock()
 	if t.closed.Load() {
 		t.mu.Unlock()
@@ -742,10 +731,10 @@ func (t *TCPTransport) runConn(conn net.Conn) bool {
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
-		p.writeLoop(t.opts.HeartbeatEvery, EncodeHeartbeat(t.id)) // a failure wakes the reader, and the redial starts
+		p.writeLoop() // a failure wakes the reader, and the redial starts
 	}()
-	// Timeout, reset, or close: the redial decides what next.
-	p.readLoop(t.opts.PeerTimeout, MsgDeploy, func(raw []byte) {
+	// Reset, shed, or close: the redial decides what next.
+	p.readLoop(MsgDeploy, func(raw []byte) {
 		if h := t.handler.Load(); h != nil {
 			(*h)(raw)
 		}
@@ -813,6 +802,7 @@ func (t *TCPTransport) Close() {
 	p := t.cur.Load()
 	t.mu.Unlock()
 	if !already {
+		t.stopTick()
 		t.cancel()
 		if p != nil {
 			p.shutdown()

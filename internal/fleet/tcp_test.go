@@ -23,18 +23,96 @@ import (
 	"accturbo/internal/faults"
 )
 
-// testTCPOpts shrinks every transport timer so liveness transitions
-// land in milliseconds instead of seconds.
-func testTCPOpts() TCPOptions {
-	return TCPOptions{
-		HeartbeatEvery: 20 * time.Millisecond,
-		PeerTimeout:    120 * time.Millisecond,
-		WriteTimeout:   500 * time.Millisecond,
-		DialTimeout:    500 * time.Millisecond,
-		BackoffMin:     5 * time.Millisecond,
-		BackoffMax:     50 * time.Millisecond,
-		SendQueueDepth: 64,
-		Seed:           7,
+// manualClock is a core.Clock that moves only when a test advances it,
+// so a transport on it sends no heartbeat, sheds no peer and ends no
+// backoff sleep until the test says so. Callbacks run on the advancing
+// goroutine, in time order, each at its own time; Now may be read from
+// any goroutine.
+type manualClock struct {
+	mu     sync.Mutex
+	now    eventsim.Time
+	timers []*manualTimer
+}
+
+type manualTimer struct {
+	at, every eventsim.Time // every 0: a one-shot
+	fn        func(now eventsim.Time)
+}
+
+func (c *manualClock) Now() eventsim.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *manualClock) After(delay eventsim.Time, fn func(now eventsim.Time)) func() {
+	return c.add(delay, 0, fn)
+}
+
+func (c *manualClock) Every(interval eventsim.Time, fn func(now eventsim.Time)) func() {
+	return c.add(interval, interval, fn)
+}
+
+func (c *manualClock) add(delay, every eventsim.Time, fn func(now eventsim.Time)) func() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	tm := &manualTimer{at: c.now + delay, every: every, fn: fn}
+	c.timers = append(c.timers, tm)
+	return func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.timers = slices.DeleteFunc(c.timers, func(x *manualTimer) bool { return x == tm })
+	}
+}
+
+// advance moves the clock d forward, running every timer that falls due
+// on the way.
+func (c *manualClock) advance(d eventsim.Time) {
+	c.mu.Lock()
+	end := c.now + d
+	for {
+		var next *manualTimer
+		for _, tm := range c.timers {
+			if tm.at <= end && (next == nil || tm.at < next.at) {
+				next = tm
+			}
+		}
+		if next == nil {
+			break
+		}
+		now := next.at
+		c.now = now
+		if next.every > 0 {
+			next.at += next.every
+		} else {
+			c.timers = slices.DeleteFunc(c.timers, func(x *manualTimer) bool { return x == next })
+		}
+		c.mu.Unlock()
+		next.fn(now)
+		c.mu.Lock()
+	}
+	c.now = end
+	c.mu.Unlock()
+}
+
+// sleeping reports whether a one-shot timer — a node's backoff sleep —
+// is pending, and when it is due.
+func (c *manualClock) sleeping() (due eventsim.Time, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, tm := range c.timers {
+		if tm.every == 0 && (!ok || tm.at < due) {
+			due, ok = tm.at, true
+		}
+	}
+	return due, ok
+}
+
+// wake ends a pending backoff sleep, moving the clock to its end; a
+// no-op when none is pending.
+func (c *manualClock) wake() {
+	if due, ok := c.sleeping(); ok {
+		c.advance(due - c.Now())
 	}
 }
 
@@ -129,11 +207,10 @@ func TestReadFrameRejectsForeignStream(t *testing.T) {
 
 // TestBackoffSeededDeterministic: the reconnect schedule is a pure
 // function of its seed — equal seeds replay identical delays, distinct
-// seeds diverge, and every delay respects the configured bounds.
+// seeds diverge, and every delay respects the bounds.
 func TestBackoffSeededDeterministic(t *testing.T) {
-	const min, max = 10 * time.Millisecond, 500 * time.Millisecond
 	mk := func(seed uint64) *backoff {
-		return newBackoff(min, max, faults.NewRand(faults.DeriveSeed(seed, 3)))
+		return &backoff{rng: faults.NewRand(faults.DeriveSeed(seed, 3))}
 	}
 	a, b := mk(42), mk(42)
 	var seqA, seqB []time.Duration
@@ -143,8 +220,8 @@ func TestBackoffSeededDeterministic(t *testing.T) {
 		if da != db {
 			t.Fatalf("attempt %d: same seed diverged: %v != %v", i, da, db)
 		}
-		if da < min/2 || da >= max {
-			t.Fatalf("attempt %d: delay %v outside [%v, %v)", i, da, min/2, max)
+		if da < backoffMin/2 || da >= backoffMax {
+			t.Fatalf("attempt %d: delay %v outside [%v, %v)", i, da, backoffMin/2, backoffMax)
 		}
 	}
 	// The schedule escalates: late delays jitter near the cap, so the
@@ -165,8 +242,8 @@ func TestBackoffSeededDeterministic(t *testing.T) {
 	}
 	// reset re-arms the escalation.
 	a.reset()
-	if d := a.next(); d >= max {
-		t.Fatalf("post-reset delay %v did not drop below the cap", d)
+	if d := a.next(); d >= backoffMin {
+		t.Fatalf("post-reset delay %v did not drop below the minimum", d)
 	}
 }
 
@@ -175,8 +252,8 @@ func TestBackoffSeededDeterministic(t *testing.T) {
 // the socket backend, over real loopback TCP.
 func TestTCPRoundTrip(t *testing.T) {
 	base := runtime.NumGoroutine()
-	opts := testTCPOpts()
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +272,7 @@ func TestTCPRoundTrip(t *testing.T) {
 		mu.Unlock()
 	})
 
-	nt, err := DialTCP(co.Addr(), 7, opts)
+	nt, err := DialTCP(co.Addr(), 7, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,9 +326,9 @@ func TestTCPRoundTrip(t *testing.T) {
 		t.Fatalf("no counted drop for an absent node: %+v", st)
 	}
 
-	ages := co.LastSeen()
-	if age, ok := ages[7]; !ok || age > opts.PeerTimeout {
-		t.Fatalf("LastSeen = %v, want a fresh entry for node 7", ages)
+	// The clock has not moved since the node connected.
+	if ages := co.LastSeen(); len(ages) != 1 || ages[7] != 0 {
+		t.Fatalf("LastSeen = %v, want node 7 seen just now", ages)
 	}
 
 	nt.Close()
@@ -260,33 +337,34 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 // TestTCPHeartbeatsKeepIdleLinkAlive: with no traffic at all, the
-// heartbeat exchange keeps the link up for many PeerTimeouts — an idle
-// fleet is not a dead fleet. The test waits for the beacons themselves,
-// four PeerTimeouts' worth on each side, instead of sleeping that long
-// and sampling one last-seen age: on a loaded two-core box the sample
-// could land just after a late beacon and read stale on a live link.
+// heartbeat exchange keeps the link up for many silence bounds — an idle
+// fleet is not a dead fleet. The clock moves a beat at a time, and each
+// tick's beacons must land on both sides before the next: four silence
+// bounds of them each way, with no reconnect and no shed.
 func TestTCPHeartbeatsKeepIdleLinkAlive(t *testing.T) {
-	opts := testTCPOpts()
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer co.Close()
-	nt, err := DialTCP(co.Addr(), 2, opts)
+	nt, err := DialTCP(co.Addr(), 2, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nt.Close()
-	waitUntil(t, "node connected", nt.Connected)
+	waitUntil(t, "handshake", func() bool { return nt.Connected() && co.Stats().Accepted == 1 })
 
-	beacons := uint64(4 * opts.PeerTimeout / opts.HeartbeatEvery)
-	nt0, co0 := nt.Stats().HeartbeatsIn, co.Stats().HeartbeatsIn
-	waitUntil(t, "four PeerTimeouts of heartbeats, both ways", func() bool {
-		if !nt.Connected() {
-			t.Fatal("idle node disconnected despite heartbeats")
-		}
-		return nt.Stats().HeartbeatsIn-nt0 >= beacons && co.Stats().HeartbeatsIn-co0 >= beacons
-	})
+	for b := 1; b <= 4*silentBeats; b++ {
+		nt0, co0 := nt.Stats().HeartbeatsIn, co.Stats().HeartbeatsIn
+		clk.advance(beat)
+		waitUntil(t, fmt.Sprintf("beat %d's heartbeats, both ways", b), func() bool {
+			if !nt.Connected() {
+				t.Fatal("idle node disconnected despite heartbeats")
+			}
+			return nt.Stats().HeartbeatsIn > nt0 && co.Stats().HeartbeatsIn > co0
+		})
+	}
 	if st := nt.Stats(); st.Connects != 1 {
 		t.Fatalf("idle link was re-established: %+v", st)
 	}
@@ -296,11 +374,12 @@ func TestTCPHeartbeatsKeepIdleLinkAlive(t *testing.T) {
 }
 
 // TestTCPSilentPeerShed: a peer that handshakes and then goes silent
-// (no heartbeats — a wedged process, not a closed socket) is shed when
-// the read deadline expires, and disappears from the liveness view.
+// (no heartbeats — a wedged process, not a closed socket) survives every
+// tick up to silentBeats beats, is shed on the first tick after, and
+// disappears from the liveness view.
 func TestTCPSilentPeerShed(t *testing.T) {
-	opts := testTCPOpts()
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,16 +387,136 @@ func TestTCPSilentPeerShed(t *testing.T) {
 	conn := rawHello(t, co.Addr(), 9)
 	defer conn.Close()
 	waitUntil(t, "handshake", func() bool { return co.Stats().Accepted == 1 })
-	waitUntil(t, "silent peer shed", func() bool { return co.Stats().PeersShed >= 1 })
-	waitUntil(t, "liveness view cleared", func() bool { return len(co.LastSeen()) == 0 })
+	for b := 1; b <= silentBeats; b++ {
+		clk.advance(beat)
+		if st := co.Stats(); st.PeersShed != 0 || st.Connected != 1 {
+			t.Fatalf("shed after %d silent beats: %+v", b, st)
+		}
+	}
+	clk.advance(beat)
+	if st := co.Stats(); st.PeersShed != 1 || len(co.LastSeen()) != 0 {
+		t.Fatalf("not shed after %d silent beats: %+v, ages %v", silentBeats+1, st, co.LastSeen())
+	}
+}
+
+// waitStuck waits until p's writer goroutine is blocked in a write: one
+// is pending, and no frame has gone out for 50 ms.
+func waitStuck(t *testing.T, p *tcpPeer) {
+	t.Helper()
+	waitUntil(t, "writer blocked", func() bool {
+		out := p.c.framesOut.Load()
+		time.Sleep(50 * time.Millisecond)
+		return p.writeSince.Load() != notWriting && p.c.framesOut.Load() == out
+	})
+}
+
+// TestTCPLivenessBounds pins the tick's other bounds on the manual
+// clock: LastSeen is the exact clock age of the last frame; a peer that
+// sends a frame every beat is never shed; and a peer that stops reading
+// is shed on the first tick at which a write to it has been pending for
+// stuckBeats beats, and on no earlier one.
+func TestTCPLivenessBounds(t *testing.T) {
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	conn := rawHello(t, co.Addr(), 9)
+	defer conn.Close()
+	waitUntil(t, "handshake", func() bool { return co.Stats().Accepted == 1 })
+
+	clk.advance(beat / 2)
+	if age := co.LastSeen()[9]; age != (beat / 2).Duration() {
+		t.Fatalf("half a beat after the hello, LastSeen reads %v", age)
+	}
+
+	// alive sends the coordinator one heartbeat and waits for it to land.
+	alive := func() {
+		t.Helper()
+		in := co.Stats().HeartbeatsIn
+		if err := WriteFrame(conn, EncodeHeartbeat(9)); err != nil {
+			t.Fatal(err)
+		}
+		waitUntil(t, "heartbeat received", func() bool { return co.Stats().HeartbeatsIn > in })
+	}
+	for b := 1; b <= 4*silentBeats; b++ {
+		alive()
+		clk.advance(beat)
+		if st := co.Stats(); st.PeersShed != 0 || st.Connected != 1 {
+			t.Fatalf("a peer heard from every beat was shed at beat %d: %+v", b, st)
+		}
+	}
+
+	// On a tick, the peer keeps sending but stops reading: wide frames
+	// fill its socket until the writer goroutine blocks, in a write that
+	// starts on the tick.
+	alive()
+	clk.advance(beat / 2)
+	p := (*co.peers.Load())[9]
+	wide := EncodeSnapshot(&Snapshot{Node: 9, Infos: wideInfos(256, 64)})
+	for i := 0; co.Stats().DropsQueueFull == 0; i++ {
+		if i == 100_000 {
+			t.Fatalf("a peer that never reads took %d wide frames without a queue overflow", i)
+		}
+		co.ToNode(9, wide)
+	}
+	waitStuck(t, p)
+	since := eventsim.Time(p.writeSince.Load())
+	if since != clk.Now() {
+		t.Fatalf("the stuck write began at %v, not on the tick at %v", since, clk.Now())
+	}
+	for b := 1; b <= stuckBeats; b++ {
+		alive()
+		clk.advance(beat)
+		if shed := co.Stats().PeersShed; b < stuckBeats && shed != 0 {
+			t.Fatalf("shed with a write pending for %d beats", b)
+		} else if b == stuckBeats && shed != 1 {
+			t.Fatalf("not shed with a write pending for %d beats: %+v", b, co.Stats())
+		}
+	}
+}
+
+// TestTCPHelloDeadlinesCleared: the hello's socket deadlines — the
+// node's write, the coordinator's read — end with the hello. On a clock
+// that never moves, so nothing else can end the link, an idle link
+// still carries a frame each way once both have passed. The one test
+// here that waits on wall time.
+func TestTCPHelloDeadlinesCleared(t *testing.T) {
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	var up, down atomic.Uint64
+	co.HandleCoordinator(func(uint32, []byte) { up.Add(1) })
+	nt, err := DialTCP(co.Addr(), 3, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nt.Close()
+	nt.HandleNode(3, func([]byte) { down.Add(1) })
+	waitUntil(t, "handshake", func() bool { return nt.Connected() && co.Stats().Accepted == 1 })
+
+	time.Sleep(max(helloWrite, helloRead) + 500*time.Millisecond)
+	if err := nt.ToCoordinator(3, EncodeSnapshot(&Snapshot{Node: 3, Seq: 1, Infos: slotInfos(1, 2)})); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.ToNode(3, EncodeDeploy(&Deploy{Epoch: 1, QueueOf: []int{0, 1}, Rank: []float64{2, 1}})); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "a frame each way", func() bool { return up.Load() == 1 && down.Load() == 1 })
+	if ns, cs := nt.Stats(), co.Stats(); ns.Connects != 1 || !ns.Connected || cs.PeersShed != 0 || cs.Connected != 1 {
+		t.Fatalf("the link did not outlive the hello deadlines: node %+v, coordinator %+v", ns, cs)
+	}
 }
 
 // TestTCPCRCResetAndRehandshake: a frame that fails verification resets
 // the connection — it never reaches the coordinator handler — and the
 // same node can come straight back with a clean hello.
 func TestTCPCRCResetAndRehandshake(t *testing.T) {
-	opts := testTCPOpts()
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	co, err := ListenTCP("127.0.0.1:0", &manualClock{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,13 +565,13 @@ func TestTCPCRCResetAndRehandshake(t *testing.T) {
 // coordinator reborn on the same address gets a fresh handshake and
 // the frames flow again — the recovery half of the fallback arc.
 func TestTCPReconnectAfterCoordinatorRestart(t *testing.T) {
-	opts := testTCPOpts()
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := co.Addr()
-	nt, err := DialTCP(addr, 3, opts)
+	nt, err := DialTCP(addr, 3, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +587,7 @@ func TestTCPReconnectAfterCoordinatorRestart(t *testing.T) {
 		t.Fatalf("publish while down was not counted: %+v", st)
 	}
 
-	co2, err := ListenTCP(addr, opts)
+	co2, err := ListenTCP(addr, clk)
 	if err != nil {
 		t.Fatalf("re-listen on %s: %v", addr, err)
 	}
@@ -399,7 +598,10 @@ func TestTCPReconnectAfterCoordinatorRestart(t *testing.T) {
 			got.Store(s.Seq, from)
 		}
 	})
-	waitUntil(t, "reconnect", func() bool { return nt.Connected() && nt.Stats().Connects >= 2 })
+	waitUntil(t, "reconnect", func() bool {
+		clk.wake()
+		return nt.Connected() && nt.Stats().Connects >= 2
+	})
 	if err := nt.ToCoordinator(3, EncodeSnapshot(&Snapshot{Node: 3, Seq: 2, Infos: slotInfos(5, 6)})); err != nil {
 		t.Fatalf("publish after recovery: %v", err)
 	}
@@ -418,14 +620,15 @@ func TestTCPReconnectAfterCoordinatorRestart(t *testing.T) {
 // sequences from 1 again: its hello makes the coordinator merge its first
 // snapshot instead of rejecting it as a replay.
 func TestTCPRestartedPeersAdopted(t *testing.T) {
-	opts := testTCPOpts()
+	clk := &manualClock{}
 	ccfg := CoordinatorConfig{Slots: 2, NumQueues: 2, Ranking: core.ByThroughput, Distance: cluster.Manhattan}
-	ncfg := NodeConfig{Slots: 2, NumQueues: 2, StaleAfter: eventsim.FromDuration(30 * time.Millisecond)}
+	ncfg := NodeConfig{Slots: 2, NumQueues: 2}
 	rt := simRT()
+	rt.PollInterval = eventsim.FromDuration(10 * time.Millisecond) // a 30 ms staleness bound
 	epoch := time.Now()
 	now := func() eventsim.Time { return eventsim.FromDuration(time.Since(epoch)) }
 
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +636,7 @@ func TestTCPRestartedPeersAdopted(t *testing.T) {
 	if _, err := NewCoordinator(co, ccfg); err != nil {
 		t.Fatal(err)
 	}
-	nt, err := DialTCP(addr, 3, opts)
+	nt, err := DialTCP(addr, 3, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,7 +657,7 @@ func TestTCPRestartedPeersAdopted(t *testing.T) {
 
 	co.Close()
 	pollUntil(node, "fallback after the coordinator died", node.RankingDegraded)
-	co2, err := ListenTCP(addr, opts)
+	co2, err := ListenTCP(addr, clk)
 	if err != nil {
 		t.Fatalf("re-listen on %s: %v", addr, err)
 	}
@@ -463,7 +666,10 @@ func TestTCPRestartedPeersAdopted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, "reconnect", func() bool { return nt.Connected() && nt.Stats().Connects >= 2 })
+	waitUntil(t, "reconnect", func() bool {
+		clk.wake()
+		return nt.Connected() && nt.Stats().Connects >= 2
+	})
 	in := nt.Stats().FramesIn
 	node.Rank(now(), slotInfos(1000, 600), []int{0, 0}, rt)
 	waitUntil(t, "the new coordinator's first deployment", func() bool { return nt.Stats().FramesIn > in })
@@ -475,7 +681,7 @@ func TestTCPRestartedPeersAdopted(t *testing.T) {
 
 	nt.Close()
 	before := coord2.Stats()
-	if nt, err = DialTCP(addr, 3, opts); err != nil {
+	if nt, err = DialTCP(addr, 3, clk); err != nil {
 		t.Fatal(err)
 	}
 	if node, err = NewNode(3, nt, now, ncfg); err != nil {
@@ -490,6 +696,8 @@ func TestTCPRestartedPeersAdopted(t *testing.T) {
 
 // TestTCPCloseWhileReconnecting: Close during the dial/backoff cycle —
 // nobody listening on the target — returns promptly and leaks nothing.
+// The clock never ends a sleep on its own, so a Close that did not end
+// it would never return.
 func TestTCPCloseWhileReconnecting(t *testing.T) {
 	base := runtime.NumGoroutine()
 	// A port with no listener: bind, read the address, release.
@@ -501,11 +709,15 @@ func TestTCPCloseWhileReconnecting(t *testing.T) {
 	ln.Close()
 
 	for iter := 0; iter < 8; iter++ {
-		nt, err := DialTCP(addr, 5, testTCPOpts())
+		clk := &manualClock{}
+		nt, err := DialTCP(addr, 5, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(time.Duration(iter) * 3 * time.Millisecond) // land in dial, backoff, and boundary states
+		time.Sleep(time.Duration(iter) * 3 * time.Millisecond) // land in dial and backoff states
+		if iter%2 == 1 {
+			clk.wake() // and on a redial the sleep just ended
+		}
 		start := time.Now()
 		nt.Close()
 		if d := time.Since(start); d > 2*time.Second {
@@ -515,6 +727,71 @@ func TestTCPCloseWhileReconnecting(t *testing.T) {
 		if err := nt.ToCoordinator(5, EncodeHeartbeat(5)); err != ErrClosed {
 			t.Fatalf("publish after Close = %v, want ErrClosed", err)
 		}
+	}
+	checkGoroutines(t, base)
+}
+
+// TestTCPBackoffSchedule: the node transport sleeps exactly the seeded
+// reconnect schedule. Against a dead address, Dials goes up when the
+// clock passes each delay of the backoff stream for the node's id, and
+// not a nanosecond earlier; a completed handshake restarts the schedule
+// from the minimum; and Close in the middle of a sleep returns at once.
+func TestTCPBackoffSchedule(t *testing.T) {
+	base := runtime.NumGoroutine()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	const id = 5
+	clk := &manualClock{}
+	want := &backoff{rng: faults.NewRand(faults.DeriveSeed(jitterSeed, id))}
+	nt, err := DialTCP(addr, id, clk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// sleep checks that the node sleeps d before its next dial.
+	sleep := func(d time.Duration) {
+		t.Helper()
+		waitUntil(t, "backoff sleep", func() bool { _, ok := clk.sleeping(); return ok })
+		dials := nt.Stats().Dials
+		if due, _ := clk.sleeping(); due-clk.Now() != eventsim.FromDuration(d) {
+			t.Fatalf("after dial %d: sleeping %v, want %v", dials, (due - clk.Now()).Duration(), d)
+		}
+		clk.advance(eventsim.FromDuration(d) - 1)
+		if _, ok := clk.sleeping(); !ok || nt.Stats().Dials != dials {
+			t.Fatalf("after dial %d: redialed before its %v sleep was over", dials, d)
+		}
+		clk.advance(1)
+		waitUntil(t, "redial", func() bool { return nt.Stats().Dials == dials+1 })
+	}
+	for i := 0; i < 10; i++ { // far enough to reach backoffMax
+		sleep(want.next())
+	}
+
+	co, err := ListenTCP(addr, clk)
+	if err != nil {
+		t.Fatalf("re-listen on %s: %v", addr, err)
+	}
+	sleep(want.next())
+	waitUntil(t, "handshake", func() bool { return nt.Connected() && co.Stats().Accepted == 1 })
+	co.Close()
+	want.reset()
+	sleep(want.next())
+
+	waitUntil(t, "backoff sleep", func() bool { _, ok := clk.sleeping(); return ok })
+	start := time.Now()
+	nt.Close()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close during a backoff sleep took %v", d)
+	}
+	if _, ok := clk.sleeping(); ok {
+		t.Fatal("Close left the backoff sleep pending")
+	}
+	if st := nt.Stats(); st.Connects != 1 {
+		t.Fatalf("stats %+v, want exactly the one handshake", st)
 	}
 	checkGoroutines(t, base)
 }
@@ -530,12 +807,12 @@ func TestTCPCloseWhilePublishing(t *testing.T) {
 	up := EncodeSnapshot(&Snapshot{Node: 4, Seq: 1, Infos: wideInfos(64, 16)})
 	down := EncodeDeploy(&Deploy{Epoch: 1, QueueOf: make([]int, 4096), Rank: make([]float64, 4096)})
 	for iter := 0; iter < 8; iter++ {
-		opts := testTCPOpts()
-		co, err := ListenTCP("127.0.0.1:0", opts)
+		clk := &manualClock{}
+		co, err := ListenTCP("127.0.0.1:0", clk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nt, err := DialTCP(co.Addr(), 4, opts)
+		nt, err := DialTCP(co.Addr(), 4, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,28 +865,17 @@ func wideInfos(slots, features int) []cluster.Info {
 	return infos
 }
 
-// quietTCPOpts is testTCPOpts with the liveness timers out of the way:
-// no heartbeat is sent and no silent peer is shed while a test runs, so
-// frame counts are exact and only a write can end a connection.
-func quietTCPOpts() TCPOptions {
-	opts := testTCPOpts()
-	opts.HeartbeatEvery = time.Hour
-	opts.PeerTimeout = time.Hour
-	return opts
-}
-
 // TestTCPStalledReaderNeverBlocksSender: a peer that handshakes and then
 // never reads fills the socket, and from then on the transport's
 // contract is all there is — sends return at once, the bounded queue
 // overflows into counted drops, and the writer goroutine's blocked
-// write sheds the peer after WriteTimeout. What the peer finds in its
-// socket afterwards is whole CRC-valid frames in send order, which it
-// can only be if a write the kernel took part of was finished by the
+// write sheds the peer stuckBeats beats later. What the peer finds in
+// its socket afterwards is whole CRC-valid frames in send order, which
+// it can only be if a write the kernel took part of was finished by the
 // writer goroutine ahead of everything queued behind it.
 func TestTCPStalledReaderNeverBlocksSender(t *testing.T) {
-	opts := quietTCPOpts()
-	opts.WriteTimeout = 200 * time.Millisecond
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,8 +886,9 @@ func TestTCPStalledReaderNeverBlocksSender(t *testing.T) {
 
 	// ~210 KB a frame — more than one socket buffer segment, so the
 	// kernel takes part of one when it runs out of room — and far more of
-	// them than loopback's socket buffers hold. Blocking on the socket
-	// would cost a call WriteTimeout; a call the scheduler merely took
+	// them than loopback's socket buffers hold. A call blocked on the
+	// socket would not return before the peer is shed, and the clock does
+	// not move until the sends are done; a call the scheduler merely took
 	// the CPU from is over in milliseconds, and a loaded two-core box
 	// does that to a few.
 	// Each send is a copy of one frame with its Seq and CRC rewritten: the
@@ -644,13 +911,17 @@ func TestTCPStalledReaderNeverBlocksSender(t *testing.T) {
 		}
 		worst = max(worst, d)
 	}
-	if slow > sends/100 || worst > opts.WriteTimeout/2 {
+	if slow > sends/100 || worst > 100*time.Millisecond {
 		t.Fatalf("%d of %d sends took over 5ms, the slowest %v: the sender waited for the socket", slow, sends, worst)
 	}
 	if st := co.Stats(); st.DropsQueueFull == 0 {
 		t.Fatalf("%d sends to a stalled peer and no queue overflow counted: %+v", sends, st)
 	}
-	waitUntil(t, "stalled peer shed by the write deadline", func() bool { return co.Stats().PeersShed >= 1 })
+	waitStuck(t, (*co.peers.Load())[9])
+	clk.advance(stuckBeats * beat)
+	if st := co.Stats(); st.PeersShed != 1 {
+		t.Fatalf("stalled peer not shed %d beats into a stuck write: %+v", stuckBeats, st)
+	}
 
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 	br := bufio.NewReader(conn)
@@ -689,8 +960,8 @@ func TestTCPStalledReaderNeverBlocksSender(t *testing.T) {
 // while the writer is still draining: those must queue behind, and once
 // it has drained the inline path resumes.
 func TestTCPSendOrderMixedPaths(t *testing.T) {
-	opts := quietTCPOpts()
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +978,7 @@ func TestTCPSendOrderMixedPaths(t *testing.T) {
 		got = append(got, s.Seq)
 		mu.Unlock()
 	})
-	nt, err := DialTCP(co.Addr(), 5, opts)
+	nt, err := DialTCP(co.Addr(), 5, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,9 +1001,9 @@ func TestTCPSendOrderMixedPaths(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		send(3) // writer idle
 		p.wmu.Lock()
-		send(opts.SendQueueDepth / 4) // writer busy
+		send(sendQueueDepth / 4) // writer busy
 		p.wmu.Unlock()
-		send(opts.SendQueueDepth / 4) // writer draining
+		send(sendQueueDepth / 4) // writer draining
 		waitUntil(t, "writer drained", func() bool { return p.queued.Load() == 0 })
 
 		// A short inline write, staged by hand since loopback takes small
@@ -745,7 +1016,7 @@ func TestTCPSendOrderMixedPaths(t *testing.T) {
 		}
 		p.head = torn[len(torn)/2:]
 		p.queued.Add(1)
-		send(opts.SendQueueDepth / 4)
+		send(sendQueueDepth / 4)
 		p.wmu.Unlock()
 		waitUntil(t, "writer drained", func() bool { return p.queued.Load() == 0 })
 	}
@@ -771,12 +1042,10 @@ func TestTCPSendOrderMixedPaths(t *testing.T) {
 // and FramesOut is exactly the number received.
 func TestTCPConcurrentSendersRace(t *testing.T) {
 	const senders, each = 8, 400
-	opts := quietTCPOpts()
-	// The reader decodes 3200 wide snapshots under -race; beside another
-	// test binary on two cores it has stalled the writer past 500 ms,
-	// which reads as a dead peer and costs the link this test counts on.
-	opts.WriteTimeout = 10 * time.Second
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	// The clock never moves: however long the reader takes over 3200
+	// wide snapshots under -race, no write reads as stuck.
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -796,7 +1065,7 @@ func TestTCPConcurrentSendersRace(t *testing.T) {
 		last[s.At] = s.Seq
 		received.Add(1)
 	})
-	nt, err := DialTCP(co.Addr(), 6, opts)
+	nt, err := DialTCP(co.Addr(), 6, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -970,8 +1239,8 @@ func TestChaosProcessMatchesPlan(t *testing.T) {
 // TestChaosProxyRelays: a fault-free proxy is transparent to the
 // transport.
 func TestChaosProxyRelays(t *testing.T) {
-	opts := testTCPOpts()
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -988,7 +1257,7 @@ func TestChaosProxyRelays(t *testing.T) {
 		}
 	})
 
-	nt, err := DialTCP(px.Addr(), 6, opts)
+	nt, err := DialTCP(px.Addr(), 6, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1012,8 +1281,8 @@ func TestChaosProxyRelays(t *testing.T) {
 // resets, the node re-handshakes, and traffic keeps flowing — no
 // corrupt frame is ever dispatched.
 func TestChaosProxyCorruptionTriggersCRCResets(t *testing.T) {
-	opts := testTCPOpts()
-	co, err := ListenTCP("127.0.0.1:0", opts)
+	clk := &manualClock{}
+	co, err := ListenTCP("127.0.0.1:0", clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1033,7 +1302,7 @@ func TestChaosProxyCorruptionTriggersCRCResets(t *testing.T) {
 		delivered.Store(s.Seq, true)
 	})
 
-	nt, err := DialTCP(px.Addr(), 8, opts)
+	nt, err := DialTCP(px.Addr(), 8, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1042,6 +1311,7 @@ func TestChaosProxyCorruptionTriggersCRCResets(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	var seq uint64
 	for {
+		clk.wake() // a reset node redials
 		seq++
 		nt.ToCoordinator(8, EncodeSnapshot(&Snapshot{Node: 8, Seq: seq, Infos: slotInfos(seq, seq)}))
 		resets := co.Stats().CRCResets + nt.Stats().CRCResets
