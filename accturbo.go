@@ -517,13 +517,19 @@ type Metrics struct {
 
 // Metrics snapshots the pipeline's telemetry. Safe to call from any
 // goroutine, concurrently with Process; counters are read lock-free and
-// may trail packets still in flight.
+// may trail packets still in flight. PacketsObserved, AssignedPkts and
+// RoutedPkts come from one read, so they agree even on a live pipeline.
 func (d *Defense) Metrics() Metrics {
+	assigned, routed := d.dp.Counts()
+	var observed uint64
+	for _, c := range assigned {
+		observed += c
+	}
 	return Metrics{
-		PacketsObserved: d.dp.Observed(),
+		PacketsObserved: observed,
 		Deployments:     d.cp.Deployments(),
-		AssignedPkts:    d.dp.AssignedCounts(),
-		RoutedPkts:      d.dp.RoutedCounts(),
+		AssignedPkts:    assigned,
+		RoutedPkts:      routed,
 		DeployLatencyNs: d.cp.DeployLatency(),
 		IngestShed:      d.IngestShed(),
 	}

@@ -2,6 +2,7 @@ package accturbo
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -206,6 +207,21 @@ func TestDefenseMetrics(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
+		}
+	}
+	// Each per-slot and per-queue line carries the value Metrics reports.
+	lines := map[string]bool{}
+	for _, line := range strings.Split(out, "\n") {
+		lines[line] = true
+	}
+	for name, vals := range map[string][]uint64{
+		"accturbo_dataplane_assigned_pkts": m.AssignedPkts,
+		"accturbo_dataplane_routed_pkts":   m.RoutedPkts,
+	} {
+		for i, v := range vals {
+			if want := fmt.Sprintf("%s_%d %d", name, i, v); !lines[want] {
+				t.Errorf("exposition has no line %q:\n%s", want, out)
+			}
 		}
 	}
 }

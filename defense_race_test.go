@@ -1,6 +1,8 @@
 package accturbo
 
 import (
+	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -194,4 +196,89 @@ func TestDeterministicMetricsConcurrentWithProcess(t *testing.T) {
 	if h := d.Health(); h.Control.Deployments == 0 || h.Control.PollAge < 0 {
 		t.Fatalf("the control loop never ran: %+v", h.Control)
 	}
+}
+
+// TestLiveMetricsAndSnapshotsConsistent holds Metrics and SaveState on
+// a live real-time Defense, fed from two goroutines, to agreeing with
+// themselves: PacketsObserved, ΣAssignedPkts and ΣRoutedPkts are one
+// number in every Metrics, and in every snapshot once it is restored
+// into a fresh Defense (run under -race in CI).
+func TestLiveMetricsAndSnapshotsConsistent(t *testing.T) {
+	cfg := HardwareConfig()
+	cfg.Shards = 2
+	cfg.PollInterval = FromDuration(5 * time.Millisecond)
+	cfg.DeployDelay = FromDuration(time.Millisecond)
+	d := build(t, NewRealTimeDefense, cfg)
+	defer d.Close()
+
+	const feeders, perFeeder = 2, 20000
+	var wg sync.WaitGroup
+	for w := 0; w < feeders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perFeeder; i++ {
+				if i%10 == 0 {
+					d.Process(0, floodPacket())
+				} else {
+					d.Process(0, benignPacket(w*perFeeder+i))
+				}
+			}
+		}(w)
+	}
+	fed := make(chan struct{})
+	go func() { wg.Wait(); close(fed) }()
+
+	var snaps [][]byte
+	var bad error
+	for live := true; live && bad == nil; {
+		select {
+		case <-fed:
+			live = false
+		default:
+		}
+		bad = countsAgree("live Metrics", d.Metrics())
+		if len(snaps) < 64 {
+			var buf bytes.Buffer
+			if err := d.SaveState(&buf); err != nil {
+				bad = err
+			}
+			snaps = append(snaps, buf.Bytes())
+		}
+	}
+	<-fed
+	if bad != nil {
+		t.Fatal(bad)
+	}
+	if got := d.PacketsObserved(); got != feeders*perFeeder {
+		t.Fatalf("PacketsObserved = %d, want %d", got, feeders*perFeeder)
+	}
+	for i, blob := range snaps {
+		r := build(t, NewDefense, cfg)
+		if err := r.RestoreState(bytes.NewReader(blob)); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+		err := countsAgree(fmt.Sprintf("snapshot %d restored", i), r.Metrics())
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// countsAgree reports whether m's packet total and both per-slot and
+// per-queue sums are the same number.
+func countsAgree(what string, m Metrics) error {
+	var assigned, routed uint64
+	for _, c := range m.AssignedPkts {
+		assigned += c
+	}
+	for _, c := range m.RoutedPkts {
+		routed += c
+	}
+	if assigned != m.PacketsObserved || routed != m.PacketsObserved {
+		return fmt.Errorf("%s: PacketsObserved %d, ΣAssignedPkts %d, ΣRoutedPkts %d",
+			what, m.PacketsObserved, assigned, routed)
+	}
+	return nil
 }

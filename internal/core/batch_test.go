@@ -47,13 +47,13 @@ func TestObserveBatchMatchesClassify(t *testing.T) {
 		if a, b := perPkt.Observed(), batched.Observed(); a != b {
 			t.Fatalf("shards=%d: observed %d vs %d", shards, b, a)
 		}
-		wantA, gotA := perPkt.AssignedCounts(), batched.AssignedCounts()
+		wantA, wantR := perPkt.Counts()
+		gotA, gotR := batched.Counts()
 		for i := range wantA {
 			if gotA[i] != wantA[i] {
 				t.Fatalf("shards=%d: assigned[%d] = %d via batch, %d via Classify", shards, i, gotA[i], wantA[i])
 			}
 		}
-		wantR, gotR := perPkt.RoutedCounts(), batched.RoutedCounts()
 		for i := range wantR {
 			if gotR[i] != wantR[i] {
 				t.Fatalf("shards=%d: routed[%d] = %d via batch, %d via Classify", shards, i, gotR[i], wantR[i])
@@ -82,7 +82,8 @@ func TestObserveBatchNilQueues(t *testing.T) {
 		t.Fatalf("observed %d, want 100", dp.Observed())
 	}
 	var routed uint64
-	for _, c := range dp.RoutedCounts() {
+	_, routedCounts := dp.Counts()
+	for _, c := range routedCounts {
 		routed += c
 	}
 	if routed != 100 {

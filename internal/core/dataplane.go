@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"accturbo/internal/cluster"
@@ -40,32 +41,37 @@ type Dataplane struct {
 	// The Hot generation counts deployments since construction.
 	queueMap Hot[[]int]
 
-	// assigned counts packets per cluster slot, routed counts packets
-	// per priority queue. Both are stripe-padded so concurrent writers
-	// rarely share a cache line: each shard owns countStripes stripes
-	// and a packet picks one by a cheap header hint, which also spreads
-	// the multiple ingest goroutines feeding one shard. Reads aggregate
-	// across all stripes lock-free.
-	assigned *telemetry.VecCounter
-	routed   *telemetry.VecCounter
+	// pairs counts packets per (cluster slot, queue) pair, cell
+	// slot*NumQueues+q: one add per packet, on the queue that was live
+	// when the packet was classified. The per-slot assignment totals
+	// are its row sums and the per-queue routing totals its column
+	// sums, both taken at read time (Counts). It is stripe-padded so
+	// concurrent writers rarely share a cache line: each shard owns
+	// countStripes stripes and a packet picks one by a cheap header
+	// hint, which also spreads the multiple ingest goroutines feeding
+	// one shard. Reads aggregate across all stripes lock-free.
+	pairs *telemetry.VecCounter
 
 	// scratch recycles ObserveBatch working memory across batches (and,
 	// in concurrent mode, across ingest goroutines).
 	scratch sync.Pool
+
+	// restored holds the per-slot then per-queue totals RestoreState
+	// loaded (a snapshot carries those, not pair cells); reads add them.
+	restored *telemetry.VecCounter
 }
 
 // batchScratch is ObserveBatch's reusable working memory: the
 // counting-sort buffers that group a batch by shard, and the per-batch
-// count accumulators flushed to the telemetry stripes once per shard
-// run instead of once per packet.
+// pair-count accumulator flushed to the telemetry stripes once per
+// shard run instead of once per packet.
 type batchScratch struct {
 	idx      []int32  // packet indices, grouped by shard
 	shard    []int32  // per-packet shard, computed once
 	segStart []int32  // per-shard segment start in idx
 	segLen   []int32  // per-shard segment length
 	fill     []int32  // per-shard fill cursor during grouping
-	assigned []uint64 // per-cluster-slot counts for the current shard run
-	routed   []uint64 // per-queue counts for the current shard run
+	pairs    []uint64 // per-(slot, queue) counts for the current shard run
 }
 
 // countStripes is the number of counter stripes per shard. Power of
@@ -112,8 +118,8 @@ func NewDataplane(cfg Config, concurrent bool) *Dataplane {
 	d := &Dataplane{
 		cfg:        cfg,
 		concurrent: concurrent,
-		assigned:   telemetry.NewVecCounter(cfg.Clustering.MaxClusters, n*countStripes),
-		routed:     telemetry.NewVecCounter(cfg.NumQueues, n*countStripes),
+		pairs:      telemetry.NewVecCounter(cfg.Clustering.MaxClusters*cfg.NumQueues, n*countStripes),
+		restored:   telemetry.NewVecCounter(cfg.Clustering.MaxClusters+cfg.NumQueues, 1),
 	}
 	for i := 0; i < n; i++ {
 		d.shards = append(d.shards, &shard{clusterer: cluster.NewOnline(cfg.Clustering)})
@@ -123,8 +129,7 @@ func NewDataplane(cfg Config, concurrent bool) *Dataplane {
 			segStart: make([]int32, n),
 			segLen:   make([]int32, n),
 			fill:     make([]int32, n),
-			assigned: make([]uint64, cfg.Clustering.MaxClusters),
-			routed:   make([]uint64, cfg.NumQueues),
+			pairs:    make([]uint64, cfg.Clustering.MaxClusters*cfg.NumQueues),
 		}
 	}
 	qm := make([]int, cfg.Clustering.MaxClusters)
@@ -164,24 +169,6 @@ func (d *Dataplane) ShardOfFrame(v *packet.FrameView) int {
 	return int(v.FlowHash() % uint32(len(d.shards)))
 }
 
-// assignOn runs the clustering stage for one packet on its shard si,
-// counting the assignment on one of the shard's telemetry stripes, and
-// returns the explicit assignment — the value the caller threads to
-// QueueFor. There is no implicit carry-over between calls.
-func (d *Dataplane) assignOn(si int, p *packet.Packet) cluster.Assignment {
-	s := d.shards[si]
-	var a cluster.Assignment
-	if !d.concurrent {
-		a = s.clusterer.Observe(p)
-	} else {
-		s.mu.Lock()
-		a = s.clusterer.Observe(p)
-		s.mu.Unlock()
-	}
-	d.assigned.Add(stripeOf(si, p), a.Cluster, 1)
-	return a
-}
-
 // QueueFor maps an assigned cluster slot to its live priority queue.
 // Unknown or out-of-range slots (a packet observed against a clusterer
 // generation the controller has not seen yet, or a corrupted ID) route
@@ -201,14 +188,23 @@ func (d *Dataplane) queueIn(qm []int, clusterID int) int {
 	return qm[clusterID]
 }
 
-// Classify is the full per-packet data-plane step: assign, then look up
-// the queue under the live mapping. The queue choice is counted on the
-// shard's routing stripe (RoutedCounts).
+// Classify is the full per-packet data-plane step: assign the packet
+// to a cluster slot on its shard, then look the slot up in the live
+// mapping. The (slot, queue) pair is counted on one of the shard's
+// stripes — the one counter add a packet pays.
 func (d *Dataplane) Classify(p *packet.Packet) (cluster.Assignment, int) {
 	si := d.ShardOf(p)
-	a := d.assignOn(si, p)
+	s := d.shards[si]
+	var a cluster.Assignment
+	if !d.concurrent {
+		a = s.clusterer.Observe(p)
+	} else {
+		s.mu.Lock()
+		a = s.clusterer.Observe(p)
+		s.mu.Unlock()
+	}
 	q := d.QueueFor(a.Cluster)
-	d.routed.Add(stripeOf(si, p), q, 1)
+	d.pairs.Add(stripeOf(si, p), a.Cluster*d.cfg.NumQueues+q, 1)
 	return a, q
 }
 
@@ -216,15 +212,15 @@ func (d *Dataplane) Classify(p *packet.Packet) (cluster.Assignment, int) {
 // count) over a batch, amortizing what Classify pays per packet: the
 // queue mapping is loaded once, each shard's lock (concurrent mode) is
 // taken once per batch, and the telemetry stripes receive one flush
-// per shard run instead of two atomic adds per packet. Packets are
+// per shard run instead of one atomic add per packet. Packets are
 // grouped by flow-hash shard first, so each shard's clusterer sees its
 // packets in batch order — the same order the per-packet path would
 // deliver.
 //
 // When queues is non-nil it must be at least len(pkts) long; entry i
-// receives packet i's priority queue. The aggregate counters
-// (AssignedCounts, RoutedCounts, Observed) advance exactly as if every
-// packet had gone through Classify.
+// receives packet i's priority queue. The pair counters (Counts,
+// Observed) advance exactly as if every packet had gone through
+// Classify.
 func (d *Dataplane) ObserveBatch(pkts []*packet.Packet, queues []int) {
 	n := len(pkts)
 	if n == 0 {
@@ -289,15 +285,15 @@ func (d *Dataplane) ObserveBatch(pkts []*packet.Packet, queues []int) {
 // any choice is correct.
 func (d *Dataplane) runShard(si int, pkts []*packet.Packet, seg []int32, queues []int, qm []int, sc *batchScratch) {
 	s := d.shards[si]
+	nq := d.cfg.NumQueues
 	if d.concurrent {
 		s.mu.Lock()
 	}
 	if seg == nil {
 		for i, p := range pkts {
 			a := s.clusterer.Observe(p)
-			sc.assigned[a.Cluster]++
 			q := d.queueIn(qm, a.Cluster)
-			sc.routed[q]++
+			sc.pairs[a.Cluster*nq+q]++
 			if queues != nil {
 				queues[i] = q
 			}
@@ -306,9 +302,8 @@ func (d *Dataplane) runShard(si int, pkts []*packet.Packet, seg []int32, queues 
 		for _, i := range seg {
 			p := pkts[i]
 			a := s.clusterer.Observe(p)
-			sc.assigned[a.Cluster]++
 			q := d.queueIn(qm, a.Cluster)
-			sc.routed[q]++
+			sc.pairs[a.Cluster*nq+q]++
 			if queues != nil {
 				queues[i] = q
 			}
@@ -326,19 +321,13 @@ func (d *Dataplane) runShard(si int, pkts []*packet.Packet, seg []int32, queues 
 	d.flushCounts(stripeOf(si, first), sc)
 }
 
-// flushCounts drains a scratch's per-run count accumulators onto one
+// flushCounts drains a scratch's per-run pair counts onto one
 // telemetry stripe, zeroing them for the next run.
 func (d *Dataplane) flushCounts(stripe int, sc *batchScratch) {
-	for c, cnt := range sc.assigned {
+	for i, cnt := range sc.pairs {
 		if cnt != 0 {
-			d.assigned.Add(stripe, c, cnt)
-			sc.assigned[c] = 0
-		}
-	}
-	for q, cnt := range sc.routed {
-		if cnt != 0 {
-			d.routed.Add(stripe, q, cnt)
-			sc.routed[q] = 0
+			d.pairs.Add(stripe, i, cnt)
+			sc.pairs[i] = 0
 		}
 	}
 }
@@ -374,7 +363,7 @@ func (d *Dataplane) ObserveShardFrames(si int, frames []FrameFeatures, queues []
 	}
 	qm := *d.queueMap.Load()
 	sc := d.scratch.Get().(*batchScratch)
-	nf := len(d.cfg.Clustering.Features)
+	nf, nq := len(d.cfg.Clustering.Features), d.cfg.NumQueues
 	s := d.shards[si]
 	if d.concurrent {
 		s.mu.Lock()
@@ -382,9 +371,8 @@ func (d *Dataplane) ObserveShardFrames(si int, frames []FrameFeatures, queues []
 	for i := range frames {
 		f := &frames[i]
 		a := s.clusterer.ObserveFeatures(f.Vals[:nf], uint64(f.Size), false)
-		sc.assigned[a.Cluster]++
 		q := d.queueIn(qm, a.Cluster)
-		sc.routed[q]++
+		sc.pairs[a.Cluster*nq+q]++
 		if queues != nil {
 			queues[i] = q
 		}
@@ -398,28 +386,47 @@ func (d *Dataplane) ObserveShardFrames(si int, frames []FrameFeatures, queues []
 	d.scratch.Put(sc)
 }
 
-// AssignedCounts returns the per-cluster-slot assignment totals since
-// construction, aggregated across shards. Safe to call concurrently
-// with packet processing (values may trail in-flight packets).
-func (d *Dataplane) AssignedCounts() []uint64 { return d.assigned.Values() }
+// Counts returns the per-cluster-slot assignment totals and the
+// per-priority-queue routing totals since construction (plus what a
+// restore loaded). They are the row and column sums of one read of
+// every pair cell, so the two agree on the packet total even
+// mid-stream. Each cell
+// holds the queue that was live when its packets were classified, so
+// both stay exact across deploys that remap queues. Safe from any
+// goroutine; values may trail in-flight packets.
+func (d *Dataplane) Counts() (assigned, routed []uint64) {
+	nc, nq, base := d.cfg.Clustering.MaxClusters, d.cfg.NumQueues, d.restored.Values()
+	assigned, routed = base[:nc:nc], base[nc:]
+	for i, v := range d.pairs.Values() {
+		assigned[i/nq] += v
+		routed[i%nq] += v
+	}
+	return assigned, routed
+}
 
-// RoutedCounts returns the per-priority-queue routing totals counted by
-// Classify, aggregated across shards.
-func (d *Dataplane) RoutedCounts() []uint64 { return d.routed.Values() }
-
-// Describe registers the data plane's per-slot and per-queue counters
-// on a telemetry registry under the given name prefix.
+// Describe registers the data plane's counters on a telemetry registry
+// as prefix_assigned_pkts_<slot> and prefix_routed_pkts_<queue>.
 func (d *Dataplane) Describe(reg *telemetry.Registry, prefix string) {
-	reg.Vec(prefix+"_assigned_pkts", d.assigned)
-	reg.Vec(prefix+"_routed_pkts", d.routed)
+	for c := range d.cfg.Clustering.MaxClusters {
+		reg.CounterFunc(fmt.Sprintf("%s_assigned_pkts_%d", prefix, c), func() uint64 { a, _ := d.Counts(); return a[c] })
+	}
+	for q := range d.cfg.NumQueues {
+		reg.CounterFunc(fmt.Sprintf("%s_routed_pkts_%d", prefix, q), func() uint64 { _, r := d.Counts(); return r[q] })
+	}
 }
 
 // Observed returns the total number of packets observed across all
-// shards: the sum of the per-slot assignment counters, which every
-// observing path adds to (per packet, or per batch when it flushes) and
-// snapshots carry. Atomic loads only, so it is safe from any goroutine in
-// both modes, and exact once ingest has quiesced.
-func (d *Dataplane) Observed() uint64 { return d.assigned.Total() }
+// shards: the sum of the pair cells, which every observing path adds
+// to (per packet, or per batch when it flushes), plus the assignments
+// a restore loaded. Atomic loads only, so it is safe from any goroutine
+// in both modes, and exact once ingest has quiesced.
+func (d *Dataplane) Observed() uint64 {
+	n := d.pairs.Total()
+	for c := range d.cfg.Clustering.MaxClusters {
+		n += d.restored.Value(c)
+	}
+	return n
+}
 
 // Snapshot returns the interpretable cluster view the control plane
 // ranks: shard 0's snapshot verbatim for a single pipeline, or the

@@ -9,8 +9,11 @@ import (
 	"accturbo/internal/packet"
 )
 
-// assign runs the clustering stage alone for p on its shard.
-func assign(d *Dataplane, p *packet.Packet) cluster.Assignment { return d.assignOn(d.ShardOf(p), p) }
+// assign classifies p and returns its cluster assignment.
+func assign(d *Dataplane, p *packet.Packet) cluster.Assignment {
+	a, _ := d.Classify(p)
+	return a
+}
 
 func mkPkt(i int) *packet.Packet {
 	return &packet.Packet{

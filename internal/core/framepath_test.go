@@ -113,13 +113,13 @@ func TestObserveShardFramesMatchesObserveBatch(t *testing.T) {
 		if a, b := structSide.Observed(), frameSide.Observed(); a != b {
 			t.Fatalf("shards=%d: observed %d via frames, %d via structs", shards, b, a)
 		}
-		wantA, gotA := structSide.AssignedCounts(), frameSide.AssignedCounts()
+		wantA, wantR := structSide.Counts()
+		gotA, gotR := frameSide.Counts()
 		for i := range wantA {
 			if gotA[i] != wantA[i] {
 				t.Fatalf("shards=%d: assigned[%d] = %d via frames, %d via structs", shards, i, gotA[i], wantA[i])
 			}
 		}
-		wantR, gotR := structSide.RoutedCounts(), frameSide.RoutedCounts()
 		for i := range wantR {
 			if gotR[i] != wantR[i] {
 				t.Fatalf("shards=%d: routed[%d] = %d via frames, %d via structs", shards, i, gotR[i], wantR[i])

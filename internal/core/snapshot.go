@@ -74,8 +74,9 @@ func SaveState(w io.Writer, dp *Dataplane, cp *ControlPlane) error {
 	e.U64(cp.watchdogTrips.Value())
 	e.U64(cp.failOpens.Value())
 
-	e.U64s(dp.assigned.Values())
-	e.U64s(dp.routed.Values())
+	assigned, routed := dp.Counts()
+	e.U64s(assigned)
+	e.U64s(routed)
 	return frame.WriteContainer(w, snapMagic, snapVersion, e.B)
 }
 
@@ -144,9 +145,9 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 	if err := d.Done(); err != nil {
 		return fmt.Errorf("core: snapshot payload: %w", err)
 	}
-	if len(assigned) != dp.assigned.Len() || len(routed) != dp.routed.Len() {
+	if len(assigned) != dp.cfg.Clustering.MaxClusters || len(routed) != dp.cfg.NumQueues {
 		return fmt.Errorf("core: snapshot counter widths %d/%d do not match pipeline %d/%d",
-			len(assigned), len(routed), dp.assigned.Len(), dp.routed.Len())
+			len(assigned), len(routed), dp.cfg.Clustering.MaxClusters, dp.cfg.NumQueues)
 	}
 	for slot, q := range qm {
 		if q >= dp.cfg.NumQueues {
@@ -205,15 +206,8 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 	cp.panicsRecovered.Add(panics)
 	cp.watchdogTrips.Add(trips)
 	cp.failOpens.Add(engagements)
-	for i, v := range assigned {
-		if v != 0 {
-			dp.assigned.Add(0, i, v)
-		}
-	}
-	for i, v := range routed {
-		if v != 0 {
-			dp.routed.Add(0, i, v)
-		}
+	for i, v := range append(assigned, routed...) {
+		dp.restored.Add(0, i, v)
 	}
 	return nil
 }

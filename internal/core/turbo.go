@@ -245,7 +245,7 @@ func (t *Turbo) ControlPlane() *ControlPlane { return t.cp }
 // classify is the data-plane step the strict-priority qdisc runs per
 // packet: assign the packet to its cluster, then look the cluster up in
 // the live queue mapping. The assignment is threaded explicitly from
-// assignOn to QueueFor — there is no hidden in-flight packet state, so
+// the clusterer to QueueFor — there is no hidden in-flight packet state, so
 // the classifier works identically whether the packet arrived through a
 // port or was enqueued directly.
 func (t *Turbo) classify(now eventsim.Time, p *packet.Packet) int {

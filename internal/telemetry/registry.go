@@ -89,16 +89,6 @@ func (r *Registry) Histogram(name string, h *Histogram) {
 	})
 }
 
-// Vec registers each element of a vector counter as name_i.
-func (r *Registry) Vec(name string, v *VecCounter) {
-	for i := 0; i < v.Len(); i++ {
-		i := i
-		r.register(fmt.Sprintf("%s_%d", name, i), func() Sample {
-			return Sample{Name: fmt.Sprintf("%s_%d", name, i), Kind: KindCounter, Value: float64(v.Value(i))}
-		})
-	}
-}
-
 // Snapshot reads every instrument once, sorted by name.
 func (r *Registry) Snapshot() []Sample {
 	r.mu.Lock()

@@ -5,7 +5,7 @@
 //     the control plane's deployments, panics, watchdog trips and
 //     fail-opens, the ingest queue's shed and rejected frames).
 //   - VecCounter is a vector of counters striped across writer shards:
-//     the data plane's per-cluster assignments and per-queue routing.
+//     the data plane's per-(cluster, queue) packet counts.
 //   - Histogram counts observations into fixed buckets with
 //     copy-on-read Snapshot semantics: the control plane's
 //     deployment-latency distribution.
@@ -68,9 +68,6 @@ func NewVecCounter(n, shards int) *VecCounter {
 	return &VecCounter{n: n, stride: stride, slots: make([]atomic.Uint64, stride*shards)}
 }
 
-// Len returns the number of counters in the vector.
-func (v *VecCounter) Len() int { return v.n }
-
 // Add increments counter i on the given shard's stripe by delta.
 // Out-of-range indexes are clamped to the last counter; out-of-range
 // shards fold onto stripe 0 (still correct, possibly contended).
@@ -105,11 +102,12 @@ func (v *VecCounter) Values() []uint64 {
 	return out
 }
 
-// Total returns the sum over the whole vector.
+// Total returns the sum over the whole vector. Add never writes a
+// padding slot, so this sums every slot in one pass.
 func (v *VecCounter) Total() uint64 {
 	var sum uint64
-	for i := 0; i < v.n; i++ {
-		sum += v.Value(i)
+	for i := range v.slots {
+		sum += v.slots[i].Load()
 	}
 	return sum
 }

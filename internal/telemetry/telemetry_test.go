@@ -124,9 +124,6 @@ func TestRegistryText(t *testing.T) {
 	r.Histogram("latency_ns", h)
 	r.CounterFunc("derived_total", func() uint64 { return 9 })
 	r.GaugeFunc("ratio", func() float64 { return 0.5 })
-	v := NewVecCounter(2, 1)
-	v.Add(0, 1, 4)
-	r.Vec("queue_pkts", v)
 
 	var sb strings.Builder
 	if err := r.WriteText(&sb); err != nil {
@@ -138,8 +135,6 @@ func TestRegistryText(t *testing.T) {
 		"# TYPE pkts_total counter\npkts_total 3\n",
 		"derived_total 9\n",
 		"# TYPE ratio gauge\nratio 0.5\n",
-		"queue_pkts_0 0\n",
-		"queue_pkts_1 4\n",
 		"latency_ns_bucket{le=\"10\"} 1\n",
 		"latency_ns_bucket{le=\"20\"} 2\n",
 		"latency_ns_bucket{le=\"+Inf\"} 3\n",
@@ -156,8 +151,8 @@ func TestRegistryText(t *testing.T) {
 	}
 
 	snap := r.Snapshot()
-	if len(snap) != 7 {
-		t.Fatalf("snapshot has %d samples, want 7", len(snap))
+	if len(snap) != 5 {
+		t.Fatalf("snapshot has %d samples, want 5", len(snap))
 	}
 
 	defer func() {
