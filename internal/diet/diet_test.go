@@ -49,7 +49,6 @@ var allowlist = []allowed{
 	// Kept on purpose until a change whose floor budget carries their tests.
 	{"method", "victim.Detector.Marshal", "the ACCVICT1 snapshot: no producer or consumer outside tests, 11 floor tests pin it", "7(c)"},
 	{"method", "victim.Detector.Unmarshal", "the ACCVICT1 snapshot: no producer or consumer outside tests, 11 floor tests pin it", "7(c)"},
-	{"field", "victim.Config.SketchRows", "the ACCVICT1 parent fixture restores into a 4x64 sketch", "7(c)"},
 	{"field", "victim.Config.SketchCols", "the ACCVICT1 parent fixture restores into a 4x64 sketch", "7(c)"},
 	{"method", "packet.Packet.Flow", "packet.Flow and Endpoint: two floor tests", "7(c)"},
 	{"method", "packet.Flow.Reverse", "packet.Flow and Endpoint: two floor tests", "7(c)"},

@@ -14,10 +14,10 @@ import (
 // and reports each sketch's mean overestimate as load grows, plus how
 // many innocent flows each would flag at a Jaqen-style threshold.
 //
-// Two honest findings: (1) at the same nominal geometry the blocked
-// layout is looser than classic count-min (rows within a block share
-// their cache-line collision event) and conservative update claws back
-// roughly half of that; (2) the blocked layout also stores rows/8 ×
+// Two honest findings: (1) at the same nominal geometry the one-line
+// layout is looser than classic count-min (a key's rows share their
+// cache-line collision event) and conservative update claws back
+// roughly half of that; (2) the one-line layout also stores rows×
 // fewer counters, so at EQUAL MEMORY turbo+CU widens its columns and
 // ends up tighter than the seed sketch while still being ~4× faster
 // per update.
@@ -30,7 +30,7 @@ func SketchAcc(opts Options) *Result {
 	}
 
 	const (
-		rows = 4
+		rows = sketch.TurboRows
 		cols = 4096 // narrowed from Jaqen's 65536 so error is measurable
 	)
 	points := sized(opts, []int{20_000, 50_000, 100_000, 200_000, 400_000}, []int{10_000, 30_000, 60_000})
@@ -46,12 +46,12 @@ func SketchAcc(opts Options) *Result {
 	}
 
 	compat := sketch.NewReferenceCountMin(rows, cols)
-	turbo := sketch.NewTurboCountMin(rows, cols, false)
-	cu := sketch.NewTurboCountMin(rows, cols, true)
-	// The blocked layout stores ceil(rows/8)*cols counters, so at equal
-	// memory to the compatible rows*cols matrix it affords rows× the
-	// columns.
-	cuEq := sketch.NewTurboCountMin(rows, rows*cols, true)
+	turbo := sketch.NewTurboCountMin(cols, false)
+	cu := sketch.NewTurboCountMin(cols, true)
+	// A turbo sketch keeps all its rows in one line per key, cols
+	// counters in all, so at equal memory to the compatible rows*cols
+	// matrix it affords rows× the columns.
+	cuEq := sketch.NewTurboCountMin(rows*cols, true)
 	truth := make(map[uint64]uint64, total/4)
 
 	names := []string{"compatible (FNV)", "turbo", "turbo+CU", "turbo+CU equal-mem"}
@@ -104,7 +104,7 @@ func SketchAcc(opts Options) *Result {
 	r.Note("%d distinct flows after %d updates (%d-row sketches, %d nominal cols)",
 		len(truth), total, rows, cols)
 	r.Note("counter memory: compatible %d KiB, turbo %d KiB, turbo equal-mem %d KiB",
-		rows*cols*8/1024, cuEq.FootprintBytes()/1024/rows, cuEq.FootprintBytes()/1024)
+		rows*cols*8/1024, cols*8/1024, cuEq.Cols()*8/1024)
 	r.Note("mean overestimate at full load: compatible %.2f, turbo %.2f, turbo+CU %.2f, turbo+CU equal-mem %.2f",
 		means[0][last], means[1][last], means[2][last], means[3][last])
 	r.Note("false heavies at threshold %d: compatible %d, turbo %d, turbo+CU %d, turbo+CU equal-mem %d",

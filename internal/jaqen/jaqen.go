@@ -64,13 +64,13 @@ const (
 	consecutiveWindows = 2
 	// ruleInstallDelay is the controller-to-data-plane latency.
 	ruleInstallDelay = 50 * eventsim.Millisecond
-	// sketchRows and sketchCols size the count-min sketch: the
+	// sketchCols is the width of the count-min sketch: the four-row
 	// wire-speed sketch.TurboCountMin with conservative update, which
 	// raises just the counters at the key's current minimum and so
 	// tightens the overestimate that makes Jaqen flag innocent keys
 	// sharing counters with heavy ones (the sketchacc experiment
 	// measures the effect).
-	sketchRows, sketchCols = 4, 65536
+	sketchCols = 65536
 )
 
 // DefaultConfig mirrors the paper's measurement setup: 5-tuple key and
@@ -134,7 +134,7 @@ func Attach(eng *eventsim.Engine, port *netsim.Port, cfg Config) (*Jaqen, error)
 		rules:           map[uint64]struct{}{},
 		flagged:         map[uint64]bool{},
 		FirstMitigation: -1,
-		cm:              sketch.NewTurboCountMin(sketchRows, sketchCols, true),
+		cm:              sketch.NewTurboCountMin(sketchCols, true),
 	}
 	port.AddIngress(func(_ eventsim.Time, p *packet.Packet) bool {
 		return j.admit(p)

@@ -18,9 +18,11 @@
 //     sketchacc experiment.
 //
 //   - TurboCountMin and TopK (turbo.go, topk.go) are the wire-speed
-//     variants: one 64-bit mix per key, Kirsch–Mitzenmacher row
-//     derivation, power-of-two masking and a cache-line-blocked layout.
-//     They are differentially tested against the reference rather than
+//     variants: one 64-bit mix per key, power-of-two masking, and a
+//     key's four rows in four lanes of one cache line. TopK holds back
+//     the sketch updates of a run of offers to one tracked key and
+//     applies them as one, which conservative update makes exact. They
+//     are differentially tested against the reference rather than
 //     golden-pinned; Jaqen and the victim detector run on them.
 package sketch
 

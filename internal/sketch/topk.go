@@ -26,11 +26,16 @@ type TopK struct {
 	decayThresh []uint64
 	// Decayed counts eviction-decay events, an observability aid.
 	Decayed uint64
-	// last is the heap index the previous tracked key came to rest at:
-	// an attack sends runs of packets to one destination, so Offer tries
-	// this slot before the pos map. A hint only — a bounds check and a key
-	// compare guard its use, so a stale value costs just the map lookup.
+	// last is the heap index the previous tracked key came to rest at;
+	// during a run it is the run key's slot.
 	last int
+	// The open run: runN consecutive offers of the tracked key runKey,
+	// of total weight runW, whose sketch update is held back. An attack
+	// sends long runs of packets to one destination, and with nothing
+	// in between, conservative updates of one key by a then b equal one
+	// update by a+b (saturation included), so flush applies the run as
+	// one Add. runN == 0 means no run is open.
+	runKey, runW, runN uint64
 }
 
 type tkEntry struct {
@@ -54,16 +59,16 @@ const decayBase = 1.08
 const decayTableSize = 256
 
 // NewTopK builds a tracker for the k heaviest keys backed by a
-// rows × cols turbo count-min (conservative update — overestimates
-// would otherwise promote phantom candidates). seed drives the decay
-// coin flips.
-func NewTopK(k, rows, cols int, seed uint64) *TopK {
+// TurboRows × cols turbo count-min (conservative update — overestimates
+// would otherwise promote phantom candidates, and the run coalescing
+// relies on it). seed drives the decay coin flips.
+func NewTopK(k, cols int, seed uint64) *TopK {
 	if k <= 0 {
 		panic("sketch: TopK needs k > 0")
 	}
 	t := &TopK{
 		k:           k,
-		cm:          NewTurboCountMin(rows, cols, true),
+		cm:          NewTurboCountMin(cols, true),
 		entries:     make([]tkEntry, 0, k),
 		pos:         make(map[uint64]int, k),
 		rng:         seed,
@@ -85,21 +90,18 @@ func (t *TopK) nextRand() uint64 {
 // Offer feeds one (key, weight) observation. Allocation free at steady
 // state: heap slots and map cells are reused across evictions.
 func (t *TopK) Offer(key uint64, weight uint64) {
-	i, ok := t.last, true
-	if uint(i) >= uint(len(t.entries)) || t.entries[i].key != key {
-		i, ok = t.pos[key]
+	if key == t.runKey && t.runN != 0 {
+		t.runW = satAdd(t.runW, weight)
+		t.runN++
+		t.last = t.grow(t.last, weight)
+		return
 	}
-	if ok {
+	t.flush()
+	if i, ok := t.pos[key]; ok {
 		// Tracked keys count exactly: the sketch is only consulted for
 		// challengers, so incumbents are immune to its overestimate.
-		t.cm.Add(key, weight)
-		e := &t.entries[i]
-		c := e.count + weight
-		if c < e.count {
-			c = math.MaxUint64
-		}
-		e.count = c
-		t.last = t.siftDown(i)
+		t.runKey, t.runW, t.runN = key, weight, 1
+		t.last = t.grow(i, weight)
 		return
 	}
 	est := t.cm.Add(key, weight)
@@ -118,10 +120,7 @@ func (t *TopK) Offer(key uint64, weight uint64) {
 		// at the evicted count plus this offer keeps admission monotone
 		// (the entrant outranks what it displaced) without importing the
 		// sketch's collision error into the ranking.
-		c := min.count + weight
-		if c < min.count {
-			c = math.MaxUint64
-		}
+		c := satAdd(min.count, weight)
 		if est < c {
 			c = est
 		}
@@ -179,13 +178,37 @@ func sortElements(es []Element) {
 	}
 }
 
-// Sketch exposes the backing turbo count-min (for serialization).
-func (t *TopK) Sketch() *TurboCountMin { return t.cm }
+// grow adds weight to the tracked entry at heap index i and returns the
+// index it comes to rest at.
+func (t *TopK) grow(i int, weight uint64) int {
+	e := &t.entries[i]
+	e.count = satAdd(e.count, weight)
+	return t.siftDown(i)
+}
+
+// flush applies the open run to the sketch as one update and closes it.
+// Updates still counts every offer.
+func (t *TopK) flush() {
+	if t.runN == 0 {
+		return
+	}
+	t.cm.Add(t.runKey, t.runW)
+	t.cm.Updates += t.runN - 1
+	t.runN = 0
+}
+
+// Sketch exposes the backing turbo count-min (for serialization), with
+// the open run applied.
+func (t *TopK) Sketch() *TurboCountMin {
+	t.flush()
+	return t.cm
+}
 
 // Reset clears the tracker and its sketch for the next window. The
 // decay RNG deliberately keeps its state: windows stay deterministic
 // as a sequence, not individually identical.
 func (t *TopK) Reset() {
+	t.flush()
 	t.cm.Reset()
 	t.entries = t.entries[:0]
 	clear(t.pos)
@@ -203,8 +226,10 @@ func (t *TopK) Entries() []Element {
 }
 
 // Restore replaces the tracked set and RNG state (heap order is
-// rebuilt, so Entries → Restore round-trips through any order).
+// rebuilt, so Entries → Restore round-trips through any order). The
+// keys must be distinct: a run assumes one slot per key.
 func (t *TopK) Restore(entries []Element, rng uint64) {
+	t.flush()
 	t.entries = t.entries[:0]
 	clear(t.pos)
 	for _, e := range entries {

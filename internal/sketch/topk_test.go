@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -9,7 +10,7 @@ import (
 // long tail; the tracker must surface every heavy key, ranked by
 // weight.
 func TestTopKFindsHeavyKeys(t *testing.T) {
-	tk := NewTopK(8, 4, 4096, 1)
+	tk := NewTopK(8, 4096, 1)
 	r := rand.New(rand.NewSource(5))
 	// Heavy keys 1..5 with clearly separated weights, plus 20k noise keys.
 	heavy := map[uint64]uint64{1: 50_000, 2: 40_000, 3: 30_000, 4: 20_000, 5: 10_000}
@@ -53,7 +54,7 @@ func TestTopKFindsHeavyKeys(t *testing.T) {
 // victim detector's CI determinism gate rests on.
 func TestTopKDeterminism(t *testing.T) {
 	run := func() []Element {
-		tk := NewTopK(16, 4, 1024, 42)
+		tk := NewTopK(16, 1024, 42)
 		r := rand.New(rand.NewSource(9))
 		for i := 0; i < 50_000; i++ {
 			tk.Offer(r.Uint64()%10_000, uint64(r.Intn(1500)+1))
@@ -75,7 +76,7 @@ func TestTopKDeterminism(t *testing.T) {
 // displace a stale incumbent — the est ≥ truth guarantee means its
 // estimate eventually exceeds any finite incumbent count.
 func TestTopKPersistentChallengerGetsIn(t *testing.T) {
-	tk := NewTopK(2, 4, 1024, 7)
+	tk := NewTopK(2, 1024, 7)
 	for i := 0; i < 200; i++ {
 		tk.Offer(100, 1)
 		tk.Offer(200, 1)
@@ -100,7 +101,7 @@ func TestTopKPersistentChallengerGetsIn(t *testing.T) {
 // eventually be displaced. Decay probability at count ~30 is
 // 1.08^-30 ≈ 10%, so a few hundred losing challengers suffice.
 func TestTopKDecayEvictsStaleKeys(t *testing.T) {
-	tk := NewTopK(2, 4, 1024, 7)
+	tk := NewTopK(2, 1024, 7)
 	for i := 0; i < 30; i++ {
 		tk.Offer(100, 1)
 		tk.Offer(200, 1)
@@ -125,18 +126,74 @@ func TestTopKDecayEvictsStaleKeys(t *testing.T) {
 	}
 }
 
-// topKPair drives a tracker and its memo-free model through the same
-// stream. The model is a second TopK whose remembered slot is pushed out
-// of range before every offer, so it always takes the pos-map path the
-// tracker took before it remembered anything; the two must stay
-// identical entry for entry, and a tracked key must count exactly.
-type topKPair struct {
-	t         *testing.T
-	tk, plain *TopK
+// naiveTopK is the heavy-keeper without run coalescing: the same heap,
+// pos map and decay stream, and one sketch update per offer. It is the
+// oracle the run path is checked against; it never opens a run, so the
+// TopK methods it inherits (Reset, Restore, Sketch) flush nothing.
+type naiveTopK struct{ TopK }
+
+func (t *naiveTopK) Offer(key uint64, weight uint64) {
+	est := t.cm.Add(key, weight)
+	if i, ok := t.pos[key]; ok {
+		e := &t.entries[i]
+		e.count = satAdd(e.count, weight)
+		t.siftDown(i)
+		return
+	}
+	if len(t.entries) < t.k {
+		t.entries = append(t.entries, tkEntry{key: key, count: est})
+		t.pos[key] = len(t.entries) - 1
+		t.siftUp(len(t.entries) - 1)
+		return
+	}
+	min := &t.entries[0]
+	if est > min.count {
+		c := satAdd(min.count, weight)
+		if est < c {
+			c = est
+		}
+		delete(t.pos, min.key)
+		min.key, min.count = key, c
+		t.pos[key] = 0
+		t.siftDown(0)
+		return
+	}
+	c := min.count
+	if c >= decayTableSize {
+		c = decayTableSize - 1
+	}
+	if t.nextRand() < t.decayThresh[c] {
+		t.Decayed++
+		if min.count <= weight {
+			delete(t.pos, min.key)
+			min.key, min.count = key, est
+			t.pos[key] = 0
+			t.siftDown(0)
+			return
+		}
+		min.count -= weight
+	}
 }
 
+// topKPair drives a tracker and the naive oracle through the same
+// stream. After every offer the two must hold the same entries in the
+// same order, the same decay stream and the same Decayed count, and a
+// tracked key must count exactly; every sketchEvery offers, and on
+// demand, the sketches must match word for word and in Updates. The
+// cadence is prime so checks land in the middle of runs, where the
+// tracker's sketch has an update held back, and not after every offer,
+// which would flush every run at its first offer.
+type topKPair struct {
+	t     *testing.T
+	tk    *TopK
+	plain *naiveTopK
+	n     int
+}
+
+const sketchEvery = 61
+
 func newTopKPair(t *testing.T, k int, seed uint64) *topKPair {
-	return &topKPair{t: t, tk: NewTopK(k, 4, 512, seed), plain: NewTopK(k, 4, 512, seed)}
+	return &topKPair{t: t, tk: NewTopK(k, 512, seed), plain: &naiveTopK{*NewTopK(k, 512, seed)}}
 }
 
 func (p *topKPair) offer(key, weight uint64) {
@@ -144,10 +201,9 @@ func (p *topKPair) offer(key, weight uint64) {
 	tk := p.tk
 	want, tracked := uint64(0), false
 	if i, ok := tk.pos[key]; ok {
-		want, tracked = tk.entries[i].count+weight, true
+		want, tracked = satAdd(tk.entries[i].count, weight), true
 	}
 	tk.Offer(key, weight)
-	p.plain.last = -1
 	p.plain.Offer(key, weight)
 
 	if tracked {
@@ -155,13 +211,14 @@ func (p *topKPair) offer(key, weight uint64) {
 			p.t.Fatalf("tracked key %x: count after offer is not the exact %d (pos %d, %v)", key, want, i, ok)
 		}
 	}
-	if len(tk.entries) != len(tk.pos) || len(tk.entries) != len(p.plain.entries) || tk.rng != p.plain.rng {
-		p.t.Fatalf("heap has %d entries, pos map %d, model %d (rng %x vs %x)",
-			len(tk.entries), len(tk.pos), len(p.plain.entries), tk.rng, p.plain.rng)
+	if len(tk.entries) != len(tk.pos) || len(tk.entries) != len(p.plain.entries) ||
+		tk.rng != p.plain.rng || tk.Decayed != p.plain.Decayed {
+		p.t.Fatalf("heap has %d entries, pos map %d, oracle %d (rng %x vs %x, decayed %d vs %d)",
+			len(tk.entries), len(tk.pos), len(p.plain.entries), tk.rng, p.plain.rng, tk.Decayed, p.plain.Decayed)
 	}
 	for i, e := range tk.entries {
 		if e != p.plain.entries[i] {
-			p.t.Fatalf("entry %d is %+v, the memo-free model has %+v (offer %x/%d)", i, e, p.plain.entries[i], key, weight)
+			p.t.Fatalf("entry %d is %+v, the oracle has %+v (offer %x/%d)", i, e, p.plain.entries[i], key, weight)
 		}
 		if tk.pos[e.key] != i {
 			p.t.Fatalf("pos[%x] = %d, entry lives at %d", e.key, tk.pos[e.key], i)
@@ -173,13 +230,28 @@ func (p *topKPair) offer(key, weight uint64) {
 			p.t.Fatalf("min-heap violated at %d", i)
 		}
 	}
+	if p.n++; p.n%sketchEvery == 0 {
+		p.sameSketch()
+	}
 }
 
-// TestTopKHeapInvariant checks pos-map/heap consistency and exact
-// tracked counts after every offer, on streams built to leave the
-// remembered heap slot stale: long runs of one key, the run's key
-// evicted mid-run, Reset between runs, and Restore into fewer entries
-// than the remembered index.
+// sameSketch compares the two sketches through Sketch(), which applies
+// the tracker's open run.
+func (p *topKPair) sameSketch() {
+	p.t.Helper()
+	got, want := p.tk.Sketch(), p.plain.Sketch()
+	if got.Updates != want.Updates {
+		p.t.Fatalf("sketch Updates %d, the oracle's %d (after %d offers)", got.Updates, want.Updates, p.n)
+	}
+	if !slices.Equal(got.Words(), want.Words()) {
+		p.t.Fatalf("sketch words differ from the oracle's (after %d offers)", p.n)
+	}
+}
+
+// TestTopKHeapInvariant checks the tracker against the naive oracle
+// (see topKPair) on streams built to cut runs short: long runs of one
+// key, the run's key evicted mid-run, Reset between runs, Restore into
+// fewer entries than the run's slot, and a uniform stream with no runs.
 func TestTopKHeapInvariant(t *testing.T) {
 	t.Run("churn in runs", func(t *testing.T) {
 		p := newTopKPair(t, 32, 3)
@@ -190,6 +262,7 @@ func TestTopKHeapInvariant(t *testing.T) {
 				p.offer(key, w)
 			}
 		}
+		p.sameSketch()
 	})
 	t.Run("evicted mid-run by decay", func(t *testing.T) {
 		p := newTopKPair(t, 2, 7)
@@ -216,6 +289,7 @@ func TestTopKHeapInvariant(t *testing.T) {
 		if evictions == 0 {
 			t.Fatal("no run key was ever evicted mid-run: the stream does not test a stale slot")
 		}
+		p.sameSketch()
 	})
 	t.Run("reset between runs", func(t *testing.T) {
 		p := newTopKPair(t, 8, 9)
@@ -260,19 +334,51 @@ func TestTopKHeapInvariant(t *testing.T) {
 				p.offer(41, 2)
 			}
 		}
+		p.sameSketch()
+	})
+	t.Run("uniform without runs", func(t *testing.T) {
+		p := newTopKPair(t, 16, 13)
+		r := rand.New(rand.NewSource(80))
+		for i := 0; i < 20_000; i++ {
+			p.offer(r.Uint64()%5_000, uint64(r.Intn(1500)+1))
+		}
+		p.sameSketch()
+	})
+}
+
+// FuzzTopKRuns checks the run path against the naive oracle on streams
+// drawn from an eight-key alphabet into a four-entry tracker, so runs,
+// admissions, decay and evictions all occur. Each input byte pair is one
+// offer: the first byte's low three bits pick the key, its top three
+// bits shift the second byte's weight up to 2^56 so counters saturate,
+// and its two middle bits, when both set, also compare the sketches
+// (which applies the open run) after the offer.
+func FuzzTopKRuns(f *testing.F) {
+	f.Add(uint64(1), []byte{1, 9, 1, 9, 1, 9, 2, 5, 1, 9, 0x19, 3, 1, 1})
+	f.Add(uint64(7), []byte{0xe1, 0xff, 0xe1, 0xff, 0xe1, 0xff, 0xe2, 0xff, 0xe1, 0xff})
+	f.Fuzz(func(t *testing.T, seed uint64, ops []byte) {
+		p := newTopKPair(t, 4, seed)
+		for i := 0; i+1 < len(ops); i += 2 {
+			b := ops[i]
+			p.offer(uint64(b&7), uint64(ops[i+1])<<(8*(b>>5)))
+			if b&0x18 == 0x18 {
+				p.sameSketch()
+			}
+		}
+		p.sameSketch()
 	})
 }
 
 // TestTopKRestoreRoundTrip: Entries/RNG → Restore must reproduce the
 // tracker exactly, including subsequent behavior.
 func TestTopKRestoreRoundTrip(t *testing.T) {
-	tk := NewTopK(8, 4, 512, 11)
+	tk := NewTopK(8, 512, 11)
 	r := rand.New(rand.NewSource(13))
 	for i := 0; i < 30_000; i++ {
 		tk.Offer(r.Uint64()%2_000, uint64(r.Intn(50)+1))
 	}
 
-	clone := NewTopK(8, 4, 512, 0)
+	clone := NewTopK(8, 512, 0)
 	if err := clone.Sketch().SetWords(tk.Sketch().Words(), tk.Sketch().Updates); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +408,7 @@ func TestTopKRestoreRoundTrip(t *testing.T) {
 // TestTopKAppendTopReusesBuffer: the polling path must not allocate
 // once the destination has capacity.
 func TestTopKAppendTopReusesBuffer(t *testing.T) {
-	tk := NewTopK(8, 4, 512, 1)
+	tk := NewTopK(8, 512, 1)
 	for k := uint64(0); k < 20; k++ {
 		tk.Offer(k, (k+1)*10)
 	}
@@ -324,7 +430,7 @@ func TestTopKAppendTopReusesBuffer(t *testing.T) {
 // TestTopKResetClears: a reset tracker starts a fresh window but keeps
 // its RNG stream (windows are deterministic as a sequence).
 func TestTopKResetClears(t *testing.T) {
-	tk := NewTopK(4, 4, 512, 1)
+	tk := NewTopK(4, 512, 1)
 	for k := uint64(0); k < 10; k++ {
 		tk.Offer(k, 100)
 	}

@@ -2,80 +2,68 @@ package sketch
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 )
+
+// TurboRows is the depth of every turbo count-min: a key's four
+// counters are four lanes of one 64-byte line.
+const TurboRows = 4
 
 // TurboCountMin is the wire-speed count-min variant. It trades the
 // seed-era FNV/modulo placement of ReferenceCountMin for:
 //
 //   - One 64-bit mix (splitmix64 finalizer) per key instead of one
-//     8-iteration FNV loop per row, with the per-row hashes derived
-//     Kirsch–Mitzenmacher style as h1 + r*h2.
+//     8-iteration FNV loop per row.
 //   - Power-of-two columns indexed with a mask instead of `%`.
-//   - A cache-line-blocked layout: rows are grouped 8 to a block, each
-//     block derives ONE line index per key, and the ≤8 rows of the
-//     block land in distinct lanes of that 64-byte line (lane bits come
-//     from the hash's upper bits, disjoint from the line bits). An
-//     update therefore touches ceil(rows/8) cache lines instead of
-//     rows — one line at the Jaqen default geometry.
+//   - One cache line per key: the hash's low bits pick one of cols/8
+//     64-byte lines, and four disjoint 3-bit fields of its upper bits
+//     pick the lane of each of the TurboRows rows within it. An update
+//     is straight-line code over those four lanes.
 //   - Optional conservative update: only counters at the key's current
 //     minimum are raised, which provably keeps estimates ≥ truth while
 //     never exceeding the vanilla estimate (differentially tested).
 //
 // Estimates are NOT comparable bit-for-bit with ReferenceCountMin;
 // goldens that cover a caller moved onto this sketch are regenerated,
-// never silently reinterpreted. The blocked layout trades
-// some independence for locality: two keys collide on a whole block
-// only if they share its line (probability 8/cols) AND their per-row
-// lanes land on occupied counters (~(1/2)^rows for a full block-depth
-// collision, since a depth-r key occupies up to r of the line's 8
-// lanes). That is far likelier than classic count-min's (1/cols)^rows,
-// so turbo sketches buy back accuracy with width (cols is cheap — the
-// whole line is touched anyway) and with conservative update; the
-// est ≥ truth guarantee is unaffected. TopK additionally caps heap
-// admission so a full-block collision cannot freeze a phantom into the
-// ranking.
+// never silently reinterpreted. The one-line layout trades some
+// independence for locality: two keys collide on every row only if
+// they share a line (probability 8/cols) AND their lanes land on
+// occupied counters (~(1/2)^4, since a key occupies up to four of the
+// line's eight lanes). That is far likelier than classic count-min's
+// (1/cols)^4, so turbo sketches buy back accuracy with width (cols is
+// cheap — the whole line is touched anyway) and with conservative
+// update; the est ≥ truth guarantee is unaffected. TopK additionally
+// caps heap admission so a whole-line collision cannot freeze a phantom
+// into the ranking.
 type TurboCountMin struct {
-	rows, cols   int  // cols is a power of two, ≥ 8
+	cols         int  // a power of two, ≥ 8
 	conservative bool // conservative update (increment-min-only)
 	lineMask     uint64
-	counts       []uint64 // ceil(rows/8) blocks × cols counters
+	counts       []uint64 // cols counters: cols/8 lines of 8 lanes
 	// Updates counts Add-ed keys since the last Reset.
 	Updates uint64
 }
 
-// maxTurboRows bounds the depth so per-key index scratch fits a fixed
-// stack array. ln(1/delta) sizing hits 64 rows at delta = 1e-28; no
-// real configuration comes close.
-const maxTurboRows = 64
-
-// NewTurboCountMin builds a turbo sketch with ~rows × cols geometry:
-// cols is rounded up to a power of two (minimum 8, one cache line) and
-// rows is capped at 64. conservative selects conservative update.
-func NewTurboCountMin(rows, cols int, conservative bool) *TurboCountMin {
-	if rows <= 0 || cols <= 0 {
-		panic(fmt.Sprintf("sketch: invalid turbo count-min geometry %dx%d", rows, cols))
-	}
-	if rows > maxTurboRows {
-		panic(fmt.Sprintf("sketch: turbo count-min depth %d exceeds %d", rows, maxTurboRows))
+// NewTurboCountMin builds a TurboRows × cols turbo sketch: cols is
+// rounded up to a power of two (minimum 8, one cache line).
+// conservative selects conservative update.
+func NewTurboCountMin(cols int, conservative bool) *TurboCountMin {
+	if cols <= 0 {
+		panic(fmt.Sprintf("sketch: invalid turbo count-min width %d", cols))
 	}
 	w := 8
 	for w < cols {
 		w <<= 1
 	}
-	blocks := (rows + 7) / 8
 	return &TurboCountMin{
-		rows:         rows,
 		cols:         w,
 		conservative: conservative,
 		lineMask:     uint64(w/8 - 1),
-		counts:       make([]uint64, blocks*w),
+		counts:       make([]uint64, w),
 	}
 }
 
-// Rows and Cols report the effective geometry (cols after power-of-two
-// round-up).
-func (t *TurboCountMin) Rows() int { return t.rows }
+// Cols reports the effective width (after power-of-two round-up).
 func (t *TurboCountMin) Cols() int { return t.cols }
 
 // mix64 is the splitmix64 finalizer: one multiply-xorshift cascade
@@ -89,39 +77,18 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// hashPair derives the Kirsch–Mitzenmacher base hashes for a key: h2
-// is forced odd so successive h1 + g*h2 values cycle through all
-// residues.
-func hashPair(key uint64) (h1, h2 uint64) {
-	h1 = mix64(key)
-	h2 = mix64(h1) | 1
-	return h1, h2
+// line returns the key hash h's cache line as an 8-counter array view.
+// The fixed-size array is what lets the kernels index lanes (always
+// masked &7) with no bounds check; row r's lane is h>>(40+3r)&7.
+func (t *TurboCountMin) line(h uint64) *[8]uint64 {
+	i := int(h&t.lineMask) * 8
+	return (*[8]uint64)(t.counts[i : i+8])
 }
 
-// index returns the flat counter index for row r given the row's block
-// hash hg: the low bits pick the block's cache line, three disjoint
-// high bits pick the row's lane within it. The hot paths inline this
-// math per block (see line); index itself serves tests and non-hot
-// callers as the layout's definition.
-func (t *TurboCountMin) index(r int, hg uint64) int {
-	block := r >> 3
-	line := hg & t.lineMask
-	lane := (hg >> (40 + 3*uint(r&7))) & 7
-	return block*t.cols + int(line*8+lane)
-}
-
-// line returns block b's cache line for block hash hg as an 8-counter
-// array view. The fixed-size array conversion is what lets the hot
-// loops index lanes (always masked &7) with no bounds check.
-func (t *TurboCountMin) line(counts []uint64, base int, hg uint64) *[8]uint64 {
-	i := base + int(hg&t.lineMask)*8
-	return (*[8]uint64)(counts[i : i+8])
-}
-
-// blockHash returns block b's hash. Block 0 uses h1 alone — the common
-// rows ≤ 8 case never pays for the second mix (see Add).
-func blockHash(h1, h2 uint64, b int) uint64 {
-	return h1 + uint64(b)*h2
+// satAdd is a + b, saturating at MaxUint64 instead of wrapping.
+func satAdd(a, b uint64) uint64 {
+	s, carry := bits.Add64(a, b, 0)
+	return s | -carry
 }
 
 // Add increments key's count by delta and returns the new estimate.
@@ -130,151 +97,49 @@ func blockHash(h1, h2 uint64, b int) uint64 {
 // estimate grows to exactly min+delta instead of inflating every row.
 func (t *TurboCountMin) Add(key uint64, delta uint64) uint64 {
 	t.Updates++
-	h1 := mix64(key)
-	var h2 uint64
-	if t.rows > 8 {
-		h2 = mix64(h1) | 1 // only multi-block sketches need the KM step
-	}
+	h := mix64(key)
 	if t.conservative {
-		return t.addCU(h1, h2, delta)
+		return t.addCU(h, delta)
 	}
-	return t.addVanilla(h1, h2, delta)
+	return t.addVanilla(h, delta)
 }
 
-// addVanilla is the single-pass non-conservative update: per block,
-// one line load, then saturating adds on the block's lanes.
-func (t *TurboCountMin) addVanilla(h1, h2, delta uint64) uint64 {
-	counts := t.counts
-	out := uint64(math.MaxUint64)
-	rows, base, b := t.rows, 0, 0
-	for rows > 0 {
-		hg := blockHash(h1, h2, b)
-		tail := t.line(counts, base, hg)
-		n := rows
-		if n > 8 {
-			n = 8
-		}
-		shift := uint(40)
-		for r := 0; r < n; r++ {
-			p := &tail[(hg>>shift)&7]
-			shift += 3
-			v := *p + delta
-			if v < *p {
-				v = math.MaxUint64 // saturate, never wrap
-			}
-			*p = v
-			if v < out {
-				out = v
-			}
-		}
-		rows -= n
-		base += t.cols
-		b++
-	}
-	return out
+// addVanilla adds delta to each row's lane in row order. Two rows may
+// share a lane; that counter then takes delta twice, as it would in a
+// row-by-row loop.
+func (t *TurboCountMin) addVanilla(h, delta uint64) uint64 {
+	c := t.line(h)
+	v0 := satAdd(c[h>>40&7], delta)
+	c[h>>40&7] = v0
+	v1 := satAdd(c[h>>43&7], delta)
+	c[h>>43&7] = v1
+	v2 := satAdd(c[h>>46&7], delta)
+	c[h>>46&7] = v2
+	v3 := satAdd(c[h>>49&7], delta)
+	c[h>>49&7] = v3
+	return min(v0, v1, v2, v3)
 }
 
-// addCU is the conservative update: pass 1 finds the key's minimum
-// across all rows, pass 2 raises only counters below min+delta. Both
-// passes touch the same lines, so the second is cache-resident. The
-// raise is written load-select-store (not a conditional store) so the
-// compiler emits a branchless conditional move — whether a counter
-// moves is data-dependent and would mispredict half the time.
-func (t *TurboCountMin) addCU(h1, h2, delta uint64) uint64 {
-	counts := t.counts
-	if t.rows <= 8 {
-		// Single block: one line, one hash — find the min and raise in
-		// place without recomputing either.
-		hg := h1
-		tail := t.line(counts, 0, hg)
-		est := uint64(math.MaxUint64)
-		shift := uint(40)
-		for r := 0; r < t.rows; r++ {
-			if v := tail[(hg>>shift)&7]; v < est {
-				est = v
-			}
-			shift += 3
-		}
-		target := est + delta
-		if target < est {
-			target = math.MaxUint64 // saturate, never wrap
-		}
-		shift = 40
-		for r := 0; r < t.rows; r++ {
-			p := &tail[(hg>>shift)&7]
-			shift += 3
-			v := *p
-			if v < target {
-				v = target
-			}
-			*p = v
-		}
-		return target
-	}
-	est := t.estimateHashed(h1, h2)
-	target := est + delta
-	if target < est {
-		target = math.MaxUint64 // saturate, never wrap
-	}
-	rows, base, b := t.rows, 0, 0
-	for rows > 0 {
-		hg := blockHash(h1, h2, b)
-		tail := t.line(counts, base, hg)
-		n := rows
-		if n > 8 {
-			n = 8
-		}
-		shift := uint(40)
-		for r := 0; r < n; r++ {
-			p := &tail[(hg>>shift)&7]
-			shift += 3
-			v := *p
-			if v < target {
-				v = target
-			}
-			*p = v
-		}
-		rows -= n
-		base += t.cols
-		b++
-	}
+// addCU is the conservative update: the key's minimum across its four
+// lanes plus delta is the target, and each lane is raised to it. The
+// raise is a max, not a conditional store, so the compiler emits a
+// branchless conditional move — whether a counter moves is
+// data-dependent and would mispredict half the time.
+func (t *TurboCountMin) addCU(h, delta uint64) uint64 {
+	c := t.line(h)
+	target := satAdd(min(c[h>>40&7], c[h>>43&7], c[h>>46&7], c[h>>49&7]), delta)
+	c[h>>40&7] = max(c[h>>40&7], target)
+	c[h>>43&7] = max(c[h>>43&7], target)
+	c[h>>46&7] = max(c[h>>46&7], target)
+	c[h>>49&7] = max(c[h>>49&7], target)
 	return target
-}
-
-// estimateHashed is the min-of-rows query after hashing.
-func (t *TurboCountMin) estimateHashed(h1, h2 uint64) uint64 {
-	counts := t.counts
-	est := uint64(math.MaxUint64)
-	rows, base, b := t.rows, 0, 0
-	for rows > 0 {
-		hg := blockHash(h1, h2, b)
-		tail := t.line(counts, base, hg)
-		n := rows
-		if n > 8 {
-			n = 8
-		}
-		shift := uint(40)
-		for r := 0; r < n; r++ {
-			if v := tail[(hg>>shift)&7]; v < est {
-				est = v
-			}
-			shift += 3
-		}
-		rows -= n
-		base += t.cols
-		b++
-	}
-	return est
 }
 
 // Estimate returns the (over-)estimated count of key.
 func (t *TurboCountMin) Estimate(key uint64) uint64 {
-	h1 := mix64(key)
-	var h2 uint64
-	if t.rows > 8 {
-		h2 = mix64(h1) | 1
-	}
-	return t.estimateHashed(h1, h2)
+	h := mix64(key)
+	c := t.line(h)
+	return min(c[h>>40&7], c[h>>43&7], c[h>>46&7], c[h>>49&7])
 }
 
 // Reset zeroes all counters.
@@ -283,7 +148,7 @@ func (t *TurboCountMin) Reset() {
 	t.Updates = 0
 }
 
-// Words returns a copy of the counter array (block-major), for
+// Words returns a copy of the counter array (line-major), for
 // serialization.
 func (t *TurboCountMin) Words() []uint64 {
 	out := make([]uint64, len(t.counts))
@@ -292,7 +157,7 @@ func (t *TurboCountMin) Words() []uint64 {
 }
 
 // SetWords overwrites the counter array from a serialized copy; the
-// word count must match the sketch's geometry.
+// word count must be Cols.
 func (t *TurboCountMin) SetWords(words []uint64, updates uint64) error {
 	if len(words) != len(t.counts) {
 		return fmt.Errorf("sketch: turbo count-min has %d words, snapshot has %d", len(t.counts), len(words))
@@ -301,7 +166,3 @@ func (t *TurboCountMin) SetWords(words []uint64, updates uint64) error {
 	t.Updates = updates
 	return nil
 }
-
-// FootprintBytes reports the counter memory, a sizing diagnostic: the
-// blocked layout holds ceil(rows/8)*cols counters, not rows*cols.
-func (t *TurboCountMin) FootprintBytes() int { return len(t.counts) * 8 }

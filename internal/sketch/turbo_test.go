@@ -22,22 +22,20 @@ func zipfStream(seed int64, n int) []uint64 {
 // TestTurboCountMinNeverUnderestimates is the count-min safety
 // property: for every key of the stream, the turbo estimate must be ≥
 // the true count, in both vanilla and conservative-update modes, at
-// several geometries including a multi-block depth.
+// several widths down to a single line.
 func TestTurboCountMinNeverUnderestimates(t *testing.T) {
 	for _, conservative := range []bool{false, true} {
-		for _, g := range []struct{ rows, cols int }{
-			{1, 8}, {4, 1024}, {4, 65536}, {12, 512},
-		} {
-			tc := NewTurboCountMin(g.rows, g.cols, conservative)
+		for _, cols := range []int{8, 512, 1024, 65536} {
+			tc := NewTurboCountMin(cols, conservative)
 			truth := map[uint64]uint64{}
-			for _, k := range zipfStream(int64(g.rows*1000+g.cols), 30_000) {
+			for _, k := range zipfStream(int64(4000+cols), 30_000) {
 				tc.Add(k, 1)
 				truth[k]++
 			}
 			for k, want := range truth {
 				if got := tc.Estimate(k); got < want {
-					t.Fatalf("%dx%d cu=%v: estimate %d < truth %d for key %x",
-						g.rows, g.cols, conservative, got, want, k)
+					t.Fatalf("4x%d cu=%v: estimate %d < truth %d for key %x",
+						cols, conservative, got, want, k)
 				}
 			}
 		}
@@ -49,8 +47,8 @@ func TestTurboCountMinNeverUnderestimates(t *testing.T) {
 // estimate of every key is ≤ the vanilla estimate (pointwise tighter,
 // never looser), while both stay ≥ truth.
 func TestConservativeUpdateNeverExceedsVanilla(t *testing.T) {
-	vanilla := NewTurboCountMin(4, 4096, false)
-	cu := NewTurboCountMin(4, 4096, true)
+	vanilla := NewTurboCountMin(4096, false)
+	cu := NewTurboCountMin(4096, true)
 	truth := map[uint64]uint64{}
 	for _, k := range zipfStream(99, 50_000) {
 		vanilla.Add(k, 1)
@@ -83,8 +81,8 @@ func TestConservativeUpdateNeverExceedsVanilla(t *testing.T) {
 func TestQuickTurboInvariants(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		vanilla := NewTurboCountMin(3, 64, false)
-		cu := NewTurboCountMin(3, 64, true)
+		vanilla := NewTurboCountMin(64, false)
+		cu := NewTurboCountMin(64, true)
 		truth := map[uint64]uint64{}
 		for i := 0; i < 500; i++ {
 			k := r.Uint64() % 200 // force collisions in the tiny sketch
@@ -110,7 +108,7 @@ func TestQuickTurboInvariants(t *testing.T) {
 // for both turbo modes.
 func TestTurboCountMinSaturates(t *testing.T) {
 	for _, conservative := range []bool{false, true} {
-		tc := NewTurboCountMin(2, 8, conservative)
+		tc := NewTurboCountMin(8, conservative)
 		tc.Add(42, math.MaxUint64-5)
 		if got := tc.Add(42, 10); got != math.MaxUint64 {
 			t.Fatalf("cu=%v: Add past MaxUint64 returned %d", conservative, got)
@@ -123,11 +121,11 @@ func TestTurboCountMinSaturates(t *testing.T) {
 
 // TestTurboCountMinWordsRoundTrip checks the turbo snapshot mirror.
 func TestTurboCountMinWordsRoundTrip(t *testing.T) {
-	tc := NewTurboCountMin(4, 1024, true)
+	tc := NewTurboCountMin(1024, true)
 	for _, k := range zipfStream(3, 5_000) {
 		tc.Add(k, 2)
 	}
-	restored := NewTurboCountMin(4, 1024, true)
+	restored := NewTurboCountMin(1024, true)
 	if err := restored.SetWords(tc.Words(), tc.Updates); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +134,7 @@ func TestTurboCountMinWordsRoundTrip(t *testing.T) {
 			t.Fatalf("estimate for key %d diverged after restore", k)
 		}
 	}
-	wrong := NewTurboCountMin(4, 2048, true)
+	wrong := NewTurboCountMin(2048, true)
 	if err := wrong.SetWords(tc.Words(), tc.Updates); err == nil {
 		t.Fatal("SetWords accepted a geometry mismatch")
 	}
@@ -148,33 +146,34 @@ func TestTurboGeometryRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{
 		{1, 8}, {8, 8}, {9, 16}, {4096, 4096}, {65000, 65536},
 	} {
-		if got := NewTurboCountMin(4, c.in, false).Cols(); got != c.want {
+		tc := NewTurboCountMin(c.in, false)
+		if got := tc.Cols(); got != c.want {
 			t.Fatalf("cols %d rounded to %d, want %d", c.in, got, c.want)
 		}
-	}
-	// 12 rows -> 2 blocks of cols counters each.
-	tc := NewTurboCountMin(12, 1024, false)
-	if got, want := tc.FootprintBytes(), 2*1024*8; got != want {
-		t.Fatalf("FootprintBytes = %d, want %d", got, want)
+		if got := len(tc.Words()); got != c.want {
+			t.Fatalf("cols %d: %d words, want one line of %d rows per 8 columns", c.in, got, c.want)
+		}
 	}
 }
 
-// TestLaneDistribution guards the subtle failure mode of the blocked
+// TestLaneDistribution guards the subtle failure mode of the one-line
 // layout: if the per-row lanes were derived from overlapping hash
-// bits, all rows of a block would collapse onto the same counter and
+// bits, a key's four rows would collapse onto the same counter and
 // the sketch would silently behave as depth 1. Distinct keys must
-// spread a block's 8 rows over multiple lanes.
+// spread their rows over more than one lane: a vanilla add into an
+// empty one-line sketch must move more than one counter.
 func TestLaneDistribution(t *testing.T) {
-	tc := NewTurboCountMin(8, 8, false) // single line: index = lane per row
 	distinct := 0
 	for key := uint64(0); key < 64; key++ {
-		h1, h2 := hashPair(key)
-		_ = h2
-		lanes := map[int]bool{}
-		for r := 0; r < 8; r++ {
-			lanes[tc.index(r, h1)] = true
+		tc := NewTurboCountMin(8, false) // single line: every counter is a lane
+		tc.Add(key, 1)
+		moved := 0
+		for _, w := range tc.Words() {
+			if w != 0 {
+				moved++
+			}
 		}
-		if len(lanes) > 1 {
+		if moved > 1 {
 			distinct++
 		}
 	}
@@ -195,18 +194,19 @@ func geometryForError(epsilon, delta float64) (rows, cols int) {
 	return rows, cols
 }
 
-// TestCountMinForErrorBound is the epsilon/delta accuracy contract:
-// with cols = ceil(e/eps) and rows = ceil(ln 1/delta), the additive
-// error over a stream of total weight N should exceed eps*N only with
-// probability ~delta. We check that the large majority of keys sit
-// within the bound — far more than the 1-delta guarantee — for both
-// the compatible and turbo sizings.
+// TestCountMinForErrorBound is the epsilon/delta accuracy contract at
+// the turbo sketch's four rows: with cols = ceil(e/eps) and rows =
+// ln 1/delta, the additive error over a stream of total weight N should
+// exceed eps*N only with probability ~delta = e^-4 ≈ 1.8 %. We check
+// that the large majority of keys sit within the bound — far more than
+// the 1-delta guarantee — for both the compatible and turbo sketches.
 func TestCountMinForErrorBound(t *testing.T) {
 	const (
 		epsilon = 0.005
-		delta   = 0.01
 		n       = 40_000
 	)
+	delta := math.Exp(-TurboRows)
+	cols := int(math.Ceil(math.E / epsilon))
 	keys := zipfStream(21, n)
 
 	check := func(name string, est func(uint64) uint64) {
@@ -232,30 +232,15 @@ func TestCountMinForErrorBound(t *testing.T) {
 		}
 	}
 
-	cm := NewReferenceCountMin(geometryForError(epsilon, delta))
+	cm := NewReferenceCountMin(TurboRows, cols)
 	for _, k := range keys {
 		cm.Add(k, 1)
 	}
 	check("CountMin", cm.Estimate)
 
-	rows, cols := geometryForError(epsilon, delta)
-	tc := NewTurboCountMin(rows, cols, false)
+	tc := NewTurboCountMin(cols, false)
 	for _, k := range keys {
 		tc.Add(k, 1)
 	}
 	check("TurboCountMin", tc.Estimate)
-}
-
-// TestTurboDepthCap: the 64-row stack bound is a valid depth and one
-// row more is refused.
-func TestTurboDepthCap(t *testing.T) {
-	if tc := NewTurboCountMin(maxTurboRows, 8, false); tc.Rows() != maxTurboRows {
-		t.Fatalf("rows = %d, want %d", tc.Rows(), maxTurboRows)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("depth %d accepted", maxTurboRows+1)
-		}
-	}()
-	NewTurboCountMin(maxTurboRows+1, 8, false)
 }

@@ -25,7 +25,7 @@ func (d *Detector) Marshal(w io.Writer) error {
 	closed := d.closed.Load()
 	var e frame.Enc
 	e.U32(uint32(d.cfg.TopK))
-	e.U32(uint32(d.tk.Sketch().Rows()))
+	e.U32(sketch.TurboRows)
 	e.U32(uint32(d.tk.Sketch().Cols()))
 
 	e.U64(closed.windows)
@@ -78,9 +78,9 @@ func (d *Detector) Unmarshal(r io.Reader) error {
 	cols := int(dd.U32())
 
 	cm := d.tk.Sketch()
-	if k != d.cfg.TopK || rows != cm.Rows() || cols != cm.Cols() {
+	if k != d.cfg.TopK || rows != sketch.TurboRows || cols != cm.Cols() {
 		return fmt.Errorf("victim: snapshot geometry k=%d %dx%d, detector has k=%d %dx%d",
-			k, rows, cols, d.cfg.TopK, cm.Rows(), cm.Cols())
+			k, rows, cols, d.cfg.TopK, sketch.TurboRows, cm.Cols())
 	}
 
 	windows := dd.U64()
@@ -114,9 +114,16 @@ func (d *Detector) Unmarshal(r io.Reader) error {
 		return fmt.Errorf("victim: snapshot payload: %w", err)
 	}
 	// Everything that can refuse does so before the first assignment.
-	if want := cm.FootprintBytes() / 8; len(words) != want || len(entries) > d.cfg.TopK {
+	if len(words) != cm.Cols() || len(entries) > d.cfg.TopK {
 		return fmt.Errorf("victim: snapshot has %d sketch words and %d entries, detector has %d words and room for %d",
-			len(words), len(entries), want, d.cfg.TopK)
+			len(words), len(entries), cm.Cols(), d.cfg.TopK)
+	}
+	seen := make(map[uint64]bool, len(entries))
+	for _, en := range entries {
+		if seen[en.Key] {
+			return fmt.Errorf("victim: snapshot heap holds key %d twice", en.Key)
+		}
+		seen[en.Key] = true
 	}
 	if err := cm.SetWords(words, updates); err != nil {
 		return err

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -139,9 +140,11 @@ func TestUnmarshalRefusesHostileCounts(t *testing.T) {
 }
 
 // TestUnmarshalRefusalLeavesDetectorUntouched: a snapshot whose geometry
-// matches but whose sketch section is a word short, or whose heap holds
-// more entries than TopK, is only found out after everything decoded. It
-// used to overwrite the window counters first.
+// matches but whose sketch section is a word short, whose heap holds
+// more entries than TopK, or whose heap holds one key twice, is only
+// found out after everything decoded. It used to overwrite the window
+// counters first, and a repeated key used to be accepted and listed
+// twice.
 func TestUnmarshalRefusalLeavesDetectorUntouched(t *testing.T) {
 	file, err := os.ReadFile(parentSnapshot)
 	if err != nil {
@@ -162,15 +165,74 @@ func TestUnmarshalRefusalLeavesDetectorUntouched(t *testing.T) {
 	}
 	crowded = append(crowded, p[at[1]+4+16*int(le.Uint32(p[at[1]:])):]...)
 
+	repeated := append([]byte(nil), p[:at[1]]...)
+	repeated = le.AppendUint32(repeated, 2)
+	for i := 0; i < 2; i++ {
+		repeated = le.AppendUint64(le.AppendUint64(repeated, 7), 5000)
+	}
+	repeated = append(repeated, p[at[1]+4+16*int(le.Uint32(p[at[1]:])):]...)
+
 	d := parentDetector(t)
 	before := marshaled(t, d)
-	for name, bad := range map[string][]byte{"short sketch": short, "crowded heap": crowded} {
+	for name, bad := range map[string][]byte{"short sketch": short, "crowded heap": crowded, "repeated key": repeated} {
 		sections(t, bad) // still well-formed
 		if err := d.Unmarshal(bytes.NewReader(snapFile(t, bad))); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		if !bytes.Equal(marshaled(t, d), before) {
 			t.Fatalf("%s: the refusal changed the detector", name)
+		}
+	}
+}
+
+// TestSnapshotMidRun: a snapshot taken between two offers of one run
+// of a tracked destination holds the whole run so far. Restored into a
+// fresh detector, it carries on exactly as the detector fed the same
+// stream without a save: the same bytes before every window closes and
+// the same victims at every Advance.
+func TestSnapshotMidRun(t *testing.T) {
+	type obs struct{ k, b uint64 }
+	r := rand.New(rand.NewSource(11))
+	windows := make([][]obs, 4)
+	for w := range windows {
+		for len(windows[w]) < 3000 {
+			if r.Intn(5) < 3 {
+				for n := 1 + r.Intn(30); n > 0; n-- {
+					windows[w] = append(windows[w], obs{42, 1500})
+				}
+			} else {
+				windows[w] = append(windows[w], obs{0x10000 + r.Uint64()%5000, 512})
+			}
+		}
+	}
+	// The save point: inside window 1, between two offers of a run of 42.
+	cut := len(windows[1]) / 2
+	for windows[1][cut-1].k != 42 || windows[1][cut].k != 42 {
+		cut++
+	}
+
+	whole, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved, _ := New(DefaultConfig())
+	for w, win := range windows {
+		for i, o := range win {
+			if w == 1 && i == cut {
+				fresh, _ := New(DefaultConfig())
+				if err := fresh.Unmarshal(bytes.NewReader(marshaled(t, saved))); err != nil {
+					t.Fatal(err)
+				}
+				saved = fresh
+			}
+			whole.Observe(o.k, o.b)
+			saved.Observe(o.k, o.b)
+		}
+		if !bytes.Equal(marshaled(t, whole), marshaled(t, saved)) {
+			t.Fatalf("window %d: the detector restored mid-run saves different bytes", w)
+		}
+		if a, b := whole.Advance(), saved.Advance(); !reflect.DeepEqual(a, b) || len(a) != 1 {
+			t.Fatalf("window %d: victims %+v, restored mid-run %+v", w, a, b)
 		}
 	}
 }

@@ -55,14 +55,15 @@ type Config struct {
 	// TopK is how many candidate destinations the heavy-keeper tracks;
 	// the victim list is at most this long.
 	TopK int
-	// SketchRows, SketchCols size the backing turbo count-min
-	// (conservative update, power-of-two columns).
-	SketchRows, SketchCols int
+	// SketchCols is the width of the backing turbo count-min
+	// (sketch.TurboRows rows, conservative update, rounded up to a
+	// power of two).
+	SketchCols int
 }
 
 // DefaultConfig tracks 8 victims over a 4×4096 conservative sketch.
 func DefaultConfig() Config {
-	return Config{TopK: 8, SketchRows: 4, SketchCols: 4096}
+	return Config{TopK: 8, SketchCols: 4096}
 }
 
 // Validate checks the configuration.
@@ -70,8 +71,8 @@ func (c *Config) Validate() error {
 	if c.TopK < 1 {
 		return fmt.Errorf("victim: TopK %d < 1", c.TopK)
 	}
-	if c.SketchRows < 1 || c.SketchCols < 1 {
-		return fmt.Errorf("victim: sketch geometry %dx%d", c.SketchRows, c.SketchCols)
+	if c.SketchCols < 1 {
+		return fmt.Errorf("victim: sketch width %d < 1", c.SketchCols)
 	}
 	return nil
 }
@@ -123,7 +124,7 @@ func New(cfg Config) (*Detector, error) {
 	}
 	d := &Detector{
 		cfg:     cfg,
-		tk:      sketch.NewTopK(cfg.TopK, cfg.SketchRows, cfg.SketchCols, seed),
+		tk:      sketch.NewTopK(cfg.TopK, cfg.SketchCols, seed),
 		listed:  make(map[uint64]int, cfg.TopK),
 		scratch: make([]sketch.Element, 0, cfg.TopK),
 	}

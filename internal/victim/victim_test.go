@@ -203,7 +203,7 @@ func TestDetectorSnapshotRejectsCorruption(t *testing.T) {
 		t.Fatal("truncated snapshot accepted")
 	}
 
-	small, _ := New(Config{TopK: 2, SketchRows: 4, SketchCols: 4096})
+	small, _ := New(Config{TopK: 2, SketchCols: 4096})
 	if err := small.Unmarshal(bytes.NewReader(blob)); err == nil {
 		t.Fatal("geometry mismatch accepted")
 	}
@@ -282,8 +282,8 @@ func TestDetectorConcurrentObserve(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
-		{TopK: 0, SketchRows: 4, SketchCols: 64},
-		{TopK: 4, SketchRows: 0, SketchCols: 64},
+		{TopK: 0, SketchCols: 64},
+		{TopK: 4, SketchCols: 0},
 	}
 	for i, c := range bad {
 		if _, err := New(c); err == nil {
