@@ -38,17 +38,17 @@ func Ablations(opt Options) *Result {
 	queues := []float64{1, 2, 4, 8}
 	var legs []leg
 	for _, p := range periods {
-		legs = append(legs, leg{sc, tuned(func(c *core.Config) {
+		legs = append(legs, sc.through(tuned(func(c *core.Config) {
 			c.PollInterval = eventsim.FromSeconds(p)
 			c.DeployDelay = c.PollInterval / 2
 			c.ReseedInterval = 4 * c.PollInterval
-		}), nil})
+		}), nil))
 	}
 	for _, q := range queues {
-		legs = append(legs, leg{sc, tuned(func(c *core.Config) {
+		legs = append(legs, sc.through(tuned(func(c *core.Config) {
 			c.Clustering.MaxClusters = 8
 			c.NumQueues = int(q)
-		}), nil})
+		}), nil))
 	}
 	drops := benignDrops(runLegs(opt, r, legs))
 	py, qy := drops[:len(periods)], drops[len(periods):]
@@ -67,14 +67,14 @@ func Ablations(opt Options) *Result {
 	runLegs(opt, r, []leg{
 		// (c) Bloom vs exact nominal sets (the hardware stores admission
 		// lists in Bloom filters; the simulator's default is exact).
-		{sc, tuned(func(c *core.Config) { c.Clustering.UseBloom = false }), benignRow("Exact sets")},
-		{sc, tuned(func(c *core.Config) { c.Clustering.UseBloom = true }), benignRow("Bloom sets")},
+		sc.through(tuned(func(c *core.Config) { c.Clustering.UseBloom = false }), benignRow("Exact sets")),
+		sc.through(tuned(func(c *core.Config) { c.Clustering.UseBloom = true }), benignRow("Bloom sets")),
 		// (d) slice-init vs packet seeding, single-flow flood.
-		{sc, tuned(func(c *core.Config) { c.Clustering.SliceInit = false }), benignRow("Packet-seeded")},
-		{sc, tuned(func(c *core.Config) { c.Clustering.SliceInit = true }), benignRow("Slice-init")},
+		sc.through(tuned(func(c *core.Config) { c.Clustering.SliceInit = false }), benignRow("Packet-seeded")),
+		sc.through(tuned(func(c *core.Config) { c.Clustering.SliceInit = true }), benignRow("Slice-init")),
 		// (e) reordering under priority updates (§10): fraction of
 		// delivered packets that overtook a same-flow predecessor.
-		{sc, turbo(hwTurboConfig()), func(r *Result, o *legOut) {
+		sc.through(turbo(hwTurboConfig()), func(r *Result, o *legOut) {
 			totalDelivered := o.rec.DeliveredBenignPkts() + o.rec.DeliveredMaliciousPkts()
 			reorderPct := 0.0
 			if totalDelivered > 0 {
@@ -83,11 +83,11 @@ func Ablations(opt Options) *Result {
 			r.Add(Series{Name: "Reordered delivered packets (%)", Y: []float64{reorderPct}})
 			r.Note("reordering: %.3f%% of delivered packets overtook a same-flow predecessor "+
 				"(the paper argues priority updates only reorder flows that span an update window)", reorderPct)
-		}},
+		}),
 		// (f) feature-set width: hardware's 4 features vs the
 		// simulation's 12 on the same workload.
-		{sc, turbo(hwTurboConfig()), benignRow("4 features (hardware)")},
-		{sc, tuned(func(c *core.Config) { c.Clustering.Features = packet.DefaultSimulationFeatures() }), benignRow("12 features (simulation)")},
+		sc.through(turbo(hwTurboConfig()), benignRow("4 features (hardware)")),
+		sc.through(tuned(func(c *core.Config) { c.Clustering.Features = packet.DefaultSimulationFeatures() }), benignRow("12 features (simulation)")),
 	})
 
 	// (g) distance normalization: with raw distances, 16-bit port

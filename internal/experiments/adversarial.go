@@ -34,9 +34,9 @@ func Adversarial(opt Options) *Result {
 	var legs []leg
 	var xs []float64
 	for level := 0; level <= 6; level++ {
-		legs = append(legs, leg{withBackground(func() traffic.Source {
+		legs = append(legs, withBackground(func() traffic.Source {
 			return must(traffic.Evasion(traffic.EvasionLevel(level), attackStart, end, 6*link, opt.Seed))
-		}), turbo(cfg), nil})
+		}).through(turbo(cfg), nil))
 		xs = append(xs, float64(level))
 	}
 	// (b) aggregate-level spread: n well-formed aggregates sharing the
@@ -48,22 +48,22 @@ func Adversarial(opt Options) *Result {
 		if n < 1 {
 			continue
 		}
-		legs = append(legs, leg{withBackground(func() traffic.Source {
+		legs = append(legs, withBackground(func() traffic.Source {
 			return must(traffic.SpreadAttack(n, attackStart, end, 6*link, opt.Seed))
-		}), turbo(cfg), nil})
+		}).through(turbo(cfg), nil))
 		sx = append(sx, float64(n))
 	}
 	legs = append(legs,
 		// (c) swapping attack: similar high-rate benign stream + random
 		// noise attack.
-		leg{scenario{func() traffic.Source {
+		scenario{func() traffic.Source {
 			return traffic.Merge(traffic.SwappingAttack(0, end, 5e6, 4*link, opt.Seed))
-		}, link, end}, turbo(cfg), nil},
+		}, link, end}.through(turbo(cfg), nil),
 		// (d) imitation attack: attack drawn from the background's own
 		// distribution.
-		leg{withBackground(func() traffic.Source {
+		withBackground(func() traffic.Source {
 			return traffic.ImitationAttack(attackStart, end, 6*link, opt.Seed+99)
-		}), turbo(cfg), nil},
+		}).through(turbo(cfg), nil),
 	)
 	outs := runLegs(opt, r, legs)
 	benignY, attackY := benignDrops(outs[:len(xs)]), make([]float64, len(xs))

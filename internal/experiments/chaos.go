@@ -86,13 +86,13 @@ func Chaos(opt Options) *Result {
 	// baseline experiences the identical fault environment, and
 	// defense-vs-no-defense stays an apples-to-apples comparison.
 	outs := runLegs(opt, r, []leg{
-		{sc, faulted(fifo, uint64(opt.Seed), spec), func(r *Result, o *legOut) {
+		sc.through(faulted(fifo, uint64(opt.Seed), spec), func(r *Result, o *legOut) {
 			r.Add(throughputSeries(o.rec, packet.Benign, "FIFO+faults/Output Benign"))
-		}},
-		{sc, faulted(turbo(failOpen), uint64(opt.Seed), spec), classThroughput("ACC-Turbo+faults/Output ")},
-		{sc, turbo(hwTurboConfig()), func(r *Result, o *legOut) {
+		}),
+		sc.through(faulted(turbo(failOpen), uint64(opt.Seed), spec), classThroughput("ACC-Turbo+faults/Output ")),
+		sc.through(turbo(hwTurboConfig()), func(r *Result, o *legOut) {
 			r.Add(throughputSeries(o.rec, packet.Benign, "ACC-Turbo clean/Output Benign"))
-		}},
+		}),
 	})
 	recFIFO, recTurbo, clean := outs[0].rec, outs[1].rec, outs[2].rec
 	injTurbo := outs[1].inj

@@ -66,11 +66,11 @@ func Fig11(opt Options) *Result {
 			// the regime where the ranking choice matters (Fig. 11a).
 			cfg := turboVariant(cluster.Manhattan, cluster.Fast, rk)
 			cfg.Clustering.SliceInit = false
-			legs = append(legs, leg{sc, turbo(cfg), func(r *Result, o *legOut) {
+			legs = append(legs, sc.through(turbo(cfg), func(r *Result, o *legOut) {
 				score := o.score()
 				r.Add(Series{Name: fmt.Sprintf("Fig11a/%s %s score", vec, rk), Y: []float64{score}})
 				r.Note("Fig11a: %s with %s ranking: score %.0f%%", vec, rk, score)
-			}})
+			}))
 		}
 	}
 	runLegs(opt, r, legs)

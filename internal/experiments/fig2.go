@@ -57,13 +57,13 @@ func Fig2(opt Options) *Result {
 	sc := scenario{func() traffic.Source { return traffic.ACCOriginal(fig2Link) }, fig2Link, 50 * eventsim.Second}
 	legs := []leg{
 		// (a) FIFO: the ramping attack captures the link.
-		{sc, fifo, func(r *Result, o *legOut) {
+		sc.through(fifo, func(r *Result, o *legOut) {
 			addAggregateShares(r, "FIFO", o.rec, fig2Link)
 			r.Note("FIFO: benign drops %.1f%%, attack peaks at %.2f of link",
 				o.rec.BenignDropPercent(), maxOf(shareSeries(o.rec, 5, fig2Link).Y))
-		}},
+		}),
 		// (b) ACC with the Table 4 configuration (K = 2 s).
-		{sc, withACC(acc.DefaultConfig()), func(r *Result, o *legOut) {
+		sc.through(withACC(acc.DefaultConfig()), func(r *Result, o *legOut) {
 			addAggregateShares(r, "ACC", o.rec, fig2Link)
 			if o.acc.FirstActivation >= 0 {
 				r.Note("ACC (K=2s): reaction %.1f s after attack start (paper: ~4 s), benign drops %.1f%%",
@@ -71,27 +71,27 @@ func Fig2(opt Options) *Result {
 			} else {
 				r.Note("ACC (K=2s): never activated")
 			}
-		}},
+		}),
 	}
 	// (c) Impact of K: drop-rate series and activation delay per K.
 	for _, kSec := range sized(opt, []eventsim.Time{10, 15, 20, 25, 30, 35}, []eventsim.Time{10, 20, 35}) {
 		cfg := acc.DefaultConfig()
 		cfg.K = kSec * eventsim.Second
-		legs = append(legs, leg{sc, withACC(cfg), func(r *Result, o *legOut) {
+		legs = append(legs, sc.through(withACC(cfg), func(r *Result, o *legOut) {
 			r.Add(dropRateSeries(o.rec, fmt.Sprintf("ACC/K=%ds/DropRate", kSec)))
 			if o.acc.FirstActivation >= 0 {
 				r.Note("ACC K=%ds: activation at t=%.0f s", kSec, o.acc.FirstActivation.Seconds())
 			} else {
 				r.Note("ACC K=%ds: never activated within 50 s", kSec)
 			}
-		}})
+		}))
 	}
 	// (d) ACC-Turbo: sub-second mitigation, no threshold.
-	legs = append(legs, leg{sc, turbo(accTurboFig2Config()), func(r *Result, o *legOut) {
+	legs = append(legs, sc.through(turbo(accTurboFig2Config()), func(r *Result, o *legOut) {
 		addAggregateShares(r, "ACC-Turbo", o.rec, fig2Link)
 		r.Note("ACC-Turbo: benign drops %.1f%%, attack drops %.1f%%, %d priority deployments",
 			o.rec.BenignDropPercent(), o.rec.MaliciousDropPercent(), o.turbo.ControlPlane().Deployments())
-	}})
+	}))
 	runLegs(opt, r, legs)
 	return r
 }

@@ -26,12 +26,12 @@ func Fig3(opt Options) *Result {
 	sc := morphingPulses
 	legs := []leg{
 		// (a) FIFO.
-		{sc, fifo, func(r *Result, o *legOut) {
+		sc.through(fifo, func(r *Result, o *legOut) {
 			addAggregateShares(r, "FIFO", o.rec, fig2Link)
 			r.Note("FIFO: benign drops %.1f%%", o.rec.BenignDropPercent())
-		}},
+		}),
 		// (c) ACC with the §2.1 configuration.
-		{sc, withACC(acc.DefaultConfig()), func(r *Result, o *legOut) {
+		sc.through(withACC(acc.DefaultConfig()), func(r *Result, o *legOut) {
 			addAggregateShares(r, "ACC", o.rec, fig2Link)
 			pulsesDefended := 0
 			if o.acc.FirstActivation >= 0 {
@@ -43,19 +43,19 @@ func Fig3(opt Options) *Result {
 			}
 			r.Note("ACC: benign drops %.1f%%, first activation t=%.1f s (defends %d of 4 pulses)",
 				o.rec.BenignDropPercent(), o.acc.FirstActivation.Seconds(), pulsesDefended)
-		}},
+		}),
 		// (d) ACC-Turbo.
-		{sc, turbo(accTurboFig2Config()), func(r *Result, o *legOut) {
+		sc.through(turbo(accTurboFig2Config()), func(r *Result, o *legOut) {
 			addAggregateShares(r, "ACC-Turbo", o.rec, fig2Link)
 			r.Note("ACC-Turbo: benign drops %.1f%% (paper: mitigates all pulses)", o.rec.BenignDropPercent())
-		}},
+		}),
 	}
 	// (b) speed vs accuracy: benign drops as a function of K.
 	ks := sized(opt, []float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 1.5, 2}, []float64{0.05, 0.5, 2})
 	for _, k := range ks {
 		cfg := acc.DefaultConfig()
 		cfg.K = eventsim.FromSeconds(k)
-		legs = append(legs, leg{sc, withACC(cfg), nil})
+		legs = append(legs, sc.through(withACC(cfg), nil))
 	}
 	drops := benignDrops(runLegs(opt, r, legs))
 	yACC := drops[3:]

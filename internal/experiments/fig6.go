@@ -73,8 +73,8 @@ func Fig6(opt Options) *Result {
 	}
 	sc := hwPulse(opt)
 	outs := runLegs(opt, r, []leg{
-		{sc, fifo, classThroughput("FIFO/Output ")},
-		{sc, turbo(hwTurboConfig()), classThroughput("ACC-Turbo/Output ")},
+		sc.through(fifo, classThroughput("FIFO/Output ")),
+		sc.through(turbo(hwTurboConfig()), classThroughput("ACC-Turbo/Output ")),
 	})
 	fifoRec, turboRec := outs[0].rec, outs[1].rec
 

@@ -55,12 +55,12 @@ func Fig7(opt Options) *Result {
 	var fifoRec *netsim.Recorder
 	runLegs(opt, r, []leg{
 		// (a) FIFO.
-		{flood, fifo, func(r *Result, o *legOut) {
+		flood.through(fifo, func(r *Result, o *legOut) {
 			fifoRec = o.rec
 			classThroughput("FIFO/")(r, o)
-		}},
+		}),
 		// (b) ACC-Turbo: reaction bounded by one poll+deploy cycle.
-		{flood, turbo(cfg), func(r *Result, o *legOut) {
+		flood.through(turbo(cfg), func(r *Result, o *legOut) {
 			classThroughput("ACC-Turbo/")(r, o)
 			if react := o.rec.RecoveryTime(attackStart, 0.75); react >= 0 {
 				r.Note("ACC-Turbo reaction: benign recovered the bulk (>=75%%) of its throughput within %.0f s of attack start "+
@@ -79,8 +79,8 @@ func Fig7(opt Options) *Result {
 			if bin < len(fifoB) && bin < len(turboB) && fifoB[bin] > 0 {
 				r.Note("first attack second: ACC-Turbo delivers %.1fx the benign throughput of FIFO", turboB[bin]/fifoB[bin])
 			}
-		}},
-		{background, programSwap, func(r *Result, o *legOut) {
+		}),
+		background.through(programSwap, func(r *Result, o *legOut) {
 			r.Add(throughputSeries(o.rec, packet.Benign, "Reprogram/Traffic"))
 			downtime := 0
 			for _, v := range o.rec.DeliveredBits(packet.Benign) {
@@ -89,8 +89,8 @@ func Fig7(opt Options) *Result {
 				}
 			}
 			r.Note("Jaqen (defense not deployed): %d s of full downtime during program swap (paper: 11.5 s avg, 11x slower than ACC-Turbo)", downtime)
-		}},
-		{flood, withJaqen(jcfg), func(r *Result, o *legOut) {
+		}),
+		flood.through(withJaqen(jcfg), func(r *Result, o *legOut) {
 			classThroughput("Jaqen/")(r, o)
 			if o.jaqen.FirstMitigation >= 0 {
 				r.Note("Jaqen (defense deployed): reaction %.1f s (paper: ~10 s — two 5 s windows)",
@@ -98,7 +98,7 @@ func Fig7(opt Options) *Result {
 			} else {
 				r.Note("Jaqen (defense deployed): never mitigated")
 			}
-		}},
+		}),
 	})
 	return r
 }

@@ -31,9 +31,9 @@ func Fig8(opt Options) *Result {
 		cfg.Threshold = uint64(max(th/1000, 1))
 		cfg.Window = eventsim.Second
 		cfg.ResetPeriod = eventsim.FromSeconds(reset)
-		return leg{sc, withJaqen(cfg), nil}
+		return sc.through(withJaqen(cfg), nil)
 	}
-	legs := []leg{{sc, fifo, nil}, {sc, turbo(hwTurboConfig()), nil}}
+	legs := []leg{sc.through(fifo, nil), sc.through(turbo(hwTurboConfig()), nil)}
 	for _, th := range thresholds {
 		legs = append(legs, jaqenAt(th, 1))
 	}

@@ -4,7 +4,6 @@ import (
 	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
 	"accturbo/internal/fleet"
-	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
 	"accturbo/internal/traffic"
 )
@@ -86,53 +85,67 @@ func fleetNodeTraffic(seed int64, node int, end eventsim.Time) traffic.Source {
 	return traffic.Merge(srcs...)
 }
 
-// fleetRun holds one defense leg's outputs across all vantage points.
+// The fleet experiment's legs, in row order.
+const (
+	fleetFIFO        = iota // undefended, the baseline both defenses must beat
+	fleetLocal              // ACC-Turbo on every node, each ranking alone
+	fleetRanked             // ranked through the coordinator
+	fleetPartitioned        // as fleetRanked, the coordinator cut off mid-pulse
+)
+
+// fleetSamples are when the partitioned leg samples its ranking sources.
+var fleetSamples = []eventsim.Time{
+	fleetPartitionAt - 2*eventsim.Second, // connected, mid-pulse 2
+	fleetPartitionAt + 4*eventsim.Second, // partitioned past the staleness bound
+	fleetPartitionHeal + 4*eventsim.Second,
+}
+
+// fleetRun is one fleet leg's vantage points and, when they rank
+// through the coordinator, its side of the link.
 type fleetRun struct {
-	recs    [fleetNodes]*netsim.Recorder
-	rankers [fleetNodes]*fleet.Node // nil in local mode
-	coord   *fleet.Coordinator      // nil in local mode
-	tr      *fleet.SimTransport     // nil in local mode
-	// sources samples each node's ranking source at sample times.
+	nodes   []*legOut
+	rankers []*fleet.Node
+	coord   *fleet.Coordinator
+	tr      *fleet.SimTransport
+	// sources samples each node's ranking source at fleetSamples.
 	sources map[eventsim.Time][fleetNodes]string
 }
 
-// runFleetDefense replays the distributed scenario through fleetNodes
-// ACC-Turbo pipelines sharing one discrete-event engine. In fleet mode
-// the pipelines rank through a SimTransport-connected coordinator
-// (optionally partitioned over [partitionAt, healAt)); otherwise each
-// node ranks alone. Everything — ports, control loops, transport
-// deliveries — interleaves on the one engine, so runs are
-// deterministic down to the byte.
-func runFleetDefense(seed int64, end eventsim.Time, fleetMode bool, partitionAt, healAt eventsim.Time, sampleAt []eventsim.Time) *fleetRun {
-	eng := eventsim.New()
-	run := &fleetRun{sources: make(map[eventsim.Time][fleetNodes]string)}
-	coordShape, nodeShape := fleet.Shape(fleetTurboConfig())
-	if fleetMode {
-		run.tr = fleet.NewSimTransport(eng, eventsim.Millisecond)
-		run.coord = must(fleet.NewCoordinator(run.tr, coordShape))
-	}
-	for i := 0; i < fleetNodes; i++ {
-		cfg := fleetTurboConfig()
-		if fleetMode {
-			ranker := must(fleet.NewNode(uint32(i+1), run.tr, eng.Now, nodeShape))
-			run.rankers[i] = ranker
-			cfg.Ranker = ranker
+// fleetLeg replays the distributed scenario through fleetNodes ports on
+// one engine, built as mode says. Ranked nodes reach the coordinator
+// over a SimTransport. Everything — ports, control loops, transport
+// deliveries — interleaves on the one engine, so runs are deterministic
+// down to the byte.
+func fleetLeg(seed int64, end eventsim.Time, mode int, run *fleetRun) leg {
+	return leg{end, func(t *topo) {
+		coordShape, nodeShape := fleet.Shape(fleetTurboConfig())
+		if mode >= fleetRanked {
+			run.tr = fleet.NewSimTransport(t.eng, eventsim.Millisecond)
+			run.coord = must(fleet.NewCoordinator(run.tr, coordShape))
 		}
-		rec := netsim.NewRecorder(eventsim.Second)
-		run.recs[i] = rec
-		port, _ := must2(core.Attach(eng, hwLink, rec, cfg))
-		src := fleetNodeTraffic(seed, i, end)
-		recycle(src, port)
-		netsim.Replay(eng, src, port)
-	}
-	if fleetMode && partitionAt > 0 {
-		eng.At(partitionAt, func(eventsim.Time) { run.tr.SetUp(false) })
-		eng.At(healAt, func(eventsim.Time) { run.tr.SetUp(true) })
-	}
-	if fleetMode {
-		for _, at := range sampleAt {
-			at := at
-			eng.At(at, func(eventsim.Time) {
+		for i := 0; i < fleetNodes; i++ {
+			def := fifo
+			if mode != fleetFIFO {
+				cfg := fleetTurboConfig()
+				if run.tr != nil {
+					ranker := must(fleet.NewNode(uint32(i+1), run.tr, t.eng.Now, nodeShape))
+					run.rankers = append(run.rankers, ranker)
+					cfg.Ranker = ranker
+				}
+				def = turbo(cfg)
+			}
+			node := t.port(def, hwLink)
+			run.nodes = append(run.nodes, node)
+			t.replay(fleetNodeTraffic(seed, i, end), node)
+		}
+		if mode != fleetPartitioned {
+			return
+		}
+		t.eng.At(fleetPartitionAt, func(eventsim.Time) { run.tr.SetUp(false) })
+		t.eng.At(fleetPartitionHeal, func(eventsim.Time) { run.tr.SetUp(true) })
+		run.sources = make(map[eventsim.Time][fleetNodes]string)
+		for _, at := range fleetSamples {
+			t.eng.At(at, func(eventsim.Time) {
 				var s [fleetNodes]string
 				for i, rk := range run.rankers {
 					s[i] = rk.Source()
@@ -140,43 +153,21 @@ func runFleetDefense(seed int64, end eventsim.Time, fleetMode bool, partitionAt,
 				run.sources[at] = s
 			})
 		}
-	}
-	eng.RunUntil(end)
-	return run
+	}, nil}
 }
-
-// benignDrops returns node i's benign drop percentage.
-func (fr *fleetRun) benignDrops(i int) float64 { return fr.recs[i].BenignDropPercent() }
 
 // aggregateBenign sums delivered benign bits per second across nodes.
 func (fr *fleetRun) aggregateBenign(name string) Series {
 	var y []float64
-	for _, rec := range fr.recs {
-		bits := rec.DeliveredBits(packet.Benign)
-		for i, v := range bits {
+	for _, n := range fr.nodes {
+		for i, v := range n.rec.DeliveredBits(packet.Benign) {
 			for len(y) <= i {
 				y = append(y, 0)
 			}
 			y[i] += v / 1e6
 		}
 	}
-	x := make([]float64, len(y))
-	for i := range x {
-		x[i] = float64(i)
-	}
-	return Series{Name: name, X: x, Y: y}
-}
-
-// runFleetFIFO replays the same per-node traffic through undefended
-// FIFO bottlenecks (the baseline both defenses must beat).
-func runFleetFIFO(seed int64, end eventsim.Time) *fleetRun {
-	run := &fleetRun{}
-	for i := 0; i < fleetNodes; i++ {
-		run.recs[i] = replay(fleetNodeTraffic(seed, i, end), end, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-			return fifo(eng, rec, hwLink, nil)
-		})
-	}
-	return run
+	return secondSeries(name, y, 1)
 }
 
 // Fleet reproduces the paper's motivating distributed-defense gap as an
@@ -192,16 +183,14 @@ func Fleet(opt Options) *Result {
 		YLabel: "benign throughput, all nodes (Mbps)",
 	}
 	end := sized(opt, 100*eventsim.Second, 50*eventsim.Second)
-	samples := []eventsim.Time{
-		fleetPartitionAt - 2*eventsim.Second, // connected, mid-pulse 2
-		fleetPartitionAt + 4*eventsim.Second, // partitioned past the staleness bound
-		fleetPartitionHeal + 4*eventsim.Second,
+	runs := make([]fleetRun, fleetPartitioned+1)
+	legs := make([]leg, len(runs))
+	for m := range runs {
+		legs[m] = fleetLeg(opt.Seed, end, m, &runs[m])
 	}
-
-	fifo := runFleetFIFO(opt.Seed, end)
-	local := runFleetDefense(opt.Seed, end, false, 0, 0, nil)
-	fl := runFleetDefense(opt.Seed, end, true, 0, 0, nil)
-	part := runFleetDefense(opt.Seed, end, true, fleetPartitionAt, fleetPartitionHeal, samples)
+	runLegs(opt, r, legs)
+	fifo, local, fl, part := &runs[fleetFIFO], &runs[fleetLocal], &runs[fleetRanked], &runs[fleetPartitioned]
+	fifoDrops, localDrops, flDrops, partDrops := benignDrops(fifo.nodes), benignDrops(local.nodes), benignDrops(fl.nodes), benignDrops(part.nodes)
 
 	r.Add(fifo.aggregateBenign("FIFO/Output Benign"))
 	r.Add(local.aggregateBenign("single-node/Output Benign"))
@@ -214,14 +203,14 @@ func Fleet(opt Options) *Result {
 	// fleet ranking (attack 15 Mbps global) recovers it.
 	for i := 0; i < fleetNodes; i++ {
 		r.Note("node %d benign drops: FIFO %5.2f%%, single-node %5.2f%%, fleet %5.2f%%",
-			i, fifo.benignDrops(i), local.benignDrops(i), fl.benignDrops(i))
+			i, fifoDrops[i], localDrops[i], flDrops[i])
 	}
 	worstFleet, bestLocal := 0.0, 1e18
 	for i := 0; i < fleetNodes; i++ {
-		if d := fl.benignDrops(i); d > worstFleet {
+		if d := flDrops[i]; d > worstFleet {
 			worstFleet = d
 		}
-		if d := local.benignDrops(i); d < bestLocal {
+		if d := localDrops[i]; d < bestLocal {
 			bestLocal = d
 		}
 	}
@@ -234,7 +223,7 @@ func Fleet(opt Options) *Result {
 	// Partition narrative: sources sampled around the outage show the
 	// degradation is to the *local ranking*, never to undefended FIFO,
 	// and that the fleet recovers after the heal.
-	for _, at := range samples {
+	for _, at := range fleetSamples {
 		s := part.sources[at]
 		r.Note("partition leg t=%2ds: node ranking sources %v", int(at/eventsim.Second), s)
 	}
@@ -249,13 +238,13 @@ func Fleet(opt Options) *Result {
 		engagements, fleetPolls, localPolls, part.tr.Dropped)
 	var partAgg, fleetAgg float64
 	for i := 0; i < fleetNodes; i++ {
-		partAgg += part.benignDrops(i)
-		fleetAgg += fl.benignDrops(i)
+		partAgg += partDrops[i]
+		fleetAgg += flDrops[i]
 	}
 	r.Note("partition cost: mean benign drops %.2f%% (vs %.2f%% unpartitioned fleet) — the outage re-exposes the single-node blind spot only while it lasts",
 		partAgg/fleetNodes, fleetAgg/fleetNodes)
 	recovered := true
-	if s, ok := part.sources[samples[2]]; ok {
+	if s, ok := part.sources[fleetSamples[2]]; ok {
 		for _, v := range s {
 			if v != "fleet" {
 				recovered = false

@@ -24,14 +24,6 @@ func must[T any](v T, err error) T {
 	return v
 }
 
-// must2 is must for core.Attach's port and instance.
-func must2[A, B any](a A, b B, err error) (A, B) {
-	if err != nil {
-		panic(err)
-	}
-	return a, b
-}
-
 // sized picks an experiment's full-fidelity or quick-mode value.
 func sized[T any](opt Options, full, quick T) T {
 	if opt.Quick {
@@ -50,30 +42,58 @@ func bufferFor(linkRate float64) int {
 	return b
 }
 
-// recycle closes the packet lifecycle of a single-bottleneck run: the
-// source tree stamps pooled packets, the terminal port releases every
-// packet it delivers or drops. Multi-hop topologies (Chain/FanIn in the
-// pushback experiment) must not use this — their delivered packets are
-// re-injected downstream.
-func recycle(src traffic.Source, port *netsim.Port) {
-	pool := packet.NewPool()
-	traffic.AttachPool(src, pool)
-	port.SetPool(pool)
+// topo is the network a leg's build declares on a fresh engine: ports,
+// each a defense at a link rate with its own recorder; links between
+// them; and the sources that feed them, replayed or closed-loop. The
+// sources stamp packets from the leg's one pool, and every port but a
+// chained one releases them to it.
+type topo struct {
+	eng  *eventsim.Engine
+	pool *packet.Pool
+	outs []*legOut
 }
 
-// replay is the single-bottleneck run every scheme shares: a fresh engine
-// and recorder, the port that build makes on them (with whatever defense
-// it attaches), and src replayed into it, recycled, until `until`. It
-// then checks that the port lost no packet.
-func replay(src traffic.Source, until eventsim.Time, build func(*eventsim.Engine, *netsim.Recorder) *netsim.Port) *netsim.Recorder {
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	port := build(eng, rec)
-	recycle(src, port)
-	netsim.Replay(eng, src, port)
-	eng.RunUntil(until)
-	checkConservation(eng, port, rec)
-	return rec
+// port builds def at link as the topology's next port and returns what
+// the build left for the readout.
+func (t *topo) port(def defense, link float64) *legOut {
+	o := &legOut{rec: netsim.NewRecorder(eventsim.Second)}
+	o.port = def(t.eng, o.rec, link, o)
+	o.port.SetPool(t.pool)
+	t.outs = append(t.outs, o)
+	return o
+}
+
+// chain links from's deliveries into to after delay. Those packets live
+// on downstream, so from releases nothing to the pool (Port.SetPool).
+func (t *topo) chain(from, to *legOut, delay eventsim.Time) {
+	from.port.SetPool(nil)
+	netsim.Chain(t.eng, from.port, to.port, delay)
+}
+
+// replay feeds src into o's port.
+func (t *topo) replay(src traffic.Source, o *legOut) {
+	traffic.AttachPool(src, t.pool)
+	netsim.Replay(t.eng, src, o.port)
+}
+
+// aimd binds a closed-loop AIMD sender to o's port.
+func (t *topo) aimd(cfg netsim.AIMDConfig, o *legOut) *netsim.AIMD {
+	f := netsim.NewAIMD(t.eng, o.port, cfg)
+	f.SetPool(t.pool)
+	return f
+}
+
+// replay runs one leg: a fresh engine and pool, the topology build
+// declares on them, run until end. It then checks that no port lost a
+// packet, and returns the first port built.
+func replay(end eventsim.Time, build func(t *topo)) *legOut {
+	t := &topo{eng: eventsim.New(), pool: packet.NewPool()}
+	build(t)
+	t.eng.RunUntil(end)
+	for _, o := range t.outs {
+		checkConservation(t.eng, o.port, o.rec)
+	}
+	return t.outs[0]
 }
 
 // checkConservation panics unless every packet the port was offered is
@@ -93,28 +113,35 @@ func checkConservation(eng *eventsim.Engine, port *netsim.Port, rec *netsim.Reco
 	}
 }
 
-// scenario is a leg's traffic: a fresh source per run, the bottleneck
-// rate it crosses, and the time the run ends.
+// scenario is a single-bottleneck leg's traffic: a fresh source per
+// run, the bottleneck rate it crosses, and the time the run ends.
 type scenario struct {
 	src  func() traffic.Source
 	link float64
 	end  eventsim.Time
 }
 
-// defense builds a leg's bottleneck on eng, recording into rec, and
-// keeps whatever it attaches in o for the readout.
+// defense builds a port on eng, recording into rec, and keeps whatever
+// it attaches in o for the readout.
 type defense func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port
 
-// leg is one row of a single-bottleneck figure: a scenario replayed
-// through a defense, and the readout that turns the run into series and
-// notes (nil when the figure reads the runs itself).
+// leg is one row of a figure: the topology build declares, run until
+// end, and the readout that turns the run into series and notes (nil
+// when the figure reads the runs itself). The readout sees the first
+// port built; a build that needs the others keeps them.
 type leg struct {
-	scenario
-	def  defense
-	read func(r *Result, o *legOut)
+	end   eventsim.Time
+	build func(t *topo)
+	read  func(r *Result, o *legOut)
 }
 
-// legOut is what a leg's run leaves for its readout.
+// through is the single-bottleneck leg: sc's source replayed through def.
+func (sc scenario) through(def defense, read func(*Result, *legOut)) leg {
+	return leg{sc.end, func(t *topo) { t.replay(sc.src(), t.port(def, sc.link)) }, read}
+}
+
+// legOut is what one port's build leaves for the readout: its recorder,
+// the port, and whatever its defense attached.
 type legOut struct {
 	rec   *netsim.Recorder
 	port  *netsim.Port
@@ -133,12 +160,7 @@ type legOut struct {
 func runLegs(opt Options, r *Result, legs []leg) []*legOut {
 	outs := make([]*legOut, len(legs))
 	RunParallel(opt, len(legs), func(i int) {
-		l, o := legs[i], &legOut{}
-		o.rec = replay(l.src(), l.end, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-			o.port = l.def(eng, rec, l.link, o)
-			return o.port
-		})
-		outs[i] = o
+		outs[i] = replay(legs[i].end, legs[i].build)
 	})
 	for i, l := range legs {
 		if l.read != nil {
@@ -160,7 +182,7 @@ func benignGrid(opt Options, schemes []scheme, scs []scenario) [][]float64 {
 	var legs []leg
 	for _, s := range schemes {
 		for _, sc := range scs {
-			legs = append(legs, leg{sc, s.def, nil})
+			legs = append(legs, sc.through(s.def, nil))
 		}
 	}
 	drops := benignDrops(runLegs(opt, nil, legs))
@@ -223,7 +245,10 @@ func turbo(cfg core.Config) defense {
 		if o.inj != nil {
 			c.WrapClock = o.inj.ClockWrapper()
 		}
-		port, t := must2(core.Attach(eng, link, rec, c))
+		port, t, err := core.Attach(eng, link, rec, c)
+		if err != nil {
+			panic(err)
+		}
 		o.turbo = t
 		t.OnAssign = func(now eventsim.Time, p *packet.Packet, a cluster.Assignment) {
 			o.add(now, p.Label, t.QueueOf(a.Cluster))

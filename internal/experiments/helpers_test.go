@@ -127,25 +127,61 @@ func TestReplayChecksConservation(t *testing.T) {
 		}
 		return traffic.NewCBR(0, eventsim.Second, 1e6, spec.Factory(1))
 	}
-	run := func(q queue.Qdisc, until eventsim.Time) (msg string) {
+	bareQ := func(q queue.Qdisc) defense { return bare(func(int) queue.Qdisc { return q }) }
+	run := func(until eventsim.Time, build func(*topo)) (msg string) {
 		defer func() {
 			if v := recover(); v != nil {
 				msg = fmt.Sprint(v)
 			}
 		}()
-		replay(src(), until, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-			return netsim.NewPort(eng, q, 1e6, rec)
-		})
+		replay(until, build)
 		return ""
+	}
+	single := func(q queue.Qdisc) func(*topo) {
+		return func(tp *topo) { tp.replay(src(), tp.port(bareQ(q), 1e6)) }
 	}
 	// Cut mid-run, a frame may be on the wire; drained, none is.
 	for _, until := range []eventsim.Time{eventsim.Second / 2, 2 * eventsim.Second} {
-		if msg := run(queue.NewFIFO(10_000), until); msg != "" {
+		if msg := run(until, single(queue.NewFIFO(10_000))); msg != "" {
 			t.Fatalf("a lossless FIFO tripped the check at %v: %s", until, msg)
 		}
 	}
-	msg := run(&swallow{FIFO: queue.NewFIFO(10_000)}, 2*eventsim.Second)
+	msg := run(2*eventsim.Second, single(&swallow{FIFO: queue.NewFIFO(10_000)}))
 	if !strings.Contains(msg, "1000000 b/s") || !strings.Contains(msg, "2.000000s") || !strings.Contains(msg, "125 arrived") {
 		t.Fatalf("a swallowed packet was not caught: %q", msg)
+	}
+
+	// Chained: a 2 Mb/s upstream into a 1 Mb/s core over a 1 ms link.
+	// Packet k reaches the upstream at 8k ms, leaves it at 8k+4 ms and
+	// reaches the core at 8k+5 ms, so a cut at 500.5 ms finds one packet
+	// in propagation, counted delivered upstream and not yet arrived
+	// downstream.
+	var up, down *legOut
+	chained := func(upQ, downQ queue.Qdisc) func(*topo) {
+		return func(tp *topo) {
+			down = tp.port(bareQ(downQ), 1e6)
+			up = tp.port(bareQ(upQ), 2e6)
+			tp.chain(up, down, eventsim.Millisecond)
+			tp.replay(src(), up)
+		}
+	}
+	cut := 500*eventsim.Millisecond + 500*eventsim.Microsecond
+	if msg := run(cut, chained(queue.NewFIFO(10_000), queue.NewFIFO(10_000))); msg != "" {
+		t.Fatalf("a lossless chain tripped the check mid-run: %s", msg)
+	}
+	if sent, got := up.rec.DeliveredBenignPkts(), down.rec.ArrivedBenign(); sent != got+1 {
+		t.Fatalf("cut at %v: upstream delivered %d, core received %d; want one packet in propagation", cut, sent, got)
+	}
+	for _, c := range []struct {
+		name       string
+		upQ, downQ queue.Qdisc
+		rate       string
+	}{
+		{"downstream", queue.NewFIFO(10_000), &swallow{FIFO: queue.NewFIFO(10_000)}, "port at 1000000 b/s"},
+		{"upstream", &swallow{FIFO: queue.NewFIFO(10_000)}, queue.NewFIFO(10_000), "port at 2000000 b/s"},
+	} {
+		if msg := run(2*eventsim.Second, chained(c.upQ, c.downQ)); !strings.Contains(msg, c.rate) {
+			t.Fatalf("a packet swallowed %s was not caught at that port: %q", c.name, msg)
+		}
 	}
 }

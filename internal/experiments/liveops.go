@@ -85,35 +85,30 @@ func LiveOps(opt Options) *Result {
 	sc := hwPulse(opt)
 	end, cut := sc.end, liveOpsCut
 
-	// Reference: the untouched defense over the identical traffic.
-	clean := runLegs(opt, r, []leg{{sc, turbo(hwTurboConfig()), nil}})[0]
-
-	// Leg 1: hot reconfigure mid-pulse.
-	var turbo1 *core.Turbo
 	var genBefore, genAfter uint64
 	var reconfErr error
-	rec1 := replay(hwPulseWave(opt.Seed, end), end, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-		port, turbo := must2(core.Attach(eng, hwLink, rec, hwTurboConfig()))
-		turbo1 = turbo
-		genBefore = turbo.ControlPlane().ConfigGeneration()
+	reconfigure := func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port {
+		port := turbo(hwTurboConfig())(eng, rec, link, o)
+		genBefore = o.turbo.ControlPlane().ConfigGeneration()
 		eng.At(cut, func(eventsim.Time) {
 			byRate := core.ByPacketRate
 			poll := 125 * eventsim.Millisecond
-			genAfter, reconfErr = turbo.Reconfigure(core.RuntimePatch{Ranking: &byRate, PollInterval: &poll})
+			genAfter, reconfErr = o.turbo.Reconfigure(core.RuntimePatch{Ranking: &byRate, PollInterval: &poll})
 		})
 		return port
+	}
+	outs := runLegs(opt, r, []leg{
+		// Reference: the untouched defense over the identical traffic.
+		sc.through(turbo(hwTurboConfig()), nil),
+		// Leg 1: hot reconfigure mid-pulse.
+		sc.through(reconfigure, nil),
+		// Leg 2a: the same scenario, killed mid-pulse.
+		scenario{sc.src, sc.link, cut}.through(turbo(hwTurboConfig()), nil),
 	})
-
-	// Leg 2a: run the same scenario and kill it mid-pulse.
-	var turboA *core.Turbo
-	recA := replay(hwPulseWave(opt.Seed, end), cut, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-		port, turbo := must2(core.Attach(eng, hwLink, rec, hwTurboConfig()))
-		turboA = turbo
-		return port
-	})
-	preDec := turboA.ControlPlane().LastDecision()
+	clean, rec1, turbo1, recA := outs[0], outs[1].rec, outs[1].turbo, outs[2].rec
+	preDec := outs[2].turbo.ControlPlane().LastDecision()
 	var blob bytes.Buffer
-	saveErr := turboA.SaveState(&blob)
+	saveErr := outs[2].turbo.SaveState(&blob)
 
 	// Leg 2b: a fresh process restores the snapshot and takes over the
 	// remaining traffic (the skipUntil tail of the same deterministic
@@ -121,12 +116,11 @@ func LiveOps(opt Options) *Result {
 	var resave bytes.Buffer
 	var restoreErr, resaveErr error
 	var restoredDec, firstDec *core.Decision
-	srcB := &skipUntil{src: hwPulseWave(opt.Seed, end), cut: cut}
-	recB := replay(srcB, end-cut, func(eng *eventsim.Engine, rec *netsim.Recorder) *netsim.Port {
-		port, turbo := must2(core.Attach(eng, hwLink, rec, hwTurboConfig()))
-		restoreErr = turbo.RestoreState(bytes.NewReader(blob.Bytes()))
-		resaveErr = turbo.SaveState(&resave)
-		cp := turbo.ControlPlane()
+	restore := func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port {
+		port := turbo(hwTurboConfig())(eng, rec, link, o)
+		restoreErr = o.turbo.RestoreState(bytes.NewReader(blob.Bytes()))
+		resaveErr = o.turbo.SaveState(&resave)
+		cp := o.turbo.ControlPlane()
 		restoredDec = cp.LastDecision()
 		cp.OnDeploy = func(dec *core.Decision) {
 			if firstDec == nil {
@@ -134,7 +128,9 @@ func LiveOps(opt Options) *Result {
 			}
 		}
 		return port
-	})
+	}
+	tail := scenario{func() traffic.Source { return &skipUntil{src: sc.src(), cut: cut} }, sc.link, end - cut}
+	recB := runLegs(opt, r, []leg{tail.through(restore, nil)})[0].rec
 
 	r.Add(throughputSeries(clean.rec, packet.Benign, "clean/Output Benign"))
 	r.Add(throughputSeries(rec1, packet.Benign, "reconfigured/Output Benign"))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -26,14 +27,15 @@ func TestRunParallelCoversAllIndices(t *testing.T) {
 // the tentpole guarantee: for a fixed seed, an experiment's rendered
 // output and CSV must be byte-identical whether its sweep points or legs
 // run sequentially or on 8 workers. What those bytes are is
-// TestGoldenManifest's to pin. fig8 and fig10 run in every mode; the
-// other experiments that fan out skip under -short and -race, as the
-// golden manifest does.
+// TestGoldenManifest's to pin. The experiments listed first are cheap in
+// quick mode and run in every mode; the rest skip under -short and
+// -race, as the golden manifest does.
 func TestParallelMatchesSequential(t *testing.T) {
-	for _, id := range []string{"fig8", "fig10", "fig2", "fig3", "fig6", "fig7", "fig11", "table3",
-		"schedulers", "ablations", "adversarial", "chaos"} {
+	everyMode := []string{"fig8", "fig10", "fig9", "pushback", "tcp", "fleet", "liveops"}
+	for _, id := range append(everyMode, "fig2", "fig3", "fig6", "fig7", "fig11", "table3",
+		"schedulers", "ablations", "adversarial", "chaos") {
 		t.Run(id, func(t *testing.T) {
-			if id != "fig8" && id != "fig10" && (testing.Short() || raceDetector()) {
+			if !slices.Contains(everyMode, id) && (testing.Short() || raceDetector()) {
 				t.Skip("skipped under -short and -race")
 			}
 			t.Parallel()

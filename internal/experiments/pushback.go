@@ -3,7 +3,6 @@ package experiments
 import (
 	"accturbo/internal/acc"
 	"accturbo/internal/eventsim"
-	"accturbo/internal/netsim"
 	"accturbo/internal/packet"
 	"accturbo/internal/traffic"
 )
@@ -26,59 +25,48 @@ func PushbackExperiment(opt Options) *Result {
 	}
 	end := sized(opt, 60*eventsim.Second, 25*eventsim.Second)
 
-	run := func(withPushback bool) (float64, float64, uint64) {
-		const (
-			coreRate = 10e6
-			upRate   = 20e6
-		)
-		eng := eventsim.New()
-		rec := netsim.NewRecorder(eventsim.Second)
-		rec1 := netsim.NewRecorder(eventsim.Second)
-		rec2 := netsim.NewRecorder(eventsim.Second)
-
-		o := &legOut{}
-		core := withACC(acc.DefaultConfig())(eng, rec, coreRate, o)
-		u1 := fifo(eng, rec1, upRate, nil)
-		u2 := fifo(eng, rec2, upRate, nil)
-		netsim.Chain(eng, u1, core, eventsim.Millisecond)
-		netsim.Chain(eng, u2, core, eventsim.Millisecond)
-
-		var pb *acc.Pushback
-		if withPushback {
-			ups := []*acc.Upstream{acc.NewUpstream("u1", u1), acc.NewUpstream("u2", u2)}
-			pb = acc.EnablePushback(eng, o.acc, ups)
-		}
-
-		mkBenign := func(seed int64) traffic.Source {
-			return traffic.NewBackground(traffic.BackgroundConfig{
-				Rate: 4e6, Start: 0, End: end, Seed: opt.Seed + seed,
-			})
-		}
-		attackSpec := traffic.FlowSpec{
-			SrcIP: packet.V4Addr{9, 9, 9, 9}, DstIP: packet.V4Addr{10, 250, 9, 0},
-			Protocol: packet.ProtoUDP, SrcPort: 123, DstPort: 80,
-			TTL: 54, Size: 500, Label: packet.Malicious, Vector: "flood",
-			FlowID: traffic.AggAttack, DstHostBits: 4,
-		}
-		attack := traffic.NewCBR(end/8, end, 60e6, attackSpec.Factory(opt.Seed+77))
-
-		netsim.Replay(eng, traffic.Merge(mkBenign(1), attack), u1)
-		netsim.Replay(eng, mkBenign(2), u2)
-		eng.RunUntil(end)
-
-		offered := rec1.ArrivedBenign() + rec2.ArrivedBenign()
-		benignLoss := 100 * (1 - float64(rec.DeliveredBenignPkts())/float64(offered))
-		offeredM := rec1.ArrivedMalicious() + rec2.ArrivedMalicious()
-		attackLoss := 100 * (1 - float64(rec.DeliveredMaliciousPkts())/float64(offeredM))
-		var props uint64
-		if pb != nil {
-			props = pb.Propagations
-		}
-		return benignLoss, attackLoss, props
+	const (
+		coreRate = 10e6
+		upRate   = 20e6
+	)
+	mkBenign := func(seed int64) traffic.Source {
+		return traffic.NewBackground(traffic.BackgroundConfig{
+			Rate: 4e6, Start: 0, End: end, Seed: opt.Seed + seed,
+		})
 	}
-
-	localB, localA, _ := run(false)
-	pushB, pushA, props := run(true)
+	attackSpec := traffic.FlowSpec{
+		SrcIP: packet.V4Addr{9, 9, 9, 9}, DstIP: packet.V4Addr{10, 250, 9, 0},
+		Protocol: packet.ProtoUDP, SrcPort: 123, DstPort: 80,
+		TTL: 54, Size: 500, Label: packet.Malicious, Vector: "flood",
+		FlowID: traffic.AggAttack, DstHostBits: 4,
+	}
+	// Row 0 limits locally at the core; row 1 also pushes the limit to
+	// the upstream ingresses. Each reads its end-to-end loss: what the
+	// upstreams were offered against what the core delivered.
+	var pb *acc.Pushback
+	var benignLoss, attackLoss []float64
+	legs := make([]leg, 2)
+	for i := range legs {
+		var u1, u2 *legOut
+		legs[i] = leg{end, func(t *topo) {
+			core := t.port(withACC(acc.DefaultConfig()), coreRate)
+			u1, u2 = t.port(fifo, upRate), t.port(fifo, upRate)
+			t.chain(u1, core, eventsim.Millisecond)
+			t.chain(u2, core, eventsim.Millisecond)
+			if i == 1 {
+				pb = acc.EnablePushback(t.eng, core.acc, []*acc.Upstream{acc.NewUpstream("u1", u1.port), acc.NewUpstream("u2", u2.port)})
+			}
+			attack := traffic.NewCBR(end/8, end, 60e6, attackSpec.Factory(opt.Seed+77))
+			t.replay(traffic.Merge(mkBenign(1), attack), u1)
+			t.replay(mkBenign(2), u2)
+		}, func(_ *Result, core *legOut) {
+			offered, offeredM := u1.rec.ArrivedBenign()+u2.rec.ArrivedBenign(), u1.rec.ArrivedMalicious()+u2.rec.ArrivedMalicious()
+			benignLoss = append(benignLoss, 100*(1-float64(core.rec.DeliveredBenignPkts())/float64(offered)))
+			attackLoss = append(attackLoss, 100*(1-float64(core.rec.DeliveredMaliciousPkts())/float64(offeredM)))
+		}}
+	}
+	runLegs(opt, r, legs)
+	localB, localA, pushB, pushA, props := benignLoss[0], attackLoss[0], benignLoss[1], attackLoss[1], pb.Propagations
 	r.Add(Series{Name: "Local ACC/benign drops", Y: []float64{localB}})
 	r.Add(Series{Name: "Pushback ACC/benign drops", Y: []float64{pushB}})
 	r.Add(Series{Name: "Local ACC/attack drops", Y: []float64{localA}})

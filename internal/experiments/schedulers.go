@@ -24,12 +24,12 @@ func Schedulers(opt Options) *Result {
 	}
 	legs := make([]leg, len(schemes))
 	for i, s := range schemes {
-		legs[i] = leg{morphingPulses, s.def, func(r *Result, o *legOut) {
+		legs[i] = morphingPulses.through(s.def, func(r *Result, o *legOut) {
 			r.Add(Series{Name: s.name + "/benign drops", Y: []float64{o.rec.BenignDropPercent()}})
 			r.Add(Series{Name: s.name + "/attack drops", Y: []float64{o.rec.MaliciousDropPercent()}})
 			r.Note("%-28s benign %.2f%%  attack %.2f%%", s.name,
 				o.rec.BenignDropPercent(), o.rec.MaliciousDropPercent())
-		}}
+		})
 	}
 	outs := runLegs(opt, r, legs)
 	sp := outs[2].port.Qdisc().(*queue.SPPIFO)

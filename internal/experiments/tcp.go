@@ -26,49 +26,43 @@ func TCPExperiment(opt Options) *Result {
 	end := sized(opt, 60*eventsim.Second, 25*eventsim.Second)
 	const nFlows = 8
 
-	run := func(def defense) (goodput float64, rec *netsim.Recorder) {
-		eng := eventsim.New()
-		rec = netsim.NewRecorder(eventsim.Second)
-		port := def(eng, rec, link, &legOut{})
-
-		pool := packet.NewPool()
-		port.SetPool(pool)
-		flows := make([]*netsim.AIMD, nFlows)
-		for i := range flows {
-			flows[i] = netsim.NewAIMD(eng, port, netsim.AIMDConfig{
-				SrcIP: packet.V4Addr{172, 16, 1, byte(10 + i)}, DstIP: packet.V4Addr{198, 18, byte(10 + i), 1},
-				SrcPort: uint16(20_000 + i), DstPort: 443,
-				Size: 1200, RTT: 20 * eventsim.Millisecond,
-				End: end, FlowID: uint32(1 + i), Seed: opt.Seed + int64(i),
-			})
-			flows[i].SetPool(pool)
-		}
-		// Pulse wave: 5 s pulses at 4x link with 5 s interleave.
-		pulse := traffic.FlowSpec{
-			SrcIP: packet.V4Addr{203, 0, 113, 9}, DstIP: packet.V4Addr{198, 18, 7, 1},
-			Protocol: packet.ProtoUDP, SrcPort: 123, DstPort: 80, TTL: 58, Size: 1000,
-			Label: packet.Malicious, Vector: "pulse", FlowID: 99,
-		}
-		var srcs []traffic.Source
-		for at := 5 * eventsim.Second; at+5*eventsim.Second <= end; at += 10 * eventsim.Second {
-			srcs = append(srcs, traffic.NewCBR(at, at+5*eventsim.Second, 4*link, pulse.Factory(opt.Seed+int64(at))))
-		}
-		merged := traffic.Merge(srcs...)
-		traffic.AttachPool(merged, pool)
-		netsim.Replay(eng, merged, port)
-		eng.RunUntil(end + eventsim.Second)
-
-		var sum float64
-		for _, f := range flows {
-			sum += f.Goodput()
-		}
-		return sum, rec
+	var goodput []float64
+	schemes := []scheme{{"FIFO", fifo}, {"ACC-Turbo", turbo(hwTurboConfig())}}
+	legs := make([]leg, len(schemes))
+	for k, s := range schemes {
+		var flows [nFlows]*netsim.AIMD
+		legs[k] = leg{end + eventsim.Second, func(t *topo) {
+			port := t.port(s.def, link)
+			for i := range flows {
+				flows[i] = t.aimd(netsim.AIMDConfig{
+					SrcIP: packet.V4Addr{172, 16, 1, byte(10 + i)}, DstIP: packet.V4Addr{198, 18, byte(10 + i), 1},
+					SrcPort: uint16(20_000 + i), DstPort: 443,
+					Size: 1200, RTT: 20 * eventsim.Millisecond,
+					End: end, FlowID: uint32(1 + i), Seed: opt.Seed + int64(i),
+				}, port)
+			}
+			// Pulse wave: 5 s pulses at 4x link with 5 s interleave.
+			pulse := traffic.FlowSpec{
+				SrcIP: packet.V4Addr{203, 0, 113, 9}, DstIP: packet.V4Addr{198, 18, 7, 1},
+				Protocol: packet.ProtoUDP, SrcPort: 123, DstPort: 80, TTL: 58, Size: 1000,
+				Label: packet.Malicious, Vector: "pulse", FlowID: 99,
+			}
+			var srcs []traffic.Source
+			for at := 5 * eventsim.Second; at+5*eventsim.Second <= end; at += 10 * eventsim.Second {
+				srcs = append(srcs, traffic.NewCBR(at, at+5*eventsim.Second, 4*link, pulse.Factory(opt.Seed+int64(at))))
+			}
+			t.replay(traffic.Merge(srcs...), port)
+		}, func(r *Result, o *legOut) {
+			r.Add(throughputSeries(o.rec, packet.Benign, s.name+"/Benign delivered"))
+			var sum float64
+			for _, f := range flows {
+				sum += f.Goodput()
+			}
+			goodput = append(goodput, sum)
+		}}
 	}
-
-	fifoGoodput, fifoRec := run(fifo)
-	turboGoodput, turboRec := run(turbo(hwTurboConfig()))
-	r.Add(throughputSeries(fifoRec, packet.Benign, "FIFO/Benign delivered"))
-	r.Add(throughputSeries(turboRec, packet.Benign, "ACC-Turbo/Benign delivered"))
+	runLegs(opt, r, legs)
+	fifoGoodput, turboGoodput := goodput[0], goodput[1]
 	r.Add(Series{Name: "FIFO/total goodput (Mbps)", Y: []float64{fifoGoodput / 1e6}})
 	r.Add(Series{Name: "ACC-Turbo/total goodput (Mbps)", Y: []float64{turboGoodput / 1e6}})
 	r.Note("8 AIMD flows under a pulse wave: goodput %.1f Mbps on FIFO vs %.1f Mbps with ACC-Turbo "+

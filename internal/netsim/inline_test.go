@@ -13,7 +13,7 @@ import (
 	"accturbo/internal/traffic"
 )
 
-// The differential test of the inline path. Arrivals (fanInStep) and
+// The differential test of the inline path. Arrivals (replayStep) and
 // transmit completions (portTxDone) run inline whenever they are the
 // next event the engine would run. The oracle is the same scenario
 // driven by Engine.Step, under which Advance always refuses: there every

@@ -6,7 +6,7 @@
 // The paper's experiments all share one topology — traffic converges on
 // a switch whose output link is the bottleneck — so the substrate
 // models that port precisely (line-rate serialization, qdisc-governed
-// buffering) rather than a general topology.
+// buffering), and Chain links ports for the multi-hop extensions.
 //
 // A port has one accounting, its Accounting: the Recorder, which counts
 // every offered, delivered and dropped packet with the ground-truth
@@ -246,5 +246,37 @@ func portTxDone(t eventsim.Time, arg any) {
 // chaining events so only one pending arrival exists at a time. The
 // replay's allocations do not grow with trace length.
 func Replay(eng *eventsim.Engine, src traffic.Source, port *Port) {
-	FanIn(eng, src, []*Port{port}, nil)
+	if first, ok := src.Next(); ok {
+		r := &replay{eng: eng, src: src, port: port, pending: first}
+		eng.ScheduleArg(max(first.At, eng.Now()), replayStep, r)
+	}
+}
+
+// replay carries Replay's iteration state so each arrival reschedules
+// through ScheduleArg without a fresh closure.
+type replay struct {
+	eng     *eventsim.Engine
+	src     traffic.Source
+	port    *Port
+	pending traffic.TimedPacket
+}
+
+// replayStep injects the pending packet and each next one that is the
+// engine's next event (Advance), and schedules the first that is not. A
+// packet stamped in the past arrives now.
+func replayStep(now eventsim.Time, arg any) {
+	r := arg.(*replay)
+	for {
+		r.port.Inject(now, r.pending.Pkt)
+		next, ok := r.src.Next()
+		if !ok {
+			return
+		}
+		r.pending = next
+		now = max(next.At, now)
+		if !r.eng.Advance(now) {
+			r.eng.ScheduleArg(now, replayStep, r)
+			return
+		}
+	}
 }

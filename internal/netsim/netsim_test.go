@@ -334,32 +334,6 @@ func TestChainPreservesExistingDeliveredHook(t *testing.T) {
 	}
 }
 
-func TestFanInRoutesByPacket(t *testing.T) {
-	eng := eventsim.New()
-	recs := []*Recorder{NewRecorder(eventsim.Second), NewRecorder(eventsim.Second)}
-	ports := []*Port{
-		NewPort(eng, queue.NewFIFO(100_000), 10e6, recs[0]),
-		NewPort(eng, queue.NewFIFO(100_000), 10e6, recs[1]),
-	}
-	src := traffic.Merge(
-		cbr(0, eventsim.Second, 2e6, packet.Benign, 1),
-		cbr(0, eventsim.Second, 2e6, packet.Malicious, 5),
-	)
-	FanIn(eng, src, ports, func(p *packet.Packet) int {
-		if p.Label == packet.Malicious {
-			return 1
-		}
-		return 0
-	})
-	eng.RunUntil(2 * eventsim.Second)
-	if recs[0].ArrivedBenign() == 0 || recs[0].ArrivedMalicious() != 0 {
-		t.Fatalf("port 0: %d benign %d malicious", recs[0].ArrivedBenign(), recs[0].ArrivedMalicious())
-	}
-	if recs[1].ArrivedMalicious() == 0 || recs[1].ArrivedBenign() != 0 {
-		t.Fatalf("port 1: %d benign %d malicious", recs[1].ArrivedBenign(), recs[1].ArrivedMalicious())
-	}
-}
-
 func TestChainValidation(t *testing.T) {
 	eng := eventsim.New()
 	a := NewPort(eng, queue.NewFIFO(1000), 1e6, nil)
