@@ -485,7 +485,7 @@ func (d *Defense) LastDecision() *Decision { return d.cp.LastDecision() }
 // QueueOf returns the live priority queue of a cluster. Unknown or
 // out-of-range IDs report the lowest-priority queue, matching the
 // data-plane classifier.
-func (d *Defense) QueueOf(clusterID int) int { return d.dp.QueueOf(clusterID) }
+func (d *Defense) QueueOf(clusterID int) int { return d.dp.QueueFor(clusterID) }
 
 // RecentDecisions returns up to n of the most recently deployed
 // control-loop decisions, newest first (the control plane keeps the

@@ -103,7 +103,7 @@ var (
 	cpuProfile        = flag.String("cpuprofile", "", "write a CPU profile of the processing loop to this file")
 	restorePath       = flag.String("restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
 	snapshotOut       = flag.String("snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
-	victimsK          = flag.Int("victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off; adds GET /victims to -metrics-addr)")
+	victimsK          = flag.Int("victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off, at most 4096; adds GET /victims to -metrics-addr)")
 	victimWindowMs    = flag.Int("victim-window", 1000, "victim-detection window length (ms of capture time; used with -victims)")
 	fleetNodes        = flag.Int("fleet-nodes", 0, "run this many in-process fleet nodes under one global ranking coordinator (0 = single-node mode); capture traffic is partitioned across nodes by source IP hash")
 	coordinator       = flag.Bool("coordinator", true, "with -fleet-nodes: keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")

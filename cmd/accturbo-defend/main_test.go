@@ -45,6 +45,7 @@ func TestFlagEdges(t *testing.T) {
 		{[]string{"-realtime", "-ingest", "0"}, 0, "1 shards, 1 ingest goroutines"},
 		{[]string{"-fault-spec", "flap:first=1s,down=1s"}, 2, "flap clauses need a simulated link"},
 		{[]string{"-fault-spec", "sinkfail:p=1"}, 2, `unknown clause kind "sinkfail"`},
+		{[]string{"-victims", "1000000000"}, 2, "victim: TopK 1000000000 outside [1, 4096]"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-in", capture}, c.args...)...)
 		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")

@@ -32,74 +32,47 @@ import (
 	"accturbo/internal/queue"
 )
 
-// Config mirrors Appendix A Table 4 plus the drop-history bound.
+// Appendix A Table 4 of the ACC-Turbo paper, plus the drop-history
+// bound: ACC's fixed parameters.
+const (
+	// PHigh is the sustained-congestion drop rate activating the agent.
+	PHigh = 0.1
+	// PTarget is the post-mitigation target drop rate.
+	PTarget = 0.05
+	// RateEWMAInterval is the exponential-moving-average interval for
+	// rate estimation ("k" in Table 4).
+	RateEWMAInterval = 100 * eventsim.Millisecond
+	// MaxSessions bounds simultaneous rate-limiting sessions.
+	MaxSessions = 5
+	// ReleaseTime is the minimum session lifetime.
+	ReleaseTime = 10 * eventsim.Second
+	// FreeTime is how long an aggregate must behave (arrive under its
+	// limit) before release.
+	FreeTime = 20 * eventsim.Second
+	// CycleTime is the period at which installed sessions are
+	// revisited.
+	CycleTime = 5 * eventsim.Second
+	// InitTime is the faster revisit period right after installation.
+	InitTime = 500 * eventsim.Millisecond
+	// HistoryLimit bounds the drop-history buffer (packets).
+	HistoryLimit = 200_000
+)
+
+// Config is the one Table 4 value the experiments sweep.
 type Config struct {
 	// K is the sustained-congestion monitoring period.
 	K eventsim.Time
-	// PHigh is the sustained-congestion drop rate activating the agent.
-	PHigh float64
-	// PTarget is the post-mitigation target drop rate.
-	PTarget float64
-	// RateEWMAInterval is the exponential-moving-average interval for
-	// rate estimation ("k" in Table 4).
-	RateEWMAInterval eventsim.Time
-	// MaxSessions bounds simultaneous rate-limiting sessions.
-	MaxSessions int
-	// ReleaseTime is the minimum session lifetime.
-	ReleaseTime eventsim.Time
-	// FreeTime is how long an aggregate must behave (arrive under its
-	// limit) before release.
-	FreeTime eventsim.Time
-	// CycleTime is the period at which installed sessions are
-	// revisited.
-	CycleTime eventsim.Time
-	// InitTime is the faster revisit period right after installation.
-	InitTime eventsim.Time
-	// HistoryLimit bounds the drop-history buffer (packets).
-	HistoryLimit int
 }
 
-// DefaultConfig returns the Table 4 values.
+// DefaultConfig returns Table 4's K.
 func DefaultConfig() Config {
-	return Config{
-		K:                2 * eventsim.Second,
-		PHigh:            0.1,
-		PTarget:          0.05,
-		RateEWMAInterval: 100 * eventsim.Millisecond,
-		MaxSessions:      5,
-		ReleaseTime:      10 * eventsim.Second,
-		FreeTime:         20 * eventsim.Second,
-		CycleTime:        5 * eventsim.Second,
-		InitTime:         500 * eventsim.Millisecond,
-		HistoryLimit:     200_000,
-	}
+	return Config{K: 2 * eventsim.Second}
 }
 
 // Validate checks the configuration.
 func (c *Config) Validate() error {
 	if c.K <= 0 {
 		return fmt.Errorf("acc: K %v must be positive", c.K)
-	}
-	if c.PHigh <= 0 || c.PHigh > 1 {
-		return fmt.Errorf("acc: PHigh %v out of (0,1]", c.PHigh)
-	}
-	if c.PTarget < 0 || c.PTarget >= c.PHigh {
-		return fmt.Errorf("acc: PTarget %v must be in [0, PHigh)", c.PTarget)
-	}
-	if c.RateEWMAInterval <= 0 {
-		return fmt.Errorf("acc: RateEWMAInterval %v must be positive", c.RateEWMAInterval)
-	}
-	if c.CycleTime <= 0 {
-		return fmt.Errorf("acc: CycleTime %v must be positive", c.CycleTime)
-	}
-	if c.InitTime <= 0 {
-		return fmt.Errorf("acc: InitTime %v must be positive", c.InitTime)
-	}
-	if c.MaxSessions < 1 {
-		return fmt.Errorf("acc: MaxSessions %d < 1", c.MaxSessions)
-	}
-	if c.HistoryLimit < 1 {
-		return fmt.Errorf("acc: HistoryLimit %d < 1", c.HistoryLimit)
 	}
 	return nil
 }
@@ -180,7 +153,7 @@ func Attach(eng *eventsim.Engine, port *netsim.Port, red *queue.RED, cfg Config)
 
 	red.OnDrop(func(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
 		a.winDrops++
-		if len(a.history) < cfg.HistoryLimit {
+		if len(a.history) < HistoryLimit {
 			a.history = append(a.history, dropRecord{dst: p.DstIP.Uint32(), size: p.Size()})
 		}
 	})
@@ -190,7 +163,7 @@ func Attach(eng *eventsim.Engine, port *netsim.Port, red *queue.RED, cfg Config)
 	})
 
 	eng.Every(cfg.K, func(now eventsim.Time) { a.monitor(now) })
-	eng.Every(cfg.CycleTime, func(now eventsim.Time) { a.revisit(now) })
+	eng.Every(CycleTime, func(now eventsim.Time) { a.revisit(now) })
 	return a, nil
 }
 
@@ -205,7 +178,7 @@ func (a *ACC) admit(now eventsim.Time, p *packet.Packet) bool {
 			continue
 		}
 		s.arrivedBytes += uint64(p.Size())
-		s.updateRate(now, a.cfg.RateEWMAInterval, p.Size())
+		s.updateRate(now, RateEWMAInterval, p.Size())
 		return s.bucket.Allow(now, p.Size())
 	}
 	return true
@@ -267,7 +240,7 @@ func (a *ACC) monitor(now eventsim.Time) {
 		return
 	}
 	dropRate := float64(drops) / float64(arrivals)
-	if dropRate <= a.cfg.PHigh {
+	if dropRate <= PHigh {
 		return
 	}
 	a.Activations++
@@ -307,13 +280,13 @@ func (a *ACC) monitor(now eventsim.Time) {
 		list = append(list, rated{prefix: ag.prefix, rate: est, drops: ag.drops})
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].drops > list[j].drops })
-	if len(list) > a.cfg.MaxSessions {
-		list = list[:a.cfg.MaxSessions]
+	if len(list) > MaxSessions {
+		list = list[:MaxSessions]
 	}
 
 	// Excess rate: reduce total arrivals to delivered/(1 - p_target).
 	deliveredBits := arrivalBits * (1 - dropRate)
-	excess := arrivalBits - deliveredBits/(1-a.cfg.PTarget)
+	excess := arrivalBits - deliveredBits/(1-PTarget)
 	if excess <= 0 {
 		return
 	}
@@ -365,7 +338,7 @@ func (a *ACC) install(now eventsim.Time, p Prefix, limitBits, rateEst float64) {
 			return
 		}
 	}
-	if len(a.sessions) >= a.cfg.MaxSessions {
+	if len(a.sessions) >= MaxSessions {
 		return
 	}
 	s := &Session{
@@ -398,7 +371,7 @@ func (a *ACC) revisit(now eventsim.Time) {
 		} else {
 			s.behavedFor = 0
 		}
-		if now-s.InstalledAt >= a.cfg.ReleaseTime && s.behavedFor >= a.cfg.FreeTime {
+		if now-s.InstalledAt >= ReleaseTime && s.behavedFor >= FreeTime {
 			continue // released
 		}
 		kept = append(kept, s)

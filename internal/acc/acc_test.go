@@ -23,29 +23,22 @@ func TestDefaultConfigMatchesTable4(t *testing.T) {
 	if cfg.K != 2*eventsim.Second {
 		t.Errorf("K = %v, want 2s", cfg.K)
 	}
-	if cfg.PHigh != 0.1 {
-		t.Errorf("PHigh = %v, want 0.1", cfg.PHigh)
-	}
-	if cfg.PTarget != 0.05 {
-		t.Errorf("PTarget = %v, want 0.05", cfg.PTarget)
-	}
-	if cfg.RateEWMAInterval != 100*eventsim.Millisecond {
-		t.Errorf("rate EWMA interval = %v, want 0.1s", cfg.RateEWMAInterval)
-	}
-	if cfg.MaxSessions != 5 {
-		t.Errorf("MaxSessions = %d, want 5", cfg.MaxSessions)
-	}
-	if cfg.ReleaseTime != 10*eventsim.Second {
-		t.Errorf("ReleaseTime = %v, want 10s", cfg.ReleaseTime)
-	}
-	if cfg.FreeTime != 20*eventsim.Second {
-		t.Errorf("FreeTime = %v, want 20s", cfg.FreeTime)
-	}
-	if cfg.CycleTime != 5*eventsim.Second {
-		t.Errorf("CycleTime = %v, want 5s", cfg.CycleTime)
-	}
-	if cfg.InitTime != 500*eventsim.Millisecond {
-		t.Errorf("InitTime = %v, want 0.5s", cfg.InitTime)
+	for _, c := range []struct {
+		name      string
+		got, want float64
+	}{
+		{"PHigh", PHigh, 0.1},
+		{"PTarget", PTarget, 0.05},
+		{"RateEWMAInterval (s)", RateEWMAInterval.Seconds(), 0.1},
+		{"MaxSessions", MaxSessions, 5},
+		{"ReleaseTime (s)", ReleaseTime.Seconds(), 10},
+		{"FreeTime (s)", FreeTime.Seconds(), 20},
+		{"CycleTime (s)", CycleTime.Seconds(), 5},
+		{"InitTime (s)", InitTime.Seconds(), 0.5},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.name, c.got, c.want)
+		}
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
@@ -53,23 +46,10 @@ func TestDefaultConfigMatchesTable4(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []func(c *Config){
-		func(c *Config) { c.K = 0 },
-		func(c *Config) { c.PHigh = 0 },
-		func(c *Config) { c.PHigh = 1.5 },
-		func(c *Config) { c.PTarget = 0.5 },
-		func(c *Config) { c.MaxSessions = 0 },
-		func(c *Config) { c.HistoryLimit = 0 },
-		func(c *Config) { c.RateEWMAInterval = 0 },
-		func(c *Config) { c.CycleTime = 0 },
-		func(c *Config) { c.CycleTime = -eventsim.Second },
-		func(c *Config) { c.InitTime = 0 },
-	}
-	for i, mutate := range bad {
-		cfg := DefaultConfig()
-		mutate(&cfg)
+	for _, k := range []eventsim.Time{0, -eventsim.Second} {
+		cfg := Config{K: k}
 		if err := cfg.Validate(); err == nil {
-			t.Errorf("mutation %d should invalidate config", i)
+			t.Errorf("K %v should invalidate config", k)
 		}
 		// Attach must refuse before it wires anything: it installs the
 		// RED hook and the ingress stage before it schedules its timers.
@@ -77,10 +57,10 @@ func TestConfigValidation(t *testing.T) {
 		red := queue.NewRED(10_000, 1e6)
 		port := netsim.NewPort(eng, red, 8e6, nil)
 		if a, err := Attach(eng, port, red, cfg); err == nil || a != nil {
-			t.Errorf("mutation %d: Attach = (%v, %v), want only an error", i, a, err)
+			t.Errorf("K %v: Attach = (%v, %v), want only an error", k, a, err)
 		}
 		if eng.Pending() != 0 {
-			t.Errorf("mutation %d: Attach scheduled %d events before refusing", i, eng.Pending())
+			t.Errorf("K %v: Attach scheduled %d events before refusing", k, eng.Pending())
 		}
 	}
 }
@@ -298,63 +278,54 @@ func TestFIFOBaselineFailsWhereACCSucceeds(t *testing.T) {
 	}
 }
 
+// TestSessionsInstallAndRelease runs Table 4's session timers: a session
+// installed during a 10 s attack is released once the aggregate has
+// behaved for FreeTime, counted at CycleTime revisits.
 func TestSessionsInstallAndRelease(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ReleaseTime = 2 * eventsim.Second
-	cfg.FreeTime = 3 * eventsim.Second
-	cfg.CycleTime = eventsim.Second
-
 	const link = 10e6
 	eng := eventsim.New()
 	red := queue.NewRED(int(link/8/10), link/8)
 	port := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
-	agent := attach(t, eng, port, red, cfg)
+	agent := attach(t, eng, port, red, DefaultConfig())
 
-	// Attack for 10 s, then silence until 40 s.
+	// Attack for 10 s, then silence.
+	const attackEnd = 10 * eventsim.Second
 	spec := traffic.FlowSpec{
 		SrcIP: packet.V4Addr{9, 9, 9, 9}, DstIP: packet.V4Addr{10, 0, 5, 1},
 		Protocol: packet.ProtoUDP, SrcPort: 1, DstPort: 2, TTL: 64, Size: 500,
 		Label: packet.Malicious, FlowID: 5,
 	}
-	netsim.Replay(eng, traffic.NewCBR(0, 10*eventsim.Second, 40e6, spec.Factory(1)), port)
-	// Keep the clock running to 40 s so revisits happen.
-	eng.Every(eventsim.Second, func(now eventsim.Time) {})
-	eng.RunUntil(40 * eventsim.Second)
-
-	if agent.Activations == 0 {
-		t.Fatal("no activation")
+	netsim.Replay(eng, traffic.NewCBR(0, attackEnd, 40e6, spec.Factory(1)), port)
+	eng.RunUntil(attackEnd)
+	if agent.Activations == 0 || len(agent.Sessions()) == 0 {
+		t.Fatalf("%d activations and sessions %v during the attack", agent.Activations, agent.Sessions())
 	}
+	// Keep the clock running so revisits happen. The behaved count starts
+	// at the first revisit after the attack and releases the session once
+	// it reaches FreeTime, within FreeTime + 2 cycles of the attack's end;
+	// the third cycle is margin.
+	eng.Every(eventsim.Second, func(now eventsim.Time) {})
+	eng.RunUntil(attackEnd + FreeTime + 3*CycleTime)
 	if len(agent.Sessions()) != 0 {
 		t.Fatalf("sessions not released after quiet period: %v", agent.Sessions())
 	}
 }
 
+// TestSessionLimitRespected: installs beyond MaxSessions are refused,
+// and re-installing a held prefix updates its session in place.
 func TestSessionLimitRespected(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxSessions = 2
-	const link = 10e6
 	eng := eventsim.New()
-	red := queue.NewRED(int(link/8/10), link/8)
-	port := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
-	agent := attach(t, eng, port, red, cfg)
-
-	// Four simultaneous attack prefixes.
-	var srcs []traffic.Source
-	for i := 0; i < 4; i++ {
-		spec := traffic.FlowSpec{
-			SrcIP: packet.V4Addr{9, 9, 9, byte(i)}, DstIP: packet.V4Addr{10, 0, byte(10 + i), 1},
-			Protocol: packet.ProtoUDP, SrcPort: 1, DstPort: 2, TTL: 64, Size: 500,
-			Label: packet.Malicious, FlowID: uint32(10 + i),
-		}
-		srcs = append(srcs, traffic.NewCBR(0, 10*eventsim.Second, 15e6, spec.Factory(int64(i))))
+	red := queue.NewRED(10_000, 1e6)
+	agent := attach(t, eng, netsim.NewPort(eng, red, 8e6, nil), red, DefaultConfig())
+	for i := 0; i < MaxSessions+3; i++ {
+		agent.install(0, Prefix{Addr: 0x0a000000 | uint32(i)<<8, Bits: 24}, 1e6, 2e6)
 	}
-	netsim.Replay(eng, traffic.Merge(srcs...), port)
-	eng.RunUntil(12 * eventsim.Second)
-	if got := len(agent.Sessions()); got > 2 {
-		t.Fatalf("%d sessions, limit 2", got)
+	if got := len(agent.Sessions()); got != MaxSessions {
+		t.Fatalf("%d sessions after %d installs, limit %d", got, MaxSessions+3, MaxSessions)
 	}
-	if agent.Activations == 0 {
-		t.Fatal("no activation")
+	agent.install(0, Prefix{Addr: 0x0a000000, Bits: 24}, 5e5, 2e6)
+	if s := agent.Sessions(); len(s) != MaxSessions || s[0].LimitBits != 5e5 {
+		t.Fatalf("re-install of a held prefix: %d sessions, first limit %v", len(s), s[0].LimitBits)
 	}
 }
 

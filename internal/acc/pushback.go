@@ -106,7 +106,7 @@ type Pushback struct {
 }
 
 // EnablePushback attaches pushback to a downstream agent: every
-// CycleTime the downstream session set is mirrored upstream, with each
+// InitTime the downstream session set is mirrored upstream, with each
 // upstream's share proportional to the aggregate traffic it reported
 // carrying in the last cycle (equal split on the first).
 func EnablePushback(eng *eventsim.Engine, agent *ACC, upstreams []*Upstream) *Pushback {
@@ -117,9 +117,9 @@ func EnablePushback(eng *eventsim.Engine, agent *ACC, upstreams []*Upstream) *Pu
 		agent:     agent,
 		upstreams: upstreams,
 		active:    map[Prefix]float64{},
-		interval:  agent.cfg.InitTime,
+		interval:  InitTime,
 	}
-	eng.Every(agent.cfg.InitTime, func(now eventsim.Time) { pb.refresh(now) })
+	eng.Every(InitTime, func(now eventsim.Time) { pb.refresh(now) })
 	return pb
 }
 

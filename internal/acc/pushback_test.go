@@ -135,11 +135,7 @@ func TestPushbackReleasesWithDownstream(t *testing.T) {
 	const link = 10e6
 	red := queue.NewRED(int(link/8/10), link/8)
 	core := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
-	cfg := DefaultConfig()
-	cfg.ReleaseTime = 2 * eventsim.Second
-	cfg.FreeTime = 3 * eventsim.Second
-	cfg.CycleTime = eventsim.Second
-	agent := attach(t, eng, core, red, cfg)
+	agent := attach(t, eng, core, red, DefaultConfig())
 
 	up := netsim.NewPort(eng, queue.NewFIFO(100_000), 20e6, nil)
 	netsim.Chain(eng, up, core, eventsim.Millisecond)
@@ -151,16 +147,19 @@ func TestPushbackReleasesWithDownstream(t *testing.T) {
 		Protocol: packet.ProtoUDP, SrcPort: 1, DstPort: 2, TTL: 64, Size: 500,
 		Label: packet.Malicious, FlowID: 5,
 	}
-	netsim.Replay(eng, traffic.NewCBR(0, 8*eventsim.Second, 40e6, spec.Factory(1)), up)
-	eng.RunUntil(10 * eventsim.Second)
+	const attackEnd = 8 * eventsim.Second
+	netsim.Replay(eng, traffic.NewCBR(0, attackEnd, 40e6, spec.Factory(1)), up)
+	eng.RunUntil(attackEnd + 2*eventsim.Second)
 	if len(u.rules) == 0 {
 		t.Fatal("no upstream rule installed during the attack")
 	}
 	if pb.Propagations == 0 {
 		t.Fatal("no propagations recorded")
 	}
-	// Quiet period: downstream releases, upstream must follow.
-	eng.RunUntil(40 * eventsim.Second)
+	// Quiet period: downstream releases at Table 4's timers, within
+	// FreeTime + 2 cycles of the attack's end (the third cycle is margin),
+	// and upstream must follow within a refresh.
+	eng.RunUntil(attackEnd + FreeTime + 3*CycleTime + InitTime)
 	if len(u.rules) != 0 {
 		t.Fatalf("upstream rules not released: %d", len(u.rules))
 	}

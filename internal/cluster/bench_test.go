@@ -22,9 +22,6 @@ func benchCombos() []Config {
 				cfg.Distance = d
 				cfg.Search = s
 				cfg.UseBloom = bloom
-				if d == Euclidean {
-					cfg.LearningRate = 0.3
-				}
 				out = append(out, cfg)
 			}
 		}

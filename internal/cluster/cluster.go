@@ -89,6 +89,15 @@ func (s Search) String() string {
 	}
 }
 
+// The fixed parameters of the baseline clusterers: the Euclidean
+// center-update step, and the size of the per-feature filters of
+// UseBloom (bits, hash functions).
+const (
+	learningRate = 0.3
+	bloomBits    = 4096
+	bloomHashes  = 3
+)
+
 // Config parameterizes an online clusterer.
 type Config struct {
 	// MaxClusters is |C|, the bound on simultaneously tracked
@@ -102,19 +111,12 @@ type Config struct {
 	Distance Distance
 	// Search picks fast (linear) or exhaustive (quadratic) search.
 	Search Search
-	// LearningRate is the center-update step for Euclidean clustering
-	// (ignored otherwise). Zero defaults to 0.3.
-	LearningRate float64
 	// UseBloom stores nominal-feature value sets in Bloom filters (as
 	// the hardware does) instead of exact sets. Exact sets are what
 	// Online implements; Bloom sets are an ablation that runs on
 	// Reference, one sketch.Bloom per cluster and feature, and cannot be
 	// snapshotted (see Deployed).
 	UseBloom bool
-	// BloomBits and BloomHashes size the per-feature filters when
-	// UseBloom is set. Zero defaults to 4096 bits and 3 hashes.
-	BloomBits   uint64
-	BloomHashes int
 	// Normalize scales every per-feature distance by the feature's
 	// value-space size, so a 16-bit port dimension cannot dominate
 	// 8-bit byte dimensions. The paper's hardware cannot afford the
@@ -144,9 +146,6 @@ func (c *Config) Validate() error {
 	if c.Search > Exhaustive {
 		return fmt.Errorf("cluster: unknown search %d", c.Search)
 	}
-	if c.LearningRate < 0 || c.LearningRate > 1 {
-		return fmt.Errorf("cluster: learning rate %v out of [0,1]", c.LearningRate)
-	}
 	if c.Search == Exhaustive && c.UseBloom {
 		return fmt.Errorf("cluster: exhaustive search requires exact nominal sets, not Bloom filters")
 	}
@@ -172,20 +171,6 @@ func (c *Config) Validate() error {
 // quality baseline that runs on Reference and cannot be snapshotted.
 func (c *Config) Deployed() bool {
 	return c.Distance == Manhattan && c.Search == Fast && !c.Normalize && !c.UseBloom
-}
-
-func (c *Config) withDefaults() Config {
-	out := *c
-	if out.LearningRate == 0 {
-		out.LearningRate = 0.3
-	}
-	if out.BloomBits == 0 {
-		out.BloomBits = 4096
-	}
-	if out.BloomHashes == 0 {
-		out.BloomHashes = 3
-	}
-	return out
 }
 
 // DefaultConfig is the paper's deployable configuration over the given

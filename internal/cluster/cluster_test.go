@@ -41,7 +41,6 @@ func TestConfigValidate(t *testing.T) {
 		{MaxClusters: 2},
 		{MaxClusters: 2, Features: twoFeatures(), Distance: Distance(9)},
 		{MaxClusters: 2, Features: twoFeatures(), Search: Search(9)},
-		{MaxClusters: 2, Features: twoFeatures(), LearningRate: 2},
 		{MaxClusters: 2, Features: packet.FeatureSet{packet.FSrcPort}, Search: Exhaustive, UseBloom: true},
 		// More slices than the lead ordinal (ip.dst[2], 256 values) has values.
 		{MaxClusters: 257, Features: packet.HardwareFeatures(), SliceInit: true},
@@ -243,24 +242,19 @@ func TestExhaustiveFallsBackToFastWhenMergeCostly(t *testing.T) {
 }
 
 func TestEuclideanCentersMove(t *testing.T) {
-	cfg := Config{
-		MaxClusters:  1,
-		Features:     twoFeatures(),
-		Distance:     Euclidean,
-		LearningRate: 0.5,
-	}
+	cfg := Config{MaxClusters: 1, Features: twoFeatures(), Distance: Euclidean}
 	o := NewOnline(cfg)
 	o.Observe(mkPkt(10, 100, packet.Benign))
 	o.Observe(mkPkt(20, 200, packet.Benign))
-	// Center moved halfway: (15, 150).
-	a := o.Observe(mkPkt(15, 150, packet.Benign))
+	// Center moved learningRate (0.3) of the way: (13, 130).
+	a := o.Observe(mkPkt(13, 130, packet.Benign))
 	if a.Distance != 0 {
 		t.Fatalf("distance to moved center = %v, want 0", a.Distance)
 	}
 }
 
 func TestEuclideanDistanceIsSquared(t *testing.T) {
-	cfg := Config{MaxClusters: 2, Features: twoFeatures(), Distance: Euclidean, LearningRate: 0.3}
+	cfg := Config{MaxClusters: 2, Features: twoFeatures(), Distance: Euclidean}
 	o := NewOnline(cfg)
 	o.Observe(mkPkt(0, 0, packet.Benign))
 	o.Observe(mkPkt(100, 0, packet.Benign))
@@ -674,7 +668,6 @@ func TestEuclideanExhaustiveWardMerge(t *testing.T) {
 	cfg := DefaultConfig(2, twoFeatures())
 	cfg.Distance = Euclidean
 	cfg.Search = Exhaustive
-	cfg.LearningRate = 0.5
 	o := NewOnline(cfg)
 	// Two coincident centers merge cheaply (Ward cost ~ 0) when an
 	// outlier arrives.

@@ -200,8 +200,9 @@ func (o *Online) decodeSet(d *frame.Dec, ci, j int, commit bool) error {
 // against the receiver (different feature count, value spaces) or would
 // silently change behavior (slice initialisation). The distance, search,
 // set-representation and normalisation fields are constant for every
-// clusterer that has a snapshot (Config.Deployed); they stay so that the
-// streams earlier versions wrote keep restoring.
+// clusterer that has a snapshot (Config.Deployed), and the learning rate
+// and Bloom geometry are constants; they stay so that the streams
+// earlier versions wrote keep restoring.
 func (o *Online) encodeFingerprint(e *frame.Enc) {
 	e.U32(uint32(o.cfg.MaxClusters))
 	e.U8(uint8(len(o.feats)))
@@ -210,10 +211,10 @@ func (o *Online) encodeFingerprint(e *frame.Enc) {
 	}
 	e.U8(uint8(o.cfg.Distance))
 	e.U8(uint8(o.cfg.Search))
-	e.F64(o.cfg.LearningRate)
+	e.F64(learningRate)
 	e.Bool(o.cfg.UseBloom)
-	e.U64(o.cfg.BloomBits)
-	e.U32(uint32(o.cfg.BloomHashes))
+	e.U64(bloomBits)
+	e.U32(bloomHashes)
 	e.Bool(o.cfg.Normalize)
 	e.Bool(o.cfg.SliceInit)
 }

@@ -211,7 +211,6 @@ func TestUnmarshalRejectsHostileSets(t *testing.T) {
 	exact := DefaultConfig(1, packet.FeatureSet{packet.FTTL, packet.FSrcPort})
 	bloom := exact
 	bloom.UseBloom = true
-	bloom.BloomBits = 200
 	build := func(cfg Config, ports int) (blob []byte, set int) {
 		o := NewOnline(cfg)
 		for i := 0; i < ports; i++ {
@@ -255,7 +254,7 @@ func TestUnmarshalRejectsHostileSets(t *testing.T) {
 			return b
 		}},
 		{"bloom bit beyond the filter", bloom, func(b []byte, set int) []byte {
-			b[len(b)-1] |= 0x80 // bit 255 of a 200-bit filter
+			b[len(b)-1] |= 0x80 // a bit beyond a narrow filter's width
 			return b
 		}},
 		{"bloom insert count differs", bloom, func(b []byte, set int) []byte {

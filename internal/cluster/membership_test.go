@@ -97,7 +97,7 @@ func TestMemberTableMatchesModel(t *testing.T) {
 	t.Run(comboName(cfg), func(t *testing.T) {
 		r := rand.New(rand.NewSource(31))
 		const slots = 20
-		o := newOnline(cfg.withDefaults(), slots)
+		o := newOnline(cfg, slots)
 		if o.mt.planes != 3 {
 			t.Fatalf("planes = %d, want 3", o.mt.planes)
 		}

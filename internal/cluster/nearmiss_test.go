@@ -62,7 +62,7 @@ func runNearMissCase(t *testing.T, cfg Config, steps []nmStep) {
 		cfg := cfg
 		cfg.UseBloom = l.bloom
 		t.Run(l.name, func(t *testing.T) {
-			o, ref := newOnline(cfg.withDefaults(), max(l.slots, cfg.MaxClusters)), NewReference(cfg)
+			o, ref := newOnline(cfg, max(l.slots, cfg.MaxClusters)), NewReference(cfg)
 			vals := make([]uint32, len(cfg.Features))
 			for i, s := range steps {
 				cfg.Features.Extract(s.pkt, vals)
@@ -144,26 +144,31 @@ func TestNearMissTieBreaks(t *testing.T) {
 // forwarded answer is the filter's, false positive included.
 func TestNearMissBloomFalsePositive(t *testing.T) {
 	cfg := DefaultConfig(1, packet.FeatureSet{packet.FTTL, packet.FSrcPort, packet.FDstPort})
-	cfg.UseBloom, cfg.BloomBits, cfg.BloomHashes = true, 64, 2
+	cfg.UseBloom = true
 	// inFilter reports whether a filter holding the values of `of` would
 	// claim v.
 	inFilter := func(v uint16, of ...uint16) bool {
 		set := map[uint64]bool{}
 		for _, u := range of {
-			for h := 0; h < cfg.BloomHashes; h++ {
-				set[sketch.BloomPosition(h, uint64(u), cfg.BloomBits)] = true
+			for h := 0; h < bloomHashes; h++ {
+				set[sketch.BloomPosition(h, uint64(u), bloomBits)] = true
 			}
 		}
-		for h := 0; h < cfg.BloomHashes; h++ {
-			if !set[sketch.BloomPosition(h, uint64(v), cfg.BloomBits)] {
+		for h := 0; h < bloomHashes; h++ {
+			if !set[sketch.BloomPosition(h, uint64(v), bloomBits)] {
 				return false
 			}
 		}
 		return true
 	}
-	// The cluster admits eight sports and dport 53. Find a sport it never
-	// admitted that its filter claims, and a dport its filter does not.
-	sports := []uint16{1000, 1001, 1002, 1003, 1004, 1005, 1006, 1007}
+	// The cluster admits dport 53 and enough sports to fill a third of its
+	// filter's bits (about one unadmitted port in 20 is then claimed). Find a
+	// sport it never admitted that its filter claims, and a dport its
+	// filter does not.
+	sports := make([]uint16, 600)
+	for i := range sports {
+		sports[i] = uint16(1000 + i)
+	}
 	fp, fresh := uint16(2000), uint16(2000)
 	for !inFilter(fp, sports...) {
 		fp++

@@ -62,7 +62,6 @@ import (
 // Online is not safe for concurrent use; the simulator is
 // single-threaded by design.
 type Online struct {
-	cfg    Config
 	feats  packet.FeatureSet
 	nf     int   // len(feats)
 	nomIdx []int // per feature position: index into mt.feats, -1 if ordinal
@@ -84,13 +83,17 @@ type Online struct {
 	// Observed counts packets seen since construction.
 	Observed uint64
 
-	// baseline is set instead of everything above but cfg, feats, nf and
+	// baseline is set instead of everything above but feats, nf and
 	// valbuf when the configuration is not the deployed one: it then holds
 	// the clusters, and observe, Snapshot, ResetStats, Reseed, NumClusters
 	// and SeedCenters forward to it. The seam is here, not in the callers,
 	// so core's shards hold one concrete type and the per-packet path of
 	// the deployed configuration pays one predictable branch for it.
 	baseline *Reference
+
+	// cfg sits after the per-packet fields, so their offsets do not move
+	// with the size of the configuration.
+	cfg Config
 }
 
 // clusterState holds the per-cluster state that is not part of the
@@ -111,7 +114,7 @@ func NewOnline(cfg Config) *Online {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return newOnline(cfg.withDefaults(), cfg.MaxClusters)
+	return newOnline(cfg, cfg.MaxClusters)
 }
 
 // newOnline allocates a clusterer with room for `slots` clusters, at least

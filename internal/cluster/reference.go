@@ -52,7 +52,6 @@ func NewReference(cfg Config) *Reference {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	cfg = cfg.withDefaults()
 	o := &Reference{
 		cfg:     cfg,
 		feats:   cfg.Features,
@@ -132,7 +131,7 @@ func (o *Reference) newCluster(vals []uint32) *refState {
 		c.min[i], c.max[i] = v, v
 		if o.nominal[i] {
 			if o.cfg.UseBloom {
-				c.blooms[i] = sketch.NewBloom(o.cfg.BloomBits, o.cfg.BloomHashes)
+				c.blooms[i] = sketch.NewBloom(bloomBits, bloomHashes)
 				c.blooms[i].Insert(uint64(v))
 			} else {
 				c.sets[i] = map[uint32]struct{}{v: {}}
@@ -179,9 +178,8 @@ func (c *refState) absorb(o *Reference, vals []uint32) {
 		}
 	}
 	if c.center != nil {
-		lr := o.cfg.LearningRate
 		for i, v := range vals {
-			c.center[i] += lr * (float64(v) - c.center[i])
+			c.center[i] += learningRate * (float64(v) - c.center[i])
 		}
 	}
 }

@@ -31,7 +31,6 @@ import (
 // clusterer hot path itself stays lock-free — callers that demux
 // flow-affine traffic one goroutine per shard (RSS) never contend.
 type Dataplane struct {
-	cfg        Config
 	shards     []*shard
 	concurrent bool
 
@@ -59,6 +58,10 @@ type Dataplane struct {
 	// restored holds the per-slot then per-queue totals RestoreState
 	// loaded (a snapshot carries those, not pair cells); reads add them.
 	restored *telemetry.VecCounter
+
+	// cfg sits after the per-packet fields, so their offsets do not move
+	// with the size of the configuration.
+	cfg Config
 }
 
 // batchScratch is ObserveBatch's reusable working memory: the
@@ -78,16 +81,11 @@ type batchScratch struct {
 // two; the stripe hint masks against it.
 const countStripes = 8
 
-// stripeOf picks the counter stripe for a packet on shard si: the
-// shard's stripe block, sub-striped by the source port's low bits so
-// concurrent writers to one shard spread across cache lines. Any value
-// is correct — stripes only partition the same aggregated total.
-func stripeOf(si int, p *packet.Packet) int {
-	return stripeOfPort(si, p.SrcPort)
-}
-
-// stripeOfPort is stripeOf keyed directly by a source port, for the
-// frame path where no Packet exists.
+// stripeOfPort picks the counter stripe for a packet from source port
+// sport on shard si: the shard's stripe block, sub-striped by the
+// port's low bits so concurrent writers to one shard spread across
+// cache lines. Any value is correct — stripes only partition the same
+// aggregated total.
 func stripeOfPort(si int, sport uint16) int {
 	return si*countStripes + int(sport)&(countStripes-1)
 }
@@ -150,14 +148,7 @@ func (d *Dataplane) ShardOf(p *packet.Packet) int {
 	if len(d.shards) == 1 {
 		return 0
 	}
-	return int(flowHash(p) % uint32(len(d.shards)))
-}
-
-// flowHash is FNV-1a over (src IP, dst IP, proto, sport, dport). It is
-// the struct-side twin of packet.FrameView.FlowHash, so a frame and the
-// packet unmarshaled from it always demux to the same shard.
-func flowHash(p *packet.Packet) uint32 {
-	return packet.FlowHash(p)
+	return int(packet.FlowHash(p) % uint32(len(d.shards)))
 }
 
 // ShardOfFrame is ShardOf for a raw frame view: the same flow hash over
@@ -204,7 +195,7 @@ func (d *Dataplane) Classify(p *packet.Packet) (cluster.Assignment, int) {
 		s.mu.Unlock()
 	}
 	q := d.QueueFor(a.Cluster)
-	d.pairs.Add(stripeOf(si, p), a.Cluster*d.cfg.NumQueues+q, 1)
+	d.pairs.Add(stripeOfPort(si, p.SrcPort), a.Cluster*d.cfg.NumQueues+q, 1)
 	return a, q
 }
 
@@ -252,7 +243,7 @@ func (d *Dataplane) ObserveBatch(pkts []*packet.Packet, queues []int) {
 		sc.segLen[i] = 0
 	}
 	for i, p := range pkts {
-		si := int32(flowHash(p) % ns)
+		si := int32(packet.FlowHash(p) % ns)
 		sc.shard[i] = si
 		sc.segLen[si]++
 	}
@@ -318,7 +309,7 @@ func (d *Dataplane) runShard(si int, pkts []*packet.Packet, seg []int32, queues 
 	} else {
 		first = pkts[seg[0]]
 	}
-	d.flushCounts(stripeOf(si, first), sc)
+	d.flushCounts(stripeOfPort(si, first.SrcPort), sc)
 }
 
 // flushCounts drains a scratch's per-run pair counts onto one
@@ -498,7 +489,3 @@ func (d *Dataplane) QueueMap() []int {
 	copy(out, qm)
 	return out
 }
-
-// QueueOf returns the live queue of cluster slot id (the lowest
-// priority for out-of-range ids, mirroring QueueFor).
-func (d *Dataplane) QueueOf(id int) int { return d.QueueFor(id) }

@@ -79,15 +79,14 @@ func Table3(opt Options) *Result {
 // asserting they match Appendix A.
 func Table4(Options) *Result {
 	r := &Result{ID: "table4", Title: "ACC parameters (Appendix A)"}
-	cfg := acc.DefaultConfig()
-	r.Add(Series{Name: "K (s)", Y: []float64{cfg.K.Seconds()}})
-	r.Add(Series{Name: "p_high", Y: []float64{cfg.PHigh}})
-	r.Add(Series{Name: "p_target", Y: []float64{cfg.PTarget}})
-	r.Add(Series{Name: "rate EWMA interval k (s)", Y: []float64{cfg.RateEWMAInterval.Seconds()}})
-	r.Add(Series{Name: "max sessions", Y: []float64{float64(cfg.MaxSessions)}})
-	r.Add(Series{Name: "release time (s)", Y: []float64{cfg.ReleaseTime.Seconds()}})
-	r.Add(Series{Name: "free time (s)", Y: []float64{cfg.FreeTime.Seconds()}})
-	r.Add(Series{Name: "cycle time (s)", Y: []float64{cfg.CycleTime.Seconds()}})
-	r.Add(Series{Name: "init time (s)", Y: []float64{cfg.InitTime.Seconds()}})
+	r.Add(Series{Name: "K (s)", Y: []float64{acc.DefaultConfig().K.Seconds()}})
+	r.Add(Series{Name: "p_high", Y: []float64{acc.PHigh}})
+	r.Add(Series{Name: "p_target", Y: []float64{acc.PTarget}})
+	r.Add(Series{Name: "rate EWMA interval k (s)", Y: []float64{acc.RateEWMAInterval.Seconds()}})
+	r.Add(Series{Name: "max sessions", Y: []float64{acc.MaxSessions}})
+	r.Add(Series{Name: "release time (s)", Y: []float64{acc.ReleaseTime.Seconds()}})
+	r.Add(Series{Name: "free time (s)", Y: []float64{acc.FreeTime.Seconds()}})
+	r.Add(Series{Name: "cycle time (s)", Y: []float64{acc.CycleTime.Seconds()}})
+	r.Add(Series{Name: "init time (s)", Y: []float64{acc.InitTime.Seconds()}})
 	return r
 }

@@ -1,9 +1,8 @@
 // Package frame is the one binary codec in the tree. Every byte format
-// this repository owns — the ACCSNAP1 defense snapshot, the ACCVICT1
-// victim-detector snapshot, the ACCFLEET node↔coordinator frames and
-// the cluster payloads inside them — is written through Enc and read
-// through Dec, and the two snapshot formats share one checksummed
-// envelope (WriteContainer/ReadContainer). All integers are
+// this repository owns — the ACCSNAP1 defense snapshot, the ACCFLEET
+// node↔coordinator frames and the cluster payloads inside them — is
+// written through Enc and read through Dec, and the snapshot sits in a
+// checksummed envelope (WriteContainer/ReadContainer). All integers are
 // little-endian.
 //
 // The formats are read from disk and from TCP peers, so the decoding

@@ -1,7 +1,7 @@
 // Package packet models network packets for the ACC-Turbo simulator.
 //
 // The design borrows from gopacket: packets are decoded into typed layers
-// (IPv4, TCP, UDP), expose Flow/Endpoint keys for map lookups, and can be
+// (IPv4, TCP, UDP), hash their 5-tuple for flow demux, and can be
 // serialized to and parsed from real wire format. On top of that, the
 // package adds the feature view used by ACC-Turbo's online clustering
 // (§4 of the paper): every packet is a vector of ordinal and nominal
@@ -109,40 +109,6 @@ type Packet struct {
 // Size returns the packet's wire size in bytes, as used for
 // serialization-time and byte-throughput computations.
 func (p *Packet) Size() int { return int(p.Length) }
-
-// Endpoint identifies one side of a transport conversation.
-type Endpoint struct {
-	Addr V4Addr
-	Port uint16
-}
-
-// String formats the endpoint as "addr:port".
-func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
-
-// Flow is the canonical 5-tuple key of a packet, usable as a map key.
-type Flow struct {
-	Src, Dst Endpoint
-	Protocol Proto
-}
-
-// Flow returns the packet's 5-tuple.
-func (p *Packet) Flow() Flow {
-	return Flow{
-		Src:      Endpoint{Addr: p.SrcIP, Port: p.SrcPort},
-		Dst:      Endpoint{Addr: p.DstIP, Port: p.DstPort},
-		Protocol: p.Protocol,
-	}
-}
-
-// String formats the flow as "proto src -> dst".
-func (f Flow) String() string {
-	return fmt.Sprintf("%s %s -> %s", f.Protocol, f.Src, f.Dst)
-}
-
-// Reverse returns the flow with source and destination swapped.
-func (f Flow) Reverse() Flow {
-	return Flow{Src: f.Dst, Dst: f.Src, Protocol: f.Protocol}
-}
 
 // V4 builds an address from four IPv4 octets. It is a convenience for
 // generators and tests.

@@ -56,38 +56,6 @@ func TestLabelString(t *testing.T) {
 	}
 }
 
-func TestFlowRoundTrip(t *testing.T) {
-	p := samplePacket()
-	f := p.Flow()
-	if f.Protocol != ProtoUDP {
-		t.Errorf("flow protocol = %v", f.Protocol)
-	}
-	if f.Src.Addr != p.SrcIP || f.Src.Port != p.SrcPort {
-		t.Errorf("flow src = %v", f.Src)
-	}
-	if f.Dst.Addr != p.DstIP || f.Dst.Port != p.DstPort {
-		t.Errorf("flow dst = %v", f.Dst)
-	}
-	r := f.Reverse()
-	if r.Src != f.Dst || r.Dst != f.Src {
-		t.Errorf("reverse flow wrong: %v", r)
-	}
-	if r.Reverse() != f {
-		t.Errorf("double reverse is not identity")
-	}
-}
-
-func TestFlowAsMapKey(t *testing.T) {
-	m := map[Flow]int{}
-	p := samplePacket()
-	m[p.Flow()]++
-	q := p.Clone()
-	m[q.Flow()]++
-	if m[p.Flow()] != 2 {
-		t.Errorf("identical packets should share a flow key, got %v", m)
-	}
-}
-
 func TestClone(t *testing.T) {
 	p := samplePacket()
 	q := p.Clone()

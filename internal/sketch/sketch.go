@@ -1,18 +1,17 @@
 // Package sketch provides the probabilistic data structures used by the
 // reproduced systems: count-min sketches (Jaqen's heavy-hitter detector
-// and the victim-identification front-end), a Bloom filter (ACC-Turbo's
-// nominal-feature admission lists: the clusterer keeps the bits of all
-// its clusters' filters in one table through BloomPosition, and its
-// reference implementation holds one Bloom per cluster), and a
+// and the victim-identification front-end), a Bloom filter (the
+// hardware's nominal-feature admission lists, which the clusterer's
+// Bloom-sets baseline holds one of per cluster and feature), and a
 // heavy-keeper top-k (victim ranking).
 //
 // Two families coexist, with different compatibility contracts:
 //
 //   - ReferenceCountMin and Bloom hash with seeded FNV-1a and index with
 //     `%`, exactly as the seed implementation did. Bloom's per-key bit
-//     placement is pinned by golden experiment hashes and by the ACCSNAP1
-//     snapshot format (cluster nominal sets serialize Bloom words
-//     verbatim), so the index math never changes. ReferenceCountMin is
+//     placement is pinned by golden experiment hashes (the ablations'
+//     Bloom-sets row; a Bloom clusterer has no snapshot), so the index
+//     math never changes. ReferenceCountMin is
 //     the seed's [][]uint64 count-min: the oracle TurboCountMin is
 //     bounded against and the "compatible (FNV)" baseline series of the
 //     sketchacc experiment.

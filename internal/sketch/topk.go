@@ -43,7 +43,7 @@ type tkEntry struct {
 	count uint64
 }
 
-// Element is one ranked entry of a TopK snapshot.
+// Element is one ranked entry of a TopK ranking.
 type Element struct {
 	Key   uint64
 	Count uint64
@@ -197,13 +197,6 @@ func (t *TopK) flush() {
 	t.runN = 0
 }
 
-// Sketch exposes the backing turbo count-min (for serialization), with
-// the open run applied.
-func (t *TopK) Sketch() *TurboCountMin {
-	t.flush()
-	return t.cm
-}
-
 // Reset clears the tracker and its sketch for the next window. The
 // decay RNG deliberately keeps its state: windows stay deterministic
 // as a sequence, not individually identical.
@@ -214,41 +207,6 @@ func (t *TopK) Reset() {
 	clear(t.pos)
 	t.Decayed = 0
 }
-
-// Entries returns the raw (unranked) heap entries; Restore rebuilds a
-// tracker from them. Both exist for the victim detector's snapshot.
-func (t *TopK) Entries() []Element {
-	out := make([]Element, len(t.entries))
-	for i, e := range t.entries {
-		out[i] = Element{Key: e.key, Count: e.count}
-	}
-	return out
-}
-
-// Restore replaces the tracked set and RNG state (heap order is
-// rebuilt, so Entries → Restore round-trips through any order). The
-// keys must be distinct: a run assumes one slot per key.
-func (t *TopK) Restore(entries []Element, rng uint64) {
-	t.flush()
-	t.entries = t.entries[:0]
-	clear(t.pos)
-	for _, e := range entries {
-		if len(t.entries) == t.k {
-			break
-		}
-		t.entries = append(t.entries, tkEntry{key: e.Key, count: e.Count})
-	}
-	for i := len(t.entries)/2 - 1; i >= 0; i-- {
-		t.siftDown(i)
-	}
-	for i, e := range t.entries {
-		t.pos[e.key] = i
-	}
-	t.rng = rng
-}
-
-// RNG exposes the decay stream state (for serialization).
-func (t *TopK) RNG() uint64 { return t.rng }
 
 // siftUp restores the min-heap upward from i, keeping pos in sync.
 func (t *TopK) siftUp(i int) {

@@ -106,7 +106,7 @@ func TestTopKDecayEvictsStaleKeys(t *testing.T) {
 		tk.Offer(100, 1)
 		tk.Offer(200, 1)
 	}
-	before := tk.Entries()
+	before := tk.AppendTop(nil)
 	for i := uint64(0); i < 5_000; i++ {
 		tk.Offer(1_000+i, 1) // distinct one-shot challengers
 	}
@@ -129,7 +129,7 @@ func TestTopKDecayEvictsStaleKeys(t *testing.T) {
 // naiveTopK is the heavy-keeper without run coalescing: the same heap,
 // pos map and decay stream, and one sketch update per offer. It is the
 // oracle the run path is checked against; it never opens a run, so the
-// TopK methods it inherits (Reset, Restore, Sketch) flush nothing.
+// TopK method it inherits, Reset, flushes nothing.
 type naiveTopK struct{ TopK }
 
 func (t *naiveTopK) Offer(key uint64, weight uint64) {
@@ -235,23 +235,24 @@ func (p *topKPair) offer(key, weight uint64) {
 	}
 }
 
-// sameSketch compares the two sketches through Sketch(), which applies
-// the tracker's open run.
+// sameSketch applies the tracker's open run (flush) and compares the two
+// sketches counter for counter and in Updates.
 func (p *topKPair) sameSketch() {
 	p.t.Helper()
-	got, want := p.tk.Sketch(), p.plain.Sketch()
+	p.tk.flush()
+	got, want := p.tk.cm, p.plain.cm
 	if got.Updates != want.Updates {
 		p.t.Fatalf("sketch Updates %d, the oracle's %d (after %d offers)", got.Updates, want.Updates, p.n)
 	}
-	if !slices.Equal(got.Words(), want.Words()) {
+	if !slices.Equal(got.counts, want.counts) {
 		p.t.Fatalf("sketch words differ from the oracle's (after %d offers)", p.n)
 	}
 }
 
 // TestTopKHeapInvariant checks the tracker against the naive oracle
 // (see topKPair) on streams built to cut runs short: long runs of one
-// key, the run's key evicted mid-run, Reset between runs, Restore into
-// fewer entries than the run's slot, and a uniform stream with no runs.
+// key, the run's key evicted mid-run, Reset between runs, and a uniform
+// stream with no runs.
 func TestTopKHeapInvariant(t *testing.T) {
 	t.Run("churn in runs", func(t *testing.T) {
 		p := newTopKPair(t, 32, 3)
@@ -311,31 +312,6 @@ func TestTopKHeapInvariant(t *testing.T) {
 			t.Fatal("never reset with a remembered slot beyond the first")
 		}
 	})
-	t.Run("restore below the remembered slot", func(t *testing.T) {
-		p := newTopKPair(t, 8, 11)
-		for key := uint64(1); key <= 8; key++ {
-			p.offer(key, key*10)
-		}
-		// Growing key 1 sinks it to the bottom row of the heap.
-		for i := 0; i < 20; i++ {
-			p.offer(1, 100)
-		}
-		if p.tk.last < 3 {
-			t.Fatalf("remembered slot %d, want one beyond a 3-entry heap", p.tk.last)
-		}
-		for _, keep := range [][]Element{
-			{{Key: 40, Count: 7}, {Key: 41, Count: 5}, {Key: 1, Count: 9}}, // shorter than the slot
-			p.tk.Entries(), // same length, the slot may hold another key
-		} {
-			p.tk.Restore(keep, 99)
-			p.plain.Restore(keep, 99)
-			for i := 0; i < 10; i++ {
-				p.offer(1, 3)
-				p.offer(41, 2)
-			}
-		}
-		p.sameSketch()
-	})
 	t.Run("uniform without runs", func(t *testing.T) {
 		p := newTopKPair(t, 16, 13)
 		r := rand.New(rand.NewSource(80))
@@ -369,42 +345,6 @@ func FuzzTopKRuns(f *testing.F) {
 	})
 }
 
-// TestTopKRestoreRoundTrip: Entries/RNG → Restore must reproduce the
-// tracker exactly, including subsequent behavior.
-func TestTopKRestoreRoundTrip(t *testing.T) {
-	tk := NewTopK(8, 512, 11)
-	r := rand.New(rand.NewSource(13))
-	for i := 0; i < 30_000; i++ {
-		tk.Offer(r.Uint64()%2_000, uint64(r.Intn(50)+1))
-	}
-
-	clone := NewTopK(8, 512, 0)
-	if err := clone.Sketch().SetWords(tk.Sketch().Words(), tk.Sketch().Updates); err != nil {
-		t.Fatal(err)
-	}
-	clone.Restore(tk.Entries(), tk.RNG())
-
-	// Same state now...
-	a, b := tk.AppendTop(nil), clone.AppendTop(nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rank %d diverged after restore: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-	// ...and same behavior going forward (RNG state included).
-	for i := 0; i < 10_000; i++ {
-		k, w := r.Uint64()%2_000, uint64(r.Intn(50)+1)
-		tk.Offer(k, w)
-		clone.Offer(k, w)
-	}
-	a, b = tk.AppendTop(nil), clone.AppendTop(nil)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("rank %d diverged after post-restore offers: %+v vs %+v", i, a[i], b[i])
-		}
-	}
-}
-
 // TestTopKAppendTopReusesBuffer: the polling path must not allocate
 // once the destination has capacity.
 func TestTopKAppendTopReusesBuffer(t *testing.T) {
@@ -434,15 +374,15 @@ func TestTopKResetClears(t *testing.T) {
 	for k := uint64(0); k < 10; k++ {
 		tk.Offer(k, 100)
 	}
-	rngBefore := tk.RNG()
+	rngBefore := tk.rng
 	tk.Reset()
 	if len(tk.entries) != 0 || len(tk.pos) != 0 || tk.Decayed != 0 {
 		t.Fatal("Reset left tracker state behind")
 	}
-	if tk.Sketch().Estimate(3) != 0 {
+	if tk.cm.Estimate(3) != 0 {
 		t.Fatal("Reset left sketch counters behind")
 	}
-	if tk.RNG() != rngBefore {
+	if tk.rng != rngBefore {
 		t.Fatal("Reset rewound the decay RNG")
 	}
 }

@@ -147,22 +147,3 @@ func (t *TurboCountMin) Reset() {
 	clear(t.counts)
 	t.Updates = 0
 }
-
-// Words returns a copy of the counter array (line-major), for
-// serialization.
-func (t *TurboCountMin) Words() []uint64 {
-	out := make([]uint64, len(t.counts))
-	copy(out, t.counts)
-	return out
-}
-
-// SetWords overwrites the counter array from a serialized copy; the
-// word count must be Cols.
-func (t *TurboCountMin) SetWords(words []uint64, updates uint64) error {
-	if len(words) != len(t.counts) {
-		return fmt.Errorf("sketch: turbo count-min has %d words, snapshot has %d", len(t.counts), len(words))
-	}
-	copy(t.counts, words)
-	t.Updates = updates
-	return nil
-}

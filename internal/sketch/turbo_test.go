@@ -119,27 +119,6 @@ func TestTurboCountMinSaturates(t *testing.T) {
 	}
 }
 
-// TestTurboCountMinWordsRoundTrip checks the turbo snapshot mirror.
-func TestTurboCountMinWordsRoundTrip(t *testing.T) {
-	tc := NewTurboCountMin(1024, true)
-	for _, k := range zipfStream(3, 5_000) {
-		tc.Add(k, 2)
-	}
-	restored := NewTurboCountMin(1024, true)
-	if err := restored.SetWords(tc.Words(), tc.Updates); err != nil {
-		t.Fatal(err)
-	}
-	for k := uint64(0); k < 100; k++ {
-		if restored.Estimate(k) != tc.Estimate(k) {
-			t.Fatalf("estimate for key %d diverged after restore", k)
-		}
-	}
-	wrong := NewTurboCountMin(2048, true)
-	if err := wrong.SetWords(tc.Words(), tc.Updates); err == nil {
-		t.Fatal("SetWords accepted a geometry mismatch")
-	}
-}
-
 // TestTurboGeometryRounding pins the power-of-two/minimum behavior the
 // layout depends on.
 func TestTurboGeometryRounding(t *testing.T) {
@@ -150,7 +129,7 @@ func TestTurboGeometryRounding(t *testing.T) {
 		if got := tc.Cols(); got != c.want {
 			t.Fatalf("cols %d rounded to %d, want %d", c.in, got, c.want)
 		}
-		if got := len(tc.Words()); got != c.want {
+		if got := len(tc.counts); got != c.want {
 			t.Fatalf("cols %d: %d words, want one line of %d rows per 8 columns", c.in, got, c.want)
 		}
 	}
@@ -168,7 +147,7 @@ func TestLaneDistribution(t *testing.T) {
 		tc := NewTurboCountMin(8, false) // single line: every counter is a lane
 		tc.Add(key, 1)
 		moved := 0
-		for _, w := range tc.Words() {
+		for _, w := range tc.counts {
 			if w != 0 {
 				moved++
 			}

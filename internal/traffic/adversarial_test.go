@@ -14,9 +14,9 @@ func TestEvasionLevels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := map[packet.Flow]bool{}
+	flows := map[fiveTuple]bool{}
 	for _, tp := range Collect(lvl0) {
-		flows[tp.Pkt.Flow()] = true
+		flows[flowOf(tp.Pkt)] = true
 		if tp.Pkt.Label != packet.Malicious {
 			t.Fatal("evasion traffic must be malicious")
 		}
@@ -58,10 +58,10 @@ func TestSpreadAttack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := map[packet.Flow]int{}
+	flows := map[fiveTuple]int{}
 	bytes := 0
 	for _, tp := range Collect(src) {
-		flows[tp.Pkt.Flow()]++
+		flows[flowOf(tp.Pkt)]++
 		bytes += tp.Pkt.Size()
 	}
 	if len(flows) != 8 {
@@ -79,9 +79,9 @@ func TestSpreadAttack(t *testing.T) {
 
 func TestSwappingAttackShapes(t *testing.T) {
 	benign, attack := SwappingAttack(0, eventsim.Second, 4e6, 8e6, 1)
-	bFlows := map[packet.Flow]bool{}
+	bFlows := map[fiveTuple]bool{}
 	for _, tp := range Collect(benign) {
-		bFlows[tp.Pkt.Flow()] = true
+		bFlows[flowOf(tp.Pkt)] = true
 		if tp.Pkt.Label != packet.Benign {
 			t.Fatal("stream must be benign")
 		}
@@ -89,10 +89,10 @@ func TestSwappingAttackShapes(t *testing.T) {
 	if len(bFlows) != 1 {
 		t.Fatalf("benign stream should be one flow, got %d", len(bFlows))
 	}
-	aFlows := map[packet.Flow]bool{}
+	aFlows := map[fiveTuple]bool{}
 	n := 0
 	for _, tp := range Collect(attack) {
-		aFlows[tp.Pkt.Flow()] = true
+		aFlows[flowOf(tp.Pkt)] = true
 		n++
 		if tp.Pkt.Label != packet.Malicious {
 			t.Fatal("noise must be malicious")
@@ -115,7 +115,7 @@ func TestImitationAttackMatchesBackgroundShape(t *testing.T) {
 			t.Fatal("imitation must be labeled malicious")
 		}
 		// Same headers as the background it imitates.
-		if ip[i].Pkt.Flow() != rp[i].Pkt.Flow() || ip[i].Pkt.Length != rp[i].Pkt.Length {
+		if flowOf(ip[i].Pkt) != flowOf(rp[i].Pkt) || ip[i].Pkt.Length != rp[i].Pkt.Length {
 			t.Fatalf("packet %d differs from the imitated distribution", i)
 		}
 	}

@@ -20,6 +20,17 @@ func quickConfig(maxCount int) *quick.Config {
 	return &quick.Config{MaxCount: maxCount, Rand: rand.New(rand.NewSource(1))}
 }
 
+// fiveTuple is a packet's flow key, usable as a map key.
+type fiveTuple struct {
+	src, dst     packet.V4Addr
+	proto        packet.Proto
+	sport, dport uint16
+}
+
+func flowOf(p *packet.Packet) fiveTuple {
+	return fiveTuple{p.SrcIP, p.DstIP, p.Protocol, p.SrcPort, p.DstPort}
+}
+
 func simpleFactory(size uint16) Factory {
 	spec := FlowSpec{
 		SrcIP: packet.V4Addr{1, 2, 3, 4}, DstIP: packet.V4Addr{5, 6, 7, 8},
@@ -282,14 +293,14 @@ func TestBackgroundRateCalibration(t *testing.T) {
 
 func TestBackgroundDiversity(t *testing.T) {
 	bg := NewBackground(BackgroundConfig{Rate: 10e6, Start: 0, End: 5 * eventsim.Second, Seed: 4})
-	flows := map[packet.Flow]bool{}
+	flows := map[fiveTuple]bool{}
 	protos := map[packet.Proto]bool{}
 	for {
 		tp, ok := bg.Next()
 		if !ok {
 			break
 		}
-		flows[tp.Pkt.Flow()] = true
+		flows[flowOf(tp.Pkt)] = true
 		protos[tp.Pkt.Protocol] = true
 	}
 	if len(flows) < 100 {
@@ -431,7 +442,7 @@ func TestVariationShapes(t *testing.T) {
 	end := 2 * eventsim.Second
 	for _, v := range []AttackVariation{NoAttack, SingleFlow, CarpetBombing, SourceSpoofing} {
 		src := Variation(v, 5e6, 20e6, eventsim.Second/2, end, 9)
-		attackFlows := map[packet.Flow]bool{}
+		attackFlows := map[fiveTuple]bool{}
 		dsts := map[uint32]bool{}
 		srcsSeen := map[uint32]bool{}
 		attackPkts := 0
@@ -444,7 +455,7 @@ func TestVariationShapes(t *testing.T) {
 				continue
 			}
 			attackPkts++
-			attackFlows[tp.Pkt.Flow()] = true
+			attackFlows[flowOf(tp.Pkt)] = true
 			dsts[tp.Pkt.DstIP.Uint32()] = true
 			srcsSeen[tp.Pkt.SrcIP.Uint32()] = true
 		}
@@ -745,9 +756,9 @@ func TestQuickEvasionDiversity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		flows := map[packet.Flow]bool{}
+		flows := map[fiveTuple]bool{}
 		for _, tp := range Collect(src) {
-			flows[tp.Pkt.Flow()] = true
+			flows[flowOf(tp.Pkt)] = true
 		}
 		distinct[level] = len(flows)
 	}

@@ -22,6 +22,9 @@
 // Ownership: like cluster.Online a Detector has one owner, the link's
 // capture tap — Ding et al.'s per-switch sketch with no shared state.
 // Other goroutines read only the last closed window's published result.
+// A Detector has no snapshot: every window close resets its sketch and
+// heap, so a restarted detector has relearned all it could restore
+// (the open window, the hysteresis streaks) within one window.
 package victim
 
 import (
@@ -50,29 +53,28 @@ const (
 // seed drives the heavy-keeper's decay randomness.
 const seed = 1
 
+// sketchCols is the width of the backing turbo count-min
+// (sketch.TurboRows rows, conservative update).
+const sketchCols = 4096
+
 // Config sizes a Detector.
 type Config struct {
 	// TopK is how many candidate destinations the heavy-keeper tracks;
 	// the victim list is at most this long.
 	TopK int
-	// SketchCols is the width of the backing turbo count-min
-	// (sketch.TurboRows rows, conservative update, rounded up to a
-	// power of two).
-	SketchCols int
 }
 
 // DefaultConfig tracks 8 victims over a 4×4096 conservative sketch.
 func DefaultConfig() Config {
-	return Config{TopK: 8, SketchCols: 4096}
+	return Config{TopK: 8}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. TopK is at most the sketch width:
+// New preallocates TopK heap and scratch slots, so an unbounded TopK
+// would be an unbounded allocation.
 func (c *Config) Validate() error {
-	if c.TopK < 1 {
-		return fmt.Errorf("victim: TopK %d < 1", c.TopK)
-	}
-	if c.SketchCols < 1 {
-		return fmt.Errorf("victim: sketch width %d < 1", c.SketchCols)
+	if c.TopK < 1 || c.TopK > sketchCols {
+		return fmt.Errorf("victim: TopK %d outside [1, %d]", c.TopK, sketchCols)
 	}
 	return nil
 }
@@ -90,14 +92,13 @@ type Victim struct {
 	Windows int `json:"windows"`
 }
 
-// Detector ranks heavy destination aggregates per window. Observe,
-// Advance, Marshal and Unmarshal belong to the one goroutine that feeds it and take no lock. Victims and Windows are safe
-// from any goroutine: they answer from the view New, the last Advance or
-// Unmarshal published, so a reader sees closed windows only, never the
-// open window's traffic.
+// Detector ranks heavy destination aggregates per window. Observe and
+// Advance belong to the one goroutine that feeds it and take no lock.
+// Victims and Windows are safe from any goroutine: they answer from the
+// view New or the last Advance published, so a reader sees closed
+// windows only, never the open window's traffic.
 type Detector struct {
-	cfg Config
-	tk  *sketch.TopK
+	tk *sketch.TopK
 
 	windowBytes uint64
 
@@ -123,8 +124,7 @@ func New(cfg Config) (*Detector, error) {
 		return nil, err
 	}
 	d := &Detector{
-		cfg:     cfg,
-		tk:      sketch.NewTopK(cfg.TopK, cfg.SketchCols, seed),
+		tk:      sketch.NewTopK(cfg.TopK, sketchCols, seed),
 		listed:  make(map[uint64]int, cfg.TopK),
 		scratch: make([]sketch.Element, 0, cfg.TopK),
 	}
