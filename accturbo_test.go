@@ -226,22 +226,6 @@ func TestDefenseMetrics(t *testing.T) {
 	}
 }
 
-func TestExperimentRegistryFacade(t *testing.T) {
-	if got := len(Experiments()); got != 20 {
-		t.Fatalf("%d experiments", got)
-	}
-	res, err := RunExperiment("table4", ExperimentOptions{Quick: true, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ID != "table4" || len(res.Series) == 0 {
-		t.Fatalf("unexpected result: %+v", res)
-	}
-	if _, err := RunExperiment("bogus", ExperimentOptions{}); err == nil {
-		t.Fatal("unknown id accepted")
-	}
-}
-
 // TestDefenseReconfigureLive patches the running pipeline and checks
 // the change is visible, versioned, and rejected when invalid.
 func TestDefenseReconfigureLive(t *testing.T) {

@@ -34,8 +34,9 @@
 //
 // Riding on the capture modes: -metrics-addr serves the mode's
 // internal/admin surface (/health everywhere, 503 while degraded;
-// /metrics where there is a pipeline; GET/PUT /config, POST /snapshot
-// and, with -victims, GET /victims for the single pipeline).
+// /metrics where there is a pipeline; GET /victims with -victims, and
+// GET/PUT /config and POST /snapshot in real-time mode, for the single
+// pipeline).
 // -fault-spec with -chaos-seed injects deterministic packet faults and
 // control-plane stalls (internal/faults), and -fail-open-after arms the
 // watchdog that reverts to uniform priority when decisions go stale.
@@ -252,6 +253,18 @@ func serveAdmin(banner string, s admin.Surface) (stop func()) {
 	return func() { srv.Close() }
 }
 
+// pipelineSurface is the single pipeline's admin surface and banner:
+// GET/PUT /config and POST /snapshot in real-time mode only, since a
+// deterministic pipeline has one owner, its feeder (see SaveState).
+func pipelineSurface(d *accturbo.Defense, realtime bool) (admin.Surface, string) {
+	s := admin.Surface{Health: admin.DefenseView(d), Metrics: d}
+	if !realtime {
+		return s, "serving metrics on http://%s/metrics, health on /health\n"
+	}
+	s.Live = d
+	return s, "serving metrics on http://%s/metrics, health on /health, config on /config, snapshots on /snapshot\n"
+}
+
 // runSingle is the default mode: one Defense over the capture, fed
 // deterministically, by the real-time worker pool, or by the wire-speed
 // replay lane, then the operator report.
@@ -281,7 +294,7 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 			*restorePath, d.PacketsObserved(), d.Deployments(), d.Runtime().Ranking, d.Runtime().PollInterval.Duration())
 	}
 
-	surface := admin.Surface{Health: admin.DefenseView(d), Metrics: d, Live: d}
+	surface, banner := pipelineSurface(d, *realtime)
 	var victims *victimTap
 	if *victimsK > 0 {
 		if victims, err = newVictimTap(*victimsK, time.Duration(*victimWindowMs)*time.Millisecond); err != nil {
@@ -293,7 +306,7 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 		src.tap = victims.observe
 		surface.Victims = victims.vd
 	}
-	defer serveAdmin("serving metrics on http://%s/metrics, health on /health, config on /config, snapshots on /snapshot\n", surface)()
+	defer serveAdmin(banner, surface)()
 
 	var vf *os.File
 	if *verdictsOut != "" {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -56,6 +58,42 @@ func TestFlagEdges(t *testing.T) {
 		if c.exit != 0 && strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
 			t.Errorf("%v: a usage error should be one line, got:\n%s", c.args, out)
 		}
+	}
+}
+
+// TestPipelineSurfaceLiveOnlyRealTime: a deterministic pipeline's admin
+// surface serves /health and /metrics but neither /config nor /snapshot,
+// whose handlers would race its single feeder (SaveState reading the
+// clusterer Process writes, Reconfigure rescheduling the event engine);
+// a real-time pipeline's serves both, and each banner says what it
+// mounts.
+func TestPipelineSurfaceLiveOnlyRealTime(t *testing.T) {
+	for _, realtime := range []bool{false, true} {
+		newDefense := accturbo.NewDefense
+		if realtime {
+			newDefense = accturbo.NewRealTimeDefense
+		}
+		d, err := newDefense(accturbo.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, banner := pipelineSurface(d, realtime)
+		h := s.Handler()
+		for _, c := range []struct{ method, path string }{
+			{http.MethodGet, "/health"}, {http.MethodGet, "/metrics"},
+			{http.MethodGet, "/config"}, {http.MethodPut, "/config"}, {http.MethodPost, "/snapshot"},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader("{}")))
+			live := c.path == "/config" || c.path == "/snapshot"
+			if want := live && !realtime; (rec.Code == http.StatusNotFound) != want {
+				t.Errorf("realtime=%v: %s %s answered %d, want 404: %v", realtime, c.method, c.path, rec.Code, want)
+			}
+		}
+		if strings.Contains(banner, "/config") != realtime || strings.Contains(banner, "/snapshot") != realtime {
+			t.Errorf("realtime=%v: banner %q", realtime, banner)
+		}
+		d.Close()
 	}
 }
 

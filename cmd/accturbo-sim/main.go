@@ -38,7 +38,11 @@ func main() {
 	clusters := flag.Int("clusters", 10, "ACC-Turbo cluster count")
 	csv := flag.Bool("csv", false, "print per-second series as CSV")
 	flag.Parse()
-	if err := traffic.CheckRates(*link, *duration); err != nil {
+	paced := *scenario
+	if *pcapIn != "" {
+		paced = "" // a capture replay has no generator to pace
+	}
+	if err := traffic.CheckRates(paced, *link, *duration); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

@@ -23,10 +23,10 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestCheckRates: the CLI hands -link and -duration to
-// traffic.CheckRates before building a scenario, so a value that would
-// panic or spin is a one-line usage error with exit 2. The full table of
-// refused values is traffic's TestCheckRates.
+// TestCheckRates: the CLI hands -scenario (none for -pcap), -link and
+// -duration to traffic.CheckRates before building a scenario, so a value
+// that would panic or spin is a one-line usage error with exit 2. The
+// full table of refused values is traffic's TestCheckRates.
 func TestCheckRates(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -35,6 +35,9 @@ func TestCheckRates(t *testing.T) {
 	}{
 		{[]string{"-link", "NaN"}, 2, "-link"},
 		{[]string{"-duration", "0"}, 2, "-duration"},
+		{[]string{"-scenario", "background", "-duration", "1e300"}, 2, "-duration 1e+300: beyond"},
+		{[]string{"-scenario", "morphing", "-link", "4e11"}, 2, "-link 4e+11: scenario morphing"},
+		{[]string{"-scenario", "bogus"}, 2, `unknown scenario "bogus"`},
 		{[]string{"-defense", "fifo", "-link", "1e6", "-duration", "1"}, 0, "scenario=pulsewave defense=fifo"},
 	} {
 		cmd := exec.Command(os.Args[0], c.args...)

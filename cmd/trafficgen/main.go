@@ -25,7 +25,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "traffic seed")
 	limit := flag.Int("limit", 0, "cap the number of packets (0 = no cap)")
 	flag.Parse()
-	if err := traffic.CheckRates(*link, *duration); err != nil {
+	if err := traffic.CheckRates(*scenario, *link, *duration); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

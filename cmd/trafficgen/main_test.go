@@ -18,7 +18,7 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestCheckRates: the CLI hands -link and -duration to
+// TestCheckRates: the CLI hands -scenario, -link and -duration to
 // traffic.CheckRates before building a generator, so a value that would
 // panic or spin is a one-line usage error with exit 2. The full table of
 // refused values is traffic's TestCheckRates.
@@ -31,6 +31,9 @@ func TestCheckRates(t *testing.T) {
 	}{
 		{[]string{"-link", "NaN"}, 2, "-link"},
 		{[]string{"-duration", "0"}, 2, "-duration"},
+		{[]string{"-scenario", "background", "-duration", "1e10", "-limit", "10"}, 2, "-duration 1e+10: beyond"},
+		{[]string{"-scenario", "morphing", "-link", "4e11"}, 2, "-link 4e+11: scenario morphing"},
+		{[]string{"-scenario", "pulsewave", "-link", "4e11", "-limit", "10"}, 0, "wrote 10 packets"},
 		{[]string{"-link", "1e6", "-duration", "0.5", "-limit", "10"}, 0, "wrote 10 packets"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-out", out}, c.args...)...)

@@ -476,13 +476,7 @@ func (o *Reference) refManhattanMerge(a, b *refState) float64 {
 			d += float64(union - a.setCard[i] - b.setCard[i])
 			continue
 		}
-		lo, hi := a.min[i], a.max[i]
-		if b.min[i] < lo {
-			lo = b.min[i]
-		}
-		if b.max[i] > hi {
-			hi = b.max[i]
-		}
+		lo, hi := min(a.min[i], b.min[i]), max(a.max[i], b.max[i])
 		d += (float64(hi-lo) - float64(a.max[i]-a.min[i]) - float64(b.max[i]-b.min[i])) * o.scale[i]
 	}
 	return d
@@ -528,13 +522,7 @@ func (o *Reference) refAnimeMerge(a, b *refState) float64 {
 			union *= float64(card)
 			continue
 		}
-		lo, hi := a.min[i], a.max[i]
-		if b.min[i] < lo {
-			lo = b.min[i]
-		}
-		if b.max[i] > hi {
-			hi = b.max[i]
-		}
+		lo, hi := min(a.min[i], b.min[i]), max(a.max[i], b.max[i])
 		union *= (float64(hi-lo) + 1) * o.scale[i]
 	}
 	return union - costA - costB

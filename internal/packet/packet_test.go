@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -110,8 +111,114 @@ func TestMarshalChecksumValid(t *testing.T) {
 	}
 	// Re-summing the header including the stored checksum must give 0
 	// (i.e. ^sum == 0xffff folding to all-ones complement identity).
-	if got := checksum(b[:ipv4HeaderLen]); got != 0 {
+	if got := checksum(b[:ipv4HeaderLen], 0); got != 0 {
 		t.Errorf("IPv4 header checksum does not verify: residual %#x", got)
+	}
+}
+
+// transportChecksumOracle is the transport checksum as MarshalTo first
+// computed it, verbatim but for checksum's partial-sum argument: a copy
+// of the pseudo-header and the whole segment, payload included, summed
+// 16 bits at a time. seg must have its checksum field zeroed.
+func transportChecksumOracle(src, dst [4]byte, proto uint8, seg []byte) uint16 {
+	pseudo := make([]byte, 12, 12+len(seg)+1)
+	copy(pseudo[0:4], src[:])
+	copy(pseudo[4:8], dst[:])
+	pseudo[9] = proto
+	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(seg)))
+	pseudo = append(pseudo, seg...)
+	sum := checksum(pseudo, 0)
+	if sum == 0 && proto == uint8(ProtoUDP) {
+		sum = 0xffff // UDP: zero checksum means "no checksum"
+	}
+	return sum
+}
+
+// transportField returns the offset of the transport checksum in a
+// marshaled TCP or UDP frame.
+func transportField(p *Packet) int {
+	if p.Protocol == ProtoTCP {
+		return ipv4HeaderLen + 16
+	}
+	return ipv4HeaderLen + 6
+}
+
+// checkTransportChecksum marshals p and holds its transport checksum to
+// the oracle's over the written segment.
+func checkTransportChecksum(t *testing.T, p *Packet) uint16 {
+	t.Helper()
+	b, err := marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := transportField(p)
+	got := binary.BigEndian.Uint16(b[f : f+2])
+	seg := append([]byte(nil), b[ipv4HeaderLen:]...)
+	seg[f-ipv4HeaderLen], seg[f-ipv4HeaderLen+1] = 0, 0
+	if want := transportChecksumOracle(p.SrcIP, p.DstIP, uint8(p.Protocol), seg); got != want {
+		t.Fatalf("%v length %d: transport checksum %#04x, oracle %#04x (%+v)", p.Protocol, p.Length, got, want, p)
+	}
+	return got
+}
+
+// TestTransportChecksum is the differential test of the header-only
+// transport checksum against the oracle that sums the whole segment:
+// seeded random TCP and UDP packets of every length class (odd, below
+// the header size, up to the 16-bit maximum), then the packets whose sum
+// folds to zero, which UDP must send as 0xffff and TCP as 0.
+func TestTransportChecksum(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 4000; i++ {
+		p := randomPacket(r)
+		p.Protocol = []Proto{ProtoTCP, ProtoUDP}[i%2]
+		p.SrcPort, p.DstPort = uint16(r.Intn(1<<16)), uint16(r.Intn(1<<16))
+		p.Flags = uint8(r.Intn(256))
+		switch i % 8 {
+		case 0, 1:
+			p.Length = uint16(r.Intn(p.headerLen())) // WireLen grows to the headers
+		case 2, 3:
+			p.Length |= 1
+		case 4:
+			p.Length = uint16(r.Intn(1 << 16))
+		}
+		checkTransportChecksum(t, p)
+	}
+	for _, proto := range []Proto{ProtoTCP, ProtoUDP} {
+		for _, length := range []uint16{0, 61, 1500} {
+			p := samplePacket()
+			p.Protocol, p.Length, p.DstPort = proto, length, 0
+			// With DstPort at zero the stored checksum c is the
+			// complement of the rest of the sum; DstPort = c makes the
+			// whole sum 0xffff, whose complement is zero.
+			p.DstPort = checkTransportChecksum(t, p)
+			want := uint16(0)
+			if proto == ProtoUDP {
+				want = 0xffff
+			}
+			if got := checkTransportChecksum(t, p); got != want {
+				t.Fatalf("%v length %d: zero-sum checksum sent as %#04x, want %#04x", proto, length, got, want)
+			}
+		}
+	}
+}
+
+// TestMarshalZeroAlloc is the allocation gate on MarshalTo: a full-size
+// frame of each transport, and one below its header size.
+func TestMarshalZeroAlloc(t *testing.T) {
+	buf := make([]byte, 1500)
+	for _, proto := range []Proto{ProtoTCP, ProtoUDP, ProtoICMP} {
+		for _, length := range []uint16{1500, 4} {
+			p := samplePacket()
+			p.Protocol, p.Length = proto, length
+			allocs := testing.AllocsPerRun(200, func() {
+				if err := p.MarshalTo(buf); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%v length %d: MarshalTo allocates %v per call, want 0", proto, length, allocs)
+			}
+		}
 	}
 }
 
@@ -339,7 +446,7 @@ func TestQuickChecksumDetectsCorruption(t *testing.T) {
 		// After flipping one bit in the header, the checksum must no
 		// longer verify (unless we flipped within the checksum field
 		// itself, which still breaks verification).
-		return checksum(b[:ipv4HeaderLen]) != 0
+		return checksum(b[:ipv4HeaderLen], 0) != 0
 	}
 	if err := quick.Check(f, quickConfig(300)); err != nil {
 		t.Fatal(err)

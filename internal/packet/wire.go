@@ -27,13 +27,7 @@ var (
 
 // WireLen returns the number of bytes MarshalTo writes: the packet's
 // total IP length, but at least the space needed for its headers.
-func (p *Packet) WireLen() int {
-	n := int(p.Length)
-	if n < p.headerLen() {
-		n = p.headerLen()
-	}
-	return n
-}
+func (p *Packet) WireLen() int { return max(int(p.Length), p.headerLen()) }
 
 func (p *Packet) headerLen() int {
 	switch p.Protocol {
@@ -47,7 +41,10 @@ func (p *Packet) headerLen() int {
 }
 
 // MarshalTo renders the packet in IPv4 wire format into buf, which must
-// hold WireLen() bytes. Payload bytes beyond the headers are zero.
+// hold WireLen() bytes, and allocates nothing. Payload bytes beyond the
+// headers are zero, so the TCP/UDP checksum is summed over the headers
+// alone. No decoder reads it: TestTransportChecksum holds it to the
+// whole-segment oracle, and CI pins the bytes of generated captures.
 func (p *Packet) MarshalTo(buf []byte) error {
 	n := p.WireLen()
 	if len(buf) < n {
@@ -65,7 +62,7 @@ func (p *Packet) MarshalTo(buf []byte) error {
 	b[9] = uint8(p.Protocol)
 	copy(b[12:16], p.SrcIP[:])
 	copy(b[16:20], p.DstIP[:])
-	binary.BigEndian.PutUint16(b[10:12], checksum(b[:ipv4HeaderLen]))
+	binary.BigEndian.PutUint16(b[10:12], checksum(b[:ipv4HeaderLen], 0))
 
 	// Transport header.
 	switch p.Protocol {
@@ -76,13 +73,13 @@ func (p *Packet) MarshalTo(buf []byte) error {
 		t[12] = 5 << 4 // data offset: 5 words
 		t[13] = p.Flags
 		binary.BigEndian.PutUint16(t[14:16], 65535) // window
-		binary.BigEndian.PutUint16(t[16:18], transportChecksum(p.SrcIP, p.DstIP, uint8(ProtoTCP), b[ipv4HeaderLen:]))
+		binary.BigEndian.PutUint16(t[16:18], transportChecksum(p.SrcIP, p.DstIP, uint8(ProtoTCP), t[:tcpHeaderLen], n-ipv4HeaderLen))
 	case ProtoUDP:
 		u := b[ipv4HeaderLen:]
 		binary.BigEndian.PutUint16(u[0:2], p.SrcPort)
 		binary.BigEndian.PutUint16(u[2:4], p.DstPort)
 		binary.BigEndian.PutUint16(u[4:6], uint16(n-ipv4HeaderLen))
-		binary.BigEndian.PutUint16(u[6:8], transportChecksum(p.SrcIP, p.DstIP, uint8(ProtoUDP), b[ipv4HeaderLen:]))
+		binary.BigEndian.PutUint16(u[6:8], transportChecksum(p.SrcIP, p.DstIP, uint8(ProtoUDP), u[:udpHeaderLen], n-ipv4HeaderLen))
 	}
 	return nil
 }
@@ -130,10 +127,9 @@ func Unmarshal(b []byte) (*Packet, error) {
 	return p, nil
 }
 
-// checksum computes the RFC 1071 Internet checksum of b, assuming the
-// checksum field within b is zero.
-func checksum(b []byte) uint16 {
-	var sum uint32
+// checksum computes the RFC 1071 Internet checksum of b on top of the
+// partial sum sum, assuming the checksum field within b is zero.
+func checksum(b []byte, sum uint32) uint16 {
 	for i := 0; i+1 < len(b); i += 2 {
 		sum += uint32(binary.BigEndian.Uint16(b[i : i+2]))
 	}
@@ -146,16 +142,12 @@ func checksum(b []byte) uint16 {
 	return ^uint16(sum)
 }
 
-// transportChecksum computes the TCP/UDP checksum including the IPv4
-// pseudo-header. seg must have its checksum field zeroed.
-func transportChecksum(src, dst [4]byte, proto uint8, seg []byte) uint16 {
-	pseudo := make([]byte, 12, 12+len(seg)+1)
-	copy(pseudo[0:4], src[:])
-	copy(pseudo[4:8], dst[:])
-	pseudo[9] = proto
-	binary.BigEndian.PutUint16(pseudo[10:12], uint16(len(seg)))
-	pseudo = append(pseudo, seg...)
-	sum := checksum(pseudo)
+// transportChecksum computes the TCP/UDP checksum, IPv4 pseudo-header
+// included, of a segLen-byte segment that is hdr (checksum field zeroed)
+// followed by zeros, which add nothing: it sums the headers alone.
+func transportChecksum(src, dst V4Addr, proto uint8, hdr []byte, segLen int) uint16 {
+	sum := checksum(hdr, uint32(src[0])<<8+uint32(src[1])+uint32(src[2])<<8+uint32(src[3])+
+		uint32(dst[0])<<8+uint32(dst[1])+uint32(dst[2])<<8+uint32(dst[3])+uint32(proto)+uint32(uint16(segLen)))
 	if sum == 0 && proto == uint8(ProtoUDP) {
 		sum = 0xffff // UDP: zero checksum means "no checksum"
 	}

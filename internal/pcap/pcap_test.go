@@ -221,12 +221,44 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-func BenchmarkWrite(b *testing.B) {
-	p := &packet.Packet{
+// fullSizeUDP is a 1500-byte UDP packet, the record size that dominates
+// a CAIDA-like capture.
+func fullSizeUDP() *packet.Packet {
+	return &packet.Packet{
 		SrcIP: packet.V4(1, 2, 3, 4), DstIP: packet.V4(5, 6, 7, 8),
-		Length: 500, TTL: 64, Protocol: packet.ProtoUDP, SrcPort: 1, DstPort: 2,
+		Length: 1500, TTL: 64, Protocol: packet.ProtoUDP, SrcPort: 1, DstPort: 2,
 	}
+}
+
+// TestWriterWriteZeroAlloc is the allocation gate on the capture write
+// path: once the Writer's record buffer has grown to a record's size,
+// writing one more marshals it in place and allocates nothing.
+func TestWriterWriteZeroAlloc(t *testing.T) {
+	w, err := NewNanoWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := fullSizeUDP()
+	tcp := *p
+	tcp.Protocol = packet.ProtoTCP
+	at := eventsim.Time(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		for _, q := range []*packet.Packet{p, &tcp} {
+			at += eventsim.Microsecond
+			if err := w.Write(at, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Writer.Write allocates %v per two records, want 0", allocs)
+	}
+}
+
+func BenchmarkWriterWrite(b *testing.B) {
+	p := fullSizeUDP()
 	w, _ := NewWriter(io.Discard)
+	b.SetBytes(int64(p.WireLen()) + 16)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := w.Write(eventsim.Time(i), p); err != nil {

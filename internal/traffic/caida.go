@@ -23,12 +23,6 @@ type BackgroundConfig struct {
 	Start, End eventsim.Time
 	// Seed makes the trace deterministic.
 	Seed int64
-	// MeanFlowPackets is the mean of the (geometric) packets-per-flow
-	// distribution before Pareto tailing. Zero defaults to 12.
-	MeanFlowPackets float64
-	// ParetoAlpha shapes the heavy tail of flow sizes. Zero defaults
-	// to 1.3 (a realistic elephant/mice mix).
-	ParetoAlpha float64
 }
 
 // popular destination ports weighted roughly like a backbone mix.
@@ -39,6 +33,13 @@ var popularDstPorts = []struct {
 	{443, 40}, {80, 25}, {53, 8}, {22, 3}, {25, 2}, {123, 2}, {3389, 2},
 	{8080, 3}, {993, 2}, {5222, 1}, {1935, 1}, {8443, 2},
 }
+
+// A background flow's packet count is Pareto-tailed with mean
+// meanFlowPackets; paretoAlpha = 1.3 is a realistic elephant/mice mix.
+const (
+	meanFlowPackets = 12
+	paretoAlpha     = 1.3
+)
 
 // packet size mix: ACK-sized, mid, MTU-sized (tri-modal like real
 // backbone traces).
@@ -144,32 +145,26 @@ func NewBackground(cfg BackgroundConfig) *Background {
 	if cfg.End <= cfg.Start {
 		panic("traffic: background window empty")
 	}
-	if cfg.MeanFlowPackets == 0 {
-		cfg.MeanFlowPackets = 12
-	}
-	if cfg.ParetoAlpha == 0 {
-		cfg.ParetoAlpha = 1.3
-	}
 	b := &Background{
 		cfg: cfg,
 		rng: rand.New(rand.NewSource(cfg.Seed)),
 	}
-	// Expected bytes per flow = meanPkts * meanSize; meanSize from mix.
+	// Flows arrive at the rate at which their mean size carries cfg.Rate.
+	b.arrivalRate = cfg.Rate / 8 / (meanFlowPackets * meanPacketBytes())
+	b.nextArrival = cfg.Start
+	b.scheduleArrival()
+	return b
+}
+
+// meanPacketBytes is the mean packet size of sizeMix.
+func meanPacketBytes() float64 {
 	meanSize := 0.0
 	totalW := 0
 	for _, it := range sizeMix {
 		meanSize += float64(it.size) * float64(it.weight)
 		totalW += it.weight
 	}
-	meanSize /= float64(totalW)
-	// Pareto with alpha>1 scaled to mean MeanFlowPackets: mean of the
-	// sampled distribution below is xm*alpha/(alpha-1); pick xm so the
-	// mean matches.
-	bytesPerFlow := cfg.MeanFlowPackets * meanSize
-	b.arrivalRate = cfg.Rate / 8 / bytesPerFlow
-	b.nextArrival = cfg.Start
-	b.scheduleArrival()
-	return b
+	return meanSize / float64(totalW)
 }
 
 func (b *Background) scheduleArrival() {
@@ -178,10 +173,10 @@ func (b *Background) scheduleArrival() {
 }
 
 // flowPackets samples the packets-per-flow distribution: Pareto with
-// mean MeanFlowPackets.
+// mean meanFlowPackets: the sample below has mean xm*alpha/(alpha-1).
 func (b *Background) flowPackets() int {
-	alpha := b.cfg.ParetoAlpha
-	xm := b.cfg.MeanFlowPackets * (alpha - 1) / alpha
+	alpha := paretoAlpha
+	xm := meanFlowPackets * (alpha - 1) / alpha
 	if xm < 1 {
 		xm = 1
 	}

@@ -1,7 +1,9 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
@@ -75,8 +77,8 @@ func ACCOriginal(linkRate float64) Source {
 	// to 25 s, decay to zero by 31 s.
 	profile := Profile(
 		RatePoint{At: 13 * eventsim.Second, Bits: 0},
-		RatePoint{At: 19 * eventsim.Second, Bits: 3 * linkRate},
-		RatePoint{At: 25 * eventsim.Second, Bits: 3 * linkRate},
+		RatePoint{At: 19 * eventsim.Second, Bits: floodMultiple * linkRate},
+		RatePoint{At: 25 * eventsim.Second, Bits: floodMultiple * linkRate},
 		RatePoint{At: 31 * eventsim.Second, Bits: 0},
 	)
 	attack := NewRated(13*eventsim.Second, 31*eventsim.Second, profile, attackSpec().Factory(101))
@@ -123,14 +125,15 @@ func PulseWave(linkRate float64, pulseRate float64, pulseLen eventsim.Time, morp
 	return Merge(srcs...)
 }
 
-// VectorsMust returns the named vector, panicking on typos (scenario
-// construction only).
+// VectorsMust returns the vector of the given Fig. 9a name, panicking on
+// a typo (scenario construction only).
 func VectorsMust(name string) Vector {
-	v, err := VectorByName(name)
-	if err != nil {
-		panic(err)
+	for _, v := range Vectors() {
+		if v.Name == name {
+			return v
+		}
 	}
-	return v
+	panic(fmt.Sprintf("traffic: unknown attack vector %q", name))
 }
 
 // AttackVariation selects the Table 3 attack shapes.
@@ -184,7 +187,7 @@ func Variation(v AttackVariation, bgRate, attackRate float64, attackStart, end e
 		SrcPort:  33333,
 		DstPort:  44444,
 		TTL:      60,
-		Size:     1000,
+		Size:     variationFloodSize,
 		Label:    packet.Malicious,
 		Vector:   "UDP",
 		FlowID:   AggAttack,
@@ -235,6 +238,34 @@ func CICDDoSDay(bgRate, attackRate float64, vectorLen, vectorGap eventsim.Time, 
 	return Merge(srcs...), windows
 }
 
+// Attack rates as multiples of the link, and the Table 3 flood's size.
+const (
+	floodMultiple      = 3 // the ACC ramp's peak, the pulses, the CICDDoS vectors
+	variationMultiple  = 10
+	variationFloodSize = 1000
+)
+
+// fastestPace is the named scenario's source whose sends are closest at
+// any link: size bytes at mult times it, as Scenario builds it (for the
+// background, its flows on average); benign traffic beside a flood never
+// binds.
+func fastestPace(name string) (mult, size float64, err error) {
+	switch name {
+	case "accoriginal", "pulsewave":
+		return floodMultiple, float64(attackSpec().Size), nil
+	case "morphing":
+		return floodMultiple, float64(SYNFlood().Spec.Size), nil // its last pulse
+	case "cicddos":
+		v := slices.MinFunc(Vectors(), func(a, b Vector) int { return cmp.Compare(a.Spec.Size, b.Spec.Size) })
+		return floodMultiple, float64(v.Spec.Size), nil
+	case "singleflow", "carpet", "spoofed":
+		return variationMultiple, variationFloodSize, nil
+	case "background":
+		return 1, meanFlowPackets * meanPacketBytes(), nil
+	}
+	return 0, 0, fmt.Errorf("unknown scenario %q", name)
+}
+
 // ScenarioNames lists the workloads Scenario builds, in flag-help form.
 const ScenarioNames = "accoriginal|pulsewave|morphing|cicddos|singleflow|carpet|spoofed|background"
 
@@ -247,18 +278,18 @@ func Scenario(name string, link float64, end eventsim.Time, seed int64) (Source,
 	case "accoriginal":
 		return ACCOriginal(link), nil
 	case "pulsewave":
-		return PulseWave(link, 3*link, 5*eventsim.Second, false), nil
+		return PulseWave(link, floodMultiple*link, 5*eventsim.Second, false), nil
 	case "morphing":
-		return PulseWave(link, 3*link, 5*eventsim.Second, true), nil
+		return PulseWave(link, floodMultiple*link, 5*eventsim.Second, true), nil
 	case "cicddos":
-		src, _ := CICDDoSDay(link*0.6, link*3, 4*eventsim.Second, 2*eventsim.Second, seed)
+		src, _ := CICDDoSDay(link*0.6, link*floodMultiple, 4*eventsim.Second, 2*eventsim.Second, seed)
 		return src, nil
 	case "singleflow":
-		return Variation(SingleFlow, link*0.7, link*10, end/10, end, seed), nil
+		return Variation(SingleFlow, link*0.7, link*variationMultiple, end/10, end, seed), nil
 	case "carpet":
-		return Variation(CarpetBombing, link*0.7, link*10, end/10, end, seed), nil
+		return Variation(CarpetBombing, link*0.7, link*variationMultiple, end/10, end, seed), nil
 	case "spoofed":
-		return Variation(SourceSpoofing, link*0.7, link*10, end/10, end, seed), nil
+		return Variation(SourceSpoofing, link*0.7, link*variationMultiple, end/10, end, seed), nil
 	case "background":
 		return NewBackground(BackgroundConfig{Rate: link, End: end, Seed: seed}), nil
 	}

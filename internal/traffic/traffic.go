@@ -58,10 +58,14 @@ func AttachPool(s Source, pool *packet.Pool) {
 // profile point.
 type RateFunc func(t eventsim.Time) float64
 
-// CheckRates refuses the link rate (bits/s) and duration (s) values the
-// generators panic or spin on: zero, negative, NaN, infinite. The
-// commands check their -link and -duration flags with it.
-func CheckRates(link, duration float64) error {
+// CheckRates refuses the scenario, link rate (bits/s) and duration (s)
+// values the generators panic or spin on: zero, negative, NaN, infinite;
+// a duration past eventsim.MaxTime, which FromSeconds wraps negative; a
+// link below 1 bit/s, where a slow source's gap can overflow the clock,
+// or at which the scenario's fastestPace spaces sends under 1 ns apart,
+// so its clock stops short of its end. A capture replay passes scenario
+// "": it paces nothing. The commands check their flags with it.
+func CheckRates(scenario string, link, duration float64) error {
 	for _, f := range []struct {
 		name string
 		v    float64
@@ -70,7 +74,21 @@ func CheckRates(link, duration float64) error {
 			return fmt.Errorf("%s %v: must be positive and finite", f.name, f.v)
 		}
 	}
-	return nil
+	if !(duration*float64(eventsim.Second) < float64(eventsim.MaxTime)) {
+		return fmt.Errorf("-duration %v: beyond the simulator clock's %.4g s", duration, eventsim.MaxTime.Seconds())
+	}
+	if link < 1 {
+		return fmt.Errorf("-link %v: below 1 bit/s", link)
+	}
+	if scenario == "" {
+		return nil
+	}
+	mult, size, err := fastestPace(scenario)
+	// A gap as rated.Next computes it, so a flood's boundary is exact.
+	if err == nil && eventsim.Time(size*8/(mult*link)*float64(eventsim.Second)) < 1 {
+		err = fmt.Errorf("-link %v: scenario %s paces under 1 ns apart above %.4g bit/s", link, scenario, size*8e9/mult)
+	}
+	return err
 }
 
 // rated paces packets from a factory according to a rate function.

@@ -331,12 +331,17 @@ func TestVectorsCatalog(t *testing.T) {
 	if refl != 7 {
 		t.Fatalf("%d reflection vectors, want 7", refl)
 	}
-	if _, err := VectorByName("NTP"); err != nil {
-		t.Fatal(err)
+	if VectorsMust("NTP").Name != "NTP" {
+		t.Fatal("VectorsMust(\"NTP\") returned another vector")
 	}
-	if _, err := VectorByName("bogus"); err == nil {
-		t.Fatal("unknown vector should error")
-	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("an unknown vector should panic")
+			}
+		}()
+		VectorsMust("bogus")
+	}()
 	if Reflection.String() == Exploitation.String() {
 		t.Fatal("class names collide")
 	}
@@ -573,28 +578,73 @@ func TestQuickCBRRate(t *testing.T) {
 	}
 }
 
-// TestCheckRates: the -link and -duration values that used to reach a
-// generator's panic (or, for NaN, a loop that never ends) are refused,
-// and the error names the flag.
+// TestCheckRates: the -scenario, -link and -duration values that used to
+// reach a generator's panic or a loop that never ends (NaN; a gap that
+// truncates to 0 ns; an end past MaxTime) are refused, and the error
+// names the flag.
 func TestCheckRates(t *testing.T) {
 	for _, c := range []struct {
+		scenario       string
 		link, duration float64
 		bad            string // the flag the error names; "" = accepted
 	}{
-		{10e6, 30, ""},
-		{1, 0.001, ""},
-		{0, 30, "-link"},
-		{-10e6, 30, "-link"},
-		{math.NaN(), 30, "-link"},
-		{math.Inf(1), 30, "-link"},
-		{10e6, 0, "-duration"},
-		{10e6, -3, "-duration"},
-		{10e6, math.NaN(), "-duration"},
-		{10e6, math.Inf(1), "-duration"},
+		{"pulsewave", 10e6, 30, ""},
+		{"pulsewave", 1, 0.001, ""},
+		{"pulsewave", 0, 30, "-link"},
+		{"pulsewave", -10e6, 30, "-link"},
+		{"pulsewave", math.NaN(), 30, "-link"},
+		{"pulsewave", math.Inf(1), 30, "-link"},
+		{"pulsewave", 0.5, 30, "-link"},
+		{"pulsewave", 10e6, 0, "-duration"},
+		{"pulsewave", 10e6, -3, "-duration"},
+		{"pulsewave", 10e6, math.NaN(), "-duration"},
+		{"pulsewave", 10e6, math.Inf(1), "-duration"},
+		// FromSeconds wraps past MaxTime (≈ 9.22e9 s) to a negative end.
+		{"background", 10e6, 9e9, ""},
+		{"background", 10e6, 1e10, "-duration"},
+		{"background", 10e6, 1e300, "-duration"},
+		// Each scenario's ceiling: its fastest source's smallest send
+		// paced 1 ns apart.
+		{"morphing", 1.06e11, 30, ""}, // the 40-byte SYN pulse at 3×
+		{"morphing", 1.07e11, 30, "-link"},
+		{"morphing", 4e11, 30, "-link"},
+		{"pulsewave", 4e11, 30, ""}, // 500-byte pulses at 3×
+		{"pulsewave", 1.34e12, 30, "-link"},
+		{"accoriginal", 1.33e12, 30, ""},
+		{"accoriginal", 1.34e12, 30, "-link"},
+		{"cicddos", 1.59e11, 30, ""}, // 60-byte UDPLag at 3×
+		{"cicddos", 1.61e11, 30, "-link"},
+		{"singleflow", 7.9e11, 30, ""}, // 1000-byte flood at 10×
+		{"carpet", 8.1e11, 30, "-link"},
+		{"spoofed", 8.1e11, 30, "-link"},
+		{"background", 7.1e13, 30, ""}, // mean flow arrivals
+		{"background", 7.3e13, 30, "-link"},
+		{"", 1e13, 30, ""}, // a capture replay has no ceiling
+		{"bogus", 10e6, 30, "unknown"},
 	} {
-		err := CheckRates(c.link, c.duration)
+		err := CheckRates(c.scenario, c.link, c.duration)
 		if (err == nil) != (c.bad == "") || err != nil && !strings.HasPrefix(err.Error(), c.bad+" ") {
-			t.Errorf("CheckRates(%v, %v) = %v, want an error naming %q", c.link, c.duration, err, c.bad)
+			t.Errorf("CheckRates(%q, %v, %v) = %v, want an error naming %q", c.scenario, c.link, c.duration, err, c.bad)
+		}
+	}
+}
+
+// TestFastestPaceIsTheGenerators: CheckRates' ceiling is where the
+// generator's clock stops. Just above morphing's, its SYN pulse stamps
+// consecutive packets at one nanosecond; just below, at least 1 ns apart.
+func TestFastestPaceIsTheGenerators(t *testing.T) {
+	for _, c := range []struct {
+		link float64
+		gap  eventsim.Time
+	}{{1.06e11, eventsim.Nanosecond}, {1.07e11, 0}} {
+		if err := CheckRates("morphing", c.link, 30); (err == nil) != (c.gap > 0) {
+			t.Fatalf("link %v: CheckRates = %v", c.link, err)
+		}
+		src := SYNFlood().Flood(0, eventsim.Second, floodMultiple*c.link, packet.V4Addr{10, 0, 0, 1}, 0, 1)
+		a, _ := src.Next()
+		b, _ := src.Next()
+		if got := b.At - a.At; got != c.gap {
+			t.Errorf("link %v: SYN packets %v apart, want %v", c.link, got, c.gap)
 		}
 	}
 }

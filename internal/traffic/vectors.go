@@ -1,8 +1,6 @@
 package traffic
 
 import (
-	"fmt"
-
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
 )
@@ -90,16 +88,6 @@ func Vectors() []Vector {
 			RandomSrcPort: true, Size: 60, SizeJitter: 20, TTL: 32, TTLJitter: 96,
 		}},
 	}
-}
-
-// VectorByName looks a vector up by its Fig. 9a name.
-func VectorByName(name string) (Vector, error) {
-	for _, v := range Vectors() {
-		if v.Name == name {
-			return v, nil
-		}
-	}
-	return Vector{}, fmt.Errorf("traffic: unknown attack vector %q", name)
 }
 
 // SYNFlood is the classic TCP exploitation vector used by the morphing
