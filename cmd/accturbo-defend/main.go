@@ -29,8 +29,8 @@
 //     coordinator around it.
 //   - Chaos relay (-chaos-proxy): a seeded socket-level fault injector
 //     between nodes and coordinator. -chaos-plan prints its exact
-//     per-connection schedule without opening a socket; CI diffs two
-//     renders as the determinism gate.
+//     per-connection schedule without opening a socket, whose bytes
+//     internal/manifest pins.
 //
 // Riding on the capture modes: -metrics-addr serves the mode's
 // internal/admin surface (/health everywhere, 503 while degraded;
@@ -118,7 +118,7 @@ var (
 	chaosResetEvery   = flag.Int("chaos-reset-every", 0, "chaos relay: hard-reset the connection (RST) roughly every N relayed bytes (0 = off)")
 	chaosDelayEvery   = flag.Int("chaos-delay-every", 0, "chaos relay: stall the relay roughly every N relayed bytes (0 = off)")
 	chaosDelayFor     = flag.Duration("chaos-delay-for", 50*time.Millisecond, "chaos relay: stall duration for -chaos-delay-every")
-	chaosPlan         = flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule of the first 64 KiB of each direction, for this many connections, and exit (determinism gate; uses the -chaos-* flags)")
+	chaosPlan         = flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule of the first 64 KiB of each direction, for this many connections, and exit (uses the -chaos-* flags)")
 )
 
 func fatal(code int, v ...any) {

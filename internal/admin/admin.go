@@ -191,7 +191,6 @@ type configPatch struct {
 	DeployMs   *float64 `json:"deploy_delay_ms,omitempty"`
 	ReseedMs   *float64 `json:"reseed_interval_ms,omitempty"`
 	FailOpenMs *float64 `json:"fail_open_after_ms,omitempty"`
-	WatchdogMs *float64 `json:"watchdog_interval_ms,omitempty"`
 }
 
 // maxConfigBody bounds a PUT /config body; a full patch is ~200 bytes.
@@ -241,7 +240,6 @@ func (c configPatch) toRuntimePatch() (accturbo.RuntimePatch, error) {
 	p.DeployDelay = ms("deploy_delay_ms", c.DeployMs)
 	p.ReseedInterval = ms("reseed_interval_ms", c.ReseedMs)
 	p.FailOpenAfter = ms("fail_open_after_ms", c.FailOpenMs)
-	p.WatchdogInterval = ms("watchdog_interval_ms", c.WatchdogMs)
 	return p, err
 }
 
@@ -268,12 +266,11 @@ func serveConfig(w http.ResponseWriter, req *http.Request, d *accturbo.Defense) 
 func writeConfig(w http.ResponseWriter, d *accturbo.Defense) {
 	rt := d.Runtime()
 	writeJSON(w, false, map[string]any{
-		"generation":           d.ConfigGeneration(),
-		"ranking":              rt.Ranking.String(),
-		"poll_interval_ms":     msOf(rt.PollInterval.Duration()),
-		"deploy_delay_ms":      msOf(rt.DeployDelay.Duration()),
-		"reseed_interval_ms":   msOf(rt.ReseedInterval.Duration()),
-		"fail_open_after_ms":   msOf(rt.FailOpenAfter.Duration()),
-		"watchdog_interval_ms": msOf(rt.WatchdogInterval.Duration()),
+		"generation":         d.ConfigGeneration(),
+		"ranking":            rt.Ranking.String(),
+		"poll_interval_ms":   msOf(rt.PollInterval.Duration()),
+		"deploy_delay_ms":    msOf(rt.DeployDelay.Duration()),
+		"reseed_interval_ms": msOf(rt.ReseedInterval.Duration()),
+		"fail_open_after_ms": msOf(rt.FailOpenAfter.Duration()),
 	})
 }

@@ -32,7 +32,7 @@ func TestConfigPatchWireFormat(t *testing.T) {
 	if p.DeployDelay == nil || p.DeployDelay.Duration() != 25500*time.Microsecond {
 		t.Fatalf("fractional ms lost: %+v", p)
 	}
-	if p.ReseedInterval != nil || p.FailOpenAfter != nil || p.WatchdogInterval != nil {
+	if p.ReseedInterval != nil || p.FailOpenAfter != nil {
 		t.Fatalf("absent fields should stay nil: %+v", p)
 	}
 
@@ -189,7 +189,7 @@ func TestEndpointsSingle(t *testing.T) {
 	}
 	h := Surface{Health: DefenseView(d), Metrics: d, Live: d, Victims: vd}.Handler()
 	configKeys := [][]any{{"generation"}, {"ranking"}, {"poll_interval_ms"}, {"deploy_delay_ms"},
-		{"reseed_interval_ms"}, {"fail_open_after_ms"}, {"watchdog_interval_ms"}}
+		{"reseed_interval_ms"}, {"fail_open_after_ms"}}
 	runCalls(t, "single", h, []call{
 		{"GET", "/health", "", 200, "application/json", singleHealth},
 		{"GET", "/metrics", "", 200, "text/plain; version=0.0.4", nil},
@@ -287,6 +287,7 @@ func TestConfigPutRejectsHostileBodies(t *testing.T) {
 	var calls []call
 	for _, body := range []string{
 		`{"poll_ms":100}`,                       // unknown field
+		`{"watchdog_interval_ms":50}`,           // retired: the watchdog checks every poll
 		`{"poll_interval_ms":100}{"ranking":1}`, // trailing bytes
 		`{"poll_interval_ms":1e300}`,            // float→Duration overflow
 		`{"deploy_delay_ms":9.3e12}`,            // just past MaxInt64 ns
@@ -414,7 +415,7 @@ func TestServe(t *testing.T) {
 func FuzzConfigPatch(f *testing.F) {
 	for _, seed := range []string{
 		`{"ranking":"Th./Size","poll_interval_ms":125,"deploy_delay_ms":25.5}`,
-		`{"reseed_interval_ms":0,"fail_open_after_ms":3000,"watchdog_interval_ms":50}`,
+		`{"reseed_interval_ms":0,"fail_open_after_ms":3000}`,
 		`{"poll_ms":100}`, `{"poll_interval_ms":100} x`, `{"poll_interval_ms":1e300}`,
 		`{"deploy_delay_ms":9.3e12}`, `{"poll_interval_ms":-1}`, `{"ranking":null}`, `null`, `[]`,
 	} {

@@ -189,7 +189,7 @@ func (cp *ControlPlane) schedule(gen uint64) {
 		cp.stops = append(cp.stops, cp.clock.Every(rt.ReseedInterval, cp.stamped(gen, func(eventsim.Time) { cp.dp.Reseed() })))
 	}
 	if rt.FailOpenAfter > 0 {
-		cp.stops = append(cp.stops, cp.rawClock.Every(rt.watchdogEvery(), cp.stamped(gen, cp.watchdog)))
+		cp.stops = append(cp.stops, cp.rawClock.Every(rt.PollInterval, cp.stamped(gen, cp.watchdog)))
 	}
 }
 

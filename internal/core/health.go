@@ -68,7 +68,7 @@ type Health struct {
 // keeps moving while the loop is wedged. A simulated clock belongs to the
 // goroutine driving its engine (Defense.Process, in deterministic mode),
 // so there Health answers as of the latest callback the clock delivered
-// — at most one poll or watchdog interval of virtual time behind.
+// — at most one poll interval of virtual time behind.
 func (cp *ControlPlane) Health() Health {
 	h := Health{
 		LastPollAt:          eventsim.Time(cp.lastPollAt.Load()),
@@ -128,7 +128,7 @@ func (cp *ControlPlane) staleRef() eventsim.Time {
 }
 
 // watchdog is the staleness check Start schedules on the raw
-// (unwrapped) clock every WatchdogInterval when FailOpenAfter > 0. If
+// (unwrapped) clock every PollInterval when FailOpenAfter > 0. If
 // the last ranked deployment is older than FailOpenAfter it trips:
 // on the first trip it deploys the uniform-priority fallback map —
 // every cluster in queue 0, degenerating strict priority to a plain

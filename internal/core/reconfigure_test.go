@@ -108,7 +108,7 @@ func TestReconfigureStaleTickerNoDoubleFire(t *testing.T) {
 
 // TestReconfigureWatchdogTracksPollInterval runs a loop that never
 // produces a decision (no traffic), so the watchdog is the only actor:
-// WatchdogInterval=0 must track the poll interval across a reconfigure,
+// the watchdog checks once per poll interval, across a reconfigure too,
 // and a live FailOpenAfter change must move the staleness bound.
 func TestReconfigureWatchdogTracksPollInterval(t *testing.T) {
 	cfg := DefaultConfig()
@@ -132,7 +132,7 @@ func TestReconfigureWatchdogTracksPollInterval(t *testing.T) {
 		t.Fatal("watchdog did not fail open")
 	}
 
-	// Halve the poll interval: the tracking watchdog must now check
+	// Halve the poll interval: the watchdog must now check
 	// every 50ms — 10 more trips in the next 500ms instead of 5.
 	quick := 50 * eventsim.Millisecond
 	if _, err := cp.Reconfigure(RuntimePatch{PollInterval: &quick}); err != nil {
@@ -220,7 +220,7 @@ func TestReconfigureRejectsInvalid(t *testing.T) {
 	for _, patch := range []RuntimePatch{
 		{PollInterval: &bad},
 		{DeployDelay: &bad},
-		{WatchdogInterval: &negative},
+		{FailOpenAfter: &negative},
 	} {
 		gen, err := cp.Reconfigure(patch)
 		if err == nil {

@@ -29,12 +29,8 @@ type RuntimeConfig struct {
 	// ReseedInterval, when positive, discards all clusters periodically.
 	ReseedInterval eventsim.Time
 	// FailOpenAfter, when positive, arms the staleness watchdog (see
-	// Config.FailOpenAfter).
+	// Config.FailOpenAfter), which checks once per PollInterval.
 	FailOpenAfter eventsim.Time
-	// WatchdogInterval is the staleness-check period. Zero means "track
-	// PollInterval": a poll-interval change moves the watchdog cadence
-	// with it.
-	WatchdogInterval eventsim.Time
 }
 
 // Runtime extracts the hot-reloadable fields from a Config.
@@ -67,31 +63,18 @@ func (r *RuntimeConfig) Validate() error {
 	if r.FailOpenAfter < 0 {
 		return fmt.Errorf("core: FailOpenAfter %v < 0", r.FailOpenAfter)
 	}
-	if r.WatchdogInterval < 0 {
-		return fmt.Errorf("core: WatchdogInterval %v < 0", r.WatchdogInterval)
-	}
 	return nil
-}
-
-// watchdogEvery is the effective staleness-check period: the explicit
-// interval, or the poll interval when tracking.
-func (r *RuntimeConfig) watchdogEvery() eventsim.Time {
-	if r.WatchdogInterval > 0 {
-		return r.WatchdogInterval
-	}
-	return r.PollInterval
 }
 
 // RuntimePatch is a partial RuntimeConfig: nil fields keep their
 // current value. It is the payload of Defense.Reconfigure and the
 // PUT /config admin endpoint (field names are the JSON contract).
 type RuntimePatch struct {
-	Ranking          *Ranking       `json:"ranking,omitempty"`
-	PollInterval     *eventsim.Time `json:"poll_interval_ns,omitempty"`
-	DeployDelay      *eventsim.Time `json:"deploy_delay_ns,omitempty"`
-	ReseedInterval   *eventsim.Time `json:"reseed_interval_ns,omitempty"`
-	FailOpenAfter    *eventsim.Time `json:"fail_open_after_ns,omitempty"`
-	WatchdogInterval *eventsim.Time `json:"watchdog_interval_ns,omitempty"`
+	Ranking        *Ranking       `json:"ranking,omitempty"`
+	PollInterval   *eventsim.Time `json:"poll_interval_ns,omitempty"`
+	DeployDelay    *eventsim.Time `json:"deploy_delay_ns,omitempty"`
+	ReseedInterval *eventsim.Time `json:"reseed_interval_ns,omitempty"`
+	FailOpenAfter  *eventsim.Time `json:"fail_open_after_ns,omitempty"`
 }
 
 // Apply returns base with the patch's non-nil fields replaced.
@@ -110,9 +93,6 @@ func (p RuntimePatch) Apply(base RuntimeConfig) RuntimeConfig {
 	}
 	if p.FailOpenAfter != nil {
 		base.FailOpenAfter = *p.FailOpenAfter
-	}
-	if p.WatchdogInterval != nil {
-		base.WatchdogInterval = *p.WatchdogInterval
 	}
 	return base
 }

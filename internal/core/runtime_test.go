@@ -60,14 +60,3 @@ func TestRuntimePatchJSON(t *testing.T) {
 		t.Fatalf("absent fields decoded non-nil: %+v", p)
 	}
 }
-
-func TestWatchdogEvery(t *testing.T) {
-	rt := DefaultConfig().Runtime()
-	if got := rt.watchdogEvery(); got != rt.PollInterval {
-		t.Fatalf("zero WatchdogInterval should track PollInterval, got %v", got)
-	}
-	rt.WatchdogInterval = 7 * eventsim.Millisecond
-	if got := rt.watchdogEvery(); got != 7*eventsim.Millisecond {
-		t.Fatalf("explicit WatchdogInterval ignored: %v", got)
-	}
-}

@@ -17,8 +17,8 @@ import (
 // (not its generation — that counts Reconfigure calls in one process's
 // lifetime), the deployed queue map, every shard's learned clusterer
 // state, the last deployed decision, fail-open status, and the lifetime
-// telemetry counters. Save → restore → save is byte-identical, which is
-// what the CI determinism gate checks.
+// telemetry counters. Save → restore → save is byte-identical, which
+// internal/manifest checks across two processes.
 const (
 	snapMagic   = "ACCSNAP1"
 	snapVersion = 1
@@ -48,7 +48,7 @@ func SaveState(w io.Writer, dp *Dataplane, cp *ControlPlane) error {
 	e.I64(int64(rt.DeployDelay))
 	e.I64(int64(rt.ReseedInterval))
 	e.I64(int64(rt.FailOpenAfter))
-	e.I64(int64(rt.WatchdogInterval))
+	e.I64(0) // the retired watchdog-interval slot; RestoreState refuses anything else
 
 	e.Ints(dp.QueueMap())
 
@@ -115,12 +115,14 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 	}
 
 	rt := RuntimeConfig{
-		Ranking:          Ranking(d.U8()),
-		PollInterval:     eventsim.Time(d.I64()),
-		DeployDelay:      eventsim.Time(d.I64()),
-		ReseedInterval:   eventsim.Time(d.I64()),
-		FailOpenAfter:    eventsim.Time(d.I64()),
-		WatchdogInterval: eventsim.Time(d.I64()),
+		Ranking:        Ranking(d.U8()),
+		PollInterval:   eventsim.Time(d.I64()),
+		DeployDelay:    eventsim.Time(d.I64()),
+		ReseedInterval: eventsim.Time(d.I64()),
+		FailOpenAfter:  eventsim.Time(d.I64()),
+	}
+	if slot := d.I64(); slot != 0 { // the retired watchdog interval
+		return fmt.Errorf("core: snapshot sets a watchdog interval of %v; the watchdog checks once per poll interval", eventsim.Time(slot))
 	}
 
 	qm := d.Ints()
@@ -216,12 +218,11 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 // replays it through Reconfigure.
 func (r RuntimeConfig) patch() RuntimePatch {
 	return RuntimePatch{
-		Ranking:          &r.Ranking,
-		PollInterval:     &r.PollInterval,
-		DeployDelay:      &r.DeployDelay,
-		ReseedInterval:   &r.ReseedInterval,
-		FailOpenAfter:    &r.FailOpenAfter,
-		WatchdogInterval: &r.WatchdogInterval,
+		Ranking:        &r.Ranking,
+		PollInterval:   &r.PollInterval,
+		DeployDelay:    &r.DeployDelay,
+		ReseedInterval: &r.ReseedInterval,
+		FailOpenAfter:  &r.FailOpenAfter,
 	}
 }
 

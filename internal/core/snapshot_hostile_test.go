@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"os"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -161,6 +162,21 @@ func TestRestoreRefusesHostileCounts(t *testing.T) {
 		}
 		if !bytes.Equal(saved(t, dp, cp), before) {
 			t.Fatalf("%s: the queue-map refusal changed the pipeline", c.file)
+		}
+
+		// The watchdog-interval slot after the runtime config is retired:
+		// every file holds 0 there, and anything else is refused.
+		slot := 3*4 + 1 + 4*8
+		if le.Uint64(p[slot:]) != 0 {
+			t.Fatalf("%s: watchdog slot holds %d", c.file, le.Uint64(p[slot:]))
+		}
+		bad = append([]byte(nil), p...)
+		le.PutUint64(bad[slot:], uint64(50*eventsim.Millisecond))
+		if err := RestoreState(bytes.NewReader(snapFile(t, bad)), dp, cp); err == nil || !strings.Contains(err.Error(), "watchdog interval") {
+			t.Fatalf("%s: a non-zero watchdog slot: %v", c.file, err)
+		}
+		if !bytes.Equal(saved(t, dp, cp), before) || cp.ConfigGeneration() != gen {
+			t.Fatalf("%s: the watchdog-slot refusal changed the pipeline", c.file)
 		}
 	}
 }

@@ -64,17 +64,19 @@ func Ablations(opt Options) *Result {
 			r.Add(Series{Name: name + "/benign drops", Y: []float64{o.rec.BenignDropPercent()}})
 		}
 	}
+	// hwTurboConfig has exact sets, packet seeding and the 4 hardware
+	// features: row 0's run is also rows 2, 4 and 5.
 	runLegs(opt, r, []leg{
 		// (c) Bloom vs exact nominal sets (the hardware stores admission
 		// lists in Bloom filters; the simulator's default is exact).
-		sc.through(tuned(func(c *core.Config) { c.Clustering.UseBloom = false }), benignRow("Exact sets")),
+		sc.through(turbo(hwTurboConfig()), benignRow("Exact sets")),
 		sc.through(tuned(func(c *core.Config) { c.Clustering.UseBloom = true }), benignRow("Bloom sets")),
 		// (d) slice-init vs packet seeding, single-flow flood.
-		sc.through(tuned(func(c *core.Config) { c.Clustering.SliceInit = false }), benignRow("Packet-seeded")),
+		again(0, benignRow("Packet-seeded")),
 		sc.through(tuned(func(c *core.Config) { c.Clustering.SliceInit = true }), benignRow("Slice-init")),
 		// (e) reordering under priority updates (§10): fraction of
 		// delivered packets that overtook a same-flow predecessor.
-		sc.through(turbo(hwTurboConfig()), func(r *Result, o *legOut) {
+		again(0, func(r *Result, o *legOut) {
 			totalDelivered := o.rec.DeliveredBenignPkts() + o.rec.DeliveredMaliciousPkts()
 			reorderPct := 0.0
 			if totalDelivered > 0 {
@@ -86,7 +88,7 @@ func Ablations(opt Options) *Result {
 		}),
 		// (f) feature-set width: hardware's 4 features vs the
 		// simulation's 12 on the same workload.
-		sc.through(turbo(hwTurboConfig()), benignRow("4 features (hardware)")),
+		again(0, benignRow("4 features (hardware)")),
 		sc.through(tuned(func(c *core.Config) { c.Clustering.Features = packet.DefaultSimulationFeatures() }), benignRow("12 features (simulation)")),
 	})
 

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -9,7 +11,35 @@ import (
 // paper's qualitative claims — who wins, by roughly what factor — not
 // absolute numbers.
 
-var quick = Options{Quick: true, Seed: 1}
+// runs holds every quick-mode Result a test asked for, by (experiment,
+// seed): the shape tests and the golden manifest read the same runs, so
+// each experiment runs once per seed per test binary. A caller only
+// reads the Result.
+var runs = struct {
+	sync.Mutex
+	m map[string]*Result
+}{m: map[string]*Result{}}
+
+// quickRun is experiment id's quick-mode Result at seed.
+func quickRun(t *testing.T, id string, seed int64) *Result {
+	t.Helper()
+	runs.Lock()
+	defer runs.Unlock()
+	key := fmt.Sprintf("seed%d/%s", seed, id)
+	if r, ok := runs.m[key]; ok {
+		return r
+	}
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := e.Run(Options{Quick: true, Seed: seed})
+	runs.m[key] = r
+	return r
+}
+
+// quick is the Result the shape tests read: seed 1, the CLI's default.
+func quick(t *testing.T, id string) *Result { return quickRun(t, id, 1) }
 
 func findSeries(t *testing.T, r *Result, name string) Series {
 	t.Helper()
@@ -84,7 +114,7 @@ func TestRenderAndCSV(t *testing.T) {
 }
 
 func TestFig2Shapes(t *testing.T) {
-	r := Fig2(quick)
+	r := quick(t, "fig2")
 	// FIFO: during the attack plateau (20-25 s), the attack holds most
 	// of the link and benign is squeezed.
 	atkFIFO := findSeries(t, r, "FIFO/Agg5")
@@ -106,7 +136,7 @@ func TestFig2Shapes(t *testing.T) {
 }
 
 func TestFig3Shapes(t *testing.T) {
-	r := Fig3(quick)
+	r := quick(t, "fig3")
 	fifo := findSeries(t, r, "Fig3b/FIFO")
 	turbo := findSeries(t, r, "Fig3b/ACC-Turbo")
 	accVsK := findSeries(t, r, "Fig3b/ACC benign drops vs K")
@@ -123,7 +153,7 @@ func TestFig3Shapes(t *testing.T) {
 }
 
 func TestFig6Shapes(t *testing.T) {
-	r := Fig6(quick)
+	r := quick(t, "fig6")
 	fifoB := findSeries(t, r, "FIFO/Output Benign")
 	turboB := findSeries(t, r, "ACC-Turbo/Output Benign")
 	// During the first pulse (seconds 10-19) ACC-Turbo preserves far
@@ -135,7 +165,7 @@ func TestFig6Shapes(t *testing.T) {
 }
 
 func TestFig7Shapes(t *testing.T) {
-	r := Fig7(quick)
+	r := quick(t, "fig7")
 	joined := strings.Join(r.Notes, "\n")
 	if !strings.Contains(joined, "ACC-Turbo reaction") {
 		t.Fatalf("no ACC-Turbo reaction note:\n%s", joined)
@@ -151,7 +181,7 @@ func TestFig7Shapes(t *testing.T) {
 }
 
 func TestFig8Shapes(t *testing.T) {
-	r := Fig8(quick)
+	r := quick(t, "fig8")
 	j := findSeries(t, r, "Fig8a/Jaqen")
 	turbo := findSeries(t, r, "Fig8a/ACC-Turbo")
 	lo, hi := minOf(j.Y), maxOf(j.Y)
@@ -166,7 +196,7 @@ func TestFig8Shapes(t *testing.T) {
 }
 
 func TestFig9Shapes(t *testing.T) {
-	r := Fig9(quick)
+	r := quick(t, "fig9")
 	purity := findSeries(t, r, "Fig9a/Purity by vector")
 	if len(purity.Y) != 9 {
 		t.Fatalf("%d vectors scored", len(purity.Y))
@@ -186,7 +216,7 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestFig10Shapes(t *testing.T) {
-	r := Fig10(quick)
+	r := quick(t, "fig10")
 	animeExh := findSeries(t, r, "Purity/Anime Exh.")
 	animeFast := findSeries(t, r, "Purity/Anime Fast")
 	manhFast := findSeries(t, r, "Purity/Manh. Fast")
@@ -207,7 +237,7 @@ func TestFig10Shapes(t *testing.T) {
 }
 
 func TestFig11Shapes(t *testing.T) {
-	r := Fig11(quick)
+	r := quick(t, "fig11")
 	fifo := findSeries(t, r, "Fig11b/FIFO")
 	manh := findSeries(t, r, "Fig11b/Manh. Fast Th.")
 	ideal := findSeries(t, r, "Fig11b/PIFO Ideal")
@@ -231,7 +261,7 @@ func TestFig11Shapes(t *testing.T) {
 }
 
 func TestTable3Shapes(t *testing.T) {
-	r := Table3(quick)
+	r := quick(t, "table3")
 	fifo := findSeries(t, r, "FIFO")
 	j5 := findSeries(t, r, "Jaqen+ (5-tuple)")
 	jsrc := findSeries(t, r, "Jaqen++ (srcIP)")
@@ -272,7 +302,7 @@ func TestTable3Shapes(t *testing.T) {
 }
 
 func TestTable4MatchesAppendix(t *testing.T) {
-	r := Table4(quick)
+	r := quick(t, "table4")
 	want := map[string]float64{
 		"K (s)": 2, "p_high": 0.1, "p_target": 0.05,
 		"rate EWMA interval k (s)": 0.1, "max sessions": 5,
@@ -287,7 +317,7 @@ func TestTable4MatchesAppendix(t *testing.T) {
 }
 
 func TestAdversarialShapes(t *testing.T) {
-	r := Adversarial(quick)
+	r := quick(t, "adversarial")
 	ev := findSeries(t, r, "Evasion/benign drops")
 	// Degradation is monotone-ish: full randomization must be much
 	// worse for benign traffic than the plain flood.
@@ -311,7 +341,7 @@ func TestAdversarialShapes(t *testing.T) {
 }
 
 func TestAblationShapes(t *testing.T) {
-	r := Ablations(quick)
+	r := quick(t, "ablations")
 	poll := findSeries(t, r, "Poll period (s) vs benign drops")
 	// A 2 s control loop must hurt vs a 50 ms one.
 	if poll.Y[len(poll.Y)-1] < 2*poll.Y[0] {
@@ -334,7 +364,7 @@ func TestAblationShapes(t *testing.T) {
 }
 
 func TestPushbackShapes(t *testing.T) {
-	r := PushbackExperiment(quick)
+	r := quick(t, "pushback")
 	local := findSeries(t, r, "Local ACC/benign drops").Y[0]
 	pushed := findSeries(t, r, "Pushback ACC/benign drops").Y[0]
 	if pushed >= local {
@@ -350,7 +380,7 @@ func TestPushbackShapes(t *testing.T) {
 }
 
 func TestSchedulersShapes(t *testing.T) {
-	r := Schedulers(quick)
+	r := quick(t, "schedulers")
 	fifo := findSeries(t, r, "FIFO/benign drops").Y[0]
 	pifo := findSeries(t, r, "PIFO (ideal)/benign drops").Y[0]
 	sp := findSeries(t, r, "SP-PIFO (8 queues)/benign drops").Y[0]
@@ -367,7 +397,7 @@ func TestSchedulersShapes(t *testing.T) {
 }
 
 func TestTCPShapes(t *testing.T) {
-	r := TCPExperiment(quick)
+	r := quick(t, "tcp")
 	fifo := findSeries(t, r, "FIFO/total goodput (Mbps)").Y[0]
 	turbo := findSeries(t, r, "ACC-Turbo/total goodput (Mbps)").Y[0]
 	if turbo < 1.3*fifo {

@@ -117,7 +117,7 @@ type fleetRun struct {
 // deliveries — interleaves on the one engine, so runs are deterministic
 // down to the byte.
 func fleetLeg(seed int64, end eventsim.Time, mode int, run *fleetRun) leg {
-	return leg{end, func(t *topo) {
+	return leg{end: end, build: func(t *topo) {
 		coordShape, nodeShape := fleet.Shape(fleetTurboConfig())
 		if mode >= fleetRanked {
 			run.tr = fleet.NewSimTransport(t.eng, eventsim.Millisecond)
@@ -153,7 +153,7 @@ func fleetLeg(seed int64, end eventsim.Time, mode int, run *fleetRun) leg {
 				run.sources[at] = s
 			})
 		}
-	}, nil}
+	}}
 }
 
 // aggregateBenign sums delivered benign bits per second across nodes.

@@ -12,7 +12,7 @@ import (
 // (never to undefended FIFO), and the fleet fully recovers after the
 // heal.
 func TestFleetShapes(t *testing.T) {
-	r := Fleet(quick)
+	r := quick(t, "fleet")
 
 	fifo := findSeries(t, r, "FIFO/Output Benign")
 	local := findSeries(t, r, "single-node/Output Benign")
@@ -71,20 +71,6 @@ func TestFleetShapes(t *testing.T) {
 	eng := noteWith(t, r, "fallback engagements")
 	if strings.HasPrefix(eng, "partition leg: 0 fallback") {
 		t.Fatalf("partition never engaged the fallback: %q", eng)
-	}
-}
-
-// TestFleetDeterministic pins the CI gate's premise: two runs with the
-// same options render byte-identically — ports, control loops, and
-// transport deliveries all interleave on one seeded engine.
-func TestFleetDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full quick runs")
-	}
-	a := Fleet(quick).Render()
-	b := Fleet(quick).Render()
-	if a != b {
-		t.Fatal("fleet experiment is not deterministic across runs")
 	}
 }
 

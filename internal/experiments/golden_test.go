@@ -13,16 +13,19 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from this run's outputs")
 
-// goldenSeeds are the two seeds every PR compares: 1 is the CLI's default,
-// 7 the one CI's determinism gates ran.
+// goldenSeeds are the two seeds every change is held to: 1 is the CLI's
+// default, 7 the seed of the captures internal/manifest pins.
 var goldenSeeds = []int64{1, 7}
+
+const goldenPath = "testdata/golden.sha256"
 
 // TestGoldenManifest pins the exact bytes of every experiment's quick-mode
 // output, rendered and CSV, at both seeds: a seed fixes every byte, so a
 // change anywhere in the stack that perturbs a reproduced number — however
 // plausible-looking — fails here, by name, instead of silently shifting
-// it. The manifest is in sha256sum's format. Regenerate it only for an
-// intended behavioural change, with
+// it. It reads the runs the shape tests read (quickRun). The manifest is
+// in sha256sum's format. Regenerate it only for an intended behavioural
+// change, with
 //
 //	go test ./internal/experiments/ -run TestGoldenManifest -update
 //
@@ -32,35 +35,46 @@ func TestGoldenManifest(t *testing.T) {
 	if testing.Short() || raceDetector() {
 		t.Skip("the two-seed quick suite is skipped under -short and -race")
 	}
-	const path = "testdata/golden.sha256"
 	var got []string
 	for _, seed := range goldenSeeds {
 		for _, e := range All() {
-			r := e.Run(Options{Quick: true, Seed: seed})
+			r := quickRun(t, e.ID, seed)
 			got = append(got,
 				fmt.Sprintf("%s  seed%d/%s.txt", hashOf(r.Render()), seed, e.ID),
 				fmt.Sprintf("%s  seed%d/%s.csv", hashOf(r.CSV()), seed, e.ID))
 		}
 	}
 	if *update {
-		if err := os.WriteFile(path, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	want := goldenLines(t)
 	if len(want) != len(got) {
-		t.Fatalf("%s has %d lines, this run produced %d", path, len(want), len(got))
+		t.Fatalf("%s has %d lines, this run produced %d", goldenPath, len(want), len(got))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Errorf("drifted from %s:\n got %s\nwant %s", path, got[i], want[i])
+			t.Errorf("drifted from %s:\n got %s\nwant %s", goldenPath, got[i], want[i])
 		}
 	}
+	// The chaos experiment's faults follow its seed. An -update would
+	// accept a Chaos that ignored it, so the two seeds' renders must
+	// differ.
+	if quickRun(t, "chaos", 1).Render() == quickRun(t, "chaos", 7).Render() {
+		t.Error("chaos renders the same at seeds 1 and 7: its faults ignore the seed")
+	}
+}
+
+// goldenLines is the manifest, one "sha256  seedN/id.ext" line each.
+func goldenLines(t *testing.T) []string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
 }
 
 // raceDetector reports whether this test binary was built with -race.

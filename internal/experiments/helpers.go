@@ -128,17 +128,23 @@ type defense func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *l
 // leg is one row of a figure: the topology build declares, run until
 // end, and the readout that turns the run into series and notes (nil
 // when the figure reads the runs itself). The readout sees the first
-// port built; a build that needs the others keeps them.
+// port built; a build that needs the others keeps them. A leg without a
+// build (again) reads the run of the earlier row same.
 type leg struct {
 	end   eventsim.Time
 	build func(t *topo)
 	read  func(r *Result, o *legOut)
+	same  int
 }
 
 // through is the single-bottleneck leg: sc's source replayed through def.
 func (sc scenario) through(def defense, read func(*Result, *legOut)) leg {
-	return leg{sc.end, func(t *topo) { t.replay(sc.src(), t.port(def, sc.link)) }, read}
+	return leg{end: sc.end, build: func(t *topo) { t.replay(sc.src(), t.port(def, sc.link)) }, read: read}
 }
+
+// again is a row that reads earlier row i's run instead of repeating an
+// identical one.
+func again(i int, read func(*Result, *legOut)) leg { return leg{read: read, same: i} }
 
 // legOut is what one port's build leaves for the readout: its recorder,
 // the port, and whatever its defense attached.
@@ -160,9 +166,14 @@ type legOut struct {
 func runLegs(opt Options, r *Result, legs []leg) []*legOut {
 	outs := make([]*legOut, len(legs))
 	RunParallel(opt, len(legs), func(i int) {
-		outs[i] = replay(legs[i].end, legs[i].build)
+		if legs[i].build != nil {
+			outs[i] = replay(legs[i].end, legs[i].build)
+		}
 	})
 	for i, l := range legs {
+		if l.build == nil {
+			outs[i] = outs[l.same]
+		}
 		if l.read != nil {
 			l.read(r, outs[i])
 		}

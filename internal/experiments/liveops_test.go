@@ -13,7 +13,7 @@ import (
 // and its first recomputed deployment keeps the attack demoted (no
 // re-convergence window).
 func TestLiveOpsShapes(t *testing.T) {
-	r := LiveOps(quick)
+	r := quick(t, "liveops")
 
 	for _, n := range r.Notes {
 		if strings.HasPrefix(n, "ERROR:") {
@@ -80,18 +80,5 @@ func TestLiveOpsShapes(t *testing.T) {
 		if i < len(stitched.Y) && clean.Y[i] != stitched.Y[i] {
 			t.Fatalf("kill/restore run diverges at t=%ds, before the kill", i)
 		}
-	}
-}
-
-// TestLiveOpsDeterministic pins the CI gate's premise: two runs with
-// the same options render byte-identically.
-func TestLiveOpsDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two full quick runs")
-	}
-	a := LiveOps(quick).Render()
-	b := LiveOps(quick).Render()
-	if a != b {
-		t.Fatal("liveops is not deterministic across runs")
 	}
 }

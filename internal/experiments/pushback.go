@@ -48,7 +48,7 @@ func PushbackExperiment(opt Options) *Result {
 	legs := make([]leg, 2)
 	for i := range legs {
 		var u1, u2 *legOut
-		legs[i] = leg{end, func(t *topo) {
+		legs[i] = leg{end: end, build: func(t *topo) {
 			core := t.port(withACC(acc.DefaultConfig()), coreRate)
 			u1, u2 = t.port(fifo, upRate), t.port(fifo, upRate)
 			t.chain(u1, core, eventsim.Millisecond)
@@ -59,7 +59,7 @@ func PushbackExperiment(opt Options) *Result {
 			attack := traffic.NewCBR(end/8, end, 60e6, attackSpec.Factory(opt.Seed+77))
 			t.replay(traffic.Merge(mkBenign(1), attack), u1)
 			t.replay(mkBenign(2), u2)
-		}, func(_ *Result, core *legOut) {
+		}, read: func(_ *Result, core *legOut) {
 			offered, offeredM := u1.rec.ArrivedBenign()+u2.rec.ArrivedBenign(), u1.rec.ArrivedMalicious()+u2.rec.ArrivedMalicious()
 			benignLoss = append(benignLoss, 100*(1-float64(core.rec.DeliveredBenignPkts())/float64(offered)))
 			attackLoss = append(attackLoss, 100*(1-float64(core.rec.DeliveredMaliciousPkts())/float64(offeredM)))

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSketchAccShape(t *testing.T) {
-	r := SketchAcc(quick)
+	r := quick(t, "sketchacc")
 	compat := findSeries(t, r, "compatible (FNV)")
 	turbo := findSeries(t, r, "turbo")
 	cu := findSeries(t, r, "turbo+CU")
@@ -37,14 +37,8 @@ func TestSketchAccShape(t *testing.T) {
 	noteWith(t, r, "false heavies at threshold")
 }
 
-func TestSketchAccDeterminism(t *testing.T) {
-	if a, b := SketchAcc(quick).Render(), SketchAcc(quick).Render(); a != b {
-		t.Fatal("sketchacc experiment is not deterministic across runs")
-	}
-}
-
 func TestVictimsShape(t *testing.T) {
-	r := Victims(quick)
+	r := quick(t, "victims")
 	listed := findSeries(t, r, "victims listed")
 
 	// Pre-attack baseline windows list nobody; every attack window
@@ -79,11 +73,5 @@ func TestVictimsShape(t *testing.T) {
 	}
 	if n := noteWith(t, r, "benign destinations ever listed"); !strings.HasSuffix(n, ": 0") {
 		t.Fatalf("benign false positives: %q", n)
-	}
-}
-
-func TestVictimsDeterminism(t *testing.T) {
-	if a, b := Victims(quick).Render(), Victims(quick).Render(); a != b {
-		t.Fatal("victims experiment is not deterministic across runs")
 	}
 }

@@ -31,7 +31,7 @@ func TCPExperiment(opt Options) *Result {
 	legs := make([]leg, len(schemes))
 	for k, s := range schemes {
 		var flows [nFlows]*netsim.AIMD
-		legs[k] = leg{end + eventsim.Second, func(t *topo) {
+		legs[k] = leg{end: end + eventsim.Second, build: func(t *topo) {
 			port := t.port(s.def, link)
 			for i := range flows {
 				flows[i] = t.aimd(netsim.AIMDConfig{
@@ -52,7 +52,7 @@ func TCPExperiment(opt Options) *Result {
 				srcs = append(srcs, traffic.NewCBR(at, at+5*eventsim.Second, 4*link, pulse.Factory(opt.Seed+int64(at))))
 			}
 			t.replay(traffic.Merge(srcs...), port)
-		}, func(r *Result, o *legOut) {
+		}, read: func(r *Result, o *legOut) {
 			r.Add(throughputSeries(o.rec, packet.Benign, s.name+"/Benign delivered"))
 			var sum float64
 			for _, f := range flows {

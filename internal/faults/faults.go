@@ -8,8 +8,7 @@
 // Everything is driven from one seed through a splitmix64 stream and
 // scheduled on the existing eventsim clock. A chaos run with the same
 // seed and spec is therefore byte-identical across executions, which is
-// what lets CI diff two runs as a determinism gate, exactly like the
-// golden-hash experiment tests.
+// what lets the golden manifest pin the chaos experiment's bytes.
 //
 // The injector is strictly additive: no fault hook is installed unless
 // the spec asks for it, so a zero Spec leaves every code path — and

@@ -5,7 +5,7 @@ package faults
 // jitter) draw from the same deterministic generator family. Like the
 // injector's packet-fault stream, a Rand is fully determined by its seed:
 // two Rands built with the same seed produce identical sequences, which
-// is what lets CI diff two chaos runs as a determinism gate.
+// is what lets the golden manifests pin chaos runs to their bytes.
 //
 // Not goroutine-safe; give each concurrent consumer its own stream
 // (derive per-consumer seeds with DeriveSeed so enabling one consumer

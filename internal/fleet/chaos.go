@@ -22,7 +22,7 @@ import (
 // boundaries, so the schedule of faults is a pure function of
 // (seed, connection index, direction) even though TCP segmentation is
 // not reproducible. ChaosSpec.Plan renders that schedule without
-// opening a socket, which is what the CI determinism gate diffs.
+// opening a socket, and internal/manifest pins a render's bytes.
 //
 // Note the one nondeterminism that remains: connection indices are
 // assigned in accept order, so when several nodes race to connect, the
@@ -335,8 +335,8 @@ const planHorizon = 1 << 16
 // Plan renders the fault schedule the spec would apply to the first
 // `conns` connections over the first planHorizon bytes of each
 // direction, without opening a socket. The output is a pure function of
-// the spec, so running it twice and diffing is a determinism gate for
-// the whole seeded-chaos machinery (CI does exactly that).
+// the spec, so internal/manifest's pin of one render (and of another
+// seed rendering differently) gates the whole seeded-chaos machinery.
 func (spec ChaosSpec) Plan(conns int) string {
 	const horizon = planHorizon
 	var b strings.Builder

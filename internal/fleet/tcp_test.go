@@ -1141,7 +1141,7 @@ func TestFleetCodecAllocs(t *testing.T) {
 }
 
 // TestChaosPlanDeterministic: the schedule render is a pure function of
-// the spec — CI's determinism gate in miniature.
+// the spec; internal/manifest pins one render's bytes.
 func TestChaosPlanDeterministic(t *testing.T) {
 	spec := ChaosSpec{Seed: 11, CorruptEvery: 4096, ResetEvery: 16384, DelayEvery: 8192, DelayFor: 5 * time.Millisecond}
 	a, b := spec.Plan(3), spec.Plan(3)

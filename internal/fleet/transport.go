@@ -46,8 +46,8 @@ var ErrClosed = errors.New("fleet: transport closed")
 
 // SimTransport delivers frames as scheduled events on a shared
 // discrete-event engine: every send arrives exactly Latency later, in
-// deterministic engine order — the backend the fleet experiment and the
-// determinism gates run on. SetUp(false) partitions the fleet (frames
+// deterministic engine order — the backend the fleet experiment, and so
+// its golden-manifest lines, run on. SetUp(false) partitions the fleet (frames
 // in either direction are counted and dropped, exactly what a node
 // behind a network partition observes); SetUp(true) heals it. Not
 // goroutine-safe: everything happens on the engine's thread, like the

@@ -12,8 +12,8 @@ import "math"
 // Determinism: eviction decay is probabilistic in the heavy-keeper
 // paper; here the coin flips come from an internal splitmix64 stream
 // seeded at construction, so the same offer sequence always yields the
-// same ranking — which is what lets the victim experiment run under
-// the CI determinism gate.
+// same ranking — which is what lets the golden manifest pin the victim
+// experiment's bytes.
 type TopK struct {
 	k       int
 	cm      *TurboCountMin

@@ -51,7 +51,7 @@ func TestTopKFindsHeavyKeys(t *testing.T) {
 
 // TestTopKDeterminism: identical offer sequences into identically
 // seeded trackers must produce identical rankings — the property the
-// victim detector's CI determinism gate rests on.
+// victim detector's golden-manifest lines rest on.
 func TestTopKDeterminism(t *testing.T) {
 	run := func() []Element {
 		tk := NewTopK(16, 1024, 42)

@@ -17,7 +17,7 @@
 //
 // Determinism: given the same Observe/Advance sequence, two detectors
 // produce byte-identical victim lists (the heavy-keeper's decay coin
-// flips are seeded) — the property the CI determinism gate checks.
+// flips are seeded) — what lets the golden manifests pin its bytes.
 //
 // Ownership: like cluster.Online a Detector has one owner, the link's
 // capture tap — Ding et al.'s per-switch sketch with no shared state.

@@ -6,7 +6,7 @@
 # in a diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-ceiling=19566
+ceiling=19564
 count() { find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l; }
 total=$(count .)
 echo "non-test Go outside benchmark/: $total"
