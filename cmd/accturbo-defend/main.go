@@ -383,7 +383,9 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 		fmt.Printf("state snapshot written to %s\n", *snapshotOut)
 	}
 
-	fmt.Printf("processed %d packets from %s\n", n, *in)
+	if *in != "" {
+		fmt.Printf("processed %d packets from %s\n", n, *in)
+	}
 	rate := float64(n) / elapsed.Seconds()
 	if *replay {
 		fmt.Printf("replay mode: %d frames over %d pass(es) in %.2fs — %.2f Mpps (%d malformed rejected, %d backpressure retries)\n",

@@ -61,6 +61,27 @@ func TestFlagEdges(t *testing.T) {
 	}
 }
 
+// TestRestoreWithoutCapture: a run that only restores and re-saves a
+// snapshot reads no capture, so its report names none.
+func TestRestoreWithoutCapture(t *testing.T) {
+	dir := t.TempDir()
+	a, b := filepath.Join(dir, "a.snap"), filepath.Join(dir, "b.snap")
+	for _, args := range [][]string{
+		{"-in", udpCapture(t, "save.pcap", 0), "-snapshot-out", a},
+		{"-restore", a, "-snapshot-out", b},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		if named := strings.Contains(string(out), "packets from"); named != (args[0] == "-in") {
+			t.Errorf("%v: a line naming the capture is printed: %v, want %v, in:\n%s", args, named, args[0] == "-in", out)
+		}
+	}
+}
+
 // TestPipelineSurfaceLiveOnlyRealTime: a deterministic pipeline's admin
 // surface serves /health and /metrics but neither /config nor /snapshot,
 // whose handlers would race its single feeder (SaveState reading the

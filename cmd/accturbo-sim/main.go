@@ -115,9 +115,8 @@ func buildDefense(eng *eventsim.Engine, name string, link float64, rec *netsim.R
 	case "red":
 		port = netsim.NewPort(eng, queue.NewRED(buffer, link/8), link, rec)
 	case "acc":
-		red := queue.NewRED(buffer, link/8)
-		port = netsim.NewPort(eng, red, link, rec)
-		if _, err := acc.Attach(eng, port, red, acc.DefaultConfig()); err != nil {
+		port = netsim.NewPort(eng, queue.NewRED(buffer, link/8), link, rec)
+		if _, err := acc.Attach(eng, port, acc.DefaultConfig()); err != nil {
 			return err
 		}
 	case "jaqen":

@@ -142,21 +142,31 @@ type ACC struct {
 }
 
 // Attach wires an ACC agent onto a port whose qdisc must be a RED
-// queue: it registers the drop-history hook, inserts the rate-limiter
-// ingress stage, and schedules the monitoring loop. Nothing is wired to
-// the port or engine when it errors.
-func Attach(eng *eventsim.Engine, port *netsim.Port, red *queue.RED, cfg Config) (*ACC, error) {
+// queue: it chains its drop history onto the port's Dropped hook (RED's
+// early and tail drops only, not its own policer's or a failed link's),
+// inserts the rate-limiter ingress stage, and schedules the monitoring
+// loop. Nothing is wired to the port or engine when it errors.
+func Attach(eng *eventsim.Engine, port *netsim.Port, cfg Config) (*ACC, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if _, ok := port.Qdisc().(*queue.RED); !ok {
+		return nil, fmt.Errorf("acc: port qdisc is %T, want *queue.RED", port.Qdisc())
+	}
 	a := &ACC{cfg: cfg, eng: eng, FirstActivation: -1}
 
-	red.OnDrop(func(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
-		a.winDrops++
-		if len(a.history) < HistoryLimit {
-			a.history = append(a.history, dropRecord{dst: p.DstIP.Uint32(), size: p.Size()})
+	prevDropped := port.Dropped
+	port.Dropped = func(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
+		if prevDropped != nil {
+			prevDropped(now, p, reason)
 		}
-	})
+		if reason == queue.DropEarly || reason == queue.DropTail {
+			a.winDrops++
+			if len(a.history) < HistoryLimit {
+				a.history = append(a.history, dropRecord{dst: p.DstIP.Uint32(), size: p.Size()})
+			}
+		}
+	}
 
 	port.AddIngress(func(now eventsim.Time, p *packet.Packet) bool {
 		return a.admit(now, p)

@@ -2,6 +2,7 @@ package acc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -51,24 +52,23 @@ func TestConfigValidation(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("K %v should invalidate config", k)
 		}
-		// Attach must refuse before it wires anything: it installs the
-		// RED hook and the ingress stage before it schedules its timers.
+		// Attach must refuse before it wires anything: it chains the
+		// drop hook and the ingress stage before it schedules its timers.
 		eng := eventsim.New()
-		red := queue.NewRED(10_000, 1e6)
-		port := netsim.NewPort(eng, red, 8e6, nil)
-		if a, err := Attach(eng, port, red, cfg); err == nil || a != nil {
+		port := netsim.NewPort(eng, queue.NewRED(10_000, 1e6), 8e6, nil)
+		if a, err := Attach(eng, port, cfg); err == nil || a != nil {
 			t.Errorf("K %v: Attach = (%v, %v), want only an error", k, a, err)
 		}
-		if eng.Pending() != 0 {
-			t.Errorf("K %v: Attach scheduled %d events before refusing", k, eng.Pending())
+		if eng.Pending() != 0 || port.Dropped != nil {
+			t.Errorf("K %v: Attach scheduled %d events or chained a drop hook before refusing", k, eng.Pending())
 		}
 	}
 }
 
 // attach is Attach for a configuration the test expects to be valid.
-func attach(tb testing.TB, eng *eventsim.Engine, port *netsim.Port, red *queue.RED, cfg Config) *ACC {
+func attach(tb testing.TB, eng *eventsim.Engine, port *netsim.Port, cfg Config) *ACC {
 	tb.Helper()
-	a, err := Attach(eng, port, red, cfg)
+	a, err := Attach(eng, port, cfg)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -215,9 +215,8 @@ func runACCOriginal(t *testing.T, cfg Config, linkRate float64) (*netsim.Recorde
 	t.Helper()
 	eng := eventsim.New()
 	rec := netsim.NewRecorder(eventsim.Second)
-	red := queue.NewRED(int(linkRate/8/10), linkRate/8)
-	port := netsim.NewPort(eng, red, linkRate, rec)
-	agent := attach(t, eng, port, red, cfg)
+	port := netsim.NewPort(eng, queue.NewRED(int(linkRate/8/10), linkRate/8), linkRate, rec)
+	agent := attach(t, eng, port, cfg)
 	netsim.Replay(eng, traffic.ACCOriginal(linkRate), port)
 	eng.RunUntil(50 * eventsim.Second)
 	return rec, agent
@@ -284,9 +283,8 @@ func TestFIFOBaselineFailsWhereACCSucceeds(t *testing.T) {
 func TestSessionsInstallAndRelease(t *testing.T) {
 	const link = 10e6
 	eng := eventsim.New()
-	red := queue.NewRED(int(link/8/10), link/8)
-	port := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
-	agent := attach(t, eng, port, red, DefaultConfig())
+	port := netsim.NewPort(eng, queue.NewRED(int(link/8/10), link/8), link, netsim.NewRecorder(eventsim.Second))
+	agent := attach(t, eng, port, DefaultConfig())
 
 	// Attack for 10 s, then silence.
 	const attackEnd = 10 * eventsim.Second
@@ -315,8 +313,7 @@ func TestSessionsInstallAndRelease(t *testing.T) {
 // and re-installing a held prefix updates its session in place.
 func TestSessionLimitRespected(t *testing.T) {
 	eng := eventsim.New()
-	red := queue.NewRED(10_000, 1e6)
-	agent := attach(t, eng, netsim.NewPort(eng, red, 8e6, nil), red, DefaultConfig())
+	agent := attach(t, eng, netsim.NewPort(eng, queue.NewRED(10_000, 1e6), 8e6, nil), DefaultConfig())
 	for i := 0; i < MaxSessions+3; i++ {
 		agent.install(0, Prefix{Addr: 0x0a000000 | uint32(i)<<8, Bits: 24}, 1e6, 2e6)
 	}
@@ -332,9 +329,8 @@ func TestSessionLimitRespected(t *testing.T) {
 func TestNoActivationWithoutCongestion(t *testing.T) {
 	const link = 10e6
 	eng := eventsim.New()
-	red := queue.NewRED(int(link/8/10), link/8)
-	port := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
-	agent := attach(t, eng, port, red, DefaultConfig())
+	port := netsim.NewPort(eng, queue.NewRED(int(link/8/10), link/8), link, netsim.NewRecorder(eventsim.Second))
+	agent := attach(t, eng, port, DefaultConfig())
 	spec := traffic.FlowSpec{
 		SrcIP: packet.V4Addr{1, 1, 1, 1}, DstIP: packet.V4Addr{10, 0, 1, 1},
 		Protocol: packet.ProtoUDP, SrcPort: 1, DstPort: 2, TTL: 64, Size: 500,
@@ -349,11 +345,66 @@ func TestNoActivationWithoutCongestion(t *testing.T) {
 	}
 }
 
+// TestHistoryHoldsREDDropsOnly: the window's drop count and the drop
+// history are RED's early and tail drops, in the order the port reported
+// them. The drops of an
+// installed session's policer and of a failed link on the same port stay
+// out, and a Dropped hook set before Attach still sees every drop.
+func TestHistoryHoldsREDDropsOnly(t *testing.T) {
+	eng := eventsim.New()
+	rec := netsim.NewRecorder(eventsim.Second)
+	port := netsim.NewPort(eng, queue.NewRED(10_000, 1e6), 8e6, rec)
+	pool := packet.NewPool()
+	port.SetPool(pool)
+	var before [queue.DropLinkDown + 1]uint64
+	var want []dropRecord
+	port.Dropped = func(_ eventsim.Time, p *packet.Packet, reason queue.DropReason) {
+		before[reason]++
+		if reason == queue.DropEarly || reason == queue.DropTail {
+			want = append(want, dropRecord{dst: p.DstIP.Uint32(), size: p.Size()})
+		}
+	}
+	cfg := DefaultConfig()
+	agent := attach(t, eng, port, cfg)
+	policed := Prefix{Addr: packet.V4(10, 0, 9, 0).Uint32(), Bits: 24}
+	agent.install(0, policed, 1000, 1e6)
+
+	// A flood at 2.5x the link fills the FIFO before RED's average
+	// rises (tail drops), then holds the average in the early-drop
+	// region; the policed flow and a 100 ms link failure add the other
+	// two reasons.
+	flow := func(dst packet.V4Addr, rate float64, id uint32) traffic.Source {
+		spec := traffic.FlowSpec{
+			SrcIP: packet.V4(9, 9, 9, 9), DstIP: dst, Protocol: packet.ProtoUDP,
+			SrcPort: 1, DstPort: 2, TTL: 64, Size: 500, Label: packet.Malicious, FlowID: id,
+		}
+		return traffic.NewCBR(0, cfg.K, rate, spec.Factory(int64(id)))
+	}
+	src := traffic.Merge(flow(packet.V4(10, 0, 5, 1), 20e6, 1), flow(packet.V4(10, 0, 9, 1), 1e6, 2))
+	traffic.AttachPool(src, pool)
+	netsim.Replay(eng, src, port)
+	eng.At(cfg.K/2, func(now eventsim.Time) { port.SetLinkState(now, false) })
+	eng.At(cfg.K/2+100*eventsim.Millisecond, func(now eventsim.Time) { port.SetLinkState(now, true) })
+	eng.RunUntil(cfg.K - 1) // the first monitor resets the window at K
+
+	early, tail := rec.DroppedFor(queue.DropEarly), rec.DroppedFor(queue.DropTail)
+	for r := queue.DropTail; r <= queue.DropLinkDown; r++ {
+		if r != queue.DropPushOut && (rec.DroppedFor(r) == 0 || before[r] != rec.DroppedFor(r)) {
+			t.Errorf("%v: %d drops recorded, %d seen by the earlier hook; want equal and nonzero", r, rec.DroppedFor(r), before[r])
+		}
+	}
+	if agent.winDrops != early+tail {
+		t.Errorf("window counts %d drops, RED dropped %d early + %d tail", agent.winDrops, early, tail)
+	}
+	if !slices.Equal(agent.history, want) {
+		t.Errorf("history holds %d drops, want RED's %d in port order", len(agent.history), len(want))
+	}
+}
+
 func BenchmarkAdmitWithSessions(b *testing.B) {
 	eng := eventsim.New()
-	red := queue.NewRED(100_000, 1e9)
-	port := netsim.NewPort(eng, red, 10e6, nil)
-	agent := attach(b, eng, port, red, DefaultConfig())
+	port := netsim.NewPort(eng, queue.NewRED(100_000, 1e9), 10e6, nil)
+	agent := attach(b, eng, port, DefaultConfig())
 	for i := 0; i < 5; i++ {
 		agent.install(0, Prefix{Addr: uint32(i) << 8, Bits: 24}, 1e6, 2e6)
 	}

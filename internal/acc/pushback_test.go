@@ -26,9 +26,8 @@ func pushbackTopology(t *testing.T, withPushback bool) float64 {
 	rec1 := netsim.NewRecorder(eventsim.Second)
 	rec2 := netsim.NewRecorder(eventsim.Second)
 
-	red := queue.NewRED(int(coreRate/8/10), coreRate/8)
-	core := netsim.NewPort(eng, red, coreRate, rec)
-	agent := attach(t, eng, core, red, DefaultConfig())
+	core := netsim.NewPort(eng, queue.NewRED(int(coreRate/8/10), coreRate/8), coreRate, rec)
+	agent := attach(t, eng, core, DefaultConfig())
 
 	u1 := netsim.NewPort(eng, queue.NewFIFO(int(upRate/8/10)), upRate, rec1)
 	u2 := netsim.NewPort(eng, queue.NewFIFO(int(upRate/8/10)), upRate, rec2)
@@ -133,9 +132,8 @@ func TestUpstreamLimiterMechanics(t *testing.T) {
 func TestPushbackReleasesWithDownstream(t *testing.T) {
 	eng := eventsim.New()
 	const link = 10e6
-	red := queue.NewRED(int(link/8/10), link/8)
-	core := netsim.NewPort(eng, red, link, netsim.NewRecorder(eventsim.Second))
-	agent := attach(t, eng, core, red, DefaultConfig())
+	core := netsim.NewPort(eng, queue.NewRED(int(link/8/10), link/8), link, netsim.NewRecorder(eventsim.Second))
+	agent := attach(t, eng, core, DefaultConfig())
 
 	up := netsim.NewPort(eng, queue.NewFIFO(100_000), 20e6, nil)
 	netsim.Chain(eng, up, core, eventsim.Millisecond)

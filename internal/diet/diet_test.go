@@ -10,6 +10,10 @@
 //     internal/ package or the root package that no non-test code sets to
 //     a value other than the one its own Default…/withDefaults function
 //     gives it;
+//   - (c) an exported field of an internal/ struct that non-test code only
+//     increments (++, +=) or zeroes, and that no code reads (a selector
+//     with the field's name in a test file counts as a read, so a test
+//     oracle stays);
 //   - the structural rules: one codec (internal/frame), the four …E
 //     forwarders benchmark/ calls and no others, the simulator and its
 //     baselines off the defense and its telemetry, and examples/ on the
@@ -59,6 +63,7 @@ var allowlist = []allowed{
 func TestDiet(t *testing.T) {
 	prog := load(t, "../..")
 	findings := append(prog.unreferenced(), prog.unsetFields()...)
+	findings = append(findings, prog.unreadCounters()...)
 	findings = append(findings, prog.structural()...)
 	matched := make([]bool, len(allowlist))
 	var bad []string
@@ -87,13 +92,13 @@ func TestDiet(t *testing.T) {
 	}
 }
 
-// TestDietFixture runs rules (a) and (b) over testdata/fixture, a module
-// that plants each shape a name-only scan gets wrong, and wants exactly
-// the planted violations.
+// TestDietFixture runs rules (a), (b) and (c) over testdata/fixture, a
+// module that plants each shape a name-only scan gets wrong, and wants
+// exactly the planted violations.
 func TestDietFixture(t *testing.T) {
 	prog := load(t, "testdata/fixture")
 	var got []string
-	for _, f := range append(prog.unreferenced(), prog.unsetFields()...) {
+	for _, f := range append(append(prog.unreferenced(), prog.unsetFields()...), prog.unreadCounters()...) {
 		got = append(got, f.String())
 	}
 	want := []string{
@@ -102,6 +107,7 @@ func TestDietFixture(t *testing.T) {
 		"internal/queue/red.go:9 field queue.REDConfig.MinThreshold",
 		"internal/queue/red.go:11 field queue.REDConfig.MeanPacketSize",
 		"internal/queue/red.go:13 field queue.REDConfig.Weight",
+		"internal/queue/queue.go:18 counter queue.FIFO.Enqueued",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("fixture findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -620,6 +626,93 @@ func (prog *program) unsetFields() []finding {
 	for _, f := range order {
 		if fi := fields[f]; !fi.set {
 			out = append(out, prog.at(f.Pos(), "field", fi.owner.Pkg().Name()+"."+fi.owner.Name()+"."+f.Name()))
+		}
+	}
+	sortFindings(out)
+	return out
+}
+
+// unreadCounters is rule (c). A use of a field counts as a counter write
+// when it is the target of ++, of += or of an assignment of the constant
+// zero; any other use in non-test code, a composite literal key
+// included, reads it.
+func (prog *program) unreadCounters() []finding {
+	inTests := map[string]bool{}
+	for _, p := range prog.pkgs {
+		for _, f := range append(append([]*ast.File{}, p.tests...), p.other...) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					inTests[sel.Sel.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	counted, read := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, p := range prog.pkgs {
+		if p.info == nil {
+			continue
+		}
+		writes := map[*ast.Ident]bool{}
+		mark := func(e ast.Expr, count bool) {
+			sel, ok := unparen(e).(*ast.SelectorExpr)
+			if !ok {
+				return
+			}
+			if s := p.info.Selections[sel]; s != nil && s.Kind() == types.FieldVal {
+				writes[sel.Sel] = true
+				if count {
+					counted[origin(s.Obj()).(*types.Var)] = true
+				}
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.IncDecStmt:
+					if n.Tok == token.INC {
+						mark(n.X, true)
+					}
+				case *ast.AssignStmt:
+					for i, lhs := range n.Lhs {
+						if n.Tok == token.ADD_ASSIGN {
+							mark(lhs, true)
+						} else if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+							if v := p.info.Types[n.Rhs[i]].Value; v != nil && isNumeric(v) && constant.Sign(v) == 0 {
+								mark(lhs, false)
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range p.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() && !writes[id] {
+				read[origin(v).(*types.Var)] = true
+			}
+		}
+	}
+	var out []finding
+	for _, p := range prog.pkgs {
+		if !p.internal() {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && counted[f] && !read[f] && !inTests[f.Name()] {
+					out = append(out, prog.at(f.Pos(), "counter", p.Name+"."+name+"."+f.Name()))
+				}
+			}
 		}
 	}
 	sortFindings(out)

@@ -231,9 +231,8 @@ var pifoIdeal = bare(func(buffer int) queue.Qdisc { return queue.NewPIFO(buffer,
 // withACC is RED plus the classic ACC agent.
 func withACC(cfg acc.Config) defense {
 	return func(eng *eventsim.Engine, rec *netsim.Recorder, link float64, o *legOut) *netsim.Port {
-		red := queue.NewRED(bufferFor(link), link/8)
-		port := netsim.NewPort(eng, red, link, rec)
-		o.acc = must(acc.Attach(eng, port, red, cfg))
+		port := netsim.NewPort(eng, queue.NewRED(bufferFor(link), link/8), link, rec)
+		o.acc = must(acc.Attach(eng, port, cfg))
 		return port
 	}
 }

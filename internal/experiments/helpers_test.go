@@ -104,9 +104,9 @@ func TestMinMaxOf(t *testing.T) {
 	}
 }
 
-// swallow is a FIFO that loses its second packet without reporting it
-// through the drop hook: the accounting bug the conservation check
-// exists to catch.
+// swallow is a FIFO that answers its second packet with DropNone and
+// never queues it, so the port neither accounts a drop nor delivers it:
+// the accounting bug the conservation check exists to catch.
 type swallow struct {
 	*queue.FIFO
 	seen int

@@ -6,6 +6,7 @@ import (
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/packet"
+	"accturbo/internal/queue"
 )
 
 // AIMD is a closed-loop, congestion-controlled sender — the end-host
@@ -99,9 +100,9 @@ func NewAIMD(eng *eventsim.Engine, port *Port, cfg AIMDConfig) *AIMD {
 		}
 	}
 	prevDropped := port.Dropped
-	port.Dropped = func(now eventsim.Time, p *packet.Packet) {
+	port.Dropped = func(now eventsim.Time, p *packet.Packet, reason queue.DropReason) {
 		if prevDropped != nil {
-			prevDropped(now, p)
+			prevDropped(now, p, reason)
 		}
 		if p.FlowID == cfg.FlowID && p.Protocol == packet.ProtoTCP {
 			a.onLoss(now)

@@ -12,9 +12,11 @@
 // every offered, delivered and dropped packet with the ground-truth
 // attribution (benign vs malicious) the experiment series need and the
 // drop reason. The port itself meters nothing per packet, and the
-// qdiscs count nothing for it: they report drops through their drop
-// hook and depth through Len/Bytes. Ports never branch on nil
-// accounting: a port without a recorder runs the package no-op.
+// qdiscs count nothing for it: a qdisc reports a drop as Enqueue's
+// answer (a PIFO's push-out through its one OnPushOut sink) and depth
+// through Len/Bytes, and the port accounts every drop once, whatever
+// the qdisc. Ports never branch on nil accounting: a port without a
+// recorder runs the package no-op.
 package netsim
 
 import (
@@ -61,7 +63,7 @@ var noAccounting Accounting = nopAccounting{}
 type Port struct {
 	eng     *eventsim.Engine
 	qdisc   queue.Qdisc
-	rate    float64 // bits per nanosecond... stored as bits/sec
+	rate    float64 // line rate in bits/second
 	ingress []Ingress
 	acct    Accounting // never nil; see Accounting
 	busy    bool
@@ -82,9 +84,11 @@ type Port struct {
 	// serialization (the sink side), after recording.
 	Delivered func(now eventsim.Time, p *packet.Packet)
 	// Dropped is invoked for every packet rejected anywhere in the
-	// port (policer or qdisc), after recording. Closed-loop senders
-	// (AIMD) use it as their loss signal.
-	Dropped func(now eventsim.Time, p *packet.Packet)
+	// port (link down, policer or qdisc), with the reason, after
+	// recording and before the packet is released. Observers chain onto
+	// it: closed-loop senders (AIMD) use it as their loss signal, and
+	// ACC builds its drop history from the qdisc's early and tail drops.
+	Dropped func(now eventsim.Time, p *packet.Packet, reason queue.DropReason)
 }
 
 // NewPort builds a port transmitting at rateBits over the given qdisc.
@@ -105,12 +109,12 @@ func NewPort(eng *eventsim.Engine, q queue.Qdisc, rateBits float64, rec *Recorde
 	if rec != nil {
 		p.acct = rec
 	}
-	// Report every qdisc-level drop (tail, early, push-out) to the
-	// accounting and the Dropped hook, whatever the discipline. All
-	// package disciplines implement queue.DropNotifier; a custom qdisc
-	// that does not will simply not feed drop attribution.
-	if dh, ok := q.(queue.DropNotifier); ok {
-		dh.OnDrop(p.drop)
+	// Inject accounts Enqueue's answer about the arrival; a qdisc that
+	// evicts queued packets (a PIFO, or a wrapper of one) has a sink.
+	if pq, ok := q.(interface {
+		OnPushOut(func(eventsim.Time, *packet.Packet))
+	}); ok {
+		pq.OnPushOut(p.pushOut)
 	}
 	return p
 }
@@ -120,10 +124,12 @@ func NewPort(eng *eventsim.Engine, q queue.Qdisc, rateBits float64, rec *Recorde
 func (p *Port) drop(now eventsim.Time, pkt *packet.Packet, reason queue.DropReason) {
 	p.acct.Dropped(now, pkt, reason)
 	if p.Dropped != nil {
-		p.Dropped(now, pkt)
+		p.Dropped(now, pkt, reason)
 	}
 	p.release(pkt)
 }
+
+func (p *Port) pushOut(now eventsim.Time, pkt *packet.Packet) { p.drop(now, pkt, queue.DropPushOut) }
 
 // SetPool makes the port the release point of the packet lifecycle:
 // every packet it terminates — delivered after serialization, or
@@ -185,8 +191,8 @@ func (p *Port) Inject(now eventsim.Time, pkt *packet.Packet) {
 			return
 		}
 	}
-	if p.qdisc.Enqueue(now, pkt) != queue.DropNone {
-		// Drop already recorded through the qdisc's drop hook.
+	if reason := p.qdisc.Enqueue(now, pkt); reason != queue.DropNone {
+		p.drop(now, pkt, reason)
 		return
 	}
 	p.pump(now)

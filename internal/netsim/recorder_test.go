@@ -333,8 +333,8 @@ func chainedRun(accts [3]Accounting) (events []uint64, flows []uint32) {
 	seen := map[uint32]bool{}
 	for i, p := range ports {
 		p.acct = accts[i]
-		p.Dropped = func(now eventsim.Time, pkt *packet.Packet) {
-			events = append(events, uint64(i), uint64(now), uint64(pkt.FlowID), pkt.Seq)
+		p.Dropped = func(now eventsim.Time, pkt *packet.Packet, reason queue.DropReason) {
+			events = append(events, uint64(i), uint64(now), uint64(pkt.FlowID), pkt.Seq, uint64(reason))
 		}
 	}
 	ports[0].Delivered = func(now eventsim.Time, pkt *packet.Packet) {

@@ -30,7 +30,6 @@ type AIFO struct {
 	wpos   int
 	wfull  bool
 	k      float64
-	onDrop []DropFunc
 
 	// AdmissionDrops counts packets rejected by the quantile check.
 	AdmissionDrops uint64
@@ -55,9 +54,6 @@ func NewAIFO(capacityBytes int, windowSize int, k float64, rank RankFunc) *AIFO 
 		k:      k,
 	}
 }
-
-// OnDrop registers an additional drop callback.
-func (a *AIFO) OnDrop(fn DropFunc) { a.onDrop = append(a.onDrop, fn) }
 
 // quantile returns the fraction of window entries strictly below r.
 func (a *AIFO) quantile(r int64) float64 {
@@ -94,18 +90,9 @@ func (a *AIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	headroom := float64(a.fifo.Capacity()-a.fifo.Bytes()) / float64(a.fifo.Capacity())
 	if q > headroom/(1-a.k) {
 		a.AdmissionDrops++
-		for _, fn := range a.onDrop {
-			fn(now, p, DropEarly)
-		}
 		return DropEarly
 	}
-	res := a.fifo.Enqueue(now, p)
-	if res != DropNone {
-		for _, fn := range a.onDrop {
-			fn(now, p, res)
-		}
-	}
-	return res
+	return a.fifo.Enqueue(now, p)
 }
 
 // Dequeue implements Qdisc.

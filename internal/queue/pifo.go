@@ -22,7 +22,6 @@ type PIFO struct {
 	capBytes int
 	bytes    int
 	rank     RankFunc
-	onDrop   []DropFunc
 	seq      uint64
 	h        pifoHeap
 
@@ -32,6 +31,7 @@ type PIFO struct {
 	// reuse the cache and cost O(1) instead of a leaf scan each.
 	worstIdx   int
 	worstValid bool
+	pushedOut  func(now eventsim.Time, p *packet.Packet) // see OnPushOut
 }
 
 type pifoItem struct {
@@ -76,9 +76,10 @@ func NewPIFO(capacityBytes int, rank RankFunc) *PIFO {
 	return &PIFO{capBytes: capacityBytes, rank: rank}
 }
 
-// OnDrop registers an additional callback for rejected or pushed-out
-// packets.
-func (q *PIFO) OnDrop(fn DropFunc) { q.onDrop = append(q.onDrop, fn) }
+// OnPushOut sets the one sink of push-outs: Enqueue's answer reports the
+// arrival, not the resident packet evicted to admit it. The port that
+// drives the PIFO sets it; without a sink a push-out goes unreported.
+func (q *PIFO) OnPushOut(fn func(now eventsim.Time, p *packet.Packet)) { q.pushedOut = fn }
 
 // worst returns the index of the worst-ranked resident item, cached
 // until the next heap mutation.
@@ -98,32 +99,26 @@ func (q *PIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	for q.bytes+p.Size() > q.capBytes {
 		if len(q.h) == 0 {
 			// Packet larger than the whole buffer.
-			q.notifyDrop(now, p, DropTail)
 			return DropTail
 		}
 		wi := q.worst()
 		if q.h[wi].rank <= r {
 			// Arrival does not beat the current worst: tail-drop it.
-			q.notifyDrop(now, p, DropTail)
 			return DropTail
 		}
 		victim := q.h[wi]
 		heap.Remove(&q.h, wi)
 		q.worstValid = false
 		q.bytes -= victim.p.Size()
-		q.notifyDrop(now, victim.p, DropPushOut)
+		if q.pushedOut != nil {
+			q.pushedOut(now, victim.p)
+		}
 	}
 	heap.Push(&q.h, pifoItem{p: p, rank: r, seq: q.seq})
 	q.worstValid = false
 	q.seq++
 	q.bytes += p.Size()
 	return DropNone
-}
-
-func (q *PIFO) notifyDrop(now eventsim.Time, p *packet.Packet, r DropReason) {
-	for _, fn := range q.onDrop {
-		fn(now, p, r)
-	}
 }
 
 // Dequeue implements Qdisc: the lowest-ranked packet leaves first.

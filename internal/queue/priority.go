@@ -26,7 +26,6 @@ type Classifier func(now eventsim.Time, p *packet.Packet) int
 type Priority struct {
 	queues   []*FIFO
 	classify Classifier
-	onDrop   []DropFunc
 }
 
 // NewPriority builds a strict-priority scheduler with n queues of
@@ -50,9 +49,6 @@ func NewPriority(n, perQueueBytes int, classify Classifier) *Priority {
 	return p
 }
 
-// OnDrop registers an additional callback for rejected packets.
-func (pq *Priority) OnDrop(fn DropFunc) { pq.onDrop = append(pq.onDrop, fn) }
-
 // Enqueue implements Qdisc: the classifier picks the queue, and the
 // packet tail-drops if that queue is full.
 func (pq *Priority) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
@@ -63,13 +59,7 @@ func (pq *Priority) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	if i >= len(pq.queues) {
 		i = len(pq.queues) - 1
 	}
-	res := pq.queues[i].Enqueue(now, p)
-	if res != DropNone {
-		for _, fn := range pq.onDrop {
-			fn(now, p, res)
-		}
-	}
-	return res
+	return pq.queues[i].Enqueue(now, p)
 }
 
 // Dequeue implements Qdisc: drain the highest-priority non-empty queue.

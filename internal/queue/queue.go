@@ -57,15 +57,12 @@ func (r DropReason) String() string {
 	}
 }
 
-// DropFunc observes packets rejected by a queueing discipline. ACC's
-// agent, for example, subscribes to RED drops to build its drop
-// history.
-type DropFunc func(now eventsim.Time, p *packet.Packet, reason DropReason)
-
 // Qdisc is a queueing discipline attached to an output port.
 type Qdisc interface {
 	// Enqueue offers a packet at virtual time now. It returns DropNone
-	// if the packet was accepted, or the reason it was rejected.
+	// if the packet was accepted, or the reason it was rejected: the
+	// answer is the whole drop report for the arrival, and the port
+	// accounts it.
 	Enqueue(now eventsim.Time, p *packet.Packet) DropReason
 	// Dequeue removes and returns the next packet to transmit, or nil
 	// if the discipline is empty.
@@ -76,19 +73,7 @@ type Qdisc interface {
 	Bytes() int
 }
 
-// DropNotifier is the drop-subscription half of a discipline: OnDrop
-// registers a callback invoked for every packet the discipline rejects
-// or pushes out, with the reason. Every qdisc in this package
-// implements it (enforced by the compile-time assertions below), so a
-// port can always attach drop accounting — a discipline that forgot to
-// expose OnDrop would fail the build here instead of silently losing
-// drops.
-type DropNotifier interface {
-	OnDrop(DropFunc)
-}
-
-// Compile-time interface checks: every discipline must satisfy Qdisc
-// and DropNotifier.
+// Compile-time interface checks: every discipline must satisfy Qdisc.
 var (
 	_ Qdisc = (*FIFO)(nil)
 	_ Qdisc = (*RED)(nil)
@@ -96,13 +81,6 @@ var (
 	_ Qdisc = (*PIFO)(nil)
 	_ Qdisc = (*SPPIFO)(nil)
 	_ Qdisc = (*AIFO)(nil)
-
-	_ DropNotifier = (*FIFO)(nil)
-	_ DropNotifier = (*RED)(nil)
-	_ DropNotifier = (*Priority)(nil)
-	_ DropNotifier = (*PIFO)(nil)
-	_ DropNotifier = (*SPPIFO)(nil)
-	_ DropNotifier = (*AIFO)(nil)
 )
 
 // ring is a growable FIFO ring buffer of packets.
@@ -150,7 +128,6 @@ type FIFO struct {
 	capBytes int
 	bytes    int
 	q        ring
-	onDrop   []DropFunc
 }
 
 // NewFIFO returns a FIFO with the given byte capacity. A non-positive
@@ -163,19 +140,12 @@ func NewFIFO(capacityBytes int) *FIFO {
 	return &FIFO{capBytes: capacityBytes}
 }
 
-// OnDrop registers an additional callback invoked for every rejected
-// packet. Callbacks run in registration order.
-func (f *FIFO) OnDrop(fn DropFunc) { f.onDrop = append(f.onDrop, fn) }
-
 // Capacity returns the configured byte capacity.
 func (f *FIFO) Capacity() int { return f.capBytes }
 
 // Enqueue implements Qdisc.
-func (f *FIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
+func (f *FIFO) Enqueue(_ eventsim.Time, p *packet.Packet) DropReason {
 	if f.bytes+p.Size() > f.capBytes {
-		for _, fn := range f.onDrop {
-			fn(now, p, DropTail)
-		}
 		return DropTail
 	}
 	f.q.push(p)

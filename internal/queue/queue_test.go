@@ -52,21 +52,14 @@ func TestFIFOOrderAndAccounting(t *testing.T) {
 
 func TestFIFOTailDrop(t *testing.T) {
 	f := NewFIFO(250)
-	var dropped []*packet.Packet
-	f.OnDrop(func(_ eventsim.Time, p *packet.Packet, r DropReason) {
-		if r != DropTail {
-			t.Errorf("reason = %v", r)
-		}
-		dropped = append(dropped, p)
-	})
 	if f.Enqueue(0, pkt(200)) != DropNone {
 		t.Fatal("first packet should fit")
 	}
-	if f.Enqueue(0, pkt(100)) != DropTail {
-		t.Fatal("second packet should tail-drop")
+	if r := f.Enqueue(0, pkt(100)); r != DropTail {
+		t.Fatalf("second packet answered %v, want a tail drop", r)
 	}
-	if len(dropped) != 1 {
-		t.Fatalf("drop callback fired %d times", len(dropped))
+	if f.Len() != 1 || f.Bytes() != 200 {
+		t.Fatalf("a refused packet was queued: len=%d bytes=%d", f.Len(), f.Bytes())
 	}
 	// After draining, space frees up.
 	f.Dequeue(0)
@@ -104,10 +97,11 @@ func TestFIFOInvalidCapacityPanics(t *testing.T) {
 func TestREDBelowMinThresholdNeverDrops(t *testing.T) {
 	r := NewRED(100_000, 1e9)
 	drops := 0
-	r.OnDrop(func(eventsim.Time, *packet.Packet, DropReason) { drops++ })
 	// Keep the instantaneous queue tiny: enqueue+dequeue alternately.
 	for i := 0; i < 10_000; i++ {
-		r.Enqueue(eventsim.Time(i)*eventsim.Microsecond, pkt(500))
+		if r.Enqueue(eventsim.Time(i)*eventsim.Microsecond, pkt(500)) != DropNone {
+			drops++
+		}
 		r.Dequeue(eventsim.Time(i) * eventsim.Microsecond)
 	}
 	if drops != 0 {
@@ -118,14 +112,11 @@ func TestREDBelowMinThresholdNeverDrops(t *testing.T) {
 func TestREDDropsUnderSustainedOverload(t *testing.T) {
 	r := NewRED(100_000, 1e9)
 	early := 0
-	r.OnDrop(func(_ eventsim.Time, _ *packet.Packet, reason DropReason) {
-		if reason == DropEarly {
-			early++
-		}
-	})
 	// Fill without draining: the average climbs past max threshold.
 	for i := 0; i < 5000; i++ {
-		r.Enqueue(eventsim.Time(i), pkt(500))
+		if r.Enqueue(eventsim.Time(i), pkt(500)) == DropEarly {
+			early++
+		}
 	}
 	if early == 0 {
 		t.Fatal("RED never early-dropped under overload")
@@ -213,8 +204,6 @@ func TestPriorityPerQueueTailDrop(t *testing.T) {
 	pq := NewPriority(2, 250, func(_ eventsim.Time, p *packet.Packet) int {
 		return int(p.DstPort)
 	})
-	drops := 0
-	pq.OnDrop(func(eventsim.Time, *packet.Packet, DropReason) { drops++ })
 	a := pkt(200)
 	b := pkt(200) // overflows queue 0
 	c := pkt(200)
@@ -225,9 +214,6 @@ func TestPriorityPerQueueTailDrop(t *testing.T) {
 	}
 	if pq.Enqueue(0, c) != DropNone {
 		t.Fatal("queue 1 should have space")
-	}
-	if drops != 1 {
-		t.Fatalf("drop callback fired %d times", drops)
 	}
 	if pq.Len() != 2 || pq.Bytes() != 400 {
 		t.Fatalf("len=%d bytes=%d", pq.Len(), pq.Bytes())
@@ -274,11 +260,7 @@ func TestPIFOPushOut(t *testing.T) {
 		return int64(p.DstPort)
 	})
 	var pushed []*packet.Packet
-	q.OnDrop(func(_ eventsim.Time, p *packet.Packet, r DropReason) {
-		if r == DropPushOut {
-			pushed = append(pushed, p)
-		}
-	})
+	q.OnPushOut(func(_ eventsim.Time, p *packet.Packet) { pushed = append(pushed, p) })
 	bad := pkt(200)
 	bad.DstPort = 9
 	good := pkt(200)
@@ -418,13 +400,12 @@ func TestTokenBucketMonotonicTime(t *testing.T) {
 }
 
 // Property: any interleaving of enqueues and dequeues keeps byte/packet
-// accounting consistent and conservation holds: enq = deq + dropped + queued.
+// accounting consistent and conservation holds: queued = accepted -
+// dequeued, so an arrival answered with a drop is never held.
 func TestQuickFIFOConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		q := NewFIFO(5000)
-		dropped := 0
-		q.OnDrop(func(eventsim.Time, *packet.Packet, DropReason) { dropped++ })
 		enq, deq := 0, 0
 		bytes := 0
 		for i := 0; i < 500; i++ {

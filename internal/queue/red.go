@@ -30,9 +30,10 @@ const (
 
 // RED implements Random Early Detection over an internal FIFO.
 //
-// Every early or forced drop is reported through OnDrop, which is how
-// the classic ACC agent (internal/acc) observes the headers of dropped
-// packets to infer aggregates.
+// Enqueue answers DropEarly for a probabilistic or forced drop and
+// DropTail when the FIFO underneath is full. The port accounts that
+// answer, and the classic ACC agent (internal/acc) reads the headers of
+// those drops off the port to infer aggregates.
 type RED struct {
 	fifo *FIFO
 	// minTh and maxTh bound the early-drop region of the average queue
@@ -41,17 +42,11 @@ type RED struct {
 	minTh, maxTh float64
 	idleRate     float64
 	rng          *rand.Rand
-	onDrop       []DropFunc
 
 	avg       float64 // EWMA of the queue size in bytes
 	count     int     // packets since last early drop
 	idleSince eventsim.Time
 	idle      bool
-
-	// Stats since construction.
-	Arrivals   uint64
-	EarlyDrops uint64
-	TailDrops  uint64
 }
 
 // NewRED builds a RED queue (Floyd and Jacobson, 1993) over a
@@ -72,20 +67,8 @@ func NewRED(capacityBytes int, idleRate float64) *RED {
 	}
 }
 
-// OnDrop registers an additional callback invoked for every dropped
-// packet. Callbacks run in registration order.
-func (r *RED) OnDrop(fn DropFunc) { r.onDrop = append(r.onDrop, fn) }
-
-func (r *RED) drop(now eventsim.Time, p *packet.Packet, reason DropReason) DropReason {
-	for _, fn := range r.onDrop {
-		fn(now, p, reason)
-	}
-	return reason
-}
-
 // Enqueue implements Qdisc with RED early-drop semantics.
 func (r *RED) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
-	r.Arrivals++
 	r.updateAverage(now)
 
 	switch {
@@ -93,8 +76,7 @@ func (r *RED) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 		r.count = -1
 	case r.avg >= r.maxTh:
 		r.count = 0
-		r.EarlyDrops++
-		return r.drop(now, p, DropEarly)
+		return DropEarly
 	default:
 		r.count++
 		pb := r.dropProbability()
@@ -109,14 +91,12 @@ func (r *RED) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 		}
 		if r.rng.Float64() < pa {
 			r.count = 0
-			r.EarlyDrops++
-			return r.drop(now, p, DropEarly)
+			return DropEarly
 		}
 	}
 
 	if res := r.fifo.Enqueue(now, p); res != DropNone {
-		r.TailDrops++
-		return r.drop(now, p, res)
+		return res
 	}
 	r.idle = false
 	return DropNone

@@ -24,7 +24,6 @@ type SPPIFO struct {
 	queues []*FIFO
 	bounds []int64
 	rank   RankFunc
-	onDrop []DropFunc
 
 	// Inversions counts dequeued packets whose rank was lower than the
 	// highest rank dequeued before them — the SP-PIFO quality metric.
@@ -56,9 +55,6 @@ func NewSPPIFO(n, perQueueBytes int, rank RankFunc) *SPPIFO {
 	return s
 }
 
-// OnDrop registers an additional drop callback.
-func (s *SPPIFO) OnDrop(fn DropFunc) { s.onDrop = append(s.onDrop, fn) }
-
 // Enqueue implements Qdisc with the SP-PIFO mapping.
 func (s *SPPIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	r := s.rank(now, p)
@@ -67,7 +63,6 @@ func (s *SPPIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	for i := n - 1; i >= 1; i-- {
 		if r >= s.bounds[i] {
 			if res := s.queues[i].Enqueue(now, p); res != DropNone {
-				s.notifyDrop(now, p, res)
 				return res
 			}
 			if r > s.bounds[i] {
@@ -79,7 +74,6 @@ func (s *SPPIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 	}
 	// Top queue: push-down when the packet's rank undershoots.
 	if res := s.queues[0].Enqueue(now, p); res != DropNone {
-		s.notifyDrop(now, p, res)
 		return res
 	}
 	if r < s.bounds[0] {
@@ -93,12 +87,6 @@ func (s *SPPIFO) Enqueue(now eventsim.Time, p *packet.Packet) DropReason {
 		s.PushUps++
 	}
 	return DropNone
-}
-
-func (s *SPPIFO) notifyDrop(now eventsim.Time, p *packet.Packet, r DropReason) {
-	for _, fn := range s.onDrop {
-		fn(now, p, r)
-	}
 }
 
 // Dequeue implements Qdisc, tracking rank inversions.

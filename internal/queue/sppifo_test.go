@@ -192,8 +192,6 @@ func TestQuickSPPIFOConservation(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		s := NewSPPIFO(4, 50_000, rankByPort)
-		dropped := 0
-		s.OnDrop(func(eventsim.Time, *packet.Packet, DropReason) { dropped++ })
 		enq, deq, bytes := 0, 0, 0
 		for i := 0; i < 500; i++ {
 			if r.Intn(2) == 0 {
