@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// FuzzReadFrame is the stream-reader hardening gate: for arbitrary
-// bytes, ReadFrame must either error or return a self-consistent frame
-// — never panic, and never allocate past the frame-size limit no
-// matter what the length prefix claims. Frames that additionally pass
-// VerifyFrame must round-trip bit-identically through
-// WriteFrame/ReadFrame, which pins the framing as self-delimiting.
+// FuzzReadFrame is the stream reader's hardening gate, on the
+// protocol's reassembler: for arbitrary bytes it must never panic, hold
+// only bytes it was given, and return only frames the length prefixes
+// delimit — whole, within the frame-size limit, back to back from the
+// start of the stream — no matter what a length prefix claims. A frame
+// that passes VerifyFrame reassembles alone to the same bytes, which
+// pins the framing as self-delimiting.
 func FuzzReadFrame(f *testing.F) {
 	f.Add(EncodeHello(1))
 	f.Add(EncodeHeartbeat(0))
@@ -30,30 +31,28 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(hostile)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		frame, err := ReadFrame(r)
-		if err != nil {
-			return // rejected: the only other acceptable outcome
-		}
-		if len(frame) > frameOverhead+maxFramePayload {
-			t.Fatalf("ReadFrame returned %d bytes, above the %d frame limit", len(frame), frameOverhead+maxFramePayload)
-		}
-		if consumed := len(data) - r.Len(); consumed != len(frame) {
-			t.Fatalf("ReadFrame consumed %d bytes but returned %d: the framing is not self-delimiting", consumed, len(frame))
-		}
-		// VerifyFrame on the result must not panic; when the CRC holds,
-		// the frame is byte-stable through a write/read cycle.
-		if _, err := VerifyFrame(frame); err == nil {
-			var buf bytes.Buffer
-			if err := WriteFrame(&buf, frame); err != nil {
-				t.Fatalf("WriteFrame of a verified frame: %v", err)
+		var r reassembler
+		frames, err := r.feed(data, nil)
+		off := 0
+		for _, frame := range frames {
+			if len(frame) > frameOverhead+maxFramePayload {
+				t.Fatalf("a %d-byte frame, above the %d frame limit", len(frame), frameOverhead+maxFramePayload)
 			}
-			again, err := ReadFrame(&buf)
-			if err != nil {
-				t.Fatalf("verified frame did not re-read: %v", err)
+			if n, _ := frameLen(frame); n != len(frame) || !bytes.Equal(frame, data[off:off+n]) {
+				t.Fatalf("frame at %d is not the %d bytes its header delimits", off, n)
 			}
-			if !bytes.Equal(again, frame) {
-				t.Fatal("verified frame did not round-trip bit-identically")
+			off += len(frame)
+		}
+		if len(r.buf) > len(data)-off || err == nil && off+len(r.buf) != len(data) {
+			t.Fatalf("%d bytes in, %d framed, %d held (err %v)", len(data), off, len(r.buf), err)
+		}
+		for _, frame := range frames {
+			if _, err := VerifyFrame(frame); err != nil {
+				continue
+			}
+			var again reassembler
+			if got, err := again.feed(frame, nil); err != nil || len(got) != 1 || !bytes.Equal(got[0], frame) {
+				t.Fatal("verified frame did not reassemble bit-identically")
 			}
 		}
 	})
