@@ -37,7 +37,7 @@ type CoordinatorConfig struct {
 // fidelity.
 type Coordinator struct {
 	cfg CoordinatorConfig
-	tr  CoordinatorLink
+	tr  *CoordinatorEnd
 
 	mu     sync.Mutex
 	latest map[uint32]*Snapshot
@@ -60,7 +60,7 @@ type Coordinator struct {
 
 // NewCoordinator builds a coordinator on tr and registers its receive
 // handler.
-func NewCoordinator(tr CoordinatorLink, cfg CoordinatorConfig) (*Coordinator, error) {
+func NewCoordinator(tr *CoordinatorEnd, cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Slots <= 0 || cfg.NumQueues <= 0 {
 		return nil, fmt.Errorf("fleet: coordinator needs positive Slots (%d) and NumQueues (%d)", cfg.Slots, cfg.NumQueues)
 	}
