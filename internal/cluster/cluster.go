@@ -28,9 +28,9 @@ import (
 
 // ErrBaselineSnapshot is returned when a snapshot is asked of, or offered
 // to, a clusterer whose configuration is not the deployed one: the Fig. 10
-// baselines and the Bloom-set ablation run on Reference, which has no
-// serialized form.
-var ErrBaselineSnapshot = errors.New("cluster: snapshots need the deployed clustering configuration (manhattan, fast search, unnormalized, exact sets)")
+// baselines, the Bloom-set ablation and clusterers of more than 64 slots
+// run on Reference, which has no serialized form.
+var ErrBaselineSnapshot = errors.New("cluster: snapshots need the deployed clustering configuration (manhattan, fast search, unnormalized, exact sets, at most 64 clusters)")
 
 // Distance selects the distance/cost function (§4.2.3).
 type Distance uint8
@@ -167,10 +167,12 @@ func (c *Config) Validate() error {
 
 // Deployed reports whether this is the configuration this repository
 // deploys (§4.2: Manhattan distance, unnormalized, fast search, over exact
-// nominal sets), which Online implements itself; every other one is a
-// quality baseline that runs on Reference and cannot be snapshotted.
+// nominal sets) within the 64 clusters a membership table word holds,
+// which Online implements itself; every other one is a quality baseline,
+// or a larger clusterer, that runs on Reference and cannot be
+// snapshotted.
 func (c *Config) Deployed() bool {
-	return c.Distance == Manhattan && c.Search == Fast && !c.Normalize && !c.UseBloom
+	return c.Distance == Manhattan && c.Search == Fast && !c.Normalize && !c.UseBloom && c.MaxClusters <= maxSlots
 }
 
 // DefaultConfig is the paper's deployable configuration over the given

@@ -27,12 +27,14 @@ func coverageMatchesRanges(o *Online) error {
 		if o.feats[sp.pos].Nominal() || o.feats[sp.pos].Bits() > spanBits || o.spanIdx[sp.pos] != i {
 			return fmt.Errorf("span %d sits at position %d (%v)", i, sp.pos, o.feats[sp.pos])
 		}
-		if len(sp.cells) != 256*o.mt.planes {
-			return fmt.Errorf("span %d has %d cell bytes for %d planes", i, len(sp.cells), o.mt.planes)
+		width := 1 << o.mt.lw // bits per cell
+		if len(sp.cells)*64 != 256*width {
+			return fmt.Errorf("span %d has %d cell words for 256 cells of %d bits", i, len(sp.cells), width)
 		}
 		for v := 0; v < 256; v++ {
-			for slot := 0; slot < o.mt.planes*8; slot++ {
-				got := sp.cells[v*o.mt.planes+slot>>3]>>(slot&7)&1 != 0
+			for slot := 0; slot < width; slot++ {
+				at := v*width + slot // the bit's place in the packed words
+				got := sp.cells[at/64]>>(at%64)&1 != 0
 				want := slot < len(o.clusters) &&
 					o.min[slot*o.nf+sp.pos] <= uint32(v) && uint32(v) <= o.max[slot*o.nf+sp.pos]
 				if got != want {
@@ -82,15 +84,15 @@ var walkShapes = []struct {
 }
 
 // TestCoverageTableRandomWalk drives the clusterer through a seeded walk
-// of ObserveFeatures, Reseed and Marshal→Unmarshal over one, two and
-// three cell planes, and checks at every step that the span cells say
-// what the ranges say, that the assignment is the Reference's, and that
-// closest — whichever of the table's two answers or the scan it took —
-// names the cluster and the distance the scan alone returns after the
-// same gather. The Bloom and exhaustive rows are baselines: Online
-// forwards them, so there is no table to check and no snapshot to take,
-// and what the walk holds is that forwarded assignments, merges included,
-// are the Reference's.
+// of ObserveFeatures, Reseed and Marshal→Unmarshal over cells of every
+// width, one byte to a whole word, and checks at every step that the
+// span cells say what the ranges say, that the assignment is the
+// Reference's, and that closest — whichever of the table's two answers
+// or the scan it took — names the cluster and the distance the scan
+// alone returns after the same gather. The Bloom and exhaustive rows are
+// baselines: Online forwards them, so there is no table to check and no
+// snapshot to take, and what the walk holds is that forwarded
+// assignments, merges included, are the Reference's.
 func TestCoverageTableRandomWalk(t *testing.T) {
 	modes := []struct {
 		name   string
@@ -106,7 +108,7 @@ func TestCoverageTableRandomWalk(t *testing.T) {
 		for _, f := range sh.feats {
 			nominal = nominal || f.Nominal()
 		}
-		for _, k := range []int{4, 8, 10, 17} {
+		for _, k := range []int{4, 8, 10, 16, 17, 64} {
 			for _, m := range modes {
 				cfg := DefaultConfig(k, sh.feats)
 				m.mutate(&cfg)

@@ -104,15 +104,17 @@ func TestFastPathMatchesReference(t *testing.T) {
 
 // TestFastPathMatchesReferenceShapes repeats the equivalence run over
 // the shapes the membership table is sensitive to: cluster counts on
-// both sides of a cell-plane boundary (8|9, 16|17) and the one-slot
-// table, over the deployed configuration (hardware features, slice
-// initialisation), a set carrying the 8-bit protocol nominal, the
-// simulator's (three address bytes, no nominal, slice initialisation),
-// a set with no byte-wide ordinal, where the table's verdict is left to
-// the arithmetic check of the wide ones, and two nominals around one
-// wide ordinal, where that check decides near misses too. Midway,
-// a deployed clusterer is replaced by a fresh one restored from its own
-// Marshal output, which must carry on bit-identically.
+// both sides of a cell-width boundary (8|9, 16|17, 32|33), the one-slot
+// table, the full word (64) and one past it (65, which Online forwards
+// to a Reference; these four only for the deployed combination), over
+// the deployed configuration (hardware features, slice initialisation),
+// a set carrying the 8-bit protocol nominal, the simulator's (three
+// address bytes, no nominal, slice initialisation), a set with no
+// byte-wide ordinal, where the table's verdict is left to the arithmetic
+// check of the wide ones, and two nominals around one wide ordinal,
+// where that check decides near misses too. Midway, a deployed clusterer
+// is replaced by a fresh one restored from its own Marshal output, which
+// must carry on bit-identically.
 func TestFastPathMatchesReferenceShapes(t *testing.T) {
 	shapes := []struct {
 		name      string
@@ -137,8 +139,11 @@ func TestFastPathMatchesReferenceShapes(t *testing.T) {
 		pkts[i] = &q
 	}
 	for _, sh := range shapes {
-		for _, k := range []int{1, 4, 8, 9, 17} {
+		for _, k := range []int{1, 4, 8, 9, 16, 17, 33, 64, 65} {
 			for _, base := range benchCombos() {
+				if (k == 16 || k > 17) && !base.Deployed() {
+					continue
+				}
 				cfg := base
 				cfg.MaxClusters, cfg.Features, cfg.SliceInit = k, sh.feats, sh.sliceInit
 				t.Run(fmt.Sprintf("%s/k=%d/%s", sh.name, k, comboName(cfg)), func(t *testing.T) {

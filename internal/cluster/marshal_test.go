@@ -79,6 +79,24 @@ func TestMarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotEndsAtTheWord: the deployed configuration is deployed up to
+// the 64 clusters a membership table word holds; one more runs on
+// Reference and, like any baseline, has no snapshot.
+func TestSnapshotEndsAtTheWord(t *testing.T) {
+	cfg := DefaultConfig(64, packet.HardwareFeatures())
+	if !cfg.Deployed() {
+		t.Fatal("64 clusters are not the deployed configuration")
+	}
+	cfg.MaxClusters = 65
+	o := NewOnline(cfg)
+	if o.baseline == nil {
+		t.Fatal("65 clusters built a membership table")
+	}
+	if v, u := o.Validate(nil), o.Unmarshal(nil); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
+		t.Fatalf("Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", v, u)
+	}
+}
+
 // TestMarshalSpilledSets grows a nominal set to a few hundred values,
 // admitted out of order, and checks it survives the round trip: the
 // restored set must admit exactly the same values and re-marshal to the

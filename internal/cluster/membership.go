@@ -1,12 +1,17 @@
 package cluster
 
-import "accturbo/internal/packet"
+import (
+	"fmt"
+	"math/bits"
+
+	"accturbo/internal/packet"
+)
 
 // memberTable answers, for one packet and every cluster at once, the two
 // questions that decide whether any cluster already covers it: which
 // clusters admit its nominal values, and which clusters' ranges contain
-// its byte-wide ordinal values. It is value-major: per feature one byte
-// array in which cell i carries one bit per cluster slot, so a packet
+// its byte-wide ordinal values. It is value-major: per feature one array
+// in which cell v carries one bit per cluster slot, so a packet
 // learns what every cluster says about its value from one load per
 // feature, however many clusters there are — the software shape of the
 // hardware comparing a packet against all clusters at once (§4). A packet
@@ -40,44 +45,57 @@ import "accturbo/internal/packet"
 // ip.id, whole addresses) have no cells; Online checks them arithmetically
 // on the few clusters the table leaves standing.
 //
-// A cell is `planes` consecutive bytes (slot c lives in byte c/8, bit
-// c%8), so the bits of all clusters for one value share a cache line.
+// A cell is one bit per cluster slot, 1<<lw bits wide: the next power of
+// two of at least a byte that holds every slot. Cells are packed into
+// 64-bit words, cell v from bit v<<lw of the array on, so a cell is read
+// by one aligned word load that never crosses a cache line; up to
+// eight slots it is a byte, and a 16-bit nominal feature costs 64 KiB.
+// Every value space is a power of two of at least 256 values, so the
+// cells fill whole words. A table holds at most maxSlots slots; a
+// configuration with more clusters runs on Reference (Config.Deployed).
 type memberTable struct {
-	planes int // bytes per cell: one bit per cluster slot, ceil(slots/8)
-	feats  []memberFeat
+	lw    uint // log2 of the cell width in bits: 3 (≤ 8 slots) to 6 (≤ 64)
+	feats []memberFeat
 
 	// lists[slot*len(feats)+j] holds the values slot admits at the j-th
 	// nominal feature: the cells carrying its bit.
 	lists [][]uint32
 
-	// miss is the per-packet gather: miss[j*planes+p] has bit b set when
-	// slot p*8+b does NOT admit the packet's value at nominal feature j.
-	miss []byte
-	// cover is the gather's verdict: bit b of cover[p] is set when slot
-	// p*8+b is seeded, contains every byte-wide ordinal value of the
-	// packet and admits every nominal one (gather returned 0) or all of
-	// them but one (gather returned 1).
-	cover []byte
+	// miss is the per-packet gather: bit c of miss[j] is set when slot c
+	// does NOT admit the packet's value at nominal feature j. Only the
+	// seeded slots' bits mean anything.
+	miss []uint64
+	// cover is the gather's verdict: bit c is set when slot c is seeded,
+	// contains every byte-wide ordinal value of the packet and admits
+	// every nominal one (gather returned 0) or all of them but one
+	// (gather returned 1).
+	cover uint64
 
 	spans []memberFeat
 }
 
 // memberFeat is one feature's share of the table.
 type memberFeat struct {
-	pos   int    // position in the configured feature set
-	ncell uint64 // nominal: value-space size; span: 256
-	cells []byte // ncell*planes bytes; cell i, plane p at i*planes+p
+	pos   int      // position in the configured feature set
+	ncell uint64   // nominal: value-space size; span: 256
+	cells []uint64 // ncell cells of 1<<lw bits, packed as memberTable says
 }
 
 // spanBits is the widest ordinal feature that gets span cells.
 const spanBits = 8
 
+// maxSlots is the most cluster slots a table has bits for: one word.
+const maxSlots = 64
+
 // newMemberTable builds an empty table over feats with bits for `slots`
-// cluster slots.
+// cluster slots, at most maxSlots of them.
 func newMemberTable(feats packet.FeatureSet, slots int) *memberTable {
-	t := &memberTable{planes: (slots + 7) / 8}
+	if slots > maxSlots {
+		panic(fmt.Sprintf("cluster: a membership table of %d slots; it holds at most %d", slots, maxSlots))
+	}
+	t := &memberTable{lw: uint(max(bits.Len(uint(slots-1)), 3))}
 	cells := func(pos int, ncell uint64) memberFeat {
-		return memberFeat{pos: pos, ncell: ncell, cells: make([]byte, ncell*uint64(t.planes))}
+		return memberFeat{pos: pos, ncell: ncell, cells: make([]uint64, ncell<<t.lw/64)}
 	}
 	for pos, f := range feats {
 		switch {
@@ -88,20 +106,24 @@ func newMemberTable(feats packet.FeatureSet, slots int) *memberTable {
 		}
 	}
 	t.lists = make([][]uint32, slots*len(t.feats))
-	t.miss = make([]byte, len(t.feats)*t.planes)
-	t.cover = make([]byte, t.planes)
+	t.miss = make([]uint64, len(t.feats))
 	return t
+}
+
+// bit returns the word holding cell v of f and slot's bit in it.
+func (t *memberTable) bit(f *memberFeat, slot int, v uint32) (*uint64, uint64) {
+	at := uint(v)<<(t.lw&7) + uint(slot)&63
+	return &f.cells[at/64], 1 << (at % 64)
 }
 
 // admit makes slot admit value v at nominal feature j. A value the slot
 // already admits changes nothing.
 func (t *memberTable) admit(slot, j int, v uint32) {
-	b := &t.feats[j].cells[int(v)*t.planes+slot>>3]
-	bit := byte(1) << (slot & 7)
-	if *b&bit != 0 {
+	w, bit := t.bit(&t.feats[j], slot, v)
+	if *w&bit != 0 {
 		return
 	}
-	*b |= bit
+	*w |= bit
 	l := &t.lists[slot*len(t.feats)+j]
 	*l = append(*l, v)
 }
@@ -113,27 +135,31 @@ func (t *memberTable) cardinality(slot, j int) int { return len(t.lists[slot*len
 // backing arrays for the slot's next occupant.
 func (t *memberTable) clearSlot(slot int) {
 	nn := len(t.feats)
-	p, keep := slot>>3, ^(byte(1) << (slot & 7))
 	for j := 0; j < nn; j++ {
-		cells := t.feats[j].cells
 		l := &t.lists[slot*nn+j]
-		for _, cell := range *l {
-			cells[int(cell)*t.planes+p] &= keep
+		for _, v := range *l {
+			w, bit := t.bit(&t.feats[j], slot, v)
+			*w &^= bit
 		}
 		*l = (*l)[:0]
 	}
 }
 
 // setSpan sets slot's bit in cells lo..hi of span i: the values a range
-// came to contain.
+// came to contain. It ORs word by word a mask with the bit in every cell,
+// cut to the range's bits [from, to).
 func (t *memberTable) setSpan(slot, i int, lo, hi uint32) {
-	planes, at := t.planes, slot>>3
-	cells := t.spans[i].cells[int(lo)*planes+at : int(hi)*planes+at+1]
-	bit := byte(1) << (slot & 7)
-	for c := 0; c < len(cells); c += planes {
-		cells[c] |= bit
+	cells, lw := t.spans[i].cells, t.lw&7
+	rep := cellLSBs[lw-3] << (uint(slot) & 63)
+	from, to := uint(lo)<<lw, (uint(hi)+1)<<lw
+	for w := from / 64; w*64 < to; w++ {
+		below, above := max(from, w*64)-w*64, w*64+64-min(to, w*64+64)
+		cells[w] |= rep & (^uint64(0) << below) & (^uint64(0) >> above)
 	}
 }
+
+// cellLSBs[lw-3] has the lowest bit of every 1<<lw-bit cell of a word set.
+var cellLSBs = [...]uint64{0x0101010101010101, 0x0001000100010001, 0x0000000100000001, 1}
 
 // clearSpans empties every span cell: no cluster is seeded.
 func (t *memberTable) clearSpans() {
@@ -160,7 +186,7 @@ func (t *memberTable) bitmap(slot, j int, bm []uint64) {
 //     cell of every span — the clusters that cover the packet.
 //   - 1: when no slot admits all of the packet's nominal values, the slots
 //     exactly one nominal feature misses (once &^ twice over the miss
-//     bytes just stored, walked again here rather than accumulated in the
+//     words just stored, walked again here rather than accumulated in the
 //     loop every covered packet runs), AND-ed with the same span cells —
 //     the near misses: one unseen value inside every range.
 //   - -1: t.cover is empty and the table has no answer.
@@ -177,126 +203,52 @@ func (t *memberTable) bitmap(slot, j int, bm []uint64) {
 // slice-initialised slots miss at every nominal feature and are never
 // near.
 //
-// The span cells are not loaded when neither mask has a bit left (a
-// packet two unseen values away from everything, say). "As far as the
-// table can tell" is all the way unless the feature set has ordinals
-// wider than a byte. A value outside its feature's space panics on its
-// own feature's array, at nominal and span positions alike, whenever the
-// span cells are read.
+// A load shifts the packet's cell to the bottom of its word; the bits
+// above it, other values' cells, sit past the last slot, where seeded has
+// none and nothing reads. The span cells are not loaded when neither mask
+// has a bit left (a packet two unseen values away from everything, say).
+// "As far as the table can tell" is all the way unless the feature set
+// has ordinals wider than a byte. A value outside its feature's space
+// panics on its own feature's array, at nominal and span positions alike,
+// whenever the span cells are read.
 func (t *memberTable) gather(vals []uint32, n int) (dist int) {
-	planes := t.planes
-	if planes == 1 {
-		// The deployed shape (up to eight slots) without the per-plane
-		// loops below, which cost it 8–12 ns a packet.
-		miss := t.miss[:len(t.feats)]
-		seeded := byte(uint(1)<<n - 1)
-		cover := seeded
-		for j := range miss {
-			f := &t.feats[j]
-			m := ^f.cells[vals[f.pos]]
-			miss[j] = m
-			cover &^= m
-		}
-		if cover == 0 {
-			var once, twice byte
-			for _, m := range miss {
-				twice |= once & m
-				once |= m
-			}
-			cover, dist = seeded&once&^twice, 1
-		}
-		if cover != 0 {
-			for i := range t.spans {
-				f := &t.spans[i]
-				cover &= f.cells[vals[f.pos]]
-			}
-		}
-		t.cover[0] = cover
-		if cover == 0 {
-			return -1
-		}
-		return dist
+	lw := t.lw & 7 // in range, so the compiler shifts by it unchecked
+	seeded := uint64(1)<<uint(n) - 1
+	cover := seeded
+	feats, miss := t.feats, t.miss[:len(t.feats)]
+	for j := range feats {
+		f := &feats[j]
+		at := uint(vals[f.pos]) << lw
+		m := ^(f.cells[at/64] >> (at % 64))
+		miss[j] = m
+		cover &^= m
 	}
-	for j := range t.feats {
-		f := &t.feats[j]
-		cell := f.cells[int(vals[f.pos])*planes:][:planes]
-		out := t.miss[j*planes:][:planes]
-		for p := range out {
-			out[p] = ^cell[p]
+	if cover == 0 {
+		var once, twice uint64
+		for _, m := range miss {
+			twice |= once & m
+			once |= m
 		}
+		cover, dist = seeded&once&^twice, 1
 	}
-	// Plane by plane from here, so each plane's verdict stays in a
-	// register across the features.
-	cover := t.cover[:planes]
-	var live byte
-	for p := range cover {
-		c := seededMask(n, p)
-		for j := range t.feats {
-			c &^= t.miss[j*planes+p]
-		}
-		cover[p] = c
-		live |= c
-	}
-	if live == 0 {
-		// No slot of any plane admits every nominal value.
-		dist = 1
-		for p := range cover {
-			var once, twice byte
-			for j := range t.feats {
-				m := t.miss[j*planes+p]
-				twice |= once & m
-				once |= m
-			}
-			c := seededMask(n, p) & once &^ twice
-			cover[p] = c
-			live |= c
-		}
-		if live == 0 {
-			return -1
-		}
-	}
-	live = 0
-	for p := range cover {
-		c := cover[p]
+	if cover != 0 {
 		for i := range t.spans {
 			f := &t.spans[i]
-			c &= f.cells[int(vals[f.pos])*planes+p]
+			at := uint(vals[f.pos]) << lw
+			cover &= f.cells[at/64] >> (at % 64)
 		}
-		cover[p] = c
-		live |= c
 	}
-	if live == 0 {
+	t.cover = cover
+	if cover == 0 {
 		return -1
 	}
 	return dist
 }
 
-// seededMask is plane p's share of the first n slots.
-func seededMask(n, p int) byte { return byte(uint(1)<<min(max(n-p*8, 0), 8) - 1) }
-
-// missCounts sums the gathered misses of plane p's eight slots over the
-// nominal features, for the scan that runs when the table has no answer
-// for the packet: byte lane b of the result counts the features at which slot
-// p*8+b misses.
-func (t *memberTable) missCounts(p int) uint64 {
-	var n uint64
-	for ; p < len(t.miss); p += t.planes {
-		n += spreadBits(t.miss[p])
-	}
-	return n
-}
-
-// spreadBits moves bit i of b to the bottom of byte lane i.
-func spreadBits(b byte) uint64 {
-	const lsb = 0x0101010101010101
-	lanes := uint64(b) * lsb & 0x8040201008040201 // lane i is nonzero iff bit i
-	return (lanes + 0x7f*lsb) >> 7 & lsb
-}
-
 // misses reports whether slot does not admit the gathered packet's value
 // at nominal feature j, as 0 or 1.
 func (t *memberTable) misses(slot, j int) byte {
-	return t.miss[j*t.planes+slot>>3] >> (slot & 7) & 1
+	return byte(t.miss[j] >> (uint(slot) & 63) & 1)
 }
 
 // missed returns the first nominal feature at which slot does not admit

@@ -89,8 +89,8 @@ func (m *tableModel) check(t *testing.T, o *Online, r *rand.Rand, step int) {
 
 // TestMemberTableMatchesModel drives the membership table through random
 // admissions, reseeds and more seeded slots than MaxClusters (up to
-// twenty, in a table built three byte planes wide) and holds it to the
-// naive model after every step.
+// twenty, in a table of 32-bit cells) and holds it to the naive model
+// after every step.
 func TestMemberTableMatchesModel(t *testing.T) {
 	feats := packet.FeatureSet{packet.FTTL, packet.FSrcPort, packet.FProtocol, packet.FLength, packet.FDstPort}
 	cfg := DefaultConfig(6, feats)
@@ -98,8 +98,8 @@ func TestMemberTableMatchesModel(t *testing.T) {
 		r := rand.New(rand.NewSource(31))
 		const slots = 20
 		o := newOnline(cfg, slots)
-		if o.mt.planes != 3 {
-			t.Fatalf("planes = %d, want 3", o.mt.planes)
+		if o.mt.lw != 5 {
+			t.Fatalf("cells are %d bits wide, want 32", 1<<o.mt.lw)
 		}
 		m := &tableModel{}
 		for _, mf := range o.mt.feats {

@@ -39,11 +39,10 @@ type nmStep struct {
 	want *answer
 }
 
-// tableLayouts are the ways one clusterer configuration can reach the two
-// gather paths: cells one plane wide take the special case, cells built
-// three planes wide the general loop. The Bloom layer is the ablation
-// baseline, which has no table: Online forwards it, and only its
-// assignments are held to the Reference's.
+// tableLayouts are the cell widths one clusterer configuration is run
+// at: the byte its cluster count needs, and a whole word. The Bloom layer
+// is the ablation baseline, which has no table: Online forwards it, and
+// only its assignments are held to the Reference's.
 var tableLayouts = []struct {
 	name  string
 	bloom bool
@@ -51,7 +50,7 @@ var tableLayouts = []struct {
 }{
 	{"exact", false, 0},
 	{"bloom", true, 0},
-	{"exact/3planes", false, 17},
+	{"exact/64bit", false, 64},
 }
 
 // runNearMissCase drives steps through every table layout, holding closest
@@ -196,8 +195,8 @@ func TestNearMissBloomFalsePositive(t *testing.T) {
 }
 
 // TestNearMissEveryPlane seeds k clusters and asks for each of them by a
-// packet one port away, so the answer comes from the first, second and
-// third plane of the cells, in both gather paths. The Bloom rows are the
+// packet one port away, so the answer comes from every byte of cells up
+// to 32 bits wide. The Bloom rows are the
 // forwarded baseline: their assignments are held to the Reference's and
 // there is no table to ask.
 func TestNearMissEveryPlane(t *testing.T) {
@@ -239,10 +238,10 @@ func TestNearMissEveryPlane(t *testing.T) {
 					}
 				}
 				// Two candidates at once, in the same and in different
-				// planes: k clusters on one byte, each with its own pair of
-				// ports, and a probe carrying the sport of one and the
-				// dport of the other. The lower index wins whichever plane
-				// it is in, as it does in the scan.
+				// bytes of a cell: k clusters on one address byte, each
+				// with its own pair of ports, and a probe carrying the
+				// sport of one and the dport of the other. The lower index
+				// wins whichever byte it is in, as it does in the scan.
 				if !cfg.Deployed() {
 					return
 				}

@@ -16,11 +16,12 @@ import (
 // that a packet is compared against all clusters at once.
 //
 // Online implements the deployed configuration only — Manhattan distance,
-// unnormalized, fast search, exact nominal sets (Config.Deployed) — seeded
-// from packets or from slices. It has no distance kernels, no centers, no
-// merge-cost cache and no Bloom filters: built for any other configuration
-// (the Fig. 10 baselines, the Bloom-set ablation), it is a handle on a
-// Reference and forwards every call to it (see baseline below).
+// unnormalized, fast search, exact nominal sets, at most 64 clusters
+// (Config.Deployed) — seeded from packets or from slices. It has no
+// distance kernels, no centers, no merge-cost cache and no Bloom filters:
+// built for any other configuration (the Fig. 10 baselines, the Bloom-set
+// ablation, more clusters), it is a handle on a Reference and forwards
+// every call to it (see baseline below).
 //
 // Which packets never scan. The membership table alone (see memberTable)
 // answers the two kinds of packet it can name the nearest cluster for.
@@ -377,17 +378,15 @@ func (o *Online) closest(vals []uint32) (ci int, d float64, near int) {
 // clusters at that distance on every feature the table holds; what is
 // left to check, in index order, is the ordinals it has no cells for.
 func (o *Online) covering(vals []uint32) int {
-	for p, cover := range o.mt.cover {
-	candidates:
-		for ; cover != 0; cover &= cover - 1 {
-			ci := p<<3 + bits.TrailingZeros8(cover)
-			for _, f := range o.widePos {
-				if v := vals[f]; v < o.min[ci*o.nf+f] || v > o.max[ci*o.nf+f] {
-					continue candidates
-				}
+candidates:
+	for cover := o.mt.cover; cover != 0; cover &= cover - 1 {
+		ci := bits.TrailingZeros64(cover)
+		for _, f := range o.widePos {
+			if v := vals[f]; v < o.min[ci*o.nf+f] || v > o.max[ci*o.nf+f] {
+				continue candidates
 			}
-			return ci
 		}
+		return ci
 	}
 	return -1
 }
@@ -402,13 +401,11 @@ func (o *Online) scanManhattanRaw(vals []uint32) (int, float64) {
 	nf, ord := o.nf, o.ordPos
 	mn, mx := o.min, o.max
 	best, bestD := -1, int64(math.MaxInt64)
-	var nmiss uint64 // lane b: nominal misses of the b-th next cluster
 	for ci, base := 0, 0; ci < len(o.clusters); ci, base = ci+1, base+nf {
-		if ci&7 == 0 {
-			nmiss = o.mt.missCounts(ci >> 3)
+		var d int64
+		for _, m := range o.mt.miss {
+			d += int64(m >> ci & 1)
 		}
-		d := int64(uint8(nmiss))
-		nmiss >>= 8
 		for _, f := range ord {
 			v := int64(vals[f])
 			d += max(int64(mn[base+f])-v, 0) + max(v-int64(mx[base+f]), 0)

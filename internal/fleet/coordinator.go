@@ -90,7 +90,7 @@ func (c *Coordinator) onJoin(id uint32) {
 // ranking. Malformed, mis-sized or stale-sequence snapshots are counted
 // and dropped — one bad node must not stall the fleet.
 func (c *Coordinator) onFrame(from uint32, frame []byte) {
-	snap, err := DecodeSnapshot(frame)
+	snap, err := readSnapshot(verified(frame))
 	if err != nil || snap.Node != from || len(snap.Infos) > c.cfg.Slots {
 		c.mu.Lock()
 		c.rejected++

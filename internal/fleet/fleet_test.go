@@ -112,8 +112,9 @@ func TestWireRejectsCorruption(t *testing.T) {
 }
 
 // TestStreamFraming: frames written back to back on one byte stream
-// come out of the reassembler intact whatever the chunk boundaries, and
-// a partial frame waits, buffered, for the rest.
+// come out of the reassembler intact whatever the chunk boundaries, a
+// partial frame waits, buffered, for the rest, and a frame wholly inside
+// a chunk is handed out in place, not copied.
 func TestStreamFraming(t *testing.T) {
 	s := EncodeSnapshot(&Snapshot{Node: 1, Seq: 2, At: 3, Infos: testInfos()})
 	d := EncodeDeploy(&Deploy{Epoch: 1, At: 4, QueueOf: []int{0}, Rank: []float64{1}})
@@ -130,6 +131,9 @@ func TestStreamFraming(t *testing.T) {
 		if len(got) != 2 || !bytes.Equal(got[0], s) || !bytes.Equal(got[1], d) || len(r.buf) != 0 {
 			t.Fatalf("%d-byte chunks: %d frames, %d bytes left over", size, len(got), len(r.buf))
 		}
+	}
+	if got, _ := new(reassembler).feed(stream, nil); &got[0][0] != &stream[0] || &got[1][0] != &stream[len(s)] {
+		t.Fatal("a frame inside the chunk was copied")
 	}
 	// A partial frame is held, not returned and not refused.
 	var r reassembler

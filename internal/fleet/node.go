@@ -95,7 +95,7 @@ func NewNode(id uint32, tr *NodeEnd, now func() eventsim.Time, cfg NodeConfig) (
 // fallback anyway, and the sender is a restarted coordinator counting
 // from 1 again, not a delayed duplicate.
 func (n *Node) onDeploy(frame []byte) {
-	dp, err := DecodeDeploy(frame)
+	dp, err := readDeploy(verified(frame))
 	if err != nil || len(dp.QueueOf) != n.cfg.Slots {
 		n.badDeploys.Add(1)
 		return

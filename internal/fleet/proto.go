@@ -73,18 +73,30 @@ func frameLen(b []byte) (int, error) {
 	return headerLen + plen + 4, nil
 }
 
-// feed appends chunk to the stream and returns out extended by every
-// frame it completes, in order, each in a buffer of its own. An error
-// refuses the next frame's header; the stream is over then.
+// feed cuts chunk into frames and returns out extended by every frame it
+// completes, in order. A frame that lies wholly inside chunk aliases it,
+// so it is good only until the carrier reads into chunk again; only a
+// frame begun in an earlier chunk is copied, out of the held bytes. An
+// error refuses the next frame's header; the stream is over then.
 func (r *reassembler) feed(chunk []byte, out [][]byte) ([][]byte, error) {
-	r.buf = append(r.buf, chunk...)
-	off := 0
-	n, err := frameLen(r.buf)
-	for ; err == nil && n > 0 && len(r.buf)-off >= n; n, err = frameLen(r.buf[off:]) {
-		out = append(out, bytes.Clone(r.buf[off:off+n]))
-		off += n
+	for len(r.buf) > 0 {
+		switch n, err := frameLen(r.buf); {
+		case err != nil:
+			return out, err
+		case n > 0 && len(r.buf) == n:
+			out, r.buf = append(out, bytes.Clone(r.buf)), r.buf[:0]
+		case len(chunk) == 0:
+			return out, nil
+		default: // the held frame's header, or the rest of it
+			take := min(max(n, headerLen)-len(r.buf), len(chunk))
+			r.buf, chunk = append(r.buf, chunk[:take]...), chunk[take:]
+		}
 	}
-	r.buf = r.buf[:copy(r.buf, r.buf[off:])]
+	n, err := frameLen(chunk)
+	for ; err == nil && n > 0 && len(chunk) >= n; n, err = frameLen(chunk) {
+		out, chunk = append(out, chunk[:n:n]), chunk[n:]
+	}
+	r.buf = append(r.buf, chunk...)
 	return out, err
 }
 
@@ -111,8 +123,10 @@ type conn struct {
 }
 
 // read cuts the frames chunk completes out of c's stream and verifies
-// each; ok turns false at a refused header or a frame that fails, and
-// nothing from there on is returned. Only c's reader runs it.
+// each, once: the handlers decode them without a second CRC. ok turns
+// false at a refused header or a frame that fails, and nothing from there
+// on is returned. A frame may alias chunk (see feed). Only c's reader
+// runs it.
 func (c *conn) read(chunk []byte) (frames [][]byte, ok bool) {
 	frames, err := c.rx.feed(chunk, c.frames[:0])
 	c.frames = frames

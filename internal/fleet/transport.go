@@ -15,9 +15,11 @@ import (
 // coordinator, datagram-shaped: a send reaches the far side's handler or
 // is dropped, with no report beyond ErrClosed — the node's staleness
 // bound is the fleet's failure detector. Handlers run where the carrier
-// delivers, outside the end's lock, and must not block. A Node is built
-// on a NodeEnd, a Coordinator on a CoordinatorEnd; neither end has the
-// other's methods, so a wrong-direction call does not compile.
+// delivers, outside the end's lock, and must not block; the frame a
+// handler is given has been verified and may alias the carrier's read
+// buffer, so it is good only for the call. A Node is built on a NodeEnd,
+// a Coordinator on a CoordinatorEnd; neither end has the other's
+// methods, so a wrong-direction call does not compile.
 
 // ErrClosed reports a send on a closed transport.
 var ErrClosed = errors.New("fleet: transport closed")

@@ -176,6 +176,16 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	return readSnapshot(d)
+}
+
+// verified is the payload of a frame the protocol has already verified
+// (conn.read) and typed (proto.recv): a handler decodes it without
+// checking the CRC a second time.
+func verified(f []byte) frame.Dec { return frame.NewDec(f[headerLen : len(f)-4]) }
+
+// readSnapshot decodes a MsgSnapshot payload.
+func readSnapshot(d frame.Dec) (*Snapshot, error) {
 	s := &Snapshot{
 		Node:  d.U32(),
 		Seq:   d.U64(),
@@ -204,6 +214,11 @@ func DecodeDeploy(data []byte) (*Deploy, error) {
 	if err != nil {
 		return nil, err
 	}
+	return readDeploy(d)
+}
+
+// readDeploy decodes a MsgDeploy payload.
+func readDeploy(d frame.Dec) (*Deploy, error) {
 	dp := &Deploy{
 		Epoch:   d.U64(),
 		At:      eventsim.Time(d.U64()),
