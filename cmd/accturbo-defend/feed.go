@@ -177,7 +177,7 @@ func feedReplay(d *accturbo.Defense, frames *pcap.MappedReader) int {
 	return n
 }
 
-// replayPaced drives the capture through process for the fleet modes,
+// replayPaced drives the capture through process for the TCP node,
 // calling poll at a data-driven cadence: a capture drains far faster
 // than wall-clock poll intervals, so without this a short replay would
 // finish before the first poll.

@@ -17,9 +17,10 @@
 //     shedding. -replay streams the mapping's raw frames through a
 //     lock-free ingest lane — fused feature decode, no Packet structs,
 //     no copies — lossless, reported in Mpps.
-//   - In-process fleet (-fleet-nodes N): N pipelines under one ranking
-//     coordinator, the capture partitioned across them by source IP
-//     hash; -coordinator=false starts it partitioned.
+//   - In-process fleet (-fleet-nodes N): N deterministic pipelines under
+//     one ranking coordinator on the simulated fleet link, the capture
+//     partitioned across them by source IP hash and replayed in its own
+//     timeline; -coordinator=false starts the link partitioned.
 //   - TCP coordinator (-coordinator-listen) and TCP node
 //     (-coordinator-addr, -node-id): the multi-process fleet over the
 //     ACCFLEET wire protocol. A node that loses the coordinator degrades
@@ -231,8 +232,10 @@ func main() {
 			runTCPNode(cfg, src)
 		}
 	case *fleetNodes > 0:
-		if singleOnly {
-			fatal(2, "-fleet-nodes cannot be combined with -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
+		// The fleet's nodes replay on the capture's timeline, so -realtime
+		// would mean nothing there.
+		if singleOnly || *realtime {
+			fatal(2, "-fleet-nodes cannot be combined with -realtime, -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
 		}
 		runFleet(cfg, src)
 	default:
@@ -425,13 +428,15 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 	}
 }
 
-// runFleet is the -fleet-nodes mode: N full pipelines over one
-// in-process coordinator, the capture partitioned across them by source
-// IP hash — each node sees only its ingress slice of the traffic, the
-// way a distributed-source attack spreads over real vantage points.
-// With -coordinator=false the fleet starts partitioned: every node
-// rides its sticky local fallback ranking, which is the degraded mode
-// an operator would see during a real coordinator outage.
+// runFleet is the -fleet-nodes mode: N full pipelines under one
+// coordinator on the simulated fleet link, the capture partitioned
+// across them by source IP hash — each node sees only its ingress slice
+// of the traffic, the way a distributed-source attack spreads over real
+// vantage points. The nodes share one virtual clock that follows the
+// capture's timestamps, so the report is deterministic. With
+// -coordinator=false the link starts partitioned: every node rides its
+// sticky local fallback ranking, the degraded mode an operator would see
+// during a real coordinator outage.
 func runFleet(cfg accturbo.Config, src *captureStream) {
 	nodes := *fleetNodes
 	f, err := accturbo.NewFleet(accturbo.FleetConfig{Nodes: nodes, Node: cfg})
@@ -439,25 +444,17 @@ func runFleet(cfg accturbo.Config, src *captureStream) {
 		fatal(2, err)
 	}
 	defer f.Close()
-	if !*coordinator {
-		_ = f.SetLink(false) // only bringing a coordinator back can fail
-	}
+	f.SetLink(*coordinator)
 	defer serveAdmin("serving fleet health on http://%s/health\n", admin.Surface{Health: admin.FleetView(f)})()
 
-	pollAll := func() {
-		for n := 0; n < f.Nodes(); n++ {
-			f.Node(n).Poll()
-		}
-	}
 	perNode := make([]int, nodes)
-	total := replayPaced(src, pollAll, func(at time.Duration, p *packet.Packet) {
+	total := feed(src, 1, func(at time.Duration, pkts []*packet.Packet) {
 		h := fnv.New32a()
-		h.Write(p.SrcIP[:])
+		h.Write(pkts[0].SrcIP[:])
 		n := int(h.Sum32() % uint32(nodes))
-		f.Node(n).Process(at, p)
+		f.Node(n).Process(at, pkts[0])
 		perNode[n]++
 	})
-	settle(pollAll)
 
 	fmt.Printf("fleet mode: %d nodes, %d packets partitioned by source IP\n", nodes, total)
 	if src.injector != nil {

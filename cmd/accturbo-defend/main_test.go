@@ -31,7 +31,8 @@ func TestMain(m *testing.M) {
 }
 
 // TestFlagEdges: -fleet-nodes 1 is a fleet of one and a negative count a
-// usage error, not the single pipeline under another name; the
+// usage error, not the single pipeline under another name, and a fleet,
+// which replays on the capture's timeline, refuses -realtime; the
 // real-time report counts the ingest goroutines that ran; and a fault
 // spec this CLI cannot inject is refused, not silently ignored.
 func TestFlagEdges(t *testing.T) {
@@ -44,6 +45,7 @@ func TestFlagEdges(t *testing.T) {
 		{[]string{"-fleet-nodes", "1"}, 0, "fleet mode: 1 nodes"},
 		{[]string{"-fleet-nodes", "-3"}, 2, "-fleet-nodes must not be negative"},
 		{[]string{"-fleet-nodes", "0"}, 0, "final aggregates (operator view)"},
+		{[]string{"-fleet-nodes", "2", "-realtime"}, 2, "-fleet-nodes cannot be combined with -realtime"},
 		{[]string{"-realtime", "-ingest", "0"}, 0, "1 shards, 1 ingest goroutines"},
 		{[]string{"-fault-spec", "flap:first=1s,down=1s"}, 2, "flap clauses need a simulated link"},
 		{[]string{"-fault-spec", "sinkfail:p=1"}, 2, `unknown clause kind "sinkfail"`},

@@ -2,9 +2,8 @@ package accturbo
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
+	"accturbo/internal/eventsim"
 	"accturbo/internal/fleet"
 )
 
@@ -18,72 +17,73 @@ type (
 
 // FleetConfig parameterizes NewFleet.
 type FleetConfig struct {
-	// Nodes is the number of vantage points (>= 1). Every node runs its
-	// own full Defense pipeline; only the ranking is global.
+	// Nodes is the number of vantage points (>= 1), each a full Defense
+	// pipeline; only the ranking is global.
 	Nodes int
-	// Node is the per-node pipeline configuration. Structural settings
-	// (features, MaxClusters, NumQueues, SliceInit) must be identical
-	// across the fleet — slot identity is what makes the coordinator's
-	// slot-wise merge meaningful — so one Config covers all nodes.
-	// Node.Ranker must be nil (the fleet installs its own). A node that
-	// has seen no fleet deployment for 3x its live PollInterval falls
-	// back to ranking its own snapshot locally (never to undefended
-	// FIFO), so a Reconfigure moves that bound with it.
+	// Node is every node's configuration: slot identity is what makes the
+	// coordinator's slot-wise merge meaningful, so the structural
+	// settings must match. Ranker must be nil (the fleet installs its
+	// own) and Shards at most 1: every node is a deterministic pipeline
+	// on the fleet's one virtual clock. A node with no fleet deployment
+	// for 3x its live PollInterval ranks its own snapshot (never
+	// undefended FIFO), so a Reconfigure moves that bound with it.
 	Node Config
 }
 
 // Fleet runs N Defense pipelines as one distributed ACC-Turbo
-// deployment in one process: a FleetTCPCoordinator on a loopback port
-// and N FleetTCPNodes dialing it, the same two types a multi-process
-// fleet is made of. Every node publishes its per-window cluster snapshot
-// to the coordinator, which merges them slot-wise and broadcasts one
-// global cluster→queue mapping back. An aggregate whose sources are
-// spread across nodes — the case single-node clustering systematically
-// misranks — is demoted by its fleet-wide rate on every node.
+// deployment in one process: the fleet experiment's wiring of one event
+// engine, one coordinator and N nodes speaking the fleet protocol over
+// the simulated link. Every node publishes its per-window snapshot; the
+// coordinator merges them slot-wise and broadcasts one global
+// cluster→queue mapping, so an aggregate spread across nodes — the case
+// single-node ranking misranks — is demoted by its fleet-wide rate.
 //
-// Each node is a full real-time Defense: feed node i's traffic through
-// Fleet.Node(i).Process / ObserveBatch from any goroutine, and
-// inspect it with the usual Health/Metrics/Clusters accessors. A node's
-// Health reports RankSource "fleet" while the coordinator is reachable
-// and "fleet-fallback:local" (with the Degraded bit set) while
-// partitioned — and for the first milliseconds after NewFleet, until its
-// connection and the first deployment land. The links run
-// FleetTCPNode's fixed timers on the wall clock.
+// The nodes are deterministic Defenses sharing one virtual clock:
+// Process(at, p) on any node advances it, running every poll and frame
+// due by at, so a run is reproducible to the byte. Feed the fleet from
+// one goroutine, with timestamps that do not decrease across it; Health,
+// Metrics, NodeStats, CoordinatorStats, MergedClusters and
+// LastGlobalDecision are safe from any goroutine. A node's RankSource is
+// "fleet" while it deploys the global ranking and "fleet-fallback:local"
+// (Degraded set) while it ranks alone: until the first deployment lands,
+// and while partitioned.
 type Fleet struct {
-	nodes []*FleetTCPNode
-	// coord is the running coordinator, or after SetLink(false) the
-	// closed one, whose last counters and views stay readable.
-	coord    atomic.Pointer[FleetTCPCoordinator]
-	coordCfg FleetTCPCoordinatorConfig // what SetLink(true) starts again
-
-	mu         sync.Mutex // orders SetLink against itself and Close
-	up, closed bool
+	link    *fleet.SimLink
+	coord   *fleet.Coordinator
+	nodes   []*Defense
+	rankers []*fleet.Node
 }
 
-// NewFleet builds and starts a fleet.
+// NewFleet builds a fleet; its nodes dial the coordinator at once.
 func NewFleet(cfg FleetConfig) (*Fleet, error) {
-	if cfg.Nodes < 1 {
+	switch {
+	case cfg.Nodes < 1:
 		return nil, fmt.Errorf("accturbo: fleet needs at least 1 node, got %d", cfg.Nodes)
+	case cfg.Node.Ranker != nil:
+		return nil, fmt.Errorf("accturbo: a fleet node's Config.Ranker must be nil; the fleet installs its own ranker")
+	case cfg.Node.Shards > 1:
+		return nil, fmt.Errorf("accturbo: fleet nodes share one virtual clock and run unsharded; Node.Shards is %d", cfg.Node.Shards)
 	}
-	coordCfg := FleetTCPCoordinatorConfig{ListenAddr: "127.0.0.1:0", Node: cfg.Node}
-	coord, err := NewFleetTCPCoordinator(coordCfg)
+	eng := eventsim.New()
+	link := fleet.NewSimLink(eng)
+	coordShape, nodeShape := fleet.Shape(cfg.Node)
+	coord, err := fleet.NewCoordinator(link.Coordinator(), coordShape)
 	if err != nil {
 		return nil, err
 	}
-	coordCfg.ListenAddr = coord.Addr()
-	f := &Fleet{coordCfg: coordCfg, up: true}
-	f.coord.Store(coord)
-	for i := 0; i < cfg.Nodes; i++ {
-		n, err := NewFleetTCP(FleetTCPConfig{
-			CoordinatorAddr: coordCfg.ListenAddr,
-			NodeID:          uint32(i + 1),
-			Node:            cfg.Node,
-		})
+	f := &Fleet{link: link, coord: coord}
+	for i := uint32(1); i <= uint32(cfg.Nodes); i++ {
+		rk, err := fleet.NewNode(i, link.Node(i), eng.Now, nodeShape)
 		if err != nil {
-			f.Close()
 			return nil, err
 		}
-		f.nodes = append(f.nodes, n)
+		node := cfg.Node
+		node.Ranker = rk
+		d, err := newDeterministic(node, eng)
+		if err != nil {
+			return nil, err
+		}
+		f.nodes, f.rankers = append(f.nodes, d), append(f.rankers, rk)
 	}
 	return f, nil
 }
@@ -91,63 +91,33 @@ func NewFleet(cfg FleetConfig) (*Fleet, error) {
 // Nodes returns the number of vantage points.
 func (f *Fleet) Nodes() int { return len(f.nodes) }
 
-// Node returns vantage point i's Defense pipeline. Do not Close it
-// directly; Fleet.Close owns the shutdown ordering.
-func (f *Fleet) Node(i int) *Defense { return f.nodes[i].Defense() }
+// Node returns vantage point i's Defense pipeline.
+func (f *Fleet) Node(i int) *Defense { return f.nodes[i] }
 
 // NodeStats returns vantage point i's fleet counters (publishes,
 // fleet vs fallback polls, rejected deploys).
-func (f *Fleet) NodeStats(i int) FleetNodeStats { return f.nodes[i].Stats() }
+func (f *Fleet) NodeStats(i int) FleetNodeStats { return f.rankers[i].Stats() }
 
-// CoordinatorStats returns the coordinator's counters. They start over
-// when SetLink(true) starts a new coordinator.
-func (f *Fleet) CoordinatorStats() FleetCoordinatorStats { return f.coord.Load().Stats() }
+// CoordinatorStats returns the coordinator's counters.
+func (f *Fleet) CoordinatorStats() FleetCoordinatorStats { return f.coord.Stats() }
 
 // MergedClusters returns the fleet-wide slot-merged cluster snapshot —
 // the coordinator's interpretability view across all vantage points.
-func (f *Fleet) MergedClusters() []ClusterInfo { return f.coord.Load().MergedClusters() }
+func (f *Fleet) MergedClusters() []ClusterInfo { return f.coord.MergedView() }
 
 // LastGlobalDecision returns the most recently broadcast global
 // decision (nil before the first node reports).
-func (f *Fleet) LastGlobalDecision() *Decision { return f.coord.Load().LastGlobalDecision() }
+func (f *Fleet) LastGlobalDecision() *Decision { return f.coord.LastDecision() }
 
-// SetLink partitions (false) or heals (true) the fleet the way a real
-// deployment loses and regains its coordinator. SetLink(false) closes
-// the coordinator: publishes become counted drops, every node degrades
-// to local ranking once its staleness bound expires, and its dialer
-// keeps retrying with backoff. SetLink(true) starts a fresh coordinator
-// on the same address — epochs and counters from zero, which the nodes
-// adopt as soon as they reconnect — and fails only if that address
-// cannot be bound again. Safe from any goroutine; a no-op when the link
-// is already in the asked state or the fleet is closed.
-func (f *Fleet) SetLink(up bool) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed || up == f.up {
-		return nil
-	}
-	if up {
-		coord, err := NewFleetTCPCoordinator(f.coordCfg)
-		if err != nil {
-			return err
-		}
-		f.coord.Store(coord)
-	} else {
-		f.coord.Load().Close()
-	}
-	f.up = up
-	return nil
-}
+// SetLink partitions (false) or heals (true) the link; the coordinator
+// keeps running. Partitioned, frames are lost and dials refused, so the
+// nodes fall back once their bound expires; healed, they redial on their
+// backoff. Call it from the feeding goroutine.
+func (f *Fleet) SetLink(up bool) { f.link.SetUp(up) }
 
-// Close stops the fleet: every node first — pipeline, then its dialer —
-// and the coordinator last, so a poll racing Close still finds a live
-// transport (or gets a counted ErrClosed, never a panic). Idempotent.
+// Close stops every node's control loop. Idempotent.
 func (f *Fleet) Close() {
-	for _, n := range f.nodes {
-		n.Close()
+	for _, d := range f.nodes {
+		d.Close()
 	}
-	f.mu.Lock()
-	f.closed = true
-	f.mu.Unlock()
-	f.coord.Load().Close()
 }

@@ -33,8 +33,7 @@ type FleetTCPCoordinatorConfig struct {
 
 // FleetTCPCoordinator is the coordinator of a fleet: the
 // merge-and-broadcast Coordinator behind a real TCP listener. Nodes
-// connect with NewFleetTCP from their own processes (or hosts); Fleet
-// runs one of each kind in a single process.
+// connect with NewFleetTCP from their own processes (or hosts).
 type FleetTCPCoordinator struct {
 	tr    *fleet.TCPCoordinatorTransport
 	coord *fleet.Coordinator
@@ -74,9 +73,6 @@ func (c *FleetTCPCoordinator) TransportStats() FleetTCPCoordinatorTransportStats
 // (snapshot or heartbeat) arrived — the per-node liveness view /health
 // serves. A node that disconnected is absent.
 func (c *FleetTCPCoordinator) NodeAges() map[uint32]time.Duration { return c.tr.LastSeen() }
-
-// MergedClusters returns the fleet-wide slot-merged cluster snapshot.
-func (c *FleetTCPCoordinator) MergedClusters() []ClusterInfo { return c.coord.MergedView() }
 
 // LastGlobalDecision returns the most recently broadcast global
 // decision (nil before the first node reports).

@@ -1,10 +1,11 @@
 package accturbo
 
 import (
-	"runtime"
-	"sync"
+	"strings"
 	"testing"
 	"time"
+
+	"accturbo/internal/fleet"
 )
 
 func fleetCfg() FleetConfig {
@@ -16,44 +17,72 @@ func fleetCfg() FleetConfig {
 	return FleetConfig{Nodes: 3, Node: cfg}
 }
 
+// fleetDriver feeds every node of a fleet on one virtual timeline that
+// starts at zero and only moves forward.
+type fleetDriver struct {
+	t  *testing.T
+	f  *Fleet
+	at time.Duration
+}
+
+// until feeds each node ten packets every 100 µs of virtual time until
+// done holds, and fails once a virtual second passes without it.
+func (d *fleetDriver) until(what string, done func() bool) {
+	d.t.Helper()
+	for deadline := d.at + time.Second; !done(); d.at += 100 * time.Microsecond {
+		if d.at > deadline {
+			for n := 0; n < d.f.Nodes(); n++ {
+				d.t.Logf("node %d: health=%+v stats=%+v", n, d.f.Node(n).Health().Control, d.f.NodeStats(n))
+			}
+			d.t.Fatalf("%s: not reached within a virtual second; coordinator %+v", what, d.f.CoordinatorStats())
+		}
+		for n := 0; n < d.f.Nodes(); n++ {
+			for i := 0; i < 10; i++ {
+				d.f.Node(n).Process(d.at, benignPacket(n*1000+i))
+			}
+		}
+	}
+}
+
+// every holds when cond holds on every node.
+func (d *fleetDriver) every(cond func(n int) bool) func() bool {
+	return func() bool {
+		for n := 0; n < d.f.Nodes(); n++ {
+			if !cond(n) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// ranksOn reports whether node n ranks from source, degraded or not.
+func (d *fleetDriver) ranksOn(source string, degraded bool) func(n int) bool {
+	return func(n int) bool {
+		h := d.f.Node(n).Health()
+		return h.Control.RankSource == source && h.Degraded == degraded
+	}
+}
+
+func newFleetDriver(t *testing.T, cfg FleetConfig) *fleetDriver {
+	f, err := NewFleet(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	return &fleetDriver{t: t, f: f}
+}
+
 // TestFleetConverges: with traffic flowing on every node, the fleet
 // deploys a global ranking and each node's health reports RankSource
 // "fleet" with the degraded bit clear.
 func TestFleetConverges(t *testing.T) {
-	f, err := NewFleet(fleetCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	d := newFleetDriver(t, fleetCfg())
+	f := d.f
 	if f.Nodes() != 3 {
 		t.Fatalf("fleet has %d nodes, want 3", f.Nodes())
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		for n := 0; n < f.Nodes(); n++ {
-			for i := 0; i < 50; i++ {
-				f.Node(n).Process(0, benignPacket(n*1000+i))
-			}
-		}
-		allFleet := true
-		for n := 0; n < f.Nodes(); n++ {
-			h := f.Node(n).Health()
-			if h.Control.RankSource != "fleet" || h.Degraded {
-				allFleet = false
-			}
-		}
-		if allFleet {
-			break
-		}
-		if time.Now().After(deadline) {
-			for n := 0; n < f.Nodes(); n++ {
-				t.Logf("node %d: health=%+v stats=%+v", n, f.Node(n).Health().Control, f.NodeStats(n))
-			}
-			t.Fatalf("fleet did not converge within 10s: coordinator %+v", f.CoordinatorStats())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	d.until("convergence", d.every(d.ranksOn("fleet", false)))
 
 	cs := f.CoordinatorStats()
 	if cs.Nodes != 3 || cs.Epoch == 0 {
@@ -71,44 +100,11 @@ func TestFleetConverges(t *testing.T) {
 // node to the sticky local fallback ("fleet-fallback:local", degraded
 // bit set) — never to undefended FIFO — and healing recovers "fleet".
 func TestFleetPartitionDegrades(t *testing.T) {
-	f, err := NewFleet(fleetCfg()) // 2 ms polls: a 6 ms stale bound
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-
-	waitFor := func(source string, degraded bool, what string) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			for n := 0; n < f.Nodes(); n++ {
-				for i := 0; i < 20; i++ {
-					f.Node(n).Process(0, benignPacket(n*1000+i))
-				}
-			}
-			ok := true
-			for n := 0; n < f.Nodes(); n++ {
-				h := f.Node(n).Health()
-				if h.Control.RankSource != source || h.Degraded != degraded {
-					ok = false
-				}
-			}
-			if ok {
-				return
-			}
-			if time.Now().After(deadline) {
-				for n := 0; n < f.Nodes(); n++ {
-					t.Logf("node %d: %+v", n, f.Node(n).Health().Control)
-				}
-				t.Fatalf("%s: not reached within 10s", what)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	waitFor("fleet", false, "initial convergence")
+	d := newFleetDriver(t, fleetCfg()) // 2 ms polls: a 6 ms stale bound
+	f := d.f
+	d.until("initial convergence", d.every(d.ranksOn("fleet", false)))
 	f.SetLink(false)
-	waitFor("fleet-fallback:local", true, "partition fallback")
+	d.until("partition fallback", d.every(d.ranksOn("fleet-fallback:local", true)))
 	// Degraded nodes still rank: the fallback is single-node ACC-Turbo.
 	for n := 0; n < f.Nodes(); n++ {
 		if st := f.NodeStats(n); st.LocalPolls == 0 {
@@ -116,56 +112,11 @@ func TestFleetPartitionDegrades(t *testing.T) {
 		}
 	}
 	f.SetLink(true)
-	waitFor("fleet", false, "recovery after heal")
+	d.until("recovery after heal", d.every(d.ranksOn("fleet", false)))
 	for n := 0; n < f.Nodes(); n++ {
 		if st := f.NodeStats(n); st.FallbackEngagements == 0 {
 			t.Fatalf("node %d: partition left no fallback engagement: %+v", n, st)
 		}
-	}
-}
-
-// TestFleetCloseWhilePublishing is the close-while-fleet-publish race
-// gate, mirroring TestIngestCloseWhileOffering: producers hammer every
-// node (forcing polls, hence snapshot publishes on the shared
-// transport) while Close tears the fleet down. Any interleaving must
-// resolve to a clean shutdown — no panic, no send on a closed channel,
-// no deadlock — which -race plus the ErrClosed accounting verifies.
-func TestFleetCloseWhilePublishing(t *testing.T) {
-	for iter := 0; iter < 6; iter++ {
-		f, err := NewFleet(fleetCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		for n := 0; n < f.Nodes(); n++ {
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				d := f.Node(n)
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					d.Process(0, benignPacket(n*10000+i))
-					if i%8 == 0 {
-						// Force a control-loop step: poll, rank, publish
-						// to the coordinator — the racing send.
-						d.Poll()
-					}
-					if i%64 == 0 {
-						runtime.Gosched()
-					}
-				}
-			}(n)
-		}
-		time.Sleep(time.Duration(iter) * 500 * time.Microsecond)
-		f.Close()
-		close(stop)
-		wg.Wait()
-		f.Close() // idempotent
 	}
 }
 
@@ -178,27 +129,10 @@ func TestFleetStaleBoundTracksReconfigure(t *testing.T) {
 	cfg := fleetCfg()
 	cfg.Nodes = 2
 	cfg.Node.PollInterval = FromDuration(5 * time.Millisecond)
-	f, err := NewFleet(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	d := newFleetDriver(t, cfg)
+	f := d.f
 	polls := func(n int) uint64 { st := f.NodeStats(n); return st.FleetPolls + st.LocalPolls }
-	drive := func(what string, done func(n int) bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for ok := false; !ok; time.Sleep(time.Millisecond) {
-			ok = true
-			for n := 0; n < f.Nodes(); n++ {
-				f.Node(n).Process(0, benignPacket(n*1000))
-				ok = ok && done(n)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: not reached within 10s", what)
-			}
-		}
-	}
-	drive("convergence", func(n int) bool { return f.Node(n).Health().Control.RankSource == "fleet" })
+	d.until("convergence", d.every(func(n int) bool { return f.Node(n).Health().Control.RankSource == "fleet" }))
 
 	slow := FromDuration(100 * time.Millisecond)
 	var before [2]FleetNodeStats
@@ -208,14 +142,36 @@ func TestFleetStaleBoundTracksReconfigure(t *testing.T) {
 		}
 		before[n] = f.NodeStats(n)
 	}
-	drive("four polls at the new interval", func(n int) bool {
+	d.until("four polls at the new interval", d.every(func(n int) bool {
 		return polls(n) >= before[n].FleetPolls+before[n].LocalPolls+4
-	})
+	}))
 	for n := range before {
 		st, h := f.NodeStats(n), f.Node(n).Health()
 		if st.LocalPolls != before[n].LocalPolls || h.Control.RankSource != "fleet" || h.Degraded {
 			t.Fatalf("node %d fell back after the poll interval grew: %+v -> %+v, source %q",
 				n, before[n], st, h.Control.RankSource)
+		}
+	}
+}
+
+// TestFleetRefusesWhatItCannotHonour: a fleet installs its own ranker and
+// runs every node on its one virtual clock, so a configuration that
+// brings a ranker or asks for the sharded wall-clock pipeline is refused
+// rather than quietly changed.
+func TestFleetRefusesWhatItCannotHonour(t *testing.T) {
+	for _, c := range []struct {
+		mutate func(*FleetConfig)
+		want   string
+	}{
+		{func(c *FleetConfig) { c.Nodes = 0 }, "at least 1 node"},
+		{func(c *FleetConfig) { c.Node.Ranker = new(fleet.Node) }, "Ranker must be nil"},
+		{func(c *FleetConfig) { c.Node.Shards = 4 }, "Node.Shards is 4"},
+		{func(c *FleetConfig) { c.Node.PollInterval = 0 }, "PollInterval"},
+	} {
+		cfg := fleetCfg()
+		c.mutate(&cfg)
+		if f, err := NewFleet(cfg); err == nil || f != nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewFleet = (%v, %v), want only an error naming %q", f, err, c.want)
 		}
 	}
 }

@@ -97,8 +97,8 @@ func testPacket(i int) *accturbo.Packet {
 	}
 }
 
-// driveUntil feeds d (whose polls ride on traffic and the wall clock)
-// until cond holds.
+// driveUntil feeds d (a TCP fleet node, whose polls ride on the wall
+// clock) until cond holds.
 func driveUntil(t *testing.T, what string, cond func() bool, ds ...*accturbo.Defense) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -304,14 +304,24 @@ func TestConfigPutRejectsHostileBodies(t *testing.T) {
 	}
 }
 
+// replayFleet feeds every node of f on one virtual timeline, from *at
+// on in 100 µs steps, until cond holds; a virtual second without it fails.
+func replayFleet(t *testing.T, f *accturbo.Fleet, at *time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := *at + time.Second; !cond(); *at += 100 * time.Microsecond {
+		if *at > deadline {
+			t.Fatalf("%s: not reached within a virtual second", what)
+		}
+		for n := 0; n < f.Nodes(); n++ {
+			f.Node(n).Process(*at, testPacket(int(*at/time.Microsecond)+n))
+		}
+	}
+}
+
 // TestEndpointsFleet: the in-process fleet mounts /health only, 200
-// while the coordinator is reachable and 503 once partitioned. Polls
-// every 14 ms give a 42 ms stale bound, room for a /health round trip
-// after convergence.
+// while the coordinator is reachable and 503 once partitioned.
 func TestEndpointsFleet(t *testing.T) {
-	node := fastCfg()
-	node.PollInterval = accturbo.FromDuration(14 * time.Millisecond)
-	f, err := accturbo.NewFleet(accturbo.FleetConfig{Nodes: 2, Node: node})
+	f, err := accturbo.NewFleet(accturbo.FleetConfig{Nodes: 2, Node: fastCfg()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,19 +335,76 @@ func TestEndpointsFleet(t *testing.T) {
 		h0, h1 := f.Node(0).Health(), f.Node(1).Health()
 		return !h0.Degraded && !h1.Degraded && h0.Control.RankSource == "fleet" && f.NodeStats(0).FleetPolls > 0
 	}
-	driveUntil(t, "fleet convergence", converged, f.Node(0), f.Node(1))
+	var at time.Duration
+	replayFleet(t, f, &at, "fleet convergence", converged)
 	runCalls(t, "fleet", h, []call{
 		{"GET", "/health", "", 200, "application/json", paths},
 		{"GET", "/metrics", "", 404, "", nil},
 		{"GET", "/config", "", 404, "", nil},
 	})
 	f.SetLink(false)
-	driveUntil(t, "partition fallback", func() bool { return f.Node(0).Health().Degraded }, f.Node(0), f.Node(1))
+	replayFleet(t, f, &at, "partition fallback", func() bool { return f.Node(0).Health().Degraded })
 	runCalls(t, "fleet partitioned", h, []call{{"GET", "/health", "", 503, "application/json", paths}})
 
 	// A degraded Defense answers 503 through the single-pipeline view too.
 	single := Surface{Health: DefenseView(f.Node(0))}.Handler()
 	runCalls(t, "single degraded", single, []call{{"GET", "/health", "", 503, "application/json", singleHealth}})
+}
+
+// TestFleetViewWhileReplaying: one goroutine replays into a fleet while
+// another serves its /health and reads every node's and the
+// coordinator's counters, as accturbo-defend's admin goroutine does
+// (meaningful under -race). What the reader sees only moves forward, and
+// once the replay ends every node ranks from the fleet.
+func TestFleetViewWhileReplaying(t *testing.T) {
+	f, err := accturbo.NewFleet(accturbo.FleetConfig{Nodes: 3, Node: fastCfg()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	h := Surface{Health: FleetView(f)}.Handler()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 30000; i++ { // 300 ms of virtual time: 150 polls a node
+			f.Node(i%f.Nodes()).Process(time.Duration(i)*10*time.Microsecond, testPacket(i))
+		}
+	}()
+	var epoch uint64
+	polls := make([]uint64, f.Nodes())
+	for replaying := true; replaying; {
+		select {
+		case <-done:
+			replaying = false
+		default:
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/health", nil))
+		if rec.Code != 200 && rec.Code != 503 {
+			t.Fatalf("/health while replaying: status %d: %s", rec.Code, rec.Body)
+		}
+		for n := range polls {
+			st := f.NodeStats(n)
+			if p := st.FleetPolls + st.LocalPolls; p >= polls[n] {
+				polls[n] = p
+			} else {
+				t.Fatalf("node %d: polls went from %d to %d", n, polls[n], p)
+			}
+		}
+		cs := f.CoordinatorStats()
+		if cs.Epoch < epoch {
+			t.Fatalf("coordinator epoch went from %d to %d", epoch, cs.Epoch)
+		}
+		epoch = cs.Epoch
+		f.MergedClusters()
+		f.LastGlobalDecision()
+	}
+	runCalls(t, "fleet replayed", h, []call{{"GET", "/health", "", 200, "application/json", nil}})
+	for n := range polls {
+		if src := f.Node(n).Health().Control.RankSource; src != "fleet" {
+			t.Errorf("node %d ranks from %q after the replay", n, src)
+		}
+	}
 }
 
 // TestEndpointsTCP: the coordinator's and a node's /health over a live

@@ -37,16 +37,21 @@ var recipes = []struct{ out, cmd string }{
 	{"", "accturbo-defend -in pulse.pcap -verdicts verdicts.csv"},
 	{"plan.txt", "accturbo-defend " + plan + " -chaos-seed 7"},
 	{"plan8.txt", "accturbo-defend " + plan + " -chaos-seed 8"},
+	{"fleet.txt", "accturbo-defend -in pulse.pcap -fleet-nodes 3"},
+	{"fleet_down.txt", "accturbo-defend -in pulse.pcap -fleet-nodes 3 -coordinator=false"},
 }
 
 // pinned are the outputs the manifest holds, in its line order. Nothing
 // reads back the TCP/UDP checksums packet.MarshalTo writes into the
 // captures, so a wrong one would show nowhere else.
-var pinned = []string{"pulse.pcap", "vict.pcap", "victims.txt", "a.snap", "snapshot.txt", "verdicts.csv", "plan.txt"}
+var pinned = []string{"pulse.pcap", "vict.pcap", "victims.txt", "a.snap", "snapshot.txt", "verdicts.csv", "plan.txt",
+	"fleet.txt", "fleet_down.txt"}
 
-// TestCLIManifest also checks the two properties a hash cannot: a
-// restored defense re-saves the snapshot it was restored from, and the
-// chaos plan follows its seed. The manifest is in sha256sum's format, so
+// TestCLIManifest also checks the properties a hash cannot: a restored
+// defense re-saves the snapshot it was restored from, the chaos plan
+// follows its seed, and the in-process fleet ranks from the coordinator
+// on every node while the link is up and from its local fallback on
+// every node while it is partitioned. The manifest is in sha256sum's format, so
 // `sha256sum -c` checks it in a directory where the recipes ran.
 // Regenerate it only for an intended change, with
 //
@@ -98,6 +103,29 @@ func TestCLIManifest(t *testing.T) {
 		t.Error("the chaos plan ignores its seed: seeds 7 and 8 render the same schedule")
 	}
 
+	t.Run("fleet", func(t *testing.T) {
+		report := string(read("fleet.txt"))
+		for _, node := range nodeLines(t, report) {
+			if !strings.Contains(node, "ranking source fleet ") || strings.Contains(node, "degraded=true") {
+				t.Errorf("a node off the fleet ranking with the coordinator up: %q", node)
+			}
+		}
+		if !strings.Contains(report, "pkts this window") || strings.Contains(report, "no merged view") {
+			t.Errorf("no merged view with the coordinator up:\n%s", report)
+		}
+	})
+	t.Run("fleet_down", func(t *testing.T) {
+		report := string(read("fleet_down.txt"))
+		for _, node := range nodeLines(t, report) {
+			if !strings.Contains(node, "ranking source fleet-fallback:local") {
+				t.Errorf("a node off its local fallback with the link partitioned: %q", node)
+			}
+		}
+		if !strings.Contains(report, "\ncoordinator: 0 nodes") {
+			t.Errorf("the coordinator heard from a node across the partition:\n%s", report)
+		}
+	})
+
 	var got []string
 	for _, name := range pinned {
 		got = append(got, fmt.Sprintf("%x  %s", sha256.Sum256(read(name)), name))
@@ -122,4 +150,19 @@ func TestCLIManifest(t *testing.T) {
 			t.Errorf("drifted from %s:\n got %s\nwant %s", path, got[i], want[i])
 		}
 	}
+}
+
+// nodeLines returns a -fleet-nodes 3 report's per-node lines.
+func nodeLines(t *testing.T, report string) []string {
+	t.Helper()
+	var nodes []string
+	for _, line := range strings.Split(report, "\n") {
+		if strings.HasPrefix(line, "  node ") {
+			nodes = append(nodes, line)
+		}
+	}
+	if len(nodes) != 3 {
+		t.Fatalf("%d node lines, want 3:\n%s", len(nodes), report)
+	}
+	return nodes
 }
