@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -23,9 +24,22 @@ var runs = struct {
 // quickRun is experiment id's quick-mode Result at seed.
 func quickRun(t *testing.T, id string, seed int64) *Result {
 	t.Helper()
+	return memoRun(t, fmt.Sprintf("seed%d/%s", seed, id), id, Options{Quick: true, Seed: seed})
+}
+
+// fullRun is experiment id's full-fidelity Result at seed, what
+// `experiments -seed N` prints. Its sweep points fan out over every CPU;
+// the bytes are the same at any worker count.
+func fullRun(t *testing.T, id string, seed int64) *Result {
+	t.Helper()
+	return memoRun(t, fmt.Sprintf("full/seed%d/%s", seed, id), id, Options{Seed: seed, Parallel: runtime.GOMAXPROCS(0)})
+}
+
+// memoRun runs experiment id under opt once per test binary, as key.
+func memoRun(t *testing.T, key, id string, opt Options) *Result {
+	t.Helper()
 	runs.Lock()
 	defer runs.Unlock()
-	key := fmt.Sprintf("seed%d/%s", seed, id)
 	if r, ok := runs.m[key]; ok {
 		return r
 	}
@@ -33,7 +47,7 @@ func quickRun(t *testing.T, id string, seed int64) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := e.Run(Options{Quick: true, Seed: seed})
+	r := e.Run(opt)
 	runs.m[key] = r
 	return r
 }

@@ -20,29 +20,36 @@ var goldenSeeds = []int64{1, 7}
 const goldenPath = "testdata/golden.sha256"
 
 // TestGoldenManifest pins the exact bytes of every experiment's quick-mode
-// output, rendered and CSV, at both seeds: a seed fixes every byte, so a
-// change anywhere in the stack that perturbs a reproduced number — however
-// plausible-looking — fails here, by name, instead of silently shifting
-// it. It reads the runs the shape tests read (quickRun). The manifest is
-// in sha256sum's format. Regenerate it only for an intended behavioural
-// change, with
+// output, rendered and CSV, at both seeds, and of its full-fidelity
+// output at seed 1 (the numbers EXPERIMENTS.md reports): a seed fixes
+// every byte, so a change anywhere in the stack that perturbs a
+// reproduced number — however plausible-looking — fails here, by name,
+// instead of silently shifting it. It reads the runs the shape tests read
+// (quickRun). The manifest is in sha256sum's format. Regenerate it only
+// for an intended behavioural change, with
 //
 //	go test ./internal/experiments/ -run TestGoldenManifest -update
 //
-// and say which lines moved and why. The suite takes ~25 s, and minutes
-// under the race detector, which adds nothing to a byte comparison.
+// and say which lines moved and why. The suite takes ~50 s, and far
+// longer under the race detector, which adds nothing to a byte
+// comparison.
 func TestGoldenManifest(t *testing.T) {
 	if testing.Short() || raceDetector() {
-		t.Skip("the two-seed quick suite is skipped under -short and -race")
+		t.Skip("the quick and full suites are skipped under -short and -race")
 	}
 	var got []string
+	line := func(r *Result, name string) {
+		got = append(got,
+			fmt.Sprintf("%s  %s.txt", hashOf(r.Render()), name),
+			fmt.Sprintf("%s  %s.csv", hashOf(r.CSV()), name))
+	}
 	for _, seed := range goldenSeeds {
 		for _, e := range All() {
-			r := quickRun(t, e.ID, seed)
-			got = append(got,
-				fmt.Sprintf("%s  seed%d/%s.txt", hashOf(r.Render()), seed, e.ID),
-				fmt.Sprintf("%s  seed%d/%s.csv", hashOf(r.CSV()), seed, e.ID))
+			line(quickRun(t, e.ID, seed), fmt.Sprintf("seed%d/%s", seed, e.ID))
 		}
+	}
+	for _, e := range All() {
+		line(fullRun(t, e.ID, 1), "full/seed1/"+e.ID)
 	}
 	if *update {
 		if err := os.WriteFile(goldenPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {

@@ -1,7 +1,7 @@
 // Package manifest_test is the command-line half of the golden manifest
 // (the experiments' half is internal/experiments/testdata/golden.sha256).
-// TestCLIManifest builds cmd/trafficgen and cmd/accturbo-defend, runs the
-// recipes below in a scratch directory, and holds each pinned output to
+// TestCLIManifest builds cmd/trafficgen, cmd/accturbo-defend and
+// cmd/accturbo-sim, runs the recipes below in a scratch directory, and holds each pinned output to
 // its sha256 in testdata/golden.sha256: a seed fixes every byte the tools
 // write, so a change that moves one fails here, by file name.
 // The package has no non-test code, so it adds nothing to the line count
@@ -39,13 +39,23 @@ var recipes = []struct{ out, cmd string }{
 	{"plan8.txt", "accturbo-defend " + plan + " -chaos-seed 8"},
 	{"fleet.txt", "accturbo-defend -in pulse.pcap -fleet-nodes 3"},
 	{"fleet_down.txt", "accturbo-defend -in pulse.pcap -fleet-nodes 3 -coordinator=false"},
+	{"sim_fifo.txt", "accturbo-sim -defense fifo"},
+	{"sim_red.txt", "accturbo-sim -defense red"},
+	{"sim_acc.txt", "accturbo-sim -defense acc"},
+	{"sim_jaqen.txt", "accturbo-sim -defense jaqen"},
+	{"sim_accturbo.txt", "accturbo-sim -defense accturbo"},
+	{"sim_pifo.txt", "accturbo-sim -defense pifo"},
+	{"sim_pcap.txt", "accturbo-sim -pcap pulse.pcap -defense accturbo"},
 }
 
 // pinned are the outputs the manifest holds, in its line order. Nothing
 // reads back the TCP/UDP checksums packet.MarshalTo writes into the
-// captures, so a wrong one would show nowhere else.
+// captures, so a wrong one would show nowhere else. The sim_ lines are
+// the simulator's report under each of its defenses on the default
+// scenario, and under ACC-Turbo on the capture.
 var pinned = []string{"pulse.pcap", "vict.pcap", "victims.txt", "a.snap", "snapshot.txt", "verdicts.csv", "plan.txt",
-	"fleet.txt", "fleet_down.txt"}
+	"fleet.txt", "fleet_down.txt",
+	"sim_fifo.txt", "sim_red.txt", "sim_acc.txt", "sim_jaqen.txt", "sim_accturbo.txt", "sim_pifo.txt", "sim_pcap.txt"}
 
 // TestCLIManifest also checks the properties a hash cannot: a restored
 // defense re-saves the snapshot it was restored from, the chaos plan
@@ -60,7 +70,7 @@ var pinned = []string{"pulse.pcap", "vict.pcap", "victims.txt", "a.snap", "snaps
 // and say which lines moved and why.
 func TestCLIManifest(t *testing.T) {
 	bin, work := t.TempDir(), t.TempDir()
-	build := exec.Command("go", "build", "-o", bin, "./cmd/trafficgen", "./cmd/accturbo-defend")
+	build := exec.Command("go", "build", "-o", bin, "./cmd/trafficgen", "./cmd/accturbo-defend", "./cmd/accturbo-sim")
 	build.Dir = "../.."
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
