@@ -84,7 +84,7 @@ var walkShapes = []struct {
 }
 
 // TestCoverageTableRandomWalk drives the clusterer through a seeded walk
-// of ObserveFeatures, Reseed and Marshal→Unmarshal over cells of every
+// of ObserveFeatures, Reseed and Marshal→Restore over cells of every
 // width, one byte to a whole word, and checks at every step that the
 // span cells say what the ranges say, that the assignment is the
 // Reference's, and that closest — whichever of the table's two answers
@@ -142,9 +142,9 @@ func TestCoverageTableRandomWalk(t *testing.T) {
 							o.Reseed()
 							ref.Reseed()
 						case deployed:
-							restored := NewOnline(cfg)
-							if err := restored.Unmarshal(o.Marshal()); err != nil {
-								t.Fatalf("step %d: Unmarshal: %v", step, err)
+							restored, err := Restore(cfg, o.Marshal())
+							if err != nil {
+								t.Fatalf("step %d: Restore: %v", step, err)
 							}
 							o = restored
 						}

@@ -157,9 +157,9 @@ func TestFastPathMatchesReferenceShapes(t *testing.T) {
 							ref.Reseed()
 						}
 						if i == 1600 && cfg.Deployed() {
-							restored := NewOnline(cfg)
-							if err := restored.Unmarshal(fast.Marshal()); err != nil {
-								t.Fatalf("Unmarshal: %v", err)
+							restored, err := Restore(cfg, fast.Marshal())
+							if err != nil {
+								t.Fatalf("Restore: %v", err)
 							}
 							fast = restored
 						}

@@ -9,7 +9,7 @@ import (
 	"accturbo/internal/packet"
 )
 
-// fuzzConfigs are the clusterers FuzzOnlineUnmarshal restores into:
+// fuzzConfigs are the configurations FuzzOnlineUnmarshal restores:
 // exact sets over the hardware and the 12-feature sets, and the same two
 // with Bloom sets, which are baselines and must refuse every stream.
 func fuzzConfigs() []Config {
@@ -24,19 +24,19 @@ func fuzzConfigs() []Config {
 	return out
 }
 
-// FuzzOnlineUnmarshal feeds Online.Unmarshal arbitrary bytes — the
-// cluster payload of a snapshot read from disk or sent by a fleet peer.
-// It must never panic; it must not allocate beyond a small multiple of
-// the input, whatever counts the stream claims (a cell list costs four
-// bytes a value, and a list grown by append may hold twice what it
-// needs); a refused stream must leave the receiver's state as it was; an
-// accepted one must marshal back to exactly the input. A baseline
-// clusterer answers ErrBaselineSnapshot whatever the bytes.
+// FuzzOnlineUnmarshal feeds Restore arbitrary bytes — the cluster payload
+// of a snapshot read from disk or sent by a fleet peer. It must never
+// panic; it must not allocate beyond a small multiple of the input,
+// whatever counts the stream claims (a cell list costs four bytes a
+// value, and a list grown by append may hold twice what it needs); an
+// accepted stream must marshal back to exactly the input, and a refused
+// one yields no clusterer. A baseline configuration answers
+// ErrBaselineSnapshot whatever the bytes.
 func FuzzOnlineUnmarshal(f *testing.F) {
 	cfgs := fuzzConfigs()
 	for i, cfg := range cfgs {
 		exact := cfg
-		exact.UseBloom = false // a Bloom clusterer is offered its exact twin's streams
+		exact.UseBloom = false // a Bloom configuration is offered its exact twin's streams
 		o := NewOnline(exact)
 		f.Add(uint8(i), o.Marshal())
 		for _, p := range equivTrace(300, int64(40+i)) {
@@ -46,52 +46,34 @@ func FuzzOnlineUnmarshal(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, which uint8, data []byte) {
 		cfg := cfgs[int(which)%len(cfgs)]
-		o := NewOnline(cfg)
-		for _, p := range equivTrace(50, 3) {
-			o.Observe(p)
-		}
+		r, err := Restore(cfg, data)
 		if !cfg.Deployed() {
-			before := o.Snapshot()
-			if v, u := o.Validate(data), o.Unmarshal(data); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
-				t.Fatalf("baseline Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", v, u)
-			}
-			if !reflect.DeepEqual(o.Snapshot(), before) {
-				t.Fatal("a refused stream changed the baseline receiver")
+			if r != nil || err != ErrBaselineSnapshot {
+				t.Fatalf("baseline Restore = %v, %v, want ErrBaselineSnapshot", r, err)
 			}
 			return
 		}
-		before := o.Marshal()
-
-		// Unmarshal keeps what it allocates — the cell lists — so their
-		// capacity is its allocation, and unlike a heap counter it is not
-		// disturbed by the fuzzing engine's own goroutines.
-		held := func() (bytes int) {
-			for _, l := range o.mt.lists {
-				bytes += 4 * cap(l)
-			}
-			return bytes
-		}
-		verr := o.Validate(data)
-		if !bytes.Equal(o.Marshal(), before) {
-			t.Fatalf("Validate changed the receiver (%v)", verr)
-		}
-		h0 := held()
-		err := o.Unmarshal(data)
-		if (verr == nil) != (err == nil) {
-			t.Fatalf("Validate says %v, Unmarshal says %v", verr, err)
-		}
-		if got, limit := held()-h0, 64*len(data)+4096; got > limit {
-			t.Fatalf("Unmarshal of %d bytes allocated %d, limit %d", len(data), got, limit)
+		if (r == nil) == (err == nil) {
+			t.Fatalf("Restore = %v, %v: want a clusterer or an error", r, err)
 		}
 
-		after := o.Marshal()
-		if err != nil {
-			if !bytes.Equal(after, before) {
-				t.Fatalf("a refused stream changed the receiver (%v)", err)
-			}
-			return
+		// What the walk allocates from the stream is the cell lists, so
+		// their capacity is its allocation, and unlike a heap counter it
+		// is not disturbed by the fuzzing engine's own goroutines. A
+		// refused stream leaves no clusterer behind, so the walk is
+		// repeated into one held here.
+		o := newOnline(cfg, cfg.MaxClusters)
+		if lerr := o.load(data); (lerr == nil) != (err == nil) {
+			t.Fatalf("Restore says %v, its walk says %v", err, lerr)
 		}
-		if !bytes.Equal(after, data) {
+		held := 0
+		for _, l := range o.mt.lists {
+			held += 4 * cap(l)
+		}
+		if limit := 64*len(data) + 4096; held > limit {
+			t.Fatalf("restoring %d bytes allocated %d, limit %d", len(data), held, limit)
+		}
+		if err == nil && !bytes.Equal(r.Marshal(), data) {
 			t.Fatal("an accepted stream does not marshal back to itself")
 		}
 	})
@@ -121,7 +103,7 @@ func fuzzPacket(b []byte) *packet.Packet {
 // the fuzzer picks: a slot count from 1 to 80 — every cell width, and
 // past the 64 slots a table holds, where Online forwards to a Reference —
 // a subset of fuzzFeatures, slice initialisation, and a packet stream
-// with reseeds and, for the deployed configuration, Marshal→Unmarshal
+// with reseeds and, for the deployed configuration, Marshal→Restore
 // restarts in it. Every assignment and the final snapshot must be the
 // Reference's.
 func FuzzOnlineMatchesReference(f *testing.F) {
@@ -151,9 +133,9 @@ func FuzzOnlineMatchesReference(f *testing.F) {
 				o.Reseed()
 				ref.Reseed()
 			case b[0] == 0xfe && cfg.Deployed():
-				restored := NewOnline(cfg)
-				if err := restored.Unmarshal(o.Marshal()); err != nil {
-					t.Fatalf("packet %d: Unmarshal: %v", i/4, err)
+				restored, err := Restore(cfg, o.Marshal())
+				if err != nil {
+					t.Fatalf("packet %d: Restore: %v", i/4, err)
 				}
 				o = restored
 			default:

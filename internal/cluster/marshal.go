@@ -10,9 +10,10 @@ import (
 
 // Marshal serializes the clusterer's complete learned state — flattened
 // geometry, nominal value sets, per-cluster counters, UID allocator and
-// packet count — into a deterministic little-endian byte stream. The
-// stream opens with a configuration fingerprint so Unmarshal can refuse a
-// snapshot taken under different cluster geometry. Two clusterers with
+// packet count — into a deterministic little-endian byte stream, which
+// Restore reads back. The stream opens with a configuration fingerprint
+// so Restore can refuse a snapshot taken under different cluster
+// geometry. Two clusterers with
 // equal observable state produce identical bytes (the order in which
 // values were admitted is excluded: a set is written as its ascending
 // values), which is what makes save → restore → save byte-identical.
@@ -22,7 +23,7 @@ import (
 //
 // Only the deployed configuration has a serialized form; Marshal panics
 // on a baseline clusterer, which callers rule out with Config.Deployed
-// (Validate and Unmarshal return ErrBaselineSnapshot).
+// (Restore returns ErrBaselineSnapshot).
 func (o *Online) Marshal() []byte {
 	if o.baseline != nil {
 		panic(ErrBaselineSnapshot)
@@ -70,75 +71,54 @@ func (o *Online) Marshal() []byte {
 	return e.B
 }
 
-// Unmarshal replaces the clusterer's state with a Marshal snapshot. The
-// receiver must have been constructed with the same configuration the
-// snapshot was taken under (checked via the embedded fingerprint), and
-// its subsequent observations are bit-identical to the original
-// clusterer's.
+// Restore builds a clusterer of cfg from a Marshal stream taken under
+// the same configuration (checked via the embedded fingerprint); its
+// subsequent observations are bit-identical to the original clusterer's.
+// A baseline configuration has no stream and gets ErrBaselineSnapshot.
 //
-// The stream is untrusted: it is walked once to validate it — every
-// length against the bytes that remain, every value against its
-// feature's space — and only then a second time to load it, so a
-// rejected stream leaves the receiver exactly as it was and nothing is
-// sized from a number on the wire.
-func (o *Online) Unmarshal(data []byte) error {
-	body, err := o.validated(data)
-	if err != nil {
-		return err
-	}
-	return o.decodeState(body, true)
-}
-
-// Validate reports whether Unmarshal would accept data, without
-// touching the clusterer: a caller restoring several clusterers checks
-// every stream before it loads the first.
-func (o *Online) Validate(data []byte) error {
-	_, err := o.validated(data)
-	return err
-}
-
-// validated is Unmarshal's first walk: it returns the stream past its
-// fingerprint once every length and value in it has been checked.
-func (o *Online) validated(data []byte) ([]byte, error) {
-	if o.baseline != nil {
+// The stream is untrusted and is read in one walk, straight into the new
+// clusterer: every count against the bytes that remain, every range
+// against its feature's space, every nominal set ascending within its
+// value space, and nothing sized from a number on the wire. A refused
+// stream leaves no clusterer behind, so it can change nothing.
+func Restore(cfg Config, data []byte) (*Online, error) {
+	if !cfg.Deployed() {
 		return nil, ErrBaselineSnapshot
 	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	o := newOnline(cfg, cfg.MaxClusters)
+	if err := o.load(data); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
+// load reads a Marshal stream into o, a clusterer with no clusters.
+func (o *Online) load(data []byte) error {
 	var fp frame.Enc
 	o.encodeFingerprint(&fp)
 	if !bytes.HasPrefix(data, fp.B) {
-		return nil, fmt.Errorf("cluster: snapshot fingerprint does not match this clusterer's configuration")
+		return fmt.Errorf("cluster: snapshot fingerprint does not match this clusterer's configuration")
 	}
-	body := data[len(fp.B):]
-	return body, o.decodeState(body, false)
-}
-
-// decodeState walks a Marshal stream past its fingerprint, checking it;
-// with commit set it also replaces the clusterer's state with what it
-// reads, which must only be asked of a stream that already passed.
-func (o *Online) decodeState(body []byte, commit bool) error {
-	d := frame.NewDec(body)
-	nextUID := d.U64()
-	observed := d.U64()
+	d := frame.NewDec(data[len(fp.B):])
+	o.nextUID = d.U64()
+	o.Observed = d.U64()
 	k := int(d.U32()) // 0 once the stream is short, which Done reports
 	if k > o.cfg.MaxClusters {
 		return fmt.Errorf("cluster: snapshot has %d clusters, config allows %d", k, o.cfg.MaxClusters)
 	}
-	if commit {
-		o.discard()
-		o.clusters = o.clusters[:k]
-		o.nextUID, o.Observed = nextUID, observed
-	}
-	for ci := 0; ci < k; ci++ {
-		var c clusterState
+	o.clusters = o.clusters[:k]
+	for ci := range o.clusters {
+		c := &o.clusters[ci]
 		c.uid = d.U64()
 		for f, feat := range o.feats {
 			mn, mx := d.U32(), d.U32()
 			if mn > mx || mx > feat.MaxValue() {
 				return fmt.Errorf("cluster: snapshot cluster %d feature %d range [%d, %d] is not within [0, %d]", ci, f, mn, mx, feat.MaxValue())
 			}
-			if commit {
-				o.setRange(ci, f, mn, mx)
-			}
+			o.setRange(ci, f, mn, mx)
 		}
 		c.count = d.U64()
 		c.packets = d.U64()
@@ -146,11 +126,8 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 		c.totalPackets = d.U64()
 		c.benign = d.U64()
 		c.malicious = d.U64()
-		if commit {
-			o.clusters[ci] = c
-		}
 		for j := range o.mt.feats {
-			if err := o.decodeSet(&d, ci, j, commit); err != nil {
+			if err := o.loadSet(&d, ci, j); err != nil {
 				return fmt.Errorf("cluster: snapshot cluster %d nominal set %d: %w", ci, j, err)
 			}
 		}
@@ -164,11 +141,10 @@ func (o *Online) decodeState(body []byte, commit bool) error {
 	return nil
 }
 
-// decodeSet checks one nominal set of the stream — ascending values, as
-// many as the cardinality says; with commit set it also gives the set to
-// slot ci, which must be empty. A short read is left latched in d for the
-// caller.
-func (o *Online) decodeSet(d *frame.Dec, ci, j int, commit bool) error {
+// loadSet gives slot ci one nominal set of the stream: ascending values,
+// as many as the cardinality says, inside the value space. A short read
+// is left latched in d for the caller.
+func (o *Online) loadSet(d *frame.Dec, ci, j int) error {
 	ncell := o.mt.feats[j].ncell
 	card := uint64(d.U32())
 	n := uint64(d.Count(4))
@@ -188,9 +164,7 @@ func (o *Online) decodeSet(d *frame.Dec, ci, j int, commit bool) error {
 			return fmt.Errorf("value %d out of order or beyond the value space of %d", v, ncell)
 		}
 		prev = int64(v)
-		if commit {
-			o.mt.admit(ci, j, v)
-		}
+		o.mt.admit(ci, j, v)
 	}
 	return nil
 }

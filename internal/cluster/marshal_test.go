@@ -17,8 +17,8 @@ import (
 // (b) the interpretable snapshots match, and (c) both instances stay
 // bit-identical on every subsequent observation — the restored process
 // must behave as if it had seen the whole original trace. A baseline
-// configuration, Bloom sets included, has no snapshot: Validate and
-// Unmarshal refuse with ErrBaselineSnapshot.
+// configuration, Bloom sets included, has no snapshot: Restore refuses
+// with ErrBaselineSnapshot.
 func TestMarshalRoundTrip(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -44,16 +44,16 @@ func TestMarshalRoundTrip(t *testing.T) {
 					orig.Observe(p)
 				}
 				if !cfg.Deployed() {
-					if v, u := orig.Validate(nil), orig.Unmarshal(nil); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
-						t.Fatalf("baseline Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", v, u)
+					if r, err := Restore(cfg, nil); r != nil || err != ErrBaselineSnapshot {
+						t.Fatalf("baseline Restore = %v, %v, want ErrBaselineSnapshot", r, err)
 					}
 					return
 				}
 				blob := orig.Marshal()
 
-				restored := NewOnline(cfg)
-				if err := restored.Unmarshal(blob); err != nil {
-					t.Fatalf("Unmarshal: %v", err)
+				restored, err := Restore(cfg, blob)
+				if err != nil {
+					t.Fatalf("Restore: %v", err)
 				}
 				if got := restored.Marshal(); !bytes.Equal(got, blob) {
 					t.Fatalf("re-marshal differs: %d vs %d bytes", len(got), len(blob))
@@ -92,8 +92,8 @@ func TestSnapshotEndsAtTheWord(t *testing.T) {
 	if o.baseline == nil {
 		t.Fatal("65 clusters built a membership table")
 	}
-	if v, u := o.Validate(nil), o.Unmarshal(nil); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
-		t.Fatalf("Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", v, u)
+	if _, err := Restore(cfg, nil); err != ErrBaselineSnapshot {
+		t.Fatalf("Restore = %v, want ErrBaselineSnapshot", err)
 	}
 }
 
@@ -110,9 +110,9 @@ func TestMarshalSpilledSets(t *testing.T) {
 		o.Observe(p)
 	}
 	blob := o.Marshal()
-	r := NewOnline(cfg)
-	if err := r.Unmarshal(blob); err != nil {
-		t.Fatalf("Unmarshal: %v", err)
+	r, err := Restore(cfg, blob)
+	if err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	if !bytes.Equal(r.Marshal(), blob) {
 		t.Fatal("spilled-set re-marshal differs")
@@ -122,9 +122,9 @@ func TestMarshalSpilledSets(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRejects covers the refusal paths: configuration
-// fingerprint mismatch, truncation, and trailing garbage, none of which
-// may disturb the receiver's existing state.
+// TestUnmarshalRejects covers Restore's refusal paths: configuration
+// fingerprint mismatch, truncation, and trailing garbage. A refusal
+// returns no clusterer.
 func TestUnmarshalRejects(t *testing.T) {
 	cfg := DefaultConfig(4, packet.DefaultSimulationFeatures())
 	o := NewOnline(cfg)
@@ -132,30 +132,20 @@ func TestUnmarshalRejects(t *testing.T) {
 		o.Observe(p)
 	}
 	blob := o.Marshal()
-
-	fresh := func() *Online { return NewOnline(cfg) }
-
-	t.Run("fingerprint", func(t *testing.T) {
-		other := NewOnline(DefaultConfig(8, packet.DefaultSimulationFeatures()))
-		if err := other.Unmarshal(blob); err == nil {
-			t.Fatal("accepted a snapshot from a different configuration")
+	refused := func(t *testing.T, cfg Config, data []byte, what string) {
+		t.Helper()
+		if r, err := Restore(cfg, data); err == nil || r != nil {
+			t.Fatalf("accepted %s (%v, %v)", what, r, err)
 		}
+	}
+	t.Run("fingerprint", func(t *testing.T) {
+		refused(t, DefaultConfig(8, packet.DefaultSimulationFeatures()), blob, "a snapshot from a different configuration")
 	})
 	t.Run("truncated", func(t *testing.T) {
-		r := fresh()
-		before := r.Marshal()
-		if err := r.Unmarshal(blob[:len(blob)-3]); err == nil {
-			t.Fatal("accepted a truncated snapshot")
-		}
-		if !bytes.Equal(r.Marshal(), before) {
-			t.Fatal("failed restore mutated the receiver")
-		}
+		refused(t, cfg, blob[:len(blob)-3], "a truncated snapshot")
 	})
 	t.Run("trailing", func(t *testing.T) {
-		r := fresh()
-		if err := r.Unmarshal(append(append([]byte{}, blob...), 0)); err == nil {
-			t.Fatal("accepted trailing bytes")
-		}
+		refused(t, cfg, append(append([]byte{}, blob...), 0), "trailing bytes")
 	})
 }
 
@@ -191,18 +181,15 @@ func TestParentSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := NewOnline(c.cfg)
+		o, err := Restore(c.cfg, want)
 		if !c.cfg.Deployed() {
-			if v, u := o.Validate(want), o.Unmarshal(want); v != ErrBaselineSnapshot || u != ErrBaselineSnapshot {
-				t.Errorf("%s: Validate = %v, Unmarshal = %v, want ErrBaselineSnapshot", c.file, v, u)
-			}
-			if len(o.Snapshot()) != 0 || o.Observed != 0 {
-				t.Errorf("%s: a refused stream changed the receiver", c.file)
+			if err != ErrBaselineSnapshot {
+				t.Errorf("%s: Restore = %v, want ErrBaselineSnapshot", c.file, err)
 			}
 			continue
 		}
-		if err := o.Unmarshal(want); err != nil {
-			t.Fatalf("%s: Unmarshal: %v", c.file, err)
+		if err != nil {
+			t.Fatalf("%s: Restore: %v", c.file, err)
 		}
 		if !bytes.Equal(o.Marshal(), want) {
 			t.Errorf("%s: restore and re-save changed the bytes", c.file)
@@ -219,8 +206,8 @@ func TestParentSnapshots(t *testing.T) {
 
 // TestUnmarshalRejectsHostileSets patches single fields of real Marshal
 // streams into what a corrupt or malicious snapshot could carry. Each
-// must be refused without a panic, a long spin or a large allocation, and
-// leave the receiver as it was. The Bloom rows patch the same stream the
+// must be refused without a panic, a long spin or a large allocation.
+// The Bloom rows patch the same stream the
 // way a hostile filter would have been; a Bloom clusterer is a baseline
 // now and refuses them, like any stream, with ErrBaselineSnapshot.
 func TestUnmarshalRejectsHostileSets(t *testing.T) {
@@ -288,33 +275,18 @@ func TestUnmarshalRejectsHostileSets(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			if !c.cfg.Deployed() {
-				r := NewOnline(c.cfg)
-				r.Observe(mkPkt(64, 500, packet.Benign))
-				before := r.Snapshot()
 				blob, set := build(exact, 100)
-				if err := r.Unmarshal(c.patch(blob, set)); err != ErrBaselineSnapshot {
-					t.Fatalf("Unmarshal = %v, want ErrBaselineSnapshot", err)
-				}
-				if !reflect.DeepEqual(r.Snapshot(), before) {
-					t.Fatal("a refused stream changed the receiver")
+				if _, err := Restore(c.cfg, c.patch(blob, set)); err != ErrBaselineSnapshot {
+					t.Fatalf("Restore = %v, want ErrBaselineSnapshot", err)
 				}
 				return
 			}
 			blob, set := build(c.cfg, 100)
-			r := NewOnline(c.cfg)
-			if err := r.Unmarshal(blob); err != nil {
+			if _, err := Restore(c.cfg, blob); err != nil {
 				t.Fatalf("unpatched stream: %v", err)
 			}
-			// The receiver holds other state, which a refusal must keep.
-			other, _ := build(c.cfg, 7)
-			if err := r.Unmarshal(other); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Unmarshal(c.patch(blob, set)); err == nil {
+			if r, err := Restore(c.cfg, c.patch(blob, set)); err == nil || r != nil {
 				t.Fatal("accepted the patched stream")
-			}
-			if !bytes.Equal(r.Marshal(), other) {
-				t.Fatal("a refused stream changed the receiver")
 			}
 		})
 	}

@@ -62,6 +62,9 @@ func runNearMissCase(t *testing.T, cfg Config, steps []nmStep) {
 		cfg.UseBloom = l.bloom
 		t.Run(l.name, func(t *testing.T) {
 			o, ref := newOnline(cfg, max(l.slots, cfg.MaxClusters)), NewReference(cfg)
+			if cfg.SliceInit && o.baseline == nil {
+				o.sliceInit()
+			}
 			vals := make([]uint32, len(cfg.Features))
 			for i, s := range steps {
 				cfg.Features.Extract(s.pkt, vals)

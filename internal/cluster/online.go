@@ -47,7 +47,7 @@ import (
 // truth (and what Marshal writes); the table's span cells are derived
 // from them, and every write of a range passes through one of two
 // doors: setRange, a freshly occupied slot's first range (seeding, slice
-// initialisation, Unmarshal), and widen, growth (absorb), which sets
+// initialisation, Restore), and widen, growth (absorb), which sets
 // only the cells the range grew by. Slots are freed only all at once, by
 // discard, which zeroes the cells. Upkeep therefore costs in proportion
 // to what moved.
@@ -115,11 +115,15 @@ func NewOnline(cfg Config) *Online {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return newOnline(cfg, cfg.MaxClusters)
+	o := newOnline(cfg, cfg.MaxClusters)
+	if cfg.SliceInit && o.baseline == nil {
+		o.sliceInit()
+	}
+	return o
 }
 
-// newOnline allocates a clusterer with room for `slots` clusters, at least
-// cfg.MaxClusters of them. Everything that depends on the slot count —
+// newOnline allocates a clusterer with no clusters and room for `slots`
+// of them, at least cfg.MaxClusters. Everything that depends on the slot count —
 // the table's cell width, the geometry arrays — is sized here, once; more
 // slots than clusters only buys a test wider cells than its cluster count
 // needs.
@@ -152,9 +156,6 @@ func newOnline(cfg Config, slots int) *Online {
 	}
 	o.clusters = make([]clusterState, 0, slots)
 	o.min, o.max = make([]uint32, slots*nf), make([]uint32, slots*nf)
-	if cfg.SliceInit {
-		o.sliceInit()
-	}
 	return o
 }
 

@@ -37,7 +37,7 @@ func SaveState(w io.Writer, dp *Dataplane, cp *ControlPlane) error {
 
 	// Structural fingerprint: a snapshot only restores into a pipeline
 	// with identical shape. Feature-set and clustering details are
-	// checked per shard by cluster.Unmarshal's own fingerprint.
+	// checked per shard by cluster.Restore's own fingerprint.
 	e.U32(uint32(len(dp.shards)))
 	e.U32(uint32(dp.cfg.NumQueues))
 	e.U32(uint32(dp.cfg.Clustering.MaxClusters))
@@ -157,24 +157,17 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 		}
 	}
 
-	// A blob can still be refused by its shard's clusterer; ask every
-	// shard before anything changes, so a refusal leaves all of them,
-	// and the runtime config, as they were.
-	for i, s := range dp.shards {
-		if dp.concurrent {
-			s.mu.Lock()
-		}
-		err := s.clusterer.Validate(blobs[i])
-		if dp.concurrent {
-			s.mu.Unlock()
-		}
-		if err != nil {
+	// Each blob is read once, into a clusterer of its own; a refusal
+	// returns before anything live has changed.
+	staged := make([]*cluster.Online, len(dp.shards))
+	for i, blob := range blobs {
+		if staged[i], err = cluster.Restore(dp.cfg.Clustering, blob); err != nil {
 			return fmt.Errorf("core: shard %d: %w", i, err)
 		}
 	}
 
-	// Everything decoded and validated — commit. The runtime config goes
-	// through Reconfigure so it is validated and the tickers land on the
+	// Everything decoded — commit. The runtime config goes through
+	// Reconfigure so it is validated and the tickers land on the
 	// restored cadence under a fresh generation; it is the last step
 	// that can refuse.
 	if _, err := cp.Reconfigure(rt.patch()); err != nil {
@@ -184,12 +177,9 @@ func RestoreState(r io.Reader, dp *Dataplane, cp *ControlPlane) error {
 		if dp.concurrent {
 			s.mu.Lock()
 		}
-		err := s.clusterer.Unmarshal(blobs[i])
+		s.clusterer = staged[i]
 		if dp.concurrent {
 			s.mu.Unlock()
-		}
-		if err != nil {
-			return fmt.Errorf("core: shard %d: %w", i, err)
 		}
 	}
 	dp.Deploy(qm)
