@@ -218,6 +218,10 @@ func main() {
 		cfg.WrapClock = src.injector.ClockWrapper()
 	}
 
+	if (*restorePath != "" || *snapshotOut != "") && !cfg.Clustering.Deployed() {
+		fatal(2, "-snapshot-out and -restore need the deployed clustering configuration: at most 64 -clusters")
+	}
+
 	switch {
 	case tcpFleetMode:
 		if *coordListen != "" && *coordAddr != "" {

@@ -33,10 +33,13 @@ func TestMain(m *testing.M) {
 // TestFlagEdges: -fleet-nodes 1 is a fleet of one and a negative count a
 // usage error, not the single pipeline under another name, and a fleet,
 // which replays on the capture's timeline, refuses -realtime; the
-// real-time report counts the ingest goroutines that ran; and a fault
-// spec this CLI cannot inject is refused, not silently ignored.
+// real-time report counts the ingest goroutines that ran; a fault
+// spec this CLI cannot inject is refused, not silently ignored; and a
+// configuration with no snapshot refuses -snapshot-out before it replays
+// the capture or creates the file.
 func TestFlagEdges(t *testing.T) {
 	capture := udpCapture(t, "edge.pcap", 0)
+	snap := filepath.Join(t.TempDir(), "x.snap")
 	for _, c := range []struct {
 		args []string
 		exit int
@@ -50,6 +53,7 @@ func TestFlagEdges(t *testing.T) {
 		{[]string{"-fault-spec", "flap:first=1s,down=1s"}, 2, "flap clauses need a simulated link"},
 		{[]string{"-fault-spec", "sinkfail:p=1"}, 2, `unknown clause kind "sinkfail"`},
 		{[]string{"-victims", "1000000000"}, 2, "victim: TopK 1000000000 outside [1, 4096]"},
+		{[]string{"-clusters", "100", "-snapshot-out", snap}, 2, "-snapshot-out and -restore need the deployed clustering configuration"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-in", capture}, c.args...)...)
 		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
@@ -60,6 +64,9 @@ func TestFlagEdges(t *testing.T) {
 		if c.exit != 0 && strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
 			t.Errorf("%v: a usage error should be one line, got:\n%s", c.args, out)
 		}
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Errorf("a refused -snapshot-out left %s behind (%v)", snap, err)
 	}
 }
 

@@ -8,6 +8,7 @@
 package admin
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -57,13 +58,17 @@ func (s Surface) Handler() http.Handler {
 				http.Error(w, "POST", http.StatusMethodNotAllowed)
 				return
 			}
+			// The snapshot is whole before the status line goes out, so a
+			// refusal (a configuration with no snapshot) is a 500, not an
+			// empty 200.
+			var snap bytes.Buffer
+			if err := d.SaveState(&snap); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set("Content-Disposition", `attachment; filename="defense.snap"`)
-			if err := d.SaveState(w); err != nil {
-				// Headers are gone; the truncated body fails the snapshot's
-				// own checksum on restore, so the client still can't load it.
-				fmt.Fprintln(os.Stderr, "snapshot:", err)
-			}
+			w.Write(snap.Bytes())
 		})
 	}
 	if vd := s.Victims; vd != nil {

@@ -227,6 +227,24 @@ func TestEndpointsSingle(t *testing.T) {
 	}
 }
 
+// TestSnapshotRefusalIsAnError: a real-time pipeline whose clustering
+// configuration has no snapshot answers POST /snapshot with an error
+// status and the reason, not an empty 200.
+func TestSnapshotRefusalIsAnError(t *testing.T) {
+	cfg := accturbo.HardwareConfig()
+	cfg.Clustering.MaxClusters, cfg.NumQueues = 100, 100
+	d, err := accturbo.NewRealTimeDefense(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	rec := httptest.NewRecorder()
+	Surface{Health: DefenseView(d), Live: d}.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/snapshot", nil))
+	if rec.Code < 300 || !strings.Contains(rec.Body.String(), "deployed clustering configuration") {
+		t.Fatalf("POST /snapshot: status %d, body %q", rec.Code, rec.Body)
+	}
+}
+
 // TestVictimsWhileTapObserves: the detector belongs to the capture tap;
 // GET /victims reads its published window from the server's goroutine
 // while the tap keeps observing (meaningful under -race), and once the
