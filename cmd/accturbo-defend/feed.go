@@ -73,12 +73,22 @@ func (s *captureStream) pull() (traffic.TimedPacket, bool) {
 	return traffic.TimedPacket{}, false
 }
 
-// chaosSummary is the packet-level half of a mode's chaos report line.
+// chaosSummary is a mode's chaos report line: the packet faults applied
+// here and the control-plane stalls of the clock the injector wraps.
 func (s *captureStream) chaosSummary() string {
 	inj := s.injector
-	return fmt.Sprintf("chaos (seed %d, spec %q): %d dropped, %d duplicated, %d corrupted",
-		*chaosSeed, inj.Spec().String(), inj.PacketsDropped.Value(),
-		inj.PacketsDuplicated.Value(), inj.PacketsCorrupted.Value())
+	return fmt.Sprintf("chaos (seed %d, spec %q): %d dropped, %d duplicated, %d corrupted, %d polls suppressed, %d callbacks delayed",
+		*chaosSeed, inj.Spec().String(), inj.PacketsDropped.Value(), inj.PacketsDuplicated.Value(),
+		inj.PacketsCorrupted.Value(), inj.PollsSuppressed.Value(), inj.CallbacksDelayed.Value())
+}
+
+// printResilience prints a pipeline's watchdog line, after indent, when
+// the watchdog is armed and has engaged or a panic was recovered.
+func printResilience(indent string, h accturbo.Health) {
+	if *failOpenAfter > 0 && (h.Control.FailOpenEngagements > 0 || h.Control.PanicsRecovered > 0) {
+		fmt.Printf("%sresilience: %d fail-open engagements, %d watchdog trips, %d panics recovered\n",
+			indent, h.Control.FailOpenEngagements, h.Control.WatchdogTrips, h.Control.PanicsRecovered)
+	}
 }
 
 // feed pulls the capture into batches of size packets and hands each,

@@ -20,7 +20,8 @@
 //   - In-process fleet (-fleet-nodes N): N deterministic pipelines under
 //     one ranking coordinator on the simulated fleet link, the capture
 //     partitioned across them by source IP hash and replayed in its own
-//     timeline; -coordinator=false starts the link partitioned.
+//     timeline; -coordinator=false starts the link partitioned, and
+//     -run-for keeps its /health up that long after the report.
 //   - TCP coordinator (-coordinator-listen) and TCP node
 //     (-coordinator-addr, -node-id): the multi-process fleet over the
 //     ACCFLEET wire protocol. A node that loses the coordinator degrades
@@ -112,7 +113,7 @@ var (
 	coordListen       = flag.String("coordinator-listen", "", "run the standalone fleet ranking coordinator on this TCP address (multi-process fleet mode; no capture needed)")
 	coordAddr         = flag.String("coordinator-addr", "", "run as one fleet node dialing the coordinator at this TCP address (multi-process fleet mode; use with -node-id)")
 	nodeID            = flag.Uint("node-id", 1, "this node's fleet id (>= 1, unique per fleet; used with -coordinator-addr)")
-	runFor            = flag.Duration("run-for", 0, "multi-process fleet modes: keep running (and polling) this long after the capture drains (0 = forever for -coordinator-listen/-chaos-proxy, exit after drain for nodes)")
+	runFor            = flag.Duration("run-for", 0, "fleet modes: keep running this long after the capture drains — a TCP node polling, an in-process fleet serving /health (0 = forever for -coordinator-listen/-chaos-proxy, exit after the report for nodes and -fleet-nodes)")
 	chaosProxyAddr    = flag.String("chaos-proxy", "", "run a socket-level chaos relay on this TCP address (use with -chaos-proxy-target and the -chaos-* schedule flags)")
 	chaosProxyTarget  = flag.String("chaos-proxy-target", "", "the address the chaos relay forwards to (usually the coordinator)")
 	chaosCorruptEvery = flag.Int("chaos-corrupt-every", 0, "chaos relay: XOR one byte roughly every N relayed bytes (0 = off)")
@@ -402,14 +403,10 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 		fmt.Printf("real-time mode: %d shards, %d ingest goroutines, %.0f pkts/s wall, %d deployments, %d observed, %d shed\n",
 			d.Shards(), *ingest, rate, d.Deployments(), d.PacketsObserved(), d.IngestShed())
 	}
-	if inj := src.injector; inj != nil {
-		fmt.Printf("%s, %d polls suppressed, %d callbacks delayed\n",
-			src.chaosSummary(), inj.PollsSuppressed.Value(), inj.CallbacksDelayed.Value())
+	if src.injector != nil {
+		fmt.Println(src.chaosSummary())
 	}
-	if h := d.Health(); cfg.FailOpenAfter > 0 && (h.Control.FailOpenEngagements > 0 || h.Control.PanicsRecovered > 0) {
-		fmt.Printf("resilience: %d fail-open engagements, %d watchdog trips, %d panics recovered\n",
-			h.Control.FailOpenEngagements, h.Control.WatchdogTrips, h.Control.PanicsRecovered)
-	}
+	printResilience("", d.Health())
 	if victims != nil {
 		victims.report()
 	}
@@ -440,7 +437,8 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 // capture's timestamps, so the report is deterministic. With
 // -coordinator=false the link starts partitioned: every node rides its
 // sticky local fallback ranking, the degraded mode an operator would see
-// during a real coordinator outage.
+// during a real coordinator outage. -run-for holds /health up after the
+// report.
 func runFleet(cfg accturbo.Config, src *captureStream) {
 	nodes := *fleetNodes
 	f, err := accturbo.NewFleet(accturbo.FleetConfig{Nodes: nodes, Node: cfg})
@@ -469,6 +467,7 @@ func runFleet(cfg accturbo.Config, src *captureStream) {
 		st := f.NodeStats(n)
 		fmt.Printf("  node %d: %8d pkts, ranking source %-20s degraded=%-5v fleet/local polls %d/%d\n",
 			n, perNode[n], h.Control.RankSource, h.Degraded, st.FleetPolls, st.LocalPolls)
+		printResilience("    ", h)
 	}
 	cs := f.CoordinatorStats()
 	fmt.Printf("coordinator: %d nodes reporting, epoch %d, %d merges, %d rejected frames\n",
@@ -491,6 +490,7 @@ func runFleet(cfg accturbo.Config, src *captureStream) {
 	if len(merged) == 0 {
 		fmt.Println("  (no merged view: no node reached the coordinator)")
 	}
+	time.Sleep(*runFor)
 }
 
 // waitRunFor blocks for -run-for, or forever when it is zero (the

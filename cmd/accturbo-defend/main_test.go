@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -36,10 +38,15 @@ func TestMain(m *testing.M) {
 // real-time report counts the ingest goroutines that ran; a fault
 // spec this CLI cannot inject is refused, not silently ignored; and a
 // configuration with no snapshot refuses -snapshot-out before it replays
-// the capture or creates the file.
+// the capture or creates the file. A control-plane stall reads the same
+// in the chaos line of the single pipeline and of a fleet, whose nodes
+// each print their watchdog's resilience line.
 func TestFlagEdges(t *testing.T) {
 	capture := udpCapture(t, "edge.pcap", 0)
 	snap := filepath.Join(t.TempDir(), "x.snap")
+	stall := func(args ...string) []string {
+		return append(args, "-fault-spec", "stall:at=500ms,for=1s", "-chaos-seed", "7", "-fail-open-after", "300ms")
+	}
 	for _, c := range []struct {
 		args []string
 		exit int
@@ -54,6 +61,9 @@ func TestFlagEdges(t *testing.T) {
 		{[]string{"-fault-spec", "sinkfail:p=1"}, 2, `unknown clause kind "sinkfail"`},
 		{[]string{"-victims", "1000000000"}, 2, "victim: TopK 1000000000 outside [1, 4096]"},
 		{[]string{"-clusters", "100", "-snapshot-out", snap}, 2, "-snapshot-out and -restore need the deployed clustering configuration"},
+		{stall("-fleet-nodes", "3"), 0, "0 corrupted, 15 polls suppressed"},
+		{stall("-fleet-nodes", "3"), 0, "\n    resilience: 1 fail-open engagements"},
+		{stall(), 0, "0 corrupted, 5 polls suppressed"},
 	} {
 		cmd := exec.Command(os.Args[0], append([]string{"-in", capture}, c.args...)...)
 		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
@@ -67,6 +77,49 @@ func TestFlagEdges(t *testing.T) {
 	}
 	if _, err := os.Stat(snap); !os.IsNotExist(err) {
 		t.Errorf("a refused -snapshot-out left %s behind (%v)", snap, err)
+	}
+}
+
+// TestFleetRunForHoldsHealth: -run-for keeps the in-process fleet's
+// /health up after its report, for as long as it says.
+func TestFleetRunForHoldsHealth(t *testing.T) {
+	const hold = time.Second
+	cmd := exec.Command(os.Args[0], "-in", udpCapture(t, "hold.pcap", 0), "-fleet-nodes", "3",
+		"-metrics-addr", "127.0.0.1:0", "-run-for", hold.String())
+	cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer cmd.Process.Kill()
+	var addr string
+	for sc := bufio.NewScanner(stdout); sc.Scan() && !strings.HasPrefix(sc.Text(), "fleet-merged aggregates"); {
+		if a, ok := strings.CutPrefix(sc.Text(), "serving fleet health on http://"); ok {
+			addr = strings.TrimSuffix(a, "/health")
+		}
+	}
+	if addr == "" {
+		t.Fatal("no health banner before the report")
+	}
+	resp, err := http.Get("http://" + addr + "/health")
+	if err != nil {
+		t.Fatalf("/health after the report: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"nodes"`) {
+		t.Errorf("/health after the report: %d %s", resp.StatusCode, body)
+	}
+	io.Copy(io.Discard, stdout)
+	if err := cmd.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if held := time.Since(start); held < hold {
+		t.Errorf("the fleet exited after %v, inside its %v hold", held, hold)
 	}
 }
 
