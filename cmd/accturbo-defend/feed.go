@@ -187,29 +187,6 @@ func feedReplay(d *accturbo.Defense, frames *pcap.MappedReader) int {
 	return n
 }
 
-// replayPaced drives the capture through process for the TCP node,
-// calling poll at a data-driven cadence: a capture drains far faster
-// than wall-clock poll intervals, so without this a short replay would
-// finish before the first poll.
-func replayPaced(src *captureStream, poll func(), process func(at time.Duration, p *packet.Packet)) int {
-	n := 0
-	return feed(src, 1, func(at time.Duration, pkts []*packet.Packet) {
-		process(at, pkts[0])
-		if n++; n%5000 == 0 {
-			poll()
-			time.Sleep(2 * time.Millisecond)
-		}
-	})
-}
-
-// settle lets the last window rank and the coordinator's broadcast land.
-func settle(poll func()) {
-	for round := 0; round < 3; round++ {
-		poll()
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
 // victimTap feeds the heavy-keeper from the capture chokepoint: every
 // packet's destination key and size, with windows closing on capture
 // time, so the victim list is deterministic per capture. peaks remembers

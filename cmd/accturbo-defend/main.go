@@ -378,15 +378,13 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 	d.Close()
 	elapsed := time.Since(start)
 	if *snapshotOut != "" {
-		sf, err := os.Create(*snapshotOut)
+		var snap bytes.Buffer
+		err := d.SaveState(&snap)
+		if err == nil {
+			err = os.WriteFile(*snapshotOut, snap.Bytes(), 0o666)
+		}
 		if err != nil {
-			fatal(1, err)
-		}
-		if err := d.SaveState(sf); err != nil {
 			fatal(1, "snapshot:", err)
-		}
-		if err := sf.Close(); err != nil {
-			fatal(1, err)
 		}
 		fmt.Printf("state snapshot written to %s\n", *snapshotOut)
 	}
@@ -547,15 +545,26 @@ func runTCPNode(cfg accturbo.Config, src *captureStream) {
 	fmt.Printf("fleet node %d dialing coordinator at %s\n", id, *coordAddr)
 	defer serveAdmin("serving node health on http://%s/health\n", admin.Surface{Health: admin.NodeView(id, n), Metrics: d})()
 
-	total := replayPaced(src, d.Poll, func(at time.Duration, p *packet.Packet) { d.Process(at, p) })
-	// Keep the control loop visibly alive past the capture: each tick
-	// publishes a snapshot (and applies or ages out fleet deployments),
-	// which is what lets /health show fallback and recovery in real time.
-	for deadline := time.Now().Add(*runFor); *runFor > 0 && time.Now().Before(deadline); {
+	// A capture drains far faster than wall-clock poll intervals, so the
+	// replay polls every 5,000 packets; without that a short replay would
+	// finish before the first poll.
+	total := 0
+	feed(src, 1, func(at time.Duration, pkts []*packet.Packet) {
+		d.Process(at, pkts[0])
+		if total++; total%5000 == 0 {
+			d.Poll()
+			time.Sleep(2 * time.Millisecond)
+		}
+	})
+	// Keep the control loop visibly alive past the capture for -run-for:
+	// each tick publishes a snapshot (and applies or ages out fleet
+	// deployments), which is what lets /health show fallback and recovery
+	// in real time. Three ticks at least let the last window rank and the
+	// coordinator's broadcast land.
+	for deadline, tick := time.Now().Add(*runFor), 0; tick < 3 || time.Now().Before(deadline); tick++ {
 		d.Poll()
 		time.Sleep(20 * time.Millisecond)
 	}
-	settle(d.Poll)
 
 	h := d.Health()
 	st := n.Stats()

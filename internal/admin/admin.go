@@ -58,9 +58,7 @@ func (s Surface) Handler() http.Handler {
 				http.Error(w, "POST", http.StatusMethodNotAllowed)
 				return
 			}
-			// The snapshot is whole before the status line goes out, so a
-			// refusal (a configuration with no snapshot) is a 500, not an
-			// empty 200.
+			// Whole before the status line, so a refusal is a 500, not an empty 200.
 			var snap bytes.Buffer
 			if err := d.SaveState(&snap); err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -72,15 +72,12 @@ func (o *Online) Marshal() []byte {
 }
 
 // Restore builds a clusterer of cfg from a Marshal stream taken under
-// the same configuration (checked via the embedded fingerprint); its
-// subsequent observations are bit-identical to the original clusterer's.
-// A baseline configuration has no stream and gets ErrBaselineSnapshot.
-//
-// The stream is untrusted and is read in one walk, straight into the new
-// clusterer: every count against the bytes that remain, every range
-// against its feature's space, every nominal set ascending within its
-// value space, and nothing sized from a number on the wire. A refused
-// stream leaves no clusterer behind, so it can change nothing.
+// the same configuration (the fingerprint says so), whose observations
+// are then bit-identical to the original's; a baseline configuration
+// gets ErrBaselineSnapshot. The untrusted stream is read once, straight
+// into the new clusterer — every count against the bytes that remain,
+// every value against its feature's space, nothing sized from a number
+// on the wire — so a refused stream leaves nothing behind to undo.
 func Restore(cfg Config, data []byte) (*Online, error) {
 	if !cfg.Deployed() {
 		return nil, ErrBaselineSnapshot
