@@ -66,7 +66,9 @@ func (s Surface) Handler() http.Handler {
 			}
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Header().Set("Content-Disposition", `attachment; filename="defense.snap"`)
-			w.Write(snap.Bytes())
+			if _, err := snap.WriteTo(w); err != nil {
+				fmt.Fprintln(os.Stderr, "snapshot:", err)
+			}
 		})
 	}
 	if vd := s.Victims; vd != nil {

@@ -49,12 +49,12 @@ func FuzzOnlineUnmarshal(f *testing.F) {
 		r, err := Restore(cfg, data)
 		if !cfg.Deployed() {
 			if r != nil || err != ErrBaselineSnapshot {
-				t.Fatalf("baseline Restore = %v, %v, want ErrBaselineSnapshot", r, err)
+				t.Fatalf("baseline Restore = %p, %v, want ErrBaselineSnapshot", r, err)
 			}
 			return
 		}
 		if (r == nil) == (err == nil) {
-			t.Fatalf("Restore = %v, %v: want a clusterer or an error", r, err)
+			t.Fatalf("Restore = %p, %v: want a clusterer or an error", r, err)
 		}
 
 		// What the walk allocates from the stream is the cell lists, so

@@ -13,10 +13,10 @@ import (
 // packet count — into a deterministic little-endian byte stream, which
 // Restore reads back. The stream opens with a configuration fingerprint
 // so Restore can refuse a snapshot taken under different cluster
-// geometry. Two clusterers with
-// equal observable state produce identical bytes (the order in which
-// values were admitted is excluded: a set is written as its ascending
-// values), which is what makes save → restore → save byte-identical.
+// geometry. Two clusterers with equal observable state produce identical
+// bytes (the order in which values were admitted is excluded: a set is
+// written as its ascending values), which is what makes save → restore →
+// save byte-identical.
 //
 // Checksums and format versioning live one layer up, in the core
 // snapshot container: a cluster blob never travels alone.

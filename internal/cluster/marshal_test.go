@@ -45,7 +45,7 @@ func TestMarshalRoundTrip(t *testing.T) {
 				}
 				if !cfg.Deployed() {
 					if r, err := Restore(cfg, nil); r != nil || err != ErrBaselineSnapshot {
-						t.Fatalf("baseline Restore = %v, %v, want ErrBaselineSnapshot", r, err)
+						t.Fatalf("baseline Restore = %p, %v, want ErrBaselineSnapshot", r, err)
 					}
 					return
 				}
@@ -135,7 +135,7 @@ func TestUnmarshalRejects(t *testing.T) {
 	refused := func(t *testing.T, cfg Config, data []byte, what string) {
 		t.Helper()
 		if r, err := Restore(cfg, data); err == nil || r != nil {
-			t.Fatalf("accepted %s (%v, %v)", what, r, err)
+			t.Fatalf("accepted %s (%p, %v)", what, r, err)
 		}
 	}
 	t.Run("fingerprint", func(t *testing.T) {
