@@ -1,6 +1,8 @@
 // Command accturbo-sim runs one packet-level simulation: a chosen
 // workload through a chosen defense over a bottleneck link, printing
-// per-second throughput/drop series and a summary.
+// per-second throughput/drop series and a summary. The run is one
+// experiments leg (experiments.Simulate), so every packet it offers is
+// checked to be delivered, dropped or queued at its end.
 //
 // Usage:
 //
@@ -17,14 +19,10 @@ import (
 	"fmt"
 	"os"
 
-	"accturbo/internal/acc"
-	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
-	"accturbo/internal/jaqen"
-	"accturbo/internal/netsim"
+	"accturbo/internal/experiments"
 	"accturbo/internal/packet"
 	"accturbo/internal/pcap"
-	"accturbo/internal/queue"
 	"accturbo/internal/traffic"
 )
 
@@ -67,13 +65,11 @@ func main() {
 		}
 	}
 
-	eng := eventsim.New()
-	rec := netsim.NewRecorder(eventsim.Second)
-	if err := buildDefense(eng, *defense, *link, rec, *clusters, src); err != nil {
+	rec, err := experiments.Simulate(*defense, src, *link, end, *clusters)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	eng.RunUntil(end)
 	workload := "scenario=" + *scenario
 	if capture != nil {
 		if err := capture.Err(); err != nil {
@@ -104,51 +100,4 @@ func main() {
 		workload, *defense, *link, *duration, *seed)
 	fmt.Printf("benign drops: %.2f%%   attack drops: %.2f%%\n",
 		rec.BenignDropPercent(), rec.MaliciousDropPercent())
-}
-
-func buildDefense(eng *eventsim.Engine, name string, link float64, rec *netsim.Recorder, clusters int, src traffic.Source) error {
-	buffer := max(int(link/8/10), 10_000)
-	var port *netsim.Port
-	switch name {
-	case "fifo":
-		port = netsim.NewPort(eng, queue.NewFIFO(buffer), link, rec)
-	case "red":
-		port = netsim.NewPort(eng, queue.NewRED(buffer, link/8), link, rec)
-	case "acc":
-		port = netsim.NewPort(eng, queue.NewRED(buffer, link/8), link, rec)
-		if _, err := acc.Attach(eng, port, acc.DefaultConfig()); err != nil {
-			return err
-		}
-	case "jaqen":
-		port = netsim.NewPort(eng, queue.NewFIFO(buffer), link, rec)
-		cfg := jaqen.DefaultConfig()
-		cfg.Window = eventsim.Second
-		cfg.ResetPeriod = eventsim.Second
-		cfg.Threshold = 1000
-		if _, err := jaqen.Attach(eng, port, cfg); err != nil {
-			return err
-		}
-	case "accturbo":
-		cfg := core.DefaultConfig()
-		cfg.Clustering.MaxClusters = clusters
-		cfg.Clustering.SliceInit = true
-		cfg.ReseedInterval = eventsim.Second
-		var err error
-		port, _, err = core.Attach(eng, link, rec, cfg)
-		if err != nil {
-			return err
-		}
-	case "pifo":
-		q := queue.NewPIFO(buffer, func(_ eventsim.Time, p *packet.Packet) int64 {
-			if p.Label == packet.Malicious {
-				return 1
-			}
-			return 0
-		})
-		port = netsim.NewPort(eng, q, link, rec)
-	default:
-		return fmt.Errorf("unknown defense %q", name)
-	}
-	netsim.Replay(eng, src, port)
-	return nil
 }

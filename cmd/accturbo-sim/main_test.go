@@ -26,7 +26,9 @@ func TestMain(m *testing.M) {
 // TestCheckRates: the CLI hands -scenario (none for -pcap), -link and
 // -duration to traffic.CheckRates before building a scenario, so a value
 // that would panic or spin is a one-line usage error with exit 2. The
-// full table of refused values is traffic's TestCheckRates.
+// full table of refused values is traffic's TestCheckRates. A defense
+// the CLI does not know, or an ACC-Turbo cluster count its clusterer
+// refuses, is a usage error too.
 func TestCheckRates(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -39,6 +41,10 @@ func TestCheckRates(t *testing.T) {
 		{[]string{"-scenario", "morphing", "-link", "4e11"}, 2, "-link 4e+11: scenario morphing"},
 		{[]string{"-scenario", "bogus"}, 2, `unknown scenario "bogus"`},
 		{[]string{"-defense", "fifo", "-link", "1e6", "-duration", "1"}, 0, "scenario=pulsewave defense=fifo"},
+		// -clusters is ACC-Turbo's alone: another defense runs whatever it says.
+		{[]string{"-defense", "jaqen", "-clusters", "0", "-link", "1e6", "-duration", "1"}, 0, "defense=jaqen"},
+		{[]string{"-defense", "accturbo", "-clusters", "0", "-link", "1e6", "-duration", "1"}, 2, "cluster: MaxClusters 0"},
+		{[]string{"-defense", "bogus", "-duration", "1"}, 2, `unknown defense "bogus"`},
 	} {
 		cmd := exec.Command(os.Args[0], c.args...)
 		cmd.Env = append(os.Environ(), "ACCTURBO_SIM_MAIN=1")

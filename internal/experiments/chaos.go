@@ -12,36 +12,32 @@ import (
 const chaosFailOpenAfter = 2 * eventsim.Second
 
 // chaosSpec is the fault plan the chaos experiment injects into the
-// fig6/fig8 pulse-wave scenario (pulses at [10,20), [30,40), ...):
+// fig6/fig8 pulse wave (hwPulses):
 //
-//   - the controller stalls for 2.5 s right as the first pulse of each
-//     half starts (12 s, 52 s) — long enough to trip the watchdog and
-//     fail open mid-attack;
+//   - the controller stalls for 2.5 s from 2 s into the first pulse of
+//     each half of the wave — long enough to trip the watchdog and fail
+//     open mid-attack;
 //   - the bottleneck link flaps down for 250 ms in the middle of each
-//     pulse (15 s, then every 20 s);
+//     pulse period;
 //   - light packet loss/duplication/corruption at the ingress.
 //
 // All of it is derived from one seed, so two runs with the same seed
 // are byte-identical — the golden manifest pins exactly those bytes.
 func chaosSpec(end eventsim.Time) faults.Spec {
-	flaps := int((end - 15*eventsim.Second) / (20 * eventsim.Second))
-	if flaps < 1 {
-		flaps = 1
-	}
+	first, _ := hwPulses.Window(0)
+	flap := faults.FlapSpec{First: first + hwPulses.Len/2, Len: 250 * eventsim.Millisecond, Period: hwPulses.Period}
+	flap.Count = max(int((end-flap.First)/flap.Period), 1)
 	spec := faults.Spec{
-		Flaps: []faults.FlapSpec{{
-			First:  15 * eventsim.Second,
-			Down:   250 * eventsim.Millisecond,
-			Period: 20 * eventsim.Second,
-			Count:  flaps,
-		}},
-		Stalls:   []faults.StallSpec{{At: 12 * eventsim.Second, For: 2500 * eventsim.Millisecond}},
+		Flaps:    []faults.FlapSpec{flap},
 		DropP:    0.002,
 		DupP:     0.001,
 		CorruptP: 0.002,
 	}
-	if end > 52*eventsim.Second {
-		spec.Stalls = append(spec.Stalls, faults.StallSpec{At: 52 * eventsim.Second, For: 2500 * eventsim.Millisecond})
+	for _, pulse := range []int{0, 2} {
+		start, _ := hwPulses.Window(pulse)
+		if at := start + 2*eventsim.Second; at < end {
+			spec.Stalls = append(spec.Stalls, faults.StallSpec{At: at, For: 2500 * eventsim.Millisecond})
+		}
 	}
 	return spec
 }

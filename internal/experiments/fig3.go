@@ -6,15 +6,19 @@ import (
 	"accturbo/internal/traffic"
 )
 
+// morphingTiming is morphingPulses' attack schedule: four 5 s pulses.
+var morphingTiming = traffic.PulseWaveTiming(5 * eventsim.Second)
+
 // morphingPulses is the §2.2 workload: four benign CBR aggregates at
-// about link capacity plus four 5 s attack pulses at 3× the link.
+// about link capacity plus the morphingTiming attack pulses at 3× the
+// link.
 var morphingPulses = scenario{func() traffic.Source {
-	return traffic.PulseWave(fig2Link, 3*fig2Link, 5*eventsim.Second, true)
+	return traffic.PulseWave(fig2Link, 3*fig2Link, morphingTiming.Len, true)
 }, fig2Link, 50 * eventsim.Second}
 
 // Fig3 reproduces the pulse-wave / morphing-attack experiment of §2.2:
 // four benign CBR aggregates at about link capacity plus four attack
-// pulses (5/15/25/35 s), under FIFO, ACC, and ACC-Turbo, plus the
+// pulses (morphingTiming), under FIFO, ACC, and ACC-Turbo, plus the
 // speed-vs-accuracy sweep of Fig. 3b (% benign drops vs ACC's K).
 func Fig3(opt Options) *Result {
 	r := &Result{
@@ -35,8 +39,8 @@ func Fig3(opt Options) *Result {
 			addAggregateShares(r, "ACC", o.rec, fig2Link)
 			pulsesDefended := 0
 			if o.acc.FirstActivation >= 0 {
-				for _, start := range []eventsim.Time{5, 15, 25, 35} {
-					if o.acc.FirstActivation <= start*eventsim.Second {
+				for i := range morphingTiming.Count {
+					if start, _ := morphingTiming.Window(i); o.acc.FirstActivation <= start {
 						pulsesDefended++
 					}
 				}

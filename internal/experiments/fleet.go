@@ -41,11 +41,14 @@ const (
 	fleetNodes      = 3
 	fleetBenignRate = 7e6
 	fleetAttackRate = 5e6
-	// The coordinator partition: starts mid-pulse-2 (pulses occupy
-	// [10,20), [30,40), ...) and heals before pulse 3.
-	fleetPartitionAt   = 34 * eventsim.Second
-	fleetPartitionHeal = 44 * eventsim.Second
 )
+
+// The coordinator partition: it starts 4 s into the second pulse and
+// heals 4 s after it, before the third.
+var fleetPartitionAt, fleetPartitionHeal = func() (eventsim.Time, eventsim.Time) {
+	start, end := hwPulses.Window(1)
+	return start + 4*eventsim.Second, end + 4*eventsim.Second
+}()
 
 // fleetNodeTraffic builds vantage point `node`'s ingress: its local
 // benign aggregate plus its slice of the distributed pulse wave.
@@ -65,7 +68,7 @@ func fleetNodeTraffic(seed int64, node int, end eventsim.Time) traffic.Source {
 	srcs := []traffic.Source{
 		traffic.NewCBR(0, end, fleetBenignRate, benign.Factory(seed+int64(100+node))),
 	}
-	for p := 0; p < 4; p++ {
+	for p := range hwPulses.Count {
 		attack := traffic.FlowSpec{
 			SrcIP:    packet.V4Addr{203, 0, 113, byte(10 + node)}, // distinct source per node
 			DstIP:    packet.V4Addr{198, 18, 224, byte(1 + p)},    // slice 3 on every node
@@ -78,9 +81,8 @@ func fleetNodeTraffic(seed int64, node int, end eventsim.Time) traffic.Source {
 			Vector:   "UDP-pulse",
 			FlowID:   traffic.AggAttack,
 		}
-		start := eventsim.Time(10+20*p) * eventsim.Second
-		srcs = append(srcs, traffic.NewCBR(start, start+10*eventsim.Second,
-			fleetAttackRate, attack.Factory(seed+int64(10*node+p))))
+		start, stop := hwPulses.Window(p)
+		srcs = append(srcs, traffic.NewCBR(start, stop, fleetAttackRate, attack.Factory(seed+int64(10*node+p))))
 	}
 	return traffic.Merge(srcs...)
 }
@@ -95,7 +97,7 @@ const (
 
 // fleetSamples are when the partitioned leg samples its ranking sources.
 var fleetSamples = []eventsim.Time{
-	fleetPartitionAt - 2*eventsim.Second, // connected, mid-pulse 2
+	fleetPartitionAt - 2*eventsim.Second, // connected, mid-pulse
 	fleetPartitionAt + 4*eventsim.Second, // partitioned past the staleness bound
 	fleetPartitionHeal + 4*eventsim.Second,
 }

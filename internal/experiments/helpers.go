@@ -70,8 +70,13 @@ func (t *topo) chain(from, to *legOut, delay eventsim.Time) {
 	netsim.Chain(t.eng, from.port, to.port, delay)
 }
 
-// replay feeds src into o's port.
+// replay feeds src into o's port. A source that stamps no packets from
+// the pool (a capture) takes none back, so its port releases none to it:
+// the pool would keep every packet it delivered alive.
 func (t *topo) replay(src traffic.Source, o *legOut) {
+	if _, ok := src.(traffic.Pooled); !ok {
+		o.port.SetPool(nil)
+	}
 	traffic.AttachPool(src, t.pool)
 	netsim.Replay(t.eng, src, o.port)
 }
@@ -265,6 +270,27 @@ func turbo(cfg core.Config) defense {
 		}
 		return port
 	}
+}
+
+// Simulate replays src through one bottleneck of link bits/s under the
+// named defense (fifo, red, acc, jaqen, accturbo or pifo) until end, as
+// a conservation-checked leg, and returns the port's recorder. Only
+// accturbo reads clusters, its cluster count.
+func Simulate(name string, src traffic.Source, link float64, end eventsim.Time, clusters int) (*netsim.Recorder, error) {
+	jcfg, tcfg := jaqen.DefaultConfig(), core.DefaultConfig()
+	jcfg.Window, jcfg.ResetPeriod, jcfg.Threshold = eventsim.Second, eventsim.Second, 1000
+	tcfg.Clustering.MaxClusters, tcfg.Clustering.SliceInit, tcfg.ReseedInterval = clusters, true, eventsim.Second
+	def, ok := map[string]defense{
+		"fifo": fifo, "red": bare(func(buffer int) queue.Qdisc { return queue.NewRED(buffer, link/8) }),
+		"acc": withACC(acc.DefaultConfig()), "jaqen": withJaqen(jcfg), "accturbo": turbo(tcfg), "pifo": pifoIdeal,
+	}[name]
+	if !ok {
+		return nil, fmt.Errorf("unknown defense %q", name)
+	}
+	if err := tcfg.Validate(); name == "accturbo" && err != nil {
+		return nil, err
+	}
+	return replay(end, func(t *topo) { t.replay(src, t.port(def, link)) }).rec, nil
 }
 
 // faulted runs def under a fault injector: packet mangling and link

@@ -12,10 +12,10 @@ import (
 	"accturbo/internal/traffic"
 )
 
-// liveOpsCut is when both operations land: mid-pulse-2 of the fig6
-// pulse wave (pulses at [10,20), [30,40), ...), the worst moment to
-// touch a running defense.
-const liveOpsCut = 35 * eventsim.Second
+// liveOpsCut is when both operations land: halfway through the second
+// pulse of the fig6 pulse wave, the worst moment to touch a running
+// defense.
+var liveOpsCut = func() eventsim.Time { start, _ := hwPulses.Window(1); return start + hwPulses.Len/2 }()
 
 // skipUntil replays only the tail of a deterministic source: packets
 // before cut are consumed (and recycled) instead of emitted, and the
@@ -56,12 +56,12 @@ func (s *skipUntil) SetPool(pool *packet.Pool) {
 // LiveOps exercises both live-operation paths mid-pulse-wave and
 // reports that neither costs benign traffic:
 //
-//   - Reconfigure: at t=35s (inside pulse 2) the runtime config is
+//   - Reconfigure: at liveOpsCut (mid-pulse) the runtime config is
 //     hot-patched — ranking flips to packet rate and the poll interval
 //     halves to 125 ms — on the running pipeline. Benign drops must
 //     stay at the clean run's level: the swap reschedules tickers, it
 //     never stalls the data plane.
-//   - Kill/restore: a second run is killed at t=35s, its full state
+//   - Kill/restore: a second run is killed at liveOpsCut, its full state
 //     serialized, and a fresh process restores the snapshot and takes
 //     over the remaining traffic. The restored process's first deployed
 //     decision is the pre-kill decision itself (restore re-deploys it,
@@ -190,9 +190,11 @@ func LiveOps(opt Options) *Result {
 }
 
 // phaseDrops formats per-phase benign drop percentages around the
-// operation at cut: before [0,cut), during the rest of the active pulse
-// [cut,cut+5), and after [cut+5,end) — fig6 pulses occupy [30,40).
+// operation at cut: before [0,cut), during the rest of the second pulse,
+// and after it.
 func phaseDrops(rec *netsim.Recorder, cutSec int) string {
+	_, stop := hwPulses.Window(1)
+	stopSec := int(stop / eventsim.Second)
 	arrived := rec.ArrivedBits(packet.Benign)
 	delivered := rec.DeliveredBits(packet.Benign)
 	pct := func(from, to int) float64 {
@@ -207,7 +209,7 @@ func phaseDrops(rec *netsim.Recorder, cutSec int) string {
 		return 100 * (a - d) / a
 	}
 	return fmt.Sprintf("%.2f%%/%.2f%%/%.2f%%",
-		pct(0, cutSec), pct(cutSec, cutSec+5), pct(cutSec+5, len(arrived)))
+		pct(0, cutSec), pct(cutSec, stopSec), pct(stopSec, len(arrived)))
 }
 
 // stitchedSeries joins the pre-kill recorder's benign throughput with

@@ -47,9 +47,12 @@ func TCPExperiment(opt Options) *Result {
 				Protocol: packet.ProtoUDP, SrcPort: 123, DstPort: 80, TTL: 58, Size: 1000,
 				Label: packet.Malicious, Vector: "pulse", FlowID: 99,
 			}
+			pulses := eventsim.Pulses{First: 5 * eventsim.Second, Len: 5 * eventsim.Second, Period: 10 * eventsim.Second}
+			pulses.Count = int((end-10*eventsim.Second)/pulses.Period) + 1 // every pulse that ends by end
 			var srcs []traffic.Source
-			for at := 5 * eventsim.Second; at+5*eventsim.Second <= end; at += 10 * eventsim.Second {
-				srcs = append(srcs, traffic.NewCBR(at, at+5*eventsim.Second, 4*link, pulse.Factory(opt.Seed+int64(at))))
+			for i := range pulses.Count {
+				at, stop := pulses.Window(i)
+				srcs = append(srcs, traffic.NewCBR(at, stop, 4*link, pulse.Factory(opt.Seed+int64(at))))
 			}
 			t.replay(traffic.Merge(srcs...), port)
 		}, read: func(r *Result, o *legOut) {

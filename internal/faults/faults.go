@@ -62,22 +62,18 @@ func New(seed uint64, spec Spec) *Injector {
 // Spec returns the spec the injector was built with.
 func (inj *Injector) Spec() Spec { return inj.spec }
 
-// FlapLink schedules one flap clause against a port: the link goes
-// down at First, comes back Down later, and repeats every Period,
-// Count times in total. Transitions are plain scheduled events — no
-// randomness — so flaps land at identical virtual times in every run.
+// FlapLink schedules one flap clause against a port: the link is down
+// through each of the schedule's windows. Transitions are plain
+// scheduled events — no randomness — so flaps land at identical virtual
+// times in every run.
 func (inj *Injector) FlapLink(eng *eventsim.Engine, port *netsim.Port, f FlapSpec) {
-	count := f.Count
-	if count <= 0 {
-		count = 1
-	}
-	for i := 0; i < count; i++ {
-		at := f.First + eventsim.Time(i)*f.Period
-		eng.At(at, func(t eventsim.Time) {
+	for i := range f.Count {
+		down, up := f.Window(i)
+		eng.At(down, func(t eventsim.Time) {
 			inj.LinkTransitions.Inc()
 			port.SetLinkState(t, false)
 		})
-		eng.At(at+f.Down, func(t eventsim.Time) {
+		eng.At(up, func(t eventsim.Time) {
 			inj.LinkTransitions.Inc()
 			port.SetLinkState(t, true)
 		})

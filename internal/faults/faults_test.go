@@ -20,7 +20,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		t.Fatalf("got %d flaps, %d stalls, want 1 each", len(spec.Flaps), len(spec.Stalls))
 	}
 	f := spec.Flaps[0]
-	if f.First != 12*eventsim.Second || f.Down != 250*eventsim.Millisecond ||
+	if f.First != 12*eventsim.Second || f.Len != 250*eventsim.Millisecond ||
 		f.Period != 20*eventsim.Second || f.Count != 4 {
 		t.Fatalf("flap parsed wrong: %+v", f)
 	}
@@ -109,7 +109,7 @@ func TestFlapLinkDropsAndRecovers(t *testing.T) {
 	rec := netsim.NewRecorder(eventsim.Second)
 	port := netsim.NewPort(eng, queue.NewFIFO(1<<20), 1e9, rec)
 	inj := New(1, Spec{})
-	inj.FlapLink(eng, port, FlapSpec{First: 1 * eventsim.Second, Down: 1 * eventsim.Second, Count: 1})
+	inj.FlapLink(eng, port, FlapSpec{First: 1 * eventsim.Second, Len: 1 * eventsim.Second, Count: 1})
 
 	var delivered int
 	port.Delivered = func(eventsim.Time, *packet.Packet) { delivered++ }

@@ -10,14 +10,10 @@ import (
 	"accturbo/internal/eventsim"
 )
 
-// FlapSpec describes one link-flap schedule: the link fails at First,
-// recovers Down later, and the cycle repeats every Period, Count times.
-type FlapSpec struct {
-	First  eventsim.Time
-	Down   eventsim.Time
-	Period eventsim.Time
-	Count  int
-}
+// FlapSpec is one link-flap schedule: the link is down through each of
+// its Count windows, Len long and Period apart from First. Ramp is
+// unused.
+type FlapSpec = eventsim.Pulses
 
 // StallSpec describes one control-plane stall window: callbacks on the
 // wrapped clock due in [At, At+For) are suppressed (periodic polls) or
@@ -50,7 +46,7 @@ func (s Spec) String() string {
 	var parts []string
 	for _, f := range s.Flaps {
 		parts = append(parts, fmt.Sprintf("flap:first=%s,down=%s,period=%s,count=%d",
-			f.First.Duration(), f.Down.Duration(), f.Period.Duration(), f.Count))
+			f.First.Duration(), f.Len.Duration(), f.Period.Duration(), f.Count))
 	}
 	if s.DropP > 0 {
 		parts = append(parts, fmt.Sprintf("drop:p=%g", s.DropP))
@@ -95,16 +91,16 @@ func ParseSpec(s string) (Spec, error) {
 			f := FlapSpec{Count: 1}
 			if err := kv.apply(map[string]func(string) error{
 				"first":  durInto(&f.First),
-				"down":   durInto(&f.Down),
+				"down":   durInto(&f.Len),
 				"period": durInto(&f.Period),
 				"count":  intInto(&f.Count),
 			}); err != nil {
 				return Spec{}, fmt.Errorf("faults: clause %q: %w", clause, err)
 			}
-			if f.Down <= 0 {
+			if f.Len <= 0 {
 				return Spec{}, fmt.Errorf("faults: clause %q: down must be positive", clause)
 			}
-			if f.Count > 1 && f.Period <= f.Down {
+			if f.Count > 1 && f.Period <= f.Len {
 				return Spec{}, fmt.Errorf("faults: clause %q: period must exceed down time", clause)
 			}
 			spec.Flaps = append(spec.Flaps, f)

@@ -38,7 +38,7 @@ func FuzzParseSpec(f *testing.F) {
 			}
 		}
 		for _, fl := range spec.Flaps {
-			if fl.First < 0 || fl.Down <= 0 || fl.Period < 0 || fl.Count < 1 {
+			if fl.First < 0 || fl.Len <= 0 || fl.Period < 0 || fl.Count < 1 {
 				t.Fatalf("%q: accepted flap %+v", in, fl)
 			}
 		}

@@ -169,7 +169,7 @@ var shapes = []shape{
 	{"link flap", 3 * eventsim.Second, func(eng *eventsim.Engine, _ *eventLog) []*netsim.Port {
 		port := netsim.NewPort(eng, queue.NewFIFO(20_000), link, netsim.NewRecorder(eventsim.Second))
 		faults.New(1, faults.Spec{}).FlapLink(eng, port, faults.FlapSpec{
-			First: 500 * eventsim.Millisecond, Down: 200 * eventsim.Millisecond, Period: eventsim.Second, Count: 2,
+			First: 500 * eventsim.Millisecond, Len: 200 * eventsim.Millisecond, Period: eventsim.Second, Count: 2,
 		})
 		pooled(eng, traffic.Merge(
 			flow(0, 3*eventsim.Second, 3e6, packet.Benign, 1),

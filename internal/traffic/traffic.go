@@ -54,8 +54,8 @@ func AttachPool(s Source, pool *packet.Pool) {
 }
 
 // RateFunc returns the source's target rate in bits/second at time t.
-// A non-positive return pauses the source; pacing resumes at the next
-// profile point.
+// A non-positive return pauses the source until the rate is positive
+// again.
 type RateFunc func(t eventsim.Time) float64
 
 // CheckRates refuses the scenario, link rate (bits/s) and duration (s)
@@ -159,36 +159,22 @@ func (s *rated) Next() (TimedPacket, bool) {
 	return TimedPacket{}, false
 }
 
-// RatePoint anchors a piecewise-linear rate profile.
-type RatePoint struct {
-	At   eventsim.Time
-	Bits float64
-}
-
-// Profile builds a RateFunc interpolating linearly between points.
-// Before the first point the first rate applies; after the last, the
-// last rate applies. Points must be in increasing time order.
-func Profile(points ...RatePoint) RateFunc {
-	if len(points) == 0 {
-		panic("traffic: empty rate profile")
-	}
-	for i := 1; i < len(points); i++ {
-		if points[i].At <= points[i-1].At {
-			panic(fmt.Sprintf("traffic: profile points out of order at %d", i))
-		}
-	}
+// ramped is the rate over p's first window: zero up to its start, a
+// linear climb to peak over p.Ramp, peak, and a linear fall back to zero
+// over the window's last p.Ramp. Each segment includes its end.
+func ramped(p eventsim.Pulses, peak float64) RateFunc {
+	start, end := p.Window(0)
 	return func(t eventsim.Time) float64 {
-		if t <= points[0].At {
-			return points[0].Bits
+		switch {
+		case t <= start || t > end:
+			return 0
+		case t <= start+p.Ramp:
+			return float64(t-start) / float64(p.Ramp) * peak
+		case t <= end-p.Ramp:
+			return peak
 		}
-		for i := 1; i < len(points); i++ {
-			if t <= points[i].At {
-				span := float64(points[i].At - points[i-1].At)
-				frac := float64(t-points[i-1].At) / span
-				return points[i-1].Bits + frac*(points[i].Bits-points[i-1].Bits)
-			}
-		}
-		return points[len(points)-1].Bits
+		frac := float64(t-(end-p.Ramp)) / float64(p.Ramp)
+		return peak - frac*peak
 	}
 }
 

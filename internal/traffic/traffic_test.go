@@ -66,57 +66,70 @@ func TestCBRWindowRespected(t *testing.T) {
 	}
 }
 
-func TestProfileInterpolation(t *testing.T) {
-	f := Profile(
-		RatePoint{At: 10 * eventsim.Second, Bits: 0},
-		RatePoint{At: 20 * eventsim.Second, Bits: 1000},
-	)
-	if got := f(5 * eventsim.Second); got != 0 {
-		t.Errorf("before first point: %v", got)
+// TestRampedMatchesInterpolation: the ACC ramp's rate is the linear
+// interpolation through (start, 0), (start+Ramp, peak), (end-Ramp,
+// peak), (end, 0) that Fig. 2's workload has always used, float for
+// float, with each segment holding its end; outside the window it is 0.
+func TestRampedMatchesInterpolation(t *testing.T) {
+	p := eventsim.Pulses{First: 13 * eventsim.Second, Len: 18 * eventsim.Second, Ramp: 6 * eventsim.Second, Count: 1}
+	const peak = 3e7
+	type point struct {
+		at   eventsim.Time
+		bits float64
 	}
-	if got := f(15 * eventsim.Second); got != 500 {
-		t.Errorf("midpoint: %v, want 500", got)
+	pts := []point{{13 * eventsim.Second, 0}, {19 * eventsim.Second, peak}, {25 * eventsim.Second, peak}, {31 * eventsim.Second, 0}}
+	lerp := func(at eventsim.Time) float64 {
+		if at <= pts[0].at {
+			return pts[0].bits
+		}
+		for i := 1; i < len(pts); i++ {
+			if at <= pts[i].at {
+				frac := float64(at-pts[i-1].at) / float64(pts[i].at-pts[i-1].at)
+				return pts[i-1].bits + frac*(pts[i].bits-pts[i-1].bits)
+			}
+		}
+		return pts[len(pts)-1].bits
 	}
-	if got := f(25 * eventsim.Second); got != 1000 {
-		t.Errorf("after last point: %v", got)
+	f := ramped(p, peak)
+	for at := eventsim.Time(0); at <= 35*eventsim.Second; at += 999_983 {
+		for _, t0 := range []eventsim.Time{at, 13*eventsim.Second + at%3 - 1, 31*eventsim.Second + at%3 - 1} {
+			if got, want := f(t0), lerp(t0); got != want {
+				t.Fatalf("rate at %v = %v, want %v", t0, got, want)
+			}
+		}
+	}
+	for _, c := range []struct {
+		at   eventsim.Time
+		want float64
+	}{{13 * eventsim.Second, 0}, {16 * eventsim.Second, peak / 2}, {19 * eventsim.Second, peak}, {25 * eventsim.Second, peak},
+		{28 * eventsim.Second, peak / 2}, {31 * eventsim.Second, 0}, {40 * eventsim.Second, 0}} {
+		if got := f(c.at); got != c.want {
+			t.Errorf("rate at %v = %v, want %v", c.at, got, c.want)
+		}
 	}
 }
 
-func TestProfileValidation(t *testing.T) {
-	for _, f := range []func(){
-		func() { Profile() },
-		func() {
-			Profile(RatePoint{At: 2, Bits: 1}, RatePoint{At: 1, Bits: 1})
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
+// TestRatedPausesAtZeroRate: a source whose rate drops to zero sends
+// nothing until it is positive again.
 func TestRatedPausesAtZeroRate(t *testing.T) {
-	profile := Profile(
-		RatePoint{At: 0, Bits: 8e6},
-		RatePoint{At: eventsim.Second, Bits: 8e6},
-		RatePoint{At: eventsim.Second + 1, Bits: 0},
-		RatePoint{At: 2 * eventsim.Second, Bits: 0},
-		RatePoint{At: 2*eventsim.Second + 1, Bits: 8e6},
-	)
-	src := NewRated(0, 3*eventsim.Second, profile, simpleFactory(1000))
-	inGap := 0
+	rate := func(at eventsim.Time) float64 {
+		if at > eventsim.Second && at <= 2*eventsim.Second {
+			return 0
+		}
+		return 8e6
+	}
+	src := NewRated(0, 3*eventsim.Second, rate, simpleFactory(1000))
+	inGap, after := 0, 0
 	for _, tp := range Collect(src) {
 		if tp.At > eventsim.Second+50*eventsim.Millisecond && tp.At < 2*eventsim.Second-50*eventsim.Millisecond {
 			inGap++
 		}
+		if tp.At > 2*eventsim.Second {
+			after++
+		}
 	}
-	if inGap > 0 {
-		t.Fatalf("%d packets during zero-rate gap", inGap)
+	if inGap > 0 || after == 0 {
+		t.Fatalf("%d packets during zero-rate gap, %d after it", inGap, after)
 	}
 }
 
