@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -69,6 +70,7 @@ var pinned = []string{"pulse.pcap", "vict.pcap", "victims.txt", "a.snap", "snaps
 //
 // and say which lines moved and why.
 func TestCLIManifest(t *testing.T) {
+	statSources(t, "../..")
 	bin, work := t.TempDir(), t.TempDir()
 	build := exec.Command("go", "build", "-o", bin, "./cmd/trafficgen", "./cmd/accturbo-defend", "./cmd/accturbo-sim")
 	build.Dir = "../.."
@@ -159,6 +161,28 @@ func TestCLIManifest(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("drifted from %s:\n got %s\nwant %s", path, got[i], want[i])
 		}
+	}
+}
+
+// statSources stats every non-test .go file of the module under root.
+// The commands are built in a subprocess, which go test's cache cannot
+// see into; it does record the files a test stats, so an edit to any
+// source the commands may be built from reruns the test instead of
+// reporting a cached pass.
+func statSources(t *testing.T, root string) {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && path != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir // .git, build outputs
+		case !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go"):
+			_, err = os.Stat(path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
