@@ -67,7 +67,7 @@ func Fig2(opt Options) *Result {
 			addAggregateShares(r, "ACC", o.rec, fig2Link)
 			if o.acc.FirstActivation >= 0 {
 				r.Note("ACC (K=2s): reaction %.1f s after attack start (paper: ~4 s), benign drops %.1f%%",
-					(o.acc.FirstActivation - 13*eventsim.Second).Seconds(), o.rec.BenignDropPercent())
+					(o.acc.FirstActivation - traffic.ACCOriginalTiming().First).Seconds(), o.rec.BenignDropPercent())
 			} else {
 				r.Note("ACC (K=2s): never activated")
 			}
