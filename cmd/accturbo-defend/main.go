@@ -30,9 +30,9 @@
 //     its capture drains, so a smoke test can kill and restart the
 //     coordinator around it.
 //   - Chaos relay (-chaos-proxy): a seeded socket-level fault injector
-//     between nodes and coordinator. -chaos-plan prints its exact
-//     per-connection schedule without opening a socket, whose bytes
-//     internal/manifest pins.
+//     between nodes and coordinator, scheduled by -fault-spec's stream
+//     clause. -chaos-plan prints its exact per-connection schedule
+//     without opening a socket, whose bytes internal/manifest pins.
 //
 // Riding on the capture modes: -metrics-addr serves the mode's
 // internal/admin surface (/health everywhere, 503 while degraded;
@@ -40,13 +40,13 @@
 // GET/PUT /config and POST /snapshot in real-time mode, for the single
 // pipeline).
 // -fault-spec with -chaos-seed injects deterministic packet faults and
-// control-plane stalls (internal/faults), and -fail-open-after arms the
-// watchdog that reverts to uniform priority when decisions go stale.
-// -snapshot-out and -restore carry the full defense state across a
-// restart, so the new process resumes with the deployed decision
-// instead of re-converging (with -restore, -in is optional). -victims K
-// reports the heavy-keeper's top-K destination aggregates, windowed on
-// capture time.
+// control-plane stalls (internal/faults; every mode refuses a clause it
+// has no place for), and -fail-open-after arms the watchdog that reverts
+// to uniform priority when decisions go stale. -snapshot-out and
+// -restore carry the full defense state across a restart, so the new
+// process resumes with the deployed decision instead of re-converging
+// (with -restore, -in is optional). -victims K reports the
+// heavy-keeper's top-K destination aggregates, windowed on capture time.
 //
 // Usage:
 //
@@ -62,8 +62,8 @@
 //	accturbo-defend -in day.pcap -fleet-nodes 3
 //	accturbo-defend -coordinator-listen :7100 -metrics-addr :9100
 //	accturbo-defend -in day.pcap -coordinator-addr :7100 -node-id 1 -metrics-addr :9101 -run-for 30s
-//	accturbo-defend -chaos-proxy :7200 -chaos-proxy-target :7100 -chaos-seed 7 -chaos-corrupt-every 4096
-//	accturbo-defend -chaos-plan 3 -chaos-seed 7 -chaos-corrupt-every 4096 -chaos-reset-every 32768
+//	accturbo-defend -chaos-proxy :7200 -chaos-proxy-target :7100 -chaos-seed 7 -fault-spec 'stream:corrupt=4096'
+//	accturbo-defend -chaos-plan 3 -chaos-seed 7 -fault-spec 'stream:corrupt=4096,reset=32768,delay=8192,for=5ms'
 package main
 
 import (
@@ -71,6 +71,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -87,40 +88,36 @@ import (
 )
 
 var (
-	in                = flag.String("in", "", "input pcap (raw-IP linktype)")
-	verdictsOut       = flag.String("verdicts", "", "optional CSV of per-packet verdicts")
-	clusters          = flag.Int("clusters", 4, "number of clusters / priority queues")
-	pollMs            = flag.Int("poll", 250, "controller poll interval (ms)")
-	reseedMs          = flag.Int("reseed", 1000, "cluster re-initialization period (ms, 0 = never)")
-	realtime          = flag.Bool("realtime", false, "run the wall-clock pipeline instead of deterministic replay")
-	replay            = flag.Bool("replay", false, "wire-speed frame replay: memory-map the capture and stream raw frames through a lock-free ingest lane (implies -realtime; lossless, retries under backpressure)")
-	replayLoops       = flag.Int("replay-loops", 1, "passes over the capture in -replay mode")
-	shards            = flag.Int("shards", 1, "data-plane clustering shards (> 1 implies -realtime)")
-	ingest            = flag.Int("ingest", runtime.GOMAXPROCS(0), "ingest goroutines in real-time mode")
-	ingestQueue       = flag.Int("ingest-queue", 8192, "bounded ingest queue capacity in real-time mode (packets; a full queue blocks the capture reader, and -replay retries)")
-	batchSize         = flag.Int("batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
-	metricsAddr       = flag.String("metrics-addr", "", "serve /metrics and /health on this address (e.g. :9100) while processing")
-	chaosSeed         = flag.Uint64("chaos-seed", 0, "seed for deterministic fault injection (used with -fault-spec)")
-	faultSpec         = flag.String("fault-spec", "", "fault plan of drop, dup, corrupt and stall clauses, e.g. 'drop:p=0.01;dup:p=0.005;stall:at=5s,for=2s' (see internal/faults)")
-	failOpenAfter     = flag.Duration("fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
-	cpuProfile        = flag.String("cpuprofile", "", "write a CPU profile of the processing loop to this file")
-	restorePath       = flag.String("restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
-	snapshotOut       = flag.String("snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
-	victimsK          = flag.Int("victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off, at most 4096; adds GET /victims to -metrics-addr)")
-	victimWindowMs    = flag.Int("victim-window", 1000, "victim-detection window length (ms of capture time; used with -victims)")
-	fleetNodes        = flag.Int("fleet-nodes", 0, "run this many in-process fleet nodes under one global ranking coordinator (0 = single-node mode); capture traffic is partitioned across nodes by source IP hash")
-	coordinator       = flag.Bool("coordinator", true, "with -fleet-nodes: keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")
-	coordListen       = flag.String("coordinator-listen", "", "run the standalone fleet ranking coordinator on this TCP address (multi-process fleet mode; no capture needed)")
-	coordAddr         = flag.String("coordinator-addr", "", "run as one fleet node dialing the coordinator at this TCP address (multi-process fleet mode; use with -node-id)")
-	nodeID            = flag.Uint("node-id", 1, "this node's fleet id (>= 1, unique per fleet; used with -coordinator-addr)")
-	runFor            = flag.Duration("run-for", 0, "fleet modes: keep running this long after the capture drains — a TCP node polling, an in-process fleet serving /health (0 = forever for -coordinator-listen/-chaos-proxy, exit after the report for nodes and -fleet-nodes)")
-	chaosProxyAddr    = flag.String("chaos-proxy", "", "run a socket-level chaos relay on this TCP address (use with -chaos-proxy-target and the -chaos-* schedule flags)")
-	chaosProxyTarget  = flag.String("chaos-proxy-target", "", "the address the chaos relay forwards to (usually the coordinator)")
-	chaosCorruptEvery = flag.Int("chaos-corrupt-every", 0, "chaos relay: XOR one byte roughly every N relayed bytes (0 = off)")
-	chaosResetEvery   = flag.Int("chaos-reset-every", 0, "chaos relay: hard-reset the connection (RST) roughly every N relayed bytes (0 = off)")
-	chaosDelayEvery   = flag.Int("chaos-delay-every", 0, "chaos relay: stall the relay roughly every N relayed bytes (0 = off)")
-	chaosDelayFor     = flag.Duration("chaos-delay-for", 50*time.Millisecond, "chaos relay: stall duration for -chaos-delay-every")
-	chaosPlan         = flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule of the first 64 KiB of each direction, for this many connections, and exit (uses the -chaos-* flags)")
+	in               = flag.String("in", "", "input pcap (raw-IP linktype)")
+	verdictsOut      = flag.String("verdicts", "", "optional CSV of per-packet verdicts")
+	clusters         = flag.Int("clusters", 4, "number of clusters / priority queues")
+	pollMs           = flag.Int("poll", 250, "controller poll interval (ms)")
+	reseedMs         = flag.Int("reseed", 1000, "cluster re-initialization period (ms, 0 = never)")
+	realtime         = flag.Bool("realtime", false, "run the wall-clock pipeline instead of deterministic replay")
+	replay           = flag.Bool("replay", false, "wire-speed frame replay: memory-map the capture and stream raw frames through a lock-free ingest lane (implies -realtime; lossless, retries under backpressure)")
+	replayLoops      = flag.Int("replay-loops", 1, "passes over the capture in -replay mode")
+	shards           = flag.Int("shards", 1, "data-plane clustering shards (> 1 implies -realtime)")
+	ingest           = flag.Int("ingest", runtime.GOMAXPROCS(0), "ingest goroutines in real-time mode")
+	ingestQueue      = flag.Int("ingest-queue", 8192, "bounded ingest queue capacity in real-time mode (packets; a full queue blocks the capture reader, and -replay retries)")
+	batchSize        = flag.Int("batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
+	metricsAddr      = flag.String("metrics-addr", "", "serve /metrics and /health on this address (e.g. :9100) while processing")
+	chaosSeed        = flag.Uint64("chaos-seed", 0, "seed of every -fault-spec fault: packet faults, stalls and the chaos relay's byte streams")
+	faultSpec        = flag.String("fault-spec", "", "fault plan: drop, dup, corrupt and stall clauses for a capture, e.g. 'drop:p=0.01;stall:at=5s,for=2s', or a stream clause for -chaos-proxy and -chaos-plan, e.g. 'stream:corrupt=4096,reset=32768,delay=8192,for=5ms' (see internal/faults)")
+	failOpenAfter    = flag.Duration("fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
+	cpuProfile       = flag.String("cpuprofile", "", "write a CPU profile of the processing loop to this file")
+	restorePath      = flag.String("restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
+	snapshotOut      = flag.String("snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
+	victimsK         = flag.Int("victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off, at most 4096; adds GET /victims to -metrics-addr)")
+	victimWindowMs   = flag.Int("victim-window", 1000, "victim-detection window length (ms of capture time; used with -victims)")
+	fleetNodes       = flag.Int("fleet-nodes", 0, "run this many in-process fleet nodes under one global ranking coordinator (0 = single-node mode); capture traffic is partitioned across nodes by source IP hash")
+	coordinator      = flag.Bool("coordinator", true, "with -fleet-nodes: keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")
+	coordListen      = flag.String("coordinator-listen", "", "run the standalone fleet ranking coordinator on this TCP address (multi-process fleet mode; no capture needed)")
+	coordAddr        = flag.String("coordinator-addr", "", "run as one fleet node dialing the coordinator at this TCP address (multi-process fleet mode; use with -node-id)")
+	nodeID           = flag.Uint("node-id", 1, "this node's fleet id (>= 1, unique per fleet; used with -coordinator-addr)")
+	runFor           = flag.Duration("run-for", 0, "fleet modes: keep running this long after the capture drains — a TCP node polling, an in-process fleet serving /health (0 = forever for -coordinator-listen/-chaos-proxy, exit after the report for nodes and -fleet-nodes)")
+	chaosProxyAddr   = flag.String("chaos-proxy", "", "run a socket-level chaos relay on this TCP address (use with -chaos-proxy-target, -chaos-seed and a -fault-spec stream clause)")
+	chaosProxyTarget = flag.String("chaos-proxy-target", "", "the address the chaos relay forwards to (usually the coordinator)")
+	chaosPlan        = flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule of the first 64 KiB of each direction, for this many connections, and exit (uses -chaos-seed and the -fault-spec stream clause)")
 )
 
 func fatal(code int, v ...any) {
@@ -128,25 +125,51 @@ func fatal(code int, v ...any) {
 	os.Exit(code)
 }
 
+// millis converts millisecond flag name's value, refusing a negative
+// one and one whose nanoseconds overflow a time.Duration.
+func millis(name string, ms int) time.Duration {
+	const most = math.MaxInt64 / int64(time.Millisecond)
+	if ms < 0 || int64(ms) > most {
+		fatal(2, fmt.Sprintf("-%s %d is outside [0, %d] ms", name, ms, most))
+	}
+	return time.Duration(ms) * time.Millisecond
+}
+
 func main() {
 	flag.Parse()
 
-	tcpChaos := fleet.ChaosSpec{
-		Seed:         *chaosSeed,
-		CorruptEvery: *chaosCorruptEvery,
-		ResetEvery:   *chaosResetEvery,
-		DelayEvery:   *chaosDelayEvery,
-		DelayFor:     *chaosDelayFor,
+	poll, reseed, victimWindow := millis("poll", *pollMs), millis("reseed", *reseedMs), millis("victim-window", *victimWindowMs)
+	if *nodeID > math.MaxUint32 {
+		fatal(2, fmt.Sprintf("-node-id %d does not fit in 32 bits", *nodeID))
+	}
+	spec, err := faults.ParseSpec(*faultSpec)
+	if err != nil {
+		fatal(2, err)
+	}
+	// Each mode refuses the clauses it has no place for.
+	relay := *chaosPlan > 0 || *chaosProxyAddr != ""
+	notStream := spec
+	notStream.Stream = faults.StreamSpec{}
+	switch {
+	case relay && !notStream.Empty():
+		fatal(2, "-fault-spec: the chaos relay injects stream clauses only, and has no packets or clock to fault")
+	case relay:
+	case *coordListen != "" && !spec.Empty():
+		fatal(2, "-fault-spec: -coordinator-listen has no capture, link or byte stream to fault")
+	case spec.Stream != faults.StreamSpec{}:
+		fatal(2, "-fault-spec: stream clauses need the chaos relay (-chaos-proxy or -chaos-plan)")
+	case len(spec.Flaps) > 0:
+		fatal(2, "-fault-spec: flap clauses need a simulated link, and a capture has none")
 	}
 	if *chaosPlan > 0 {
-		fmt.Print(tcpChaos.Plan(*chaosPlan))
+		fmt.Print(spec.Stream.Plan(*chaosSeed, *chaosPlan))
 		return
 	}
 	if *chaosProxyAddr != "" {
 		if *chaosProxyTarget == "" {
 			fatal(2, "-chaos-proxy needs -chaos-proxy-target")
 		}
-		runChaosProxy(tcpChaos)
+		runChaosProxy(spec)
 		return
 	}
 	tcpFleetMode := *coordListen != "" || *coordAddr != ""
@@ -179,13 +202,6 @@ func main() {
 	// is set; both fleet shapes refuse it.
 	singleOnly := *replay || *verdictsOut != "" || *batchSize > 1 || *restorePath != "" || *snapshotOut != "" || *shards > 1 || *victimsK > 0
 
-	spec, err := faults.ParseSpec(*faultSpec)
-	if err != nil {
-		fatal(2, err)
-	}
-	if len(spec.Flaps) > 0 {
-		fatal(2, "-fault-spec: flap clauses need a simulated link, and a capture has none")
-	}
 	src := &captureStream{}
 	if !spec.Empty() {
 		src.injector = faults.New(*chaosSeed, spec)
@@ -206,10 +222,10 @@ func main() {
 	cfg.Clustering.SliceInit = true
 	cfg.NumQueues = *clusters
 	cfg.Shards = *shards
-	cfg.PollInterval = accturbo.FromDuration(time.Duration(*pollMs) * time.Millisecond)
+	cfg.PollInterval = accturbo.FromDuration(poll)
 	cfg.DeployDelay = cfg.PollInterval / 5
-	if *reseedMs > 0 {
-		cfg.ReseedInterval = accturbo.FromDuration(time.Duration(*reseedMs) * time.Millisecond)
+	if reseed > 0 {
+		cfg.ReseedInterval = accturbo.FromDuration(reseed)
 	}
 	cfg.FailOpenAfter = accturbo.FromDuration(*failOpenAfter)
 	if src.injector != nil {
@@ -244,7 +260,7 @@ func main() {
 		}
 		runFleet(cfg, src)
 	default:
-		runSingle(cfg, src, frames)
+		runSingle(cfg, src, frames, victimWindow)
 	}
 }
 
@@ -276,7 +292,7 @@ func pipelineSurface(d *accturbo.Defense, realtime bool) (admin.Surface, string)
 // runSingle is the default mode: one Defense over the capture, fed
 // deterministically, by the real-time worker pool, or by the wire-speed
 // replay lane, then the operator report.
-func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReader) {
+func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReader, victimWindow time.Duration) {
 	newDefense := accturbo.NewDefense
 	if *realtime {
 		newDefense = accturbo.NewRealTimeDefense
@@ -305,7 +321,7 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 	surface, banner := pipelineSurface(d, *realtime)
 	var victims *victimTap
 	if *victimsK > 0 {
-		if victims, err = newVictimTap(*victimsK, time.Duration(*victimWindowMs)*time.Millisecond); err != nil {
+		if victims, err = newVictimTap(*victimsK, victimWindow); err != nil {
 			fatal(2, err)
 		}
 		// Every non-replay path pulls packets through the capture stream,
@@ -531,7 +547,7 @@ func runTCPCoordinator(cfg accturbo.Config) {
 // observable on /health while a smoke test kills and restarts the
 // coordinator around it.
 func runTCPNode(cfg accturbo.Config, src *captureStream) {
-	id := uint32(*nodeID)
+	id := uint32(*nodeID) // main refuses an id past 32 bits
 	n, err := accturbo.NewFleetTCP(accturbo.FleetTCPConfig{
 		CoordinatorAddr: *coordAddr,
 		NodeID:          id,
@@ -578,14 +594,13 @@ func runTCPNode(cfg accturbo.Config, src *captureStream) {
 
 // runChaosProxy is the -chaos-proxy mode: a deterministic socket-level
 // fault injector relaying node connections to the coordinator.
-func runChaosProxy(spec fleet.ChaosSpec) {
-	p, err := fleet.NewChaosProxy(*chaosProxyAddr, *chaosProxyTarget, spec)
+func runChaosProxy(spec faults.Spec) {
+	p, err := fleet.NewChaosProxy(*chaosProxyAddr, *chaosProxyTarget, *chaosSeed, spec)
 	if err != nil {
 		fatal(1, err)
 	}
 	defer p.Close()
-	fmt.Printf("chaos proxy on %s -> %s (seed %d, corrupt-every %d, reset-every %d, delay-every %d for %s)\n",
-		p.Addr(), *chaosProxyTarget, spec.Seed, spec.CorruptEvery, spec.ResetEvery, spec.DelayEvery, spec.DelayFor)
+	fmt.Printf("chaos proxy on %s -> %s (seed %d, spec %q)\n", p.Addr(), *chaosProxyTarget, *chaosSeed, spec.String())
 	waitRunFor()
 	st := p.Stats()
 	fmt.Printf("chaos proxy: %d connections, %d bytes forwarded, %d corrupted, %d resets, %d delays\n",

@@ -36,7 +36,10 @@ func TestMain(m *testing.M) {
 // usage error, not the single pipeline under another name, and a fleet,
 // which replays on the capture's timeline, refuses -realtime; the
 // real-time report counts the ingest goroutines that ran; a fault
-// spec this CLI cannot inject is refused, not silently ignored; and a
+// spec this CLI cannot inject, or a clause the mode has no place for, is
+// refused before any mode runs, not silently ignored; a millisecond
+// flag past time.Duration, a negative one and a node id past 32 bits
+// are refused, not wrapped; and a
 // configuration with no snapshot refuses -snapshot-out before it replays
 // the capture or creates the file. A control-plane stall reads the same
 // in the chaos line of the single pipeline and of a fleet, whose nodes
@@ -59,6 +62,18 @@ func TestFlagEdges(t *testing.T) {
 		{[]string{"-realtime", "-ingest", "0"}, 0, "1 shards, 1 ingest goroutines"},
 		{[]string{"-fault-spec", "flap:first=1s,down=1s"}, 2, "flap clauses need a simulated link"},
 		{[]string{"-fault-spec", "sinkfail:p=1"}, 2, `unknown clause kind "sinkfail"`},
+		{[]string{"-fault-spec", "stream:corrupt=100"}, 2, "stream clauses need the chaos relay"},
+		{[]string{"-chaos-plan", "1", "-fault-spec", "bogus:x=1"}, 2, `unknown clause kind "bogus"`},
+		{[]string{"-chaos-plan", "1", "-fault-spec", "drop:p=0.1"}, 2, "the chaos relay injects stream clauses only"},
+		{[]string{"-chaos-plan", "1", "-fault-spec", "stream:corrupt=-3"}, 2, `key "corrupt": -3 is below 0`},
+		{[]string{"-chaos-plan", "1", "-fault-spec", "stream:delay=100,for=-5ms"}, 2, "duration -5ms is negative"},
+		{[]string{"-chaos-plan", "1", "-fault-spec", "stream:delay=100"}, 2, "delay needs a positive for"},
+		{[]string{"-chaos-plan", "1", "-chaos-seed", "3", "-fault-spec", "stream:corrupt=4096"}, 0, "chaos plan seed=3 corrupt=4096 reset=0 delay=0/0s"},
+		{[]string{"-coordinator-listen", "127.0.0.1:0", "-run-for", "1ms", "-fault-spec", "stall:at=1s,for=1s"}, 2, "-coordinator-listen has no capture"},
+		{[]string{"-node-id", "4294967297"}, 2, "-node-id 4294967297 does not fit in 32 bits"},
+		{[]string{"-victim-window", "18446744073710"}, 2, "-victim-window 18446744073710 is outside [0, 9223372036854] ms"},
+		{[]string{"-poll", "18446744073710"}, 2, "-poll 18446744073710 is outside"},
+		{[]string{"-reseed", "-5"}, 2, "-reseed -5 is outside"},
 		{[]string{"-victims", "1000000000"}, 2, "victim: TopK 1000000000 outside [1, 4096]"},
 		{[]string{"-clusters", "100", "-snapshot-out", snap}, 2, "-snapshot-out and -restore need the deployed clustering configuration"},
 		{stall("-fleet-nodes", "3"), 0, "0 corrupted, 15 polls suppressed"},

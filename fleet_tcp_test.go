@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"accturbo/internal/faults"
 	"accturbo/internal/fleet"
 )
 
@@ -49,13 +50,12 @@ func TestFleetTCPChaosArc(t *testing.T) {
 	}
 	coordAddr := coord.Addr()
 
-	px, err := fleet.NewChaosProxy("127.0.0.1:0", coordAddr, fleet.ChaosSpec{
-		Seed:         5,
+	px, err := fleet.NewChaosProxy("127.0.0.1:0", coordAddr, 5, faults.Spec{Stream: faults.StreamSpec{
 		CorruptEvery: 16 << 10,
 		ResetEvery:   64 << 10,
 		DelayEvery:   32 << 10,
-		DelayFor:     2 * time.Millisecond,
-	})
+		DelayFor:     FromDuration(2 * time.Millisecond),
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,22 +18,10 @@ import (
 type StallClock struct {
 	inner   core.Clock
 	windows []StallSpec // sorted by At
-	inj     *Injector   // counters; never nil (see NewStallClock)
+	inj     *Injector   // counts suppressed and delayed callbacks
 }
 
 var _ core.Clock = (*StallClock)(nil)
-
-// NewStallClock wraps inner with the given stall windows, counting
-// suppressed and delayed callbacks on inj (a fresh injector is used
-// when nil, so callers without telemetry still get a working clock).
-func NewStallClock(inner core.Clock, windows []StallSpec, inj *Injector) *StallClock {
-	if inj == nil {
-		inj = &Injector{}
-	}
-	ws := make([]StallSpec, len(windows))
-	copy(ws, windows)
-	return &StallClock{inner: inner, windows: ws, inj: inj}
-}
 
 // stallEnd returns the end of the stall window containing t, if any.
 func (c *StallClock) stallEnd(t eventsim.Time) (eventsim.Time, bool) {
@@ -80,6 +68,6 @@ func (inj *Injector) ClockWrapper() func(core.Clock) core.Clock {
 		return nil
 	}
 	return func(c core.Clock) core.Clock {
-		return NewStallClock(c, inj.spec.Stalls, inj)
+		return &StallClock{inner: c, windows: inj.spec.Stalls, inj: inj}
 	}
 }

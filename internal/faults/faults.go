@@ -62,28 +62,23 @@ func New(seed uint64, spec Spec) *Injector {
 // Spec returns the spec the injector was built with.
 func (inj *Injector) Spec() Spec { return inj.spec }
 
-// FlapLink schedules one flap clause against a port: the link is down
-// through each of the schedule's windows. Transitions are plain
+// FlapLinks schedules the spec's flap clauses against a port: the link
+// is down through each schedule's windows. Transitions are plain
 // scheduled events — no randomness — so flaps land at identical virtual
 // times in every run.
-func (inj *Injector) FlapLink(eng *eventsim.Engine, port *netsim.Port, f FlapSpec) {
-	for i := range f.Count {
-		down, up := f.Window(i)
-		eng.At(down, func(t eventsim.Time) {
-			inj.LinkTransitions.Inc()
-			port.SetLinkState(t, false)
-		})
-		eng.At(up, func(t eventsim.Time) {
-			inj.LinkTransitions.Inc()
-			port.SetLinkState(t, true)
-		})
-	}
-}
-
-// FlapLinks applies every flap clause of the spec to the port.
 func (inj *Injector) FlapLinks(eng *eventsim.Engine, port *netsim.Port) {
 	for _, f := range inj.spec.Flaps {
-		inj.FlapLink(eng, port, f)
+		for i := range f.Count {
+			down, up := f.Window(i)
+			eng.At(down, func(t eventsim.Time) {
+				inj.LinkTransitions.Inc()
+				port.SetLinkState(t, false)
+			})
+			eng.At(up, func(t eventsim.Time) {
+				inj.LinkTransitions.Inc()
+				port.SetLinkState(t, true)
+			})
+		}
 	}
 }
 

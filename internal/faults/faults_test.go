@@ -11,7 +11,8 @@ import (
 )
 
 func TestParseSpecRoundTrip(t *testing.T) {
-	in := "flap:first=12s,down=250ms,period=20s,count=4;drop:p=0.01;dup:p=0.005;corrupt:p=0.01;stall:at=15s,for=3s"
+	in := "flap:first=12s,down=250ms,period=20s,count=4;drop:p=0.01;dup:p=0.005;corrupt:p=0.01;stall:at=15s,for=3s;" +
+		"stream:corrupt=4096,reset=32768,delay=8192,for=5ms"
 	spec, err := ParseSpec(in)
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", in, err)
@@ -29,6 +30,9 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	}
 	if spec.Stalls[0].At != 15*eventsim.Second || spec.Stalls[0].For != 3*eventsim.Second {
 		t.Fatalf("stall parsed wrong: %+v", spec.Stalls[0])
+	}
+	if spec.Stream != (StreamSpec{CorruptEvery: 4096, ResetEvery: 32768, DelayEvery: 8192, DelayFor: 5 * eventsim.Millisecond}) {
+		t.Fatalf("stream parsed wrong: %+v", spec.Stream)
 	}
 	// String() re-renders to a parseable, equivalent spec.
 	again, err := ParseSpec(spec.String())
@@ -62,6 +66,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"stall:at=1s",                    // for must be positive
 		"drop:p",                         // malformed pair
 		"sinkfail:p=0.1",                 // not a clause: nothing to inject it into
+		"stream:corrupt=-3",              // a byte gap is at least 1
+		"stream:delay=10",                // delay needs for: no hidden default
+		"stream:delay=10,for=0s",         // a stall of nothing
+		"stream:delay=10,for=-5ms",       // negative duration
+		"stream:for=5ms",                 // for without a delay
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", bad)
@@ -108,8 +117,8 @@ func TestFlapLinkDropsAndRecovers(t *testing.T) {
 	eng := eventsim.New()
 	rec := netsim.NewRecorder(eventsim.Second)
 	port := netsim.NewPort(eng, queue.NewFIFO(1<<20), 1e9, rec)
-	inj := New(1, Spec{})
-	inj.FlapLink(eng, port, FlapSpec{First: 1 * eventsim.Second, Len: 1 * eventsim.Second, Count: 1})
+	inj := New(1, Spec{Flaps: []FlapSpec{{First: 1 * eventsim.Second, Len: 1 * eventsim.Second, Count: 1}}})
+	inj.FlapLinks(eng, port)
 
 	var delivered int
 	port.Delivered = func(eventsim.Time, *packet.Packet) { delivered++ }

@@ -1,15 +1,11 @@
 package faults
 
-// Rand is the package's seeded splitmix64 stream, exported so other
-// fault-injection surfaces (the fleet chaos proxy, reconnect-backoff
-// jitter) draw from the same deterministic generator family. Like the
-// injector's packet-fault stream, a Rand is fully determined by its seed:
-// two Rands built with the same seed produce identical sequences, which
-// is what lets the golden manifests pin chaos runs to their bytes.
-//
-// Not goroutine-safe; give each concurrent consumer its own stream
-// (derive per-consumer seeds with DeriveSeed so enabling one consumer
-// never perturbs another's draws).
+// Rand is the seeded splitmix64 stream behind every fault (packet
+// faults, byte streams) and the fleet's reconnect-backoff jitter. It is
+// fully determined by its seed, which is what lets the golden manifests
+// pin chaos runs to their bytes. Not goroutine-safe: give each consumer
+// its own stream, seeded with DeriveSeed so enabling one consumer never
+// perturbs another's draws.
 type Rand struct{ state uint64 }
 
 // NewRand returns a splitmix64 stream seeded with seed.

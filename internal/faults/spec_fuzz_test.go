@@ -7,7 +7,8 @@ import (
 
 // FuzzParseSpec: -fault-spec is operator-typed text. Whatever it holds,
 // ParseSpec never panics; what it accepts has every probability in
-// [0, 1] and renders (String) to text that parses back to an equal Spec,
+// [0, 1], no negative byte gap, and a stream delay only with a positive
+// stall, and renders (String) to text that parses back to an equal Spec,
 // so a plan printed in a report can be fed to the next run.
 func FuzzParseSpec(f *testing.F) {
 	for _, s := range []string{
@@ -21,6 +22,8 @@ func FuzzParseSpec(f *testing.F) {
 		"drop:p=NaN",
 		"drop:p=1e-320;dup:p=-0",
 		"flap:down=2562047h47m16.854775807s, count=1 ; ;drop:",
+		"stream:corrupt=4096,reset=32768,delay=8192,for=5ms", // internal/manifest's plan recipe
+		"stream:delay=1,for=1ns;stream:reset=9223372036854775807",
 	} {
 		f.Add(s)
 	}
@@ -46,6 +49,10 @@ func FuzzParseSpec(f *testing.F) {
 			if w.At < 0 || w.For <= 0 || (i > 0 && w.At < spec.Stalls[i-1].At) {
 				t.Fatalf("%q: accepted stalls %+v", in, spec.Stalls)
 			}
+		}
+		if st := spec.Stream; st.CorruptEvery < 0 || st.ResetEvery < 0 || st.DelayEvery < 0 ||
+			(st.DelayEvery > 0) != (st.DelayFor > 0) {
+			t.Fatalf("%q: accepted stream %+v", in, st)
 		}
 		again, err := ParseSpec(spec.String())
 		if err != nil || !reflect.DeepEqual(again, spec) {

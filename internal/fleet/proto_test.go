@@ -9,6 +9,7 @@ import (
 	"accturbo/internal/cluster"
 	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
+	"accturbo/internal/faults"
 )
 
 // TestSimLinkChaos puts the chaos proxy's fault streams on the simulated
@@ -20,14 +21,14 @@ import (
 // deterministic: a second one counts the same.
 func TestSimLinkChaos(t *testing.T) {
 	type outcome struct {
-		faults       ChaosStats
+		faults       faults.StreamStats
 		coord        CoordinatorLinkStats
 		crc, redials uint64
 	}
 	run := func() outcome {
 		eng := eventsim.New()
 		link := NewSimLink(eng)
-		link.chaos = &ChaosSpec{Seed: 3, CorruptEvery: 4096, ResetEvery: 16384}
+		link.chaos, link.chaosSeed = &faults.Spec{Stream: faults.StreamSpec{CorruptEvery: 4096, ResetEvery: 16384}}, 3
 		coord, err := NewCoordinator(link.Coordinator(), CoordinatorConfig{
 			Slots: 2, NumQueues: 2, Ranking: core.ByThroughput, Distance: cluster.Manhattan,
 		})
@@ -55,7 +56,7 @@ func TestSimLinkChaos(t *testing.T) {
 		eng.At(20*eventsim.Second, func(eventsim.Time) { link.chaos = nil })
 		eng.RunUntil(40 * eventsim.Second)
 
-		o := outcome{faults: link.faults, coord: link.Coordinator().Stats()}
+		o := outcome{faults: link.chaosStats, coord: link.Coordinator().Stats()}
 		o.crc = o.coord.CRCResets
 		for i, end := range ends {
 			st := end.Stats()
@@ -138,7 +139,7 @@ type fuzzConn struct {
 	dead    bool // a machine shut it down
 	flight  [2][]byte
 	arrived [2]int
-	chaos   [2]*chaosStream
+	chaos   [2]*faults.Stream
 	written [2][][]byte
 	got     [2]int
 }
@@ -179,7 +180,7 @@ func FuzzFleetProtocol(f *testing.F) {
 	f.Add(uint64(7), uint16(300), uint16(900), []byte{0, 3, 3, 1, 9, 1, 255, 4, 4, 2, 7, 2, 255, 5, 9, 0, 3, 1, 255})
 	f.Add(uint64(2), uint16(0), uint16(0), []byte{0, 1, 255, 5, 250, 5, 250, 3, 1, 255, 0, 1, 255})
 	f.Fuzz(func(t *testing.T, seed uint64, corrupt, reset uint16, ops []byte) {
-		spec := ChaosSpec{Seed: seed, CorruptEvery: int(corrupt), ResetEvery: int(reset)}
+		spec := faults.StreamSpec{CorruptEvery: int(corrupt), ResetEvery: int(reset)}
 		m, n := newProto(0), newProto(1)
 		var now eventsim.Time
 		var fc *fuzzConn
@@ -201,7 +202,7 @@ func FuzzFleetProtocol(f *testing.F) {
 		deliver := func(dir int, k int) {
 			chunk := fc.flight[dir][:min(k, len(fc.flight[dir]))]
 			fc.flight[dir] = fc.flight[dir][len(chunk):]
-			fwd, rst, _ := fc.chaos[dir].process(chunk, &ChaosStats{})
+			fwd, rst, _ := fc.chaos[dir].Process(chunk, &faults.StreamStats{})
 			chunk = chunk[:fwd]
 			fc.arrived[dir] += len(chunk)
 			c, mach := fc.cc, &m
@@ -233,7 +234,7 @@ func FuzzFleetProtocol(f *testing.F) {
 			op, arg := ops[i]%6, int(ops[i+1])
 			switch {
 			case op == 0 && fc == nil:
-				fc = &fuzzConn{chaos: [2]*chaosStream{newChaosStream(spec, conns, chaosDirC2S), newChaosStream(spec, conns, chaosDirS2C)}}
+				fc = &fuzzConn{chaos: [2]*faults.Stream{faults.NewStream(seed, spec, conns, faults.C2S), faults.NewStream(seed, spec, conns, faults.S2C)}}
 				conns++
 				fc.cc = m.accept(fuzzWire{fc, 1}, now)
 				fc.nc, _ = n.dialed(fuzzWire{fc, 0}, now)

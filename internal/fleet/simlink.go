@@ -5,6 +5,7 @@ import (
 
 	"accturbo/internal/core"
 	"accturbo/internal/eventsim"
+	"accturbo/internal/faults"
 )
 
 // simLatency is the simulated link's one-way delay.
@@ -22,10 +23,11 @@ type SimLink struct {
 	up    bool
 	coord *CoordinatorEnd
 	// chaos, when set, corrupts and resets every connection's bytes as
-	// ChaosProxy does a socket's, connection i being the i'th that
-	// connected; the link does not stall.
-	chaos  *ChaosSpec
-	faults ChaosStats // Connections counts the connections made
+	// ChaosProxy does a socket's under chaosSeed, connection i being the
+	// i'th that connected; the link does not stall.
+	chaos      *faults.Spec
+	chaosSeed  uint64
+	chaosStats faults.StreamStats // Connections counts the connections made
 
 	// Lost counts the writes a partition lost.
 	Lost uint64
@@ -67,10 +69,10 @@ func (l *SimLink) dial(n *NodeEnd) {
 	down := &simSide{l: l, e: &l.coord.end, far: up}
 	up.far = down
 	if l.chaos != nil {
-		up.chaos = newChaosStream(*l.chaos, l.faults.Connections, chaosDirC2S)
-		down.chaos = newChaosStream(*l.chaos, l.faults.Connections, chaosDirS2C)
+		up.chaos = faults.NewStream(l.chaosSeed, l.chaos.Stream, l.chaosStats.Connections, faults.C2S)
+		down.chaos = faults.NewStream(l.chaosSeed, l.chaos.Stream, l.chaosStats.Connections, faults.S2C)
 	}
-	l.faults.Connections++
+	l.chaosStats.Connections++
 	down.c = l.coord.accept(down)
 	down.ended = func() { l.coord.ended(down.c, false) }
 	up.ended = func() { redial(n.ended(up.c, false)) }
@@ -85,8 +87,8 @@ type simSide struct {
 	far   *simSide
 	c     *conn
 	e     *end
-	ended func()       // reports the connection's end to e
-	chaos *chaosStream // faults on what it writes, or nil
+	ended func()         // reports the connection's end to e
+	chaos *faults.Stream // faults on what it writes, or nil
 	dead  bool
 }
 
@@ -102,7 +104,7 @@ func (s *simSide) send(frame []byte) bool {
 	chunk, reset := bytes.Clone(frame), false
 	if s.chaos != nil {
 		var n int
-		n, reset, _ = s.chaos.process(chunk, &s.l.faults)
+		n, reset, _ = s.chaos.Process(chunk, &s.l.chaosStats)
 		chunk = chunk[:n]
 	}
 	s.l.clock.Eng.After(simLatency, func(eventsim.Time) {

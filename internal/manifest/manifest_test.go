@@ -24,7 +24,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from this run's outputs")
 
 // plan is the chaos relay's fault schedule with every fault kind on.
-const plan = "-chaos-plan 4 -chaos-corrupt-every 4096 -chaos-reset-every 32768 -chaos-delay-every 8192 -chaos-delay-for 5ms"
+const plan = "-chaos-plan 4 -fault-spec stream:corrupt=4096,reset=32768,delay=8192,for=5ms"
 
 // recipes run in order in one directory. Every file name is relative, so
 // no temporary path reaches an output (the reports print their -in). A

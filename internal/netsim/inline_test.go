@@ -168,9 +168,9 @@ var shapes = []shape{
 	}},
 	{"link flap", 3 * eventsim.Second, func(eng *eventsim.Engine, _ *eventLog) []*netsim.Port {
 		port := netsim.NewPort(eng, queue.NewFIFO(20_000), link, netsim.NewRecorder(eventsim.Second))
-		faults.New(1, faults.Spec{}).FlapLink(eng, port, faults.FlapSpec{
+		faults.New(1, faults.Spec{Flaps: []faults.FlapSpec{{
 			First: 500 * eventsim.Millisecond, Len: 200 * eventsim.Millisecond, Period: eventsim.Second, Count: 2,
-		})
+		}}}).FlapLinks(eng, port)
 		pooled(eng, traffic.Merge(
 			flow(0, 3*eventsim.Second, 3e6, packet.Benign, 1),
 			flow(0, 3*eventsim.Second, 2e6, packet.Malicious, 2)), port)

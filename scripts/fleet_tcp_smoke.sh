@@ -67,7 +67,7 @@ wait_health() {
 echo "== build =="
 go build -o "$WORK/defend" ./cmd/accturbo-defend
 
-CHAOS_FLAGS=(-chaos-seed 7 -chaos-corrupt-every 8192 -chaos-reset-every 32768 -chaos-delay-every 16384 -chaos-delay-for 5ms)
+CHAOS_FLAGS=(-chaos-seed 7 -fault-spec 'stream:corrupt=8192,reset=32768,delay=16384,for=5ms')
 
 echo "== start coordinator =="
 "$WORK/defend" -coordinator-listen 127.0.0.1:0 -metrics-addr 127.0.0.1:0 -poll 100 \
