@@ -18,14 +18,13 @@ import (
 )
 
 // captureStream yields the capture with packet-level faults applied:
-// injected drops vanish here, duplicates appear back to back as distinct
-// packets, and corruption mutates headers in place — all deterministic
-// under -chaos-seed. Every mode but -replay reads its traffic here, out
-// of traffic.PcapSource: a frame that is not an IPv4 packet is skipped
-// and counted, like -replay's malformed frames, and the count is printed
-// once on stderr; any other read error ends the process with exit 1,
-// so a report never covers a silently truncated capture.
+// injected drops vanish, duplicates follow as distinct packets, and
+// corruption mutates headers in place, all deterministic under
+// -chaos-seed. Every mode but replay reads its traffic here: a frame that
+// is not IPv4 is skipped and counted once on stderr, and any other read
+// error exits 1, so a report never covers a truncated capture.
 type captureStream struct {
+	frames   *pcap.MappedReader        // the capture's mapping; nil without -in
 	capture  *traffic.PcapSource       // nil: nothing to replay (-restore without -in)
 	injector *faults.Injector          // nil: no packet-level faults
 	tap      func(traffic.TimedPacket) // nil, or sees every packet yielded
@@ -53,7 +52,7 @@ func (s *captureStream) pull() (traffic.TimedPacket, bool) {
 				fatal(1, err)
 			}
 			if n := s.capture.Skipped(); n > 0 {
-				fmt.Fprintf(os.Stderr, "skipped %d malformed frames in %s\n", n, *in)
+				fmt.Fprintf(os.Stderr, "skipped %d malformed frames in %s\n", n, in)
 			}
 			s.capture = nil
 			break
@@ -78,14 +77,14 @@ func (s *captureStream) pull() (traffic.TimedPacket, bool) {
 func (s *captureStream) chaosSummary() string {
 	inj := s.injector
 	return fmt.Sprintf("chaos (seed %d, spec %q): %d dropped, %d duplicated, %d corrupted, %d polls suppressed, %d callbacks delayed",
-		*chaosSeed, inj.Spec().String(), inj.PacketsDropped.Value(), inj.PacketsDuplicated.Value(),
+		chaosSeed, inj.Spec().String(), inj.PacketsDropped.Value(), inj.PacketsDuplicated.Value(),
 		inj.PacketsCorrupted.Value(), inj.PollsSuppressed.Value(), inj.CallbacksDelayed.Value())
 }
 
 // printResilience prints a pipeline's watchdog line, after indent, when
 // the watchdog is armed and has engaged or a panic was recovered.
 func printResilience(indent string, h accturbo.Health) {
-	if *failOpenAfter > 0 && (h.Control.FailOpenEngagements > 0 || h.Control.PanicsRecovered > 0) {
+	if failOpenAfter > 0 && (h.Control.FailOpenEngagements > 0 || h.Control.PanicsRecovered > 0) {
 		fmt.Printf("%sresilience: %d fail-open engagements, %d watchdog trips, %d panics recovered\n",
 			indent, h.Control.FailOpenEngagements, h.Control.WatchdogTrips, h.Control.PanicsRecovered)
 	}
@@ -123,9 +122,9 @@ func feedRealTime(src *captureStream, size int, deliver func(at time.Duration, p
 		at   time.Duration
 		pkts []*packet.Packet
 	}
-	ch := make(chan batch, max(1, *ingestQueue/size))
+	ch := make(chan batch, max(1, ingestQueue/size))
 	var wg sync.WaitGroup
-	for w := 0; w < *ingest; w++ {
+	for w := 0; w < ingest; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -151,12 +150,12 @@ func feedRealTime(src *captureStream, size int, deliver func(at time.Duration, p
 // It returns the frames accepted; the stage's own IngestRejected and
 // IngestShed count the malformed frames and the retries.
 func feedReplay(d *accturbo.Defense, frames *pcap.MappedReader) int {
-	if err := d.EnableIngest(*ingestQueue, 1); err != nil {
+	if err := d.EnableIngest(ingestQueue, 1); err != nil {
 		fatal(2, err)
 	}
 	lane := d.Lane(0)
 	n := 0
-	for loop := 0; loop < *replayLoops; loop++ {
+	for loop := 0; loop < loops; loop++ {
 		frames.Reset()
 		for {
 			_, frame, err := frames.NextFrame()
@@ -199,9 +198,6 @@ type victimTap struct {
 }
 
 func newVictimTap(topK int, window time.Duration) (*victimTap, error) {
-	if window <= 0 {
-		return nil, fmt.Errorf("-victim-window must be positive")
-	}
 	vcfg := accturbo.DefaultVictimConfig()
 	vcfg.TopK = topK
 	vd, err := accturbo.NewVictimDetector(vcfg)
@@ -222,14 +218,12 @@ func (t *victimTap) observe(c traffic.TimedPacket) {
 func (t *victimTap) closeWindow() {
 	for _, v := range t.vd.Advance() {
 		p, listed := t.peaks[v.Key]
-		switch {
-		case !listed || v.Share > p.Share:
-			v.Windows = max(v.Windows, p.Windows)
-			t.peaks[v.Key] = v
-		case v.Windows > p.Windows:
-			p.Windows = v.Windows
-			t.peaks[v.Key] = p
+		windows := max(v.Windows, p.Windows)
+		if listed && v.Share <= p.Share {
+			v = p
 		}
+		v.Windows = windows
+		t.peaks[v.Key] = v
 	}
 }
 

@@ -5,65 +5,27 @@
 // once and read through traffic.PcapSource in every mode: capture time
 // counts from the first record's second, so a tcpdump capture stamped
 // with wall-clock time replays like one written from zero, and a frame
-// that is not IPv4 is skipped and counted on stderr. One invocation
-// runs one mode:
+// that is not IPv4 is skipped and counted on stderr. One invocation runs
+// one mode, and each mode parses only the flags it reads (MODE -h lists
+// them), so a flag of another mode is a usage error:
 //
-//   - Single pipeline (default). Deterministic replay runs the control
-//     loop in the capture's own timeline, so identical inputs yield
-//     identical verdicts; -batch N feeds ObserveBatch instead of
-//     Process. -realtime (or -shards > 1) ignores capture timestamps:
-//     -ingest workers drain a bounded queue while the control loop polls
-//     on the wall clock, and a full queue blocks the reader rather than
-//     shedding. -replay streams the mapping's raw frames through a
-//     lock-free ingest lane — fused feature decode, no Packet structs,
-//     no copies — lossless, reported in Mpps.
-//   - In-process fleet (-fleet-nodes N): N deterministic pipelines under
-//     one ranking coordinator on the simulated fleet link, the capture
-//     partitioned across them by source IP hash and replayed in its own
-//     timeline; -coordinator=false starts the link partitioned, and
-//     -run-for keeps its /health up that long after the report.
-//   - TCP coordinator (-coordinator-listen) and TCP node
-//     (-coordinator-addr, -node-id): the multi-process fleet over the
-//     ACCFLEET wire protocol. A node that loses the coordinator degrades
-//     to fleet-fallback:local ranking — never undefended FIFO — and
-//     recovers when the link returns; -run-for keeps it polling after
-//     its capture drains, so a smoke test can kill and restart the
-//     coordinator around it.
-//   - Chaos relay (-chaos-proxy): a seeded socket-level fault injector
-//     between nodes and coordinator, scheduled by -fault-spec's stream
-//     clause. -chaos-plan prints its exact per-connection schedule
-//     without opening a socket, whose bytes internal/manifest pins.
+//	accturbo-defend -in X            the deterministic pipeline, on capture time
+//	accturbo-defend realtime -in X   the pipeline on the wall clock, in -shards shards
+//	accturbo-defend replay -in X     raw frames through the lock-free ingest lane, in Mpps
+//	accturbo-defend fleet -in X      -nodes pipelines under one coordinator on the simulated link
+//	accturbo-defend coordinator      the multi-process fleet's ranking coordinator, on -listen
+//	accturbo-defend node             a node of it: dials -coordinator, and ranks locally without it
+//	accturbo-defend relay            a seeded socket-level chaos relay between them
+//	accturbo-defend plan             the relay's per-connection fault schedule, without a socket
 //
-// Riding on the capture modes: -metrics-addr serves the mode's
-// internal/admin surface (/health everywhere, 503 while degraded;
-// /metrics where there is a pipeline; GET /victims with -victims, and
-// GET/PUT /config and POST /snapshot in real-time mode, for the single
-// pipeline).
-// -fault-spec with -chaos-seed injects deterministic packet faults and
-// control-plane stalls (internal/faults; every mode refuses a clause it
-// has no place for), and -fail-open-after arms the watchdog that reverts
-// to uniform priority when decisions go stale. -snapshot-out and
-// -restore carry the full defense state across a restart, so the new
-// process resumes with the deployed decision instead of re-converging
-// (with -restore, -in is optional). -victims K reports the
-// heavy-keeper's top-K destination aggregates, windowed on capture time.
+// -metrics-addr serves the mode's internal/admin surface, and -fault-spec
+// with -chaos-seed injects deterministic faults (internal/faults); a mode
+// refuses a clause it has no place for. For example:
 //
-// Usage:
-//
-//	accturbo-defend -in day.pcap                    # aggregate report
-//	accturbo-defend -in day.pcap -verdicts out.csv  # per-packet verdicts
-//	accturbo-defend -in day.pcap -realtime -shards 4
-//	accturbo-defend -in day.pcap -replay -replay-loops 4
-//	accturbo-defend -in day.pcap -realtime -metrics-addr :9100
 //	accturbo-defend -in day.pcap -chaos-seed 7 -fault-spec 'drop:p=0.01;stall:at=5s,for=2s' -fail-open-after 3s
-//	accturbo-defend -in day.pcap -snapshot-out day.snap
-//	accturbo-defend -restore day.snap -in next.pcap
-//	accturbo-defend -in day.pcap -victims 8 -victim-window 500
-//	accturbo-defend -in day.pcap -fleet-nodes 3
-//	accturbo-defend -coordinator-listen :7100 -metrics-addr :9100
-//	accturbo-defend -in day.pcap -coordinator-addr :7100 -node-id 1 -metrics-addr :9101 -run-for 30s
-//	accturbo-defend -chaos-proxy :7200 -chaos-proxy-target :7100 -chaos-seed 7 -fault-spec 'stream:corrupt=4096'
-//	accturbo-defend -chaos-plan 3 -chaos-seed 7 -fault-spec 'stream:corrupt=4096,reset=32768,delay=8192,for=5ms'
+//	accturbo-defend -restore day.snap -in next.pcap -snapshot-out next.snap -victims 8
+//	accturbo-defend node -in day.pcap -coordinator :7200 -id 1 -run-for 30s
+//	accturbo-defend relay -listen :7200 -target :7100 -chaos-seed 7 -fault-spec 'stream:corrupt=4096'
 package main
 
 import (
@@ -71,10 +33,12 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"sync"
 	"time"
 
@@ -87,190 +51,239 @@ import (
 	"accturbo/internal/traffic"
 )
 
+// The flags' values; a mode's flag set declares those the mode reads.
 var (
-	in               = flag.String("in", "", "input pcap (raw-IP linktype)")
-	verdictsOut      = flag.String("verdicts", "", "optional CSV of per-packet verdicts")
-	clusters         = flag.Int("clusters", 4, "number of clusters / priority queues")
-	pollMs           = flag.Int("poll", 250, "controller poll interval (ms)")
-	reseedMs         = flag.Int("reseed", 1000, "cluster re-initialization period (ms, 0 = never)")
-	realtime         = flag.Bool("realtime", false, "run the wall-clock pipeline instead of deterministic replay")
-	replay           = flag.Bool("replay", false, "wire-speed frame replay: memory-map the capture and stream raw frames through a lock-free ingest lane (implies -realtime; lossless, retries under backpressure)")
-	replayLoops      = flag.Int("replay-loops", 1, "passes over the capture in -replay mode")
-	shards           = flag.Int("shards", 1, "data-plane clustering shards (> 1 implies -realtime)")
-	ingest           = flag.Int("ingest", runtime.GOMAXPROCS(0), "ingest goroutines in real-time mode")
-	ingestQueue      = flag.Int("ingest-queue", 8192, "bounded ingest queue capacity in real-time mode (packets; a full queue blocks the capture reader, and -replay retries)")
-	batchSize        = flag.Int("batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
-	metricsAddr      = flag.String("metrics-addr", "", "serve /metrics and /health on this address (e.g. :9100) while processing")
-	chaosSeed        = flag.Uint64("chaos-seed", 0, "seed of every -fault-spec fault: packet faults, stalls and the chaos relay's byte streams")
-	faultSpec        = flag.String("fault-spec", "", "fault plan: drop, dup, corrupt and stall clauses for a capture, e.g. 'drop:p=0.01;stall:at=5s,for=2s', or a stream clause for -chaos-proxy and -chaos-plan, e.g. 'stream:corrupt=4096,reset=32768,delay=8192,for=5ms' (see internal/faults)")
-	failOpenAfter    = flag.Duration("fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
-	cpuProfile       = flag.String("cpuprofile", "", "write a CPU profile of the processing loop to this file")
-	restorePath      = flag.String("restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
-	snapshotOut      = flag.String("snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
-	victimsK         = flag.Int("victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off, at most 4096; adds GET /victims to -metrics-addr)")
-	victimWindowMs   = flag.Int("victim-window", 1000, "victim-detection window length (ms of capture time; used with -victims)")
-	fleetNodes       = flag.Int("fleet-nodes", 0, "run this many in-process fleet nodes under one global ranking coordinator (0 = single-node mode); capture traffic is partitioned across nodes by source IP hash")
-	coordinator      = flag.Bool("coordinator", true, "with -fleet-nodes: keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")
-	coordListen      = flag.String("coordinator-listen", "", "run the standalone fleet ranking coordinator on this TCP address (multi-process fleet mode; no capture needed)")
-	coordAddr        = flag.String("coordinator-addr", "", "run as one fleet node dialing the coordinator at this TCP address (multi-process fleet mode; use with -node-id)")
-	nodeID           = flag.Uint("node-id", 1, "this node's fleet id (>= 1, unique per fleet; used with -coordinator-addr)")
-	runFor           = flag.Duration("run-for", 0, "fleet modes: keep running this long after the capture drains — a TCP node polling, an in-process fleet serving /health (0 = forever for -coordinator-listen/-chaos-proxy, exit after the report for nodes and -fleet-nodes)")
-	chaosProxyAddr   = flag.String("chaos-proxy", "", "run a socket-level chaos relay on this TCP address (use with -chaos-proxy-target, -chaos-seed and a -fault-spec stream clause)")
-	chaosProxyTarget = flag.String("chaos-proxy-target", "", "the address the chaos relay forwards to (usually the coordinator)")
-	chaosPlan        = flag.Int("chaos-plan", 0, "print the deterministic chaos-relay fault schedule of the first 64 KiB of each direction, for this many connections, and exit (uses -chaos-seed and the -fault-spec stream clause)")
+	in, verdictsOut, metricsAddr, faultSpec, cpuProfile, restorePath, snapshotOut string
+	listen, target, coordAddr                                                     string
+	clusters, pollMs, reseedMs, shards, ingest, ingestQueue, batchSize, victimsK  int
+	victimWindowMs, loops, nodes, nodeID, conns                                   int
+	chaosSeed                                                                     uint64
+	failOpenAfter, runFor                                                         time.Duration
+	coordinator                                                                   bool
 )
+
+// A mode is one way to run the command: its usage line, the flags it
+// reads, the string flags it cannot run without, and its run.
+type mode struct {
+	usage string
+	flags func(fs *flag.FlagSet)
+	need  []string
+	run   func(fs *flag.FlagSet)
+}
+
+// modes are the command's modes by name; "" is the bare command.
+var modes = map[string]mode{
+	"": {"-in X [flags], or accturbo-defend MODE [flags] with MODE one of realtime, replay, fleet, coordinator, node, relay, plan",
+		func(fs *flag.FlagSet) { singleFlags(fs); reportFlags(fs) }, nil, func(fs *flag.FlagSet) { runSingle(fs, "") }},
+	"realtime": {"-in X [-shards N] [flags]", func(fs *flag.FlagSet) {
+		singleFlags(fs)
+		reportFlags(fs)
+		shardFlags(fs)
+		fs.IntVar(&ingest, "ingest", runtime.GOMAXPROCS(0), "ingest goroutines feeding the shards")
+	}, nil, func(fs *flag.FlagSet) { runSingle(fs, "realtime") }},
+	"replay": {"-in X [-loops N] [flags]", func(fs *flag.FlagSet) {
+		singleFlags(fs)
+		shardFlags(fs)
+		fs.IntVar(&loops, "loops", 1, "passes over the capture")
+	}, []string{"in"}, func(fs *flag.FlagSet) { runSingle(fs, "replay") }},
+	"fleet": {"-in X [-nodes N] [flags]", func(fs *flag.FlagSet) {
+		pipelineFlags(fs)
+		faultFlags(fs, false)
+		fs.IntVar(&nodes, "nodes", 3, "in-process fleet nodes; the capture is partitioned across them by source IP hash")
+		fs.BoolVar(&coordinator, "coordinator", true, "keep the ranking coordinator reachable; false starts the fleet partitioned, so every node runs on its sticky local fallback ranking")
+		fs.DurationVar(&runFor, "run-for", 0, "keep serving /health this long after the report")
+	}, []string{"in"}, func(*flag.FlagSet) { runFleet() }},
+	"coordinator": {"-listen A [flags]", func(fs *flag.FlagSet) {
+		adminFlags(fs)
+		fs.StringVar(&listen, "listen", "", "TCP address the nodes dial")
+		fs.DurationVar(&runFor, "run-for", 0, "run this long, then print the counters and exit (0 = until killed)")
+	}, []string{"listen"}, func(*flag.FlagSet) { runTCPCoordinator() }},
+	"node": {"-coordinator A [-id N] [-in X] [flags]", func(fs *flag.FlagSet) {
+		pipelineFlags(fs)
+		faultFlags(fs, false)
+		fs.StringVar(&coordAddr, "coordinator", "", "TCP address of the coordinator, or of a relay in front of it")
+		fs.IntVar(&nodeID, "id", 1, "this node's fleet id (unique per fleet)")
+		fs.DurationVar(&runFor, "run-for", 0, "keep polling this long after the capture drains")
+	}, []string{"coordinator"}, func(*flag.FlagSet) { runTCPNode() }},
+	"relay": {"-listen A -target T -fault-spec 'stream:...' [flags]", func(fs *flag.FlagSet) {
+		faultFlags(fs, true)
+		fs.StringVar(&listen, "listen", "", "TCP address the nodes dial")
+		fs.StringVar(&target, "target", "", "TCP address the relay forwards to, usually the coordinator's")
+		fs.DurationVar(&runFor, "run-for", 0, "relay this long, then print the counters and exit (0 = until killed)")
+	}, []string{"listen", "target"}, func(*flag.FlagSet) { runChaosProxy() }},
+	"plan": {"-conns N -fault-spec 'stream:...' [-chaos-seed S]", func(fs *flag.FlagSet) {
+		faultFlags(fs, true)
+		fs.IntVar(&conns, "conns", 1, "print the relay's fault schedule of the first 64 KiB of each direction for this many connections")
+	}, nil, func(*flag.FlagSet) { fmt.Print(parseFaults(true).Stream.Plan(chaosSeed, conns)) }},
+}
+
+// The flag helpers declare the groups of flags that several modes read.
+// adminFlags holds all of a pipeline that a coordinator reads.
+func adminFlags(fs *flag.FlagSet) {
+	fs.IntVar(&clusters, "clusters", 4, "number of clusters / priority queues")
+	fs.StringVar(&metricsAddr, "metrics-addr", "", "serve the admin surface on this address (e.g. :9100)")
+}
+
+func pipelineFlags(fs *flag.FlagSet) {
+	adminFlags(fs)
+	fs.StringVar(&in, "in", "", "input pcap (raw-IP linktype)")
+	fs.IntVar(&pollMs, "poll", 250, "controller poll interval (ms)")
+	fs.IntVar(&reseedMs, "reseed", 1000, "cluster re-initialization period (ms, 0 = never)")
+	fs.DurationVar(&failOpenAfter, "fail-open-after", 0, "watchdog staleness bound: revert to uniform priority when no decision deploys for this long (0 = disabled)")
+}
+
+func faultFlags(fs *flag.FlagSet, relay bool) {
+	clauses := "drop, dup, corrupt and stall clauses, e.g. 'drop:p=0.01;stall:at=5s,for=2s'"
+	if relay {
+		clauses = "a stream clause, e.g. 'stream:corrupt=4096,reset=32768,delay=8192,for=5ms'"
+	}
+	fs.StringVar(&faultSpec, "fault-spec", "", "fault plan (see internal/faults): "+clauses)
+	fs.Uint64Var(&chaosSeed, "chaos-seed", 0, "seed of every -fault-spec fault")
+}
+
+func singleFlags(fs *flag.FlagSet) {
+	pipelineFlags(fs)
+	fs.StringVar(&restorePath, "restore", "", "restore defense state from this snapshot file before processing (see -snapshot-out)")
+	fs.StringVar(&snapshotOut, "snapshot-out", "", "write a defense state snapshot to this file after the capture drains")
+	fs.StringVar(&cpuProfile, "cpuprofile", "", "write a CPU profile of the processing loop to this file")
+}
+
+func reportFlags(fs *flag.FlagSet) {
+	faultFlags(fs, false)
+	fs.StringVar(&verdictsOut, "verdicts", "", "optional CSV of per-packet verdicts")
+	fs.IntVar(&batchSize, "batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
+	fs.IntVar(&victimsK, "victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off, at most 4096; adds GET /victims to -metrics-addr)")
+	fs.IntVar(&victimWindowMs, "victim-window", 1000, "victim-detection window length (ms of capture time; needs -victims)")
+}
+
+func shardFlags(fs *flag.FlagSet) {
+	fs.IntVar(&shards, "shards", 1, "data-plane clustering shards")
+	fs.IntVar(&ingestQueue, "ingest-queue", 8192, "ingest queue capacity (packets; a full queue holds the capture reader back)")
+}
 
 func fatal(code int, v ...any) {
 	fmt.Fprintln(os.Stderr, v...)
 	os.Exit(code)
 }
 
-// millis converts millisecond flag name's value, refusing a negative
-// one and one whose nanoseconds overflow a time.Duration.
-func millis(name string, ms int) time.Duration {
-	const most = math.MaxInt64 / int64(time.Millisecond)
-	if ms < 0 || int64(ms) > most {
-		fatal(2, fmt.Sprintf("-%s %d is outside [0, %d] ms", name, ms, most))
-	}
-	return time.Duration(ms) * time.Millisecond
+// flagSet is the named mode's flag set. It prints nothing itself: main
+// reports a refusal in one line, and -h.
+func flagSet(name string) *flag.FlagSet {
+	fs := flag.NewFlagSet(strings.TrimSpace("accturbo-defend "+name), flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	modes[name].flags(fs)
+	return fs
 }
 
 func main() {
-	flag.Parse()
-
-	poll, reseed, victimWindow := millis("poll", *pollMs), millis("reseed", *reseedMs), millis("victim-window", *victimWindowMs)
-	if *nodeID > math.MaxUint32 {
-		fatal(2, fmt.Sprintf("-node-id %d does not fit in 32 bits", *nodeID))
+	name, args := "", os.Args[1:]
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
-	spec, err := faults.ParseSpec(*faultSpec)
+	m, ok := modes[name]
+	if !ok {
+		fatal(2, fmt.Sprintf("accturbo-defend: unknown mode %q (see accturbo-defend -h)", name))
+	}
+	fs := flagSet(name)
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		fmt.Fprintf(os.Stderr, "usage: %s %s\n", fs.Name(), m.usage)
+		fs.SetOutput(os.Stderr)
+		fs.PrintDefaults()
+		return
+	case err != nil:
+		fatal(2, fs.Name()+":", err)
+	case fs.NArg() > 0:
+		fatal(2, fmt.Sprintf("%s: unexpected argument %q", fs.Name(), fs.Arg(0)))
+	}
+	for _, f := range m.need {
+		if fs.Lookup(f).Value.String() == "" {
+			fatal(2, fmt.Sprintf("%s: missing -%s", fs.Name(), f))
+		}
+	}
+	checkBounds(fs)
+	m.run(fs)
+}
+
+// checkBounds refuses a value outside its flag's range, for each bounded
+// flag fs declares, and a negative -run-for.
+func checkBounds(fs *flag.FlagSet) {
+	const ms, most = math.MaxInt64 / int64(time.Millisecond), math.MaxInt64 // ms: the most a time.Duration holds
+	for _, b := range []struct {
+		name   string
+		lo, hi int64
+	}{{"batch", 0, most}, {"victims", 0, most}, {"shards", 1, most}, {"ingest-queue", 1, most}, {"loops", 1, most},
+		{"nodes", 1, most}, {"conns", 1, most}, {"poll", 0, ms}, {"reseed", 0, ms}, {"victim-window", 1, ms}, {"id", 1, math.MaxUint32}} {
+		if f := fs.Lookup(b.name); f != nil {
+			switch v := int64(f.Value.(flag.Getter).Get().(int)); {
+			case v < b.lo:
+				fatal(2, fmt.Sprintf("%s: -%s %d is below %d", fs.Name(), b.name, v, b.lo))
+			case v > b.hi:
+				fatal(2, fmt.Sprintf("%s: -%s %d is above %d", fs.Name(), b.name, v, b.hi))
+			}
+		}
+	}
+	if runFor < 0 {
+		fatal(2, fmt.Sprintf("%s: -run-for %v is negative", fs.Name(), runFor))
+	}
+}
+
+// parseFaults parses -fault-spec, refusing a clause the mode has no place
+// for: a capture has no byte stream nor a simulated link to flap.
+func parseFaults(relay bool) faults.Spec {
+	spec, err := faults.ParseSpec(faultSpec)
 	if err != nil {
 		fatal(2, err)
 	}
-	// Each mode refuses the clauses it has no place for.
-	relay := *chaosPlan > 0 || *chaosProxyAddr != ""
 	notStream := spec
 	notStream.Stream = faults.StreamSpec{}
 	switch {
 	case relay && !notStream.Empty():
 		fatal(2, "-fault-spec: the chaos relay injects stream clauses only, and has no packets or clock to fault")
-	case relay:
-	case *coordListen != "" && !spec.Empty():
-		fatal(2, "-fault-spec: -coordinator-listen has no capture, link or byte stream to fault")
-	case spec.Stream != faults.StreamSpec{}:
-		fatal(2, "-fault-spec: stream clauses need the chaos relay (-chaos-proxy or -chaos-plan)")
-	case len(spec.Flaps) > 0:
+	case !relay && spec.Stream != faults.StreamSpec{}:
+		fatal(2, "-fault-spec: stream clauses need the chaos relay (the relay and plan modes)")
+	case !relay && len(spec.Flaps) > 0:
 		fatal(2, "-fault-spec: flap clauses need a simulated link, and a capture has none")
 	}
-	if *chaosPlan > 0 {
-		fmt.Print(spec.Stream.Plan(*chaosSeed, *chaosPlan))
-		return
-	}
-	if *chaosProxyAddr != "" {
-		if *chaosProxyTarget == "" {
-			fatal(2, "-chaos-proxy needs -chaos-proxy-target")
-		}
-		runChaosProxy(spec)
-		return
-	}
-	tcpFleetMode := *coordListen != "" || *coordAddr != ""
-	if *in == "" && *restorePath == "" && !tcpFleetMode {
-		fatal(2, "missing -in capture (or -restore snapshot)")
-	}
-	if *replay && *in == "" {
-		fatal(2, "-replay needs an -in capture")
-	}
-	if *fleetNodes < 0 {
-		fatal(2, "-fleet-nodes must not be negative (0 = single-node mode)")
-	}
-	*ingest = max(1, *ingest) // what the report prints is what feedRealTime starts
-	if *shards > 1 {
-		*realtime = true
-	}
-	if *replay {
-		*realtime = true
-		if *verdictsOut != "" || *batchSize > 1 || *faultSpec != "" || *victimsK > 0 {
-			fatal(2, "-replay streams raw frames and cannot be combined with -verdicts, -batch, -fault-spec, or -victims")
-		}
-		if *replayLoops < 1 {
-			fatal(2, "-replay-loops must be at least 1")
-		}
-	}
-	if *batchSize > 1 && *verdictsOut != "" {
-		fatal(2, "-batch cannot be combined with -verdicts: the batch path reports queue counts, not per-packet distances")
-	}
-	// singleOnly holds when a flag that only the single pipeline serves
-	// is set; both fleet shapes refuse it.
-	singleOnly := *replay || *verdictsOut != "" || *batchSize > 1 || *restorePath != "" || *snapshotOut != "" || *shards > 1 || *victimsK > 0
+	return spec
+}
 
+// pipeline is the Config the pipeline flags describe and the stream of
+// -in, when given, with -fault-spec's packet faults. Stall windows wrap
+// the control loop's clock (capture time, or wall time since startup),
+// never the watchdog's.
+func pipeline() (accturbo.Config, *captureStream) {
 	src := &captureStream{}
-	if !spec.Empty() {
-		src.injector = faults.New(*chaosSeed, spec)
-	}
-	// One mapping of the capture serves every mode: -replay offers its
-	// raw frames, every other mode reads packets through src.
-	var frames *pcap.MappedReader
-	if *in != "" {
-		if frames, err = pcap.OpenMapped(*in); err != nil {
-			fatal(1, err)
-		}
-		defer frames.Close()
-		src.capture = traffic.NewPcapSource(frames)
-	}
-
 	cfg := accturbo.HardwareConfig()
-	cfg.Clustering.MaxClusters = *clusters
-	cfg.Clustering.SliceInit = true
-	cfg.NumQueues = *clusters
-	cfg.Shards = *shards
-	cfg.PollInterval = accturbo.FromDuration(poll)
-	cfg.DeployDelay = cfg.PollInterval / 5
-	if reseed > 0 {
-		cfg.ReseedInterval = accturbo.FromDuration(reseed)
-	}
-	cfg.FailOpenAfter = accturbo.FromDuration(*failOpenAfter)
-	if src.injector != nil {
-		// Stall windows wrap the control loop's clock: the capture
-		// timeline in replay mode, wall time since startup in real-time
-		// mode. The watchdog stays on the unwrapped clock either way.
+	if spec := parseFaults(false); !spec.Empty() {
+		src.injector = faults.New(chaosSeed, spec)
 		cfg.WrapClock = src.injector.ClockWrapper()
 	}
-
-	if (*restorePath != "" || *snapshotOut != "") && !cfg.Clustering.Deployed() {
-		fatal(2, "-snapshot-out and -restore need the deployed clustering configuration: at most 64 -clusters")
+	if in != "" {
+		var err error
+		if src.frames, err = pcap.OpenMapped(in); err != nil {
+			fatal(1, err)
+		}
+		src.capture = traffic.NewPcapSource(src.frames)
 	}
-
-	switch {
-	case tcpFleetMode:
-		if *coordListen != "" && *coordAddr != "" {
-			fatal(2, "-coordinator-listen and -coordinator-addr are different processes; pick one")
-		}
-		if *fleetNodes > 0 || singleOnly {
-			fatal(2, "multi-process fleet modes cannot be combined with -fleet-nodes, -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
-		}
-		if *coordListen != "" {
-			runTCPCoordinator(cfg)
-		} else {
-			runTCPNode(cfg, src)
-		}
-	case *fleetNodes > 0:
-		// The fleet's nodes replay on the capture's timeline, so -realtime
-		// would mean nothing there.
-		if singleOnly || *realtime {
-			fatal(2, "-fleet-nodes cannot be combined with -realtime, -replay, -verdicts, -batch, -restore, -snapshot-out, -shards, or -victims")
-		}
-		runFleet(cfg, src)
-	default:
-		runSingle(cfg, src, frames, victimWindow)
+	cfg.Clustering.MaxClusters, cfg.Clustering.SliceInit = clusters, true
+	cfg.NumQueues, cfg.Shards = clusters, shards
+	cfg.PollInterval = accturbo.FromDuration(time.Duration(pollMs) * time.Millisecond)
+	cfg.DeployDelay = cfg.PollInterval / 5
+	if reseedMs > 0 {
+		cfg.ReseedInterval = accturbo.FromDuration(time.Duration(reseedMs) * time.Millisecond)
 	}
+	cfg.FailOpenAfter = accturbo.FromDuration(failOpenAfter)
+	return cfg, src
 }
 
 // serveAdmin mounts a mode's admin surface on -metrics-addr and returns
 // the func that stops it; without the flag both are no-ops.
 func serveAdmin(banner string, s admin.Surface) (stop func()) {
-	if *metricsAddr == "" {
+	if metricsAddr == "" {
 		return func() {}
 	}
-	srv, err := admin.Serve(*metricsAddr, banner, s)
+	srv, err := admin.Serve(metricsAddr, banner, s)
 	if err != nil {
 		fatal(1, err)
 	}
@@ -289,12 +302,31 @@ func pipelineSurface(d *accturbo.Defense, realtime bool) (admin.Surface, string)
 	return s, "serving metrics on http://%s/metrics, health on /health, config on /config, snapshots on /snapshot\n"
 }
 
-// runSingle is the default mode: one Defense over the capture, fed
-// deterministically, by the real-time worker pool, or by the wire-speed
-// replay lane, then the operator report.
-func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReader, victimWindow time.Duration) {
+// runSingle runs one Defense over the capture, fed deterministically (the
+// bare command), by the real-time worker pool (realtime) or by the
+// wire-speed replay lane (replay), then prints the operator report.
+func runSingle(fs *flag.FlagSet, mode string) {
+	live, replay := mode != "", mode == "replay"
+	cfg, src := pipeline()
+	window := false
+	fs.Visit(func(f *flag.Flag) { window = window || f.Name == "victim-window" })
+	switch {
+	case in == "" && restorePath == "":
+		fatal(2, "missing -in capture (or -restore snapshot)")
+	case batchSize > 1 && verdictsOut != "":
+		fatal(2, "-batch cannot be combined with -verdicts: the batch path reports queue counts, not per-packet distances")
+	case window && victimsK == 0:
+		fatal(2, "-victim-window needs -victims")
+	case (restorePath != "" || snapshotOut != "") && !cfg.Clustering.Deployed():
+		fatal(2, "-snapshot-out and -restore need the deployed clustering configuration: at most 64 -clusters")
+	}
+	ingest = max(1, ingest) // what the report prints is what feedRealTime starts
+	if src.frames != nil {
+		defer src.frames.Close()
+	}
+
 	newDefense := accturbo.NewDefense
-	if *realtime {
+	if live {
 		newDefense = accturbo.NewRealTimeDefense
 	}
 	d, err := newDefense(cfg)
@@ -303,11 +335,10 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 	}
 	defer d.Close()
 
-	// Restore must land before any traffic: the snapshot format refuses a
-	// pipeline that already has history, so a restored process resumes
-	// with the pre-save deployed decision instead of re-converging.
-	if *restorePath != "" {
-		snap, err := os.ReadFile(*restorePath)
+	// Restore lands before any traffic (a snapshot refuses a pipeline with
+	// history), so the process resumes with the deployed decision.
+	if restorePath != "" {
+		snap, err := os.ReadFile(restorePath)
 		if err == nil {
 			err = d.RestoreState(bytes.NewReader(snap))
 		}
@@ -315,34 +346,31 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 			fatal(1, "restore:", err)
 		}
 		fmt.Printf("restored state from %s: %d packets observed, %d deployments, runtime config %s/%v poll\n",
-			*restorePath, d.PacketsObserved(), d.Deployments(), d.Runtime().Ranking, d.Runtime().PollInterval.Duration())
+			restorePath, d.PacketsObserved(), d.Deployments(), d.Runtime().Ranking, d.Runtime().PollInterval.Duration())
 	}
 
-	surface, banner := pipelineSurface(d, *realtime)
+	surface, banner := pipelineSurface(d, live)
 	var victims *victimTap
-	if *victimsK > 0 {
-		if victims, err = newVictimTap(*victimsK, victimWindow); err != nil {
+	if victimsK > 0 {
+		if victims, err = newVictimTap(victimsK, time.Duration(victimWindowMs)*time.Millisecond); err != nil {
 			fatal(2, err)
 		}
-		// Every non-replay path pulls packets through the capture stream,
-		// so tapping it covers deterministic, batched, and real-time
-		// feeds alike.
+		// The tap sees every packet the capture stream feeds, in any batch.
 		src.tap = victims.observe
 		surface.Victims = victims.vd
 	}
 	defer serveAdmin(banner, surface)()
 
 	var vf *os.File
-	if *verdictsOut != "" {
-		if vf, err = os.Create(*verdictsOut); err != nil {
+	if verdictsOut != "" {
+		if vf, err = os.Create(verdictsOut); err != nil {
 			fatal(1, err)
 		}
 		defer vf.Close()
 		fmt.Fprintln(vf, "time_us,src,dst,proto,sport,dport,len,cluster,queue,distance")
 	}
-	// deliver hands one batch to the pipeline: a batch of one goes
-	// through Process, whose verdict the CSV needs; larger batches go
-	// through ObserveBatch and amortize its locks and counter flushes.
+	// deliver hands one batch to the pipeline: a batch of one goes through
+	// Process, whose verdict the CSV needs, larger ones through ObserveBatch.
 	var vfMu sync.Mutex
 	deliver := func(at time.Duration, pkts []*packet.Packet) {
 		if len(pkts) > 1 {
@@ -360,8 +388,8 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 		}
 	}
 
-	if *cpuProfile != "" {
-		pf, err := os.Create(*cpuProfile)
+	if cpuProfile != "" {
+		pf, err := os.Create(cpuProfile)
 		if err != nil {
 			fatal(1, err)
 		}
@@ -375,47 +403,46 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 	// The scheduling distribution is the routed counters' movement over
 	// the run (a restored snapshot brings its own history).
 	routedBefore := d.Metrics().RoutedPkts
-	batch := max(1, *batchSize)
+	batch := max(1, batchSize)
 	start := time.Now()
 	var n int
 	switch {
-	case *replay:
-		n = feedReplay(d, frames)
-	case *realtime:
+	case replay:
+		n = feedReplay(d, src.frames)
+	case live:
 		n = feedRealTime(src, batch, deliver)
 	default:
-		// Deterministic replay: the pipeline clock advances to each
-		// batch's first timestamp, so with -batch control-loop ticks
-		// quantize to batch boundaries (the amortization trade-off).
+		// The pipeline clock advances to each batch's first timestamp, so
+		// with -batch control-loop ticks quantize to batch boundaries.
 		n = feed(src, batch, deliver)
 	}
 	// Close drains the ingest stage (if enabled) so the routed counters
 	// below are complete; the deferred Close becomes a no-op.
 	d.Close()
 	elapsed := time.Since(start)
-	if *snapshotOut != "" {
+	if snapshotOut != "" {
 		var snap bytes.Buffer
 		err := d.SaveState(&snap)
 		if err == nil {
-			err = os.WriteFile(*snapshotOut, snap.Bytes(), 0o666)
+			err = os.WriteFile(snapshotOut, snap.Bytes(), 0o666)
 		}
 		if err != nil {
 			fatal(1, "snapshot:", err)
 		}
-		fmt.Printf("state snapshot written to %s\n", *snapshotOut)
+		fmt.Printf("state snapshot written to %s\n", snapshotOut)
 	}
 
-	if *in != "" {
-		fmt.Printf("processed %d packets from %s\n", n, *in)
+	if in != "" {
+		fmt.Printf("processed %d packets from %s\n", n, in)
 	}
 	rate := float64(n) / elapsed.Seconds()
-	if *replay {
+	if replay {
 		fmt.Printf("replay mode: %d frames over %d pass(es) in %.2fs — %.2f Mpps (%d malformed rejected, %d backpressure retries)\n",
-			n, *replayLoops, elapsed.Seconds(), rate/1e6, d.IngestRejected(), d.IngestShed())
+			n, loops, elapsed.Seconds(), rate/1e6, d.IngestRejected(), d.IngestShed())
 	}
-	if *realtime {
+	if live {
 		fmt.Printf("real-time mode: %d shards, %d ingest goroutines, %.0f pkts/s wall, %d deployments, %d observed, %d shed\n",
-			d.Shards(), *ingest, rate, d.Deployments(), d.PacketsObserved(), d.IngestShed())
+			d.Shards(), ingest, rate, d.Deployments(), d.PacketsObserved(), d.IngestShed())
 	}
 	if src.injector != nil {
 		fmt.Println(src.chaosSummary())
@@ -432,35 +459,24 @@ func runSingle(cfg accturbo.Config, src *captureStream, frames *pcap.MappedReade
 	fmt.Println("\nscheduling distribution:")
 	for q, c := range d.Metrics().RoutedPkts {
 		c -= routedBefore[q]
-		pct := 0.0
-		if n > 0 {
-			pct = 100 * float64(c) / float64(n)
-		}
-		fmt.Printf("  queue %d (priority %d): %8d pkts (%5.1f%%)\n", q, q, c, pct)
+		fmt.Printf("  queue %d (priority %d): %8d pkts (%5.1f%%)\n", q, q, c, 100*float64(c)/float64(max(n, 1)))
 	}
 	if vf != nil {
-		fmt.Printf("\nper-packet verdicts written to %s\n", *verdictsOut)
+		fmt.Printf("\nper-packet verdicts written to %s\n", verdictsOut)
 	}
 }
 
-// runFleet is the -fleet-nodes mode: N full pipelines under one
-// coordinator on the simulated fleet link, the capture partitioned
-// across them by source IP hash — each node sees only its ingress slice
-// of the traffic, the way a distributed-source attack spreads over real
-// vantage points. The nodes share one virtual clock that follows the
-// capture's timestamps, so the report is deterministic. With
-// -coordinator=false the link starts partitioned: every node rides its
-// sticky local fallback ranking, the degraded mode an operator would see
-// during a real coordinator outage. -run-for holds /health up after the
-// report.
-func runFleet(cfg accturbo.Config, src *captureStream) {
-	nodes := *fleetNodes
+// runFleet is the fleet mode. Each node sees its ingress slice of the
+// capture, as vantage points see a distributed-source attack, on one
+// virtual clock that follows capture time, so the report is deterministic.
+func runFleet() {
+	cfg, src := pipeline()
 	f, err := accturbo.NewFleet(accturbo.FleetConfig{Nodes: nodes, Node: cfg})
 	if err != nil {
 		fatal(2, err)
 	}
 	defer f.Close()
-	f.SetLink(*coordinator)
+	f.SetLink(coordinator)
 	defer serveAdmin("serving fleet health on http://%s/health\n", admin.Surface{Health: admin.FleetView(f)})()
 
 	perNode := make([]int, nodes)
@@ -477,8 +493,7 @@ func runFleet(cfg accturbo.Config, src *captureStream) {
 		fmt.Println(src.chaosSummary())
 	}
 	for n := 0; n < f.Nodes(); n++ {
-		h := f.Node(n).Health()
-		st := f.NodeStats(n)
+		h, st := f.Node(n).Health(), f.NodeStats(n)
 		fmt.Printf("  node %d: %8d pkts, ranking source %-20s degraded=%-5v fleet/local polls %d/%d\n",
 			n, perNode[n], h.Control.RankSource, h.Degraded, st.FleetPolls, st.LocalPolls)
 		printResilience("    ", h)
@@ -504,26 +519,25 @@ func runFleet(cfg accturbo.Config, src *captureStream) {
 	if len(merged) == 0 {
 		fmt.Println("  (no merged view: no node reached the coordinator)")
 	}
-	time.Sleep(*runFor)
+	time.Sleep(runFor)
 }
 
 // waitRunFor blocks for -run-for, or forever when it is zero (the
 // process is expected to be killed — the smoke-test shape).
 func waitRunFor() {
-	if *runFor > 0 {
-		time.Sleep(*runFor)
+	if runFor > 0 {
+		time.Sleep(runFor)
 		return
 	}
 	select {}
 }
 
-// runTCPCoordinator is the -coordinator-listen mode: the standalone
-// ranking coordinator of a multi-process fleet.
-func runTCPCoordinator(cfg accturbo.Config) {
-	c, err := accturbo.NewFleetTCPCoordinator(accturbo.FleetTCPCoordinatorConfig{
-		ListenAddr: *coordListen,
-		Node:       cfg,
-	})
+// runTCPCoordinator is the coordinator mode: the standalone ranking
+// coordinator of a multi-process fleet.
+func runTCPCoordinator() {
+	cfg := accturbo.HardwareConfig() // the fleet's shape reads its slots and queues only
+	cfg.Clustering.MaxClusters, cfg.NumQueues = clusters, clusters
+	c, err := accturbo.NewFleetTCPCoordinator(accturbo.FleetTCPCoordinatorConfig{ListenAddr: listen, Node: cfg})
 	if err != nil {
 		fatal(1, err)
 	}
@@ -540,30 +554,24 @@ func runTCPCoordinator(cfg accturbo.Config) {
 		ts.DropsNoPeer+ts.DropsQueueFull, ts.DropsNoPeer, ts.DropsQueueFull)
 }
 
-// runTCPNode is the -coordinator-addr mode: one vantage-point node of a
-// multi-process fleet. The capture (when given) replays through the
-// node's own pipeline; afterwards the node keeps polling for -run-for,
-// so its snapshots, heartbeats, and fallback/recovery transitions stay
-// observable on /health while a smoke test kills and restarts the
-// coordinator around it.
-func runTCPNode(cfg accturbo.Config, src *captureStream) {
-	id := uint32(*nodeID) // main refuses an id past 32 bits
-	n, err := accturbo.NewFleetTCP(accturbo.FleetTCPConfig{
-		CoordinatorAddr: *coordAddr,
-		NodeID:          id,
-		Node:            cfg,
-	})
+// runTCPNode is the node mode. The capture, when given, replays through
+// the node's own pipeline; afterwards the node keeps polling for -run-for,
+// so its fallback and recovery stay observable on /health while a smoke
+// test kills and restarts the coordinator around it.
+func runTCPNode() {
+	cfg, src := pipeline()
+	id := uint32(nodeID) // checkBounds refuses an id past 32 bits
+	n, err := accturbo.NewFleetTCP(accturbo.FleetTCPConfig{CoordinatorAddr: coordAddr, NodeID: id, Node: cfg})
 	if err != nil {
 		fatal(1, err)
 	}
 	defer n.Close()
 	d := n.Defense()
-	fmt.Printf("fleet node %d dialing coordinator at %s\n", id, *coordAddr)
+	fmt.Printf("fleet node %d dialing coordinator at %s\n", id, coordAddr)
 	defer serveAdmin("serving node health on http://%s/health\n", admin.Surface{Health: admin.NodeView(id, n), Metrics: d})()
 
 	// A capture drains far faster than wall-clock poll intervals, so the
-	// replay polls every 5,000 packets; without that a short replay would
-	// finish before the first poll.
+	// replay polls every 5,000 packets.
 	total := 0
 	feed(src, 1, func(at time.Duration, pkts []*packet.Packet) {
 		d.Process(at, pkts[0])
@@ -572,19 +580,15 @@ func runTCPNode(cfg accturbo.Config, src *captureStream) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	})
-	// Keep the control loop visibly alive past the capture for -run-for:
-	// each tick publishes a snapshot (and applies or ages out fleet
-	// deployments), which is what lets /health show fallback and recovery
-	// in real time. Three ticks at least let the last window rank and the
-	// coordinator's broadcast land.
-	for deadline, tick := time.Now().Add(*runFor), 0; tick < 3 || time.Now().Before(deadline); tick++ {
+	// Each tick publishes a snapshot and applies or ages out fleet
+	// deployments, so /health shows fallback and recovery as they happen;
+	// three at least let the last window rank and the broadcast land.
+	for deadline, tick := time.Now().Add(runFor), 0; tick < 3 || time.Now().Before(deadline); tick++ {
 		d.Poll()
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	h := d.Health()
-	st := n.Stats()
-	ts := n.TransportStats()
+	h, st, ts := d.Health(), n.Stats(), n.TransportStats()
 	fmt.Printf("node %d: %d pkts, ranking source %s, degraded=%v, fleet/local polls %d/%d\n",
 		id, total, h.Control.RankSource, h.Degraded, st.FleetPolls, st.LocalPolls)
 	fmt.Printf("transport: %d dials, %d connects, %d frames out, %d in, %d CRC resets, %d drops (disconnected %d, queue full %d)\n",
@@ -592,15 +596,16 @@ func runTCPNode(cfg accturbo.Config, src *captureStream) {
 		ts.DropsDisconnected+ts.DropsQueueFull, ts.DropsDisconnected, ts.DropsQueueFull)
 }
 
-// runChaosProxy is the -chaos-proxy mode: a deterministic socket-level
-// fault injector relaying node connections to the coordinator.
-func runChaosProxy(spec faults.Spec) {
-	p, err := fleet.NewChaosProxy(*chaosProxyAddr, *chaosProxyTarget, *chaosSeed, spec)
+// runChaosProxy is the relay mode: a deterministic socket-level fault
+// injector relaying node connections to the coordinator.
+func runChaosProxy() {
+	spec := parseFaults(true)
+	p, err := fleet.NewChaosProxy(listen, target, chaosSeed, spec)
 	if err != nil {
 		fatal(1, err)
 	}
 	defer p.Close()
-	fmt.Printf("chaos proxy on %s -> %s (seed %d, spec %q)\n", p.Addr(), *chaosProxyTarget, *chaosSeed, spec.String())
+	fmt.Printf("chaos proxy on %s -> %s (seed %d, spec %q)\n", p.Addr(), target, chaosSeed, spec.String())
 	waitRunFor()
 	st := p.Stats()
 	fmt.Printf("chaos proxy: %d connections, %d bytes forwarded, %d corrupted, %d resets, %d delays\n",

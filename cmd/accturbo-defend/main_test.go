@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"flag"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -32,55 +33,82 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestFlagEdges: -fleet-nodes 1 is a fleet of one and a negative count a
-// usage error, not the single pipeline under another name, and a fleet,
-// which replays on the capture's timeline, refuses -realtime; the
-// real-time report counts the ingest goroutines that ran; a fault
-// spec this CLI cannot inject, or a clause the mode has no place for, is
-// refused before any mode runs, not silently ignored; a millisecond
-// flag past time.Duration, a negative one and a node id past 32 bits
-// are refused, not wrapped; and a
-// configuration with no snapshot refuses -snapshot-out before it replays
-// the capture or creates the file. A control-plane stall reads the same
-// in the chaos line of the single pipeline and of a fleet, whose nodes
-// each print their watchdog's resilience line.
+// TestFlagEdges runs the real main on the edges of its flags. A flag of
+// another mode, an old flat spelling or an unknown mode is a parse
+// refusal; a fleet of one is a fleet, and a count, shard or queue below
+// one, a negative -batch or -run-for, a millisecond flag past
+// time.Duration and a node id past 32 bits are refused, not wrapped or
+// ignored; the real-time report counts the ingest goroutines that ran; a
+// fault spec this CLI cannot inject, or a clause the mode has no place
+// for, is refused before the mode runs; and a configuration with no
+// snapshot refuses -snapshot-out before it replays the capture or
+// creates the file, as a fleet refuses -cpuprofile before it writes a
+// profile. A usage error is one line on stderr. A control-plane stall
+// reads the same in the chaos line of the single pipeline and of a
+// fleet, whose nodes each print their watchdog's resilience line.
 func TestFlagEdges(t *testing.T) {
 	capture := udpCapture(t, "edge.pcap", 0)
-	snap := filepath.Join(t.TempDir(), "x.snap")
+	dir := t.TempDir()
+	snap, profile := filepath.Join(dir, "x.snap"), filepath.Join(dir, "cpu.out")
 	stall := func(args ...string) []string {
-		return append(args, "-fault-spec", "stall:at=500ms,for=1s", "-chaos-seed", "7", "-fail-open-after", "300ms")
+		return append(args, "-in", capture, "-fault-spec", "stall:at=500ms,for=1s", "-chaos-seed", "7", "-fail-open-after", "300ms")
 	}
+	plan := func(args ...string) []string { return append([]string{"plan", "-conns", "1"}, args...) }
+	undefined := "flag provided but not defined: "
 	for _, c := range []struct {
 		args []string
 		exit int
 		want string // a substring of stdout+stderr
 	}{
-		{[]string{"-fleet-nodes", "1"}, 0, "fleet mode: 1 nodes"},
-		{[]string{"-fleet-nodes", "-3"}, 2, "-fleet-nodes must not be negative"},
-		{[]string{"-fleet-nodes", "0"}, 0, "final aggregates (operator view)"},
-		{[]string{"-fleet-nodes", "2", "-realtime"}, 2, "-fleet-nodes cannot be combined with -realtime"},
-		{[]string{"-realtime", "-ingest", "0"}, 0, "1 shards, 1 ingest goroutines"},
-		{[]string{"-fault-spec", "flap:first=1s,down=1s"}, 2, "flap clauses need a simulated link"},
-		{[]string{"-fault-spec", "sinkfail:p=1"}, 2, `unknown clause kind "sinkfail"`},
-		{[]string{"-fault-spec", "stream:corrupt=100"}, 2, "stream clauses need the chaos relay"},
-		{[]string{"-chaos-plan", "1", "-fault-spec", "bogus:x=1"}, 2, `unknown clause kind "bogus"`},
-		{[]string{"-chaos-plan", "1", "-fault-spec", "drop:p=0.1"}, 2, "the chaos relay injects stream clauses only"},
-		{[]string{"-chaos-plan", "1", "-fault-spec", "stream:corrupt=-3"}, 2, `key "corrupt": -3 is below 0`},
-		{[]string{"-chaos-plan", "1", "-fault-spec", "stream:delay=100,for=-5ms"}, 2, "duration -5ms is negative"},
-		{[]string{"-chaos-plan", "1", "-fault-spec", "stream:delay=100"}, 2, "delay needs a positive for"},
-		{[]string{"-chaos-plan", "1", "-chaos-seed", "3", "-fault-spec", "stream:corrupt=4096"}, 0, "chaos plan seed=3 corrupt=4096 reset=0 delay=0/0s"},
-		{[]string{"-coordinator-listen", "127.0.0.1:0", "-run-for", "1ms", "-fault-spec", "stall:at=1s,for=1s"}, 2, "-coordinator-listen has no capture"},
-		{[]string{"-node-id", "4294967297"}, 2, "-node-id 4294967297 does not fit in 32 bits"},
-		{[]string{"-victim-window", "18446744073710"}, 2, "-victim-window 18446744073710 is outside [0, 9223372036854] ms"},
-		{[]string{"-poll", "18446744073710"}, 2, "-poll 18446744073710 is outside"},
-		{[]string{"-reseed", "-5"}, 2, "-reseed -5 is outside"},
-		{[]string{"-victims", "1000000000"}, 2, "victim: TopK 1000000000 outside [1, 4096]"},
-		{[]string{"-clusters", "100", "-snapshot-out", snap}, 2, "-snapshot-out and -restore need the deployed clustering configuration"},
-		{stall("-fleet-nodes", "3"), 0, "0 corrupted, 15 polls suppressed"},
-		{stall("-fleet-nodes", "3"), 0, "\n    resilience: 1 fail-open engagements"},
+		{[]string{"fleet", "-in", capture, "-nodes", "1"}, 0, "fleet mode: 1 nodes"},
+		{[]string{"fleet", "-in", capture, "-nodes", "-3"}, 2, "accturbo-defend fleet: -nodes -3 is below 1"},
+		{[]string{"fleet", "-in", capture, "-nodes", "0"}, 2, "-nodes 0 is below 1"},
+		{[]string{"fleet", "-in", capture, "-shards", "2"}, 2, "accturbo-defend fleet: " + undefined + "-shards"},
+		{[]string{"fleet", "-in", capture, "-nodes", "2", "-cpuprofile", profile}, 2, undefined + "-cpuprofile"},
+		{[]string{"fleet", "-in", capture, "-nodes", "2", "-ingest-queue", "5"}, 2, undefined + "-ingest-queue"},
+		{[]string{"fleet", "-h"}, 0, "-nodes int"},
+		{[]string{"realtime", "-in", capture, "-ingest", "0"}, 0, "1 shards, 1 ingest goroutines"},
+		{[]string{"realtime", "-in", capture, "-shards", "0"}, 2, "-shards 0 is below 1"},
+		{[]string{"realtime", "-in", capture, "-ingest-queue", "0"}, 2, "-ingest-queue 0 is below 1"},
+		{[]string{"replay", "-in", capture, "-shards", "0"}, 2, "-shards 0 is below 1"},
+		{[]string{"replay", "-in", capture, "-verdicts", "v.csv"}, 2, undefined + "-verdicts"},
+		{[]string{"replay", "-shards", "2"}, 2, "accturbo-defend replay: missing -in"},
+		{[]string{"-in", capture, "-batch", "-5"}, 2, "-batch -5 is below 0"},
+		{[]string{"-in", capture, "-shards", "0"}, 2, "accturbo-defend: " + undefined + "-shards"},
+		{[]string{"-in", capture, "-replay-loops", "3"}, 2, undefined + "-replay-loops"},
+		{[]string{"-in", capture, "-run-for", "1ms"}, 2, undefined + "-run-for"},
+		{[]string{"-in", capture, "-coordinator=false"}, 2, undefined + "-coordinator"},
+		{[]string{"-in", capture, "-node-id", "9"}, 2, undefined + "-node-id"},
+		{[]string{"-in", capture, "-chaos-proxy-target", "x:1"}, 2, undefined + "-chaos-proxy-target"},
+		{[]string{"-in", capture, "-ingest", "3"}, 2, undefined + "-ingest"},
+		{[]string{"-in", capture, "-victim-window", "5"}, 2, "-victim-window needs -victims"},
+		{[]string{"-in", capture, "extra"}, 2, `unexpected argument "extra"`},
+		{[]string{"sim", "-in", capture}, 2, `unknown mode "sim"`},
+		{[]string{"-in", capture, "-fault-spec", "flap:first=1s,down=1s"}, 2, "flap clauses need a simulated link"},
+		{[]string{"-in", capture, "-fault-spec", "sinkfail:p=1"}, 2, `unknown clause kind "sinkfail"`},
+		{[]string{"-in", capture, "-fault-spec", "stream:corrupt=100"}, 2, "stream clauses need the chaos relay"},
+		{plan("-fault-spec", "bogus:x=1"), 2, `unknown clause kind "bogus"`},
+		{plan("-fault-spec", "drop:p=0.1"), 2, "the chaos relay injects stream clauses only"},
+		{plan("-fault-spec", "stream:corrupt=-3"), 2, `key "corrupt": -3 is below 0`},
+		{plan("-fault-spec", "stream:delay=100,for=-5ms"), 2, "duration -5ms is negative"},
+		{plan("-fault-spec", "stream:delay=100"), 2, "delay needs a positive for"},
+		{plan("-chaos-seed", "3", "-fault-spec", "stream:corrupt=4096"), 0, "chaos plan seed=3 corrupt=4096 reset=0 delay=0/0s"},
+		{[]string{"plan", "-conns", "-1"}, 2, "-conns -1 is below 1"},
+		{[]string{"plan", "-in", capture}, 2, undefined + "-in"},
+		{[]string{"relay", "-listen", "127.0.0.1:0"}, 2, "accturbo-defend relay: missing -target"},
+		{[]string{"coordinator", "-listen", "127.0.0.1:0", "-run-for", "1ms", "-fault-spec", "stall:at=1s,for=1s"}, 2, undefined + "-fault-spec"},
+		{[]string{"coordinator", "-listen", "127.0.0.1:0", "-run-for", "-1s"}, 2, "-run-for -1s is negative"},
+		{[]string{"node", "-coordinator", "127.0.0.1:1", "-id", "4294967297"}, 2, "-id 4294967297 is above 4294967295"},
+		{[]string{"-in", capture, "-victim-window", "18446744073710"}, 2, "-victim-window 18446744073710 is above 9223372036854"},
+		{[]string{"-in", capture, "-poll", "18446744073710"}, 2, "-poll 18446744073710 is above"},
+		{[]string{"-in", capture, "-reseed", "-5"}, 2, "-reseed -5 is below 0"},
+		{[]string{"-in", capture, "-victims", "1000000000"}, 2, "victim: TopK 1000000000 outside [1, 4096]"},
+		{[]string{"-in", capture, "-clusters", "100", "-snapshot-out", snap}, 2, "-snapshot-out and -restore need the deployed clustering configuration"},
+		{stall("fleet", "-nodes", "3"), 0, "0 corrupted, 15 polls suppressed"},
+		{stall("fleet", "-nodes", "3"), 0, "\n    resilience: 1 fail-open engagements"},
 		{stall(), 0, "0 corrupted, 5 polls suppressed"},
 	} {
-		cmd := exec.Command(os.Args[0], append([]string{"-in", capture}, c.args...)...)
+		cmd := exec.Command(os.Args[0], c.args...)
 		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
 		out, err := cmd.CombinedOutput()
 		if code := cmd.ProcessState.ExitCode(); code != c.exit || !strings.Contains(string(out), c.want) {
@@ -90,8 +118,42 @@ func TestFlagEdges(t *testing.T) {
 			t.Errorf("%v: a usage error should be one line, got:\n%s", c.args, out)
 		}
 	}
-	if _, err := os.Stat(snap); !os.IsNotExist(err) {
-		t.Errorf("a refused -snapshot-out left %s behind (%v)", snap, err)
+	for _, f := range []string{snap, profile} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("a refused run left %s behind (%v)", f, err)
+		}
+	}
+}
+
+// TestModeFlags: every mode's flag set, built from the one mode table,
+// refuses every flag that another mode declares and it does not, and
+// parses each of its own. A flag added to any mode is covered here with
+// no new row.
+func TestModeFlags(t *testing.T) {
+	sets := map[string]*flag.FlagSet{}
+	for name := range modes {
+		sets[name] = flagSet(name)
+	}
+	for name, fs := range sets {
+		n := 0
+		fs.VisitAll(func(f *flag.Flag) {
+			n++
+			if err := flagSet(name).Parse([]string{"-" + f.Name + "=" + f.DefValue}); err != nil {
+				t.Errorf("mode %q refuses its own -%s: %v", name, f.Name, err)
+			}
+		})
+		t.Logf("mode %q: %d flags", name, n)
+		for other, ofs := range sets {
+			ofs.VisitAll(func(f *flag.Flag) {
+				if fs.Lookup(f.Name) != nil {
+					return
+				}
+				err := flagSet(name).Parse([]string{"-" + f.Name + "=" + f.DefValue})
+				if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -"+f.Name) {
+					t.Errorf("mode %q accepts mode %q's -%s: %v", name, other, f.Name, err)
+				}
+			})
+		}
 	}
 }
 
@@ -99,7 +161,7 @@ func TestFlagEdges(t *testing.T) {
 // /health up after its report, for as long as it says.
 func TestFleetRunForHoldsHealth(t *testing.T) {
 	const hold = time.Second
-	cmd := exec.Command(os.Args[0], "-in", udpCapture(t, "hold.pcap", 0), "-fleet-nodes", "3",
+	cmd := exec.Command(os.Args[0], "fleet", "-in", udpCapture(t, "hold.pcap", 0), "-nodes", "3",
 		"-metrics-addr", "127.0.0.1:0", "-run-for", hold.String())
 	cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
 	stdout, err := cmd.StdoutPipe()
@@ -299,7 +361,7 @@ func udpFrame(t *testing.T, id uint16) []byte {
 }
 
 // TestMalformedCapture: every capture-streaming mode skips and counts a
-// frame that is not IPv4, as -replay does, and reports the count once on
+// frame that is not IPv4, as replay does, and reports the count once on
 // stderr; a truncated record is a read error and exits 1 instead of
 // ending the report early.
 func TestMalformedCapture(t *testing.T) {
@@ -314,10 +376,10 @@ func TestMalformedCapture(t *testing.T) {
 		stderr string
 	}{
 		{[]string{"-in", mixed}, 0, "processed 2 packets", "skipped 1 malformed frames"},
-		{[]string{"-in", mixed, "-realtime"}, 0, "processed 2 packets", "skipped 1 malformed frames"},
-		{[]string{"-in", mixed, "-fleet-nodes", "1"}, 0, "1 nodes, 2 packets", "skipped 1 malformed frames"},
+		{[]string{"realtime", "-in", mixed}, 0, "processed 2 packets", "skipped 1 malformed frames"},
+		{[]string{"fleet", "-in", mixed, "-nodes", "1"}, 0, "1 nodes, 2 packets", "skipped 1 malformed frames"},
 		{[]string{"-in", truncated}, 1, "", "truncated record body"},
-		{[]string{"-in", truncated, "-fleet-nodes", "1"}, 1, "", "truncated record body"},
+		{[]string{"fleet", "-in", truncated, "-nodes", "1"}, 1, "", "truncated record body"},
 	} {
 		cmd := exec.Command(os.Args[0], c.args...)
 		cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")

@@ -57,10 +57,10 @@ func BenchmarkIngestOfferFrame(b *testing.B) {
 	lane.Flush()
 }
 
-// BenchmarkReplayFrames is the full -replay pipeline on an in-memory
+// BenchmarkReplayFrames is the full replay-mode pipeline on an in-memory
 // capture: MappedReader iteration, fused decode, ring hand-off, and
 // classification, looped over the image exactly like
-// `accturbo-defend -replay`.
+// `accturbo-defend replay`.
 func BenchmarkReplayFrames(b *testing.B) {
 	var buf bytes.Buffer
 	w, err := pcap.NewNanoWriter(&buf)

@@ -24,7 +24,7 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden.sha256 from this run's outputs")
 
 // plan is the chaos relay's fault schedule with every fault kind on.
-const plan = "-chaos-plan 4 -fault-spec stream:corrupt=4096,reset=32768,delay=8192,for=5ms"
+const plan = "plan -conns 4 -fault-spec stream:corrupt=4096,reset=32768,delay=8192,for=5ms"
 
 // recipes run in order in one directory. Every file name is relative, so
 // no temporary path reaches an output (the reports print their -in). A
@@ -38,8 +38,8 @@ var recipes = []struct{ out, cmd string }{
 	{"", "accturbo-defend -in pulse.pcap -verdicts verdicts.csv"},
 	{"plan.txt", "accturbo-defend " + plan + " -chaos-seed 7"},
 	{"plan8.txt", "accturbo-defend " + plan + " -chaos-seed 8"},
-	{"fleet.txt", "accturbo-defend -in pulse.pcap -fleet-nodes 3"},
-	{"fleet_down.txt", "accturbo-defend -in pulse.pcap -fleet-nodes 3 -coordinator=false"},
+	{"fleet.txt", "accturbo-defend fleet -in pulse.pcap -nodes 3"},
+	{"fleet_down.txt", "accturbo-defend fleet -in pulse.pcap -nodes 3 -coordinator=false"},
 	{"sim_fifo.txt", "accturbo-sim -defense fifo"},
 	{"sim_red.txt", "accturbo-sim -defense red"},
 	{"sim_acc.txt", "accturbo-sim -defense acc"},
@@ -186,7 +186,7 @@ func statSources(t *testing.T, root string) {
 	}
 }
 
-// nodeLines returns a -fleet-nodes 3 report's per-node lines.
+// nodeLines returns a fleet -nodes 3 report's per-node lines.
 func nodeLines(t *testing.T, report string) []string {
 	t.Helper()
 	var nodes []string

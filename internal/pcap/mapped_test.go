@@ -133,7 +133,7 @@ func TestMappedReaderMatchesReader(t *testing.T) {
 }
 
 // TestMappedReaderReset: Reset rewinds to the first record and yields
-// the identical sequence, the contract -replay-loops depends on.
+// the identical sequence, the contract replay -loops depends on.
 func TestMappedReaderReset(t *testing.T) {
 	data := captureBytes(t, true, fixturePackets(10))
 	m, err := NewMappedReader(data)

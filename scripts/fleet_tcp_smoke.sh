@@ -70,7 +70,7 @@ go build -o "$WORK/defend" ./cmd/accturbo-defend
 CHAOS_FLAGS=(-chaos-seed 7 -fault-spec 'stream:corrupt=8192,reset=32768,delay=16384,for=5ms')
 
 echo "== start coordinator =="
-"$WORK/defend" -coordinator-listen 127.0.0.1:0 -metrics-addr 127.0.0.1:0 -poll 100 \
+"$WORK/defend" coordinator -listen 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
   >"$WORK/coord1.log" 2>&1 &
 PIDS+=($!)
 COORD_PID=$!
@@ -81,7 +81,7 @@ COORD_HEALTH=$(sed -n 's|^serving coordinator health on http://\(.*\)/health$|\1
 echo "coordinator at $COORD_ADDR, health at $COORD_HEALTH"
 
 echo "== start chaos proxy =="
-"$WORK/defend" -chaos-proxy 127.0.0.1:0 -chaos-proxy-target "$COORD_ADDR" "${CHAOS_FLAGS[@]}" \
+"$WORK/defend" relay -listen 127.0.0.1:0 -target "$COORD_ADDR" "${CHAOS_FLAGS[@]}" \
   >"$WORK/proxy.log" 2>&1 &
 PIDS+=($!)
 wait_line "$WORK/proxy.log" 'chaos proxy on' "proxy banner"
@@ -91,7 +91,7 @@ echo "chaos proxy at $PROXY_ADDR"
 echo "== start 3 nodes through the proxy =="
 NODE_HEALTH=()
 for i in 1 2 3; do
-  "$WORK/defend" -coordinator-addr "$PROXY_ADDR" -node-id "$i" \
+  "$WORK/defend" node -coordinator "$PROXY_ADDR" -id "$i" \
     -metrics-addr 127.0.0.1:0 -poll 100 -run-for 10m \
     >"$WORK/node$i.log" 2>&1 &
   PIDS+=($!)
@@ -133,7 +133,7 @@ done
 echo "all nodes on fleet-fallback:local"
 
 echo "== phase 3: restart the coordinator on the same address =="
-"$WORK/defend" -coordinator-listen "$COORD_ADDR" -poll 100 \
+"$WORK/defend" coordinator -listen "$COORD_ADDR" \
   >"$WORK/coord2.log" 2>&1 &
 PIDS+=($!)
 wait_line "$WORK/coord2.log" 'fleet coordinator listening on' "restarted coordinator banner"
