@@ -217,43 +217,11 @@ func BenchmarkDefenseProcessExhaustive(b *testing.B) {
 	}
 }
 
-// BenchmarkObserveBatch measures the amortized per-packet cost of the
-// batched ingest path (256-packet batches): one queue-map load, one
-// shard-lock round and one telemetry flush per batch instead of per
-// packet. Reported per packet for direct comparison with
-// BenchmarkDefenseProcess; the steady-state path is allocation-free
-// (gated by TestDefenseObserveBatchZeroAlloc).
-func BenchmarkObserveBatch(b *testing.B) {
-	for _, shards := range []int{1, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Clustering.SliceInit = true
-			cfg.Shards = shards
-			var d *Defense
-			if shards > 1 {
-				d = build(b, NewRealTimeDefense, cfg)
-				defer d.Close()
-			} else {
-				d = build(b, NewDefense, cfg)
-			}
-			const batch = 256
-			pkts := benignPackets(batch)
-			queues := make([]int, batch)
-			d.ObserveBatch(0, pkts, queues) // warm clusterers and scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				d.ObserveBatch(0, pkts, queues)
-			}
-		})
-	}
-}
-
 // quietDefense is the pipeline of BenchmarkDefenseProcess (shards == 0)
-// or of BenchmarkDefenseSharded and BenchmarkObserveBatch (real time at
-// that many shards), warmed on pkts, with a poll interval no test
-// outlives: what the zero-alloc twins below count is the packet path,
-// not the control loop's allocations on another goroutine.
+// or of BenchmarkDefenseSharded (real time at that many shards), warmed
+// on pkts, with a poll interval no test outlives: what
+// TestProcessZeroAlloc counts is the packet path, not the control loop's
+// allocations on another goroutine.
 func quietDefense(t *testing.T, shards int, pkts []*Packet) *Defense {
 	cfg := DefaultConfig()
 	cfg.Clustering.SliceInit = true
@@ -295,25 +263,6 @@ func TestProcessZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("shards=%d (0 = deterministic): Process allocates %v per %d packets, want 0", shards, allocs, len(pkts))
-		}
-	}
-}
-
-// TestDefenseObserveBatchZeroAlloc holds the facade's ObserveBatch to
-// BenchmarkObserveBatch's 0 allocs/op, at its shard counts (the
-// Dataplane underneath is internal/core's TestObserveBatchZeroAlloc).
-func TestDefenseObserveBatchZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector randomizes sync.Pool retention; scratch reuse is not guaranteed")
-	}
-	pkts := benignPackets(256)
-	queues := make([]int, len(pkts))
-	for _, shards := range []int{0, 4} {
-		d := quietDefense(t, shards, pkts)
-		d.ObserveBatch(0, pkts, queues) // warm the batch scratch
-		allocs := testing.AllocsPerRun(100, func() { d.ObserveBatch(0, pkts, queues) })
-		if allocs != 0 {
-			t.Errorf("shards=%d (0 = deterministic): ObserveBatch allocates %v per batch, want 0", shards, allocs)
 		}
 	}
 }

@@ -5,9 +5,7 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"accturbo"
@@ -90,54 +88,14 @@ func printResilience(indent string, h accturbo.Health) {
 	}
 }
 
-// feed pulls the capture into batches of size packets and hands each,
-// with its first packet's capture time, to emit; pkts is only valid
-// until emit returns. It returns the packet count.
-func feed(src *captureStream, size int, emit func(at time.Duration, pkts []*packet.Packet)) int {
+// feed hands each packet of the capture, with its capture time, to
+// emit and returns the packet count.
+func feed(src *captureStream, emit func(at time.Duration, p *packet.Packet)) int {
 	n := 0
-	var at time.Duration
-	buf := make([]*packet.Packet, 0, size)
 	for c, ok := src.next(); ok; c, ok = src.next() {
-		if len(buf) == 0 {
-			at = c.At.Duration()
-		}
-		buf = append(buf, c.Pkt)
+		emit(c.At.Duration(), c.Pkt)
 		n++
-		if len(buf) == size {
-			emit(at, buf)
-			buf = buf[:0]
-		}
 	}
-	if len(buf) > 0 {
-		emit(at, buf)
-	}
-	return n
-}
-
-// feedRealTime fans the capture's batches out to -ingest workers over a
-// channel holding -ingest-queue packets. A full channel blocks the
-// reader: a capture file can wait, so nothing is shed.
-func feedRealTime(src *captureStream, size int, deliver func(at time.Duration, pkts []*packet.Packet)) int {
-	type batch struct {
-		at   time.Duration
-		pkts []*packet.Packet
-	}
-	ch := make(chan batch, max(1, ingestQueue/size))
-	var wg sync.WaitGroup
-	for w := 0; w < ingest; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for b := range ch {
-				deliver(b.at, b.pkts)
-			}
-		}()
-	}
-	n := feed(src, size, func(at time.Duration, pkts []*packet.Packet) {
-		ch <- batch{at, slices.Clone(pkts)}
-	})
-	close(ch)
-	wg.Wait()
 	return n
 }
 

@@ -36,10 +36,8 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"time"
 
 	"accturbo"
@@ -55,7 +53,7 @@ import (
 var (
 	in, verdictsOut, metricsAddr, faultSpec, cpuProfile, restorePath, snapshotOut string
 	listen, target, coordAddr                                                     string
-	clusters, pollMs, reseedMs, shards, ingest, ingestQueue, batchSize, victimsK  int
+	clusters, pollMs, reseedMs, shards, ingestQueue, victimsK                     int
 	victimWindowMs, loops, nodes, nodeID, conns                                   int
 	chaosSeed                                                                     uint64
 	failOpenAfter, runFor                                                         time.Duration
@@ -79,11 +77,11 @@ var modes = map[string]mode{
 		singleFlags(fs)
 		reportFlags(fs)
 		shardFlags(fs)
-		fs.IntVar(&ingest, "ingest", runtime.GOMAXPROCS(0), "ingest goroutines feeding the shards")
 	}, nil, func(fs *flag.FlagSet) { runSingle(fs, "realtime") }},
 	"replay": {"-in X [-loops N] [flags]", func(fs *flag.FlagSet) {
 		singleFlags(fs)
 		shardFlags(fs)
+		fs.IntVar(&ingestQueue, "ingest-queue", 8192, "ingest ring capacity (frames; /health reports it as ingest_capacity)")
 		fs.IntVar(&loops, "loops", 1, "passes over the capture")
 	}, []string{"in"}, func(fs *flag.FlagSet) { runSingle(fs, "replay") }},
 	"fleet": {"-in X [-nodes N] [flags]", func(fs *flag.FlagSet) {
@@ -151,14 +149,12 @@ func singleFlags(fs *flag.FlagSet) {
 func reportFlags(fs *flag.FlagSet) {
 	faultFlags(fs, false)
 	fs.StringVar(&verdictsOut, "verdicts", "", "optional CSV of per-packet verdicts")
-	fs.IntVar(&batchSize, "batch", 0, "feed packets through ObserveBatch in batches of this size (0 = per-packet; incompatible with -verdicts)")
 	fs.IntVar(&victimsK, "victims", 0, "track the top-K victim destination aggregates per window through the heavy-keeper detector (0 = off, at most 4096; adds GET /victims to -metrics-addr)")
 	fs.IntVar(&victimWindowMs, "victim-window", 1000, "victim-detection window length (ms of capture time; needs -victims)")
 }
 
 func shardFlags(fs *flag.FlagSet) {
 	fs.IntVar(&shards, "shards", 1, "data-plane clustering shards")
-	fs.IntVar(&ingestQueue, "ingest-queue", 8192, "ingest queue capacity (packets; a full queue holds the capture reader back)")
 }
 
 func fatal(code int, v ...any) {
@@ -212,7 +208,7 @@ func checkBounds(fs *flag.FlagSet) {
 	for _, b := range []struct {
 		name   string
 		lo, hi int64
-	}{{"batch", 0, most}, {"victims", 0, most}, {"shards", 1, most}, {"ingest-queue", 1, most}, {"loops", 1, most},
+	}{{"victims", 0, most}, {"shards", 1, most}, {"ingest-queue", 1, most}, {"loops", 1, most},
 		{"nodes", 1, most}, {"conns", 1, most}, {"poll", 0, ms}, {"reseed", 0, ms}, {"victim-window", 1, ms}, {"id", 1, math.MaxUint32}} {
 		if f := fs.Lookup(b.name); f != nil {
 			switch v := int64(f.Value.(flag.Getter).Get().(int)); {
@@ -302,9 +298,9 @@ func pipelineSurface(d *accturbo.Defense, realtime bool) (admin.Surface, string)
 	return s, "serving metrics on http://%s/metrics, health on /health, config on /config, snapshots on /snapshot\n"
 }
 
-// runSingle runs one Defense over the capture, fed deterministically (the
-// bare command), by the real-time worker pool (realtime) or by the
-// wire-speed replay lane (replay), then prints the operator report.
+// runSingle runs one Defense over the capture, fed through Process on
+// capture time (the bare command) or on the wall clock (realtime), or by
+// the wire-speed replay lane (replay), then prints the operator report.
 func runSingle(fs *flag.FlagSet, mode string) {
 	live, replay := mode != "", mode == "replay"
 	cfg, src := pipeline()
@@ -313,14 +309,11 @@ func runSingle(fs *flag.FlagSet, mode string) {
 	switch {
 	case in == "" && restorePath == "":
 		fatal(2, "missing -in capture (or -restore snapshot)")
-	case batchSize > 1 && verdictsOut != "":
-		fatal(2, "-batch cannot be combined with -verdicts: the batch path reports queue counts, not per-packet distances")
 	case window && victimsK == 0:
 		fatal(2, "-victim-window needs -victims")
 	case (restorePath != "" || snapshotOut != "") && !cfg.Clustering.Deployed():
 		fatal(2, "-snapshot-out and -restore need the deployed clustering configuration: at most 64 -clusters")
 	}
-	ingest = max(1, ingest) // what the report prints is what feedRealTime starts
 	if src.frames != nil {
 		defer src.frames.Close()
 	}
@@ -355,7 +348,7 @@ func runSingle(fs *flag.FlagSet, mode string) {
 		if victims, err = newVictimTap(victimsK, time.Duration(victimWindowMs)*time.Millisecond); err != nil {
 			fatal(2, err)
 		}
-		// The tap sees every packet the capture stream feeds, in any batch.
+		// The tap sees every packet the capture stream feeds.
 		src.tap = victims.observe
 		surface.Victims = victims.vd
 	}
@@ -369,22 +362,12 @@ func runSingle(fs *flag.FlagSet, mode string) {
 		defer vf.Close()
 		fmt.Fprintln(vf, "time_us,src,dst,proto,sport,dport,len,cluster,queue,distance")
 	}
-	// deliver hands one batch to the pipeline: a batch of one goes through
-	// Process, whose verdict the CSV needs, larger ones through ObserveBatch.
-	var vfMu sync.Mutex
-	deliver := func(at time.Duration, pkts []*packet.Packet) {
-		if len(pkts) > 1 {
-			d.ObserveBatch(at, pkts, nil)
-			return
-		}
-		p := pkts[0]
+	deliver := func(at time.Duration, p *packet.Packet) {
 		v := d.Process(at, p)
 		if vf != nil {
-			vfMu.Lock()
 			fmt.Fprintf(vf, "%d,%s,%s,%d,%d,%d,%d,%d,%d,%.0f\n",
 				at.Microseconds(), p.SrcIP, p.DstIP, uint8(p.Protocol),
 				p.SrcPort, p.DstPort, p.Length, v.Cluster, v.Queue, v.Distance)
-			vfMu.Unlock()
 		}
 	}
 
@@ -403,18 +386,12 @@ func runSingle(fs *flag.FlagSet, mode string) {
 	// The scheduling distribution is the routed counters' movement over
 	// the run (a restored snapshot brings its own history).
 	routedBefore := d.Metrics().RoutedPkts
-	batch := max(1, batchSize)
 	start := time.Now()
 	var n int
-	switch {
-	case replay:
+	if replay {
 		n = feedReplay(d, src.frames)
-	case live:
-		n = feedRealTime(src, batch, deliver)
-	default:
-		// The pipeline clock advances to each batch's first timestamp, so
-		// with -batch control-loop ticks quantize to batch boundaries.
-		n = feed(src, batch, deliver)
+	} else {
+		n = feed(src, deliver)
 	}
 	// Close drains the ingest stage (if enabled) so the routed counters
 	// below are complete; the deferred Close becomes a no-op.
@@ -440,9 +417,9 @@ func runSingle(fs *flag.FlagSet, mode string) {
 		fmt.Printf("replay mode: %d frames over %d pass(es) in %.2fs — %.2f Mpps (%d malformed rejected, %d backpressure retries)\n",
 			n, loops, elapsed.Seconds(), rate/1e6, d.IngestRejected(), d.IngestShed())
 	}
-	if live {
-		fmt.Printf("real-time mode: %d shards, %d ingest goroutines, %.0f pkts/s wall, %d deployments, %d observed, %d shed\n",
-			d.Shards(), ingest, rate, d.Deployments(), d.PacketsObserved(), d.IngestShed())
+	if mode == "realtime" {
+		fmt.Printf("real-time mode: %d shards, %.0f pkts/s wall, %d deployments, %d observed\n",
+			d.Shards(), rate, d.Deployments(), d.PacketsObserved())
 	}
 	if src.injector != nil {
 		fmt.Println(src.chaosSummary())
@@ -480,11 +457,11 @@ func runFleet() {
 	defer serveAdmin("serving fleet health on http://%s/health\n", admin.Surface{Health: admin.FleetView(f)})()
 
 	perNode := make([]int, nodes)
-	total := feed(src, 1, func(at time.Duration, pkts []*packet.Packet) {
+	total := feed(src, func(at time.Duration, p *packet.Packet) {
 		h := fnv.New32a()
-		h.Write(pkts[0].SrcIP[:])
+		h.Write(p.SrcIP[:])
 		n := int(h.Sum32() % uint32(nodes))
-		f.Node(n).Process(at, pkts[0])
+		f.Node(n).Process(at, p)
 		perNode[n]++
 	})
 
@@ -573,8 +550,8 @@ func runTCPNode() {
 	// A capture drains far faster than wall-clock poll intervals, so the
 	// replay polls every 5,000 packets.
 	total := 0
-	feed(src, 1, func(at time.Duration, pkts []*packet.Packet) {
-		d.Process(at, pkts[0])
+	feed(src, func(at time.Duration, p *packet.Packet) {
+		d.Process(at, p)
 		if total++; total%5000 == 0 {
 			d.Poll()
 			time.Sleep(2 * time.Millisecond)

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -36,10 +37,8 @@ func TestMain(m *testing.M) {
 // TestFlagEdges runs the real main on the edges of its flags. A flag of
 // another mode, an old flat spelling or an unknown mode is a parse
 // refusal; a fleet of one is a fleet, and a count, shard or queue below
-// one, a negative -batch or -run-for, a millisecond flag past
-// time.Duration and a node id past 32 bits are refused, not wrapped or
-// ignored; the real-time report counts the ingest goroutines that ran; a
-// fault spec this CLI cannot inject, or a clause the mode has no place
+// one, a negative -run-for, a millisecond flag past time.Duration and a
+// node id past 32 bits are refused, not wrapped or ignored; a fault spec this CLI cannot inject, or a clause the mode has no place
 // for, is refused before the mode runs; and a configuration with no
 // snapshot refuses -snapshot-out before it replays the capture or
 // creates the file, as a fleet refuses -cpuprofile before it writes a
@@ -67,13 +66,14 @@ func TestFlagEdges(t *testing.T) {
 		{[]string{"fleet", "-in", capture, "-nodes", "2", "-cpuprofile", profile}, 2, undefined + "-cpuprofile"},
 		{[]string{"fleet", "-in", capture, "-nodes", "2", "-ingest-queue", "5"}, 2, undefined + "-ingest-queue"},
 		{[]string{"fleet", "-h"}, 0, "-nodes int"},
-		{[]string{"realtime", "-in", capture, "-ingest", "0"}, 0, "1 shards, 1 ingest goroutines"},
+		{[]string{"realtime", "-in", capture, "-ingest", "0"}, 2, "accturbo-defend realtime: " + undefined + "-ingest"},
 		{[]string{"realtime", "-in", capture, "-shards", "0"}, 2, "-shards 0 is below 1"},
-		{[]string{"realtime", "-in", capture, "-ingest-queue", "0"}, 2, "-ingest-queue 0 is below 1"},
+		{[]string{"realtime", "-in", capture, "-ingest-queue", "0"}, 2, undefined + "-ingest-queue"},
+		{[]string{"replay", "-in", capture, "-ingest-queue", "0"}, 2, "-ingest-queue 0 is below 1"},
 		{[]string{"replay", "-in", capture, "-shards", "0"}, 2, "-shards 0 is below 1"},
 		{[]string{"replay", "-in", capture, "-verdicts", "v.csv"}, 2, undefined + "-verdicts"},
 		{[]string{"replay", "-shards", "2"}, 2, "accturbo-defend replay: missing -in"},
-		{[]string{"-in", capture, "-batch", "-5"}, 2, "-batch -5 is below 0"},
+		{[]string{"-in", capture, "-batch", "-5"}, 2, undefined + "-batch"},
 		{[]string{"-in", capture, "-shards", "0"}, 2, "accturbo-defend: " + undefined + "-shards"},
 		{[]string{"-in", capture, "-replay-loops", "3"}, 2, undefined + "-replay-loops"},
 		{[]string{"-in", capture, "-run-for", "1ms"}, 2, undefined + "-run-for"},
@@ -122,6 +122,55 @@ func TestFlagEdges(t *testing.T) {
 		if _, err := os.Stat(f); !os.IsNotExist(err) {
 			t.Errorf("a refused run left %s behind (%v)", f, err)
 		}
+	}
+}
+
+// liveRun runs the real main on args plus -in capture and returns its
+// combined output.
+func liveRun(t *testing.T, capture string, args ...string) string {
+	cmd := exec.Command(os.Args[0], append(args, "-in", capture)...)
+	cmd.Env = append(os.Environ(), "ACCTURBO_DEFEND_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%v: %v\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+// TestReplayReport: replay's report names its ring retries once, on its
+// own line, and holds no real-time line.
+func TestReplayReport(t *testing.T) {
+	out := liveRun(t, udpCapture(t, "replay.pcap", 0), "replay")
+	if strings.Count(out, "backpressure retries") != 1 || strings.Contains(out, "real-time mode:") || strings.Contains(out, "shed") {
+		t.Errorf("replay report:\n%s", out)
+	}
+}
+
+// TestRealTimeVerdicts: realtime feeds the capture through Process from
+// the reader, so -verdicts holds one row per processed packet in capture
+// order, and the report line counts no ingest stage it never ran.
+func TestRealTimeVerdicts(t *testing.T) {
+	csv := filepath.Join(t.TempDir(), "v.csv")
+	out := liveRun(t, udpCapture(t, "live.pcap", 0), "realtime", "-shards", "2", "-verdicts", csv)
+	if !strings.Contains(out, "processed 2000 packets") || !strings.Contains(out, "real-time mode: 2 shards, ") ||
+		strings.Contains(out, "ingest goroutines") || strings.Contains(out, "shed") {
+		t.Errorf("realtime report:\n%s", out)
+	}
+	body, err := os.ReadFile(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := strings.Split(strings.TrimSpace(string(body)), "\n")[1:]
+	if len(rows) != 2000 {
+		t.Fatalf("-verdicts holds %d rows, want one per processed packet (2000)", len(rows))
+	}
+	last := -1
+	for i, row := range rows {
+		at, err := strconv.Atoi(row[:strings.IndexByte(row, ',')])
+		if err != nil || at < last {
+			t.Fatalf("row %d %q: time_us after %d (%v), want capture order", i, row, last, err)
+		}
+		last = at
 	}
 }
 

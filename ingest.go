@@ -24,7 +24,7 @@ import (
 // Lane/OfferFrame is the one door: a capture goroutine takes a lane,
 // decodes each frame's features while its header is cache-hot, and
 // pushes the compact records with batched publish. Callers that already
-// hold decoded Packets use the synchronous Process/ObserveBatch instead.
+// hold decoded Packets use the synchronous Process instead.
 // When a ring is full the offer sheds (counted, never blocking), so
 // overload degrades visibly.
 type ingestStage struct {

@@ -2,8 +2,10 @@ package accturbo
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
+	"sync"
 	"testing"
 
 	"accturbo/internal/eventsim"
@@ -18,43 +20,52 @@ import (
 // TestOfferFrameZeroAlloc's, with internal/pcap's
 // TestMappedReaderZeroAlloc for the replay's reader.
 
-// benchDefense builds a real-time pipeline with the bounded ingest
-// stage enabled, mirroring cmd/accturbo-defend's replay setup.
-func benchDefense(b *testing.B, shards, capacity, lanes int) *Defense {
-	b.Helper()
-	d := build(b, NewRealTimeDefense, realtimeCfg(shards))
-	if err := d.EnableIngest(capacity, lanes); err != nil {
-		b.Fatal(err)
-	}
-	return d
-}
-
 // BenchmarkIngestOfferFrame is the wire-speed producer API: raw IPv4
-// frames through the fused feature decode and an exclusive lane with
-// batched publish.
+// frames through the fused feature decode and exclusive lanes with
+// batched publish. lanes=1 is one producer on one shard; lanes=2 is two
+// producer goroutines on two shards in the hardware shape, the
+// multi-feeder case.
 func BenchmarkIngestOfferFrame(b *testing.B) {
-	d := benchDefense(b, 1, 1<<13, 1)
-	defer d.Close()
-	lane := d.Lane(0)
 	frames := frameCorpus(b, 1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-	offer:
-		for {
-			switch lane.OfferFrame(frames[i%len(frames)]) {
-			case OfferAccepted:
-				break offer
-			case OfferFull:
-				lane.Flush()
-				runtime.Gosched()
-			default:
-				b.Fatal("frame rejected or stage closed")
+	for _, lanes := range []int{1, 2} {
+		b.Run(fmt.Sprintf("lanes=%d", lanes), func(b *testing.B) {
+			cfg := realtimeCfg(1)
+			if lanes > 1 {
+				cfg = HardwareConfig()
+				cfg.Shards = lanes
 			}
-		}
+			d := build(b, NewRealTimeDefense, cfg)
+			defer d.Close()
+			if err := d.EnableIngest(1<<13, lanes); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for l := 0; l < lanes; l++ {
+				wg.Add(1)
+				go func(lane *IngestLane) {
+					defer wg.Done()
+					for i := l; i < b.N; i += lanes {
+						for offer := true; offer; {
+							switch lane.OfferFrame(frames[i%len(frames)]) {
+							case OfferAccepted:
+								offer = false
+							case OfferFull:
+								lane.Flush()
+								runtime.Gosched()
+							default:
+								b.Error("frame rejected or stage closed")
+								return
+							}
+						}
+					}
+					lane.Flush()
+				}(d.Lane(l))
+			}
+			wg.Wait()
+		})
 	}
-	b.StopTimer()
-	lane.Flush()
 }
 
 // BenchmarkReplayFrames is the full replay-mode pipeline on an in-memory
@@ -79,7 +90,10 @@ func BenchmarkReplayFrames(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d := benchDefense(b, 1, 1<<13, 1)
+	d := build(b, NewRealTimeDefense, realtimeCfg(1))
+	if err := d.EnableIngest(1<<13, 1); err != nil {
+		b.Fatal(err)
+	}
 	defer d.Close()
 	lane := d.Lane(0)
 	b.ReportAllocs()

@@ -97,9 +97,9 @@ func checkCounts(t *testing.T, label string, dp *Dataplane, tl *countsTally, bas
 // per-queue counters to a tally of what Classify answered packet by
 // packet, across two deploys that remap populated slots: a routing
 // total derived from the mapping live at read time would miscount
-// every packet classified before the last deploy. ObserveBatch and
-// ObserveShardFrames see the same stream with the same deploy points,
-// so their queue answers must match the tally's too.
+// every packet classified before the last deploy. ObserveShardFrames
+// sees the same stream with the same deploy points, so its queue
+// answers must match the tally's too.
 func TestCountsMatchIndependentTally(t *testing.T) {
 	const n = 3000
 	pkts, views := mkFrames(t, n)
@@ -114,24 +114,9 @@ func TestCountsMatchIndependentTally(t *testing.T) {
 			tl := classifyTally(ref, pkts, 0)
 			checkCounts(t, mode+" Classify", ref, tl, nil, nil)
 
-			batched := NewDataplane(cfg, concurrent)
-			gotQ := make([]int, n)
-			for ph := 0; ph < countsPhases; ph++ {
-				if ph > 0 {
-					batched.Deploy(remap(cfg, ph))
-				}
-				lo, hi := phase(ph, n)
-				for lo < hi {
-					end := min(lo+1+lo%97, hi)
-					batched.ObserveBatch(pkts[lo:end], gotQ[lo:end])
-					lo = end
-				}
-			}
-			checkQueues(t, mode+" ObserveBatch", gotQ, tl.queue)
-			checkCounts(t, mode+" ObserveBatch", batched, tl, nil, nil)
-
 			framed := NewDataplane(cfg, concurrent)
 			ffs := toFeatures(cfg, views)
+			gotQ := make([]int, n)
 			for ph := 0; ph < countsPhases; ph++ {
 				if ph > 0 {
 					framed.Deploy(remap(cfg, ph))

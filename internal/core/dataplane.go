@@ -12,8 +12,9 @@ import (
 // Dataplane is the per-packet half of ACC-Turbo: feature extraction →
 // cluster assignment → queue classification. It owns no timers and has
 // no dependency on any clock or engine — state changes only when a
-// packet is offered (Classify/ObserveBatch) or when the control plane pushes
-// a decision in (Deploy, ResetStats, Reseed).
+// packet is offered (Classify, or ObserveShardFrames from the ingest
+// rings) or when the control plane pushes a decision in (Deploy,
+// ResetStats, Reseed).
 //
 // The pipeline is sharded like a multi-pipe Tofino (§7.1 runs one
 // clusterer per pipeline): packets are demuxed to one of N independent
@@ -27,7 +28,7 @@ import (
 // simulator path) the Dataplane must be driven from a single goroutine
 // and the hot path takes no locks. With concurrent=true each shard is
 // guarded by its own mutex, the queue mapping is swapped atomically,
-// and Classify/ObserveBatch are safe from any number of goroutines; the
+// and Classify/ObserveShardFrames are safe from any number of goroutines; the
 // clusterer hot path itself stays lock-free — callers that demux
 // flow-affine traffic one goroutine per shard (RSS) never contend.
 type Dataplane struct {
@@ -51,8 +52,8 @@ type Dataplane struct {
 	// one shard. Reads aggregate across all stripes lock-free.
 	pairs *telemetry.VecCounter
 
-	// scratch recycles ObserveBatch working memory across batches (and,
-	// in concurrent mode, across ingest goroutines).
+	// scratch recycles ObserveShardFrames' pair accumulator across
+	// batches (and, in concurrent mode, across ring consumers).
 	scratch sync.Pool
 
 	// restored holds the per-slot then per-queue totals RestoreState
@@ -64,17 +65,11 @@ type Dataplane struct {
 	cfg Config
 }
 
-// batchScratch is ObserveBatch's reusable working memory: the
-// counting-sort buffers that group a batch by shard, and the per-batch
-// pair-count accumulator flushed to the telemetry stripes once per
-// shard run instead of once per packet.
+// batchScratch is ObserveShardFrames' reusable working memory: the
+// per-batch pair-count accumulator, flushed to the telemetry stripes
+// once per batch instead of once per packet.
 type batchScratch struct {
-	idx      []int32  // packet indices, grouped by shard
-	shard    []int32  // per-packet shard, computed once
-	segStart []int32  // per-shard segment start in idx
-	segLen   []int32  // per-shard segment length
-	fill     []int32  // per-shard fill cursor during grouping
-	pairs    []uint64 // per-(slot, queue) counts for the current shard run
+	pairs []uint64 // per-(slot, queue) counts for the current batch
 }
 
 // countStripes is the number of counter stripes per shard. Power of
@@ -123,12 +118,7 @@ func NewDataplane(cfg Config, concurrent bool) *Dataplane {
 		d.shards = append(d.shards, &shard{clusterer: cluster.NewOnline(cfg.Clustering)})
 	}
 	d.scratch.New = func() any {
-		return &batchScratch{
-			segStart: make([]int32, n),
-			segLen:   make([]int32, n),
-			fill:     make([]int32, n),
-			pairs:    make([]uint64, cfg.Clustering.MaxClusters*cfg.NumQueues),
-		}
+		return &batchScratch{pairs: make([]uint64, cfg.Clustering.MaxClusters*cfg.NumQueues)}
 	}
 	qm := make([]int, cfg.Clustering.MaxClusters)
 	d.queueMap.Store(&qm)
@@ -169,9 +159,9 @@ func (d *Dataplane) QueueFor(clusterID int) int {
 	return d.queueIn(*d.queueMap.Load(), clusterID)
 }
 
-// queueIn is QueueFor against an already-loaded mapping, so batch
-// processing loads the atomic pointer once per batch instead of once
-// per packet.
+// queueIn is QueueFor against an already-loaded mapping, so
+// ObserveShardFrames loads the atomic pointer once per batch instead of
+// once per packet.
 func (d *Dataplane) queueIn(qm []int, clusterID int) int {
 	if clusterID < 0 || clusterID >= len(qm) {
 		return d.cfg.NumQueues - 1
@@ -199,119 +189,6 @@ func (d *Dataplane) Classify(p *packet.Packet) (cluster.Assignment, int) {
 	return a, q
 }
 
-// ObserveBatch runs the full per-packet step (assign → queue lookup →
-// count) over a batch, amortizing what Classify pays per packet: the
-// queue mapping is loaded once, each shard's lock (concurrent mode) is
-// taken once per batch, and the telemetry stripes receive one flush
-// per shard run instead of one atomic add per packet. Packets are
-// grouped by flow-hash shard first, so each shard's clusterer sees its
-// packets in batch order — the same order the per-packet path would
-// deliver.
-//
-// When queues is non-nil it must be at least len(pkts) long; entry i
-// receives packet i's priority queue. The pair counters (Counts,
-// Observed) advance exactly as if every packet had gone through
-// Classify.
-func (d *Dataplane) ObserveBatch(pkts []*packet.Packet, queues []int) {
-	n := len(pkts)
-	if n == 0 {
-		return
-	}
-	if queues != nil && len(queues) < n {
-		panic("core: ObserveBatch queues shorter than pkts")
-	}
-	qm := *d.queueMap.Load()
-	sc := d.scratch.Get().(*batchScratch)
-
-	if len(d.shards) == 1 {
-		// Single pipeline: no grouping pass needed.
-		d.runShard(0, pkts, nil, queues, qm, sc)
-		d.scratch.Put(sc)
-		return
-	}
-
-	// Group packet indices by shard with a counting sort; the flow hash
-	// is computed once per packet.
-	if cap(sc.idx) < n {
-		sc.idx = make([]int32, n)
-		sc.shard = make([]int32, n)
-	}
-	sc.idx = sc.idx[:n]
-	sc.shard = sc.shard[:n]
-	ns := uint32(len(d.shards))
-	for i := range sc.segLen {
-		sc.segLen[i] = 0
-	}
-	for i, p := range pkts {
-		si := int32(packet.FlowHash(p) % ns)
-		sc.shard[i] = si
-		sc.segLen[si]++
-	}
-	off := int32(0)
-	for si := range sc.segStart {
-		sc.segStart[si] = off
-		sc.fill[si] = off
-		off += sc.segLen[si]
-	}
-	for i := range pkts {
-		si := sc.shard[i]
-		sc.idx[sc.fill[si]] = int32(i)
-		sc.fill[si]++
-	}
-	for si := range d.shards {
-		if sc.segLen[si] == 0 {
-			continue
-		}
-		seg := sc.idx[sc.segStart[si] : sc.segStart[si]+sc.segLen[si]]
-		d.runShard(si, pkts, seg, queues, qm, sc)
-	}
-	d.scratch.Put(sc)
-}
-
-// runShard observes one shard's slice of a batch and flushes the
-// accumulated counts to one of the shard's telemetry stripes. seg is
-// the packet-index segment for this shard, or nil for "all of pkts"
-// (the single-shard fast path). The stripe is picked from the run's
-// first packet — stripes only partition the same aggregated total, so
-// any choice is correct.
-func (d *Dataplane) runShard(si int, pkts []*packet.Packet, seg []int32, queues []int, qm []int, sc *batchScratch) {
-	s := d.shards[si]
-	nq := d.cfg.NumQueues
-	if d.concurrent {
-		s.mu.Lock()
-	}
-	if seg == nil {
-		for i, p := range pkts {
-			a := s.clusterer.Observe(p)
-			q := d.queueIn(qm, a.Cluster)
-			sc.pairs[a.Cluster*nq+q]++
-			if queues != nil {
-				queues[i] = q
-			}
-		}
-	} else {
-		for _, i := range seg {
-			p := pkts[i]
-			a := s.clusterer.Observe(p)
-			q := d.queueIn(qm, a.Cluster)
-			sc.pairs[a.Cluster*nq+q]++
-			if queues != nil {
-				queues[i] = q
-			}
-		}
-	}
-	if d.concurrent {
-		s.mu.Unlock()
-	}
-	var first *packet.Packet
-	if seg == nil {
-		first = pkts[0]
-	} else {
-		first = pkts[seg[0]]
-	}
-	d.flushCounts(stripeOfPort(si, first.SrcPort), sc)
-}
-
 // flushCounts drains a scratch's per-run pair counts onto one
 // telemetry stripe, zeroing them for the next run.
 func (d *Dataplane) flushCounts(stripe int, sc *batchScratch) {
@@ -336,14 +213,16 @@ type FrameFeatures struct {
 
 // ObserveShardFrames runs the full per-packet step over a batch of
 // frames already reduced to their feature values and already demuxed to
-// shard si — the per-shard ring consumer path, which skips
-// ObserveBatch's grouping pass entirely. Each entry feeds the shard's
+// shard si — the per-shard ring consumer path. Each entry feeds the shard's
 // clusterer through the fused ObserveFeatures path, so no Packet struct
 // is ever materialized. Frames carry no ground-truth label, so all
 // traffic counts as benign in the label telemetry — exactly what a
 // hardware deployment sees. The demux invariant is that every entry's
 // frame hashed to shard si (breaking it silently degrades clustering
-// quality but nothing else); queues follows the ObserveBatch contract.
+// quality but nothing else). When queues is non-nil it must be at least
+// len(frames) long; entry i receives frame i's priority queue. The pair
+// counters (Counts, Observed) advance exactly as if every frame had
+// gone through Classify.
 func (d *Dataplane) ObserveShardFrames(si int, frames []FrameFeatures, queues []int) {
 	n := len(frames)
 	if n == 0 {

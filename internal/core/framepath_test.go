@@ -60,12 +60,12 @@ func TestShardOfFrameMatchesShardOf(t *testing.T) {
 	}
 }
 
-// TestObserveShardFramesMatchesObserveBatch drives the same wire stream
-// through ObserveBatch (struct path) and through per-shard
+// TestObserveShardFramesMatchesClassify drives the same wire stream
+// through per-packet Classify (struct path) and through per-shard
 // ObserveShardFrames (fused frame path, demuxed the way the ring
 // consumers demux) and requires identical queue decisions, counters,
 // and cluster state.
-func TestObserveShardFramesMatchesObserveBatch(t *testing.T) {
+func TestObserveShardFramesMatchesClassify(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		cfg := DefaultConfig()
 		cfg.Shards = shards
@@ -75,7 +75,9 @@ func TestObserveShardFramesMatchesObserveBatch(t *testing.T) {
 		const n = 4096
 		pkts, views := mkFrames(t, n)
 		wantQ := make([]int, n)
-		structSide.ObserveBatch(pkts, wantQ)
+		for i, p := range pkts {
+			_, wantQ[i] = structSide.Classify(p)
+		}
 
 		// Demux frames to shards preserving stream order, as the ring
 		// consumers see them, then feed each shard in uneven chunks.

@@ -11,7 +11,6 @@ import (
 
 	"accturbo/internal/eventsim"
 	"accturbo/internal/frame"
-	"accturbo/internal/packet"
 )
 
 // allocated reports the bytes f allocated.
@@ -246,11 +245,9 @@ func FuzzRestoreState(f *testing.F) {
 			return
 		}
 		first := saved(t, dp, cp)
-		pkts := make([]*packet.Packet, 64)
-		for j := range pkts {
-			pkts[j] = mkPkt(j)
+		for j := range 64 {
+			dp.Classify(mkPkt(j))
 		}
-		dp.ObserveBatch(pkts, nil)
 		dp2, cp2 := freshFor(t, i)
 		if err := RestoreState(bytes.NewReader(first), dp2, cp2); err != nil {
 			t.Fatalf("the re-save of an accepted snapshot is refused: %v", err)

@@ -6,7 +6,7 @@
 # in a diff.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-ceiling=19272
+ceiling=19064
 count() { find "$@" -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' -print0 | xargs -0 cat | wc -l; }
 total=$(count .)
 echo "non-test Go outside benchmark/: $total"
